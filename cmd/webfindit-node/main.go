@@ -28,23 +28,24 @@
 //	  "breaker_cooldown_ms": 1000,         // open-state cooldown before the half-open probe
 //	  "min_members": 1,                    // coalition-query quorum (0 = 1)
 //	  "member_timeout_ms": 500,            // per-member fan-out deadline (0 = none)
-//	  "mdcache_ttl_ms": 2000,              // metadata cache positive TTL (0 = default, -1 disables the cache)
+//	  "mdcache_ttl_ms": 2000,              // metadata cache positive TTL (0 = default)
 //	  "mdcache_neg_ttl_ms": 250,           // metadata cache negative TTL (0 = default)
 //	  "mdcache_max_entries": 4096,         // metadata cache LRU bound (0 = default)
-//	  "disable_streaming": false,          // member sub-queries materialize instead of paging cursors
-//	  "disable_semijoin": false,           // semi-joins filter at the coordinator only (no key pushdown)
-//	  "semijoin_key_limit": 64,            // largest key set pushed as IN lists; larger sets go Bloom (0 = default 64)
-//	  "semijoin_bloom_bits": 10,           // Bloom prefilter bits per build-side key (0 = default 10)
 //	  "cursor_max_open": 32,               // server-side cursor cap per servant (0 = default 32)
 //	  "cursor_idle_ms": 120000,            // idle cursor reap TTL (0 = default 2 minutes)
-//	  "disable_gossip": false,             // turn off the anti-entropy membership agent
 //	  "gossip_interval_ms": 1000,          // gossip round pacing (0 = default 1s)
 //	  "gossip_fanout": 3,                  // peers contacted per gossip round (0 = default 3)
-//	  "subcoalition_size": 32,             // coalition size before discovery routes via representatives (0 = default 32, -1 = flat only)
 //	  "fragment_threshold_bytes": 262144,  // GIOP fragmentation threshold (0 = default 256 KiB, -1 off)
 //	  "chaos": { "seed": 1, "rules": [...] }, // optional fault-injection plan
 //	  "interface": [ { "name": "T", "functions": [ ... ] } ]
 //	}
+//
+// Unknown keys are an error, not ignored. The planner's execution modes
+// (predicate pushdown, cursor streaming, semi-join key pushdown, gossip,
+// hierarchical discovery) are not configurable: every node runs them, with
+// constant thresholds (merge window 64 rows, IN lists up to 64 keys then a
+// 10-bits-per-key Bloom filter, sub-coalitions above 32 members). The keys
+// that used to select them — see retiredKeys — are refused by name.
 //
 // The -chaos flag loads a fault-injection plan (same JSON shape as the
 // "chaos" config field) and applies it to the node's outbound IIOP calls,
@@ -53,6 +54,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -61,6 +63,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -98,56 +101,67 @@ type nodeFile struct {
 	BreakerCooldownMS int `json:"breaker_cooldown_ms"`
 	MinMembers        int `json:"min_members"`
 	MemberTimeoutMS   int `json:"member_timeout_ms"`
-	// Federation metadata cache knobs. TTL -1 disables the cache entirely;
-	// 0 keeps the built-in defaults (2s positive, 250ms negative, 4096
-	// entries). Stats are published at /debug/metrics under "mdcache".
+	// Federation metadata cache knobs; 0 keeps the built-in defaults (2s
+	// positive, 250ms negative, 4096 entries). Stats are published at
+	// /debug/metrics under "mdcache".
 	MDCacheTTLMS      int `json:"mdcache_ttl_ms"`
 	MDCacheNegTTLMS   int `json:"mdcache_neg_ttl_ms"`
 	MDCacheMaxEntries int `json:"mdcache_max_entries"`
-	// Federated planner knobs. DisablePushdown runs every coalition member
-	// on the bare fragment with full coordinator compensation (the planner's
-	// differential-testing mode); MergeBufRows bounds each member's
-	// streaming-merge channel (0 = default 64). DisableSemiJoin keeps
-	// semi-join key sets at the coordinator (no IN pushdown, no Bloom);
-	// SemiJoinKeyLimit is the exact-IN/Bloom crossover (0 = default 64);
-	// SemiJoinBloomBits sizes the Bloom prefilter per build-side key
-	// (0 = default 10). Planner counters are published at /debug/metrics
-	// under "planner".
-	DisablePushdown   bool `json:"disable_pushdown"`
-	MergeBufRows      int  `json:"merge_buf_rows"`
-	DisableSemiJoin   bool `json:"disable_semijoin"`
-	SemiJoinKeyLimit  int  `json:"semijoin_key_limit"`
-	SemiJoinBloomBits int  `json:"semijoin_bloom_bits"`
-	// Streaming-reply knobs. DisableStreaming makes member sub-queries
-	// materialize whole results in one round trip instead of paging through
-	// server-side cursors; CursorMaxOpen caps cursors held open per servant
+	// Streaming-reply knobs. CursorMaxOpen caps cursors held open per servant
 	// (0 = default 32); CursorIdleMS is the idle-reap TTL (0 = default 2
 	// minutes); FragmentThresholdBytes is the GIOP message size past which
 	// replies fragment on the wire (0 = default 256 KiB, -1 disables
-	// fragmentation). Cursor counters are published at /debug/metrics under
-	// "cursors".
-	DisableStreaming bool `json:"disable_streaming"`
-	CursorMaxOpen    int  `json:"cursor_max_open"`
-	CursorIdleMS     int  `json:"cursor_idle_ms"`
-	// Gossip membership and hierarchical-discovery knobs. DisableGossip
-	// turns the anti-entropy agent off (the node then answers gossip callers
-	// with BAD_OPERATION, like a pre-gossip peer); GossipIntervalMS paces
-	// rounds (0 = default 1000); GossipFanout is the peers contacted per
-	// round (0 = default 3); SubCoalitionSize is the coalition size above
-	// which stage-3 discovery routes through sub-coalition representatives
-	// (0 = default 32, -1 keeps flat fan-out for every size). Agent counters
-	// — rounds, deltas sent/applied, digest/delta bytes, convergence lag —
-	// are published at /debug/metrics under "gossip".
-	DisableGossip          bool                `json:"disable_gossip"`
+	// fragmentation). Cursor and planner counters are published at
+	// /debug/metrics under "cursors" and "planner".
+	CursorMaxOpen int `json:"cursor_max_open"`
+	CursorIdleMS  int `json:"cursor_idle_ms"`
+	// Gossip membership knobs. GossipIntervalMS paces rounds (0 = default
+	// 1000); GossipFanout is the peers contacted per round (0 = default 3).
+	// Agent counters — rounds, deltas sent/applied, digest/delta bytes,
+	// convergence lag — are published at /debug/metrics under "gossip".
 	GossipIntervalMS       int                 `json:"gossip_interval_ms"`
 	GossipFanout           int                 `json:"gossip_fanout"`
-	SubCoalitionSize       int                 `json:"subcoalition_size"`
 	FragmentThresholdBytes int                 `json:"fragment_threshold_bytes"`
 	Chaos                  *orb.FaultPlan      `json:"chaos"`
 	Interface              []codb.ExportedType `json:"interface"`
 	// InterfaceWTL declares the exported interface in the paper's WebTassili
 	// syntax (Type X { attribute ...; function ...; }) instead of JSON.
 	InterfaceWTL string `json:"interface_wtl"`
+}
+
+// retiredKeys are config keys earlier releases read and this one does not:
+// each selected (or tuned) an execution mode that is now the only one.
+var retiredKeys = map[string]bool{
+	"disable_pushdown": true, "merge_buf_rows": true, "disable_semijoin": true,
+	"semijoin_key_limit": true, "semijoin_bloom_bits": true,
+	"disable_streaming": true, "disable_gossip": true, "subcoalition_size": true,
+}
+
+// parseConfig decodes a node config strictly: a key the node does not read
+// is an error naming it, so a typo or a retired knob is never silently
+// dropped.
+func parseConfig(data []byte) (nodeFile, error) {
+	var cfg nodeFile
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		// encoding/json reports an unknown key as: json: unknown field "key"
+		if key, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+			key = strings.Trim(key, `"`)
+			if retiredKeys[strings.ToLower(key)] {
+				return cfg, fmt.Errorf("config key %q was retired in this release: the mode it selected or tuned is no longer configurable; remove the key", key)
+			}
+			return cfg, fmt.Errorf("unknown config key %q", key)
+		}
+		return cfg, err
+	}
+	if dec.More() {
+		return cfg, fmt.Errorf("unexpected data after the config object")
+	}
+	if cfg.MDCacheTTLMS < 0 {
+		return cfg, fmt.Errorf("mdcache_ttl_ms is %d: a negative TTL no longer turns the metadata cache off (it is always on); use 0 for the default", cfg.MDCacheTTLMS)
+	}
+	return cfg, nil
 }
 
 func main() {
@@ -164,8 +178,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cfg nodeFile
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	cfg, err := parseConfig(data)
+	if err != nil {
 		log.Fatalf("parse %s: %v", *configPath, err)
 	}
 	if cfg.Listen == "" {
@@ -250,36 +264,23 @@ func main() {
 		Interface:       iface,
 		Schema:          schema,
 
-		DisableMDCache:    cfg.MDCacheTTLMS < 0,
-		MDCacheTTL:        time.Duration(max(cfg.MDCacheTTLMS, 0)) * time.Millisecond,
+		MDCacheTTL:        time.Duration(cfg.MDCacheTTLMS) * time.Millisecond,
 		MDCacheNegTTL:     time.Duration(cfg.MDCacheNegTTLMS) * time.Millisecond,
 		MDCacheMaxEntries: cfg.MDCacheMaxEntries,
-		DisablePushdown:   cfg.DisablePushdown,
-		MergeBufRows:      cfg.MergeBufRows,
-		DisableStreaming:  cfg.DisableStreaming,
-		DisableSemiJoin:   cfg.DisableSemiJoin,
-		SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
-		SemiJoinBloomBits: cfg.SemiJoinBloomBits,
 		CursorMaxOpen:     cfg.CursorMaxOpen,
 		CursorIdleTTL:     time.Duration(cfg.CursorIdleMS) * time.Millisecond,
-		DisableGossip:     cfg.DisableGossip,
 		GossipInterval:    time.Duration(cfg.GossipIntervalMS) * time.Millisecond,
 		GossipFanout:      cfg.GossipFanout,
-		SubCoalitionSize:  cfg.SubCoalitionSize,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if node.Gossip != nil {
-		tracer.Publish("gossip", func() any { return node.Gossip.Stats() })
-		ctx, stopGossip := context.WithCancel(context.Background())
-		defer stopGossip()
-		go node.StartGossip(ctx)
-		log.Print("gossip agent active")
-	}
-	if node.MDCache != nil {
-		tracer.Publish("mdcache", func() any { return node.MDCache.Snapshot() })
-	}
+	tracer.Publish("gossip", func() any { return node.Gossip.Stats() })
+	gossipCtx, stopGossip := context.WithCancel(context.Background())
+	defer stopGossip()
+	go node.StartGossip(gossipCtx)
+	log.Print("gossip agent active")
+	tracer.Publish("mdcache", func() any { return node.MDCache.Snapshot() })
 	if node.RelDB != nil {
 		tracer.Publish("plancache", func() any { return node.RelDB.PlanCacheStats() })
 	}
@@ -291,10 +292,7 @@ func main() {
 			"wtl": wtl.PoolStats(),
 		}
 	})
-	if cfg.MinMembers > 0 || cfg.MemberTimeoutMS > 0 {
-		node.Processor.SetMemberPolicy(cfg.MinMembers,
-			time.Duration(cfg.MemberTimeoutMS)*time.Millisecond)
-	}
+	node.Processor.SetMemberPolicy(cfg.MinMembers, time.Duration(cfg.MemberTimeoutMS)*time.Millisecond)
 	log.Printf("node %q up: engine=%s wrapper=%s", cfg.Name, cfg.Engine, node.Descriptor.Wrapper)
 	fmt.Printf("ISI IOR:        %s\n", node.Descriptor.ISIRef)
 	fmt.Printf("CoDatabase IOR: %s\n", node.Descriptor.CoDBRef)

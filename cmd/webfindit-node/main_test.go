@@ -260,3 +260,38 @@ func TestTwoProcessFederation(t *testing.T) {
 		t.Errorf("cross-process dialect error = %v", err)
 	}
 }
+
+// TestParseConfigRejectsWhatItDoesNotRead: a key the node no longer reads, a
+// typo, and the retired "-1 = cache off" value are refused by name instead
+// of being silently dropped.
+func TestParseConfigRejectsWhatItDoesNotRead(t *testing.T) {
+	if _, err := parseConfig([]byte(`{"name": "N", "engine": "Oracle", "gossip_fanout": 3, "mdcache_ttl_ms": 0}`)); err != nil {
+		t.Fatalf("valid config refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name, config string
+		want         []string // substrings of the error
+	}{
+		{"retired key", `{"name": "N", "disable_pushdown": true}`, []string{`"disable_pushdown"`, "retired in this release"}},
+		{"retired tunable", `{"name": "N", "subcoalition_size": -1}`, []string{`"subcoalition_size"`, "retired in this release"}},
+		{"typo", `{"name": "N", "gosip_fanout": 3}`, []string{`unknown config key "gosip_fanout"`}},
+		{"cache off", `{"name": "N", "mdcache_ttl_ms": -1}`, []string{"mdcache_ttl_ms", "always on"}},
+		{"trailing data", `{"name": "N"} {"name": "M"}`, []string{"after the config object"}},
+	} {
+		_, err := parseConfig([]byte(tc.config))
+		if err == nil {
+			t.Errorf("%s: accepted %s", tc.name, tc.config)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
+	}
+	for key := range retiredKeys {
+		if _, err := parseConfig([]byte(`{"` + key + `": 0}`)); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("retired key %s: err = %v", key, err)
+		}
+	}
+}

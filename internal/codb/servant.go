@@ -269,8 +269,8 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.T
 		return idl.Any{Kind: idl.KindVoid}, nil
 	})
 	// The gossip and relay operations are declared in the IDL but registered
-	// only when the node runs the corresponding machinery, so a node with
-	// gossip disabled answers exactly like a pre-gossip peer: BAD_OPERATION.
+	// only when the servant is given the corresponding machinery, so one
+	// built without it answers exactly like a pre-gossip peer: BAD_OPERATION.
 	if opts.Gossip != nil {
 		on("gossip_pull", func(args []idl.Any) (idl.Any, error) {
 			delta, digest, err := opts.Gossip.HandlePull([]byte(args[0].Str))

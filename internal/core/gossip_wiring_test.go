@@ -8,17 +8,16 @@ import (
 	"repro/internal/orb"
 )
 
-// gossipFederation builds a three-node federation for the wiring tests: GA
-// and GB share a coalition (so each seeds the other from its member lists),
-// GC opts out of gossip entirely.
-func gossipFederation(t *testing.T) (*Federation, *Node, *Node, *Node) {
+// gossipFederation builds a two-node federation for the wiring tests: GA
+// and GB share a coalition, so each seeds the other from its member lists.
+func gossipFederation(t *testing.T) (*Federation, *Node, *Node) {
 	t.Helper()
 	f, err := NewFederation()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Shutdown)
-	for i, name := range []string{"GA", "GB", "GC"} {
+	for i, name := range []string{"GA", "GB"} {
 		cfg := NodeConfig{
 			Name:            name,
 			Engine:          EngineOracle,
@@ -26,9 +25,6 @@ func gossipFederation(t *testing.T) (*Federation, *Node, *Node, *Node) {
 			Schema:          "CREATE TABLE t (a INT);",
 			GossipSeed:      int64(i + 1),
 			GossipInterval:  time.Millisecond,
-		}
-		if name == "GC" {
-			cfg.DisableGossip = true
 		}
 		if _, err := f.AddNode(orb.Orbix, cfg); err != nil {
 			t.Fatal(err)
@@ -39,26 +35,15 @@ func gossipFederation(t *testing.T) (*Federation, *Node, *Node, *Node) {
 	}
 	a, _ := f.Node("GA")
 	b, _ := f.Node("GB")
-	c, _ := f.Node("GC")
-	return f, a, b, c
+	return f, a, b
 }
 
 // TestNodeGossipWiring drives the production gossip hooks end to end: the
 // agents exchange over real IIOP connections through the co-database
 // servants, seed knowledge comes from the coalition member lists, applied
-// entries reach the metadata cache through the OnApply hook, and a node
-// built with DisableGossip has no agent at all.
+// entries reach the metadata cache through the OnApply hook.
 func TestNodeGossipWiring(t *testing.T) {
-	_, a, b, c := gossipFederation(t)
-	if c.Gossip != nil {
-		t.Fatal("DisableGossip node still has an agent")
-	}
-	// StartGossip on an agent-less node must return immediately, not block.
-	c.StartGossip(context.Background())
-
-	if a.Gossip == nil || b.Gossip == nil {
-		t.Fatal("gossip agents missing")
-	}
+	_, a, b := gossipFederation(t)
 	// Bootstrap knowledge: the coalition member list names the peer before
 	// any exchange has happened.
 	seeds := a.gossipSeeds()
@@ -98,7 +83,7 @@ func TestNodeGossipWiring(t *testing.T) {
 // millisecond interval the loop must produce exchanges on its own, and
 // cancelling the context must stop it.
 func TestStartGossipLoop(t *testing.T) {
-	_, a, _, _ := gossipFederation(t)
+	_, a, _ := gossipFederation(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

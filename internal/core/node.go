@@ -59,14 +59,12 @@ type NodeConfig struct {
 	// SeedObjects, for object engines, populates the fresh OO database.
 	SeedObjects func(*oodb.DB) error
 
-	// DisableMDCache turns off the federation metadata cache the node's
-	// query processor uses for coalition membership, source descriptors and
-	// peer discovery probes. The cache is on by default; only metadata (the
-	// co-database tier) is ever cached — data queries always hit the source.
-	DisableMDCache bool
-	// MDCacheTTL / MDCacheNegTTL / MDCacheMaxEntries override the cache
-	// defaults (2s positive TTL, 250ms negative TTL, 4096 entries) when
-	// positive; zero keeps the default.
+	// MDCacheTTL / MDCacheNegTTL / MDCacheMaxEntries override the defaults
+	// (2s positive TTL, 250ms negative TTL, 4096 entries) of the metadata
+	// cache the node's query processor uses for coalition membership, source
+	// descriptors and peer discovery probes, when positive; zero keeps the
+	// default. Only metadata (the co-database tier) is ever cached — data
+	// queries always hit the source.
 	MDCacheTTL        time.Duration
 	MDCacheNegTTL     time.Duration
 	MDCacheMaxEntries int
@@ -82,28 +80,6 @@ type NodeConfig struct {
 	// entry is stale), which the federated planner must tolerate by falling
 	// back to full compensation when a pushed clause is rejected.
 	AdvertiseEngine string
-	// DisablePushdown starts the node's query processor with predicate and
-	// limit pushdown off (see query.Config.DisablePushdown). Differential
-	// tests build one federation per mode and require identical answers.
-	DisablePushdown bool
-	// MergeBufRows bounds each member's streaming-merge channel and the
-	// cursor batch size member sub-queries fetch with (see
-	// query.Config.MergeBufRows); 0 keeps the default (64).
-	MergeBufRows int
-	// DisableStreaming starts the node's query processor with the member
-	// cursor protocol off (see query.Config.DisableStreaming): member
-	// sub-queries materialize whole results in one round trip.
-	DisableStreaming bool
-	// DisableSemiJoin starts the node's query processor with semi-join key
-	// pushdown off (see query.Config.DisableSemiJoin): join statements run,
-	// but every probe row crosses the wire and the coordinator filters.
-	DisableSemiJoin bool
-	// SemiJoinKeyLimit is the exact-IN/Bloom crossover for semi-join key
-	// sets (see query.Config.SemiJoinKeyLimit); 0 keeps the default (64).
-	SemiJoinKeyLimit int
-	// SemiJoinBloomBits sizes the semi-join Bloom prefilter in bits per key
-	// (see query.Config.SemiJoinBloomBits); 0 keeps the default (10).
-	SemiJoinBloomBits int
 	// CursorMaxOpen caps the server-side cursors the node's ISI and
 	// co-database servants will hold open at once; 0 keeps the default (32).
 	// Clients past the cap fall back to whole-result round trips.
@@ -113,14 +89,9 @@ type NodeConfig struct {
 	// Cursor tables share the node Clock when one is injected.
 	CursorIdleTTL time.Duration
 
-	// DisableGossip turns off the node's anti-entropy membership agent and
-	// leaves the gossip servant operations unregistered, so the node answers
-	// gossip callers exactly like a pre-gossip peer (BAD_OPERATION). The
-	// agent itself is passive until StartGossip runs (production) or a test
-	// drives Tick directly, so merely having it costs nothing.
-	DisableGossip bool
-	// GossipInterval paces the background gossip loop started by
-	// StartGossip; 0 keeps the default (1s).
+	// GossipInterval paces the background loop StartGossip runs on the
+	// node's anti-entropy membership agent; 0 keeps the default (1s). The
+	// agent is passive until then (tests drive Tick directly).
 	GossipInterval time.Duration
 	// GossipFanout is how many peers each gossip round exchanges digests
 	// with; 0 keeps the default (3).
@@ -131,11 +102,6 @@ type NodeConfig struct {
 	// GossipSuspectAfter is how many consecutive failed exchanges mark a
 	// peer dead for representative election; 0 keeps the default (2).
 	GossipSuspectAfter int
-	// SubCoalitionSize is the coalition size above which stage-3 discovery
-	// routes through sub-coalition representatives (see
-	// query.Config.SubCoalitionSize); 0 keeps the default (32), negative
-	// disables hierarchical routing.
-	SubCoalitionSize int
 }
 
 // Node is one running WebFINDIT participant.
@@ -148,8 +114,8 @@ type Node struct {
 	ISIIOR     *orb.IOR
 	CoDBIOR    *orb.IOR
 	Processor  *query.Processor
-	MDCache    *mdcache.Cache // nil when NodeConfig.DisableMDCache is set
-	Gossip     *gossip.Agent  // nil when NodeConfig.DisableGossip is set
+	MDCache    *mdcache.Cache
+	Gossip     *gossip.Agent
 
 	isiConn gateway.Conn
 	// Cursor tables behind the node's servants (ISI data cursors, co-database
@@ -227,36 +193,34 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// serve gossip_pull/gossip_push from the first exchange. Its hooks read
 	// n.Descriptor and n.Processor through closures evaluated at call time —
 	// both are set below, before any traffic can reach the node.
-	if !cfg.DisableGossip {
-		n.Gossip = gossip.New(gossip.Config{
-			Self:  n.gossipSelf,
-			Seeds: n.gossipSeeds,
-			Exchange: func(ctx context.Context, ref string, digest []byte) ([]byte, []byte, error) {
-				objRef, err := cfg.ORB.ResolveString(ref)
-				if err != nil {
-					return nil, nil, err
-				}
-				return codb.NewClient(objRef).GossipPull(ctx, digest)
-			},
-			Push: func(ctx context.Context, ref string, delta []byte) error {
-				objRef, err := cfg.ORB.ResolveString(ref)
-				if err != nil {
-					return err
-				}
-				_, err = codb.NewClient(objRef).GossipPush(ctx, delta)
+	n.Gossip = gossip.New(gossip.Config{
+		Self:  n.gossipSelf,
+		Seeds: n.gossipSeeds,
+		Exchange: func(ctx context.Context, ref string, digest []byte) ([]byte, []byte, error) {
+			objRef, err := cfg.ORB.ResolveString(ref)
+			if err != nil {
+				return nil, nil, err
+			}
+			return codb.NewClient(objRef).GossipPull(ctx, digest)
+		},
+		Push: func(ctx context.Context, ref string, delta []byte) error {
+			objRef, err := cfg.ORB.ResolveString(ref)
+			if err != nil {
 				return err
-			},
-			OnApply: func(applied []gossip.Entry) {
-				if n.Processor != nil {
-					n.Processor.GossipApplied(applied)
-				}
-			},
-			Fanout:       cfg.GossipFanout,
-			Interval:     cfg.GossipInterval,
-			Seed:         cfg.GossipSeed,
-			SuspectAfter: cfg.GossipSuspectAfter,
-		})
-	}
+			}
+			_, err = codb.NewClient(objRef).GossipPush(ctx, delta)
+			return err
+		},
+		OnApply: func(applied []gossip.Entry) {
+			if n.Processor != nil {
+				n.Processor.GossipApplied(applied)
+			}
+		},
+		Fanout:       cfg.GossipFanout,
+		Interval:     cfg.GossipInterval,
+		Seed:         cfg.GossipSeed,
+		SuspectAfter: cfg.GossipSuspectAfter,
+	})
 
 	// Activate the servants.
 	isiServant, isiCursors := gateway.NewISIServantWith(conn, gateway.ISIServantOptions{
@@ -270,25 +234,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.ISIIOR = isiIOR
-	codbOpts := codb.ServantOptions{
+	codbServant, codbCursors := codb.NewServantWith(n.CoDB, codb.ServantOptions{
 		CursorMaxOpen: cfg.CursorMaxOpen,
 		CursorIdleTTL: cfg.CursorIdleTTL,
 		Clock:         cfg.Clock,
-		// relay_probe is served whenever the processor exists (hierarchical
-		// routing works without gossip; election just sees everyone alive).
-		// A call landing in the startup window before n.Processor is set gets
-		// an empty reply, which coordinators treat as a failed relay.
+		Gossip:        n.Gossip,
+		// A relay_probe landing in the startup window before n.Processor is
+		// set gets an empty reply, which coordinators treat as a failed relay.
 		Relay: func(ctx context.Context, topic string, members []codb.RelayTarget) []codb.RelayResult {
 			if n.Processor == nil {
 				return nil
 			}
 			return n.Processor.RelayProbe(ctx, topic, members)
 		},
-	}
-	if n.Gossip != nil {
-		codbOpts.Gossip = n.Gossip
-	}
-	codbServant, codbCursors := codb.NewServantWith(n.CoDB, codbOpts)
+	})
 	n.codbCursors = codbCursors
 	codbIOR, err := cfg.ORB.Activate(codbKey(cfg.Name), codbServant)
 	if err != nil {
@@ -321,33 +280,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	resolveInterfaceTables(n)
 	n.CoDB.SetOwnerDescriptor(n.Descriptor)
 
-	if !cfg.DisableMDCache {
-		n.MDCache = mdcache.New(mdcache.Options{
-			TTL:        cfg.MDCacheTTL,
-			NegTTL:     cfg.MDCacheNegTTL,
-			MaxEntries: cfg.MDCacheMaxEntries,
-			Clock:      cfg.Clock,
-		})
-	}
-	var alive func(string) bool
-	if n.Gossip != nil {
-		alive = n.Gossip.Store().Alive
-	}
+	n.MDCache = mdcache.New(mdcache.Options{
+		TTL:        cfg.MDCacheTTL,
+		NegTTL:     cfg.MDCacheNegTTL,
+		MaxEntries: cfg.MDCacheMaxEntries,
+		Clock:      cfg.Clock,
+	})
 	n.Processor, err = query.New(query.Config{
-		ORB:               cfg.ORB,
-		Home:              cfg.Name,
-		HomeDescriptor:    n.Descriptor,
-		Local:             codb.NewClient(cfg.ORB.Resolve(codbIOR)),
-		LocalCoDB:         n.CoDB,
-		Cache:             n.MDCache,
-		DisablePushdown:   cfg.DisablePushdown,
-		MergeBufRows:      cfg.MergeBufRows,
-		DisableStreaming:  cfg.DisableStreaming,
-		DisableSemiJoin:   cfg.DisableSemiJoin,
-		SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
-		SemiJoinBloomBits: cfg.SemiJoinBloomBits,
-		SubCoalitionSize:  cfg.SubCoalitionSize,
-		Alive:             alive,
+		ORB:            cfg.ORB,
+		Home:           cfg.Name,
+		HomeDescriptor: n.Descriptor,
+		Local:          codb.NewClient(cfg.ORB.Resolve(codbIOR)),
+		LocalCoDB:      n.CoDB,
+		Cache:          n.MDCache,
+		Alive:          n.Gossip.Store().Alive,
 	})
 	if err != nil {
 		return nil, err
@@ -396,13 +342,8 @@ func (n *Node) gossipSeeds() []gossip.Entry {
 }
 
 // StartGossip runs the node's anti-entropy loop until ctx ends. It blocks;
-// production nodes run it on a goroutine. A node without an agent returns
-// immediately.
-func (n *Node) StartGossip(ctx context.Context) {
-	if n.Gossip != nil {
-		n.Gossip.Start(ctx)
-	}
-}
+// production nodes run it on a goroutine.
+func (n *Node) StartGossip(ctx context.Context) { n.Gossip.Start(ctx) }
 
 // Close deactivates the node's servants.
 func (n *Node) Close() error {

@@ -211,20 +211,6 @@ type Conn interface {
 	Close() error
 }
 
-// QueryContext runs a query on a connection.
-//
-// Deprecated: Conn.Query is context-first now; call c.Query(ctx, q) directly.
-func QueryContext(ctx context.Context, c Conn, q string) (*Result, error) {
-	return c.Query(ctx, q)
-}
-
-// ExecContext runs a statement on a connection.
-//
-// Deprecated: Conn.Exec is context-first now; call c.Exec(ctx, q) directly.
-func ExecContext(ctx context.Context, c Conn, q string) (*Result, error) {
-	return c.Exec(ctx, q)
-}
-
 // Driver creates connections for one DSN scheme.
 type Driver interface {
 	Open(name string) (Conn, error)

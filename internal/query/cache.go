@@ -57,9 +57,18 @@ func (p *Processor) versioner(c *codb.Client) (mdcache.Versioner, bool) {
 	return func(ctx context.Context) (uint64, error) { return c.Version(ctx) }, false
 }
 
-func (p *Processor) cacheGet(ctx context.Context, c *codb.Client, key string, fetch mdcache.Fetcher) (any, mdcache.Outcome, error) {
+// cached answers one metadata question about co-database c through the
+// cache, as a T: fetch runs on a miss (or directly, with no cache configured)
+// and its result is shared by every later asker until the entry expires or
+// c's version moves. A negative entry comes back as T's zero value.
+func cached[T any](ctx context.Context, p *Processor, c *codb.Client, key string, fetch mdcache.Fetcher) (T, mdcache.Outcome, error) {
 	ver, verify := p.versioner(c)
-	return p.cfg.Cache.Get(ctx, key, mdcache.Request{Fetch: fetch, Version: ver, VerifyHit: verify})
+	v, out, err := p.cfg.Cache.Get(ctx, key, mdcache.Request{Fetch: fetch, Version: ver, VerifyHit: verify})
+	if err != nil || v == nil {
+		var zero T
+		return zero, out, err
+	}
+	return v.(T), out, nil
 }
 
 // probeKey is the cache key of one peer's stage-3 discovery probe.
@@ -83,8 +92,7 @@ func (p *Processor) peekProbe(c *codb.Client, topic string) (probeResult, bool) 
 
 // cachedProbe runs (or replays) one peer's stage-3 discovery probe.
 func (p *Processor) cachedProbe(ctx context.Context, c *codb.Client, topic string) (probeResult, mdcache.Outcome, error) {
-	key := p.probeKey(c, topic)
-	v, out, err := p.cacheGet(ctx, c, key, func(ctx context.Context) (any, error) {
+	return cached[probeResult](ctx, p, c, p.probeKey(c, topic), func(ctx context.Context) (any, error) {
 		coals, err := c.FindCoalitions(ctx, topic)
 		if err != nil {
 			return nil, err
@@ -95,91 +103,48 @@ func (p *Processor) cachedProbe(ctx context.Context, c *codb.Client, topic strin
 		}
 		return probeResult{Coals: coals, Links: links}, nil
 	})
-	if err != nil || v == nil {
-		return probeResult{}, out, err
-	}
-	return v.(probeResult), out, nil
 }
 
 // cachedFindCoalitions scores a co-database's coalitions against a topic.
 func (p *Processor) cachedFindCoalitions(ctx context.Context, c *codb.Client, topic string) ([]codb.Match, mdcache.Outcome, error) {
-	key := "findc|" + p.srcKey(c) + "|" + strings.ToLower(topic)
-	v, out, err := p.cacheGet(ctx, c, key, func(ctx context.Context) (any, error) {
-		return c.FindCoalitions(ctx, topic)
-	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.([]codb.Match), out, nil
+	return cached[[]codb.Match](ctx, p, c, "findc|"+p.srcKey(c)+"|"+strings.ToLower(topic),
+		func(ctx context.Context) (any, error) { return c.FindCoalitions(ctx, topic) })
 }
 
 // cachedFindLinks scores a co-database's service links against a topic.
 func (p *Processor) cachedFindLinks(ctx context.Context, c *codb.Client, topic string) ([]codb.Match, mdcache.Outcome, error) {
-	key := "findl|" + p.srcKey(c) + "|" + strings.ToLower(topic)
-	v, out, err := p.cacheGet(ctx, c, key, func(ctx context.Context) (any, error) {
-		return c.FindLinks(ctx, topic)
-	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.([]codb.Match), out, nil
+	return cached[[]codb.Match](ctx, p, c, "findl|"+p.srcKey(c)+"|"+strings.ToLower(topic),
+		func(ctx context.Context) (any, error) { return c.FindLinks(ctx, topic) })
 }
 
 // cachedCoalitions lists a co-database's coalition classes.
 func (p *Processor) cachedCoalitions(ctx context.Context, c *codb.Client) ([]string, mdcache.Outcome, error) {
-	v, out, err := p.cacheGet(ctx, c, "coalitions|"+p.srcKey(c), func(ctx context.Context) (any, error) {
-		return c.Coalitions(ctx)
-	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.([]string), out, nil
+	return cached[[]string](ctx, p, c, "coalitions|"+p.srcKey(c),
+		func(ctx context.Context) (any, error) { return c.Coalitions(ctx) })
 }
 
 // cachedMemberOf lists the coalitions a co-database's owner belongs to.
 func (p *Processor) cachedMemberOf(ctx context.Context, c *codb.Client) ([]string, mdcache.Outcome, error) {
-	v, out, err := p.cacheGet(ctx, c, "memberof|"+p.srcKey(c), func(ctx context.Context) (any, error) {
-		return c.MemberOf(ctx)
-	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.([]string), out, nil
+	return cached[[]string](ctx, p, c, "memberof|"+p.srcKey(c),
+		func(ctx context.Context) (any, error) { return c.MemberOf(ctx) })
 }
 
 // cachedInstances lists a coalition's member descriptors.
 func (p *Processor) cachedInstances(ctx context.Context, c *codb.Client, coalition string) ([]*codb.SourceDescriptor, mdcache.Outcome, error) {
-	key := "instances|" + p.srcKey(c) + "|" + strings.ToLower(coalition)
-	v, out, err := p.cacheGet(ctx, c, key, func(ctx context.Context) (any, error) {
-		return c.Instances(ctx, coalition)
-	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.([]*codb.SourceDescriptor), out, nil
+	return cached[[]*codb.SourceDescriptor](ctx, p, c, "instances|"+p.srcKey(c)+"|"+strings.ToLower(coalition),
+		func(ctx context.Context) (any, error) { return c.Instances(ctx, coalition) })
 }
 
 // cachedLinks lists a co-database's service links.
 func (p *Processor) cachedLinks(ctx context.Context, c *codb.Client) ([]*codb.ServiceLink, mdcache.Outcome, error) {
-	v, out, err := p.cacheGet(ctx, c, "links|"+p.srcKey(c), func(ctx context.Context) (any, error) {
-		return c.Links(ctx)
-	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.([]*codb.ServiceLink), out, nil
+	return cached[[]*codb.ServiceLink](ctx, p, c, "links|"+p.srcKey(c),
+		func(ctx context.Context) (any, error) { return c.Links(ctx) })
 }
 
 // cachedAccessInfo fetches a source descriptor by database name.
 func (p *Processor) cachedAccessInfo(ctx context.Context, c *codb.Client, source string) (*codb.SourceDescriptor, mdcache.Outcome, error) {
-	key := "access|" + p.srcKey(c) + "|" + strings.ToLower(source)
-	v, out, err := p.cacheGet(ctx, c, key, func(ctx context.Context) (any, error) {
-		return c.AccessInfo(ctx, source)
-	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.(*codb.SourceDescriptor), out, nil
+	return cached[*codb.SourceDescriptor](ctx, p, c, "access|"+p.srcKey(c)+"|"+strings.ToLower(source),
+		func(ctx context.Context) (any, error) { return c.AccessInfo(ctx, source) })
 }
 
 // peerTarget is one stage-3 probe target: a coalition peer's member name,
@@ -209,8 +174,7 @@ type peerGroup struct {
 // version-verified freshness — so a repeat discovery skips the member-of and
 // per-coalition instance lookups entirely.
 func (p *Processor) cachedPeerGroups(ctx context.Context, local *codb.Client) ([]peerGroup, mdcache.Outcome, error) {
-	key := "peers|" + p.srcKey(local)
-	v, out, err := p.cacheGet(ctx, local, key, func(ctx context.Context) (any, error) {
+	return cached[[]peerGroup](ctx, p, local, "peers|"+p.srcKey(local), func(ctx context.Context) (any, error) {
 		memberOf, _, err := p.cachedMemberOf(ctx, local)
 		if err != nil {
 			return nil, err
@@ -240,10 +204,6 @@ func (p *Processor) cachedPeerGroups(ctx context.Context, local *codb.Client) ([
 		}
 		return groups, nil
 	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.([]peerGroup), out, nil
 }
 
 // invalidateCache eagerly empties the metadata cache after a statement that

@@ -291,3 +291,38 @@ func TestSimChaosBreakerShieldsRepeatedQueries(t *testing.T) {
 		t.Errorf("open breaker still dialed: %d -> %d", dialsBefore, dials)
 	}
 }
+
+// TestSimChaosFailedJoinLeavesNoAdvertisement: one member is silent, so the
+// join's advertisement to it only ends with the statement's own deadline.
+// The rollback of the advertisements that did land must not run on that dead
+// context: afterwards no surviving member may list the newcomer.
+func TestSimChaosFailedJoinLeavesNoAdvertisement(t *testing.T) {
+	fed := buildSimChaosFed(t, 3, orb.Options{})
+	for _, m := range fed.members { // members hold the coalition too, as after a real formation
+		if err := m.CoDB.DefineCoalition("Records", "", "chaos coalition"); err != nil {
+			t.Fatal(err)
+		}
+		for _, peer := range fed.members {
+			if err := m.CoDB.AddMember("Records", peer.Descriptor); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fed.stall(2)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := fed.home.NewSession().Execute(ctx, "Join Coalition Records;"); err == nil {
+		t.Fatal("join succeeded with a silent member")
+	}
+	for _, m := range fed.members[:2] {
+		listed, err := m.CoDB.Members("Records")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range listed {
+			if d.Name == "Home" {
+				t.Errorf("%s still advertises Home after the failed join", m.Config.Name)
+			}
+		}
+	}
+}

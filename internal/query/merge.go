@@ -7,9 +7,7 @@ import (
 	"io"
 	"strings"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/gateway"
 	"repro/internal/idl"
 	"repro/internal/orb"
 	"repro/internal/trace"
@@ -21,10 +19,10 @@ import (
 // output is deterministic regardless of member timing. Members are read
 // through the gateway cursor protocol (Conn.QueryCursor), so backpressure
 // reaches the wire: a member issues its next fetch only after the merge has
-// drained the previous MergeBufRows window. A statement LIMIT terminates the
-// fan-out early: once K rows are merged the remaining members' sub-calls are
-// cancelled (closing their server-side cursors) and their statuses report
-// ErrClass "limit" — satisfied, not degraded.
+// drained the previous merge window (defaultMergeWindow rows). A statement
+// LIMIT terminates the fan-out early: once K rows are merged the remaining
+// members' sub-calls are cancelled (closing their server-side cursors) and
+// their statuses report ErrClass "limit" — satisfied, not degraded.
 
 // errLimitSatisfied is the fan-out cancel cause once a statement LIMIT is
 // met; errStreamClosed is the cause when the consumer abandons the stream.
@@ -73,8 +71,10 @@ type mergeStream struct {
 	chans    []chan []idl.Any
 	statuses []MemberStatus
 	colNames []string
+	ctx      context.Context // the fan-out's context; cancel ends it with a cause
 	cancel   context.CancelCauseFunc
 	fanDone  chan struct{}
+	fan      memberFan
 
 	// limit is the effective row cap (plan.Limit normally). A semi-join
 	// probe decouples it from the plan: the cached plan carries no limit
@@ -103,9 +103,9 @@ type mergeStream struct {
 
 	// inflight counts rows sitting in the merge channels (pulled from a
 	// member's cursor, not yet consumed); peakInflight is its high-water
-	// mark. Together with the per-member cursor batch (MergeBufRows rows at
+	// mark. Together with the per-member cursor batch (one merge window at
 	// most) it bounds coordinator buffering: peakInflight never exceeds
-	// members x MergeBufRows, whatever the scan size.
+	// members x merge window, whatever the scan size.
 	inflight     atomic.Int64
 	peakInflight atomic.Int64
 }
@@ -113,15 +113,11 @@ type mergeStream struct {
 // newMergeStream fans the plan out and returns the pull side of the merge.
 // Each merged row is [source, result-column]; residual conjuncts are applied
 // (and the projection narrowed) in the worker, before the channel send, so
-// backpressure is paid only for rows that will be delivered.
-func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan) *mergeStream {
-	return s.newMergeStreamFiltered(ctx, plan, plan.Limit, nil, nil)
-}
-
-// newMergeStreamFiltered is newMergeStream with the semi-join hooks: an
-// effective limit decoupled from the cached plan, a coordinator-side key
-// filter, and per-member execution overrides carrying pushed key sets.
-func (s *Session) newMergeStreamFiltered(ctx context.Context, plan *queryPlan, limit int, filter *semiJoinFilter, overrides []*fragmentExec) *mergeStream {
+// backpressure is paid only for rows that will be delivered. limit is
+// plan.Limit for a plain statement; a semi-join passes its own effective
+// limit, a coordinator-side key filter, and per-member execution overrides
+// carrying pushed key sets.
+func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int, filter *semiJoinFilter, overrides []*fragmentExec) *mergeStream {
 	n := len(plan.Members)
 	ms := &mergeStream{
 		sess:      s,
@@ -137,8 +133,7 @@ func (s *Session) newMergeStreamFiltered(ctx context.Context, plan *queryPlan, l
 		overrides: overrides,
 	}
 	for i := range plan.Members {
-		ms.statuses[i] = MemberStatus{Member: plan.Members[i].D.Name, Ref: plan.Members[i].D.ISIRef,
-			ErrClass: "skipped", Err: "not dispatched"}
+		ms.statuses[i] = notDispatched(plan.Members[i].D.Name, plan.Members[i].D.ISIRef)
 	}
 	buf := s.p.mergeBufRows()
 	for i := range ms.chans {
@@ -146,18 +141,21 @@ func (s *Session) newMergeStreamFiltered(ctx context.Context, plan *queryPlan, l
 	}
 	mergeCtx, cancel := context.WithCancelCause(ctx)
 	ms.cancel = cancel
-	dispatched := make([]atomic.Bool, n)
+	ms.ctx = mergeCtx
+	ms.fan = memberFan{span: "query.member:", sess: s, layer: "data", what: "member ",
+		call: func(ctx context.Context, i int, sp *trace.Span) error { return s.runMember(ctx, ms, i, sp) }}
 	go func() {
 		defer close(ms.fanDone)
+		// A member's channel closes after callMember returns, when its status
+		// is final — which is what lets Next read the status race-free.
 		fanOutCtx(mergeCtx, n, s.p.fanOutWidth(), func(i int) {
-			dispatched[i].Store(true)
-			defer close(ms.chans[i])
-			s.runMember(mergeCtx, ms, i)
+			s.p.callMember(mergeCtx, &ms.statuses[i], i, &ms.fan)
+			close(ms.chans[i])
 		})
 		// Members the fan-out never dispatched (context cancelled first)
 		// still need their channels closed so the merge loop can pass them.
 		for i := range ms.chans {
-			if !dispatched[i].Load() {
+			if ms.statuses[i].ErrClass == "skipped" {
 				close(ms.chans[i])
 			}
 		}
@@ -204,9 +202,10 @@ func (ms *mergeStream) Next() (row []idl.Any, member int, ok bool) {
 }
 
 // Close abandons or finalises the stream: outstanding member sub-calls are
-// cancelled (closing their server-side cursors), the fan-out is awaited, and
-// post-LIMIT statuses are patched. Statuses, counters and the peak-buffer
-// gauge are stable once Close returns. Idempotent.
+// cancelled (closing their server-side cursors), the fan-out is awaited,
+// post-LIMIT statuses are patched and the stream's counters are folded into
+// the processor's. Statuses, counters and the peak-buffer gauge are stable
+// once Close returns. Idempotent.
 func (ms *mergeStream) Close() {
 	if ms.closed {
 		return
@@ -214,7 +213,14 @@ func (ms *mergeStream) Close() {
 	ms.closed = true
 	ms.cancel(errStreamClosed)
 	<-ms.fanDone
+	stats := &ms.sess.p.stats
+	stats.rowsMoved.Add(ms.rowsMoved.Load())
+	stats.fallbacks.Add(ms.fallbacks.Load())
+	stats.probeRowsPruned.Add(ms.probePruned.Load())
+	stats.semiJoinFallbacks.Add(ms.sjFallbacks.Load())
+	stats.raisePeak(ms.peakInflight.Load())
 	if ms.stop >= 0 {
+		stats.earlyTerminations.Add(1)
 		// Early termination: everything after the member that satisfied the
 		// limit is reported as cut off by it, whatever its sub-call was
 		// doing when the cancel landed — keeping the statuses (and thus the
@@ -224,6 +230,40 @@ func (ms *mergeStream) Close() {
 				ErrClass: "limit", Err: "limit satisfied"}
 		}
 	}
+}
+
+// tally buckets the member statuses; valid once the stream is closed.
+func (ms *mergeStream) tally() (answered, degraded int, firstErr error) {
+	for i := range ms.statuses {
+		st := &ms.statuses[i]
+		switch {
+		case st.OK():
+			answered++
+		case st.ErrClass == "limit":
+			// Cut off by a satisfied LIMIT: not an answer, not degradation.
+		default:
+			degraded++
+			if firstErr == nil {
+				firstErr = errors.New(st.Err)
+			}
+		}
+	}
+	return answered, degraded, firstErr
+}
+
+// quorumErr applies the degradation policy to a closed stream's tally: the
+// statement fails when fewer members than the quorum answered, unless a
+// satisfied LIMIT is what stopped the others.
+func (ms *mergeStream) quorumErr(coalition string, answered int, firstErr error) error {
+	quorum := max(ms.sess.p.minMembersQuorum(), 1)
+	if ms.stop >= 0 || answered >= quorum {
+		return nil
+	}
+	if firstErr == nil {
+		firstErr = errors.New("no member answered")
+	}
+	return fmt.Errorf("query: coalition %s: %d of %d member(s) answered, need %d: %w",
+		coalition, answered, len(ms.statuses), quorum, firstErr)
 }
 
 // mergedColumns names the merged result's columns from the first member that
@@ -237,91 +277,52 @@ func (ms *mergeStream) mergedColumns() []string {
 	return nil
 }
 
-// runMember executes one member's fragment and streams its compensated,
-// projected rows into the merge. The fragment runs through the gateway
-// cursor protocol (unless streaming is disabled), pulling MergeBufRows rows
+// runMember is the merge's member call: it executes one member's fragment
+// and streams its compensated, projected rows into the merge. The fragment
+// runs through the gateway cursor protocol, pulling one merge window of rows
 // per fetch; the bounded channel send between pulls is what propagates the
-// coordinator's pace back to the wire. On a capability rejection of a pushed
-// clause (the descriptor's engine claim was stale) it retries once with the
-// bare fragment and full coordinator-side compensation.
-func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
-	plan := ms.plan
-	mp := &plan.Members[i]
-	st := &ms.statuses[i]
-	mctx, msp := trace.StartSpan(ctx, "query.member:"+mp.D.Name)
-	msp.SetAttr("engine", mp.D.Engine)
-	msp.SetAttrInt("pushed", mp.Exec.Pushed)
-	msp.SetAttrInt("compensated", len(mp.Exec.Residual))
+// coordinator's pace back to the wire. (The streaming-off reference mode asks
+// for batch 0: the whole result in the opening round trip.) On a capability
+// rejection of a pushed clause (the descriptor's engine claim was stale) it
+// retries once with the bare fragment and full coordinator-side compensation.
+func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *trace.Span) error {
+	mp := &ms.plan.Members[i]
+	sp.SetAttr("engine", mp.D.Engine)
+	sp.SetAttrInt("pushed", mp.Exec.Pushed)
+	sp.SetAttrInt("compensated", len(mp.Exec.Residual))
 	if mp.Exec.LimitPushed {
-		msp.SetAttr("limit", "pushed")
+		sp.SetAttr("limit", "pushed")
 	}
-	streaming := s.p.streamingOn()
-	if streaming {
-		msp.SetAttr("stream", "cursor")
+	batch := 0
+	if s.p.streamingOn() {
+		batch = s.p.mergeBufRows()
+		sp.SetAttr("stream", "cursor")
 	} else {
-		msp.SetAttr("stream", "materialized")
+		sp.SetAttr("stream", "materialized")
 	}
-	if mt := s.p.memberTimeout(); mt > 0 {
-		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(mctx, mt)
-		defer cancel()
-	}
-	mctx, cs := orb.WithCallStats(mctx)
-	start := time.Now()
-	var err error
-	defer func() {
-		st.Latency = time.Since(start)
-		st.Attempts = int(cs.Attempts.Load())
-		if err != nil && mergeCancelled(ctx) {
-			// The merge stopped taking rows (limit satisfied downstream,
-			// stream closed); whatever the cancel did to the sub-call is not
-			// a member failure.
-			err = nil
-		}
-		if err != nil {
-			st.ErrClass = classifyErr(err)
-			st.Err = err.Error()
-			s.tracef("data", "member %s failed (%s): %v", mp.D.Name, st.ErrClass, err)
-		} else {
-			st.ErrClass, st.Err = "", ""
-		}
-		msp.End(err)
-	}()
 	conn, err := s.p.openSource(s, mp.D)
 	if err != nil {
-		return
+		return err
 	}
 	defer conn.Close()
-	open := func(ex *fragmentExec) (gateway.RowIter, error) {
-		if streaming {
-			return conn.QueryCursor(mctx, ex.Native, s.p.mergeBufRows())
-		}
-		res, qerr := conn.Query(mctx, ex.Native)
-		if qerr != nil {
-			return nil, qerr
-		}
-		return gateway.NewSliceIter(res), nil
-	}
 	ex := &mp.Exec
 	if ms.overrides != nil && ms.overrides[i] != nil {
 		ex = ms.overrides[i]
-		msp.SetAttr("semijoin", "keys pushed")
+		sp.SetAttr("semijoin", "keys pushed")
 	}
-	var it gateway.RowIter
-	it, err = open(ex)
-	if err != nil && (ex.Pushed > 0 || ex.LimitPushed || ex.InPushed) && isCapabilityRejection(err) && mctx.Err() == nil {
+	it, err := conn.QueryCursor(ctx, ex.Native, batch)
+	if err != nil && (ex.Pushed > 0 || ex.LimitPushed || ex.InPushed) && isCapabilityRejection(err) && ctx.Err() == nil {
 		s.tracef("data", "member %s rejected pushed fragment (%v); retrying with full compensation", mp.D.Name, err)
-		msp.SetAttr("fallback", "bare")
+		sp.SetAttr("fallback", "bare")
 		ms.fallbacks.Add(1)
 		if ex.InPushed {
 			ms.sjFallbacks.Add(1)
 		}
 		ex = &mp.Bare
-		it, err = open(ex)
+		it, err = conn.QueryCursor(ctx, ex.Native, batch)
 	}
 	if err != nil {
-		err = fmt.Errorf("query: %s: %w", mp.D.Name, err)
-		return
+		return fmt.Errorf("query: %s: %w", mp.D.Name, err)
 	}
 	defer it.Close()
 	if cols := it.Columns(); len(cols) > 0 {
@@ -331,15 +332,12 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 	}
 	name := idl.String(mp.D.Name)
 	for {
-		var row []idl.Any
-		row, err = it.Next(mctx)
+		row, err := it.Next(ctx)
 		if err == io.EOF {
-			err = nil
-			return
+			return nil
 		}
 		if err != nil {
-			err = fmt.Errorf("query: %s: %w", mp.D.Name, err)
-			return
+			return fmt.Errorf("query: %s: %w", mp.D.Name, err)
 		}
 		ms.rowsMoved.Add(1)
 		if len(row) == 0 {
@@ -364,10 +362,10 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 					break
 				}
 			}
-		case <-ctx.Done():
+		case <-ms.ctx.Done():
 			// The query itself succeeded; the merge just stopped taking
 			// rows (limit satisfied downstream). Not a member failure.
-			return
+			return nil
 		}
 	}
 }

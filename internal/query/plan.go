@@ -265,15 +265,11 @@ func planFingerprint(q *wtl.FuncQuery, pushdown bool) uint64 {
 func (p *Processor) cachedPlan(ctx context.Context, entry *codb.Client, q *wtl.FuncQuery, pushdown bool) (*queryPlan, mdcache.Outcome, error) {
 	fp := planFingerprint(q, pushdown)
 	key := "plan|" + p.srcKey(entry) + "|" + strings.ToLower(q.Source) + "|" + strconv.FormatUint(fp, 16)
-	v, out, err := p.cacheGet(ctx, entry, key, func(ctx context.Context) (any, error) {
+	return cached[*queryPlan](ctx, p, entry, key, func(ctx context.Context) (any, error) {
 		members, _, err := p.cachedInstances(ctx, entry, q.Source)
 		if err != nil {
 			return nil, err
 		}
 		return buildCoalitionPlan(q, members, pushdown, fp)
 	})
-	if err != nil || v == nil {
-		return nil, out, err
-	}
-	return v.(*queryPlan), out, nil
 }

@@ -85,6 +85,14 @@ func planFederation(tb testing.TB, nodes int, nc func(i int, c *core.NodeConfig)
 	return f, built
 }
 
+// setMergeWindow shrinks every node's merge window (and cursor batch) so the
+// small fixture pages through real multi-fetch cursors.
+func setMergeWindow(nodes []*core.Node, rows int) {
+	for _, n := range nodes {
+		n.Processor.SetMergeWindow(rows)
+	}
+}
+
 func TestCoalitionTopKEarlyTermination(t *testing.T) {
 	_, nodes := planFederation(t, 3, nil)
 	s := nodes[0].NewSession()

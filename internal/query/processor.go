@@ -117,69 +117,10 @@ type Config struct {
 	LocalCoDB *codb.CoDatabase
 	// Gateway opens DSN connections for sources without an ISI reference.
 	Gateway *gateway.Manager
-	// FanOut bounds the worker pool used to contact coalition members in
-	// parallel (peer discovery, coalition query decomposition, membership
-	// maintenance). 0 selects the default width (2×GOMAXPROCS, min 8);
-	// 1 forces the serial pre-parallel behaviour.
-	FanOut int
-	// MinMembers is the quorum for coalition query decomposition: the
-	// statement succeeds (possibly partially) when at least this many members
-	// answer, and fails otherwise. 0 means 1 — any surviving member yields a
-	// partial result.
-	MinMembers int
-	// MemberTimeout bounds each member's sub-call (and each discovery peer
-	// probe) so one slow member cannot hold the whole fan-out. 0 leaves only
-	// the caller's context deadline and the ORB's CallTimeout.
-	MemberTimeout time.Duration
 	// Cache, when set, caches federation metadata (coalition member lists,
 	// source descriptors, peer probe results) across statements and
 	// sessions. Data queries are never cached. nil disables caching.
 	Cache *mdcache.Cache
-	// DisablePushdown turns predicate/limit pushdown off: every member runs
-	// the bare fragment and the coordinator compensates for all predicates
-	// locally. Both modes return identical answers (the differential tests
-	// in internal/simtest run the same workload both ways); pushdown only
-	// moves where predicates are evaluated and how many rows cross the wire.
-	DisablePushdown bool
-	// MergeBufRows bounds each member's streaming-merge channel: how many
-	// rows a member may run ahead of the coordinator before backpressure.
-	// It is also the cursor batch size member sub-queries fetch with, so
-	// coordinator buffering for a coalition scan is bounded by
-	// members x 2 x MergeBufRows rows regardless of result size.
-	// 0 selects the default (64).
-	MergeBufRows int
-	// DisableStreaming turns the cursor protocol off for member sub-queries:
-	// every member materializes its whole fragment result in one round trip,
-	// as before the protocol existed. Both modes return identical answers
-	// (the differential tests in internal/simtest run the same workload both
-	// ways); streaming only changes how many rows are in flight at once.
-	DisableStreaming bool
-	// DisableSemiJoin turns semi-join key pushdown off: join statements still
-	// execute (the coordinator always applies the exact key filter), but no
-	// key set is shipped to probe members and no Bloom filter is built. Both
-	// modes return identical answers (the differential tests in
-	// internal/simtest run the same workload both ways); the pushdown only
-	// changes how many probe-side rows cross the wire.
-	DisableSemiJoin bool
-	// SemiJoinKeyLimit is the largest build-side key set pushed to probe
-	// members as a literal IN list; above it the coordinator compresses the
-	// set into a Bloom prefilter instead. 0 selects the default (64).
-	SemiJoinKeyLimit int
-	// SemiJoinBloomBits sizes the Bloom prefilter, in bits per build-side
-	// key (~1% false positives at 10; false positives cost only wasted row
-	// transfer, never wrong answers). 0 selects the default (10).
-	SemiJoinBloomBits int
-	// SubCoalitionSize is the coalition membership size above which stage-3
-	// discovery routes through sub-coalition representatives instead of
-	// probing every member directly: coalitions larger than this shard into
-	// windows of at most this many members, and one relay_probe call per
-	// shard replaces the per-member fan-out. Coalitions at or below the
-	// threshold keep the flat fan-out (the paper's small-coalition model is
-	// untouched). 0 selects the default (32); negative disables hierarchical
-	// routing entirely. Both modes return identical answers — the
-	// differential tests in internal/simtest run the same workload both ways;
-	// routing only changes how many RPCs the coordinator itself issues.
-	SubCoalitionSize int
 	// Alive reports whether a peer node is believed reachable — the gossip
 	// layer's failure detector, consulted by representative election so a
 	// partitioned representative is skipped instead of timed out against.
@@ -240,27 +181,21 @@ func (c *plannerCounters) raisePeak(v int64) {
 type Processor struct {
 	cfg Config
 
-	// The fan-out and degradation policy are runtime-tunable (SetFanOut,
-	// SetMemberPolicy) while sessions execute concurrently, so they live in
-	// atomics rather than in cfg.
+	// The fan-out width and degradation policy (SetFanOut, SetMemberPolicy)
+	// change while sessions execute concurrently, so they live in atomics.
 	fanOutN    atomic.Int32
 	minMembers atomic.Int32
 	memberTO   atomic.Int64 // nanoseconds
-	// Pushdown, merge buffering and cursor streaming are likewise
-	// runtime-tunable (SetPushdown, SetStreaming; differential tests flip
-	// modes on live processors).
+	// Reference-mode hooks, see the Set* methods below: the execution modes
+	// and thresholds are not configuration (every node runs the defaults);
+	// the differential suites flip them on live processors to obtain the
+	// reference side of a comparison. Zero values are the production modes.
 	pushdownOff atomic.Bool
 	streamOff   atomic.Bool
-	mergeBuf    atomic.Int32
-	// Semi-join pushdown mode and thresholds (SetSemiJoin; the differential
-	// tests flip the mode on live processors like the other axes).
 	semijoinOff atomic.Bool
-	sjKeyLimit  atomic.Int32
-	sjBloomBits atomic.Int32
-	// Hierarchical-routing threshold (SetSubCoalitionSize; the differential
-	// tests flip it on live processors like the other axes). Stored with the
-	// Config encoding: 0 = default, negative = disabled.
-	subcoalN atomic.Int32
+	mergeBuf    atomic.Int32 // 0 = defaultMergeWindow
+	sjKeyLimit  atomic.Int32 // 0 = defaultSemiJoinKeyLimit
+	subcoalN    atomic.Int32 // 0 = defaultSubCoalitionSize, negative = flat only
 
 	stats plannerCounters
 
@@ -283,35 +218,7 @@ func New(cfg Config) (*Processor, error) {
 		return nil, fmt.Errorf("query: Config needs ORB, Local and Home")
 	}
 	p := &Processor{cfg: cfg, clients: make(map[string]*codb.Client)}
-	p.fanOutN.Store(int32(cfg.FanOut))
-	p.minMembers.Store(int32(cfg.MinMembers))
-	p.memberTO.Store(int64(cfg.MemberTimeout))
-	p.pushdownOff.Store(cfg.DisablePushdown)
-	p.streamOff.Store(cfg.DisableStreaming)
-	p.mergeBuf.Store(int32(cfg.MergeBufRows))
-	p.semijoinOff.Store(cfg.DisableSemiJoin)
-	p.sjKeyLimit.Store(int32(cfg.SemiJoinKeyLimit))
-	p.sjBloomBits.Store(int32(cfg.SemiJoinBloomBits))
-	p.subcoalN.Store(int32(cfg.SubCoalitionSize))
 	return p, nil
-}
-
-// SetSubCoalitionSize adjusts the hierarchical-routing threshold at runtime
-// (see Config.SubCoalitionSize). Safe to call concurrently with running
-// sessions; in-flight statements keep the mode they started under.
-func (p *Processor) SetSubCoalitionSize(n int) { p.subcoalN.Store(int32(n)) }
-
-// subCoalitionSize returns the effective shard size: 0 when hierarchical
-// routing is disabled.
-func (p *Processor) subCoalitionSize() int {
-	n := p.subcoalN.Load()
-	if n < 0 {
-		return 0
-	}
-	if n == 0 {
-		return 32
-	}
-	return int(n)
 }
 
 // alive consults the gossip failure detector; without one every peer is
@@ -321,43 +228,6 @@ func (p *Processor) alive(node string) bool {
 		return true
 	}
 	return p.cfg.Alive(node)
-}
-
-// SetStreaming flips the member-side cursor protocol at runtime (see
-// Config.DisableStreaming). Safe to call concurrently with running sessions;
-// in-flight statements keep the mode they started under.
-func (p *Processor) SetStreaming(on bool) { p.streamOff.Store(!on) }
-
-// streamingOn reports the current member-transport mode.
-func (p *Processor) streamingOn() bool { return !p.streamOff.Load() }
-
-// SetPushdown flips predicate/limit pushdown at runtime (see
-// Config.DisablePushdown). Safe to call concurrently with running sessions;
-// in-flight statements keep the mode they planned under.
-func (p *Processor) SetPushdown(on bool) { p.pushdownOff.Store(!on) }
-
-// SetSemiJoin flips semi-join key pushdown at runtime (see
-// Config.DisableSemiJoin). Safe to call concurrently with running sessions;
-// in-flight statements keep the mode they started under.
-func (p *Processor) SetSemiJoin(on bool) { p.semijoinOff.Store(!on) }
-
-// semiJoinOn reports the current semi-join pushdown mode.
-func (p *Processor) semiJoinOn() bool { return !p.semijoinOff.Load() }
-
-// semiJoinKeyLimit returns the exact-push/Bloom crossover key count.
-func (p *Processor) semiJoinKeyLimit() int {
-	if n := p.sjKeyLimit.Load(); n > 0 {
-		return int(n)
-	}
-	return 64
-}
-
-// semiJoinBloomBits returns the Bloom prefilter size in bits per key.
-func (p *Processor) semiJoinBloomBits() int {
-	if n := p.sjBloomBits.Load(); n > 0 {
-		return int(n)
-	}
-	return 10
 }
 
 // PlannerStats snapshots the planner and streaming-merge counters.
@@ -385,26 +255,106 @@ func (p *Processor) PlannerStats() PlannerStats {
 	}
 }
 
-// pushdownOn reports the current pushdown mode.
-func (p *Processor) pushdownOn() bool { return !p.pushdownOff.Load() }
+// The planner's modes and thresholds are constants, not configuration: every
+// node pushes predicates down, streams member results through cursors, ships
+// semi-join keys, and relays discovery through representatives for large
+// coalitions. The setters below exist for the differential suites
+// (internal/simtest and this package's tests), which flip one axis on a live
+// processor to obtain the reference side of a comparison and require
+// identical answers from both; nothing else calls them. They are safe to
+// call while sessions execute; in-flight statements keep the mode they
+// started under.
+const (
+	// defaultMergeWindow is how many rows a member may run ahead of the
+	// coordinator before backpressure, and the cursor batch size member
+	// sub-queries fetch with — so a coalition scan buffers at most
+	// members x 2 x this many rows at the coordinator, whatever its size.
+	defaultMergeWindow = 64
+	// defaultSemiJoinKeyLimit is the largest build-side key set pushed to
+	// probe members as a literal IN list; larger sets compress into a Bloom
+	// prefilter at the coordinator instead.
+	defaultSemiJoinKeyLimit = 64
+	// semiJoinBloomBits sizes that prefilter, in bits per build-side key
+	// (~1% false positives, which cost wasted row transfer, never answers).
+	semiJoinBloomBits = 10
+	// defaultSubCoalitionSize is the coalition membership above which
+	// stage-3 discovery shards the members and sends one relay_probe per
+	// shard through an elected representative instead of probing each.
+	defaultSubCoalitionSize = 32
+)
 
-// mergeBufRows returns the per-member streaming-merge channel capacity.
+// SetPushdown(false) selects the reference mode in which every member runs
+// the bare fragment and the coordinator compensates for all predicates.
+func (p *Processor) SetPushdown(on bool) { p.pushdownOff.Store(!on) }
+
+// SetStreaming(false) selects the reference mode in which every member
+// returns its whole fragment result in the opening round trip.
+func (p *Processor) SetStreaming(on bool) { p.streamOff.Store(!on) }
+
+// SetSemiJoin(false) selects the reference mode in which no key set is
+// shipped: every probe row crosses the wire to the exact coordinator filter.
+func (p *Processor) SetSemiJoin(on bool) { p.semijoinOff.Store(!on) }
+
+// SetSubCoalitionSize overrides defaultSubCoalitionSize (0 restores it); a
+// negative size selects the flat reference mode, which probes every member
+// directly whatever the coalition's size.
+func (p *Processor) SetSubCoalitionSize(n int) { p.subcoalN.Store(int32(n)) }
+
+// SetMergeWindow overrides defaultMergeWindow (0 restores it), so small
+// fixtures page through real multi-fetch cursors.
+func (p *Processor) SetMergeWindow(rows int) { p.mergeBuf.Store(int32(rows)) }
+
+// SetSemiJoinKeyLimit overrides defaultSemiJoinKeyLimit (0 restores it), so
+// small fixtures reach the Bloom path.
+func (p *Processor) SetSemiJoinKeyLimit(n int) { p.sjKeyLimit.Store(int32(n)) }
+
+func (p *Processor) pushdownOn() bool  { return !p.pushdownOff.Load() }
+func (p *Processor) streamingOn() bool { return !p.streamOff.Load() }
+func (p *Processor) semiJoinOn() bool  { return !p.semijoinOff.Load() }
+
+// subCoalitionSize returns the effective shard size: 0 when hierarchical
+// routing is off.
+func (p *Processor) subCoalitionSize() int {
+	n := int(p.subcoalN.Load())
+	if n == 0 {
+		return defaultSubCoalitionSize
+	}
+	return max(n, 0)
+}
+
+// mergeBufRows returns the merge window: the per-member merge channel
+// capacity and cursor batch size.
 func (p *Processor) mergeBufRows() int {
 	if n := p.mergeBuf.Load(); n > 0 {
 		return int(n)
 	}
-	return 64
+	return defaultMergeWindow
 }
 
-// SetFanOut adjusts the member fan-out width (see Config.FanOut). It is safe
-// to call concurrently with running sessions; in-flight statements may use
-// either width. Benchmarks use it to compare serial and parallel
-// decomposition.
+// semiJoinKeyLimit returns the exact-push/Bloom crossover key count.
+func (p *Processor) semiJoinKeyLimit() int {
+	if n := p.sjKeyLimit.Load(); n > 0 {
+		return int(n)
+	}
+	return defaultSemiJoinKeyLimit
+}
+
+// SetFanOut bounds the worker pool used to contact coalition members in
+// parallel (peer discovery, coalition query decomposition, membership
+// maintenance). 0 selects the default width (2×GOMAXPROCS, min 8); 1 forces
+// a serial loop, which benchmarks and simulations use. Safe to call
+// concurrently with running sessions; in-flight statements may use either
+// width.
 func (p *Processor) SetFanOut(n int) { p.fanOutN.Store(int32(n)) }
 
-// SetMemberPolicy adjusts the degradation policy (see Config.MinMembers and
-// Config.MemberTimeout). It is safe to call concurrently with running
-// sessions; in-flight statements may observe either policy.
+// SetMemberPolicy sets the degradation policy. minMembers is the quorum for
+// coalition query decomposition: the statement succeeds (possibly partially)
+// when at least this many members answer, and fails otherwise; 0 means 1 —
+// any surviving member yields a partial result. memberTimeout bounds each
+// member call so one slow member cannot hold the whole fan-out; 0 leaves
+// only the caller's context deadline and the ORB's CallTimeout. Safe to call
+// concurrently with running sessions; in-flight statements may observe
+// either policy.
 func (p *Processor) SetMemberPolicy(minMembers int, memberTimeout time.Duration) {
 	p.minMembers.Store(int32(minMembers))
 	p.memberTO.Store(int64(memberTimeout))
@@ -713,20 +663,16 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 	if err != nil {
 		return nil, nil, err
 	}
-	// Flatten the groups into the flat target list (the order both routing
+	// Flatten the groups into the flat probe list (the order both routing
 	// modes share), remembering which group each target entered through so
 	// hierarchical routing can shard per coalition.
-	var targets []peerTarget
+	var probes []peerProbe
 	var groupOf []int
 	for gi, g := range groups {
 		for _, tgt := range g.Members {
-			targets = append(targets, tgt)
+			probes = append(probes, peerProbe{name: tgt.Name, ref: tgt.Ref, peer: tgt.Peer})
 			groupOf = append(groupOf, gi)
 		}
-	}
-	probes := make([]peerProbe, len(targets))
-	for i, tgt := range targets {
-		probes[i] = peerProbe{name: tgt.Name, ref: tgt.Ref, peer: tgt.Peer}
 	}
 	statuses := make([]MemberStatus, len(probes))
 	// Fast path: fresh cached probes are answered inline, skipping the
@@ -740,8 +686,7 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 			statuses[i] = MemberStatus{Member: pr.name, Ref: pr.ref, Cached: true}
 			continue
 		}
-		statuses[i] = MemberStatus{Member: pr.name, Ref: pr.ref,
-			ErrClass: "skipped", Err: "not dispatched"}
+		statuses[i] = notDispatched(pr.name, pr.ref)
 		s.tracef("communication", "invoke find_coalitions(%q) on peer co-database of %s", topic, pr.name)
 		s.tracef("communication", "invoke find_links(%q) on peer co-database of %s", topic, pr.name)
 		pending = append(pending, i)
@@ -757,36 +702,23 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 	if size := p.subCoalitionSize(); size > 0 && len(pending) > 0 {
 		pending = p.relayRoute(st3Ctx, s, topic, size, groupOf, probes, statuses, pending)
 	}
-	fanOutCtx(st3Ctx, len(pending), p.fanOutWidth(), func(j int) {
-		pr := &probes[pending[j]]
-		st := &statuses[pending[j]]
-		probeCtx, psp := trace.StartSpan(st3Ctx, "query.probe:"+pr.name)
-		if mt := p.memberTimeout(); mt > 0 {
-			var cancel context.CancelFunc
-			probeCtx, cancel = context.WithTimeout(probeCtx, mt)
-			defer cancel()
-		}
-		probeCtx, cs := orb.WithCallStats(probeCtx)
-		start := time.Now()
-		res, out, perr := p.cachedProbe(probeCtx, pr.peer, topic)
-		st.Latency = time.Since(start)
-		st.Attempts = int(cs.Attempts.Load())
-		st.Cached = out.Served() || out == mdcache.Coalesced
-		st.Stale = out == mdcache.Stale
-		psp.SetAttr("cache", out.String())
-		if perr != nil {
-			st.ErrClass = classifyErr(perr)
-			st.Err = perr.Error()
-			s.tracef("communication", "peer co-database of %s failed (%s): %v", pr.name, st.ErrClass, perr)
-		} else {
+	p.callSome(st3Ctx, statuses, pending, &memberFan{
+		span: "query.probe:", sess: s, layer: "communication", what: "peer co-database of ",
+		call: func(ctx context.Context, i int, sp *trace.Span) error {
+			pr, st := &probes[i], &statuses[i]
+			res, out, err := p.cachedProbe(ctx, pr.peer, topic)
+			st.Cached = out.Served() || out == mdcache.Coalesced
+			st.Stale = out == mdcache.Stale
+			sp.SetAttr("cache", out.String())
+			if err != nil {
+				return err
+			}
 			pr.coals, pr.links = res.Coals, res.Links
-			st.ErrClass, st.Err = "", ""
 			if st.Stale {
 				s.tracef("communication", "peer co-database of %s unavailable; serving stale cached probe", pr.name)
 			}
-		}
-		psp.End(perr)
-	})
+			return nil
+		}})
 	out := leads
 	seen := map[string]bool{}
 	for _, l := range out {
@@ -1275,7 +1207,7 @@ func compensateSingle(res *gateway.Result, ex *fragmentExec, fn *codb.ExportedFu
 // member's outcome — attempts, latency, error class — lands in
 // Response.Members; Response.Partial marks real degradation (members cut
 // off by a satisfied LIMIT report ErrClass "limit" and do not count). The
-// statement only fails when fewer than Config.MinMembers members answer and
+// statement only fails when fewer than the quorum (SetMemberPolicy) answer and
 // the LIMIT was not satisfied.
 func (s *Session) execCoalitionFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Response, error) {
 	rows, err := s.streamCoalition(ctx, q)
@@ -1283,7 +1215,7 @@ func (s *Session) execCoalitionFuncQuery(ctx context.Context, q *wtl.FuncQuery) 
 		return nil, err
 	}
 	defer rows.Close()
-	return rows.drainResponse(ctx)
+	return rows.drainResponse()
 }
 
 func (s *Session) execNativeQuery(ctx context.Context, q *wtl.NativeQuery) (*Response, error) {
@@ -1346,37 +1278,39 @@ func (s *Session) execCreateLink(q *wtl.CreateLink) (*Response, error) {
 	return &Response{Stmt: q, Text: fmt.Sprintf("Service link %s created.", q.Name)}, nil
 }
 
-// memberCoDBs opens the co-database clients of a coalition's members as
-// known to the entry client, deduplicated by reference. The clients are
-// resolved through a bounded worker pool and returned in member order.
-func (p *Processor) memberCoDBs(ctx context.Context, entry *codb.Client, coalition string) ([]*codb.Client, error) {
+// memberCoDBs lists the co-databases of a coalition's members as known to
+// the entry client, deduplicated by reference, in member order. Opening a
+// client is a memoized IOR parse — no I/O — so this is a plain loop.
+func (p *Processor) memberCoDBs(ctx context.Context, entry *codb.Client, coalition string) ([]peerTarget, error) {
 	members, _, err := p.cachedInstances(ctx, entry, coalition)
 	if err != nil {
 		return nil, err
 	}
 	seen := map[string]bool{}
-	var refs []string
+	var out []peerTarget
 	for _, m := range members {
 		if m.CoDBRef == "" || seen[m.CoDBRef] {
 			continue
 		}
 		seen[m.CoDBRef] = true
-		refs = append(refs, m.CoDBRef)
-	}
-	clients := make([]*codb.Client, len(refs))
-	fanOut(len(refs), p.fanOutWidth(), func(i int) {
-		if c, err := p.codbByRef(refs[i]); err == nil {
-			clients[i] = c
-		}
-	})
-	out := make([]*codb.Client, 0, len(clients))
-	for _, c := range clients {
-		if c != nil {
-			out = append(out, c)
+		if c, err := p.codbByRef(m.CoDBRef); err == nil {
+			out = append(out, peerTarget{Name: m.Name, Ref: m.CoDBRef, Peer: c})
 		}
 	}
 	return out, nil
 }
+
+// peerStatuses starts one not-yet-dispatched status per peer.
+func peerStatuses(peers []peerTarget) []MemberStatus {
+	statuses := make([]MemberStatus, len(peers))
+	for i, t := range peers {
+		statuses[i] = notDispatched(t.Name, t.Ref)
+	}
+	return statuses
+}
+
+// rollbackTimeout bounds the detached rollback of a failed join.
+const rollbackTimeout = 2 * time.Second
 
 // execJoin advertises the home database into a coalition: every current
 // member's co-database learns the newcomer, and — when this node owns its
@@ -1405,30 +1339,35 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 	if err != nil {
 		return nil, err
 	}
-	// Advertise into every member co-database in parallel. Unlike the serial
-	// loop — which stopped at the first failure, leaving only the peers
-	// before it advertised — the fan-out reaches every peer before errors
-	// are checked, so on failure the successful advertisements are rolled
-	// back (best effort) and a failed join leaves no peer knowing the
-	// newcomer.
-	advErrs := make([]error, len(peers))
-	fanOut(len(peers), s.p.fanOutWidth(), func(i int) {
-		s.tracef("communication", "advertising %s into a member co-database", s.p.cfg.Home)
-		advErrs[i] = peers[i].Advertise(ctx, q.Coalition, home)
-	})
+	// Advertise into every member co-database in parallel. The fan-out
+	// reaches every peer before errors are checked, so on failure the
+	// successful advertisements are rolled back (best effort) and a failed
+	// join leaves no peer knowing the newcomer.
+	statuses := peerStatuses(peers)
+	s.p.callMembers(ctx, statuses, &memberFan{
+		span: "query.advertise:", sess: s, layer: "communication", what: "advertising into the co-database of ",
+		call: func(ctx context.Context, i int, _ *trace.Span) error {
+			s.tracef("communication", "advertising %s into a member co-database", s.p.cfg.Home)
+			return peers[i].Peer.Advertise(ctx, q.Coalition, home)
+		}})
+	var advertised []int
 	var joinErr error
-	for _, err := range advErrs {
-		if err != nil {
-			joinErr = err // report the first error in member order
-			break
+	for i := range statuses {
+		if statuses[i].OK() {
+			advertised = append(advertised, i)
+		} else if joinErr == nil { // report the first failure in member order
+			joinErr = fmt.Errorf("query: join %s: advertising into the co-database of %s: %s",
+				q.Coalition, statuses[i].Member, statuses[i].Err)
 		}
 	}
 	if joinErr != nil {
-		fanOut(len(peers), s.p.fanOutWidth(), func(i int) {
-			if advErrs[i] == nil {
-				peers[i].RemoveMember(ctx, q.Coalition, s.p.cfg.Home)
-			}
-		})
+		// The statement's context may be the very reason the join failed
+		// (deadline, cancel), so the rollback runs detached from it, bounded
+		// on its own — a dead context would fail every withdrawal and leave
+		// peers advertising a node that never joined.
+		rbCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rollbackTimeout)
+		defer cancel()
+		s.p.callSome(rbCtx, peerStatuses(peers), advertised, s.withdrawFan(peers, q.Coalition))
 		return nil, joinErr
 	}
 	// Local replication.
@@ -1455,6 +1394,15 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 		Text: fmt.Sprintf("%s joined coalition %s.", s.p.cfg.Home, q.Coalition)}, nil
 }
 
+// withdrawFan is the member call that removes the home database from a
+// peer's copy of a coalition — a leave, or the rollback of a failed join.
+func (s *Session) withdrawFan(peers []peerTarget, coalition string) *memberFan {
+	return &memberFan{span: "query.withdraw:",
+		call: func(ctx context.Context, i int, _ *trace.Span) error {
+			return peers[i].Peer.RemoveMember(ctx, coalition, s.p.cfg.Home)
+		}}
+}
+
 // execLeave withdraws the home database from a coalition everywhere it is
 // known: every member's co-database, and the local copy.
 func (s *Session) execLeave(ctx context.Context, q *wtl.LeaveCoalition) (*Response, error) {
@@ -1466,15 +1414,11 @@ func (s *Session) execLeave(ctx context.Context, q *wtl.LeaveCoalition) (*Respon
 	if err != nil {
 		return nil, err
 	}
-	removedAt := make([]bool, len(peers))
-	fanOut(len(peers), s.p.fanOutWidth(), func(i int) {
-		if err := peers[i].RemoveMember(ctx, q.Coalition, s.p.cfg.Home); err == nil {
-			removedAt[i] = true
-		}
-	})
+	statuses := peerStatuses(peers)
+	s.p.callMembers(ctx, statuses, s.withdrawFan(peers, q.Coalition))
 	removed := false
-	for _, ok := range removedAt {
-		removed = removed || ok
+	for i := range statuses {
+		removed = removed || statuses[i].OK()
 	}
 	if !removed {
 		return nil, fmt.Errorf("query: %s is not a member of %s", s.p.cfg.Home, q.Coalition)

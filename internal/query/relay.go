@@ -2,7 +2,7 @@ package query
 
 import (
 	"context"
-	"time"
+	"errors"
 
 	"repro/internal/codb"
 	"repro/internal/gossip"
@@ -14,7 +14,7 @@ import (
 // every coalition peer directly, which costs the coordinator O(members) RPCs
 // per resolve; at hundreds of members that fan-out is the scalability wall
 // the paper's coalition model hits. Hierarchical routing shards each large
-// coalition into sub-coalitions of SubCoalitionSize members, elects the
+// coalition into sub-coalitions of defaultSubCoalitionSize members, elects the
 // first live member of each shard as its representative (liveness comes from
 // the gossip failure detector), and sends the representative one relay_probe
 // carrying the whole shard. The representative probes its shard — with its
@@ -113,30 +113,27 @@ func (p *Processor) relayShard(ctx context.Context, s *Session, topic string, sh
 			order = append(order, idx)
 		}
 	}
+	// One relay covers a whole shard of member probes, so its budget scales
+	// with the shard instead of a single member's timeout. BAD_OPERATION
+	// fails a candidate too: a representative that predates the relay
+	// protocol is treated like a dead one.
+	var results []codb.RelayResult
+	relay := &memberFan{span: "query.relay:", budget: len(shard),
+		sess: s, layer: "communication", what: "relay via representative ",
+		call: func(ctx context.Context, i int, _ *trace.Span) (err error) {
+			results, err = probes[i].peer.RelayProbe(ctx, topic, targets)
+			if err == nil && len(results) != len(targets) {
+				err = errRelayShape
+			}
+			return err
+		}}
 	for _, idx := range order {
-		rep := &probes[idx]
-		relayCtx, sp := trace.StartSpan(ctx, "query.relay:"+rep.name)
-		if mt := p.memberTimeout(); mt > 0 {
-			// The relay covers a whole shard of member probes, so its budget
-			// scales with the shard instead of a single member's timeout.
-			var cancel context.CancelFunc
-			relayCtx, cancel = context.WithTimeout(relayCtx, mt*time.Duration(len(shard)))
-			defer cancel()
-		}
-		results, err := rep.peer.RelayProbe(relayCtx, topic, targets)
-		if err == nil && len(results) != len(targets) {
-			err = errRelayShape
-		}
-		sp.End(err)
-		if err != nil {
-			// BAD_OPERATION lands here too: a representative that predates
-			// the relay protocol is treated like a dead one.
+		rep := notDispatched(probes[idx].name, probes[idx].ref)
+		if p.callMember(ctx, &rep, idx, relay) != nil {
 			p.stats.relayFailovers.Add(1)
-			s.tracef("communication", "relay via representative %s failed (%s): %v",
-				rep.name, classifyErr(err), err)
 			continue
 		}
-		s.tracef("communication", "relay probe of %d member(s) answered by representative %s", len(shard), rep.name)
+		s.tracef("communication", "relay probe of %d member(s) answered by representative %s", len(shard), rep.Member)
 		for k, ridx := range shard {
 			r := results[k]
 			st := &statuses[ridx]
@@ -155,11 +152,7 @@ func (p *Processor) relayShard(ctx context.Context, s *Session, topic string, sh
 
 // errRelayShape flags a relay reply whose result count does not match the
 // shard — treated as a failed relay, never as member answers.
-var errRelayShape = &relayShapeError{}
-
-type relayShapeError struct{}
-
-func (*relayShapeError) Error() string { return "query: relay reply does not match shard" }
+var errRelayShape = errors.New("query: relay reply does not match shard")
 
 // RelayProbe is the representative side of relay_probe: probe the given
 // members for topic on the coordinator's behalf and return one result per
@@ -170,30 +163,29 @@ func (*relayShapeError) Error() string { return "query: relay reply does not mat
 // codb.ServantOptions.Relay.
 func (p *Processor) RelayProbe(ctx context.Context, topic string, members []codb.RelayTarget) []codb.RelayResult {
 	results := make([]codb.RelayResult, len(members))
-	fanOutCtx(ctx, len(members), p.fanOutWidth(), func(i int) {
-		m := members[i]
-		results[i].Name = m.Name
-		client, err := p.codbByRef(m.Ref)
-		if err != nil {
-			results[i].ErrClass, results[i].Err = classifyErr(err), err.Error()
-			return
-		}
-		probeCtx, sp := trace.StartSpan(ctx, "query.relayprobe:"+m.Name)
-		if mt := p.memberTimeout(); mt > 0 {
-			var cancel context.CancelFunc
-			probeCtx, cancel = context.WithTimeout(probeCtx, mt)
-			defer cancel()
-		}
-		res, out, perr := p.cachedProbe(probeCtx, client, topic)
-		sp.SetAttr("cache", out.String())
-		sp.End(perr)
-		if perr != nil {
-			results[i].ErrClass, results[i].Err = classifyErr(perr), perr.Error()
-			return
-		}
-		results[i].Coals, results[i].Links = res.Coals, res.Links
-		results[i].Stale = out == mdcache.Stale
-	})
+	statuses := make([]MemberStatus, len(members))
+	for i, m := range members {
+		statuses[i] = notDispatched(m.Name, m.Ref)
+	}
+	p.callMembers(ctx, statuses, &memberFan{span: "query.relayprobe:",
+		call: func(ctx context.Context, i int, sp *trace.Span) error {
+			client, err := p.codbByRef(members[i].Ref)
+			if err != nil {
+				return err
+			}
+			res, out, err := p.cachedProbe(ctx, client, topic)
+			sp.SetAttr("cache", out.String())
+			if err != nil {
+				return err
+			}
+			results[i].Coals, results[i].Links = res.Coals, res.Links
+			results[i].Stale = out == mdcache.Stale
+			return nil
+		}})
+	for i := range results {
+		results[i].Name = members[i].Name
+		results[i].ErrClass, results[i].Err = statuses[i].ErrClass, statuses[i].Err
+	}
 	return results
 }
 

@@ -23,9 +23,9 @@ type Row []idl.Any
 // what stopped the iteration, Close releases everything behind it. For
 // coalition function queries the rows stream from the members through
 // server-side cursors as the caller iterates — the coordinator never holds
-// more than the merge window (MergeBufRows rows per member) — so Close must
-// always be called: it cancels outstanding member sub-calls and closes their
-// cursors. Other statement kinds materialize as they always did and iterate
+// more than the merge window (defaultMergeWindow rows per member) — so Close
+// must always be called: it cancels outstanding member sub-calls and closes
+// their cursors. Other statement kinds materialize as they always did and iterate
 // in memory. Not safe for concurrent use.
 type Rows struct {
 	sess *Session
@@ -55,7 +55,7 @@ type Rows struct {
 
 // Stream parses and runs one WebTassili statement, returning its result as
 // a pull-based row iterator. Coalition function queries execute as a
-// streaming merge: member rows cross the wire in MergeBufRows batches, each
+// streaming merge: member rows cross the wire in merge-window batches, each
 // next batch fetched only after the caller has drained the previous window,
 // so arbitrarily large scans run in bounded coordinator memory. Every other
 // statement kind materializes exactly as Execute does and is served from
@@ -100,7 +100,7 @@ func (s *Session) streamCoalition(ctx context.Context, q *wtl.FuncQuery) (*Rows,
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{sess: s, stmt: q, plan: plan, ms: s.newMergeStream(ctx, plan)}, nil
+	return &Rows{sess: s, stmt: q, plan: plan, ms: s.newMergeStream(ctx, plan, plan.Limit, nil, nil)}, nil
 }
 
 // resolveCoalitionPlan builds (or replays) one coalition plan and counts the
@@ -229,7 +229,7 @@ func (r *Rows) Members() []MemberStatus {
 // result to stand, degraded. Stable once the iteration has ended.
 func (r *Rows) Partial() bool {
 	if r.ms != nil {
-		_, degraded, _ := r.tally()
+		_, degraded, _ := r.ms.tally()
 		return degraded > 0 || r.buildDegraded > 0
 	}
 	return r.resp != nil && r.resp.Partial
@@ -267,27 +267,8 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// tally buckets the member statuses; valid once the merge stream is closed.
-func (r *Rows) tally() (answered, degraded int, firstErr error) {
-	for i := range r.ms.statuses {
-		st := &r.ms.statuses[i]
-		switch {
-		case st.OK():
-			answered++
-		case st.ErrClass == "limit":
-			// Cut off by a satisfied LIMIT: not an answer, not degradation.
-		default:
-			degraded++
-			if firstErr == nil {
-				firstErr = errors.New(st.Err)
-			}
-		}
-	}
-	return answered, degraded, firstErr
-}
-
-// finishStream terminates the merge, flushes planner stats once, and (when
-// evaluate is set) applies the quorum policy to r.err.
+// finishStream terminates the merge once and (when evaluate is set) applies
+// the quorum policy to r.err.
 func (r *Rows) finishStream(evaluate bool) {
 	if r.finished {
 		return
@@ -298,35 +279,10 @@ func (r *Rows) finishStream(evaluate bool) {
 	if r.cols == nil {
 		r.cols = ms.mergedColumns()
 	}
-	s := r.sess
-	s.p.stats.rowsMoved.Add(ms.rowsMoved.Load())
-	s.p.stats.fallbacks.Add(ms.fallbacks.Load())
-	s.p.stats.probeRowsPruned.Add(ms.probePruned.Load())
-	s.p.stats.semiJoinFallbacks.Add(ms.sjFallbacks.Load())
-	s.p.stats.rowsDelivered.Add(r.delivered)
-	s.p.stats.raisePeak(ms.peakInflight.Load())
-	if ms.stop >= 0 {
-		s.p.stats.earlyTerminations.Add(1)
-	}
-	if !evaluate {
-		return
-	}
-	answered, _, firstErr := r.tally()
-	quorum := s.p.minMembersQuorum()
-	if quorum <= 0 {
-		quorum = 1
-	}
-	if ms.stop < 0 && answered < quorum {
-		if firstErr == nil {
-			firstErr = errors.New("no member answered")
-		}
-		q, _ := r.stmt.(*wtl.FuncQuery)
-		source := ""
-		if q != nil {
-			source = q.Source
-		}
-		r.err = fmt.Errorf("query: coalition %s: %d of %d member(s) answered, need %d: %w",
-			source, answered, len(r.plan.Members), quorum, firstErr)
+	r.sess.p.stats.rowsDelivered.Add(r.delivered)
+	if evaluate {
+		answered, _, firstErr := ms.tally()
+		r.err = ms.quorumErr(r.stmt.(*wtl.FuncQuery).Source, answered, firstErr)
 	}
 }
 
@@ -335,7 +291,7 @@ func (r *Rows) finishStream(evaluate bool) {
 // streamed and materialized answers are identical by construction. Rows
 // delivered by a member that failed mid-stream are dropped by provenance
 // (a materialized merge never sees a failed member's rows).
-func (r *Rows) drainResponse(ctx context.Context) (*Response, error) {
+func (r *Rows) drainResponse() (*Response, error) {
 	if r.ms == nil {
 		return r.resp, nil
 	}
@@ -370,41 +326,26 @@ func (r *Rows) drainResponse(ctx context.Context) (*Response, error) {
 	}
 	merged.Columns = ms.mergedColumns()
 
-	s.p.stats.rowsMoved.Add(ms.rowsMoved.Load())
-	s.p.stats.fallbacks.Add(ms.fallbacks.Load())
-	s.p.stats.probeRowsPruned.Add(ms.probePruned.Load())
-	s.p.stats.semiJoinFallbacks.Add(ms.sjFallbacks.Load())
-	s.p.stats.raisePeak(ms.peakInflight.Load())
-	if ms.stop >= 0 {
-		s.p.stats.earlyTerminations.Add(1)
-	}
-	answered, degraded, firstErr := r.tally()
-	quorum := s.p.minMembersQuorum()
-	if quorum <= 0 {
-		quorum = 1
-	}
-	if ms.stop < 0 && answered < quorum {
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-		return nil, fmt.Errorf("query: coalition %s: %d of %d member(s) answered, need %d: %w",
-			q.Source, answered, len(r.plan.Members), quorum, firstErr)
+	answered, degraded, firstErr := ms.tally()
+	if err := ms.quorumErr(q.Source, answered, firstErr); err != nil {
+		return nil, err
 	}
 	s.p.stats.rowsDelivered.Add(int64(len(merged.Rows)))
-	translations := make([]string, len(r.plan.Members))
-	for i := range r.plan.Members {
-		translations[i] = r.plan.Members[i].D.Name + ": " + r.plan.Members[i].Exec.Native
+	return coalitionResponse(q, r.plan, merged, r.Members(), answered,
+		degraded > 0 || r.buildDegraded > 0, ms.rowsMoved.Load()+r.buildMoved), nil
+}
+
+// coalitionResponse assembles the materialized Response of a coalition
+// statement from its merged rows and member accounting; plan is the side
+// whose rows are returned.
+func coalitionResponse(q *wtl.FuncQuery, plan *queryPlan, merged *gateway.Result, members []MemberStatus, answered int, partial bool, moved int64) *Response {
+	translations := make([]string, len(plan.Members))
+	for i := range plan.Members {
+		translations[i] = plan.Members[i].D.Name + ": " + plan.Members[i].Exec.Native
 	}
-	partial := degraded > 0 || r.buildDegraded > 0
 	text := merged.Format()
 	if partial {
-		text += fmt.Sprintf("(partial result: %d of %d member(s) answered)\n", answered, len(r.plan.Members))
-	}
-	members := ms.statuses
-	if len(r.buildStatuses) > 0 {
-		members = make([]MemberStatus, 0, len(ms.statuses)+len(r.buildStatuses))
-		members = append(members, ms.statuses...)
-		members = append(members, r.buildStatuses...)
+		text += fmt.Sprintf("(partial result: %d of %d member(s) answered)\n", answered, len(plan.Members))
 	}
 	return &Response{
 		Stmt:       q,
@@ -413,6 +354,6 @@ func (r *Rows) drainResponse(ctx context.Context) (*Response, error) {
 		Text:       text,
 		Members:    members,
 		Partial:    partial,
-		RowsMoved:  int(ms.rowsMoved.Load() + r.buildMoved),
-	}, nil
+		RowsMoved:  int(moved),
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/idl"
 	"repro/internal/query"
 )
@@ -103,9 +102,8 @@ func TestStreamAllEarlyBreak(t *testing.T) {
 	// A 2-row merge window (< planFixtureRows) makes the members hold real
 	// server-side cursors open mid-stream, so the open-count assertions below
 	// actually exercise cursor release.
-	_, nodes := planFederation(t, 3, func(i int, c *core.NodeConfig) {
-		c.MergeBufRows = 2
-	})
+	_, nodes := planFederation(t, 3, nil)
+	setMergeWindow(nodes, 2)
 	s := nodes[0].NewSession()
 
 	rows, err := s.Stream(context.Background(), `V(R.K) On Coalition C;`)
@@ -249,9 +247,8 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 }
 
 func TestStreamCancelReleasesEverything(t *testing.T) {
-	_, nodes := planFederation(t, 3, func(i int, c *core.NodeConfig) {
-		c.MergeBufRows = 2
-	})
+	_, nodes := planFederation(t, 3, nil)
+	setMergeWindow(nodes, 2)
 	s := nodes[0].NewSession()
 	cursorsOpen := func() int {
 		open := 0
@@ -307,9 +304,8 @@ func TestStreamCancelReleasesEverything(t *testing.T) {
 
 func TestStreamBoundsCoordinatorBuffering(t *testing.T) {
 	const members, bufRows = 3, 4
-	_, nodes := planFederation(t, members, func(i int, c *core.NodeConfig) {
-		c.MergeBufRows = bufRows
-	})
+	_, nodes := planFederation(t, members, nil)
+	setMergeWindow(nodes, bufRows)
 	s := nodes[0].NewSession()
 
 	resp, err := s.Execute(context.Background(), `V(R.K) On Coalition C;`)
@@ -324,7 +320,7 @@ func TestStreamBoundsCoordinatorBuffering(t *testing.T) {
 		t.Fatal("peak merge buffer gauge never moved")
 	}
 	if st.PeakMergeBuffered > members*bufRows {
-		t.Fatalf("peak merge buffer %d exceeds members x MergeBufRows = %d",
+		t.Fatalf("peak merge buffer %d exceeds members x merge window = %d",
 			st.PeakMergeBuffered, members*bufRows)
 	}
 }

@@ -2,12 +2,10 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/gateway"
 	"repro/internal/idl"
@@ -22,7 +20,7 @@ import (
 //
 //  1. The planner orders the two sides by estimated predicate selectivity
 //     and executes the build side first, collecting its distinct key set.
-//  2. Small key sets (<= semijoin_key_limit) are pushed to probe members as
+//  2. Small key sets (<= defaultSemiJoinKeyLimit) are pushed to probe members as
 //     a literal IN conjunct, rendered through each member's capability
 //     profile; members whose engine has no IN list (mSQL, the OQL engines)
 //     are filtered at the coordinator instead, and a member that rejects a
@@ -33,11 +31,11 @@ import (
 //     hits are always confirmed against the exact key set, so false
 //     positives never reach the caller.
 //
-// With the semi-join knob off the same pipeline runs with zero pushdown —
-// every probe row crosses the wire and the exact coordinator filter does all
-// the work — which is what the differential suite in internal/simtest
-// compares against: identical rows, Partial bit and member statuses, fewer
-// probe-side rows moved.
+// In the SetSemiJoin(false) reference mode the same pipeline runs with zero
+// pushdown — every probe row crosses the wire and the exact coordinator
+// filter does all the work — which is what the differential suite in
+// internal/simtest compares against: identical rows, Partial bit and member
+// statuses, fewer probe-side rows moved.
 
 // estimatedSelectivity scores a predicate list by shape alone — equality
 // binds hardest, LIKE moderately, ranges weakest — so both execution modes
@@ -135,9 +133,9 @@ func keyLiterals(keys map[string]idl.Any) ([]wtl.KeyLiteral, bool) {
 
 // semiJoinPushdown decides how the build side's key set reaches the probe
 // side: engine-side IN lists for capable members below the key limit, a
-// coordinator Bloom prefilter above it, or nothing but the exact filter when
-// the knob is off or the keys are unpushable. The returned filter is never
-// nil — exactness never depends on the pushdown mode.
+// coordinator Bloom prefilter above it, or nothing but the exact filter in
+// the reference mode or when the keys are unpushable. The returned filter is
+// never nil — exactness never depends on the pushdown mode.
 func (s *Session) semiJoinPushdown(plan *queryPlan, keys map[string]idl.Any) (*semiJoinFilter, []*fragmentExec) {
 	filter := &semiJoinFilter{exact: make(map[string]struct{}, len(keys))}
 	for k := range keys {
@@ -147,7 +145,7 @@ func (s *Session) semiJoinPushdown(plan *queryPlan, keys map[string]idl.Any) (*s
 		return filter, nil
 	}
 	if len(keys) > s.p.semiJoinKeyLimit() {
-		bf := newBloomFilter(len(keys), s.p.semiJoinBloomBits())
+		bf := newBloomFilter(len(keys), semiJoinBloomBits)
 		for k := range filter.exact {
 			bf.Add(k)
 		}
@@ -193,7 +191,7 @@ type sideResult struct {
 // by a member that later failed are dropped by provenance, so the key set is
 // as deterministic as a materialized merge's answer.
 func (s *Session) drainSide(ctx context.Context, plan *queryPlan, filter *semiJoinFilter, overrides []*fragmentExec, keepRows bool) (*sideResult, error) {
-	ms := s.newMergeStreamFiltered(ctx, plan, 0, filter, overrides)
+	ms := s.newMergeStream(ctx, plan, 0, filter, overrides)
 	var rows [][]idl.Any
 	var memberOf []int
 	for {
@@ -205,36 +203,12 @@ func (s *Session) drainSide(ctx context.Context, plan *queryPlan, filter *semiJo
 		memberOf = append(memberOf, m)
 	}
 	ms.Close()
-	p := s.p
-	p.stats.rowsMoved.Add(ms.rowsMoved.Load())
-	p.stats.fallbacks.Add(ms.fallbacks.Load())
-	p.stats.probeRowsPruned.Add(ms.probePruned.Load())
-	p.stats.semiJoinFallbacks.Add(ms.sjFallbacks.Load())
-	p.stats.raisePeak(ms.peakInflight.Load())
 	res := &sideResult{statuses: ms.statuses, cols: ms.mergedColumns(), moved: ms.rowsMoved.Load()}
-	answered := 0
-	var firstErr error
-	for i := range ms.statuses {
-		if ms.statuses[i].OK() {
-			answered++
-		} else {
-			res.degraded++
-			if firstErr == nil {
-				firstErr = errors.New(ms.statuses[i].Err)
-			}
-		}
+	answered, degraded, firstErr := ms.tally()
+	if err := ms.quorumErr(plan.Coalition, answered, firstErr); err != nil {
+		return nil, err
 	}
-	quorum := p.minMembersQuorum()
-	if quorum <= 0 {
-		quorum = 1
-	}
-	if answered < quorum {
-		if firstErr == nil {
-			firstErr = errors.New("no member answered")
-		}
-		return nil, fmt.Errorf("query: coalition %s: %d of %d member(s) answered, need %d: %w",
-			plan.Coalition, answered, len(plan.Members), quorum, firstErr)
-	}
+	res.degraded = degraded
 	res.keys = make(map[string]idl.Any)
 	for k, row := range rows {
 		if !ms.statuses[memberOf[k]].OK() {
@@ -289,7 +263,7 @@ func (s *Session) streamSemiJoin(ctx context.Context, q *wtl.FuncQuery) (*Rows, 
 	}
 	s.tracef("query", "semi-join build side %s yielded %d distinct key(s)", j.Source, len(build.keys))
 	filter, overrides := s.semiJoinPushdown(outerPlan, build.keys)
-	ms := s.newMergeStreamFiltered(ctx, outerPlan, q.Limit, filter, overrides)
+	ms := s.newMergeStream(ctx, outerPlan, q.Limit, filter, overrides)
 	return &Rows{sess: s, stmt: q, plan: outerPlan, ms: ms,
 		buildStatuses: build.statuses, buildMoved: build.moved, buildDegraded: build.degraded}, nil
 }
@@ -326,28 +300,8 @@ func (s *Session) semiJoinSwapped(ctx context.Context, q *wtl.FuncQuery, outerPl
 	}
 	s.p.stats.rowsDelivered.Add(int64(len(merged.Rows)))
 
-	members := make([]MemberStatus, 0, len(outer.statuses)+len(inner.statuses))
-	members = append(members, outer.statuses...)
-	members = append(members, inner.statuses...)
-	translations := make([]string, len(outerPlan.Members))
-	for i := range outerPlan.Members {
-		translations[i] = outerPlan.Members[i].D.Name + ": " + outerPlan.Members[i].Exec.Native
-	}
-	answered := len(outer.statuses) - outer.degraded
-	partial := outer.degraded+inner.degraded > 0
-	text := merged.Format()
-	if partial {
-		text += fmt.Sprintf("(partial result: %d of %d member(s) answered)\n",
-			answered, len(outer.statuses))
-	}
-	resp := &Response{
-		Stmt:       q,
-		Result:     merged,
-		Translated: strings.Join(translations, "\n"),
-		Text:       text,
-		Members:    members,
-		Partial:    partial,
-		RowsMoved:  int(outer.moved + inner.moved),
-	}
+	members := append(append([]MemberStatus(nil), outer.statuses...), inner.statuses...)
+	resp := coalitionResponse(q, outerPlan, merged, members, len(outer.statuses)-outer.degraded,
+		outer.degraded+inner.degraded > 0, outer.moved+inner.moved)
 	return &Rows{sess: s, stmt: q, resp: resp, cols: merged.Columns}, nil
 }

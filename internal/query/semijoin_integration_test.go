@@ -194,9 +194,8 @@ func TestSemiJoinPlanCache(t *testing.T) {
 // build side — must release every member cursor and fan-out goroutine on
 // both sides.
 func TestSemiJoinAbortReleasesEverything(t *testing.T) {
-	_, nodes := planFederation(t, 3, func(i int, c *core.NodeConfig) {
-		c.MergeBufRows = 2
-	})
+	_, nodes := planFederation(t, 3, nil)
+	setMergeWindow(nodes, 2)
 	s := nodes[0].NewSession()
 	cursorsOpen := func() int {
 		open := 0

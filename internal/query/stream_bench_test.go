@@ -14,7 +14,7 @@ import (
 
 // streamBenchRows is the per-node row count for the streaming benchmark:
 // large enough that a materialized member reply is thousands of rows while
-// the streamed merge holds at most members x MergeBufRows.
+// the streamed merge holds at most members x merge-window.
 const streamBenchRows = 2000
 
 // streamFederation is the planner fixture widened to streamBenchRows rows per
@@ -23,7 +23,6 @@ const streamBenchRows = 2000
 func streamFederation(tb testing.TB, members, bufRows int) []*core.Node {
 	tb.Helper()
 	_, nodes := planFederation(tb, members, func(i int, c *core.NodeConfig) {
-		c.MergeBufRows = bufRows
 		if core.IsRelational(c.Engine) {
 			var b strings.Builder
 			b.WriteString("CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT);\n")
@@ -49,15 +48,16 @@ func streamFederation(tb testing.TB, members, bufRows int) []*core.Node {
 			return nil
 		}
 	})
+	setMergeWindow(nodes, bufRows)
 	return nodes
 }
 
 // BenchmarkFederatedStreaming measures a large scan-filter federated query
 // with the member cursor protocol on (rows page across the wire in
-// MergeBufRows batches) vs off (each member materializes its whole result in
+// merge-window batches) vs off (each member materializes its whole result in
 // one reply). Reported per mode: p99 statement latency, rows moved per
 // fetch round trip, and the coordinator's peak merge buffer — which the
-// cursor mode must keep bounded by members x MergeBufRows regardless of scan
+// cursor mode must keep bounded by members x merge-window regardless of scan
 // size (asserted here).
 func BenchmarkFederatedStreaming(b *testing.B) {
 	const members, bufRows = 3, 64
@@ -106,7 +106,7 @@ func BenchmarkFederatedStreaming(b *testing.B) {
 			peak := nodes[0].Processor.PlannerStats().PeakMergeBuffered
 			b.ReportMetric(float64(peak), "peak-merge-rows")
 			if mode.on && peak > members*bufRows {
-				b.Fatalf("streamed coordinator buffered %d rows, bound is members x MergeBufRows = %d",
+				b.Fatalf("streamed coordinator buffered %d rows, bound is members x merge-window = %d",
 					peak, members*bufRows)
 			}
 		})

@@ -34,16 +34,7 @@ var hierFindWorkload = []string{
 // buildHierFed builds one half of a routing differential pair.
 func buildHierFed(t *testing.T, seed int64, sub int) *Fed {
 	t.Helper()
-	fed, err := Build(Config{
-		Seed:             seed,
-		Hetero:           true,
-		RowsPerNode:      diffRows,
-		SubCoalitionSize: sub,
-	})
-	if err != nil {
-		t.Fatalf("build (sub=%d): %v\n%s", sub, err, ReplayLine(seed))
-	}
-	return fed
+	return buildModeFed(t, seed, func(p *query.Processor) { p.SetSubCoalitionSize(sub) })
 }
 
 // TestDifferentialHierarchy runs the PR-7 pushdown workload plus the

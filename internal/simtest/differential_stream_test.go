@@ -21,17 +21,10 @@ import (
 // merge window forces multi-fetch cursor traffic even on the small fixture.
 func buildStreamFed(t *testing.T, seed int64, disableStreaming bool) *Fed {
 	t.Helper()
-	fed, err := Build(Config{
-		Seed:             seed,
-		Hetero:           true,
-		RowsPerNode:      diffRows,
-		DisableStreaming: disableStreaming,
-		MergeBufRows:     2,
+	return buildModeFed(t, seed, func(p *query.Processor) {
+		p.SetStreaming(!disableStreaming)
+		p.SetMergeWindow(2)
 	})
-	if err != nil {
-		t.Fatalf("build (streaming off=%v): %v\n%s", disableStreaming, err, ReplayLine(seed))
-	}
-	return fed
 }
 
 // noCursorsLeaked asserts every node's servants released their cursors.

@@ -69,19 +69,32 @@ func outcomeOf(resp *query.Response) diffOutcome {
 	}
 }
 
-// buildDiffFed builds one half of a differential pair.
+// buildModeFed builds one half of a differential pair: the standard
+// heterogeneous fixture, with mode applied to every node's query processor.
+// The reference half of each suite is reached through the processor's
+// reference-mode setters (SetPushdown(false) and friends) — the modes are
+// not configuration.
+func buildModeFed(t *testing.T, seed int64, mode func(*query.Processor)) *Fed {
+	t.Helper()
+	fed, err := Build(Config{Seed: seed, Hetero: true, RowsPerNode: diffRows})
+	if err != nil {
+		t.Fatalf("build: %v\n%s", err, ReplayLine(seed))
+	}
+	fed.eachProcessor(mode)
+	return fed
+}
+
+// eachProcessor applies mode to every node's query processor.
+func (f *Fed) eachProcessor(mode func(*query.Processor)) {
+	for _, n := range f.Nodes {
+		mode(n.Core.Processor)
+	}
+}
+
+// buildDiffFed builds one half of a pushdown differential pair.
 func buildDiffFed(t *testing.T, seed int64, disablePushdown bool) *Fed {
 	t.Helper()
-	fed, err := Build(Config{
-		Seed:            seed,
-		Hetero:          true,
-		RowsPerNode:     diffRows,
-		DisablePushdown: disablePushdown,
-	})
-	if err != nil {
-		t.Fatalf("build (pushdown off=%v): %v\n%s", disablePushdown, err, ReplayLine(seed))
-	}
-	return fed
+	return buildModeFed(t, seed, func(p *query.Processor) { p.SetPushdown(!disablePushdown) })
 }
 
 // TestDifferentialPushdown runs the workload over the seed matrix, healthy

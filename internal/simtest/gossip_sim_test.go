@@ -245,15 +245,15 @@ func TestGossipRepresentativeReelection(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			build := func(sub int) *Fed {
 				fed, err := Build(Config{
-					Seed:             seed,
-					Nodes:            6,
-					CoalitionSize:    6, // one coalition spanning everyone
-					NoBaseCoalition:  true,
-					SubCoalitionSize: sub,
+					Seed:            seed,
+					Nodes:           6,
+					CoalitionSize:   6, // one coalition spanning everyone
+					NoBaseCoalition: true,
 				})
 				if err != nil {
 					t.Fatalf("build (sub=%d): %v\n%s", sub, err, ReplayLine(seed))
 				}
+				fed.eachProcessor(func(p *query.Processor) { p.SetSubCoalitionSize(sub) })
 				return fed
 			}
 			hier := build(2)

@@ -43,17 +43,10 @@ var semiJoinWorkload = []string{
 // the default exact-IN/Bloom crossover.
 func buildSemiJoinFed(t *testing.T, seed int64, disableSemiJoin bool, keyLimit int) *Fed {
 	t.Helper()
-	fed, err := Build(Config{
-		Seed:             seed,
-		Hetero:           true,
-		RowsPerNode:      diffRows,
-		DisableSemiJoin:  disableSemiJoin,
-		SemiJoinKeyLimit: keyLimit,
+	return buildModeFed(t, seed, func(p *query.Processor) {
+		p.SetSemiJoin(!disableSemiJoin)
+		p.SetSemiJoinKeyLimit(keyLimit)
 	})
-	if err != nil {
-		t.Fatalf("build (semijoin off=%v): %v\n%s", disableSemiJoin, err, ReplayLine(seed))
-	}
-	return fed
 }
 
 // TestDifferentialSemiJoin runs the join workload over the seed matrix,

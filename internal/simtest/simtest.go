@@ -59,30 +59,6 @@ type Config struct {
 	// ('k<rr>', i*1000+r), giving pushdown queries selective predicates,
 	// LIKE-able keys and enough volume for LIMIT to bite.
 	RowsPerNode int
-	// DisablePushdown builds every node with predicate/limit pushdown off.
-	// The differential suite builds one federation per mode from the same
-	// seed and requires identical answers.
-	DisablePushdown bool
-	// DisableStreaming builds every node with the member cursor protocol off:
-	// coalition sub-queries materialize whole results instead of paging. The
-	// streaming differential suite builds one federation per transport from
-	// the same seed and requires identical answers.
-	DisableStreaming bool
-	// MergeBufRows overrides each node's merge window / cursor batch size
-	// (0 = default 64). Small values force multi-fetch cursor traffic even on
-	// small fixtures.
-	MergeBufRows int
-	// DisableSemiJoin builds every node with semi-join key pushdown off:
-	// join statements run with the exact coordinator filter only. The
-	// semi-join differential suite builds one federation per mode from the
-	// same seed and requires identical answers.
-	DisableSemiJoin bool
-	// SemiJoinKeyLimit overrides the exact-IN/Bloom crossover (0 = default
-	// 64). Setting it to 1 forces the Bloom path on any multi-key build side.
-	SemiJoinKeyLimit int
-	// SemiJoinBloomBits overrides the Bloom prefilter size in bits per key
-	// (0 = default 10).
-	SemiJoinBloomBits int
 	// CoalitionSize switches topology generation from the legacy coin-flip
 	// draw to windowed mode: coalitions become overlapping windows of this
 	// many members laid over a seeded permutation ring, so membership forms
@@ -97,21 +73,12 @@ type Config struct {
 	// membership at boot and make convergence (and the flat-baseline
 	// comparison) vacuous.
 	NoBaseCoalition bool
-	// DisableGossip builds every node without its anti-entropy agent, as
-	// core.NodeConfig.DisableGossip does.
-	DisableGossip bool
 	// GossipFanout is how many peers each node exchanges digests with per
 	// simulated gossip round (0 = agent default 3).
 	GossipFanout int
 	// GossipSuspectAfter is how many consecutive failed exchanges mark a
 	// peer dead in the failure detector (0 = default 2).
 	GossipSuspectAfter int
-	// SubCoalitionSize sets each node's hierarchical-discovery threshold:
-	// stage-3 coalition groups larger than this are probed through shard
-	// representatives instead of directly (0 = query default 32, negative
-	// disables relaying). The differential suite builds one federation per
-	// mode from the same seed and requires identical answers.
-	SubCoalitionSize int
 }
 
 // Node is one federation participant: its simulated host, ORB and core node.
@@ -197,21 +164,13 @@ func Build(cfg Config) (*Fed, error) {
 					Table: "r", ResultColumn: "k", ArgColumn: "v",
 				}},
 			}},
-			Clock:             fed.Clock.Now,
-			MDCacheTTL:        cfg.MDCacheTTL,
-			DisablePushdown:   cfg.DisablePushdown,
-			DisableStreaming:  cfg.DisableStreaming,
-			MergeBufRows:      cfg.MergeBufRows,
-			DisableSemiJoin:   cfg.DisableSemiJoin,
-			SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
-			SemiJoinBloomBits: cfg.SemiJoinBloomBits,
-			DisableGossip:     cfg.DisableGossip,
-			GossipFanout:      cfg.GossipFanout,
+			Clock:        fed.Clock.Now,
+			MDCacheTTL:   cfg.MDCacheTTL,
+			GossipFanout: cfg.GossipFanout,
 			// Each agent shuffles its peer ring from its own stream, derived
 			// from the run seed so replaying a seed replays every walk.
 			GossipSeed:         cfg.Seed*1009 + int64(i) + 1,
 			GossipSuspectAfter: cfg.GossipSuspectAfter,
-			SubCoalitionSize:   cfg.SubCoalitionSize,
 		}
 		if cfg.Hetero {
 			nc.Engine = heteroEngines[i%len(heteroEngines)]
