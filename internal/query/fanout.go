@@ -127,11 +127,8 @@ func (p *Processor) callSome(ctx context.Context, statuses []MemberStatus, idx [
 func (p *Processor) callMember(ctx context.Context, st *MemberStatus, i int, f *memberFan) error {
 	mctx, sp := trace.StartSpan(ctx, f.span+st.Member)
 	if mt := p.memberTimeout(); mt > 0 {
-		if f.budget > 1 {
-			mt *= time.Duration(f.budget)
-		}
 		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(mctx, mt)
+		mctx, cancel = context.WithTimeout(mctx, mt*time.Duration(max(f.budget, 1)))
 		defer cancel()
 	}
 	mctx, cs := orb.WithCallStats(mctx)

@@ -141,7 +141,7 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 		// peers advertising a node that never joined.
 		rbCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rollbackTimeout)
 		defer cancel()
-		s.p.callSome(rbCtx, peerStatuses(peers), advertised, s.withdrawFan(peers, q.Coalition))
+		s.p.callSome(rbCtx, statuses, advertised, s.withdrawFan(peers, q.Coalition))
 		return nil, joinErr
 	}
 	// Local replication.
