@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify race bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke bench-json bench-json-smoke bench-diff bench-diff-smoke lint
+.PHONY: verify race bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
 
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
@@ -21,7 +21,7 @@ verify:
 # ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
 # race detector, chaos suite, simulation suite, coverage ratchet, fuzz
 # smoke, and a one-iteration benchmark smoke.
-ci: fmt-check verify race chaos sim cover-check fuzz-smoke bench-smoke bench-diff-smoke
+ci: fmt-check verify race chaos sim cover-check fuzz-smoke bench-smoke
 
 # chaos runs the fault-injection suites (injected connect failures, latency,
 # drops and resets; retry/breaker behaviour; partial-result degradation)
@@ -82,43 +82,10 @@ bench-smoke:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the benchmark series recorded in EXPERIMENTS.md.
+# bench runs fedbench, the repository's benchmark (BENCHMARK.json, bench/):
+# every workload, end-to-end and per-layer metrics.
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# bench-json runs the root benchmark series plus the federated planner,
-# streaming and gossip-convergence benchmarks and commits the numbers as a
-# machine-readable artifact (BENCH_PR10.json) via cmd/benchjson. Three counts
-# per benchmark: the diff gate collapses repeats to the fastest run, which is
-# what survives the CPU noise of a shared single-core host.
-bench-json:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=3 . ./internal/query ./internal/simtest | $(GO) run ./cmd/benchjson > BENCH_PR10.json
-
-# bench-json-smoke exercises the same pipeline at one iteration per
-# benchmark, discarding the output: cheap insurance that the parser keeps up
-# with the bench format.
-bench-json-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson > /dev/null
-
-# bench-diff compares the two committed benchmark artifacts and fails on a
-# >20% ns/op regression in the named engine and planner benchmarks (the
-# wire-path benchmarks swing more than 20% with host noise alone, so they
-# are reported by a plain `benchjson diff` but not gated). Benchmarks new
-# in the later artifact are skipped by the inner join, so extending the
-# -bench list ahead of the artifact is safe.
-bench-diff:
-	$(GO) run ./cmd/benchjson diff \
-		-bench SQLScanFilter,SQLHashJoin,SQLGroupBy,OODBExtentFilter,SQLParse,WTLParse,SQLInsert,SQLPointSelect,FederatedPushdown,FederatedTopK,FederatedSemiJoin,GossipConvergence \
-		BENCH_PR9.json BENCH_PR10.json
-
-# bench-diff-smoke exercises the diff gate end to end without a full
-# measurement run: convert a one-iteration bench pass to JSON and diff it
-# against itself (self-diff is always within threshold), proving the
-# convert -> diff pipeline still parses and joins.
-bench-diff-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson > .bench-smoke.json
-	$(GO) run ./cmd/benchjson diff .bench-smoke.json .bench-smoke.json
-	@rm -f .bench-smoke.json
+	bash bench/run.sh
 
 # lint mirrors CI's lint job: vet always, then staticcheck and govulncheck
 # pinned by version. Both tools are fetched with `go run`; when the module

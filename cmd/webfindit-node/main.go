@@ -29,10 +29,6 @@
 //	  "min_members": 1,                    // coalition-query quorum (0 = 1)
 //	  "member_timeout_ms": 500,            // per-member fan-out deadline (0 = none)
 //	  "mdcache_ttl_ms": 2000,              // metadata cache positive TTL (0 = default)
-//	  "mdcache_neg_ttl_ms": 250,           // metadata cache negative TTL (0 = default)
-//	  "mdcache_max_entries": 4096,         // metadata cache LRU bound (0 = default)
-//	  "cursor_max_open": 32,               // server-side cursor cap per servant (0 = default 32)
-//	  "cursor_idle_ms": 120000,            // idle cursor reap TTL (0 = default 2 minutes)
 //	  "gossip_interval_ms": 1000,          // gossip round pacing (0 = default 1s)
 //	  "gossip_fanout": 3,                  // peers contacted per gossip round (0 = default 3)
 //	  "fragment_threshold_bytes": 262144,  // GIOP fragmentation threshold (0 = default 256 KiB, -1 off)
@@ -44,8 +40,10 @@
 // (predicate pushdown, cursor streaming, semi-join key pushdown, gossip,
 // hierarchical discovery) are not configurable: every node runs them, with
 // constant thresholds (merge window 64 rows, IN lists up to 64 keys then a
-// 10-bits-per-key Bloom filter, sub-coalitions above 32 members). The keys
-// that used to select them — see retiredKeys — are refused by name.
+// 10-bits-per-key Bloom filter, sub-coalitions above 32 members). So are the
+// ISI cursor table's limits (32 open cursors, reaped after 2 idle minutes)
+// and the metadata cache's negative TTL (250ms) and entry cap (4096). The
+// keys that used to set any of these — see retiredKeys — are refused by name.
 //
 // The -chaos flag loads a fault-injection plan (same JSON shape as the
 // "chaos" config field) and applies it to the node's outbound IIOP calls,
@@ -101,26 +99,17 @@ type nodeFile struct {
 	BreakerCooldownMS int `json:"breaker_cooldown_ms"`
 	MinMembers        int `json:"min_members"`
 	MemberTimeoutMS   int `json:"member_timeout_ms"`
-	// Federation metadata cache knobs; 0 keeps the built-in defaults (2s
-	// positive, 250ms negative, 4096 entries). Stats are published at
-	// /debug/metrics under "mdcache".
-	MDCacheTTLMS      int `json:"mdcache_ttl_ms"`
-	MDCacheNegTTLMS   int `json:"mdcache_neg_ttl_ms"`
-	MDCacheMaxEntries int `json:"mdcache_max_entries"`
-	// Streaming-reply knobs. CursorMaxOpen caps cursors held open per servant
-	// (0 = default 32); CursorIdleMS is the idle-reap TTL (0 = default 2
-	// minutes); FragmentThresholdBytes is the GIOP message size past which
-	// replies fragment on the wire (0 = default 256 KiB, -1 disables
-	// fragmentation). Cursor and planner counters are published at
-	// /debug/metrics under "cursors" and "planner".
-	CursorMaxOpen int `json:"cursor_max_open"`
-	CursorIdleMS  int `json:"cursor_idle_ms"`
+	// MDCacheTTLMS is the federation metadata cache's positive TTL; 0 keeps
+	// the default (2s). Stats are published at /debug/metrics under "mdcache".
+	MDCacheTTLMS int `json:"mdcache_ttl_ms"`
 	// Gossip membership knobs. GossipIntervalMS paces rounds (0 = default
 	// 1000); GossipFanout is the peers contacted per round (0 = default 3).
 	// Agent counters — rounds, deltas sent/applied, digest/delta bytes,
 	// convergence lag — are published at /debug/metrics under "gossip".
-	GossipIntervalMS       int                 `json:"gossip_interval_ms"`
-	GossipFanout           int                 `json:"gossip_fanout"`
+	GossipIntervalMS int `json:"gossip_interval_ms"`
+	GossipFanout     int `json:"gossip_fanout"`
+	// FragmentThresholdBytes is the GIOP message size past which replies
+	// fragment on the wire (0 = default 256 KiB, -1 disables fragmentation).
 	FragmentThresholdBytes int                 `json:"fragment_threshold_bytes"`
 	Chaos                  *orb.FaultPlan      `json:"chaos"`
 	Interface              []codb.ExportedType `json:"interface"`
@@ -130,11 +119,14 @@ type nodeFile struct {
 }
 
 // retiredKeys are config keys earlier releases read and this one does not:
-// each selected (or tuned) an execution mode that is now the only one.
+// each selected (or tuned) an execution mode that is now the only one, or
+// set a cursor-table or metadata-cache limit that is now a constant.
 var retiredKeys = map[string]bool{
 	"disable_pushdown": true, "merge_buf_rows": true, "disable_semijoin": true,
 	"semijoin_key_limit": true, "semijoin_bloom_bits": true,
 	"disable_streaming": true, "disable_gossip": true, "subcoalition_size": true,
+	"cursor_max_open": true, "cursor_idle_ms": true,
+	"mdcache_neg_ttl_ms": true, "mdcache_max_entries": true,
 }
 
 // parseConfig decodes a node config strictly: a key the node does not read
@@ -149,7 +141,7 @@ func parseConfig(data []byte) (nodeFile, error) {
 		if key, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
 			key = strings.Trim(key, `"`)
 			if retiredKeys[strings.ToLower(key)] {
-				return cfg, fmt.Errorf("config key %q was retired in this release: the mode it selected or tuned is no longer configurable; remove the key", key)
+				return cfg, fmt.Errorf("config key %q was retired in this release: the mode or limit it set is no longer configurable; remove the key", key)
 			}
 			return cfg, fmt.Errorf("unknown config key %q", key)
 		}
@@ -264,13 +256,9 @@ func main() {
 		Interface:       iface,
 		Schema:          schema,
 
-		MDCacheTTL:        time.Duration(cfg.MDCacheTTLMS) * time.Millisecond,
-		MDCacheNegTTL:     time.Duration(cfg.MDCacheNegTTLMS) * time.Millisecond,
-		MDCacheMaxEntries: cfg.MDCacheMaxEntries,
-		CursorMaxOpen:     cfg.CursorMaxOpen,
-		CursorIdleTTL:     time.Duration(cfg.CursorIdleMS) * time.Millisecond,
-		GossipInterval:    time.Duration(cfg.GossipIntervalMS) * time.Millisecond,
-		GossipFanout:      cfg.GossipFanout,
+		MDCacheTTL:     time.Duration(cfg.MDCacheTTLMS) * time.Millisecond,
+		GossipInterval: time.Duration(cfg.GossipIntervalMS) * time.Millisecond,
+		GossipFanout:   cfg.GossipFanout,
 	})
 	if err != nil {
 		log.Fatal(err)

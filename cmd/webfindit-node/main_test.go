@@ -274,6 +274,7 @@ func TestParseConfigRejectsWhatItDoesNotRead(t *testing.T) {
 	}{
 		{"retired key", `{"name": "N", "disable_pushdown": true}`, []string{`"disable_pushdown"`, "retired in this release"}},
 		{"retired tunable", `{"name": "N", "subcoalition_size": -1}`, []string{`"subcoalition_size"`, "retired in this release"}},
+		{"retired limit", `{"name": "N", "cursor_max_open": 8}`, []string{`"cursor_max_open"`, "retired in this release"}},
 		{"typo", `{"name": "N", "gosip_fanout": 3}`, []string{`unknown config key "gosip_fanout"`}},
 		{"cache off", `{"name": "N", "mdcache_ttl_ms": -1}`, []string{"mdcache_ttl_ms", "always on"}},
 		{"trailing data", `{"name": "N"} {"name": "M"}`, []string{"after the config object"}},

@@ -2,13 +2,8 @@ package codb
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"strings"
-	"time"
 
-	"repro/internal/cursor"
 	"repro/internal/idl"
 	"repro/internal/orb"
 	"repro/internal/trace"
@@ -27,9 +22,6 @@ module WebFINDIT {
         sequence<any> member_of();
         sequence<any> subclasses(in string coalition, in boolean direct);
         sequence<any> instances(in string coalition);
-        any open_instances(in string coalition, in long long batch);
-        any fetch_cursor(in long long id);
-        void close_cursor(in long long id);
         any coalition_info(in string coalition);
         any access_info(in string source);
         any document(in string source);
@@ -65,15 +57,10 @@ func MatchFromAny(a idl.Any) Match {
 	}
 }
 
-// ServantOptions tune the servant's instance-cursor table and optional
-// scale-out hooks; the zero value selects the cursor package defaults and
+// ServantOptions are the servant's optional scale-out hooks; the zero value
 // leaves the gossip and relay operations unregistered (callers then get
 // BAD_OPERATION, the documented "peer predates the protocol" signal).
 type ServantOptions struct {
-	CursorMaxOpen int              // open-cursor cap for paged instance listings
-	CursorIdleTTL time.Duration    // idle reap threshold
-	Clock         func() time.Time // nil = time.Now (simulations inject one)
-
 	// Gossip serves the anti-entropy operations (gossip_pull/gossip_push)
 	// when non-nil — in practice the node's *gossip.Agent.
 	Gossip GossipExchanger
@@ -91,20 +78,15 @@ type GossipExchanger interface {
 	HandlePush(delta []byte) (int, error)
 }
 
-// NewServant exposes a co-database through the ORB with default cursor
-// options.
-func NewServant(cd *CoDatabase) orb.Servant {
-	s, _ := NewServantWith(cd, ServantOptions{})
-	return s
-}
+// NewServant exposes a co-database through the ORB without the gossip and
+// relay operations.
+func NewServant(cd *CoDatabase) orb.Servant { return NewServantWith(cd, ServantOptions{}) }
 
-// NewServantWith is NewServant with cursor options; it also returns the
-// servant's cursor table so the node can publish its stats.
-func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.Table) {
+// NewServantWith is NewServant with the scale-out hooks in opts.
+func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 	userErr := func(err error) error {
 		return &orb.UserException{Name: "CoDatabaseError", Message: err.Error()}
 	}
-	cursors := cursor.NewTable(opts.CursorMaxOpen, opts.CursorIdleTTL, opts.Clock)
 	h := orb.NewHandler(IDL)
 	// on wraps each operation in a "codb.<op>" span tagged with the owning
 	// database, so metadata lookups appear in the trace of the query that
@@ -163,41 +145,6 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.T
 			out[i] = m.ToAny()
 		}
 		return idl.Seq(out...), nil
-	})
-	on("open_instances", func(args []idl.Any) (idl.Any, error) {
-		members, err := cd.Members(args[0].Str)
-		if err != nil {
-			return idl.Null(), userErr(err)
-		}
-		items := make([]idl.Any, len(members))
-		for i, m := range members {
-			items[i] = m.ToAny()
-		}
-		id, first, done, err := cursors.Open(items, int(args[1].Int))
-		if err != nil {
-			// ErrTooMany crosses as a CursorError; clients fall back to the
-			// whole-result instances op.
-			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
-		}
-		return idl.Struct(
-			idl.F("id", idl.Long(id)),
-			idl.F("items", idl.Seq(first...)),
-			idl.F("done", idl.Bool(done)),
-		), nil
-	})
-	on("fetch_cursor", func(args []idl.Any) (idl.Any, error) {
-		batch, done, err := cursors.Fetch(args[0].Int)
-		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
-		}
-		return idl.Struct(
-			idl.F("items", idl.Seq(batch...)),
-			idl.F("done", idl.Bool(done)),
-		), nil
-	})
-	on("close_cursor", func(args []idl.Any) (idl.Any, error) {
-		cursors.Close(args[0].Int)
-		return idl.Any{Kind: idl.KindVoid}, nil
 	})
 	on("coalition_info", func(args []idl.Any) (idl.Any, error) {
 		desc, syns, ok := cd.CoalitionInfo(args[0].Str)
@@ -307,7 +254,7 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.T
 			return idl.Seq(out...), nil
 		})
 	}
-	return h, cursors
+	return h
 }
 
 // Client is a typed client for a (possibly remote) co-database servant. The
@@ -401,32 +348,10 @@ func (c *Client) SubCoalitions(ctx context.Context, coalition string, direct boo
 	return v.StringSlice(), nil
 }
 
-// Instances lists a coalition's member descriptors. It delegates to
-// InstancesPaged (batch 0: the whole listing in the open round trip, so the
-// cost profile is unchanged) and drains the iterator. Prefer InstancesPaged
-// for coalitions that may be large: Instances buffers every descriptor.
+// Instances lists a coalition's member descriptors in one round trip.
+// Membership is metadata, bounded by the coalition's size, so it is not
+// paged: cursors exist where rows flow, on the ISI.
 func (c *Client) Instances(ctx context.Context, coalition string) ([]*SourceDescriptor, error) {
-	it, err := c.InstancesPaged(ctx, coalition, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []*SourceDescriptor
-	for {
-		d, err := it.Next(ctx)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-}
-
-// instancesWhole is the pre-cursor whole-listing op, kept as the fallback for
-// peers that predate open_instances.
-func (c *Client) instancesWhole(ctx context.Context, coalition string) ([]*SourceDescriptor, error) {
 	v, err := c.ref.InvokeIdempotent(ctx, "instances", idl.String(coalition))
 	if err != nil {
 		return nil, err
@@ -441,115 +366,6 @@ func (c *Client) instancesWhole(ctx context.Context, coalition string) ([]*Sourc
 	}
 	return out, nil
 }
-
-// instanceCursorFallback reports an error that means "use the whole-listing
-// op instead": the peer predates open_instances (BAD_OPERATION) or refuses
-// to open another cursor (the table's cap).
-func instanceCursorFallback(err error) bool {
-	var se *orb.SystemException
-	if errors.As(err, &se) && se.Name == orb.ExcBadOperation {
-		return true
-	}
-	var ue *orb.UserException
-	return errors.As(err, &ue) && ue.Name == "CursorError" &&
-		strings.Contains(ue.Message, "too many open cursors")
-}
-
-// InstancesPaged lists a coalition's member descriptors through the cursor
-// protocol, moving at most batch descriptors per round trip (batch <= 0
-// fetches everything in the open round trip). The caller must Close the
-// iterator. Peers that predate the protocol — and servers at their cursor
-// cap — are handled by falling back to the whole-listing op behind a
-// materialized iterator.
-func (c *Client) InstancesPaged(ctx context.Context, coalition string, batch int) (*InstanceIter, error) {
-	a, err := c.ref.InvokeIdempotent(ctx, "open_instances",
-		idl.String(coalition), idl.Long(int64(batch)))
-	if err != nil {
-		if instanceCursorFallback(err) {
-			whole, werr := c.instancesWhole(ctx, coalition)
-			if werr != nil {
-				return nil, werr
-			}
-			return &InstanceIter{whole: whole, done: true}, nil
-		}
-		return nil, err
-	}
-	items, _ := a.Get("items")
-	done, _ := a.Get("done")
-	return &InstanceIter{
-		client: c,
-		id:     a.GetInt("id"),
-		buf:    items.Seq,
-		done:   done.Bool,
-	}, nil
-}
-
-// InstanceIter pulls batches of member descriptors from a server-side
-// cursor. One batch is buffered at a time; the next fetch is only issued
-// once the buffer drains.
-type InstanceIter struct {
-	client *Client
-	id     int64
-	buf    []idl.Any
-	pos    int
-	done   bool
-	closed bool
-
-	// whole backs the fallback path for peers without the cursor protocol.
-	whole []*SourceDescriptor
-}
-
-// Next returns the next descriptor or io.EOF. The context bounds one fetch
-// round trip, not the whole drain.
-func (it *InstanceIter) Next(ctx context.Context) (*SourceDescriptor, error) {
-	if it.closed {
-		return nil, fmt.Errorf("codb: instance iterator is closed")
-	}
-	if it.whole != nil || (it.done && it.client == nil) {
-		if it.pos >= len(it.whole) {
-			return nil, io.EOF
-		}
-		d := it.whole[it.pos]
-		it.pos++
-		return d, nil
-	}
-	for it.pos >= len(it.buf) {
-		if it.done {
-			return nil, io.EOF
-		}
-		a, err := it.client.ref.InvokeIdempotent(ctx, "fetch_cursor", idl.Long(it.id))
-		if err != nil {
-			return nil, err
-		}
-		items, _ := a.Get("items")
-		done, _ := a.Get("done")
-		it.buf, it.pos, it.done = items.Seq, 0, done.Bool
-	}
-	item := it.buf[it.pos]
-	it.pos++
-	return DescriptorFromAny(item)
-}
-
-// Close releases the server-side cursor. Like the gateway's cursor iterator
-// it detaches from the caller's context: cancelling a listing is exactly
-// when the close RPC must still go out.
-func (it *InstanceIter) Close() error {
-	if it.closed {
-		return nil
-	}
-	it.closed = true
-	if it.done || it.id == 0 || it.client == nil {
-		return nil // exhausted cursors are already gone server-side
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), closeInstancesTimeout)
-	defer cancel()
-	_, err := it.client.ref.InvokeIdempotent(ctx, "close_cursor", idl.Long(it.id))
-	return err
-}
-
-// closeInstancesTimeout bounds the detached close_cursor round trip. Losing
-// the race just means the idle reaper collects the cursor later.
-const closeInstancesTimeout = 2 * time.Second
 
 // CoalitionInfo fetches a coalition's description and synonyms.
 func (c *Client) CoalitionInfo(ctx context.Context, coalition string) (string, []string, error) {

@@ -59,19 +59,17 @@ type NodeConfig struct {
 	// SeedObjects, for object engines, populates the fresh OO database.
 	SeedObjects func(*oodb.DB) error
 
-	// MDCacheTTL / MDCacheNegTTL / MDCacheMaxEntries override the defaults
-	// (2s positive TTL, 250ms negative TTL, 4096 entries) of the metadata
+	// MDCacheTTL overrides the default positive TTL (2s) of the metadata
 	// cache the node's query processor uses for coalition membership, source
 	// descriptors and peer discovery probes, when positive; zero keeps the
-	// default. Only metadata (the co-database tier) is ever cached — data
-	// queries always hit the source.
-	MDCacheTTL        time.Duration
-	MDCacheNegTTL     time.Duration
-	MDCacheMaxEntries int
-	// Clock, when set, overrides time.Now for the node's metadata cache.
-	// Deterministic simulations (internal/simtest) pin it to the simnet
-	// virtual clock so TTL expiry is a virtual-time event that tests
-	// advance explicitly.
+	// default. The negative TTL and the entry cap are mdcache's defaults.
+	// Only metadata (the co-database tier) is ever cached — data queries
+	// always hit the source.
+	MDCacheTTL time.Duration
+	// Clock, when set, overrides time.Now for the node's metadata cache and
+	// ISI cursor table. Deterministic simulations (internal/simtest) pin it
+	// to the simnet virtual clock so TTL expiry is a virtual-time event that
+	// tests advance explicitly.
 	Clock func() time.Time
 
 	// AdvertiseEngine, when set, is the engine name the node's source
@@ -80,14 +78,6 @@ type NodeConfig struct {
 	// entry is stale), which the federated planner must tolerate by falling
 	// back to full compensation when a pushed clause is rejected.
 	AdvertiseEngine string
-	// CursorMaxOpen caps the server-side cursors the node's ISI and
-	// co-database servants will hold open at once; 0 keeps the default (32).
-	// Clients past the cap fall back to whole-result round trips.
-	CursorMaxOpen int
-	// CursorIdleTTL is how long an untouched server-side cursor survives
-	// before the reaper collects it; 0 keeps the default (2 minutes).
-	// Cursor tables share the node Clock when one is injected.
-	CursorIdleTTL time.Duration
 
 	// GossipInterval paces the background loop StartGossip runs on the
 	// node's anti-entropy membership agent; 0 keeps the default (1s). The
@@ -118,17 +108,14 @@ type Node struct {
 	Gossip     *gossip.Agent
 
 	isiConn gateway.Conn
-	// Cursor tables behind the node's servants (ISI data cursors, co-database
-	// instance cursors), kept for stats publishing and tests.
-	isiCursors  *cursor.Table
-	codbCursors *cursor.Table
+	// isiCursors is the cursor table behind the ISI servant, kept for stats
+	// publishing and tests.
+	isiCursors *cursor.Table
 }
 
-// CursorStats merges the cursor counters of the node's ISI and co-database
-// servants (open cursors, fetches, idle reaps).
-func (n *Node) CursorStats() cursor.StatsSnapshot {
-	return n.isiCursors.Snapshot().Merge(n.codbCursors.Snapshot())
-}
+// CursorStats snapshots the ISI servant's cursor counters (open cursors,
+// fetches, idle reaps).
+func (n *Node) CursorStats() cursor.StatsSnapshot { return n.isiCursors.Snapshot() }
 
 // ISICursors exposes the ISI servant's cursor table (tests assert open
 // counts and drive the reaper).
@@ -223,22 +210,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	})
 
 	// Activate the servants.
-	isiServant, isiCursors := gateway.NewISIServantWith(conn, gateway.ISIServantOptions{
-		CursorMaxOpen: cfg.CursorMaxOpen,
-		CursorIdleTTL: cfg.CursorIdleTTL,
-		Clock:         cfg.Clock,
-	})
+	isiServant, isiCursors := gateway.NewISIServantWith(conn, gateway.ISIServantOptions{Clock: cfg.Clock})
 	n.isiCursors = isiCursors
 	isiIOR, err := cfg.ORB.Activate(isiKey(cfg.Name), isiServant)
 	if err != nil {
 		return nil, err
 	}
 	n.ISIIOR = isiIOR
-	codbServant, codbCursors := codb.NewServantWith(n.CoDB, codb.ServantOptions{
-		CursorMaxOpen: cfg.CursorMaxOpen,
-		CursorIdleTTL: cfg.CursorIdleTTL,
-		Clock:         cfg.Clock,
-		Gossip:        n.Gossip,
+	codbServant := codb.NewServantWith(n.CoDB, codb.ServantOptions{
+		Gossip: n.Gossip,
 		// A relay_probe landing in the startup window before n.Processor is
 		// set gets an empty reply, which coordinators treat as a failed relay.
 		Relay: func(ctx context.Context, topic string, members []codb.RelayTarget) []codb.RelayResult {
@@ -248,7 +228,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return n.Processor.RelayProbe(ctx, topic, members)
 		},
 	})
-	n.codbCursors = codbCursors
 	codbIOR, err := cfg.ORB.Activate(codbKey(cfg.Name), codbServant)
 	if err != nil {
 		return nil, err
@@ -280,12 +259,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	resolveInterfaceTables(n)
 	n.CoDB.SetOwnerDescriptor(n.Descriptor)
 
-	n.MDCache = mdcache.New(mdcache.Options{
-		TTL:        cfg.MDCacheTTL,
-		NegTTL:     cfg.MDCacheNegTTL,
-		MaxEntries: cfg.MDCacheMaxEntries,
-		Clock:      cfg.Clock,
-	})
+	n.MDCache = mdcache.New(mdcache.Options{TTL: cfg.MDCacheTTL, Clock: cfg.Clock})
 	n.Processor, err = query.New(query.Config{
 		ORB:            cfg.ORB,
 		Home:           cfg.Name,

@@ -1,10 +1,9 @@
 // Package cursor implements server-side result cursors: a materialized
-// sequence of pre-packed values handed out in batches over the ISI and
-// co-database servant protocols (open -> id+first batch, fetch -> batch+done,
-// close). Cursors are what turn one huge CORBA reply into a pull-based
-// stream: the client fetches the next batch only when it has drained the
-// previous one, so a slow consumer throttles the server instead of
-// ballooning it.
+// sequence of pre-packed values handed out in batches over the ISI servant
+// protocol (open -> id+first batch, fetch -> batch+done, close). Cursors are
+// what turn one huge CORBA reply into a pull-based stream: the client fetches
+// the next batch only when it has drained the previous one, so a slow
+// consumer throttles the server instead of ballooning it.
 //
 // A Table is the per-servant cursor registry. It caps how many cursors one
 // connection may hold open (a client that leaks cursors starves itself, not
@@ -30,9 +29,8 @@ const (
 	DefaultIdleTTL = 2 * time.Minute
 )
 
-// ErrTooMany reports an open attempt past the table's cap. It crosses the
-// wire as a user exception whose message keeps this text, so clients can
-// fall back to a whole-result query.
+// ErrTooMany reports an open attempt past the table's cap. The ISI servant
+// matches it with errors.Is and answers the whole result in the open reply.
 var ErrTooMany = errors.New("cursor: too many open cursors")
 
 // ErrNotFound reports a fetch or close of an unknown (possibly reaped)
@@ -201,17 +199,5 @@ func (t *Table) Snapshot() StatsSnapshot {
 		Fetches: t.stats.Fetches.Load(),
 		Closed:  t.stats.Closed.Load(),
 		Reaped:  t.stats.Reaped.Load(),
-	}
-}
-
-// Merge adds another snapshot into s (a node aggregates per-servant tables
-// for /debug/metrics).
-func (s StatsSnapshot) Merge(o StatsSnapshot) StatsSnapshot {
-	return StatsSnapshot{
-		Open:    s.Open + o.Open,
-		Opened:  s.Opened + o.Opened,
-		Fetches: s.Fetches + o.Fetches,
-		Closed:  s.Closed + o.Closed,
-		Reaped:  s.Reaped + o.Reaped,
 	}
 }

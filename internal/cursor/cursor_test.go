@@ -127,13 +127,3 @@ func TestIdleReaping(t *testing.T) {
 		t.Fatalf("explicit reap = %d", n)
 	}
 }
-
-func TestSnapshotMerge(t *testing.T) {
-	a := StatsSnapshot{Open: 1, Opened: 2, Fetches: 3, Closed: 4, Reaped: 5}
-	b := StatsSnapshot{Open: 10, Opened: 20, Fetches: 30, Closed: 40, Reaped: 50}
-	got := a.Merge(b)
-	want := StatsSnapshot{Open: 11, Opened: 22, Fetches: 33, Closed: 44, Reaped: 55}
-	if got != want {
-		t.Fatalf("merge = %+v", got)
-	}
-}

@@ -2,24 +2,19 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/idl"
 	"repro/internal/orb"
 )
 
-// startISIPair activates an ISI servant for the RBH Oracle database and
-// returns a remote connection to it plus the servant's cursor table.
-func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTableHandle) {
+// openOracle opens a local connection to a fresh RBH Oracle database.
+func openOracle(t *testing.T) Conn {
 	t.Helper()
-	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
-	if err := server.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Shutdown)
-
 	drv := NewRelationalDriver("Oracle")
 	if err := drv.Add(newOracleDB(t)); err != nil {
 		t.Fatal(err)
@@ -28,15 +23,34 @@ func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTab
 	if err != nil {
 		t.Fatal(err)
 	}
-	servant, table := NewISIServantWith(local, opts)
+	return local
+}
+
+// serveISI activates servant on its own ORB and returns a remote connection
+// that reaches it over IIOP, plus the serving ORB (for its counters).
+func serveISI(t *testing.T, servant orb.Servant) (*RemoteConn, *orb.ORB) {
+	t.Helper()
+	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Shutdown)
 	ior, err := server.Activate("ISI/RBH", servant)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
 	t.Cleanup(client.Shutdown)
-	return NewRemoteConn(client.Resolve(ior)), &cursorTableHandle{table}
+	return NewRemoteConn(client.Resolve(ior)), server
+}
+
+// startISIPair activates an ISI servant for the RBH Oracle database and
+// returns a remote connection to it plus the servant's cursor table.
+func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTableHandle) {
+	t.Helper()
+	servant, table := NewISIServantWith(openOracle(t), opts)
+	rconn, _ := serveISI(t, servant)
+	return rconn, &cursorTableHandle{table}
 }
 
 type cursorTableHandle struct{ table interface{ OpenCount() int } }
@@ -126,8 +140,25 @@ func TestRemoteQueryDelegatesThroughCursor(t *testing.T) {
 	}
 }
 
-func TestRemoteCursorCapFallsBack(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{CursorMaxOpen: 1})
+// countingConn counts the statements that reach the engine.
+type countingConn struct {
+	Conn
+	queries map[string]int
+}
+
+func (c *countingConn) Query(ctx context.Context, q string) (*Result, error) {
+	c.queries[q]++
+	return c.Conn.Query(ctx, q)
+}
+
+// TestRemoteCursorAtCapAnswersWhole: a servant whose cursor table is full
+// answers an open with the whole result it has already computed — the member
+// query runs once and the client makes one invocation, not a failed open
+// followed by a second execution under another op.
+func TestRemoteCursorAtCapAnswersWhole(t *testing.T) {
+	engine := &countingConn{Conn: openOracle(t), queries: map[string]int{}}
+	servant, table := NewISIServantWith(engine, ISIServantOptions{CursorMaxOpen: 1})
+	rconn, server := serveISI(t, servant)
 	ctx := context.Background()
 
 	// Hold the only cursor slot open.
@@ -136,77 +167,100 @@ func TestRemoteCursorCapFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer held.Close()
-	if tb.table.OpenCount() != 1 {
-		t.Fatalf("open cursors = %d", tb.table.OpenCount())
+	if table.OpenCount() != 1 {
+		t.Fatalf("open cursors = %d", table.OpenCount())
 	}
 
-	// The next open hits the cap; the client falls back to the whole-result
-	// op and the caller still gets every row.
-	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students ORDER BY name", 1)
+	const q = "SELECT name FROM medical_students ORDER BY name"
+	served := server.Stats.RequestsServed.Load()
+	it, err := rconn.QueryCursor(ctx, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Drain(ctx, it)
-	if err != nil || len(res.Rows) != 3 {
-		t.Fatalf("fallback drain = %+v, %v", res, err)
+	if err != nil || len(res.Rows) != 3 || res.Rows[0][0].Str != "J. Chen" || res.Rows[2][0].Str != "S. Weiss" {
+		t.Fatalf("drain at the cap = %+v, %v", res, err)
 	}
-	if tb.table.OpenCount() != 1 {
-		t.Fatalf("fallback opened a cursor: %d", tb.table.OpenCount())
+	if table.OpenCount() != 1 {
+		t.Fatalf("open at the cap took a slot: %d open", table.OpenCount())
+	}
+	if n := engine.queries[q]; n != 1 {
+		t.Errorf("engine ran the statement %d time(s), want 1", n)
+	}
+	if n := server.Stats.RequestsServed.Load() - served; n != 1 {
+		t.Errorf("client made %d invocation(s), want 1", n)
 	}
 }
 
-// TestRemoteCursorLegacyPeerFallsBack points QueryCursor at a servant that
-// predates the cursor protocol (query/exec only). The BAD_OPERATION reply
-// must route the client to the whole-result op transparently.
-func TestRemoteCursorLegacyPeerFallsBack(t *testing.T) {
-	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
-	if err := server.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+// TestRemoteCursorRejectsMalformedReplies points the cursor client at a fake
+// ISI whose open_cursor or fetch_cursor reply breaks the protocol. Replies
+// come from another process, so each shape must end the iteration with a
+// ProtocolError — under a context with no deadline, hence the watchdog — and
+// the cursor the peer named must still be released.
+func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
+	row := idl.Seq(idl.String("J. Chen"))
+	open := func(fields ...idl.Field) idl.Any {
+		return idl.Struct(append([]idl.Field{idl.F("id", idl.Long(7)), idl.F("columns", idl.Strings([]string{"name"})),
+			idl.F("affected", idl.Long(0))}, fields...)...)
 	}
-	t.Cleanup(server.Shutdown)
+	goodOpen := open(idl.F("rows", idl.Seq(row)), idl.F("done", idl.Bool(false)))
+	for _, tc := range []struct {
+		name        string
+		open, fetch idl.Any
+		op          string // the reply that must be refused
+	}{
+		{"open is not a struct", idl.String("rows"), idl.Null(), "open_cursor"},
+		{"open lacks rows", open(idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open rows is not a sequence", open(idl.F("rows", idl.Long(3)), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open lacks done", open(idl.F("rows", idl.Seq(row))), idl.Null(), "open_cursor"},
+		{"open done is not a boolean", open(idl.F("rows", idl.Seq(row)), idl.F("done", idl.Long(0))), idl.Null(), "open_cursor"},
+		{"open row is not a sequence", open(idl.F("rows", idl.Seq(idl.String("J. Chen"))), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open is empty and not done", open(idl.F("rows", idl.Seq()), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"fetch is not a struct", goodOpen, idl.Long(1), "fetch_cursor"},
+		{"fetch lacks done", goodOpen, idl.Struct(idl.F("rows", idl.Seq(row))), "fetch_cursor"},
+		{"fetch lacks rows", goodOpen, idl.Struct(idl.F("done", idl.Bool(false))), "fetch_cursor"},
+		{"fetch row is not a sequence", goodOpen, idl.Struct(idl.F("rows", idl.Seq(idl.Long(1))), idl.F("done", idl.Bool(true))), "fetch_cursor"},
+		{"fetch is empty and not done", goodOpen, idl.Struct(idl.F("rows", idl.Seq()), idl.F("done", idl.Bool(false))), "fetch_cursor"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			closed := make(chan int64, 1)
+			h := orb.NewHandler(ISIIDL)
+			h.On("open_cursor", func([]idl.Any) (idl.Any, error) { return tc.open, nil })
+			h.On("fetch_cursor", func([]idl.Any) (idl.Any, error) { return tc.fetch, nil })
+			h.On("close_cursor", func(args []idl.Any) (idl.Any, error) {
+				closed <- args[0].Int
+				return idl.Any{Kind: idl.KindVoid}, nil
+			})
+			rconn, _ := serveISI(t, h)
 
-	legacyIDL := idl.MustParse(`
-module WebFINDIT {
-    interface LegacyISI {
-        any query(in string q);
-    };
-};
-`)[0]
-	drv := NewRelationalDriver("Oracle")
-	if err := drv.Add(newOracleDB(t)); err != nil {
-		t.Fatal(err)
-	}
-	local, err := drv.Open("RBH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := orb.NewHandler(legacyIDL)
-	h.On("query", func(args []idl.Any) (idl.Any, error) {
-		res, err := local.Query(context.Background(), args[0].Str)
-		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
-		}
-		return res.ToAny(), nil
-	})
-	ior, err := server.Activate("ISI/legacy", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
-	t.Cleanup(client.Shutdown)
-	rconn := NewRemoteConn(client.Resolve(ior))
-
-	res, err := rconn.Query(context.Background(), "SELECT COUNT(*) FROM medical_students")
-	if err != nil || res.Rows[0][0].Int != 3 {
-		t.Fatalf("legacy fallback query = %+v, %v", res, err)
-	}
-	it, err := rconn.QueryCursor(context.Background(), "SELECT name FROM medical_students", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Drain(context.Background(), it)
-	if err != nil || len(out.Rows) != 3 {
-		t.Fatalf("legacy fallback cursor = %+v, %v", out, err)
+			errc := make(chan error, 1)
+			go func() {
+				it, err := rconn.QueryCursor(context.Background(), "SELECT name FROM medical_students", 1)
+				if err == nil {
+					_, err = Drain(context.Background(), it)
+				}
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				var pe *ProtocolError
+				if !errors.As(err, &pe) || pe.Op != tc.op {
+					t.Fatalf("error = %v, want a ProtocolError for %s", err, tc.op)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the client is still iterating after 2s")
+			}
+			if tc.open.Kind != idl.KindStruct {
+				return // the reply named no cursor to release
+			}
+			select {
+			case id := <-closed:
+				if id != 7 {
+					t.Fatalf("close_cursor(%d), want 7", id)
+				}
+			default:
+				t.Fatal("the cursor the peer named was not closed")
+			}
+		})
 	}
 }

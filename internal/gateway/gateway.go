@@ -138,8 +138,8 @@ type RowIter interface {
 type rowsAffected interface{ RowsAffected() int64 }
 
 // Drain consumes a RowIter to exhaustion and rebuilds the whole-result
-// shape. It is how the deprecated whole-result query paths delegate to the
-// cursor protocol; new code should iterate instead of draining.
+// shape. It is how RemoteConn.Query rides the cursor protocol; code that
+// may see large results should iterate instead of draining.
 func Drain(ctx context.Context, it RowIter) (*Result, error) {
 	defer it.Close()
 	res := &Result{Columns: it.Columns()}
@@ -158,8 +158,7 @@ func Drain(ctx context.Context, it RowIter) (*Result, error) {
 	}
 }
 
-// sliceIter adapts a materialized Result to RowIter (in-process engines, and
-// the fallback when a remote peer predates the cursor protocol).
+// sliceIter adapts a materialized Result to RowIter (in-process engines).
 type sliceIter struct {
 	res *Result
 	pos int

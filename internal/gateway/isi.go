@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,7 +22,6 @@ import (
 var ISIIDL = idl.MustParse(`
 module WebFINDIT {
     interface ISI {
-        any query(in string q);
         any exec(in string q);
         any meta();
         sequence<any> tables();
@@ -44,10 +42,10 @@ type ISIServantOptions struct {
 
 // NewISIServant wraps a connection in an ISI servant with default cursor
 // options. Invocations are serialised with a mutex because gateway
-// connections, like JDBC connections, are single-threaded. query and exec
-// open a per-driver timing span ("isi.query:<engine>"), so the time a
-// source's engine spends on each statement is visible in the trace of the
-// query that reached it.
+// connections, like JDBC connections, are single-threaded. open_cursor and
+// exec each open a per-driver timing span ("isi.cursor:<engine>",
+// "isi.exec:<engine>"), so the time a source's engine spends on each
+// statement is visible in the trace of the query that reached it.
 func NewISIServant(conn Conn) orb.Servant {
 	s, _ := NewISIServantWith(conn, ISIServantOptions{})
 	return s
@@ -60,18 +58,6 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 	meta := conn.Meta()
 	cursors := cursor.NewTable(opts.CursorMaxOpen, opts.CursorIdleTTL, opts.Clock)
 	h := orb.NewHandler(ISIIDL)
-	h.OnCtx("query", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		ctx, sp := trace.StartSpan(ctx, "isi.query:"+meta.Engine)
-		sp.SetAttr("database", meta.Database)
-		res, err := conn.Query(ctx, args[0].Str)
-		sp.End(err)
-		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
-		}
-		return res.ToAny(), nil
-	})
 	h.OnCtx("open_cursor", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -87,9 +73,12 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 			items[i] = idl.Seq(row...)
 		}
 		id, first, done, err := cursors.Open(items, int(args[1].Int))
+		if errors.Is(err, cursor.ErrTooMany) {
+			// At the cap the rows are already computed: answer them whole, as
+			// a batch-0 open would, instead of making the client ask again.
+			id, first, done, err = 0, items, true, nil
+		}
 		if err != nil {
-			// ErrTooMany crosses as a CursorError; clients fall back to the
-			// whole-result query op.
 			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
 		}
 		return idl.Struct(
@@ -171,9 +160,8 @@ func (c *RemoteConn) check() error {
 // the exchange. Queries are idempotent, so transport failures retry under the
 // client ORB's retry policy.
 //
-// It delegates to QueryCursor (batch 0: the whole result in the open round
-// trip, so the cost profile is unchanged) and drains the iterator. Prefer
-// QueryCursor for results that may be large.
+// It is QueryCursor with batch 0 (the whole result in the open round trip, no
+// server state) drained. Prefer QueryCursor for results that may be large.
 func (c *RemoteConn) Query(ctx context.Context, q string) (*Result, error) {
 	it, err := c.QueryCursor(ctx, q, 0)
 	if err != nil {
@@ -182,64 +170,65 @@ func (c *RemoteConn) Query(ctx context.Context, q string) (*Result, error) {
 	return Drain(ctx, it)
 }
 
-// queryWhole is the pre-cursor whole-result query op, kept as the fallback
-// for peers that predate the cursor protocol.
-func (c *RemoteConn) queryWhole(ctx context.Context, q string) (*Result, error) {
-	a, err := c.ref.InvokeIdempotent(ctx, "query", idl.String(q))
-	if err != nil {
-		return nil, remapISIError(err)
-	}
-	return ResultFromAny(a)
+// ProtocolError reports an ISI cursor reply that does not have the shape the
+// protocol promises. Replies come from another process, so the client checks
+// them before trusting them.
+type ProtocolError struct {
+	Op     string // "open_cursor" or "fetch_cursor"
+	Reason string
 }
 
-// cursorFallback reports an error that means "use the whole-result op
-// instead": the peer predates open_cursor (BAD_OPERATION) or refuses to
-// open another cursor (the table's cap).
-func cursorFallback(err error) bool {
-	var se *orb.SystemException
-	if errors.As(err, &se) && se.Name == orb.ExcBadOperation {
-		return true
+func (e *ProtocolError) Error() string {
+	return "gateway: malformed " + e.Op + " reply: " + e.Reason
+}
+
+// cursorBatch validates one open_cursor or fetch_cursor reply and unpacks
+// its batch. An empty batch from a cursor that is not done is an error: a
+// client that accepted it would fetch again, forever.
+func cursorBatch(op string, a idl.Any) (rows []idl.Any, done bool, err error) {
+	if a.Kind != idl.KindStruct {
+		return nil, false, &ProtocolError{op, "reply is " + a.Kind.String() + ", not struct"}
 	}
-	var ue *orb.UserException
-	return errors.As(err, &ue) && ue.Name == "CursorError" &&
-		strings.Contains(ue.Message, "too many open cursors")
+	r, ok := a.Get("rows")
+	if !ok || r.Kind != idl.KindSeq {
+		return nil, false, &ProtocolError{op, "rows is not a sequence"}
+	}
+	d, ok := a.Get("done")
+	if !ok || d.Kind != idl.KindBool {
+		return nil, false, &ProtocolError{op, "done is not a boolean"}
+	}
+	for i := range r.Seq {
+		if r.Seq[i].Kind != idl.KindSeq {
+			return nil, false, &ProtocolError{op, fmt.Sprintf("row %d is %s, not a sequence", i, r.Seq[i].Kind)}
+		}
+	}
+	if len(r.Seq) == 0 && !d.Bool {
+		return nil, false, &ProtocolError{op, "empty batch from a cursor that is not done"}
+	}
+	return r.Seq, d.Bool, nil
 }
 
 // QueryCursor implements Conn over the ISI cursor protocol: open_cursor runs
 // the query and returns the first batch (a small result costs one round trip
 // and leaves no server state), fetch_cursor pulls subsequent batches on
-// demand, close_cursor releases an abandoned stream. Peers that predate the
-// protocol — and servers at their cursor cap — are handled by falling back
-// to the whole-result query op behind a materialized iterator.
+// demand, close_cursor releases an abandoned stream. A servant at its cursor
+// cap answers the whole result in the open reply.
 func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
 	a, err := c.ref.InvokeIdempotent(ctx, "open_cursor", idl.String(q), idl.Long(int64(batchSize)))
 	if err != nil {
-		if cursorFallback(err) {
-			res, qerr := c.queryWhole(ctx, q)
-			if qerr != nil {
-				return nil, qerr
-			}
-			return NewSliceIter(res), nil
-		}
 		return nil, remapISIError(err)
 	}
-	if a.Kind != idl.KindStruct {
-		return nil, fmt.Errorf("gateway: open_cursor reply is %s, not struct", a.Kind)
+	it := &remoteCursorIter{conn: c, id: a.GetInt("id"), affected: a.GetInt("affected")}
+	if it.buf, it.done, err = cursorBatch("open_cursor", a); err != nil {
+		it.Close() // the reply may still name a live cursor
+		return nil, err
 	}
-	rows, _ := a.Get("rows")
-	done, _ := a.Get("done")
 	cols, _ := a.Get("columns")
-	return &remoteCursorIter{
-		conn:     c,
-		id:       a.GetInt("id"),
-		cols:     cols.StringSlice(),
-		affected: a.GetInt("affected"),
-		buf:      rows.Seq,
-		done:     done.Bool,
-	}, nil
+	it.cols = cols.StringSlice()
+	return it, nil
 }
 
 // remoteCursorIter pulls batches from a server-side ISI cursor. One batch is
@@ -273,9 +262,11 @@ func (it *remoteCursorIter) Next(ctx context.Context) ([]idl.Any, error) {
 			// server-side cursor may still exist, so Close still tries.
 			return nil, remapISIError(err)
 		}
-		rows, _ := a.Get("rows")
-		done, _ := a.Get("done")
-		it.buf, it.pos, it.done = rows.Seq, 0, done.Bool
+		rows, done, err := cursorBatch("fetch_cursor", a)
+		if err != nil {
+			return nil, err // done stays false, so Close still releases the cursor
+		}
+		it.buf, it.pos, it.done = rows, 0, done
 	}
 	row := it.buf[it.pos]
 	it.pos++

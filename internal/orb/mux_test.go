@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,8 +27,21 @@ func TestMultiplexedConcurrentInvokes(t *testing.T) {
 	}
 	defer server.Shutdown()
 	iface := idl.MustParse("interface Echo { string echo(in string s); };")[0]
+	// Overlap is made a fact, not a race: the first request waits inside the
+	// servant until a second one is in there with it. Only a connection that
+	// carries two requests at once lets either of them return.
+	var inServant atomic.Int32
+	var stalled atomic.Bool
+	overlapped := make(chan struct{})
 	h := NewHandler(iface).On("echo", func(args []idl.Any) (idl.Any, error) {
-		time.Sleep(200 * time.Microsecond) // force request overlap
+		if inServant.Add(1) == 2 {
+			close(overlapped)
+		}
+		select {
+		case <-overlapped:
+		case <-time.After(10 * time.Second):
+			stalled.Store(true)
+		}
 		return args[0], nil
 	})
 	ior, err := server.Activate("Echo", h)
@@ -66,7 +80,16 @@ func TestMultiplexedConcurrentInvokes(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// All 256 calls shared one socket.
+	if stalled.Load() {
+		t.Error("a request waited 10s in the servant without a second one arriving: the connection does not pipeline")
+	}
+	// All 256 calls shared one socket. A cold pool lets simultaneous first
+	// calls each dial; the losers close their socket at once, but the server
+	// only forgets it when its read loop sees the close — so wait for that.
+	deadline := time.Now().Add(10 * time.Second)
+	for server.Stats.ActiveConns.Load() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if n := server.Stats.ActiveConns.Load(); n != 1 {
 		t.Errorf("server sees %d connections, want 1 multiplexed", n)
 	}

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/idl"
-	"repro/internal/orb"
 	"repro/internal/trace"
 )
 
@@ -40,26 +37,6 @@ func mergeCancelled(ctx context.Context) bool {
 	return errors.Is(cause, errLimitSatisfied) || errors.Is(cause, errStreamClosed)
 }
 
-// isCapabilityRejection reports whether a member error looks like the engine
-// rejecting a clause the planner pushed (dialect gate or grammar error)
-// rather than a transport or data failure. Engine errors cross the ISI
-// boundary as plain messages (UserException bodies), so a shape match covers
-// both local and remote members:
-//
-//	relational: mSQL does not support LIKE
-//	oodb: unexpected "LIMIT" after query
-func isCapabilityRejection(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se *orb.SystemException
-	if errors.As(err, &se) {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "does not support") || strings.Contains(msg, "unexpected")
-}
-
 // mergeStream is one pull-based coalition merge in flight. The consumer
 // calls Next to receive merged rows in member order and Close to release
 // the fan-out (cancelling outstanding sub-calls and their cursors). It is
@@ -70,7 +47,7 @@ type mergeStream struct {
 	plan     *queryPlan
 	chans    []chan []idl.Any
 	statuses []MemberStatus
-	colNames []string
+	runs     []fragmentRun   // per member; Column is readable once the member's first row arrives
 	ctx      context.Context // the fan-out's context; cancel ends it with a cause
 	cancel   context.CancelCauseFunc
 	fanDone  chan struct{}
@@ -96,8 +73,7 @@ type mergeStream struct {
 	eof       bool
 	closed    bool
 
-	rowsMoved   atomic.Int64 // rows fetched from members, pre-compensation
-	fallbacks   atomic.Int64 // bare-fragment retries after a pushdown rejection
+	rowsMoved   int64        // rows fetched from members, pre-compensation; summed from runs at Close
 	probePruned atomic.Int64 // rows rejected by the semi-join key filter
 	sjFallbacks atomic.Int64 // bare retries of fragments that carried a key set
 
@@ -124,7 +100,7 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 		plan:      plan,
 		chans:     make([]chan []idl.Any, n),
 		statuses:  make([]MemberStatus, n),
-		colNames:  make([]string, n),
+		runs:      make([]fragmentRun, n),
 		fanDone:   make(chan struct{}),
 		delivered: make([]int, n),
 		stop:      -1,
@@ -214,8 +190,13 @@ func (ms *mergeStream) Close() {
 	ms.cancel(errStreamClosed)
 	<-ms.fanDone
 	stats := &ms.sess.p.stats
-	stats.rowsMoved.Add(ms.rowsMoved.Load())
-	stats.fallbacks.Add(ms.fallbacks.Load())
+	for i := range ms.runs {
+		ms.rowsMoved += int64(ms.runs[i].Moved)
+		if ms.runs[i].Fallback {
+			stats.fallbacks.Add(1)
+		}
+	}
+	stats.rowsMoved.Add(ms.rowsMoved)
 	stats.probeRowsPruned.Add(ms.probePruned.Load())
 	stats.semiJoinFallbacks.Add(ms.sjFallbacks.Load())
 	stats.raisePeak(ms.peakInflight.Load())
@@ -269,22 +250,20 @@ func (ms *mergeStream) quorumErr(coalition string, answered int, firstErr error)
 // mergedColumns names the merged result's columns from the first member that
 // answered. Valid after Close.
 func (ms *mergeStream) mergedColumns() []string {
-	for i := range ms.colNames {
-		if ms.colNames[i] != "" && ms.statuses[i].OK() {
-			return []string{"source", ms.colNames[i]}
+	for i := range ms.runs {
+		if ms.runs[i].Column != "" && ms.statuses[i].OK() {
+			return []string{"source", ms.runs[i].Column}
 		}
 	}
 	return nil
 }
 
-// runMember is the merge's member call: it executes one member's fragment
-// and streams its compensated, projected rows into the merge. The fragment
-// runs through the gateway cursor protocol, pulling one merge window of rows
-// per fetch; the bounded channel send between pulls is what propagates the
-// coordinator's pace back to the wire. (The streaming-off reference mode asks
-// for batch 0: the whole result in the opening round trip.) On a capability
-// rejection of a pushed clause (the descriptor's engine claim was stale) it
-// retries once with the bare fragment and full coordinator-side compensation.
+// runMember is the merge's member call: it runs one member's fragment
+// (runFragment) and streams the values into the merge. The fragment pulls one
+// merge window of rows per fetch; the bounded channel send between pulls is
+// what propagates the coordinator's pace back to the wire. (The streaming-off
+// reference mode asks for batch 0: the whole result in the opening round
+// trip.)
 func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *trace.Span) error {
 	mp := &ms.plan.Members[i]
 	sp.SetAttr("engine", mp.D.Engine)
@@ -310,62 +289,36 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *tra
 		ex = ms.overrides[i]
 		sp.SetAttr("semijoin", "keys pushed")
 	}
-	it, err := conn.QueryCursor(ctx, ex.Native, batch)
-	if err != nil && (ex.Pushed > 0 || ex.LimitPushed || ex.InPushed) && isCapabilityRejection(err) && ctx.Err() == nil {
-		s.tracef("data", "member %s rejected pushed fragment (%v); retrying with full compensation", mp.D.Name, err)
-		sp.SetAttr("fallback", "bare")
-		ms.fallbacks.Add(1)
-		if ex.InPushed {
-			ms.sjFallbacks.Add(1)
-		}
-		ex = &mp.Bare
-		it, err = conn.QueryCursor(ctx, ex.Native, batch)
-	}
-	if err != nil {
-		return fmt.Errorf("query: %s: %w", mp.D.Name, err)
-	}
-	defer it.Close()
-	if cols := it.Columns(); len(cols) > 0 {
-		ms.colNames[i] = cols[0]
-	} else {
-		ms.colNames[i] = mp.Fn.ResultColumn
-	}
+	run := &ms.runs[i]
 	name := idl.String(mp.D.Name)
-	for {
-		row, err := it.Next(ctx)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("query: %s: %w", mp.D.Name, err)
-		}
-		ms.rowsMoved.Add(1)
-		if len(row) == 0 {
-			continue
-		}
-		if len(ex.Residual) > 0 && !residualMatch(row, ex) {
-			continue
-		}
-		if ms.filter != nil && !ms.filter.admit(row[0]) {
+	err = s.runFragment(ctx, conn, mp, ex, batch, run, func(v idl.Any) bool {
+		if ms.filter != nil && !ms.filter.admit(v) {
 			// The row's key is not in the build side (or it is a Bloom false
 			// positive the exact set rejects): the semi-join drops it here,
 			// before it can occupy the merge window or count toward LIMIT.
 			ms.probePruned.Add(1)
-			continue
+			return true
 		}
 		select {
-		case ms.chans[i] <- []idl.Any{name, row[0]}:
+		case ms.chans[i] <- []idl.Any{name, v}:
 			n := ms.inflight.Add(1)
 			for {
 				p := ms.peakInflight.Load()
 				if n <= p || ms.peakInflight.CompareAndSwap(p, n) {
-					break
+					return true
 				}
 			}
 		case <-ms.ctx.Done():
 			// The query itself succeeded; the merge just stopped taking
 			// rows (limit satisfied downstream). Not a member failure.
-			return nil
+			return false
+		}
+	})
+	if run.Fallback {
+		sp.SetAttr("fallback", "bare")
+		if ex.InPushed {
+			ms.sjFallbacks.Add(1)
 		}
 	}
+	return err
 }

@@ -3,6 +3,7 @@ package query_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/oodb"
 	"repro/internal/orb"
+	"repro/internal/query"
 )
 
 // planFixtureRows is how many rows each planner-fixture node holds.
@@ -210,6 +212,83 @@ func TestSingleSourceCompensation(t *testing.T) {
 	}
 	if resp.Result.Rows[0][0].Int != 1000 {
 		t.Fatalf("row = %+v", resp.Result.Rows[0])
+	}
+}
+
+// TestOneSourceEqualsOneMemberCoalition runs the same function over a source
+// and over a coalition whose only member is that source. Both go through one
+// fragment runner, so values, rows moved and the fallback count must agree —
+// on a clean push, on a stale engine claim that forces the bare retry, and
+// when the coordinator enforces a LIMIT the engine was not given.
+func TestOneSourceEqualsOneMemberCoalition(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		engine, advertise string
+		preds, limit      string
+		values            []int64
+		moved             int
+		// raced: the coalition member runs ahead of the merge, so how many
+		// rows it pulled before the LIMIT's cancel landed is not fixed; only
+		// the single-source count is.
+		raced     bool
+		fallbacks int64
+	}{
+		{name: "clean push", engine: core.EngineOracle,
+			preds: `(R.V >= 3)`, values: []int64{3, 4, 5}, moved: 3},
+		{name: "stale engine claim", engine: core.EngineMSQL, advertise: core.EngineOracle,
+			preds: `(R.K LIKE "r0%")`, values: []int64{0, 1, 2, 3, 4, 5}, moved: planFixtureRows, fallbacks: 1},
+		// mSQL keeps the LIKE residual, and a residual keeps the LIMIT home.
+		{name: "unpushed limit met by the last row", engine: core.EngineMSQL,
+			preds: `(R.K LIKE "%5")`, limit: " Limit 1", values: []int64{5}, moved: planFixtureRows},
+		{name: "unpushed limit cuts the scan", engine: core.EngineMSQL,
+			preds: `(R.K LIKE "r0%")`, limit: " Limit 2", values: []int64{0, 1}, moved: 2, raced: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, nodes := planFederation(t, 1, func(_ int, c *core.NodeConfig) {
+				c.Engine, c.AdvertiseEngine = tc.engine, tc.advertise
+			})
+			s := nodes[0].NewSession()
+			run := func(target string) (*query.Response, int64) {
+				before := nodes[0].Processor.PlannerStats().Fallbacks
+				resp, err := s.Execute(context.Background(), "V(R.K, "+tc.preds+") On "+target+tc.limit+";")
+				if err != nil {
+					t.Fatalf("On %s: %v", target, err)
+				}
+				return resp, nodes[0].Processor.PlannerStats().Fallbacks - before
+			}
+			single, singleFB := run("S0")
+			coal, coalFB := run("Coalition C")
+
+			var got, merged []int64
+			for _, row := range single.Result.Rows {
+				got = append(got, row[0].Int)
+			}
+			for _, row := range coal.Result.Rows {
+				if row[0].Str != "S0" {
+					t.Fatalf("coalition row from %q", row[0].Str)
+				}
+				merged = append(merged, row[1].Int)
+			}
+			if !reflect.DeepEqual(got, tc.values) || !reflect.DeepEqual(merged, tc.values) {
+				t.Errorf("values: source %v, coalition %v, want %v", got, merged, tc.values)
+			}
+			if single.RowsMoved != tc.moved {
+				t.Errorf("source moved %d rows, want %d", single.RowsMoved, tc.moved)
+			}
+			if tc.raced {
+				if coal.RowsMoved < tc.moved || coal.RowsMoved > planFixtureRows {
+					t.Errorf("coalition moved %d rows, want %d..%d", coal.RowsMoved, tc.moved, planFixtureRows)
+				}
+			} else if coal.RowsMoved != tc.moved {
+				t.Errorf("coalition moved %d rows, source %d", coal.RowsMoved, single.RowsMoved)
+			}
+			if singleFB != tc.fallbacks || coalFB != tc.fallbacks {
+				t.Errorf("fallbacks: source %d, coalition %d, want %d", singleFB, coalFB, tc.fallbacks)
+			}
+			if single.Result.Columns[0] != coal.Result.Columns[1] {
+				t.Errorf("result column: source %q, coalition %q", single.Result.Columns[0], coal.Result.Columns[1])
+			}
+		})
 	}
 }
 

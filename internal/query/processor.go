@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/gateway"
+	"repro/internal/idl"
 	"repro/internal/mdcache"
 	"repro/internal/orb"
 	"repro/internal/trace"
@@ -815,52 +816,28 @@ func (s *Session) execFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Respons
 	if ex.LimitPushed {
 		s.p.stats.limitPushed.Add(1)
 	}
-	res, err := conn.Query(ctx, ex.Native)
-	if err != nil && (ex.Pushed > 0 || ex.LimitPushed) && isCapabilityRejection(err) {
-		s.tracef("data", "source %s rejected pushed fragment (%v); retrying with full compensation", d.Name, err)
+	// A coalition of one: the same fragment runner the merge uses, asked for
+	// the whole result at once, feeding a consumer that appends and stops at
+	// a LIMIT the engine was not given.
+	res := &gateway.Result{}
+	var run fragmentRun
+	err = s.runFragment(ctx, conn, &mp, ex, 0, &run, func(v idl.Any) bool {
+		res.Rows = append(res.Rows, []idl.Any{v})
+		return q.Limit <= 0 || len(res.Rows) < q.Limit
+	})
+	s.p.stats.rowsMoved.Add(int64(run.Moved))
+	if run.Fallback {
 		s.p.stats.fallbacks.Add(1)
 		ex = &mp.Bare
-		res, err = conn.Query(ctx, ex.Native)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("query: %s: %w", d.Name, err)
+		return nil, err
 	}
-	s.p.stats.rowsMoved.Add(int64(len(res.Rows)))
-	rowsMoved := len(res.Rows)
-	res = compensateSingle(res, ex, fn, q.Limit)
+	res.Columns = []string{run.Column}
 	s.p.stats.rowsDelivered.Add(int64(len(res.Rows)))
 	s.Source = d.Name
 	return &Response{Stmt: q, Result: res, Translated: ex.Native, Descriptor: d,
-		RowsMoved: rowsMoved, Text: res.Format()}, nil
-}
-
-// compensateSingle applies a fragment's residual conjuncts, narrows the
-// projection back to the result column, and enforces a LIMIT the engine did
-// not, for the single-source execution path. When the fragment was fully
-// pushed the engine result passes through untouched.
-func compensateSingle(res *gateway.Result, ex *fragmentExec, fn *codb.ExportedFunction, limit int) *gateway.Result {
-	if len(ex.Residual) == 0 && ex.NCols <= 1 && (limit <= 0 || ex.LimitPushed) {
-		return res
-	}
-	out := &gateway.Result{}
-	if len(res.Columns) > 0 {
-		out.Columns = res.Columns[:1]
-	} else {
-		out.Columns = []string{fn.ResultColumn}
-	}
-	for _, row := range res.Rows {
-		if len(row) == 0 {
-			continue
-		}
-		if len(ex.Residual) > 0 && !residualMatch(row, ex) {
-			continue
-		}
-		out.Rows = append(out.Rows, row[:1])
-		if limit > 0 && len(out.Rows) >= limit {
-			break
-		}
-	}
-	return out
+		RowsMoved: run.Moved, Text: res.Format()}, nil
 }
 
 // execCoalitionFuncQuery decomposes a typed query over every member of a

@@ -149,8 +149,8 @@ func (r *Rows) Next() bool {
 			return false
 		}
 		r.delivered++
-		if r.cols == nil && r.ms.colNames[m] != "" {
-			r.cols = []string{"source", r.ms.colNames[m]}
+		if r.cols == nil && r.ms.runs[m].Column != "" {
+			r.cols = []string{"source", r.ms.runs[m].Column}
 		}
 		r.cur = Row(row)
 		return true
@@ -332,7 +332,7 @@ func (r *Rows) drainResponse() (*Response, error) {
 	}
 	s.p.stats.rowsDelivered.Add(int64(len(merged.Rows)))
 	return coalitionResponse(q, r.plan, merged, r.Members(), answered,
-		degraded > 0 || r.buildDegraded > 0, ms.rowsMoved.Load()+r.buildMoved), nil
+		degraded > 0 || r.buildDegraded > 0, ms.rowsMoved+r.buildMoved), nil
 }
 
 // coalitionResponse assembles the materialized Response of a coalition

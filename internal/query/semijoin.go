@@ -203,7 +203,7 @@ func (s *Session) drainSide(ctx context.Context, plan *queryPlan, filter *semiJo
 		memberOf = append(memberOf, m)
 	}
 	ms.Close()
-	res := &sideResult{statuses: ms.statuses, cols: ms.mergedColumns(), moved: ms.rowsMoved.Load()}
+	res := &sideResult{statuses: ms.statuses, cols: ms.mergedColumns(), moved: ms.rowsMoved}
 	answered, degraded, firstErr := ms.tally()
 	if err := ms.quorumErr(plan.Coalition, answered, firstErr); err != nil {
 		return nil, err
