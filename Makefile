@@ -50,6 +50,9 @@ sim-scale:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPRoundTrip -fuzztime=5s ./internal/giop
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPRead -fuzztime=5s ./internal/giop
+	$(GO) test -run='^$$' -fuzz=FuzzGIOPFragment -fuzztime=5s ./internal/giop
+	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalAny -fuzztime=5s ./internal/idl
+	$(GO) test -run='^$$' -fuzz=FuzzPageDecode -fuzztime=5s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz=FuzzWTLParse -fuzztime=5s ./internal/wtl
 	$(GO) test -run='^$$' -fuzz=FuzzSQLParse -fuzztime=5s ./internal/relational
 	$(GO) test -run='^$$' -fuzz=FuzzGossipDelta -fuzztime=5s ./internal/gossip

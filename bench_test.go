@@ -358,12 +358,12 @@ func (c *slowConn) Query(_ context.Context, q string) (*gateway.Result, error) {
 		Rows:    [][]idl.Any{{idl.String(c.name)}},
 	}, nil
 }
-func (c *slowConn) QueryCursor(ctx context.Context, q string, _ int) (gateway.RowIter, error) {
+func (c *slowConn) QueryCursor(ctx context.Context, q string, batch int) (gateway.RowIter, error) {
 	res, err := c.Query(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	return gateway.NewSliceIter(res), nil
+	return gateway.NewResultIter(res, batch), nil
 }
 func (c *slowConn) Exec(ctx context.Context, q string) (*gateway.Result, error) {
 	return c.Query(ctx, q)

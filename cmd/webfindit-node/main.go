@@ -39,7 +39,7 @@
 // Unknown keys are an error, not ignored. The planner's execution modes
 // (predicate pushdown, cursor streaming, semi-join key pushdown, gossip,
 // hierarchical discovery) are not configurable: every node runs them, with
-// constant thresholds (merge window 64 rows, IN lists up to 64 keys then a
+// constant thresholds (cursor pages 64 rows growing to 1024, IN lists up to 64 keys then a
 // 10-bits-per-key Bloom filter, sub-coalitions above 32 members). So are the
 // ISI cursor table's limits (32 open cursors, reaped after 2 idle minutes)
 // and the metadata cache's negative TTL (250ms) and entry cap (4096). The

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ByteOrder identifies a CDR transfer syntax byte order.
@@ -76,6 +77,10 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Order reports the encoder's byte order.
 func (e *Encoder) Order() ByteOrder { return e.order }
 
+// Grow makes room for n more bytes, so a caller that knows its message's size
+// pays for one buffer instead of a series of doublings.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
 // Reset discards all written data, retaining the buffer for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
@@ -114,20 +119,26 @@ func (e *Encoder) WriteBool(v bool) {
 // WriteUShort appends a 16-bit unsigned integer aligned to 2 bytes.
 func (e *Encoder) WriteUShort(v uint16) {
 	e.align(2)
-	var tmp [2]byte
-	e.order.order().PutUint16(tmp[:], v)
-	e.buf = append(e.buf, tmp[:]...)
+	if e.order == BigEndian {
+		e.buf = binary.BigEndian.AppendUint16(e.buf, v)
+	} else {
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
+	}
 }
 
 // WriteShort appends a 16-bit signed integer aligned to 2 bytes.
 func (e *Encoder) WriteShort(v int16) { e.WriteUShort(uint16(v)) }
 
-// WriteULong appends a 32-bit unsigned integer aligned to 4 bytes.
+// WriteULong appends a 32-bit unsigned integer aligned to 4 bytes. (The
+// order is branched on, not dispatched through binary.ByteOrder: a scratch
+// array handed to the interface escapes, one heap object per value.)
 func (e *Encoder) WriteULong(v uint32) {
 	e.align(4)
-	var tmp [4]byte
-	e.order.order().PutUint32(tmp[:], v)
-	e.buf = append(e.buf, tmp[:]...)
+	if e.order == BigEndian {
+		e.buf = binary.BigEndian.AppendUint32(e.buf, v)
+	} else {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+	}
 }
 
 // WriteLong appends a 32-bit signed integer aligned to 4 bytes.
@@ -136,9 +147,11 @@ func (e *Encoder) WriteLong(v int32) { e.WriteULong(uint32(v)) }
 // WriteULongLong appends a 64-bit unsigned integer aligned to 8 bytes.
 func (e *Encoder) WriteULongLong(v uint64) {
 	e.align(8)
-	var tmp [8]byte
-	e.order.order().PutUint64(tmp[:], v)
-	e.buf = append(e.buf, tmp[:]...)
+	if e.order == BigEndian {
+		e.buf = binary.BigEndian.AppendUint64(e.buf, v)
+	} else {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	}
 }
 
 // WriteLongLong appends a 64-bit signed integer aligned to 8 bytes.
@@ -170,6 +183,70 @@ func (e *Encoder) WriteStrings(ss []string) {
 	e.WriteULong(uint32(len(ss)))
 	for _, s := range ss {
 		e.WriteString(s)
+	}
+}
+
+// extend aligns the stream to size and appends n zero bytes, returning them
+// for the caller to fill in place.
+func (e *Encoder) extend(size, n int) []byte {
+	e.align(size)
+	off := len(e.buf)
+	e.buf = append(e.buf, make([]byte, n)...)
+	return e.buf[off:]
+}
+
+// The bulk writers append a typed run with no leading count: the caller's
+// framing (a cursor page's row count) carries it. The byte order is tested
+// once per run, not once per value.
+
+// WriteLongLongs appends vs as one 8-aligned run of 64-bit integers.
+func (e *Encoder) WriteLongLongs(vs []int64) {
+	out := e.extend(8, 8*len(vs))
+	if e.order == BigEndian {
+		for i, v := range vs {
+			binary.BigEndian.PutUint64(out[8*i:], uint64(v))
+		}
+		return
+	}
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
+	}
+}
+
+// WriteDoubles appends vs as one 8-aligned run of IEEE 754 doubles.
+func (e *Encoder) WriteDoubles(vs []float64) {
+	out := e.extend(8, 8*len(vs))
+	if e.order == BigEndian {
+		for i, v := range vs {
+			binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		}
+		return
+	}
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+}
+
+// WriteStringRun appends ss as one string run: a ulong end offset per string
+// followed by a sequence<octet> holding the strings' bytes back to back (no
+// terminators). Like any CDR sequence, the octet run is limited to 4 GiB.
+func (e *Encoder) WriteStringRun(ss []string) {
+	out := e.extend(4, 4*len(ss))
+	end := 0
+	if e.order == BigEndian {
+		for i, s := range ss {
+			end += len(s)
+			binary.BigEndian.PutUint32(out[4*i:], uint32(end))
+		}
+	} else {
+		for i, s := range ss {
+			end += len(s)
+			binary.LittleEndian.PutUint32(out[4*i:], uint32(end))
+		}
+	}
+	e.WriteULong(uint32(end))
+	for _, s := range ss {
+		e.buf = append(e.buf, s...)
 	}
 }
 
@@ -347,7 +424,9 @@ func (d *Decoder) ReadStrings() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss := make([]string, 0, n)
+	// The count comes off the wire: size by it only as far as the bytes
+	// present could hold (a string is at least its 4-byte length).
+	ss := make([]string, 0, min(int(n), d.Remaining()/4))
 	for i := uint32(0); i < n; i++ {
 		s, err := d.ReadString()
 		if err != nil {
@@ -356,6 +435,92 @@ func (d *Decoder) ReadStrings() ([]string, error) {
 		ss = append(ss, s)
 	}
 	return ss, nil
+}
+
+// run aligns the stream to size and takes n elements of that size. The count
+// is checked against the bytes present before anything is sized by it.
+func (d *Decoder) run(size, n int) ([]byte, error) {
+	if err := d.align(size); err != nil {
+		return nil, err
+	}
+	if n < 0 || n > d.Remaining()/size {
+		return nil, ErrShortBuffer
+	}
+	return d.take(size * n)
+}
+
+// ReadLongLongs appends to dst the n 64-bit integers of a run written by
+// WriteLongLongs.
+func (d *Decoder) ReadLongLongs(dst []int64, n int) ([]int64, error) {
+	raw, err := d.run(8, n)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)
+	if d.order == BigEndian {
+		for i := 0; i < n; i++ {
+			dst = append(dst, int64(binary.BigEndian.Uint64(raw[8*i:])))
+		}
+		return dst, nil
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, int64(binary.LittleEndian.Uint64(raw[8*i:])))
+	}
+	return dst, nil
+}
+
+// ReadDoubles appends to dst the n doubles of a run written by WriteDoubles.
+func (d *Decoder) ReadDoubles(dst []float64, n int) ([]float64, error) {
+	raw, err := d.run(8, n)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)
+	if d.order == BigEndian {
+		for i := 0; i < n; i++ {
+			dst = append(dst, math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:])))
+		}
+		return dst, nil
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
+	}
+	return dst, nil
+}
+
+// ReadStringRun appends to dst the n strings of a run written by
+// WriteStringRun. The octet run is converted to a string once and the
+// results are substrings of it, so a run costs one allocation however many
+// strings it holds. Offsets must not decrease and must end where the octet
+// run ends.
+func (d *Decoder) ReadStringRun(dst []string, n int) ([]string, error) {
+	offs, err := d.run(4, n)
+	if err != nil {
+		return dst, err
+	}
+	raw, err := d.ReadOctets()
+	if err != nil {
+		return dst, err
+	}
+	text := string(raw)
+	dst = slices.Grow(dst, n)
+	start := uint32(0)
+	big := d.order == BigEndian
+	for i := 0; i < n; i++ {
+		end := binary.LittleEndian.Uint32(offs[4*i:])
+		if big {
+			end = binary.BigEndian.Uint32(offs[4*i:])
+		}
+		if end < start || int64(end) > int64(len(text)) {
+			return dst, fmt.Errorf("cdr: string run offset %d of string %d is outside [%d, %d]", end, i, start, len(text))
+		}
+		dst = append(dst, text[start:end])
+		start = end
+	}
+	if int(start) != len(text) {
+		return dst, fmt.Errorf("cdr: string run has %d byte(s) past the last offset", len(text)-int(start))
+	}
+	return dst, nil
 }
 
 // ReadEncapsulation reads a CDR encapsulation and returns a decoder over the

@@ -1,6 +1,9 @@
 package cdr
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -222,5 +225,77 @@ func TestEncoderReset(t *testing.T) {
 	e.WriteULong(5)
 	if e.Len() != 4 {
 		t.Errorf("reuse after reset: len = %d", e.Len())
+	}
+}
+
+// TestBulkRuns: the typed runs round-trip in both byte orders and from any
+// alignment, and the reader appends to what the destination already holds.
+func TestBulkRuns(t *testing.T) {
+	ints := []int64{0, -1, 1 << 62, -(1 << 62), 42}
+	floats := []float64{0, -1.5, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	strs := []string{"", "x0-1", "", "héllo", strings.Repeat("z", 300)}
+	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
+		for pad := 0; pad < 8; pad++ {
+			e := NewEncoder(order)
+			for i := 0; i < pad; i++ {
+				e.WriteOctet(0xaa)
+			}
+			e.WriteLongLongs(ints)
+			e.WriteOctet(1)
+			e.WriteDoubles(floats)
+			e.WriteOctet(2)
+			e.WriteStringRun(strs)
+			e.WriteStringRun(nil)
+
+			d := NewDecoder(e.Bytes(), order)
+			for i := 0; i < pad; i++ {
+				d.ReadOctet()
+			}
+			gotInts, err := d.ReadLongLongs([]int64{7}, len(ints))
+			if err != nil || !slices.Equal(gotInts, append([]int64{7}, ints...)) {
+				t.Fatalf("%s pad %d: ints = %v, %v", order, pad, gotInts, err)
+			}
+			d.ReadOctet()
+			gotFloats, err := d.ReadDoubles(nil, len(floats))
+			if err != nil || !slices.Equal(gotFloats, floats) {
+				t.Fatalf("%s pad %d: floats = %v, %v", order, pad, gotFloats, err)
+			}
+			d.ReadOctet()
+			gotStrs, err := d.ReadStringRun([]string{"kept"}, len(strs))
+			if err != nil || !slices.Equal(gotStrs, append([]string{"kept"}, strs...)) {
+				t.Fatalf("%s pad %d: strings = %q, %v", order, pad, gotStrs, err)
+			}
+			if none, err := d.ReadStringRun(nil, 0); err != nil || len(none) != 0 || d.Remaining() != 0 {
+				t.Fatalf("%s pad %d: empty run = %q, %v, %d byte(s) left", order, pad, none, err, d.Remaining())
+			}
+		}
+	}
+}
+
+// TestWireCountsAreCheckedBeforeSizing: a count larger than the bytes present
+// is an error before it sizes anything (a hostile 2^31 would otherwise be an
+// out-of-memory crash, which no caller can recover from).
+func TestWireCountsAreCheckedBeforeSizing(t *testing.T) {
+	huge := 1 << 31
+	d := NewDecoder(make([]byte, 64), BigEndian)
+	if _, err := d.ReadLongLongs(nil, huge); err == nil {
+		t.Error("ReadLongLongs sized by a count past the buffer")
+	}
+	if _, err := d.ReadDoubles(nil, huge); err == nil {
+		t.Error("ReadDoubles sized by a count past the buffer")
+	}
+	if _, err := d.ReadStringRun(nil, huge); err == nil {
+		t.Error("ReadStringRun sized by a count past the buffer")
+	}
+	if _, err := d.ReadLongLongs(nil, -1); err == nil {
+		t.Error("negative count accepted")
+	}
+	if _, err := NewDecoder([]byte{0xff, 0xff, 0xff, 0xff}, BigEndian).ReadStrings(); err == nil {
+		t.Error("ReadStrings decoded 2^32-1 strings from no bytes")
+	}
+	e := NewEncoder(BigEndian)
+	e.WriteStrings([]string{"a", "b"})
+	if ss, err := NewDecoder(e.Bytes(), BigEndian).ReadStrings(); err != nil || !slices.Equal(ss, []string{"a", "b"}) {
+		t.Errorf("ReadStrings = %q, %v", ss, err)
 	}
 }

@@ -1,8 +1,11 @@
 // Package cursor implements server-side result cursors: a materialized
-// sequence of pre-packed values handed out in batches over the ISI servant
-// protocol (open -> id+first batch, fetch -> batch+done, close). Cursors are
-// what turn one huge CORBA reply into a pull-based stream: the client fetches
-// the next batch only when it has drained the previous one, so a slow
+// sequence of pre-packed items handed out in batches over the ISI servant
+// protocol (open -> id+first batch, fetch -> batch+done, close). The ISI's
+// items are pre-encoded cursor pages (gateway/page.go), one idl.Octets each,
+// fetched one at a time: the pages grow (the client's batch first, then
+// doubling to 1 024 rows), so the table's own batch size is 1 and a fetch is a
+// lookup. Cursors are what turn one huge CORBA reply into a pull-based
+// stream: the client fetches the next page only when it wants it, so a slow
 // consumer throttles the server instead of ballooning it.
 //
 // A Table is the per-servant cursor registry. It caps how many cursors one
@@ -30,7 +33,8 @@ const (
 )
 
 // ErrTooMany reports an open attempt past the table's cap. The ISI servant
-// matches it with errors.Is and answers the whole result in the open reply.
+// asks Full first and, at the cap, cuts the result into one page that needs
+// no cursor.
 var ErrTooMany = errors.New("cursor: too many open cursors")
 
 // ErrNotFound reports a fetch or close of an unknown (possibly reaped)
@@ -143,6 +147,15 @@ func (t *Table) Fetch(id int64) (batch []idl.Any, done bool, err error) {
 	batch = s.items[s.pos:end]
 	s.pos = end
 	return batch, done, nil
+}
+
+// Full reports whether the table is at its cap once idle cursors are reaped:
+// an Open that has to retain a cursor would be refused with ErrTooMany.
+func (t *Table) Full() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.reapLocked()
+	return len(t.cursors) >= t.maxOpen
 }
 
 // Close removes a cursor. Closing an unknown (already exhausted, reaped, or

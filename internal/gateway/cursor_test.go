@@ -8,9 +8,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/idl"
 	"repro/internal/orb"
 )
+
+// liveMark remembers how many batches were out of the pool; check fails the
+// test when the count has moved, i.e. a batch leaked or was released twice.
+type liveMark int64
+
+func markLive() liveMark { return liveMark(LiveBatches()) }
+
+func (m liveMark) check(t *testing.T) {
+	t.Helper()
+	if now := LiveBatches(); now != int64(m) {
+		t.Fatalf("batches out of the pool: %d before, %d now", int64(m), now)
+	}
+}
 
 // openOracle opens a local connection to a fresh RBH Oracle database.
 func openOracle(t *testing.T) Conn {
@@ -72,15 +86,23 @@ func TestRemoteQueryCursorBatches(t *testing.T) {
 		t.Fatalf("open cursors after open = %d", tb.table.OpenCount())
 	}
 	var names []string
+	var pages []int
 	for {
-		row, err := it.Next(ctx)
+		b, err := it.Next(ctx)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		names = append(names, row[0].Str)
+		pages = append(pages, b.Len())
+		for i := 0; i < b.Len(); i++ {
+			names = append(names, b.Value(0, i).Str)
+		}
+		b.Release()
+	}
+	if len(pages) != 2 || pages[0] != 2 || pages[1] != 1 {
+		t.Fatalf("page sizes = %v, want [2 1]", pages)
 	}
 	if strings.Join(names, ",") != "J. Chen,P. Okoye,S. Weiss" {
 		t.Fatalf("streamed rows = %v", names)
@@ -104,9 +126,11 @@ func TestRemoteCursorCloseReleasesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := it.Next(ctx); err != nil {
+	b, err := it.Next(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
+	b.Release()
 	if tb.table.OpenCount() != 1 {
 		t.Fatalf("open cursors mid-stream = %d", tb.table.OpenCount())
 	}
@@ -146,9 +170,9 @@ type countingConn struct {
 	queries map[string]int
 }
 
-func (c *countingConn) Query(ctx context.Context, q string) (*Result, error) {
+func (c *countingConn) QueryCursor(ctx context.Context, q string, batch int) (RowIter, error) {
 	c.queries[q]++
-	return c.Conn.Query(ctx, q)
+	return c.Conn.QueryCursor(ctx, q, batch)
 }
 
 // TestRemoteCursorAtCapAnswersWhole: a servant whose cursor table is full
@@ -198,29 +222,43 @@ func TestRemoteCursorAtCapAnswersWhole(t *testing.T) {
 // ProtocolError — under a context with no deadline, hence the watchdog — and
 // the cursor the peer named must still be released.
 func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
-	row := idl.Seq(idl.String("J. Chen"))
+	page := func(rows ...[]idl.Any) idl.Any {
+		it := NewResultIter(&Result{Columns: []string{"name"}, Rows: rows}, 0)
+		b, err := it.Next(context.Background())
+		if err == io.EOF {
+			b = newBatch(1)
+		}
+		defer b.Release()
+		return idl.Octets(encodePage(b, cdr.BigEndian))
+	}
 	open := func(fields ...idl.Field) idl.Any {
 		return idl.Struct(append([]idl.Field{idl.F("id", idl.Long(7)), idl.F("columns", idl.Strings([]string{"name"})),
 			idl.F("affected", idl.Long(0))}, fields...)...)
 	}
-	goodOpen := open(idl.F("rows", idl.Seq(row)), idl.F("done", idl.Bool(false)))
+	good := page([]idl.Any{idl.String("J. Chen")})
+	truncated := idl.Octets(good.Bytes[:len(good.Bytes)-3])
+	trailing := idl.Octets(append(append([]byte(nil), good.Bytes...), 0))
+	goodOpen := open(idl.F("page", good), idl.F("done", idl.Bool(false)))
+	live := markLive()
 	for _, tc := range []struct {
 		name        string
 		open, fetch idl.Any
 		op          string // the reply that must be refused
 	}{
-		{"open is not a struct", idl.String("rows"), idl.Null(), "open_cursor"},
-		{"open lacks rows", open(idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
-		{"open rows is not a sequence", open(idl.F("rows", idl.Long(3)), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
-		{"open lacks done", open(idl.F("rows", idl.Seq(row))), idl.Null(), "open_cursor"},
-		{"open done is not a boolean", open(idl.F("rows", idl.Seq(row)), idl.F("done", idl.Long(0))), idl.Null(), "open_cursor"},
-		{"open row is not a sequence", open(idl.F("rows", idl.Seq(idl.String("J. Chen"))), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
-		{"open is empty and not done", open(idl.F("rows", idl.Seq()), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open is not a struct", idl.String("page"), idl.Null(), "open_cursor"},
+		{"open lacks page", open(idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open page is not octets", open(idl.F("page", idl.Seq(idl.Seq(idl.String("J. Chen")))), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open lacks done", open(idl.F("page", good)), idl.Null(), "open_cursor"},
+		{"open done is not a boolean", open(idl.F("page", good), idl.F("done", idl.Long(0))), idl.Null(), "open_cursor"},
+		{"open page is truncated", open(idl.F("page", truncated), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open page has no bytes", open(idl.F("page", idl.Octets(nil)), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open is empty and not done", open(idl.F("page", page()), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
 		{"fetch is not a struct", goodOpen, idl.Long(1), "fetch_cursor"},
-		{"fetch lacks done", goodOpen, idl.Struct(idl.F("rows", idl.Seq(row))), "fetch_cursor"},
-		{"fetch lacks rows", goodOpen, idl.Struct(idl.F("done", idl.Bool(false))), "fetch_cursor"},
-		{"fetch row is not a sequence", goodOpen, idl.Struct(idl.F("rows", idl.Seq(idl.Long(1))), idl.F("done", idl.Bool(true))), "fetch_cursor"},
-		{"fetch is empty and not done", goodOpen, idl.Struct(idl.F("rows", idl.Seq()), idl.F("done", idl.Bool(false))), "fetch_cursor"},
+		{"fetch lacks done", goodOpen, idl.Struct(idl.F("page", good)), "fetch_cursor"},
+		{"fetch lacks page", goodOpen, idl.Struct(idl.F("done", idl.Bool(false))), "fetch_cursor"},
+		{"fetch carries rows, not a page", goodOpen, idl.Struct(idl.F("rows", idl.Seq(idl.Seq(idl.Long(1)))), idl.F("done", idl.Bool(true))), "fetch_cursor"},
+		{"fetch page has trailing bytes", goodOpen, idl.Struct(idl.F("page", trailing), idl.F("done", idl.Bool(true))), "fetch_cursor"},
+		{"fetch is empty and not done", goodOpen, idl.Struct(idl.F("page", page()), idl.F("done", idl.Bool(false))), "fetch_cursor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			closed := make(chan int64, 1)
@@ -250,6 +288,7 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				t.Fatal("the client is still iterating after 2s")
 			}
+			live.check(t) // a refused page is back in the pool
 			if tc.open.Kind != idl.KindStruct {
 				return // the reply named no cursor to release
 			}
@@ -262,5 +301,26 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 				t.Fatal("the cursor the peer named was not closed")
 			}
 		})
+	}
+}
+
+// TestOneRowOpenCursorAllocations guards the small-reply path: most cursor
+// traffic is one-row answers (a point lookup per member), so paging must not
+// tax them. The whole round trip — client stub, both ORBs, servant, engine,
+// page codec, drain — allocated 111 objects per call at the commit before
+// pages (same statement, same harness); it must not allocate more now.
+func TestOneRowOpenCursorAllocations(t *testing.T) {
+	rconn, _ := startISIPair(t, ISIServantOptions{})
+	ctx := context.Background()
+	run := func() {
+		res, err := rconn.Query(ctx, "SELECT name FROM medical_students WHERE name = 'J. Chen'")
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str != "J. Chen" {
+			t.Fatalf("one-row query = %+v, %v", res, err)
+		}
+	}
+	run() // dial, fill the pools
+	const parent = 111
+	if allocs := testing.AllocsPerRun(300, run); allocs > parent {
+		t.Fatalf("a one-row open_cursor round trip allocates %.0f objects, %d before pages", allocs, parent)
 	}
 }

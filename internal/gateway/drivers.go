@@ -108,15 +108,40 @@ func (c *relConn) Query(_ context.Context, q string) (*Result, error) {
 	return fromRelational(res), nil
 }
 
-// QueryCursor implements Conn by materializing the result and iterating it:
-// the engine is in-process, so there is no wire to stream over and batching
-// buys nothing.
-func (c *relConn) QueryCursor(ctx context.Context, q string, _ int) (RowIter, error) {
-	res, err := c.Query(ctx, q)
+// QueryCursor implements Conn. The engine materializes its result; the
+// iterator pages it into typed batches straight from the engine's values, so
+// no value is boxed on its way to the wire.
+func (c *relConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIter, error) {
+	if err := c.check(); err != nil {
+		return nil, err
+	}
+	res, err := c.db.Query(q)
 	if err != nil {
 		return nil, err
 	}
-	return NewSliceIter(res), nil
+	return &pagedIter{cols: res.Columns, affected: res.RowsAffected, n: len(res.Rows), page: max(batchSize, 0), rel: res.Rows}, nil
+}
+
+// fillRelational appends engine rows to a batch's columns, each value by its
+// own type: nothing is boxed.
+func fillRelational(cols []column, rows []relational.Row) {
+	for r, row := range rows {
+		for j, v := range row {
+			col := &cols[j]
+			switch {
+			case v.Null:
+				col.appendNull(r)
+			case v.Kind == relational.TypeInt:
+				col.appendInt(r, v.Int)
+			case v.Kind == relational.TypeFloat:
+				col.appendFloat(r, v.Float)
+			case v.Kind == relational.TypeBool:
+				col.appendBool(r, v.Bool)
+			default: // TEXT, DATE
+				col.appendString(r, v.Str)
+			}
+		}
+	}
 }
 
 func (c *relConn) Exec(_ context.Context, q string) (*Result, error) {
@@ -261,14 +286,18 @@ func (c *ooConn) Query(_ context.Context, q string) (*Result, error) {
 	return out, nil
 }
 
-// QueryCursor implements Conn by materializing and iterating (in-process
-// engine; see relConn.QueryCursor).
-func (c *ooConn) QueryCursor(ctx context.Context, q string, _ int) (RowIter, error) {
-	res, err := c.Query(ctx, q)
+// QueryCursor implements Conn like relConn.QueryCursor: typed batches cut
+// from the engine's materialized rows (its values are boxed already). String
+// lists have no typed vector and travel in a fallback column.
+func (c *ooConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIter, error) {
+	if err := c.check(); err != nil {
+		return nil, err
+	}
+	names, rows, err := oodb.Query(c.db, q)
 	if err != nil {
 		return nil, err
 	}
-	return NewSliceIter(res), nil
+	return &pagedIter{cols: names, n: len(rows), page: max(batchSize, 0), oo: rows}, nil
 }
 
 // Exec on an OO connection accepts the same query language (reads only; the

@@ -9,11 +9,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/idl"
+	"repro/internal/relational"
 )
 
 // Result is a uniform result set: column names plus rows of self-describing
@@ -117,18 +119,18 @@ type SourceMeta struct {
 	Model    string // "relational" or "object-oriented"
 }
 
-// RowIter is a pull-based iterator over a query's rows. Next returns the
-// next row, or io.EOF once the result is exhausted; the returned slice is
-// only valid until the following Next. Close releases any server-side
-// cursor behind the iterator and must always be called (a deferred Close is
-// idempotent with normal exhaustion). Iterators are not safe for concurrent
-// use, like the connections that produce them.
+// RowIter is a pull-based iterator over a query's rows, a batch at a time.
+// Next returns the next batch — never an empty one — or io.EOF once the
+// result is exhausted; the caller owns the batch and must Release it. Close
+// releases any server-side cursor behind the iterator and must always be
+// called (a deferred Close is idempotent with normal exhaustion). Iterators
+// are not safe for concurrent use, like the connections that produce them.
 type RowIter interface {
 	// Columns names the result columns, known as soon as the iterator opens.
 	Columns() []string
-	// Next returns the next row or io.EOF. The context bounds one fetch
+	// Next returns the next batch or io.EOF. The context bounds one fetch
 	// round trip (where the transport fetches lazily), not the whole drain.
-	Next(ctx context.Context) ([]idl.Any, error)
+	Next(ctx context.Context) (*Batch, error)
 	// Close releases the iterator and any server-side cursor behind it.
 	Close() error
 }
@@ -147,36 +149,83 @@ func Drain(ctx context.Context, it RowIter) (*Result, error) {
 		res.RowsAffected = ra.RowsAffected()
 	}
 	for {
-		row, err := it.Next(ctx)
+		b, err := it.Next(ctx)
 		if err == io.EOF {
 			return res, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		// One slab per batch; the rows are cut from it.
+		n, nc := b.Len(), b.Cols()
+		slab := make([]idl.Any, 0, n*nc)
+		res.Rows = slices.Grow(res.Rows, n)
+		for i := 0; i < n; i++ {
+			slab = b.Row(slab, i)
+			res.Rows = append(res.Rows, slab[len(slab)-nc:len(slab):len(slab)])
+		}
+		b.Release()
 	}
 }
 
-// sliceIter adapts a materialized Result to RowIter (in-process engines).
-type sliceIter struct {
-	res *Result
-	pos int
+// pagedIter is the RowIter over a result an in-process engine has already
+// materialized: it cuts the n rows into batches on the page growth schedule
+// (see MaxPageRows), filling each straight from the engine's own values.
+// Exactly one of rel, oo and boxed holds the rows.
+type pagedIter struct {
+	cols     []string
+	affected int64
+	n, pos   int
+	page     int // rows of the next batch; 0: all that are left
+
+	rel   []relational.Row
+	oo    [][]any
+	boxed [][]idl.Any
 }
 
-// NewSliceIter returns a RowIter over an already-materialized result.
-func NewSliceIter(res *Result) RowIter { return &sliceIter{res: res} }
-
-func (it *sliceIter) Columns() []string   { return it.res.Columns }
-func (it *sliceIter) RowsAffected() int64 { return it.res.RowsAffected }
-func (it *sliceIter) Close() error        { return nil }
-func (it *sliceIter) Next(context.Context) ([]idl.Any, error) {
-	if it.pos >= len(it.res.Rows) {
+func (it *pagedIter) Columns() []string   { return it.cols }
+func (it *pagedIter) RowsAffected() int64 { return it.affected }
+func (it *pagedIter) Close() error        { it.pos = it.n; return nil }
+func (it *pagedIter) Next(context.Context) (*Batch, error) {
+	if it.pos >= it.n {
 		return nil, io.EOF
 	}
-	row := it.res.Rows[it.pos]
-	it.pos++
-	return row, nil
+	lo, hi := it.pos, it.n
+	if it.page > 0 {
+		hi = min(lo+it.page, it.n)
+		it.page = nextPageRows(it.page)
+	}
+	b := newBatch(len(it.cols))
+	switch {
+	case it.rel != nil:
+		fillRelational(b.cols, it.rel[lo:hi])
+	case it.oo != nil:
+		for r, row := range it.oo[lo:hi] {
+			for j, v := range row {
+				b.cols[j].appendAny(r, ooValueToAny(v))
+			}
+		}
+	default:
+		for r, row := range it.boxed[lo:hi] {
+			for j := range b.cols {
+				if j < len(row) {
+					b.cols[j].appendAny(r, row[j])
+				} else {
+					b.cols[j].appendNull(r)
+				}
+			}
+		}
+	}
+	b.rows = hi - lo
+	it.pos = hi
+	return b, nil
+}
+
+// NewResultIter returns a RowIter over an already-materialized result, paged
+// like an engine's: batchSize rows first, then growing (batchSize <= 0: one
+// batch). It serves connections that hold their rows as boxed values.
+func NewResultIter(res *Result, batchSize int) RowIter {
+	return &pagedIter{cols: res.Columns, affected: res.RowsAffected, n: len(res.Rows), page: max(batchSize, 0), boxed: res.Rows}
 }
 
 // Conn is one open connection to a database, in the shape of a JDBC
@@ -192,9 +241,10 @@ type Conn interface {
 	// buffers every row at both ends of the wire.
 	Query(ctx context.Context, q string) (*Result, error)
 	// QueryCursor runs a read-only query and returns a pull-based iterator
-	// over its rows, moving at most batchSize rows per round trip where the
-	// transport streams (batchSize <= 0 fetches everything in one batch).
-	// The caller must Close the iterator.
+	// over its rows. batchSize is the first batch's row count; later batches
+	// double up to MaxPageRows, so a short result costs little and a long one
+	// few round trips where the transport streams (batchSize <= 0 fetches
+	// everything in one batch). The caller must Close the iterator.
 	QueryCursor(ctx context.Context, q string, batchSize int) (RowIter, error)
 	// Exec runs any statement.
 	Exec(ctx context.Context, q string) (*Result, error)

@@ -2,12 +2,12 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/cursor"
 	"repro/internal/idl"
 	"repro/internal/orb"
@@ -63,43 +63,39 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		defer mu.Unlock()
 		ctx, sp := trace.StartSpan(ctx, "isi.cursor:"+meta.Engine)
 		sp.SetAttr("database", meta.Database)
-		res, err := conn.Query(ctx, args[0].Str)
+		batch := int(args[1].Int)
+		if cursors.Full() {
+			// At the cap no cursor can be retained: answer the whole result
+			// in one page, as a batch-0 open would get, instead of failing.
+			batch = 0
+		}
+		cols, affected, pages, rows, err := cutPages(ctx, conn, args[0].Str, batch)
+		sp.SetAttrInt("rows", rows)
+		sp.SetAttrInt("pages", len(pages))
 		sp.End(err)
 		if err != nil {
 			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
 		}
-		items := make([]idl.Any, len(res.Rows))
-		for i, row := range res.Rows {
-			items[i] = idl.Seq(row...)
-		}
-		id, first, done, err := cursors.Open(items, int(args[1].Int))
-		if errors.Is(err, cursor.ErrTooMany) {
-			// At the cap the rows are already computed: answer them whole, as
-			// a batch-0 open would, instead of making the client ask again.
-			id, first, done, err = 0, items, true, nil
-		}
+		id, first, done, err := cursors.Open(pages, 1)
 		if err != nil {
 			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
 		}
 		return idl.Struct(
 			idl.F("id", idl.Long(id)),
-			idl.F("columns", idl.Strings(res.Columns)),
-			idl.F("affected", idl.Long(res.RowsAffected)),
-			idl.F("rows", idl.Seq(first...)),
+			idl.F("columns", idl.Strings(cols)),
+			idl.F("affected", idl.Long(affected)),
+			idl.F("page", first[0]),
 			idl.F("done", idl.Bool(done)),
 		), nil
 	})
 	h.On("fetch_cursor", func(args []idl.Any) (idl.Any, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		batch, done, err := cursors.Fetch(args[0].Int)
+		page, done, err := cursors.Fetch(args[0].Int)
 		if err != nil {
 			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
 		}
-		return idl.Struct(
-			idl.F("rows", idl.Seq(batch...)),
-			idl.F("done", idl.Bool(done)),
-		), nil
+		return idl.Struct(idl.F("page", page[0]), idl.F("done", idl.Bool(done))), nil
 	})
 	h.On("close_cursor", func(args []idl.Any) (idl.Any, error) {
 		mu.Lock()
@@ -135,6 +131,41 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		return idl.Strings(conn.Tables()), nil
 	})
 	return h, cursors
+}
+
+// cutPages runs a query and encodes its result as cursor pages, one
+// idl.Octets item each: the first of batch rows, the following ones growing
+// (see MaxPageRows); batch <= 0 yields one page. There is always a first
+// page, empty for an empty result. The pages are cut when the cursor opens,
+// so a cursor is a list of pre-encoded replies and a fetch costs a lookup.
+func cutPages(ctx context.Context, conn Conn, q string, batch int) (cols []string, affected int64, pages []idl.Any, rows int, err error) {
+	it, err := conn.QueryCursor(ctx, q, batch)
+	if err != nil {
+		return nil, 0, nil, 0, err
+	}
+	defer it.Close()
+	cols = it.Columns()
+	if ra, ok := it.(rowsAffected); ok {
+		affected = ra.RowsAffected()
+	}
+	for {
+		b, err := it.Next(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, 0, nil, 0, err
+		}
+		rows += b.Len()
+		pages = append(pages, idl.Octets(encodePage(b, cdr.BigEndian)))
+		b.Release()
+	}
+	if len(pages) == 0 {
+		b := newBatch(len(cols))
+		pages = append(pages, idl.Octets(encodePage(b, cdr.BigEndian)))
+		b.Release()
+	}
+	return cols, affected, pages, rows, nil
 }
 
 // RemoteConn is a gateway connection whose engine lives behind an ISI
@@ -182,37 +213,36 @@ func (e *ProtocolError) Error() string {
 	return "gateway: malformed " + e.Op + " reply: " + e.Reason
 }
 
-// cursorBatch validates one open_cursor or fetch_cursor reply and unpacks
-// its batch. An empty batch from a cursor that is not done is an error: a
-// client that accepted it would fetch again, forever.
-func cursorBatch(op string, a idl.Any) (rows []idl.Any, done bool, err error) {
+// cursorPage validates one open_cursor or fetch_cursor reply and decodes its
+// page. An empty page from a cursor that is not done is an error: a client
+// that accepted it would fetch again, forever.
+func cursorPage(op string, a idl.Any) (b *Batch, done bool, err error) {
 	if a.Kind != idl.KindStruct {
 		return nil, false, &ProtocolError{op, "reply is " + a.Kind.String() + ", not struct"}
 	}
-	r, ok := a.Get("rows")
-	if !ok || r.Kind != idl.KindSeq {
-		return nil, false, &ProtocolError{op, "rows is not a sequence"}
+	p, ok := a.Get("page")
+	if !ok || p.Kind != idl.KindOctets {
+		return nil, false, &ProtocolError{op, "page is not an octet sequence"}
 	}
 	d, ok := a.Get("done")
 	if !ok || d.Kind != idl.KindBool {
 		return nil, false, &ProtocolError{op, "done is not a boolean"}
 	}
-	for i := range r.Seq {
-		if r.Seq[i].Kind != idl.KindSeq {
-			return nil, false, &ProtocolError{op, fmt.Sprintf("row %d is %s, not a sequence", i, r.Seq[i].Kind)}
-		}
+	if b, err = decodePage(p.Bytes); err != nil {
+		return nil, false, &ProtocolError{op, "page: " + err.Error()}
 	}
-	if len(r.Seq) == 0 && !d.Bool {
-		return nil, false, &ProtocolError{op, "empty batch from a cursor that is not done"}
+	if b.Len() == 0 && !d.Bool {
+		b.Release()
+		return nil, false, &ProtocolError{op, "empty page from a cursor that is not done"}
 	}
-	return r.Seq, d.Bool, nil
+	return b, d.Bool, nil
 }
 
 // QueryCursor implements Conn over the ISI cursor protocol: open_cursor runs
-// the query and returns the first batch (a small result costs one round trip
-// and leaves no server state), fetch_cursor pulls subsequent batches on
-// demand, close_cursor releases an abandoned stream. A servant at its cursor
-// cap answers the whole result in the open reply.
+// the query and returns the first page (a small result costs one round trip
+// and leaves no server state), fetch_cursor pulls the following, growing
+// pages on demand, close_cursor releases an abandoned stream. A servant at
+// its cursor cap answers the whole result in the open reply.
 func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err
@@ -222,7 +252,7 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 		return nil, remapISIError(err)
 	}
 	it := &remoteCursorIter{conn: c, id: a.GetInt("id"), affected: a.GetInt("affected")}
-	if it.buf, it.done, err = cursorBatch("open_cursor", a); err != nil {
+	if it.first, it.done, err = cursorPage("open_cursor", a); err != nil {
 		it.Close() // the reply may still name a live cursor
 		return nil, err
 	}
@@ -231,46 +261,47 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 	return it, nil
 }
 
-// remoteCursorIter pulls batches from a server-side ISI cursor. One batch is
-// buffered at a time; the next fetch is only issued once the buffer drains,
-// which is what makes the consumer's pace the producer's pace.
+// remoteCursorIter pulls pages from a server-side ISI cursor, one round trip
+// each, only when asked: the consumer's pace is the producer's pace.
 type remoteCursorIter struct {
 	conn     *RemoteConn
 	id       int64
 	cols     []string
 	affected int64
-	buf      []idl.Any // packed rows (each a Seq) of the current batch
-	pos      int
-	done     bool // server reported the cursor exhausted (and removed it)
+	first    *Batch // the open reply's page, until Next hands it out
+	done     bool   // server reported the cursor exhausted (and removed it)
 	closed   bool
 }
 
 func (it *remoteCursorIter) Columns() []string   { return it.cols }
 func (it *remoteCursorIter) RowsAffected() int64 { return it.affected }
 
-func (it *remoteCursorIter) Next(ctx context.Context) ([]idl.Any, error) {
+func (it *remoteCursorIter) Next(ctx context.Context) (*Batch, error) {
 	if it.closed {
 		return nil, fmt.Errorf("gateway: cursor iterator is closed")
 	}
-	for it.pos >= len(it.buf) {
-		if it.done {
-			return nil, io.EOF
+	if b := it.first; b != nil {
+		it.first = nil
+		if b.Len() > 0 {
+			return b, nil
 		}
-		a, err := it.conn.ref.InvokeIdempotent(ctx, "fetch_cursor", idl.Long(it.id))
-		if err != nil {
-			// The fetch failed (cursor reaped, member died, ctx over): the
-			// server-side cursor may still exist, so Close still tries.
-			return nil, remapISIError(err)
-		}
-		rows, done, err := cursorBatch("fetch_cursor", a)
-		if err != nil {
-			return nil, err // done stays false, so Close still releases the cursor
-		}
-		it.buf, it.pos, it.done = rows, 0, done
+		b.Release() // an empty result's only page
 	}
-	row := it.buf[it.pos]
-	it.pos++
-	return row.Seq, nil
+	if it.done {
+		return nil, io.EOF
+	}
+	a, err := it.conn.ref.InvokeIdempotent(ctx, "fetch_cursor", idl.Long(it.id))
+	if err != nil {
+		// The fetch failed (cursor reaped, member died, ctx over): the
+		// server-side cursor may still exist, so Close still tries.
+		return nil, remapISIError(err)
+	}
+	b, done, err := cursorPage("fetch_cursor", a)
+	if err != nil {
+		return nil, err // done stays false, so Close still releases the cursor
+	}
+	it.done = done
+	return b, nil
 }
 
 // Close releases the server-side cursor. It is detached from the caller's
@@ -281,6 +312,10 @@ func (it *remoteCursorIter) Close() error {
 		return nil
 	}
 	it.closed = true
+	if it.first != nil {
+		it.first.Release()
+		it.first = nil
+	}
 	if it.done || it.id == 0 {
 		return nil // exhausted cursors are already gone server-side
 	}

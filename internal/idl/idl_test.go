@@ -1,6 +1,7 @@
 package idl
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -227,5 +228,39 @@ func TestOperationHelpers(t *testing.T) {
 	}
 	if _, err := it.Op("missing"); err == nil {
 		t.Error("missing op not reported")
+	}
+}
+
+// TestUnmarshalHostileCounts: an element count read off the wire must not
+// size an allocation the bytes present cannot justify. At one time the 8-byte
+// body 0e 00 00 00 ff ff ff ff asked for 4 Gi elements up front and killed the
+// process with "fatal error: runtime: out of memory" — not a panic a caller
+// could recover from.
+func TestUnmarshalHostileCounts(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff}
+	body := func(kind Kind) []byte { return append([]byte{byte(kind), 0, 0, 0}, huge...) }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, kind := range []Kind{KindSeq, KindAny, KindStruct} {
+		for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+			if _, err := UnmarshalAny(cdr.NewDecoder(body(kind), order)); err == nil {
+				t.Errorf("%s with a count of 2^32-1 and no elements decoded", kind)
+			}
+		}
+	}
+	if _, err := UnmarshalAnys(cdr.NewDecoder(huge, cdr.BigEndian)); err == nil {
+		t.Error("UnmarshalAnys decoded 2^32-1 values from no bytes")
+	}
+	// A count that is honest about the first elements still fails on the
+	// first missing one, having sized by what is there.
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteULong(1 << 30)
+	Long(7).Marshal(e)
+	if _, err := UnmarshalAnys(cdr.NewDecoder(e.Bytes(), cdr.BigEndian)); err == nil {
+		t.Error("UnmarshalAnys decoded 2^30 values from one")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing six hostile bodies allocated %d bytes", grew)
 	}
 }

@@ -348,7 +348,7 @@ func UnmarshalAny(d *cdr.Decoder) (Any, error) {
 		if err != nil {
 			break
 		}
-		a.Seq = make([]Any, 0, n)
+		a.Seq = make([]Any, 0, wireCount(n, d))
 		for i := uint32(0); i < n; i++ {
 			var v Any
 			v, err = UnmarshalAny(d)
@@ -363,7 +363,7 @@ func UnmarshalAny(d *cdr.Decoder) (Any, error) {
 		if err != nil {
 			break
 		}
-		a.Fields = make([]Field, 0, n)
+		a.Fields = make([]Field, 0, wireCount(n, d))
 		for i := uint32(0); i < n; i++ {
 			var name string
 			name, err = d.ReadString()
@@ -386,6 +386,13 @@ func UnmarshalAny(d *cdr.Decoder) (Any, error) {
 	return a, nil
 }
 
+// wireCount bounds an element count read off the wire by the bytes left to
+// decode (every element takes at least one), so a hostile count cannot size
+// an allocation: decoding still fails, on the first element that is missing.
+func wireCount(n uint32, d *cdr.Decoder) int {
+	return min(int(n), d.Remaining())
+}
+
 // MarshalAnys encodes a slice of Anys with a leading count.
 func MarshalAnys(e *cdr.Encoder, vs []Any) {
 	e.WriteULong(uint32(len(vs)))
@@ -400,7 +407,7 @@ func UnmarshalAnys(d *cdr.Decoder) ([]Any, error) {
 	if err != nil {
 		return nil, err
 	}
-	vs := make([]Any, 0, n)
+	vs := make([]Any, 0, wireCount(n, d))
 	for i := uint32(0); i < n; i++ {
 		v, err := UnmarshalAny(d)
 		if err != nil {

@@ -72,6 +72,16 @@ func TestHealthcareQueryEndToEndTrace(t *testing.T) {
 		t.Fatalf("no isi.cursor:Oracle span in trace; spans: %v", names)
 	}
 
+	// The driver span says what the member shipped and in how many pages: a
+	// native query asks for everything at once.
+	attrs := map[string]string{}
+	for _, a := range driver.Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["rows"] != "4" || attrs["pages"] != "1" {
+		t.Fatalf("isi.cursor attributes = %v, want rows=4 pages=1", attrs)
+	}
+
 	// Walk the driver span's ancestry back to the session root. It must pass
 	// through the servant dispatch (server:query, transport=iiop — a real
 	// socket hop), the client invocation (client:query) and the WebTassili

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"errors"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,31 +29,37 @@ type scriptedReply struct {
 	rows [][]idl.Any
 }
 
-func (c *scriptedConn) QueryCursor(_ context.Context, q string, _ int) (gateway.RowIter, error) {
+func (c *scriptedConn) QueryCursor(_ context.Context, q string, batch int) (gateway.RowIter, error) {
 	r := c.script[len(c.asked)]
 	c.asked = append(c.asked, q)
 	if r.err != nil {
 		return nil, r.err
 	}
-	c.last = &scriptedIter{cols: r.cols, rows: r.rows}
+	// The batches are as wide as the rows even when the reply names no columns.
+	width := 0
+	if len(r.rows) > 0 {
+		width = len(r.rows[0])
+	}
+	c.last = &scriptedIter{cols: r.cols,
+		RowIter: gateway.NewResultIter(&gateway.Result{Columns: make([]string, width), Rows: r.rows}, batch)}
 	return c.last, nil
 }
 
 type scriptedIter struct {
+	gateway.RowIter
 	cols   []string
-	rows   [][]idl.Any
 	pulled int
 	closed bool
 }
 
 func (it *scriptedIter) Columns() []string { return it.cols }
-func (it *scriptedIter) Close() error      { it.closed = true; return nil }
-func (it *scriptedIter) Next(context.Context) ([]idl.Any, error) {
-	if it.pulled >= len(it.rows) {
-		return nil, io.EOF
+func (it *scriptedIter) Close() error      { it.closed = true; return it.RowIter.Close() }
+func (it *scriptedIter) Next(ctx context.Context) (*gateway.Batch, error) {
+	b, err := it.RowIter.Next(ctx)
+	if err == nil {
+		it.pulled += b.Len()
 	}
-	it.pulled++
-	return it.rows[it.pulled-1], nil
+	return b, err
 }
 
 func TestRunFragment(t *testing.T) {
@@ -77,6 +82,7 @@ func TestRunFragment(t *testing.T) {
 	if oracle.Exec.Pushed != 1 || len(msql.Exec.Residual) != 1 || len(oracle.Bare.Residual) != 1 {
 		t.Fatalf("fixture plans: oracle %+v, msql %+v", oracle.Exec, msql.Exec)
 	}
+	// The short row reads as NULLs, which no conjunct accepts.
 	wide := [][]idl.Any{{num(1000), str("k1")}, {num(7), str("zz")}, {}, {num(5), str("k2")}}
 	rejection := errors.New(`relational: mSQL does not support LIKE`)
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -87,6 +93,7 @@ func TestRunFragment(t *testing.T) {
 		ctx    context.Context
 		mp     *memberPlan
 		script []scriptedReply
+		batch  int // first page asked of the source (0: everything at once)
 		stopAt int // consumer returns false once it holds this many values (0: never)
 
 		values   []int64
@@ -99,19 +106,19 @@ func TestRunFragment(t *testing.T) {
 			name: "fully pushed: rows pass through", ctx: context.Background(), mp: &oracle,
 			script: []scriptedReply{{cols: []string{"V"}, rows: [][]idl.Any{{num(1)}, {num(2)}, {num(3)}}}},
 			values: []int64{1, 2, 3}, asked: []string{oracle.Exec.Native},
-			run: fragmentRun{Column: "V", Moved: 3},
+			run: fragmentRun{Column: "V", Moved: 3, Pages: 1},
 		},
 		{
 			name: "residual conjunct: filtered and projected", ctx: context.Background(), mp: &msql,
 			script: []scriptedReply{{rows: wide}}, // no column names: the function's result column stands in
 			values: []int64{1000, 5}, asked: []string{msql.Exec.Native},
-			run: fragmentRun{Column: "v", Moved: 4},
+			run: fragmentRun{Column: "v", Moved: 4, Pages: 1},
 		},
 		{
 			name: "pushed clause rejected: one retry with Bare", ctx: context.Background(), mp: &oracle,
 			script: []scriptedReply{{err: rejection}, {cols: []string{"v", "K"}, rows: wide}},
 			values: []int64{1000, 5}, asked: []string{oracle.Exec.Native, oracle.Bare.Native},
-			run: fragmentRun{Column: "v", Moved: 4, Fallback: true},
+			run: fragmentRun{Column: "v", Moved: 4, Pages: 1, Fallback: true},
 		},
 		{
 			name: "Bare rejected too: no second retry", ctx: context.Background(), mp: &oracle,
@@ -135,10 +142,16 @@ func TestRunFragment(t *testing.T) {
 			asked:  []string{oracle.Exec.Native}, wantErr: "no source named D", noCursor: true,
 		},
 		{
-			name: "consumer stops after 2", ctx: context.Background(), mp: &oracle, stopAt: 2,
+			name: "consumer stops after the first page", ctx: context.Background(), mp: &oracle, batch: 2, stopAt: 2,
 			script: []scriptedReply{{cols: []string{"v"}, rows: [][]idl.Any{{num(1)}, {num(2)}, {num(3)}, {num(4)}, {num(5)}}}},
 			values: []int64{1, 2}, asked: []string{oracle.Exec.Native},
-			run: fragmentRun{Column: "v", Moved: 2},
+			run: fragmentRun{Column: "v", Moved: 2, Pages: 1},
+		},
+		{
+			name: "pages grow: 2, then 4 of the 5 rows", ctx: context.Background(), mp: &msql, batch: 2,
+			script: []scriptedReply{{cols: []string{"v", "K"}, rows: append(append([][]idl.Any{}, wide...), wide[0])}},
+			values: []int64{1000, 5, 1000}, asked: []string{msql.Exec.Native},
+			run: fragmentRun{Column: "v", Moved: 5, Pages: 2},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,10 +159,17 @@ func TestRunFragment(t *testing.T) {
 			conn := &scriptedConn{script: tc.script}
 			var values []int64
 			var run fragmentRun
-			err := s.runFragment(tc.ctx, conn, tc.mp, &tc.mp.Exec, 0, &run, func(v idl.Any) bool {
-				values = append(values, v.Int)
+			live := gateway.LiveBatches()
+			err := s.runFragment(tc.ctx, conn, tc.mp, &tc.mp.Exec, tc.batch, &run, func(b *gateway.Batch) bool {
+				defer b.Release()
+				for i := 0; i < b.Len(); i++ {
+					values = append(values, b.Value(0, i).Int)
+				}
 				return tc.stopAt == 0 || len(values) < tc.stopAt
 			})
+			if now := gateway.LiveBatches(); now != live {
+				t.Errorf("batches out of the pool: %d before the run, %d after", live, now)
+			}
 			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 				t.Fatalf("error = %v, want %q", err, tc.wantErr)
 			}

@@ -6,17 +6,21 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/gateway"
 	"repro/internal/idl"
 	"repro/internal/trace"
 )
 
-// Streaming coalition merge. Each member's rows flow through a bounded
-// channel (backpressure instead of buffering whole result sets); the
-// coordinator consumes the channels strictly in member order, so the merged
-// output is deterministic regardless of member timing. Members are read
-// through the gateway cursor protocol (Conn.QueryCursor), so backpressure
-// reaches the wire: a member issues its next fetch only after the merge has
-// drained the previous merge window (defaultMergeWindow rows). A statement
+// Streaming coalition merge. Each member's rows flow, a page at a time,
+// through an unbuffered channel (backpressure instead of buffering whole
+// result sets); the coordinator consumes the channels strictly in member
+// order, so the merged output is deterministic regardless of member timing.
+// Members are read through the gateway cursor protocol (Conn.QueryCursor): a
+// page is one round trip, the first of defaultMergeWindow rows, the following
+// ones doubling up to gateway.MaxPageRows. Backpressure reaches the wire: a
+// member fetches page n+1 while the merge drains page n and then waits to
+// hand it over, so it is never more than one page ahead and the coordinator
+// holds at most two pages per member, whatever the scan size. A statement
 // LIMIT terminates the fan-out early: once K rows are merged the remaining
 // members' sub-calls are cancelled (closing their server-side cursors) and
 // their statuses report ErrClass "limit" — satisfied, not degraded.
@@ -45,7 +49,8 @@ func mergeCancelled(ctx context.Context) bool {
 type mergeStream struct {
 	sess     *Session
 	plan     *queryPlan
-	chans    []chan []idl.Any
+	chans    []chan *gateway.Batch // pages of compensated rows; column 0 is the result value
+	names    []idl.Any             // per member: its name, the merged rows' source column
 	statuses []MemberStatus
 	runs     []fragmentRun   // per member; Column is readable once the member's first row arrives
 	ctx      context.Context // the fan-out's context; cancel ends it with a cause
@@ -66,10 +71,12 @@ type mergeStream struct {
 	// semi-join probe's per-statement IN rendering. nil entries run Exec.
 	overrides []*fragmentExec
 
-	cur       int   // channel currently being drained
-	delivered []int // rows emitted per member
-	progress  int   // rows counted toward the LIMIT (failed members refunded)
-	stop      int   // member index that satisfied the LIMIT (-1: none)
+	cur       int            // channel currently being drained
+	page      *gateway.Batch // page of member cur being read in place; nil between pages
+	pos       int            // next row of page
+	delivered []int          // rows emitted per member
+	progress  int            // rows counted toward the LIMIT (failed members refunded)
+	stop      int            // member index that satisfied the LIMIT (-1: none)
 	eof       bool
 	closed    bool
 
@@ -77,19 +84,19 @@ type mergeStream struct {
 	probePruned atomic.Int64 // rows rejected by the semi-join key filter
 	sjFallbacks atomic.Int64 // bare retries of fragments that carried a key set
 
-	// inflight counts rows sitting in the merge channels (pulled from a
-	// member's cursor, not yet consumed); peakInflight is its high-water
-	// mark. Together with the per-member cursor batch (one merge window at
-	// most) it bounds coordinator buffering: peakInflight never exceeds
-	// members x merge window, whatever the scan size.
+	// inflight counts the rows of the pages the merge holds (pulled from a
+	// member's cursor and compensated, not yet drained): the page each
+	// member is waiting to hand over plus the one being read; peakInflight
+	// is its high-water mark. It never exceeds members x 2 x the largest
+	// page, whatever the scan size.
 	inflight     atomic.Int64
 	peakInflight atomic.Int64
 }
 
 // newMergeStream fans the plan out and returns the pull side of the merge.
-// Each merged row is [source, result-column]; residual conjuncts are applied
-// (and the projection narrowed) in the worker, before the channel send, so
-// backpressure is paid only for rows that will be delivered. limit is
+// Each merged row is [source, result-column]; residual conjuncts and the key
+// filter are applied in the worker, before the channel send, so backpressure
+// is paid only for rows that will be delivered. limit is
 // plan.Limit for a plain statement; a semi-join passes its own effective
 // limit, a coordinator-side key filter, and per-member execution overrides
 // carrying pushed key sets.
@@ -98,7 +105,8 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 	ms := &mergeStream{
 		sess:      s,
 		plan:      plan,
-		chans:     make([]chan []idl.Any, n),
+		chans:     make([]chan *gateway.Batch, n),
+		names:     make([]idl.Any, n),
 		statuses:  make([]MemberStatus, n),
 		runs:      make([]fragmentRun, n),
 		fanDone:   make(chan struct{}),
@@ -110,10 +118,8 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 	}
 	for i := range plan.Members {
 		ms.statuses[i] = notDispatched(plan.Members[i].D.Name, plan.Members[i].D.ISIRef)
-	}
-	buf := s.p.mergeBufRows()
-	for i := range ms.chans {
-		ms.chans[i] = make(chan []idl.Any, buf)
+		ms.names[i] = idl.String(plan.Members[i].D.Name)
+		ms.chans[i] = make(chan *gateway.Batch)
 	}
 	mergeCtx, cancel := context.WithCancelCause(ctx)
 	ms.cancel = cancel
@@ -139,30 +145,39 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 	return ms
 }
 
-// Next returns the next merged row ([source, value]) and the index of the
-// member that produced it; ok is false once the merge is exhausted or the
-// statement LIMIT has been satisfied. A member's status is final by the time
-// Next moves past its channel, which is what makes the refund below — and
-// reading statuses after Close — race-free.
-func (ms *mergeStream) Next() (row []idl.Any, member int, ok bool) {
+// Next returns the next merged value and the index of the member that
+// produced it (ms.names has the member's source column); ok is false once the
+// merge is exhausted or the statement LIMIT has been satisfied. Values are
+// read in place from the member's current page. A member's status is final
+// by the time Next moves past its channel, which is what makes the refund
+// below — and reading statuses after Close — race-free.
+func (ms *mergeStream) Next() (v idl.Any, member int, ok bool) {
 	if ms.eof || ms.closed {
-		return nil, 0, false
+		return idl.Any{}, 0, false
 	}
 	for ms.cur < len(ms.chans) {
-		r, open := <-ms.chans[ms.cur]
-		if !open {
-			st := &ms.statuses[ms.cur]
-			if !st.OK() && ms.delivered[ms.cur] > 0 {
-				// The member failed mid-stream after delivering rows. A
-				// materialized merge would have dropped the member whole, so
-				// refund its rows from the LIMIT progress; the drain side
-				// drops the rows themselves by provenance.
-				ms.progress -= ms.delivered[ms.cur]
+		if ms.page == nil {
+			b, open := <-ms.chans[ms.cur]
+			if !open {
+				st := &ms.statuses[ms.cur]
+				if !st.OK() && ms.delivered[ms.cur] > 0 {
+					// The member failed mid-stream after delivering rows. A
+					// materialized merge would have dropped the member whole, so
+					// refund its rows from the LIMIT progress; the drain side
+					// drops the rows themselves by provenance.
+					ms.progress -= ms.delivered[ms.cur]
+				}
+				ms.cur++
+				continue
 			}
-			ms.cur++
+			ms.page, ms.pos = b, 0
+		}
+		if ms.pos >= ms.page.Len() {
+			ms.releasePage()
 			continue
 		}
-		ms.inflight.Add(-1)
+		v = ms.page.Value(0, ms.pos)
+		ms.pos++
 		m := ms.cur
 		ms.delivered[m]++
 		ms.progress++
@@ -171,10 +186,57 @@ func (ms *mergeStream) Next() (row []idl.Any, member int, ok bool) {
 			ms.eof = true
 			ms.cancel(errLimitSatisfied) // release the members still running or queued
 		}
-		return r, m, true
+		return v, m, true
 	}
 	ms.eof = true
-	return nil, 0, false
+	return idl.Any{}, 0, false
+}
+
+// releasePage returns the page being read to the pool.
+func (ms *mergeStream) releasePage() {
+	if ms.page != nil {
+		ms.inflight.Add(-int64(ms.page.Len()))
+		ms.page.Release()
+		ms.page = nil
+	}
+}
+
+// drainAll consumes the stream to its end, closes it, and returns the
+// [source, value] rows of the members that answered: rows delivered by a
+// member that failed mid-stream are dropped by provenance (a materialized
+// merge never sees a failed member's rows). The rows are cut from one slab
+// per page, since the caller keeps them all.
+func (ms *mergeStream) drainAll() [][]idl.Any {
+	var rows [][]idl.Any
+	var memberOf []int
+	var slab []idl.Any
+	for {
+		v, m, ok := ms.Next()
+		if !ok {
+			break
+		}
+		if len(slab)+2 > cap(slab) {
+			slab = make([]idl.Any, 0, 2*(ms.page.Len()-ms.pos+1))
+		}
+		slab = append(slab, ms.names[m], v)
+		rows = append(rows, slab[len(slab)-2:len(slab):len(slab)])
+		memberOf = append(memberOf, m)
+	}
+	ms.Close()
+	dropped := false
+	for i := range ms.statuses {
+		dropped = dropped || !ms.statuses[i].OK() && ms.delivered[i] > 0
+	}
+	if !dropped {
+		return rows
+	}
+	kept := rows[:0]
+	for k, row := range rows {
+		if ms.statuses[memberOf[k]].OK() {
+			kept = append(kept, row)
+		}
+	}
+	return kept
 }
 
 // Close abandons or finalises the stream: outstanding member sub-calls are
@@ -189,6 +251,7 @@ func (ms *mergeStream) Close() {
 	ms.closed = true
 	ms.cancel(errStreamClosed)
 	<-ms.fanDone
+	ms.releasePage()
 	stats := &ms.sess.p.stats
 	for i := range ms.runs {
 		ms.rowsMoved += int64(ms.runs[i].Moved)
@@ -259,11 +322,10 @@ func (ms *mergeStream) mergedColumns() []string {
 }
 
 // runMember is the merge's member call: it runs one member's fragment
-// (runFragment) and streams the values into the merge. The fragment pulls one
-// merge window of rows per fetch; the bounded channel send between pulls is
-// what propagates the coordinator's pace back to the wire. (The streaming-off
-// reference mode asks for batch 0: the whole result in the opening round
-// trip.)
+// (runFragment) and streams its pages into the merge. The unbuffered send
+// between fetches is what propagates the coordinator's pace back to the
+// wire, one page ahead. (The streaming-off reference mode asks for batch 0:
+// the whole result in the opening round trip.)
 func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *trace.Span) error {
 	mp := &ms.plan.Members[i]
 	sp.SetAttr("engine", mp.D.Engine)
@@ -290,30 +352,40 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *tra
 		sp.SetAttr("semijoin", "keys pushed")
 	}
 	run := &ms.runs[i]
-	name := idl.String(mp.D.Name)
-	err = s.runFragment(ctx, conn, mp, ex, batch, run, func(v idl.Any) bool {
-		if ms.filter != nil && !ms.filter.admit(v) {
-			// The row's key is not in the build side (or it is a Bloom false
-			// positive the exact set rejects): the semi-join drops it here,
-			// before it can occupy the merge window or count toward LIMIT.
-			ms.probePruned.Add(1)
-			return true
+	err = s.runFragment(ctx, conn, mp, ex, batch, run, func(b *gateway.Batch) bool {
+		if ms.filter != nil {
+			// A row whose key is not in the build side (or is a Bloom false
+			// positive the exact set rejects) is dropped here, before it can
+			// occupy a merge page or count toward LIMIT.
+			n := b.Len()
+			b.Keep(func(k int) bool { return ms.filter.admit(b.Value(0, k)) })
+			ms.probePruned.Add(int64(n - b.Len()))
+			if b.Len() == 0 {
+				b.Release()
+				return true
+			}
+		}
+		held := ms.inflight.Add(int64(b.Len()))
+		for {
+			p := ms.peakInflight.Load()
+			if held <= p || ms.peakInflight.CompareAndSwap(p, held) {
+				break
+			}
 		}
 		select {
-		case ms.chans[i] <- []idl.Any{name, v}:
-			n := ms.inflight.Add(1)
-			for {
-				p := ms.peakInflight.Load()
-				if n <= p || ms.peakInflight.CompareAndSwap(p, n) {
-					return true
-				}
-			}
+		case ms.chans[i] <- b:
+			return true
 		case <-ms.ctx.Done():
 			// The query itself succeeded; the merge just stopped taking
 			// rows (limit satisfied downstream). Not a member failure.
+			ms.inflight.Add(-int64(b.Len()))
+			b.Release()
 			return false
 		}
 	})
+	sp.SetAttrInt("pages", run.Pages)
+	sp.SetAttrInt("rows", run.Moved)
+	sp.SetAttrInt("bytes", run.Bytes)
 	if run.Fallback {
 		sp.SetAttr("fallback", "bare")
 		if ex.InPushed {

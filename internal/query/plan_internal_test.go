@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -136,12 +137,22 @@ func TestResidualMatchFollowsEngineSemantics(t *testing.T) {
 	num := func(n int64) idl.Any { return idl.Any{Kind: idl.KindLong, Int: n} }
 	like := wtl.Condition{Column: "k", Op: "LIKE", Value: "k0%", IsStr: true}
 	eqNum := wtl.Condition{Column: "v", Op: "=", Value: "3"}
+	// match applies ex to a one-row batch holding the given values.
+	match := func(ex *fragmentExec, row ...idl.Any) bool {
+		res := &gateway.Result{Columns: make([]string, len(row)), Rows: [][]idl.Any{row}}
+		b, err := gateway.NewResultIter(res, 0).Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Release()
+		return residualMatch(b, 0, ex)
+	}
 
 	rel := &fragmentExec{Residual: []wtl.Condition{like}, ResidualIdx: []int{1}, NCols: 2}
-	if !residualMatch([]idl.Any{num(7), str("k01")}, rel) {
+	if !match(rel, num(7), str("k01")) {
 		t.Error("relational LIKE residual missed a matching row")
 	}
-	if residualMatch([]idl.Any{num(7), str("zz")}, rel) {
+	if match(rel, num(7), str("zz")) {
 		t.Error("relational LIKE residual matched a non-matching row")
 	}
 
@@ -149,23 +160,22 @@ func TestResidualMatchFollowsEngineSemantics(t *testing.T) {
 	// strings (INT 3 = '3'); the OQL engine calls that a non-match. The
 	// compensator must reproduce whichever engine the fragment ran on.
 	relEq := &fragmentExec{Residual: []wtl.Condition{eqNum}, ResidualIdx: []int{0}, NCols: 1}
-	if !residualMatch([]idl.Any{num(3)}, relEq) {
+	if !match(relEq, num(3)) {
 		t.Error("relational numeric equality residual missed")
 	}
 	ooEq := &fragmentExec{OQL: true, Residual: []wtl.Condition{eqNum}, ResidualIdx: []int{0}, NCols: 1}
-	if !residualMatch([]idl.Any{num(3)}, ooEq) {
+	if !match(ooEq, num(3)) {
 		t.Error("OQL numeric equality residual missed")
 	}
-	if residualMatch([]idl.Any{str("3")}, ooEq) {
+	if match(ooEq, str("3")) {
 		t.Error("OQL residual matched across kinds; the engine would not")
 	}
-	if !residualMatch([]idl.Any{str("3")}, relEq) {
+	if !match(relEq, str("3")) {
 		t.Error("relational residual must match across kinds like relational.Compare")
 	}
 
-	// A residual column missing from the row (short row) is a non-match, not
-	// a panic.
-	if residualMatch([]idl.Any{num(7)}, rel) {
+	// A residual column the batch does not have is a non-match, not a panic.
+	if match(rel, num(7)) {
 		t.Error("short row matched")
 	}
 }

@@ -130,7 +130,7 @@ type PlannerStats struct {
 	Fallbacks            int64 // bare-fragment retries after a pushdown rejection
 	RowsMoved            int64 // rows fetched from members, pre-compensation
 	RowsDelivered        int64 // rows returned to callers after merge/limit
-	PeakMergeBuffered    int64 // most rows ever held in merge channels at once
+	PeakMergeBuffered    int64 // most rows ever held in merge pages at once
 	SemiJoins            int64 // coalition statements carrying a SemiJoin clause
 	KeysPushed           int64 // build-side keys shipped to probe members in IN lists
 	BloomPushed          int64 // semi-joins whose key set compressed to a Bloom filter
@@ -254,10 +254,11 @@ func (p *Processor) PlannerStats() PlannerStats {
 // call while sessions execute; in-flight statements keep the mode they
 // started under.
 const (
-	// defaultMergeWindow is how many rows a member may run ahead of the
-	// coordinator before backpressure, and the cursor batch size member
-	// sub-queries fetch with — so a coalition scan buffers at most
-	// members x 2 x this many rows at the coordinator, whatever its size.
+	// defaultMergeWindow is the first cursor page member sub-queries ask
+	// for. Later pages double up to gateway.MaxPageRows, and a member runs
+	// at most one page ahead of the coordinator — so a coalition scan
+	// buffers at most members x 2 x gateway.MaxPageRows rows at the
+	// coordinator, whatever its size.
 	defaultMergeWindow = 64
 	// defaultSemiJoinKeyLimit is the largest build-side key set pushed to
 	// probe members as a literal IN list; larger sets compress into a Bloom
@@ -311,8 +312,8 @@ func (p *Processor) subCoalitionSize() int {
 	return max(n, 0)
 }
 
-// mergeBufRows returns the merge window: the per-member merge channel
-// capacity and cursor batch size.
+// mergeBufRows returns the merge window: the rows of a member cursor's first
+// page.
 func (p *Processor) mergeBufRows() int {
 	if n := p.mergeBuf.Load(); n > 0 {
 		return int(n)
@@ -818,12 +819,23 @@ func (s *Session) execFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Respons
 	}
 	// A coalition of one: the same fragment runner the merge uses, asked for
 	// the whole result at once, feeding a consumer that appends and stops at
-	// a LIMIT the engine was not given.
+	// a LIMIT the engine was not given — which is then the first page, so
+	// the rows past it only move if compensation rejects some of these.
+	batch := 0
+	if !ex.LimitPushed {
+		batch = q.Limit
+	}
 	res := &gateway.Result{}
 	var run fragmentRun
-	err = s.runFragment(ctx, conn, &mp, ex, 0, &run, func(v idl.Any) bool {
-		res.Rows = append(res.Rows, []idl.Any{v})
-		return q.Limit <= 0 || len(res.Rows) < q.Limit
+	err = s.runFragment(ctx, conn, &mp, ex, batch, &run, func(b *gateway.Batch) bool {
+		defer b.Release()
+		for i := 0; i < b.Len(); i++ {
+			res.Rows = append(res.Rows, []idl.Any{b.Value(0, i)})
+			if q.Limit > 0 && len(res.Rows) >= q.Limit {
+				return false
+			}
+		}
+		return true
 	})
 	s.p.stats.rowsMoved.Add(int64(run.Moved))
 	if run.Fallback {

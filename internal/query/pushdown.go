@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/gateway"
 	"repro/internal/idl"
 	"repro/internal/oodb"
 	"repro/internal/relational"
@@ -20,15 +21,15 @@ import (
 // kernel (relational.Compare/MatchLike, oodb.MatchCond) rather than a
 // private approximation of either.
 
-// residualMatch applies a fragment's compensated conjuncts to one fetched
-// row.
-func residualMatch(row []idl.Any, ex *fragmentExec) bool {
-	for i, c := range ex.Residual {
-		at := ex.ResidualIdx[i]
-		if at >= len(row) {
+// residualMatch applies a fragment's compensated conjuncts to row i of a
+// fetched batch.
+func residualMatch(b *gateway.Batch, i int, ex *fragmentExec) bool {
+	for k, c := range ex.Residual {
+		at := ex.ResidualIdx[k]
+		if at >= b.Cols() {
 			return false
 		}
-		if !condMatch(ex.OQL, row[at], c) {
+		if !condMatch(ex.OQL, b.Value(at, i), c) {
 			return false
 		}
 	}

@@ -23,10 +23,10 @@ type Row []idl.Any
 // what stopped the iteration, Close releases everything behind it. For
 // coalition function queries the rows stream from the members through
 // server-side cursors as the caller iterates — the coordinator never holds
-// more than the merge window (defaultMergeWindow rows per member) — so Close
-// must always be called: it cancels outstanding member sub-calls and closes
-// their cursors. Other statement kinds materialize as they always did and iterate
-// in memory. Not safe for concurrent use.
+// more than two cursor pages per member — so Close must always be called: it
+// cancels outstanding member sub-calls and closes their cursors. Other
+// statement kinds materialize as they always did and iterate in memory. Not
+// safe for concurrent use.
 type Rows struct {
 	sess *Session
 	stmt wtl.Stmt
@@ -47,6 +47,7 @@ type Rows struct {
 
 	cols      []string
 	cur       Row
+	pair      [2]idl.Any // the streaming path's current [source, value], reused row to row
 	err       error
 	delivered int64
 	finished  bool // stream fully terminated, stats flushed
@@ -55,9 +56,9 @@ type Rows struct {
 
 // Stream parses and runs one WebTassili statement, returning its result as
 // a pull-based row iterator. Coalition function queries execute as a
-// streaming merge: member rows cross the wire in merge-window batches, each
-// next batch fetched only after the caller has drained the previous window,
-// so arbitrarily large scans run in bounded coordinator memory. Every other
+// streaming merge: member rows cross the wire in cursor pages, a member
+// fetching at most one page ahead of what the caller has drained, so
+// arbitrarily large scans run in bounded coordinator memory. Every other
 // statement kind materializes exactly as Execute does and is served from
 // memory. The context governs the whole life of the stream, not just the
 // opening round trips.
@@ -143,7 +144,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if r.ms != nil {
-		row, m, ok := r.ms.Next()
+		v, m, ok := r.ms.Next()
 		if !ok {
 			r.finishStream(true)
 			return false
@@ -152,7 +153,8 @@ func (r *Rows) Next() bool {
 		if r.cols == nil && r.ms.runs[m].Column != "" {
 			r.cols = []string{"source", r.ms.runs[m].Column}
 		}
-		r.cur = Row(row)
+		r.pair[0], r.pair[1] = r.ms.names[m], v
+		r.cur = r.pair[:]
 		return true
 	}
 	if r.resp == nil || r.resp.Result == nil || r.pos >= len(r.resp.Result.Rows) {
@@ -288,42 +290,15 @@ func (r *Rows) finishStream(evaluate bool) {
 
 // drainResponse consumes the whole stream and rebuilds the materialized
 // Response shape — Execute's coalition path is exactly this drain, so the
-// streamed and materialized answers are identical by construction. Rows
-// delivered by a member that failed mid-stream are dropped by provenance
-// (a materialized merge never sees a failed member's rows).
+// streamed and materialized answers are identical by construction.
 func (r *Rows) drainResponse() (*Response, error) {
 	if r.ms == nil {
 		return r.resp, nil
 	}
 	s, ms, q := r.sess, r.ms, r.stmt.(*wtl.FuncQuery)
-	merged := &gateway.Result{}
-	var memberOf []int
-	for {
-		row, m, ok := ms.Next()
-		if !ok {
-			break
-		}
-		merged.Rows = append(merged.Rows, row)
-		memberOf = append(memberOf, m)
-	}
+	merged := &gateway.Result{Rows: ms.drainAll()}
 	r.finished = true
 	r.closed = true
-	ms.Close()
-	dropped := false
-	for i := range ms.statuses {
-		if !ms.statuses[i].OK() && ms.delivered[i] > 0 {
-			dropped = true
-		}
-	}
-	if dropped {
-		kept := merged.Rows[:0]
-		for k, row := range merged.Rows {
-			if ms.statuses[memberOf[k]].OK() {
-				kept = append(kept, row)
-			}
-		}
-		merged.Rows = kept
-	}
 	merged.Columns = ms.mergedColumns()
 
 	answered, degraded, firstErr := ms.tally()

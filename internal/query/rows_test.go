@@ -4,11 +4,15 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/idl"
 	"repro/internal/query"
+	"repro/internal/trace"
 )
 
 // drainRows pulls every row out of a stream, returning the materialized rows.
@@ -268,6 +272,8 @@ func TestStreamCancelReleasesEverything(t *testing.T) {
 	}
 	warm.Close()
 	baseline := runtime.NumGoroutine()
+	live := gateway.LiveBatches()
+	pagesBack := func() bool { return gateway.LiveBatches() == live }
 
 	// Cancelling the statement context mid-stream must tear the fan-out down:
 	// member sub-calls unwind, server-side cursors close, goroutines exit.
@@ -284,6 +290,9 @@ func TestStreamCancelReleasesEverything(t *testing.T) {
 	if !waitFor(t, 2*time.Second, func() bool { return cursorsOpen() == 0 }) {
 		t.Fatalf("ctx cancel left %d cursor(s) open", cursorsOpen())
 	}
+	if !waitFor(t, 2*time.Second, pagesBack) {
+		t.Fatalf("ctx cancel left %d page(s) out of the pool", gateway.LiveBatches()-live)
+	}
 
 	// Close alone (no cancel) must release everything too.
 	rows, err = s.Stream(context.Background(), `V(R.K) On Coalition C;`)
@@ -297,30 +306,76 @@ func TestStreamCancelReleasesEverything(t *testing.T) {
 	if !waitFor(t, 2*time.Second, func() bool { return cursorsOpen() == 0 }) {
 		t.Fatalf("Close left %d cursor(s) open", cursorsOpen())
 	}
+	if !waitFor(t, 2*time.Second, pagesBack) {
+		t.Fatalf("Close left %d page(s) out of the pool", gateway.LiveBatches()-live)
+	}
 	if !waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
 		t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 	}
 }
 
+// TestStreamBoundsCoordinatorBuffering: the coordinator never holds more than
+// two cursor pages per member — one being read, one waiting to be handed over
+// — so the peak stays under members x 2 x gateway.MaxPageRows however long
+// the scan, even though pages grow from the 4-row first one to the maximum.
 func TestStreamBoundsCoordinatorBuffering(t *testing.T) {
-	const members, bufRows = 3, 4
-	_, nodes := planFederation(t, members, nil)
-	setMergeWindow(nodes, bufRows)
+	const members, rowsEach, firstPage = 2, 5000, 4
+	nodes := streamFederation(t, members, rowsEach, firstPage)
+	nodes[0].Processor.SetFanOut(0) // every member runs ahead at once
 	s := nodes[0].NewSession()
 
+	live := gateway.LiveBatches()
 	resp, err := s.Execute(context.Background(), `V(R.K) On Coalition C;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(resp.Result.Rows); got != members*planFixtureRows {
+	if got := len(resp.Result.Rows); got != members*rowsEach {
 		t.Fatalf("full scan rows = %d", got)
 	}
 	st := nodes[0].Processor.PlannerStats()
-	if st.PeakMergeBuffered == 0 {
-		t.Fatal("peak merge buffer gauge never moved")
+	if st.PeakMergeBuffered < gateway.MaxPageRows {
+		t.Fatalf("peak merge buffer %d: pages never grew to %d rows", st.PeakMergeBuffered, gateway.MaxPageRows)
 	}
-	if st.PeakMergeBuffered > members*bufRows {
-		t.Fatalf("peak merge buffer %d exceeds members x merge window = %d",
-			st.PeakMergeBuffered, members*bufRows)
+	if bound := int64(members * 2 * gateway.MaxPageRows); st.PeakMergeBuffered > bound {
+		t.Fatalf("peak merge buffer %d exceeds members x 2 x max page = %d (the scan is %d rows)",
+			st.PeakMergeBuffered, bound, members*rowsEach)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return gateway.LiveBatches() == live }) {
+		t.Fatalf("batches out of the pool: %d before the scan, %d after", live, gateway.LiveBatches())
+	}
+}
+
+// TestMemberSpansReportPages: one statement's trace shows what each member
+// shipped and in how many round trips — 300 rows behind a 64-row first page
+// are pages of 64, 128 and 108.
+func TestMemberSpansReportPages(t *testing.T) {
+	const members = 2
+	nodes := streamFederation(t, members, 300, 64)
+	tr := trace.New(trace.Options{Capacity: 256})
+	ctx, root := tr.StartSpan(context.Background(), "test")
+	resp, err := nodes[0].NewSession().Execute(ctx, `V(R.K) On Coalition C;`)
+	root.End(err)
+	if err != nil || len(resp.Result.Rows) != members*300 {
+		t.Fatalf("scan: %d rows, %v", len(resp.Result.Rows), err)
+	}
+	seen := 0
+	for _, sp := range tr.TraceSpans(root.Context().Trace.String()) {
+		if !strings.HasPrefix(sp.Name, "query.member:") {
+			continue
+		}
+		seen++
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["pages"] != "3" || attrs["rows"] != "300" {
+			t.Errorf("%s: pages=%q rows=%q, want 3 and 300", sp.Name, attrs["pages"], attrs["rows"])
+		}
+		if n, err := strconv.Atoi(attrs["bytes"]); err != nil || n < 300*8 {
+			t.Errorf("%s: bytes=%q, want the size of three pages", sp.Name, attrs["bytes"])
+		}
+	}
+	if seen != members {
+		t.Fatalf("%d query.member: span(s) in the trace, want %d", seen, members)
 	}
 }

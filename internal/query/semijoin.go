@@ -187,22 +187,12 @@ type sideResult struct {
 // drainSide executes one side of the join to completion through the
 // streaming merge (filter and overrides apply when the side is a probe) and
 // enforces the member quorum — a side that cannot answer fails the whole
-// statement, exactly as the same query would fail standalone. Rows delivered
-// by a member that later failed are dropped by provenance, so the key set is
-// as deterministic as a materialized merge's answer.
+// statement, exactly as the same query would fail standalone. drainAll drops
+// the rows of a member that later failed, so the key set is as deterministic
+// as a materialized merge's answer.
 func (s *Session) drainSide(ctx context.Context, plan *queryPlan, filter *semiJoinFilter, overrides []*fragmentExec, keepRows bool) (*sideResult, error) {
 	ms := s.newMergeStream(ctx, plan, 0, filter, overrides)
-	var rows [][]idl.Any
-	var memberOf []int
-	for {
-		row, m, ok := ms.Next()
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
-		memberOf = append(memberOf, m)
-	}
-	ms.Close()
+	rows := ms.drainAll()
 	res := &sideResult{statuses: ms.statuses, cols: ms.mergedColumns(), moved: ms.rowsMoved}
 	answered, degraded, firstErr := ms.tally()
 	if err := ms.quorumErr(plan.Coalition, answered, firstErr); err != nil {
@@ -210,18 +200,15 @@ func (s *Session) drainSide(ctx context.Context, plan *queryPlan, filter *semiJo
 	}
 	res.degraded = degraded
 	res.keys = make(map[string]idl.Any)
-	for k, row := range rows {
-		if !ms.statuses[memberOf[k]].OK() {
-			continue
-		}
+	for _, row := range rows {
 		if key, ok := canonicalKey(row[1]); ok {
 			if _, dup := res.keys[key]; !dup {
 				res.keys[key] = row[1]
 			}
 		}
-		if keepRows {
-			res.rows = append(res.rows, row)
-		}
+	}
+	if keepRows {
+		res.rows = rows
 	}
 	return res, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/core"
+	"repro/internal/gateway"
 )
 
 // codbFunctionK is V's inverse (string keys out, int values in), added where
@@ -217,6 +218,7 @@ func TestSemiJoinAbortReleasesEverything(t *testing.T) {
 	}
 	warm.Close()
 	baseline := runtime.NumGoroutine()
+	live := gateway.LiveBatches()
 
 	// Context cancel mid-probe.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -255,6 +257,9 @@ func TestSemiJoinAbortReleasesEverything(t *testing.T) {
 	nodes[0].Processor.SetMemberPolicy(1, 0)
 	if !waitFor(t, 2*time.Second, func() bool { return cursorsOpen() == 0 }) {
 		t.Fatalf("build-side failure left %d cursor(s) open", cursorsOpen())
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return gateway.LiveBatches() == live }) {
+		t.Fatalf("the aborted semi-joins left %d page(s) out of the pool", gateway.LiveBatches()-live)
 	}
 	if !waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
 		t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())

@@ -9,24 +9,25 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gateway"
 	"repro/internal/oodb"
 )
 
 // streamBenchRows is the per-node row count for the streaming benchmark:
 // large enough that a materialized member reply is thousands of rows while
-// the streamed merge holds at most members x merge-window.
+// the streamed merge holds at most two pages per member.
 const streamBenchRows = 2000
 
-// streamFederation is the planner fixture widened to streamBenchRows rows per
-// node: node i's row j is ('x<i>-<j>', j), so a scan-filter on V touches
-// every row.
-func streamFederation(tb testing.TB, members, bufRows int) []*core.Node {
+// streamFederation is the planner fixture widened to rows rows per node:
+// node i's row j is ('x<i>-<j>', j), so a scan-filter on V touches every row.
+// bufRows is the merge window, the first cursor page.
+func streamFederation(tb testing.TB, members, rows, bufRows int) []*core.Node {
 	tb.Helper()
 	_, nodes := planFederation(tb, members, func(i int, c *core.NodeConfig) {
 		if core.IsRelational(c.Engine) {
 			var b strings.Builder
 			b.WriteString("CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT);\n")
-			for j := 0; j < streamBenchRows; j++ {
+			for j := 0; j < rows; j++ {
 				fmt.Fprintf(&b, "INSERT INTO r VALUES ('x%d-%d', %d);\n", i, j, j)
 			}
 			c.Schema = b.String()
@@ -38,7 +39,7 @@ func streamFederation(tb testing.TB, members, bufRows int) []*core.Node {
 				oodb.Attribute{Name: "v", Type: oodb.AttrInt}); err != nil {
 				return err
 			}
-			for j := 0; j < streamBenchRows; j++ {
+			for j := 0; j < rows; j++ {
 				if _, err := db.NewObject("r", map[string]any{
 					"k": fmt.Sprintf("x%d-%d", i, j), "v": int64(j),
 				}); err != nil {
@@ -53,12 +54,12 @@ func streamFederation(tb testing.TB, members, bufRows int) []*core.Node {
 }
 
 // BenchmarkFederatedStreaming measures a large scan-filter federated query
-// with the member cursor protocol on (rows page across the wire in
-// merge-window batches) vs off (each member materializes its whole result in
-// one reply). Reported per mode: p99 statement latency, rows moved per
-// fetch round trip, and the coordinator's peak merge buffer — which the
-// cursor mode must keep bounded by members x merge-window regardless of scan
-// size (asserted here).
+// with the member cursor protocol on (rows page across the wire, 64 rows
+// first, then doubling to gateway.MaxPageRows) vs off (each member
+// materializes its whole result in one reply). Reported per mode: p99
+// statement latency, rows moved per fetch round trip, and the coordinator's
+// peak merge buffer — which the cursor mode must keep bounded by members x 2
+// x the largest page regardless of scan size (asserted here).
 func BenchmarkFederatedStreaming(b *testing.B) {
 	const members, bufRows = 3, 64
 	for _, mode := range []struct {
@@ -66,7 +67,7 @@ func BenchmarkFederatedStreaming(b *testing.B) {
 		on   bool
 	}{{"cursor", true}, {"materialized", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			nodes := streamFederation(b, members, bufRows)
+			nodes := streamFederation(b, members, streamBenchRows, bufRows)
 			nodes[0].Processor.SetStreaming(mode.on)
 			s := nodes[0].NewSession()
 			ctx := context.Background()
@@ -105,9 +106,8 @@ func BenchmarkFederatedStreaming(b *testing.B) {
 			}
 			peak := nodes[0].Processor.PlannerStats().PeakMergeBuffered
 			b.ReportMetric(float64(peak), "peak-merge-rows")
-			if mode.on && peak > members*bufRows {
-				b.Fatalf("streamed coordinator buffered %d rows, bound is members x merge-window = %d",
-					peak, members*bufRows)
+			if bound := int64(members * 2 * gateway.MaxPageRows); mode.on && peak > bound {
+				b.Fatalf("streamed coordinator buffered %d rows, bound is members x 2 x max page = %d", peak, bound)
 			}
 		})
 	}

@@ -221,16 +221,15 @@ func scanOneVec(c *vctx, sp scanSpec, filter Expr, ref []bool) (*vecRel, error) 
 	if filter != nil {
 		comp = compileExpr(filter, out.cols)
 	}
-	for i := 0; i < nc; i++ {
-		if ref[i] {
-			out.vecs[i] = make([]Value, 0)
-		}
-	}
 	batch := &vbatch{vecs: t.cols}
 	vals := c.getVals()
 	defer c.putVals(vals)
 	sel := c.getSel()
 	defer c.putSel(sel)
+	// Select first, gather after: the output vectors are sized once, by the
+	// number of rows selected, never by the table's.
+	keep := c.getSel()
+	defer func() { c.putSel(keep) }()
 	nrows := len(t.ids)
 	for base := 0; base < nrows; base += vecChunk {
 		end := min(base+vecChunk, nrows)
@@ -256,18 +255,25 @@ func scanOneVec(c *vctx, sp scanSpec, filter Expr, ref []bool) (*vecRel, error) 
 				}
 			}
 		}
-		for i := 0; i < nc; i++ {
-			if !ref[i] {
-				continue
-			}
-			vec := t.cols[i]
-			for _, r := range sel[:k] {
-				out.vecs[i] = append(out.vecs[i], vec[r])
-			}
-		}
-		out.n += k
+		keep = append(keep, sel[:k]...)
 	}
+	for i := 0; i < nc; i++ {
+		if ref[i] {
+			out.vecs[i] = gatherVec(t.cols[i], keep)
+		}
+	}
+	out.n = len(keep)
 	return out, nil
+}
+
+// gatherVec copies the listed rows of vec into a vector of exactly that
+// size (non-nil even when empty: nil means "unreferenced" downstream).
+func gatherVec(vec []Value, rows []int) []Value {
+	g := make([]Value, len(rows))
+	for k, r := range rows {
+		g[k] = vec[r]
+	}
+	return g
 }
 
 func joinedVecRel(l, r *vecRel) *vecRel {
@@ -533,11 +539,7 @@ func filterVec(c *vctx, src *vecRel, residual []Expr) (*vecRel, error) {
 		if vec == nil {
 			continue
 		}
-		g := make([]Value, len(keep))
-		for k, r := range keep {
-			g[k] = vec[r]
-		}
-		out.vecs[ci] = g
+		out.vecs[ci] = gatherVec(vec, keep)
 	}
 	return out, nil
 }
@@ -598,6 +600,14 @@ func execPlainVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*Res
 		keys Row
 	}
 	var tagged []sortable
+	// Every source row projects to one output row: cut them from one slab
+	// and size the row list once.
+	slab := make([]Value, src.n*len(items))
+	if len(s.OrderBy) == 0 {
+		res.Rows = make([]Row, 0, src.n)
+	} else {
+		tagged = make([]sortable, 0, src.n)
+	}
 
 	batch := &vbatch{vecs: src.vecs}
 	bufs := make([][]Value, len(items))
@@ -637,7 +647,8 @@ func execPlainVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*Res
 			}
 		}
 		for j := 0; j < end-base; j++ {
-			proj := make(Row, len(items))
+			proj := Row(slab[:len(items):len(items)])
+			slab = slab[len(items):]
 			for i := range items {
 				proj[i] = bufs[i][j]
 			}
@@ -664,8 +675,9 @@ func execPlainVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*Res
 		sort.SliceStable(tagged, func(i, j int) bool {
 			return orderLess(tagged[i].keys, tagged[j].keys, s.OrderBy)
 		})
-		for _, t := range tagged {
-			res.Rows = append(res.Rows, t.proj)
+		res.Rows = make([]Row, len(tagged))
+		for i, t := range tagged {
+			res.Rows[i] = t.proj
 		}
 	}
 	return res, nil

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/query"
 )
 
@@ -27,13 +29,21 @@ func buildStreamFed(t *testing.T, seed int64, disableStreaming bool) *Fed {
 	})
 }
 
-// noCursorsLeaked asserts every node's servants released their cursors.
-func noCursorsLeaked(t *testing.T, fed *Fed, when string, seed int64) {
+// noCursorsLeaked asserts every node's servants released their cursors and
+// every cursor page is back in the pool (live is gateway.LiveBatches() from
+// before the federations ran; a servant may still be unwinding a call its
+// client gave up on, hence the short wait).
+func noCursorsLeaked(t *testing.T, fed *Fed, live int64, when string, seed int64) {
 	t.Helper()
 	for _, n := range fed.Nodes {
 		if st := n.Core.CursorStats(); st.Open != 0 {
 			t.Fatalf("%s: node %s still holds %d open cursor(s)\n%s",
 				when, n.Name, st.Open, ReplayLine(seed))
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); gateway.LiveBatches() != live; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d cursor page(s) out of the pool\n%s", when, gateway.LiveBatches()-live, ReplayLine(seed))
 		}
 	}
 }
@@ -46,6 +56,7 @@ func TestDifferentialStreaming(t *testing.T) {
 	for _, seed := range seedsUnderTest() {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			live := gateway.LiveBatches()
 			on := buildStreamFed(t, seed, false)
 			defer on.Close()
 			off := buildStreamFed(t, seed, true)
@@ -74,7 +85,7 @@ func TestDifferentialStreaming(t *testing.T) {
 			}
 			// Top-K early termination cancels the cursors it abandons; a full
 			// drain exhausts them. Either way nothing stays open.
-			noCursorsLeaked(t, on, "after workload", seed)
+			noCursorsLeaked(t, on, live, "after workload", seed)
 
 			// Mid-stream member death: the link to a member dies while the
 			// coalition scan is in flight. Both transports must agree on the
@@ -95,7 +106,7 @@ func TestDifferentialStreaming(t *testing.T) {
 			}
 			on.HealAll()
 			off.HealAll()
-			noCursorsLeaked(t, on, "after partition run", seed)
+			noCursorsLeaked(t, on, live, "after partition run", seed)
 
 			// The equivalence must not be vacuous: the streaming half held
 			// real server-side cursors open across fetches (the 2-row window
@@ -126,6 +137,7 @@ func TestStreamingTopKClosesCursors(t *testing.T) {
 	if s := ReplaySeed(); s != 0 {
 		seed = s
 	}
+	live := gateway.LiveBatches()
 	fed := buildStreamFed(t, seed, false)
 	defer fed.Close()
 	ctx := context.Background()
@@ -140,7 +152,7 @@ func TestStreamingTopKClosesCursors(t *testing.T) {
 	if topK.Partial {
 		t.Fatalf("limit-satisfied query flagged partial: %+v", topK.Members)
 	}
-	noCursorsLeaked(t, fed, "after top-K", seed)
+	noCursorsLeaked(t, fed, live, "after top-K", seed)
 
 	// And the pull contract moved fewer rows than a full scan: the limit
 	// stopped the fan-out before the later members were drained.
