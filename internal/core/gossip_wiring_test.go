@@ -72,6 +72,12 @@ func TestNodeGossipWiring(t *testing.T) {
 	if a.Gossip.Messages() == 0 {
 		t.Fatal("convergence without messages")
 	}
+	// Gossip is the node's own traffic: the ORB counts it apart from the
+	// calls statements make, every message of both agents and nothing else.
+	st := a.Config.ORB.Stats.Snapshot()
+	if want := a.Gossip.Messages() + b.Gossip.Messages(); st.HousekeepingCalls != want {
+		t.Errorf("ORB counted %d housekeeping calls, the agents sent %d messages", st.HousekeepingCalls, want)
+	}
 	// The OnApply hook must have pushed GB's applied entry into GA's
 	// metadata cache under its gossip version stamp.
 	if _, ver, ok := a.MDCache.PeekVersioned("gossip|GB"); !ok || ver != b.CoDB.Version() {

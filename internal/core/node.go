@@ -188,14 +188,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return codb.NewClient(objRef).GossipPull(ctx, digest)
+			return codb.NewClient(objRef).GossipPull(orb.WithHousekeeping(ctx), digest)
 		},
 		Push: func(ctx context.Context, ref string, delta []byte) error {
 			objRef, err := cfg.ORB.ResolveString(ref)
 			if err != nil {
 				return err
 			}
-			_, err = codb.NewClient(objRef).GossipPush(ctx, delta)
+			_, err = codb.NewClient(objRef).GossipPush(orb.WithHousekeeping(ctx), delta)
 			return err
 		},
 		OnApply: func(applied []gossip.Entry) {

@@ -33,8 +33,10 @@ const (
 )
 
 // ErrTooMany reports an open attempt past the table's cap. The ISI servant
-// asks Full first and, at the cap, cuts the result into one page that needs
-// no cursor.
+// never sees it: it asks Full first (under the mutex that serialises its
+// handlers, so the answer holds until its Open) and, at the cap, cuts the
+// result into one page that needs no cursor. Open's own check is the table's
+// defence against a caller that does not ask.
 var ErrTooMany = errors.New("cursor: too many open cursors")
 
 // ErrNotFound reports a fetch or close of an unknown (possibly reaped)
@@ -150,7 +152,9 @@ func (t *Table) Fetch(id int64) (batch []idl.Any, done bool, err error) {
 }
 
 // Full reports whether the table is at its cap once idle cursors are reaped:
-// an Open that has to retain a cursor would be refused with ErrTooMany.
+// an Open that has to retain a cursor would be refused with ErrTooMany. It
+// lets a caller decide how to cut its items before it opens (one item needs
+// no cursor), which Open, handed the items already cut, cannot do for it.
 func (t *Table) Full() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -223,10 +223,14 @@ func TestRemoteCursorAtCapAnswersWhole(t *testing.T) {
 // the cursor the peer named must still be released.
 func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 	page := func(rows ...[]idl.Any) idl.Any {
-		it := NewResultIter(&Result{Columns: []string{"name"}, Rows: rows}, 0)
+		width := 1
+		if len(rows) > 0 {
+			width = len(rows[0])
+		}
+		it := NewResultIter(&Result{Columns: make([]string, width), Rows: rows}, 0)
 		b, err := it.Next(context.Background())
 		if err == io.EOF {
-			b = newBatch(1)
+			b = newBatch(width)
 		}
 		defer b.Release()
 		return idl.Octets(encodePage(b, cdr.BigEndian))
@@ -238,6 +242,7 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 	good := page([]idl.Any{idl.String("J. Chen")})
 	truncated := idl.Octets(good.Bytes[:len(good.Bytes)-3])
 	trailing := idl.Octets(append(append([]byte(nil), good.Bytes...), 0))
+	wide := page([]idl.Any{idl.String("J. Chen"), idl.Long(1)})
 	goodOpen := open(idl.F("page", good), idl.F("done", idl.Bool(false)))
 	live := markLive()
 	for _, tc := range []struct {
@@ -252,12 +257,14 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 		{"open done is not a boolean", open(idl.F("page", good), idl.F("done", idl.Long(0))), idl.Null(), "open_cursor"},
 		{"open page is truncated", open(idl.F("page", truncated), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
 		{"open page has no bytes", open(idl.F("page", idl.Octets(nil)), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
+		{"open page is wider than columns", open(idl.F("page", wide), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
 		{"open is empty and not done", open(idl.F("page", page()), idl.F("done", idl.Bool(false))), idl.Null(), "open_cursor"},
 		{"fetch is not a struct", goodOpen, idl.Long(1), "fetch_cursor"},
 		{"fetch lacks done", goodOpen, idl.Struct(idl.F("page", good)), "fetch_cursor"},
 		{"fetch lacks page", goodOpen, idl.Struct(idl.F("done", idl.Bool(false))), "fetch_cursor"},
 		{"fetch carries rows, not a page", goodOpen, idl.Struct(idl.F("rows", idl.Seq(idl.Seq(idl.Long(1)))), idl.F("done", idl.Bool(true))), "fetch_cursor"},
 		{"fetch page has trailing bytes", goodOpen, idl.Struct(idl.F("page", trailing), idl.F("done", idl.Bool(true))), "fetch_cursor"},
+		{"fetch page is wider than columns", goodOpen, idl.Struct(idl.F("page", wide), idl.F("done", idl.Bool(true))), "fetch_cursor"},
 		{"fetch is empty and not done", goodOpen, idl.Struct(idl.F("page", page()), idl.F("done", idl.Bool(false))), "fetch_cursor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -95,20 +95,17 @@ func (c *relConn) check() error {
 	return nil
 }
 
-// Query implements Conn. The engine is in-process and synchronous, so the
-// context is not consulted mid-statement.
-func (c *relConn) Query(_ context.Context, q string) (*Result, error) {
-	if err := c.check(); err != nil {
-		return nil, err
-	}
-	res, err := c.db.Query(q)
+// Query implements Conn like RemoteConn.Query: the cursor's one batch, drained.
+func (c *relConn) Query(ctx context.Context, q string) (*Result, error) {
+	it, err := c.QueryCursor(ctx, q, 0)
 	if err != nil {
 		return nil, err
 	}
-	return fromRelational(res), nil
+	return Drain(ctx, it)
 }
 
-// QueryCursor implements Conn. The engine materializes its result; the
+// QueryCursor implements Conn. The engine is in-process and synchronous, so
+// the context is not consulted mid-statement. It materializes its result; the
 // iterator pages it into typed batches straight from the engine's values, so
 // no value is boxed on its way to the wire.
 func (c *relConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIter, error) {
@@ -266,29 +263,19 @@ func (c *ooConn) check() error {
 	return nil
 }
 
-// Query implements Conn; in-process, so the context is not consulted.
-func (c *ooConn) Query(_ context.Context, q string) (*Result, error) {
-	if err := c.check(); err != nil {
-		return nil, err
-	}
-	cols, rows, err := oodb.Query(c.db, q)
+// Query implements Conn like relConn.Query.
+func (c *ooConn) Query(ctx context.Context, q string) (*Result, error) {
+	it, err := c.QueryCursor(ctx, q, 0)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Columns: cols}
-	for _, row := range rows {
-		vals := make([]idl.Any, len(row))
-		for i, v := range row {
-			vals[i] = ooValueToAny(v)
-		}
-		out.Rows = append(out.Rows, vals)
-	}
-	return out, nil
+	return Drain(ctx, it)
 }
 
-// QueryCursor implements Conn like relConn.QueryCursor: typed batches cut
-// from the engine's materialized rows (its values are boxed already). String
-// lists have no typed vector and travel in a fallback column.
+// QueryCursor implements Conn like relConn.QueryCursor (in-process, so the
+// context is not consulted): typed batches cut from the engine's materialized
+// rows (its values are boxed already). String lists have no typed vector and
+// travel in a fallback column.
 func (c *ooConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err

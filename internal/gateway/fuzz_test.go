@@ -10,8 +10,8 @@ import (
 )
 
 // FuzzPageDecode: decodePage must never panic or over-allocate on arbitrary
-// bytes, and a page it accepts re-encodes to a page that decodes to the same
-// rows and is a fixed point of the codec.
+// bytes held to an arbitrary width, and a page it accepts re-encodes to a page
+// that decodes to the same rows and is a fixed point of the codec.
 func FuzzPageDecode(f *testing.F) {
 	for _, rows := range [][][]idl.Any{
 		nil,
@@ -24,20 +24,20 @@ func FuzzPageDecode(f *testing.F) {
 			ncols = len(rows[0])
 		}
 		b := batchOf(ncols, rows)
-		f.Add(encodePage(b, cdr.BigEndian))
-		f.Add(encodePage(b, cdr.LittleEndian))
+		f.Add(encodePage(b, cdr.BigEndian), uint8(ncols))
+		f.Add(encodePage(b, cdr.LittleEndian), uint8(ncols))
 		b.Release()
 	}
-	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, byte(idl.KindNull), 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, page []byte) {
-		b, err := decodePage(page)
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, byte(idl.KindNull), 0, 0, 0, 0, 0, 0}, uint8(1))
+	f.Fuzz(func(t *testing.T, page []byte, width uint8) {
+		b, err := decodePage(page, int(width))
 		if err != nil {
 			return
 		}
 		defer b.Release()
 		order := cdr.ByteOrder(page[0] & 1)
 		again := encodePage(b, order)
-		back, err := decodePage(again)
+		back, err := decodePage(again, int(width))
 		if err != nil {
 			t.Fatalf("re-encoded page does not decode: %v", err)
 		}

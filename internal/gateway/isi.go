@@ -77,7 +77,7 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
 		}
 		id, first, done, err := cursors.Open(pages, 1)
-		if err != nil {
+		if err != nil { // cannot be the cap, Full was asked under mu; no table error is dropped
 			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
 		}
 		return idl.Struct(
@@ -213,10 +213,10 @@ func (e *ProtocolError) Error() string {
 	return "gateway: malformed " + e.Op + " reply: " + e.Reason
 }
 
-// cursorPage validates one open_cursor or fetch_cursor reply and decodes its
-// page. An empty page from a cursor that is not done is an error: a client
-// that accepted it would fetch again, forever.
-func cursorPage(op string, a idl.Any) (b *Batch, done bool, err error) {
+// cursorPage validates one open_cursor or fetch_cursor reply of a cursor over
+// width columns and decodes its page. An empty page from a cursor that is not
+// done is an error: a client that accepted it would fetch again, forever.
+func cursorPage(op string, a idl.Any, width int) (b *Batch, done bool, err error) {
 	if a.Kind != idl.KindStruct {
 		return nil, false, &ProtocolError{op, "reply is " + a.Kind.String() + ", not struct"}
 	}
@@ -228,7 +228,7 @@ func cursorPage(op string, a idl.Any) (b *Batch, done bool, err error) {
 	if !ok || d.Kind != idl.KindBool {
 		return nil, false, &ProtocolError{op, "done is not a boolean"}
 	}
-	if b, err = decodePage(p.Bytes); err != nil {
+	if b, err = decodePage(p.Bytes, width); err != nil {
 		return nil, false, &ProtocolError{op, "page: " + err.Error()}
 	}
 	if b.Len() == 0 && !d.Bool {
@@ -251,13 +251,12 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 	if err != nil {
 		return nil, remapISIError(err)
 	}
-	it := &remoteCursorIter{conn: c, id: a.GetInt("id"), affected: a.GetInt("affected")}
-	if it.first, it.done, err = cursorPage("open_cursor", a); err != nil {
+	cols, _ := a.Get("columns")
+	it := &remoteCursorIter{conn: c, id: a.GetInt("id"), cols: cols.StringSlice(), affected: a.GetInt("affected")}
+	if it.first, it.done, err = cursorPage("open_cursor", a, len(it.cols)); err != nil {
 		it.Close() // the reply may still name a live cursor
 		return nil, err
 	}
-	cols, _ := a.Get("columns")
-	it.cols = cols.StringSlice()
 	return it, nil
 }
 
@@ -296,7 +295,7 @@ func (it *remoteCursorIter) Next(ctx context.Context) (*Batch, error) {
 		// server-side cursor may still exist, so Close still tries.
 		return nil, remapISIError(err)
 	}
-	b, done, err := cursorPage("fetch_cursor", a)
+	b, done, err := cursorPage("fetch_cursor", a, len(it.cols))
 	if err != nil {
 		return nil, err // done stays false, so Close still releases the cursor
 	}

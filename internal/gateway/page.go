@@ -74,9 +74,16 @@ func newBatch(ncols int) *Batch {
 	return b
 }
 
+// pooledCols is the widest batch the pool keeps whole: a wider one (far more
+// columns than any function query projects) gives its columns up on Release.
+const pooledCols = 64
+
 // Release returns the batch to the pool. Vectors keep their capacity but drop
 // what they reference, so a parked batch pins no result data.
 func (b *Batch) Release() {
+	if cap(b.cols) > pooledCols {
+		b.cols = nil
+	}
 	for i := range b.cols {
 		c := &b.cols[i]
 		clear(c.strs)
@@ -352,11 +359,13 @@ func wholeBitmap(bits []byte, n int) []byte {
 	return bits
 }
 
-// decodePage decodes a page into a pooled batch. Pages come from another
-// process: every count, offset and bitmap length is checked against the bytes
-// present before anything is sized by it, so a malformed page costs an error,
-// never a panic or an allocation its own length does not justify.
-func decodePage(page []byte) (*Batch, error) {
+// decodePage decodes a page of a cursor whose open reply named width columns
+// into a pooled batch. Pages come from another process: the column count is
+// held to that width, and every row count, offset and bitmap length is
+// checked against the bytes present before anything is sized by it, so a
+// malformed page costs an error, never a panic or an allocation its own
+// length does not justify.
+func decodePage(page []byte, width int) (*Batch, error) {
 	if len(page) == 0 {
 		return nil, fmt.Errorf("empty page")
 	}
@@ -369,8 +378,11 @@ func decodePage(page []byte) (*Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("column count: %w", err)
 	}
+	if int64(ncols) != int64(width) {
+		return nil, fmt.Errorf("%d column(s), the cursor has %d", ncols, width)
+	}
 	// A column is at least its kind octet and its bitmap's length.
-	if int64(ncols) > int64(d.Remaining()/5) {
+	if ncols > uint32(d.Remaining()/5) {
 		return nil, fmt.Errorf("%d column(s) in %d byte(s)", ncols, d.Remaining())
 	}
 	if ncols == 0 && rows > 0 {

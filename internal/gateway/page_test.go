@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -111,9 +112,13 @@ func TestPageRoundTrip(t *testing.T) {
 			sameRows(t, "built batch", b, rows)
 			for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 				page := encodePage(b, order)
-				back, err := decodePage(page)
+				back, err := decodePage(page, ncols)
 				if err != nil {
 					t.Fatalf("%d rows, %s: decode: %v", n, order, err)
+				}
+				if wide, err := decodePage(page, ncols+1); err == nil {
+					wide.Release()
+					t.Fatalf("%d rows, %s: a %d-column page decoded for a cursor of %d", n, order, ncols, ncols+1)
 				}
 				if back.WireBytes() != len(page) {
 					t.Fatalf("WireBytes = %d, page is %d", back.WireBytes(), len(page))
@@ -248,7 +253,13 @@ func TestDecodePageRefusesHostileInput(t *testing.T) {
 		e.WriteOctet(0)
 	})
 	for name, p := range cases {
-		if b, err := decodePage(p); err == nil {
+		// Each page is held to the width it claims itself, so that what it
+		// is refused for is what its name says.
+		width := 0
+		if len(p) >= 9 {
+			width = int(binary.BigEndian.Uint32(p[5:]))
+		}
+		if b, err := decodePage(p, width); err == nil {
 			b.Release()
 			t.Errorf("%s: decoded without error", name)
 		}
@@ -267,7 +278,7 @@ func TestDecodePageAllocations(t *testing.T) {
 	page := encodePage(b, cdr.BigEndian)
 	b.Release()
 	allocs := testing.AllocsPerRun(200, func() {
-		b, err := decodePage(page)
+		b, err := decodePage(page, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,5 +286,26 @@ func TestDecodePageAllocations(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Fatalf("decoding a %d-row two-column page allocates %.0f objects, want <= 8", MaxPageRows, allocs)
+	}
+}
+
+// TestWideBatchIsNotPooledWhole: a page as wide as its bytes allow decodes,
+// but the pool does not keep its column array for the narrow pages to come.
+func TestWideBatchIsNotPooledWhole(t *testing.T) {
+	wide := newBatch(pooledCols + 1)
+	page := encodePage(wide, cdr.BigEndian)
+	wide.Release()
+	b, err := decodePage(page, pooledCols+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	if cap(b.cols) != 0 {
+		t.Fatalf("a released batch kept %d columns, the pool's limit is %d", cap(b.cols), pooledCols)
+	}
+	narrow := newBatch(pooledCols)
+	narrow.Release()
+	if cap(narrow.cols) != pooledCols {
+		t.Fatalf("a released %d-column batch kept %d", pooledCols, cap(narrow.cols))
 	}
 }

@@ -93,14 +93,20 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expec
 
 	var result idl.Any
 	var err error
+	calls := &o.Stats.IIOPCalls
 	if colocated {
-		o.Stats.ColocatedCalls.Add(1)
+		calls = &o.Stats.ColocatedCalls
+	}
+	if ctx.Value(housekeepingKey{}) != nil {
+		calls = &o.Stats.HousekeepingCalls
+	}
+	calls.Add(1)
+	if colocated {
 		if cs := callStatsFrom(ctx); cs != nil {
 			cs.Attempts.Add(1)
 		}
 		result, err = target.dispatchIncoming(ctx, r.ior.Key(), op, args, svcCtxs, "colocated")
 	} else {
-		o.Stats.IIOPCalls.Add(1)
 		result, err = o.callRemote(ctx, r.ior, op, args, expectReply, svcCtxs, idempotent)
 	}
 	for i := len(cis) - 1; i >= 0; i-- {
@@ -130,6 +136,16 @@ func WithCallStats(ctx context.Context) (context.Context, *CallStats) {
 func callStatsFrom(ctx context.Context) *CallStats {
 	cs, _ := ctx.Value(callStatsKey{}).(*CallStats)
 	return cs
+}
+
+type housekeepingKey struct{}
+
+// WithHousekeeping derives a context whose ORB invocations are counted as
+// Stats.HousekeepingCalls rather than as colocated or IIOP calls. It is for
+// the calls a node makes on its own clock — gossip rounds — and changes
+// nothing about how they are sent.
+func WithHousekeeping(ctx context.Context) context.Context {
+	return context.WithValue(ctx, housekeepingKey{}, true)
 }
 
 // retryable reports whether an error is transport-class (the endpoint may

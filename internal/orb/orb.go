@@ -59,6 +59,14 @@ type Stats struct {
 
 	FragmentsSent        atomic.Int64 // GIOP Fragment frames written (requests and replies)
 	FragmentsReassembled atomic.Int64 // GIOP Fragment frames consumed by reassembly
+
+	// HousekeepingCalls counts the client calls issued under WithHousekeeping,
+	// by either path, instead of ColocatedCalls or IIOPCalls: traffic a node
+	// sends on a timer (membership gossip), whether or not anyone is using
+	// it. What is left in those two is what callers asked for, so the calls
+	// one statement costs can be read off them exactly. Bytes, fragments and
+	// the in-flight gauge count everything.
+	HousekeepingCalls atomic.Int64
 }
 
 // StatsSnapshot is a plain-value copy of Stats, safe to serialize (it is the
@@ -67,6 +75,7 @@ type StatsSnapshot struct {
 	RequestsServed       int64 `json:"requests_served"`
 	ColocatedCalls       int64 `json:"colocated_calls"`
 	IIOPCalls            int64 `json:"iiop_calls"`
+	HousekeepingCalls    int64 `json:"housekeeping_calls"`
 	BytesSent            int64 `json:"bytes_sent"`
 	BytesReceived        int64 `json:"bytes_received"`
 	LocateRequests       int64 `json:"locate_requests"`
@@ -92,6 +101,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		RequestsServed:       s.RequestsServed.Load(),
 		ColocatedCalls:       s.ColocatedCalls.Load(),
 		IIOPCalls:            s.IIOPCalls.Load(),
+		HousekeepingCalls:    s.HousekeepingCalls.Load(),
 		BytesSent:            s.BytesSent.Load(),
 		BytesReceived:        s.BytesReceived.Load(),
 		LocateRequests:       s.LocateRequests.Load(),

@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,36 @@ func TestIIOPInvocation(t *testing.T) {
 	}
 	if client.Stats.ColocatedCalls.Load() != 0 {
 		t.Errorf("colocated calls = %d", client.Stats.ColocatedCalls.Load())
+	}
+}
+
+// A call under WithHousekeeping is sent like any other and counted apart, on
+// the socket path and on the colocated one.
+func TestHousekeepingCallsAreCountedApart(t *testing.T) {
+	client, ref := startPair(t)
+	for _, ctx := range []context.Context{context.Background(), WithHousekeeping(context.Background())} {
+		if got, err := ref.InvokeCtx(ctx, "echo", idl.String("x")); err != nil || got.Str != "x" {
+			t.Fatalf("echo = %v, %v", got, err)
+		}
+	}
+	if st := client.Stats.Snapshot(); st.IIOPCalls != 1 || st.ColocatedCalls != 0 || st.HousekeepingCalls != 1 {
+		t.Errorf("iiop=%d colocated=%d housekeeping=%d, want 1 0 1", st.IIOPCalls, st.ColocatedCalls, st.HousekeepingCalls)
+	}
+
+	o := New(Options{Product: Orbix})
+	if err := o.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Shutdown)
+	ior, err := o.Activate("Echo", newEchoServant())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Resolve(ior).InvokeCtx(WithHousekeeping(context.Background()), "echo", idl.String("y")); err != nil {
+		t.Fatal(err)
+	}
+	if st := o.Stats.Snapshot(); st.ColocatedCalls != 0 || st.IIOPCalls != 0 || st.HousekeepingCalls != 1 {
+		t.Errorf("colocated ORB: iiop=%d colocated=%d housekeeping=%d, want 0 0 1", st.IIOPCalls, st.ColocatedCalls, st.HousekeepingCalls)
 	}
 }
 

@@ -819,19 +819,16 @@ func (s *Session) execFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Respons
 	}
 	// A coalition of one: the same fragment runner the merge uses, asked for
 	// the whole result at once, feeding a consumer that appends and stops at
-	// a LIMIT the engine was not given — which is then the first page, so
-	// the rows past it only move if compensation rejects some of these.
-	batch := 0
-	if !ex.LimitPushed {
-		batch = q.Limit
-	}
+	// a LIMIT the engine was not given. The rows it leaves in the batch it
+	// stops in were never looked at and do not count as moved.
 	res := &gateway.Result{}
 	var run fragmentRun
-	err = s.runFragment(ctx, conn, &mp, ex, batch, &run, func(b *gateway.Batch) bool {
+	err = s.runFragment(ctx, conn, &mp, ex, 0, &run, func(b *gateway.Batch) bool {
 		defer b.Release()
 		for i := 0; i < b.Len(); i++ {
 			res.Rows = append(res.Rows, []idl.Any{b.Value(0, i)})
 			if q.Limit > 0 && len(res.Rows) >= q.Limit {
+				run.Moved -= b.Len() - (i + 1)
 				return false
 			}
 		}
