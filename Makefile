@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify race bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
+.PHONY: verify race stress-cursors bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
 
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
@@ -19,9 +19,9 @@ verify:
 	$(GO) test ./...
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
-# race detector, chaos suite, simulation suite, coverage ratchet, fuzz
-# smoke, and a one-iteration benchmark smoke.
-ci: fmt-check verify race chaos sim cover-check fuzz-smoke bench-smoke
+# race detector (with the cursor stress), chaos suite, simulation suite,
+# coverage ratchet, fuzz smoke, and a one-iteration benchmark smoke.
+ci: fmt-check verify race stress-cursors chaos sim cover-check fuzz-smoke bench-smoke
 
 # chaos runs the fault-injection suites (injected connect failures, latency,
 # drops and resets; retry/breaker behaviour; partial-result degradation)
@@ -84,6 +84,13 @@ bench-smoke:
 # layer and the parallel coalition fan-out are exercised concurrently).
 race:
 	$(GO) test -race ./...
+
+# stress-cursors repeats the cursor, stream and iterator tests twenty times
+# under the race detector. A cursor's lifetime spans engine state, the idle
+# reaper and concurrent writers, so its tests are the ones a single pass is
+# least likely to catch misbehaving.
+stress-cursors:
+	$(GO) test -race -count=20 -run 'Cursor|Stream|Iter' ./internal/cursor ./internal/gateway ./internal/relational ./internal/oodb ./internal/query
 
 # bench runs fedbench, the repository's benchmark (BENCHMARK.json, bench/):
 # every workload, end-to-end and per-layer metrics.

@@ -127,3 +127,101 @@ func TestIdleReaping(t *testing.T) {
 		t.Fatalf("explicit reap = %d", n)
 	}
 }
+
+// countSource counts from 0 a batch of one item per call, until last, and
+// records what the table does to it.
+type countSource struct {
+	next, last int
+	fail       error // returned in place of batch number failAt
+	failAt     int
+	held       int
+	calls      int
+	closed     int
+}
+
+func (s *countSource) Next() ([]idl.Any, bool, error) {
+	s.calls++
+	if s.fail != nil && s.next == s.failAt {
+		return nil, false, s.fail
+	}
+	s.next++
+	return []idl.Any{idl.Long(int64(s.next - 1))}, s.next > s.last, nil
+}
+func (s *countSource) Held() int { return s.held }
+func (s *countSource) Close()    { s.closed++ }
+
+// TestSourcePulledOneBatchPerCall: an open asks its source for one batch, a
+// fetch for one more, and nothing runs ahead of the client.
+func TestSourcePulledOneBatchPerCall(t *testing.T) {
+	tb := NewTable(4, time.Minute, nil)
+	src := &countSource{last: 2, held: 40}
+	id, first, done, err := tb.OpenSource(src)
+	if err != nil || done || id == 0 || first[0].Int != 0 || src.calls != 1 {
+		t.Fatalf("open = id %d, %v, done %v, err %v after %d call(s)", id, first, done, err, src.calls)
+	}
+	if snap := tb.Snapshot(); snap.Open != 1 || snap.RowsHeld != 40 {
+		t.Fatalf("snapshot mid-stream = %+v", snap)
+	}
+	if b, done, err := tb.Fetch(id); err != nil || done || b[0].Int != 1 || src.calls != 2 || src.closed != 0 {
+		t.Fatalf("fetch = %v, done %v, err %v after %d call(s), %d close(s)", b, done, err, src.calls, src.closed)
+	}
+	if b, done, err := tb.Fetch(id); err != nil || !done || b[0].Int != 2 || src.calls != 3 {
+		t.Fatalf("last fetch = %v, done %v, err %v after %d call(s)", b, done, err, src.calls)
+	}
+	if snap := tb.Snapshot(); src.closed != 1 || snap.Open != 0 || snap.RowsHeld != 0 || snap.Closed != 1 {
+		t.Fatalf("after exhaustion: %d close(s), snapshot %+v", src.closed, snap)
+	}
+}
+
+// TestEveryWayOutClosesTheSource: a cursor leaves the table by exhaustion at
+// open, by the cap, by Close, by the reaper or by its source failing, and each
+// way closes the source exactly once and never calls it again.
+func TestEveryWayOutClosesTheSource(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	tb := NewTable(2, time.Minute, func() time.Time { return clock })
+	boom := errors.New("boom")
+
+	oneBatch := &countSource{last: 0}
+	if id, _, done, err := tb.OpenSource(oneBatch); id != 0 || !done || err != nil || oneBatch.closed != 1 {
+		t.Fatalf("one-batch open = id %d, done %v, err %v, %d close(s)", id, done, err, oneBatch.closed)
+	}
+	failsAtOpen := &countSource{last: 5, fail: boom}
+	if _, _, _, err := tb.OpenSource(failsAtOpen); !errors.Is(err, boom) || failsAtOpen.closed != 1 || tb.OpenCount() != 0 {
+		t.Fatalf("failing open = %v, %d close(s), %d open", err, failsAtOpen.closed, tb.OpenCount())
+	}
+
+	closedEarly, reaped, failsLater := &countSource{last: 5}, &countSource{last: 5}, &countSource{last: 5, fail: boom, failAt: 1}
+	a, _, _, _ := tb.OpenSource(closedEarly)
+	b, _, _, _ := tb.OpenSource(reaped)
+	pastCap := &countSource{last: 5}
+	if _, _, _, err := tb.OpenSource(pastCap); !errors.Is(err, ErrTooMany) || pastCap.closed != 1 {
+		t.Fatalf("open past the cap = %v, %d close(s)", err, pastCap.closed)
+	}
+	tb.Close(a)
+	tb.Close(a)
+	if closedEarly.closed != 1 {
+		t.Fatalf("closed cursor's source closed %d time(s)", closedEarly.closed)
+	}
+	clock = clock.Add(90 * time.Second)
+	c, _, _, _ := tb.OpenSource(failsLater)
+	if reaped.closed != 1 { // the open above reaped it
+		t.Fatalf("reaped cursor's source closed %d time(s)", reaped.closed)
+	}
+	if _, _, err := tb.Fetch(c); !errors.Is(err, boom) || failsLater.closed != 1 {
+		t.Fatalf("fetch of a failing source = %v, %d close(s)", err, failsLater.closed)
+	}
+	if _, _, err := tb.Fetch(c); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a failed cursor is still there: %v", err)
+	}
+	if _, _, err := tb.Fetch(b); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("fetch of a reaped cursor: %v", err)
+	}
+	for name, s := range map[string]*countSource{"closed": closedEarly, "reaped": reaped, "failed": failsLater} {
+		if want := map[string]int{"closed": 1, "reaped": 1, "failed": 2}[name]; s.calls != want {
+			t.Errorf("%s cursor's source was called %d time(s), want %d", name, s.calls, want)
+		}
+	}
+	if snap := tb.Snapshot(); snap.Open != 0 || snap.Reaped != 1 || snap.Closed != 2 {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+}

@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -105,38 +106,68 @@ func (c *relConn) Query(ctx context.Context, q string) (*Result, error) {
 }
 
 // QueryCursor implements Conn. The engine is in-process and synchronous, so
-// the context is not consulted mid-statement. It materializes its result; the
-// iterator pages it into typed batches straight from the engine's values, so
-// no value is boxed on its way to the wire.
+// the context is not consulted mid-statement. Nothing runs here beyond
+// planning when the statement streams (relational/rows.go says which do): each
+// Next pulls one page of rows from the engine's iterator, straight from table
+// storage, and types it into a batch, so no value is boxed on its way to the
+// wire and Close stops the scan. A statement that cannot stream is executed
+// here and the iterator pages its materialized result.
 func (c *relConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	res, err := c.db.Query(q)
+	rows, err := c.db.QueryRows(q)
 	if err != nil {
 		return nil, err
 	}
-	return &pagedIter{cols: res.Columns, affected: res.RowsAffected, n: len(res.Rows), page: max(batchSize, 0), rel: res.Rows}, nil
+	return &localIter{cols: rows.Columns(), page: max(batchSize, 0), src: relRows{rows}}, nil
 }
 
-// fillRelational appends engine rows to a batch's columns, each value by its
-// own type: nothing is boxed.
-func fillRelational(cols []column, rows []relational.Row) {
-	for r, row := range rows {
-		for j, v := range row {
-			col := &cols[j]
-			switch {
-			case v.Null:
-				col.appendNull(r)
-			case v.Kind == relational.TypeInt:
-				col.appendInt(r, v.Int)
-			case v.Kind == relational.TypeFloat:
-				col.appendFloat(r, v.Float)
-			case v.Kind == relational.TypeBool:
-				col.appendBool(r, v.Bool)
-			default: // TEXT, DATE
-				col.appendString(r, v.Str)
-			}
+// relRows is the batchSource over a relational engine iterator.
+type relRows struct{ rows *relational.Rows }
+
+// relChunks recycles the column buffers the engine fills, so an iterator
+// holds none between two pages.
+var relChunks = sync.Pool{New: func() any { return new(relational.Chunk) }}
+
+func (s relRows) held() int     { return s.rows.Held() }
+func (s relRows) streams() bool { return s.rows.Streaming() }
+func (s relRows) close()        { s.rows.Close() }
+func (s relRows) fill(b *Batch, most int) (bool, error) {
+	ch := relChunks.Get().(*relational.Chunk)
+	defer func() {
+		for _, col := range ch.Cols {
+			clear(col) // a parked chunk pins no result data
+		}
+		relChunks.Put(ch)
+	}()
+	ch.Cols = slices.Grow(ch.Cols[:0], len(b.cols))[:len(b.cols)]
+	done, err := s.rows.Next(ch, most)
+	if err != nil {
+		return false, err
+	}
+	for j := range b.cols {
+		fillRelational(&b.cols[j], ch.Cols[j][:ch.N])
+	}
+	b.rows = ch.N
+	return done, nil
+}
+
+// fillRelational appends one column of engine values to a batch column, each
+// by its own type: nothing is boxed.
+func fillRelational(col *column, vals []relational.Value) {
+	for r, v := range vals {
+		switch {
+		case v.Null:
+			col.appendNull(r)
+		case v.Kind == relational.TypeInt:
+			col.appendInt(r, v.Int)
+		case v.Kind == relational.TypeFloat:
+			col.appendFloat(r, v.Float)
+		case v.Kind == relational.TypeBool:
+			col.appendBool(r, v.Bool)
+		default: // TEXT, DATE
+			col.appendString(r, v.Str)
 		}
 	}
 }
@@ -273,18 +304,47 @@ func (c *ooConn) Query(ctx context.Context, q string) (*Result, error) {
 }
 
 // QueryCursor implements Conn like relConn.QueryCursor (in-process, so the
-// context is not consulted): typed batches cut from the engine's materialized
-// rows (its values are boxed already). String lists have no typed vector and
-// travel in a fallback column.
+// context is not consulted): each Next pulls one page from the engine's
+// iterator over the class extent as it stood at open. Every OQL query
+// streams. The engine's values are boxed already; string lists have no typed
+// vector and travel in a fallback column.
 func (c *ooConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	names, rows, err := oodb.Query(c.db, q)
+	rows, err := oodb.QueryRows(c.db, q)
 	if err != nil {
 		return nil, err
 	}
-	return &pagedIter{cols: names, n: len(rows), page: max(batchSize, 0), oo: rows}, nil
+	return &localIter{cols: rows.Columns(), page: max(batchSize, 0), src: ooRows{rows}}, nil
+}
+
+// ooRows is the batchSource over an object engine iterator, which always
+// streams.
+type ooRows struct{ rows *oodb.Rows }
+
+var ooChunks = sync.Pool{New: func() any { return new(oodb.Chunk) }}
+
+func (s ooRows) held() int     { return 0 }
+func (s ooRows) streams() bool { return true }
+func (s ooRows) close()        { s.rows.Close() }
+func (s ooRows) fill(b *Batch, most int) (bool, error) {
+	ch := ooChunks.Get().(*oodb.Chunk)
+	defer func() {
+		for _, col := range ch.Cols {
+			clear(col) // a parked chunk pins no result data
+		}
+		ooChunks.Put(ch)
+	}()
+	ch.Cols = slices.Grow(ch.Cols[:0], len(b.cols))[:len(b.cols)]
+	done := s.rows.Next(ch, most)
+	for j := range b.cols {
+		for r, v := range ch.Cols[j] {
+			b.cols[j].appendAny(r, ooValueToAny(v))
+		}
+	}
+	b.rows = ch.N
+	return done, nil
 }
 
 // Exec on an OO connection accepts the same query language (reads only; the

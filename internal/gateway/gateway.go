@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"repro/internal/idl"
-	"repro/internal/relational"
 )
 
 // Result is a uniform result set: column names plus rows of self-describing
@@ -168,64 +167,99 @@ func Drain(ctx context.Context, it RowIter) (*Result, error) {
 	}
 }
 
-// pagedIter is the RowIter over a result an in-process engine has already
-// materialized: it cuts the n rows into batches on the page growth schedule
-// (see MaxPageRows), filling each straight from the engine's own values.
-// Exactly one of rel, oo and boxed holds the rows.
-type pagedIter struct {
-	cols     []string
-	affected int64
-	n, pos   int
-	page     int // rows of the next batch; 0: all that are left
-
-	rel   []relational.Row
-	oo    [][]any
-	boxed [][]idl.Any
+// cursorState is what the ISI servant asks of an iterator beyond RowIter so
+// that a cursor reply can say "done" with its last page. The in-process
+// iterators answer it; behind one that does not (a connection of another
+// kind wrapped in a servant) a cursor learns that it is exhausted from one
+// more, empty, fetch.
+type cursorState interface {
+	// Exhausted reports that the batch Next last returned was the last.
+	Exhausted() bool
+	// Held is the number of rows the iterator holds materialised to serve
+	// later batches; 0 when it streams from the engine.
+	Held() int
+	// Streams reports that batches come from the engine as they are asked
+	// for, not from a result materialised at open.
+	Streams() bool
 }
 
-func (it *pagedIter) Columns() []string   { return it.cols }
-func (it *pagedIter) RowsAffected() int64 { return it.affected }
-func (it *pagedIter) Close() error        { it.pos = it.n; return nil }
-func (it *pagedIter) Next(context.Context) (*Batch, error) {
-	if it.pos >= it.n {
+// localIter is the RowIter of the in-process connections: it asks its source
+// for one batch at a time, sized on the page growth schedule (see
+// MaxPageRows), and holds nothing itself between two of them.
+type localIter struct {
+	cols     []string
+	affected int64
+	page     int // rows of the next batch; 0: all that are left
+	done     bool
+	src      batchSource
+}
+
+// batchSource is where a localIter's rows come from: an engine's iterator, or
+// a result already in memory.
+type batchSource interface {
+	// fill appends the next rows, at most most of them (0: all that are
+	// left), to the empty batch's columns and reports whether they were the
+	// last. Only a last fill may add none.
+	fill(b *Batch, most int) (done bool, err error)
+	held() int     // rows held materialised for later fills
+	streams() bool // rows come from the engine as they are asked for
+	close()
+}
+
+func (it *localIter) Columns() []string   { return it.cols }
+func (it *localIter) RowsAffected() int64 { return it.affected }
+func (it *localIter) Exhausted() bool     { return it.done }
+func (it *localIter) Held() int           { return it.src.held() }
+func (it *localIter) Streams() bool       { return it.src.streams() }
+func (it *localIter) Close() error        { it.done = true; it.src.close(); return nil }
+func (it *localIter) Next(context.Context) (*Batch, error) {
+	if it.done {
 		return nil, io.EOF
 	}
-	lo, hi := it.pos, it.n
-	if it.page > 0 {
-		hi = min(lo+it.page, it.n)
-		it.page = nextPageRows(it.page)
-	}
 	b := newBatch(len(it.cols))
-	switch {
-	case it.rel != nil:
-		fillRelational(b.cols, it.rel[lo:hi])
-	case it.oo != nil:
-		for r, row := range it.oo[lo:hi] {
-			for j, v := range row {
-				b.cols[j].appendAny(r, ooValueToAny(v))
-			}
+	var err error
+	if it.done, err = it.src.fill(b, it.page); err != nil || b.rows == 0 {
+		b.Release()
+		if err == nil {
+			err = io.EOF
 		}
-	default:
-		for r, row := range it.boxed[lo:hi] {
-			for j := range b.cols {
-				if j < len(row) {
-					b.cols[j].appendAny(r, row[j])
-				} else {
-					b.cols[j].appendNull(r)
-				}
+		return nil, err
+	}
+	it.page = nextPageRows(it.page)
+	return b, nil
+}
+
+// boxedRows is the batchSource over a result already materialized as boxed
+// values.
+type boxedRows struct{ rows [][]idl.Any }
+
+func (s *boxedRows) held() int     { return len(s.rows) }
+func (s *boxedRows) streams() bool { return false }
+func (s *boxedRows) close()        { s.rows = nil }
+func (s *boxedRows) fill(b *Batch, most int) (bool, error) {
+	n := len(s.rows)
+	if most > 0 {
+		n = min(most, n)
+	}
+	for r, row := range s.rows[:n] {
+		for j := range b.cols {
+			if j < len(row) {
+				b.cols[j].appendAny(r, row[j])
+			} else {
+				b.cols[j].appendNull(r)
 			}
 		}
 	}
-	b.rows = hi - lo
-	it.pos = hi
-	return b, nil
+	b.rows = n
+	s.rows = s.rows[n:]
+	return len(s.rows) == 0, nil
 }
 
 // NewResultIter returns a RowIter over an already-materialized result, paged
 // like an engine's: batchSize rows first, then growing (batchSize <= 0: one
 // batch). It serves connections that hold their rows as boxed values.
 func NewResultIter(res *Result, batchSize int) RowIter {
-	return &pagedIter{cols: res.Columns, affected: res.RowsAffected, n: len(res.Rows), page: max(batchSize, 0), boxed: res.Rows}
+	return &localIter{cols: res.Columns, affected: res.RowsAffected, page: max(batchSize, 0), src: &boxedRows{res.Rows}}
 }
 
 // Conn is one open connection to a database, in the shape of a JDBC

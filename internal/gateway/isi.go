@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -45,7 +46,11 @@ type ISIServantOptions struct {
 // connections, like JDBC connections, are single-threaded. open_cursor and
 // exec each open a per-driver timing span ("isi.cursor:<engine>",
 // "isi.exec:<engine>"), so the time a source's engine spends on each
-// statement is visible in the trace of the query that reached it.
+// statement is visible in the trace of the query that reached it. A cursor's
+// span covers the open alone: planning (execution, for a plan that cannot
+// stream) plus the first page. Its "rows" attribute is that page's row count
+// and "plan" says whether the rest streams from the engine ("streams") or is
+// held materialized by the cursor ("materialized").
 func NewISIServant(conn Conn) orb.Servant {
 	s, _ := NewISIServantWith(conn, ISIServantOptions{})
 	return s
@@ -69,20 +74,30 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 			// in one page, as a batch-0 open would get, instead of failing.
 			batch = 0
 		}
-		cols, affected, pages, rows, err := cutPages(ctx, conn, args[0].Str, batch)
-		sp.SetAttrInt("rows", rows)
-		sp.SetAttrInt("pages", len(pages))
-		sp.End(err)
+		it, err := conn.QueryCursor(ctx, args[0].Str, batch)
 		if err != nil {
+			sp.End(err)
 			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
 		}
-		id, first, done, err := cursors.Open(pages, 1)
-		if err != nil { // cannot be the cap, Full was asked under mu; no table error is dropped
-			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
+		src := &pageSource{it: it}
+		id, first, done, err := cursors.OpenSource(src)
+		sp.SetAttrInt("rows", src.rows)
+		if cs, ok := it.(cursorState); ok && cs.Streams() {
+			sp.SetAttr("plan", "streams")
+		} else {
+			sp.SetAttr("plan", "materialized")
+		}
+		sp.End(err)
+		if err != nil {
+			return idl.Null(), cursorException(err)
+		}
+		var affected int64
+		if ra, ok := it.(rowsAffected); ok {
+			affected = ra.RowsAffected()
 		}
 		return idl.Struct(
 			idl.F("id", idl.Long(id)),
-			idl.F("columns", idl.Strings(cols)),
+			idl.F("columns", idl.Strings(it.Columns())),
 			idl.F("affected", idl.Long(affected)),
 			idl.F("page", first[0]),
 			idl.F("done", idl.Bool(done)),
@@ -93,7 +108,7 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		defer mu.Unlock()
 		page, done, err := cursors.Fetch(args[0].Int)
 		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
+			return idl.Null(), cursorException(err)
 		}
 		return idl.Struct(idl.F("page", page[0]), idl.F("done", idl.Bool(done))), nil
 	})
@@ -133,40 +148,53 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 	return h, cursors
 }
 
-// cutPages runs a query and encodes its result as cursor pages, one
-// idl.Octets item each: the first of batch rows, the following ones growing
-// (see MaxPageRows); batch <= 0 yields one page. There is always a first
-// page, empty for an empty result. The pages are cut when the cursor opens,
-// so a cursor is a list of pre-encoded replies and a fetch costs a lookup.
-func cutPages(ctx context.Context, conn Conn, q string, batch int) (cols []string, affected int64, pages []idl.Any, rows int, err error) {
-	it, err := conn.QueryCursor(ctx, q, batch)
-	if err != nil {
-		return nil, 0, nil, 0, err
+// cursorException types a cursor table error for the wire: the table's own
+// refusals (unknown or reaped cursor, cap) are CursorErrors, anything else
+// came from the engine behind the cursor's source and is the QueryError the
+// statement would have raised had it run whole at open.
+func cursorException(err error) error {
+	name := "QueryError"
+	if errors.Is(err, cursor.ErrNotFound) || errors.Is(err, cursor.ErrTooMany) {
+		name = "CursorError"
 	}
-	defer it.Close()
-	cols = it.Columns()
-	if ra, ok := it.(rowsAffected); ok {
-		affected = ra.RowsAffected()
-	}
-	for {
-		b, err := it.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, nil, 0, err
-		}
-		rows += b.Len()
-		pages = append(pages, idl.Octets(encodePage(b, cdr.BigEndian)))
-		b.Release()
-	}
-	if len(pages) == 0 {
-		b := newBatch(len(cols))
-		pages = append(pages, idl.Octets(encodePage(b, cdr.BigEndian)))
-		b.Release()
-	}
-	return cols, affected, pages, rows, nil
+	return &orb.UserException{Name: name, Message: err.Error()}
 }
+
+// pageSource is a cursor's source over a connection's iterator: each call
+// pulls one batch and encodes it as one cursor page, an idl.Octets item. There
+// is always a first page, empty for an empty result. In-process iterators do
+// not consult the context, so a fetch, which has none of the open's, passes
+// the background one.
+type pageSource struct {
+	it   RowIter
+	rows int        // rows of the page last encoded
+	one  [1]idl.Any // the batch Next returns, reused
+}
+
+func (s *pageSource) Next() ([]idl.Any, bool, error) {
+	b, err := s.it.Next(context.Background())
+	done := err == io.EOF
+	if done {
+		b = newBatch(len(s.it.Columns()))
+	} else if err != nil {
+		return nil, false, err
+	} else if cs, ok := s.it.(cursorState); ok {
+		done = cs.Exhausted()
+	}
+	s.rows = b.Len()
+	s.one[0] = idl.Octets(encodePage(b, cdr.BigEndian))
+	b.Release()
+	return s.one[:], done, nil
+}
+
+func (s *pageSource) Held() int {
+	if cs, ok := s.it.(cursorState); ok {
+		return cs.Held()
+	}
+	return 0
+}
+
+func (s *pageSource) Close() { s.it.Close() }
 
 // RemoteConn is a gateway connection whose engine lives behind an ISI
 // servant reachable through the ORB. It lets the federation treat remote
@@ -238,11 +266,14 @@ func cursorPage(op string, a idl.Any, width int) (b *Batch, done bool, err error
 	return b, d.Bool, nil
 }
 
-// QueryCursor implements Conn over the ISI cursor protocol: open_cursor runs
-// the query and returns the first page (a small result costs one round trip
-// and leaves no server state), fetch_cursor pulls the following, growing
-// pages on demand, close_cursor releases an abandoned stream. A servant at
-// its cursor cap answers the whole result in the open reply.
+// QueryCursor implements Conn over the ISI cursor protocol: open_cursor plans
+// the query and returns its first page (a small result costs one round trip
+// and leaves no server state), fetch_cursor has the engine produce the
+// following, growing pages on demand, close_cursor stops the scan of an
+// abandoned stream. A servant at its cursor cap answers the whole result in
+// the open reply. An error the engine meets past the first page (an
+// expression that fails on a later row) comes back from the Next that reaches
+// it.
 func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err
@@ -300,6 +331,10 @@ func (it *remoteCursorIter) Next(ctx context.Context) (*Batch, error) {
 		return nil, err // done stays false, so Close still releases the cursor
 	}
 	it.done = done
+	if b.Len() == 0 {
+		b.Release() // the row that was seen to follow is gone
+		return nil, io.EOF
+	}
 	return b, nil
 }
 

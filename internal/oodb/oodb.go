@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // AttrType enumerates attribute types.
@@ -221,6 +222,8 @@ type DB struct {
 	objects map[int64]*Object
 	extents map[string][]int64 // class (lower) -> member object IDs, insertion order
 	nextID  int64
+
+	chunks atomic.Int64 // steps query scans have taken (oql.go)
 }
 
 // NewDB creates an empty database.
@@ -235,6 +238,11 @@ func NewDB(name string) *DB {
 
 // Name returns the database name.
 func (db *DB) Name() string { return db.name }
+
+// ChunksScanned counts the steps query scans have taken since the database
+// was created, each a run of at most 1 024 extent members. It stands still
+// when no scan is running: a closed or exhausted cursor costs nothing.
+func (db *DB) ChunksScanned() int64 { return db.chunks.Load() }
 
 // DefineClass declares a class. superName may be "" for a root class.
 func (db *DB) DefineClass(name, superName string, attrs ...Attribute) (*Class, error) {

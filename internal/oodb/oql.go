@@ -2,7 +2,7 @@ package oodb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,131 +16,244 @@ import (
 //
 // DEEP includes subclass instances. The WHERE clause is a conjunction of
 // comparisons between an attribute and a literal (string, int, float, bool).
-// It returns the projected column names and rows. This plays the role the
-// ObjectStore/Ontos query APIs play in the paper's prototype.
+// It returns the projected column names and rows, in object ID order. This
+// plays the role the ObjectStore/Ontos query APIs play in the paper's
+// prototype. It is QueryRows drained under one hold of the read lock, so the
+// result is a snapshot.
 func Query(db *DB, q string) ([]string, [][]any, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	r, err := db.openRows(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	nc := len(r.cols)
+	ch := Chunk{Cols: make([][]any, nc)}
+	var rows [][]any
+	for done := false; !done; {
+		done = r.next(&ch, oqlChunk)
+		slab := make([]any, ch.N*nc)
+		rows = slices.Grow(rows, ch.N)
+		for j := 0; j < ch.N; j++ {
+			row := slab[j*nc : (j+1)*nc : (j+1)*nc]
+			for i := range row {
+				row[i] = ch.Cols[i][j]
+			}
+			rows = append(rows, row)
+		}
+	}
+	return r.cols, rows, nil
+}
+
+// Chunk is a column-major block of result rows in buffers the caller owns:
+// Rows.Next fills Cols[c][:N] and reuses whatever capacity the vectors have.
+type Chunk struct {
+	Cols [][]any
+	N    int
+}
+
+// Rows is a resumable iterator over one query's result, in object ID order.
+// It is not safe for concurrent use. What it holds between two calls of Next
+// is the class extent's object IDs as they stood at open, no lock and no
+// scratch memory: each call takes the database's read lock, looks the next
+// IDs up again and reads their attributes under it. An object deleted since
+// open is passed over and one created since open is not in the list, so no
+// object is returned twice, none that existed at open and still exists is
+// skipped, and one updated in between is read as it is when the scan reaches
+// it.
+type Rows struct {
+	db     *DB
+	class  *Class
+	deep   bool
+	cols   []string
+	lcols  []string // cols, lower-cased: the attribute keys
+	conds  []oqlCond
+	lattrs []string // the conditions' attribute keys
+	ids    []int64  // extent at open, ascending; the scan resumes at ids[0]
+}
+
+// QueryRows opens a query as an iterator; no object is read before Next.
+func QueryRows(db *DB, q string) (*Rows, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.openRows(q)
+}
+
+// openRows parses q and snapshots its class extent. The caller holds the lock.
+func (db *DB) openRows(q string) (*Rows, error) {
 	p := &oqlParser{toks: tokeniseOQL(q)}
 	sel, err := p.parse()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	class, ok := db.Class(sel.class)
+	class, ok := db.classes[strings.ToLower(sel.class)]
 	if !ok {
-		return nil, nil, fmt.Errorf("oodb: %s: no class %s", db.name, sel.class)
+		return nil, fmt.Errorf("oodb: %s: no class %s", db.name, sel.class)
 	}
-
-	// Resolve projection.
-	cols := sel.attrs
+	r := &Rows{db: db, class: class, deep: sel.deep, cols: sel.attrs, conds: sel.conds}
 	if sel.star {
 		all := class.AllAttributes()
-		cols = make([]string, len(all))
+		r.cols = make([]string, len(all))
 		for i, a := range all {
-			cols[i] = a.Name
+			r.cols[i] = a.Name
 		}
 	} else {
-		for _, a := range cols {
+		for _, a := range r.cols {
 			if _, ok := class.attribute(a); !ok {
-				return nil, nil, fmt.Errorf("oodb: class %s has no attribute %s", sel.class, a)
+				return nil, fmt.Errorf("oodb: class %s has no attribute %s", sel.class, a)
 			}
 		}
 	}
-
-	objs, err := db.Extent(sel.class, sel.deep)
-	if err != nil {
-		return nil, nil, err
-	}
-	objs = filterExtent(objs, sel.conds)
-	// Stable output: sort by object ID.
-	sort.Slice(objs, func(i, j int) bool { return objs[i].ID() < objs[j].ID() })
-
 	// Attribute keys are lowered once for the whole result, not per row.
-	lcols := make([]string, len(cols))
-	for i, c := range cols {
-		lcols[i] = strings.ToLower(c)
+	r.lcols = make([]string, len(r.cols))
+	for i, c := range r.cols {
+		r.lcols[i] = strings.ToLower(c)
 	}
-	rows := make([][]any, 0, len(objs))
-	for _, o := range objs {
-		row := make([]any, len(cols))
-		for i, lc := range lcols {
-			row[i] = o.attrs[lc]
-		}
-		rows = append(rows, row)
+	r.lattrs = make([]string, len(r.conds))
+	for i := range r.conds {
+		r.lattrs[i] = strings.ToLower(r.conds[i].attr)
 	}
-	return cols, rows, nil
+	// Extents are kept in creation order, which is ID order; sort anyway if
+	// one is not, since the result's order is by ID.
+	r.ids = slices.Clone(db.extents[strings.ToLower(sel.class)])
+	if !slices.IsSorted(r.ids) {
+		slices.Sort(r.ids)
+	}
+	return r, nil
 }
 
-// oqlChunk is the extent filter's batch width; scratch buffers of this size
-// are pooled across queries.
-const oqlChunk = 1024
+// Columns names the result columns.
+func (r *Rows) Columns() []string { return r.cols }
+
+// Close ends the iteration: the scan never resumes.
+func (r *Rows) Close() { r.ids = nil }
+
+// Next fills ch, which must have one vector per result column, with the next
+// rows of the result, at most most of them (most <= 0: all that are left), and
+// reports whether they were the last: done is exact, so a consumer never has
+// to ask again to learn that nothing follows. The last chunk may be empty (an
+// object that was seen to follow can be deleted before the next call).
+func (r *Rows) Next(ch *Chunk, most int) (done bool) {
+	r.db.mu.RLock()
+	defer r.db.mu.RUnlock()
+	return r.next(ch, most)
+}
+
+// oqlChunk is the most objects one step of a scan looks at; scratch buffers
+// of this size are pooled across calls. minScanStep is the fewest: the width
+// of a cursor's first page, so an unfiltered first page is one step.
+const (
+	oqlChunk    = 1024
+	minScanStep = 64
+)
 
 type oqlScratch struct {
+	objs []*Object
+	at   []int // at[i]: position in Rows.ids of objs[i]
 	sel  []int
 	vals []any
 }
 
 var oqlScratchPool = sync.Pool{New: func() any {
-	return &oqlScratch{sel: make([]int, 0, oqlChunk), vals: make([]any, oqlChunk)}
+	return &oqlScratch{objs: make([]*Object, 0, oqlChunk), at: make([]int, 0, oqlChunk),
+		sel: make([]int, 0, oqlChunk), vals: make([]any, oqlChunk)}
 }}
 
-// filterExtent applies the WHERE conjunction batch-at-a-time: the extent is
-// walked in chunks, and each condition is evaluated over the surviving
-// objects' attribute values as one value batch, so per-object overhead (key
-// lowering, predicate closure calls) is paid once per condition per chunk
-// instead of once per object. Objects lacking the attribute never match, as
-// with Get. Output order is extent order, as with Select.
-func filterExtent(objs []*Object, conds []oqlCond) []*Object {
-	if len(conds) == 0 {
-		return objs
+// next is Next under the caller's hold of the read lock. When the page fills
+// at the end of a step it looks ahead for one more object that passes, which
+// is what makes done exact.
+func (r *Rows) next(ch *Chunk, most int) (done bool) {
+	ch.N = 0
+	for i := range ch.Cols {
+		ch.Cols[i] = ch.Cols[i][:0]
 	}
-	lattrs := make([]string, len(conds))
-	for i := range conds {
-		lattrs[i] = strings.ToLower(conds[i].attr)
+	need := most
+	if need <= 0 {
+		need = len(r.ids)
 	}
 	sc := oqlScratchPool.Get().(*oqlScratch)
 	defer func() {
-		clear(sc.vals) // drop value references before pooling
+		clear(sc.objs[:cap(sc.objs)]) // drop object and value references before pooling
+		clear(sc.vals)
 		oqlScratchPool.Put(sc)
 	}()
-	out := objs[:0:0]
-	for base := 0; base < len(objs); base += oqlChunk {
-		end := min(base+oqlChunk, len(objs))
-		sel := sc.sel[:0]
-		for oi := base; oi < end; oi++ {
-			sel = append(sel, oi)
+	// A step looks at as many objects as should yield the rows still wanted,
+	// going by the share of objects that have passed so far.
+	pos, scanned, passed := 0, 1, 1
+	for pos < len(r.ids) {
+		step := minScanStep
+		if need > 0 {
+			step = min(max(min(need, oqlChunk)*scanned/passed, minScanStep), oqlChunk)
 		}
-		for ci := range conds {
-			if len(sel) == 0 {
-				break
+		hi := min(pos+step, len(r.ids))
+		objs, at := sc.objs[:0], sc.at[:0]
+		for i, id := range r.ids[pos:hi] {
+			if o := r.db.objects[id]; o != nil && (r.deep || o.class == r.class) {
+				objs, at = append(objs, o), append(at, pos+i)
 			}
-			c := &conds[ci]
-			lattr := lattrs[ci]
-			// Gather the attribute value batch for the surviving selection.
-			k := 0
-			for _, oi := range sel {
-				v, ok := objs[oi].attrs[lattr]
-				if !ok {
-					continue
-				}
+		}
+		r.db.chunks.Add(1)
+		sel := filterChunk(objs, r.conds, r.lattrs, sc)
+		take := min(len(sel), need)
+		for i, lc := range r.lcols {
+			for _, oi := range sel[:take] {
+				ch.Cols[i] = append(ch.Cols[i], objs[oi].attrs[lc])
+			}
+		}
+		ch.N += take
+		need -= take
+		if take < len(sel) {
+			r.ids = r.ids[at[sel[take]]:]
+			return false
+		}
+		scanned += hi - pos
+		passed += len(sel)
+		pos = hi
+	}
+	r.ids = nil
+	return true
+}
+
+// filterChunk applies the WHERE conjunction to one chunk of objects and
+// returns the indexes of those that pass, in order: each condition is
+// evaluated over the surviving objects' attribute values as one value batch,
+// so per-object overhead (key lowering, predicate closure calls) is paid once
+// per condition per chunk instead of once per object. Objects lacking the
+// attribute never match, as with Get.
+func filterChunk(objs []*Object, conds []oqlCond, lattrs []string, sc *oqlScratch) []int {
+	sel := sc.sel[:0]
+	for oi := range objs {
+		sel = append(sel, oi)
+	}
+	for ci := range conds {
+		if len(sel) == 0 {
+			break
+		}
+		c := &conds[ci]
+		lattr := lattrs[ci]
+		// Gather the attribute value batch for the surviving selection.
+		k := 0
+		for _, oi := range sel {
+			v, ok := objs[oi].attrs[lattr]
+			if !ok {
+				continue
+			}
+			sel[k] = oi
+			sc.vals[k] = v
+			k++
+		}
+		sel = sel[:k]
+		// Evaluate the condition over the batch.
+		k = 0
+		for i, oi := range sel {
+			if c.matchValue(sc.vals[i]) {
 				sel[k] = oi
-				sc.vals[k] = v
 				k++
 			}
-			sel = sel[:k]
-			// Evaluate the condition over the batch.
-			k = 0
-			for i, oi := range sel {
-				if c.matchValue(sc.vals[i]) {
-					sel[k] = oi
-					k++
-				}
-			}
-			sel = sel[:k]
 		}
-		for _, oi := range sel {
-			out = append(out, objs[oi])
-		}
+		sel = sel[:k]
 	}
-	return out
+	return sel
 }
 
 type oqlCond struct {

@@ -86,6 +86,9 @@ type Database struct {
 	// batched executor; tests use it to compare both engines. Set it before
 	// issuing queries, not concurrently with them.
 	rowExec bool
+
+	// chunks counts the steps streaming scans have taken (rows.go).
+	chunks atomic.Int64
 }
 
 // NewDatabase creates an empty database with the given dialect.
@@ -138,6 +141,11 @@ func (db *Database) parseOneCached(sql string) (Statement, error) {
 // Name returns the database name.
 func (db *Database) Name() string { return db.name }
 
+// ChunksScanned counts the steps streaming scans have taken since the
+// database was created, each a run of at most 1 024 table slots. It stands
+// still when no scan is running: a closed or exhausted cursor costs nothing.
+func (db *Database) ChunksScanned() int64 { return db.chunks.Load() }
+
 // Dialect returns the vendor profile.
 func (db *Database) Dialect() Dialect { return db.dialect }
 
@@ -188,16 +196,25 @@ func (db *Database) ExecScript(sql string) (*Result, error) {
 	return last, nil
 }
 
-// Query is Exec restricted to SELECT.
-func (db *Database) Query(sql string) (*Result, error) {
+// parseQuery parses sql through the plan cache and admits it if it only reads.
+func (db *Database) parseQuery(sql string) (Statement, error) {
 	stmt, err := db.parseOneCached(sql)
 	if err != nil {
 		return nil, err
 	}
 	switch stmt.(type) {
 	case *SelectStmt, *ExplainStmt: // both are read-only
-	default:
-		return nil, fmt.Errorf("relational: Query requires SELECT, got %s", describeStmt(stmt))
+		return stmt, nil
+	}
+	return nil, fmt.Errorf("relational: Query requires SELECT, got %s", describeStmt(stmt))
+}
+
+// Query is Exec restricted to SELECT: the statement's iterator (rows.go)
+// drained under one hold of the read lock, so the result is a snapshot.
+func (db *Database) Query(sql string) (*Result, error) {
+	stmt, err := db.parseQuery(sql)
+	if err != nil {
+		return nil, err
 	}
 	return db.ExecStmt(stmt, nil)
 }

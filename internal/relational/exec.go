@@ -16,37 +16,68 @@ type rel struct {
 
 func (r *rel) env() *evalEnv { return &evalEnv{cols: r.cols} }
 
-// execSelect runs a SELECT (or a UNION chain). The caller holds the
-// database lock. Subqueries are materialised first against the same
+// execSelect runs a SELECT (or a UNION chain) to its end. The caller holds
+// the database lock. Subqueries are materialised first against the same
 // snapshot.
 func (db *Database) execSelect(s *SelectStmt) (*Result, error) {
-	s, err := db.rewriteStmtSubqueries(s)
-	if err != nil {
-		return nil, err
-	}
-	if s.Union != nil {
-		return db.execUnion(s)
-	}
-	return db.execSelectArm(s)
+	return drained(db.planSelect(s))
 }
 
-// execSelectArm runs one SELECT arm (no UNION handling), dispatching to the
-// batched columnar executor or — when rowExec is set — the seed row-at-a-time
-// interpreter kept as its test oracle. DISTINCT, OFFSET and LIMIT are shared
-// between the two engines.
-func (db *Database) execSelectArm(s *SelectStmt) (*Result, error) {
+// drained finishes what planSelect or planSelectArm opened: a stream is run
+// to its end, anything else is done already.
+func drained(res *Result, st *stream, err error) (*Result, error) {
+	if st != nil {
+		return st.drain()
+	}
+	return res, err
+}
+
+// planSelect opens a SELECT: a statement that streams (rows.go) comes back as
+// a stream that has not read a row yet, any other one executed.
+func (db *Database) planSelect(s *SelectStmt) (*Result, *stream, error) {
 	s, err := db.rewriteStmtSubqueries(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if s.Union != nil {
+		res, err := db.execUnion(s)
+		return res, nil, err
+	}
+	return db.planSelectArm(s)
+}
+
+// execSelectArm runs one SELECT arm (no UNION handling) to its end.
+func (db *Database) execSelectArm(s *SelectStmt) (*Result, error) {
+	return drained(db.planSelectArm(s))
+}
+
+// planSelectArm opens one SELECT arm, dispatching to the batched columnar
+// executor or — when rowExec is set — the seed row-at-a-time interpreter kept
+// as its test oracle. DISTINCT, OFFSET and LIMIT of a plan that does not
+// stream are shared between the two engines.
+func (db *Database) planSelectArm(s *SelectStmt) (*Result, *stream, error) {
+	s, err := db.rewriteStmtSubqueries(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	var fp fromPlan // stays on the stack: point lookups plan on every call
+	if err := db.planFrom(s, &fp); err != nil {
+		return nil, nil, err
 	}
 	var out *Result
-	if db.rowExec {
+	switch p, streams := streamable(s, &fp); {
+	case streams && db.rowExec:
+		out, err = execStreamRows(s, &p)
+		return out, nil, err
+	case streams:
+		return nil, db.newStream(s, &p), nil
+	case db.rowExec:
 		out, err = db.execSelectArmRows(s)
-	} else {
-		out, err = db.execSelectArmVec(s)
+	default:
+		out, err = db.execSelectArmVec(s, &fp)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	if s.Distinct {
@@ -72,7 +103,53 @@ func (db *Database) execSelectArm(s *SelectStmt) (*Result, error) {
 	if s.Limit >= 0 && s.Limit < len(out.Rows) {
 		out.Rows = out.Rows[:s.Limit]
 	}
-	return out, nil
+	return out, nil, nil
+}
+
+// execStreamRows is the row-at-a-time rendering of a plan that streams, the
+// oracle of rows.go's scan: live rows in slot order, each one filtered, then
+// counted against OFFSET, then projected, until LIMIT rows are out. A row the
+// walk does not reach is not evaluated, so it cannot fail the statement.
+func execStreamRows(s *SelectStmt, p *streamPlan) (*Result, error) {
+	res := &Result{}
+	for i, it := range p.items {
+		res.Columns = append(res.Columns, itemName(it, i))
+	}
+	if s.Limit == 0 {
+		return res, nil
+	}
+	env := &evalEnv{cols: p.cols}
+	skip := s.Offset
+	var evalErr error
+	p.t.scan(func(_ int64, row Row) bool {
+		env.row = row
+		if p.filter != nil {
+			v, err := eval(p.filter, env)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if b, ok := v.Truthy(); !ok || !b {
+				return true
+			}
+		}
+		if skip > 0 {
+			skip--
+			return true
+		}
+		proj := make(Row, len(p.items))
+		for i, it := range p.items {
+			if proj[i], evalErr = eval(it.Expr, env); evalErr != nil {
+				return false
+			}
+		}
+		res.Rows = append(res.Rows, proj)
+		return len(res.Rows) != s.Limit
+	})
+	if evalErr != nil {
+		return nil, evalErr
+	}
+	return res, nil
 }
 
 // execSelectArmRows is the seed row-at-a-time interpreter, retained as the
@@ -521,6 +598,32 @@ func computeAggregate(f *FuncCall, rows []Row, src *rel) (Value, error) {
 type scanSpec struct {
 	ref TableRef
 	t   *Table
+}
+
+// fromPlan is a SELECT arm's FROM clause resolved: its tables, the combined
+// binding list (with display names), the WHERE clause partitioned into
+// per-binding pushed filters and residual conjuncts, and the select items with
+// stars expanded. The zero fromPlan (no specs) is a SELECT without FROM.
+type fromPlan struct {
+	specs    []scanSpec
+	allCols  []colBinding
+	names    []string
+	pushed   map[string][]Expr
+	residual []Expr
+	items    []SelectItem
+}
+
+// planFrom resolves s's FROM clause into fp; a SELECT without one leaves fp
+// zero.
+func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) (err error) {
+	if len(s.From) == 0 {
+		return nil
+	}
+	if fp.specs, fp.allCols, fp.names, fp.pushed, fp.residual, err = db.fromSpecs(s); err != nil {
+		return err
+	}
+	fp.items, err = expandStars(s.Items, fp.allCols, fp.names)
+	return err
 }
 
 // fromSpecs resolves every FROM and JOIN table reference, builds the

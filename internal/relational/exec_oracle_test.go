@@ -127,6 +127,18 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT eno FROM emp ORDER BY eno LIMIT 3",
 		"SELECT eno FROM emp ORDER BY eno LIMIT 2 OFFSET 3",
 		"SELECT DISTINCT note FROM emp ORDER BY note LIMIT 2",
+		// LIMIT/OFFSET on plans that stream stop the scan: a row it never
+		// reaches cannot fail the statement, on either engine.
+		"SELECT eno FROM emp LIMIT 3",
+		"SELECT eno, ename FROM emp WHERE sal > 80 LIMIT 2 OFFSET 1",
+		"SELECT eno FROM emp LIMIT 0",
+		"SELECT eno FROM emp WHERE sal >= 0 LIMIT 9 OFFSET 4",
+		"SELECT 1 / (eno - 12) FROM emp LIMIT 2",
+		"SELECT 1 / (eno - 12) FROM emp LIMIT 3",
+		"SELECT 1 / (eno - 10) FROM emp LIMIT 2 OFFSET 1",
+		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 LIMIT 2",
+		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 LIMIT 3",
+		"SELECT eno FROM emp WHERE 1 / (eno - 14) < 0 LIMIT 9 OFFSET 3",
 		// UNION / UNION ALL.
 		"SELECT eno FROM emp WHERE sal > 100 UNION ALL SELECT eno FROM emp WHERE note = 'locum'",
 		"SELECT dno FROM emp UNION SELECT dno FROM dept",

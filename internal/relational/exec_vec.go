@@ -25,16 +25,17 @@ type vecRel struct {
 	n     int
 }
 
-// execSelectArmVec runs one SELECT arm with the batched executor.
-// DISTINCT/OFFSET/LIMIT are applied by the caller (execSelectArm).
-func (db *Database) execSelectArmVec(s *SelectStmt) (*Result, error) {
+// execSelectArmVec runs, with the batched executor, one SELECT arm that does
+// not stream; fp is its resolved FROM clause (zero: none). DISTINCT/OFFSET/LIMIT
+// are applied by the caller (planSelectArm).
+func (db *Database) execSelectArmVec(s *SelectStmt, fp *fromPlan) (*Result, error) {
 	c := getVctx()
 	defer c.release()
 
 	var src *vecRel
 	var residual []Expr
 	var items []SelectItem
-	if len(s.From) == 0 {
+	if len(fp.specs) == 0 {
 		// SELECT without FROM: one empty row, all conjuncts residual.
 		src = &vecRel{n: 1}
 		residual = splitConjuncts(s.Where)
@@ -44,17 +45,11 @@ func (db *Database) execSelectArmVec(s *SelectStmt) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		specs, allCols, names, pushed, res0, err := db.fromSpecs(s)
-		if err != nil {
-			return nil, err
-		}
-		items, err = expandStars(s.Items, allCols, names)
-		if err != nil {
-			return nil, err
-		}
-		residual = res0
-		ref := referencedOrdinals(s, items, allCols)
+		specs, pushed := fp.specs, fp.pushed
+		items, residual = fp.items, fp.residual
+		ref := referencedOrdinals(s, items, fp.allCols)
 
+		var err error
 		rels := make([]*vecRel, len(specs))
 		base := 0
 		for i, sp := range specs {

@@ -35,6 +35,11 @@ func FuzzSQLParse(f *testing.F) {
 		"SELECT v FROM f WHERE a IN (1, 2) UNION SELECT v FROM f",
 		"SELECT a, SUM(b) FROM f GROUP BY a ORDER BY 2 DESC LIMIT 3",
 		"SELECT x.a, y.a FROM f x LEFT JOIN f y ON x.a = y.b WHERE x.b / 2 > 0",
+		// Streaming plans whose LIMIT or OFFSET decides whether a failing
+		// row is reached.
+		"SELECT b / (a - 2) FROM f LIMIT 1",
+		"SELECT a FROM f WHERE 1 / (a - 2) < 0 LIMIT 1",
+		"SELECT v FROM f WHERE a > 0 LIMIT 2 OFFSET 1",
 		// Malformed shapes the parser must reject gracefully.
 		"SELECT FROM",
 		"INSERT Patient",

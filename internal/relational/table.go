@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,7 +32,9 @@ func (ix *Index) keyFor(row Row) Value {
 // Table is one table with optional indexes, stored column-major: cols[c][s]
 // holds the value of column c in slot s, so the batched executor can scan a
 // column as one contiguous vector. Slots are append-only between
-// compactions, which keeps slot order equal to insertion order. All access
+// compactions, which keeps slot order equal to insertion order, and row IDs
+// ascend with the slots: a scan that remembers the last ID it saw finds its
+// place again by binary search, whatever was compacted in between. All access
 // is mediated by the owning Database's lock.
 type Table struct {
 	schema  Schema
@@ -139,8 +142,9 @@ func (t *Table) insert(row Row) (int64, error) {
 }
 
 // insertWithID restores a row under a prior ID (transaction rollback path).
-// If the ID's tombstoned slot is still present, the row reappears at its
-// original position in the scan order.
+// The row reappears at its original position in the scan order: in its
+// tombstoned slot if that is still present, in a slot opened where its ID
+// belongs if a compaction has squeezed the tombstone out.
 func (t *Table) insertWithID(id int64, row Row) error {
 	if s, ok := t.slots[id]; ok {
 		if t.live[s] {
@@ -151,8 +155,18 @@ func (t *Table) insertWithID(id int64, row Row) error {
 		}
 		t.live[s] = true
 		t.dead--
-	} else {
+	} else if n := len(t.ids); n == 0 || t.ids[n-1] < id {
 		t.appendRow(id, row)
+	} else {
+		s := sort.Search(n, func(i int) bool { return t.ids[i] > id })
+		for c := range t.cols {
+			t.cols[c] = slices.Insert(t.cols[c], s, row[c])
+		}
+		t.ids = slices.Insert(t.ids, s, id)
+		t.live = slices.Insert(t.live, s, true)
+		for i := s; i <= n; i++ {
+			t.slots[t.ids[i]] = i
+		}
 	}
 	t.indexRow(id, row)
 	return nil

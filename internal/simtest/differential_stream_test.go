@@ -30,17 +30,16 @@ func buildStreamFed(t *testing.T, seed int64, disableStreaming bool) *Fed {
 }
 
 // noCursorsLeaked asserts every node's servants released their cursors and
-// every cursor page is back in the pool (live is gateway.LiveBatches() from
-// before the federations ran; a servant may still be unwinding a call its
-// client gave up on, hence the short wait).
+// the rows they held (the cursors-released invariant) and every cursor page
+// is back in the pool (live is gateway.LiveBatches() from before the
+// federations ran; a servant may still be unwinding a call its client gave
+// up on, hence the short wait).
 func noCursorsLeaked(t *testing.T, fed *Fed, live int64, when string, seed int64) {
 	t.Helper()
-	for _, n := range fed.Nodes {
-		if st := n.Core.CursorStats(); st.Open != 0 {
-			t.Fatalf("%s: node %s still holds %d open cursor(s)\n%s",
-				when, n.Name, st.Open, ReplayLine(seed))
-		}
-	}
+	checkCursorsReleased(fed, func(inv, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: %s: %s\n%s", when, inv, fmt.Sprintf(format, args...), ReplayLine(seed))
+	})
 	for deadline := time.Now().Add(2 * time.Second); gateway.LiveBatches() != live; time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s: %d cursor page(s) out of the pool\n%s", when, gateway.LiveBatches()-live, ReplayLine(seed))
@@ -77,15 +76,16 @@ func TestDifferentialStreaming(t *testing.T) {
 					t.Fatalf("transports diverge on %q:\n  cursor      : %+v\n  materialized: %+v\n%s",
 						stmt, a, b, ReplayLine(seed))
 				}
+				// Drained, cut short by a Limit or broken by the partition,
+				// every statement closes what it opened before it returns.
+				noCursorsLeaked(t, on, live, "after "+stmt, seed)
+				noCursorsLeaked(t, off, live, "after "+stmt, seed)
 				return ron, roff
 			}
 
 			for _, stmt := range diffWorkload {
 				runBoth(stmt)
 			}
-			// Top-K early termination cancels the cursors it abandons; a full
-			// drain exhausts them. Either way nothing stays open.
-			noCursorsLeaked(t, on, live, "after workload", seed)
 
 			// Mid-stream member death: the link to a member dies while the
 			// coalition scan is in flight. Both transports must agree on the
@@ -106,7 +106,6 @@ func TestDifferentialStreaming(t *testing.T) {
 			}
 			on.HealAll()
 			off.HealAll()
-			noCursorsLeaked(t, on, live, "after partition run", seed)
 
 			// The equivalence must not be vacuous: the streaming half held
 			// real server-side cursors open across fetches (the 2-row window

@@ -86,6 +86,21 @@ func checkBreakerLegality(fed *Fed, fail func(string, string, ...any)) {
 	}
 }
 
+// checkCursorsReleased asserts a finished statement left nothing behind on
+// any member's ISI servant: no open cursor (a drained, limited, cancelled or
+// failed stream closes every cursor it opened before the statement returns)
+// and so no rows held for one. A cursor left open would keep an engine scan
+// resumable, and the rows of a plan that cannot stream in memory, until the
+// idle reaper got to it.
+func checkCursorsReleased(fed *Fed, fail func(string, string, ...any)) {
+	const inv = "cursors-released"
+	for _, n := range fed.Nodes {
+		if st := n.Core.CursorStats(); st.Open != 0 || st.RowsHeld != 0 {
+			fail(inv, "%s holds %d open cursor(s) and %d row(s) for them", n.Name, st.Open, st.RowsHeld)
+		}
+	}
+}
+
 // checkCacheCoherence asserts the metadata layer never serves membership
 // older than what it claims: for every coalition a node currently belongs
 // to, (a) the node's co-database replica matches the oracle's membership

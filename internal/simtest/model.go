@@ -212,6 +212,7 @@ func runStep(fed *Fed, oracle *Oracle, step int, op Op, res *RunResult) string {
 		checkPartialAccounting(op, oracle, resp, fail)
 	}
 	checkBreakerLegality(fed, fail)
+	checkCursorsReleased(fed, fail)
 	if err == nil {
 		oracle.Apply(op)
 	}

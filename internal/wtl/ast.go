@@ -19,6 +19,53 @@ type Stmt interface {
 	String() string
 }
 
+// nameText renders a name for a clause that reads it back with the parser's
+// name(what, stops...): bare when that gives the same name again (words of
+// word characters joined by single blanks, none of them one of the clause's
+// stop words), quoted otherwise (blank, punctuation, runs of blanks, a stop
+// word).
+func nameText(s string, stops ...string) string {
+	if s == "" {
+		return quoteText(s)
+	}
+	for _, w := range strings.Split(s, " ") {
+		if w == "" {
+			return quoteText(s)
+		}
+		for i := 0; i < len(w); i++ {
+			if !isWordChar(w[i]) {
+				return quoteText(s)
+			}
+		}
+		for _, stop := range stops {
+			if strings.EqualFold(w, stop) {
+				return quoteText(s)
+			}
+		}
+	}
+	return s
+}
+
+// quoteText renders a text as a string literal the lexer reads back: an
+// embedded quote is doubled.
+func quoteText(s string) string {
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+}
+
+// sourceText renders the target of an On clause for sourceName to read back.
+// Its stops are shapes, not words: a name that ends in the Limit clause's
+// shape is quoted, and so is a single source whose name starts with the word
+// that would make it a coalition.
+func sourceText(s string, onCoalition bool) string {
+	words := strings.Split(s, " ")
+	n := len(words)
+	if !onCoalition && strings.EqualFold(words[0], "Coalition") ||
+		n >= 2 && strings.EqualFold(words[n-2], "Limit") && allDigits(words[n-1]) {
+		return quoteText(s)
+	}
+	return nameText(s)
+}
+
 // FindCoalitions is `Find Coalitions With Information <topic>;`.
 type FindCoalitions struct {
 	Topic string
@@ -26,7 +73,7 @@ type FindCoalitions struct {
 
 func (*FindCoalitions) stmt() {}
 func (s *FindCoalitions) String() string {
-	return fmt.Sprintf("Find Coalitions With Information %s;", s.Topic)
+	return fmt.Sprintf("Find Coalitions With Information %s;", nameText(s.Topic))
 }
 
 // Connect is `Connect To Coalition <name>;`.
@@ -36,7 +83,7 @@ type Connect struct {
 
 func (*Connect) stmt() {}
 func (s *Connect) String() string {
-	return fmt.Sprintf("Connect To Coalition %s;", s.Coalition)
+	return fmt.Sprintf("Connect To Coalition %s;", nameText(s.Coalition))
 }
 
 // DisplaySubClasses is `Display SubClasses Of Class <name>;`.
@@ -46,7 +93,7 @@ type DisplaySubClasses struct {
 
 func (*DisplaySubClasses) stmt() {}
 func (s *DisplaySubClasses) String() string {
-	return fmt.Sprintf("Display SubClasses Of Class %s;", s.Class)
+	return fmt.Sprintf("Display SubClasses Of Class %s;", nameText(s.Class))
 }
 
 // DisplayInstances is `Display Instances Of Class <name>;`.
@@ -56,7 +103,7 @@ type DisplayInstances struct {
 
 func (*DisplayInstances) stmt() {}
 func (s *DisplayInstances) String() string {
-	return fmt.Sprintf("Display Instances Of Class %s;", s.Class)
+	return fmt.Sprintf("Display Instances Of Class %s;", nameText(s.Class))
 }
 
 // DisplayDocument is `Display Document[ation] Of Instance <name> [Of Class
@@ -69,9 +116,9 @@ type DisplayDocument struct {
 func (*DisplayDocument) stmt() {}
 func (s *DisplayDocument) String() string {
 	if s.Class != "" {
-		return fmt.Sprintf("Display Document Of Instance %s Of Class %s;", s.Instance, s.Class)
+		return fmt.Sprintf("Display Document Of Instance %s Of Class %s;", nameText(s.Instance, "Of"), nameText(s.Class))
 	}
-	return fmt.Sprintf("Display Document Of Instance %s;", s.Instance)
+	return fmt.Sprintf("Display Document Of Instance %s;", nameText(s.Instance, "Of"))
 }
 
 // DisplayAccessInfo is `Display Access Information Of Instance <name>;`.
@@ -81,7 +128,7 @@ type DisplayAccessInfo struct {
 
 func (*DisplayAccessInfo) stmt() {}
 func (s *DisplayAccessInfo) String() string {
-	return fmt.Sprintf("Display Access Information Of Instance %s;", s.Instance)
+	return fmt.Sprintf("Display Access Information Of Instance %s;", nameText(s.Instance))
 }
 
 // DisplayInterface is `Display Interface Of Instance <name>;`.
@@ -91,7 +138,7 @@ type DisplayInterface struct {
 
 func (*DisplayInterface) stmt() {}
 func (s *DisplayInterface) String() string {
-	return fmt.Sprintf("Display Interface Of Instance %s;", s.Instance)
+	return fmt.Sprintf("Display Interface Of Instance %s;", nameText(s.Instance))
 }
 
 // DisplayCoalitions is `Display Coalitions;` — list the coalitions known in
@@ -126,13 +173,13 @@ type SearchType struct {
 func (*SearchType) stmt() {}
 func (s *SearchType) String() string {
 	if len(s.Structure) == 0 {
-		return fmt.Sprintf("Search Type %s;", s.TypeName)
+		return fmt.Sprintf("Search Type %s;", nameText(s.TypeName, "With"))
 	}
 	parts := make([]string, len(s.Structure))
 	for i, m := range s.Structure {
 		parts[i] = fmt.Sprintf("attribute %s %s;", m.Type, m.Name)
 	}
-	return fmt.Sprintf("Search Type %s With Structure (%s);", s.TypeName, strings.Join(parts, " "))
+	return fmt.Sprintf("Search Type %s With Structure (%s);", nameText(s.TypeName, "With"), strings.Join(parts, " "))
 }
 
 // Condition is one `<column> <op> <literal>` predicate conjunct.
@@ -146,7 +193,7 @@ type Condition struct {
 func (c Condition) String() string {
 	v := c.Value
 	if c.IsStr {
-		v = `"` + v + `"`
+		v = quoteText(v)
 	}
 	return fmt.Sprintf("%s %s %s", c.Column, c.Op, v)
 }
@@ -178,7 +225,7 @@ func (j *SemiJoin) String() string {
 		}
 		out = fmt.Sprintf("%s(%s, (%s))", j.Function, j.ArgCol, strings.Join(preds, " AND "))
 	}
-	return out + " On Coalition " + j.Source
+	return out + " On Coalition " + sourceText(j.Source, true)
 }
 
 // FuncQuery is the paper's typed data access: an exported-function
@@ -217,12 +264,13 @@ func (s *FuncQuery) String() string {
 		}
 		out = fmt.Sprintf("%s(%s, (%s))", s.Function, s.ArgCol, strings.Join(preds, " AND "))
 	}
-	if s.Source != "" {
+	if s.Source != "" || s.OnCoalition {
 		if s.OnCoalition {
-			out += " On Coalition " + s.Source
+			out += " On Coalition"
 		} else {
-			out += " On " + s.Source
+			out += " On"
 		}
+		out += " " + sourceText(s.Source, s.OnCoalition)
 	}
 	if s.Join != nil {
 		out += " SemiJoin " + s.Join.String()
@@ -242,7 +290,7 @@ type NativeQuery struct {
 
 func (*NativeQuery) stmt() {}
 func (s *NativeQuery) String() string {
-	return fmt.Sprintf("Query %s Using Native %q;", s.Source, s.Text)
+	return fmt.Sprintf("Query %s Using Native %s;", nameText(s.Source, "Using"), quoteText(s.Text))
 }
 
 // CreateCoalition is `Create Coalition <name> [Under <parent>] [Description
@@ -255,12 +303,12 @@ type CreateCoalition struct {
 
 func (*CreateCoalition) stmt() {}
 func (s *CreateCoalition) String() string {
-	out := "Create Coalition " + s.Name
+	out := "Create Coalition " + nameText(s.Name, "Under", "Description")
 	if s.Parent != "" {
-		out += " Under " + s.Parent
+		out += " Under " + nameText(s.Parent, "Description")
 	}
 	if s.Description != "" {
-		out += fmt.Sprintf(" Description %q", s.Description)
+		out += " Description " + quoteText(s.Description)
 	}
 	return out + ";"
 }
@@ -279,9 +327,9 @@ type CreateLink struct {
 func (*CreateLink) stmt() {}
 func (s *CreateLink) String() string {
 	out := fmt.Sprintf("Create Service Link %s From %s %s To %s %s",
-		s.Name, s.FromKind, s.From, s.ToKind, s.To)
+		nameText(s.Name, "From"), s.FromKind, nameText(s.From, "To"), s.ToKind, nameText(s.To, "Information"))
 	if s.InfoType != "" {
-		out += fmt.Sprintf(" Information %q", s.InfoType)
+		out += " Information " + quoteText(s.InfoType)
 	}
 	return out + ";"
 }
@@ -294,7 +342,7 @@ type JoinCoalition struct {
 
 func (*JoinCoalition) stmt() {}
 func (s *JoinCoalition) String() string {
-	return fmt.Sprintf("Join Coalition %s;", s.Coalition)
+	return fmt.Sprintf("Join Coalition %s;", nameText(s.Coalition))
 }
 
 // LeaveCoalition is `Leave Coalition <name>;`.
@@ -304,5 +352,5 @@ type LeaveCoalition struct {
 
 func (*LeaveCoalition) stmt() {}
 func (s *LeaveCoalition) String() string {
-	return fmt.Sprintf("Leave Coalition %s;", s.Coalition)
+	return fmt.Sprintf("Leave Coalition %s;", nameText(s.Coalition))
 }

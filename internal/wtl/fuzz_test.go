@@ -35,6 +35,20 @@ func FuzzWTLParse(f *testing.F) {
 		`V(R.K, (R.K LIKE "k%")) On Coalition c0 SemiJoin K(R.V, (R.V = 7)) On Coalition c1;`,
 		// A source whose name contains the word SemiJoin stays a name.
 		`V(R.K) On SemiJoin Services;`,
+		// Quoted names and texts the printer must quote again: blank, with
+		// punctuation or an embedded quote, a clause's stop word, the shape
+		// of a Limit clause, a single source named like a coalition.
+		`0(0)On" "`,
+		`0(0)On""""`,
+		`V(R.K, (R.K = "say ""x""")) On "St. Mary's";`,
+		`V(R.K) On "A Limit 3" Limit 3;`,
+		`V(R.K) On "Coalition A";`,
+		`V(R.K) On Coalition "" SemiJoin W(R.V) On Coalition "a  b";`,
+		`Display Document Of Instance "Of Mice" Of Class "Men; and";`,
+		`Create Coalition "Under Description" Under "Description" Description "a ""b""";`,
+		`Create Service Link "From" From Database "To" To Coalition "Information" Information "x""y";`,
+		`Query "Using" Using Native "SELECT 'a', ""b""";`,
+		`Search Type "With" With Structure (attribute int A.b;);`,
 		// Malformed join shapes the parser must reject gracefully.
 		`V(R.K) SemiJoin W(R.V) On Coalition B;`,
 		`V(R.K) On Coalition A SemiJoin W(R.V) On B;`,

@@ -1,6 +1,7 @@
 package wtl
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -228,5 +229,35 @@ func TestFuncQueryOnCoalition(t *testing.T) {
 	s2 := parseOK(t, q.String())
 	if q2 := s2.(*FuncQuery); !q2.OnCoalition || q2.Source != "Research" {
 		t.Errorf("round trip: %#v", q2)
+	}
+}
+
+// TestPrinterQuotesWhatANameCannotCarry: a statement prints its names bare
+// where its own clause reads them back bare, and quoted, with embedded quotes
+// doubled, where it would not: the printed form parses to the same statement.
+func TestPrinterQuotesWhatANameCannotCarry(t *testing.T) {
+	for src, want := range map[string]string{
+		`Connect To Coalition Medical Research;`:                                 `Connect To Coalition Medical Research;`,
+		`Connect To Coalition "Medical  Research";`:                              `Connect To Coalition "Medical  Research";`,
+		`Join Coalition "";`:                                                     `Join Coalition "";`,
+		`V(R.K) On "St. Mary's";`:                                                `V(R.K) On "St. Mary's";`,
+		`V(R.K) On 'say "x"';`:                                                   `V(R.K) On "say ""x""";`,
+		`V(R.K, (R.K = 'say "x"')) On Limit Hospital;`:                           `V(R.K, (R.K = "say ""x""")) On Limit Hospital;`,
+		`V(R.K) On "A Limit 3";`:                                                 `V(R.K) On "A Limit 3";`,
+		`V(R.K) On "Coalition A";`:                                               `V(R.K) On "Coalition A";`,
+		`Display Document Of Instance "Of Mice";`:                                `Display Document Of Instance "Of Mice";`,
+		`Create Coalition "Under" Description 'a "b"';`:                          `Create Coalition "Under" Description "a ""b""";`,
+		`Query RBH Using Native 'SELECT "x" FROM t';`:                            `Query RBH Using Native "SELECT ""x"" FROM t";`,
+		`Query RBH Using Native "SELECT 'x' FROM t\n";`:                          "Query RBH Using Native \"SELECT 'x' FROM t\\n\";",
+		`Create Service Link L From Database A To Database B Information 'x"y';`: `Create Service Link L From database A To database B Information "x""y";`,
+	} {
+		first := parseOK(t, src)
+		if got := first.String(); got != want {
+			t.Errorf("%s prints as %s, want %s", src, got, want)
+			continue
+		}
+		if again := parseOK(t, want); !reflect.DeepEqual(again, first) {
+			t.Errorf("%s reparses to %#v, was %#v", want, again, first)
+		}
 	}
 }
