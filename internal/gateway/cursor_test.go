@@ -3,14 +3,17 @@ package gateway
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cdr"
 	"repro/internal/idl"
 	"repro/internal/orb"
+	"repro/internal/relational"
 )
 
 // liveMark remembers how many batches were out of the pool; check fails the
@@ -329,5 +332,68 @@ func TestOneRowOpenCursorAllocations(t *testing.T) {
 	const parent = 111
 	if allocs := testing.AllocsPerRun(300, run); allocs > parent {
 		t.Fatalf("a one-row open_cursor round trip allocates %.0f objects, %d before pages", allocs, parent)
+	}
+}
+
+// lostReplyServant loses the reply to its second fetch_cursor: the servant has
+// run, so the cursor has moved on a page, but the caller sees COMM_FAILURE, as
+// it would if the connection died after the request was written.
+type lostReplyServant struct {
+	orb.Servant
+	fetches atomic.Int32
+}
+
+func (s *lostReplyServant) Invoke(op string, args []idl.Any) (idl.Any, error) {
+	res, err := s.Servant.Invoke(op, args)
+	if op == "fetch_cursor" && s.fetches.Add(1) == 2 {
+		return idl.Null(), &orb.SystemException{Name: orb.ExcCommFailure, Detail: "reply lost"}
+	}
+	return res, err
+}
+
+// TestFetchCursorIsNotRetried: fetch_cursor names no page, so a re-sent one
+// after a lost reply would return the page after the lost one. Under a client
+// retry policy a drain must return every row or fail, never come back short.
+func TestFetchCursorIsNotRetried(t *testing.T) {
+	db := relational.NewDatabase("RBH", relational.DialectOracle)
+	var b strings.Builder
+	b.WriteString("CREATE TABLE r (v INT);\n")
+	for j := 0; j < 100; j++ {
+		fmt.Fprintf(&b, "INSERT INTO r VALUES (%d);\n", j)
+	}
+	if _, err := db.ExecScript(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	drv := NewRelationalDriver("Oracle")
+	if err := drv.Add(db); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := drv.Open("RBH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(server.Shutdown)
+	ior, err := server.Activate("ISI/RBH", &lostReplyServant{Servant: NewISIServant(conn)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true,
+		Retry: orb.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}})
+	t.Cleanup(client.Shutdown)
+	ctx := context.Background()
+	it, err := NewRemoteConn(client.Resolve(ior)).QueryCursor(ctx, "SELECT v FROM r", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Drain(ctx, it)
+	if err == nil && len(res.Rows) != 100 {
+		t.Fatalf("the drain came back with %d of 100 rows and no error", len(res.Rows))
+	}
+	if err == nil || !strings.Contains(err.Error(), orb.ExcCommFailure) {
+		t.Fatalf("drain across a lost fetch_cursor reply: %v, want COMM_FAILURE", err)
 	}
 }

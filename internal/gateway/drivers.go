@@ -107,11 +107,10 @@ func (c *relConn) Query(ctx context.Context, q string) (*Result, error) {
 
 // QueryCursor implements Conn. The engine is in-process and synchronous, so
 // the context is not consulted mid-statement. Nothing runs here beyond
-// planning when the statement streams (relational/rows.go says which do): each
-// Next pulls one page of rows from the engine's iterator, straight from table
-// storage, and types it into a batch, so no value is boxed on its way to the
-// wire and Close stops the scan. A statement that cannot stream is executed
-// here and the iterator pages its materialized result.
+// planning and whatever blocking operator the statement has (relational/rows.go):
+// each Next pulls one page of rows from the engine's iterator and types it
+// into a batch, so no value is boxed on its way to the wire and Close stops
+// the walk.
 func (c *relConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err
@@ -130,9 +129,8 @@ type relRows struct{ rows *relational.Rows }
 // holds none between two pages.
 var relChunks = sync.Pool{New: func() any { return new(relational.Chunk) }}
 
-func (s relRows) held() int     { return s.rows.Held() }
-func (s relRows) streams() bool { return s.rows.Streaming() }
-func (s relRows) close()        { s.rows.Close() }
+func (s relRows) held() int { return s.rows.Held() }
+func (s relRows) close()    { s.rows.Close() }
 func (s relRows) fill(b *Batch, most int) (bool, error) {
 	ch := relChunks.Get().(*relational.Chunk)
 	defer func() {
@@ -319,15 +317,14 @@ func (c *ooConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIte
 	return &localIter{cols: rows.Columns(), page: max(batchSize, 0), src: ooRows{rows}}, nil
 }
 
-// ooRows is the batchSource over an object engine iterator, which always
-// streams.
+// ooRows is the batchSource over an object engine iterator, which holds no
+// rows.
 type ooRows struct{ rows *oodb.Rows }
 
 var ooChunks = sync.Pool{New: func() any { return new(oodb.Chunk) }}
 
-func (s ooRows) held() int     { return 0 }
-func (s ooRows) streams() bool { return true }
-func (s ooRows) close()        { s.rows.Close() }
+func (s ooRows) held() int { return 0 }
+func (s ooRows) close()    { s.rows.Close() }
 func (s ooRows) fill(b *Batch, most int) (bool, error) {
 	ch := ooChunks.Get().(*oodb.Chunk)
 	defer func() {

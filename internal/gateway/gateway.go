@@ -176,11 +176,8 @@ type cursorState interface {
 	// Exhausted reports that the batch Next last returned was the last.
 	Exhausted() bool
 	// Held is the number of rows the iterator holds materialised to serve
-	// later batches; 0 when it streams from the engine.
+	// later batches; 0 when it reads them from the engine's tables.
 	Held() int
-	// Streams reports that batches come from the engine as they are asked
-	// for, not from a result materialised at open.
-	Streams() bool
 }
 
 // localIter is the RowIter of the in-process connections: it asks its source
@@ -201,8 +198,7 @@ type batchSource interface {
 	// left), to the empty batch's columns and reports whether they were the
 	// last. Only a last fill may add none.
 	fill(b *Batch, most int) (done bool, err error)
-	held() int     // rows held materialised for later fills
-	streams() bool // rows come from the engine as they are asked for
+	held() int // rows held materialised for later fills
 	close()
 }
 
@@ -210,7 +206,6 @@ func (it *localIter) Columns() []string   { return it.cols }
 func (it *localIter) RowsAffected() int64 { return it.affected }
 func (it *localIter) Exhausted() bool     { return it.done }
 func (it *localIter) Held() int           { return it.src.held() }
-func (it *localIter) Streams() bool       { return it.src.streams() }
 func (it *localIter) Close() error        { it.done = true; it.src.close(); return nil }
 func (it *localIter) Next(context.Context) (*Batch, error) {
 	if it.done {
@@ -233,9 +228,8 @@ func (it *localIter) Next(context.Context) (*Batch, error) {
 // values.
 type boxedRows struct{ rows [][]idl.Any }
 
-func (s *boxedRows) held() int     { return len(s.rows) }
-func (s *boxedRows) streams() bool { return false }
-func (s *boxedRows) close()        { s.rows = nil }
+func (s *boxedRows) held() int { return len(s.rows) }
+func (s *boxedRows) close()    { s.rows = nil }
 func (s *boxedRows) fill(b *Batch, most int) (bool, error) {
 	n := len(s.rows)
 	if most > 0 {

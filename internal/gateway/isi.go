@@ -47,10 +47,10 @@ type ISIServantOptions struct {
 // exec each open a per-driver timing span ("isi.cursor:<engine>",
 // "isi.exec:<engine>"), so the time a source's engine spends on each
 // statement is visible in the trace of the query that reached it. A cursor's
-// span covers the open alone: planning (execution, for a plan that cannot
-// stream) plus the first page. Its "rows" attribute is that page's row count
-// and "plan" says whether the rest streams from the engine ("streams") or is
-// held materialized by the cursor ("materialized").
+// span covers the open alone: planning (and any blocking operator the plan
+// has) plus the first page. Its "rows" attribute is that page's row count and
+// "held" the rows the cursor holds for later pages: 0 when they are read from
+// the engine's tables as they are asked for.
 func NewISIServant(conn Conn) orb.Servant {
 	s, _ := NewISIServantWith(conn, ISIServantOptions{})
 	return s
@@ -82,11 +82,7 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		src := &pageSource{it: it}
 		id, first, done, err := cursors.OpenSource(src)
 		sp.SetAttrInt("rows", src.rows)
-		if cs, ok := it.(cursorState); ok && cs.Streams() {
-			sp.SetAttr("plan", "streams")
-		} else {
-			sp.SetAttr("plan", "materialized")
-		}
+		sp.SetAttrInt("held", src.Held())
 		sp.End(err)
 		if err != nil {
 			return idl.Null(), cursorException(err)
@@ -216,8 +212,8 @@ func (c *RemoteConn) check() error {
 
 // Query implements Conn: the context travels through the ORB hop, so the
 // remote ISI's driver span joins the caller's trace and the deadline bounds
-// the exchange. Queries are idempotent, so transport failures retry under the
-// client ORB's retry policy.
+// the exchange. The open is idempotent, so its transport failures retry under
+// the client ORB's retry policy.
 //
 // It is QueryCursor with batch 0 (the whole result in the open round trip, no
 // server state) drained. Prefer QueryCursor for results that may be large.
@@ -278,6 +274,9 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 	if err := c.check(); err != nil {
 		return nil, err
 	}
+	// Idempotent: a re-sent open answers the same first page. If only the
+	// reply was lost, the first open's cursor is left behind until the idle
+	// reaper collects it (it counts against the cap until then).
 	a, err := c.ref.InvokeIdempotent(ctx, "open_cursor", idl.String(q), idl.Long(int64(batchSize)))
 	if err != nil {
 		return nil, remapISIError(err)
@@ -320,7 +319,10 @@ func (it *remoteCursorIter) Next(ctx context.Context) (*Batch, error) {
 	if it.done {
 		return nil, io.EOF
 	}
-	a, err := it.conn.ref.InvokeIdempotent(ctx, "fetch_cursor", idl.Long(it.id))
+	// Not idempotent: fetch_cursor names no page, so a re-sent one after a
+	// lost reply would answer the page after the lost one. A failed fetch is
+	// a member that died mid-stream; the merge drops it by provenance.
+	a, err := it.conn.ref.InvokeCtx(ctx, "fetch_cursor", idl.Long(it.id))
 	if err != nil {
 		// The fetch failed (cursor reaped, member died, ctx over): the
 		// server-side cursor may still exist, so Close still tries.

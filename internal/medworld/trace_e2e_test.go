@@ -72,14 +72,14 @@ func TestHealthcareQueryEndToEndTrace(t *testing.T) {
 		t.Fatalf("no isi.cursor:Oracle span in trace; spans: %v", names)
 	}
 
-	// The driver span says what the open shipped and whether the plan streams
-	// from the engine: a native query asks for everything at once.
+	// The driver span says what the open shipped and what the cursor holds
+	// for later pages: a native query asks for everything at once.
 	attrs := map[string]string{}
 	for _, a := range driver.Attrs {
 		attrs[a.Key] = a.Value
 	}
-	if attrs["rows"] != "4" || attrs["plan"] != "streams" {
-		t.Fatalf("isi.cursor attributes = %v, want rows=4 plan=streams", attrs)
+	if attrs["rows"] != "4" || attrs["held"] != "0" {
+		t.Fatalf("isi.cursor attributes = %v, want rows=4 held=0", attrs)
 	}
 
 	// Walk the driver span's ancestry back to the session root. It must pass

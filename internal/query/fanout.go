@@ -61,6 +61,11 @@ func fanOutCtx(ctx context.Context, n, workers int, fn func(int)) {
 	}
 dispatch:
 	for i := 0; i < n; i++ {
+		// A select between a ready worker and an ended context picks at
+		// random, so the context is checked before every hand-out.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():

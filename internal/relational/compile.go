@@ -30,20 +30,23 @@ type vbatch struct {
 // of chunk-sized value and selection buffers. A vctx is not safe for
 // concurrent use; each query execution takes its own from a pool.
 type vctx struct {
-	vals [][]Value
-	sels [][]int
+	vals  [][]Value
+	sels  [][]int
+	clean int // vals[:clean] have not been handed out since the last release
 }
 
 var vctxPool = sync.Pool{New: func() any { return &vctx{} }}
 
 func getVctx() *vctx { return vctxPool.Get().(*vctx) }
 
-// release clears payload references out of the cached buffers (so pooled
-// memory does not retain query strings) and returns the vctx to the pool.
+// release clears payload references out of the cached buffers that were
+// used (so pooled memory does not retain query strings) and returns the vctx
+// to the pool.
 func (c *vctx) release() {
-	for _, b := range c.vals {
+	for _, b := range c.vals[c.clean:] {
 		clear(b)
 	}
+	c.clean = len(c.vals)
 	vctxPool.Put(c)
 }
 
@@ -51,6 +54,7 @@ func (c *vctx) getVals() []Value {
 	if n := len(c.vals); n > 0 {
 		b := c.vals[n-1]
 		c.vals = c.vals[:n-1]
+		c.clean = min(c.clean, n-1)
 		return b
 	}
 	return make([]Value, vecChunk)

@@ -87,7 +87,7 @@ type Database struct {
 	// issuing queries, not concurrently with them.
 	rowExec bool
 
-	// chunks counts the steps streaming scans have taken (rows.go).
+	// chunks counts the steps walks over tables have taken (rows.go).
 	chunks atomic.Int64
 }
 
@@ -141,9 +141,10 @@ func (db *Database) parseOneCached(sql string) (Statement, error) {
 // Name returns the database name.
 func (db *Database) Name() string { return db.name }
 
-// ChunksScanned counts the steps streaming scans have taken since the
-// database was created, each a run of at most 1 024 table slots. It stands
-// still when no scan is running: a closed or exhausted cursor costs nothing.
+// ChunksScanned counts the steps walks over tables (full scans and index
+// lookups) have taken since the database was created, each a run of at most
+// 1 024 table slots or row IDs. It stands still when no walk is running: a
+// closed or exhausted cursor costs nothing.
 func (db *Database) ChunksScanned() int64 { return db.chunks.Load() }
 
 // Dialect returns the vendor profile.
@@ -555,7 +556,7 @@ func matchingRowIDs(t *Table, where Expr, env *evalEnv) ([]int64, error) {
 
 	// Index fast path: WHERE contains an `col = literal` conjunct on an
 	// indexed column.
-	if col, val, ok := indexableEquality(t, where, env); ok {
+	if col, val, ok := indexableEquality(t, where); ok {
 		if candIDs, have := t.lookupEqual(col, val); have {
 			buf := make(Row, len(t.cols))
 			for _, id := range candIDs {
@@ -587,7 +588,7 @@ func matchingRowIDs(t *Table, where Expr, env *evalEnv) ([]int64, error) {
 
 // indexableEquality finds a `column = constant` conjunct whose column has a
 // single-column index.
-func indexableEquality(t *Table, where Expr, env *evalEnv) (int, Value, bool) {
+func indexableEquality(t *Table, where Expr) (int, Value, bool) {
 	for _, conj := range splitConjuncts(where) {
 		b, ok := conj.(*Binary)
 		if !ok || b.Op != "=" {

@@ -2,199 +2,169 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// rel is an intermediate relation during SELECT execution: column bindings
-// (for name resolution), display names, and materialised rows.
+// rel is an intermediate relation of the row oracle: column bindings (for
+// name resolution) and materialised rows.
 type rel struct {
-	cols  []colBinding
-	names []string
-	rows  []Row
+	cols []colBinding
+	rows []Row
 }
 
 func (r *rel) env() *evalEnv { return &evalEnv{cols: r.cols} }
 
-// execSelect runs a SELECT (or a UNION chain) to its end. The caller holds
-// the database lock. Subqueries are materialised first against the same
-// snapshot.
+// execSelect runs a SELECT (or a UNION chain) to its end: the drain of its
+// walk. The caller holds the database lock. Subqueries are materialised first
+// against the same snapshot.
 func (db *Database) execSelect(s *SelectStmt) (*Result, error) {
-	return drained(db.planSelect(s))
-}
-
-// drained finishes what planSelect or planSelectArm opened: a stream is run
-// to its end, anything else is done already.
-func drained(res *Result, st *stream, err error) (*Result, error) {
-	if st != nil {
-		return st.drain()
+	w, err := db.openSelect(s)
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	return w.result()
 }
 
-// planSelect opens a SELECT: a statement that streams (rows.go) comes back as
-// a stream that has not read a row yet, any other one executed.
-func (db *Database) planSelect(s *SelectStmt) (*Result, *stream, error) {
+// openSelect opens a SELECT as a walk (rows.go). The caller holds the
+// database lock.
+func (db *Database) openSelect(s *SelectStmt) (*walk, error) {
+	if s.Union == nil {
+		return db.openArm(s)
+	}
+	rel, names, err := db.union(s)
+	if err != nil {
+		return nil, err
+	}
+	return db.heldWalk(rel, names, s.Offset, s.Limit), nil
+}
+
+// blocking reports whether an arm has an operator that must see its whole
+// input before the first row can leave.
+func blocking(s *SelectStmt, items []SelectItem) bool {
+	return s.Distinct || len(s.OrderBy) > 0 || grouped(s, items)
+}
+
+func grouped(s *SelectStmt, items []SelectItem) bool {
+	return len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(items)
+}
+
+// openArm opens one SELECT arm (no UNION handling). An arm that is not
+// blocking is one walk over its FROM rows, cut by OFFSET and LIMIT; a
+// blocking one runs its operators here, fed by that walk drained, and the
+// walk over what they built applies DISTINCT's dedupe, OFFSET and LIMIT.
+// With rowExec set the seed row-at-a-time interpreter, kept as the batched
+// executor's test oracle, computes the arm instead.
+func (db *Database) openArm(s *SelectStmt) (*walk, error) {
 	s, err := db.rewriteStmtSubqueries(s)
 	if err != nil {
-		return nil, nil, err
-	}
-	if s.Union != nil {
-		res, err := db.execUnion(s)
-		return res, nil, err
-	}
-	return db.planSelectArm(s)
-}
-
-// execSelectArm runs one SELECT arm (no UNION handling) to its end.
-func (db *Database) execSelectArm(s *SelectStmt) (*Result, error) {
-	return drained(db.planSelectArm(s))
-}
-
-// planSelectArm opens one SELECT arm, dispatching to the batched columnar
-// executor or — when rowExec is set — the seed row-at-a-time interpreter kept
-// as its test oracle. DISTINCT, OFFSET and LIMIT of a plan that does not
-// stream are shared between the two engines.
-func (db *Database) planSelectArm(s *SelectStmt) (*Result, *stream, error) {
-	s, err := db.rewriteStmtSubqueries(s)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var fp fromPlan // stays on the stack: point lookups plan on every call
 	if err := db.planFrom(s, &fp); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var out *Result
-	switch p, streams := streamable(s, &fp); {
-	case streams && db.rowExec:
-		out, err = execStreamRows(s, &p)
-		return out, nil, err
-	case streams:
-		return nil, db.newStream(s, &p), nil
-	case db.rowExec:
-		out, err = db.execSelectArmRows(s)
-	default:
-		out, err = db.execSelectArmVec(s, &fp)
+	block := blocking(s, fp.items)
+	var out *vecRel
+	if db.rowExec {
+		res, err := db.execSelectArmRows(s, &fp, block)
+		if err != nil {
+			return nil, err
+		}
+		if out = rowsRel(res); !block {
+			return db.heldWalk(out, res.Columns, 0, -1), nil
+		}
+	} else {
+		w, err := db.newWalk(s, &fp)
+		if err != nil {
+			return nil, err
+		}
+		if !block {
+			w.project(fp.items)
+			w.skip, w.left = s.Offset, s.Limit
+			return w, nil
+		}
+		c := getVctx()
+		defer c.release()
+		// The operators' input: the walk's rows, drained (or aliased).
+		in, err := w.rel(c, referencedOrdinals(s, fp.items, w.cols))
+		switch {
+		case err != nil:
+		case grouped(s, fp.items):
+			out, err = execGroupedVec(c, s, fp.items, in)
+		default:
+			out, err = sortVec(c, s, fp.items, db.relWalk(in, nil))
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-
 	if s.Distinct {
-		seen := make(map[string]bool, len(out.Rows))
-		kept := out.Rows[:0:0]
-		for _, row := range out.Rows {
-			k := encodeKey(row)
-			if !seen[k] {
-				seen[k] = true
-				kept = append(kept, row)
-			}
-		}
-		out.Rows = kept
+		out = dedupe(out)
 	}
-
-	if s.Offset > 0 {
-		if s.Offset >= len(out.Rows) {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[s.Offset:]
-		}
-	}
-	if s.Limit >= 0 && s.Limit < len(out.Rows) {
-		out.Rows = out.Rows[:s.Limit]
-	}
-	return out, nil, nil
-}
-
-// execStreamRows is the row-at-a-time rendering of a plan that streams, the
-// oracle of rows.go's scan: live rows in slot order, each one filtered, then
-// counted against OFFSET, then projected, until LIMIT rows are out. A row the
-// walk does not reach is not evaluated, so it cannot fail the statement.
-func execStreamRows(s *SelectStmt, p *streamPlan) (*Result, error) {
-	res := &Result{}
-	for i, it := range p.items {
-		res.Columns = append(res.Columns, itemName(it, i))
-	}
-	if s.Limit == 0 {
-		return res, nil
-	}
-	env := &evalEnv{cols: p.cols}
-	skip := s.Offset
-	var evalErr error
-	p.t.scan(func(_ int64, row Row) bool {
-		env.row = row
-		if p.filter != nil {
-			v, err := eval(p.filter, env)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if b, ok := v.Truthy(); !ok || !b {
-				return true
-			}
-		}
-		if skip > 0 {
-			skip--
-			return true
-		}
-		proj := make(Row, len(p.items))
-		for i, it := range p.items {
-			if proj[i], evalErr = eval(it.Expr, env); evalErr != nil {
-				return false
-			}
-		}
-		res.Rows = append(res.Rows, proj)
-		return len(res.Rows) != s.Limit
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return res, nil
+	return db.heldWalk(out, itemNames(fp.items), s.Offset, s.Limit), nil
 }
 
 // execSelectArmRows is the seed row-at-a-time interpreter, retained as the
-// oracle the batched executor is property-tested against.
-func (db *Database) execSelectArmRows(s *SelectStmt) (*Result, error) {
-	src, residual, err := db.buildFrom(s)
+// oracle the batched executor is property-tested against. It evaluates with
+// the scalar evaluator (expr.go) over the same FROM rows in the same order —
+// one table's candidate rows, the index lookup's when the plan takes one, or
+// the joined relation — and walks them once: filter, then OFFSET, then
+// projection, stopping at the LIMIT, so a row the walk does not reach cannot
+// fail the statement. A blocking arm (block) keeps every row that passes the
+// filter and returns its operators' whole output instead, before DISTINCT,
+// OFFSET and LIMIT, which openArm applies as it does for the batched engine.
+func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (*Result, error) {
+	src, filter, err := db.buildFrom(s, fp)
 	if err != nil {
 		return nil, err
 	}
-
-	// Residual WHERE conjuncts (those not pushed into scans).
-	if len(residual) > 0 {
-		env := src.env()
-		kept := src.rows[:0:0]
-		for _, row := range src.rows {
-			env.row = row
-			ok := true
-			for _, conj := range residual {
-				v, err := eval(conj, env)
-				if err != nil {
-					return nil, err
-				}
-				b, valid := v.Truthy()
-				if !valid || !b {
-					ok = false
-					break
-				}
+	res := &Result{Columns: itemNames(fp.items)}
+	env := src.env()
+	skip, limit := s.Offset, s.Limit
+	if block {
+		skip, limit = 0, -1
+	}
+	var kept []Row
+	for _, row := range src.rows {
+		if len(res.Rows) == limit {
+			break
+		}
+		env.row = row
+		if filter != nil {
+			v, err := eval(filter, env)
+			if err != nil {
+				return nil, err
 			}
-			if ok {
-				kept = append(kept, row)
+			if b, ok := v.Truthy(); !ok || !b {
+				continue
 			}
 		}
-		src.rows = kept
+		if block {
+			kept = append(kept, row)
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		proj := make(Row, len(fp.items))
+		for i, it := range fp.items {
+			if proj[i], err = eval(it.Expr, env); err != nil {
+				return nil, err
+			}
+		}
+		res.Rows = append(res.Rows, proj)
 	}
-
-	items, err := expandStars(s.Items, src.cols, src.names)
-	if err != nil {
-		return nil, err
+	if !block {
+		return res, nil
 	}
-
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(items)
-	if grouped {
-		return db.execGrouped(s, items, src)
+	src.rows = kept
+	if grouped(s, fp.items) {
+		return db.execGrouped(s, fp.items, src)
 	}
-	return db.execPlain(s, items, src)
+	return db.execPlain(s, fp.items, src)
 }
 
 // anyAggregate reports whether any projected expression aggregates.
@@ -251,12 +221,18 @@ func itemName(it SelectItem, ordinal int) string {
 	return fmt.Sprintf("col%d", ordinal+1)
 }
 
+// itemNames names the projected columns.
+func itemNames(items []SelectItem) []string {
+	names := make([]string, len(items))
+	for i, it := range items {
+		names[i] = itemName(it, i)
+	}
+	return names
+}
+
 // execPlain projects without grouping, handling ORDER BY.
 func (db *Database) execPlain(s *SelectStmt, items []SelectItem, src *rel) (*Result, error) {
-	res := &Result{}
-	for i, it := range items {
-		res.Columns = append(res.Columns, itemName(it, i))
-	}
+	res := &Result{Columns: itemNames(items)}
 	env := src.env()
 
 	type sortable struct {
@@ -356,10 +332,7 @@ func orderLess(a, b Row, order []OrderItem) bool {
 // GROUP BY, all rows form one group (and an empty input yields one group of
 // zero rows, per SQL).
 func (db *Database) execGrouped(s *SelectStmt, items []SelectItem, src *rel) (*Result, error) {
-	res := &Result{}
-	for i, it := range items {
-		res.Columns = append(res.Columns, itemName(it, i))
-	}
+	res := &Result{Columns: itemNames(items)}
 
 	aggCalls := collectAggCalls(s, items)
 
@@ -594,85 +567,93 @@ func computeAggregate(f *FuncCall, rows []Row, src *rel) (Value, error) {
 
 // ---- FROM clause construction (scans + joins with pushdown) ----
 
-// scanSpec pairs one FROM/JOIN table reference with its resolved table.
+// scanSpec is one FROM/JOIN table reference resolved: its table, the filter
+// its scan evaluates and the index it reads, if any.
 type scanSpec struct {
-	ref TableRef
-	t   *Table
+	ref    TableRef
+	t      *Table
+	filter Expr   // nil: none
+	ix     *Index // single-column index an equality conjunct names; nil: every slot
+	key    Value  // the value looked up in ix
+}
+
+// rowIDs is the index lookup's row IDs, ascending; nil when the scan reads
+// every slot.
+func (sp *scanSpec) rowIDs() []int64 {
+	if sp.ix == nil {
+		return nil
+	}
+	ids := slices.Clone(sp.ix.tree.Lookup(sp.key))
+	if ids == nil {
+		ids = []int64{}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // fromPlan is a SELECT arm's FROM clause resolved: its tables, the combined
-// binding list (with display names), the WHERE clause partitioned into
-// per-binding pushed filters and residual conjuncts, and the select items with
-// stars expanded. The zero fromPlan (no specs) is a SELECT without FROM.
+// binding list (with display names) and the select items with stars
+// expanded. The WHERE clause is partitioned: with one table its scan
+// evaluates all of it (choosing an index from the conjuncts that name only
+// that table); with several, each scan evaluates the conjuncts that name only
+// its table and filter, the rest, is evaluated over the joined relation
+// (LEFT JOIN right sides keep theirs there too, to preserve null-extension);
+// with none, filter is the whole WHERE over one empty row.
 type fromPlan struct {
-	specs    []scanSpec
-	allCols  []colBinding
-	names    []string
-	pushed   map[string][]Expr
-	residual []Expr
-	items    []SelectItem
+	specs   []scanSpec
+	allCols []colBinding
+	names   []string
+	filter  Expr
+	items   []SelectItem
 }
 
-// planFrom resolves s's FROM clause into fp; a SELECT without one leaves fp
-// zero.
-func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) (err error) {
+// planFrom resolves s's FROM clause into fp. The executor, the row oracle and
+// EXPLAIN all read their plan from it.
+func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) error {
 	if len(s.From) == 0 {
-		return nil
-	}
-	if fp.specs, fp.allCols, fp.names, fp.pushed, fp.residual, err = db.fromSpecs(s); err != nil {
+		fp.filter = s.Where
+		var err error
+		fp.items, err = expandStars(s.Items, nil, nil)
 		return err
 	}
-	fp.items, err = expandStars(s.Items, fp.allCols, fp.names)
-	return err
-}
-
-// fromSpecs resolves every FROM and JOIN table reference, builds the
-// combined binding list (with display names), and partitions the WHERE
-// clause into per-binding pushed filters and residual conjuncts. LEFT JOIN
-// right sides keep their filters residual to preserve null-extension
-// semantics. Shared by the row and batched executors.
-func (db *Database) fromSpecs(s *SelectStmt) (specs []scanSpec, allCols []colBinding, names []string, pushed map[string][]Expr, residual []Expr, err error) {
 	for _, tr := range s.From {
-		t, terr := db.table(tr.Name)
-		if terr != nil {
-			return nil, nil, nil, nil, nil, terr
+		t, err := db.table(tr.Name)
+		if err != nil {
+			return err
 		}
-		specs = append(specs, scanSpec{ref: tr, t: t})
+		fp.specs = append(fp.specs, scanSpec{ref: tr, t: t})
 	}
 	for _, jc := range s.Joins {
-		t, terr := db.table(jc.Table.Name)
-		if terr != nil {
-			return nil, nil, nil, nil, nil, terr
+		t, err := db.table(jc.Table.Name)
+		if err != nil {
+			return err
 		}
-		specs = append(specs, scanSpec{ref: jc.Table, t: t})
+		fp.specs = append(fp.specs, scanSpec{ref: jc.Table, t: t})
 	}
-	allCols = make([]colBinding, 0)
+	fp.allCols = make([]colBinding, 0)
 	seenBinding := make(map[string]bool)
-	for _, sp := range specs {
+	for _, sp := range fp.specs {
 		b := strings.ToLower(sp.ref.Binding())
 		if seenBinding[b] {
-			return nil, nil, nil, nil, nil, fmt.Errorf("sql: duplicate table binding %s", sp.ref.Binding())
+			return fmt.Errorf("sql: duplicate table binding %s", sp.ref.Binding())
 		}
 		seenBinding[b] = true
 		for _, c := range sp.t.schema.Columns {
-			allCols = append(allCols, colBinding{table: b, name: strings.ToLower(c.Name)})
-			names = append(names, c.Name)
+			fp.allCols = append(fp.allCols, colBinding{table: b, name: strings.ToLower(c.Name)})
+			fp.names = append(fp.names, c.Name)
 		}
 	}
 
 	// Partition WHERE conjuncts: pushable to a single binding vs residual.
-	conjuncts := splitConjuncts(s.Where)
-	pushed = make(map[string][]Expr)
-	for _, conj := range conjuncts {
-		if tbl, ok := singleBinding(conj, allCols); ok {
+	pushed := make(map[string][]Expr)
+	var residual []Expr
+	for _, conj := range splitConjuncts(s.Where) {
+		if tbl, ok := singleBinding(conj, fp.allCols); ok {
 			pushed[tbl] = append(pushed[tbl], conj)
 		} else {
 			residual = append(residual, conj)
 		}
 	}
-
-	// LEFT JOIN right sides must not have pushed filters applied before the
-	// join (it would change null-extension semantics); move them back.
 	for _, jc := range s.Joins {
 		if jc.Kind == "LEFT" {
 			b := strings.ToLower(jc.Table.Binding())
@@ -680,53 +661,78 @@ func (db *Database) fromSpecs(s *SelectStmt) (specs []scanSpec, allCols []colBin
 			delete(pushed, b)
 		}
 	}
-	return specs, allCols, names, pushed, residual, nil
+	for i := range fp.specs {
+		sp := &fp.specs[i]
+		sp.filter = andAll(pushed[strings.ToLower(sp.ref.Binding())])
+		if col, v, ok := indexableEquality(sp.t, sp.filter); ok {
+			sp.ix, sp.key = sp.t.singleColIndex(col), v
+		}
+	}
+	if len(fp.specs) == 1 {
+		fp.specs[0].filter = s.Where
+	} else {
+		fp.filter = andAll(residual)
+	}
+	var err error
+	fp.items, err = expandStars(s.Items, fp.allCols, fp.names)
+	return err
 }
 
-// buildFrom materialises the FROM relation and returns the WHERE conjuncts
-// that were not pushed into scans.
-func (db *Database) buildFrom(s *SelectStmt) (*rel, []Expr, error) {
-	if len(s.From) == 0 {
+// buildFrom materialises the row oracle's FROM rows and returns the filter
+// its walk evaluates over them: one table's candidate rows (the index
+// lookup's, or every live row) under the whole WHERE clause, or the joined
+// relation of scans that each applied their own filter under fp.filter.
+func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
+	if len(fp.specs) == 0 {
 		// SELECT without FROM: one empty row.
-		return &rel{rows: []Row{{}}}, splitConjuncts(s.Where), nil
+		return &rel{rows: []Row{{}}}, fp.filter, nil
 	}
-
-	specs, _, _, pushed, residual, err := db.fromSpecs(s)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	scanOne := func(sp scanSpec) (*rel, error) {
-		b := strings.ToLower(sp.ref.Binding())
-		filter := andAll(pushed[b])
-		env := &evalEnv{}
-		for _, c := range sp.t.schema.Columns {
-			env.cols = append(env.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
-		}
-		ids, err := matchingRowIDs(sp.t, filter, env)
-		if err != nil {
-			return nil, err
-		}
+	scanOne := func(sp *scanSpec, filter Expr) (*rel, error) {
 		r := &rel{}
+		b := strings.ToLower(sp.ref.Binding())
 		for _, c := range sp.t.schema.Columns {
 			r.cols = append(r.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
-			r.names = append(r.names, c.Name)
 		}
-		for _, id := range ids {
-			if row, ok := sp.t.rowByID(id); ok {
-				r.rows = append(r.rows, row)
+		env := r.env()
+		var evalErr error
+		visit := func(_ int64, row Row) bool {
+			if filter != nil {
+				env.row = row
+				v, err := eval(filter, env)
+				if err != nil {
+					evalErr = err
+					return false
+				}
+				if b, ok := v.Truthy(); !ok || !b {
+					return true
+				}
 			}
+			r.rows = append(r.rows, row.Clone())
+			return true
 		}
-		return r, nil
+		if ids := sp.rowIDs(); ids != nil {
+			for _, id := range ids {
+				if row, ok := sp.t.rowByID(id); ok && !visit(id, row) {
+					break
+				}
+			}
+		} else {
+			sp.t.scan(visit)
+		}
+		return r, evalErr
+	}
+	if len(fp.specs) == 1 {
+		r, err := scanOne(&fp.specs[0], nil)
+		return r, fp.specs[0].filter, err
 	}
 
-	cur, err := scanOne(specs[0])
+	cur, err := scanOne(&fp.specs[0], fp.specs[0].filter)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Comma-joined FROM tables: cross products (residual WHERE applies later).
+	// Comma-joined FROM tables: cross products (fp.filter applies later).
 	for i := 1; i < len(s.From); i++ {
-		right, err := scanOne(specs[i])
+		right, err := scanOne(&fp.specs[i], fp.specs[i].filter)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -734,7 +740,8 @@ func (db *Database) buildFrom(s *SelectStmt) (*rel, []Expr, error) {
 	}
 	// Explicit JOIN clauses.
 	for ji, jc := range s.Joins {
-		right, err := scanOne(specs[len(s.From)+ji])
+		sp := &fp.specs[len(s.From)+ji]
+		right, err := scanOne(sp, sp.filter)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -752,7 +759,7 @@ func (db *Database) buildFrom(s *SelectStmt) (*rel, []Expr, error) {
 			return nil, nil, err
 		}
 	}
-	return cur, residual, nil
+	return cur, fp.filter, nil
 }
 
 // singleBinding reports whether every column in the expression resolves to
@@ -847,11 +854,7 @@ func andAll(exprs []Expr) Expr {
 }
 
 func joinedRel(l, r *rel) *rel {
-	out := &rel{
-		cols:  append(append([]colBinding(nil), l.cols...), r.cols...),
-		names: append(append([]string(nil), l.names...), r.names...),
-	}
-	return out
+	return &rel{cols: append(append([]colBinding(nil), l.cols...), r.cols...)}
 }
 
 func concatRows(a, b Row) Row {

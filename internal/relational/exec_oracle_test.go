@@ -13,6 +13,7 @@ const oracleSchema = `
 CREATE TABLE dept (dno INT PRIMARY KEY, dname VARCHAR(16), budget FLOAT);
 CREATE TABLE emp (eno INT PRIMARY KEY, ename VARCHAR(16), dno INT, sal INT, note VARCHAR(16));
 CREATE TABLE void (x INT, y VARCHAR(8));
+CREATE INDEX emp_dno ON emp (dno);
 INSERT INTO dept VALUES (1, 'surgery', 100.5);
 INSERT INTO dept VALUES (2, 'radiology', 80.25);
 INSERT INTO dept VALUES (3, 'archive', NULL);
@@ -139,6 +140,30 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 LIMIT 2",
 		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 LIMIT 3",
 		"SELECT eno FROM emp WHERE 1 / (eno - 14) < 0 LIMIT 9 OFFSET 3",
+		// The same rule on every walk: over a join, over an index lookup,
+		// with a residual conjunct that names no table. A blocking operator
+		// (DISTINCT, ORDER BY) evaluates its whole input whatever the LIMIT.
+		"SELECT 1 / (e.eno - 12) FROM emp e JOIN dept d ON e.dno = d.dno LIMIT 2",
+		"SELECT 1 / (e.eno - 12) FROM emp e JOIN dept d ON e.dno = d.dno LIMIT 3",
+		"SELECT e.eno FROM emp e JOIN dept d ON e.dno = d.dno WHERE 1 / (e.eno - 12) <> d.budget LIMIT 2",
+		"SELECT e.eno FROM emp e JOIN dept d ON e.dno = d.dno WHERE 1 / (e.eno - 12) <> d.budget LIMIT 3",
+		"SELECT e.eno FROM emp e, dept d WHERE e.dno = d.dno AND 1 / (e.eno - 12) <> 0 LIMIT 1", // a join side is drained whole
+		"SELECT eno FROM emp WHERE 1 = 1 LIMIT 2",
+		"SELECT eno FROM emp WHERE 1 = 1 AND 1 / (eno - 12) < 0 LIMIT 1",
+		"SELECT eno FROM emp WHERE 1 = 1 AND 1 / (eno - 12) < 0 LIMIT 2",
+		"SELECT eno FROM emp WHERE 1 = 0",
+		"SELECT eno FROM emp WHERE dno = 1 AND 1 / (eno - 11) < 0 LIMIT 1",
+		"SELECT eno FROM emp WHERE dno = 1 AND 1 / (eno - 11) < 0 LIMIT 2",
+		"SELECT eno FROM emp WHERE 1 / (eno - 11) < 0 AND dno = 1 LIMIT 1",
+		"SELECT 1 / (eno - 11) FROM emp WHERE dno = 1 LIMIT 1",
+		"SELECT 1 / (eno - 11) FROM emp WHERE dno = 1 LIMIT 1 OFFSET 1",
+		"SELECT eno FROM emp WHERE dno = 2 OR eno = 10",
+		"SELECT DISTINCT note FROM emp LIMIT 2",
+		"SELECT DISTINCT dno FROM emp LIMIT 2 OFFSET 1",
+		"SELECT DISTINCT 1 / (eno - 15) FROM emp LIMIT 1",
+		"SELECT 1 / (eno - 15) FROM emp ORDER BY eno LIMIT 1",
+		"SELECT dno, COUNT(*) FROM emp GROUP BY dno LIMIT 1 OFFSET 1",
+		"SELECT DISTINCT dno FROM emp UNION ALL SELECT dno FROM dept LIMIT 4",
 		// UNION / UNION ALL.
 		"SELECT eno FROM emp WHERE sal > 100 UNION ALL SELECT eno FROM emp WHERE note = 'locum'",
 		"SELECT dno FROM emp UNION SELECT dno FROM dept",

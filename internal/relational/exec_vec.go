@@ -6,98 +6,69 @@ import (
 	"strings"
 )
 
-// This file is the batched (vectorized) SELECT executor. It mirrors the
-// row-at-a-time interpreter in exec.go operator for operator — same
-// pushdown, same join dispatch, same group semantics, same output order —
-// but moves data in column vectors of up to vecChunk rows per call.
-// exec.go's execSelectArmRows is retained as the oracle this engine is
-// property-tested against: for any statement, both produce equal Results,
-// or both fail.
+// This file is the batched (vectorized) SELECT executor's operators. It
+// mirrors the row-at-a-time interpreter in exec.go operator for operator —
+// same pushdown, same join dispatch, same group semantics, same output order —
+// but moves data in column vectors of up to vecChunk rows per call. exec.go's
+// execSelectArmRows is retained as the oracle this engine is property-tested
+// against: for any statement, both produce equal Results, or both fail.
 
 // vecRel is an intermediate relation in columnar form: one value vector per
 // binding. A nil vector marks a column no expression in the statement
 // references; such columns are carried as bindings (for name resolution)
 // but never materialised.
 type vecRel struct {
-	cols  []colBinding
-	names []string
-	vecs  [][]Value
-	n     int
+	cols []colBinding
+	vecs [][]Value
+	n    int
 }
 
-// execSelectArmVec runs, with the batched executor, one SELECT arm that does
-// not stream; fp is its resolved FROM clause (zero: none). DISTINCT/OFFSET/LIMIT
-// are applied by the caller (planSelectArm).
-func (db *Database) execSelectArmVec(s *SelectStmt, fp *fromPlan) (*Result, error) {
+// newWalk opens the walk over s's FROM rows, unprojected: one table's slots
+// or index lookup, or the relation its joins build here (each table's walk
+// drained into its side), or one empty row for a SELECT without FROM.
+func (db *Database) newWalk(s *SelectStmt, fp *fromPlan) (*walk, error) {
+	switch len(fp.specs) {
+	case 0:
+		return db.relWalk(&vecRel{n: 1}, fp.filter), nil
+	case 1:
+		return db.scanWalk(&fp.specs[0], fp.allCols), nil
+	}
 	c := getVctx()
 	defer c.release()
-
-	var src *vecRel
-	var residual []Expr
-	var items []SelectItem
-	if len(fp.specs) == 0 {
-		// SELECT without FROM: one empty row, all conjuncts residual.
-		src = &vecRel{n: 1}
-		residual = splitConjuncts(s.Where)
+	ref := referencedOrdinals(s, fp.items, fp.allCols)
+	rels := make([]*vecRel, len(fp.specs))
+	base := 0
+	for i := range fp.specs {
+		nc := len(fp.specs[i].t.schema.Columns)
 		var err error
-		items, err = expandStars(s.Items, nil, nil)
-		if err != nil {
+		if rels[i], err = db.scanWalk(&fp.specs[i], fp.allCols[base:base+nc]).rel(c, ref[base:base+nc]); err != nil {
 			return nil, err
 		}
-	} else {
-		specs, pushed := fp.specs, fp.pushed
-		items, residual = fp.items, fp.residual
-		ref := referencedOrdinals(s, items, fp.allCols)
-
-		var err error
-		rels := make([]*vecRel, len(specs))
-		base := 0
-		for i, sp := range specs {
-			nc := len(sp.t.schema.Columns)
-			b := strings.ToLower(sp.ref.Binding())
-			rels[i], err = scanOneVec(c, sp, andAll(pushed[b]), ref[base:base+nc])
-			if err != nil {
-				return nil, err
-			}
-			base += nc
-		}
-
-		cur := rels[0]
-		for i := 1; i < len(s.From); i++ {
-			cur = crossJoinVec(cur, rels[i])
-		}
-		for ji, jc := range s.Joins {
-			right := rels[len(s.From)+ji]
-			switch jc.Kind {
-			case "CROSS":
-				cur = crossJoinVec(cur, right)
-			case "INNER":
-				cur, err = innerJoinVec(c, cur, right, jc.On)
-			case "LEFT":
-				cur, err = nestedJoinVec(c, cur, right, jc.On, true)
-			default:
-				err = fmt.Errorf("sql: unsupported join kind %s", jc.Kind)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		src = cur
+		base += nc
 	}
 
-	if len(residual) > 0 {
+	cur := rels[0]
+	for i := 1; i < len(s.From); i++ {
+		cur = crossJoinVec(cur, rels[i])
+	}
+	for ji, jc := range s.Joins {
+		right := rels[len(s.From)+ji]
 		var err error
-		src, err = filterVec(c, src, residual)
+		switch jc.Kind {
+		case "CROSS":
+			cur = crossJoinVec(cur, right)
+		case "INNER":
+			cur, err = innerJoinVec(c, cur, right, jc.On)
+		case "LEFT":
+			cur, err = nestedJoinVec(c, cur, right, jc.On, true)
+		default:
+			err = fmt.Errorf("sql: unsupported join kind %s", jc.Kind)
+		}
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	grouped := len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(items)
-	if grouped {
-		return execGroupedVec(c, s, items, src)
-	}
-	return execPlainVec(c, s, items, src)
+	return db.relWalk(cur, fp.filter), nil
 }
 
 // referencedOrdinals marks every source column the statement can read:
@@ -147,119 +118,9 @@ func referencedOrdinals(s *SelectStmt, items []SelectItem, allCols []colBinding)
 }
 
 // emptyVec is the shared zero-row column vector: non-nil so it reads as a
-// referenced (just empty) column, never as an unreferenced one.
+// referenced (just empty) column, never as an unreferenced one. Nothing
+// writes to it: its capacity is 0, so an append copies.
 var emptyVec = make([]Value, 0)
-
-// scanOneVec scans one table with an optional pushed-down filter, producing
-// vectors for the referenced columns only. Row order matches the
-// interpreter: slot (insertion) order for full scans, ascending row ID for
-// the single-column-index equality path.
-func scanOneVec(c *vctx, sp scanSpec, filter Expr, ref []bool) (*vecRel, error) {
-	t := sp.t
-	bnd := strings.ToLower(sp.ref.Binding())
-	out := &vecRel{}
-	for _, col := range t.schema.Columns {
-		out.cols = append(out.cols, colBinding{table: bnd, name: strings.ToLower(col.Name)})
-		out.names = append(out.names, col.Name)
-	}
-	nc := len(t.cols)
-	out.vecs = make([][]Value, nc)
-
-	// Unfiltered, fully-live table: alias the storage vectors, zero copies.
-	// Callers only read them (and only under the database lock). A nil vec
-	// means "unreferenced" everywhere downstream, so a never-inserted
-	// table's nil storage slices must still surface as empty non-nil vecs.
-	if filter == nil && t.dead == 0 {
-		for i := 0; i < nc; i++ {
-			if ref[i] {
-				if t.cols[i] != nil {
-					out.vecs[i] = t.cols[i]
-				} else {
-					out.vecs[i] = emptyVec
-				}
-			}
-		}
-		out.n = len(t.ids)
-		return out, nil
-	}
-
-	env := &evalEnv{cols: out.cols}
-
-	// Index point-lookup path: candidate sets are small, so the row-engine
-	// helper is both fastest and trivially order-identical (sorted IDs).
-	if _, _, ok := indexableEquality(t, filter, env); ok {
-		ids, err := matchingRowIDs(t, filter, env)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < nc; i++ {
-			if ref[i] {
-				out.vecs[i] = make([]Value, 0, len(ids))
-			}
-		}
-		for _, id := range ids {
-			slot, ok := t.slots[id]
-			if !ok || !t.live[slot] {
-				continue
-			}
-			for i := 0; i < nc; i++ {
-				if ref[i] {
-					out.vecs[i] = append(out.vecs[i], t.cols[i][slot])
-				}
-			}
-			out.n++
-		}
-		return out, nil
-	}
-
-	var comp vexpr
-	if filter != nil {
-		comp = compileExpr(filter, out.cols)
-	}
-	batch := &vbatch{vecs: t.cols}
-	vals := c.getVals()
-	defer c.putVals(vals)
-	sel := c.getSel()
-	defer c.putSel(sel)
-	// Select first, gather after: the output vectors are sized once, by the
-	// number of rows selected, never by the table's.
-	keep := c.getSel()
-	defer func() { c.putSel(keep) }()
-	nrows := len(t.ids)
-	for base := 0; base < nrows; base += vecChunk {
-		end := min(base+vecChunk, nrows)
-		sel = sel[:0]
-		for r := base; r < end; r++ {
-			if t.live[r] {
-				sel = append(sel, r)
-			}
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		k := len(sel)
-		if comp != nil {
-			if err := comp.eval(c, batch, sel, vals); err != nil {
-				return nil, err
-			}
-			k = 0
-			for i, r := range sel {
-				if b, ok := vals[i].Truthy(); ok && b {
-					sel[k] = r
-					k++
-				}
-			}
-		}
-		keep = append(keep, sel[:k]...)
-	}
-	for i := 0; i < nc; i++ {
-		if ref[i] {
-			out.vecs[i] = gatherVec(t.cols[i], keep)
-		}
-	}
-	out.n = len(keep)
-	return out, nil
-}
 
 // gatherVec copies the listed rows of vec into a vector of exactly that
 // size (non-nil even when empty: nil means "unreferenced" downstream).
@@ -273,9 +134,8 @@ func gatherVec(vec []Value, rows []int) []Value {
 
 func joinedVecRel(l, r *vecRel) *vecRel {
 	return &vecRel{
-		cols:  append(append([]colBinding(nil), l.cols...), r.cols...),
-		names: append(append([]string(nil), l.names...), r.names...),
-		vecs:  make([][]Value, len(l.vecs)+len(r.vecs)),
+		cols: append(append([]colBinding(nil), l.cols...), r.cols...),
+		vecs: make([][]Value, len(l.vecs)+len(r.vecs)),
 	}
 }
 
@@ -490,192 +350,113 @@ func nestedJoinVec(c *vctx, l, r *vecRel, on Expr, left bool) (*vecRel, error) {
 	return out, nil
 }
 
-// filterVec applies residual WHERE conjuncts conjunct-major per chunk: each
-// conjunct narrows the chunk's selection before the next is evaluated, so
-// exactly the (row, conjunct) pairs the interpreter's short-circuit would
-// evaluate are evaluated here.
-func filterVec(c *vctx, src *vecRel, residual []Expr) (*vecRel, error) {
-	comps := make([]vexpr, len(residual))
-	for i, e := range residual {
-		comps[i] = compileExpr(e, src.cols)
-	}
-	batch := &vbatch{vecs: src.vecs}
-	vals := c.getVals()
-	defer c.putVals(vals)
-	sel := c.getSel()
-	defer c.putSel(sel)
-	var keep []int
-	for base := 0; base < src.n; base += vecChunk {
-		end := min(base+vecChunk, src.n)
-		sel = sel[:0]
-		for r := base; r < end; r++ {
-			sel = append(sel, r)
-		}
-		for _, comp := range comps {
-			if len(sel) == 0 {
-				break
-			}
-			if err := comp.eval(c, batch, sel, vals); err != nil {
-				return nil, err
-			}
-			k := 0
-			for i, r := range sel {
-				if b, ok := vals[i].Truthy(); ok && b {
-					sel[k] = r
-					k++
-				}
-			}
-			sel = sel[:k]
-		}
-		keep = append(keep, sel...)
-	}
-	out := &vecRel{cols: src.cols, names: src.names, n: len(keep), vecs: make([][]Value, len(src.vecs))}
-	for ci, vec := range src.vecs {
-		if vec == nil {
-			continue
-		}
-		out.vecs[ci] = gatherVec(vec, keep)
-	}
-	return out, nil
-}
-
-// execPlainVec projects without grouping, handling ORDER BY. Projections are
-// evaluated column-major per chunk; sorting reuses the interpreter's key
-// semantics (aliases, ordinals, stable sort).
-func execPlainVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*Result, error) {
-	res := &Result{}
-	for i, it := range items {
-		res.Columns = append(res.Columns, itemName(it, i))
-	}
-	if src.n == 0 {
-		return res, nil
-	}
-
-	comps := make([]vexpr, len(items))
-	for i, it := range items {
-		comps[i] = compileExpr(it.Expr, src.cols)
-	}
-
-	// ORDER BY key plan: alias -> projected ordinal, integer literal ->
-	// output ordinal (validated here; the interpreter validates per row, but
-	// src.n > 0 makes the outcomes identical), anything else -> compiled
-	// source expression.
-	const (
-		keyAlias = iota
-		keyOrdinal
-		keyExpr
-	)
-	type keyPlan struct {
-		kind int
-		ord  int
-		comp vexpr
-	}
+// sortVec is ORDER BY over an arm that does not group (and DISTINCT's input,
+// with no ORDER BY): w, a walk over the arm's filtered rows, drained, projects
+// every item and every key that is not an item's alias or ordinal, and the
+// rows are sorted by the interpreter's key semantics (aliases, ordinals,
+// stable sort). It returns the items' columns.
+func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, error) {
+	exprs := items
+	keys := make([]int, len(s.OrderBy))
 	aliasOf := aliasMap(items)
-	keys := make([]keyPlan, len(s.OrderBy))
+	badOrdinal := 0
 	for i, oi := range s.OrderBy {
 		if cr, ok := oi.Expr.(*ColRef); ok && cr.Table == "" {
 			if ord, hit := aliasOf[strings.ToLower(cr.Name)]; hit {
-				keys[i] = keyPlan{kind: keyAlias, ord: ord}
+				keys[i] = ord
 				continue
 			}
 		}
 		if lit, ok := oi.Expr.(*Literal); ok && lit.Val.Kind == TypeInt && !lit.Val.Null {
-			ord := int(lit.Val.Int)
-			if ord < 1 || ord > len(items) {
-				return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", ord)
+			keys[i] = int(lit.Val.Int) - 1
+			if keys[i] < 0 || keys[i] >= len(items) {
+				badOrdinal = int(lit.Val.Int)
 			}
-			keys[i] = keyPlan{kind: keyOrdinal, ord: ord - 1}
 			continue
 		}
-		keys[i] = keyPlan{kind: keyExpr, comp: compileExpr(oi.Expr, src.cols)}
+		keys[i] = len(exprs)
+		exprs = append(exprs[:len(exprs):len(exprs)], SelectItem{Expr: oi.Expr})
 	}
+	w.project(exprs)
+	rel, err := w.drain(c)
+	if err != nil {
+		return nil, err
+	}
+	if badOrdinal != 0 && rel.n > 0 { // the interpreter checks it per row
+		return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", badOrdinal)
+	}
+	return sortRel(rel, keys, s.OrderBy, len(items)), nil
+}
 
-	type sortable struct {
-		proj Row
-		keys Row
+// sortRel orders rel's rows stably by the columns keys (keys[i] in
+// order[i]'s direction) and returns its first width columns in that order.
+func sortRel(rel *vecRel, keys []int, order []OrderItem, width int) *vecRel {
+	if len(keys) == 0 {
+		rel.vecs = rel.vecs[:width]
+		return rel
 	}
-	var tagged []sortable
-	// Every source row projects to one output row: cut them from one slab
-	// and size the row list once.
-	slab := make([]Value, src.n*len(items))
-	if len(s.OrderBy) == 0 {
-		res.Rows = make([]Row, 0, src.n)
-	} else {
-		tagged = make([]sortable, 0, src.n)
+	perm := make([]int, rel.n)
+	for i := range perm {
+		perm[i] = i
 	}
-
-	batch := &vbatch{vecs: src.vecs}
-	bufs := make([][]Value, len(items))
-	for i := range bufs {
-		bufs[i] = c.getVals()
-		defer c.putVals(bufs[i])
-	}
-	var keyBufs [][]Value
-	for _, kp := range keys {
-		if kp.kind == keyExpr {
-			b := c.getVals()
-			defer c.putVals(b)
-			keyBufs = append(keyBufs, b)
-		} else {
-			keyBufs = append(keyBufs, nil)
-		}
-	}
-	sel := c.getSel()
-	defer c.putSel(sel)
-
-	for base := 0; base < src.n; base += vecChunk {
-		end := min(base+vecChunk, src.n)
-		sel = sel[:0]
-		for r := base; r < end; r++ {
-			sel = append(sel, r)
-		}
-		for i, comp := range comps {
-			if err := comp.eval(c, batch, sel, bufs[i]); err != nil {
-				return nil, err
-			}
-		}
-		for i, kp := range keys {
-			if kp.kind == keyExpr {
-				if err := kp.comp.eval(c, batch, sel, keyBufs[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for j := 0; j < end-base; j++ {
-			proj := Row(slab[:len(items):len(items)])
-			slab = slab[len(items):]
-			for i := range items {
-				proj[i] = bufs[i][j]
-			}
-			if len(s.OrderBy) == 0 {
-				res.Rows = append(res.Rows, proj)
+	sort.SliceStable(perm, func(i, j int) bool {
+		for k, key := range keys {
+			c := Compare(rel.vecs[key][perm[i]], rel.vecs[key][perm[j]])
+			if c == 0 {
 				continue
 			}
-			kr := make(Row, len(keys))
-			for i, kp := range keys {
-				switch kp.kind {
-				case keyAlias:
-					kr[i] = proj[kp.ord]
-				case keyOrdinal:
-					kr[i] = proj[kp.ord]
-				default:
-					kr[i] = keyBufs[i][j]
-				}
+			if order[k].Desc {
+				return c > 0
 			}
-			tagged = append(tagged, sortable{proj: proj, keys: kr})
+			return c < 0
 		}
-	}
+		return false
+	})
+	return &vecRel{vecs: gatherCols(rel.vecs[:width], perm), n: rel.n}
+}
 
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(tagged, func(i, j int) bool {
-			return orderLess(tagged[i].keys, tagged[j].keys, s.OrderBy)
-		})
-		res.Rows = make([]Row, len(tagged))
-		for i, t := range tagged {
-			res.Rows[i] = t.proj
+// gatherCols gathers the listed rows of every vector.
+func gatherCols(vecs [][]Value, rows []int) [][]Value {
+	out := make([][]Value, len(vecs))
+	for i, vec := range vecs {
+		out[i] = gatherVec(vec, rows)
+	}
+	return out
+}
+
+// dedupe keeps the first of every set of equal rows: DISTINCT, and UNION at
+// a plain-UNION boundary.
+func dedupe(rel *vecRel) *vecRel {
+	seen := make(map[string]bool, rel.n)
+	var keep []int
+	var kbuf []byte
+	for r := 0; r < rel.n; r++ {
+		kbuf = kbuf[:0]
+		for _, vec := range rel.vecs {
+			kbuf = appendKeyValue(kbuf, vec[r])
+		}
+		if !seen[string(kbuf)] {
+			seen[string(kbuf)] = true
+			keep = append(keep, r)
 		}
 	}
-	return res, nil
+	if len(keep) == rel.n {
+		return rel
+	}
+	return &vecRel{vecs: gatherCols(rel.vecs, keep), n: len(keep)}
+}
+
+// rowsRel turns row-major rows into a relation (the row oracle's and
+// EXPLAIN's results, on their way to a walk).
+func rowsRel(res *Result) *vecRel {
+	out := &vecRel{vecs: make([][]Value, len(res.Columns)), n: len(res.Rows)}
+	for c := range out.vecs {
+		out.vecs[c] = make([]Value, len(res.Rows))
+		for r, row := range res.Rows {
+			out.vecs[c][r] = row[c]
+		}
+	}
+	return out
 }
 
 // aggAcc streams one aggregate call for one group, mirroring
@@ -701,11 +482,7 @@ type vgroup struct {
 // streaming accumulators: one pass over the source builds all groups, then
 // per-group finalisation (HAVING, projection, ORDER BY) reuses the
 // interpreter's scalar evaluator — group counts are small, rows are not.
-func execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*Result, error) {
-	res := &Result{}
-	for i, it := range items {
-		res.Columns = append(res.Columns, itemName(it, i))
-	}
+func execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*vecRel, error) {
 
 	aggCalls := collectAggCalls(s, items)
 	gbComps := make([]vexpr, len(s.GroupBy))
@@ -842,13 +619,18 @@ func execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*R
 		order = append(order, newGroup(-1))
 	}
 
-	aliasOf := aliasMap(items)
-	type sortable struct {
-		proj Row
-		keys Row
+	// The output: the items' columns, then the ORDER BY keys'.
+	width := len(items)
+	out := &vecRel{vecs: make([][]Value, width+len(s.OrderBy))}
+	for i := range out.vecs {
+		out.vecs[i] = make([]Value, 0, len(order))
 	}
-	var tagged []sortable
-
+	keys := make([]int, len(s.OrderBy))
+	for i := range keys {
+		keys[i] = width + i
+	}
+	aliasOf := aliasMap(items)
+	proj := make(Row, width)
 	for _, g := range order {
 		aggs := make(map[string]Value, len(aggCalls))
 		for ai, f := range aggCalls {
@@ -906,7 +688,6 @@ func execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*R
 				continue
 			}
 		}
-		proj := make(Row, len(items))
 		for i, it := range items {
 			v, err := eval(it.Expr, genv)
 			if err != nil {
@@ -914,24 +695,19 @@ func execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*R
 			}
 			proj[i] = v
 		}
-		if len(s.OrderBy) == 0 {
-			res.Rows = append(res.Rows, proj)
-			continue
+		for i, v := range proj {
+			out.vecs[i] = append(out.vecs[i], v)
 		}
-		kr, err := orderKeys(s.OrderBy, genv, aliasOf, proj)
-		if err != nil {
-			return nil, err
+		if len(s.OrderBy) > 0 {
+			kr, err := orderKeys(s.OrderBy, genv, aliasOf, proj)
+			if err != nil {
+				return nil, err
+			}
+			for i, v := range kr {
+				out.vecs[width+i] = append(out.vecs[width+i], v)
+			}
 		}
-		tagged = append(tagged, sortable{proj: proj, keys: kr})
+		out.n++
 	}
-
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(tagged, func(i, j int) bool {
-			return orderLess(tagged[i].keys, tagged[j].keys, s.OrderBy)
-		})
-		for _, t := range tagged {
-			res.Rows = append(res.Rows, t.proj)
-		}
-	}
-	return res, nil
+	return sortRel(out, keys, s.OrderBy, width), nil
 }

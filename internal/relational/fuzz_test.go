@@ -12,7 +12,10 @@ import (
 // parses are then round-tripped through the plan cache — the second fetch
 // must be a hit returning an identical statement list — and executed on both
 // the batched and the row-at-a-time engine, which must agree on error
-// presence and, when both succeed, on the result.
+// presence and, when both succeed, on the result. Every read the batched
+// engine runs is also drained through its iterator a page of 1 and of 7 rows
+// at a time, which must yield Query's rows or fail where Query does: the walk
+// is the only read path, so its resume logic is fuzzed too.
 func FuzzSQLParse(f *testing.F) {
 	seeds := []string{
 		"CREATE TABLE Patient (Id INT PRIMARY KEY, Name VARCHAR(64), Gender CHAR(1))",
@@ -40,6 +43,10 @@ func FuzzSQLParse(f *testing.F) {
 		"SELECT b / (a - 2) FROM f LIMIT 1",
 		"SELECT a FROM f WHERE 1 / (a - 2) < 0 LIMIT 1",
 		"SELECT v FROM f WHERE a > 0 LIMIT 2 OFFSET 1",
+		"SELECT DISTINCT b FROM f LIMIT 1",
+		"SELECT x.a FROM f x JOIN f y ON x.a = y.a WHERE 1 / (x.a - 2) <> y.b LIMIT 1",
+		"CREATE INDEX fa ON f (a); SELECT v FROM f WHERE a = 2 AND 1 / (a - 2) > 0 LIMIT 1",
+		"SELECT a FROM f WHERE 1 = 1 LIMIT 2 OFFSET 1",
 		// Malformed shapes the parser must reject gracefully.
 		"SELECT FROM",
 		"INSERT Patient",
@@ -109,7 +116,7 @@ INSERT INTO f VALUES (3, 2, NULL);
 				t.Fatal(err)
 			}
 		}
-		rv, errV := vec.ExecScript(src)
+		rv, errV := execPaged(t, vec, src)
 		rr, errR := row.ExecScript(src)
 		if (errV != nil) != (errR != nil) {
 			t.Fatalf("engines disagree on error for %q:\n  vec: %v\n  row: %v", src, errV, errR)
@@ -118,4 +125,38 @@ INSERT INTO f VALUES (3, 2, NULL);
 			t.Fatalf("engines disagree on result for %q:\nvec: %+v\nrow: %+v", src, rv, rr)
 		}
 	})
+}
+
+// execPaged is ExecScript on db, except that every SELECT and EXPLAIN is
+// also drained through QueryRows' iterator at pages of 1 and 7 rows, which
+// must agree with the statement's result (or fail where it fails).
+func execPaged(t *testing.T, db *Database, src string) (*Result, error) {
+	stmts, err := db.parseCached(src)
+	if err != nil {
+		return nil, err
+	}
+	var last *Result
+	for _, stmt := range stmts {
+		last, err = db.ExecStmt(stmt, nil)
+		switch stmt.(type) {
+		case *SelectStmt, *ExplainStmt:
+			for _, page := range []int{1, 7} {
+				rows, perr := db.openRows(stmt)
+				var got []Row
+				if perr == nil {
+					got, perr = drainRows(rows, page, nil)
+				}
+				if (perr != nil) != (err != nil) {
+					t.Fatalf("%q at page %d: error %v, Query's %v", src, page, perr, err)
+				}
+				if err == nil && !reflect.DeepEqual(got, last.Rows) {
+					t.Fatalf("%q at page %d: %v, Query's %v", src, page, got, last.Rows)
+				}
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return last, nil
 }

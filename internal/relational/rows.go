@@ -8,26 +8,25 @@ import (
 	"strings"
 )
 
-// This file is the pull side of the executor: a SELECT opens as a Rows
-// iterator and every other way of reading one (Query, ExecStmt, INSERT ...
-// SELECT, subqueries) is a drain of it.
+// This file is the pull side of the executor. Every SELECT arm opens as one
+// walk — filter, then OFFSET, then projection, ending with the LIMIT — over
+// one of three sources:
 //
-// A plan streams when nothing in it has to see the whole input before the
-// first row can leave: one table read by full scan, every WHERE conjunct
-// pushed into that scan, no ORDER BY, GROUP BY, HAVING, aggregate, DISTINCT,
-// join or set operation. Such a statement runs select -> filter -> project a
-// chunk of table slots at a time, straight from the table's column vectors
-// into the caller's buffers, and LIMIT/OFFSET stop the scan. Everything else
-// (blocking operators, and index point lookups, whose candidate sets are
-// small and come sorted by row ID) executes whole, and the iterator walks the
-// materialised Result.
+//   - table slots: a full scan, in slot (row ID) order;
+//   - index row IDs: the ascending list an equality lookup on an indexed
+//     column yields at open;
+//   - a relation a blocking operator built at open: a join, GROUP BY and
+//     aggregates, ORDER BY, DISTINCT, UNION (or a SELECT without FROM).
 //
-// Rows of a streaming plan are examined in slot order, one after the other:
-// filter, then OFFSET, then projection, and the scan ends with the LIMIT. An
-// expression error is reported when that walk reaches the row that raises it,
-// never for a row the walk does not reach. The vectorised loop evaluates a
-// chunk ahead of that walk, so when a chunk fails it is re-run a row at a
-// time, which finds out whether the walk gets as far as the failing row.
+// Rows is the walk handed to the caller a chunk at a time; Query, ExecStmt,
+// INSERT ... SELECT and subqueries drain it, and a blocking operator is fed
+// its input by the same walk, drained.
+//
+// An expression the walk evaluates errors only for a row the walk reaches,
+// never for one it does not; a blocking operator evaluates its whole input.
+// The walk evaluates a step of rows ahead of itself, so when a step fails it
+// is re-run a row at a time, which finds out whether the walk gets as far as
+// the failing row.
 
 // Chunk is a column-major block of result rows in buffers the caller owns:
 // Rows.Next fills Cols[c][:N] and reuses whatever capacity the vectors have.
@@ -37,42 +36,39 @@ type Chunk struct {
 }
 
 // Rows is a resumable iterator over one SELECT's result. It is not safe for
-// concurrent use. A streaming Rows holds no lock, no scratch memory and no
+// concurrent use. A walk over a table holds no lock, no scratch memory and no
 // table position between two calls of Next: each call takes the database's
-// read lock, resumes at the first row whose ID is not below the one it
-// stopped at, and passes over rows whose ID is at or past the table's
-// high-water mark at open. Whatever is inserted, deleted or compacted between
-// two calls, no row is returned twice, no row that existed at open and still
-// exists is skipped, and no row inserted after open appears; a row updated in
-// between is read as it is when the scan reaches it.
+// read lock, resumes at the first row whose ID is not below the one it stopped
+// at, and passes over rows whose ID is at or past the table's high-water mark
+// at open (an index walk: rows not in the lookup at open). Whatever is
+// inserted, deleted or compacted between two calls, no row is returned twice,
+// no row that existed at open and still exists is skipped, and no row inserted
+// after open appears; a row updated in between is read as it is when the walk
+// reaches it (so an index walk passes over one updated out of the key, and
+// never sees one updated into it).
 type Rows struct {
-	columns []string
-	st      *stream // streaming plan; nil for a materialised one
-	res     *Result // materialised plan: the rows not yet returned
-	done    bool
+	w    *walk
+	done bool
 }
 
 // Columns names the result columns.
-func (r *Rows) Columns() []string { return r.columns }
+func (r *Rows) Columns() []string { return r.w.names }
 
-// Streaming reports whether the plan streams from table storage (as opposed
-// to iterating a result materialised at open).
-func (r *Rows) Streaming() bool { return r.st != nil }
-
-// Held is the number of materialised rows the iterator still holds: 0 for a
-// streaming plan, and for any plan once it is exhausted or closed.
+// Held is the number of rows a blocking operator built at open and the
+// iterator has not returned yet: 0 for a walk over a table, and for any walk
+// once it is exhausted or closed.
 func (r *Rows) Held() int {
-	if r.res == nil {
+	if r.done || r.w.src.rel == nil {
 		return 0
 	}
-	return len(r.res.Rows)
+	return r.w.src.rel.n - int(r.w.from)
 }
 
-// Close ends the iteration and releases what it holds. The scan of a
-// streaming plan simply never resumes.
+// Close ends the iteration and releases what it holds. A walk over a table
+// simply never resumes.
 func (r *Rows) Close() {
 	r.done = true
-	r.res = nil
+	r.w.src.rel = nil
 }
 
 // Next fills ch, which must have one vector per result column, with the next
@@ -88,189 +84,229 @@ func (r *Rows) Next(ch *Chunk, most int) (done bool, err error) {
 	if most <= 0 {
 		most = math.MaxInt
 	}
-	if r.st == nil {
-		rows := r.res.Rows
-		n := min(most, len(rows))
-		for c := range ch.Cols {
-			ch.Cols[c] = slices.Grow(ch.Cols[c][:0], n)[:n]
-			for j, row := range rows[:n] {
-				ch.Cols[c][j] = row[c]
-			}
-		}
-		ch.N = n
-		r.res.Rows = rows[n:]
-		if len(r.res.Rows) == 0 {
+	w := r.w
+	if t := w.src.t; t != nil {
+		db := w.db
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		if db.tables[w.src.table] != t {
 			r.Close()
+			return true, fmt.Errorf("relational: %s: table %s was dropped under an open cursor", db.name, t.schema.Name)
 		}
-		return r.done, nil
-	}
-	db := r.st.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t := db.tables[r.st.table]; t != r.st.t {
-		r.Close()
-		return true, fmt.Errorf("relational: %s: table %s was dropped under an open cursor", db.name, r.st.t.schema.Name)
 	}
 	c := getVctx()
 	defer c.release()
-	if err := r.st.fill(c, ch, most); err != nil {
+	if err := w.fill(c, ch, most); err != nil {
 		r.Close()
 		return true, err
 	}
-	if r.st.done {
+	if w.done {
 		r.Close()
 	}
 	return r.done, nil
 }
 
-// QueryRows opens a SELECT (or EXPLAIN) as an iterator. A plan that streams
-// does no work here beyond planning; one that does not is executed whole.
+// QueryRows opens a SELECT (or EXPLAIN) as an iterator. A walk over a table
+// does no work here beyond planning; a blocking operator runs here, whole.
 func (db *Database) QueryRows(sql string) (*Rows, error) {
 	stmt, err := db.parseQuery(sql)
 	if err != nil {
 		return nil, err
 	}
+	return db.openRows(stmt)
+}
+
+// openRows opens a parsed SELECT or EXPLAIN as an iterator.
+func (db *Database) openRows(stmt Statement) (*Rows, error) {
 	if err := db.dialect.Check(stmt); err != nil {
 		return nil, err
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.openRows(stmt)
-}
-
-// openRows opens a read-only statement. The caller holds the database lock.
-func (db *Database) openRows(stmt Statement) (*Rows, error) {
-	var res *Result
-	var st *stream
+	var w *walk
 	var err error
 	switch s := stmt.(type) {
 	case *ExplainStmt:
-		res, err = db.explainSelect(s.Query)
+		var res *Result
+		if res, err = db.explainSelect(s.Query); err == nil {
+			w = db.heldWalk(rowsRel(res), res.Columns, 0, -1)
+		}
 	case *SelectStmt:
-		res, st, err = db.planSelect(s)
+		w, err = db.openSelect(s)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		return &Rows{columns: st.names, st: st}, nil
+	return &Rows{w: w}, nil
+}
+
+// source is where a walk's rows come from: a table's slots (ids nil), the
+// row IDs an index lookup yielded, or a relation (t nil).
+type source struct {
+	t     *Table
+	table string  // t's lower-cased name, to find it again under the lock
+	ids   []int64 // ascending
+	high  int64   // a table walk passes over rows with an ID >= high
+	rel   *vecRel
+}
+
+func (s *source) vecs() [][]Value {
+	if s.t == nil {
+		return s.rel.vecs
 	}
-	return &Rows{columns: res.Columns, res: res, done: len(res.Rows) == 0}, nil
+	return s.t.cols
 }
 
-// streamPlan is what both engines need to run a statement that streams: the
-// one table, the pushed filter (nil: none) and the projection.
-type streamPlan struct {
-	t      *Table
-	cols   []colBinding
-	filter Expr
-	items  []SelectItem
-}
-
-// streamable decides whether s, one SELECT arm whose FROM clause resolved to
-// fp, streams (see the file comment), and returns its plan if so.
-func streamable(s *SelectStmt, fp *fromPlan) (p streamPlan, ok bool) {
-	if len(fp.specs) != 1 || len(fp.residual) > 0 ||
-		s.Distinct || len(s.OrderBy) > 0 || len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(fp.items) {
-		return p, false
+// bounds locates the candidates still to visit, [pos, end), resuming at the
+// first whose key is not below from: row IDs for a table, positions for a
+// relation. The caller holds the database lock.
+func (s *source) bounds(from int64) (pos, end int) {
+	switch {
+	case s.t == nil:
+		return int(from), s.rel.n
+	case s.ids != nil:
+		return sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= from }), len(s.ids)
 	}
-	sp := fp.specs[0]
-	p = streamPlan{t: sp.t, cols: fp.allCols, items: fp.items,
-		filter: andAll(fp.pushed[strings.ToLower(sp.ref.Binding())])}
-	_, _, indexed := indexableEquality(p.t, p.filter, &evalEnv{cols: p.cols})
-	return p, !indexed
+	// Row IDs ascend with the slots, so both ends of the scan are searches.
+	ids := s.t.ids
+	end = len(ids)
+	if end > 0 && ids[end-1] >= s.high {
+		end = sort.Search(end, func(i int) bool { return ids[i] >= s.high })
+	}
+	return sort.Search(end, func(i int) bool { return ids[i] >= from }), end
 }
 
-// stream is the resumable state of a streaming plan. Everything in it is
-// either immutable (the compiled expressions) or a plain number.
-type stream struct {
+// rows appends to sel the vector positions of the candidates in [lo, hi)
+// that still exist.
+func (s *source) rows(sel []int, lo, hi int) []int {
+	switch {
+	case s.t == nil:
+		for r := lo; r < hi; r++ {
+			sel = append(sel, r)
+		}
+	case s.ids != nil:
+		for _, id := range s.ids[lo:hi] {
+			if r, ok := s.t.slots[id]; ok && s.t.live[r] {
+				sel = append(sel, r)
+			}
+		}
+	default:
+		for r := lo; r < hi; r++ {
+			if s.t.live[r] {
+				sel = append(sel, r)
+			}
+		}
+	}
+	return sel
+}
+
+// key is the resume key of the row at vector position r.
+func (s *source) key(r int) int64 {
+	if s.t == nil {
+		return int64(r)
+	}
+	return s.t.ids[r]
+}
+
+// walk is the resumable state of one SELECT arm. Everything in it is either
+// immutable (the source's lists, the compiled expressions) or a plain number.
+type walk struct {
 	db     *Database
-	table  string // lower-cased name, to find the table again under the lock
-	t      *Table
+	src    source
+	cols   []colBinding // the source's columns, what the expressions read
 	names  []string
-	filter vexpr // nil: every live row passes
-	proj   []vexpr
+	filter vexpr   // nil: every row passes
+	proj   []vexpr // a nil entry projects nothing (drain only)
 
-	from int64 // resume at the first slot whose row ID is >= from
-	high int64 // rows with an ID >= high were inserted after open
+	from int64 // resume at the first candidate whose key is >= from
 	skip int   // OFFSET rows still to pass over
 	left int   // LIMIT rows still to return; < 0: no limit
 	done bool
 }
 
-func (db *Database) newStream(s *SelectStmt, p *streamPlan) *stream {
-	st := &stream{
-		db:    db,
-		table: strings.ToLower(p.t.schema.Name),
-		t:     p.t,
-		names: make([]string, len(p.items)),
-		proj:  make([]vexpr, len(p.items)),
-		high:  p.t.nextID + 1,
-		skip:  s.Offset,
-		left:  s.Limit,
+// scanWalk opens a walk over one table reference: its index lookup if the
+// plan takes one, its slots otherwise, filtered by what sp's scan evaluates.
+// cols are the reference's bindings.
+func (db *Database) scanWalk(sp *scanSpec, cols []colBinding) *walk {
+	w := &walk{db: db, cols: cols, left: -1,
+		src: source{t: sp.t, table: strings.ToLower(sp.t.schema.Name), ids: sp.rowIDs(), high: sp.t.nextID + 1}}
+	if sp.filter != nil {
+		w.filter = compileExpr(sp.filter, cols)
 	}
-	if p.filter != nil {
-		st.filter = compileExpr(p.filter, p.cols)
-	}
-	for i, it := range p.items {
-		st.names[i] = itemName(it, i)
-		st.proj[i] = compileExpr(it.Expr, p.cols)
-	}
-	return st
+	return w
 }
 
-// minScanStep is the fewest slots one step of a streaming scan looks at: the
-// width of a cursor's first page, so an unfiltered first page is one step.
+// relWalk opens a walk over a relation, filtered (nil: not).
+func (db *Database) relWalk(rel *vecRel, filter Expr) *walk {
+	w := &walk{db: db, cols: rel.cols, left: -1, src: source{rel: rel}}
+	if filter != nil {
+		w.filter = compileExpr(filter, rel.cols)
+	}
+	return w
+}
+
+// heldWalk is the walk over a blocking operator's output: its columns as
+// they are, named names, cut by OFFSET and LIMIT.
+func (db *Database) heldWalk(rel *vecRel, names []string, offset, limit int) *walk {
+	w := &walk{db: db, src: source{rel: rel}, names: names, skip: offset, left: limit,
+		proj: make([]vexpr, len(names))}
+	for i := range w.proj {
+		w.proj[i] = &vCol{ord: i}
+	}
+	return w
+}
+
+// project sets the walk's projection.
+func (w *walk) project(items []SelectItem) {
+	w.names = itemNames(items)
+	w.proj = make([]vexpr, len(items))
+	for i, it := range items {
+		w.proj[i] = compileExpr(it.Expr, w.cols)
+	}
+}
+
+// minScanStep is the fewest candidates one step of a walk looks at: the width
+// of a cursor's first page, so an unfiltered first page is one step.
 const minScanStep = 64
 
-// fill appends up to most result rows to ch, resuming the scan where the last
-// call left it, and leaves st.from at the next row that passes the filter (or
-// st.done set): when the page fills at the end of a step it looks ahead, the
+// fill appends up to most result rows to ch, resuming the walk where the last
+// call left it, and leaves w.from at the next row that passes the filter (or
+// w.done set): when the page fills at the end of a step it looks ahead, the
 // filter only, for one more row. The caller holds the database lock.
-func (st *stream) fill(c *vctx, ch *Chunk, most int) error {
+func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 	need := most
-	if st.left >= 0 {
-		need = min(need, st.left)
+	if w.left >= 0 {
+		need = min(need, w.left)
 	}
 	if need == 0 { // LIMIT met (or LIMIT 0): nothing is examined
-		st.done = true
+		w.done = true
 		return nil
 	}
-	t := st.t
-	// Row IDs ascend with the slots, so both ends of the scan are searches.
-	end := len(t.ids)
-	if end > 0 && t.ids[end-1] >= st.high {
-		end = sort.Search(end, func(i int) bool { return t.ids[i] >= st.high })
-	}
-	pos := sort.Search(end, func(i int) bool { return t.ids[i] >= st.from })
-
-	batch := &vbatch{vecs: t.cols}
+	pos, end := w.src.bounds(w.from)
+	batch := &vbatch{vecs: w.src.vecs()}
 	sel := c.getSel()
 	defer func() { c.putSel(sel) }()
 	vals := c.getVals()
 	defer c.putVals(vals)
 
-	// A step looks at as many slots as should yield the rows still wanted,
-	// going by the share of slots that have passed so far.
+	// A step looks at as many candidates as should yield the rows still
+	// wanted, going by the share of candidates that have passed so far.
 	scanned, passed := 1, 1
 	nextStep := func() int {
-		want := min(need, vecChunk) + min(st.skip, vecChunk)
+		want := min(need, vecChunk) + min(w.skip, vecChunk)
 		return min(max(want*scanned/passed, minScanStep), vecChunk)
 	}
 	step := nextStep()
 	rowwise := false // a step failed: walk a row at a time from there on
 	for pos < end {
 		hi := min(pos+step, end)
-		sel = sel[:0]
-		for r := pos; r < hi; r++ {
-			if t.live[r] {
-				sel = append(sel, r)
-			}
+		sel = w.src.rows(sel[:0], pos, hi)
+		if w.src.t != nil {
+			w.db.chunks.Add(1)
 		}
-		st.db.chunks.Add(1)
 		var err error
-		if st.filter != nil && len(sel) > 0 {
-			if err = st.filter.eval(c, batch, sel, vals); err == nil {
+		if w.filter != nil && len(sel) > 0 {
+			if err = w.filter.eval(c, batch, sel, vals); err == nil {
 				k := 0
 				for i, r := range sel {
 					if b, ok := vals[i].Truthy(); ok && b {
@@ -281,11 +317,17 @@ func (st *stream) fill(c *vctx, ch *Chunk, most int) error {
 				sel = sel[:k]
 			}
 		}
-		skip := min(st.skip, len(sel))
+		skip := min(w.skip, len(sel))
 		take := min(len(sel)-skip, need)
 		if err == nil && take > 0 {
-			for i, comp := range st.proj {
-				ch.Cols[i] = slices.Grow(ch.Cols[i][:ch.N], take)[:ch.N+take]
+			// Room for the rest of the rows wanted too, at this step's
+			// rate, so a drain sizes its vectors about once.
+			room := take + min(need-take, take*(end-hi)/(hi-pos))
+			for i, comp := range w.proj {
+				if comp == nil {
+					continue
+				}
+				ch.Cols[i] = slices.Grow(ch.Cols[i][:ch.N], room)[:ch.N+take]
 				if err = comp.eval(c, batch, sel[skip:skip+take], ch.Cols[i][ch.N:]); err != nil {
 					break
 				}
@@ -293,9 +335,10 @@ func (st *stream) fill(c *vctx, ch *Chunk, most int) error {
 		}
 		if err != nil {
 			if need == 0 {
-				// Looking ahead only: the error belongs to the fetch whose
-				// walk gets there, if one does.
-				st.from = t.ids[pos]
+				// Looking ahead only (so the filter failed, on a step with
+				// rows in it): the error belongs to the fetch whose walk gets
+				// there, if one does.
+				w.from = w.src.key(sel[0])
 				return nil
 			}
 			if !rowwise {
@@ -304,17 +347,17 @@ func (st *stream) fill(c *vctx, ch *Chunk, most int) error {
 			}
 			return err
 		}
-		st.skip -= skip
+		w.skip -= skip
 		ch.N += take
 		need -= take
-		if st.left > 0 {
-			if st.left -= take; st.left == 0 {
-				st.done = true
+		if w.left > 0 {
+			if w.left -= take; w.left == 0 {
+				w.done = true
 				return nil
 			}
 		}
 		if skip+take < len(sel) {
-			st.from = t.ids[sel[skip+take]]
+			w.from = w.src.key(sel[skip+take])
 			return nil
 		}
 		scanned += hi - pos
@@ -328,26 +371,82 @@ func (st *stream) fill(c *vctx, ch *Chunk, most int) error {
 			step = nextStep()
 		}
 	}
-	st.done = true
+	w.done = true
 	return nil
 }
 
-// drain runs the scan to its end and returns the rows, row-major. The caller
-// holds the database lock throughout.
-func (st *stream) drain() (*Result, error) {
+// drain runs the walk to its end and returns what it projects, column i
+// from proj[i] (nil for a nil entry). The caller holds the database lock.
+func (w *walk) drain(c *vctx) (*vecRel, error) {
+	ch := Chunk{Cols: make([][]Value, len(w.proj))}
+	for i, comp := range w.proj {
+		if comp != nil {
+			ch.Cols[i] = emptyVec
+		}
+	}
+	if err := w.fill(c, &ch, math.MaxInt); err != nil {
+		return nil, err
+	}
+	return &vecRel{vecs: ch.Cols, n: ch.N}, nil
+}
+
+// rel returns the walk's rows as a relation over its source's columns, only
+// the referenced ones materialised. A relation, or an unfiltered table with
+// no tombstones, comes back as it is: the table's storage vectors aliased,
+// zero copies (callers only read them, and only under the database lock).
+func (w *walk) rel(c *vctx, ref []bool) (*vecRel, error) {
+	if w.filter == nil {
+		if w.src.rel != nil {
+			return w.src.rel, nil
+		}
+		if t := w.src.t; w.src.ids == nil && t.dead == 0 {
+			out := &vecRel{cols: w.cols, n: len(t.ids), vecs: make([][]Value, len(t.cols))}
+			for i, vec := range t.cols {
+				if ref[i] {
+					out.vecs[i] = vec
+					if vec == nil {
+						// A never-inserted table's nil storage must
+						// still read as referenced.
+						out.vecs[i] = emptyVec
+					}
+				}
+			}
+			return out, nil
+		}
+	}
+	w.proj = make([]vexpr, len(ref))
+	for i, r := range ref {
+		if r {
+			w.proj[i] = &vCol{ord: i}
+		}
+	}
+	out, err := w.drain(c)
+	if err != nil {
+		return nil, err
+	}
+	out.cols = w.cols
+	return out, nil
+}
+
+// result drains the walk into a row-major Result. The caller holds the
+// database lock throughout.
+func (w *walk) result() (*Result, error) {
 	c := getVctx()
 	defer c.release()
-	nc := len(st.proj)
+	nc := len(w.proj)
 	ch := Chunk{Cols: make([][]Value, nc)}
 	for i := range ch.Cols {
 		ch.Cols[i] = c.getVals()
 		defer func() { c.putVals(ch.Cols[i]) }()
 	}
-	res := &Result{Columns: st.names}
-	for !st.done {
+	res := &Result{Columns: w.names}
+	for !w.done {
 		ch.N = 0
-		if err := st.fill(c, &ch, vecChunk); err != nil {
+		if err := w.fill(c, &ch, vecChunk); err != nil {
 			return nil, err
+		}
+		if ch.N == 0 {
+			continue
 		}
 		slab := make([]Value, ch.N*nc)
 		res.Rows = slices.Grow(res.Rows, ch.N)

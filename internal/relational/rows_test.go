@@ -43,8 +43,8 @@ func drainRows(rows *Rows, page int, after func()) ([]Row, error) {
 }
 
 // TestIteratorPageSizesAgree: whatever the page size, draining the iterator
-// yields the rows Query does, streaming plan or materialised one, on tables
-// with tombstones in them, and both engines agree on them.
+// yields the rows Query does, whatever the walk's source, on tables with
+// tombstones in them, and both engines agree on them.
 func TestIteratorPageSizesAgree(t *testing.T) {
 	statements := []string{
 		"SELECT * FROM t",
@@ -59,8 +59,12 @@ func TestIteratorPageSizesAgree(t *testing.T) {
 		"SELECT 100 / (id - 30) FROM t LIMIT 20",          // the failing row is past the LIMIT
 		"SELECT id FROM t WHERE 100 / (id - 30) > 0",      // the filter fails on row 30
 		"SELECT 100 / (id - 1500) FROM t WHERE id > 1400", // the projection fails past page one
-		// Plans that do not stream.
 		"SELECT id FROM t WHERE id = 77",
+		"SELECT id FROM t WHERE id = 77 AND v >= 0 LIMIT 1",
+		"SELECT id FROM t WHERE 1 = 1 LIMIT 9 OFFSET 3",
+		"SELECT a.id FROM t a JOIN t b ON a.id = b.id WHERE a.v + b.v > 4 LIMIT 50 OFFSET 2",
+		"SELECT 100 / (a.id - 1500) FROM t a JOIN t b ON a.id = b.id LIMIT 1400",
+		// Blocking operators.
 		"SELECT id, v FROM t ORDER BY v, id",
 		"SELECT v, COUNT(*) FROM t GROUP BY v",
 		"SELECT DISTINCT s FROM t",
@@ -96,32 +100,42 @@ func TestIteratorPageSizesAgree(t *testing.T) {
 	}
 }
 
-// TestIteratorPlans pins which statements stream.
+// TestIteratorPlans pins which statements hold rows at open: a walk over a
+// table (full scan or index lookup, whatever its filter) holds none, and an
+// arm with a blocking operator holds its whole result until it is read.
 func TestIteratorPlans(t *testing.T) {
 	db, _ := randDB(t, 1, 10)
-	for q, streams := range map[string]bool{
-		"SELECT * FROM t": true,
-		"SELECT id FROM t WHERE v > 3 AND s = 's1'":   true,
-		"SELECT id FROM t WHERE v > 3 LIMIT 2":        true,
-		"SELECT id FROM t WHERE id = 3":               false, // index point lookup
+	for q, holds := range map[string]bool{
+		"SELECT * FROM t": false,
+		"SELECT id FROM t WHERE v > 3 AND s = 's1'":   false,
+		"SELECT id FROM t WHERE v > 3 LIMIT 2":        false,
+		"SELECT id FROM t WHERE id = 3":               false, // index lookup
+		"SELECT id FROM t WHERE id = 3 AND v > 0":     false,
 		"SELECT id FROM t WHERE 1 = 1":                false, // a residual conjunct
-		"SELECT id FROM t ORDER BY id":                false,
-		"SELECT COUNT(*) FROM t":                      false,
-		"SELECT DISTINCT v FROM t":                    false,
-		"SELECT a.id FROM t a, t b":                   false,
-		"SELECT id FROM t UNION ALL SELECT id FROM t": false,
-		"SELECT 1":                 false,
-		"EXPLAIN SELECT id FROM t": false,
+		"SELECT id FROM t ORDER BY id":                true,
+		"SELECT v, COUNT(*) FROM t GROUP BY v":        true,
+		"SELECT COUNT(*) FROM t":                      true,
+		"SELECT DISTINCT v FROM t":                    true,
+		"SELECT a.id FROM t a, t b":                   true,
+		"SELECT a.id FROM t a JOIN t b ON a.v = b.v":  true,
+		"SELECT id FROM t UNION ALL SELECT id FROM t": true,
+		"SELECT 1":                 true,
+		"EXPLAIN SELECT id FROM t": true,
 	} {
+		want := 0
+		if holds {
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			want = len(res.Rows)
+		}
 		rows, err := db.QueryRows(q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		if rows.Streaming() != streams {
-			t.Errorf("%q: streams = %v, want %v", q, rows.Streaming(), streams)
-		}
-		if streams && rows.Held() != 0 {
-			t.Errorf("%q: a streaming plan holds %d rows", q, rows.Held())
+		if rows.Held() != want {
+			t.Errorf("%q: %d rows held at open, want %d", q, rows.Held(), want)
 		}
 		rows.Close()
 		if rows.Held() != 0 {
@@ -131,83 +145,103 @@ func TestIteratorPlans(t *testing.T) {
 }
 
 // TestIteratorUnderWrites runs a writer between every two fetches of a
-// streaming cursor: it inserts rows, deletes rows on both sides of the scan
-// and deletes enough to force maybeCompact. The cursor must return no row
-// twice, every row that existed at open and still exists when the scan ends,
-// and no row inserted after open.
+// cursor over table slots and of one over an index lookup: it inserts rows
+// (in the index's key too), deletes rows on both sides of the walk, deletes
+// enough to force maybeCompact and, under the index walk, updates rows into
+// and out of the key. The cursor must return no row twice, every row that was
+// in its result at open and still is when the walk ends, and no row inserted
+// (or, for the index walk, updated into the key) after open.
 func TestIteratorUnderWrites(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db, _ := randDB(t, seed, 1200)
-		tbl, _ := db.Table("t")
-		atOpen := map[int64]bool{}
-		for i := int64(0); i < 1200; i++ {
-			atOpen[i] = true
-		}
-		deleted := map[int64]bool{}
-		nextNew := int64(5000)
-		compactions := 0
-		write := func() {
-			for i := 0; i < 3; i++ {
-				if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, 1, 'new')", nextNew)); err != nil {
+	for _, index := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			db, vals := randDB(t, seed, 1200)
+			tbl, _ := db.Table("t")
+			q, page := "SELECT id FROM t WHERE v >= 0", 1+rng.Intn(40)
+			if index {
+				if _, err := db.Exec("CREATE INDEX t_v ON t (v)"); err != nil {
 					t.Fatal(err)
 				}
-				nextNew++
+				q, page = "SELECT id FROM t WHERE v = 3", 1 // about 60 rows: a fetch each
 			}
-			// A burst of deletes, now and then big enough to compact.
-			n := 1 + rng.Intn(8)
-			if rng.Intn(4) == 0 {
-				n = 150
-			}
-			before := len(tbl.ids)
-			for i := 0; i < n; i++ {
-				id := int64(rng.Intn(1200))
-				if deleted[id] {
-					continue
+			atOpen := map[int64]bool{}
+			for i, v := range vals {
+				if !index || v == 3 {
+					atOpen[int64(i)] = true
 				}
-				if _, err := db.Exec(fmt.Sprintf("DELETE FROM t WHERE id = %d", id)); err != nil {
-					t.Fatal(err)
+			}
+			gone := map[int64]bool{} // deleted, or updated out of the key
+			nextNew := int64(5000)
+			compactions := 0
+			write := func() {
+				for i := 0; i < 3; i++ {
+					if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, 3, 'new')", nextNew)); err != nil {
+						t.Fatal(err)
+					}
+					nextNew++
 				}
-				deleted[id] = true
+				if id := int64(rng.Intn(1200)); index && !gone[id] {
+					v := 3
+					if vals[id] == 3 {
+						v = 4
+					}
+					if _, err := db.Exec(fmt.Sprintf("UPDATE t SET v = %d WHERE id = %d", v, id)); err != nil {
+						t.Fatal(err)
+					}
+					gone[id] = true
+				}
+				// A burst of deletes, now and then big enough to compact.
+				n := 1 + rng.Intn(8)
+				if rng.Intn(4) == 0 {
+					n = 150
+				}
+				before := len(tbl.ids)
+				for i := 0; i < n; i++ {
+					id := int64(rng.Intn(1200))
+					if _, err := db.Exec(fmt.Sprintf("DELETE FROM t WHERE id = %d", id)); err != nil {
+						t.Fatal(err)
+					}
+					gone[id] = true
+				}
+				if len(tbl.ids) < before {
+					compactions++
+				}
 			}
-			if len(tbl.ids) < before {
-				compactions++
+			rows, err := db.QueryRows(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		rows, err := db.QueryRows("SELECT id FROM t WHERE v >= 0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.Streaming() {
-			t.Fatal("the scan does not stream")
-		}
-		got, err := drainRows(rows, 1+rng.Intn(40), write)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[int64]bool{}
-		last := int64(-1)
-		for _, r := range got {
-			id := r[0].Int
-			if seen[id] {
-				t.Fatalf("seed %d: row %d returned twice", seed, id)
+			if rows.Held() != 0 {
+				t.Fatalf("%q holds rows", q)
 			}
-			seen[id] = true
-			if !atOpen[id] {
-				t.Fatalf("seed %d: row %d was inserted after open", seed, id)
+			got, err := drainRows(rows, page, write)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if id < last {
-				t.Fatalf("seed %d: row %d after row %d", seed, id, last)
+			seen := map[int64]bool{}
+			last := int64(-1)
+			for _, r := range got {
+				id := r[0].Int
+				if seen[id] {
+					t.Fatalf("%q, seed %d: row %d returned twice", q, seed, id)
+				}
+				seen[id] = true
+				if !atOpen[id] {
+					t.Fatalf("%q, seed %d: row %d came into the result after open", q, seed, id)
+				}
+				if id < last {
+					t.Fatalf("%q, seed %d: row %d after row %d", q, seed, id, last)
+				}
+				last = id
 			}
-			last = id
-		}
-		for id := range atOpen {
-			if !deleted[id] && !seen[id] {
-				t.Fatalf("seed %d: row %d existed at open, still exists, and was skipped", seed, id)
+			for id := range atOpen {
+				if !gone[id] && !seen[id] {
+					t.Fatalf("%q, seed %d: row %d was in the result at open, still is, and was skipped", q, seed, id)
+				}
 			}
-		}
-		if compactions == 0 {
-			t.Fatalf("seed %d: the writer never forced a compaction", seed)
+			if compactions == 0 {
+				t.Fatalf("%q, seed %d: the writer never forced a compaction", q, seed)
+			}
 		}
 	}
 }

@@ -206,12 +206,16 @@ func (db *Database) rewriteSubqueries(e Expr) (Expr, bool, error) {
 	return e, false, nil
 }
 
-// execUnion evaluates a UNION chain: the arms run independently, duplicates
-// are removed across each plain-UNION boundary, and the head's ORDER BY /
-// LIMIT / OFFSET apply to the combined rows (ORDER BY may use output column
-// names or 1-based ordinals).
-func (db *Database) execUnion(s *SelectStmt) (*Result, error) {
-	var combined *Result
+// union evaluates a UNION chain, a blocking operator: the arms run
+// independently, each drained, duplicates are removed across each plain-UNION
+// boundary, and the head's ORDER BY sorts the combined rows (by output column
+// names or 1-based ordinals). The head's OFFSET and LIMIT are the caller's
+// walk's. It returns the rows and the head arm's column names.
+func (db *Database) union(s *SelectStmt) (*vecRel, []string, error) {
+	c := getVctx()
+	defer c.release()
+	var out *vecRel
+	var names []string
 	prevAll := false
 	for arm := s; arm != nil; arm = arm.Union {
 		armCopy := *arm
@@ -219,303 +223,192 @@ func (db *Database) execUnion(s *SelectStmt) (*Result, error) {
 		armCopy.OrderBy = nil
 		armCopy.Limit = -1
 		armCopy.Offset = 0
-		res, err := db.execSelectArm(&armCopy)
+		w, err := db.openArm(&armCopy)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if combined == nil {
-			combined = res
+		rel, err := w.drain(c)
+		if err != nil {
+			return nil, nil, err
+		}
+		if out == nil {
+			out, names = rel, w.names
 		} else {
-			if len(res.Columns) != len(combined.Columns) {
-				return nil, fmt.Errorf("sql: UNION arms have %d and %d columns",
-					len(combined.Columns), len(res.Columns))
+			if len(rel.vecs) != len(out.vecs) {
+				return nil, nil, fmt.Errorf("sql: UNION arms have %d and %d columns", len(out.vecs), len(rel.vecs))
 			}
-			combined.Rows = append(combined.Rows, res.Rows...)
+			for i := range out.vecs {
+				out.vecs[i] = append(out.vecs[i], rel.vecs[i]...)
+			}
+			out.n += rel.n
 			if !prevAll {
-				combined.Rows = dedupeRows(combined.Rows)
+				out = dedupe(out)
 			}
 		}
 		prevAll = arm.UnionAll
 	}
-
-	if len(s.OrderBy) > 0 {
-		if err := sortByOutput(combined, s.OrderBy); err != nil {
-			return nil, err
-		}
+	keys, err := outputOrdinals(names, s.OrderBy)
+	if err != nil {
+		return nil, nil, err
 	}
-	if s.Offset > 0 {
-		if s.Offset >= len(combined.Rows) {
-			combined.Rows = nil
-		} else {
-			combined.Rows = combined.Rows[s.Offset:]
-		}
-	}
-	if s.Limit >= 0 && s.Limit < len(combined.Rows) {
-		combined.Rows = combined.Rows[:s.Limit]
-	}
-	return combined, nil
+	return sortRel(out, keys, s.OrderBy, len(names)), names, nil
 }
 
-func dedupeRows(rows []Row) []Row {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		k := encodeKey(r)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// sortByOutput sorts a result by ORDER BY keys resolved against the output
-// columns: bare names match column headers, integer literals are 1-based
-// ordinals.
-func sortByOutput(res *Result, order []OrderItem) error {
+// outputOrdinals resolves UNION ORDER BY keys against the output columns:
+// bare names match column headers, integer literals are 1-based ordinals.
+func outputOrdinals(names []string, order []OrderItem) ([]int, error) {
 	ords := make([]int, len(order))
 	for i, oi := range order {
 		switch e := oi.Expr.(type) {
 		case *ColRef:
 			if e.Table != "" {
-				return fmt.Errorf("sql: UNION ORDER BY must use output column names")
+				return nil, fmt.Errorf("sql: UNION ORDER BY must use output column names")
 			}
 			found := -1
-			for ci, c := range res.Columns {
+			for ci, c := range names {
 				if strings.EqualFold(c, e.Name) {
 					found = ci
 					break
 				}
 			}
 			if found < 0 {
-				return fmt.Errorf("sql: ORDER BY column %s not in UNION output", e.Name)
+				return nil, fmt.Errorf("sql: ORDER BY column %s not in UNION output", e.Name)
 			}
 			ords[i] = found
 		case *Literal:
-			if e.Val.Kind != TypeInt || e.Val.Int < 1 || int(e.Val.Int) > len(res.Columns) {
-				return fmt.Errorf("sql: ORDER BY ordinal %s out of range", e.Val)
+			if e.Val.Kind != TypeInt || e.Val.Int < 1 || int(e.Val.Int) > len(names) {
+				return nil, fmt.Errorf("sql: ORDER BY ordinal %s out of range", e.Val)
 			}
 			ords[i] = int(e.Val.Int) - 1
 		default:
-			return fmt.Errorf("sql: UNION ORDER BY supports column names and ordinals only")
+			return nil, fmt.Errorf("sql: UNION ORDER BY supports column names and ordinals only")
 		}
 	}
-	sortRowsBy(res.Rows, ords, order)
-	return nil
+	return ords, nil
 }
 
-func sortRowsBy(rows []Row, ords []int, order []OrderItem) {
-	stableSortRows(rows, func(a, b Row) bool {
-		for i, ord := range ords {
-			c := Compare(a[ord], b[ord])
-			if c == 0 {
-				continue
-			}
-			if order[i].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-// stableSortRows is a minimal stable merge sort (keeps sort import local).
-func stableSortRows(rows []Row, less func(a, b Row) bool) {
-	if len(rows) < 2 {
-		return
-	}
-	mid := len(rows) / 2
-	left := append([]Row(nil), rows[:mid]...)
-	right := append([]Row(nil), rows[mid:]...)
-	stableSortRows(left, less)
-	stableSortRows(right, less)
-	i, j := 0, 0
-	for k := range rows {
-		switch {
-		case i < len(left) && (j >= len(right) || !less(right[j], left[i])):
-			rows[k] = left[i]
-			i++
-		default:
-			rows[k] = right[j]
-			j++
-		}
-	}
-}
-
-// explainSelect renders the execution plan the engine would use for a
-// SELECT, re-deriving the planner's decisions (pushdown, index selection,
-// join strategy, aggregation, ordering).
+// explainSelect renders the plan the executor opens for a SELECT, read from
+// the same fromPlan: where each arm's walk reads its rows (streamed from a
+// table, or held by an operator that builds them at open), the operators
+// above it, the filters it and each scan evaluate, index selection and join
+// strategy.
 func (db *Database) explainSelect(s *SelectStmt) (*Result, error) {
 	res := &Result{Columns: []string{"plan"}}
 	emit := func(depth int, format string, args ...any) {
 		res.Rows = append(res.Rows, Row{TextValue(strings.Repeat("  ", depth) + fmt.Sprintf(format, args...))})
 	}
-	var explainArm func(s *SelectStmt, depth int) error
-	explainArm = func(s *SelectStmt, depth int) error {
-		grouped := len(s.GroupBy) > 0 || s.Having != nil || anyAggregate(s.Items)
-		if s.Limit >= 0 || s.Offset > 0 {
-			emit(depth, "limit %d offset %d", s.Limit, s.Offset)
-			depth++
-		}
-		if len(s.OrderBy) > 0 {
-			keys := make([]string, len(s.OrderBy))
-			for i, oi := range s.OrderBy {
-				keys[i] = oi.Expr.String()
-				if oi.Desc {
-					keys[i] += " DESC"
-				}
-			}
-			emit(depth, "sort by %s", strings.Join(keys, ", "))
-			depth++
-		}
-		if s.Distinct {
-			emit(depth, "distinct")
-			depth++
-		}
-		if grouped {
-			if len(s.GroupBy) > 0 {
-				keys := make([]string, len(s.GroupBy))
-				for i, g := range s.GroupBy {
-					keys[i] = g.String()
-				}
-				emit(depth, "aggregate group by %s", strings.Join(keys, ", "))
-			} else {
-				emit(depth, "aggregate (single group)")
-			}
-			depth++
-		}
-
-		if len(s.From) == 0 {
-			emit(depth, "values (no FROM)")
-			return nil
-		}
-
-		// Recompute the pushdown partition exactly as buildFrom does.
-		type scanSpec struct {
-			ref TableRef
-			t   *Table
-		}
-		var specs []scanSpec
-		for _, tr := range s.From {
-			t, err := db.table(tr.Name)
-			if err != nil {
-				return err
-			}
-			specs = append(specs, scanSpec{tr, t})
-		}
-		for _, jc := range s.Joins {
-			t, err := db.table(jc.Table.Name)
-			if err != nil {
-				return err
-			}
-			specs = append(specs, scanSpec{jc.Table, t})
-		}
-		var allCols []colBinding
-		for _, sp := range specs {
-			b := strings.ToLower(sp.ref.Binding())
-			for _, c := range sp.t.schema.Columns {
-				allCols = append(allCols, colBinding{table: b, name: strings.ToLower(c.Name)})
-			}
-		}
-		pushed := make(map[string][]Expr)
-		var residual []Expr
-		for _, conj := range splitConjuncts(s.Where) {
-			if tbl, ok := singleBinding(conj, allCols); ok {
-				pushed[tbl] = append(pushed[tbl], conj)
-			} else {
-				residual = append(residual, conj)
-			}
-		}
-		for _, jc := range s.Joins {
-			if jc.Kind == "LEFT" {
-				b := strings.ToLower(jc.Table.Binding())
-				residual = append(residual, pushed[b]...)
-				delete(pushed, b)
-			}
-		}
-		if len(residual) > 0 {
-			emit(depth, "filter %s", andAll(residual).String())
-			depth++
-		}
-
-		describeScan := func(sp scanSpec, depth int) {
-			b := strings.ToLower(sp.ref.Binding())
-			filter := andAll(pushed[b])
-			env := &evalEnv{}
-			for _, c := range sp.t.schema.Columns {
-				env.cols = append(env.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
-			}
-			access := "seq scan"
-			if filter != nil {
-				if col, _, ok := indexableEquality(sp.t, filter, env); ok {
-					if ix := sp.t.singleColIndex(col); ix != nil {
-						access = fmt.Sprintf("index lookup %s(%s)", ix.Name, sp.t.schema.Columns[col].Name)
-					}
-				}
-			}
-			line := fmt.Sprintf("%s %s", access, sp.t.schema.Name)
-			if sp.ref.Alias != "" {
-				line += " as " + sp.ref.Alias
-			}
-			if filter != nil {
-				line += " filter " + filter.String()
-			}
-			emit(depth, "%s", line)
-		}
-
-		describeScan(specs[0], depth)
-		for i := 1; i < len(s.From); i++ {
-			emit(depth, "cross join")
-			describeScan(specs[i], depth+1)
-		}
-		for ji, jc := range s.Joins {
-			sp := specs[len(s.From)+ji]
-			switch jc.Kind {
-			case "CROSS":
-				emit(depth, "cross join")
-			case "INNER":
-				// Probe for hash-join eligibility against the left side's
-				// accumulated columns (conservative: full binding set).
-				strategy := "nested-loop join"
-				var rightCols []colBinding
-				b := strings.ToLower(sp.ref.Binding())
-				for _, c := range sp.t.schema.Columns {
-					rightCols = append(rightCols, colBinding{table: b, name: strings.ToLower(c.Name)})
-				}
-				if lk, _ := equiKeys(jc.On, allCols, rightCols); lk != nil {
-					strategy = "hash join"
-				}
-				emit(depth, "%s on %s", strategy, jc.On.String())
-			case "LEFT":
-				emit(depth, "left join on %s", jc.On.String())
-			}
-			describeScan(sp, depth+1)
-		}
-		return nil
-	}
-
 	for arm := s; arm != nil; arm = arm.Union {
-		if arm != s {
-			op := "union"
-			// The ALL flag lives on the node linking to this arm.
-			emit(0, "%s", op)
-		}
 		armCopy := *arm
+		depth := 0
 		if arm != s {
+			emit(0, "union")
 			armCopy.OrderBy = nil
 			armCopy.Limit = -1
+			depth = 1
 		}
-		if err := explainArm(&armCopy, boolToInt(arm != s)); err != nil {
+		if err := db.explainArm(&armCopy, s.Union != nil, depth, emit); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-func boolToInt(b bool) int {
-	if b {
-		return 1
+func (db *Database) explainArm(s *SelectStmt, inUnion bool, depth int, emit func(int, string, ...any)) error {
+	s, err := db.rewriteStmtSubqueries(s)
+	if err != nil {
+		return err
 	}
-	return 0
+	var fp fromPlan
+	if err := db.planFrom(s, &fp); err != nil {
+		return err
+	}
+	if inUnion || blocking(s, fp.items) || len(fp.specs) != 1 {
+		emit(depth, "rows held at open")
+	} else {
+		emit(depth, "rows streamed from %s", fp.specs[0].t.schema.Name)
+	}
+	if s.Limit >= 0 || s.Offset > 0 {
+		emit(depth, "limit %d offset %d", s.Limit, s.Offset)
+		depth++
+	}
+	if s.Distinct {
+		emit(depth, "distinct")
+		depth++
+	}
+	if len(s.OrderBy) > 0 {
+		keys := make([]string, len(s.OrderBy))
+		for i, oi := range s.OrderBy {
+			keys[i] = oi.Expr.String()
+			if oi.Desc {
+				keys[i] += " DESC"
+			}
+		}
+		emit(depth, "sort by %s", strings.Join(keys, ", "))
+		depth++
+	}
+	if grouped(s, fp.items) {
+		if len(s.GroupBy) > 0 {
+			keys := make([]string, len(s.GroupBy))
+			for i, g := range s.GroupBy {
+				keys[i] = g.String()
+			}
+			emit(depth, "aggregate group by %s", strings.Join(keys, ", "))
+		} else {
+			emit(depth, "aggregate (single group)")
+		}
+		depth++
+	}
+	if fp.filter != nil {
+		emit(depth, "filter %s", fp.filter)
+		depth++
+	}
+	if len(fp.specs) == 0 {
+		emit(depth, "values (no FROM)")
+		return nil
+	}
+
+	scan := func(sp *scanSpec, depth int) {
+		line := "seq scan "
+		if sp.ix != nil {
+			line = fmt.Sprintf("index lookup %s(%s) ", sp.ix.Name, sp.t.schema.Columns[sp.ix.Cols[0]].Name)
+		}
+		line += sp.t.schema.Name
+		if sp.ref.Alias != "" {
+			line += " as " + sp.ref.Alias
+		}
+		if sp.filter != nil {
+			line += " filter " + sp.filter.String()
+		}
+		emit(depth, "%s", line)
+	}
+	scan(&fp.specs[0], depth)
+	for i := 1; i < len(s.From); i++ {
+		emit(depth, "cross join")
+		scan(&fp.specs[i], depth+1)
+	}
+	left := 0 // the joined columns so far
+	for _, sp := range fp.specs[:len(s.From)] {
+		left += len(sp.t.schema.Columns)
+	}
+	for ji, jc := range s.Joins {
+		sp := &fp.specs[len(s.From)+ji]
+		nc := len(sp.t.schema.Columns)
+		switch jc.Kind {
+		case "CROSS":
+			emit(depth, "cross join")
+		case "INNER":
+			// The executor's dispatch: a hash join when the ON clause is
+			// a conjunction of column equalities across the two sides.
+			strategy := "nested-loop join"
+			if lk, _ := equiKeys(jc.On, fp.allCols[:left], fp.allCols[left:left+nc]); lk != nil {
+				strategy = "hash join"
+			}
+			emit(depth, "%s on %s", strategy, jc.On)
+		case "LEFT":
+			emit(depth, "left join on %s", jc.On)
+		}
+		scan(sp, depth+1)
+		left += nc
+	}
+	return nil
 }

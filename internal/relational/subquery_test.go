@@ -142,6 +142,7 @@ func TestExplain(t *testing.T) {
 	for _, want := range []string{
 		"limit 5", "sort by c.name", "aggregate group by c.name",
 		"hash join on", "index lookup idx_city(city)", "seq scan orders",
+		"rows held at open", // a blocking operator builds them
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("plan missing %q:\n%s", want, text)
@@ -153,8 +154,18 @@ func TestExplain(t *testing.T) {
 	for _, r := range res.Rows {
 		joined += r[0].Str + "\n"
 	}
-	if !strings.Contains(joined, "index lookup pk_customers(id)") {
+	if !strings.Contains(joined, "index lookup pk_customers(id)") ||
+		!strings.Contains(joined, "rows streamed from customers") {
 		t.Errorf("pk plan:\n%s", joined)
+	}
+	// A filter that names no table is the walk's too: the plan still streams.
+	res = mustQuery(t, db, "EXPLAIN SELECT name FROM customers WHERE 1 = 1 LIMIT 2")
+	joined = ""
+	for _, r := range res.Rows {
+		joined += r[0].Str + "\n"
+	}
+	if !strings.Contains(joined, "rows streamed from customers") || !strings.Contains(joined, "seq scan customers filter (1 = 1)") {
+		t.Errorf("residual-only plan:\n%s", joined)
 	}
 }
 
