@@ -9,8 +9,10 @@
 package oodb
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -223,8 +225,99 @@ type DB struct {
 	extents map[string][]int64 // class (lower) -> member object IDs, insertion order
 	nextID  int64
 
+	// Attribute indexes are built by queries, which hold mu's read lock and
+	// take ixMu to read or fill the map; every write, under mu's write lock,
+	// drops them all.
+	ixMu    sync.Mutex
+	indexes map[ixKey]*attrIndex
+
 	chunks atomic.Int64 // steps query scans have taken (oql.go)
 }
+
+// ixKey names an attribute index: a class extent and an attribute, both
+// lower-cased.
+type ixKey struct{ class, attr string }
+
+// attrIndex orders the objects of one class extent (subclass instances
+// included) by one attribute's value in oqlCompare's order — numbers (int64
+// and float64 together), then strings, then booleans, each group by value —
+// and by object ID within a value. Objects that lack the attribute, or whose
+// value no literal compares with (a string list), are not in it: no
+// condition on the attribute can match them.
+type attrIndex struct {
+	entries []ixEntry
+	nan     bool // a NaN, which oqlCompare finds equal to every number: no order holds
+}
+
+type ixEntry struct {
+	val any
+	id  int64
+}
+
+// kindRank is a value's group in an attrIndex, -1 for a value oqlCompare
+// compares with nothing.
+func kindRank(v any) int {
+	switch v.(type) {
+	case int64, float64:
+		return 0
+	case string:
+		return 1
+	case bool:
+		return 2
+	}
+	return -1
+}
+
+// ixCompare is the attrIndex order on values.
+func ixCompare(a, b any) int {
+	if c := cmp.Compare(kindRank(a), kindRank(b)); c != 0 {
+		return c
+	}
+	c, _ := oqlCompare(a, b)
+	return c
+}
+
+// index returns the attribute index of (class, attr), building it on first
+// use. The caller holds the read lock, so the extent cannot change under the
+// build; concurrent queries wait for one build on ixMu.
+func (db *DB) index(class, attr string) *attrIndex {
+	db.ixMu.Lock()
+	defer db.ixMu.Unlock()
+	k := ixKey{class, attr}
+	if ix, ok := db.indexes[k]; ok {
+		return ix
+	}
+	ix := &attrIndex{}
+	for _, id := range db.extents[class] {
+		o := db.objects[id]
+		if o == nil {
+			continue
+		}
+		v, ok := o.attrs[attr]
+		if !ok || kindRank(v) < 0 {
+			continue
+		}
+		if f, isFloat := v.(float64); isFloat && f != f {
+			ix.nan = true
+		}
+		ix.entries = append(ix.entries, ixEntry{v, id})
+	}
+	slices.SortFunc(ix.entries, func(a, b ixEntry) int {
+		if c := ixCompare(a.val, b.val); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	if db.indexes == nil {
+		db.indexes = make(map[ixKey]*attrIndex)
+	}
+	db.indexes[k] = ix
+	return ix
+}
+
+// dropIndexes forgets every attribute index, so no query reads one built
+// before a write. The caller holds the write lock.
+func (db *DB) dropIndexes() { db.indexes = nil }
 
 // NewDB creates an empty database.
 func NewDB(name string) *DB {
@@ -389,6 +482,7 @@ func (db *DB) NewObject(className string, attrs map[string]any) (*Object, error)
 	db.nextID++
 	o.id = db.nextID
 	db.objects[o.id] = o
+	db.dropIndexes()
 	// The object belongs to the extent of its class and all ancestors.
 	for cl := c; cl != nil; cl = cl.super {
 		key := strings.ToLower(cl.name)
@@ -422,6 +516,7 @@ func (db *DB) Set(id int64, name string, v any) error {
 		return err
 	}
 	o.attrs[strings.ToLower(name)] = val
+	db.dropIndexes()
 	return nil
 }
 
@@ -434,6 +529,7 @@ func (db *DB) Delete(id int64) error {
 		return fmt.Errorf("oodb: %s: no object %d", db.name, id)
 	}
 	delete(db.objects, id)
+	db.dropIndexes()
 	for cl := o.class; cl != nil; cl = cl.super {
 		key := strings.ToLower(cl.name)
 		ext := db.extents[key]
@@ -610,6 +706,7 @@ func Load(data []byte) (*DB, error) {
 		// Preserve original IDs so Ref attributes stay valid.
 		db.mu.Lock()
 		delete(db.objects, o.id)
+		db.dropIndexes()
 		remapExtents(db, o.id, so.ID)
 		o.id = so.ID
 		db.objects[so.ID] = o

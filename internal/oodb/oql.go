@@ -3,6 +3,7 @@ package oodb
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,13 +55,15 @@ type Chunk struct {
 
 // Rows is a resumable iterator over one query's result, in object ID order.
 // It is not safe for concurrent use. What it holds between two calls of Next
-// is the class extent's object IDs as they stood at open, no lock and no
+// is its candidates' object IDs as they stood at open — the class extent, or
+// the objects an attribute index admitted (indexCandidates) — no lock and no
 // scratch memory: each call takes the database's read lock, looks the next
 // IDs up again and reads their attributes under it. An object deleted since
 // open is passed over and one created since open is not in the list, so no
 // object is returned twice, none that existed at open and still exists is
 // skipped, and one updated in between is read as it is when the scan reaches
-// it.
+// it (so an index cursor passes over one updated out of its range, and never
+// sees one updated into it).
 type Rows struct {
 	db     *DB
 	class  *Class
@@ -69,7 +72,7 @@ type Rows struct {
 	lcols  []string // cols, lower-cased: the attribute keys
 	conds  []oqlCond
 	lattrs []string // the conditions' attribute keys
-	ids    []int64  // extent at open, ascending; the scan resumes at ids[0]
+	ids    []int64  // candidates at open, ascending; the scan resumes at ids[0]
 }
 
 // QueryRows opens a query as an iterator; no object is read before Next.
@@ -79,7 +82,7 @@ func QueryRows(db *DB, q string) (*Rows, error) {
 	return db.openRows(q)
 }
 
-// openRows parses q and snapshots its class extent. The caller holds the lock.
+// openRows parses q and fixes its candidates. The caller holds the lock.
 func (db *DB) openRows(q string) (*Rows, error) {
 	p := &oqlParser{toks: tokeniseOQL(q)}
 	sel, err := p.parse()
@@ -113,13 +116,98 @@ func (db *DB) openRows(q string) (*Rows, error) {
 	for i := range r.conds {
 		r.lattrs[i] = strings.ToLower(r.conds[i].attr)
 	}
-	// Extents are kept in creation order, which is ID order; sort anyway if
-	// one is not, since the result's order is by ID.
-	r.ids = slices.Clone(db.extents[strings.ToLower(sel.class)])
-	if !slices.IsSorted(r.ids) {
-		slices.Sort(r.ids)
+	lclass := strings.ToLower(sel.class)
+	var indexed bool
+	if r.ids, indexed = db.indexCandidates(lclass, r.conds, r.lattrs); !indexed {
+		// Extents are kept in creation order, which is ID order; sort anyway
+		// if one is not, since the result's order is by ID.
+		r.ids = slices.Clone(db.extents[lclass])
+		if !slices.IsSorted(r.ids) {
+			slices.Sort(r.ids)
+		}
 	}
 	return r, nil
+}
+
+// indexShare bounds what an attribute index may yield: a query reads its
+// candidates from an index only when they are at most 1/indexShare of the
+// class extent, or no more than one step of a scan (minScanStep). The list
+// is gathered and sorted at open, where the extent walk is a copy and starts
+// at once; past about an eighth of the extent the walk is the cheaper, and a
+// range that covers most of the extent (v >= 0) must cost what a walk costs.
+const indexShare = 8
+
+// indexCandidates returns, ascending, the IDs of the objects an attribute
+// index admits for conds: of the spans that the =, <, <=, > and >=
+// conditions on an attribute with a literal of one kind bound (a literal of
+// another kind matches none of those objects), the one holding the fewest
+// objects, found by binary search. Every condition is still evaluated on
+// every candidate. ok is false — walk the extent — when no condition is
+// indexable or the best span holds more than a share of the extent. The
+// caller holds the read lock.
+func (db *DB) indexCandidates(class string, conds []oqlCond, lattrs []string) (ids []int64, ok bool) {
+	var best *attrIndex
+	var from, to int
+	for i := range conds {
+		c := &conds[i]
+		rank := kindRank(c.val)
+		if c.op == "LIKE" || c.op == "<>" || rank < 0 {
+			continue
+		}
+		ix := db.index(class, lattrs[i])
+		if ix.nan {
+			continue
+		}
+		lo, hi := ix.span(conds, lattrs, lattrs[i], rank)
+		if best == nil || hi-lo < to-from {
+			best, from, to = ix, lo, hi
+		}
+	}
+	if best == nil || to-from > max(len(db.extents[class])/indexShare, minScanStep) {
+		return nil, false
+	}
+	ids = make([]int64, 0, to-from)
+	for _, e := range best.entries[from:to] {
+		ids = append(ids, e.id)
+	}
+	slices.Sort(ids)
+	return ids, true
+}
+
+// span is the positions [from, to) of the entries whose values every
+// =, <, <=, > and >= condition on attr with a literal of rank's kind admits.
+func (ix *attrIndex) span(conds []oqlCond, lattrs []string, attr string, rank int) (from, to int) {
+	e := ix.entries
+	from = sort.Search(len(e), func(i int) bool { return kindRank(e[i].val) >= rank })
+	to = sort.Search(len(e), func(i int) bool { return kindRank(e[i].val) > rank })
+	for i := range conds {
+		c := &conds[i]
+		if lattrs[i] != attr || kindRank(c.val) != rank {
+			continue
+		}
+		switch c.op {
+		case "=":
+			from, to = max(from, ix.at(c.val, false)), min(to, ix.at(c.val, true))
+		case ">":
+			from = max(from, ix.at(c.val, true))
+		case ">=":
+			from = max(from, ix.at(c.val, false))
+		case "<":
+			to = min(to, ix.at(c.val, false))
+		case "<=":
+			to = min(to, ix.at(c.val, true))
+		}
+	}
+	return from, max(from, to)
+}
+
+// at is the position of the first entry whose value sorts at or after v
+// (after it, when past is set).
+func (ix *attrIndex) at(v any, past bool) int {
+	return sort.Search(len(ix.entries), func(i int) bool {
+		c := ixCompare(ix.entries[i].val, v)
+		return c > 0 || c == 0 && !past
+	})
 }
 
 // Columns names the result columns.
@@ -172,9 +260,10 @@ func (r *Rows) next(ch *Chunk, most int) (done bool) {
 		need = len(r.ids)
 	}
 	sc := oqlScratchPool.Get().(*oqlScratch)
+	used := 0 // the longest step: the scratch entries written
 	defer func() {
-		clear(sc.objs[:cap(sc.objs)]) // drop object and value references before pooling
-		clear(sc.vals)
+		clear(sc.objs[:used]) // drop object and value references before pooling
+		clear(sc.vals[:used])
 		oqlScratchPool.Put(sc)
 	}()
 	// A step looks at as many objects as should yield the rows still wanted,
@@ -192,6 +281,7 @@ func (r *Rows) next(ch *Chunk, most int) (done bool) {
 				objs, at = append(objs, o), append(at, pos+i)
 			}
 		}
+		used = max(used, len(objs))
 		r.db.chunks.Add(1)
 		sel := filterChunk(objs, r.conds, r.lattrs, sc)
 		take := min(len(sel), need)

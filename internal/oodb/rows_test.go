@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -147,6 +148,92 @@ func TestIteratorUnderWrites(t *testing.T) {
 		for id := int64(1); id <= 1200; id++ {
 			if !deleted[id] && !seen[id] {
 				t.Fatalf("seed %d: object %d existed at open, still exists, and was skipped", seed, id)
+			}
+		}
+	}
+}
+
+// TestIndexCursorUnderWrites runs a writer between every two fetches of a
+// cursor over an attribute index's candidates: it sets objects out of the
+// cursor's range and into it, deletes objects and creates objects in the
+// range. The cursor must return no object twice, every object that was in its
+// result at open and still is, and none that entered the range after open;
+// and after every write a new query answers what a walk of the extent does,
+// never what an index built before the write says.
+func TestIndexCursorUnderWrites(t *testing.T) {
+	const q, lo, hi = "SELECT k, v FROM r DEEP WHERE v >= 300 AND v < 420", 300, 420
+	inRange := func(o *Object) bool { v, ok := o.Get("v"); return ok && v.(int64) >= lo && v.(int64) < hi }
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := newScanDB(t, 1200)
+		rows, err := QueryRows(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows.ids) != hi-lo {
+			t.Fatalf("the cursor holds %d candidates, want the index's %d", len(rows.ids), hi-lo)
+		}
+		left := map[int64]bool{} // out of the result since open: deleted or set out of the range
+		write := func() {
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				id := 1 + rng.Int63n(1200)
+				var err error
+				switch rng.Intn(4) {
+				case 0:
+					err = db.Delete(id)
+					left[id] = true
+				case 1:
+					err = db.Set(id, "v", int64(lo+rng.Intn(hi-lo))) // into the range, or within it
+				case 2:
+					_, err = db.NewObject("r", map[string]any{"k": "new", "v": int64(lo + 1)})
+				default:
+					err = db.Set(id, "v", int64(5000))
+					left[id] = true
+				}
+				if err != nil && !strings.Contains(err.Error(), "no object") { // deleted before
+					t.Fatal(err)
+				}
+			}
+			_, got, err := Query(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.Select("r", true, inRange)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: a new query after a write answers %d objects, the extent %d", seed, len(got), len(want))
+			}
+			for i, o := range want {
+				if got[i][0] != o.String("k") || got[i][1] != o.Int("v") {
+					t.Fatalf("seed %d: a new query's row %d is %v, the extent's %s", seed, i, got[i], o.String("k"))
+				}
+			}
+		}
+		got, err := drainRows(rows, 1+rng.Intn(7), write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]bool{}
+		last := int64(0)
+		for _, r := range got {
+			var i int64
+			if _, err := fmt.Sscanf(r[0].(string), "x-%d", &i); err != nil {
+				t.Fatalf("seed %d: %v came into the result after open", seed, r)
+			}
+			id := i + 1 // object IDs were assigned in creation order, from 1
+			if seen[id] || id <= last {
+				t.Fatalf("seed %d: object %d returned twice or out of order", seed, id)
+			}
+			seen[id], last = true, id
+			if id <= lo || id > hi {
+				t.Fatalf("seed %d: object %d entered the range after open and was returned", seed, id)
+			}
+		}
+		for id := int64(lo + 1); id <= hi; id++ {
+			if !left[id] && !seen[id] {
+				t.Fatalf("seed %d: object %d was in the result at open, still is, and was skipped", seed, id)
 			}
 		}
 	}

@@ -1,9 +1,13 @@
 package relational
 
+import "slices"
+
 // btree is an in-memory B-tree mapping index keys (Values, ordered by
 // Compare) to sets of row IDs. It backs ordered (range-capable) secondary
 // indexes and primary keys. Duplicate keys are allowed; each key holds the
-// list of row IDs carrying it.
+// list of row IDs carrying it. Every node knows how many row entries its
+// subtree holds, so the rows in a key range are counted in O(log n) without
+// visiting them.
 
 const btreeDegree = 32 // max children per internal node
 
@@ -15,15 +19,30 @@ type btreeItem struct {
 type btreeNode struct {
 	items    []btreeItem
 	children []*btreeNode // nil for leaves
+	count    int          // row entries in this subtree
 }
 
 func (n *btreeNode) leaf() bool { return len(n.children) == 0 }
 
-// btree is the tree root plus element count.
+// sum recounts the node's row entries from its items and its children's
+// counts.
+func (n *btreeNode) sum() int {
+	s := 0
+	for _, it := range n.items {
+		s += len(it.rows)
+	}
+	for _, c := range n.children {
+		s += c.count
+	}
+	return s
+}
+
+// btree is the tree root plus element counts.
 type btree struct {
-	root *btreeNode
-	keys int // distinct keys
-	rows int // total row entries
+	root  *btreeNode
+	keys  int // distinct live keys
+	rows  int // total row entries
+	items int // keys in the tree, tombstones (keys with no rows left) included
 }
 
 func newBTree() *btree {
@@ -51,7 +70,7 @@ func search(items []btreeItem, key Value) (int, bool) {
 func (t *btree) Insert(key Value, rowID int64) {
 	if len(t.root.items) >= 2*btreeDegree-1 {
 		old := t.root
-		t.root = &btreeNode{children: []*btreeNode{old}}
+		t.root = &btreeNode{children: []*btreeNode{old}, count: old.count}
 		t.root.splitChild(0)
 	}
 	t.insertNonFull(t.root, key, rowID)
@@ -60,16 +79,16 @@ func (t *btree) Insert(key Value, rowID int64) {
 
 func (t *btree) insertNonFull(n *btreeNode, key Value, rowID int64) {
 	for {
+		n.count++
 		i, found := search(n.items, key)
 		if found {
-			n.items[i].rows = append(n.items[i].rows, rowID)
+			t.addRow(&n.items[i], rowID)
 			return
 		}
 		if n.leaf() {
-			n.items = append(n.items, btreeItem{})
-			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = btreeItem{key: key, rows: []int64{rowID}}
+			n.items = slices.Insert(n.items, i, btreeItem{key: key, rows: []int64{rowID}})
 			t.keys++
+			t.items++
 			return
 		}
 		if len(n.children[i].items) >= 2*btreeDegree-1 {
@@ -78,12 +97,21 @@ func (t *btree) insertNonFull(n *btreeNode, key Value, rowID int64) {
 			case -1:
 				i++
 			case 0:
-				n.items[i].rows = append(n.items[i].rows, rowID)
+				t.addRow(&n.items[i], rowID)
 				return
 			}
 		}
 		n = n.children[i]
 	}
+}
+
+// addRow appends rowID to a key already in the tree, reviving it if it was a
+// tombstone.
+func (t *btree) addRow(it *btreeItem, rowID int64) {
+	if len(it.rows) == 0 {
+		t.keys++
+	}
+	it.rows = append(it.rows, rowID)
 }
 
 // splitChild splits the full child at index i, promoting its median item.
@@ -99,13 +127,10 @@ func (n *btreeNode) splitChild(i int) {
 		child.children = child.children[:mid+1]
 	}
 	child.items = child.items[:mid]
+	child.count, right.count = child.sum(), right.sum()
 
-	n.items = append(n.items, btreeItem{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
+	n.items = slices.Insert(n.items, i, median)
+	n.children = slices.Insert(n.children, i+1, right)
 }
 
 // Lookup returns the row IDs stored under key (nil if none). The returned
@@ -124,114 +149,139 @@ func (t *btree) Lookup(key Value) []int64 {
 	}
 }
 
-// Delete removes rowID from under key. When the key's row list empties, the
-// key is removed via full rebalancing-free tombstone compaction: the tree
-// keeps the key with an empty row list and periodically rebuilds. To keep
-// behaviour predictable we rebuild when tombstoned keys exceed half the
-// keys.
+// Delete removes rowID from under key. A key whose row list empties stays in
+// the tree as a tombstone; the tree is rebuilt without them once they
+// outnumber the live keys.
 func (t *btree) Delete(key Value, rowID int64) bool {
 	n := t.root
-	for {
-		i, found := search(n.items, key)
-		if found {
-			rows := n.items[i].rows
-			for j, id := range rows {
-				if id == rowID {
-					n.items[i].rows = append(rows[:j], rows[j+1:]...)
-					t.rows--
-					if len(n.items[i].rows) == 0 {
-						t.keys--
-					}
-					t.maybeCompact()
-					return true
-				}
-			}
-			return false
-		}
+	i, found := search(n.items, key)
+	for !found {
 		if n.leaf() {
 			return false
 		}
 		n = n.children[i]
+		i, found = search(n.items, key)
 	}
+	it := &n.items[i]
+	j := slices.Index(it.rows, rowID)
+	if j < 0 {
+		return false
+	}
+	it.rows = slices.Delete(it.rows, j, j+1)
+	t.rows--
+	if len(it.rows) == 0 {
+		t.keys--
+	}
+	// Every node on the way down to n holds one row entry fewer.
+	for m := t.root; ; {
+		m.count--
+		if m == n {
+			break
+		}
+		k, _ := search(m.items, key)
+		m = m.children[k]
+	}
+	t.maybeCompact()
+	return true
 }
 
 // maybeCompact rebuilds the tree when tombstones dominate.
 func (t *btree) maybeCompact() {
-	live := t.keys
-	total := t.countItems(t.root)
-	if total >= 16 && live*2 < total {
-		items := make([]btreeItem, 0, live)
-		t.ascend(t.root, func(it btreeItem) bool {
-			if len(it.rows) > 0 {
-				items = append(items, it)
-			}
-			return true
-		})
-		nt := newBTree()
-		for _, it := range items {
-			for _, id := range it.rows {
-				nt.Insert(it.key, id)
-			}
+	if t.items < 16 || t.keys*2 >= t.items {
+		return
+	}
+	nt := newBTree()
+	t.Ascend(func(key Value, rows []int64) bool {
+		for _, id := range rows {
+			nt.Insert(key, id)
 		}
-		t.root = nt.root
-		t.keys = nt.keys
-		t.rows = nt.rows
-	}
-}
-
-func (t *btree) countItems(n *btreeNode) int {
-	total := len(n.items)
-	for _, c := range n.children {
-		total += t.countItems(c)
-	}
-	return total
+		return true
+	})
+	*t = *nt
 }
 
 // Ascend visits all live items in key order; fn returns false to stop.
 func (t *btree) Ascend(fn func(key Value, rows []int64) bool) {
-	t.ascend(t.root, func(it btreeItem) bool {
-		if len(it.rows) == 0 {
-			return true
-		}
-		return fn(it.key, it.rows)
-	})
-}
-
-func (t *btree) ascend(n *btreeNode, fn func(btreeItem) bool) bool {
-	for i, it := range n.items {
-		if !n.leaf() {
-			if !t.ascend(n.children[i], fn) {
-				return false
-			}
-		}
-		if !fn(it) {
-			return false
-		}
-	}
-	if !n.leaf() {
-		return t.ascend(n.children[len(n.items)], fn)
-	}
-	return true
+	t.Range(nil, nil, true, true, fn)
 }
 
 // Range visits live items with lo <= key <= hi (nil bounds are open); the
-// inclusive flags control boundary handling. fn returns false to stop.
+// inclusive flags control boundary handling. It seeks to lo, so a call costs
+// O(log n) plus the items it visits. fn returns false to stop.
 func (t *btree) Range(lo, hi *Value, loIncl, hiIncl bool, fn func(key Value, rows []int64) bool) {
-	t.Ascend(func(key Value, rows []int64) bool {
-		if lo != nil {
-			c := Compare(key, *lo)
-			if c < 0 || (c == 0 && !loIncl) {
-				return true
-			}
+	rangeNode(t.root, lo, hi, loIncl, hiIncl, fn)
+}
+
+// rangeNode is Range over n's subtree; it returns false once the walk is
+// over (fn stopped it, or a key is past hi).
+func rangeNode(n *btreeNode, lo, hi *Value, loIncl, hiIncl bool, fn func(key Value, rows []int64) bool) bool {
+	i := 0
+	if lo != nil {
+		i, _ = search(n.items, *lo) // the items and children before i sort below lo
+	}
+	for ; ; i++ {
+		if !n.leaf() && !rangeNode(n.children[i], lo, hi, loIncl, hiIncl, fn) {
+			return false
+		}
+		if i == len(n.items) {
+			return true
+		}
+		it := &n.items[i]
+		if lo != nil && !loIncl && Compare(it.key, *lo) == 0 {
+			continue
 		}
 		if hi != nil {
-			c := Compare(key, *hi)
-			if c > 0 || (c == 0 && !hiIncl) {
+			if c := Compare(it.key, *hi); c > 0 || c == 0 && !hiIncl {
 				return false
 			}
 		}
-		return fn(key, rows)
-	})
+		if len(it.rows) > 0 && !fn(it.key, it.rows) {
+			return false
+		}
+	}
+}
+
+// count is the number of row entries Range(lo, hi, loIncl, hiIncl) would
+// visit, found in O(log n) from the subtree counts without visiting them.
+func (t *btree) count(lo, hi *Value, loIncl, hiIncl bool) int {
+	n := t.rows
+	if hi != nil {
+		n = t.rank(*hi, hiIncl)
+	}
+	if lo != nil {
+		n -= t.rank(*lo, !loIncl)
+	}
+	return max(n, 0)
+}
+
+// rank counts the row entries whose key sorts below key (at or below it when
+// incl).
+func (t *btree) rank(key Value, incl bool) int {
+	total := 0
+	for n := t.root; ; {
+		i, found := search(n.items, key)
+		for _, it := range n.items[:i] {
+			total += len(it.rows)
+		}
+		if !n.leaf() {
+			for _, c := range n.children[:i] {
+				total += c.count
+			}
+		}
+		if found {
+			if !n.leaf() {
+				total += n.children[i].count
+			}
+			if incl {
+				total += len(n.items[i].rows)
+			}
+			return total
+		}
+		if n.leaf() {
+			return total
+		}
+		n = n.children[i]
+	}
 }
 
 // Len reports the number of live row entries in the tree.
@@ -249,21 +299,21 @@ func (t *btree) depth() int {
 	return d
 }
 
-// checkInvariants verifies B-tree structural invariants; used by property
-// tests. It returns an error description or "" when valid.
+// checkInvariants verifies B-tree structural invariants and the counts kept
+// beside them; used by property tests. It returns an error description or ""
+// when valid.
 func (t *btree) checkInvariants() string {
 	var prev *Value
 	ok := ""
 	depth := -1
+	items, keys, rows := 0, 0, 0
 	var walk func(n *btreeNode, d int) bool
 	walk = func(n *btreeNode, d int) bool {
-		if n != t.root && len(n.items) < btreeDegree-1 {
+		if n != t.root && len(n.items) == 0 {
 			// Our insert-only splitting keeps nodes at least half full except
 			// the root; tombstone compaction rebuilds preserve this.
-			if len(n.items) == 0 {
-				ok = "empty non-root node"
-				return false
-			}
+			ok = "empty non-root node"
+			return false
 		}
 		if n.leaf() {
 			if depth == -1 {
@@ -286,12 +336,31 @@ func (t *btree) checkInvariants() string {
 			}
 			k := it.key
 			prev = &k
+			items++
+			rows += len(it.rows)
+			if len(it.rows) > 0 {
+				keys++
+			}
 		}
-		if !n.leaf() {
-			return walk(n.children[len(n.items)], d+1)
+		if !n.leaf() && !walk(n.children[len(n.items)], d+1) {
+			return false
+		}
+		if n.count != n.sum() {
+			ok = "subtree row count mismatch"
+			return false
 		}
 		return true
 	}
-	walk(t.root, 0)
-	return ok
+	if !walk(t.root, 0) {
+		return ok
+	}
+	switch {
+	case items != t.items:
+		return "item count mismatch"
+	case keys != t.keys:
+		return "key count mismatch"
+	case rows != t.rows:
+		return "row count mismatch"
+	}
+	return ""
 }

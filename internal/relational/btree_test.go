@@ -84,6 +84,30 @@ func TestBTreeRange(t *testing.T) {
 	if len(got) != 90 {
 		t.Fatalf("open-ended range visited %d", len(got))
 	}
+	// A lower bound of NULL, exclusive, passes over the NULL keys.
+	bt.Insert(NullValue(), 100)
+	null := NullValue()
+	got = nil
+	bt.Range(&null, &hi, false, false, func(k Value, rows []int64) bool {
+		got = append(got, k.Int)
+		return true
+	})
+	if len(got) != 20 || got[0] != 0 {
+		t.Fatalf("range above NULL = %v", got)
+	}
+	for _, c := range []struct {
+		lo, hi         *Value
+		loIncl, hiIncl bool
+		want           int
+	}{
+		{&lo, &hi, true, true, 11}, {&lo, &hi, false, false, 9}, {&lo, nil, true, true, 90},
+		{&null, &hi, false, false, 20}, {nil, &hi, true, false, 21}, {nil, nil, true, true, 101},
+		{&hi, &lo, true, true, 0},
+	} {
+		if n := bt.count(c.lo, c.hi, c.loIncl, c.hiIncl); n != c.want {
+			t.Errorf("count(%v, %v, %v, %v) = %d, want %d", c.lo, c.hi, c.loIncl, c.hiIncl, n, c.want)
+		}
+	}
 }
 
 func TestBTreeDeleteAndCompaction(t *testing.T) {
@@ -132,9 +156,10 @@ func TestBTreeMixedKeyTypes(t *testing.T) {
 }
 
 // TestBTreeQuickInvariants is a property test: any sequence of inserts and
-// deletes preserves structural invariants and agrees with a reference map.
+// deletes preserves structural invariants and the counts kept beside them,
+// agrees with a reference map, and counts every range as Range visits it.
 func TestBTreeQuickInvariants(t *testing.T) {
-	f := func(ops []int16) bool {
+	f := func(ops []int16, a, b int8, aIncl, bIncl bool) bool {
 		bt := newBTree()
 		ref := make(map[int64]map[int64]int) // key -> rowID -> count
 		nextRow := int64(0)
@@ -180,10 +205,63 @@ func TestBTreeQuickInvariants(t *testing.T) {
 			}
 			total += len(rows)
 		}
+		lo, hi := IntValue(int64(a%70)), IntValue(int64(b%70))
+		visited := 0
+		bt.Range(&lo, &hi, aIncl, bIncl, func(_ Value, rows []int64) bool {
+			visited += len(rows)
+			return true
+		})
+		if n := bt.count(&lo, &hi, aIncl, bIncl); n != visited {
+			t.Logf("range [%v, %v]: count %d, Range visited %d", lo, hi, n, visited)
+			return false
+		}
 		return bt.Len() == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBTreeCountsUnderChurn runs enough inserts and deletes, duplicates and
+// revived tombstones included, for the tree to split, grow and compact, and
+// checks the invariants and random range counts against Range throughout.
+func TestBTreeCountsUnderChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	bt := newBTree()
+	type entry struct{ id, key int64 }
+	var live []entry
+	for step := 1; step <= 20000; step++ {
+		if len(live) == 0 || rng.Intn(5) < 3 {
+			e := entry{int64(step), int64(rng.Intn(3000))}
+			bt.Insert(IntValue(e.key), e.id)
+			live = append(live, e)
+		} else {
+			i := rng.Intn(len(live))
+			if e := live[i]; !bt.Delete(IntValue(e.key), e.id) {
+				t.Fatalf("step %d: Delete(%d, %d) failed", step, e.key, e.id)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		if step%500 != 0 {
+			continue
+		}
+		if msg := bt.checkInvariants(); msg != "" {
+			t.Fatalf("step %d: %s", step, msg)
+		}
+		lo, hi := IntValue(int64(rng.Intn(3000))), IntValue(int64(rng.Intn(3000)))
+		want := 0
+		for _, e := range live {
+			if e.key >= lo.Int && e.key < hi.Int {
+				want++
+			}
+		}
+		if n := bt.count(&lo, &hi, true, false); n != want {
+			t.Fatalf("step %d: count [%d, %d) = %d, want %d", step, lo.Int, hi.Int, n, want)
+		}
+	}
+	if bt.depth() < 2 {
+		t.Fatalf("the tree never grew past one level")
 	}
 }
 

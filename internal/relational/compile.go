@@ -33,6 +33,7 @@ type vctx struct {
 	vals  [][]Value
 	sels  [][]int
 	clean int // vals[:clean] have not been handed out since the last release
+	dirty int // no buffer handed out since the last release was written past dirty
 }
 
 var vctxPool = sync.Pool{New: func() any { return &vctx{} }}
@@ -41,12 +42,13 @@ func getVctx() *vctx { return vctxPool.Get().(*vctx) }
 
 // release clears payload references out of the cached buffers that were
 // used (so pooled memory does not retain query strings) and returns the vctx
-// to the pool.
+// to the pool. Only the prefix written is cleared: a one-row page costs a
+// few values, not 1 024 per buffer.
 func (c *vctx) release() {
 	for _, b := range c.vals[c.clean:] {
-		clear(b)
+		clear(b[:c.dirty])
 	}
-	c.clean = len(c.vals)
+	c.clean, c.dirty = len(c.vals), 0
 	vctxPool.Put(c)
 }
 
@@ -60,7 +62,12 @@ func (c *vctx) getVals() []Value {
 	return make([]Value, vecChunk)
 }
 
-func (c *vctx) putVals(b []Value) { c.vals = append(c.vals, b[:vecChunk]) }
+// putVals takes back a buffer getVals handed out, sliced to the prefix the
+// caller wrote.
+func (c *vctx) putVals(b []Value) {
+	c.dirty = max(c.dirty, len(b))
+	c.vals = append(c.vals, b[:vecChunk])
+}
 
 func (c *vctx) getSel() []int {
 	if n := len(c.sels); n > 0 {
@@ -143,7 +150,7 @@ func compileExpr(e Expr, cols []colBinding) vexpr {
 			}
 			vals = append(vals, lit.Val)
 		}
-		return &vInList{x: compileExpr(x.X, cols), vals: vals, negate: x.Negate}
+		return newInList(compileExpr(x.X, cols), vals, x.Negate)
 	case *FuncCall:
 		if x.IsAggregate() {
 			return &vErr{err: fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)}
@@ -219,7 +226,7 @@ type vBinary struct {
 
 func (n *vBinary) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 	lbuf := c.getVals()
-	defer c.putVals(lbuf)
+	defer c.putVals(lbuf[:len(sel)])
 	if err := n.l.eval(c, b, sel, lbuf); err != nil {
 		return err
 	}
@@ -397,7 +404,7 @@ func (n *vAnd) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 		return nil
 	}
 	rbuf := c.getVals()
-	defer c.putVals(rbuf)
+	defer c.putVals(rbuf[:len(sub)])
 	if err := n.r.eval(c, b, sub, rbuf); err != nil {
 		return err
 	}
@@ -440,7 +447,7 @@ func (n *vOr) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 		return nil
 	}
 	rbuf := c.getVals()
-	defer c.putVals(rbuf)
+	defer c.putVals(rbuf[:len(sub)])
 	if err := n.r.eval(c, b, sub, rbuf); err != nil {
 		return err
 	}
@@ -485,9 +492,9 @@ type vBetween struct {
 
 func (n *vBetween) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 	lobuf := c.getVals()
-	defer c.putVals(lobuf)
+	defer c.putVals(lobuf[:len(sel)])
 	hibuf := c.getVals()
-	defer c.putVals(hibuf)
+	defer c.putVals(hibuf[:len(sel)])
 	if err := n.x.eval(c, b, sel, out); err != nil {
 		return err
 	}
@@ -512,12 +519,66 @@ func (n *vBetween) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 	return nil
 }
 
-// vInList handles IN lists whose items are all literals, mirroring the
-// interpreter's first-match scan and NULL semantics.
+// vInList handles IN lists whose items are all literals, with the
+// interpreter's semantics — a value is in the list when it compares equal to
+// an item; not found with a NULL item in the list is NULL — through sets
+// built once per compile instead of a Compare per item per row. Numeric
+// items are keyed by value, so 5 finds 5.0; the others by their rendering,
+// which is how Compare equates any two values that are not both numbers.
 type vInList struct {
 	x      vexpr
 	vals   []Value
+	nums   map[float64]struct{} // numeric items
+	strs   map[string]struct{}  // the other non-NULL items, rendered
+	null   bool                 // the list holds a NULL
+	linear bool                 // a NaN item, which Compare finds equal to every number
 	negate bool
+}
+
+func newInList(x vexpr, vals []Value, negate bool) *vInList {
+	n := &vInList{x: x, vals: vals, negate: negate}
+	for _, v := range vals {
+		switch f, num := v.AsFloat(); {
+		case v.Null:
+			n.null = true
+		case num:
+			if n.nums == nil {
+				n.nums = make(map[float64]struct{}, len(vals))
+			}
+			n.nums[f] = struct{}{}
+			n.linear = n.linear || f != f
+		default:
+			if n.strs == nil {
+				n.strs = make(map[string]struct{}, len(vals))
+			}
+			n.strs[v.String()] = struct{}{}
+		}
+	}
+	return n
+}
+
+// has reports whether the non-NULL value v compares equal to an item.
+func (n *vInList) has(v Value) bool {
+	if !n.linear {
+		if f, num := v.AsFloat(); num && f == f {
+			if _, hit := n.nums[f]; hit || len(n.strs) == 0 {
+				return hit
+			}
+			_, hit := n.strs[v.String()]
+			return hit
+		}
+		// Not a number (or NaN): equal to an item when the renderings are,
+		// which the numeric items are tested for below.
+		if _, hit := n.strs[v.String()]; hit || len(n.nums) == 0 {
+			return hit
+		}
+	}
+	for _, iv := range n.vals {
+		if !iv.Null && Compare(v, iv) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (n *vInList) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
@@ -525,27 +586,12 @@ func (n *vInList) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 		return err
 	}
 	for k := range sel {
-		v := out[k]
-		if v.Null {
+		switch v := out[k]; {
+		case v.Null:
 			out[k] = NullValue()
-			continue
-		}
-		sawNull := false
-		matched := false
-		for _, iv := range n.vals {
-			if iv.Null {
-				sawNull = true
-				continue
-			}
-			if Compare(v, iv) == 0 {
-				matched = true
-				break
-			}
-		}
-		switch {
-		case matched:
+		case n.has(v):
 			out[k] = BoolValue(!n.negate)
-		case sawNull:
+		case n.null:
 			out[k] = NullValue()
 		default:
 			out[k] = BoolValue(n.negate)
@@ -563,7 +609,7 @@ func (n *vFunc) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 	bufs := make([][]Value, len(n.args))
 	for i := range n.args {
 		bufs[i] = c.getVals()
-		defer c.putVals(bufs[i])
+		defer c.putVals(bufs[i][:len(sel)])
 		if err := n.args[i].eval(c, b, sel, bufs[i]); err != nil {
 			return err
 		}

@@ -532,8 +532,8 @@ func envForTable(t *Table, binding string) *evalEnv {
 }
 
 // matchingRowIDs evaluates a WHERE clause over a table and returns matching
-// row IDs (all rows when where is nil). It uses a single-column index when
-// the clause's conjuncts allow it.
+// row IDs, ascending (all rows when where is nil). It reads the candidates of
+// the index access the clause's conjuncts allow, if chooseIndex takes one.
 func matchingRowIDs(t *Table, where Expr, env *evalEnv) ([]int64, error) {
 	var ids []int64
 	var evalErr error
@@ -553,74 +553,25 @@ func matchingRowIDs(t *Table, where Expr, env *evalEnv) ([]int64, error) {
 		}
 		return true
 	}
-
-	// Index fast path: WHERE contains an `col = literal` conjunct on an
-	// indexed column.
-	if col, val, ok := indexableEquality(t, where); ok {
-		if candIDs, have := t.lookupEqual(col, val); have {
-			buf := make(Row, len(t.cols))
-			for _, id := range candIDs {
-				s, ok := t.slots[id]
-				if !ok || !t.live[s] {
-					continue
-				}
-				for c, cv := range t.cols {
-					buf[c] = cv[s]
-				}
-				if !visit(id, buf) {
-					break
-				}
+	var acc indexAccess
+	if chooseIndex(t, env.cols, splitConjuncts(where), &acc); acc.ix != nil {
+		buf := make(Row, len(t.cols))
+		for _, id := range acc.rowIDs() {
+			s := t.slots[id] // an index holds live rows only
+			for c, cv := range t.cols {
+				buf[c] = cv[s]
 			}
-			if evalErr != nil {
-				return nil, evalErr
+			if !visit(id, buf) {
+				break
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			return ids, nil
 		}
+	} else {
+		t.scan(visit)
 	}
-
-	t.scan(visit)
 	if evalErr != nil {
 		return nil, evalErr
 	}
 	return ids, nil
-}
-
-// indexableEquality finds a `column = constant` conjunct whose column has a
-// single-column index.
-func indexableEquality(t *Table, where Expr) (int, Value, bool) {
-	for _, conj := range splitConjuncts(where) {
-		b, ok := conj.(*Binary)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		col, lit := b.L, b.R
-		cr, isCol := col.(*ColRef)
-		if !isCol {
-			cr, isCol = lit.(*ColRef)
-			lit = b.L
-			if !isCol {
-				continue
-			}
-		}
-		litE, isLit := lit.(*Literal)
-		if !isLit {
-			continue
-		}
-		ord := t.schema.ColIndex(cr.Name)
-		if ord < 0 {
-			continue
-		}
-		if t.singleColIndex(ord) == nil {
-			continue
-		}
-		v, err := Coerce(litE.Val, t.schema.Columns[ord].Type)
-		if err != nil {
-			continue
-		}
-		return ord, v, true
-	}
-	return 0, Value{}, false
 }
 
 // splitConjuncts flattens a tree of ANDs into its conjuncts.

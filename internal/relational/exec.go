@@ -109,10 +109,10 @@ func (db *Database) openArm(s *SelectStmt) (*walk, error) {
 // execSelectArmRows is the seed row-at-a-time interpreter, retained as the
 // oracle the batched executor is property-tested against. It evaluates with
 // the scalar evaluator (expr.go) over the same FROM rows in the same order —
-// one table's candidate rows, the index lookup's when the plan takes one, or
-// the joined relation — and walks them once: filter, then OFFSET, then
-// projection, stopping at the LIMIT, so a row the walk does not reach cannot
-// fail the statement. A blocking arm (block) keeps every row that passes the
+// one table's rows (those the plan's index access reaches, found by reading
+// every slot), or the joined relation — and walks them once: filter, then
+// OFFSET, then projection, stopping at the LIMIT, so a row the walk does not
+// reach cannot fail the statement. A blocking arm (block) keeps every row that passes the
 // filter and returns its operators' whole output instead, before DISTINCT,
 // OFFSET and LIMIT, which openArm applies as it does for the batched engine.
 func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (*Result, error) {
@@ -568,27 +568,21 @@ func computeAggregate(f *FuncCall, rows []Row, src *rel) (Value, error) {
 // ---- FROM clause construction (scans + joins with pushdown) ----
 
 // scanSpec is one FROM/JOIN table reference resolved: its table, the filter
-// its scan evaluates and the index it reads, if any.
+// its scan evaluates and the index access it reads its rows through, if any.
 type scanSpec struct {
 	ref    TableRef
 	t      *Table
-	filter Expr   // nil: none
-	ix     *Index // single-column index an equality conjunct names; nil: every slot
-	key    Value  // the value looked up in ix
+	filter Expr        // nil: none
+	acc    indexAccess // acc.ix nil: every slot
 }
 
-// rowIDs is the index lookup's row IDs, ascending; nil when the scan reads
-// every slot.
+// rowIDs is the index access's candidate row IDs, ascending; nil when the
+// scan reads every slot.
 func (sp *scanSpec) rowIDs() []int64 {
-	if sp.ix == nil {
+	if sp.acc.ix == nil {
 		return nil
 	}
-	ids := slices.Clone(sp.ix.tree.Lookup(sp.key))
-	if ids == nil {
-		ids = []int64{}
-	}
-	slices.Sort(ids)
-	return ids
+	return sp.acc.rowIDs()
 }
 
 // fromPlan is a SELECT arm's FROM clause resolved: its tables, the combined
@@ -661,12 +655,14 @@ func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) error {
 			delete(pushed, b)
 		}
 	}
+	base := 0 // the spec's first column in fp.allCols
 	for i := range fp.specs {
 		sp := &fp.specs[i]
-		sp.filter = andAll(pushed[strings.ToLower(sp.ref.Binding())])
-		if col, v, ok := indexableEquality(sp.t, sp.filter); ok {
-			sp.ix, sp.key = sp.t.singleColIndex(col), v
-		}
+		conjs := pushed[strings.ToLower(sp.ref.Binding())]
+		nc := len(sp.t.schema.Columns)
+		sp.filter = andAll(conjs)
+		chooseIndex(sp.t, fp.allCols[base:base+nc], conjs, &sp.acc)
+		base += nc
 	}
 	if len(fp.specs) == 1 {
 		fp.specs[0].filter = s.Where
@@ -679,9 +675,12 @@ func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) error {
 }
 
 // buildFrom materialises the row oracle's FROM rows and returns the filter
-// its walk evaluates over them: one table's candidate rows (the index
-// lookup's, or every live row) under the whole WHERE clause, or the joined
-// relation of scans that each applied their own filter under fp.filter.
+// its walk evaluates over them: one table's rows under the whole WHERE
+// clause, or the joined relation of scans that each applied their own filter
+// under fp.filter. A scan reads every slot whatever the plan's access: where
+// the plan reads through an index, the oracle keeps the rows for which the
+// conjuncts the access answers are TRUE, evaluated here, so it reaches the
+// rows the executor's candidates should be without reading the index.
 func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
 	if len(fp.specs) == 0 {
 		// SELECT without FROM: one empty row.
@@ -694,11 +693,15 @@ func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
 			r.cols = append(r.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
 		}
 		env := r.env()
+		keep := slices.Clip(sp.acc.conjs)
+		if filter != nil {
+			keep = append(keep, filter)
+		}
 		var evalErr error
-		visit := func(_ int64, row Row) bool {
-			if filter != nil {
-				env.row = row
-				v, err := eval(filter, env)
+		sp.t.scan(func(_ int64, row Row) bool {
+			env.row = row
+			for _, e := range keep {
+				v, err := eval(e, env)
 				if err != nil {
 					evalErr = err
 					return false
@@ -709,16 +712,7 @@ func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
 			}
 			r.rows = append(r.rows, row.Clone())
 			return true
-		}
-		if ids := sp.rowIDs(); ids != nil {
-			for _, id := range ids {
-				if row, ok := sp.t.rowByID(id); ok && !visit(id, row) {
-					break
-				}
-			}
-		} else {
-			sp.t.scan(visit)
-		}
+		})
 		return r, evalErr
 	}
 	if len(fp.specs) == 1 {

@@ -8,7 +8,8 @@ import (
 )
 
 // oracleSchema is shared by both engines in the equivalence tests: two
-// joinable tables with NULLs and duplicates, plus an empty table.
+// joinable tables with NULLs and duplicates, plus an empty table. dno runs
+// 1, 2, 9, 10: its numeric order is not the order of its renderings.
 const oracleSchema = `
 CREATE TABLE dept (dno INT PRIMARY KEY, dname VARCHAR(16), budget FLOAT);
 CREATE TABLE emp (eno INT PRIMARY KEY, ename VARCHAR(16), dno INT, sal INT, note VARCHAR(16));
@@ -23,6 +24,7 @@ INSERT INTO emp VALUES (12, 'carol', 2, 90, 'locum');
 INSERT INTO emp VALUES (13, 'dave', NULL, 70, 'temp');
 INSERT INTO emp VALUES (14, 'erin', 9, 110, 'visiting');
 INSERT INTO emp VALUES (15, 'Frank', 2, NULL, 'locum');
+INSERT INTO emp VALUES (16, 'gus', 10, 95, NULL);
 `
 
 // newOraclePair builds two identically-populated databases, the first on the
@@ -164,6 +166,39 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT 1 / (eno - 15) FROM emp ORDER BY eno LIMIT 1",
 		"SELECT dno, COUNT(*) FROM emp GROUP BY dno LIMIT 1 OFFSET 1",
 		"SELECT DISTINCT dno FROM emp UNION ALL SELECT dno FROM dept LIMIT 4",
+		// Index ranges and IN probes (eno is the primary key, dno has an
+		// index and a NULL): bounds in the column's order seek, the others
+		// (a text bound on an INT column compares by rendering) do not.
+		"SELECT eno FROM emp WHERE dno < 1.5",
+		"SELECT eno FROM emp WHERE eno > 12.5 AND eno <= 14",
+		"SELECT eno FROM emp WHERE dno > -1",
+		"SELECT eno FROM emp WHERE dno >= '10'",
+		"SELECT eno FROM emp WHERE dno < '2'",
+		"SELECT eno FROM emp WHERE eno >= '13'",
+		"SELECT eno FROM emp WHERE dno = '1'",
+		"SELECT eno FROM emp WHERE dno >= 0",
+		"SELECT eno FROM emp WHERE dno < 9 OR dno IS NULL",
+		"SELECT eno FROM emp WHERE dno > 5 AND dno < 3",
+		"SELECT eno FROM emp WHERE eno > 11 AND eno < 11",
+		"SELECT eno FROM emp WHERE dno BETWEEN 1 AND 2",
+		"SELECT eno FROM emp WHERE dno BETWEEN 2 AND 1",
+		"SELECT eno FROM emp WHERE eno NOT BETWEEN 11 AND 13",
+		"SELECT eno FROM emp WHERE 12 <= eno AND 1 < dno",
+		"SELECT eno FROM emp WHERE dno IN (2, 1, 2, 1.0)",
+		"SELECT eno FROM emp WHERE dno IN (2, NULL)",
+		"SELECT eno FROM emp WHERE dno IN (NULL)",
+		"SELECT eno FROM emp WHERE dno NOT IN (1, NULL)",
+		"SELECT eno FROM emp WHERE dno NOT IN (1, 9)",
+		"SELECT eno FROM emp WHERE dno IN (1, '2')",
+		"SELECT eno FROM emp WHERE note IN ('locum', 'temp', 'locum')",
+		"SELECT eno FROM emp WHERE dno >= 1 AND dno < 9 AND dno IN (1, 9, 2)",
+		"SELECT eno FROM emp WHERE eno BETWEEN 10 AND 13 AND dno IN (2, 9)",
+		"SELECT eno FROM emp WHERE dno > 1 AND 1 / (eno - 12) < 0",
+		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 AND eno BETWEEN 10 AND 11",
+		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 AND dno IN (1, 9)",
+		"SELECT 1 / (eno - 12) FROM emp WHERE eno >= 10 LIMIT 2",
+		"SELECT e.ename, d.dname FROM emp e JOIN dept d ON e.dno = d.dno WHERE e.eno > 11 AND d.dno < 3",
+		"SELECT dno, COUNT(*) FROM emp WHERE dno IN (1, 2) GROUP BY dno",
 		// UNION / UNION ALL.
 		"SELECT eno FROM emp WHERE sal > 100 UNION ALL SELECT eno FROM emp WHERE note = 'locum'",
 		"SELECT dno FROM emp UNION SELECT dno FROM dept",

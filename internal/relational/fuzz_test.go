@@ -46,6 +46,9 @@ func FuzzSQLParse(f *testing.F) {
 		"SELECT DISTINCT b FROM f LIMIT 1",
 		"SELECT x.a FROM f x JOIN f y ON x.a = y.a WHERE 1 / (x.a - 2) <> y.b LIMIT 1",
 		"CREATE INDEX fa ON f (a); SELECT v FROM f WHERE a = 2 AND 1 / (a - 2) > 0 LIMIT 1",
+		// Index ranges and IN probes, with bounds of other kinds.
+		"CREATE INDEX fa ON f (a); SELECT v FROM f WHERE a > 1 AND a <= 3.5 AND 1 / (a - 1) > 0",
+		"CREATE INDEX fb ON f (b); SELECT a FROM f WHERE b IN (2, NULL, 2.0) OR b BETWEEN '1' AND 3",
 		"SELECT a FROM f WHERE 1 = 1 LIMIT 2 OFFSET 1",
 		// Malformed shapes the parser must reject gracefully.
 		"SELECT FROM",

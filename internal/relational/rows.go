@@ -13,8 +13,9 @@ import (
 // one of three sources:
 //
 //   - table slots: a full scan, in slot (row ID) order;
-//   - index row IDs: the ascending list an equality lookup on an indexed
-//     column yields at open;
+//   - index row IDs: the ascending candidate list an index access (chooseIndex:
+//     an equality, a literal IN list or a key range on an indexed column)
+//     yields at open;
 //   - a relation a blocking operator built at open: a join, GROUP BY and
 //     aggregates, ORDER BY, DISTINCT, UNION (or a SELECT without FROM).
 //
@@ -40,12 +41,12 @@ type Chunk struct {
 // table position between two calls of Next: each call takes the database's
 // read lock, resumes at the first row whose ID is not below the one it stopped
 // at, and passes over rows whose ID is at or past the table's high-water mark
-// at open (an index walk: rows not in the lookup at open). Whatever is
+// at open (an index walk: rows not among the candidates at open). Whatever is
 // inserted, deleted or compacted between two calls, no row is returned twice,
 // no row that existed at open and still exists is skipped, and no row inserted
 // after open appears; a row updated in between is read as it is when the walk
-// reaches it (so an index walk passes over one updated out of the key, and
-// never sees one updated into it).
+// reaches it (so an index walk passes over one updated out of its keys or
+// range, and never sees one updated into them).
 type Rows struct {
 	w    *walk
 	done bool
@@ -141,7 +142,7 @@ func (db *Database) openRows(stmt Statement) (*Rows, error) {
 }
 
 // source is where a walk's rows come from: a table's slots (ids nil), the
-// row IDs an index lookup yielded, or a relation (t nil).
+// candidate row IDs an index access yielded, or a relation (t nil).
 type source struct {
 	t     *Table
 	table string  // t's lower-cased name, to find it again under the lock
@@ -224,8 +225,9 @@ type walk struct {
 	done bool
 }
 
-// scanWalk opens a walk over one table reference: its index lookup if the
-// plan takes one, its slots otherwise, filtered by what sp's scan evaluates.
+// scanWalk opens a walk over one table reference: its index access's
+// candidates if the plan takes one, its slots otherwise, filtered by what
+// sp's scan evaluates.
 // cols are the reference's bindings.
 func (db *Database) scanWalk(sp *scanSpec, cols []colBinding) *walk {
 	w := &walk{db: db, cols: cols, left: -1,
@@ -286,8 +288,8 @@ func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 	batch := &vbatch{vecs: w.src.vecs()}
 	sel := c.getSel()
 	defer func() { c.putSel(sel) }()
-	vals := c.getVals()
-	defer c.putVals(vals)
+	vals, wrote := c.getVals(), 0
+	defer func() { c.putVals(vals[:wrote]) }()
 
 	// A step looks at as many candidates as should yield the rows still
 	// wanted, going by the share of candidates that have passed so far.
@@ -306,6 +308,7 @@ func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 		}
 		var err error
 		if w.filter != nil && len(sel) > 0 {
+			wrote = max(wrote, len(sel))
 			if err = w.filter.eval(c, batch, sel, vals); err == nil {
 				k := 0
 				for i, r := range sel {
@@ -437,7 +440,7 @@ func (w *walk) result() (*Result, error) {
 	ch := Chunk{Cols: make([][]Value, nc)}
 	for i := range ch.Cols {
 		ch.Cols[i] = c.getVals()
-		defer func() { c.putVals(ch.Cols[i]) }()
+		defer func() { c.putVals(ch.Cols[i][:vecChunk]) }()
 	}
 	res := &Result{Columns: w.names}
 	for !w.done {

@@ -358,6 +358,31 @@ func TestRollbackRestoresScanOrder(t *testing.T) {
 	}
 }
 
+// TestScratchReleaseClearsWhatWasWritten: release clears the prefix of every
+// buffer handed out that any of them was written to, so pooled scratch never
+// holds a query's values, however short the page.
+func TestScratchReleaseClearsWhatWasWritten(t *testing.T) {
+	c := &vctx{}
+	a, b := c.getVals(), c.getVals()
+	for i := range 700 {
+		a[i] = TextValue("held")
+	}
+	b[2] = TextValue("held")
+	c.putVals(b[:3])
+	c.putVals(a[:700])
+	again := c.getVals() // reused within the statement: written less this time
+	again[0] = TextValue("held")
+	c.putVals(again[:1])
+	c.release()
+	for _, buf := range [][]Value{a, b} {
+		for i, v := range buf[:vecChunk] {
+			if v != (Value{}) {
+				t.Fatalf("value %d still holds %v after release", i, v)
+			}
+		}
+	}
+}
+
 // TestIteratorConcurrentWriters runs cursors against concurrent inserts,
 // updates and deletes; the race detector and the cursor's guarantees are the
 // assertions.

@@ -369,8 +369,8 @@ func (db *Database) explainArm(s *SelectStmt, inUnion bool, depth int, emit func
 
 	scan := func(sp *scanSpec, depth int) {
 		line := "seq scan "
-		if sp.ix != nil {
-			line = fmt.Sprintf("index lookup %s(%s) ", sp.ix.Name, sp.t.schema.Columns[sp.ix.Cols[0]].Name)
+		if sp.acc.ix != nil {
+			line = sp.acc.describe(sp.t) + " "
 		}
 		line += sp.t.schema.Name
 		if sp.ref.Alias != "" {

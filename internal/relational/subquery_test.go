@@ -167,6 +167,30 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(joined, "rows streamed from customers") || !strings.Contains(joined, "seq scan customers filter (1 = 1)") {
 		t.Errorf("residual-only plan:\n%s", joined)
 	}
+	// EXPLAIN names the index source, or the slot walk when the index would
+	// yield more than a share of the table.
+	big := indexedDB(t, 2000)
+	for q, want := range map[string]string{
+		"SELECT k FROM r WHERE v >= 100 AND v < 172":         "index range r_v(v) [100, 172) r filter",
+		"SELECT k FROM r WHERE v BETWEEN 7 AND 9 AND v > 7":  "index range r_v(v) (7, 9] r filter",
+		"SELECT k FROM r WHERE v < 20":                       "index range r_v(v) (-inf, 20) r filter",
+		"SELECT k FROM r WHERE v IN (5, 6, 7, 5) AND v >= 0": "index probe r_v(v) IN 3 keys r filter",
+		"SELECT k FROM r WHERE v = 117 AND v > 0":            "index lookup r_v(v) r filter",
+		"SELECT k FROM r WHERE k >= 'x1990'":                 "index range pk_r(k) ['x1990', inf) r filter",
+		"SELECT k FROM r WHERE v >= 5":                       "seq scan r filter",
+		"SELECT k FROM r WHERE v >= '5'":                     "seq scan r filter",
+		"SELECT k FROM r WHERE v IN (5, 'x')":                "seq scan r filter",
+		"SELECT k FROM r WHERE v + 0 = 117":                  "seq scan r filter",
+	} {
+		res := mustQuery(t, big, "EXPLAIN "+q)
+		joined := ""
+		for _, r := range res.Rows {
+			joined += r[0].Str + "\n"
+		}
+		if !strings.Contains(joined, want) {
+			t.Errorf("EXPLAIN %s: want %q in\n%s", q, want, joined)
+		}
+	}
 }
 
 func TestDialectGatesSubqueriesAndUnion(t *testing.T) {

@@ -310,34 +310,8 @@ func (t *Table) scan(fn func(id int64, row Row) bool) {
 	}
 }
 
-// lookupEqual returns IDs of rows whose indexed column equals v, given any
-// index covering exactly that single column. Returns ok=false when no such
-// index exists.
-func (t *Table) lookupEqual(col int, v Value) ([]int64, bool) {
-	ix := t.singleColIndex(col)
-	if ix == nil {
-		return nil, false
-	}
-	return append([]int64(nil), ix.tree.Lookup(v)...), true
-}
-
-// rangeScan visits row IDs with lo <= key <= hi on a single-column index.
-func (t *Table) rangeScan(col int, lo, hi *Value, loIncl, hiIncl bool, fn func(id int64) bool) bool {
-	ix := t.singleColIndex(col)
-	if ix == nil {
-		return false
-	}
-	ix.tree.Range(lo, hi, loIncl, hiIncl, func(_ Value, ids []int64) bool {
-		for _, id := range ids {
-			if !fn(id) {
-				return false
-			}
-		}
-		return true
-	})
-	return true
-}
-
+// singleColIndex is an index over exactly column col (the primary key, if it
+// is one), or nil.
 func (t *Table) singleColIndex(col int) *Index {
 	if t.pk != nil && len(t.pk.Cols) == 1 && t.pk.Cols[0] == col {
 		return t.pk
