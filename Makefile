@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify race stress-cursors bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
+.PHONY: verify race stress-cursors stress-orb bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
 
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
@@ -19,9 +19,9 @@ verify:
 	$(GO) test ./...
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
-# race detector (with the cursor stress), chaos suite, simulation suite,
+# race detector (with the cursor and ORB stresses), chaos suite, simulation suite,
 # coverage ratchet, fuzz smoke, and a one-iteration benchmark smoke.
-ci: fmt-check verify race stress-cursors chaos sim cover-check fuzz-smoke bench-smoke
+ci: fmt-check verify race stress-cursors stress-orb chaos sim cover-check fuzz-smoke bench-smoke
 
 # chaos runs the fault-injection suites (injected connect failures, latency,
 # drops and resets; retry/breaker behaviour; partial-result degradation)
@@ -91,6 +91,14 @@ race:
 # least likely to catch misbehaving.
 stress-cursors:
 	$(GO) test -race -count=20 -run 'Cursor|Stream|Iter' ./internal/cursor ./internal/gateway ./internal/relational ./internal/oodb ./internal/query
+
+# stress-orb repeats the connection tests fifty times under the race
+# detector: multiplexed calls, pipelining, chaos, fragments, the framed
+# writer and the per-connection dispatch workers. Which writer flushes and
+# which worker takes a request are decided by goroutine interleavings, so a
+# single pass is least likely to catch them misbehaving.
+stress-orb:
+	$(GO) test -race -count=50 -run 'Mux|Multiplexed|MidStream|ReplyRace|DeliverRace|Pipelin|Chaos|Fragment|Writer|Dispatch' ./internal/orb ./internal/giop
 
 # bench runs fedbench, the repository's benchmark (BENCHMARK.json, bench/):
 # every workload, end-to-end and per-layer metrics.

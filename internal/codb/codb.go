@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/idl"
 	"repro/internal/oodb"
 )
 
@@ -207,6 +208,13 @@ func descriptorAttrs(d *SourceDescriptor) map[string]any {
 }
 
 func objectToDescriptor(o *oodb.Object) *SourceDescriptor {
+	d := storedDescriptor(o)
+	d.Interface = unmarshalInterface(o.String("InterfaceJSON"))
+	return d
+}
+
+// storedDescriptor reads a descriptor object's fields but its interface.
+func storedDescriptor(o *oodb.Object) *SourceDescriptor {
 	return &SourceDescriptor{
 		Name:            o.String("Name"),
 		InformationType: o.String("InformationType"),
@@ -219,8 +227,14 @@ func objectToDescriptor(o *oodb.Object) *SourceDescriptor {
 		CoDBRef:         o.String("CoDBRef"),
 		Engine:          o.String("Engine"),
 		ORB:             o.String("ORB"),
-		Interface:       unmarshalInterface(o.String("InterfaceJSON")),
 	}
+}
+
+// objectToAny packs a descriptor object for ORB transport. The stored
+// interface text goes out as it is: it is what ToAny would encode after
+// decoding it, byte for byte, without the two JSON passes.
+func objectToAny(o *oodb.Object) idl.Any {
+	return storedDescriptor(o).toAny(o.String("InterfaceJSON"))
 }
 
 // AddMember advertises a source descriptor as an instance of a coalition.
@@ -270,6 +284,19 @@ func (cd *CoDatabase) RemoveMember(coalition, name string) error {
 // Members lists a coalition's member descriptors (including sub-coalition
 // members), sorted by name.
 func (cd *CoDatabase) Members(coalition string) ([]*SourceDescriptor, error) {
+	objs, err := cd.memberObjects(coalition)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*SourceDescriptor, len(objs))
+	for i, o := range objs {
+		out[i] = objectToDescriptor(o)
+	}
+	return out, nil
+}
+
+// memberObjects lists the descriptor objects behind Members, in its order.
+func (cd *CoDatabase) memberObjects(coalition string) ([]*oodb.Object, error) {
 	if !cd.HasCoalition(coalition) {
 		return nil, fmt.Errorf("codb: no coalition %s known here", coalition)
 	}
@@ -277,20 +304,28 @@ func (cd *CoDatabase) Members(coalition string) ([]*SourceDescriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*SourceDescriptor, 0, len(objs))
+	type member struct {
+		name string
+		o    *oodb.Object
+	}
+	ms := make([]member, 0, len(objs))
 	seen := make(map[string]bool, len(objs))
 	for _, o := range objs {
-		d := objectToDescriptor(o)
 		// A database advertised in both a coalition and one of its
 		// sub-coalitions is listed once.
-		key := strings.ToLower(d.Name)
+		name := o.String("Name")
+		key := strings.ToLower(name)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		out = append(out, d)
+		ms = append(ms, member{name, o})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+	out := make([]*oodb.Object, len(ms))
+	for i, m := range ms {
+		out[i] = m.o
+	}
 	return out, nil
 }
 
@@ -308,16 +343,36 @@ func (cd *CoDatabase) OwnerDescriptor() *SourceDescriptor { return cd.ownerDesc 
 // FindSource locates a descriptor by database name: in the coalition
 // lattice, or the owner's own descriptor.
 func (cd *CoDatabase) FindSource(name string) (*SourceDescriptor, bool) {
-	o, err := cd.db.SelectFirst(ClassInformationType, true, func(o *oodb.Object) bool {
-		return strings.EqualFold(o.String("Name"), name)
-	})
-	if err == nil && o != nil {
+	if o := cd.sourceObject(name); o != nil {
 		return objectToDescriptor(o), true
 	}
 	if cd.ownerDesc != nil && strings.EqualFold(cd.ownerDesc.Name, name) {
 		return cd.ownerDesc, true
 	}
 	return nil, false
+}
+
+// sourceAny is FindSource packed for ORB transport.
+func (cd *CoDatabase) sourceAny(name string) (idl.Any, bool) {
+	if o := cd.sourceObject(name); o != nil {
+		return objectToAny(o), true
+	}
+	if cd.ownerDesc != nil && strings.EqualFold(cd.ownerDesc.Name, name) {
+		return cd.ownerDesc.ToAny(), true
+	}
+	return idl.Null(), false
+}
+
+// sourceObject finds a descriptor object by database name in the coalition
+// lattice (nil when there is none).
+func (cd *CoDatabase) sourceObject(name string) *oodb.Object {
+	o, err := cd.db.SelectFirst(ClassInformationType, true, func(o *oodb.Object) bool {
+		return strings.EqualFold(o.String("Name"), name)
+	})
+	if err != nil {
+		return nil
+	}
+	return o
 }
 
 // MemberOf lists the coalitions the owner database is a member of (the
@@ -493,9 +548,9 @@ func (cd *CoDatabase) vocabulary(coalition string) map[string]bool {
 			add(s)
 		}
 	}
-	if members, err := cd.Members(coalition); err == nil {
-		for _, m := range members {
-			add(m.InformationType)
+	if members, err := cd.memberObjects(coalition); err == nil {
+		for _, o := range members {
+			add(o.String("InformationType"))
 		}
 	}
 	return vocab

@@ -136,13 +136,13 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 		return idl.Strings(subs), nil
 	})
 	on("instances", func(args []idl.Any) (idl.Any, error) {
-		members, err := cd.Members(args[0].Str)
+		members, err := cd.memberObjects(args[0].Str)
 		if err != nil {
 			return idl.Null(), userErr(err)
 		}
 		out := make([]idl.Any, len(members))
-		for i, m := range members {
-			out[i] = m.ToAny()
+		for i, o := range members {
+			out[i] = objectToAny(o)
 		}
 		return idl.Seq(out...), nil
 	})
@@ -158,11 +158,11 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 		), nil
 	})
 	on("access_info", func(args []idl.Any) (idl.Any, error) {
-		d, ok := cd.FindSource(args[0].Str)
+		d, ok := cd.sourceAny(args[0].Str)
 		if !ok {
 			return idl.Null(), userErr(fmt.Errorf("codb: no source %s known here", args[0].Str))
 		}
-		return d.ToAny(), nil
+		return d, nil
 	})
 	on("document", func(args []idl.Any) (idl.Any, error) {
 		d, ok := cd.FindSource(args[0].Str)

@@ -31,7 +31,7 @@ func newWideCoDB(t *testing.T, n int) *CoDatabase {
 
 // startCoDBPair activates a co-database servant on its own ORB and returns a
 // client that reaches it over IIOP, plus the serving ORB (for its counters).
-func startCoDBPair(t *testing.T, cd *CoDatabase, opts ServantOptions) (*Client, *orb.ORB) {
+func startCoDBPair(t testing.TB, cd *CoDatabase, opts ServantOptions) (*Client, *orb.ORB) {
 	t.Helper()
 	server := orb.New(orb.Options{Product: orb.Orbix, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/idl"
 )
@@ -142,8 +143,48 @@ func unmarshalInterface(s string) []ExportedType {
 	return ts
 }
 
+// maxInterfaceMemo bounds interfaceMemo. Every member of a federation
+// advertises one interface text, so this is far above any working set; past
+// it an arbitrary entry makes room.
+const maxInterfaceMemo = 256
+
+// interfaceMemo holds decoded interface texts, so a client decodes the JSON
+// of each distinct advertisement once rather than once per descriptor
+// listed. Descriptors decoded from the same text share one slice: they are
+// read-only, like every descriptor the query layer's metadata cache hands
+// out. An entry is a pure function of its key, so what the memo holds,
+// evicted or not, changes no caller's result.
+var interfaceMemo = struct {
+	sync.RWMutex
+	m map[string][]ExportedType
+}{m: make(map[string][]ExportedType)}
+
+// decodeInterface is unmarshalInterface through interfaceMemo.
+func decodeInterface(s string) []ExportedType {
+	interfaceMemo.RLock()
+	ts, ok := interfaceMemo.m[s]
+	interfaceMemo.RUnlock()
+	if ok {
+		return ts
+	}
+	ts = unmarshalInterface(s)
+	interfaceMemo.Lock()
+	if len(interfaceMemo.m) >= maxInterfaceMemo {
+		for k := range interfaceMemo.m {
+			delete(interfaceMemo.m, k)
+			break
+		}
+	}
+	interfaceMemo.m[s] = ts
+	interfaceMemo.Unlock()
+	return ts
+}
+
 // ToAny packs a descriptor for ORB transport.
-func (d *SourceDescriptor) ToAny() idl.Any {
+func (d *SourceDescriptor) ToAny() idl.Any { return d.toAny(marshalInterface(d.Interface)) }
+
+// toAny is ToAny with the interface already in its JSON text form.
+func (d *SourceDescriptor) toAny(iface string) idl.Any {
 	return idl.Struct(
 		idl.F("name", idl.String(d.Name)),
 		idl.F("information_type", idl.String(d.InformationType)),
@@ -156,7 +197,7 @@ func (d *SourceDescriptor) ToAny() idl.Any {
 		idl.F("codb_ref", idl.String(d.CoDBRef)),
 		idl.F("engine", idl.String(d.Engine)),
 		idl.F("orb", idl.String(d.ORB)),
-		idl.F("interface", idl.String(marshalInterface(d.Interface))),
+		idl.F("interface", idl.String(iface)),
 	)
 }
 
@@ -177,7 +218,7 @@ func DescriptorFromAny(a idl.Any) (*SourceDescriptor, error) {
 		CoDBRef:         a.GetString("codb_ref"),
 		Engine:          a.GetString("engine"),
 		ORB:             a.GetString("orb"),
-		Interface:       unmarshalInterface(a.GetString("interface")),
+		Interface:       decodeInterface(a.GetString("interface")),
 	}, nil
 }
 

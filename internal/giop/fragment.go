@@ -2,6 +2,7 @@ package giop
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/cdr"
 )
@@ -109,49 +110,32 @@ func (sw *SyncWriter) writeFragment(order cdr.ByteOrder, reqID uint32, payload [
 	if size > MaxMessageSize {
 		return fmt.Errorf("giop: fragment body %d exceeds limit", size)
 	}
-	sw.mu.Lock()
-	if sw.err != nil {
-		err := sw.err
-		sw.mu.Unlock()
-		return err
-	}
-	hdr := hdrPool.Get().(*[HeaderSize]byte)
-	copy(hdr[0:4], magic[:])
-	hdr[4] = Version[0]
-	hdr[5] = Version[1]
-	hdr[6] = byte(order)
-	if more {
-		hdr[6] |= FlagMoreFragments
-	}
-	hdr[7] = byte(MsgFragment)
-	putULong(hdr[8:12], uint32(size), order)
-	var frag [4]byte
-	putULong(frag[:], reqID, order)
-	_, err := sw.w.Write(hdr[:])
-	if err == nil {
-		_, err = sw.w.Write(frag[:])
-	}
-	if err == nil && len(payload) > 0 {
-		_, err = sw.w.Write(payload)
-	}
-	hdrPool.Put(hdr)
-	if err != nil {
-		sw.err = fmt.Errorf("giop: write fragment: %w", err)
-		err = sw.err
-		sw.mu.Unlock()
-		return err
-	}
-	if sw.bw == nil {
-		sw.mu.Unlock()
+	return sw.write(func(w io.Writer) error {
+		hdr := hdrPool.Get().(*[HeaderSize]byte)
+		copy(hdr[0:4], magic[:])
+		hdr[4] = Version[0]
+		hdr[5] = Version[1]
+		hdr[6] = byte(order)
+		if more {
+			hdr[6] |= FlagMoreFragments
+		}
+		hdr[7] = byte(MsgFragment)
+		putULong(hdr[8:12], uint32(size), order)
+		var frag [4]byte
+		putULong(frag[:], reqID, order)
+		_, err := w.Write(hdr[:])
+		if err == nil {
+			_, err = w.Write(frag[:])
+		}
+		if err == nil && len(payload) > 0 {
+			_, err = w.Write(payload)
+		}
+		hdrPool.Put(hdr)
+		if err != nil {
+			return fmt.Errorf("giop: write fragment: %w", err)
+		}
 		return nil
-	}
-	sw.dirty = true
-	sw.mu.Unlock()
-	select {
-	case sw.kick <- struct{}{}:
-	default:
-	}
-	return nil
+	})
 }
 
 // Reassembler accumulates fragmented messages keyed by request ID. It is not

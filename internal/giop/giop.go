@@ -10,8 +10,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cdr"
 )
@@ -224,119 +224,84 @@ func writeFrame(w io.Writer, m *Message) error {
 // respect to each other, which is the only ordering GIOP requires (replies
 // are matched to requests by ID, not by position in the stream).
 //
-// When the stream is a *bufio.Writer, flushing is coalesced: Write leaves
-// the frame in the buffer and kicks a flusher goroutine, which runs once the
-// writers have yielded and pushes every buffered frame to the kernel in a
-// single syscall. Under pipelining a whole round of requests (or replies)
-// leaves as one write; a lone writer costs the same one syscall it always
-// did, plus a goroutine hand-off. A flush failure is reported through the
-// onErr callback (the writers that buffered those frames have already
-// returned) and sticks: subsequent Writes fail immediately.
+// When the stream is a *bufio.Writer, the last writer in line flushes: a
+// writer that finds nobody queued behind it pushes the buffer to the kernel
+// before it returns, and one that does leaves its frame for them. A lone
+// writer costs one syscall; a burst of writers that queued up while one
+// flushed leaves in the next single write. A failed flush loses frames whose
+// writers have already returned, so it is reported through the onErr
+// callback and sticks: subsequent Writes fail immediately.
 type SyncWriter struct {
-	mu    sync.Mutex
-	w     io.Writer
-	bw    *bufio.Writer // non-nil when w buffers; enables coalesced flushing
-	dirty bool
-	err   error // sticky first write/flush error
-
-	kick      chan struct{} // cap 1: wake the flusher
-	done      chan struct{}
-	closeOnce sync.Once
-	onErr     func(error)
+	mu     sync.Mutex
+	w      io.Writer
+	bw     *bufio.Writer // non-nil when w buffers; the last writer flushes it
+	queued atomic.Int32  // writers waiting for mu
+	err    error         // sticky first write/flush error
+	onErr  func(error)
 }
 
 var errWriterClosed = fmt.Errorf("giop: writer closed")
 
 // NewSyncWriter wraps w for concurrent framed writes. onErr, which may be
-// nil, is called at most once if an asynchronous flush fails; callers use it
-// to tear down the connection, since already-buffered frames are lost.
+// nil, is called at most once, when a flush fails; callers use it to tear
+// down the connection, since frames other writers buffered are lost.
 func NewSyncWriter(w io.Writer, onErr func(error)) *SyncWriter {
 	sw := &SyncWriter{w: w, onErr: onErr}
-	if bw, ok := w.(*bufio.Writer); ok {
-		sw.bw = bw
-		sw.kick = make(chan struct{}, 1)
-		sw.done = make(chan struct{})
-		go sw.flusher()
-	}
+	sw.bw, _ = w.(*bufio.Writer)
 	return sw
 }
 
-// Write frames and buffers one message atomically relative to other Write
-// calls on the same SyncWriter, scheduling a coalesced flush.
+// Write frames one message atomically relative to other Write calls on the
+// same SyncWriter; it is on the stream when Write returns unless another
+// writer was queued behind it, which then carries it out.
 func (sw *SyncWriter) Write(m *Message) error {
+	return sw.write(func(w io.Writer) error { return writeFrame(w, m) })
+}
+
+// write runs frame under the lock, then flushes if no writer is queued
+// behind it. Every frame goes through here, so whoever takes the lock after
+// a writer that skipped its flush is bound to flush or hand on in turn.
+func (sw *SyncWriter) write(frame func(io.Writer) error) error {
+	sw.queued.Add(1)
 	sw.mu.Lock()
+	sw.queued.Add(-1)
 	if sw.err != nil {
 		err := sw.err
 		sw.mu.Unlock()
 		return err
 	}
-	if err := writeFrame(sw.w, m); err != nil {
+	if err := frame(sw.w); err != nil {
 		sw.err = err
 		sw.mu.Unlock()
 		return err
 	}
-	if sw.bw == nil {
+	if sw.bw == nil || sw.queued.Load() > 0 {
 		sw.mu.Unlock()
 		return nil
 	}
-	sw.dirty = true
-	sw.mu.Unlock()
-	select {
-	case sw.kick <- struct{}{}:
-	default: // a wake-up is already pending
+	err := sw.bw.Flush()
+	if err == nil {
+		sw.mu.Unlock()
+		return nil
 	}
-	return nil
+	sw.err = err
+	sw.mu.Unlock()
+	// Outside the lock: the callback typically closes this writer.
+	if sw.onErr != nil {
+		sw.onErr(err)
+	}
+	return err
 }
 
-// Close stops the flusher after a final flush. Writes after Close fail.
+// Close flushes what is buffered; Writes after Close fail.
 func (sw *SyncWriter) Close() {
-	sw.closeOnce.Do(func() {
-		if sw.done != nil {
-			close(sw.done)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.err == nil {
+		if sw.bw != nil {
+			sw.bw.Flush()
 		}
-		sw.mu.Lock()
-		if sw.err == nil {
-			if sw.dirty {
-				sw.bw.Flush()
-				sw.dirty = false
-			}
-			sw.err = errWriterClosed
-		}
-		sw.mu.Unlock()
-	})
-}
-
-// flusher pushes buffered frames out whenever writers have left some behind.
-// By the time it is scheduled, every currently-runnable writer has finished
-// buffering, so one flush typically carries a whole batch of frames.
-func (sw *SyncWriter) flusher() {
-	for {
-		select {
-		case <-sw.done:
-			return
-		case <-sw.kick:
-		}
-		// The kick readied this goroutine with scheduler priority, ahead of
-		// the other writers that are about to buffer their own frames. Yield
-		// once so they run first; the flush below then carries the batch.
-		runtime.Gosched()
-		sw.mu.Lock()
-		if sw.err != nil || !sw.dirty {
-			sw.mu.Unlock()
-			continue
-		}
-		err := sw.bw.Flush()
-		sw.dirty = false
-		if err == nil {
-			sw.mu.Unlock()
-			continue
-		}
-		sw.err = err
-		onErr := sw.onErr
-		sw.mu.Unlock()
-		if onErr != nil {
-			onErr(err)
-		}
+		sw.err = errWriterClosed
 	}
 }
 

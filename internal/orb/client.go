@@ -22,12 +22,16 @@ import (
 // analogue). References are safe for concurrent use: concurrent Invokes to
 // the same endpoint are pipelined over a shared multiplexed connection.
 type ObjectRef struct {
-	orb *ORB
-	ior *IOR
+	orb  *ORB
+	ior  *IOR
+	addr string // ior.Addr(), rendered once at Resolve
 }
 
 // IOR returns the reference's IOR.
 func (r *ObjectRef) IOR() *IOR { return r.ior }
+
+// Addr returns the target endpoint ("host:port").
+func (r *ObjectRef) Addr() string { return r.addr }
 
 // Invoke performs a synchronous request and returns the result value.
 func (r *ObjectRef) Invoke(op string, args ...idl.Any) (idl.Any, error) {
@@ -71,7 +75,7 @@ func (r *ObjectRef) InvokeOnewayCtx(ctx context.Context, op string, args ...idl.
 // observationally identical to a socket hop).
 func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expectReply, idempotent bool) (idl.Any, error) {
 	o := r.orb
-	target, colocated := o.colocatedTarget(r.ior.Addr())
+	target, colocated := o.colocatedTarget(r.addr)
 	cis := o.clientInterceptors()
 	var ri *ClientRequestInfo
 	var svcCtxs []giop.ServiceContext
@@ -80,7 +84,7 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expec
 			Ctx:       ctx,
 			Operation: op,
 			ObjectKey: r.ior.ObjectKey,
-			Addr:      r.ior.Addr(),
+			Addr:      r.addr,
 			Colocated: colocated,
 			Oneway:    !expectReply,
 		}
@@ -107,7 +111,7 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expec
 		}
 		result, err = target.dispatchIncoming(ctx, r.ior.Key(), op, args, svcCtxs, "colocated")
 	} else {
-		result, err = o.callRemote(ctx, r.ior, op, args, expectReply, svcCtxs, idempotent)
+		result, err = o.callRemote(ctx, r, op, args, expectReply, svcCtxs, idempotent)
 	}
 	for i := len(cis) - 1; i >= 0; i-- {
 		cis[i].ReceiveReply(ri, err)
@@ -172,8 +176,8 @@ func isTransportFailure(err error) bool {
 // budget with exponential backoff and full jitter. The breaker is consulted
 // before every attempt and fed the outcome of every attempt that reached
 // the wire.
-func (o *ORB) callRemote(ctx context.Context, ior *IOR, op string, args []idl.Any, expectReply bool, svcCtxs []giop.ServiceContext, idempotent bool) (idl.Any, error) {
-	addr := ior.Addr()
+func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, expectReply bool, svcCtxs []giop.ServiceContext, idempotent bool) (idl.Any, error) {
+	addr := r.addr
 	cs := callStatsFrom(ctx)
 	policy := o.opts.Retry.withDefaults()
 	maxAttempts := 1
@@ -203,7 +207,7 @@ func (o *ORB) callRemote(ctx context.Context, ior *IOR, op string, args []idl.An
 				continue
 			}
 		}
-		result, err := o.pool.roundTrip(ctx, ior, op, args, expectReply, svcCtxs)
+		result, err := o.pool.roundTrip(ctx, addr, r.ior.ObjectKey, op, args, expectReply, svcCtxs)
 		if o.breakers != nil {
 			o.breakers.record(addr, isTransportFailure(err))
 		}
@@ -239,11 +243,11 @@ func sleepBackoff(ctx context.Context, policy RetryPolicy, attempt int) error {
 // Locate asks the target adapter whether the object exists, using a GIOP
 // LocateRequest.
 func (r *ObjectRef) Locate() (bool, error) {
-	if target, ok := r.orb.colocatedTarget(r.ior.Addr()); ok {
+	if target, ok := r.orb.colocatedTarget(r.addr); ok {
 		_, found := target.lookupServant(r.ior.Key())
 		return found, nil
 	}
-	return r.orb.pool.locate(context.Background(), r.ior)
+	return r.orb.pool.locate(context.Background(), r.addr, r.ior.ObjectKey)
 }
 
 // maxPipelinePerConn is the in-flight depth at which the pool prefers
@@ -329,6 +333,10 @@ func (c *muxConn) deliver(id uint32, r *demuxedReply) {
 // fail poisons the connection: it leaves the pool, the socket closes, and
 // every in-flight request receives err. Idempotent.
 func (c *muxConn) fail(err error) {
+	// Leave the pool before turning dead: a dead connection the pool still
+	// hands out fails both of roundTrip's attempts with the old error, even
+	// for a call made after the network came back.
+	c.pool.remove(c)
 	c.mu.Lock()
 	if c.dead != nil {
 		c.mu.Unlock()
@@ -338,7 +346,6 @@ func (c *muxConn) fail(err error) {
 	pend := c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	c.pool.remove(c)
 	c.w.Close()
 	c.nc.Close()
 	for _, ch := range pend {
@@ -592,7 +599,6 @@ func (p *connPool) get(addr string) (*muxConn, error) {
 	// per-host cap.
 	if existing := p.pick(addr); existing != nil {
 		p.mu.Unlock()
-		c.w.Close() // stop the flusher goroutine, not just the socket
 		nc.Close()
 		return existing, nil
 	}
@@ -673,8 +679,7 @@ func (p *connPool) callDeadline(ctx context.Context) time.Duration {
 // it retries once on a fresh connection. svcCtxs are the service context
 // entries (interceptor-added) carried in the request header. The context
 // deadline, when tighter than Options.CallTimeout, bounds the exchange.
-func (p *connPool) roundTrip(ctx context.Context, ior *IOR, op string, args []idl.Any, expectReply bool, svcCtxs []giop.ServiceContext) (idl.Any, error) {
-	addr := ior.Addr()
+func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op string, args []idl.Any, expectReply bool, svcCtxs []giop.ServiceContext) (idl.Any, error) {
 	order := p.orb.wireOrder()
 	for attempt := 0; ; attempt++ {
 		c, err := p.get(addr)
@@ -687,7 +692,7 @@ func (p *connPool) roundTrip(ctx context.Context, ior *IOR, op string, args []id
 			ServiceContext:   svcCtxs,
 			RequestID:        reqID,
 			ResponseExpected: expectReply,
-			ObjectKey:        ior.ObjectKey,
+			ObjectKey:        key,
 			Operation:        op,
 			Principal:        []byte(p.orb.opts.Product),
 		}).Marshal(e)
@@ -752,8 +757,7 @@ func decodeReply(r *demuxedReply) (idl.Any, error) {
 
 // locate performs a GIOP LocateRequest round trip over the same multiplexed
 // connection invocations use; wire stats are accounted like any other call.
-func (p *connPool) locate(ctx context.Context, ior *IOR) (bool, error) {
-	addr := ior.Addr()
+func (p *connPool) locate(ctx context.Context, addr string, key []byte) (bool, error) {
 	order := p.orb.wireOrder()
 	for attempt := 0; ; attempt++ {
 		c, err := p.get(addr)
@@ -762,7 +766,7 @@ func (p *connPool) locate(ctx context.Context, ior *IOR) (bool, error) {
 		}
 		reqID := c.nextID.Add(1)
 		e := giop.AcquireBodyEncoder(order)
-		(&giop.LocateRequestHeader{RequestID: reqID, ObjectKey: ior.ObjectKey}).Marshal(e)
+		(&giop.LocateRequestHeader{RequestID: reqID, ObjectKey: key}).Marshal(e)
 		msg := &giop.Message{Type: giop.MsgLocateRequest, Order: order, Body: e.Bytes()}
 		r, err := c.call(reqID, msg, 0, true, p.callDeadline(ctx))
 		giop.ReleaseBodyEncoder(e)

@@ -420,7 +420,7 @@ func (o *ORB) lookupServant(key string) (Servant, bool) {
 
 // Resolve wraps an IOR in a client object reference bound to this ORB.
 func (o *ORB) Resolve(ior *IOR) *ObjectRef {
-	return &ObjectRef{orb: o, ior: ior}
+	return &ObjectRef{orb: o, ior: ior, addr: ior.Addr()}
 }
 
 // ResolveString parses a stringified IOR and wraps it.

@@ -53,7 +53,7 @@ func (*testError) Error() string { return "unclassified failure" }
 // startPair boots two ORBs (different products) and activates an Echo
 // servant on the server ORB. Colocation is disabled so calls really cross
 // the socket.
-func startPair(t *testing.T) (client *ORB, ref *ObjectRef) {
+func startPair(t testing.TB) (client *ORB, ref *ObjectRef) {
 	t.Helper()
 	server := New(Options{Product: Orbix, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {

@@ -36,15 +36,14 @@ func (o *ORB) acceptLoop(ln net.Listener) {
 }
 
 // serveConn handles one inbound IIOP connection. The loop reads and
-// demultiplexes GIOP messages; every Request is dispatched in its own
-// goroutine so slow servants do not block the requests pipelined behind them
-// on the same connection. Replies are serialized through a shared
-// giop.SyncWriter and matched to requests by GIOP request ID, not by stream
-// position, so out-of-order completion is fine. In-flight dispatches per
-// connection are capped at maxPipelinePerConn — the same depth at which a
-// well-behaved client opens another connection — so a client flooding one
-// connection stalls its own read loop instead of spawning unbounded servant
-// goroutines.
+// demultiplexes GIOP messages and hands every Request to a dispatch worker of
+// the connection, so slow servants do not block the requests pipelined
+// behind them. Replies are serialized through a shared giop.SyncWriter and
+// matched to requests by GIOP request ID, not by stream position, so
+// out-of-order completion is fine. In-flight dispatches per connection are
+// capped at maxPipelinePerConn — the same depth at which a well-behaved
+// client opens another connection — so a client flooding one connection
+// stalls its own read loop instead of piling up servant work.
 func (o *ORB) serveConn(nc net.Conn) {
 	defer o.wg.Done()
 	defer o.Stats.ActiveConns.Add(-1)
@@ -62,35 +61,57 @@ func (o *ORB) serveConn(nc net.Conn) {
 	}()
 
 	br := bufio.NewReader(nc)
-	// A failed asynchronous reply flush breaks the stream for every pipelined
-	// request, so tear the socket down; in-flight dispatches then fail their
-	// own writes and the client sees COMM_FAILURE.
+	// A failed reply flush breaks the stream for every pipelined request, so
+	// tear the socket down; in-flight dispatches then fail their own writes
+	// and the client sees COMM_FAILURE.
 	w := giop.NewSyncWriter(bufio.NewWriter(nc), func(error) { nc.Close() })
 	defer w.Close()
 	// Bounds concurrent dispatches for this connection; acquiring in the read
-	// loop applies backpressure to a flooding client. Dispatch goroutines
-	// never need the read loop to make progress (replies flush through w
-	// independently), so blocking here cannot deadlock.
+	// loop applies backpressure to a flooding client. Workers never need the
+	// read loop to make progress (replies flush through w independently), so
+	// blocking here cannot deadlock.
 	sem := make(chan struct{}, maxPipelinePerConn)
 	// Fragmented requests reassemble here, keyed by request ID. The pending
 	// cap matches maxPipelinePerConn so a client cannot hold more partial
 	// requests open than it could have whole requests in flight; a dispatch
 	// slot (sem) is only taken once the logical request is complete.
 	ra := giop.NewReassembler(maxPipelinePerConn)
-	dispatchReq := func(m *giop.Message) {
-		sem <- struct{}{}
-		o.wg.Add(1)
-		go func() {
-			defer o.wg.Done()
-			defer func() { <-sem }()
-			defer m.Release()
-			if !o.handleRequest(w, m) {
-				// The reply could not be written: the stream is broken
-				// for every other request too, so tear the socket down
-				// to unblock the read loop.
+	// Dispatch workers live as long as the connection, so a request runs on a
+	// goroutine whose stack has already grown to servant depth instead of a
+	// fresh one per call. A worker is started only when none is idle, and
+	// never more than maxPipelinePerConn of them: a worker that has released
+	// its sem slot but is not receiving yet looks busy to the try-send, so
+	// at the cap the read loop waits for one instead of starting another.
+	work := make(chan *giop.Message)
+	defer close(work)
+	workers := 0
+	worker := func(m *giop.Message) {
+		defer o.wg.Done()
+		for ; m != nil; m = <-work {
+			ok := o.handleRequest(w, m)
+			m.Release()
+			<-sem
+			if !ok {
+				// The reply could not be written: the stream is broken for
+				// every other request too, so tear the socket down to
+				// unblock the read loop.
 				nc.Close()
 			}
-		}()
+		}
+	}
+	dispatchReq := func(m *giop.Message) {
+		sem <- struct{}{}
+		select {
+		case work <- m:
+		default:
+			if workers == maxPipelinePerConn {
+				work <- m
+				return
+			}
+			workers++
+			o.wg.Add(1)
+			go worker(m)
+		}
 	}
 	// protocolErr reports a malformed frame to the peer; it returns false
 	// when even that failed and the connection must go down.
@@ -172,8 +193,8 @@ func (o *ORB) serveConn(nc net.Conn) {
 }
 
 // handleRequest dispatches one GIOP Request and writes the Reply. It reports
-// whether the connection is still usable. It runs in its own goroutine, one
-// per in-flight request.
+// whether the connection is still usable. It runs on one of the connection's
+// dispatch workers.
 func (o *ORB) handleRequest(w *giop.SyncWriter, msg *giop.Message) bool {
 	d := msg.BodyDecoder()
 	hdr, err := giop.UnmarshalRequestHeader(d)

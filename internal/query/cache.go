@@ -35,16 +35,9 @@ type probeResult struct {
 }
 
 // srcKey identifies a co-database for cache keying by its object address.
-// Clients are canonical (Config.Local plus the codbByRef memo), so the
-// rendered address is computed once per client and remembered.
 func (p *Processor) srcKey(c *codb.Client) string {
-	if k, ok := p.srcKeys.Load(c); ok {
-		return k.(string)
-	}
-	ior := c.Ref().IOR()
-	k := ior.Addr() + "/" + ior.Key()
-	p.srcKeys.Store(c, k)
-	return k
+	r := c.Ref()
+	return r.Addr() + "/" + string(r.IOR().ObjectKey)
 }
 
 // versioner returns the schema-version reader for client c and whether hits

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/mdcache"
+	"repro/internal/orb"
 	"repro/internal/trace"
 	"repro/internal/wtl"
 )
@@ -244,29 +245,42 @@ func leadsFrom(matches []codb.Match, defaultRef string) []Lead {
 	return out
 }
 
-// codbByRef opens a co-database client from a stringified IOR, memoizing the
-// parsed client so repeated discovery over the same peers costs a map lookup
-// instead of an IOR parse per statement.
-func (p *Processor) codbByRef(ref string) (*codb.Client, error) {
-	p.clientMu.Lock()
-	if c, ok := p.clients[ref]; ok {
-		p.clientMu.Unlock()
-		return c, nil
+// maxRefs bounds the resolved-reference memo. A federation names one
+// co-database and one ISI per node, so this is far above any working set;
+// past it an arbitrary entry makes room.
+const maxRefs = 1024
+
+// resolveRef resolves a stringified IOR, co-database or ISI, through the
+// processor's memo, so a repeated reference costs a map lookup instead of a
+// hex decode and a CDR parse per call. Object references are safe for
+// concurrent use, so one is shared by every caller.
+func (p *Processor) resolveRef(ior string) (*orb.ObjectRef, error) {
+	p.refMu.Lock()
+	defer p.refMu.Unlock()
+	if r, ok := p.refs[ior]; ok {
+		return r, nil
 	}
-	p.clientMu.Unlock()
-	objRef, err := p.cfg.ORB.ResolveString(ref)
+	r, err := p.cfg.ORB.ResolveString(ior)
 	if err != nil {
 		return nil, err
 	}
-	c := codb.NewClient(objRef)
-	p.clientMu.Lock()
-	if prev, ok := p.clients[ref]; ok {
-		c = prev // another goroutine won the race; keep one canonical client
-	} else {
-		p.clients[ref] = c
+	if len(p.refs) >= maxRefs {
+		for k := range p.refs {
+			delete(p.refs, k)
+			break
+		}
 	}
-	p.clientMu.Unlock()
-	return c, nil
+	p.refs[ior] = r
+	return r, nil
+}
+
+// codbByRef opens a co-database client from a stringified IOR.
+func (p *Processor) codbByRef(ior string) (*codb.Client, error) {
+	r, err := p.resolveRef(ior)
+	if err != nil {
+		return nil, err
+	}
+	return codb.NewClient(r), nil
 }
 
 // coalitionEntry finds a co-database that knows the coalition: locally,

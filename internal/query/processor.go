@@ -188,17 +188,11 @@ type Processor struct {
 
 	stats plannerCounters
 
-	// Memoized co-database clients keyed by stringified IOR, so the hot
-	// discovery paths do not re-parse IORs and re-build clients on every
-	// statement. Clients are stateless handles; sharing them is safe.
-	clientMu sync.Mutex
-	clients  map[string]*codb.Client
-
-	// Memoized cache-key prefixes (srcKey) per canonical client: rendering
-	// an IOR address hex-encodes the object key, which profiling shows is
-	// the top allocator on a fully cached discovery, so it is paid once per
-	// client instead of once per lookup.
-	srcKeys sync.Map // *codb.Client -> string
+	// Resolved object references keyed by stringified IOR, co-databases and
+	// ISIs alike (resolveRef), so neither discovery nor a member call parses
+	// an IOR it has seen before.
+	refMu sync.Mutex
+	refs  map[string]*orb.ObjectRef
 }
 
 // New creates a processor; ORB, Home and Local are required.
@@ -206,7 +200,7 @@ func New(cfg Config) (*Processor, error) {
 	if cfg.ORB == nil || cfg.Local == nil || cfg.Home == "" {
 		return nil, fmt.Errorf("query: Config needs ORB, Local and Home")
 	}
-	p := &Processor{cfg: cfg, clients: make(map[string]*codb.Client)}
+	p := &Processor{cfg: cfg, refs: make(map[string]*orb.ObjectRef)}
 	return p, nil
 }
 
@@ -769,11 +763,11 @@ func (s *Session) lookupSource(ctx context.Context, name string) (*codb.SourceDe
 // through its ISI servant when it advertises one, else through a DSN.
 func (p *Processor) openSource(s *Session, d *codb.SourceDescriptor) (gateway.Conn, error) {
 	if d.ISIRef != "" {
-		ref, err := p.cfg.ORB.ResolveString(d.ISIRef)
+		ref, err := p.resolveRef(d.ISIRef)
 		if err != nil {
 			return nil, fmt.Errorf("query: source %s advertises a bad ISI reference: %w", d.Name, err)
 		}
-		s.tracef("communication", "connecting to ISI of %s at %s", d.Name, ref.IOR().Addr())
+		s.tracef("communication", "connecting to ISI of %s at %s", d.Name, ref.Addr())
 		return gateway.NewRemoteConn(ref), nil
 	}
 	if d.DSN != "" && p.cfg.Gateway != nil {
