@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify race stress-cursors stress-orb bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
+.PHONY: verify loc race stress-cursors stress-orb bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
 
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
@@ -17,6 +17,13 @@ verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# loc prints the non-test Go lines of every package, bench/ excluded, and
+# their total: the size of the program a change grows or shrinks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
 # race detector (with the cursor and ORB stresses), chaos suite, simulation suite,

@@ -365,17 +365,7 @@ func (c *slowConn) QueryCursor(ctx context.Context, q string, batch int) (gatewa
 	}
 	return gateway.NewResultIter(res, batch), nil
 }
-func (c *slowConn) Exec(ctx context.Context, q string) (*gateway.Result, error) {
-	return c.Query(ctx, q)
-}
-func (c *slowConn) Begin() error    { return nil }
-func (c *slowConn) Commit() error   { return nil }
-func (c *slowConn) Rollback() error { return nil }
-func (c *slowConn) Meta() gateway.SourceMeta {
-	return gateway.SourceMeta{Engine: core.EngineMSQL, Database: c.name, Model: "relational"}
-}
-func (c *slowConn) Tables() []string { return []string{"t"} }
-func (c *slowConn) Close() error     { return nil }
+func (c *slowConn) Close() error { return nil }
 
 // buildSlowFed wires a coalition of n members whose ISIs answer after delay,
 // returning a query processor homed on the coalition's co-database.
@@ -392,7 +382,8 @@ func buildSlowFed(b *testing.B, n int, delay time.Duration) *query.Processor {
 	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("slow-%02d", i)
-		ior, err := o.Activate("ISI/"+name, gateway.NewISIServant(&slowConn{name: name, delay: delay}))
+		servant, _ := gateway.NewISIServant(&slowConn{name: name, delay: delay}, core.EngineMSQL, name, nil)
+		ior, err := o.Activate("ISI/"+name, servant)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -496,7 +487,8 @@ func buildFaultFed(b *testing.B, n int, delay time.Duration) (*query.Processor, 
 		}
 		b.Cleanup(mo.Shutdown)
 		name := fmt.Sprintf("fault-%02d", i)
-		ior, err := mo.Activate("ISI/"+name, gateway.NewISIServant(&slowConn{name: name, delay: delay}))
+		servant, _ := gateway.NewISIServant(&slowConn{name: name, delay: delay}, core.EngineMSQL, name, nil)
+		ior, err := mo.Activate("ISI/"+name, servant)
 		if err != nil {
 			b.Fatal(err)
 		}

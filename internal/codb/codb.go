@@ -54,7 +54,6 @@ func New(owner string) *CoDatabase {
 		oodb.Attribute{Name: "DocumentHTML", Type: oodb.AttrString},
 		oodb.Attribute{Name: "Location", Type: oodb.AttrString},
 		oodb.Attribute{Name: "Wrapper", Type: oodb.AttrString},
-		oodb.Attribute{Name: "DSN", Type: oodb.AttrString},
 		oodb.Attribute{Name: "ISIRef", Type: oodb.AttrString},
 		oodb.Attribute{Name: "CoDBRef", Type: oodb.AttrString},
 		oodb.Attribute{Name: "Engine", Type: oodb.AttrString},
@@ -198,7 +197,6 @@ func descriptorAttrs(d *SourceDescriptor) map[string]any {
 		"DocumentHTML":    d.DocumentHTML,
 		"Location":        d.Location,
 		"Wrapper":         d.Wrapper,
-		"DSN":             d.DSN,
 		"ISIRef":          d.ISIRef,
 		"CoDBRef":         d.CoDBRef,
 		"Engine":          d.Engine,
@@ -222,7 +220,6 @@ func storedDescriptor(o *oodb.Object) *SourceDescriptor {
 		DocumentHTML:    o.String("DocumentHTML"),
 		Location:        o.String("Location"),
 		Wrapper:         o.String("Wrapper"),
-		DSN:             o.String("DSN"),
 		ISIRef:          o.String("ISIRef"),
 		CoDBRef:         o.String("CoDBRef"),
 		Engine:          o.String("Engine"),

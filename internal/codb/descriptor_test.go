@@ -29,7 +29,6 @@ func wireFixture() *SourceDescriptor {
 		DocumentHTML:    "<p>Cardiology — \"heart\" care</p>",
 		Location:        "pch.example.org",
 		Wrapper:         "WebTassiliOracle",
-		DSN:             "oracle://pch",
 		ISIRef:          "IOR:00000000",
 		CoDBRef:         "IOR:00000001",
 		Engine:          "Oracle",

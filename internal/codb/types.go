@@ -83,7 +83,6 @@ type SourceDescriptor struct {
 	DocumentHTML    string         `json:"document_html"`       // served document body
 	Location        string         `json:"location"`            // host of the ISI
 	Wrapper         string         `json:"wrapper"`             // e.g. "WebTassiliOracle"
-	DSN             string         `json:"dsn"`                 // gateway DSN of the source
 	ISIRef          string         `json:"isi_ref"`             // stringified IOR of the ISI servant
 	CoDBRef         string         `json:"codb_ref"`            // stringified IOR of the owner's co-database servant
 	Engine          string         `json:"engine"`              // DBMS product
@@ -192,7 +191,6 @@ func (d *SourceDescriptor) toAny(iface string) idl.Any {
 		idl.F("document_html", idl.String(d.DocumentHTML)),
 		idl.F("location", idl.String(d.Location)),
 		idl.F("wrapper", idl.String(d.Wrapper)),
-		idl.F("dsn", idl.String(d.DSN)),
 		idl.F("isi_ref", idl.String(d.ISIRef)),
 		idl.F("codb_ref", idl.String(d.CoDBRef)),
 		idl.F("engine", idl.String(d.Engine)),
@@ -213,7 +211,6 @@ func DescriptorFromAny(a idl.Any) (*SourceDescriptor, error) {
 		DocumentHTML:    a.GetString("document_html"),
 		Location:        a.GetString("location"),
 		Wrapper:         a.GetString("wrapper"),
-		DSN:             a.GetString("dsn"),
 		ISIRef:          a.GetString("isi_ref"),
 		CoDBRef:         a.GetString("codb_ref"),
 		Engine:          a.GetString("engine"),

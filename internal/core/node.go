@@ -210,7 +210,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	})
 
 	// Activate the servants.
-	isiServant, isiCursors := gateway.NewISIServantWith(conn, gateway.ISIServantOptions{Clock: cfg.Clock})
+	isiServant, isiCursors := gateway.NewISIServant(conn, cfg.Engine, cfg.Name, cfg.Clock)
 	n.isiCursors = isiCursors
 	isiIOR, err := cfg.ORB.Activate(isiKey(cfg.Name), isiServant)
 	if err != nil {

@@ -24,7 +24,7 @@ type scanEngine struct {
 	insert func(t *testing.T, j int)
 }
 
-func startScanEngines(t *testing.T, opts ISIServantOptions) []scanEngine {
+func startScanEngines(t *testing.T, clock func() time.Time) []scanEngine {
 	t.Helper()
 	const n = 5000
 	rdb := relational.NewDatabase("RBH", relational.DialectOracle)
@@ -63,12 +63,12 @@ func startScanEngines(t *testing.T, opts ISIServantOptions) []scanEngine {
 		}},
 		{name: "ObjectStore", chunks: odb.ChunksScanned, all: "SELECT v FROM r WHERE v >= 0", insert: newObject},
 	}
-	for i, drv := range []Driver{rdrv, odrv} {
-		conn, err := drv.Open("RBH")
+	for i, open := range []func(string) (Conn, error){rdrv.Open, odrv.Open} {
+		conn, err := open("RBH")
 		if err != nil {
 			t.Fatal(err)
 		}
-		servant, table := NewISIServantWith(conn, opts)
+		servant, table := NewISIServant(conn, engines[i].name, "RBH", clock)
 		engines[i].rconn, _ = serveISI(t, servant)
 		engines[i].table = table
 	}
@@ -91,7 +91,7 @@ func (e *scanEngine) quiet(t *testing.T, when string, mark int64) {
 // and no more, every fetch_cursor one more page, and the rows that come out are
 // the table's, in order, whatever is inserted while the cursor is open.
 func TestCursorPullsOnePagePerFetch(t *testing.T) {
-	for _, e := range startScanEngines(t, ISIServantOptions{}) {
+	for _, e := range startScanEngines(t, nil) {
 		ctx := context.Background()
 		live := markLive()
 		before := e.chunks()
@@ -147,7 +147,7 @@ func TestCursorPullsOnePagePerFetch(t *testing.T) {
 // servant holds no cursor and no rows.
 func TestCloseStopsTheScan(t *testing.T) {
 	clock := time.Unix(1000, 0)
-	for _, e := range startScanEngines(t, ISIServantOptions{CursorIdleTTL: time.Minute, Clock: func() time.Time { return clock }}) {
+	for _, e := range startScanEngines(t, func() time.Time { return clock }) {
 		ctx := context.Background()
 		firstPage := func(q string) RowIter {
 			t.Helper()
@@ -177,7 +177,7 @@ func TestCloseStopsTheScan(t *testing.T) {
 		// statement arrives.
 		firstPage(e.all)
 		mark := e.chunks()
-		clock = clock.Add(2 * time.Minute)
+		clock = clock.Add(cursor.DefaultIdleTTL + time.Second)
 		if n := e.table.Reap(); n != 1 {
 			t.Fatalf("%s: reaped %d cursor(s)", e.name, n)
 		}
@@ -204,7 +204,7 @@ func TestCloseStopsTheScan(t *testing.T) {
 // open and the cursor holds what it has not served; rows_held says how much,
 // and goes back to zero when the cursor does.
 func TestCursorHoldsMaterialisedRows(t *testing.T) {
-	e := startScanEngines(t, ISIServantOptions{})[0]
+	e := startScanEngines(t, nil)[0]
 	ctx := context.Background()
 	before := e.chunks()
 	it, err := e.rconn.QueryCursor(ctx, "SELECT v FROM r ORDER BY v DESC", 64)
@@ -234,7 +234,7 @@ func TestCursorHoldsMaterialisedRows(t *testing.T) {
 // does not reach fails the fetch that reaches it, with the engine's message,
 // and the cursor is gone.
 func TestCursorErrorPastPageOne(t *testing.T) {
-	e := startScanEngines(t, ISIServantOptions{})[0]
+	e := startScanEngines(t, nil)[0]
 	ctx := context.Background()
 	it, err := e.rconn.QueryCursor(ctx, "SELECT 1000 / (v - 700) FROM r WHERE v >= 0", 64)
 	if err != nil {

@@ -2,15 +2,21 @@ package gateway
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/cursor"
 	"repro/internal/idl"
 	"repro/internal/orb"
 	"repro/internal/relational"
@@ -63,9 +69,9 @@ func serveISI(t *testing.T, servant orb.Servant) (*RemoteConn, *orb.ORB) {
 
 // startISIPair activates an ISI servant for the RBH Oracle database and
 // returns a remote connection to it plus the servant's cursor table.
-func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTableHandle) {
+func startISIPair(t *testing.T) (*RemoteConn, *cursorTableHandle) {
 	t.Helper()
-	servant, table := NewISIServantWith(openOracle(t), opts)
+	servant, table := NewISIServant(openOracle(t), "Oracle", "RBH", nil)
 	rconn, _ := serveISI(t, servant)
 	return rconn, &cursorTableHandle{table}
 }
@@ -73,7 +79,7 @@ func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTab
 type cursorTableHandle struct{ table interface{ OpenCount() int } }
 
 func TestRemoteQueryCursorBatches(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{})
+	rconn, tb := startISIPair(t)
 	ctx := context.Background()
 
 	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students ORDER BY name", 2)
@@ -122,7 +128,7 @@ func TestRemoteQueryCursorBatches(t *testing.T) {
 }
 
 func TestRemoteCursorCloseReleasesServer(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{})
+	rconn, tb := startISIPair(t)
 	ctx := context.Background()
 
 	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students", 1)
@@ -147,7 +153,7 @@ func TestRemoteCursorCloseReleasesServer(t *testing.T) {
 }
 
 func TestRemoteQueryDelegatesThroughCursor(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{})
+	rconn, tb := startISIPair(t)
 	res, err := rconn.Query(context.Background(), "SELECT name FROM medical_students WHERE year > 4 ORDER BY name")
 	if err != nil {
 		t.Fatal(err)
@@ -184,17 +190,19 @@ func (c *countingConn) QueryCursor(ctx context.Context, q string, batch int) (Ro
 // followed by a second execution under another op.
 func TestRemoteCursorAtCapAnswersWhole(t *testing.T) {
 	engine := &countingConn{Conn: openOracle(t), queries: map[string]int{}}
-	servant, table := NewISIServantWith(engine, ISIServantOptions{CursorMaxOpen: 1})
+	servant, table := NewISIServant(engine, "Oracle", "RBH", nil)
 	rconn, server := serveISI(t, servant)
 	ctx := context.Background()
 
-	// Hold the only cursor slot open.
-	held, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students", 1)
-	if err != nil {
-		t.Fatal(err)
+	// Fill every cursor slot.
+	for i := 0; i < cursor.DefaultMaxOpen; i++ {
+		held, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer held.Close()
 	}
-	defer held.Close()
-	if table.OpenCount() != 1 {
+	if table.OpenCount() != cursor.DefaultMaxOpen {
 		t.Fatalf("open cursors = %d", table.OpenCount())
 	}
 
@@ -208,7 +216,7 @@ func TestRemoteCursorAtCapAnswersWhole(t *testing.T) {
 	if err != nil || len(res.Rows) != 3 || res.Rows[0][0].Str != "J. Chen" || res.Rows[2][0].Str != "S. Weiss" {
 		t.Fatalf("drain at the cap = %+v, %v", res, err)
 	}
-	if table.OpenCount() != 1 {
+	if table.OpenCount() != cursor.DefaultMaxOpen {
 		t.Fatalf("open at the cap took a slot: %d open", table.OpenCount())
 	}
 	if n := engine.queries[q]; n != 1 {
@@ -216,6 +224,47 @@ func TestRemoteCursorAtCapAnswersWhole(t *testing.T) {
 	}
 	if n := server.Stats.RequestsServed.Load() - served; n != 1 {
 		t.Errorf("client made %d invocation(s), want 1", n)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/open_cursor_wire.golden")
+
+// TestOpenCursorReplyGolden pins the open_cursor reply: its fields, in order,
+// and its CDR bytes for a first page that leaves a cursor open. A change to
+// either is a change to the ISI's wire format.
+func TestOpenCursorReplyGolden(t *testing.T) {
+	servant, table := NewISIServant(openOracle(t), "Oracle", "RBH", nil)
+	a, err := servant.Invoke("open_cursor", []idl.Any{
+		idl.String("SELECT student_id, name, year FROM medical_students ORDER BY student_id"), idl.Long(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer table.Close(a.GetInt("id"))
+	var names []string
+	for _, f := range a.Fields {
+		names = append(names, f.Name)
+	}
+	if want := []string{"id", "columns", "page", "done"}; !slices.Equal(names, want) {
+		t.Fatalf("open_cursor reply fields = %v, want %v", names, want)
+	}
+	e := cdr.NewEncoder(cdr.BigEndian)
+	a.Marshal(e)
+	got := hex.EncodeToString(e.Bytes()) + "\n"
+	path := filepath.Join("testdata", "open_cursor_wire.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("open_cursor reply bytes changed:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -239,8 +288,7 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 		return idl.Octets(encodePage(b, cdr.BigEndian))
 	}
 	open := func(fields ...idl.Field) idl.Any {
-		return idl.Struct(append([]idl.Field{idl.F("id", idl.Long(7)), idl.F("columns", idl.Strings([]string{"name"})),
-			idl.F("affected", idl.Long(0))}, fields...)...)
+		return idl.Struct(append([]idl.Field{idl.F("id", idl.Long(7)), idl.F("columns", idl.Strings([]string{"name"}))}, fields...)...)
 	}
 	good := page([]idl.Any{idl.String("J. Chen")})
 	truncated := idl.Octets(good.Bytes[:len(good.Bytes)-3])
@@ -320,7 +368,7 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 // page codec, drain — allocated 111 objects per call at the commit before
 // pages (same statement, same harness); it must not allocate more now.
 func TestOneRowOpenCursorAllocations(t *testing.T) {
-	rconn, _ := startISIPair(t, ISIServantOptions{})
+	rconn, _ := startISIPair(t)
 	ctx := context.Background()
 	run := func() {
 		res, err := rconn.Query(ctx, "SELECT name FROM medical_students WHERE name = 'J. Chen'")
@@ -377,7 +425,8 @@ func TestFetchCursorIsNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(server.Shutdown)
-	ior, err := server.Activate("ISI/RBH", &lostReplyServant{Servant: NewISIServant(conn)})
+	servant, _ := NewISIServant(conn, "Oracle", "RBH", nil)
+	ior, err := server.Activate("ISI/RBH", &lostReplyServant{Servant: servant})
 	if err != nil {
 		t.Fatal(err)
 	}

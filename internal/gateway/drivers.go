@@ -44,9 +44,9 @@ func CapsFor(engine string) Capabilities {
 }
 
 // RelationalDriver serves connections to registered in-process relational
-// engine instances. One driver instance is registered per vendor scheme
-// ("oracle", "msql", "db2", "sybase"); Open(name) connects to the database
-// registered under that name, enforcing that its dialect matches the scheme.
+// engine instances of one vendor ("Oracle", "mSQL", "DB2", "Sybase");
+// Open(name) connects to the database registered under that name, and Add
+// refuses a database whose dialect is another vendor's.
 type RelationalDriver struct {
 	vendor string // dialect name the scheme promises
 
@@ -71,7 +71,7 @@ func (d *RelationalDriver) Add(db *relational.Database) error {
 	return nil
 }
 
-// Open implements Driver.
+// Open connects to the database registered under name.
 func (d *RelationalDriver) Open(name string) (Conn, error) {
 	d.mu.RLock()
 	db, ok := d.dbs[strings.ToLower(name)]
@@ -79,14 +79,12 @@ func (d *RelationalDriver) Open(name string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("no %s database named %s", d.vendor, name)
 	}
-	return &relConn{db: db, session: db.NewSession(), vendor: d.vendor}, nil
+	return &relConn{db: db}, nil
 }
 
 type relConn struct {
-	db      *relational.Database
-	session *relational.Session
-	vendor  string
-	closed  bool
+	db     *relational.Database
+	closed bool
 }
 
 func (c *relConn) check() error {
@@ -170,85 +168,13 @@ func fillRelational(col *column, vals []relational.Value) {
 	}
 }
 
-func (c *relConn) Exec(_ context.Context, q string) (*Result, error) {
-	if err := c.check(); err != nil {
-		return nil, err
-	}
-	res, err := c.session.Exec(q)
-	if err != nil {
-		return nil, err
-	}
-	return fromRelational(res), nil
-}
-
-func (c *relConn) Begin() error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	return c.session.Begin()
-}
-
-func (c *relConn) Commit() error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	return c.session.Commit()
-}
-
-func (c *relConn) Rollback() error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	return c.session.Rollback()
-}
-
-func (c *relConn) Meta() SourceMeta {
-	return SourceMeta{Engine: c.vendor, Database: c.db.Name(), Model: "relational"}
-}
-
-func (c *relConn) Tables() []string { return c.db.TableNames() }
-
 func (c *relConn) Close() error {
-	if c.session.InTx() {
-		if err := c.session.Rollback(); err != nil {
-			return err
-		}
-	}
 	c.closed = true
 	return nil
 }
 
-// fromRelational converts an engine result to the gateway's wire result.
-func fromRelational(r *relational.Result) *Result {
-	out := &Result{Columns: r.Columns, RowsAffected: r.RowsAffected}
-	for _, row := range r.Rows {
-		vals := make([]idl.Any, len(row))
-		for i, v := range row {
-			vals[i] = relValueToAny(v)
-		}
-		out.Rows = append(out.Rows, vals)
-	}
-	return out
-}
-
-func relValueToAny(v relational.Value) idl.Any {
-	if v.Null {
-		return idl.Null()
-	}
-	switch v.Kind {
-	case relational.TypeInt:
-		return idl.Long(v.Int)
-	case relational.TypeFloat:
-		return idl.Double(v.Float)
-	case relational.TypeBool:
-		return idl.Bool(v.Bool)
-	default: // TEXT, DATE
-		return idl.String(v.Str)
-	}
-}
-
 // ObjectDriver serves connections to registered in-process object-oriented
-// engine instances; registered per product scheme ("objectstore", "ontos").
+// engine instances of one product ("ObjectStore", "Ontos").
 type ObjectDriver struct {
 	product string
 
@@ -268,7 +194,7 @@ func (d *ObjectDriver) Add(db *oodb.DB) {
 	d.dbs[strings.ToLower(db.Name())] = db
 }
 
-// Open implements Driver.
+// Open connects to the database registered under name.
 func (d *ObjectDriver) Open(name string) (Conn, error) {
 	d.mu.RLock()
 	db, ok := d.dbs[strings.ToLower(name)]
@@ -276,13 +202,12 @@ func (d *ObjectDriver) Open(name string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("no %s database named %s", d.product, name)
 	}
-	return &ooConn{db: db, product: d.product}, nil
+	return &ooConn{db: db}, nil
 }
 
 type ooConn struct {
-	db      *oodb.DB
-	product string
-	closed  bool
+	db     *oodb.DB
+	closed bool
 }
 
 func (c *ooConn) check() error {
@@ -343,24 +268,6 @@ func (s ooRows) fill(b *Batch, most int) (bool, error) {
 	b.rows = ch.N
 	return done, nil
 }
-
-// Exec on an OO connection accepts the same query language (reads only; the
-// OO engines are populated through their native API, as in the paper's
-// prototype where co-databases are maintained by the system).
-func (c *ooConn) Exec(ctx context.Context, q string) (*Result, error) { return c.Query(ctx, q) }
-
-func (c *ooConn) Begin() error {
-	return fmt.Errorf("gateway: %s connections do not support transactions", c.product)
-}
-
-func (c *ooConn) Commit() error   { return c.Begin() }
-func (c *ooConn) Rollback() error { return c.Begin() }
-
-func (c *ooConn) Meta() SourceMeta {
-	return SourceMeta{Engine: c.product, Database: c.db.Name(), Model: "object-oriented"}
-}
-
-func (c *ooConn) Tables() []string { return c.db.ClassNames() }
 
 func (c *ooConn) Close() error {
 	c.closed = true

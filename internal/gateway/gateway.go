@@ -1,4 +1,4 @@
-// Package gateway is the reproduction's JDBC: a uniform driver/connection
+// Package gateway is the reproduction's JDBC: a uniform read-only connection
 // interface over heterogeneous database engines, plus the Information Source
 // Interface (ISI) that exposes any connection as a CORBA servant so that a
 // database can be queried through the ORB from anywhere in the federation
@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/idl"
 )
@@ -20,16 +18,12 @@ import (
 // Result is a uniform result set: column names plus rows of self-describing
 // values, so results survive the trip through the ORB unchanged.
 type Result struct {
-	Columns      []string
-	Rows         [][]idl.Any
-	RowsAffected int64
+	Columns []string
+	Rows    [][]idl.Any
 }
 
 // Format renders the result as an aligned text table.
 func (r *Result) Format() string {
-	if len(r.Columns) == 0 {
-		return fmt.Sprintf("OK, %d row(s) affected", r.RowsAffected)
-	}
 	widths := make([]int, len(r.Columns))
 	for i, c := range r.Columns {
 		widths[i] = len(c)
@@ -84,40 +78,6 @@ func renderAny(v idl.Any) string {
 	}
 }
 
-// ToAny packs the result into one Any for transport through the ORB.
-func (r *Result) ToAny() idl.Any {
-	rows := make([]idl.Any, len(r.Rows))
-	for i, row := range r.Rows {
-		rows[i] = idl.Seq(row...)
-	}
-	return idl.Struct(
-		idl.F("columns", idl.Strings(r.Columns)),
-		idl.F("rows", idl.Seq(rows...)),
-		idl.F("affected", idl.Long(r.RowsAffected)),
-	)
-}
-
-// ResultFromAny unpacks a result shipped by ToAny.
-func ResultFromAny(a idl.Any) (*Result, error) {
-	if a.Kind != idl.KindStruct {
-		return nil, fmt.Errorf("gateway: result payload is %s, not struct", a.Kind)
-	}
-	cols, _ := a.Get("columns")
-	rowsAny, _ := a.Get("rows")
-	res := &Result{Columns: cols.StringSlice(), RowsAffected: a.GetInt("affected")}
-	for _, row := range rowsAny.Seq {
-		res.Rows = append(res.Rows, row.Seq)
-	}
-	return res, nil
-}
-
-// SourceMeta describes an engine behind a connection.
-type SourceMeta struct {
-	Engine   string // "Oracle", "mSQL", "DB2", "Sybase", "ObjectStore", "Ontos"
-	Database string // database name
-	Model    string // "relational" or "object-oriented"
-}
-
 // RowIter is a pull-based iterator over a query's rows, a batch at a time.
 // Next returns the next batch — never an empty one — or io.EOF once the
 // result is exhausted; the caller owns the batch and must Release it. Close
@@ -134,19 +94,12 @@ type RowIter interface {
 	Close() error
 }
 
-// rowsAffected is implemented by iterators that know the statement's
-// affected-row count; Drain propagates it into the rebuilt Result.
-type rowsAffected interface{ RowsAffected() int64 }
-
 // Drain consumes a RowIter to exhaustion and rebuilds the whole-result
 // shape. It is how RemoteConn.Query rides the cursor protocol; code that
 // may see large results should iterate instead of draining.
 func Drain(ctx context.Context, it RowIter) (*Result, error) {
 	defer it.Close()
 	res := &Result{Columns: it.Columns()}
-	if ra, ok := it.(rowsAffected); ok {
-		res.RowsAffected = ra.RowsAffected()
-	}
 	for {
 		b, err := it.Next(ctx)
 		if err == io.EOF {
@@ -184,11 +137,10 @@ type cursorState interface {
 // for one batch at a time, sized on the page growth schedule (see
 // MaxPageRows), and holds nothing itself between two of them.
 type localIter struct {
-	cols     []string
-	affected int64
-	page     int // rows of the next batch; 0: all that are left
-	done     bool
-	src      batchSource
+	cols []string
+	page int // rows of the next batch; 0: all that are left
+	done bool
+	src  batchSource
 }
 
 // batchSource is where a localIter's rows come from: an engine's iterator, or
@@ -202,11 +154,10 @@ type batchSource interface {
 	close()
 }
 
-func (it *localIter) Columns() []string   { return it.cols }
-func (it *localIter) RowsAffected() int64 { return it.affected }
-func (it *localIter) Exhausted() bool     { return it.done }
-func (it *localIter) Held() int           { return it.src.held() }
-func (it *localIter) Close() error        { it.done = true; it.src.close(); return nil }
+func (it *localIter) Columns() []string { return it.cols }
+func (it *localIter) Exhausted() bool   { return it.done }
+func (it *localIter) Held() int         { return it.src.held() }
+func (it *localIter) Close() error      { it.done = true; it.src.close(); return nil }
 func (it *localIter) Next(context.Context) (*Batch, error) {
 	if it.done {
 		return nil, io.EOF
@@ -253,14 +204,14 @@ func (s *boxedRows) fill(b *Batch, most int) (bool, error) {
 // like an engine's: batchSize rows first, then growing (batchSize <= 0: one
 // batch). It serves connections that hold their rows as boxed values.
 func NewResultIter(res *Result, batchSize int) RowIter {
-	return &localIter{cols: res.Columns, affected: res.RowsAffected, page: max(batchSize, 0), src: &boxedRows{res.Rows}}
+	return &localIter{cols: res.Columns, page: max(batchSize, 0), src: &boxedRows{res.Rows}}
 }
 
-// Conn is one open connection to a database, in the shape of a JDBC
-// connection: statement execution plus transaction control. Connections are
-// not safe for concurrent use. Statement execution is context-first: the
-// context carries trace parentage across ORB hops (remote ISI connections)
-// and its deadline/cancellation bounds the statement; in-process drivers may
+// Conn is one open, read-only connection to a database: a query in the
+// engine's native language in, rows out. Connections are not safe for
+// concurrent use. Queries are context-first: the context carries trace
+// parentage across ORB hops (remote ISI connections) and its
+// deadline/cancellation bounds the statement; in-process connections may
 // ignore it.
 type Conn interface {
 	// Query runs a read-only query in the engine's native language (SQL for
@@ -274,72 +225,5 @@ type Conn interface {
 	// few round trips where the transport streams (batchSize <= 0 fetches
 	// everything in one batch). The caller must Close the iterator.
 	QueryCursor(ctx context.Context, q string, batchSize int) (RowIter, error)
-	// Exec runs any statement.
-	Exec(ctx context.Context, q string) (*Result, error)
-	// Begin/Commit/Rollback control a transaction where the engine supports
-	// them.
-	Begin() error
-	Commit() error
-	Rollback() error
-	// Meta describes the engine.
-	Meta() SourceMeta
-	// Tables lists the queryable containers (tables or classes).
-	Tables() []string
 	Close() error
-}
-
-// Driver creates connections for one DSN scheme.
-type Driver interface {
-	Open(name string) (Conn, error)
-}
-
-// Manager is the DriverManager: a registry of drivers keyed by scheme. DSNs
-// have the form "scheme://name", e.g. "oracle://RBH" or
-// "objectstore://codb-RBH".
-type Manager struct {
-	mu      sync.RWMutex
-	drivers map[string]Driver
-}
-
-// NewManager returns an empty driver manager.
-func NewManager() *Manager {
-	return &Manager{drivers: make(map[string]Driver)}
-}
-
-// Register installs a driver for a scheme (lower-cased).
-func (m *Manager) Register(scheme string, d Driver) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.drivers[strings.ToLower(scheme)] = d
-}
-
-// Schemes lists registered schemes, sorted.
-func (m *Manager) Schemes() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.drivers))
-	for s := range m.drivers {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Open parses a DSN and opens a connection through the matching driver.
-func (m *Manager) Open(dsn string) (Conn, error) {
-	scheme, name, ok := strings.Cut(dsn, "://")
-	if !ok {
-		return nil, fmt.Errorf("gateway: malformed DSN %q (want scheme://name)", dsn)
-	}
-	m.mu.RLock()
-	d, found := m.drivers[strings.ToLower(scheme)]
-	m.mu.RUnlock()
-	if !found {
-		return nil, fmt.Errorf("gateway: no driver for scheme %q", scheme)
-	}
-	conn, err := d.Open(name)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: open %s: %w", dsn, err)
-	}
-	return conn, nil
 }

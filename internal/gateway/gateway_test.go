@@ -43,104 +43,6 @@ func newCoDB(t *testing.T) *oodb.DB {
 	return db
 }
 
-func TestManagerAndRelationalDriver(t *testing.T) {
-	m := NewManager()
-	drv := NewRelationalDriver("Oracle")
-	if err := drv.Add(newOracleDB(t)); err != nil {
-		t.Fatal(err)
-	}
-	m.Register("oracle", drv)
-
-	conn, err := m.Open("oracle://RBH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	res, err := conn.Query(context.Background(), "SELECT * FROM medical_students ORDER BY student_id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 || len(res.Columns) != 4 {
-		t.Fatalf("rows=%d cols=%d", len(res.Rows), len(res.Columns))
-	}
-	if res.Rows[0][1].Str != "J. Chen" {
-		t.Errorf("row 0: %v", res.Rows[0])
-	}
-	meta := conn.Meta()
-	if meta.Engine != "Oracle" || meta.Model != "relational" || meta.Database != "RBH" {
-		t.Errorf("meta = %+v", meta)
-	}
-	tables := conn.Tables()
-	if len(tables) != 1 || tables[0] != "medical_students" {
-		t.Errorf("tables = %v", tables)
-	}
-}
-
-func TestManagerErrors(t *testing.T) {
-	m := NewManager()
-	if _, err := m.Open("no-scheme-separator"); err == nil {
-		t.Error("malformed DSN accepted")
-	}
-	if _, err := m.Open("nope://x"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	drv := NewRelationalDriver("Oracle")
-	m.Register("oracle", drv)
-	if _, err := m.Open("oracle://missing"); err == nil {
-		t.Error("unknown database accepted")
-	}
-	// Dialect mismatch at registration.
-	msqlDB := relational.NewDatabase("X", relational.DialectMSQL)
-	if err := drv.Add(msqlDB); err == nil {
-		t.Error("dialect mismatch accepted")
-	}
-	if got := m.Schemes(); len(got) != 1 || got[0] != "oracle" {
-		t.Errorf("schemes = %v", got)
-	}
-}
-
-func TestRelationalConnTransactions(t *testing.T) {
-	drv := NewRelationalDriver("Oracle")
-	db := newOracleDB(t)
-	if err := drv.Add(db); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := drv.Open("RBH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Exec(context.Background(), "DELETE FROM medical_students"); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := conn.Query(context.Background(), "SELECT COUNT(*) FROM medical_students")
-	if res.Rows[0][0].Int != 3 {
-		t.Errorf("rollback through gateway failed: %v", res.Rows[0][0])
-	}
-	// Close rolls back an open transaction.
-	if err := conn.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Exec(context.Background(), "DELETE FROM medical_students"); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dres, _ := db.Query("SELECT COUNT(*) FROM medical_students")
-	if dres.Rows[0][0].Int != 3 {
-		t.Error("Close did not roll back")
-	}
-	if _, err := conn.Query(context.Background(), "SELECT 1"); err == nil {
-		t.Error("query on closed connection accepted")
-	}
-}
-
 func TestObjectDriverOQL(t *testing.T) {
 	drv := NewObjectDriver("ObjectStore")
 	drv.Add(newCoDB(t))
@@ -155,38 +57,8 @@ func TestObjectDriverOQL(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Str != "RBH" {
 		t.Errorf("rows = %v", res.Rows)
 	}
-	if conn.Meta().Model != "object-oriented" {
-		t.Errorf("meta = %+v", conn.Meta())
-	}
-	if err := conn.Begin(); err == nil {
-		t.Error("OO transactions accepted")
-	}
-	if got := conn.Tables(); len(got) != 2 {
-		t.Errorf("classes = %v", got)
-	}
 	if _, err := drv.Open("missing"); err == nil {
 		t.Error("unknown OO database accepted")
-	}
-}
-
-func TestResultAnyRoundTrip(t *testing.T) {
-	in := &Result{
-		Columns:      []string{"a", "b"},
-		Rows:         [][]idl.Any{{idl.Long(1), idl.String("x")}, {idl.Null(), idl.Double(2.5)}},
-		RowsAffected: 7,
-	}
-	out, err := ResultFromAny(in.ToAny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Rows) != 2 || out.RowsAffected != 7 || out.Columns[1] != "b" {
-		t.Errorf("round trip = %+v", out)
-	}
-	if !out.Rows[1][1].Equal(idl.Double(2.5)) || !out.Rows[1][0].Equal(idl.Null()) {
-		t.Errorf("values = %v", out.Rows[1])
-	}
-	if _, err := ResultFromAny(idl.String("junk")); err == nil {
-		t.Error("non-struct payload accepted")
 	}
 }
 
@@ -197,14 +69,10 @@ func TestResultFormat(t *testing.T) {
 	if !strings.Contains(text, "J. Chen") || !strings.Contains(text, "(1 row(s))") {
 		t.Errorf("format:\n%s", text)
 	}
-	empty := &Result{RowsAffected: 2}
-	if !strings.Contains(empty.Format(), "2 row(s) affected") {
-		t.Errorf("empty format: %s", empty.Format())
-	}
 }
 
 // TestISIOverIIOP drives the full paper path: client ORB -> IIOP -> ISI
-// servant -> JDBC-like conn -> relational engine, and back.
+// servant -> gateway connection -> relational engine, and back.
 func TestISIOverIIOP(t *testing.T) {
 	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {
@@ -220,7 +88,8 @@ func TestISIOverIIOP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ior, err := server.Activate("ISI/RBH", NewISIServant(local))
+	servant, _ := NewISIServant(local, "Oracle", "RBH", nil)
+	ior, err := server.Activate("ISI/RBH", servant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,59 +105,16 @@ func TestISIOverIIOP(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0][0].Str != "P. Okoye" {
 		t.Errorf("remote rows = %v", res.Rows)
 	}
-	meta := rconn.Meta()
-	if meta.Engine != "Oracle" || meta.Database != "RBH" {
-		t.Errorf("remote meta = %+v", meta)
-	}
-	if tables := rconn.Tables(); len(tables) != 1 {
-		t.Errorf("remote tables = %v", tables)
-	}
 	// Engine errors surface with the engine's message.
 	_, err = rconn.Query(context.Background(), "SELECT * FROM no_such_table")
 	if err == nil || !strings.Contains(err.Error(), "no_such_table") {
 		t.Errorf("remote error = %v", err)
-	}
-	// Exec crosses the wire too.
-	out, err := rconn.Exec(context.Background(), "INSERT INTO medical_students VALUES (4, 'New', 'Medicine', 1)")
-	if err != nil || out.RowsAffected != 1 {
-		t.Errorf("remote exec: %+v, %v", out, err)
-	}
-	if err := rconn.Begin(); err == nil {
-		t.Error("remote transaction accepted")
 	}
 	if err := rconn.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rconn.Query(context.Background(), "SELECT 1"); err == nil {
 		t.Error("closed remote conn accepted query")
-	}
-}
-
-func TestRemoteDriverDSN(t *testing.T) {
-	server := orb.New(orb.Options{Product: orb.Orbix})
-	if err := server.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer server.Shutdown()
-	drv := NewRelationalDriver("Oracle")
-	if err := drv.Add(newOracleDB(t)); err != nil {
-		t.Fatal(err)
-	}
-	local, _ := drv.Open("RBH")
-	ior, _ := server.Activate("ISI/RBH", NewISIServant(local))
-
-	m := NewManager()
-	m.Register("remote", &RemoteDriver{ORB: server})
-	conn, err := m.Open("remote://" + orb.Stringify(ior))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := conn.Query(context.Background(), "SELECT COUNT(*) FROM medical_students")
-	if err != nil || res.Rows[0][0].Int != 3 {
-		t.Errorf("remote dsn query: %v %v", res, err)
-	}
-	if _, err := m.Open("remote://garbage"); err == nil {
-		t.Error("bad IOR accepted")
 	}
 }
 
@@ -312,7 +138,17 @@ func TestMSQLDialectThroughGateway(t *testing.T) {
 	if _, err := conn.Query(context.Background(), "SELECT SUM(amount) FROM benefits"); err == nil {
 		t.Error("mSQL aggregate accepted through gateway")
 	}
-	if err := conn.Begin(); err == nil {
-		t.Error("mSQL transaction accepted through gateway")
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Query(context.Background(), "SELECT * FROM benefits"); err == nil {
+		t.Error("query on closed connection accepted")
+	}
+	// A driver serves its own vendor's databases, by name.
+	if _, err := drv.Open("missing"); err == nil {
+		t.Error("unknown database accepted")
+	}
+	if err := drv.Add(relational.NewDatabase("X", relational.DialectOracle)); err == nil {
+		t.Error("dialect mismatch accepted")
 	}
 }

@@ -23,9 +23,6 @@ import (
 var ISIIDL = idl.MustParse(`
 module WebFINDIT {
     interface ISI {
-        any exec(in string q);
-        any meta();
-        sequence<any> tables();
         any open_cursor(in string q, in long long batch);
         any fetch_cursor(in long long id);
         void close_cursor(in long long id);
@@ -33,41 +30,28 @@ module WebFINDIT {
 };
 `)[0]
 
-// ISIServantOptions tune the servant's cursor table; the zero value selects
-// the cursor package defaults.
-type ISIServantOptions struct {
-	CursorMaxOpen int              // per-connection open-cursor cap
-	CursorIdleTTL time.Duration    // idle reap threshold
-	Clock         func() time.Time // nil = time.Now (simulations inject one)
-}
-
-// NewISIServant wraps a connection in an ISI servant with default cursor
-// options. Invocations are serialised with a mutex because gateway
-// connections, like JDBC connections, are single-threaded. open_cursor and
-// exec each open a per-driver timing span ("isi.cursor:<engine>",
-// "isi.exec:<engine>"), so the time a source's engine spends on each
-// statement is visible in the trace of the query that reached it. A cursor's
-// span covers the open alone: planning (and any blocking operator the plan
-// has) plus the first page. Its "rows" attribute is that page's row count and
+// NewISIServant wraps a connection to the database named database, run by
+// engine, in an ISI servant, and returns the servant's cursor table so the
+// node can publish its stats. clock drives the idle reaper (nil: time.Now;
+// simulations inject one). Invocations are serialised with a mutex because
+// gateway connections, like JDBC connections, are single-threaded.
+//
+// open_cursor opens a per-driver timing span ("isi.cursor:<engine>", with a
+// "database" attribute), so the time a source's engine spends on each
+// statement is visible in the trace of the query that reached it. The span
+// covers the open alone: planning (and any blocking operator the plan has)
+// plus the first page. Its "rows" attribute is that page's row count and
 // "held" the rows the cursor holds for later pages: 0 when they are read from
 // the engine's tables as they are asked for.
-func NewISIServant(conn Conn) orb.Servant {
-	s, _ := NewISIServantWith(conn, ISIServantOptions{})
-	return s
-}
-
-// NewISIServantWith is NewISIServant with cursor options; it also returns
-// the servant's cursor table so the node can publish its stats.
-func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.Table) {
+func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (orb.Servant, *cursor.Table) {
 	var mu sync.Mutex
-	meta := conn.Meta()
-	cursors := cursor.NewTable(opts.CursorMaxOpen, opts.CursorIdleTTL, opts.Clock)
+	cursors := cursor.NewTable(0, 0, clock)
 	h := orb.NewHandler(ISIIDL)
 	h.OnCtx("open_cursor", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		ctx, sp := trace.StartSpan(ctx, "isi.cursor:"+meta.Engine)
-		sp.SetAttr("database", meta.Database)
+		ctx, sp := trace.StartSpan(ctx, "isi.cursor:"+engine)
+		sp.SetAttr("database", database)
 		batch := int(args[1].Int)
 		if cursors.Full() {
 			// At the cap no cursor can be retained: answer the whole result
@@ -87,14 +71,9 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		if err != nil {
 			return idl.Null(), cursorException(err)
 		}
-		var affected int64
-		if ra, ok := it.(rowsAffected); ok {
-			affected = ra.RowsAffected()
-		}
 		return idl.Struct(
 			idl.F("id", idl.Long(id)),
 			idl.F("columns", idl.Strings(it.Columns())),
-			idl.F("affected", idl.Long(affected)),
 			idl.F("page", first[0]),
 			idl.F("done", idl.Bool(done)),
 		), nil
@@ -113,33 +92,6 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		defer mu.Unlock()
 		cursors.Close(args[0].Int)
 		return idl.Any{Kind: idl.KindVoid}, nil
-	})
-	h.OnCtx("exec", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		ctx, sp := trace.StartSpan(ctx, "isi.exec:"+meta.Engine)
-		sp.SetAttr("database", meta.Database)
-		res, err := conn.Exec(ctx, args[0].Str)
-		sp.End(err)
-		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "ExecError", Message: err.Error()}
-		}
-		return res.ToAny(), nil
-	})
-	h.On("meta", func(args []idl.Any) (idl.Any, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		m := conn.Meta()
-		return idl.Struct(
-			idl.F("engine", idl.String(m.Engine)),
-			idl.F("database", idl.String(m.Database)),
-			idl.F("model", idl.String(m.Model)),
-		), nil
-	})
-	h.On("tables", func(args []idl.Any) (idl.Any, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return idl.Strings(conn.Tables()), nil
 	})
 	return h, cursors
 }
@@ -282,7 +234,7 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 		return nil, remapISIError(err)
 	}
 	cols, _ := a.Get("columns")
-	it := &remoteCursorIter{conn: c, id: a.GetInt("id"), cols: cols.StringSlice(), affected: a.GetInt("affected")}
+	it := &remoteCursorIter{conn: c, id: a.GetInt("id"), cols: cols.StringSlice()}
 	if it.first, it.done, err = cursorPage("open_cursor", a, len(it.cols)); err != nil {
 		it.Close() // the reply may still name a live cursor
 		return nil, err
@@ -293,17 +245,15 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 // remoteCursorIter pulls pages from a server-side ISI cursor, one round trip
 // each, only when asked: the consumer's pace is the producer's pace.
 type remoteCursorIter struct {
-	conn     *RemoteConn
-	id       int64
-	cols     []string
-	affected int64
-	first    *Batch // the open reply's page, until Next hands it out
-	done     bool   // server reported the cursor exhausted (and removed it)
-	closed   bool
+	conn   *RemoteConn
+	id     int64
+	cols   []string
+	first  *Batch // the open reply's page, until Next hands it out
+	done   bool   // server reported the cursor exhausted (and removed it)
+	closed bool
 }
 
-func (it *remoteCursorIter) Columns() []string   { return it.cols }
-func (it *remoteCursorIter) RowsAffected() int64 { return it.affected }
+func (it *remoteCursorIter) Columns() []string { return it.cols }
 
 func (it *remoteCursorIter) Next(ctx context.Context) (*Batch, error) {
 	if it.closed {
@@ -365,53 +315,6 @@ func (it *remoteCursorIter) Close() error {
 // race just means the idle reaper collects the cursor later.
 const closeCursorTimeout = 2 * time.Second
 
-// Exec implements Conn. Statements may mutate, so they are never retried
-// transparently.
-func (c *RemoteConn) Exec(ctx context.Context, q string) (*Result, error) {
-	if err := c.check(); err != nil {
-		return nil, err
-	}
-	a, err := c.ref.InvokeCtx(ctx, "exec", idl.String(q))
-	if err != nil {
-		return nil, remapISIError(err)
-	}
-	return ResultFromAny(a)
-}
-
-// Begin is unsupported across the ISI boundary (as in the paper's prototype,
-// remote access is per-statement).
-func (c *RemoteConn) Begin() error {
-	return fmt.Errorf("gateway: remote connections do not support transactions")
-}
-
-// Commit implements Conn.
-func (c *RemoteConn) Commit() error { return c.Begin() }
-
-// Rollback implements Conn.
-func (c *RemoteConn) Rollback() error { return c.Begin() }
-
-// Meta implements Conn by asking the remote side.
-func (c *RemoteConn) Meta() SourceMeta {
-	a, err := c.ref.Invoke("meta")
-	if err != nil {
-		return SourceMeta{Engine: "unreachable"}
-	}
-	return SourceMeta{
-		Engine:   a.GetString("engine"),
-		Database: a.GetString("database"),
-		Model:    a.GetString("model"),
-	}
-}
-
-// Tables implements Conn by asking the remote side.
-func (c *RemoteConn) Tables() []string {
-	a, err := c.ref.Invoke("tables")
-	if err != nil {
-		return nil
-	}
-	return a.StringSlice()
-}
-
 // Close implements Conn.
 func (c *RemoteConn) Close() error {
 	c.closed = true
@@ -427,22 +330,4 @@ func remapISIError(err error) error {
 	return err
 }
 
-// RemoteDriver opens connections to ISI servants via stringified IORs
-// (DSN form "remote://IOR:...").
-type RemoteDriver struct {
-	ORB *orb.ORB
-}
-
-// Open implements Driver.
-func (d *RemoteDriver) Open(name string) (Conn, error) {
-	ref, err := d.ORB.ResolveString(name)
-	if err != nil {
-		return nil, err
-	}
-	return NewRemoteConn(ref), nil
-}
-
 var _ Conn = (*RemoteConn)(nil)
-var _ Driver = (*RemoteDriver)(nil)
-var _ Driver = (*RelationalDriver)(nil)
-var _ Driver = (*ObjectDriver)(nil)

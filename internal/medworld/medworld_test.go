@@ -147,10 +147,16 @@ func TestFigure2Implementation(t *testing.T) {
 	}
 
 	// Cross-ORB reachability: a client on each ORB product can locate and
-	// query every other product's servants over IIOP.
+	// query every other product's servants over IIOP. Each query reads a
+	// table only that node has, so the row proves which engine answered.
 	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
 	defer client.Shutdown()
-	for _, name := range []string{RBH, AMP, Centre} { // one per ORB product
+	for _, c := range []struct{ name, q, want string }{ // one per ORB product
+		{RBH, "SELECT name FROM patient WHERE patient_id = 1", "A. Howe"},
+		{AMP, "SELECT Fund FROM SuperAccount WHERE Holder = 'D. Park'", "conservative"},
+		{Centre, "SELECT name FROM benefits WHERE person_id = 1", "C. Ng"},
+	} {
+		name := c.name
 		n, _ := w.Node(name)
 		ref, err := client.ResolveString(n.Descriptor.ISIRef)
 		if err != nil {
@@ -160,10 +166,13 @@ func TestFigure2Implementation(t *testing.T) {
 		if err != nil || !found {
 			t.Errorf("%s ISI not locatable over IIOP: %t, %v", name, found, err)
 		}
-		conn := gateway.NewRemoteConn(ref)
-		meta := conn.Meta()
-		if meta.Database != name {
-			t.Errorf("%s remote meta = %+v", name, meta)
+		it, err := gateway.NewRemoteConn(ref).QueryCursor(context.Background(), c.q, 1)
+		if err != nil {
+			t.Fatalf("%s cursor: %v", name, err)
+		}
+		res, err := gateway.Drain(context.Background(), it)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str != c.want {
+			t.Errorf("%s remote rows = %+v, %v; want %q", name, res, err, c.want)
 		}
 	}
 	if client.Stats.IIOPCalls.Load() == 0 {

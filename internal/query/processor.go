@@ -104,8 +104,6 @@ type Config struct {
 	// statements (Create Coalition / Create Service Link) that the remote
 	// interface intentionally restricts.
 	LocalCoDB *codb.CoDatabase
-	// Gateway opens DSN connections for sources without an ISI reference.
-	Gateway *gateway.Manager
 	// Cache, when set, caches federation metadata (coalition member lists,
 	// source descriptors, peer probe results) across statements and
 	// sessions. Data queries are never cached. nil disables caching.
@@ -759,22 +757,18 @@ func (s *Session) lookupSource(ctx context.Context, name string) (*codb.SourceDe
 	return d, nil
 }
 
-// openSource opens a gateway connection to the descriptor's database:
-// through its ISI servant when it advertises one, else through a DSN.
+// openSource opens a gateway connection to the descriptor's database through
+// the ISI servant it advertises.
 func (p *Processor) openSource(s *Session, d *codb.SourceDescriptor) (gateway.Conn, error) {
-	if d.ISIRef != "" {
-		ref, err := p.resolveRef(d.ISIRef)
-		if err != nil {
-			return nil, fmt.Errorf("query: source %s advertises a bad ISI reference: %w", d.Name, err)
-		}
-		s.tracef("communication", "connecting to ISI of %s at %s", d.Name, ref.Addr())
-		return gateway.NewRemoteConn(ref), nil
+	if d.ISIRef == "" {
+		return nil, fmt.Errorf("query: source %s advertises no access path", d.Name)
 	}
-	if d.DSN != "" && p.cfg.Gateway != nil {
-		s.tracef("communication", "opening gateway DSN %s", d.DSN)
-		return p.cfg.Gateway.Open(d.DSN)
+	ref, err := p.resolveRef(d.ISIRef)
+	if err != nil {
+		return nil, fmt.Errorf("query: source %s advertises a bad ISI reference: %w", d.Name, err)
 	}
-	return nil, fmt.Errorf("query: source %s advertises no access path", d.Name)
+	s.tracef("communication", "connecting to ISI of %s at %s", d.Name, ref.Addr())
+	return gateway.NewRemoteConn(ref), nil
 }
 
 func (s *Session) execFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Response, error) {

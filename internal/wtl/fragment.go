@@ -43,59 +43,11 @@ type InClause struct {
 	Keys   []KeyLiteral
 }
 
-func (in *InClause) render(b *strings.Builder, prefix string, first bool) {
-	if first {
-		b.WriteString(" WHERE ")
-	} else {
-		b.WriteString(" AND ")
-	}
-	b.WriteString(prefix)
-	b.WriteString(in.Column)
-	b.WriteString(" IN (")
-	for i, k := range in.Keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		if k.IsStr {
-			b.WriteString("'" + strings.ReplaceAll(k.Text, "'", "''") + "'")
-		} else {
-			b.WriteString(k.Text)
-		}
-	}
-	b.WriteString(")")
-}
-
 // SQL renders the fragment in the relational family's shape, matching the
 // paper's translation byte for byte in the single-column, no-limit case:
 //
 //	SELECT a.Funding FROM ResearchProjects a WHERE a.Title = 'AIDS and drugs'
-func (f *Fragment) SQL() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	for i, c := range f.Columns {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString("a.")
-		b.WriteString(c)
-	}
-	fmt.Fprintf(&b, " FROM %s a", f.Table)
-	for i, p := range f.Conds {
-		if i == 0 {
-			b.WriteString(" WHERE ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		fmt.Fprintf(&b, "a.%s %s %s", p.Column, p.Op, SQLLiteral(p))
-	}
-	if f.In != nil {
-		f.In.render(&b, "a.", len(f.Conds) == 0)
-	}
-	if f.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", f.Limit)
-	}
-	return b.String()
-}
+func (f *Fragment) SQL() string { return f.render("a") }
 
 // OQL renders the fragment in the object family's OQL-lite:
 //
@@ -103,26 +55,43 @@ func (f *Fragment) SQL() string {
 //
 // OQL has no LIMIT clause; a fragment carrying one still renders it so the
 // engine rejects the query instead of the renderer masking a planner bug.
-func (f *Fragment) OQL() string {
+func (f *Fragment) OQL() string { return f.render("") }
+
+// render prints the fragment with every column qualified by the table alias,
+// or bare when alias is empty. Both families share the rest of the shape.
+func (f *Fragment) render(alias string) string {
+	prefix := ""
+	if alias != "" {
+		prefix = alias + "."
+	}
 	var b strings.Builder
 	b.WriteString("SELECT ")
 	for i, c := range f.Columns {
 		if i > 0 {
 			b.WriteString(", ")
 		}
+		b.WriteString(prefix)
 		b.WriteString(c)
 	}
-	fmt.Fprintf(&b, " FROM %s", f.Table)
-	for i, p := range f.Conds {
-		if i == 0 {
-			b.WriteString(" WHERE ")
-		} else {
-			b.WriteString(" AND ")
-		}
-		fmt.Fprintf(&b, "%s %s %s", p.Column, p.Op, SQLLiteral(p))
+	b.WriteString(" FROM ")
+	b.WriteString(f.Table)
+	if alias != "" {
+		b.WriteString(" " + alias)
 	}
-	if f.In != nil {
-		f.In.render(&b, "", len(f.Conds) == 0)
+	conj := " WHERE "
+	for _, p := range f.Conds {
+		fmt.Fprintf(&b, "%s%s%s %s %s", conj, prefix, p.Column, p.Op, SQLLiteral(p))
+		conj = " AND "
+	}
+	if in := f.In; in != nil {
+		b.WriteString(conj + prefix + in.Column + " IN (")
+		for i, k := range in.Keys {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(SQLLiteral(Condition{Value: k.Text, IsStr: k.IsStr}))
+		}
+		b.WriteString(")")
 	}
 	if f.Limit > 0 {
 		fmt.Fprintf(&b, " LIMIT %d", f.Limit)
@@ -130,9 +99,13 @@ func (f *Fragment) OQL() string {
 	return b.String()
 }
 
-// SQLLiteral renders a condition's literal for either dialect family:
-// quoted with ” doubling when the WebTassili literal was a string, verbatim
-// otherwise (numbers are kept textual; the engine types them).
+// SQLLiteral renders a condition's literal for either dialect family. A
+// WebTassili string literal is single-quoted with every quote inside it
+// doubled; any other literal is kept verbatim (numbers stay textual; the
+// engine types them):
+//
+//	O'Brien  ->  'O''Brien'
+//	42       ->  42
 func SQLLiteral(p Condition) string {
 	if p.IsStr {
 		return "'" + strings.ReplaceAll(p.Value, "'", "''") + "'"
