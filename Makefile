@@ -31,10 +31,12 @@ loc:
 ci: fmt-check verify race stress-cursors stress-orb chaos sim cover-check fuzz-smoke bench-smoke
 
 # chaos runs the fault-injection suites (injected connect failures, latency,
-# drops and resets; retry/breaker behaviour; partial-result degradation)
-# under the race detector — both the simnet ports and the socket smokes.
+# drops and resets; retry behaviour; partial-result degradation) under the
+# race detector — both the simnet ports and the socket smokes — and the
+# retry-safety proofs: a reply lost after its request was delivered is never
+# retried into a silently short answer.
 chaos:
-	$(GO) test -race -run 'Chaos' ./internal/orb ./internal/query
+	$(GO) test -race -run 'Chaos|Retried|Retry' ./internal/orb ./internal/query ./internal/gateway ./internal/simtest
 
 # sim runs the deterministic simulation suite under the race detector: the
 # simnet transport tests and the model-based federation test over its fixed

@@ -617,18 +617,17 @@ func buildDiscoveryFed(b *testing.B, n int, cache *mdcache.Cache) *query.Process
 }
 
 // BenchmarkDiscoveryCached measures repeat-topic discovery over 8 remote
-// coalition peers: uncached (every resolve re-probes every peer over IIOP),
-// cached (after one warm-up the resolve is answered from the metadata
-// cache), and cached with concurrent sessions (hits plus singleflight
-// coalescing under contention).
+// coalition peers: cached (after one warm-up the resolve is answered from
+// the metadata cache), and cached with concurrent sessions (hits plus
+// singleflight coalescing under contention).
 func BenchmarkDiscoveryCached(b *testing.B) {
 	const peers = 8
 	const q = "Find Coalitions With Information zebra;"
 	run := func(b *testing.B, cache *mdcache.Cache) {
 		p := buildDiscoveryFed(b, peers, cache)
 		s := p.NewSession()
-		// Warm-up resolve: populates the cache (when present) and faults in
-		// the peer connections for both variants.
+		// Warm-up resolve: populates the cache and faults in the peer
+		// connections.
 		if _, err := s.Execute(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
@@ -641,7 +640,6 @@ func BenchmarkDiscoveryCached(b *testing.B) {
 			s.Trace() // drain the layer trace, as an interactive caller would
 		}
 	}
-	b.Run("uncached", func(b *testing.B) { run(b, nil) })
 	b.Run("cached", func(b *testing.B) {
 		run(b, mdcache.New(mdcache.Options{TTL: time.Hour}))
 	})

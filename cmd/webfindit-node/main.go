@@ -24,31 +24,30 @@
 //	  "slow_call_ms": 50,                  // slow-call log threshold (0 = off)
 //	  "call_timeout_ms": 2000,             // per-invocation IIOP deadline (0 = none)
 //	  "retry_attempts": 3,                 // attempts for idempotent calls (0/1 = no retry)
-//	  "breaker_threshold": 5,              // consecutive failures to open an endpoint breaker (0 = off)
-//	  "breaker_cooldown_ms": 1000,         // open-state cooldown before the half-open probe
 //	  "min_members": 1,                    // coalition-query quorum (0 = 1)
 //	  "member_timeout_ms": 500,            // per-member fan-out deadline (0 = none)
-//	  "mdcache_ttl_ms": 2000,              // metadata cache positive TTL (0 = default)
-//	  "gossip_interval_ms": 1000,          // gossip round pacing (0 = default 1s)
-//	  "gossip_fanout": 3,                  // peers contacted per gossip round (0 = default 3)
-//	  "fragment_threshold_bytes": 262144,  // GIOP fragmentation threshold (0 = default 256 KiB, -1 off)
 //	  "chaos": { "seed": 1, "rules": [...] }, // optional fault-injection plan
 //	  "interface": [ { "name": "T", "functions": [ ... ] } ]
 //	}
 //
-// Unknown keys are an error, not ignored. The planner's execution modes
-// (predicate pushdown, cursor streaming, semi-join key pushdown, gossip,
-// hierarchical discovery) are not configurable: every node runs them, with
-// constant thresholds (cursor pages 64 rows growing to 1024, IN lists up to 64 keys then a
-// 10-bits-per-key Bloom filter, sub-coalitions above 32 members). So are the
-// ISI cursor table's limits (32 open cursors, reaped after 2 idle minutes)
-// and the metadata cache's negative TTL (250ms) and entry cap (4096). The
-// keys that used to set any of these — see retiredKeys — are refused by name.
+// Those twenty keys (with "document_html", "location" and "interface_wtl")
+// are all a node reads; an unknown key is an error, not ignored. The
+// planner's execution modes (predicate pushdown, cursor streaming, semi-join
+// key pushdown, gossip, hierarchical discovery) are not configurable: every
+// node runs them, with constant thresholds (cursor pages 64 rows growing to
+// 1024, IN lists up to 64 keys then a 10-bits-per-key Bloom filter,
+// sub-coalitions above 32 members). So are the ISI cursor table's limits (32
+// open cursors, reaped after 2 idle minutes), the metadata cache's TTLs (2s,
+// 250ms for errors) and entry cap (4096), gossip's pacing (3 peers a round,
+// one round a second, a peer dead after 2 failed exchanges) and the GIOP
+// fragment size (256 KiB). The keys that used to set any of these, and the
+// two of the circuit breaker (removed: a refused dial already fails fast, and
+// member_timeout_ms bounds a silent member), are refused by name; see
+// retiredKeys.
 //
 // The -chaos flag loads a fault-injection plan (same JSON shape as the
 // "chaos" config field) and applies it to the node's outbound IIOP calls,
-// overriding the config field. Breaker states are published at
-// /debug/metrics alongside the ORB counters.
+// overriding the config field.
 package main
 
 import (
@@ -93,40 +92,29 @@ type nodeFile struct {
 	// (/debug/trace/slow) and logged. 0 disables the slow-call log.
 	SlowCallMS int `json:"slow_call_ms"`
 	// Fault-tolerance policy for outbound IIOP calls and coalition fan-out.
-	CallTimeoutMS     int `json:"call_timeout_ms"`
-	RetryAttempts     int `json:"retry_attempts"`
-	BreakerThreshold  int `json:"breaker_threshold"`
-	BreakerCooldownMS int `json:"breaker_cooldown_ms"`
-	MinMembers        int `json:"min_members"`
-	MemberTimeoutMS   int `json:"member_timeout_ms"`
-	// MDCacheTTLMS is the federation metadata cache's positive TTL; 0 keeps
-	// the default (2s). Stats are published at /debug/metrics under "mdcache".
-	MDCacheTTLMS int `json:"mdcache_ttl_ms"`
-	// Gossip membership knobs. GossipIntervalMS paces rounds (0 = default
-	// 1000); GossipFanout is the peers contacted per round (0 = default 3).
-	// Agent counters — rounds, deltas sent/applied, digest/delta bytes,
-	// convergence lag — are published at /debug/metrics under "gossip".
-	GossipIntervalMS int `json:"gossip_interval_ms"`
-	GossipFanout     int `json:"gossip_fanout"`
-	// FragmentThresholdBytes is the GIOP message size past which replies
-	// fragment on the wire (0 = default 256 KiB, -1 disables fragmentation).
-	FragmentThresholdBytes int                 `json:"fragment_threshold_bytes"`
-	Chaos                  *orb.FaultPlan      `json:"chaos"`
-	Interface              []codb.ExportedType `json:"interface"`
+	CallTimeoutMS   int                 `json:"call_timeout_ms"`
+	RetryAttempts   int                 `json:"retry_attempts"`
+	MinMembers      int                 `json:"min_members"`
+	MemberTimeoutMS int                 `json:"member_timeout_ms"`
+	Chaos           *orb.FaultPlan      `json:"chaos"`
+	Interface       []codb.ExportedType `json:"interface"`
 	// InterfaceWTL declares the exported interface in the paper's WebTassili
 	// syntax (Type X { attribute ...; function ...; }) instead of JSON.
 	InterfaceWTL string `json:"interface_wtl"`
 }
 
 // retiredKeys are config keys earlier releases read and this one does not:
-// each selected (or tuned) an execution mode that is now the only one, or
-// set a cursor-table or metadata-cache limit that is now a constant.
+// each selected (or tuned) an execution mode that is now the only one, set a
+// cursor-table, metadata-cache, gossip or framing value that is now a
+// constant, or configured the circuit breaker, which is gone.
 var retiredKeys = map[string]bool{
 	"disable_pushdown": true, "merge_buf_rows": true, "disable_semijoin": true,
 	"semijoin_key_limit": true, "semijoin_bloom_bits": true,
 	"disable_streaming": true, "disable_gossip": true, "subcoalition_size": true,
 	"cursor_max_open": true, "cursor_idle_ms": true,
 	"mdcache_neg_ttl_ms": true, "mdcache_max_entries": true,
+	"mdcache_ttl_ms": true, "gossip_interval_ms": true, "gossip_fanout": true,
+	"fragment_threshold_bytes": true, "breaker_threshold": true, "breaker_cooldown_ms": true,
 }
 
 // parseConfig decodes a node config strictly: a key the node does not read
@@ -149,9 +137,6 @@ func parseConfig(data []byte) (nodeFile, error) {
 	}
 	if dec.More() {
 		return cfg, fmt.Errorf("unexpected data after the config object")
-	}
-	if cfg.MDCacheTTLMS < 0 {
-		return cfg, fmt.Errorf("mdcache_ttl_ms is %d: a negative TTL no longer turns the metadata cache off (it is always on); use 0 for the default", cfg.MDCacheTTLMS)
 	}
 	return cfg, nil
 }
@@ -200,19 +185,13 @@ func main() {
 		faults = &plan
 	}
 	o := orb.New(orb.Options{
-		Product:     orb.Product(cfg.ORB),
-		CallTimeout: time.Duration(cfg.CallTimeoutMS) * time.Millisecond,
-		Retry:       orb.RetryPolicy{MaxAttempts: cfg.RetryAttempts},
-		Breaker: orb.BreakerPolicy{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  time.Duration(cfg.BreakerCooldownMS) * time.Millisecond,
-		},
-		FragmentThreshold: cfg.FragmentThresholdBytes,
-		Faults:            faults,
+		Product:       orb.Product(cfg.ORB),
+		CallTimeout:   time.Duration(cfg.CallTimeoutMS) * time.Millisecond,
+		RetryAttempts: cfg.RetryAttempts,
+		Faults:        faults,
 	})
 	o.EnableTracing(tracer)
 	tracer.Publish("orb", func() any { return o.Stats.Snapshot() })
-	tracer.Publish("breakers", func() any { return o.BreakerSnapshot() })
 	if faults != nil {
 		log.Printf("chaos: fault-injection plan active (%d rule(s))", len(faults.Rules))
 	}
@@ -255,14 +234,12 @@ func main() {
 		Location:        cfg.Location,
 		Interface:       iface,
 		Schema:          schema,
-
-		MDCacheTTL:     time.Duration(cfg.MDCacheTTLMS) * time.Millisecond,
-		GossipInterval: time.Duration(cfg.GossipIntervalMS) * time.Millisecond,
-		GossipFanout:   cfg.GossipFanout,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Agent counters: rounds, deltas sent/applied, digest/delta bytes,
+	// convergence lag.
 	tracer.Publish("gossip", func() any { return node.Gossip.Stats() })
 	gossipCtx, stopGossip := context.WithCancel(context.Background())
 	defer stopGossip()

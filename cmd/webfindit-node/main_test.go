@@ -10,6 +10,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -261,11 +263,10 @@ func TestTwoProcessFederation(t *testing.T) {
 	}
 }
 
-// TestParseConfigRejectsWhatItDoesNotRead: a key the node no longer reads, a
-// typo, and the retired "-1 = cache off" value are refused by name instead
-// of being silently dropped.
+// TestParseConfigRejectsWhatItDoesNotRead: a key the node no longer reads and
+// a typo are refused by name instead of being silently dropped.
 func TestParseConfigRejectsWhatItDoesNotRead(t *testing.T) {
-	if _, err := parseConfig([]byte(`{"name": "N", "engine": "Oracle", "gossip_fanout": 3, "mdcache_ttl_ms": 0}`)); err != nil {
+	if _, err := parseConfig([]byte(`{"name": "N", "engine": "Oracle", "retry_attempts": 2, "member_timeout_ms": 0}`)); err != nil {
 		t.Fatalf("valid config refused: %v", err)
 	}
 	for _, tc := range []struct {
@@ -275,8 +276,7 @@ func TestParseConfigRejectsWhatItDoesNotRead(t *testing.T) {
 		{"retired key", `{"name": "N", "disable_pushdown": true}`, []string{`"disable_pushdown"`, "retired in this release"}},
 		{"retired tunable", `{"name": "N", "subcoalition_size": -1}`, []string{`"subcoalition_size"`, "retired in this release"}},
 		{"retired limit", `{"name": "N", "cursor_max_open": 8}`, []string{`"cursor_max_open"`, "retired in this release"}},
-		{"typo", `{"name": "N", "gosip_fanout": 3}`, []string{`unknown config key "gosip_fanout"`}},
-		{"cache off", `{"name": "N", "mdcache_ttl_ms": -1}`, []string{"mdcache_ttl_ms", "always on"}},
+		{"typo", `{"name": "N", "retry_atempts": 3}`, []string{`unknown config key "retry_atempts"`}},
 		{"trailing data", `{"name": "N"} {"name": "M"}`, []string{"after the config object"}},
 	} {
 		_, err := parseConfig([]byte(tc.config))
@@ -292,6 +292,36 @@ func TestParseConfigRejectsWhatItDoesNotRead(t *testing.T) {
 	}
 	for key := range retiredKeys {
 		if _, err := parseConfig([]byte(`{"` + key + `": 0}`)); err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("retired key %s: err = %v", key, err)
+		}
+	}
+}
+
+// TestOperatorSurface pins the keys a node reads — derived from nodeFile's
+// JSON tags, so a field added without a decision here fails — and that each
+// key this release turned into a constant or removed is refused as retired.
+func TestOperatorSurface(t *testing.T) {
+	var got []string
+	typ := reflect.TypeOf(nodeFile{})
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
+	}
+	sort.Strings(got)
+	want := []string{
+		"call_timeout_ms", "chaos", "document_html", "documentation", "engine",
+		"http", "information_type", "interface", "interface_wtl", "listen",
+		"location", "member_timeout_ms", "min_members", "name", "naming", "orb",
+		"retry_attempts", "schema", "schema_file", "slow_call_ms",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("node config keys (%d) = %v\nwant (%d) %v", len(got), got, len(want), want)
+	}
+	for _, key := range []string{
+		"mdcache_ttl_ms", "gossip_interval_ms", "gossip_fanout",
+		"fragment_threshold_bytes", "breaker_threshold", "breaker_cooldown_ms",
+	} {
+		_, err := parseConfig([]byte(`{"name": "N", "` + key + `": 1}`))
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`" was retired in this release`) {
 			t.Errorf("retired key %s: err = %v", key, err)
 		}
 	}

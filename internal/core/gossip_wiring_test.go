@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -24,7 +25,6 @@ func gossipFederation(t *testing.T) (*Federation, *Node, *Node) {
 			InformationType: "testing",
 			Schema:          "CREATE TABLE t (a INT);",
 			GossipSeed:      int64(i + 1),
-			GossipInterval:  time.Millisecond,
 		}
 		if _, err := f.AddNode(orb.Orbix, cfg); err != nil {
 			t.Fatal(err)
@@ -40,8 +40,8 @@ func gossipFederation(t *testing.T) (*Federation, *Node, *Node) {
 
 // TestNodeGossipWiring drives the production gossip hooks end to end: the
 // agents exchange over real IIOP connections through the co-database
-// servants, seed knowledge comes from the coalition member lists, applied
-// entries reach the metadata cache through the OnApply hook.
+// servants, seed knowledge comes from the coalition member lists, and each
+// store ends up holding the peer's whole entry.
 func TestNodeGossipWiring(t *testing.T) {
 	_, a, b := gossipFederation(t)
 	// Bootstrap knowledge: the coalition member list names the peer before
@@ -78,15 +78,15 @@ func TestNodeGossipWiring(t *testing.T) {
 	if want := a.Gossip.Messages() + b.Gossip.Messages(); st.HousekeepingCalls != want {
 		t.Errorf("ORB counted %d housekeeping calls, the agents sent %d messages", st.HousekeepingCalls, want)
 	}
-	// The OnApply hook must have pushed GB's applied entry into GA's
-	// metadata cache under its gossip version stamp.
-	if _, ver, ok := a.MDCache.PeekVersioned("gossip|GB"); !ok || ver != b.CoDB.Version() {
-		t.Fatalf("gossip|GB cache stamp = v%d ok=%v, want v%d", ver, ok, b.CoDB.Version())
+	// The store is the one owner of what gossip learned: GB's entry in GA's
+	// store is the one GB builds for itself.
+	if got, ok := a.Gossip.Store().Get("GB"); !ok || !reflect.DeepEqual(got, b.gossipSelf()) {
+		t.Fatalf("GA's entry for GB = %+v (held %v), want %+v", got, ok, b.gossipSelf())
 	}
 }
 
-// TestStartGossipLoop runs the background anti-entropy loop itself: with a
-// millisecond interval the loop must produce exchanges on its own, and
+// TestStartGossipLoop runs the background anti-entropy loop itself: within
+// one gossip.Interval the loop must produce exchanges on its own, and
 // cancelling the context must stop it.
 func TestStartGossipLoop(t *testing.T) {
 	_, a, _ := gossipFederation(t)

@@ -59,13 +59,6 @@ type NodeConfig struct {
 	// SeedObjects, for object engines, populates the fresh OO database.
 	SeedObjects func(*oodb.DB) error
 
-	// MDCacheTTL overrides the default positive TTL (2s) of the metadata
-	// cache the node's query processor uses for coalition membership, source
-	// descriptors and peer discovery probes, when positive; zero keeps the
-	// default. The negative TTL and the entry cap are mdcache's defaults.
-	// Only metadata (the co-database tier) is ever cached — data queries
-	// always hit the source.
-	MDCacheTTL time.Duration
 	// Clock, when set, overrides time.Now for the node's metadata cache and
 	// ISI cursor table. Deterministic simulations (internal/simtest) pin it
 	// to the simnet virtual clock so TTL expiry is a virtual-time event that
@@ -79,19 +72,9 @@ type NodeConfig struct {
 	// back to full compensation when a pushed clause is rejected.
 	AdvertiseEngine string
 
-	// GossipInterval paces the background loop StartGossip runs on the
-	// node's anti-entropy membership agent; 0 keeps the default (1s). The
-	// agent is passive until then (tests drive Tick directly).
-	GossipInterval time.Duration
-	// GossipFanout is how many peers each gossip round exchanges digests
-	// with; 0 keeps the default (3).
-	GossipFanout int
 	// GossipSeed seeds the agent's deterministic peer-ring shuffle; 0 keeps
 	// the default. Simulations derive one per node from the run seed.
 	GossipSeed int64
-	// GossipSuspectAfter is how many consecutive failed exchanges mark a
-	// peer dead for representative election; 0 keeps the default (2).
-	GossipSuspectAfter int
 }
 
 // Node is one running WebFINDIT participant.
@@ -203,10 +186,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 				n.Processor.GossipApplied(applied)
 			}
 		},
-		Fanout:       cfg.GossipFanout,
-		Interval:     cfg.GossipInterval,
-		Seed:         cfg.GossipSeed,
-		SuspectAfter: cfg.GossipSuspectAfter,
+		Seed: cfg.GossipSeed,
 	})
 
 	// Activate the servants.
@@ -259,7 +239,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	resolveInterfaceTables(n)
 	n.CoDB.SetOwnerDescriptor(n.Descriptor)
 
-	n.MDCache = mdcache.New(mdcache.Options{TTL: cfg.MDCacheTTL, Clock: cfg.Clock})
+	// Only metadata (the co-database tier) is ever cached: data queries
+	// always reach the source.
+	n.MDCache = mdcache.New(mdcache.Options{Clock: cfg.Clock})
 	n.Processor, err = query.New(query.Config{
 		ORB:            cfg.ORB,
 		Home:           cfg.Name,

@@ -430,8 +430,7 @@ func TestFetchCursorIsNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true,
-		Retry: orb.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}})
+	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true, RetryAttempts: 2})
 	t.Cleanup(client.Shutdown)
 	ctx := context.Background()
 	it, err := NewRemoteConn(client.Resolve(ior)).QueryCursor(ctx, "SELECT v FROM r", 1)

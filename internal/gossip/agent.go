@@ -8,8 +8,18 @@ import (
 	"time"
 )
 
+// The protocol's pacing. Every node runs these values; none is configurable.
+const (
+	// Fanout is how many peers each round contacts.
+	Fanout = 3
+	// Interval paces Start's background loop. Tick ignores it.
+	Interval = time.Second
+	// SuspectAfter is how many consecutive failed exchanges mark a peer dead.
+	SuspectAfter = 2
+)
+
 // Config wires an Agent to its node. Self, Exchange and Push are required
-// for a functioning agent; everything else has defaults.
+// for a functioning agent; everything else is optional.
 type Config struct {
 	// Self snapshots the local node's entry (name, current co-database
 	// version, reference, coalition memberships). It is read at the start of
@@ -33,19 +43,9 @@ type Config struct {
 	// that gossip just proved stale. Called outside the store lock.
 	OnApply func(applied []Entry)
 
-	// Fanout is how many peers each round contacts (default 3).
-	Fanout int
-	// Interval paces Start's background loop (default 1s). Tick ignores it.
-	Interval time.Duration
 	// Seed makes peer-selection deterministic; 0 selects 1. Simulations
 	// derive it from the run seed so replays pick identical peers.
 	Seed int64
-	// SuspectAfter is the consecutive-failure threshold for declaring a
-	// peer dead (default 2).
-	SuspectAfter int
-	// Sleep overrides the inter-round wait in Start (virtual clocks hook in
-	// here); nil uses a real timer honoring ctx cancellation.
-	Sleep func(ctx context.Context, d time.Duration)
 }
 
 // Stats is a point-in-time snapshot of the agent's counters, published at
@@ -65,7 +65,7 @@ type Stats struct {
 }
 
 // Agent runs the anti-entropy protocol for one node. Tick is one round;
-// Start loops Tick on Config.Interval. The servant-side HandlePull and
+// Start loops Tick every Interval. The servant-side HandlePull and
 // HandlePush methods satisfy the co-database's gossip hooks, so one Agent
 // is both the initiator and the responder of exchanges.
 type Agent struct {
@@ -84,14 +84,8 @@ type Agent struct {
 	lastApplyRound                      atomic.Int64
 }
 
-// New creates an agent. The zero-value knobs take their defaults here.
+// New creates an agent.
 func New(cfg Config) *Agent {
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 3
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -103,7 +97,7 @@ func New(cfg Config) *Agent {
 	}
 	return &Agent{
 		cfg:   cfg,
-		store: NewStore(self, cfg.SuspectAfter),
+		store: NewStore(self),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -176,7 +170,7 @@ func (a *Agent) CycleLen() int {
 	if peers == 0 {
 		return 1
 	}
-	return (peers + a.cfg.Fanout - 1) / a.cfg.Fanout
+	return (peers + Fanout - 1) / Fanout
 }
 
 // Tick runs one anti-entropy round: refresh local knowledge, then push-pull
@@ -186,7 +180,7 @@ func (a *Agent) CycleLen() int {
 func (a *Agent) Tick(ctx context.Context) {
 	a.rounds.Add(1)
 	a.refresh()
-	for _, peer := range a.nextPeers(a.cfg.Fanout) {
+	for _, peer := range a.nextPeers(Fanout) {
 		a.exchangeWith(ctx, peer)
 	}
 }
@@ -272,20 +266,12 @@ func (a *Agent) HandlePush(delta []byte) (int, error) {
 // Start loops Tick every Interval until the context ends. Production nodes
 // run it on a goroutine; deterministic simulations drive Tick directly.
 func (a *Agent) Start(ctx context.Context) {
-	sleep := a.cfg.Sleep
-	if sleep == nil {
-		sleep = func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		}
-	}
 	for {
-		sleep(ctx, a.cfg.Interval)
-		if ctx.Err() != nil {
+		t := time.NewTimer(Interval)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
 			return
 		}
 		a.Tick(ctx)

@@ -47,7 +47,7 @@ func FuzzGossipDelta(f *testing.F) {
 
 		// Applying a fuzzed delta must never regress any version: seed a
 		// store, snapshot its digest, apply, and compare.
-		s := NewStore("SELF", 0)
+		s := NewStore("SELF")
 		s.SetSelf(Entry{Node: "SELF", Version: 7, CoDBRef: "self-ref"})
 		s.Apply([]Entry{
 			{Node: "P1", Version: 3, CoDBRef: "r1"},

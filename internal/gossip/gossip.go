@@ -55,26 +55,17 @@ type Store struct {
 	mu      sync.Mutex
 	self    string
 	entries map[string]Entry
-	fails   map[string]int
+	fails   map[string]int // consecutive exchange failures; a success resets
 	dead    map[string]bool
-
-	// suspectAfter is how many consecutive exchange failures mark a peer
-	// dead (election then skips it). Successes reset the count.
-	suspectAfter int
 }
 
-// NewStore creates a store owned by node self. suspectAfter <= 0 selects
-// the default (2).
-func NewStore(self string, suspectAfter int) *Store {
-	if suspectAfter <= 0 {
-		suspectAfter = 2
-	}
+// NewStore creates a store owned by node self.
+func NewStore(self string) *Store {
 	return &Store{
-		self:         self,
-		entries:      make(map[string]Entry),
-		fails:        make(map[string]int),
-		dead:         make(map[string]bool),
-		suspectAfter: suspectAfter,
+		self:    self,
+		entries: make(map[string]Entry),
+		fails:   make(map[string]int),
+		dead:    make(map[string]bool),
 	}
 }
 
@@ -182,14 +173,14 @@ func (s *Store) Peers() []Entry {
 	return out
 }
 
-// ReportFailure records a failed exchange with a peer; after suspectAfter
+// ReportFailure records a failed exchange with a peer; after SuspectAfter
 // consecutive failures the peer is considered dead. It reports whether this
 // call crossed the threshold.
 func (s *Store) ReportFailure(node string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fails[node]++
-	if s.fails[node] >= s.suspectAfter && !s.dead[node] {
+	if s.fails[node] >= SuspectAfter && !s.dead[node] {
 		s.dead[node] = true
 		return true
 	}
@@ -219,10 +210,6 @@ func (s *Store) DeadCount() int {
 	defer s.mu.Unlock()
 	return len(s.dead)
 }
-
-// SuspectAfter returns the consecutive-failure threshold, so tests can
-// compute the detection bound (SuspectAfter full ring cycles).
-func (s *Store) SuspectAfter() int { return s.suspectAfter }
 
 // Shard splits a coalition's member list into sub-coalitions of at most
 // size members, preserving order: members[0:size], members[size:2*size], …

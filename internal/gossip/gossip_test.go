@@ -11,9 +11,8 @@ import (
 )
 
 // TestAgentStartLoop runs the background loop itself (everything else in
-// this file drives Tick directly): with a millisecond interval and the
-// default timer-based sleep, Start must gossip on its own and stop when its
-// context is cancelled. Also pins Store.Nodes as the sorted roster.
+// this file drives Tick directly): Start must gossip on its own within an
+// Interval and stop when its context is cancelled. Also pins Store.Nodes as the sorted roster.
 func TestAgentStartLoop(t *testing.T) {
 	_, agents, _ := buildMemFederation(2, 11)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -41,7 +40,7 @@ func TestAgentStartLoop(t *testing.T) {
 }
 
 func TestStoreMergeByVersion(t *testing.T) {
-	s := NewStore("A", 0)
+	s := NewStore("A")
 	s.SetSelf(Entry{Node: "A", Version: 3, CoDBRef: "ref-a"})
 
 	applied := s.Apply([]Entry{
@@ -73,7 +72,7 @@ func TestStoreMergeByVersion(t *testing.T) {
 }
 
 func TestStoreDigestAndDelta(t *testing.T) {
-	s := NewStore("A", 0)
+	s := NewStore("A")
 	s.SetSelf(Entry{Node: "A", Version: 2, CoDBRef: "ra"})
 	s.Apply([]Entry{
 		{Node: "B", Version: 4, CoDBRef: "rb"},
@@ -162,7 +161,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 }
 
 func TestStoreLiveness(t *testing.T) {
-	s := NewStore("A", 2)
+	s := NewStore("A")
 	if !s.Alive("B") {
 		t.Fatal("unknown peer should start alive")
 	}
@@ -198,16 +197,21 @@ func TestShardAndRepresentative(t *testing.T) {
 		t.Fatalf("Shard(nil) = %v, want nil", got)
 	}
 
-	s := NewStore("X", 1)
+	s := NewStore("X")
+	kill := func(node string) {
+		for i := 0; i < SuspectAfter; i++ {
+			s.ReportFailure(node)
+		}
+	}
 	if rep, i := s.Representative(shards[0]); rep != "N0" || i != 0 {
 		t.Fatalf("rep = %s/%d, want N0/0", rep, i)
 	}
-	s.ReportFailure("N0")
+	kill("N0")
 	if rep, i := s.Representative(shards[0]); rep != "N1" || i != 1 {
 		t.Fatalf("rep after N0 death = %s/%d, want N1/1", rep, i)
 	}
-	s.ReportFailure("N1")
-	s.ReportFailure("N2")
+	kill("N1")
+	kill("N2")
 	// Whole shard dead: fall back to the first member.
 	if rep, i := s.Representative(shards[0]); rep != "N0" || i != 0 {
 		t.Fatalf("rep with dead shard = %s/%d, want N0/0 fallback", rep, i)
@@ -272,7 +276,6 @@ func buildMemFederation(n int, seed int64) (*memNet, []*Agent, []*uint64) {
 			},
 			Exchange: net.exchange,
 			Push:     net.push,
-			Fanout:   3,
 			Seed:     seed + int64(i),
 		})
 		net.agents[ref] = agents[i]
@@ -364,7 +367,7 @@ func TestAgentFailureDetection(t *testing.T) {
 	net.mu.Unlock()
 
 	cycle := agents[0].CycleLen()
-	limit := (agents[0].Store().SuspectAfter() + 2) * cycle
+	limit := (SuspectAfter + 2) * cycle
 	for r := 0; r < limit; r++ {
 		runRound(agents)
 		all := true

@@ -14,7 +14,7 @@
 //     make the stamp conservative). An expired entry revalidates against the
 //     current version with one cheap version() call instead of refetching
 //     the full payload; in-process co-databases can verify on every hit.
-//   - When the authority is unreachable (peer down, circuit breaker open),
+//   - When the authority is unreachable (peer down or partitioned away),
 //     the last known value is served stale — the degraded answer the fault
 //     layer flags in MemberStatus — rather than failing discovery outright.
 //
@@ -36,10 +36,8 @@ type Outcome uint8
 
 // Get outcomes.
 const (
-	// Bypass means no cache was consulted (nil *Cache receiver).
-	Bypass Outcome = iota
 	// Miss means the value was fetched from the authority and cached.
-	Miss
+	Miss Outcome = iota
 	// Hit means a fresh (or version-verified) cached value was served.
 	Hit
 	// NegHit means a cached negative result (error) was served.
@@ -51,7 +49,7 @@ const (
 	Coalesced
 )
 
-var outcomeNames = [...]string{"bypass", "miss", "hit", "neghit", "stale", "coalesced"}
+var outcomeNames = [...]string{"miss", "hit", "neghit", "stale", "coalesced"}
 
 func (o Outcome) String() string {
 	if int(o) < len(outcomeNames) {
@@ -81,20 +79,26 @@ type Request struct {
 	// ones. Use for in-process authorities where the version read is an
 	// atomic load — mutations then become visible immediately.
 	VerifyHit bool
-	// TTL overrides the cache-wide positive TTL for this entry (0 = default).
-	TTL time.Duration
 }
+
+// The cache's bounds. Only the positive TTL can be set (Options.TTL), and only
+// the benchmark's own probe cache sets it.
+const (
+	// DefaultTTL bounds how long a positive entry is served without
+	// revalidation.
+	DefaultTTL = 2 * time.Second
+	// NegTTL bounds negative entries (errors).
+	NegTTL = 250 * time.Millisecond
+	// MaxEntries bounds the cache size (LRU eviction).
+	MaxEntries = 4096
+)
 
 // Options configures a Cache.
 type Options struct {
 	// TTL bounds how long a positive entry is served without revalidation.
-	// 0 selects 2s.
+	// 0 selects DefaultTTL.
 	TTL time.Duration
-	// NegTTL bounds negative entries (errors). 0 selects 250ms.
-	NegTTL time.Duration
-	// MaxEntries bounds the cache size (LRU eviction). 0 selects 4096.
-	MaxEntries int
-	// Clock overrides time.Now for tests.
+	// Clock overrides time.Now; simulations pin it to their virtual clock.
 	Clock func() time.Time
 }
 
@@ -109,8 +113,6 @@ type Stats struct {
 	Revalidations atomic.Int64 // expired entries refreshed by version match alone
 	Invalidations atomic.Int64 // entries dropped by Invalidate*
 	Evictions     atomic.Int64 // entries dropped by the LRU bound
-	Merges        atomic.Int64 // versioned entries installed by MergeVersioned
-	MergeRejects  atomic.Int64 // MergeVersioned writes refused (would regress)
 }
 
 // StatsSnapshot is a point-in-time JSON-friendly view of Stats.
@@ -124,8 +126,6 @@ type StatsSnapshot struct {
 	Revalidations int64 `json:"revalidations"`
 	Invalidations int64 `json:"invalidations"`
 	Evictions     int64 `json:"evictions"`
-	Merges        int64 `json:"merges"`
-	MergeRejects  int64 `json:"merge_rejects"`
 }
 
 type entry struct {
@@ -147,8 +147,7 @@ type flight struct {
 }
 
 // Cache is a bounded, versioned metadata cache. The zero value is not ready;
-// use New. A nil *Cache is valid and bypasses caching entirely, so callers
-// can thread an optional cache without nil checks at every site.
+// use New.
 type Cache struct {
 	opts  Options
 	Stats Stats
@@ -162,13 +161,7 @@ type Cache struct {
 // New creates a cache; zero Options fields select the defaults.
 func New(opts Options) *Cache {
 	if opts.TTL <= 0 {
-		opts.TTL = 2 * time.Second
-	}
-	if opts.NegTTL <= 0 {
-		opts.NegTTL = 250 * time.Millisecond
-	}
-	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = 4096
+		opts.TTL = DefaultTTL
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -183,9 +176,6 @@ func New(opts Options) *Cache {
 
 // Len reports the number of cached entries.
 func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
@@ -193,9 +183,6 @@ func (c *Cache) Len() int {
 
 // Snapshot returns the counters plus the current entry count.
 func (c *Cache) Snapshot() StatsSnapshot {
-	if c == nil {
-		return StatsSnapshot{}
-	}
 	return StatsSnapshot{
 		Entries:       c.Len(),
 		Hits:          c.Stats.Hits.Load(),
@@ -206,8 +193,6 @@ func (c *Cache) Snapshot() StatsSnapshot {
 		Revalidations: c.Stats.Revalidations.Load(),
 		Invalidations: c.Stats.Invalidations.Load(),
 		Evictions:     c.Stats.Evictions.Load(),
-		Merges:        c.Stats.Merges.Load(),
-		MergeRejects:  c.Stats.MergeRejects.Load(),
 	}
 }
 
@@ -217,9 +202,6 @@ func (c *Cache) Snapshot() StatsSnapshot {
 // paying for the concurrency scaffolding a full Get (with its fetch
 // fallback) sits behind. Negative, stale and absent entries report !ok.
 func (c *Cache) Peek(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
 	now := c.opts.Clock()
 	c.mu.Lock()
 	e := c.entries[key]
@@ -238,10 +220,6 @@ func (c *Cache) Peek(key string) (any, bool) {
 // needed. The error is the fetched value's error: a negative hit replays the
 // cached error, and a stale serve returns the old value with a nil error.
 func (c *Cache) Get(ctx context.Context, key string, req Request) (any, Outcome, error) {
-	if c == nil {
-		v, err := req.Fetch(ctx)
-		return v, Bypass, err
-	}
 	now := c.opts.Clock()
 
 	c.mu.Lock()
@@ -269,7 +247,7 @@ func (c *Cache) Get(ctx context.Context, key string, req Request) (any, Outcome,
 			c.mu.Unlock()
 			cur, verr := req.Version(ctx)
 			if verr == nil && cur == ver {
-				c.extend(key, now, req.TTL, !fresh)
+				c.extend(key, now, !fresh)
 				c.Stats.Hits.Add(1)
 				return val, Hit, nil
 			}
@@ -334,30 +312,22 @@ func (c *Cache) fetch(ctx context.Context, key string, req Request, f *flight) {
 			c.Stats.StaleServed.Add(1)
 			return
 		}
-		c.install(&entry{key: key, err: err, expires: now.Add(c.opts.NegTTL)})
+		c.install(&entry{key: key, err: err, expires: now.Add(NegTTL)})
 		f.err, f.outcome = err, Miss
 		c.Stats.Misses.Add(1)
 		return
 	}
-	ttl := req.TTL
-	if ttl <= 0 {
-		ttl = c.opts.TTL
-	}
-	c.install(&entry{key: key, val: val, ver: ver, hasVer: hasVer, expires: now.Add(ttl)})
+	c.install(&entry{key: key, val: val, ver: ver, hasVer: hasVer, expires: now.Add(c.opts.TTL)})
 	f.val, f.outcome = val, Miss
 	c.Stats.Misses.Add(1)
 }
 
 // extend refreshes an entry's expiry after a successful version match.
 // Caller does not hold c.mu.
-func (c *Cache) extend(key string, now time.Time, ttlOverride time.Duration, revalidated bool) {
-	ttl := ttlOverride
-	if ttl <= 0 {
-		ttl = c.opts.TTL
-	}
+func (c *Cache) extend(key string, now time.Time, revalidated bool) {
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil && e.err == nil {
-		e.expires = now.Add(ttl)
+		e.expires = now.Add(c.opts.TTL)
 		c.touch(e)
 	}
 	c.mu.Unlock()
@@ -374,7 +344,7 @@ func (c *Cache) install(e *entry) {
 	}
 	e.elem = c.lru.PushFront(e)
 	c.entries[e.key] = e
-	for len(c.entries) > c.opts.MaxEntries {
+	for len(c.entries) > MaxEntries {
 		back := c.lru.Back()
 		if back == nil {
 			break
@@ -389,51 +359,8 @@ func (c *Cache) install(e *entry) {
 // touch marks an entry most recently used. Caller holds c.mu.
 func (c *Cache) touch(e *entry) { c.lru.MoveToFront(e.elem) }
 
-// MergeVersioned installs a value under key only when ver is not older than
-// what the cache already holds for that key — the apply path gossip deltas
-// take, where the merge-by-version rule must hold at every layer: a replayed,
-// reordered or corrupted delta can never move a cached version backwards.
-// Unversioned entries under the same key are always displaced (a versioned
-// write outranks a TTL-only one). Reports whether the value was installed.
-func (c *Cache) MergeVersioned(key string, val any, ver uint64) bool {
-	if c == nil {
-		return false
-	}
-	now := c.opts.Clock()
-	c.mu.Lock()
-	if old := c.entries[key]; old != nil && old.err == nil && old.hasVer && ver < old.ver {
-		c.mu.Unlock()
-		c.Stats.MergeRejects.Add(1)
-		return false
-	}
-	c.install(&entry{key: key, val: val, ver: ver, hasVer: true, expires: now.Add(c.opts.TTL)})
-	c.mu.Unlock()
-	c.Stats.Merges.Add(1)
-	return true
-}
-
-// PeekVersioned returns the cached value and version stamp for key regardless
-// of expiry — the read side of MergeVersioned, used by invariant checkers
-// that compare cached versions against the authority without perturbing the
-// cache. Negative and unversioned entries report !ok.
-func (c *Cache) PeekVersioned(key string) (any, uint64, bool) {
-	if c == nil {
-		return nil, 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil || e.err != nil || !e.hasVer {
-		return nil, 0, false
-	}
-	return e.val, e.ver, true
-}
-
 // Invalidate drops one entry.
 func (c *Cache) Invalidate(key string) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
 		c.lru.Remove(e.elem)
@@ -445,9 +372,6 @@ func (c *Cache) Invalidate(key string) {
 
 // InvalidatePrefix drops every entry whose key starts with prefix.
 func (c *Cache) InvalidatePrefix(prefix string) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	for key, e := range c.entries {
 		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
@@ -462,9 +386,6 @@ func (c *Cache) InvalidatePrefix(prefix string) {
 // InvalidateAll empties the cache (eager invalidation on Join/Leave and
 // information-space maintenance).
 func (c *Cache) InvalidateAll() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	n := len(c.entries)
 	c.entries = make(map[string]*entry)

@@ -90,29 +90,9 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestPerRequestTTLOverride(t *testing.T) {
-	clk := newManualClock()
-	c := New(Options{TTL: time.Second, Clock: clk.Now})
-	ctx := context.Background()
-
-	calls := 0
-	req := Request{
-		TTL: 10 * time.Second,
-		Fetch: func(context.Context) (any, error) {
-			calls++
-			return calls, nil
-		},
-	}
-	c.Get(ctx, "k", req)
-	clk.Advance(5 * time.Second) // past cache-wide TTL, within override
-	if v, out, _ := c.Get(ctx, "k", req); v != 1 || out != Hit {
-		t.Fatalf("got %v, %v; want 1, Hit under per-request TTL", v, out)
-	}
-}
-
 func TestNegativeCaching(t *testing.T) {
 	clk := newManualClock()
-	c := New(Options{NegTTL: 100 * time.Millisecond, Clock: clk.Now})
+	c := New(Options{Clock: clk.Now})
 	ctx := context.Background()
 
 	boom := errors.New("no such source")
@@ -131,7 +111,7 @@ func TestNegativeCaching(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("fetcher ran %d times within NegTTL, want 1", calls)
 	}
-	clk.Advance(101 * time.Millisecond)
+	clk.Advance(NegTTL + time.Millisecond)
 	if _, out, _ := c.Get(ctx, "k", req); out != Miss {
 		t.Fatalf("past NegTTL: out=%v; want refetch (Miss)", out)
 	}
@@ -380,37 +360,27 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(Options{MaxEntries: 3})
+	c := New(Options{})
 	ctx := context.Background()
 
-	for _, k := range []string{"a", "b", "c"} {
+	for i := 0; i < MaxEntries; i++ {
+		k := fmt.Sprint("k", i)
 		c.Get(ctx, k, fixedReq(k))
 	}
-	c.Get(ctx, "a", fixedReq("a")) // a is now most recent; b is LRU
-	c.Get(ctx, "d", fixedReq("d")) // evicts b
+	c.Get(ctx, "k0", fixedReq("k0"))   // k0 is now most recent; k1 is LRU
+	c.Get(ctx, "new", fixedReq("new")) // entry 4 097 evicts k1
 
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
+	if c.Len() != MaxEntries {
+		t.Fatalf("Len = %d, want %d", c.Len(), MaxEntries)
 	}
-	if _, out, _ := c.Get(ctx, "b", fixedReq("b2")); out != Miss {
-		t.Fatalf("b should have been evicted (LRU), got %v", out)
+	if got := c.Stats.Evictions.Load(); got != 1 {
+		t.Fatalf("Evictions = %d, want 1", got)
 	}
-	if got := c.Stats.Evictions.Load(); got < 1 {
-		t.Fatalf("Evictions = %d, want >= 1", got)
+	if _, out, _ := c.Get(ctx, "k0", fixedReq("k0")); out != Hit {
+		t.Fatalf("recently used k0 was evicted, got %v", out)
 	}
-}
-
-func TestNilCacheBypasses(t *testing.T) {
-	var c *Cache
-	v, out, err := c.Get(context.Background(), "k", fixedReq("direct"))
-	if err != nil || v != "direct" || out != Bypass {
-		t.Fatalf("nil cache get = %v, %v, %v; want direct, Bypass, nil", v, out, err)
-	}
-	c.Invalidate("k")
-	c.InvalidateAll()
-	c.InvalidatePrefix("k")
-	if c.Len() != 0 || c.Snapshot() != (StatsSnapshot{}) {
-		t.Fatalf("nil cache should report empty stats")
+	if _, out, _ := c.Get(ctx, "k1", fixedReq("k1")); out != Miss {
+		t.Fatalf("k1 should have been evicted (LRU), got %v", out)
 	}
 }
 
@@ -424,7 +394,7 @@ func TestSnapshotAndOutcomeString(t *testing.T) {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	for o, want := range map[Outcome]string{
-		Bypass: "bypass", Miss: "miss", Hit: "hit",
+		Miss: "miss", Hit: "hit",
 		NegHit: "neghit", Stale: "stale", Coalesced: "coalesced",
 	} {
 		if o.String() != want {
@@ -438,7 +408,7 @@ func TestSnapshotAndOutcomeString(t *testing.T) {
 
 func TestPeek(t *testing.T) {
 	clk := newManualClock()
-	c := New(Options{TTL: time.Second, NegTTL: 100 * time.Millisecond, Clock: clk.Now})
+	c := New(Options{TTL: time.Second, Clock: clk.Now})
 	ctx := context.Background()
 
 	if _, ok := c.Peek("absent"); ok {
@@ -471,67 +441,5 @@ func TestPeek(t *testing.T) {
 	clk.Advance(2 * time.Second)
 	if _, ok := c.Peek("k"); ok {
 		t.Error("peek hit on an expired entry")
-	}
-
-	// A nil cache peeks as a miss.
-	var nilCache *Cache
-	if _, ok := nilCache.Peek("k"); ok {
-		t.Error("nil cache peek reported a hit")
-	}
-}
-
-func TestMergeVersioned(t *testing.T) {
-	clk := newManualClock()
-	c := New(Options{TTL: time.Second, Clock: clk.Now})
-
-	if !c.MergeVersioned("gossip|N1", "v5", 5) {
-		t.Fatal("initial merge refused")
-	}
-	if v, ver, ok := c.PeekVersioned("gossip|N1"); !ok || v != "v5" || ver != 5 {
-		t.Fatalf("PeekVersioned = %v/%d/%v, want v5/5/true", v, ver, ok)
-	}
-
-	// Older and equal-or-newer writes: only a regression is refused.
-	if c.MergeVersioned("gossip|N1", "v3", 3) {
-		t.Fatal("merge regressed the version")
-	}
-	if v, ver, _ := c.PeekVersioned("gossip|N1"); v != "v5" || ver != 5 {
-		t.Fatalf("rejected merge still mutated the entry: %v/%d", v, ver)
-	}
-	if !c.MergeVersioned("gossip|N1", "v5b", 5) {
-		t.Fatal("equal-version merge refused (must be idempotent-friendly)")
-	}
-	if !c.MergeVersioned("gossip|N1", "v7", 7) {
-		t.Fatal("newer merge refused")
-	}
-	if c.Stats.Merges.Load() != 3 || c.Stats.MergeRejects.Load() != 1 {
-		t.Fatalf("merges/rejects = %d/%d, want 3/1",
-			c.Stats.Merges.Load(), c.Stats.MergeRejects.Load())
-	}
-
-	// Expiry never hides the version stamp from PeekVersioned.
-	clk.Advance(time.Hour)
-	if _, ver, ok := c.PeekVersioned("gossip|N1"); !ok || ver != 7 {
-		t.Fatalf("expired PeekVersioned = %d/%v, want 7/true", ver, ok)
-	}
-
-	// A versioned merge displaces an unversioned TTL entry for the same key.
-	ctx := context.Background()
-	if _, _, err := c.Get(ctx, "plain", Request{Fetch: func(context.Context) (any, error) {
-		return "ttl-only", nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if !c.MergeVersioned("plain", "versioned", 1) {
-		t.Fatal("merge over unversioned entry refused")
-	}
-
-	// Nil cache: merge is a no-op miss.
-	var nilCache *Cache
-	if nilCache.MergeVersioned("k", "v", 1) {
-		t.Fatal("nil cache accepted a merge")
-	}
-	if _, _, ok := nilCache.PeekVersioned("k"); ok {
-		t.Fatal("nil cache peeked a value")
 	}
 }

@@ -60,8 +60,8 @@ func TestChaosSimInjectedConnectFailure(t *testing.T) {
 
 func TestChaosSimRetryRecovers(t *testing.T) {
 	_, client, ref := startSimFaultyPair(t, Options{
-		Faults: &FaultPlan{Rules: []FaultRule{{FailFirst: 2}}},
-		Retry:  RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Faults:        &FaultPlan{Rules: []FaultRule{{FailFirst: 2}}},
+		RetryAttempts: 4,
 	})
 	got, err := ref.InvokeIdempotent(context.Background(), "echo", idl.String("retried"))
 	if err != nil {
@@ -86,8 +86,8 @@ func TestChaosSimRetryRecovers(t *testing.T) {
 
 func TestChaosSimRetryAttemptsReported(t *testing.T) {
 	_, _, ref := startSimFaultyPair(t, Options{
-		Faults: &FaultPlan{Rules: []FaultRule{{FailFirst: 1}}},
-		Retry:  RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Faults:        &FaultPlan{Rules: []FaultRule{{FailFirst: 1}}},
+		RetryAttempts: 3,
 	})
 	ctx, cs := WithCallStats(context.Background())
 	if _, err := ref.InvokeIdempotent(ctx, "echo", idl.String("x")); err != nil {
@@ -95,74 +95,6 @@ func TestChaosSimRetryAttemptsReported(t *testing.T) {
 	}
 	if n := cs.Attempts.Load(); n != 2 {
 		t.Errorf("Attempts = %d, want 2 (one failed dial + one success)", n)
-	}
-}
-
-func TestChaosSimBreakerLifecycle(t *testing.T) {
-	cooldown := 50 * time.Millisecond
-	_, client, ref := startSimFaultyPair(t, Options{
-		Faults:  &FaultPlan{Rules: []FaultRule{{FailConnect: 1}}},
-		Breaker: BreakerPolicy{Threshold: 2, Cooldown: cooldown},
-	})
-	addr := ref.IOR().Addr()
-
-	for i := 0; i < 2; i++ {
-		if _, err := ref.Invoke("echo", idl.String("x")); err == nil {
-			t.Fatal("expected injected failure")
-		}
-	}
-	if trips := client.Stats.BreakerTrips.Load(); trips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", trips)
-	}
-	if st := client.BreakerSnapshot()[addr]; st.State != BreakerOpen {
-		t.Fatalf("breaker state = %q, want open", st.State)
-	}
-
-	faultsBefore := client.Stats.FaultsInjected.Load()
-	_, err := ref.Invoke("echo", idl.String("x"))
-	se, ok := err.(*SystemException)
-	if !ok || se.Name != ExcTransient {
-		t.Fatalf("open breaker returned %v, want TRANSIENT", err)
-	}
-	if n := client.Stats.BreakerRejects.Load(); n != 1 {
-		t.Errorf("BreakerRejects = %d, want 1", n)
-	}
-	if client.Stats.FaultsInjected.Load() != faultsBefore {
-		t.Error("open breaker still dialed the endpoint")
-	}
-
-	client.SetFaultPlan(nil)
-	time.Sleep(cooldown + 10*time.Millisecond)
-	if _, err := ref.Invoke("echo", idl.String("probe")); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if st := client.BreakerSnapshot()[addr]; st.State != BreakerClosed {
-		t.Fatalf("breaker state after probe = %q, want closed", st.State)
-	}
-	if _, err := ref.Invoke("echo", idl.String("x")); err != nil {
-		t.Fatalf("call after close failed: %v", err)
-	}
-}
-
-func TestChaosSimHalfOpenProbeFailureReopens(t *testing.T) {
-	cooldown := 30 * time.Millisecond
-	_, client, ref := startSimFaultyPair(t, Options{
-		Faults:  &FaultPlan{Rules: []FaultRule{{FailConnect: 1}}},
-		Breaker: BreakerPolicy{Threshold: 1, Cooldown: cooldown},
-	})
-	addr := ref.IOR().Addr()
-	if _, err := ref.Invoke("echo", idl.String("x")); err == nil {
-		t.Fatal("expected injected failure")
-	}
-	time.Sleep(cooldown + 10*time.Millisecond)
-	if _, err := ref.Invoke("echo", idl.String("x")); err == nil {
-		t.Fatal("expected probe failure")
-	}
-	if st := client.BreakerSnapshot()[addr]; st.State != BreakerOpen {
-		t.Fatalf("breaker state = %q, want open after failed probe", st.State)
-	}
-	if trips := client.Stats.BreakerTrips.Load(); trips != 2 {
-		t.Errorf("BreakerTrips = %d, want 2", trips)
 	}
 }
 
@@ -178,6 +110,49 @@ func TestChaosSimDroppedRequestTimesOut(t *testing.T) {
 	}
 	if n := client.Stats.FaultsInjected.Load(); n == 0 {
 		t.Error("drop not counted as an injected fault")
+	}
+}
+
+// TestChaosSimResetAfterLosesTheReply: a ResetAfter rule closes the
+// connection right after the request frame is out, so the servant runs and
+// the caller only sees COMM_FAILURE. A plain call is not repeated; an
+// idempotent one is, and every attempt runs the servant again — which is why
+// only an operation that is safe to repeat may be retried.
+func TestChaosSimResetAfterLosesTheReply(t *testing.T) {
+	_, client, ref := startSimFaultyPair(t, Options{
+		Faults:        &FaultPlan{Rules: []FaultRule{{ResetAfter: 1}}},
+		RetryAttempts: 3,
+	})
+	v, _ := processORBs.Load(ref.Addr())
+	server := v.(*ORB)
+	// The caller hears of the lost reply as soon as the socket closes, while
+	// the servant may still be dispatching: wait for it to have run n times.
+	servedTimes := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); server.Stats.RequestsServed.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("servant ran %d times, want %d", server.Stats.RequestsServed.Load(), n)
+			}
+		}
+	}
+
+	_, err := ref.Invoke("echo", idl.String("lost"))
+	if se, ok := err.(*SystemException); !ok || se.Name != ExcCommFailure {
+		t.Fatalf("want COMM_FAILURE for a lost reply, got %v", err)
+	}
+	servedTimes(1)
+	if _, err := ref.InvokeIdempotent(context.Background(), "echo", idl.String("lost")); err == nil {
+		t.Fatal("idempotent call succeeded although every reply was lost")
+	}
+	servedTimes(4) // one plain call + three attempts
+	if n := server.Stats.RequestsServed.Load(); n != 4 {
+		t.Errorf("servant ran %d times, want 4", n)
+	}
+	if n := client.Stats.Retries.Load(); n != 2 {
+		t.Errorf("Retries = %d, want 2", n)
+	}
+	if n := client.Stats.FaultsInjected.Load(); n != 4 {
+		t.Errorf("FaultsInjected = %d, want 4", n)
 	}
 }
 

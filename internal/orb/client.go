@@ -48,9 +48,10 @@ func (r *ObjectRef) InvokeCtx(ctx context.Context, op string, args ...idl.Any) (
 }
 
 // InvokeIdempotent is InvokeCtx for operations that are safe to issue more
-// than once (reads, probes). When Options.Retry allows, transport-class
-// failures are retried transparently with exponential backoff and jitter;
-// the per-invocation context still bounds the whole sequence.
+// than once (reads, probes). When Options.RetryAttempts allows,
+// transport-class failures are retried transparently with exponential
+// backoff and jitter; the per-invocation context still bounds the whole
+// sequence.
 func (r *ObjectRef) InvokeIdempotent(ctx context.Context, op string, args ...idl.Any) (idl.Any, error) {
 	return r.invoke(ctx, op, args, true, true)
 }
@@ -124,7 +125,7 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expec
 // report how many attempts a coalition member's sub-query cost.
 type CallStats struct {
 	// Attempts counts transport attempts (dials/exchanges, colocated
-	// dispatches included); retries and breaker rejections each add one.
+	// dispatches included); each retry adds one.
 	Attempts atomic.Int32
 }
 
@@ -160,35 +161,29 @@ func retryable(err error) bool {
 	return ok && se.Name == ExcCommFailure
 }
 
-// isTransportFailure classifies an outcome for the circuit breaker: only
-// COMM_FAILURE counts against an endpoint's health.
-func isTransportFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	se, ok := err.(*SystemException)
-	return ok && se.Name == ExcCommFailure
-}
+// The retry backoff window: the first sleep is at most retryBaseBackoff, the
+// window doubles each attempt up to retryMaxBackoff, and the actual sleep is
+// uniform in (0, window] — full jitter.
+const (
+	retryBaseBackoff = 10 * time.Millisecond
+	retryMaxBackoff  = 500 * time.Millisecond
+)
 
-// callRemote drives one logical socket invocation through the breaker and
-// retry machinery. Non-idempotent calls make exactly one transport attempt;
-// idempotent ones retry transport-class failures up to Options.Retry's
-// budget with exponential backoff and full jitter. The breaker is consulted
-// before every attempt and fed the outcome of every attempt that reached
-// the wire.
+// callRemote drives one logical socket invocation through the retry loop.
+// Non-idempotent calls make exactly one transport attempt; idempotent ones
+// retry transport-class failures up to Options.RetryAttempts with
+// exponential backoff and full jitter.
 func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, expectReply bool, svcCtxs []giop.ServiceContext, idempotent bool) (idl.Any, error) {
-	addr := r.addr
 	cs := callStatsFrom(ctx)
-	policy := o.opts.Retry.withDefaults()
 	maxAttempts := 1
-	if idempotent && expectReply && o.opts.Retry.MaxAttempts > 1 {
-		maxAttempts = o.opts.Retry.MaxAttempts
+	if idempotent && expectReply && o.opts.RetryAttempts > 1 {
+		maxAttempts = o.opts.RetryAttempts
 	}
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			o.Stats.Retries.Add(1)
-			if err := sleepBackoff(ctx, policy, attempt); err != nil {
+			if err := sleepBackoff(ctx, attempt); err != nil {
 				break // context ended while backing off
 			}
 		}
@@ -199,18 +194,7 @@ func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []id
 		if cs != nil {
 			cs.Attempts.Add(1)
 		}
-		if o.breakers != nil {
-			if err := o.breakers.allow(addr); err != nil {
-				// Failed fast without touching the endpoint; a later attempt
-				// may land on the half-open probe, so keep retrying.
-				lastErr = err
-				continue
-			}
-		}
-		result, err := o.pool.roundTrip(ctx, addr, r.ior.ObjectKey, op, args, expectReply, svcCtxs)
-		if o.breakers != nil {
-			o.breakers.record(addr, isTransportFailure(err))
-		}
+		result, err := o.pool.roundTrip(ctx, r.addr, r.ior.ObjectKey, op, args, expectReply, svcCtxs)
 		if err == nil {
 			return result, nil
 		}
@@ -224,10 +208,10 @@ func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []id
 
 // sleepBackoff waits out the exponential-backoff window before retry attempt
 // n (full jitter: uniform in (0, window]), or returns early when ctx ends.
-func sleepBackoff(ctx context.Context, policy RetryPolicy, attempt int) error {
-	window := policy.BaseBackoff << (attempt - 1)
-	if window > policy.MaxBackoff || window <= 0 {
-		window = policy.MaxBackoff
+func sleepBackoff(ctx context.Context, attempt int) error {
+	window := retryBaseBackoff << (attempt - 1)
+	if window > retryMaxBackoff || window <= 0 {
+		window = retryMaxBackoff
 	}
 	d := time.Duration(rand.Int63n(int64(window))) + 1
 	t := time.NewTimer(d)
@@ -371,11 +355,11 @@ func (c *muxConn) send(msg *giop.Message) error {
 }
 
 // sendRequest writes one GIOP Request, fragmenting bodies above
-// Options.FragmentThreshold; hdrLen is the encoded request-header length,
+// giop.DefaultFragmentThreshold; hdrLen is the encoded request-header length,
 // which must stay whole in the initial frame.
 func (c *muxConn) sendRequest(reqID uint32, msg *giop.Message, hdrLen int) error {
 	stats := &c.pool.orb.Stats
-	frames, err := giop.WriteFragmented(c.w, msg, reqID, c.pool.orb.opts.FragmentThreshold, hdrLen)
+	frames, err := giop.WriteFragmented(c.w, msg, reqID, giop.DefaultFragmentThreshold, hdrLen)
 	if frames > 1 {
 		stats.FragmentsSent.Add(int64(frames - 1))
 	}
@@ -541,6 +525,9 @@ func drainTimedOut(ch chan *demuxedReply) (*demuxedReply, error) {
 	return nil, r.err
 }
 
+// dialTimeout bounds establishing a new outbound IIOP connection.
+const dialTimeout = 10 * time.Second
+
 // connPool manages outbound multiplexed connections keyed by endpoint. One
 // connection serves many concurrent request/reply exchanges (replies are
 // matched by GIOP request ID); additional connections — at most
@@ -572,7 +559,7 @@ func (p *connPool) get(addr string) (*muxConn, error) {
 			return nil, err
 		}
 	}
-	nc, err := p.orb.transport.DialTimeout(addr, p.orb.opts.DialTimeout)
+	nc, err := p.orb.transport.DialTimeout(addr, dialTimeout)
 	if err != nil {
 		return nil, &SystemException{Name: ExcCommFailure, Detail: fmt.Sprintf("dial %s: %v", addr, err)}
 	}

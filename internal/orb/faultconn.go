@@ -47,6 +47,11 @@ type FaultRule struct {
 	// Reset is the probability that the connection is torn down (RST-style)
 	// just before an outbound frame is written.
 	Reset float64 `json:"reset"`
+	// ResetAfter is the probability that the connection is closed right
+	// after an outbound frame is written: the request is delivered and its
+	// reply is lost, the one schedule that tells whether a retried call is
+	// safe to repeat.
+	ResetAfter float64 `json:"reset_after"`
 }
 
 // rule returns the first rule matching addr, or nil.
@@ -160,16 +165,24 @@ func (c *faultConn) Read(p []byte) (int, error) {
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
-	if fi, r := c.activeRule(); fi != nil {
-		if fi.roll(r.Reset) {
-			fi.injected.FaultsInjected.Add(1)
-			c.Conn.Close()
-			return 0, fmt.Errorf("injected connection reset")
-		}
-		if fi.roll(r.Drop) {
-			fi.injected.FaultsInjected.Add(1)
-			return len(p), nil // frame swallowed; the caller's deadline recovers
-		}
+	fi, r := c.activeRule()
+	if fi == nil {
+		return c.Conn.Write(p)
 	}
-	return c.Conn.Write(p)
+	if fi.roll(r.Reset) {
+		fi.injected.FaultsInjected.Add(1)
+		c.Conn.Close()
+		return 0, fmt.Errorf("injected connection reset")
+	}
+	if fi.roll(r.Drop) {
+		fi.injected.FaultsInjected.Add(1)
+		return len(p), nil // frame swallowed; the caller's deadline recovers
+	}
+	n, err := c.Conn.Write(p)
+	if err == nil && fi.roll(r.ResetAfter) {
+		// The frame is out; the reply it asks for will find the socket gone.
+		fi.injected.FaultsInjected.Add(1)
+		c.Conn.Close()
+	}
+	return n, err
 }

@@ -6,14 +6,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/giop"
 	"repro/internal/idl"
 )
 
-// startFragPair boots a server/client ORB pair whose wire fragments any body
-// above threshold bytes.
-func startFragPair(t *testing.T, threshold int) (client *ORB, ref *ObjectRef) {
+// overThreshold is a body length the ORB always fragments: past
+// giop.DefaultFragmentThreshold, by n bytes.
+func overThreshold(n int) int { return giop.DefaultFragmentThreshold + n }
+
+// startFragPair boots a server/client ORB pair over real sockets.
+func startFragPair(t *testing.T) (client *ORB, ref *ObjectRef) {
 	t.Helper()
-	server := New(Options{Product: Orbix, DisableColocation: true, FragmentThreshold: threshold})
+	server := New(Options{Product: Orbix, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +26,7 @@ func startFragPair(t *testing.T, threshold int) (client *ORB, ref *ObjectRef) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client = New(Options{Product: VisiBroker, DisableColocation: true, FragmentThreshold: threshold})
+	client = New(Options{Product: VisiBroker, DisableColocation: true})
 	t.Cleanup(client.Shutdown)
 	return client, client.Resolve(ior)
 }
@@ -31,8 +35,8 @@ func startFragPair(t *testing.T, threshold int) (client *ORB, ref *ObjectRef) {
 // (big request argument, big echoed reply) and checks it survives the
 // fragmented wire intact, with fragment counters moving on both sides.
 func TestFragmentedRoundTrip(t *testing.T) {
-	client, ref := startFragPair(t, 512)
-	payload := strings.Repeat("webfindit/", 2000) // ~20 KB, ~40 fragments each way
+	client, ref := startFragPair(t)
+	payload := strings.Repeat("webfindit/", overThreshold(300<<10)/10) // ~556 KiB, 3 frames each way
 	got, err := ref.Invoke("echo", idl.String(payload))
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +53,11 @@ func TestFragmentedRoundTrip(t *testing.T) {
 }
 
 // TestFragmentedInterleavedCalls runs many concurrent calls, large and
-// small, over the shared mux with an aggressive threshold: every large reply
-// is fragmented, and the demux must route interleaved fragments of different
-// request IDs without mixing them up.
+// small, over the shared mux: every large request and reply is fragmented,
+// and the demux must route interleaved fragments of different request IDs
+// without mixing them up.
 func TestFragmentedInterleavedCalls(t *testing.T) {
-	_, ref := startFragPair(t, 256)
+	_, ref := startFragPair(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for i := 0; i < 32; i++ {
@@ -61,8 +65,8 @@ func TestFragmentedInterleavedCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var payload string
-			if i%2 == 0 {
-				payload = strings.Repeat(string(rune('a'+i%26)), 4000+i*37)
+			if i%4 == 0 {
+				payload = strings.Repeat(string(rune('a'+i%26)), overThreshold(1000+i*37))
 			} else {
 				payload = "small"
 			}
@@ -84,47 +88,30 @@ func TestFragmentedInterleavedCalls(t *testing.T) {
 	}
 }
 
-// TestFragmentationDisabled verifies a negative threshold keeps every
-// message a single frame (GIOP 1.0 behaviour).
-func TestFragmentationDisabled(t *testing.T) {
-	client, ref := startFragPair(t, -1)
-	payload := strings.Repeat("x", 100_000)
-	got, err := ref.Invoke("echo", idl.String(payload))
-	if err != nil || got.Str != payload {
-		t.Fatalf("echo with fragmentation disabled: %v", err)
-	}
-	if n := client.Stats.FragmentsSent.Load(); n != 0 {
-		t.Errorf("fragments sent with fragmentation disabled: %d", n)
-	}
-	if n := client.Stats.FragmentsReassembled.Load(); n != 0 {
-		t.Errorf("fragments reassembled with fragmentation disabled: %d", n)
-	}
-}
-
 // TestFragmentedExceptionReply exercises fragmentation of non-NoException
 // replies: a user exception whose message exceeds the threshold.
 func TestFragmentedExceptionReply(t *testing.T) {
-	server := New(Options{Product: Orbix, DisableColocation: true, FragmentThreshold: 128})
+	server := New(Options{Product: Orbix, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(server.Shutdown)
 	h := NewHandler(echoIDL)
 	h.On("fail", func(args []idl.Any) (idl.Any, error) {
-		return idl.Null(), &UserException{Name: "Big", Message: strings.Repeat("why ", 1000)}
+		return idl.Null(), &UserException{Name: "Big", Message: strings.Repeat("why ", overThreshold(0)/4+1)}
 	})
 	ior, err := server.Activate("Echo", h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := New(Options{Product: VisiBroker, DisableColocation: true, FragmentThreshold: 128})
+	client := New(Options{Product: VisiBroker, DisableColocation: true})
 	t.Cleanup(client.Shutdown)
 	_, err = client.Resolve(ior).Invoke("fail", idl.String("user"))
 	ue, ok := err.(*UserException)
 	if !ok {
 		t.Fatalf("err = %T %v, want *UserException", err, err)
 	}
-	if ue.Name != "Big" || len(ue.Message) != 4000 {
+	if want := 4 * (overThreshold(0)/4 + 1); ue.Name != "Big" || len(ue.Message) != want {
 		t.Errorf("fragmented exception = %q / %d bytes", ue.Name, len(ue.Message))
 	}
 	if client.Stats.FragmentsReassembled.Load() == 0 {

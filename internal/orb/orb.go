@@ -53,8 +53,6 @@ type Stats struct {
 	InFlight       atomic.Int64 // client requests currently awaiting a reply
 	MaxInFlight    atomic.Int64 // high-water mark of InFlight
 	Retries        atomic.Int64 // transparent client retries of idempotent calls
-	BreakerTrips   atomic.Int64 // circuit transitions into the open state
-	BreakerRejects atomic.Int64 // calls failed fast by an open breaker
 	FaultsInjected atomic.Int64 // faults injected by the ORB's FaultPlan
 
 	FragmentsSent        atomic.Int64 // GIOP Fragment frames written (requests and replies)
@@ -87,8 +85,6 @@ type StatsSnapshot struct {
 	InFlight             int64 `json:"in_flight"`
 	MaxInFlight          int64 `json:"max_in_flight"`
 	Retries              int64 `json:"retries"`
-	BreakerTrips         int64 `json:"breaker_trips"`
-	BreakerRejects       int64 `json:"breaker_rejects"`
 	FaultsInjected       int64 `json:"faults_injected"`
 	FragmentsSent        int64 `json:"fragments_sent"`
 	FragmentsReassembled int64 `json:"fragments_reassembled"`
@@ -113,8 +109,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		InFlight:             s.InFlight.Load(),
 		MaxInFlight:          s.MaxInFlight.Load(),
 		Retries:              s.Retries.Load(),
-		BreakerTrips:         s.BreakerTrips.Load(),
-		BreakerRejects:       s.BreakerRejects.Load(),
 		FaultsInjected:       s.FaultsInjected.Load(),
 		FragmentsSent:        s.FragmentsSent.Load(),
 		FragmentsReassembled: s.FragmentsReassembled.Load(),
@@ -149,62 +143,23 @@ type Options struct {
 	// Expired calls surface as COMM_FAILURE and poison their connection,
 	// which fails every other request in flight on it with COMM_FAILURE too.
 	CallTimeout time.Duration
-	// DialTimeout bounds establishing a new outbound IIOP connection.
-	// 0 means the default of 10 seconds.
-	DialTimeout time.Duration
 	// MaxIdlePerHost caps the multiplexed connections kept per endpoint
 	// (0 means the default of 8). Every connection is shared by many
 	// concurrent requests; the pool only opens another when all existing
 	// connections to the endpoint are pipeline-saturated.
 	MaxIdlePerHost int
-	// Retry bounds transparent retries of idempotent invocations (see
-	// ObjectRef.InvokeIdempotent). The zero value disables retries.
-	Retry RetryPolicy
-	// Breaker enables per-endpoint circuit breakers (closed/open/half-open).
-	// The zero value disables them.
-	Breaker BreakerPolicy
+	// RetryAttempts is the total number of attempts, first try included, an
+	// idempotent invocation (ObjectRef.InvokeIdempotent) gets against
+	// transport-class failures. Values <= 1 disable retries.
+	RetryAttempts int
 	// Faults installs a fault-injection plan on the client IIOP path (chaos
 	// testing). nil injects nothing; SetFaultPlan swaps plans at runtime.
 	Faults *FaultPlan
-	// FragmentThreshold sets the body size above which requests and replies
-	// are written as GIOP 1.1 fragmented messages (an initial frame plus
-	// Fragment frames of at most this size), so one huge reply no longer
-	// head-of-line-blocks the other calls pipelined on the connection.
-	// 0 selects giop.DefaultFragmentThreshold; negative disables
-	// fragmentation (every message is one frame, as in GIOP 1.0).
-	FragmentThreshold int
 	// Transport supplies the network stack used by Listen and client dials.
 	// nil selects the operating system's TCP stack. Deterministic tests
 	// inject an in-memory transport (internal/simnet) to run federations
 	// without sockets and with virtual time.
 	Transport Transport
-}
-
-// RetryPolicy bounds the transparent retry of idempotent client invocations.
-// Only transport-class failures (COMM_FAILURE) are retried, with exponential
-// backoff and full jitter between attempts; breaker rejections consume an
-// attempt without touching the endpoint, so the backoff can outlast the
-// breaker's cooldown and land on its half-open probe.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts (first try included).
-	// Values <= 1 disable retries.
-	MaxAttempts int
-	// BaseBackoff is the cap of the first backoff window (default 10ms);
-	// the window doubles each attempt. The actual sleep is uniform in
-	// (0, window] — full jitter.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff window (default 500ms).
-	MaxBackoff time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 500 * time.Millisecond
-	}
-	return p
 }
 
 // wireOrder returns the CDR byte order this ORB's clients emit.
@@ -236,8 +191,6 @@ type ORB struct {
 
 	interceptors interceptorRegistry
 
-	// breakers is nil unless Options.Breaker enables circuit breaking.
-	breakers *breakerSet
 	// faults holds the active fault injector (nil = no injection); swapped
 	// atomically by SetFaultPlan so chaos can start and stop at runtime.
 	faults atomic.Pointer[faultInjector]
@@ -259,9 +212,6 @@ func New(opts Options) *ORB {
 	if opts.Product == "" {
 		opts.Product = Orbix
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
-	}
 	if opts.MaxIdlePerHost <= 0 {
 		opts.MaxIdlePerHost = 8
 	}
@@ -280,9 +230,6 @@ func New(opts Options) *ORB {
 		o.sleep = s.Sleep
 	}
 	o.pool = newConnPool(o)
-	if opts.Breaker.Threshold > 0 {
-		o.breakers = newBreakerSet(opts.Breaker, &o.Stats)
-	}
 	if opts.Faults != nil {
 		o.faults.Store(newFaultInjector(*opts.Faults, &o.Stats))
 	}
@@ -305,15 +252,6 @@ func (o *ORB) SetFaultPlan(plan *FaultPlan) {
 
 // injector returns the active fault injector, or nil.
 func (o *ORB) injector() *faultInjector { return o.faults.Load() }
-
-// BreakerSnapshot reports the state of every endpoint breaker (empty when
-// breakers are disabled); the node binary publishes it under /debug/metrics.
-func (o *ORB) BreakerSnapshot() map[string]BreakerState {
-	if o.breakers == nil {
-		return map[string]BreakerState{}
-	}
-	return o.breakers.snapshot()
-}
 
 // Product reports the ORB product name.
 func (o *ORB) Product() Product { return o.opts.Product }

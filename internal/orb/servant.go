@@ -69,9 +69,6 @@ const (
 	ExcMarshal        = "MARSHAL"
 	ExcUnknown        = "UNKNOWN"
 	ExcBadParam       = "BAD_PARAM"
-	// ExcTransient marks a call the ORB failed fast without contacting the
-	// endpoint (an open circuit breaker); retrying later may succeed.
-	ExcTransient = "TRANSIENT"
 )
 
 // OpFunc is the handler signature used by Handler servants.

@@ -260,8 +260,8 @@ func (o *ORB) dispatch(ctx context.Context, key, op string, args []idl.Any) (idl
 }
 
 // writeReply encodes the reply for a completed invocation. Bodies above
-// Options.FragmentThreshold go out as a fragmented message, so a huge result
-// is interleavable with the other replies sharing the connection.
+// giop.DefaultFragmentThreshold go out as a fragmented message, so a huge
+// result is interleavable with the other replies sharing the connection.
 func (o *ORB) writeReply(w *giop.SyncWriter, order cdr.ByteOrder, req *giop.RequestHeader, result idl.Any, invErr error) error {
 	e := giop.AcquireBodyEncoder(order)
 	defer giop.ReleaseBodyEncoder(e)
@@ -300,7 +300,7 @@ func (o *ORB) writeReply(w *giop.SyncWriter, order cdr.ByteOrder, req *giop.Requ
 	hdrLen := e.Len() // the reply header must stay whole in the initial frame
 	body(e)
 	out := &giop.Message{Type: giop.MsgReply, Order: order, Body: e.Bytes()}
-	frames, err := giop.WriteFragmented(w, out, req.RequestID, o.opts.FragmentThreshold, hdrLen)
+	frames, err := giop.WriteFragmented(w, out, req.RequestID, giop.DefaultFragmentThreshold, hdrLen)
 	if frames > 1 {
 		o.Stats.FragmentsSent.Add(int64(frames - 1))
 	}

@@ -9,8 +9,7 @@ import (
 )
 
 // This file is the query processor's view of the federation metadata cache
-// (Config.Cache). Every helper is nil-safe — with no cache configured the
-// fetch runs directly — and returns the mdcache.Outcome so call sites can
+// (Config.Cache). Every helper returns the mdcache.Outcome so call sites can
 // annotate spans and MemberStatus entries with cache=hit|miss|….
 //
 // Two freshness modes apply, chosen per co-database:
@@ -34,10 +33,21 @@ type probeResult struct {
 	Links []codb.Match
 }
 
-// srcKey identifies a co-database for cache keying by its object address.
-func (p *Processor) srcKey(c *codb.Client) string {
+// srcPrefix starts every cache key holding an answer from co-database c: its
+// object address and a terminator. Co-databases on one ORB share an address
+// and their object keys can extend one another ("…/CoDatabase/S1" and
+// "…/S10"), so without the terminator dropping one source's answers would
+// drop the other's too.
+func (p *Processor) srcPrefix(c *codb.Client) string {
 	r := c.Ref()
-	return r.Addr() + "/" + string(r.IOR().ObjectKey)
+	return r.Addr() + "/" + string(r.IOR().ObjectKey) + "|"
+}
+
+// cacheKey names one question about co-database c: its source prefix, the
+// question's family, and the question's argument (case-folded; "" for the
+// families that take none).
+func (p *Processor) cacheKey(c *codb.Client, family, arg string) string {
+	return p.srcPrefix(c) + family + "|" + strings.ToLower(arg)
 }
 
 // versioner returns the schema-version reader for client c and whether hits
@@ -51,9 +61,9 @@ func (p *Processor) versioner(c *codb.Client) (mdcache.Versioner, bool) {
 }
 
 // cached answers one metadata question about co-database c through the
-// cache, as a T: fetch runs on a miss (or directly, with no cache configured)
-// and its result is shared by every later asker until the entry expires or
-// c's version moves. A negative entry comes back as T's zero value.
+// cache, as a T: fetch runs on a miss and its result is shared by every later
+// asker until the entry expires or c's version moves. A negative entry comes
+// back as T's zero value.
 func cached[T any](ctx context.Context, p *Processor, c *codb.Client, key string, fetch mdcache.Fetcher) (T, mdcache.Outcome, error) {
 	ver, verify := p.versioner(c)
 	v, out, err := p.cfg.Cache.Get(ctx, key, mdcache.Request{Fetch: fetch, Version: ver, VerifyHit: verify})
@@ -66,7 +76,7 @@ func cached[T any](ctx context.Context, p *Processor, c *codb.Client, key string
 
 // probeKey is the cache key of one peer's stage-3 discovery probe.
 func (p *Processor) probeKey(c *codb.Client, topic string) string {
-	return "probe|" + p.srcKey(c) + "|" + strings.ToLower(topic)
+	return p.cacheKey(c, "probe", topic)
 }
 
 // peekProbe returns a peer's probe result if a fresh positive entry is
@@ -100,43 +110,43 @@ func (p *Processor) cachedProbe(ctx context.Context, c *codb.Client, topic strin
 
 // cachedFindCoalitions scores a co-database's coalitions against a topic.
 func (p *Processor) cachedFindCoalitions(ctx context.Context, c *codb.Client, topic string) ([]codb.Match, mdcache.Outcome, error) {
-	return cached[[]codb.Match](ctx, p, c, "findc|"+p.srcKey(c)+"|"+strings.ToLower(topic),
+	return cached[[]codb.Match](ctx, p, c, p.cacheKey(c, "findc", topic),
 		func(ctx context.Context) (any, error) { return c.FindCoalitions(ctx, topic) })
 }
 
 // cachedFindLinks scores a co-database's service links against a topic.
 func (p *Processor) cachedFindLinks(ctx context.Context, c *codb.Client, topic string) ([]codb.Match, mdcache.Outcome, error) {
-	return cached[[]codb.Match](ctx, p, c, "findl|"+p.srcKey(c)+"|"+strings.ToLower(topic),
+	return cached[[]codb.Match](ctx, p, c, p.cacheKey(c, "findl", topic),
 		func(ctx context.Context) (any, error) { return c.FindLinks(ctx, topic) })
 }
 
 // cachedCoalitions lists a co-database's coalition classes.
 func (p *Processor) cachedCoalitions(ctx context.Context, c *codb.Client) ([]string, mdcache.Outcome, error) {
-	return cached[[]string](ctx, p, c, "coalitions|"+p.srcKey(c),
+	return cached[[]string](ctx, p, c, p.cacheKey(c, "coalitions", ""),
 		func(ctx context.Context) (any, error) { return c.Coalitions(ctx) })
 }
 
 // cachedMemberOf lists the coalitions a co-database's owner belongs to.
 func (p *Processor) cachedMemberOf(ctx context.Context, c *codb.Client) ([]string, mdcache.Outcome, error) {
-	return cached[[]string](ctx, p, c, "memberof|"+p.srcKey(c),
+	return cached[[]string](ctx, p, c, p.cacheKey(c, "memberof", ""),
 		func(ctx context.Context) (any, error) { return c.MemberOf(ctx) })
 }
 
 // cachedInstances lists a coalition's member descriptors.
 func (p *Processor) cachedInstances(ctx context.Context, c *codb.Client, coalition string) ([]*codb.SourceDescriptor, mdcache.Outcome, error) {
-	return cached[[]*codb.SourceDescriptor](ctx, p, c, "instances|"+p.srcKey(c)+"|"+strings.ToLower(coalition),
+	return cached[[]*codb.SourceDescriptor](ctx, p, c, p.cacheKey(c, "instances", coalition),
 		func(ctx context.Context) (any, error) { return c.Instances(ctx, coalition) })
 }
 
 // cachedLinks lists a co-database's service links.
 func (p *Processor) cachedLinks(ctx context.Context, c *codb.Client) ([]*codb.ServiceLink, mdcache.Outcome, error) {
-	return cached[[]*codb.ServiceLink](ctx, p, c, "links|"+p.srcKey(c),
+	return cached[[]*codb.ServiceLink](ctx, p, c, p.cacheKey(c, "links", ""),
 		func(ctx context.Context) (any, error) { return c.Links(ctx) })
 }
 
 // cachedAccessInfo fetches a source descriptor by database name.
 func (p *Processor) cachedAccessInfo(ctx context.Context, c *codb.Client, source string) (*codb.SourceDescriptor, mdcache.Outcome, error) {
-	return cached[*codb.SourceDescriptor](ctx, p, c, "access|"+p.srcKey(c)+"|"+strings.ToLower(source),
+	return cached[*codb.SourceDescriptor](ctx, p, c, p.cacheKey(c, "access", source),
 		func(ctx context.Context) (any, error) { return c.AccessInfo(ctx, source) })
 }
 
@@ -167,7 +177,7 @@ type peerGroup struct {
 // version-verified freshness — so a repeat discovery skips the member-of and
 // per-coalition instance lookups entirely.
 func (p *Processor) cachedPeerGroups(ctx context.Context, local *codb.Client) ([]peerGroup, mdcache.Outcome, error) {
-	return cached[[]peerGroup](ctx, p, local, "peers|"+p.srcKey(local), func(ctx context.Context) (any, error) {
+	return cached[[]peerGroup](ctx, p, local, p.cacheKey(local, "peers", ""), func(ctx context.Context) (any, error) {
 		memberOf, _, err := p.cachedMemberOf(ctx, local)
 		if err != nil {
 			return nil, err

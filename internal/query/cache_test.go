@@ -11,6 +11,7 @@ import (
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/idl"
+	"repro/internal/mdcache"
 	"repro/internal/orb"
 )
 
@@ -207,11 +208,18 @@ func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Shutdown)
+	var clockMu sync.Mutex
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	}
 	a, err := f.AddNode(orb.VisiBroker, core.NodeConfig{
 		Name: "Alpha", Engine: core.EngineOracle,
 		InformationType: "alpha records",
 		Schema:          "CREATE TABLE r (k INT);",
-		MDCacheTTL:      30 * time.Millisecond,
+		Clock:           clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,14 +237,21 @@ func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
 	}
 
 	s := a.NewSession()
-	resp, err := s.Execute(context.Background(), "Find Coalitions With Information zebra;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range resp.Leads {
-		if strings.EqualFold(l.Coalition, "ZebraStudies") {
-			t.Fatal("ZebraStudies visible before it exists")
+	zebraLead := func() bool {
+		t.Helper()
+		resp, err := s.Execute(context.Background(), "Find Coalitions With Information zebra;")
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, l := range resp.Leads {
+			if strings.EqualFold(l.Coalition, "ZebraStudies") {
+				return true
+			}
+		}
+		return false
+	}
+	if zebraLead() {
+		t.Fatal("ZebraStudies visible before it exists")
 	}
 
 	// Beta learns a new coalition matching the topic; its schema version
@@ -244,28 +259,17 @@ func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
 	if err := b.CoDB.DefineCoalition("ZebraStudies", "", "zebra research"); err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err = s.Execute(context.Background(), "Find Coalitions With Information zebra;")
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, l := range resp.Leads {
-			if strings.EqualFold(l.Coalition, "ZebraStudies") {
-				found = true
-			}
-		}
-		if found {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer churn never became visible; leads = %+v", resp.Leads)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if zebraLead() {
+		t.Fatal("a peer's probe was not served from the cache within the TTL")
 	}
-	if st := a.MDCache.Snapshot(); st.Misses < 2 {
+	misses := a.MDCache.Snapshot().Misses
+	clockMu.Lock()
+	now = now.Add(mdcache.DefaultTTL + time.Millisecond)
+	clockMu.Unlock()
+	if !zebraLead() {
+		t.Fatal("peer churn not visible once the TTL ran out")
+	}
+	if st := a.MDCache.Snapshot(); st.Misses <= misses {
 		t.Errorf("expected a refetch after version change: %+v", st)
 	}
 }

@@ -95,18 +95,9 @@ func TestCallMemberOutcomes(t *testing.T) {
 		},
 		{
 			name:      "reset, retried to the ORB's limit",
-			opts:      orb.Options{Retry: orb.RetryPolicy{MaxAttempts: attempts}},
+			opts:      orb.Options{RetryAttempts: attempts},
 			arrange:   func(f *memberCallFixture) { f.net.Partition(f.home, f.hosts[0]) },
 			wantClass: "comm", wantAttempts: attempts,
-		},
-		{
-			name: "open breaker",
-			opts: orb.Options{Breaker: orb.BreakerPolicy{Threshold: 1, Cooldown: time.Hour}},
-			arrange: func(f *memberCallFixture) {
-				f.net.Partition(f.home, f.hosts[0])
-				f.clients[0].Version(context.Background()) // the failure that opens the breaker
-			},
-			wantClass: "breaker", wantAttempts: 1,
 		},
 		{
 			name: "user exception",

@@ -103,7 +103,7 @@ func (f *simChaosFed) stall(i int) { f.net.Blackhole(f.hostOf, f.hosts[i]) }
 // survivors, a status row for every member, Partial set.
 func TestSimChaosPartialResultDeadMember(t *testing.T) {
 	fed := buildSimChaosFed(t, 3, orb.Options{
-		Retry: orb.RetryPolicy{MaxAttempts: 2},
+		RetryAttempts: 2,
 	})
 	fed.kill(1)
 	s := fed.home.NewSession()
@@ -203,7 +203,7 @@ func TestSimChaosQuorumFailure(t *testing.T) {
 // with Partial set, a status for every member, rows from the healthy pair.
 func TestSimChaosDegradedFederationQuery(t *testing.T) {
 	fed := buildSimChaosFed(t, 4, orb.Options{
-		Retry: orb.RetryPolicy{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond},
+		RetryAttempts: 2,
 	})
 	fed.kill(0)
 	fed.stall(1)
@@ -248,47 +248,6 @@ func TestSimChaosDegradedFederationQuery(t *testing.T) {
 	}
 	if !sources["M2"] || !sources["M3"] {
 		t.Errorf("rows missing a healthy member: %v", sources)
-	}
-}
-
-// TestSimChaosBreakerShieldsRepeatedQueries: after enough refused dials the
-// home ORB's breaker opens for the partitioned member's endpoint and later
-// statements fail fast without dialing.
-func TestSimChaosBreakerShieldsRepeatedQueries(t *testing.T) {
-	fed := buildSimChaosFed(t, 2, orb.Options{
-		Breaker: orb.BreakerPolicy{Threshold: 2, Cooldown: time.Hour},
-	})
-	fed.kill(0)
-	s := fed.home.NewSession()
-	for i := 0; i < 3; i++ {
-		resp, err := s.Execute(context.Background(), chaosQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resp.Partial {
-			t.Fatalf("round %d: Partial = false", i)
-		}
-	}
-	states := fed.homeORB.BreakerSnapshot()
-	st, ok := states[fed.addrs[0]]
-	if !ok || st.State != orb.BreakerOpen {
-		t.Fatalf("breaker for dead member = %+v, want open", st)
-	}
-	dialsBefore := fed.net.Stats().Dials
-	resp, err := s.Execute(context.Background(), chaosQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range resp.Members {
-		if m.Member == "M0" && m.ErrClass != "breaker" {
-			t.Errorf("M0 class = %q, want breaker (%s)", m.ErrClass, m.Err)
-		}
-	}
-	if fed.homeORB.Stats.BreakerRejects.Load() == 0 {
-		t.Error("no breaker rejects counted")
-	}
-	if dials := fed.net.Stats().Dials; dials != dialsBefore {
-		t.Errorf("open breaker still dialed: %d -> %d", dialsBefore, dials)
 	}
 }
 

@@ -27,7 +27,7 @@ type chaosFed struct {
 }
 
 // buildChaosFed boots a home node (on an ORB built from clientOpts, which
-// carries the retry/breaker/timeout policy under test) and n coalition
+// carries the retry/timeout policy under test) and n coalition
 // members, each on its own ORB. All members export function V over table r,
 // and each holds one distinguishing row ('a', i).
 func buildChaosFed(t *testing.T, n int, clientOpts orb.Options) *chaosFed {
@@ -93,7 +93,7 @@ const chaosQuery = `V(R.K, (R.K = "a")) On Coalition Records;`
 // a status for every member, and rows from every healthy member.
 func TestChaosDegradedFederationQuery(t *testing.T) {
 	fed := buildChaosFed(t, 4, orb.Options{
-		Retry: orb.RetryPolicy{MaxAttempts: 2, BaseBackoff: 5 * time.Millisecond},
+		RetryAttempts: 2,
 	})
 	fed.homeORB.SetFaultPlan(&orb.FaultPlan{Rules: []orb.FaultRule{
 		{Addr: fed.addrs[0], FailConnect: 1},  // unreachable

@@ -264,7 +264,7 @@ func planFingerprint(q *wtl.FuncQuery, pushdown bool) uint64 {
 // per-member capability split.
 func (p *Processor) cachedPlan(ctx context.Context, entry *codb.Client, q *wtl.FuncQuery, pushdown bool) (*queryPlan, mdcache.Outcome, error) {
 	fp := planFingerprint(q, pushdown)
-	key := "plan|" + p.srcKey(entry) + "|" + strings.ToLower(q.Source) + "|" + strconv.FormatUint(fp, 16)
+	key := p.cacheKey(entry, "plan", q.Source) + "|" + strconv.FormatUint(fp, 16)
 	return cached[*queryPlan](ctx, p, entry, key, func(ctx context.Context) (any, error) {
 		members, _, err := p.cachedInstances(ctx, entry, q.Source)
 		if err != nil {

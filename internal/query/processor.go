@@ -53,14 +53,14 @@ type MemberStatus struct {
 	Ref      string        // reference contacted (ISI or co-database; "" = local)
 	Attempts int           // transport attempts, transparent retries included
 	Latency  time.Duration // wall-clock time this member's sub-call took
-	ErrClass string        // "", "timeout", "comm", "breaker", "system", "user", "skipped", "limit"
+	ErrClass string        // "", "timeout", "comm", "system", "user", "skipped", "limit"
 	Err      string        // error message ("" on success)
 	// Cached is true when the sub-call was answered from the metadata cache
 	// (a hit, or coalesced onto another caller's in-flight fetch) without
 	// its own probe fan-out.
 	Cached bool
-	// Stale is true when the member was unreachable (down, circuit-broken)
-	// and an expired cache entry was served as the degraded answer.
+	// Stale is true when the member was unreachable (down or partitioned
+	// away) and an expired cache entry was served as the degraded answer.
 	Stale bool
 }
 
@@ -75,8 +75,6 @@ func classifyErr(err error) string {
 	var se *orb.SystemException
 	if errors.As(err, &se) {
 		switch se.Name {
-		case orb.ExcTransient:
-			return "breaker"
 		case orb.ExcCommFailure:
 			if strings.Contains(se.Detail, "timed out") || strings.Contains(se.Detail, "context") {
 				return "timeout"
@@ -104,9 +102,10 @@ type Config struct {
 	// statements (Create Coalition / Create Service Link) that the remote
 	// interface intentionally restricts.
 	LocalCoDB *codb.CoDatabase
-	// Cache, when set, caches federation metadata (coalition member lists,
-	// source descriptors, peer probe results) across statements and
-	// sessions. Data queries are never cached. nil disables caching.
+	// Cache holds federation metadata (coalition member lists, source
+	// descriptors, peer probe results) across statements and sessions. Data
+	// queries are never cached. nil makes New build one with the default
+	// TTL, on the wall clock.
 	Cache *mdcache.Cache
 	// Alive reports whether a peer node is believed reachable — the gossip
 	// layer's failure detector, consulted by representative election so a
@@ -197,6 +196,9 @@ type Processor struct {
 func New(cfg Config) (*Processor, error) {
 	if cfg.ORB == nil || cfg.Local == nil || cfg.Home == "" {
 		return nil, fmt.Errorf("query: Config needs ORB, Local and Home")
+	}
+	if cfg.Cache == nil {
+		cfg.Cache = mdcache.New(mdcache.Options{})
 	}
 	p := &Processor{cfg: cfg, refs: make(map[string]*orb.ObjectRef)}
 	return p, nil

@@ -189,22 +189,11 @@ func (p *Processor) RelayProbe(ctx context.Context, topic string, members []codb
 	return results
 }
 
-// gossipInvalidatePrefixes are the cache-key families holding one peer's
-// answers; a gossip delta proving the peer's metadata moved drops them all.
-var gossipInvalidatePrefixes = []string{
-	"probe|", "findc|", "findl|", "coalitions|", "memberof|", "instances|", "links|", "access|",
-}
-
-// GossipApplied is the gossip agent's OnApply hook: record each applied
-// entry in the metadata cache under its version stamp (merge-by-version, so
-// a replayed delta can never regress the cached view — the invariant the
-// simulation checkers assert) and invalidate every cached answer previously
-// fetched from that peer, since the version bump proves them stale.
+// GossipApplied is the gossip agent's OnApply hook. The agent hands it only
+// entries strictly newer than its store held, so each one proves the peer's
+// metadata moved: every cached answer fetched from that peer is dropped.
 func (p *Processor) GossipApplied(entries []gossip.Entry) {
 	for _, e := range entries {
-		if !p.cfg.Cache.MergeVersioned("gossip|"+e.Node, e, e.Version) {
-			continue
-		}
 		if e.CoDBRef == "" {
 			continue
 		}
@@ -212,9 +201,6 @@ func (p *Processor) GossipApplied(entries []gossip.Entry) {
 		if err != nil {
 			continue
 		}
-		src := p.srcKey(client)
-		for _, prefix := range gossipInvalidatePrefixes {
-			p.cfg.Cache.InvalidatePrefix(prefix + src)
-		}
+		p.cfg.Cache.InvalidatePrefix(p.srcPrefix(client))
 	}
 }

@@ -3,8 +3,6 @@ package query_test
 import (
 	"context"
 	"testing"
-
-	"repro/internal/gossip"
 )
 
 // TestHierarchicalDiscoveryEquivalence builds the planner fixture twice and
@@ -90,38 +88,5 @@ func TestHierarchicalRelayFailover(t *testing.T) {
 	st := nodes[0].Processor.PlannerStats()
 	if st.RelayShards != 2 || st.RelayFailovers == 0 {
 		t.Fatalf("failover not recorded: %+v", st)
-	}
-}
-
-// TestGossipAppliedInvalidation drives the gossip OnApply hook directly: an
-// applied entry must land in the metadata cache under its version stamp, a
-// replayed older entry must be refused by the merge-by-version rule, and
-// unresolvable co-database references must be skipped without damage.
-func TestGossipAppliedInvalidation(t *testing.T) {
-	_, nodes := planFederation(t, 3, nil)
-	p := nodes[0].Processor
-	cache := nodes[0].MDCache
-
-	ref := nodes[1].Descriptor.CoDBRef
-	p.GossipApplied([]gossip.Entry{
-		{Node: "S1", Version: 40, CoDBRef: ref, Coalitions: []string{"C"}},
-		{Node: "S2", Version: 7}, // no ref: merged, nothing to invalidate
-		{Node: "SX", Version: 1, CoDBRef: "not-a-reference"},
-	})
-	merges := cache.Stats.Merges.Load()
-	if merges != 3 {
-		t.Fatalf("merges = %d, want 3", merges)
-	}
-	if _, ver, ok := cache.PeekVersioned("gossip|S1"); !ok || ver != 40 {
-		t.Fatalf("gossip|S1 = v%d ok=%v, want v40", ver, ok)
-	}
-
-	// A stale replay must bounce off the version stamp.
-	p.GossipApplied([]gossip.Entry{{Node: "S1", Version: 39, CoDBRef: ref}})
-	if rejects := cache.Stats.MergeRejects.Load(); rejects != 1 {
-		t.Fatalf("merge rejects = %d, want 1", rejects)
-	}
-	if _, ver, _ := cache.PeekVersioned("gossip|S1"); ver != 40 {
-		t.Fatalf("stale replay moved the version to %d", ver)
 	}
 }

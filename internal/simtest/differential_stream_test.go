@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cursor"
 	"repro/internal/gateway"
+	"repro/internal/orb"
 	"repro/internal/query"
 )
 
@@ -17,7 +19,10 @@ import (
 // The transport may only change how rows cross the wire, never the answer:
 // rows, columns, the Partial flag and per-member error classes must match
 // exactly, including under a mid-stream member death and a top-K early
-// termination that cancels open cursors.
+// termination that cancels open cursors. TestDifferentialStreamingRetry runs
+// the workload with retries on while the replies to a share of the requests
+// to one member are lost after the member received them: it must answer as
+// the healthy run did, or say the answer is partial.
 
 // buildStreamFed builds one half of a streaming differential pair. A small
 // merge window forces multi-fetch cursor traffic even on the small fixture.
@@ -125,6 +130,109 @@ func TestDifferentialStreaming(t *testing.T) {
 				t.Fatalf("streaming-off federation retained %d cursor(s)\n%s", openedOff, ReplayLine(seed))
 			}
 		})
+	}
+}
+
+// lossyRows is the per-node row count of the retry schedule: enough that a
+// member's answer spans several fetches (pages of 2, 4, 8, … rows), so a lost
+// reply can fall in the middle of a stream.
+const lossyRows = 16
+
+// TestDifferentialStreamingRetry is the streaming suite's retry schedule.
+// One federation per seed, with idempotent calls retried once, runs the
+// workload healthy and then twice more with node 0 losing the reply to about
+// a third of its requests to N2 after N2 has received them
+// (orb.FaultRule.ResetAfter). A retried open_cursor answers the same first
+// page, so it costs nothing; fetch_cursor names no page and is never retried,
+// so a lost fetch reply drops N2 by provenance and the answer is partial.
+// Either way no statement comes back silently short. The one thing a lost
+// open reply leaves behind is the cursor it opened, which no client knows
+// of: at most one per lost reply, and the idle reaper collects it.
+func TestDifferentialStreamingRetry(t *testing.T) {
+	for _, seed := range seedsUnderTest() {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runLossy(t, seed) })
+	}
+}
+
+func runLossy(t *testing.T, seed int64) {
+	live := gateway.LiveBatches()
+	fed, err := Build(Config{Seed: seed, Hetero: true, RowsPerNode: lossyRows, ORB: orb.Options{RetryAttempts: 2}})
+	if err != nil {
+		t.Fatalf("build: %v\n%s", err, ReplayLine(seed))
+	}
+	defer fed.Close()
+	fed.eachProcessor(func(p *query.Processor) { p.SetMergeWindow(2) })
+	ctx := context.Background()
+	healthy := map[string]diffOutcome{}
+	for _, stmt := range diffWorkload {
+		resp, err := fed.Nodes[0].Session.Execute(ctx, stmt)
+		if err != nil {
+			t.Fatalf("healthy %q: %v\n%s", stmt, err, ReplayLine(seed))
+		}
+		healthy[stmt] = outcomeOf(resp)
+	}
+
+	home := fed.Nodes[0].ORB
+	home.SetFaultPlan(&orb.FaultPlan{Seed: seed, Rules: []orb.FaultRule{
+		{Addr: fed.Nodes[2].ORB.Addr(), ResetAfter: 0.3},
+	}})
+	// Twice over, so lost replies land on more pages of more statements.
+	lossy := append(append([]string(nil), diffWorkload...), diffWorkload...)
+	partial := 0
+	// reapAll sweeps every idle cursor and reports how many cursors are open
+	// and how many the reaper has taken so far. Each statement closes every
+	// cursor it knows of, so all of them are orphans of lost open replies;
+	// an open can still be running on its server after its statement
+	// returned, which is why orphans are bounded by the lost replies of the
+	// whole run, not of one statement.
+	reapAll := func() (open int, reaped int64) {
+		fed.Clock.Advance(cursor.DefaultIdleTTL + time.Second)
+		for _, n := range fed.Nodes {
+			st := n.Core.CursorStats()
+			open, reaped = open+st.Open, reaped+st.Reaped
+			n.Core.ISICursors().Reap()
+		}
+		return open, reaped
+	}
+	for _, stmt := range lossy {
+		resp, err := fed.Nodes[0].Session.Execute(ctx, stmt)
+		if err != nil {
+			t.Fatalf("lossy %q: %v\n%s", stmt, err, ReplayLine(seed))
+		}
+		if resp.Partial {
+			partial++
+		}
+		if got := outcomeOf(resp); !resp.Partial && got != healthy[stmt] {
+			t.Fatalf("lost replies changed a complete answer to %q:\n  lossy  : %+v\n  healthy: %+v\n%s",
+				stmt, got, healthy[stmt], ReplayLine(seed))
+		}
+		for _, m := range resp.Members {
+			if m.Member != "N2" && !m.OK() && m.ErrClass != "limit" {
+				t.Fatalf("lossy %q: healthy member %s failed: %+v\n%s", stmt, m.Member, m, ReplayLine(seed))
+			}
+		}
+		if open, reaped := reapAll(); int64(open)+reaped > home.Stats.FaultsInjected.Load() {
+			t.Fatalf("after lossy %q: %d cursor(s) open and %d reaped, but only %d repl(ies) lost\n%s",
+				stmt, open, reaped, home.Stats.FaultsInjected.Load(), ReplayLine(seed))
+		}
+	}
+	// Every orphan is reaped once its open has run.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if open, _ := reapAll(); open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			break // noCursorsLeaked reports what is left
+		}
+	}
+	noCursorsLeaked(t, fed, live, "after the lossy run", seed)
+	t.Logf("lossy run: %d repl(ies) lost, %d call(s) retried, %d of %d answer(s) partial",
+		home.Stats.FaultsInjected.Load(), home.Stats.Retries.Load(), partial, len(lossy))
+	// Not vacuous: replies were lost, and some lost reply was retried.
+	if home.Stats.FaultsInjected.Load() == 0 || home.Stats.Retries.Load() == 0 {
+		t.Fatalf("lossy run lost %d repl(ies) and retried %d call(s); the schedule tested nothing\n%s",
+			home.Stats.FaultsInjected.Load(), home.Stats.Retries.Load(), ReplayLine(seed))
 	}
 }
 

@@ -53,10 +53,8 @@ func (f *Fed) GossipConverged() bool {
 
 // gossipMonotonicity checks the version-monotonicity invariant after every
 // gossip round: no store's view of any node may move backward (the
-// merge-by-version rule must be airtight even under re-delivered deltas), no
-// store may claim a version the authoritative co-database never issued, and
-// the mdcache "gossip|<node>" view maintained by the OnApply hook must agree
-// with the store it mirrors.
+// merge-by-version rule must be airtight even under re-delivered deltas), and
+// no store may claim a version the authoritative co-database never issued.
 type gossipMonotonicity struct {
 	fed  *Fed
 	auth map[string]int // node name -> index, for authoritative versions
@@ -87,16 +85,6 @@ func (m *gossipMonotonicity) Check() string {
 			}
 			if authVer := m.fed.Nodes[j].Core.CoDB.Version(); ver > authVer {
 				return fmt.Sprintf("%s: gossip view of %s at version %d, co-database only at %d", n.Name, name, ver, authVer)
-			}
-			val, cachedVer, ok := n.Core.MDCache.PeekVersioned("gossip|" + name)
-			if !ok {
-				continue // never applied through gossip (e.g. boot seed or self)
-			}
-			if cachedVer > ver {
-				return fmt.Sprintf("%s: mdcache holds %s at version %d ahead of store version %d", n.Name, name, cachedVer, ver)
-			}
-			if e, isEntry := val.(gossip.Entry); !isEntry || e.Version != cachedVer {
-				return fmt.Sprintf("%s: mdcache gossip entry for %s does not match its version stamp (%T)", n.Name, name, val)
 			}
 		}
 		m.last[i] = dig

@@ -23,7 +23,6 @@ func BenchmarkGossipConvergence(b *testing.B) {
 			Nodes:           64,
 			CoalitionSize:   8,
 			NoBaseCoalition: true,
-			GossipFanout:    3,
 			ORB:             orb.Options{MaxIdlePerHost: 1},
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gossip"
 	"repro/internal/orb"
 	"repro/internal/query"
 )
@@ -53,7 +54,6 @@ func TestGossipConvergence300(t *testing.T) {
 		Nodes:           nodes,
 		CoalitionSize:   8,
 		NoBaseCoalition: true,
-		GossipFanout:    3,
 		// One multiplexed connection per endpoint: 300 ORBs each gossiping
 		// with dozens of peers would otherwise pool thousands of idle
 		// simulated connections.
@@ -139,7 +139,6 @@ func gossipTrace(t *testing.T, seed int64) []string {
 		Nodes:           48,
 		CoalitionSize:   6,
 		NoBaseCoalition: true,
-		GossipFanout:    3,
 		ORB:             orb.Options{MaxIdlePerHost: 1},
 	})
 	if err != nil {
@@ -334,7 +333,7 @@ func TestGossipRepresentativeReelection(t *testing.T) {
 				if n.Idx == 1 {
 					continue
 				}
-				if b := (n.Core.Gossip.Store().SuspectAfter() + 1) * n.Core.Gossip.CycleLen(); b > bound {
+				if b := (gossip.SuspectAfter + 1) * n.Core.Gossip.CycleLen(); b > bound {
 					bound = b
 				}
 			}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/mdcache"
-	"repro/internal/orb"
 	"repro/internal/query"
 	"repro/internal/trace"
 )
@@ -59,29 +58,6 @@ func checkPartialAccounting(op Op, o *Oracle, resp *query.Response, fail func(st
 		}
 		if !m.OK() && m.Err == "" {
 			fail(inv, "member %s failed (%s) without an error message", m.Member, m.ErrClass)
-		}
-	}
-}
-
-// checkBreakerLegality asserts every circuit breaker is in a legal state.
-// The model federation configures no breaker policy, so its snapshots must
-// stay empty; the checker still validates the general state machine so it can
-// guard breaker-enabled scenarios too.
-func checkBreakerLegality(fed *Fed, fail func(string, string, ...any)) {
-	const inv = "breaker-legality"
-	for _, n := range fed.Nodes {
-		for addr, st := range n.ORB.BreakerSnapshot() {
-			switch st.State {
-			case orb.BreakerClosed, orb.BreakerOpen, orb.BreakerHalfOpen:
-			default:
-				fail(inv, "%s breaker for %s in unknown state %q", n.Name, addr, st.State)
-			}
-			if st.Failures < 0 {
-				fail(inv, "%s breaker for %s has negative failure count %d", n.Name, addr, st.Failures)
-			}
-			if st.State != orb.BreakerClosed {
-				fail(inv, "%s breaker for %s is %s with no breaker policy configured", n.Name, addr, st.State)
-			}
 		}
 	}
 }
@@ -153,14 +129,14 @@ func checkCacheCoherence(fed *Fed, o *Oracle, fail func(string, string, ...any))
 }
 
 // instancesKeyFor rebuilds the query processor's instances-cache key prefix
-// for a node's own co-database ("instances|<addr>/<objkey>|<coalition>").
+// for a node's own co-database ("<addr>/<objkey>|instances|<coalition>").
 func instancesKeyFor(n *Node) (string, error) {
 	ref, err := n.ORB.ResolveString(n.Core.Descriptor.CoDBRef)
 	if err != nil {
 		return "", err
 	}
 	ior := ref.IOR()
-	return "instances|" + ior.Addr() + "/" + ior.Key() + "|", nil
+	return ior.Addr() + "/" + ior.Key() + "|instances|", nil
 }
 
 func descriptorNames(ds []*codb.SourceDescriptor) string {

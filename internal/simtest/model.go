@@ -211,7 +211,6 @@ func runStep(fed *Fed, oracle *Oracle, step int, op Op, res *RunResult) string {
 	if resp != nil {
 		checkPartialAccounting(op, oracle, resp, fail)
 	}
-	checkBreakerLegality(fed, fail)
 	checkCursorsReleased(fed, fail)
 	if err == nil {
 		oracle.Apply(op)

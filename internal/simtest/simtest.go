@@ -2,7 +2,7 @@
 // assembles whole multi-node WebFINDIT federations in one process with zero
 // real sockets, generates seeded random topologies and workloads, checks
 // cross-cutting invariants after every step (trace continuity, partial-result
-// accounting, metadata-cache coherence, breaker legality), and runs a
+// accounting, metadata-cache coherence, cursors released), and runs a
 // model-based comparison of federation query results against a flat
 // in-memory oracle. Every failure banner includes a `-simnet.seed=N`
 // one-liner that replays the exact run: same seed, same event order, same
@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/core"
+	"repro/internal/mdcache"
 	"repro/internal/oodb"
 	"repro/internal/orb"
 	"repro/internal/query"
@@ -41,12 +42,9 @@ type Config struct {
 	// nodes (default 3).
 	Coalitions int
 	// ORB is the base option set for every node's ORB; Transport, Product
-	// and DisableColocation are overridden per node. Leave Retry/Breaker
-	// zero for an exact oracle (no retry/breaker state to model).
+	// and DisableColocation are overridden per node. Leave RetryAttempts
+	// zero for an exact oracle (no retry state to model).
 	ORB orb.Options
-	// MDCacheTTL overrides the metadata-cache TTL (default 2s). The cache
-	// runs on the simulation's virtual clock.
-	MDCacheTTL time.Duration
 	// Hetero cycles the nodes through the paper's engine set (Oracle, mSQL,
 	// ObjectStore, DB2, Ontos, Sybase) instead of all-Oracle, and makes node
 	// 1 a metadata-drift member: it runs mSQL but advertises Oracle, so the
@@ -73,12 +71,6 @@ type Config struct {
 	// membership at boot and make convergence (and the flat-baseline
 	// comparison) vacuous.
 	NoBaseCoalition bool
-	// GossipFanout is how many peers each node exchanges digests with per
-	// simulated gossip round (0 = agent default 3).
-	GossipFanout int
-	// GossipSuspectAfter is how many consecutive failed exchanges mark a
-	// peer dead in the failure detector (0 = default 2).
-	GossipSuspectAfter int
 }
 
 // Node is one federation participant: its simulated host, ORB and core node.
@@ -98,7 +90,6 @@ type Fed struct {
 	Tracer *trace.Tracer
 	Nodes  []*Node
 	Seed   int64
-	TTL    time.Duration
 
 	// Members is the initial topology: coalition name -> member indexes,
 	// in index order. The oracle evolves its own copy as the workload
@@ -121,16 +112,12 @@ func Build(cfg Config) (*Fed, error) {
 	if cfg.Coalitions <= 0 {
 		cfg.Coalitions = 3
 	}
-	if cfg.MDCacheTTL <= 0 {
-		cfg.MDCacheTTL = 2 * time.Second
-	}
 	snet := simnet.New(cfg.Seed)
 	fed := &Fed{
 		Net:    snet,
 		Clock:  snet.Clock(),
 		Tracer: trace.New(trace.Options{Capacity: 8192}),
 		Seed:   cfg.Seed,
-		TTL:    cfg.MDCacheTTL,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	products := []orb.Product{orb.Orbix, orb.OrbixWeb, orb.VisiBroker}
@@ -164,13 +151,10 @@ func Build(cfg Config) (*Fed, error) {
 					Table: "r", ResultColumn: "k", ArgColumn: "v",
 				}},
 			}},
-			Clock:        fed.Clock.Now,
-			MDCacheTTL:   cfg.MDCacheTTL,
-			GossipFanout: cfg.GossipFanout,
+			Clock: fed.Clock.Now,
 			// Each agent shuffles its peer ring from its own stream, derived
 			// from the run seed so replaying a seed replays every walk.
-			GossipSeed:         cfg.Seed*1009 + int64(i) + 1,
-			GossipSuspectAfter: cfg.GossipSuspectAfter,
+			GossipSeed: cfg.Seed*1009 + int64(i) + 1,
 		}
 		if cfg.Hetero {
 			nc.Engine = heteroEngines[i%len(heteroEngines)]
@@ -260,7 +244,7 @@ func (f *Fed) HealAll() { f.Net.HealAll() }
 // every blind-TTL (peer) cache entry. The model runner calls it between
 // steps so no peer metadata is carried across steps and the oracle stays
 // exact; version-verified local entries revalidate for free either way.
-func (f *Fed) AdvanceTTL() { f.Clock.Advance(f.TTL + time.Millisecond) }
+func (f *Fed) AdvanceTTL() { f.Clock.Advance(mdcache.DefaultTTL + time.Millisecond) }
 
 // heteroEngines is the cycle Config.Hetero assigns over node indexes: the
 // paper's four relational vendors interleaved with its two object engines.
