@@ -97,9 +97,12 @@ race:
 # stress-cursors repeats the cursor, stream and iterator tests twenty times
 # under the race detector. A cursor's lifetime spans engine state, the idle
 # reaper and concurrent writers, so its tests are the ones a single pass is
-# least likely to catch misbehaving.
+# least likely to catch misbehaving. The fan-out, member-call and semi-join
+# tests ride along: which parked worker runs a member call, and when one
+# idles out, are decided by goroutine interleavings too.
 stress-cursors:
 	$(GO) test -race -count=20 -run 'Cursor|Stream|Iter' ./internal/cursor ./internal/gateway ./internal/relational ./internal/oodb ./internal/query
+	$(GO) test -race -count=20 -run 'FanOut|CallMembers|SemiJoin' ./internal/query
 
 # stress-orb repeats the connection tests fifty times under the race
 # detector: multiplexed calls, pipelining, chaos, fragments, the framed

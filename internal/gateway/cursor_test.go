@@ -18,6 +18,7 @@ import (
 	"repro/internal/cdr"
 	"repro/internal/cursor"
 	"repro/internal/idl"
+	"repro/internal/oodb"
 	"repro/internal/orb"
 	"repro/internal/relational"
 )
@@ -82,15 +83,16 @@ func TestRemoteQueryCursorBatches(t *testing.T) {
 	rconn, tb := startISIPair(t)
 	ctx := context.Background()
 
-	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students ORDER BY name", 2)
+	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students ORDER BY name", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cols := it.Columns(); len(cols) != 1 || cols[0] != "name" {
 		t.Fatalf("columns = %v", cols)
 	}
-	// 3 rows over batch 2: the open carries 2, one fetch carries the last,
-	// so a cursor is retained server-side until the stream is drained.
+	// 3 rows over batch 1: the open carries 1, one fetch carries the last 2
+	// (they fit in twice the 2-row page due), so a cursor is retained
+	// server-side until the stream is drained.
 	if tb.table.OpenCount() != 1 {
 		t.Fatalf("open cursors after open = %d", tb.table.OpenCount())
 	}
@@ -110,8 +112,8 @@ func TestRemoteQueryCursorBatches(t *testing.T) {
 		}
 		b.Release()
 	}
-	if len(pages) != 2 || pages[0] != 2 || pages[1] != 1 {
-		t.Fatalf("page sizes = %v, want [2 1]", pages)
+	if len(pages) != 2 || pages[0] != 1 || pages[1] != 2 {
+		t.Fatalf("page sizes = %v, want [1 2]", pages)
 	}
 	if strings.Join(names, ",") != "J. Chen,P. Okoye,S. Weiss" {
 		t.Fatalf("streamed rows = %v", names)
@@ -124,6 +126,81 @@ func TestRemoteQueryCursorBatches(t *testing.T) {
 	}
 	if _, err := it.Next(ctx); err == nil {
 		t.Fatal("Next on closed iterator succeeded")
+	}
+}
+
+// TestCursorShortResultLeavesInTheOpenReply is the tail rule over the ISI, on
+// both engines: a 72-row index window at batch 64 answers in the open reply,
+// done, with no cursor left on the server, while a 2 000-row walk that no
+// index answers (a LIKE) still pages 64/128/256/512/1 024 and the rest, one
+// round trip each.
+func TestCursorShortResultLeavesInTheOpenReply(t *testing.T) {
+	objects := oodb.NewDB("SEQ")
+	if _, err := objects.DefineClass("r", "",
+		oodb.Attribute{Name: "k", Type: oodb.AttrString}, oodb.Attribute{Name: "v", Type: oodb.AttrInt}); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 2000; j++ {
+		if _, err := objects.NewObject("r", map[string]any{"k": fmt.Sprint("x", j), "v": int64(j)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := seqTable(t, 2000)
+	for q, access := range map[string]string{
+		"SELECT v FROM r WHERE v >= 100 AND v < 172":   "index range r_v(v) [100, 172)",
+		"SELECT v FROM r WHERE k LIKE 'x%' AND v >= 9": "seq scan r",
+	} {
+		res, err := db.Query("EXPLAIN " + q)
+		if err != nil || !strings.Contains(fmt.Sprint(res.Rows), access) {
+			t.Fatalf("EXPLAIN %s = %v, %v; want %q", q, res, err, access)
+		}
+	}
+	for _, engine := range []struct {
+		name string
+		conn Conn
+	}{{"Oracle", &relConn{db: db}}, {"ObjectStore", &ooConn{db: objects}}} {
+		servant, table := NewISIServant(engine.conn, engine.name, "SEQ", nil)
+		rconn, server := serveISI(t, servant)
+		for _, tc := range []struct {
+			q     string
+			pages []int
+			open  int // cursors the open leaves on the server
+		}{
+			{"SELECT v FROM r WHERE v >= 100 AND v < 172", []int{72}, 0},
+			{"SELECT v FROM r WHERE k LIKE 'x%' AND v >= 9", []int{64, 128, 256, 512, 1024, 7}, 1},
+		} {
+			ctx := context.Background()
+			served := server.Stats.RequestsServed.Load()
+			it, err := rconn.QueryCursor(ctx, tc.q, 64)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", engine.name, tc.q, err)
+			}
+			if n := table.OpenCount(); n != tc.open {
+				t.Errorf("%s: %s: %d cursor(s) open after the open, want %d", engine.name, tc.q, n, tc.open)
+			}
+			var pages []int
+			for {
+				b, err := it.Next(ctx)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				pages = append(pages, b.Len())
+				b.Release()
+			}
+			it.Close()
+			if !slices.Equal(pages, tc.pages) {
+				t.Errorf("%s: %s pages as %v, want %v", engine.name, tc.q, pages, tc.pages)
+			}
+			if n := server.Stats.RequestsServed.Load() - served; n != int64(len(tc.pages)) {
+				t.Errorf("%s: %s took %d round trip(s) for %d page(s)", engine.name, tc.q, n, len(tc.pages))
+			}
+			if n := table.OpenCount(); n != 0 {
+				t.Errorf("%s: %s left %d cursor(s) open", engine.name, tc.q, n)
+			}
+		}
 	}
 }
 
@@ -230,12 +307,13 @@ func TestRemoteCursorAtCapAnswersWhole(t *testing.T) {
 var updateGolden = flag.Bool("update", false, "rewrite testdata/open_cursor_wire.golden")
 
 // TestOpenCursorReplyGolden pins the open_cursor reply: its fields, in order,
-// and its CDR bytes for a first page that leaves a cursor open. A change to
-// either is a change to the ISI's wire format.
+// and its CDR bytes for a first page that leaves a cursor open (one row of
+// three: two left are more than twice the one-row page, so the tail rule
+// keeps the cursor). A change to either is a change to the ISI's wire format.
 func TestOpenCursorReplyGolden(t *testing.T) {
 	servant, table := NewISIServant(openOracle(t), "Oracle", "RBH", nil)
 	a, err := servant.Invoke("open_cursor", []idl.Any{
-		idl.String("SELECT student_id, name, year FROM medical_students ORDER BY student_id"), idl.Long(2)})
+		idl.String("SELECT student_id, name, year FROM medical_students ORDER BY student_id"), idl.Long(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,6 +128,7 @@ type relRows struct{ rows *relational.Rows }
 var relChunks = sync.Pool{New: func() any { return new(relational.Chunk) }}
 
 func (s relRows) held() int { return s.rows.Held() }
+func (s relRows) left() int { return s.rows.Left() }
 func (s relRows) close()    { s.rows.Close() }
 func (s relRows) fill(b *Batch, most int) (bool, error) {
 	ch := relChunks.Get().(*relational.Chunk)
@@ -249,6 +250,7 @@ type ooRows struct{ rows *oodb.Rows }
 var ooChunks = sync.Pool{New: func() any { return new(oodb.Chunk) }}
 
 func (s ooRows) held() int { return 0 }
+func (s ooRows) left() int { return s.rows.Left() }
 func (s ooRows) close()    { s.rows.Close() }
 func (s ooRows) fill(b *Batch, most int) (bool, error) {
 	ch := ooChunks.Get().(*oodb.Chunk)

@@ -134,8 +134,8 @@ type cursorState interface {
 }
 
 // localIter is the RowIter of the in-process connections: it asks its source
-// for one batch at a time, sized on the page growth schedule (see
-// MaxPageRows), and holds nothing itself between two of them.
+// for one batch at a time, sized on the page growth schedule and its tail
+// rule (see MaxPageRows), and holds nothing itself between two of them.
 type localIter struct {
 	cols []string
 	page int // rows of the next batch; 0: all that are left
@@ -151,6 +151,7 @@ type batchSource interface {
 	// last. Only a last fill may add none.
 	fill(b *Batch, most int) (done bool, err error)
 	held() int // rows held materialised for later fills
+	left() int // an upper bound on the rows later fills return
 	close()
 }
 
@@ -163,8 +164,12 @@ func (it *localIter) Next(context.Context) (*Batch, error) {
 		return nil, io.EOF
 	}
 	b := newBatch(len(it.cols))
+	most := it.page
+	if most > 0 && it.src.left() <= min(2*most, MaxPageRows) {
+		most = 0
+	}
 	var err error
-	if it.done, err = it.src.fill(b, it.page); err != nil || b.rows == 0 {
+	if it.done, err = it.src.fill(b, most); err != nil || b.rows == 0 {
 		b.Release()
 		if err == nil {
 			err = io.EOF
@@ -180,6 +185,7 @@ func (it *localIter) Next(context.Context) (*Batch, error) {
 type boxedRows struct{ rows [][]idl.Any }
 
 func (s *boxedRows) held() int { return len(s.rows) }
+func (s *boxedRows) left() int { return len(s.rows) }
 func (s *boxedRows) close()    { s.rows = nil }
 func (s *boxedRows) fill(b *Batch, most int) (bool, error) {
 	n := len(s.rows)
@@ -220,10 +226,11 @@ type Conn interface {
 	// buffers every row at both ends of the wire.
 	Query(ctx context.Context, q string) (*Result, error)
 	// QueryCursor runs a read-only query and returns a pull-based iterator
-	// over its rows. batchSize is the first batch's row count; later batches
-	// double up to MaxPageRows, so a short result costs little and a long one
-	// few round trips where the transport streams (batchSize <= 0 fetches
-	// everything in one batch). The caller must Close the iterator.
+	// over its rows. batchSize is the first batch's row count, or up to twice
+	// that when that is all there is; later batches double up to MaxPageRows,
+	// so a short result costs little and a long one few round trips where the
+	// transport streams (batchSize <= 0 fetches everything in one batch). The
+	// caller must Close the iterator.
 	QueryCursor(ctx context.Context, q string, batchSize int) (RowIter, error)
 	Close() error
 }

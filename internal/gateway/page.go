@@ -13,8 +13,11 @@ import (
 // MaxPageRows is where cursor pages stop growing: the first page of a cursor
 // holds the batch size its client asked for, every later page twice its
 // predecessor, up to this many rows (the relational engine's vector size).
-// The schedule depends on nothing but the rows served, so the same statement
-// always pages the same way.
+// The tail rule cuts it short: when the engine's bound on the rows left is at
+// most twice the page due and at most MaxPageRows, that page holds them all,
+// so a short result costs the open alone. The schedule depends on nothing
+// but the rows served and that bound: a statement over the same data always
+// pages the same way.
 const MaxPageRows = 1024
 
 // nextPageRows is the page growth schedule. A first page above MaxPageRows

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cdr"
 	"repro/internal/idl"
+	"repro/internal/relational"
 )
 
 // batchOf builds one batch from row-major rows, the way a connection holding
@@ -154,41 +155,106 @@ func TestBatchKeepNarrowsInOrder(t *testing.T) {
 
 // TestPagedIterGrowthSchedule: the first batch is what the caller asked for,
 // each later one doubles up to MaxPageRows, and the schedule depends on
-// nothing but the rows served.
+// nothing but the rows served and the source's bound on the rows left. The
+// tail rule: when that bound is at most twice the batch due (and at most
+// MaxPageRows) the batch takes every row left, so no page of the schedule
+// grows past MaxPageRows, and a LIMIT caps the bound.
 func TestPagedIterGrowthSchedule(t *testing.T) {
-	rows := make([][]idl.Any, 5000)
-	for i := range rows {
-		rows[i] = []idl.Any{idl.Long(int64(i))}
-	}
-	res := &Result{Columns: []string{"v"}, Rows: rows}
-	for _, tc := range []struct {
-		batch int
-		want  []int
-	}{
-		{0, []int{5000}},
-		{64, []int{64, 128, 256, 512, 1024, 1024, 1024, 968}},
-		{3, []int{3, 6, 12, 24, 48, 96, 192, 384, 768, 1024, 1024, 1024, 395}},
-		{2000, []int{2000, 2000, 1000}},
-	} {
-		it := NewResultIter(res, tc.batch)
+	pages := func(t *testing.T, it RowIter) []int {
+		t.Helper()
+		defer it.Close()
 		var got []int
 		next := int64(0)
 		for {
 			b, err := it.Next(context.Background())
 			if err == io.EOF {
-				break
+				return got
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 			got = append(got, b.Len())
 			if b.Value(0, 0).Int != next {
-				t.Fatalf("batch %d: page starts at row %d, want %d", tc.batch, b.Value(0, 0).Int, next)
+				t.Fatalf("page starts at row %d, want %d", b.Value(0, 0).Int, next)
 			}
 			next += int64(b.Len())
 			b.Release()
 		}
+	}
+	for _, tc := range []struct {
+		rows, batch int
+		want        []int
+	}{
+		{5000, 0, []int{5000}},
+		{5000, 64, []int{64, 128, 256, 512, 1024, 1024, 1024, 968}},
+		{5000, 3, []int{3, 6, 12, 24, 48, 96, 192, 384, 768, 1024, 1024, 1024, 395}},
+		{5000, 2000, []int{2000, 2000, 1000}},
+		// A remainder of at most twice the batch due is one page.
+		{72, 64, []int{72}},
+		{128, 64, []int{128}},
+		{300, 64, []int{64, 236}},
+		{3, 1, []int{1, 2}},
+		// A larger remainder follows the schedule.
+		{129, 64, []int{64, 65}},
+		{500, 64, []int{64, 128, 308}},
+		// The remainder that ends a schedule never exceeds MaxPageRows.
+		{1024, 600, []int{1024}},
+		{1025, 600, []int{600, 425}},
+		{2049, 1024, []int{1024, 1024, 1}},
+		{3008, 64, []int{64, 128, 256, 512, 1024, 1024}},
+	} {
+		rows := make([][]idl.Any, tc.rows)
+		for i := range rows {
+			rows[i] = []idl.Any{idl.Long(int64(i))}
+		}
+		got := pages(t, NewResultIter(&Result{Columns: []string{"v"}, Rows: rows}, tc.batch))
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("batch %d pages as %v, want %v", tc.batch, got, tc.want)
+			t.Errorf("%d rows at batch %d page as %v, want %v", tc.rows, tc.batch, got, tc.want)
+		}
+		for _, n := range got {
+			if tc.batch > 0 && tc.batch <= MaxPageRows && n > MaxPageRows {
+				t.Errorf("%d rows at batch %d: a %d-row page", tc.rows, tc.batch, n)
+			}
 		}
 	}
+
+	// A LIMIT caps the engine's bound: 100 of 5 000 rows are one page at
+	// batch 64, and 200 or 300 of them page as they would over 200 or 300
+	// rows, the bound taken again after every page.
+	conn := &relConn{db: seqTable(t, 5000)}
+	for _, tc := range []struct {
+		q    string
+		want []int
+	}{
+		{"SELECT v FROM r LIMIT 100", []int{100}},
+		{"SELECT v FROM r LIMIT 200", []int{64, 136}},
+		{"SELECT v FROM r LIMIT 300", []int{64, 236}},
+		{"SELECT v FROM r", []int{64, 128, 256, 512, 1024, 1024, 1024, 968}},
+	} {
+		it, err := conn.QueryCursor(context.Background(), tc.q, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pages(t, it); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s pages as %v, want %v", tc.q, got, tc.want)
+		}
+	}
+}
+
+// seqTable is an Oracle database whose table r holds the rows (k, v) =
+// ('x<j>', j) for j below n, with an index on v.
+func seqTable(t *testing.T, n int) *relational.Database {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT);\nCREATE INDEX r_v ON r (v);\n")
+	for j := 0; j < n; j++ {
+		fmt.Fprintf(&b, "INSERT INTO r VALUES ('x%d', %d);\n", j, j)
+	}
+	db := relational.NewDatabase("SEQ", relational.DialectOracle)
+	if _, err := db.ExecScript(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // TestDecodePageRefusesHostileInput: every count, offset and bitmap length in

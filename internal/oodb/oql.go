@@ -216,6 +216,10 @@ func (r *Rows) Columns() []string { return r.cols }
 // Close ends the iteration: the scan never resumes.
 func (r *Rows) Close() { r.ids = nil }
 
+// Left is an upper bound on the rows Next has still to return: the candidates
+// not visited yet, which writes can only make fewer.
+func (r *Rows) Left() int { return len(r.ids) }
+
 // Next fills ch, which must have one vector per result column, with the next
 // rows of the result, at most most of them (most <= 0: all that are left), and
 // reports whether they were the last: done is exact, so a consumer never has

@@ -239,6 +239,75 @@ func TestIndexCursorUnderWrites(t *testing.T) {
 	}
 }
 
+// TestIteratorLeftIsABound: Left never promises fewer rows than the iterator
+// still returns, at open or after any page, at pages 1, 7 and 64, whatever is
+// written between two pages: objects created (in an index's range too),
+// deleted, and set into and out of a cursor's range. On a database nobody
+// writes, an index cursor's bound at open is exact.
+func TestIteratorLeftIsABound(t *testing.T) {
+	for q, tight := range map[string]bool{
+		"SELECT v FROM r DEEP WHERE v >= 0":                    false, // the extent
+		"SELECT k FROM r":                                      false, // shallow: passes over rr
+		"SELECT v FROM r DEEP WHERE v >= 300 AND v < 420":      true,  // index span
+		"SELECT v FROM r DEEP WHERE v = 777":                   true,
+		"SELECT v FROM r DEEP WHERE v < 100 AND k LIKE 'x-1%'": false,
+	} {
+		for _, page := range []int{1, 7, 64} {
+			rng := rand.New(rand.NewSource(int64(page)))
+			db := newScanDB(t, 1200)
+			_, want, err := Query(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := QueryRows(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tight && rows.Left() != len(want) {
+				t.Errorf("%q: Left at open = %d, the result has %d rows", q, rows.Left(), len(want))
+			}
+			write := func() {
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					id := 1 + rng.Int63n(1200)
+					var err error
+					switch rng.Intn(4) {
+					case 0:
+						err = db.Delete(id)
+					case 1:
+						err = db.Set(id, "v", int64(300+rng.Intn(120)))
+					case 2:
+						_, err = db.NewObject("r", map[string]any{"k": "x-1new", "v": int64(rng.Intn(1200))})
+					default:
+						err = db.Set(id, "v", int64(5000))
+					}
+					if err != nil && !strings.Contains(err.Error(), "no object") { // deleted before
+						t.Fatal(err)
+					}
+				}
+			}
+			// bounds[k] is Left once k pages were read, before[k] the rows they
+			// held; the writer runs after each is taken.
+			var bounds, before []int
+			ch := &Chunk{Cols: make([][]any, len(rows.Columns()))}
+			returned := 0
+			for done := false; !done; {
+				bounds, before = append(bounds, rows.Left()), append(before, returned)
+				write()
+				done = rows.Next(ch, page)
+				returned += ch.N
+			}
+			if rows.Left() != 0 {
+				t.Errorf("%q at page %d: Left = %d once done", q, page, rows.Left())
+			}
+			for k, b := range bounds {
+				if still := returned - before[k]; b < still {
+					t.Fatalf("%q at page %d: Left after %d page(s) = %d, but %d more row(s) came", q, page, k, b, still)
+				}
+			}
+		}
+	}
+}
+
 // TestIteratorOpenScansAPage: the first page of a cursor over a large extent
 // looks at a page's worth of objects, and a closed cursor scans nothing.
 func TestIteratorOpenScansAPage(t *testing.T) {

@@ -1,7 +1,5 @@
 package query
 
-import "hash/fnv"
-
 // bloomFilter is the compressed form of a semi-join key set: when the build
 // side yields more distinct keys than the exact-push threshold, the
 // coordinator tests probe rows against this filter first and consults the
@@ -35,15 +33,22 @@ func newBloomFilter(n, bitsPerKey int) *bloomFilter {
 	return &bloomFilter{words: make([]uint64, bits/64), bits: bits, k: k}
 }
 
-// hashPair derives the two independent hash values double hashing composes:
-// probe i tests bit (h1 + i*h2) mod bits.
-func bloomHashPair(key string) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h1 := h.Sum64()
-	h.Write([]byte{0xff})
-	h2 := h.Sum64() | 1 // odd, so probes cycle the whole table
-	return h1, h2
+// FNV-1a, 64-bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// bloomHashPair derives the two independent hash values double hashing
+// composes: probe i tests bit (h1 + i*h2) mod bits. h1 is the key's FNV-1a
+// hash, h2 that of the key followed by 0xff.
+func bloomHashPair[K string | []byte](key K) (uint64, uint64) {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime64
+	}
+	h2 := (h ^ 0xff) * fnvPrime64
+	return h, h2 | 1 // odd, so probes cycle the whole table
 }
 
 // Add inserts a canonical key.
@@ -56,7 +61,7 @@ func (f *bloomFilter) Add(key string) {
 }
 
 // MayContain reports whether the key might be in the set; false is definite.
-func (f *bloomFilter) MayContain(key string) bool {
+func (f *bloomFilter) MayContain(key []byte) bool {
 	h1, h2 := bloomHashPair(key)
 	for i := 0; i < f.k; i++ {
 		bit := (h1 + uint64(i)*h2) % f.bits

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,32 +14,25 @@ import (
 // defaultFanOut is the worker-pool width used until SetFanOut says otherwise.
 // Member calls are dominated by IIOP round trips (I/O, not CPU), so the pool
 // is wider than the core count.
-func defaultFanOut() int {
-	n := 2 * runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	return n
-}
+func defaultFanOut() int { return max(2*runtime.GOMAXPROCS(0), 8) }
 
-// fanOutCtx runs fn(0..n-1) on at most workers goroutines and returns when
-// all calls have finished. Callers write results into index-addressed
-// slices, which keeps result ordering deterministic regardless of completion
-// order. workers <= 0 selects the default width; workers == 1 degenerates to
-// a plain serial loop. Once the context ends, no further indices are handed
-// out — in-flight calls finish (they observe the same context through their
-// own plumbing), but undispatched work is skipped. Callers detect skipped
-// indices by their untouched result slots.
-func fanOutCtx(ctx context.Context, n, workers int, fn func(int)) {
+// fanOut runs fn(0..n-1) on at most the processor's fan-out width of workers
+// and returns when all calls have finished. Callers write results into
+// index-addressed slices, which keeps result ordering deterministic
+// regardless of completion order. A width <= 0 selects the default; a width
+// of 1 degenerates to a plain serial loop. Once the context ends, no further
+// indices are handed out — in-flight calls finish (they observe the same
+// context through their own plumbing), but undispatched work is skipped.
+// Callers detect skipped indices by their untouched result slots.
+func (p *Processor) fanOut(ctx context.Context, n int, fn func(int)) {
 	if n == 0 {
 		return
 	}
+	workers := p.fanOutWidth()
 	if workers <= 0 {
 		workers = defaultFanOut()
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
@@ -51,13 +45,14 @@ func fanOutCtx(ctx context.Context, n, workers int, fn func(int)) {
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
+	loop := func() {
+		defer wg.Done()
+		for i := range idx {
+			fn(i)
+		}
+	}
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
+		p.workers.run(loop)
 	}
 dispatch:
 	for i := 0; i < n; i++ {
@@ -74,6 +69,69 @@ dispatch:
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// Warm fan-out workers. Fan-out worker loops (and a merge's dispatch loop)
+// run on parked workers, goroutines that ran an earlier loop, when any are
+// idle, so a member call runs on a stack an earlier call already grew instead
+// of growing a new one a copy at a time. At most maxParkedWorkers (four
+// statements' worth of default-width fan-outs) park at once, and one parked
+// for idleWorkerTTL exits: far longer than a busy session's gap between
+// statements, well inside the 2 s the leak tests wait.
+const (
+	maxParkedWorkers = 32
+	idleWorkerTTL    = 500 * time.Millisecond
+)
+
+// workerPool lists a processor's parked workers by their hand-off channels.
+// The last parked is handed the next loop, so the least used ones idle out.
+type workerPool struct {
+	mu     sync.Mutex
+	parked []chan func()
+}
+
+// run runs loop on a parked worker, or on a new goroutine when none is.
+func (wp *workerPool) run(loop func()) {
+	wp.mu.Lock()
+	if n := len(wp.parked); n > 0 {
+		w := wp.parked[n-1]
+		wp.parked = wp.parked[:n-1]
+		wp.mu.Unlock()
+		w <- loop
+		return
+	}
+	wp.mu.Unlock()
+	go wp.worker(loop)
+}
+
+// worker runs loop, then parks for the next one unless maxParkedWorkers are
+// parked already, and exits once it has been parked for idleWorkerTTL.
+func (wp *workerPool) worker(loop func()) {
+	next := make(chan func(), 1) // a hand-off never waits for the worker
+	idle := time.NewTimer(idleWorkerTTL)
+	for {
+		loop()
+		wp.mu.Lock()
+		if len(wp.parked) >= maxParkedWorkers {
+			wp.mu.Unlock()
+			return
+		}
+		wp.parked = append(wp.parked, next)
+		wp.mu.Unlock()
+		idle.Reset(idleWorkerTTL)
+		select {
+		case loop = <-next:
+		case <-idle.C:
+			wp.mu.Lock()
+			if i := slices.Index(wp.parked, next); i >= 0 {
+				wp.parked = slices.Delete(wp.parked, i, i+1)
+				wp.mu.Unlock()
+				return
+			}
+			wp.mu.Unlock()
+			loop = <-next // taken off the list by a hand-off under way
+		}
+	}
 }
 
 // The member-call primitive. Every call the query layer makes to another
@@ -110,14 +168,14 @@ type memberFan struct {
 // and returns when all calls have finished. Statuses must start as
 // notDispatched: members the pool never reaches because ctx ended keep it.
 func (p *Processor) callMembers(ctx context.Context, statuses []MemberStatus, f *memberFan) {
-	fanOutCtx(ctx, len(statuses), p.fanOutWidth(), func(i int) {
+	p.fanOut(ctx, len(statuses), func(i int) {
 		p.callMember(ctx, &statuses[i], i, f)
 	})
 }
 
 // callSome is callMembers restricted to the statuses listed in idx.
 func (p *Processor) callSome(ctx context.Context, statuses []MemberStatus, idx []int, f *memberFan) {
-	fanOutCtx(ctx, len(idx), p.fanOutWidth(), func(j int) {
+	p.fanOut(ctx, len(idx), func(j int) {
 		p.callMember(ctx, &statuses[idx[j]], idx[j], f)
 	})
 }

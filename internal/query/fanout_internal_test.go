@@ -3,6 +3,9 @@ package query
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,6 +162,122 @@ func TestCallMembersNotDispatched(t *testing.T) {
 				t.Errorf("width %d: %+v, want skipped/not dispatched", width, st)
 			}
 		}
+	}
+}
+
+// parkedCount reports how many of a processor's fan-out workers are parked.
+func (wp *workerPool) parkedCount() int {
+	wp.mu.Lock()
+	defer wp.mu.Unlock()
+	return len(wp.parked)
+}
+
+// waitParked waits until exactly n of p's fan-out workers are parked.
+func waitParked(t *testing.T, p *Processor, n int) {
+	t.Helper()
+	deadline := time.Now().Add(idleWorkerTTL + 2*time.Second)
+	for p.workers.parkedCount() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fan-out worker(s) parked, want %d", p.workers.parkedCount(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFanOutWorkersAreReused: a fan-out's worker loops run on the workers an
+// earlier fan-out parked, so no goroutine is started for them, and the
+// workers park again when it is done.
+func TestFanOutWorkersAreReused(t *testing.T) {
+	const width = 4
+	p := &Processor{}
+	p.SetFanOut(width)
+	// fan runs width calls that wait for one another, so each runs on a
+	// worker of its own, and reports how many workers were parked while all
+	// of them ran.
+	fan := func() int {
+		var started sync.WaitGroup
+		started.Add(width)
+		release := make(chan struct{})
+		var parked atomic.Int32
+		p.fanOut(context.Background(), width, func(i int) {
+			started.Done()
+			started.Wait()
+			if i == 0 {
+				parked.Store(int32(p.workers.parkedCount()))
+				close(release)
+			}
+			<-release
+		})
+		return int(parked.Load())
+	}
+	fan()
+	waitParked(t, p, width)
+	goroutines := runtime.NumGoroutine()
+	if n := fan(); n != 0 {
+		t.Errorf("%d worker(s) stayed parked while the second fan-out ran %d calls at once", n, width)
+	}
+	waitParked(t, p, width)
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the second fan-out, %d after the first", n, goroutines)
+	}
+}
+
+// TestFanOutWorkersBounded: however many statements fan out at once, no more
+// than maxParkedWorkers workers are ever parked, every call runs, and once
+// the statements stop every parked worker exits within idleWorkerTTL.
+func TestFanOutWorkersBounded(t *testing.T) {
+	const statements, rounds, members, width = 12, 20, 16, 8 // 96 workers at once, three times the cap
+	p := &Processor{}
+	p.SetFanOut(width)
+	baseline := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	var peak atomic.Int32
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := int32(p.workers.parkedCount()); n > peak.Load() {
+				peak.Store(n)
+			}
+			runtime.Gosched()
+		}
+	}()
+	var statementsDone sync.WaitGroup
+	for s := 0; s < statements; s++ {
+		statementsDone.Add(1)
+		go func() {
+			defer statementsDone.Done()
+			for r := 0; r < rounds; r++ {
+				var ran atomic.Int32
+				p.fanOut(context.Background(), members, func(int) {
+					ran.Add(1)
+					time.Sleep(50 * time.Microsecond)
+				})
+				if ran.Load() != members {
+					t.Errorf("a fan-out ran %d of %d calls", ran.Load(), members)
+				}
+			}
+		}()
+	}
+	statementsDone.Wait()
+	close(stop)
+	sampler.Wait()
+	if n := peak.Load(); n > maxParkedWorkers || n == 0 {
+		t.Errorf("parked workers peaked at %d, the cap is %d", n, maxParkedWorkers)
+	}
+	waitParked(t, p, 0)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines once the workers went idle, %d before the statements", n, baseline)
 	}
 }
 

@@ -126,11 +126,11 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 	ms.ctx = mergeCtx
 	ms.fan = memberFan{span: "query.member:", sess: s, layer: "data", what: "member ",
 		call: func(ctx context.Context, i int, sp *trace.Span) error { return s.runMember(ctx, ms, i, sp) }}
-	go func() {
+	s.p.workers.run(func() {
 		defer close(ms.fanDone)
 		// A member's channel closes after callMember returns, when its status
 		// is final — which is what lets Next read the status race-free.
-		fanOutCtx(mergeCtx, n, s.p.fanOutWidth(), func(i int) {
+		s.p.fanOut(mergeCtx, n, func(i int) {
 			s.p.callMember(mergeCtx, &ms.statuses[i], i, &ms.fan)
 			close(ms.chans[i])
 		})
@@ -141,7 +141,7 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 				close(ms.chans[i])
 			}
 		}
-	}()
+	})
 	return ms
 }
 
@@ -201,42 +201,73 @@ func (ms *mergeStream) releasePage() {
 	}
 }
 
-// drainAll consumes the stream to its end, closes it, and returns the
-// [source, value] rows of the members that answered: rows delivered by a
-// member that failed mid-stream are dropped by provenance (a materialized
-// merge never sees a failed member's rows). The rows are cut from one slab
-// per page, since the caller keeps them all.
-func (ms *mergeStream) drainAll() [][]idl.Any {
-	var rows [][]idl.Any
-	var memberOf []int
-	var slab []idl.Any
+// drain consumes the stream to its end and closes it, handing add each value
+// with its member (first: the member's first value). Members are read one
+// after another, so once the merge has moved past a member that failed
+// mid-stream, and before any later member's value is added, drop is called
+// to take back what add built from that member's values: a materialized
+// merge never sees a failed member's rows.
+func (ms *mergeStream) drain(add func(v idl.Any, m int, first bool), drop func()) {
+	from := -1
+	settle := func() {
+		if from >= 0 && !ms.statuses[from].OK() {
+			drop()
+		}
+	}
 	for {
 		v, m, ok := ms.Next()
 		if !ok {
 			break
+		}
+		first := m != from
+		if first {
+			settle() // from's status is final: Next has moved past its channel
+			from = m
+		}
+		add(v, m, first)
+	}
+	ms.Close()
+	settle()
+}
+
+// drainAll drains the stream into the [source, value] rows of the members
+// that answered, cut from one slab per page, since the caller keeps them all.
+func (ms *mergeStream) drainAll() [][]idl.Any {
+	var rows [][]idl.Any
+	var slab []idl.Any
+	start := 0 // the first row of the member being read
+	ms.drain(func(v idl.Any, m int, first bool) {
+		if first {
+			start = len(rows)
 		}
 		if len(slab)+2 > cap(slab) {
 			slab = make([]idl.Any, 0, 2*(ms.page.Len()-ms.pos+1))
 		}
 		slab = append(slab, ms.names[m], v)
 		rows = append(rows, slab[len(slab)-2:len(slab):len(slab)])
-		memberOf = append(memberOf, m)
-	}
-	ms.Close()
-	dropped := false
-	for i := range ms.statuses {
-		dropped = dropped || !ms.statuses[i].OK() && ms.delivered[i] > 0
-	}
-	if !dropped {
-		return rows
-	}
-	kept := rows[:0]
-	for k, row := range rows {
-		if ms.statuses[memberOf[k]].OK() {
-			kept = append(kept, row)
+	}, func() { rows = rows[:start] })
+	return rows
+}
+
+// drainKeys drains the stream into the key set (appendKey) of the values of
+// the members that answered, each key with the first value that had it: what
+// drainAll's rows would give, without building them.
+func (ms *mergeStream) drainKeys() map[string]idl.Any {
+	keys := make(map[string]idl.Any)
+	var added []string // the keys the member being read added
+	ms.drain(func(v idl.Any, _ int, first bool) {
+		if first {
+			added = added[:0]
 		}
-	}
-	return kept
+		if k, ok := addKey(keys, v); ok {
+			added = append(added, k)
+		}
+	}, func() {
+		for _, k := range added {
+			delete(keys, k)
+		}
+	})
+	return keys
 }
 
 // Close abandons or finalises the stream: outstanding member sub-calls are

@@ -183,7 +183,8 @@ type Processor struct {
 	sjKeyLimit  atomic.Int32 // 0 = defaultSemiJoinKeyLimit
 	subcoalN    atomic.Int32 // 0 = defaultSubCoalitionSize, negative = flat only
 
-	stats plannerCounters
+	stats   plannerCounters
+	workers workerPool // parked fan-out workers (fanOut)
 
 	// Resolved object references keyed by stringified IOR, co-databases and
 	// ISIs alike (resolveRef), so neither discovery nor a member call parses

@@ -76,7 +76,7 @@ func (p *Processor) relayRoute(ctx context.Context, s *Session, topic string, si
 	// Shards relay concurrently; each shard's relay chain runs serially
 	// (representative, then failover candidates).
 	failed := make([][]int, len(shards))
-	fanOutCtx(ctx, len(shards), p.fanOutWidth(), func(si int) {
+	p.fanOut(ctx, len(shards), func(si int) {
 		shard := shards[si]
 		if !p.relayShard(ctx, s, topic, shard, probes, statuses) {
 			failed[si] = shard

@@ -346,16 +346,17 @@ func TestStreamBoundsCoordinatorBuffering(t *testing.T) {
 }
 
 // TestMemberSpansReportPages: one statement's trace shows what each member
-// shipped and in how many round trips — 300 rows behind a 64-row first page
-// are pages of 64, 128 and 108.
+// shipped and in how many round trips — 500 rows behind a 64-row first page
+// are pages of 64, 128 and 308 (the last 308 fit in twice the 256-row page
+// due, so no fourth page carries their tail).
 func TestMemberSpansReportPages(t *testing.T) {
-	const members = 2
-	nodes := streamFederation(t, members, 300, 64)
+	const members, rows = 2, 500
+	nodes := streamFederation(t, members, rows, 64)
 	tr := trace.New(trace.Options{Capacity: 256})
 	ctx, root := tr.StartSpan(context.Background(), "test")
 	resp, err := nodes[0].NewSession().Execute(ctx, `V(R.K) On Coalition C;`)
 	root.End(err)
-	if err != nil || len(resp.Result.Rows) != members*300 {
+	if err != nil || len(resp.Result.Rows) != members*rows {
 		t.Fatalf("scan: %d rows, %v", len(resp.Result.Rows), err)
 	}
 	seen := 0
@@ -368,10 +369,10 @@ func TestMemberSpansReportPages(t *testing.T) {
 		for _, a := range sp.Attrs {
 			attrs[a.Key] = a.Value
 		}
-		if attrs["pages"] != "3" || attrs["rows"] != "300" {
-			t.Errorf("%s: pages=%q rows=%q, want 3 and 300", sp.Name, attrs["pages"], attrs["rows"])
+		if attrs["pages"] != "3" || attrs["rows"] != strconv.Itoa(rows) {
+			t.Errorf("%s: pages=%q rows=%q, want 3 and %d", sp.Name, attrs["pages"], attrs["rows"], rows)
 		}
-		if n, err := strconv.Atoi(attrs["bytes"]); err != nil || n < 300*8 {
+		if n, err := strconv.Atoi(attrs["bytes"]); err != nil || n < rows*8 {
 			t.Errorf("%s: bytes=%q, want the size of three pages", sp.Name, attrs["bytes"])
 		}
 	}

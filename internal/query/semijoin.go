@@ -56,50 +56,54 @@ func estimatedSelectivity(preds []wtl.Condition) float64 {
 	return sel
 }
 
-// canonicalKey renders a result value as the string the semi-join keys on.
-// All numeric kinds normalize into one space (5, 5.0 and long(5) are the
-// same key, matching the engines' cross-kind numeric comparisons); NULL has
-// no key — SQL three-valued logic says NULL matches nothing, engine-side IN
-// and coordinator filter alike.
-func canonicalKey(v idl.Any) (string, bool) {
+// appendKey appends the string the semi-join keys a result value on to buf.
+// All numeric kinds normalize into one space (5, 5.0 and long(5) are the same
+// key, matching the engines' cross-kind numeric comparisons); NULL has no key
+// — SQL three-valued logic says NULL matches nothing, engine-side IN and
+// coordinator filter alike. A lookup as m[string(key)] does not allocate.
+func appendKey(buf []byte, v idl.Any) ([]byte, bool) {
 	switch v.Kind {
 	case idl.KindString:
-		return "s:" + v.Str, true
+		return append(append(buf, "s:"...), v.Str...), true
 	case idl.KindBool:
 		if v.Bool {
-			return "b:1", true
+			return append(buf, "b:1"...), true
 		}
-		return "b:0", true
+		return append(buf, "b:0"...), true
 	case idl.KindOctet, idl.KindShort, idl.KindUShort, idl.KindLong,
 		idl.KindULong, idl.KindLongLong, idl.KindULongLong:
-		return "n:" + strconv.FormatInt(v.Int, 10), true
+		return strconv.AppendInt(append(buf, "n:"...), v.Int, 10), true
 	case idl.KindFloat, idl.KindDouble:
 		if v.Float == math.Trunc(v.Float) && math.Abs(v.Float) < 1e15 {
-			return "n:" + strconv.FormatInt(int64(v.Float), 10), true
+			return strconv.AppendInt(append(buf, "n:"...), int64(v.Float), 10), true
 		}
-		return "n:" + strconv.FormatFloat(v.Float, 'g', -1, 64), true
+		return strconv.AppendFloat(append(buf, "n:"...), v.Float, 'g', -1, 64), true
 	}
-	return "", false // NULL and aggregate kinds are never join keys
+	return buf, false // NULL and aggregate kinds are never join keys
 }
+
+// keyBuf is the stack buffer a key is built in; longer keys spill to the heap.
+type keyBuf [64]byte
 
 // semiJoinFilter is the coordinator-side key test applied to every probe row
 // (merge.go applies it after residual compensation, before the merge
 // window). The exact set is always consulted, so the answer is exact whether
 // or not the Bloom prefilter or an engine-side IN push also ran.
 type semiJoinFilter struct {
-	exact map[string]struct{}
-	bloom *bloomFilter // optional prefilter for large key sets
+	exact map[string]idl.Any // the build side's key set, read only
+	bloom *bloomFilter       // optional prefilter for large key sets
 }
 
 func (f *semiJoinFilter) admit(v idl.Any) bool {
-	key, ok := canonicalKey(v)
+	var buf keyBuf
+	key, ok := appendKey(buf[:0], v)
 	if !ok {
 		return false
 	}
 	if f.bloom != nil && !f.bloom.MayContain(key) {
 		return false
 	}
-	_, hit := f.exact[key]
+	_, hit := f.exact[string(key)]
 	return hit
 }
 
@@ -137,16 +141,13 @@ func keyLiterals(keys map[string]idl.Any) ([]wtl.KeyLiteral, bool) {
 // the reference mode or when the keys are unpushable. The returned filter is
 // never nil — exactness never depends on the pushdown mode.
 func (s *Session) semiJoinPushdown(plan *queryPlan, keys map[string]idl.Any) (*semiJoinFilter, []*fragmentExec) {
-	filter := &semiJoinFilter{exact: make(map[string]struct{}, len(keys))}
-	for k := range keys {
-		filter.exact[k] = struct{}{}
-	}
+	filter := &semiJoinFilter{exact: keys}
 	if !s.p.semiJoinOn() || len(keys) == 0 {
 		return filter, nil
 	}
 	if len(keys) > s.p.semiJoinKeyLimit() {
 		bf := newBloomFilter(len(keys), semiJoinBloomBits)
-		for k := range filter.exact {
+		for k := range keys {
 			bf.Add(k)
 		}
 		filter.bloom = bf
@@ -184,32 +185,47 @@ type sideResult struct {
 	degraded int
 }
 
+// addKey adds v's key to keys, with v as its representative, unless v has no
+// key or its key is there already; it returns the key it added.
+func addKey(keys map[string]idl.Any, v idl.Any) (string, bool) {
+	var buf keyBuf
+	key, ok := appendKey(buf[:0], v)
+	if !ok {
+		return "", false
+	}
+	if _, dup := keys[string(key)]; dup {
+		return "", false
+	}
+	k := string(key)
+	keys[k] = v
+	return k, true
+}
+
 // drainSide executes one side of the join to completion through the
 // streaming merge (filter and overrides apply when the side is a probe) and
 // enforces the member quorum — a side that cannot answer fails the whole
-// statement, exactly as the same query would fail standalone. drainAll drops
-// the rows of a member that later failed, so the key set is as deterministic
-// as a materialized merge's answer.
+// statement, exactly as the same query would fail standalone. A side whose
+// rows are not kept drains to its key set alone (drainKeys). Either way the
+// keys of a member that failed mid-stream are dropped, so the key set is as
+// deterministic as a materialized merge's answer.
 func (s *Session) drainSide(ctx context.Context, plan *queryPlan, filter *semiJoinFilter, overrides []*fragmentExec, keepRows bool) (*sideResult, error) {
 	ms := s.newMergeStream(ctx, plan, 0, filter, overrides)
-	rows := ms.drainAll()
-	res := &sideResult{statuses: ms.statuses, cols: ms.mergedColumns(), moved: ms.rowsMoved}
+	res := &sideResult{}
+	if keepRows {
+		res.rows = ms.drainAll()
+		res.keys = make(map[string]idl.Any)
+		for _, row := range res.rows {
+			addKey(res.keys, row[1])
+		}
+	} else {
+		res.keys = ms.drainKeys()
+	}
+	res.statuses, res.cols, res.moved = ms.statuses, ms.mergedColumns(), ms.rowsMoved
 	answered, degraded, firstErr := ms.tally()
 	if err := ms.quorumErr(plan.Coalition, answered, firstErr); err != nil {
 		return nil, err
 	}
 	res.degraded = degraded
-	res.keys = make(map[string]idl.Any)
-	for _, row := range rows {
-		if key, ok := canonicalKey(row[1]); ok {
-			if _, dup := res.keys[key]; !dup {
-				res.keys[key] = row[1]
-			}
-		}
-	}
-	if keepRows {
-		res.rows = rows
-	}
 	return res, nil
 }
 
@@ -272,12 +288,13 @@ func (s *Session) semiJoinSwapped(ctx context.Context, q *wtl.FuncQuery, outerPl
 	// inner.keys is already the intersection: the filter admitted only inner
 	// rows whose key the outer produced.
 	merged := &gateway.Result{Columns: outer.cols}
+	var buf keyBuf
 	for _, row := range outer.rows {
-		key, ok := canonicalKey(row[1])
+		key, ok := appendKey(buf[:0], row[1])
 		if !ok {
 			continue
 		}
-		if _, hit := inner.keys[key]; !hit {
+		if _, hit := inner.keys[string(key)]; !hit {
 			continue
 		}
 		merged.Rows = append(merged.Rows, row)

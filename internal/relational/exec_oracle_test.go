@@ -217,6 +217,7 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT nosuch FROM emp",
 		"SELECT eno FROM emp WHERE SUM(sal) > 0",
 		"SELECT eno FROM emp ORDER BY 9",
+		"SELECT eno FROM emp ORDER BY 0",
 	}
 	for _, q := range corpus {
 		checkSameResult(t, vec, row, q)

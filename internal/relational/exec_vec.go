@@ -359,7 +359,7 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 	exprs := items
 	keys := make([]int, len(s.OrderBy))
 	aliasOf := aliasMap(items)
-	badOrdinal := 0
+	badOrdinal := -1 // ORDER BY 0 is out of range too; literals have no sign
 	for i, oi := range s.OrderBy {
 		if cr, ok := oi.Expr.(*ColRef); ok && cr.Table == "" {
 			if ord, hit := aliasOf[strings.ToLower(cr.Name)]; hit {
@@ -382,7 +382,7 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 	if err != nil {
 		return nil, err
 	}
-	if badOrdinal != 0 && rel.n > 0 { // the interpreter checks it per row
+	if badOrdinal >= 0 && rel.n > 0 { // the interpreter checks it per row
 		return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", badOrdinal)
 	}
 	return sortRel(rel, keys, s.OrderBy, len(items)), nil

@@ -48,12 +48,19 @@ type Chunk struct {
 // reaches it (so an index walk passes over one updated out of its keys or
 // range, and never sees one updated into them).
 type Rows struct {
-	w    *walk
-	done bool
+	w     *walk
+	bound int // Left's answer, as of open or the last Next
+	done  bool
 }
 
 // Columns names the result columns.
 func (r *Rows) Columns() []string { return r.w.names }
+
+// Left is an upper bound on the rows Next has still to return: the walk's
+// unvisited candidates (index row IDs, table slots below the high-water mark,
+// or held rows) less the OFFSET left, capped by the LIMIT left. It is taken
+// at open and after every Next; writes in between only remove candidates.
+func (r *Rows) Left() int { return r.bound }
 
 // Held is the number of rows a blocking operator built at open and the
 // iterator has not returned yet: 0 for a walk over a table, and for any walk
@@ -69,6 +76,7 @@ func (r *Rows) Held() int {
 // simply never resumes.
 func (r *Rows) Close() {
 	r.done = true
+	r.bound = 0
 	r.w.src.rel = nil
 }
 
@@ -103,6 +111,8 @@ func (r *Rows) Next(ch *Chunk, most int) (done bool, err error) {
 	}
 	if w.done {
 		r.Close()
+	} else {
+		r.bound = w.remaining()
 	}
 	return r.done, nil
 }
@@ -138,7 +148,7 @@ func (db *Database) openRows(stmt Statement) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{w: w}, nil
+	return &Rows{w: w, bound: w.remaining()}, nil
 }
 
 // source is where a walk's rows come from: a table's slots (ids nil), the
@@ -376,6 +386,17 @@ func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 	}
 	w.done = true
 	return nil
+}
+
+// remaining is Rows.Left's bound for a walk that is not done. The caller
+// holds the database lock.
+func (w *walk) remaining() int {
+	pos, end := w.src.bounds(w.from)
+	n := max(end-pos-w.skip, 0)
+	if w.left >= 0 {
+		n = min(n, w.left)
+	}
+	return n
 }
 
 // drain runs the walk to its end and returns what it projects, column i

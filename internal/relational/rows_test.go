@@ -246,6 +246,88 @@ func TestIteratorUnderWrites(t *testing.T) {
 	}
 }
 
+// TestIteratorLeftIsABound: Left never promises fewer rows than the iterator
+// still returns, at open or after any page, at pages 1, 7 and 64, whatever is
+// written between two pages: inserts (into index keys too), deletes (now and
+// then enough to compact) and updates into and out of a walk's keys. On a
+// table nobody writes, an index walk's and a held relation's bound at open is
+// exact, which is what lets a short result leave in one page.
+func TestIteratorLeftIsABound(t *testing.T) {
+	exact := map[string]bool{
+		"SELECT id FROM t WHERE v >= 0":                 false, // table slots
+		"SELECT id FROM t WHERE s = 's1' LIMIT 10":      false,
+		"SELECT id FROM t LIMIT 70 OFFSET 60":           true,
+		"SELECT id FROM t WHERE v = 3":                  true, // index lookup
+		"SELECT id FROM t WHERE v >= 3 AND v < 5":       true, // index range
+		"SELECT id FROM t WHERE v IN (1, 3)":            true, // index probe
+		"SELECT id FROM t WHERE v = 3 AND s = 's0'":     false,
+		"SELECT id, v FROM t ORDER BY v, id":            true, // held
+		"SELECT v, COUNT(*) FROM t GROUP BY v LIMIT 30": true,
+	}
+	for q, tight := range exact {
+		for _, page := range []int{1, 7, 64} {
+			rng := rand.New(rand.NewSource(int64(page)))
+			db, _ := randDB(t, int64(page), 600)
+			if _, err := db.Exec("CREATE INDEX t_v ON t (v)"); err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := db.QueryRows(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tight && rows.Left() != len(want.Rows) {
+				t.Errorf("%q: Left at open = %d, the result has %d rows", q, rows.Left(), len(want.Rows))
+			}
+			nextNew := 5000
+			write := func() {
+				for i := 0; i < 2; i++ {
+					if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 's0')", nextNew, rng.Intn(20))); err != nil {
+						t.Fatal(err)
+					}
+					nextNew++
+				}
+				if _, err := db.Exec(fmt.Sprintf("UPDATE t SET v = %d WHERE id = %d", rng.Intn(20), rng.Intn(600))); err != nil {
+					t.Fatal(err)
+				}
+				n := 1 + rng.Intn(8)
+				if rng.Intn(4) == 0 {
+					n = 75
+				}
+				for i := 0; i < n; i++ {
+					if _, err := db.Exec(fmt.Sprintf("DELETE FROM t WHERE id = %d", rng.Intn(600))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// bounds[k] is Left once k pages were read, before[k] the rows they
+			// held; the writer runs after each is taken.
+			var bounds, before []int
+			ch := &Chunk{Cols: make([][]Value, len(rows.Columns()))}
+			returned := 0
+			for done := false; !done; {
+				bounds, before = append(bounds, rows.Left()), append(before, returned)
+				write()
+				if done, err = rows.Next(ch, page); err != nil {
+					t.Fatal(err)
+				}
+				returned += ch.N
+			}
+			if rows.Left() != 0 {
+				t.Errorf("%q at page %d: Left = %d once done", q, page, rows.Left())
+			}
+			for k, b := range bounds {
+				if still := returned - before[k]; b < still {
+					t.Fatalf("%q at page %d: Left after %d page(s) = %d, but %d more row(s) came", q, page, k, b, still)
+				}
+			}
+		}
+	}
+}
+
 // TestIteratorOpenScansAPage: opening a cursor on a large table and taking its
 // first page looks at a page's worth of slots, not at the table; closing it
 // stops the scan for good.

@@ -134,9 +134,11 @@ func TestDifferentialStreaming(t *testing.T) {
 }
 
 // lossyRows is the per-node row count of the retry schedule: enough that a
-// member's answer spans several fetches (pages of 2, 4, 8, … rows), so a lost
-// reply can fall in the middle of a stream.
-const lossyRows = 16
+// member's answer spans several fetches (pages of 2, 4, 8, 16, 32 and the
+// last 34, which fit in twice the 64-row page due), so a lost reply can fall
+// in the middle of a stream, and enough requests reach N2 that every seed
+// also loses the reply to a call that is retried.
+const lossyRows = 96
 
 // TestDifferentialStreamingRetry is the streaming suite's retry schedule.
 // One federation per seed, with idempotent calls retried once, runs the
