@@ -48,11 +48,12 @@ sim:
 # sim-scale runs the large-topology gossip scenarios on their own, verbosely
 # and under the race detector: the 300-node convergence proof (cold start and
 # one-mutation dissemination in O(log N) rounds, message count below the flat
-# fan-out baseline), the gossip determinism replay, and representative
-# re-election. Replay one failing seed with:
+# fan-out baseline), the gossip determinism replay, representative
+# re-election, and the bounded staleness of cached peer metadata across two
+# coalitions joined only by service links. Replay one failing seed with:
 #   go test ./internal/simtest -run TestGossipConvergence300 -simnet.seed=N
 sim-scale:
-	$(GO) test -race -v -run 'TestGossipConvergence300|TestGossipDeterministicReplay|TestGossipRepresentativeReelection|TestDifferentialHierarchy' ./internal/simtest
+	$(GO) test -race -v -run 'TestGossipConvergence300|TestGossipDeterministicReplay|TestGossipRepresentativeReelection|TestDifferentialHierarchy|TestBoundedStalenessAcrossLinkedCoalitions' ./internal/simtest
 
 # fuzz-smoke runs every fuzz target briefly: enough to catch regressions on
 # the checked-in corpus plus a short random walk, without a full campaign.
@@ -99,10 +100,13 @@ race:
 # reaper and concurrent writers, so its tests are the ones a single pass is
 # least likely to catch misbehaving. The fan-out, member-call and semi-join
 # tests ride along: which parked worker runs a member call, and when one
-# idles out, are decided by goroutine interleavings too.
+# idles out, are decided by goroutine interleavings too. So do the metadata
+# cache and gossip tests: a fetch racing a gossip apply, and coalesced readers
+# racing a version move, are interleavings as well.
 stress-cursors:
 	$(GO) test -race -count=20 -run 'Cursor|Stream|Iter' ./internal/cursor ./internal/gateway ./internal/relational ./internal/oodb ./internal/query
 	$(GO) test -race -count=20 -run 'FanOut|CallMembers|SemiJoin' ./internal/query
+	$(GO) test -race -count=20 -run 'Cache|Gossip|Fresh' ./internal/mdcache ./internal/gossip ./internal/query
 
 # stress-orb repeats the connection tests fifty times under the race
 # detector: multiplexed calls, pipelining, chaos, fragments, the framed

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/giop"
+	"repro/internal/gossip"
 	"repro/internal/idl"
 	"repro/internal/mdcache"
 	"repro/internal/medworld"
@@ -411,6 +412,7 @@ func buildSlowFed(b *testing.B, n int, delay time.Duration) *query.Processor {
 		Home:      "slow-home",
 		Local:     codb.NewClient(o.Resolve(codbIOR)),
 		LocalCoDB: home,
+		Gossip:    codb.NewGossipAgent(o, gossip.Config{}),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -517,6 +519,7 @@ func buildFaultFed(b *testing.B, n int, delay time.Duration) (*query.Processor, 
 		Home:      "fault-home",
 		Local:     codb.NewClient(client.Resolve(codbIOR)),
 		LocalCoDB: home,
+		Gossip:    codb.NewGossipAgent(client, gossip.Config{}),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -563,7 +566,8 @@ func BenchmarkCoalitionFanOutFaults(b *testing.B) {
 // buildDiscoveryFed wires a home co-database whose coalition lists n peer
 // members, each peer's co-database served from its own ORB — so stage-3
 // discovery probes are genuine IIOP round trips, the traffic the metadata
-// cache absorbs.
+// cache absorbs. Every peer answers gossip, so the home processor learns it
+// on the first probe and caches its answers from then on.
 func buildDiscoveryFed(b *testing.B, n int, cache *mdcache.Cache) *query.Processor {
 	b.Helper()
 	o := orb.New(orb.Options{Product: orb.Orbix})
@@ -586,14 +590,19 @@ func buildDiscoveryFed(b *testing.B, n int, cache *mdcache.Cache) *query.Process
 		if err := peer.DefineCoalition(fmt.Sprintf("Peer-%02d", i), "", "peer records"); err != nil {
 			b.Fatal(err)
 		}
-		ior, err := po.Activate("CoDatabase/"+name, codb.NewServant(peer))
+		var ref string
+		agent := codb.NewGossipAgent(po, gossip.Config{Self: func() gossip.Entry {
+			return gossip.Entry{Node: name, Version: peer.Version(), CoDBRef: ref}
+		}})
+		ior, err := po.Activate("CoDatabase/"+name, codb.NewServantWith(peer, codb.ServantOptions{Gossip: agent}))
 		if err != nil {
 			b.Fatal(err)
 		}
+		ref = orb.Stringify(ior)
 		d := &codb.SourceDescriptor{
 			Name:    name,
 			Engine:  core.EngineMSQL,
-			CoDBRef: orb.Stringify(ior),
+			CoDBRef: ref,
 		}
 		if err := home.AddMember("DiscTopic", d); err != nil {
 			b.Fatal(err)
@@ -609,6 +618,7 @@ func buildDiscoveryFed(b *testing.B, n int, cache *mdcache.Cache) *query.Process
 		Local:     codb.NewClient(o.Resolve(codbIOR)),
 		LocalCoDB: home,
 		Cache:     cache,
+		Gossip:    codb.NewGossipAgent(o, gossip.Config{}),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -644,7 +654,7 @@ func BenchmarkDiscoveryCached(b *testing.B) {
 		run(b, mdcache.New(mdcache.Options{TTL: time.Hour}))
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
-		p := buildDiscoveryFed(b, peers, mdcache.New(mdcache.Options{TTL: time.Hour}))
+		p := buildDiscoveryFed(b, peers, mdcache.New(mdcache.Options{}))
 		if _, err := p.NewSession().Execute(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}

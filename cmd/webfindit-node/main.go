@@ -37,8 +37,9 @@
 // node runs them, with constant thresholds (cursor pages 64 rows growing to
 // 1024, IN lists up to 64 keys then a 10-bits-per-key Bloom filter,
 // sub-coalitions above 32 members). So are the ISI cursor table's limits (32
-// open cursors, reaped after 2 idle minutes), the metadata cache's TTLs (2s,
-// 250ms for errors) and entry cap (4096), gossip's pacing (3 peers a round,
+// open cursors, reaped after 2 idle minutes), the metadata cache's 250ms TTL
+// for errors (answers are kept until gossip moves their source's version) and
+// entry cap (4096), gossip's pacing (3 peers a round,
 // one round a second, a peer dead after 2 failed exchanges) and the GIOP
 // fragment size (256 KiB). The keys that used to set any of these, and the
 // two of the circuit breaker (removed: a refused dial already fails fast, and

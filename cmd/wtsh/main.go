@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/codb"
+	"repro/internal/gossip"
 	"repro/internal/medworld"
 	"repro/internal/orb"
 	"repro/internal/query"
@@ -67,8 +68,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The shell's own gossip agent supplies the versions its metadata
+		// cache verifies against: it learns the remote co-database (and the
+		// peers it knows) on first use and keeps their versions current.
+		agent := codb.NewGossipAgent(o, gossip.Config{})
+		ctx, stop := context.WithCancel(context.Background())
+		defer stop()
+		go agent.Start(ctx)
 		p, err := query.New(query.Config{
-			ORB: o, Home: *home, Local: codb.NewClient(ref),
+			ORB: o, Home: *home, Local: codb.NewClient(ref), Gossip: agent,
 		})
 		if err != nil {
 			log.Fatal(err)

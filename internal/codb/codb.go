@@ -30,9 +30,9 @@ type CoDatabase struct {
 	db        *oodb.DB
 	ownerDesc *SourceDescriptor
 	// version is the monotonic schema version: every successful mutation of
-	// the coalition lattice, membership or link set bumps it. Remote caches
-	// compare it (via the servant's cheap version() op) to revalidate entries
-	// without refetching member lists.
+	// the coalition lattice, membership or link set bumps it. Gossip carries
+	// it to every peer, and metadata caches serve an answer only while its
+	// source's version is the one the answer was fetched under.
 	version atomic.Uint64
 }
 

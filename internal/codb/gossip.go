@@ -3,7 +3,9 @@ package codb
 import (
 	"context"
 
+	"repro/internal/gossip"
 	"repro/internal/idl"
+	"repro/internal/orb"
 )
 
 // This file holds the client side of the co-database's scale-out operations:
@@ -11,6 +13,29 @@ import (
 // two-level discovery relay (relay_probe). The gossip payloads are opaque
 // byte strings whose layout is owned by internal/gossip; this package only
 // moves them across the ORB.
+
+// NewGossipAgent builds a gossip agent whose exchanges are gossip_pull and
+// gossip_push calls on peers' co-databases through o, sent as housekeeping so
+// they stay out of the ORB's per-statement call counts. cfg's Exchange and
+// Push are replaced.
+func NewGossipAgent(o *orb.ORB, cfg gossip.Config) *gossip.Agent {
+	cfg.Exchange = func(ctx context.Context, ref string, digest []byte) ([]byte, []byte, error) {
+		r, err := o.ResolveString(ref)
+		if err != nil {
+			return nil, nil, err
+		}
+		return NewClient(r).GossipPull(orb.WithHousekeeping(ctx), digest)
+	}
+	cfg.Push = func(ctx context.Context, ref string, delta []byte) error {
+		r, err := o.ResolveString(ref)
+		if err != nil {
+			return err
+		}
+		_, err = NewClient(r).GossipPush(orb.WithHousekeeping(ctx), delta)
+		return err
+	}
+	return gossip.New(cfg)
+}
 
 // RelayTarget names one sub-coalition member the coordinator wants probed:
 // the member's federation name plus its co-database reference.
@@ -27,7 +52,6 @@ type RelayResult struct {
 	Name     string
 	ErrClass string // empty on success; "timeout"/"comm"/... on failure
 	Err      string // human-readable detail for the trace
-	Stale    bool   // the representative served an expired cache entry (degraded)
 	Coals    []Match
 	Links    []Match
 }
@@ -68,7 +92,6 @@ func relayResultToAny(r RelayResult) idl.Any {
 		idl.F("name", idl.String(r.Name)),
 		idl.F("errclass", idl.String(r.ErrClass)),
 		idl.F("err", idl.String(r.Err)),
-		idl.F("stale", idl.Bool(r.Stale)),
 		idl.F("coals", matchesToAny(r.Coals)),
 		idl.F("links", matchesToAny(r.Links)),
 	)
@@ -78,12 +101,10 @@ func relayResultToAny(r RelayResult) idl.Any {
 func RelayResultFromAny(a idl.Any) RelayResult {
 	coals, _ := a.Get("coals")
 	links, _ := a.Get("links")
-	stale, _ := a.Get("stale")
 	return RelayResult{
 		Name:     a.GetString("name"),
 		ErrClass: a.GetString("errclass"),
 		Err:      a.GetString("err"),
-		Stale:    stale.Bool,
 		Coals:    matchesFromAny(coals),
 		Links:    matchesFromAny(links),
 	}

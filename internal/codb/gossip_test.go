@@ -38,8 +38,8 @@ func (f *fakeExchanger) HandlePush(delta []byte) (int, error) {
 
 // TestGossipOpsOverIIOP exercises gossip_pull, gossip_push and relay_probe
 // through the ORB: opaque payloads must cross untouched in both directions,
-// and relay results must round-trip every field (error class, staleness,
-// match lists) positionally.
+// and relay results must round-trip every field (error class, detail, match
+// lists) positionally.
 func TestGossipOpsOverIIOP(t *testing.T) {
 	ex := &fakeExchanger{delta: []byte("\x00DELTA\xff"), digest: []byte("DIGEST"), applied: 3}
 	var relayTopic string
@@ -49,7 +49,7 @@ func TestGossipOpsOverIIOP(t *testing.T) {
 		Relay: func(ctx context.Context, topic string, members []RelayTarget) []RelayResult {
 			relayTopic, relayTargets = topic, members
 			return []RelayResult{
-				{Name: members[0].Name, Stale: true, Coals: []Match{
+				{Name: members[0].Name, Coals: []Match{
 					{Coalition: "Medical", Score: 0.5, Via: "local", CoDBRef: "IOR:abc"},
 				}, Links: []Match{
 					{Coalition: "Insurance", Score: 1, Via: "link:m2i"},
@@ -91,12 +91,12 @@ func TestGossipOpsOverIIOP(t *testing.T) {
 		t.Fatalf("results = %+v", results)
 	}
 	a, b := results[0], results[1]
-	if a.Name != "A" || !a.Stale || a.ErrClass != "" ||
+	if a.Name != "A" || a.ErrClass != "" ||
 		len(a.Coals) != 1 || a.Coals[0] != (Match{Coalition: "Medical", Score: 0.5, Via: "local", CoDBRef: "IOR:abc"}) ||
 		len(a.Links) != 1 || a.Links[0].Coalition != "Insurance" {
 		t.Fatalf("result A did not round-trip: %+v", a)
 	}
-	if b.Name != "B" || b.ErrClass != "comm" || b.Err != "peer down" || b.Stale || len(b.Coals) != 0 {
+	if b.Name != "B" || b.ErrClass != "comm" || b.Err != "peer down" || len(b.Coals) != 0 {
 		t.Fatalf("result B did not round-trip: %+v", b)
 	}
 }

@@ -15,7 +15,6 @@ var IDL = idl.MustParse(`
 module WebFINDIT {
     interface CoDatabase {
         string owner();
-        unsigned long long version();
         sequence<any> find_coalitions(in string topic);
         sequence<any> find_links(in string topic);
         sequence<any> coalitions();
@@ -102,9 +101,6 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 	}
 	on("owner", func(args []idl.Any) (idl.Any, error) {
 		return idl.String(cd.Owner()), nil
-	})
-	on("version", func(args []idl.Any) (idl.Any, error) {
-		return idl.Any{Kind: idl.KindULongLong, Int: int64(cd.Version())}, nil
 	})
 	on("find_coalitions", func(args []idl.Any) (idl.Any, error) {
 		matches := cd.FindCoalitions(args[0].Str)
@@ -298,17 +294,6 @@ func (c *Client) matches(ctx context.Context, op, topic string) ([]Match, error)
 		out = append(out, MatchFromAny(item))
 	}
 	return out, nil
-}
-
-// Version returns the remote co-database's monotonic schema version. It is
-// the cheapest possible metadata exchange (an integer), which is what makes
-// cache revalidation worthwhile against refetching member lists.
-func (c *Client) Version(ctx context.Context) (uint64, error) {
-	v, err := c.ref.InvokeIdempotent(ctx, "version")
-	if err != nil {
-		return 0, err
-	}
-	return uint64(v.Int), nil
 }
 
 // FindCoalitions scores the remote co-database's coalitions against topic.

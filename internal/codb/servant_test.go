@@ -2,6 +2,7 @@ package codb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,5 +71,19 @@ func TestInstancesIsOneRoundTrip(t *testing.T) {
 		t.Fatal("unknown coalition accepted")
 	} else if ue, ok := err.(*orb.UserException); !ok || ue.Name != "CoDatabaseError" {
 		t.Fatalf("error shape = %v", err)
+	}
+}
+
+// TestNoVersionOperation: a co-database's version travels by gossip, not by
+// a call, so the servant has no version operation and answers a caller that
+// asks for one with BAD_OPERATION.
+func TestNoVersionOperation(t *testing.T) {
+	if _, ok := IDL.Ops["version"]; ok {
+		t.Fatal("co-database IDL declares version")
+	}
+	c, _ := startCoDBPair(t, newWideCoDB(t, 1), ServantOptions{})
+	var se *orb.SystemException
+	if _, err := c.Ref().InvokeIdempotent(context.Background(), "version"); !errors.As(err, &se) || se.Name != orb.ExcBadOperation {
+		t.Fatalf("version() = %v, want BAD_OPERATION", err)
 	}
 }

@@ -59,10 +59,11 @@ type NodeConfig struct {
 	// SeedObjects, for object engines, populates the fresh OO database.
 	SeedObjects func(*oodb.DB) error
 
-	// Clock, when set, overrides time.Now for the node's metadata cache and
-	// ISI cursor table. Deterministic simulations (internal/simtest) pin it
-	// to the simnet virtual clock so TTL expiry is a virtual-time event that
-	// tests advance explicitly.
+	// Clock, when set, overrides time.Now for the node's metadata cache
+	// (negative entries' expiry) and ISI cursor table (idle reaping).
+	// Deterministic simulations (internal/simtest) pin it to the simnet
+	// virtual clock so expiry is a virtual-time event that tests advance
+	// explicitly.
 	Clock func() time.Time
 
 	// AdvertiseEngine, when set, is the engine name the node's source
@@ -161,32 +162,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 
 	// The gossip agent is created before the servants so the co-database can
 	// serve gossip_pull/gossip_push from the first exchange. Its hooks read
-	// n.Descriptor and n.Processor through closures evaluated at call time —
-	// both are set below, before any traffic can reach the node.
-	n.Gossip = gossip.New(gossip.Config{
+	// n.Descriptor through closures evaluated at call time; it is set below,
+	// before any traffic can reach the node.
+	n.Gossip = codb.NewGossipAgent(cfg.ORB, gossip.Config{
 		Self:  n.gossipSelf,
 		Seeds: n.gossipSeeds,
-		Exchange: func(ctx context.Context, ref string, digest []byte) ([]byte, []byte, error) {
-			objRef, err := cfg.ORB.ResolveString(ref)
-			if err != nil {
-				return nil, nil, err
-			}
-			return codb.NewClient(objRef).GossipPull(orb.WithHousekeeping(ctx), digest)
-		},
-		Push: func(ctx context.Context, ref string, delta []byte) error {
-			objRef, err := cfg.ORB.ResolveString(ref)
-			if err != nil {
-				return err
-			}
-			_, err = codb.NewClient(objRef).GossipPush(orb.WithHousekeeping(ctx), delta)
-			return err
-		},
-		OnApply: func(applied []gossip.Entry) {
-			if n.Processor != nil {
-				n.Processor.GossipApplied(applied)
-			}
-		},
-		Seed: cfg.GossipSeed,
+		Seed:  cfg.GossipSeed,
 	})
 
 	// Activate the servants.
@@ -249,7 +230,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Local:          codb.NewClient(cfg.ORB.Resolve(codbIOR)),
 		LocalCoDB:      n.CoDB,
 		Cache:          n.MDCache,
-		Alive:          n.Gossip.Store().Alive,
+		Gossip:         n.Gossip,
 	})
 	if err != nil {
 		return nil, err

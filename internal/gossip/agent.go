@@ -23,7 +23,9 @@ const (
 type Config struct {
 	// Self snapshots the local node's entry (name, current co-database
 	// version, reference, coalition memberships). It is read at the start of
-	// every round so local mutations enter circulation within one round.
+	// every round, and before every pull served, so local mutations enter
+	// circulation within one round and a node learning us gets our current
+	// version.
 	Self func() Entry
 	// Seeds lists bootstrap knowledge — typically version-0 entries built
 	// from the local co-database's member lists. Re-read every round, so
@@ -38,10 +40,6 @@ type Config struct {
 	// without it the protocol degenerates to pull-only anti-entropy, which
 	// still converges, just in more rounds.
 	Push func(ctx context.Context, ref string, delta []byte) error
-	// OnApply observes every batch of entries a merge actually applied —
-	// the hook the query layer uses to invalidate metadata-cache entries
-	// that gossip just proved stale. Called outside the store lock.
-	OnApply func(applied []Entry)
 
 	// Seed makes peer-selection deterministic; 0 selects 1. Simulations
 	// derive it from the run seed so replays pick identical peers.
@@ -181,48 +179,55 @@ func (a *Agent) Tick(ctx context.Context) {
 	a.rounds.Add(1)
 	a.refresh()
 	for _, peer := range a.nextPeers(Fanout) {
-		a.exchangeWith(ctx, peer)
+		if err := a.exchange(ctx, peer.CoDBRef); err != nil {
+			a.store.ReportFailure(peer.Node)
+		} else {
+			a.store.ReportSuccess(peer.Node)
+		}
 	}
 }
 
-func (a *Agent) exchangeWith(ctx context.Context, peer Entry) {
-	if a.cfg.Exchange == nil {
-		return
-	}
+// Learn runs one exchange with the co-database at ref, which the store holds
+// nothing from yet: its entry, and whatever else it knows, lands in the store,
+// and it is a gossip peer from then on. The query layer calls it on the first
+// metadata miss against such a co-database, and asks the store afterwards
+// whether it worked.
+func (a *Agent) Learn(ctx context.Context, ref string) { a.exchange(ctx, ref) }
+
+// exchange runs one push-pull exchange with the co-database at ref.
+func (a *Agent) exchange(ctx context.Context, ref string) error {
 	digest := EncodeDigest(a.store.Digest())
 	a.digestBytes.Add(int64(len(digest)))
 	a.exchanges.Add(1)
-	deltaBytes, peerDigestBytes, err := a.cfg.Exchange(ctx, peer.CoDBRef, digest)
+	deltaBytes, peerDigestBytes, err := a.cfg.Exchange(ctx, ref, digest)
 	if err != nil {
 		a.failures.Add(1)
-		a.store.ReportFailure(peer.Node)
-		return
+		return err
 	}
-	a.store.ReportSuccess(peer.Node)
 	a.deltaBytes.Add(int64(len(deltaBytes)))
 	if entries, derr := DecodeDelta(deltaBytes); derr == nil {
 		a.apply(entries)
 	}
 	peerDigest, derr := DecodeDigest(peerDigestBytes)
 	if derr != nil || a.cfg.Push == nil {
-		return
+		return nil
 	}
 	missing := a.store.DeltaSince(peerDigest)
 	if len(missing) == 0 {
-		return
+		return nil
 	}
 	payload := EncodeDelta(missing)
 	a.pushes.Add(1)
 	a.deltaBytes.Add(int64(len(payload)))
-	if err := a.cfg.Push(ctx, peer.CoDBRef, payload); err != nil {
+	if err := a.cfg.Push(ctx, ref, payload); err != nil {
 		a.failures.Add(1)
-		a.store.ReportFailure(peer.Node)
-		return
+		return err
 	}
 	a.deltasSent.Add(int64(len(missing)))
+	return nil
 }
 
-// apply merges entries and fires the OnApply hook for the ones that landed.
+// apply merges entries and reports how many landed.
 func (a *Agent) apply(entries []Entry) int {
 	applied := a.store.Apply(entries)
 	if len(applied) == 0 {
@@ -230,19 +235,19 @@ func (a *Agent) apply(entries []Entry) int {
 	}
 	a.deltasApplied.Add(int64(len(applied)))
 	a.lastApplyRound.Store(a.rounds.Load())
-	if a.cfg.OnApply != nil {
-		a.cfg.OnApply(applied)
-	}
 	return len(applied)
 }
 
 // HandlePull is the servant-side pull handler: given the caller's digest,
 // return our delta (what the caller is missing) plus our own digest so the
-// caller can push back what we are missing.
+// caller can push back what we are missing. Our own entry is re-read first.
 func (a *Agent) HandlePull(digest []byte) (delta, selfDigest []byte, err error) {
 	d, err := DecodeDigest(digest)
 	if err != nil {
 		return nil, nil, err
+	}
+	if a.cfg.Self != nil {
+		a.store.SetSelf(a.cfg.Self())
 	}
 	missing := a.store.DeltaSince(d)
 	payload := EncodeDelta(missing)

@@ -21,6 +21,8 @@ package gossip
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/orb"
 )
 
 // Entry is one node's co-database metadata snapshot: the unit gossip deltas
@@ -55,7 +57,8 @@ type Store struct {
 	mu      sync.Mutex
 	self    string
 	entries map[string]Entry
-	fails   map[string]int // consecutive exchange failures; a success resets
+	sources map[string]string // Source(CoDBRef) -> node
+	fails   map[string]int    // consecutive exchange failures; a success resets
 	dead    map[string]bool
 }
 
@@ -64,9 +67,31 @@ func NewStore(self string) *Store {
 	return &Store{
 		self:    self,
 		entries: make(map[string]Entry),
+		sources: make(map[string]string),
 		fails:   make(map[string]int),
 		dead:    make(map[string]bool),
 	}
+}
+
+// Source names the co-database a stringified reference reaches by its
+// endpoint and object key, "<host:port>/<object key>" — the identity the
+// metadata cache keys a source's answers by. It is "" when ref does not parse.
+func Source(ref string) string {
+	ior, err := orb.Destringify(ref)
+	if err != nil {
+		return ""
+	}
+	return ior.Addr() + "/" + ior.Key()
+}
+
+// put stores an entry and indexes its source. Caller holds s.mu.
+func (s *Store) put(e Entry) {
+	if old, ok := s.entries[e.Node]; !ok || old.CoDBRef != e.CoDBRef {
+		if src := Source(e.CoDBRef); src != "" {
+			s.sources[src] = e.Node
+		}
+	}
+	s.entries[e.Node] = e
 }
 
 // SetSelf installs the local node's own entry. It is the one write that
@@ -76,7 +101,7 @@ func (s *Store) SetSelf(e Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.entries[e.Node]; !ok || e.Version >= old.Version {
-		s.entries[e.Node] = e
+		s.put(e)
 	}
 }
 
@@ -84,7 +109,7 @@ func (s *Store) SetSelf(e Entry) {
 // strictly newer than what the store holds (or fills a gap), and entries
 // claiming to describe the local node are dropped — the local co-database is
 // the only authority for itself. It returns the entries actually applied,
-// in input order, so callers can invalidate derived caches.
+// in input order.
 func (s *Store) Apply(entries []Entry) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,7 +122,7 @@ func (s *Store) Apply(entries []Entry) []Entry {
 		if ok && e.Version <= old.Version {
 			continue
 		}
-		s.entries[e.Node] = e
+		s.put(e)
 		applied = append(applied, e)
 	}
 	return applied
@@ -136,6 +161,17 @@ func (s *Store) Get(node string) (Entry, bool) {
 	defer s.mu.Unlock()
 	e, ok := s.entries[node]
 	return e, ok
+}
+
+// SourceVersion returns the version of the co-database named by source (see
+// Source) that the store holds from the co-database itself, directly or
+// through gossip. A version-0 seed is not that: it reports !ok, like a source
+// the store has never heard of.
+func (s *Store) SourceVersion(source string) (uint64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[s.sources[source]]
+	return e.Version, ok && e.Version > 0
 }
 
 // Len reports how many nodes the store knows (itself included once SetSelf

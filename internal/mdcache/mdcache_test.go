@@ -66,6 +66,8 @@ func TestGetMissThenHit(t *testing.T) {
 	}
 }
 
+// TestTTLExpiry: the only TTL is the negative one. A positive entry outlives
+// any clock advance while its version holds; an error expires after NegTTL.
 func TestTTLExpiry(t *testing.T) {
 	clk := newManualClock()
 	c := New(Options{TTL: time.Second, Clock: clk.Now})
@@ -76,17 +78,20 @@ func TestTTLExpiry(t *testing.T) {
 		calls++
 		return calls, nil
 	}}
-
 	if v, _, _ := c.Get(ctx, "k", req); v != 1 {
 		t.Fatalf("want fetched 1, got %v", v)
 	}
-	clk.Advance(999 * time.Millisecond)
+	clk.Advance(24 * time.Hour)
 	if v, out, _ := c.Get(ctx, "k", req); v != 1 || out != Hit {
-		t.Fatalf("within TTL: got %v, %v; want 1, Hit", v, out)
+		t.Fatalf("a day later: got %v, %v; want 1, Hit", v, out)
 	}
-	clk.Advance(2 * time.Millisecond)
-	if v, out, _ := c.Get(ctx, "k", req); v != 2 || out != Miss {
-		t.Fatalf("past TTL: got %v, %v; want refetched 2, Miss", v, out)
+
+	boom := errors.New("boom")
+	fail := Request{Fetch: func(context.Context) (any, error) { return nil, boom }}
+	c.Get(ctx, "neg", fail)
+	clk.Advance(NegTTL)
+	if _, out, _ := c.Get(ctx, "neg", fail); out != Miss {
+		t.Fatalf("negative entry at NegTTL: got %v, want Miss", out)
 	}
 }
 
@@ -123,24 +128,27 @@ func TestNegativeCaching(t *testing.T) {
 	}
 }
 
-func TestNegativeDoesNotReplacePositiveStale(t *testing.T) {
-	// A fetch failure when a positive value exists serves the old value
-	// stale instead of installing a negative entry.
-	clk := newManualClock()
-	c := New(Options{TTL: time.Second, Clock: clk.Now})
+// TestFailedRefetchIsNegative: once the version moves past a positive entry,
+// a failed refetch installs the error, never the outdated value.
+func TestFailedRefetchIsNegative(t *testing.T) {
+	c := New(Options{})
 	ctx := context.Background()
 
-	c.Get(ctx, "k", fixedReq("good"))
-	clk.Advance(2 * time.Second) // expire it
+	var ver atomic.Uint64
+	version := func(context.Context) (uint64, bool) { return ver.Load(), true }
+	c.Get(ctx, "k", Request{Fetch: fixed("good"), Version: version})
+	ver.Add(1)
 
-	v, out, err := c.Get(ctx, "k", Request{Fetch: func(context.Context) (any, error) {
-		return nil, errors.New("peer down")
-	}})
-	if err != nil || v != "good" || out != Stale {
-		t.Fatalf("got %v, %v, %v; want good, Stale, nil", v, out, err)
+	boom := errors.New("peer down")
+	fail := Request{Fetch: func(context.Context) (any, error) { return nil, boom }, Version: version}
+	if v, out, err := c.Get(ctx, "k", fail); v != nil || out != Miss || !errors.Is(err, boom) {
+		t.Fatalf("got %v, %v, %v; want nil, Miss, %v", v, out, err, boom)
 	}
-	if got := c.Stats.StaleServed.Load(); got != 1 {
-		t.Fatalf("StaleServed = %d, want 1", got)
+	if _, out, err := c.Get(ctx, "k", fail); out != NegHit || !errors.Is(err, boom) {
+		t.Fatalf("repeat: got %v, %v; want NegHit, %v", out, err, boom)
+	}
+	if s := c.Snapshot(); s.StaleServed != 0 {
+		t.Fatalf("StaleServed = %d, want 0", s.StaleServed)
 	}
 }
 
@@ -224,9 +232,11 @@ func TestSingleflightWaiterContextCancel(t *testing.T) {
 	close(release)
 }
 
+// TestVersionRevalidation: every hit is checked against the version read,
+// and the stamp is the version read before the fetch, so a mutation landing
+// mid-fetch makes the next read refetch instead of serving the older answer.
 func TestVersionRevalidation(t *testing.T) {
-	clk := newManualClock()
-	c := New(Options{TTL: time.Second, Clock: clk.Now})
+	c := New(Options{})
 	ctx := context.Background()
 
 	var ver atomic.Uint64
@@ -235,87 +245,116 @@ func TestVersionRevalidation(t *testing.T) {
 	req := Request{
 		Fetch: func(context.Context) (any, error) {
 			fetches++
+			if fetches == 1 {
+				ver.Store(8) // the source moves while the first fetch runs
+			}
 			return fmt.Sprintf("v%d", fetches), nil
 		},
-		Version: func(context.Context) (uint64, error) { return ver.Load(), nil },
+		Version: func(context.Context) (uint64, bool) { return ver.Load(), true },
 	}
 
 	if v, _, _ := c.Get(ctx, "k", req); v != "v1" {
 		t.Fatalf("want v1, got %v", v)
 	}
-	// Expired + unchanged version: revalidate, serve cached, no refetch.
-	clk.Advance(2 * time.Second)
-	if v, out, _ := c.Get(ctx, "k", req); v != "v1" || out != Hit {
-		t.Fatalf("revalidated get = %v, %v; want v1, Hit", v, out)
-	}
-	if fetches != 1 {
-		t.Fatalf("fetches = %d after revalidation, want 1", fetches)
-	}
-	if got := c.Stats.Revalidations.Load(); got != 1 {
-		t.Fatalf("Revalidations = %d, want 1", got)
-	}
-	// Revalidation extended the TTL: still a plain hit.
-	clk.Advance(500 * time.Millisecond)
-	if _, out, _ := c.Get(ctx, "k", req); out != Hit {
-		t.Fatalf("post-revalidation get outcome = %v, want Hit", out)
-	}
-
-	// Version bump + expiry: refetch.
-	ver.Store(8)
-	clk.Advance(2 * time.Second)
 	if v, out, _ := c.Get(ctx, "k", req); v != "v2" || out != Miss {
-		t.Fatalf("after version bump = %v, %v; want v2, Miss", v, out)
+		t.Fatalf("after a mid-fetch mutation = %v, %v; want v2, Miss", v, out)
 	}
-}
-
-func TestVerifyHitSeesVersionBumpImmediately(t *testing.T) {
-	clk := newManualClock()
-	c := New(Options{TTL: time.Hour, Clock: clk.Now})
-	ctx := context.Background()
-
-	var ver atomic.Uint64
-	fetches := 0
-	req := Request{
-		VerifyHit: true,
-		Fetch: func(context.Context) (any, error) {
-			fetches++
-			return fmt.Sprintf("v%d", fetches), nil
-		},
-		Version: func(context.Context) (uint64, error) { return ver.Load(), nil },
-	}
-
-	c.Get(ctx, "k", req)
-	if v, out, _ := c.Get(ctx, "k", req); v != "v1" || out != Hit {
-		t.Fatalf("verified hit = %v, %v; want v1, Hit", v, out)
-	}
-	ver.Add(1) // mutation, well within TTL
-	if v, out, _ := c.Get(ctx, "k", req); v != "v2" || out != Miss {
-		t.Fatalf("after bump = %v, %v; want refetched v2, Miss", v, out)
+	if v, out, _ := c.Get(ctx, "k", req); v != "v2" || out != Hit {
+		t.Fatalf("unchanged version = %v, %v; want v2, Hit", v, out)
 	}
 	if fetches != 2 {
 		t.Fatalf("fetches = %d, want 2", fetches)
 	}
 }
 
-func TestStaleWhenVersionerUnavailable(t *testing.T) {
-	clk := newManualClock()
-	c := New(Options{TTL: time.Second, Clock: clk.Now})
+func TestVerifyHitSeesVersionBumpImmediately(t *testing.T) {
+	c := New(Options{})
 	ctx := context.Background()
 
+	var ver atomic.Uint64
+	fetches := 0
 	req := Request{
-		Fetch:   fixed("good"),
-		Version: func(context.Context) (uint64, error) { return 3, nil },
+		Fetch: func(context.Context) (any, error) {
+			fetches++
+			return fmt.Sprintf("v%d", fetches), nil
+		},
+		Version: func(context.Context) (uint64, bool) { return ver.Load(), true },
 	}
-	c.Get(ctx, "k", req)
-	clk.Advance(2 * time.Second)
 
-	down := Request{
-		Fetch:   func(context.Context) (any, error) { return nil, errors.New("unreachable") },
-		Version: func(context.Context) (uint64, error) { return 0, errors.New("unreachable") },
+	c.Get(ctx, "k", req)
+	if v, out, _ := c.Get(ctx, "k", req); v != "v1" || out != Hit {
+		t.Fatalf("verified hit = %v, %v; want v1, Hit", v, out)
 	}
-	v, out, err := c.Get(ctx, "k", down)
-	if err != nil || v != "good" || out != Stale {
-		t.Fatalf("got %v, %v, %v; want good, Stale, nil", v, out, err)
+	ver.Add(1)
+	if v, out, _ := c.Get(ctx, "k", req); v != "v2" || out != Miss {
+		t.Fatalf("after bump = %v, %v; want refetched v2, Miss", v, out)
+	}
+	if v, ok := c.Peek("k", ver.Load()-1); ok {
+		t.Fatalf("peek under the old version served %v", v)
+	}
+	if fetches != 2 {
+		t.Fatalf("fetches = %d, want 2", fetches)
+	}
+}
+
+// TestUnknownVersionIsNotCached: a lookup whose version cannot be read is
+// fetched on every read and never installed.
+func TestUnknownVersionIsNotCached(t *testing.T) {
+	c := New(Options{})
+	ctx := context.Background()
+
+	fetches := 0
+	req := Request{
+		Fetch: func(context.Context) (any, error) {
+			fetches++
+			return "good", nil
+		},
+		Version: func(context.Context) (uint64, bool) { return 0, false },
+	}
+	for i := 1; i <= 3; i++ {
+		if v, out, err := c.Get(ctx, "k", req); err != nil || v != "good" || out != Miss {
+			t.Fatalf("read %d: got %v, %v, %v; want good, Miss, nil", i, v, out, err)
+		}
+	}
+	if fetches != 3 || c.Stats.Misses.Load() != 3 || c.Len() != 0 {
+		t.Fatalf("fetches %d, misses %d, entries %d; want 3, 3, 0", fetches, c.Stats.Misses.Load(), c.Len())
+	}
+}
+
+// TestFreshReaderSkipsAnOlderFlight: a reader whose version is newer than an
+// in-flight fetch's does not wait for that fetch's older answer.
+func TestFreshReaderSkipsAnOlderFlight(t *testing.T) {
+	c := New(Options{})
+	ctx := context.Background()
+
+	var ver atomic.Uint64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	version := func(context.Context) (uint64, bool) { return ver.Load(), true }
+	old := Request{Version: version, Fetch: func(context.Context) (any, error) {
+		close(started)
+		<-release
+		return "old", nil
+	}}
+	done := make(chan any)
+	go func() {
+		v, _, _ := c.Get(ctx, "k", old)
+		done <- v
+	}()
+	<-started
+	ver.Store(1)
+	v, out, err := c.Get(ctx, "k", Request{Version: version, Fetch: fixed("new")})
+	if err != nil || v != "new" || out != Miss {
+		t.Fatalf("newer reader got %v, %v, %v; want new, Miss, nil", v, out, err)
+	}
+	close(release)
+	if v := <-done; v != "old" {
+		t.Fatalf("older flight returned %v", v)
+	}
+	// The older flight finished last, so its answer went in under the old
+	// stamp: a read under version 1 must not be served it.
+	if v, _, _ := c.Get(ctx, "k", Request{Version: version, Fetch: fixed("refetched")}); v == "old" {
+		t.Fatal("served the older flight's answer under version 1")
 	}
 }
 
@@ -331,31 +370,12 @@ func TestInvalidate(t *testing.T) {
 	c.Get(ctx, "a", req)
 	c.Get(ctx, "b", req)
 
-	c.Invalidate("a")
-	if v, out, _ := c.Get(ctx, "a", req); v != 3 || out != Miss {
-		t.Fatalf("after Invalidate: %v, %v; want refetched 3, Miss", v, out)
-	}
-	if _, out, _ := c.Get(ctx, "b", req); out != Hit {
-		t.Fatalf("unrelated key evicted by Invalidate")
-	}
-
-	c.Get(ctx, "p|x", req)
-	c.Get(ctx, "p|y", req)
-	c.Get(ctx, "q|z", req)
-	c.InvalidatePrefix("p|")
-	if _, out, _ := c.Get(ctx, "p|x", req); out != Miss {
-		t.Fatalf("p|x survived InvalidatePrefix")
-	}
-	if _, out, _ := c.Get(ctx, "q|z", req); out != Hit {
-		t.Fatalf("q|z dropped by InvalidatePrefix(p|)")
-	}
-
 	c.InvalidateAll()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after InvalidateAll, want 0", c.Len())
+	if c.Len() != 0 || c.Stats.Invalidations.Load() != 2 {
+		t.Fatalf("Len = %d, Invalidations = %d after InvalidateAll, want 0, 2", c.Len(), c.Stats.Invalidations.Load())
 	}
-	if _, out, _ := c.Get(ctx, "b", req); out != Miss {
-		t.Fatalf("b survived InvalidateAll")
+	if v, out, _ := c.Get(ctx, "b", req); v != 3 || out != Miss {
+		t.Fatalf("after InvalidateAll: %v, %v; want refetched 3, Miss", v, out)
 	}
 }
 
@@ -395,35 +415,38 @@ func TestSnapshotAndOutcomeString(t *testing.T) {
 	}
 	for o, want := range map[Outcome]string{
 		Miss: "miss", Hit: "hit",
-		NegHit: "neghit", Stale: "stale", Coalesced: "coalesced",
+		NegHit: "neghit", Coalesced: "coalesced",
 	} {
 		if o.String() != want {
 			t.Fatalf("Outcome(%d).String() = %q, want %q", o, o.String(), want)
 		}
 	}
-	if !Hit.Served() || !Stale.Served() || !NegHit.Served() || Miss.Served() || Coalesced.Served() {
+	if !Hit.Served() || !NegHit.Served() || Miss.Served() || Coalesced.Served() {
 		t.Fatalf("Served() classification wrong")
 	}
 }
 
 func TestPeek(t *testing.T) {
-	clk := newManualClock()
-	c := New(Options{TTL: time.Second, Clock: clk.Now})
+	c := New(Options{})
 	ctx := context.Background()
 
-	if _, ok := c.Peek("absent"); ok {
+	if _, ok := c.Peek("absent", 0); ok {
 		t.Fatal("peek hit on an absent key")
 	}
-	if _, _, err := c.Get(ctx, "k", Request{Fetch: fixed("v")}); err != nil {
+	version := func(context.Context) (uint64, bool) { return 4, true }
+	if _, _, err := c.Get(ctx, "k", Request{Fetch: fixed("v"), Version: version}); err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore := c.Stats.Hits.Load()
-	v, ok := c.Peek("k")
+	v, ok := c.Peek("k", 4)
 	if !ok || v != "v" {
 		t.Fatalf("peek = %v, %v; want v, true", v, ok)
 	}
 	if c.Stats.Hits.Load() != hitsBefore+1 {
 		t.Error("peek hit not counted")
+	}
+	if _, ok := c.Peek("k", 5); ok {
+		t.Error("peek hit under a newer version")
 	}
 
 	// Negative entries are not peekable.
@@ -433,13 +456,7 @@ func TestPeek(t *testing.T) {
 	}}); !errors.Is(err, boom) {
 		t.Fatalf("negative get err = %v", err)
 	}
-	if _, ok := c.Peek("neg"); ok {
+	if _, ok := c.Peek("neg", 0); ok {
 		t.Error("peek hit on a negative entry")
-	}
-
-	// Expired entries are not peekable, and Peek itself never refreshes.
-	clk.Advance(2 * time.Second)
-	if _, ok := c.Peek("k"); ok {
-		t.Error("peek hit on an expired entry")
 	}
 }

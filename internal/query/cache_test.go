@@ -11,7 +11,6 @@ import (
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/idl"
-	"repro/internal/mdcache"
 	"repro/internal/orb"
 )
 
@@ -55,16 +54,16 @@ func (c *opCounter) InvokeCtx(ctx context.Context, op string, args []idl.Any) (i
 	return c.inner.Invoke(op, args)
 }
 
-// countPeerOps replaces a node's co-database servant with a counting wrapper.
-// The object key is unchanged, so descriptors that embed the old IOR still
-// resolve to the wrapped servant.
+// countPeerOps replaces a node's co-database servant with a counting wrapper
+// that still answers gossip. The object key is unchanged, so descriptors that
+// embed the old IOR still resolve to the wrapped servant.
 func countPeerOps(t *testing.T, n *core.Node) *opCounter {
 	t.Helper()
 	key := "CoDatabase/" + n.Config.Name
 	if err := n.Config.ORB.Deactivate(key); err != nil {
 		t.Fatal(err)
 	}
-	counter := newOpCounter(codb.NewServant(n.CoDB))
+	counter := newOpCounter(codb.NewServantWith(n.CoDB, codb.ServantOptions{Gossip: n.Gossip}))
 	if _, err := n.Config.ORB.Activate(key, counter); err != nil {
 		t.Fatal(err)
 	}
@@ -199,27 +198,20 @@ func TestCacheSeesJoinThroughLocalVersion(t *testing.T) {
 	}
 }
 
-// TestRemotePeerRevalidationAfterTTL covers the remote-churn path: a peer's
-// probe results are served blind inside the TTL, and after expiry one
-// version() call detects the peer's schema change and triggers a refetch.
-func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
+// TestRemotePeerRevalidationAfterGossip covers the remote-churn path: a
+// peer's probe results are served from the cache while the home node's gossip
+// store holds the peer at the version they were fetched under, and the gossip
+// round that carries the peer's schema change makes the next resolve refetch.
+func TestRemotePeerRevalidationAfterGossip(t *testing.T) {
 	f, err := core.NewFederation()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Shutdown)
-	var clockMu sync.Mutex
-	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
 	a, err := f.AddNode(orb.VisiBroker, core.NodeConfig{
 		Name: "Alpha", Engine: core.EngineOracle,
 		InformationType: "alpha records",
 		Schema:          "CREATE TABLE r (k INT);",
-		Clock:           clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,10 +228,11 @@ func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	ctx := context.Background()
 	s := a.NewSession()
 	zebraLead := func() bool {
 		t.Helper()
-		resp, err := s.Execute(context.Background(), "Find Coalitions With Information zebra;")
+		resp, err := s.Execute(ctx, "Find Coalitions With Information zebra;")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,19 +248,19 @@ func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
 	}
 
 	// Beta learns a new coalition matching the topic; its schema version
-	// moves, invalidating Alpha's cached probe at the next revalidation.
+	// moves, but Alpha's store still holds the old one.
 	if err := b.CoDB.DefineCoalition("ZebraStudies", "", "zebra research"); err != nil {
 		t.Fatal(err)
 	}
 	if zebraLead() {
-		t.Fatal("a peer's probe was not served from the cache within the TTL")
+		t.Fatal("a peer's probe was not served from the cache before gossip moved its version")
 	}
 	misses := a.MDCache.Snapshot().Misses
-	clockMu.Lock()
-	now = now.Add(mdcache.DefaultTTL + time.Millisecond)
-	clockMu.Unlock()
+	for _, n := range []*core.Node{a, b} {
+		n.Gossip.Tick(ctx)
+	}
 	if !zebraLead() {
-		t.Fatal("peer churn not visible once the TTL ran out")
+		t.Fatal("peer churn not visible after a gossip round")
 	}
 	if st := a.MDCache.Snapshot(); st.Misses <= misses {
 		t.Errorf("expected a refetch after version change: %+v", st)

@@ -36,9 +36,7 @@ func (s *Session) execFind(ctx context.Context, q *wtl.FindCoalitions) (*Respons
 	}
 	resp := &Response{Stmt: q, Leads: leads, Members: probes}
 	for _, m := range probes {
-		// A stale-served probe answered, but from an expired cache entry:
-		// the result is usable yet degraded, so it is flagged partial too.
-		if !m.OK() || m.Stale {
+		if !m.OK() {
 			resp.Partial = true
 		}
 	}
@@ -146,9 +144,9 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 		}
 	}
 	statuses := make([]MemberStatus, len(probes))
-	// Fast path: fresh cached probes are answered inline, skipping the
-	// per-peer goroutine, span and call-stats scaffolding entirely; only the
-	// peers without a fresh entry join the fan-out below.
+	// Fast path: cached probes under the peer's current version are answered
+	// inline, skipping the per-peer goroutine, span and call-stats
+	// scaffolding entirely; only the peers without one join the fan-out below.
 	var pending []int
 	for i := range probes {
 		pr := &probes[i]
@@ -179,15 +177,11 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 			pr, st := &probes[i], &statuses[i]
 			res, out, err := p.cachedProbe(ctx, pr.peer, topic)
 			st.Cached = out.Served() || out == mdcache.Coalesced
-			st.Stale = out == mdcache.Stale
 			sp.SetAttr("cache", out.String())
 			if err != nil {
 				return err
 			}
 			pr.coals, pr.links = res.Coals, res.Links
-			if st.Stale {
-				s.tracef("communication", "peer co-database of %s unavailable; serving stale cached probe", pr.name)
-			}
 			return nil
 		}})
 	out := leads

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/codb"
+	"repro/internal/gossip"
 	"repro/internal/orb"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -45,7 +46,8 @@ func newMemberCallFixture(t *testing.T, n int, homeOpts orb.Options) *memberCall
 	}
 	homeEP := snet.Endpoint("home")
 	homeORB, homeIOR := serve(homeEP, "Home", homeOpts)
-	p, err := New(Config{ORB: homeORB, Home: "Home", Local: codb.NewClient(homeORB.Resolve(homeIOR))})
+	p, err := New(Config{ORB: homeORB, Home: "Home", Local: codb.NewClient(homeORB.Resolve(homeIOR)),
+		Gossip: codb.NewGossipAgent(homeORB, gossip.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +69,11 @@ func (f *memberCallFixture) statuses() []MemberStatus {
 	return out
 }
 
-// version is the plain member call of these tests: one idempotent (hence
+// owner is the plain member call of these tests: one idempotent (hence
 // retried) round trip to member i's co-database.
-func (f *memberCallFixture) version() *memberFan {
+func (f *memberCallFixture) owner() *memberFan {
 	return &memberFan{span: "test.call:", call: func(ctx context.Context, i int, _ *trace.Span) error {
-		_, err := f.clients[i].Version(ctx)
+		_, err := f.clients[i].Owner(ctx)
 		return err
 	}}
 }
@@ -120,7 +122,7 @@ func TestCallMemberOutcomes(t *testing.T) {
 			if tc.arrange != nil {
 				tc.arrange(f)
 			}
-			fan := f.version()
+			fan := f.owner()
 			if tc.fan != nil {
 				fan = tc.fan(f)
 			}

@@ -162,7 +162,7 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 		}
 	}
 	// The membership everyone cached just changed; drop it eagerly so the
-	// join is observable before TTL/version convergence.
+	// join is observable here before gossip carries the new versions.
 	s.p.invalidateCache()
 	return &Response{Stmt: q,
 		Text: fmt.Sprintf("%s joined coalition %s.", s.p.cfg.Home, q.Coalition)}, nil

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/gateway"
+	"repro/internal/gossip"
 	"repro/internal/idl"
 	"repro/internal/mdcache"
 	"repro/internal/orb"
@@ -59,9 +60,6 @@ type MemberStatus struct {
 	// (a hit, or coalesced onto another caller's in-flight fetch) without
 	// its own probe fan-out.
 	Cached bool
-	// Stale is true when the member was unreachable (down or partitioned
-	// away) and an expired cache entry was served as the degraded answer.
-	Stale bool
 }
 
 // OK reports whether the member answered.
@@ -104,14 +102,13 @@ type Config struct {
 	LocalCoDB *codb.CoDatabase
 	// Cache holds federation metadata (coalition member lists, source
 	// descriptors, peer probe results) across statements and sessions. Data
-	// queries are never cached. nil makes New build one with the default
-	// TTL, on the wall clock.
+	// queries are never cached. nil makes New build one on the wall clock.
 	Cache *mdcache.Cache
-	// Alive reports whether a peer node is believed reachable — the gossip
-	// layer's failure detector, consulted by representative election so a
-	// partitioned representative is skipped instead of timed out against.
-	// nil treats every peer as alive.
-	Alive func(node string) bool
+	// Gossip is the node's anti-entropy agent. Its store supplies the
+	// version every cached peer answer is verified against, it learns a
+	// co-database the store does not know yet on the first miss against it,
+	// and its failure detector steers representative election. Required.
+	Gossip *gossip.Agent
 }
 
 // PlannerStats counts federated-planner and streaming-merge activity.
@@ -193,25 +190,16 @@ type Processor struct {
 	refs  map[string]*orb.ObjectRef
 }
 
-// New creates a processor; ORB, Home and Local are required.
+// New creates a processor; ORB, Home, Local and Gossip are required.
 func New(cfg Config) (*Processor, error) {
-	if cfg.ORB == nil || cfg.Local == nil || cfg.Home == "" {
-		return nil, fmt.Errorf("query: Config needs ORB, Local and Home")
+	if cfg.ORB == nil || cfg.Local == nil || cfg.Home == "" || cfg.Gossip == nil {
+		return nil, fmt.Errorf("query: Config needs ORB, Local, Home and Gossip")
 	}
 	if cfg.Cache == nil {
 		cfg.Cache = mdcache.New(mdcache.Options{})
 	}
 	p := &Processor{cfg: cfg, refs: make(map[string]*orb.ObjectRef)}
 	return p, nil
-}
-
-// alive consults the gossip failure detector; without one every peer is
-// presumed reachable.
-func (p *Processor) alive(node string) bool {
-	if p.cfg.Alive == nil {
-		return true
-	}
-	return p.cfg.Alive(node)
 }
 
 // PlannerStats snapshots the planner and streaming-merge counters.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/core"
+	"repro/internal/gossip"
 	"repro/internal/orb"
 	"repro/internal/query"
 	"repro/internal/wtl"
@@ -255,9 +256,10 @@ func TestMaintenanceRequiresLocalCoDB(t *testing.T) {
 	f, a, _ := twoNodeFixture(t)
 	_ = f
 	p, err := query.New(query.Config{
-		ORB:   a.Config.ORB,
-		Home:  "Client",
-		Local: codb.NewClient(a.Config.ORB.Resolve(a.CoDBIOR)),
+		ORB:    a.Config.ORB,
+		Home:   "Client",
+		Local:  codb.NewClient(a.Config.ORB.Resolve(a.CoDBIOR)),
+		Gossip: codb.NewGossipAgent(a.Config.ORB, gossip.Config{}),
 	})
 	if err != nil {
 		t.Fatal(err)

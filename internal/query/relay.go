@@ -5,8 +5,6 @@ import (
 	"errors"
 
 	"repro/internal/codb"
-	"repro/internal/gossip"
-	"repro/internal/mdcache"
 	"repro/internal/trace"
 )
 
@@ -103,13 +101,14 @@ func (p *Processor) relayShard(ctx context.Context, s *Session, topic string, sh
 	// a partitioned representative is skipped, not timed out against, but
 	// still gets its chance once every live candidate has failed.
 	var order []int
+	store := p.cfg.Gossip.Store()
 	for _, idx := range shard {
-		if p.alive(probes[idx].name) {
+		if store.Alive(probes[idx].name) {
 			order = append(order, idx)
 		}
 	}
 	for _, idx := range shard {
-		if !p.alive(probes[idx].name) {
+		if !store.Alive(probes[idx].name) {
 			order = append(order, idx)
 		}
 	}
@@ -138,7 +137,6 @@ func (p *Processor) relayShard(ctx context.Context, s *Session, topic string, sh
 			r := results[k]
 			st := &statuses[ridx]
 			st.ErrClass, st.Err = r.ErrClass, r.Err
-			st.Stale = r.Stale
 			if r.ErrClass == "" {
 				probes[ridx].coals, probes[ridx].links = r.Coals, r.Links
 				p.stats.relayedProbes.Add(1)
@@ -179,7 +177,6 @@ func (p *Processor) RelayProbe(ctx context.Context, topic string, members []codb
 				return err
 			}
 			results[i].Coals, results[i].Links = res.Coals, res.Links
-			results[i].Stale = out == mdcache.Stale
 			return nil
 		}})
 	for i := range results {
@@ -187,20 +184,4 @@ func (p *Processor) RelayProbe(ctx context.Context, topic string, members []codb
 		results[i].ErrClass, results[i].Err = statuses[i].ErrClass, statuses[i].Err
 	}
 	return results
-}
-
-// GossipApplied is the gossip agent's OnApply hook. The agent hands it only
-// entries strictly newer than its store held, so each one proves the peer's
-// metadata moved: every cached answer fetched from that peer is dropped.
-func (p *Processor) GossipApplied(entries []gossip.Entry) {
-	for _, e := range entries {
-		if e.CoDBRef == "" {
-			continue
-		}
-		client, err := p.codbByRef(e.CoDBRef)
-		if err != nil {
-			continue
-		}
-		p.cfg.Cache.InvalidatePrefix(p.srcPrefix(client))
-	}
 }

@@ -30,7 +30,7 @@ func TestHierarchicalDiscoveryEquivalence(t *testing.T) {
 	}
 	for i := range rh.Members {
 		h, f := rh.Members[i], rf.Members[i]
-		if h.Member != f.Member || h.ErrClass != f.ErrClass || h.Stale != f.Stale {
+		if h.Member != f.Member || h.ErrClass != f.ErrClass {
 			t.Fatalf("member %d diverges: hier %+v flat %+v", i, h, f)
 		}
 	}

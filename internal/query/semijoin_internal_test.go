@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/gateway"
+	"repro/internal/gossip"
 	"repro/internal/idl"
 	"repro/internal/orb"
 )
@@ -114,7 +115,8 @@ func sideFixture(t *testing.T, members ...*memberConn) (*Session, *queryPlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{ORB: o, Home: "Home", Local: codb.NewClient(o.Resolve(home))})
+	p, err := New(Config{ORB: o, Home: "Home", Local: codb.NewClient(o.Resolve(home)),
+		Gossip: codb.NewGossipAgent(o, gossip.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // paper's flat fan-out) — and
 // both run an identical workload. Routing may only change who carries the
 // probe RPCs, never the answer: rows, columns, Partial flag, per-member
-// error classes and staleness, discovery leads and instance listings must
+// error classes, discovery leads and instance listings must
 // match exactly, across the seed matrix, coalition queries, peer sweeps, a
 // fully-partitioned member (which in the hierarchical half is also a dead
 // shard representative) and the healed federation afterwards.

@@ -12,6 +12,10 @@ type OpKind int
 const (
 	// OpQuery decomposes a typed coalition query from a member node.
 	OpQuery OpKind = iota
+	// OpRemoteQuery runs the same query from a node that never belonged to
+	// the coalition: it enters through a peer's co-database, so the plan and
+	// member list it caches are a peer's answers.
+	OpRemoteQuery
 	// OpInstances lists a coalition's members from a member node.
 	OpInstances
 	// OpFindKnown resolves a topic the issuing node knows locally.
@@ -32,6 +36,8 @@ func (k OpKind) String() string {
 	switch k {
 	case OpQuery:
 		return "query"
+	case OpRemoteQuery:
+		return "remote-query"
 	case OpInstances:
 		return "instances"
 	case OpFindKnown:
@@ -86,6 +92,10 @@ func (o Op) String() string {
 //     advertise set diverge from the true membership.
 //   - Join/Leave/FindUnknown only run with no active partitions, so their
 //     fan-outs succeed and the oracle needs no reachability model for them.
+//   - RemoteQuery runs with no active partitions, from a node that was never
+//     a member, into a stale-free coalition: every co-database that knows
+//     the coalition then holds its true member list, whichever the
+//     entry-point search lands on.
 //   - Every coalition keeps at least one member, so queries stay routable.
 type Gen struct {
 	rng   *rand.Rand
@@ -115,8 +125,10 @@ func (g *Gen) Next(o *Oracle) Op {
 func (g *Gen) pickKind(o *Oracle) OpKind {
 	r := g.rng.Intn(100)
 	switch {
-	case r < 35:
+	case r < 27:
 		return OpQuery
+	case r < 35:
+		return OpRemoteQuery
 	case r < 50:
 		return OpInstances
 	case r < 60:
@@ -151,7 +163,7 @@ func (g *Gen) tryBuild(kind OpKind, o *Oracle) (Op, bool) {
 			Node:  g.rng.Intn(o.NumNodes),
 			Topic: fmt.Sprintf("zzznothing%d", g.steps),
 		}, true
-	case OpJoin:
+	case OpJoin, OpRemoteQuery:
 		if o.Partitioned() {
 			return Op{}, false
 		}
@@ -162,7 +174,7 @@ func (g *Gen) tryBuild(kind OpKind, o *Oracle) (Op, bool) {
 			}
 			for m := 0; m < o.NumNodes; m++ {
 				if !o.Ever(c, m) {
-					cands = append(cands, Op{Kind: OpJoin, Node: m, Coalition: c})
+					cands = append(cands, Op{Kind: kind, Node: m, Coalition: c})
 				}
 			}
 		}

@@ -196,7 +196,7 @@ func TestGossipDeterministicReplay(t *testing.T) {
 }
 
 // hierOutcomeOf projects everything the two routing modes must agree on:
-// rows, columns, Partial, per-member error class and staleness, discovery
+// rows, columns, Partial, per-member error class, discovery
 // leads (minus fed-specific object references) and instance listings.
 func hierOutcomeOf(resp *query.Response) string {
 	var o diffOutcome
@@ -205,7 +205,7 @@ func hierOutcomeOf(resp *query.Response) string {
 	}
 	var members []string
 	for _, m := range resp.Members {
-		members = append(members, fmt.Sprintf("%s:%s:%v", m.Member, m.ErrClass, m.Stale))
+		members = append(members, m.Member+":"+m.ErrClass)
 	}
 	var leads []string
 	for _, l := range resp.Leads {

@@ -1,11 +1,10 @@
 package simtest
 
 import (
-	"context"
 	"strings"
 
 	"repro/internal/codb"
-	"repro/internal/mdcache"
+	"repro/internal/gossip"
 	"repro/internal/query"
 	"repro/internal/trace"
 )
@@ -33,16 +32,15 @@ func checkTraceContinuity(op Op, spans []trace.SpanRecord, rootTrace string, fai
 }
 
 // checkPartialAccounting asserts the Response.Partial contract: the flag is
-// set if and only if some member status is degraded (failed or served stale),
-// so a partial answer always comes with complete per-member accounting of who
-// was missed and why, and a full answer is never flagged. Members cut off by
-// a satisfied LIMIT (ErrClass "limit") are healthy: the statement got every
-// row it asked for.
+// set if and only if some member failed, so a partial answer always comes
+// with complete per-member accounting of who was missed and why, and a full
+// answer is never flagged. Members cut off by a satisfied LIMIT (ErrClass
+// "limit") are healthy: the statement got every row it asked for.
 func checkPartialAccounting(op Op, o *Oracle, resp *query.Response, fail func(string, string, ...any)) {
 	const inv = "partial-accounting"
 	degraded := 0
 	for _, m := range resp.Members {
-		if (!m.OK() && m.ErrClass != "limit") || m.Stale {
+		if !m.OK() && m.ErrClass != "limit" {
 			degraded++
 		}
 	}
@@ -77,22 +75,20 @@ func checkCursorsReleased(fed *Fed, fail func(string, string, ...any)) {
 	}
 }
 
-// checkCacheCoherence asserts the metadata layer never serves membership
-// older than what it claims: for every coalition a node currently belongs
-// to, (a) the node's co-database replica matches the oracle's membership
-// exactly, and (b) a version-verified metadata-cache read — the same
-// key/version discipline the query processor uses for its in-process
-// co-database — returns that same membership, proving no cache entry
-// survives a co-database version bump.
+// checkCacheCoherence asserts the metadata cache's freshness rule: a cached
+// answer is never older than the reader's version for its source. For every
+// node it first checks that the node's co-database replica of each coalition
+// it belongs to matches the oracle. Then, for every source — the node's own
+// co-database, whose version is CoDatabase.Version(), and every peer, whose
+// version is the one the node's gossip store holds — it asks the node's cache
+// what it would serve under that version for the source's coalition list,
+// memberships and member lists. Whenever the reader's version is the source's
+// current one, that answer must equal what the source's co-database says now.
+// A store still behind the source may serve the older answer; how far behind
+// is TestBoundedStalenessAcrossLinkedCoalitions's business.
 func checkCacheCoherence(fed *Fed, o *Oracle, fail func(string, string, ...any)) {
 	const inv = "cache-coherence"
-	ctx := context.Background()
 	for _, n := range fed.Nodes {
-		key, err := instancesKeyFor(n)
-		if err != nil {
-			fail(inv, "%s: cannot derive cache key: %v", n.Name, err)
-			continue
-		}
 		for _, c := range o.CoalitionNames() {
 			if !o.Member(c, n.Idx) {
 				continue
@@ -108,35 +104,40 @@ func checkCacheCoherence(fed *Fed, o *Oracle, fail func(string, string, ...any))
 			}
 			if got := descriptorNames(direct); got != strings.Join(want, ",") {
 				fail(inv, "%s replica of %s = [%s], oracle says [%s]", n.Name, c, got, strings.Join(want, ","))
+			}
+		}
+		store := n.Core.Gossip.Store()
+		for _, m := range fed.Nodes {
+			cd := m.Core.CoDB
+			src := gossip.Source(m.Core.Descriptor.CoDBRef)
+			ver, ok := cd.Version(), true
+			if m != n {
+				ver, ok = store.SourceVersion(src)
+			}
+			if !ok || ver != cd.Version() {
 				continue
 			}
-			cd := n.Core.CoDB
-			v, _, err := n.Core.MDCache.Get(ctx, key+strings.ToLower(c), mdcache.Request{
-				Fetch:     func(ctx context.Context) (any, error) { return cd.Members(c) },
-				Version:   func(context.Context) (uint64, error) { return cd.Version(), nil },
-				VerifyHit: true,
-			})
-			if err != nil {
-				fail(inv, "%s cached members of %s: %v", n.Name, c, err)
-				continue
+			served := func(family, arg, now string, names func(any) string) {
+				v, ok := n.Core.MDCache.Peek(src+"|"+family+"|"+strings.ToLower(arg), ver)
+				if ok && names(v) != now {
+					fail(inv, "%s serves %s's %s %s [%s] at version %d, the co-database says [%s]",
+						n.Name, m.Name, family, arg, names(v), ver, now)
+				}
 			}
-			if got := descriptorNames(v.([]*codb.SourceDescriptor)); got != strings.Join(want, ",") {
-				fail(inv, "%s cache serves %s members [%s], co-database version says [%s]",
-					n.Name, c, got, strings.Join(want, ","))
+			list := func(v any) string { return strings.Join(v.([]string), ",") }
+			served("coalitions", "", strings.Join(cd.Coalitions(), ","), list)
+			served("memberof", "", strings.Join(cd.MemberOf(), ","), list)
+			for _, c := range cd.Coalitions() {
+				members, err := cd.Members(c)
+				if err != nil {
+					continue
+				}
+				served("instances", c, descriptorNames(members), func(v any) string {
+					return descriptorNames(v.([]*codb.SourceDescriptor))
+				})
 			}
 		}
 	}
-}
-
-// instancesKeyFor rebuilds the query processor's instances-cache key prefix
-// for a node's own co-database ("<addr>/<objkey>|instances|<coalition>").
-func instancesKeyFor(n *Node) (string, error) {
-	ref, err := n.ORB.ResolveString(n.Core.Descriptor.CoDBRef)
-	if err != nil {
-		return "", err
-	}
-	ior := ref.IOR()
-	return ior.Addr() + "/" + ior.Key() + "|instances|", nil
 }
 
 func descriptorNames(ds []*codb.SourceDescriptor) string {

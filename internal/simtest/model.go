@@ -169,7 +169,7 @@ func RunSeed(cfg Config, steps int) (*RunResult, error) {
 	for step := 0; step < steps; step++ {
 		op := gen.Next(oracle)
 		res.Log = append(res.Log, runStep(fed, oracle, step, op, res))
-		fed.AdvanceTTL()
+		fed.Settle(context.Background())
 	}
 	return res, nil
 }
@@ -222,7 +222,7 @@ func runStep(fed *Fed, oracle *Oracle, step int, op Op, res *RunResult) string {
 // stmtFor renders the WebTassili statement an operation executes.
 func stmtFor(op Op) string {
 	switch op.Kind {
-	case OpQuery:
+	case OpQuery, OpRemoteQuery:
 		return fmt.Sprintf(`V(R.K, (R.K = "a")) On Coalition %s;`, op.Coalition)
 	case OpInstances:
 		return fmt.Sprintf("Display Instances of Class %s;", op.Coalition)
@@ -241,7 +241,7 @@ func checkExpectation(o *Oracle, op Op, resp *query.Response, err error, fail fu
 	const inv = "model"
 	issuer := o.NodeName(op.Node)
 	switch op.Kind {
-	case OpQuery:
+	case OpQuery, OpRemoteQuery:
 		if err != nil {
 			fail(inv, "coalition query failed: %v", err)
 			return
@@ -343,8 +343,8 @@ func checkExpectation(o *Oracle, op Op, resp *query.Response, err error, fail fu
 			fail(inv, "probed %d peers, oracle says %d", len(resp.Members), o.NumNodes-1)
 		}
 		for _, st := range resp.Members {
-			if !st.OK() || st.Stale {
-				fail(inv, "probe of %s degraded: class=%s stale=%v", st.Member, st.ErrClass, st.Stale)
+			if !st.OK() {
+				fail(inv, "probe of %s failed: class=%s", st.Member, st.ErrClass)
 			}
 		}
 	case OpJoin:
@@ -383,9 +383,6 @@ func logLine(step int, op Op, resp *query.Response, err error) string {
 			flags := m.ErrClass
 			if m.Cached {
 				flags += "+cached"
-			}
-			if m.Stale {
-				flags += "+stale"
 			}
 			sts = append(sts, m.Member+":"+flags)
 		}

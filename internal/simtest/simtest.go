@@ -10,6 +10,7 @@
 package simtest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -71,6 +72,9 @@ type Config struct {
 	// membership at boot and make convergence (and the flat-baseline
 	// comparison) vacuous.
 	NoBaseCoalition bool
+	// Topology, when set, is the named-coalition membership map (coalition
+	// name -> member indexes) instead of a generated one.
+	Topology map[string][]int
 }
 
 // Node is one federation participant: its simulated host, ORB and core node.
@@ -190,7 +194,11 @@ func Build(cfg Config) (*Fed, error) {
 	if !cfg.NoBaseCoalition {
 		fed.Members[BaseCoalition] = allIndexes(cfg.Nodes)
 	}
-	for name, members := range genTopology(fed.rng, cfg.Nodes, cfg.Coalitions, cfg.CoalitionSize) {
+	topology := cfg.Topology
+	if topology == nil {
+		topology = genTopology(fed.rng, cfg.Nodes, cfg.Coalitions, cfg.CoalitionSize)
+	}
+	for name, members := range topology {
 		fed.Members[name] = members
 	}
 	for name, members := range fed.Members {
@@ -240,11 +248,22 @@ func (f *Fed) Heal(a, b int) { f.Net.Heal(f.Nodes[a].Host, f.Nodes[b].Host) }
 // HealAll restores every link.
 func (f *Fed) HealAll() { f.Net.HealAll() }
 
-// AdvanceTTL moves the virtual clock past the metadata-cache TTL, expiring
-// every blind-TTL (peer) cache entry. The model runner calls it between
-// steps so no peer metadata is carried across steps and the oracle stays
-// exact; version-verified local entries revalidate for free either way.
-func (f *Fed) AdvanceTTL() { f.Clock.Advance(mdcache.DefaultTTL + time.Millisecond) }
+// settleRounds bounds Settle's gossip rounds. Versions only move while no
+// link is cut (the generator's rule for Join and Leave), so a six-node
+// federation converges in a few rounds; the bound only stops a run whose
+// partitions keep some store behind.
+const settleRounds = 16
+
+// Settle brings the federation to rest between model steps. Gossip rounds run
+// until every store holds every node at its current version, so no cached
+// peer answer outlives a mutation the oracle has applied; then the clock moves
+// past NegTTL, so no cached error does either. It keeps the oracle exact.
+func (f *Fed) Settle(ctx context.Context) {
+	for r := 0; r < settleRounds && !f.GossipConverged(); r++ {
+		f.RunGossipRound(ctx)
+	}
+	f.Clock.Advance(mdcache.NegTTL + time.Millisecond)
+}
 
 // heteroEngines is the cycle Config.Hetero assigns over node indexes: the
 // paper's four relational vendors interleaved with its two object engines.
