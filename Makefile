@@ -48,12 +48,13 @@ sim:
 # sim-scale runs the large-topology gossip scenarios on their own, verbosely
 # and under the race detector: the 300-node convergence proof (cold start and
 # one-mutation dissemination in O(log N) rounds, message count below the flat
-# fan-out baseline), the gossip determinism replay, representative
-# re-election, and the bounded staleness of cached peer metadata across two
-# coalitions joined only by service links. Replay one failing seed with:
+# fan-out baseline, then a discovery sweep that probes each co-member once),
+# the gossip determinism replay, and the bounded staleness of cached peer
+# metadata across two coalitions joined only by service links. Replay one
+# failing seed with:
 #   go test ./internal/simtest -run TestGossipConvergence300 -simnet.seed=N
 sim-scale:
-	$(GO) test -race -v -run 'TestGossipConvergence300|TestGossipDeterministicReplay|TestGossipRepresentativeReelection|TestDifferentialHierarchy|TestBoundedStalenessAcrossLinkedCoalitions' ./internal/simtest
+	$(GO) test -race -v -run 'TestGossipConvergence300|TestGossipDeterministicReplay|TestBoundedStalenessAcrossLinkedCoalitions' ./internal/simtest
 
 # fuzz-smoke runs every fuzz target briefly: enough to catch regressions on
 # the checked-in corpus plus a short random walk, without a full campaign.

@@ -33,18 +33,16 @@
 // Those twenty keys (with "document_html", "location" and "interface_wtl")
 // are all a node reads; an unknown key is an error, not ignored. The
 // planner's execution modes (predicate pushdown, cursor streaming, semi-join
-// key pushdown, gossip, hierarchical discovery) are not configurable: every
-// node runs them, with constant thresholds (cursor pages 64 rows growing to
-// 1024, IN lists up to 64 keys then a 10-bits-per-key Bloom filter,
-// sub-coalitions above 32 members). So are the ISI cursor table's limits (32
-// open cursors, reaped after 2 idle minutes), the metadata cache's 250ms TTL
-// for errors (answers are kept until gossip moves their source's version) and
-// entry cap (4096), gossip's pacing (3 peers a round,
-// one round a second, a peer dead after 2 failed exchanges) and the GIOP
-// fragment size (256 KiB). The keys that used to set any of these, and the
-// two of the circuit breaker (removed: a refused dial already fails fast, and
-// member_timeout_ms bounds a silent member), are refused by name; see
-// retiredKeys.
+// key pushdown, gossip) are not configurable: every node runs them, with
+// constant thresholds (cursor pages 64 rows growing to 1024, IN lists up to
+// 64 keys then a 10-bits-per-key Bloom filter). So are the ISI cursor
+// table's limits (32 open cursors, reaped after 2 idle minutes), the
+// metadata cache's 250ms TTL for errors (answers are kept until gossip moves
+// their source's version) and entry cap (4096), gossip's pacing (3 peers a
+// round, one round a second) and the GIOP fragment size (256 KiB). The keys
+// that used to set any of these, and the two of the circuit breaker
+// (removed: a refused dial already fails fast, and member_timeout_ms bounds
+// a silent member), are refused by name; see retiredKeys.
 //
 // The -chaos flag loads a fault-injection plan (same JSON shape as the
 // "chaos" config field) and applies it to the node's outbound IIOP calls,

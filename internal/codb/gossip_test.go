@@ -36,28 +36,11 @@ func (f *fakeExchanger) HandlePush(delta []byte) (int, error) {
 	return f.applied, nil
 }
 
-// TestGossipOpsOverIIOP exercises gossip_pull, gossip_push and relay_probe
-// through the ORB: opaque payloads must cross untouched in both directions,
-// and relay results must round-trip every field (error class, detail, match
-// lists) positionally.
+// TestGossipOpsOverIIOP exercises gossip_pull and gossip_push through the
+// ORB: opaque payloads must cross untouched in both directions.
 func TestGossipOpsOverIIOP(t *testing.T) {
 	ex := &fakeExchanger{delta: []byte("\x00DELTA\xff"), digest: []byte("DIGEST"), applied: 3}
-	var relayTopic string
-	var relayTargets []RelayTarget
-	c, _ := startCoDBPair(t, newWideCoDB(t, 3), ServantOptions{
-		Gossip: ex,
-		Relay: func(ctx context.Context, topic string, members []RelayTarget) []RelayResult {
-			relayTopic, relayTargets = topic, members
-			return []RelayResult{
-				{Name: members[0].Name, Coals: []Match{
-					{Coalition: "Medical", Score: 0.5, Via: "local", CoDBRef: "IOR:abc"},
-				}, Links: []Match{
-					{Coalition: "Insurance", Score: 1, Via: "link:m2i"},
-				}},
-				{Name: members[1].Name, ErrClass: "comm", Err: "peer down"},
-			}
-		},
-	})
+	c, _ := startCoDBPair(t, newWideCoDB(t, 3), ServantOptions{Gossip: ex})
 	ctx := context.Background()
 
 	delta, digest, err := c.GossipPull(ctx, []byte("MY-DIGEST"))
@@ -75,36 +58,11 @@ func TestGossipOpsOverIIOP(t *testing.T) {
 	if string(ex.gotDelta) != "PUSHED" {
 		t.Fatalf("servant saw delta %q", ex.gotDelta)
 	}
-
-	results, err := c.RelayProbe(ctx, "cancer research", []RelayTarget{
-		{Name: "A", Ref: "IOR:a"}, {Name: "B", Ref: "IOR:b"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relayTopic != "cancer research" || len(relayTargets) != 2 ||
-		relayTargets[0] != (RelayTarget{Name: "A", Ref: "IOR:a"}) ||
-		relayTargets[1] != (RelayTarget{Name: "B", Ref: "IOR:b"}) {
-		t.Fatalf("servant saw topic %q targets %+v", relayTopic, relayTargets)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %+v", results)
-	}
-	a, b := results[0], results[1]
-	if a.Name != "A" || a.ErrClass != "" ||
-		len(a.Coals) != 1 || a.Coals[0] != (Match{Coalition: "Medical", Score: 0.5, Via: "local", CoDBRef: "IOR:abc"}) ||
-		len(a.Links) != 1 || a.Links[0].Coalition != "Insurance" {
-		t.Fatalf("result A did not round-trip: %+v", a)
-	}
-	if b.Name != "B" || b.ErrClass != "comm" || b.Err != "peer down" || len(b.Coals) != 0 {
-		t.Fatalf("result B did not round-trip: %+v", b)
-	}
 }
 
 // TestGossipOpsErrorsAndCompat pins the failure contract: a servant whose
 // exchanger errors surfaces the failure to the client, and a servant built
-// without gossip or relay hooks — a pre-gossip node — answers BAD_OPERATION,
-// which callers treat like a dead candidate.
+// without a gossip exchanger — a pre-gossip node — answers BAD_OPERATION.
 func TestGossipOpsErrorsAndCompat(t *testing.T) {
 	ctx := context.Background()
 
@@ -122,8 +80,5 @@ func TestGossipOpsErrorsAndCompat(t *testing.T) {
 	var se *orb.SystemException
 	if _, _, err := legacy.GossipPull(ctx, nil); !errors.As(err, &se) || se.Name != orb.ExcBadOperation {
 		t.Fatalf("pull on pre-gossip servant = %v, want BAD_OPERATION", err)
-	}
-	if _, err := legacy.RelayProbe(ctx, "t", []RelayTarget{{Name: "A"}}); !errors.As(err, &se) || se.Name != orb.ExcBadOperation {
-		t.Fatalf("relay on pre-gossip servant = %v, want BAD_OPERATION", err)
 	}
 }

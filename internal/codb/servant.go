@@ -31,7 +31,6 @@ module WebFINDIT {
         void remove_member(in string coalition, in string source);
         any gossip_pull(in string digest);
         long long gossip_push(in string delta);
-        sequence<any> relay_probe(in string topic, in sequence<any> members);
     };
 };
 `)[0]
@@ -56,17 +55,13 @@ func MatchFromAny(a idl.Any) Match {
 	}
 }
 
-// ServantOptions are the servant's optional scale-out hooks; the zero value
-// leaves the gossip and relay operations unregistered (callers then get
-// BAD_OPERATION, the documented "peer predates the protocol" signal).
+// ServantOptions are the servant's optional hooks; the zero value leaves the
+// gossip operations unregistered (callers then get BAD_OPERATION, the
+// documented "peer predates the protocol" signal).
 type ServantOptions struct {
 	// Gossip serves the anti-entropy operations (gossip_pull/gossip_push)
 	// when non-nil — in practice the node's *gossip.Agent.
 	Gossip GossipExchanger
-	// Relay serves relay_probe when non-nil: a sub-coalition representative
-	// probes the given members on the coordinator's behalf and returns one
-	// result per member, in order.
-	Relay func(ctx context.Context, topic string, members []RelayTarget) []RelayResult
 }
 
 // GossipExchanger is the servant-side surface of the anti-entropy protocol,
@@ -77,11 +72,11 @@ type GossipExchanger interface {
 	HandlePush(delta []byte) (int, error)
 }
 
-// NewServant exposes a co-database through the ORB without the gossip and
-// relay operations.
+// NewServant exposes a co-database through the ORB without the gossip
+// operations.
 func NewServant(cd *CoDatabase) orb.Servant { return NewServantWith(cd, ServantOptions{}) }
 
-// NewServantWith is NewServant with the scale-out hooks in opts.
+// NewServantWith is NewServant with the hooks in opts.
 func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 	userErr := func(err error) error {
 		return &orb.UserException{Name: "CoDatabaseError", Message: err.Error()}
@@ -211,9 +206,9 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 		}
 		return idl.Any{Kind: idl.KindVoid}, nil
 	})
-	// The gossip and relay operations are declared in the IDL but registered
-	// only when the servant is given the corresponding machinery, so one
-	// built without it answers exactly like a pre-gossip peer: BAD_OPERATION.
+	// The gossip operations are declared in the IDL but registered only when
+	// the servant is given an exchanger, so one built without it answers
+	// exactly like a pre-gossip peer: BAD_OPERATION.
 	if opts.Gossip != nil {
 		on("gossip_pull", func(args []idl.Any) (idl.Any, error) {
 			delta, digest, err := opts.Gossip.HandlePull([]byte(args[0].Str))
@@ -231,23 +226,6 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 				return idl.Null(), userErr(err)
 			}
 			return idl.Long(int64(applied)), nil
-		})
-	}
-	if opts.Relay != nil {
-		h.OnCtx("relay_probe", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
-			_, sp := trace.StartSpan(ctx, "codb.relay_probe")
-			sp.SetAttr("owner", cd.Owner())
-			members := make([]RelayTarget, 0, len(args[1].Seq))
-			for _, m := range args[1].Seq {
-				members = append(members, RelayTargetFromAny(m))
-			}
-			results := opts.Relay(ctx, args[0].Str, members)
-			out := make([]idl.Any, len(results))
-			for i, r := range results {
-				out[i] = relayResultToAny(r)
-			}
-			sp.End(nil)
-			return idl.Seq(out...), nil
 		})
 	}
 	return h

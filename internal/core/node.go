@@ -178,17 +178,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.ISIIOR = isiIOR
-	codbServant := codb.NewServantWith(n.CoDB, codb.ServantOptions{
-		Gossip: n.Gossip,
-		// A relay_probe landing in the startup window before n.Processor is
-		// set gets an empty reply, which coordinators treat as a failed relay.
-		Relay: func(ctx context.Context, topic string, members []codb.RelayTarget) []codb.RelayResult {
-			if n.Processor == nil {
-				return nil
-			}
-			return n.Processor.RelayProbe(ctx, topic, members)
-		},
-	})
+	codbServant := codb.NewServantWith(n.CoDB, codb.ServantOptions{Gossip: n.Gossip})
 	codbIOR, err := cfg.ORB.Activate(codbKey(cfg.Name), codbServant)
 	if err != nil {
 		return nil, err

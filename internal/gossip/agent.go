@@ -14,8 +14,6 @@ const (
 	Fanout = 3
 	// Interval paces Start's background loop. Tick ignores it.
 	Interval = time.Second
-	// SuspectAfter is how many consecutive failed exchanges mark a peer dead.
-	SuspectAfter = 2
 )
 
 // Config wires an Agent to its node. Self, Exchange and Push are required
@@ -58,7 +56,6 @@ type Stats struct {
 	DigestBytes   int64 `json:"digest_bytes"`   // digest payload bytes sent and served
 	DeltaBytes    int64 `json:"delta_bytes"`    // delta payload bytes sent and served
 	PeersKnown    int   `json:"peers_known"`    // gossip-able peers in the store
-	PeersDead     int   `json:"peers_dead"`     // peers past the failure threshold
 	LastApplyLag  int64 `json:"last_apply_lag"` // rounds since a merge last applied something (convergence lag)
 }
 
@@ -71,7 +68,7 @@ type Agent struct {
 	store *Store
 
 	// ring is the shuffled peer walk: every known peer is contacted exactly
-	// once per cycle, giving failure detection a deterministic bound.
+	// once per cycle, giving staleness a deterministic bound.
 	ringMu sync.Mutex
 	ring   []Entry
 	rng    *rand.Rand
@@ -100,7 +97,7 @@ func New(cfg Config) *Agent {
 	}
 }
 
-// Store exposes the agent's metadata replica and liveness view.
+// Store exposes the agent's metadata replica.
 func (a *Agent) Store() *Store { return a.store }
 
 // Stats snapshots the counters.
@@ -116,7 +113,6 @@ func (a *Agent) Stats() Stats {
 		DigestBytes:   a.digestBytes.Load(),
 		DeltaBytes:    a.deltaBytes.Load(),
 		PeersKnown:    len(a.store.Peers()),
-		PeersDead:     a.store.DeadCount(),
 		LastApplyLag:  rounds - a.lastApplyRound.Load(),
 	}
 }
@@ -162,7 +158,7 @@ func (a *Agent) nextPeers(n int) []Entry {
 
 // CycleLen returns the current peer-walk cycle length: the number of rounds
 // within which every known peer is contacted at least once, ceil(peers /
-// fanout). Tests derive the failure-detection bound from it.
+// fanout). Tests derive the staleness bound from it.
 func (a *Agent) CycleLen() int {
 	peers := len(a.store.Peers())
 	if peers == 0 {
@@ -179,11 +175,7 @@ func (a *Agent) Tick(ctx context.Context) {
 	a.rounds.Add(1)
 	a.refresh()
 	for _, peer := range a.nextPeers(Fanout) {
-		if err := a.exchange(ctx, peer.CoDBRef); err != nil {
-			a.store.ReportFailure(peer.Node)
-		} else {
-			a.store.ReportSuccess(peer.Node)
-		}
+		a.exchange(ctx, peer.CoDBRef)
 	}
 }
 
@@ -194,15 +186,16 @@ func (a *Agent) Tick(ctx context.Context) {
 // whether it worked.
 func (a *Agent) Learn(ctx context.Context, ref string) { a.exchange(ctx, ref) }
 
-// exchange runs one push-pull exchange with the co-database at ref.
-func (a *Agent) exchange(ctx context.Context, ref string) error {
+// exchange runs one push-pull exchange with the co-database at ref. A
+// failure is counted; the next cycle contacts the peer again.
+func (a *Agent) exchange(ctx context.Context, ref string) {
 	digest := EncodeDigest(a.store.Digest())
 	a.digestBytes.Add(int64(len(digest)))
 	a.exchanges.Add(1)
 	deltaBytes, peerDigestBytes, err := a.cfg.Exchange(ctx, ref, digest)
 	if err != nil {
 		a.failures.Add(1)
-		return err
+		return
 	}
 	a.deltaBytes.Add(int64(len(deltaBytes)))
 	if entries, derr := DecodeDelta(deltaBytes); derr == nil {
@@ -210,21 +203,20 @@ func (a *Agent) exchange(ctx context.Context, ref string) error {
 	}
 	peerDigest, derr := DecodeDigest(peerDigestBytes)
 	if derr != nil || a.cfg.Push == nil {
-		return nil
+		return
 	}
 	missing := a.store.DeltaSince(peerDigest)
 	if len(missing) == 0 {
-		return nil
+		return
 	}
 	payload := EncodeDelta(missing)
 	a.pushes.Add(1)
 	a.deltaBytes.Add(int64(len(payload)))
 	if err := a.cfg.Push(ctx, ref, payload); err != nil {
 		a.failures.Add(1)
-		return err
+		return
 	}
 	a.deltasSent.Add(int64(len(missing)))
-	return nil
 }
 
 // apply merges entries and reports how many landed.

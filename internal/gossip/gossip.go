@@ -9,13 +9,11 @@
 // per-round traffic bounded by fanout, instead of requiring an O(N²)
 // all-pairs probe storm.
 //
-// The same Store doubles as the failure detector behind sub-coalition
-// representative election: peers whose exchanges keep failing are marked
-// dead after SuspectAfter consecutive failures, and Representative skips
-// them. Because the agent walks its peers in shuffled-ring order (every
-// known peer is contacted exactly once per cycle), a partitioned peer is
-// detected within SuspectAfter full cycles — a deterministic bound the
-// simulation tests assert.
+// The Store is also where the query layer reads a peer's current version:
+// every cached peer answer is verified against Store.SourceVersion. Because
+// the agent walks its peers in shuffled-ring order (every known peer is
+// contacted exactly once per cycle), a reader holds any peer's new version
+// within two cycles — the staleness bound the simulation tests assert.
 package gossip
 
 import (
@@ -49,17 +47,14 @@ type Entry struct {
 // so a peer answering a digest sends everything the digester lacks.
 type Digest map[string]uint64
 
-// Store is one node's replica of the federation metadata map plus the
-// liveness view gossip builds as a side effect. All methods are safe for
-// concurrent use: servant-side pull/push handlers run on ORB dispatch
-// goroutines while the local agent ticks.
+// Store is one node's replica of the federation metadata map. All methods
+// are safe for concurrent use: servant-side pull/push handlers run on ORB
+// dispatch goroutines while the local agent ticks.
 type Store struct {
 	mu      sync.Mutex
 	self    string
 	entries map[string]Entry
 	sources map[string]string // Source(CoDBRef) -> node
-	fails   map[string]int    // consecutive exchange failures; a success resets
-	dead    map[string]bool
 }
 
 // NewStore creates a store owned by node self.
@@ -68,8 +63,6 @@ func NewStore(self string) *Store {
 		self:    self,
 		entries: make(map[string]Entry),
 		sources: make(map[string]string),
-		fails:   make(map[string]int),
-		dead:    make(map[string]bool),
 	}
 }
 
@@ -207,82 +200,4 @@ func (s *Store) Peers() []Entry {
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
-}
-
-// ReportFailure records a failed exchange with a peer; after SuspectAfter
-// consecutive failures the peer is considered dead. It reports whether this
-// call crossed the threshold.
-func (s *Store) ReportFailure(node string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fails[node]++
-	if s.fails[node] >= SuspectAfter && !s.dead[node] {
-		s.dead[node] = true
-		return true
-	}
-	return false
-}
-
-// ReportSuccess resets a peer's failure count and revives it.
-func (s *Store) ReportSuccess(node string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.fails, node)
-	delete(s.dead, node)
-}
-
-// Alive reports whether a peer is believed reachable. Unknown peers get the
-// benefit of the doubt: liveness is only ever evidence of failure, never a
-// gate on first contact.
-func (s *Store) Alive(node string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.dead[node]
-}
-
-// DeadCount reports how many peers are currently considered dead.
-func (s *Store) DeadCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.dead)
-}
-
-// Shard splits a coalition's member list into sub-coalitions of at most
-// size members, preserving order: members[0:size], members[size:2*size], …
-// Member lists arrive sorted from the co-database, so sharding is
-// deterministic across every node that holds the same list. size <= 0
-// returns a single shard.
-func Shard(members []string, size int) [][]string {
-	if size <= 0 || len(members) <= size {
-		if len(members) == 0 {
-			return nil
-		}
-		return [][]string{members}
-	}
-	var out [][]string
-	for start := 0; start < len(members); start += size {
-		end := start + size
-		if end > len(members) {
-			end = len(members)
-		}
-		out = append(out, members[start:end])
-	}
-	return out
-}
-
-// Representative elects a shard's representative: the first member the
-// liveness view still believes reachable. When every member is suspected the
-// first member is returned anyway (the caller's probe will fail and record
-// the error, which is the honest outcome). The returned index is the
-// member's position within the shard.
-func (s *Store) Representative(shard []string) (string, int) {
-	for i, m := range shard {
-		if s.Alive(m) {
-			return m, i
-		}
-	}
-	if len(shard) == 0 {
-		return "", -1
-	}
-	return shard[0], 0
 }

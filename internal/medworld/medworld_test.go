@@ -2,10 +2,15 @@ package medworld
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/browser"
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/orb"
@@ -357,6 +362,37 @@ func TestFigure3LayerTrace(t *testing.T) {
 		if !strings.Contains(trace, layer) {
 			t.Errorf("trace missing %q:\n%s", layer, trace)
 		}
+	}
+}
+
+// TestFigure5HTMLDocument reproduces Figure 5: the browser layer serves RBH's
+// documentation page, the HTML its co-database stores, over HTTP.
+func TestFigure5HTMLDocument(t *testing.T) {
+	w := sharedWorld(t)
+	rbh, ok := w.Node(RBH)
+	if !ok {
+		t.Fatal("no RBH node")
+	}
+	want := rbh.Descriptor.DocumentHTML
+	if !strings.Contains(want, "<html>") {
+		t.Fatalf("RBH descriptor carries no HTML document: %q", want)
+	}
+	srv := httptest.NewServer(browser.NewServer(rbh).Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/api/sources/" + url.PathEscape(RBH) + "/document")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/html") {
+		t.Fatalf("GET document = %s, %q", resp.Status, resp.Header.Get("Content-Type"))
+	}
+	if !strings.Contains(string(body), want) {
+		t.Errorf("served page does not contain RBH's DocumentHTML:\n%s", body)
 	}
 }
 

@@ -35,7 +35,7 @@ func (r *ObjectRef) Addr() string { return r.addr }
 
 // Invoke performs a synchronous request and returns the result value.
 func (r *ObjectRef) Invoke(op string, args ...idl.Any) (idl.Any, error) {
-	return r.invoke(context.Background(), op, args, true, false)
+	return r.invoke(context.Background(), op, args, false)
 }
 
 // InvokeCtx is Invoke with a caller context. The context reaches the client
@@ -44,7 +44,7 @@ func (r *ObjectRef) Invoke(op string, args ...idl.Any) (idl.Any, error) {
 // A context deadline bounds each transport exchange: the effective per-call
 // timeout is the smaller of the remaining deadline and Options.CallTimeout.
 func (r *ObjectRef) InvokeCtx(ctx context.Context, op string, args ...idl.Any) (idl.Any, error) {
-	return r.invoke(ctx, op, args, true, false)
+	return r.invoke(ctx, op, args, false)
 }
 
 // InvokeIdempotent is InvokeCtx for operations that are safe to issue more
@@ -53,19 +53,7 @@ func (r *ObjectRef) InvokeCtx(ctx context.Context, op string, args ...idl.Any) (
 // backoff and jitter; the per-invocation context still bounds the whole
 // sequence.
 func (r *ObjectRef) InvokeIdempotent(ctx context.Context, op string, args ...idl.Any) (idl.Any, error) {
-	return r.invoke(ctx, op, args, true, true)
-}
-
-// InvokeOneway performs a fire-and-forget request (no reply is read).
-func (r *ObjectRef) InvokeOneway(op string, args ...idl.Any) error {
-	_, err := r.invoke(context.Background(), op, args, false, false)
-	return err
-}
-
-// InvokeOnewayCtx is InvokeOneway with a caller context (see InvokeCtx).
-func (r *ObjectRef) InvokeOnewayCtx(ctx context.Context, op string, args ...idl.Any) error {
-	_, err := r.invoke(ctx, op, args, false, false)
-	return err
+	return r.invoke(ctx, op, args, true)
 }
 
 // invoke is the shared invocation path. Client interceptors run around the
@@ -74,7 +62,7 @@ func (r *ObjectRef) InvokeOnewayCtx(ctx context.Context, op string, args ...idl.
 // entries travel in the GIOP request header (or are handed to the target
 // adapter directly on the colocated fast path, so a colocated hop is
 // observationally identical to a socket hop).
-func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expectReply, idempotent bool) (idl.Any, error) {
+func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, idempotent bool) (idl.Any, error) {
 	o := r.orb
 	target, colocated := o.colocatedTarget(r.addr)
 	cis := o.clientInterceptors()
@@ -87,7 +75,6 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expec
 			ObjectKey: r.ior.ObjectKey,
 			Addr:      r.addr,
 			Colocated: colocated,
-			Oneway:    !expectReply,
 		}
 		for _, ci := range cis {
 			ci.SendRequest(ri)
@@ -112,7 +99,7 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, expec
 		}
 		result, err = target.dispatchIncoming(ctx, r.ior.Key(), op, args, svcCtxs, "colocated")
 	} else {
-		result, err = o.callRemote(ctx, r, op, args, expectReply, svcCtxs, idempotent)
+		result, err = o.callRemote(ctx, r, op, args, svcCtxs, idempotent)
 	}
 	for i := len(cis) - 1; i >= 0; i-- {
 		cis[i].ReceiveReply(ri, err)
@@ -173,10 +160,10 @@ const (
 // Non-idempotent calls make exactly one transport attempt; idempotent ones
 // retry transport-class failures up to Options.RetryAttempts with
 // exponential backoff and full jitter.
-func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, expectReply bool, svcCtxs []giop.ServiceContext, idempotent bool) (idl.Any, error) {
+func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, svcCtxs []giop.ServiceContext, idempotent bool) (idl.Any, error) {
 	cs := callStatsFrom(ctx)
 	maxAttempts := 1
-	if idempotent && expectReply && o.opts.RetryAttempts > 1 {
+	if idempotent && o.opts.RetryAttempts > 1 {
 		maxAttempts = o.opts.RetryAttempts
 	}
 	var lastErr error
@@ -194,7 +181,7 @@ func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []id
 		if cs != nil {
 			cs.Attempts.Add(1)
 		}
-		result, err := o.pool.roundTrip(ctx, r.addr, r.ior.ObjectKey, op, args, expectReply, svcCtxs)
+		result, err := o.pool.roundTrip(ctx, r.addr, r.ior.ObjectKey, op, args, svcCtxs)
 		if err == nil {
 			return result, nil
 		}
@@ -465,23 +452,16 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 	}
 }
 
-// call sends one request frame and, when expectReply, waits for its demuxed
-// reply, bounding the wait by timeout (0 = unbounded). A timeout or write
-// failure poisons the connection, preserving GIOP 1.0 semantics where a
-// broken exchange leaves the stream unusable.
-func (c *muxConn) call(reqID uint32, msg *giop.Message, hdrLen int, expectReply bool, timeout time.Duration) (*demuxedReply, error) {
+// call sends one request frame and waits for its demuxed reply, bounding the
+// wait by timeout (0 = unbounded). A timeout or write failure poisons the
+// connection, preserving GIOP 1.0 semantics where a broken exchange leaves
+// the stream unusable.
+func (c *muxConn) call(reqID uint32, msg *giop.Message, hdrLen int, timeout time.Duration) (*demuxedReply, error) {
 	send := func() error {
 		if msg.Type == giop.MsgRequest {
 			return c.sendRequest(reqID, msg, hdrLen)
 		}
 		return c.send(msg)
-	}
-	if !expectReply {
-		if err := send(); err != nil {
-			c.fail(err)
-			return nil, err
-		}
-		return nil, nil
 	}
 	ch, err := c.register(reqID)
 	if err != nil {
@@ -661,12 +641,12 @@ func (p *connPool) callDeadline(ctx context.Context) time.Duration {
 	return timeout
 }
 
-// roundTrip sends one GIOP Request and (when expectReply) awaits the Reply.
+// roundTrip sends one GIOP Request and awaits the Reply.
 // If the chosen connection was poisoned before the request could be written,
 // it retries once on a fresh connection. svcCtxs are the service context
 // entries (interceptor-added) carried in the request header. The context
 // deadline, when tighter than Options.CallTimeout, bounds the exchange.
-func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op string, args []idl.Any, expectReply bool, svcCtxs []giop.ServiceContext) (idl.Any, error) {
+func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op string, args []idl.Any, svcCtxs []giop.ServiceContext) (idl.Any, error) {
 	order := p.orb.wireOrder()
 	for attempt := 0; ; attempt++ {
 		c, err := p.get(addr)
@@ -678,7 +658,7 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 		(&giop.RequestHeader{
 			ServiceContext:   svcCtxs,
 			RequestID:        reqID,
-			ResponseExpected: expectReply,
+			ResponseExpected: true,
 			ObjectKey:        key,
 			Operation:        op,
 			Principal:        []byte(p.orb.opts.Product),
@@ -686,7 +666,7 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 		hdrLen := e.Len()
 		idl.MarshalAnys(e, args)
 		msg := &giop.Message{Type: giop.MsgRequest, Order: order, Body: e.Bytes()}
-		r, err := c.call(reqID, msg, hdrLen, expectReply, p.callDeadline(ctx))
+		r, err := c.call(reqID, msg, hdrLen, p.callDeadline(ctx))
 		// call has either copied the frame into the connection's buffered
 		// writer or failed; the encoder's scratch buffer is free either way.
 		giop.ReleaseBodyEncoder(e)
@@ -698,9 +678,6 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 				err = pe.cause // keep the typed *SystemException contract
 			}
 			return idl.Null(), err
-		}
-		if !expectReply {
-			return idl.Null(), nil
 		}
 		result, err := decodeReply(r)
 		r.release()
@@ -755,7 +732,7 @@ func (p *connPool) locate(ctx context.Context, addr string, key []byte) (bool, e
 		e := giop.AcquireBodyEncoder(order)
 		(&giop.LocateRequestHeader{RequestID: reqID, ObjectKey: key}).Marshal(e)
 		msg := &giop.Message{Type: giop.MsgLocateRequest, Order: order, Body: e.Bytes()}
-		r, err := c.call(reqID, msg, 0, true, p.callDeadline(ctx))
+		r, err := c.call(reqID, msg, 0, p.callDeadline(ctx))
 		giop.ReleaseBodyEncoder(e)
 		if err != nil {
 			if pe, poisoned := err.(*errConnPoisoned); poisoned {

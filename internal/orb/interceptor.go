@@ -33,8 +33,6 @@ type ClientRequestInfo struct {
 	Addr string
 	// Colocated reports that the call takes the in-process fast path.
 	Colocated bool
-	// Oneway reports that no reply will be read.
-	Oneway bool
 	// ServiceContexts are sent in the GIOP request header. Interceptors add
 	// entries with AddServiceContext.
 	ServiceContexts []giop.ServiceContext

@@ -2,10 +2,14 @@ package orb
 
 import (
 	"context"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/idl"
 )
 
@@ -189,15 +193,55 @@ func TestLocate(t *testing.T) {
 	}
 }
 
+// TestOneway sends a request with response_expected = false over a raw
+// connection, as a foreign ORB's oneway call arrives: the server dispatches
+// it, counts it and writes no reply, so once it has run, the next frame on
+// the wire is the reply to the request that follows it.
 func TestOneway(t *testing.T) {
-	_, ref := startPair(t)
-	if err := ref.InvokeOneway("ping"); err != nil {
+	server := New(Options{Product: Orbix})
+	if err := server.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	// A request after the oneway on the same connection must still work
-	// (no reply was queued for the oneway).
-	got, err := ref.Invoke("echo", idl.String("after oneway"))
-	if err != nil || got.Str != "after oneway" {
+	t.Cleanup(server.Shutdown)
+	if _, err := server.Activate("Echo", newEchoServant()); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	request := func(id uint32, responseExpected bool, op string, args ...idl.Any) {
+		t.Helper()
+		e := giop.NewBodyEncoder(cdr.BigEndian)
+		(&giop.RequestHeader{RequestID: id, ResponseExpected: responseExpected,
+			ObjectKey: []byte("Echo"), Operation: op}).Marshal(e)
+		idl.MarshalAnys(e, args)
+		if err := giop.Write(conn, &giop.Message{Type: giop.MsgRequest, Order: cdr.BigEndian, Body: e.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	request(1, false, "ping")
+	deadline := time.Now().Add(5 * time.Second)
+	for server.Stats.OnewayRequests.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("OnewayRequests = %d, want 1", server.Stats.OnewayRequests.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	request(2, true, "echo", idl.String("after oneway"))
+
+	msg, err := giop.Read(conn)
+	if err != nil || msg.Type != giop.MsgReply {
+		t.Fatalf("first frame after the oneway = %v, %v; want the echo reply", msg, err)
+	}
+	d := msg.BodyDecoder()
+	rh, err := giop.UnmarshalReplyHeader(d)
+	if err != nil || rh.RequestID != 2 || rh.Status != giop.ReplyNoException {
+		t.Fatalf("reply header = %+v, %v; want request 2, no exception", rh, err)
+	}
+	if got, err := idl.UnmarshalAny(d); err != nil || got.Str != "after oneway" {
 		t.Errorf("after oneway: %v, %v", got, err)
 	}
 }

@@ -29,9 +29,6 @@ func (ti tracingInterceptor) SendRequest(ri *ClientRequestInfo) {
 	sp.SetAttr("transport", transport)
 	sp.SetAttr("addr", ri.Addr)
 	sp.SetAttr("key", string(ri.ObjectKey))
-	if ri.Oneway {
-		sp.SetAttr("oneway", "true")
-	}
 	ri.Ctx = ctx
 	ri.AddServiceContext(giop.ServiceContextTracing, sp.Context().Encode())
 	ri.SetSlot(clientSpanSlot{}, sp)

@@ -157,36 +157,26 @@ type peerTarget struct {
 	Peer *codb.Client
 }
 
-// peerGroup is one coalition's contribution to the stage-3 probe-target list:
-// the peers that entered the list through it, in member order. Hierarchical
-// routing shards groups; flat routing ignores the grouping and walks the
-// concatenation, so both modes see the same targets in the same order.
-type peerGroup struct {
-	Coalition string
-	Members   []peerTarget
-}
-
-// cachedPeerGroups assembles (or replays) the deduplicated probe-target list
-// for stage-3 discovery, grouped by the coalition that contributed each peer:
-// every distinct peer co-database reachable through the coalitions the local
-// owner belongs to, in deterministic member order (a peer reachable through
-// several coalitions counts for the first one enumerated). The list is itself
-// a cache entry under the local co-database's version, so a repeat discovery
-// skips the member-of and per-coalition instance lookups entirely.
-func (p *Processor) cachedPeerGroups(ctx context.Context, local *codb.Client) ([]peerGroup, mdcache.Outcome, error) {
-	return cached[[]peerGroup](ctx, p, local, "peers", "", func(ctx context.Context) (any, error) {
+// cachedPeers assembles (or replays) the deduplicated probe-target list for
+// stage-3 discovery: every distinct peer co-database reachable through the
+// coalitions the local owner belongs to, in deterministic member order (a
+// peer reachable through several coalitions is listed where the first one
+// enumerated names it). The list is itself a cache entry under the local
+// co-database's version, so a repeat discovery skips the member-of and
+// per-coalition instance lookups entirely.
+func (p *Processor) cachedPeers(ctx context.Context, local *codb.Client) ([]peerTarget, mdcache.Outcome, error) {
+	return cached[[]peerTarget](ctx, p, local, "peers", "", func(ctx context.Context) (any, error) {
 		memberOf, _, err := p.cachedMemberOf(ctx, local)
 		if err != nil {
 			return nil, err
 		}
-		var groups []peerGroup
+		var peers []peerTarget
 		seen := map[string]bool{}
 		for _, coalition := range memberOf {
 			members, _, err := p.cachedInstances(ctx, local, coalition)
 			if err != nil {
 				continue
 			}
-			var g []peerTarget
 			for _, m := range members {
 				if strings.EqualFold(m.Name, p.cfg.Home) || m.CoDBRef == "" || seen[m.CoDBRef] {
 					continue
@@ -196,13 +186,10 @@ func (p *Processor) cachedPeerGroups(ctx context.Context, local *codb.Client) ([
 					continue
 				}
 				seen[m.CoDBRef] = true
-				g = append(g, peerTarget{Name: m.Name, Ref: m.CoDBRef, Peer: peer})
-			}
-			if len(g) > 0 {
-				groups = append(groups, peerGroup{Coalition: coalition, Members: g})
+				peers = append(peers, peerTarget{Name: m.Name, Ref: m.CoDBRef, Peer: peer})
 			}
 		}
-		return groups, nil
+		return peers, nil
 	})
 }
 

@@ -132,7 +132,7 @@ func TestGossipAppliedInvalidation(t *testing.T) {
 			return out, err
 		}},
 		{"peers", func(c *codb.Client, _ string) (mdcache.Outcome, error) {
-			_, out, err := p.cachedPeerGroups(ctx, c)
+			_, out, err := p.cachedPeers(ctx, c)
 			return out, err
 		}},
 	}

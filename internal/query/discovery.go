@@ -128,60 +128,41 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 	// keeping lead ordering identical to the serial algorithm.
 	st3Ctx, st3 := trace.StartSpan(ctx, "query.stage:coalition-peers")
 	defer st3.End(nil)
-	groups, _, err := p.cachedPeerGroups(st3Ctx, local)
+	peers, _, err := p.cachedPeers(st3Ctx, local)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Flatten the groups into the flat probe list (the order both routing
-	// modes share), remembering which group each target entered through so
-	// hierarchical routing can shard per coalition.
-	var probes []peerProbe
-	var groupOf []int
-	for gi, g := range groups {
-		for _, tgt := range g.Members {
-			probes = append(probes, peerProbe{name: tgt.Name, ref: tgt.Ref, peer: tgt.Peer})
-			groupOf = append(groupOf, gi)
-		}
-	}
-	statuses := make([]MemberStatus, len(probes))
+	results := make([]probeResult, len(peers))
+	statuses := make([]MemberStatus, len(peers))
 	// Fast path: cached probes under the peer's current version are answered
 	// inline, skipping the per-peer goroutine, span and call-stats
 	// scaffolding entirely; only the peers without one join the fan-out below.
 	var pending []int
-	for i := range probes {
-		pr := &probes[i]
-		if res, ok := p.peekProbe(pr.peer, topic); ok {
-			pr.coals, pr.links = res.Coals, res.Links
-			statuses[i] = MemberStatus{Member: pr.name, Ref: pr.ref, Cached: true}
+	for i, pt := range peers {
+		if res, ok := p.peekProbe(pt.Peer, topic); ok {
+			results[i] = res
+			statuses[i] = MemberStatus{Member: pt.Name, Ref: pt.Ref, Cached: true}
 			continue
 		}
-		statuses[i] = notDispatched(pr.name, pr.ref)
-		s.tracef("communication", "invoke find_coalitions(%q) on peer co-database of %s", topic, pr.name)
-		s.tracef("communication", "invoke find_links(%q) on peer co-database of %s", topic, pr.name)
+		statuses[i] = notDispatched(pt.Name, pt.Ref)
+		s.tracef("communication", "invoke find_coalitions(%q) on peer co-database of %s", topic, pt.Name)
+		s.tracef("communication", "invoke find_links(%q) on peer co-database of %s", topic, pt.Name)
 		pending = append(pending, i)
 	}
-	if cachedN := len(probes) - len(pending); cachedN > 0 {
+	if cachedN := len(peers) - len(pending); cachedN > 0 {
 		s.traceMsg("communication", "peer probes answered by the metadata cache: "+
-			strconv.Itoa(cachedN)+" of "+strconv.Itoa(len(probes)))
-	}
-	// Hierarchical routing: shards of large coalitions are probed through an
-	// elected representative; whatever it cannot cover (small coalitions,
-	// shards whose every relay candidate failed) stays in pending and takes
-	// the flat fan-out below.
-	if size := p.subCoalitionSize(); size > 0 && len(pending) > 0 {
-		pending = p.relayRoute(st3Ctx, s, topic, size, groupOf, probes, statuses, pending)
+			strconv.Itoa(cachedN)+" of "+strconv.Itoa(len(peers)))
 	}
 	p.callSome(st3Ctx, statuses, pending, &memberFan{
 		span: "query.probe:", sess: s, layer: "communication", what: "peer co-database of ",
 		call: func(ctx context.Context, i int, sp *trace.Span) error {
-			pr, st := &probes[i], &statuses[i]
-			res, out, err := p.cachedProbe(ctx, pr.peer, topic)
-			st.Cached = out.Served() || out == mdcache.Coalesced
+			res, out, err := p.cachedProbe(ctx, peers[i].Peer, topic)
+			statuses[i].Cached = out.Served() || out == mdcache.Coalesced
 			sp.SetAttr("cache", out.String())
 			if err != nil {
 				return err
 			}
-			pr.coals, pr.links = res.Coals, res.Links
+			results[i] = res
 			return nil
 		}})
 	out := leads
@@ -189,26 +170,25 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 	for _, l := range out {
 		seen["c:"+strings.ToLower(l.Coalition)] = true
 	}
-	for i := range probes {
-		pr := &probes[i]
-		for _, match := range pr.coals {
+	for i, pt := range peers {
+		for _, match := range results[i].Coals {
 			key := "c:" + strings.ToLower(match.Coalition)
 			if !seen[key] {
 				seen[key] = true
 				out = append(out, Lead{Coalition: match.Coalition, Score: match.Score,
-					Via: "peer:" + pr.name, CoDBRef: pr.ref})
+					Via: "peer:" + pt.Name, CoDBRef: pt.Ref})
 			}
 		}
-		for _, match := range pr.links {
+		for _, match := range results[i].Links {
 			key := "l:" + strings.ToLower(match.Coalition)
 			if !seen[key] {
 				seen[key] = true
 				ref := match.CoDBRef
 				if ref == "" {
-					ref = pr.ref
+					ref = pt.Ref
 				}
 				out = append(out, Lead{Coalition: match.Coalition, Score: match.Score,
-					Via: "peer:" + pr.name + "/" + match.Via, CoDBRef: ref})
+					Via: "peer:" + pt.Name + "/" + match.Via, CoDBRef: ref})
 			}
 		}
 	}

@@ -136,10 +136,10 @@ func (wp *workerPool) worker(loop func()) {
 
 // The member-call primitive. Every call the query layer makes to another
 // member of the federation — a coalition member's fragment, a discovery
-// peer's probe, a shard representative's relay, a join's advertisement —
-// goes through callMember, usually by way of callMembers, so all of them
-// share one shape: a span named after the member, the MemberTimeout budget,
-// ORB call statistics, and a MemberStatus filled from the outcome.
+// peer's probe, a join's advertisement — goes through callMember, usually by
+// way of callMembers, so all of them share one shape: a span named after the
+// member, the MemberTimeout budget, ORB call statistics, and a MemberStatus
+// filled from the outcome.
 
 // notDispatched is the status every member starts a fan-out with: it stands
 // unless the member's call actually runs (the context may end first).
@@ -151,9 +151,6 @@ func notDispatched(member, ref string) MemberStatus {
 type memberFan struct {
 	// span is the span-name prefix, completed by the member's name.
 	span string
-	// budget multiplies MemberTimeout for calls that cover several members
-	// (a relay probes a whole shard); 0 means one member's worth.
-	budget int
 	// sess, when set, has failed calls reported on its layer trace as
 	// "<what><member> failed (<class>): <error>".
 	sess        *Session
@@ -185,13 +182,12 @@ func (p *Processor) callSome(ctx context.Context, statuses []MemberStatus, idx [
 // message. The member's context — and with it the MemberTimeout timer — is
 // released when the call returns. A call that fails because the fan-out's
 // owner cancelled it on purpose (mergeCancelled: limit satisfied, stream
-// closed) did its part and is not a failure. The returned error is the one
-// recorded.
-func (p *Processor) callMember(ctx context.Context, st *MemberStatus, i int, f *memberFan) error {
+// closed) did its part and is not a failure.
+func (p *Processor) callMember(ctx context.Context, st *MemberStatus, i int, f *memberFan) {
 	mctx, sp := trace.StartSpan(ctx, f.span+st.Member)
 	if mt := p.memberTimeout(); mt > 0 {
 		var cancel context.CancelFunc
-		mctx, cancel = context.WithTimeout(mctx, mt*time.Duration(max(f.budget, 1)))
+		mctx, cancel = context.WithTimeout(mctx, mt)
 		defer cancel()
 	}
 	mctx, cs := orb.WithCallStats(mctx)
@@ -210,5 +206,4 @@ func (p *Processor) callMember(ctx context.Context, st *MemberStatus, i int, f *
 		}
 	}
 	sp.End(err)
-	return err
 }

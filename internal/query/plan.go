@@ -67,22 +67,6 @@ type queryPlan struct {
 	Members     []memberPlan
 }
 
-// oqlFamily reports whether a descriptor's fragments render as OQL,
-// mirroring WrapperFor's wrapper-name-then-engine fallback.
-func oqlFamily(d *codb.SourceDescriptor) bool {
-	switch d.Wrapper {
-	case "WebTassiliObjectStore", "WebTassiliOntos":
-		return true
-	case "WebTassiliOracle", "WebTassiliMSQL", "WebTassiliDB2", "WebTassiliSybase":
-		return false
-	}
-	switch d.Engine {
-	case "ObjectStore", "Ontos":
-		return true
-	}
-	return false
-}
-
 // pushableCond decides whether one conjunct ships inside the fragment under
 // a capability profile. The rule errs residual: a conjunct stays at the
 // coordinator unless the engine advertises the operator AND the literal
@@ -155,7 +139,7 @@ func buildFragmentExec(d *codb.SourceDescriptor, fn *codb.ExportedFunction, cond
 	if limit > 0 && caps.Limit && len(residual) == 0 {
 		frag.Limit = limit
 	}
-	oql := oqlFamily(d)
+	_, oql := wrapperFor(d)
 	native := frag.SQL()
 	if oql {
 		native = frag.OQL()

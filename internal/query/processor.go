@@ -105,9 +105,9 @@ type Config struct {
 	// queries are never cached. nil makes New build one on the wall clock.
 	Cache *mdcache.Cache
 	// Gossip is the node's anti-entropy agent. Its store supplies the
-	// version every cached peer answer is verified against, it learns a
-	// co-database the store does not know yet on the first miss against it,
-	// and its failure detector steers representative election. Required.
+	// version every cached peer answer is verified against, and it learns a
+	// co-database the store does not know yet on the first miss against it.
+	// Required.
 	Gossip *gossip.Agent
 }
 
@@ -130,10 +130,6 @@ type PlannerStats struct {
 	BloomPushed          int64 // semi-joins whose key set compressed to a Bloom filter
 	ProbeRowsPruned      int64 // probe rows discarded by the coordinator key filter
 	SemiJoinFallbacks    int64 // bare-fragment retries of rejected IN pushes
-	RelayShards          int64 // sub-coalition shards routed through a representative
-	RelayedProbes        int64 // member probes answered via a representative relay
-	RelayFailovers       int64 // relay attempts abandoned for the next candidate
-	RelayDirectFallbacks int64 // shards probed directly after every relay candidate failed
 }
 
 // plannerCounters is the processor's live (atomic) form of PlannerStats.
@@ -145,8 +141,6 @@ type plannerCounters struct {
 	peakMergeBuffered                     atomic.Int64
 	semiJoins, keysPushed, bloomPushed    atomic.Int64
 	probeRowsPruned, semiJoinFallbacks    atomic.Int64
-	relayShards, relayedProbes            atomic.Int64
-	relayFailovers, relayDirectFallbacks  atomic.Int64
 }
 
 // raisePeak lifts the peak-merge-buffered gauge to v if it is higher than the
@@ -178,7 +172,6 @@ type Processor struct {
 	semijoinOff atomic.Bool
 	mergeBuf    atomic.Int32 // 0 = defaultMergeWindow
 	sjKeyLimit  atomic.Int32 // 0 = defaultSemiJoinKeyLimit
-	subcoalN    atomic.Int32 // 0 = defaultSubCoalitionSize, negative = flat only
 
 	stats   plannerCounters
 	workers workerPool // parked fan-out workers (fanOut)
@@ -220,17 +213,12 @@ func (p *Processor) PlannerStats() PlannerStats {
 		BloomPushed:          p.stats.bloomPushed.Load(),
 		ProbeRowsPruned:      p.stats.probeRowsPruned.Load(),
 		SemiJoinFallbacks:    p.stats.semiJoinFallbacks.Load(),
-		RelayShards:          p.stats.relayShards.Load(),
-		RelayedProbes:        p.stats.relayedProbes.Load(),
-		RelayFailovers:       p.stats.relayFailovers.Load(),
-		RelayDirectFallbacks: p.stats.relayDirectFallbacks.Load(),
 	}
 }
 
 // The planner's modes and thresholds are constants, not configuration: every
-// node pushes predicates down, streams member results through cursors, ships
-// semi-join keys, and relays discovery through representatives for large
-// coalitions. The setters below exist for the differential suites
+// node pushes predicates down, streams member results through cursors and
+// ships semi-join keys. The setters below exist for the differential suites
 // (internal/simtest and this package's tests), which flip one axis on a live
 // processor to obtain the reference side of a comparison and require
 // identical answers from both; nothing else calls them. They are safe to
@@ -250,10 +238,6 @@ const (
 	// semiJoinBloomBits sizes that prefilter, in bits per build-side key
 	// (~1% false positives, which cost wasted row transfer, never answers).
 	semiJoinBloomBits = 10
-	// defaultSubCoalitionSize is the coalition membership above which
-	// stage-3 discovery shards the members and sends one relay_probe per
-	// shard through an elected representative instead of probing each.
-	defaultSubCoalitionSize = 32
 )
 
 // SetPushdown(false) selects the reference mode in which every member runs
@@ -268,11 +252,6 @@ func (p *Processor) SetStreaming(on bool) { p.streamOff.Store(!on) }
 // shipped: every probe row crosses the wire to the exact coordinator filter.
 func (p *Processor) SetSemiJoin(on bool) { p.semijoinOff.Store(!on) }
 
-// SetSubCoalitionSize overrides defaultSubCoalitionSize (0 restores it); a
-// negative size selects the flat reference mode, which probes every member
-// directly whatever the coalition's size.
-func (p *Processor) SetSubCoalitionSize(n int) { p.subcoalN.Store(int32(n)) }
-
 // SetMergeWindow overrides defaultMergeWindow (0 restores it), so small
 // fixtures page through real multi-fetch cursors.
 func (p *Processor) SetMergeWindow(rows int) { p.mergeBuf.Store(int32(rows)) }
@@ -284,16 +263,6 @@ func (p *Processor) SetSemiJoinKeyLimit(n int) { p.sjKeyLimit.Store(int32(n)) }
 func (p *Processor) pushdownOn() bool  { return !p.pushdownOff.Load() }
 func (p *Processor) streamingOn() bool { return !p.streamOff.Load() }
 func (p *Processor) semiJoinOn() bool  { return !p.semijoinOff.Load() }
-
-// subCoalitionSize returns the effective shard size: 0 when hierarchical
-// routing is off.
-func (p *Processor) subCoalitionSize() int {
-	n := int(p.subcoalN.Load())
-	if n == 0 {
-		return defaultSubCoalitionSize
-	}
-	return max(n, 0)
-}
 
 // mergeBufRows returns the merge window: the rows of a member cursor's first
 // page.
@@ -783,7 +752,8 @@ func (s *Session) execFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Respons
 		return nil, err
 	}
 	ex := &mp.Exec
-	s.tracef("query", "wrapper %s translated %s to: %s", WrapperFor(d).Name(), q.Function, ex.Native)
+	wrapper, _ := wrapperFor(d)
+	s.tracef("query", "wrapper %s translated %s to: %s", wrapper, q.Function, ex.Native)
 	conn, err := s.p.openSource(s, d)
 	if err != nil {
 		return nil, err

@@ -10,100 +10,7 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/orb"
 	"repro/internal/query"
-	"repro/internal/wtl"
 )
-
-func TestWrapperSQLTranslation(t *testing.T) {
-	fn := &codb.ExportedFunction{
-		Name: "Funding", Returns: "real",
-		Table: "ResearchProjects", ResultColumn: "Funding", ArgColumn: "Title",
-	}
-	d := &codb.SourceDescriptor{Wrapper: "WebTassiliOracle", Engine: "Oracle"}
-	w := query.WrapperFor(d)
-	if w.Name() != "WebTassiliOracle" {
-		t.Errorf("wrapper = %s", w.Name())
-	}
-	sql, err := w.Translate(fn, []wtl.Condition{
-		{Column: "ResearchProjects.Title", Op: "=", Value: "AIDS and drugs", IsStr: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper's exact translation (§2.3).
-	want := "SELECT a.Funding FROM ResearchProjects a WHERE a.Title = 'AIDS and drugs'"
-	if sql != want {
-		t.Errorf("sql = %q, want %q", sql, want)
-	}
-	// No predicate.
-	sql, err = w.Translate(fn, nil)
-	if err != nil || sql != "SELECT a.Funding FROM ResearchProjects a" {
-		t.Errorf("no-predicate sql = %q, %v", sql, err)
-	}
-	// Multiple conjuncts, numeric literal, unqualified column.
-	sql, err = w.Translate(fn, []wtl.Condition{
-		{Column: "Title", Op: "LIKE", Value: "AIDS%", IsStr: true},
-		{Column: "ResearchProjects.Funding", Op: ">", Value: "100000"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sql != "SELECT a.Funding FROM ResearchProjects a WHERE a.Title LIKE 'AIDS%' AND a.Funding > 100000" {
-		t.Errorf("sql = %q", sql)
-	}
-	// Quote escaping.
-	sql, err = w.Translate(fn, []wtl.Condition{
-		{Column: "Title", Op: "=", Value: "O'Brien's study", IsStr: true},
-	})
-	if err != nil || !strings.Contains(sql, "'O''Brien''s study'") {
-		t.Errorf("escaped sql = %q, %v", sql, err)
-	}
-	// Mismatched qualifier.
-	if _, err := w.Translate(fn, []wtl.Condition{
-		{Column: "OtherTable.Title", Op: "=", Value: "x", IsStr: true},
-	}); err == nil {
-		t.Error("mismatched qualifier accepted")
-	}
-}
-
-func TestWrapperQualifierNormalisation(t *testing.T) {
-	fn := &codb.ExportedFunction{Table: "research_projects", ResultColumn: "funding"}
-	w := query.WrapperFor(&codb.SourceDescriptor{Engine: "Oracle"})
-	sql, err := w.Translate(fn, []wtl.Condition{
-		{Column: "ResearchProjects.Title", Op: "=", Value: "x", IsStr: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sql, "a.Title = 'x'") {
-		t.Errorf("sql = %q", sql)
-	}
-}
-
-func TestWrapperOQLTranslation(t *testing.T) {
-	fn := &codb.ExportedFunction{Table: "Callout", ResultColumn: "Hospital"}
-	d := &codb.SourceDescriptor{Engine: "Ontos"}
-	w := query.WrapperFor(d)
-	if w.Name() != "WebTassiliOntos" {
-		t.Errorf("wrapper = %s", w.Name())
-	}
-	q, err := w.Translate(fn, []wtl.Condition{
-		{Column: "Callout.Suburb", Op: "=", Value: "Herston", IsStr: true},
-	})
-	if err != nil || q != "SELECT Hospital FROM Callout WHERE Suburb = 'Herston'" {
-		t.Errorf("oql = %q, %v", q, err)
-	}
-}
-
-func TestWrapperFallbackByEngine(t *testing.T) {
-	w := query.WrapperFor(&codb.SourceDescriptor{Wrapper: "SomethingCustom", Engine: "DB2"})
-	if _, ok := w.(interface{ Name() string }); !ok || w.Name() != "WebTassiliDB2" {
-		t.Errorf("fallback wrapper = %s", w.Name())
-	}
-	w = query.WrapperFor(&codb.SourceDescriptor{Wrapper: "WebTassiliObjectStore"})
-	if w.Name() != "WebTassiliObjectStore" {
-		t.Errorf("objectstore wrapper = %s", w.Name())
-	}
-}
 
 func TestNewProcessorValidation(t *testing.T) {
 	if _, err := query.New(query.Config{}); err == nil {

@@ -14,50 +14,10 @@ import (
 	"repro/internal/wtl"
 )
 
-// Wrapper translates an exported-function invocation into the native query
-// language of one engine family. The paper names these programs
-// ("WebTassiliOracle" is "the wrapper needed to access data in the Oracle
-// database using a WebTassili query").
-type Wrapper interface {
-	Name() string
-	Translate(fn *codb.ExportedFunction, preds []wtl.Condition) (string, error)
-}
-
-// sqlWrapper translates to the SQL dialect family, producing the paper's
-// exact shape:
-//
-//	SELECT a.Funding FROM ResearchProjects a WHERE a.Title = 'AIDS and drugs'
-type sqlWrapper struct{ name string }
-
-func (w *sqlWrapper) Name() string { return w.name }
-
-func (w *sqlWrapper) Translate(fn *codb.ExportedFunction, preds []wtl.Condition) (string, error) {
-	conds, err := resolveConds(fn, preds)
-	if err != nil {
-		return "", err
-	}
-	frag := wtl.Fragment{Table: fn.Table, Columns: []string{fn.ResultColumn}, Conds: conds}
-	return frag.SQL(), nil
-}
-
-// oqlWrapper translates to the object engines' OQL-lite.
-type oqlWrapper struct{ name string }
-
-func (w *oqlWrapper) Name() string { return w.name }
-
-func (w *oqlWrapper) Translate(fn *codb.ExportedFunction, preds []wtl.Condition) (string, error) {
-	conds, err := resolveConds(fn, preds)
-	if err != nil {
-		return "", err
-	}
-	frag := wtl.Fragment{Table: fn.Table, Columns: []string{fn.ResultColumn}, Conds: conds}
-	return frag.OQL(), nil
-}
-
 // resolveConds resolves every predicate's possibly qualified column against
 // the exported function's table, yielding fragment-ready conditions with
-// bare column names. The planner and both wrappers share this step so a
-// mismatched qualifier is rejected identically everywhere.
+// bare column names, so a mismatched qualifier is rejected before any
+// fragment is rendered.
 func resolveConds(fn *codb.ExportedFunction, preds []wtl.Condition) ([]wtl.Condition, error) {
 	if len(preds) == 0 {
 		return nil, nil
@@ -95,20 +55,18 @@ func normalizeRel(name string) string {
 	return strings.ReplaceAll(strings.ToLower(name), "_", "")
 }
 
-// WrapperFor picks the wrapper a descriptor advertises. Unknown wrapper
-// names fall back by engine family, which is how the prototype degrades
-// when a site advertises a wrapper this node does not ship.
-func WrapperFor(d *codb.SourceDescriptor) Wrapper {
+// wrapperFor names the wrapper a descriptor advertises and reports whether
+// its fragments render as OQL rather than SQL. The paper names these programs
+// ("WebTassiliOracle" is "the wrapper needed to access data in the Oracle
+// database using a WebTassili query"); buildFragmentExec renders through the
+// family. Unknown wrapper names fall back by engine family, which is how the
+// prototype degrades when a site advertises a wrapper this node does not ship.
+func wrapperFor(d *codb.SourceDescriptor) (name string, oql bool) {
 	switch d.Wrapper {
 	case "WebTassiliOracle", "WebTassiliMSQL", "WebTassiliDB2", "WebTassiliSybase":
-		return &sqlWrapper{name: d.Wrapper}
+		return d.Wrapper, false
 	case "WebTassiliObjectStore", "WebTassiliOntos":
-		return &oqlWrapper{name: d.Wrapper}
+		return d.Wrapper, true
 	}
-	switch d.Engine {
-	case "ObjectStore", "Ontos":
-		return &oqlWrapper{name: "WebTassili" + d.Engine}
-	default:
-		return &sqlWrapper{name: "WebTassili" + d.Engine}
-	}
+	return "WebTassili" + d.Engine, d.Engine == "ObjectStore" || d.Engine == "Ontos"
 }

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gossip"
 	"repro/internal/orb"
-	"repro/internal/query"
 )
 
 // log2Ceil is ⌈log2 n⌉ — the yardstick the convergence bounds are phrased
@@ -112,21 +110,44 @@ func TestGossipConvergence300(t *testing.T) {
 	t.Logf("300 nodes: cold start %d rounds (%d msgs), mutation %d rounds (bound %d), %d msgs vs flat %d",
 		warm, msgsBase, rounds, mutBound, msgs, flatBaseline)
 
-	// Phase 3 — the representative tier at scale: with an 8-member coalition
-	// and a shard size of 4, a discovery sweep from node 0 must route through
-	// shard representatives rather than probing each peer directly.
-	fed.Nodes[0].Core.Processor.SetSubCoalitionSize(4)
+	// Phase 3 — discovery at scale: a sweep from node 0 probes each of its
+	// coalition co-members directly, exactly once (a co-member of two of
+	// node 0's coalitions is still one probe), and every probe answers.
 	resp, err := fed.Nodes[0].Session.Execute(ctx, "Find Coalitions With Information zzzscale;")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := fed.Nodes[0].Core.Processor.PlannerStats()
-	if st.RelayShards == 0 {
-		t.Fatalf("scale sweep never sharded: %+v\n%s", st, ReplayLine(seed))
-	}
 	if resp.Partial {
-		t.Fatalf("healthy relayed sweep flagged partial: %+v\n%s", resp.Members, ReplayLine(seed))
+		t.Fatalf("healthy sweep flagged partial: %+v\n%s", resp.Members, ReplayLine(seed))
 	}
+	home := fed.Nodes[0].Core.CoDB
+	coMembers := map[string]bool{}
+	for _, c := range home.MemberOf() {
+		members, err := home.Members(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range members {
+			if m.Name != fed.Nodes[0].Name {
+				coMembers[m.Name] = true
+			}
+		}
+	}
+	probed := map[string]int{}
+	for _, m := range resp.Members {
+		probed[m.Member]++
+	}
+	if len(coMembers) == 0 || len(resp.Members) != len(coMembers) {
+		t.Fatalf("sweep probed %d member(s) %v, node 0 has %d co-member(s)\n%s",
+			len(resp.Members), probed, len(coMembers), ReplayLine(seed))
+	}
+	for name := range coMembers {
+		if probed[name] != 1 {
+			t.Fatalf("co-member %s probed %d time(s)\n%s", name, probed[name], ReplayLine(seed))
+		}
+	}
+	t.Logf("sweep from %s: %d coalition(s), %d co-member(s) probed once each",
+		fed.Nodes[0].Name, len(home.MemberOf()), len(coMembers))
 }
 
 // gossipTrace runs a 48-node windowed federation for a fixed number of
@@ -192,187 +213,5 @@ func TestGossipDeterministicReplay(t *testing.T) {
 			t.Fatalf("replay diverged at line %d:\n  run1: %s\n  run2: %s\n%s",
 				i, first[i], second[i], ReplayLine(seed))
 		}
-	}
-}
-
-// hierOutcomeOf projects everything the two routing modes must agree on:
-// rows, columns, Partial, per-member error class, discovery
-// leads (minus fed-specific object references) and instance listings.
-func hierOutcomeOf(resp *query.Response) string {
-	var o diffOutcome
-	if resp.Result != nil {
-		o = outcomeOf(resp)
-	}
-	var members []string
-	for _, m := range resp.Members {
-		members = append(members, m.Member+":"+m.ErrClass)
-	}
-	var leads []string
-	for _, l := range resp.Leads {
-		leads = append(leads, fmt.Sprintf("%s:%.3f:%s", l.Coalition, l.Score, l.Via))
-	}
-	return fmt.Sprintf("rows=%q cols=%q partial=%v members=[%s] leads=[%s] names=%v",
-		o.rows, o.columns, resp.Partial, strings.Join(members, " "), strings.Join(leads, " "), resp.Names)
-}
-
-// deadEverywhere reports whether every surviving node's failure detector has
-// marked `name` dead.
-func deadEverywhere(f *Fed, skip int, name string) bool {
-	for _, n := range f.Nodes {
-		if n.Idx == skip {
-			continue
-		}
-		if n.Core.Gossip.Store().Alive(name) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestGossipRepresentativeReelection proves representative liveness end to
-// end on a deterministic single-coalition federation: six nodes in one
-// coalition, shard size two, so a discovery sweep from node 0 shards its
-// five peers into [N1 N2] [N3 N4] [N5] with N1 the first shard's elected
-// representative. Fully partitioning N1 must (a) fail over in-line to N2
-// with the answer still identical to flat routing, (b) be detected by every
-// surviving node within (SuspectAfter+1) shuffled-ring cycles of virtual
-// time, and (c) after detection, re-elect N2 without wasting a relay attempt
-// on the dead node. Healing reverses it.
-func TestGossipRepresentativeReelection(t *testing.T) {
-	for _, seed := range seedsUnderTest() {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			build := func(sub int) *Fed {
-				fed, err := Build(Config{
-					Seed:            seed,
-					Nodes:           6,
-					CoalitionSize:   6, // one coalition spanning everyone
-					NoBaseCoalition: true,
-				})
-				if err != nil {
-					t.Fatalf("build (sub=%d): %v\n%s", sub, err, ReplayLine(seed))
-				}
-				fed.eachProcessor(func(p *query.Processor) { p.SetSubCoalitionSize(sub) })
-				return fed
-			}
-			hier := build(2)
-			defer hier.Close()
-			flat := build(-1)
-			defer flat.Close()
-			ctx := context.Background()
-			for r := 0; r < 2; r++ {
-				hier.RunGossipRound(ctx)
-				flat.RunGossipRound(ctx)
-			}
-
-			runBoth := func(topic string) *query.Response {
-				t.Helper()
-				stmt := "Find Coalitions With Information " + topic + ";"
-				rh, err := hier.Nodes[0].Session.Execute(ctx, stmt)
-				if err != nil {
-					t.Fatalf("hier %q: %v\n%s", stmt, err, ReplayLine(seed))
-				}
-				rf, err := flat.Nodes[0].Session.Execute(ctx, stmt)
-				if err != nil {
-					t.Fatalf("flat %q: %v\n%s", stmt, err, ReplayLine(seed))
-				}
-				if a, b := hierOutcomeOf(rh), hierOutcomeOf(rf); a != b {
-					t.Fatalf("routing modes diverge on %q:\n  hier: %s\n  flat: %s\n%s",
-						topic, a, b, ReplayLine(seed))
-				}
-				return rh
-			}
-
-			// Healthy baseline: three shards, no failovers, and the flat twin
-			// must not have relayed anything (non-vacuousness).
-			runBoth("zzzhealthy")
-			s0 := hier.Nodes[0].Core.Processor.PlannerStats()
-			if s0.RelayShards != 3 || s0.RelayedProbes != 5 {
-				t.Fatalf("healthy sweep: want 3 shards / 5 relayed probes, got %+v\n%s", s0, ReplayLine(seed))
-			}
-			if s0.RelayFailovers != 0 || s0.RelayDirectFallbacks != 0 {
-				t.Fatalf("healthy sweep recorded failures: %+v\n%s", s0, ReplayLine(seed))
-			}
-			if fs := flat.Nodes[0].Core.Processor.PlannerStats(); fs.RelayShards != 0 {
-				t.Fatalf("flat-mode twin relayed %d shards\n%s", fs.RelayShards, ReplayLine(seed))
-			}
-
-			// Kill the first shard's representative everywhere (a full
-			// partition, so both routing modes see the same dead node).
-			for j := 0; j < len(hier.Nodes); j++ {
-				if j != 1 {
-					hier.Partition(1, j)
-					flat.Partition(1, j)
-				}
-			}
-
-			// Before detection the coordinator still believes N1 is alive and
-			// elects it; the relay must fail over to N2 in-line, and N1 is
-			// reported unreachable exactly as flat routing reports it.
-			rh := runBoth("zzzfailover")
-			s1 := hier.Nodes[0].Core.Processor.PlannerStats()
-			if s1.RelayFailovers == 0 {
-				t.Fatalf("dead representative produced no failover: %+v\n%s", s1, ReplayLine(seed))
-			}
-			var n1 *query.MemberStatus
-			for i := range rh.Members {
-				if rh.Members[i].Member == "N1" {
-					n1 = &rh.Members[i]
-				}
-			}
-			if n1 == nil || n1.ErrClass != "comm" || !rh.Partial {
-				t.Fatalf("partitioned member not accounted: partial=%v members=%+v\n%s",
-					rh.Partial, rh.Members, ReplayLine(seed))
-			}
-
-			// Detection: every surviving node walks its peer ring once per
-			// cycle, so SuspectAfter consecutive failed contacts take at most
-			// (SuspectAfter+1) cycles of rounds.
-			bound := 0
-			for _, n := range hier.Nodes {
-				if n.Idx == 1 {
-					continue
-				}
-				if b := (gossip.SuspectAfter + 1) * n.Core.Gossip.CycleLen(); b > bound {
-					bound = b
-				}
-			}
-			rounds := 0
-			for !deadEverywhere(hier, 1, "N1") {
-				if rounds >= bound {
-					t.Fatalf("N1 not marked dead within %d virtual rounds\n%s", bound, ReplayLine(seed))
-				}
-				hier.RunGossipRound(ctx)
-				flat.RunGossipRound(ctx)
-				rounds++
-			}
-
-			// Re-election: the first live shard member is now N2, so the next
-			// sweep must not waste a relay attempt on the demoted node.
-			runBoth("zzzreelected")
-			s2 := hier.Nodes[0].Core.Processor.PlannerStats()
-			if s2.RelayFailovers != s1.RelayFailovers {
-				t.Fatalf("demoted representative was still tried: failovers %d -> %d\n%s",
-					s1.RelayFailovers, s2.RelayFailovers, ReplayLine(seed))
-			}
-			if s2.RelayShards <= s1.RelayShards {
-				t.Fatalf("re-elected sweep relayed nothing: %+v\n%s", s2, ReplayLine(seed))
-			}
-
-			// Healing: successful exchanges must resurrect N1 in the detector
-			// within one ring cycle, and the answer returns to non-partial.
-			hier.HealAll()
-			flat.HealAll()
-			for r := 0; r < bound && deadEverywhere(hier, 1, "N1"); r++ {
-				hier.RunGossipRound(ctx)
-				flat.RunGossipRound(ctx)
-			}
-			if deadEverywhere(hier, 1, "N1") {
-				t.Fatalf("healed node never resurrected in the detector\n%s", ReplayLine(seed))
-			}
-			if rh := runBoth("zzzhealed"); rh.Partial {
-				t.Fatalf("healed sweep still partial: %+v\n%s", rh.Members, ReplayLine(seed))
-			}
-		})
 	}
 }
