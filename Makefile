@@ -9,8 +9,9 @@ GO ?= go
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
 # PR-6 measured 78.0%, PR-7 measured 78.2%, PR-9 measured 78.4%, PR-10
-# measured 79.1%).
-COVER_FLOOR = 79.0
+# measured 79.1%; 84.1-84.2% once the untested experiments command was
+# deleted).
+COVER_FLOOR = 84.0
 
 # verify is the tier-1 gate: build + vet + full test suite.
 verify:

@@ -98,16 +98,6 @@ func (it *Interface) Op(name string) (*Operation, error) {
 	return op, nil
 }
 
-// OpNames returns the operation names in sorted order.
-func (it *Interface) OpNames() []string {
-	names := make([]string, 0, len(it.Ops))
-	for n := range it.Ops {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Repository is a thread-safe interface repository, the ORB-local registry
 // of known interfaces keyed by repository ID.
 type Repository struct {

@@ -10,7 +10,6 @@ package idl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cdr"
@@ -416,9 +415,4 @@ func UnmarshalAnys(d *cdr.Decoder) ([]Any, error) {
 		vs = append(vs, v)
 	}
 	return vs, nil
-}
-
-// SortFields orders a struct Any's fields by name, for canonical output.
-func (a *Any) SortFields() {
-	sort.Slice(a.Fields, func(i, j int) bool { return a.Fields[i].Name < a.Fields[j].Name })
 }

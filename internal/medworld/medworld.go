@@ -81,12 +81,6 @@ var placement = map[string]placementInfo{
 	RMIT:      {core.EngineOntos, orb.OrbixWeb},
 }
 
-// Placement reports a database's engine and ORB product.
-func Placement(name string) (engine string, product orb.Product, ok bool) {
-	p, ok := placement[name]
-	return p.Engine, p.Product, ok
-}
-
 // RBHDocumentHTML is the documentation page served for the Royal Brisbane
 // Hospital (Figure 5 shows the original).
 const RBHDocumentHTML = `<html>
@@ -581,15 +575,6 @@ var linkSpecs = []core.LinkSpec{
 		InfoType: "emergency admissions", Description: "callout handover to hospitals"},
 	{Name: "Medical_to_MedicalInsurance", FromKind: "coalition", From: CoalitionMedical, ToKind: "coalition", To: CoalitionInsurance,
 		InfoType: "Medical Insurance", Description: "minimal description of information type Medical"},
-}
-
-// LinkNames lists the nine service links, in definition order.
-func LinkNames() []string {
-	out := make([]string, len(linkSpecs))
-	for i, l := range linkSpecs {
-		out[i] = l.Name
-	}
-	return out
 }
 
 // Build assembles the full healthcare world: three ORBs, fourteen databases

@@ -49,3 +49,28 @@ func BenchmarkInvokeIIOP(b *testing.B) {
 		wg.Wait()
 	})
 }
+
+// BenchmarkInvokeColocated times the same echo invocation when the servant
+// lives in the caller's own ORB: the call is bridged in memory, with no socket
+// and no GIOP framing. Set beside BenchmarkInvokeIIOP/serial it is the paper's
+// split between an in-process invocation and one over IIOP.
+func BenchmarkInvokeColocated(b *testing.B) {
+	o := New(Options{Product: Orbix})
+	if err := o.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(o.Shutdown)
+	ior, err := o.Activate("Echo", newEchoServant())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ref := o.Resolve(ior)
+	arg := idl.String("ping")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ref.Invoke("echo", arg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

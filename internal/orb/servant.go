@@ -3,7 +3,6 @@ package orb
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/idl"
@@ -144,16 +143,4 @@ func (h *Handler) InvokeCtx(ctx context.Context, op string, args []idl.Any) (idl
 		}
 	}
 	return fn(ctx, args)
-}
-
-// Implemented lists the operations with registered handlers, sorted.
-func (h *Handler) Implemented() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	names := make([]string, 0, len(h.ops))
-	for n := range h.ops {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

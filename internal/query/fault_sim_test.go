@@ -3,6 +3,7 @@ package query_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -98,53 +99,69 @@ func (f *simChaosFed) kill(i int) { f.net.Partition(f.hostOf, f.hosts[i]) }
 // analogue of a pathologically slow member.
 func (f *simChaosFed) stall(i int) { f.net.Blackhole(f.hostOf, f.hosts[i]) }
 
-// TestSimChaosPartialResultDeadMember: one of three members is partitioned
-// away; the coalition query degrades instead of aborting — rows from both
-// survivors, a status row for every member, Partial set.
+// TestSimChaosPartialResultDeadMember: 0, 1 or 2 of three members are
+// partitioned away, with the member calls issued one at a time and in
+// parallel. The coalition query degrades instead of aborting: exactly one row
+// from each survivor, a status row for every member, and Partial set exactly
+// when a member is dead.
 func TestSimChaosPartialResultDeadMember(t *testing.T) {
-	fed := buildSimChaosFed(t, 3, orb.Options{
-		RetryAttempts: 2,
-	})
-	fed.kill(1)
-	s := fed.home.NewSession()
-	resp, err := s.Execute(context.Background(), chaosQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Partial {
-		t.Error("Partial = false with a dead member")
-	}
-	if len(resp.Members) != 3 {
-		t.Fatalf("member statuses = %d, want 3", len(resp.Members))
-	}
-	ok := 0
-	for _, m := range resp.Members {
-		switch m.Member {
-		case "M1":
-			if m.OK() {
-				t.Errorf("dead member M1 reported OK")
-			}
-			if m.ErrClass != "comm" {
-				t.Errorf("M1 ErrClass = %q, want comm (%s)", m.ErrClass, m.Err)
-			}
-			if m.Attempts != 2 {
-				t.Errorf("M1 attempts = %d, want 2 (retry)", m.Attempts)
-			}
-		default:
-			if !m.OK() {
-				t.Errorf("healthy member %s failed: %s", m.Member, m.Err)
-			}
-			ok++
+	const members = 3
+	for dead := 0; dead < members; dead++ {
+		for _, fanOut := range []int{1, 0} {
+			t.Run(fmt.Sprintf("dead=%d/fanout=%d", dead, fanOut), func(t *testing.T) {
+				fed := buildSimChaosFed(t, members, orb.Options{
+					RetryAttempts: 2,
+				})
+				fed.home.Processor.SetFanOut(fanOut)
+				for i := 0; i < dead; i++ {
+					fed.kill(i)
+				}
+				s := fed.home.NewSession()
+				resp, err := s.Execute(context.Background(), chaosQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Partial != (dead > 0) {
+					t.Errorf("Partial = %v with %d dead member(s)", resp.Partial, dead)
+				}
+				if len(resp.Members) != members {
+					t.Fatalf("member statuses = %d, want %d", len(resp.Members), members)
+				}
+				var want []string
+				alive := map[string]bool{}
+				for i := dead; i < members; i++ {
+					want = append(want, fmt.Sprintf("M%d", i))
+					alive[want[len(want)-1]] = true
+				}
+				for _, m := range resp.Members {
+					switch {
+					case alive[m.Member]:
+						if !m.OK() {
+							t.Errorf("healthy member %s failed: %s", m.Member, m.Err)
+						}
+					case m.OK():
+						t.Errorf("dead member %s reported OK", m.Member)
+					case m.ErrClass != "comm":
+						t.Errorf("%s ErrClass = %q, want comm (%s)", m.Member, m.ErrClass, m.Err)
+					case m.Attempts != 2:
+						t.Errorf("%s attempts = %d, want 2 (retry)", m.Member, m.Attempts)
+					}
+				}
+				var got []string
+				for _, row := range resp.Result.Rows {
+					got = append(got, row[0].Str)
+				}
+				sort.Strings(got)
+				if strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Errorf("rows from %v, want one from each survivor %v", got, want)
+				}
+				marker := fmt.Sprintf("partial result: %d of %d member(s) answered", members-dead, members)
+				if strings.Contains(resp.Text, marker) != (dead > 0) {
+					t.Errorf("with %d dead, want the marker %q only when a member is dead:\n%s",
+						dead, marker, resp.Text)
+				}
+			})
 		}
-	}
-	if ok != 2 {
-		t.Errorf("healthy members = %d, want 2", ok)
-	}
-	if len(resp.Result.Rows) != 2 {
-		t.Errorf("merged rows = %d, want 2 (one per survivor)", len(resp.Result.Rows))
-	}
-	if !strings.Contains(resp.Text, "partial result: 2 of 3 member(s) answered") {
-		t.Errorf("text missing partial marker:\n%s", resp.Text)
 	}
 }
 

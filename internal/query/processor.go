@@ -402,14 +402,6 @@ func (s *Session) Execute(ctx context.Context, src string) (*Response, error) {
 	return s.execTimed(ctx, stmt)
 }
 
-// ExecuteStmt runs one parsed statement under a caller context. The whole
-// statement runs inside a "query:<StmtType>" span; every stage below parents
-// onto it.
-func (s *Session) ExecuteStmt(ctx context.Context, stmt wtl.Stmt) (*Response, error) {
-	s.markStmtStart()
-	return s.execTimed(ctx, stmt)
-}
-
 func (s *Session) execTimed(ctx context.Context, stmt wtl.Stmt) (*Response, error) {
 	ctx, sp := trace.StartSpan(ctx, stmtSpanName(stmt))
 	resp, err := s.execStmt(ctx, stmt)

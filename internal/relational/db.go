@@ -605,9 +605,6 @@ func (tx *Tx) record(fn func() error) { tx.undo = append(tx.undo, fn) }
 // NewSession opens a session.
 func (db *Database) NewSession() *Session { return &Session{db: db} }
 
-// InTx reports whether a transaction is open.
-func (s *Session) InTx() bool { return s.tx != nil }
-
 // Exec parses and executes one statement in the session, honouring
 // transaction control statements.
 func (s *Session) Exec(sql string) (*Result, error) {

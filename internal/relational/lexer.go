@@ -53,11 +53,6 @@ var sqlKeywords = map[string]bool{
 	"EXPLAIN": true,
 }
 
-// lexSQL tokenises a SQL text.
-func lexSQL(src string) ([]token, error) {
-	return lexSQLInto(src, nil)
-}
-
 // lexSQLInto tokenises into a caller-provided buffer (reset to length zero),
 // letting pooled parsers reuse their token arrays across statements.
 func lexSQLInto(src string, toks []token) ([]token, error) {

@@ -33,15 +33,6 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// ColNames lists column names in declaration order.
-func (s *Schema) ColNames() []string {
-	names := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // Validate checks schema well-formedness.
 func (s *Schema) Validate() error {
 	if s.Name == "" {
@@ -64,38 +55,4 @@ func (s *Schema) Validate() error {
 		}
 	}
 	return nil
-}
-
-// DDL renders the schema as a CREATE TABLE statement (used by catalog dumps
-// and the experiment reports).
-func (s *Schema) DDL() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "CREATE TABLE %s (", s.Name)
-	for i, c := range s.Columns {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.Name)
-		b.WriteByte(' ')
-		if c.Type == TypeText && c.Size > 0 {
-			fmt.Fprintf(&b, "VARCHAR(%d)", c.Size)
-		} else {
-			b.WriteString(c.Type.String())
-		}
-		if c.NotNull {
-			b.WriteString(" NOT NULL")
-		}
-	}
-	if len(s.PrimaryKey) > 0 {
-		b.WriteString(", PRIMARY KEY (")
-		for i, ord := range s.PrimaryKey {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(s.Columns[ord].Name)
-		}
-		b.WriteByte(')')
-	}
-	b.WriteByte(')')
-	return b.String()
 }

@@ -368,13 +368,3 @@ func (t *Table) dropIndex(name string) error {
 	delete(t.indexes, key)
 	return nil
 }
-
-// IndexNames lists the table's secondary indexes, sorted.
-func (t *Table) IndexNames() []string {
-	names := make([]string, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		names = append(names, ix.Name)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -29,9 +29,9 @@ type Tracer struct {
 	spans   *ring
 	slow    *ring
 	slowNS  atomic.Int64
-	slowLog atomic.Pointer[func(format string, args ...any)]
-	ops     sync.Map // span name -> *opMetrics
-	vars    sync.Map // name -> func() any, extra /debug/metrics publishers
+	slowLog func(format string, args ...any) // fixed at New
+	ops     sync.Map                         // span name -> *opMetrics
+	vars    sync.Map                         // name -> func() any, extra /debug/metrics publishers
 }
 
 // New creates a Tracer.
@@ -42,12 +42,8 @@ func New(o Options) *Tracer {
 	if o.SlowCapacity <= 0 {
 		o.SlowCapacity = 256
 	}
-	t := &Tracer{spans: newRing(o.Capacity), slow: newRing(o.SlowCapacity)}
+	t := &Tracer{spans: newRing(o.Capacity), slow: newRing(o.SlowCapacity), slowLog: o.SlowLog}
 	t.slowNS.Store(int64(o.SlowThreshold))
-	if o.SlowLog != nil {
-		f := o.SlowLog
-		t.slowLog.Store(&f)
-	}
 	return t
 }
 
@@ -63,15 +59,6 @@ func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNS.Store(int64(d)) }
 // SlowThreshold returns the current slow-call threshold.
 func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNS.Load()) }
 
-// SetSlowLog installs the slow-call log sink (nil silences it).
-func (t *Tracer) SetSlowLog(f func(format string, args ...any)) {
-	if f == nil {
-		t.slowLog.Store(nil)
-		return
-	}
-	t.slowLog.Store(&f)
-}
-
 // Publish registers a named callback whose value is included in the
 // /debug/metrics document (expvar-style). Re-publishing a name replaces it.
 func (t *Tracer) Publish(name string, fn func() any) { t.vars.Store(name, fn) }
@@ -82,8 +69,8 @@ func (t *Tracer) record(rec spanRec) {
 	t.opFor(rec.name).observe(rec.duration, rec.err != "")
 	if thr := t.slowNS.Load(); thr > 0 && rec.duration >= time.Duration(thr) {
 		t.slow.add(rec)
-		if pf := t.slowLog.Load(); pf != nil {
-			(*pf)("trace: slow call %s took %v (trace %s, threshold %v)",
+		if t.slowLog != nil {
+			t.slowLog("trace: slow call %s took %v (trace %s, threshold %v)",
 				rec.name, rec.duration, rec.trace, time.Duration(thr))
 		}
 	}
