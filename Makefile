@@ -10,8 +10,8 @@ GO ?= go
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
 # PR-6 measured 78.0%, PR-7 measured 78.2%, PR-9 measured 78.4%, PR-10
 # measured 79.1%; 84.1-84.2% once the untested experiments command was
-# deleted).
-COVER_FLOOR = 84.0
+# deleted; 84.5-84.6% once the relational tables became append-only).
+COVER_FLOOR = 84.4
 
 # verify is the tier-1 gate: build + vet + full test suite.
 verify:

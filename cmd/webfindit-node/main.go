@@ -19,7 +19,7 @@
 //	  "naming": "127.0.0.1:9000",          // optional naming service to register with
 //	  "information_type": "Research and Medical",
 //	  "documentation": "http://example.org/rbh",
-//	  "schema": "CREATE TABLE t (a INT);", // inline SQL, or:
+//	  "schema": "CREATE TABLE t (a INT);", // load script (CREATE TABLE/INDEX, INSERT), or:
 //	  "schema_file": "schema.sql",
 //	  "slow_call_ms": 50,                  // slow-call log threshold (0 = off)
 //	  "call_timeout_ms": 2000,             // per-invocation IIOP deadline (0 = none)

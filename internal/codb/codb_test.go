@@ -363,10 +363,6 @@ func TestServantOverIIOP(t *testing.T) {
 	if len(members) != 2 {
 		t.Errorf("members after remote advertise = %d", len(members))
 	}
-	if err := c.AddLink(context.Background(), &ServiceLink{Name: "New_Link", FromKind: "coalition",
-		From: "Medical", ToKind: "database", To: "Ambulance"}); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.RemoveMember(context.Background(), "Medical", "Prince Charles Hospital"); err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,7 @@ module WebFINDIT {
         any access_info(in string source);
         any document(in string source);
         sequence<any> links();
-        void define_coalition(in string name, in string parent, in string description);
         void advertise(in string coalition, in any descriptor);
-        void add_link(in any link);
         void remove_member(in string coalition, in string source);
         any gossip_pull(in string digest);
         long long gossip_push(in string delta);
@@ -174,28 +172,12 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 		}
 		return idl.Seq(out...), nil
 	})
-	on("define_coalition", func(args []idl.Any) (idl.Any, error) {
-		if err := cd.DefineCoalition(args[0].Str, args[1].Str, args[2].Str); err != nil {
-			return idl.Null(), userErr(err)
-		}
-		return idl.Any{Kind: idl.KindVoid}, nil
-	})
 	on("advertise", func(args []idl.Any) (idl.Any, error) {
 		d, err := DescriptorFromAny(args[1])
 		if err != nil {
 			return idl.Null(), userErr(err)
 		}
 		if err := cd.AddMember(args[0].Str, d); err != nil {
-			return idl.Null(), userErr(err)
-		}
-		return idl.Any{Kind: idl.KindVoid}, nil
-	})
-	on("add_link", func(args []idl.Any) (idl.Any, error) {
-		l, err := LinkFromAny(args[0])
-		if err != nil {
-			return idl.Null(), userErr(err)
-		}
-		if err := cd.AddLink(l); err != nil {
 			return idl.Null(), userErr(err)
 		}
 		return idl.Any{Kind: idl.KindVoid}, nil
@@ -375,22 +357,9 @@ func (c *Client) Links(ctx context.Context) ([]*ServiceLink, error) {
 	return out, nil
 }
 
-// DefineCoalition declares a coalition class remotely.
-func (c *Client) DefineCoalition(ctx context.Context, name, parent, description string) error {
-	_, err := c.ref.InvokeCtx(ctx, "define_coalition",
-		idl.String(name), idl.String(parent), idl.String(description))
-	return err
-}
-
 // Advertise adds a member descriptor to a remote coalition (dynamic join).
 func (c *Client) Advertise(ctx context.Context, coalition string, d *SourceDescriptor) error {
 	_, err := c.ref.InvokeCtx(ctx, "advertise", idl.String(coalition), d.ToAny())
-	return err
-}
-
-// AddLink records a service link remotely.
-func (c *Client) AddLink(ctx context.Context, l *ServiceLink) error {
-	_, err := c.ref.InvokeCtx(ctx, "add_link", l.ToAny())
 	return err
 }
 

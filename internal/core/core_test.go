@@ -121,6 +121,26 @@ func TestNewNodeErrors(t *testing.T) {
 	}
 }
 
+// TestNewNodeSchemaIsALoadScript: a relational node's schema creates tables
+// and indexes and inserts rows, nothing else. A script that would change or
+// remove what it loaded, or open a transaction, stops the node, and the
+// error names the statement.
+func TestNewNodeSchemaIsALoadScript(t *testing.T) {
+	o := newTestORB(t)
+	const load = "CREATE TABLE t (a INT); CREATE INDEX t_a ON t (a); INSERT INTO t VALUES (1), (2); "
+	for word, stmt := range map[string]string{
+		"UPDATE": "UPDATE t SET a = 3 WHERE a = 1;",
+		"DELETE": "DELETE FROM t WHERE a = 2;",
+		"DROP":   "DROP TABLE t;",
+		"BEGIN":  "BEGIN;",
+	} {
+		_, err := NewNode(NodeConfig{Name: "Load" + word, Engine: EngineOracle, ORB: o, Schema: load + stmt})
+		if err == nil || !strings.Contains(err.Error(), word) {
+			t.Errorf("schema ending in %q: NewNode error %v, want one naming %s", stmt, err, word)
+		}
+	}
+}
+
 func TestFederationWiring(t *testing.T) {
 	f, err := NewFederation()
 	if err != nil {
@@ -226,24 +246,28 @@ func TestFederationWiring(t *testing.T) {
 		t.Errorf("instances over link = %v, %v", resp.Names, err)
 	}
 
-	// Join/Leave through the federation.
-	if err := f.JoinCoalition("Topic", "Gamma"); err != nil {
+	// Join/Leave through Gamma's session.
+	ctx := context.Background()
+	if _, err := s.Execute(ctx, "Join Coalition Topic;"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.Members("Topic")); got != 3 {
-		t.Errorf("members after join = %d", got)
+	if members, err := a.CoDB.Members("Topic"); err != nil || len(members) != 3 {
+		t.Errorf("Alpha sees %d members after the join, %v", len(members), err)
 	}
-	if err := f.JoinCoalition("Nope", "Gamma"); err == nil {
+	if _, err := s.Execute(ctx, "Join Coalition Topic;"); err == nil || !strings.Contains(err.Error(), "already a member") {
+		t.Errorf("second join = %v, want already a member", err)
+	}
+	if _, err := s.Execute(ctx, "Join Coalition Nope;"); err == nil {
 		t.Error("join unknown coalition accepted")
 	}
-	if err := f.JoinCoalition("Topic", "Nope"); err == nil {
-		t.Error("join unknown node accepted")
-	}
-	if err := f.LeaveCoalition("Topic", "Gamma"); err != nil {
+	if _, err := s.Execute(ctx, "Leave Coalition Topic;"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.LeaveCoalition("Topic", "Gamma"); err == nil {
-		t.Error("double leave accepted")
+	if members, err := a.CoDB.Members("Topic"); err != nil || len(members) != 2 {
+		t.Errorf("Alpha sees %d members after the leave, %v", len(members), err)
+	}
+	if _, err := s.Execute(ctx, "Leave Coalition Topic;"); err == nil || !strings.Contains(err.Error(), "not a member") {
+		t.Errorf("second leave = %v, want not a member", err)
 	}
 }
 

@@ -156,69 +156,6 @@ func (f *Federation) ensureCoalitionClass(n *Node, name, parent, description str
 	return n.CoDB.DefineCoalition(name, parent, description)
 }
 
-// JoinCoalition adds a node to an existing coalition, replicating the
-// coalition into the newcomer's co-database and the newcomer's descriptor
-// into every member's co-database.
-func (f *Federation) JoinCoalition(coalition, nodeName string) error {
-	memberNames, exists := f.coalitions[coalition]
-	if !exists {
-		return fmt.Errorf("core: no coalition %s", coalition)
-	}
-	newcomer, ok := f.Node(nodeName)
-	if !ok {
-		return fmt.Errorf("core: unknown node %s", nodeName)
-	}
-	for _, m := range memberNames {
-		if strings.EqualFold(m, nodeName) {
-			return fmt.Errorf("core: %s is already a member of %s", nodeName, coalition)
-		}
-	}
-	if err := f.ensureCoalitionClass(newcomer, coalition, f.parents[coalition], f.descs[coalition]); err != nil {
-		return err
-	}
-	// Newcomer learns all members; all members learn the newcomer.
-	for _, m := range memberNames {
-		member, _ := f.Node(m)
-		if err := newcomer.CoDB.AddMember(coalition, member.Descriptor); err != nil {
-			return err
-		}
-		if err := member.CoDB.AddMember(coalition, newcomer.Descriptor); err != nil {
-			return err
-		}
-	}
-	if err := newcomer.CoDB.AddMember(coalition, newcomer.Descriptor); err != nil {
-		return err
-	}
-	f.coalitions[coalition] = append(memberNames, nodeName)
-	return nil
-}
-
-// LeaveCoalition removes a node from a coalition everywhere.
-func (f *Federation) LeaveCoalition(coalition, nodeName string) error {
-	memberNames, exists := f.coalitions[coalition]
-	if !exists {
-		return fmt.Errorf("core: no coalition %s", coalition)
-	}
-	idx := -1
-	for i, m := range memberNames {
-		if strings.EqualFold(m, nodeName) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("core: %s is not a member of %s", nodeName, coalition)
-	}
-	for _, m := range memberNames {
-		member, _ := f.Node(m)
-		if err := member.CoDB.RemoveMember(coalition, nodeName); err != nil {
-			return err
-		}
-	}
-	f.coalitions[coalition] = append(memberNames[:idx], memberNames[idx+1:]...)
-	return nil
-}
-
 // LinkSpec declares a service link between coalitions and/or databases.
 type LinkSpec struct {
 	Name        string

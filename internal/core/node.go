@@ -53,8 +53,10 @@ type NodeConfig struct {
 	DocumentHTML    string // document body served by the browser layer
 	Location        string // advertised location; defaults to the ORB address
 	Interface       []codb.ExportedType
-	// Schema, for relational engines, is a SQL script (DDL + seed rows) run
-	// at construction. Object engines seed through SeedObjects.
+	// Schema, for relational engines, is the load script run at
+	// construction: CREATE TABLE, CREATE INDEX and INSERT statements, which
+	// fill the tables queries then read. Object engines seed through
+	// SeedObjects.
 	Schema string
 	// SeedObjects, for object engines, populates the fresh OO database.
 	SeedObjects func(*oodb.DB) error

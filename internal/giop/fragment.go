@@ -29,9 +29,10 @@ const MsgFragment MsgType = 7
 // continued by a Fragment frame. Bit 0 remains the byte-order flag.
 const FlagMoreFragments = 0x2
 
-// MaxReassembledSize bounds a reassembled message body (MaxMessageSize still
-// bounds each frame). It protects receivers from a peer streaming fragments
-// forever.
+// MaxReassembledSize bounds the body bytes a connection's Reassembler holds
+// across all its partial messages (MaxMessageSize still bounds each frame). It
+// protects receivers from a peer streaming fragments forever, or opening many
+// reassemblies at once.
 const MaxReassembledSize = 64 << 20
 
 // DefaultFragmentThreshold is the write-side auto-fragmentation threshold
@@ -168,6 +169,16 @@ func NewReassembler(maxPending int) *Reassembler {
 // Pending reports the number of partial messages awaiting fragments.
 func (ra *Reassembler) Pending() int { return len(ra.pending) }
 
+// held is the body bytes the partial messages hold: completing, refusing or
+// cancelling one releases its bytes by forgetting it.
+func (ra *Reassembler) held() int {
+	n := 0
+	for _, p := range ra.pending {
+		n += len(p.body)
+	}
+	return n
+}
+
 // Begin starts reassembling a message whose initial frame arrived with the
 // more-fragments flag. The frame's body is copied, so the caller may Release
 // m immediately. reqID must be the request ID parsed from the frame's own
@@ -178,6 +189,9 @@ func (ra *Reassembler) Begin(reqID uint32, m *Message) error {
 	}
 	if len(ra.pending) >= ra.maxPending {
 		return fmt.Errorf("giop: too many fragmented messages in flight (%d)", len(ra.pending))
+	}
+	if ra.held()+len(m.Body) > MaxReassembledSize {
+		return fmt.Errorf("giop: fragmented messages in flight exceed %d bytes", MaxReassembledSize)
 	}
 	ra.pending[reqID] = &partialMsg{
 		typ:   m.Type,
@@ -190,8 +204,9 @@ func (ra *Reassembler) Begin(reqID uint32, m *Message) error {
 // Fragment consumes one Fragment frame. It returns the fully reassembled
 // message when the frame was the last fragment, nil when more are expected,
 // and an error on a protocol violation (a fragment for no known message, or
-// a reassembly growing past MaxReassembledSize). The frame's payload is
-// copied, so the caller may Release m immediately.
+// one taking the partial messages past MaxReassembledSize, which drops its
+// own). The frame's payload is copied, so the caller may Release m
+// immediately.
 func (ra *Reassembler) Fragment(m *Message) (*Message, error) {
 	d := m.BodyDecoder()
 	fh, err := UnmarshalFragmentHeader(d)
@@ -203,9 +218,9 @@ func (ra *Reassembler) Fragment(m *Message) (*Message, error) {
 		return nil, fmt.Errorf("giop: fragment for unknown request %d", fh.RequestID)
 	}
 	payload := m.Body[d.Pos():]
-	if len(p.body)+len(payload) > MaxReassembledSize {
+	if ra.held()+len(payload) > MaxReassembledSize {
 		delete(ra.pending, fh.RequestID)
-		return nil, fmt.Errorf("giop: reassembled message for request %d exceeds limit", fh.RequestID)
+		return nil, fmt.Errorf("giop: reassembled messages exceed %d bytes at request %d", MaxReassembledSize, fh.RequestID)
 	}
 	p.body = append(p.body, payload...)
 	if m.More {

@@ -262,6 +262,44 @@ func TestReassemblerProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestFragmentBytesCappedPerConnection: MaxReassembledSize bounds the bytes
+// held across a connection's partial messages, not each one's. Two
+// interleaved reassemblies that each stay under the cap but together pass it
+// are refused, and a Begin that would pass it too; refusal and Cancel leave
+// nothing pending.
+func TestFragmentBytesCappedPerConnection(t *testing.T) {
+	ra := NewReassembler(4)
+	head := &Message{Type: MsgReply, Order: cdr.BigEndian, Body: make([]byte, 16), More: true}
+	for _, id := range []uint32{1, 2} {
+		if err := ra.Begin(id, head); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The bodies as if their earlier fragments had arrived: 33 and 31 MiB,
+	// slices of one buffer whose pages stay untouched.
+	big := make([]byte, MaxReassembledSize)
+	ra.pending[1].body = big[: 33<<20 : 33<<20]
+	ra.pending[2].body = big[33<<20:]
+	if _, err := ra.Fragment(fragFrame(1, []byte{1}, true)); err == nil {
+		t.Fatal("fragments past MaxReassembledSize across two messages accepted")
+	}
+	if ra.Pending() != 1 {
+		t.Fatalf("pending = %d after the refusal, want 1", ra.Pending())
+	}
+	ra.pending[2].body = big[:MaxReassembledSize-8]
+	if err := ra.Begin(3, head); err == nil {
+		t.Fatal("begin past MaxReassembledSize accepted")
+	}
+	ra.Cancel(2)
+	if err := ra.Begin(3, head); err != nil {
+		t.Fatalf("begin after the bytes were released: %v", err)
+	}
+	ra.Cancel(3)
+	if ra.Pending() != 0 {
+		t.Fatalf("pending = %d, want 0", ra.Pending())
+	}
+}
+
 // fragFrame hand-builds one Fragment message: request ID then raw payload.
 func fragFrame(reqID uint32, payload []byte, more bool) *Message {
 	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)

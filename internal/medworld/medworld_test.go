@@ -451,11 +451,23 @@ func TestSearchType(t *testing.T) {
 }
 
 // TestDynamicEvolution exercises the paper's claim that coalitions change
-// over time: a standalone database joins Medical, is discoverable, then
-// leaves.
+// over time: a standalone database, given a service link to Medical, joins it
+// through its own session, is discoverable, then leaves.
 func TestDynamicEvolution(t *testing.T) {
-	w := sharedWorld(t)
-	if err := w.JoinCoalition(CoalitionMedical, Medicare); err != nil {
+	w, err := Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Shutdown()
+	if err := w.AddLink(core.LinkSpec{Name: "Medicare_to_Medical", FromKind: "database", From: Medicare,
+		ToKind: "coalition", To: CoalitionMedical, InfoType: "medical"}); err != nil {
+		t.Fatal(err)
+	}
+	medicare, _ := w.Node(Medicare)
+	s := medicare.NewSession()
+	ctx := context.Background()
+	join, leave := "Join Coalition "+CoalitionMedical+";", "Leave Coalition "+CoalitionMedical+";"
+	if _, err := s.Execute(ctx, join); err != nil {
 		t.Fatal(err)
 	}
 	rbh, _ := w.Node(RBH)
@@ -467,22 +479,24 @@ func TestDynamicEvolution(t *testing.T) {
 		t.Errorf("Medical members after join = %d", len(members))
 	}
 	// The newcomer now knows the coalition and its members.
-	medicare, _ := w.Node(Medicare)
 	if got := medicare.CoDB.MemberOf(); len(got) != 1 || got[0] != CoalitionMedical {
 		t.Errorf("Medicare member of %v", got)
 	}
-	if err := w.JoinCoalition(CoalitionMedical, Medicare); err == nil {
-		t.Error("double join accepted")
+	if _, err := s.Execute(ctx, join); err == nil || !strings.Contains(err.Error(), "already a member") {
+		t.Errorf("double join = %v, want already a member", err)
 	}
-	if err := w.LeaveCoalition(CoalitionMedical, Medicare); err != nil {
+	if _, err := s.Execute(ctx, "Join Coalition Nope;"); err == nil {
+		t.Error("join of an unknown coalition accepted")
+	}
+	if _, err := s.Execute(ctx, leave); err != nil {
 		t.Fatal(err)
 	}
 	members, _ = rbh.CoDB.Members(CoalitionMedical)
 	if len(members) != 2 {
 		t.Errorf("Medical members after leave = %d", len(members))
 	}
-	if err := w.LeaveCoalition(CoalitionMedical, Medicare); err == nil {
-		t.Error("double leave accepted")
+	if _, err := s.Execute(ctx, leave); err == nil || !strings.Contains(err.Error(), "not a member") {
+		t.Errorf("double leave = %v, want not a member", err)
 	}
 }
 

@@ -71,10 +71,10 @@ func (o *ORB) serveConn(nc net.Conn) {
 	// read loop to make progress (replies flush through w independently), so
 	// blocking here cannot deadlock.
 	sem := make(chan struct{}, maxPipelinePerConn)
-	// Fragmented requests reassemble here, keyed by request ID. The pending
-	// cap matches maxPipelinePerConn so a client cannot hold more partial
-	// requests open than it could have whole requests in flight; a dispatch
-	// slot (sem) is only taken once the logical request is complete.
+	// Fragmented requests reassemble here, keyed by request ID: at most
+	// maxPipelinePerConn of them, as many as whole requests in flight, holding
+	// giop.MaxReassembledSize bytes in all. A dispatch slot (sem) is only
+	// taken once the logical request is complete.
 	ra := giop.NewReassembler(maxPipelinePerConn)
 	// Dispatch workers live as long as the connection, so a request runs on a
 	// goroutine whose stack has already grown to servant depth instead of a

@@ -10,12 +10,11 @@ import (
 
 // indexShare bounds what an index access may yield: a scan reads its rows
 // through an index only when the candidates are at most 1/indexShare of the
-// table's live rows, or no more than one step of a walk (minScanStep). A
-// candidate costs a slot-map lookup and a read out of column order, and the
-// candidate list is built and sorted at open, where the slot walk reads the
-// columns in order and starts at once; past about an eighth of the table the
-// walk is the cheaper, and a range that covers most of the table (v >= 0)
-// must cost what a walk costs.
+// table's rows, or no more than one step of a walk (minScanStep). A candidate
+// costs a read out of column order, and the candidate list is built and
+// sorted at open, where the slot walk reads the columns in order and starts
+// at once; past about an eighth of the table the walk is the cheaper, and a
+// range that covers most of the table (v >= 0) must cost what a walk costs.
 const indexShare = 8
 
 // indexAccess is how a scan reaches its candidate rows through a
@@ -243,21 +242,21 @@ func (a *indexAccess) rangeFrom(cols []colBinding, conjs []Expr, col int, typ Co
 	return a.conjs != nil
 }
 
-// rowIDs is the candidates' row IDs, ascending.
-func (a *indexAccess) rowIDs() []int64 {
-	ids := make([]int64, 0, a.n)
+// slots is the candidates' slots, ascending.
+func (a *indexAccess) slots() []int {
+	slots := make([]int, 0, a.n)
 	if a.keys != nil {
 		for _, k := range a.keys {
-			ids = append(ids, a.ix.tree.Lookup(k)...)
+			slots = append(slots, a.ix.tree.Lookup(k)...)
 		}
 	} else {
-		a.ix.tree.Range(&a.lo, a.hiBound(), a.loIncl, a.hiIncl, func(_ Value, rows []int64) bool {
-			ids = append(ids, rows...)
+		a.ix.tree.Range(&a.lo, a.hiBound(), a.loIncl, a.hiIncl, func(_ Value, rows []int) bool {
+			slots = append(slots, rows...)
 			return true
 		})
 	}
-	slices.Sort(ids)
-	return ids
+	slices.Sort(slots)
+	return slots
 }
 
 // describe renders the access to t for EXPLAIN: "index lookup r_v(v)",

@@ -321,29 +321,6 @@ type InsertStmt struct {
 
 func (*InsertStmt) stmt() {}
 
-// UpdateStmt is a parsed UPDATE.
-type UpdateStmt struct {
-	Table string
-	Set   []SetClause
-	Where Expr
-}
-
-// SetClause is one column assignment.
-type SetClause struct {
-	Column string
-	Value  Expr
-}
-
-func (*UpdateStmt) stmt() {}
-
-// DeleteStmt is a parsed DELETE.
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-func (*DeleteStmt) stmt() {}
-
 // CreateTableStmt is a parsed CREATE TABLE.
 type CreateTableStmt struct {
 	IfNotExists bool
@@ -351,14 +328,6 @@ type CreateTableStmt struct {
 }
 
 func (*CreateTableStmt) stmt() {}
-
-// DropTableStmt is a parsed DROP TABLE.
-type DropTableStmt struct {
-	IfExists bool
-	Table    string
-}
-
-func (*DropTableStmt) stmt() {}
 
 // CreateIndexStmt is a parsed CREATE INDEX.
 type CreateIndexStmt struct {
@@ -370,31 +339,11 @@ type CreateIndexStmt struct {
 
 func (*CreateIndexStmt) stmt() {}
 
-// DropIndexStmt is a parsed DROP INDEX.
-type DropIndexStmt struct{ Name string }
-
-func (*DropIndexStmt) stmt() {}
-
 // ExplainStmt is `EXPLAIN SELECT ...`: it returns the execution plan as
 // rows of text instead of running the query.
 type ExplainStmt struct{ Query *SelectStmt }
 
 func (*ExplainStmt) stmt() {}
-
-// BeginStmt / CommitStmt / RollbackStmt control transactions.
-type BeginStmt struct{}
-
-func (*BeginStmt) stmt() {}
-
-// CommitStmt commits the open transaction.
-type CommitStmt struct{}
-
-func (*CommitStmt) stmt() {}
-
-// RollbackStmt aborts the open transaction.
-type RollbackStmt struct{}
-
-func (*RollbackStmt) stmt() {}
 
 // describeStmt renders a one-word statement kind for errors and tracing.
 func describeStmt(s Statement) string {
@@ -403,24 +352,10 @@ func describeStmt(s Statement) string {
 		return "SELECT"
 	case *InsertStmt:
 		return "INSERT"
-	case *UpdateStmt:
-		return "UPDATE"
-	case *DeleteStmt:
-		return "DELETE"
 	case *CreateTableStmt:
 		return "CREATE TABLE"
-	case *DropTableStmt:
-		return "DROP TABLE"
 	case *CreateIndexStmt:
 		return "CREATE INDEX"
-	case *DropIndexStmt:
-		return "DROP INDEX"
-	case *BeginStmt:
-		return "BEGIN"
-	case *CommitStmt:
-		return "COMMIT"
-	case *RollbackStmt:
-		return "ROLLBACK"
 	case *ExplainStmt:
 		return "EXPLAIN"
 	}

@@ -3,17 +3,17 @@ package relational
 import "slices"
 
 // btree is an in-memory B-tree mapping index keys (Values, ordered by
-// Compare) to sets of row IDs. It backs ordered (range-capable) secondary
-// indexes and primary keys. Duplicate keys are allowed; each key holds the
-// list of row IDs carrying it. Every node knows how many row entries its
-// subtree holds, so the rows in a key range are counted in O(log n) without
-// visiting them.
+// Compare) to the table slots holding them. It backs ordered (range-capable)
+// secondary indexes and primary keys. Duplicate keys are allowed; each key
+// holds the list of slots carrying it, ascending, since rows are only ever
+// appended. Every node knows how many row entries its subtree holds, so the
+// rows in a key range are counted in O(log n) without visiting them.
 
 const btreeDegree = 32 // max children per internal node
 
 type btreeItem struct {
 	key  Value
-	rows []int64
+	rows []int
 }
 
 type btreeNode struct {
@@ -39,10 +39,9 @@ func (n *btreeNode) sum() int {
 
 // btree is the tree root plus element counts.
 type btree struct {
-	root  *btreeNode
-	keys  int // distinct live keys
-	rows  int // total row entries
-	items int // keys in the tree, tombstones (keys with no rows left) included
+	root *btreeNode
+	keys int // distinct keys
+	rows int // total row entries
 }
 
 func newBTree() *btree {
@@ -66,29 +65,28 @@ func search(items []btreeItem, key Value) (int, bool) {
 	return lo, false
 }
 
-// Insert adds rowID under key.
-func (t *btree) Insert(key Value, rowID int64) {
+// Insert adds slot under key.
+func (t *btree) Insert(key Value, slot int) {
 	if len(t.root.items) >= 2*btreeDegree-1 {
 		old := t.root
 		t.root = &btreeNode{children: []*btreeNode{old}, count: old.count}
 		t.root.splitChild(0)
 	}
-	t.insertNonFull(t.root, key, rowID)
+	t.insertNonFull(t.root, key, slot)
 	t.rows++
 }
 
-func (t *btree) insertNonFull(n *btreeNode, key Value, rowID int64) {
+func (t *btree) insertNonFull(n *btreeNode, key Value, slot int) {
 	for {
 		n.count++
 		i, found := search(n.items, key)
 		if found {
-			t.addRow(&n.items[i], rowID)
+			n.items[i].rows = append(n.items[i].rows, slot)
 			return
 		}
 		if n.leaf() {
-			n.items = slices.Insert(n.items, i, btreeItem{key: key, rows: []int64{rowID}})
+			n.items = slices.Insert(n.items, i, btreeItem{key: key, rows: []int{slot}})
 			t.keys++
-			t.items++
 			return
 		}
 		if len(n.children[i].items) >= 2*btreeDegree-1 {
@@ -97,21 +95,12 @@ func (t *btree) insertNonFull(n *btreeNode, key Value, rowID int64) {
 			case -1:
 				i++
 			case 0:
-				t.addRow(&n.items[i], rowID)
+				n.items[i].rows = append(n.items[i].rows, slot)
 				return
 			}
 		}
 		n = n.children[i]
 	}
-}
-
-// addRow appends rowID to a key already in the tree, reviving it if it was a
-// tombstone.
-func (t *btree) addRow(it *btreeItem, rowID int64) {
-	if len(it.rows) == 0 {
-		t.keys++
-	}
-	it.rows = append(it.rows, rowID)
 }
 
 // splitChild splits the full child at index i, promoting its median item.
@@ -133,9 +122,9 @@ func (n *btreeNode) splitChild(i int) {
 	n.children = slices.Insert(n.children, i+1, right)
 }
 
-// Lookup returns the row IDs stored under key (nil if none). The returned
+// Lookup returns the slots stored under key (nil if none). The returned
 // slice must not be modified.
-func (t *btree) Lookup(key Value) []int64 {
+func (t *btree) Lookup(key Value) []int {
 	n := t.root
 	for {
 		i, found := search(n.items, key)
@@ -149,72 +138,16 @@ func (t *btree) Lookup(key Value) []int64 {
 	}
 }
 
-// Delete removes rowID from under key. A key whose row list empties stays in
-// the tree as a tombstone; the tree is rebuilt without them once they
-// outnumber the live keys.
-func (t *btree) Delete(key Value, rowID int64) bool {
-	n := t.root
-	i, found := search(n.items, key)
-	for !found {
-		if n.leaf() {
-			return false
-		}
-		n = n.children[i]
-		i, found = search(n.items, key)
-	}
-	it := &n.items[i]
-	j := slices.Index(it.rows, rowID)
-	if j < 0 {
-		return false
-	}
-	it.rows = slices.Delete(it.rows, j, j+1)
-	t.rows--
-	if len(it.rows) == 0 {
-		t.keys--
-	}
-	// Every node on the way down to n holds one row entry fewer.
-	for m := t.root; ; {
-		m.count--
-		if m == n {
-			break
-		}
-		k, _ := search(m.items, key)
-		m = m.children[k]
-	}
-	t.maybeCompact()
-	return true
-}
-
-// maybeCompact rebuilds the tree when tombstones dominate.
-func (t *btree) maybeCompact() {
-	if t.items < 16 || t.keys*2 >= t.items {
-		return
-	}
-	nt := newBTree()
-	t.Ascend(func(key Value, rows []int64) bool {
-		for _, id := range rows {
-			nt.Insert(key, id)
-		}
-		return true
-	})
-	*t = *nt
-}
-
-// Ascend visits all live items in key order; fn returns false to stop.
-func (t *btree) Ascend(fn func(key Value, rows []int64) bool) {
-	t.Range(nil, nil, true, true, fn)
-}
-
-// Range visits live items with lo <= key <= hi (nil bounds are open); the
+// Range visits items with lo <= key <= hi (nil bounds are open); the
 // inclusive flags control boundary handling. It seeks to lo, so a call costs
 // O(log n) plus the items it visits. fn returns false to stop.
-func (t *btree) Range(lo, hi *Value, loIncl, hiIncl bool, fn func(key Value, rows []int64) bool) {
+func (t *btree) Range(lo, hi *Value, loIncl, hiIncl bool, fn func(key Value, rows []int) bool) {
 	rangeNode(t.root, lo, hi, loIncl, hiIncl, fn)
 }
 
 // rangeNode is Range over n's subtree; it returns false once the walk is
 // over (fn stopped it, or a key is past hi).
-func rangeNode(n *btreeNode, lo, hi *Value, loIncl, hiIncl bool, fn func(key Value, rows []int64) bool) bool {
+func rangeNode(n *btreeNode, lo, hi *Value, loIncl, hiIncl bool, fn func(key Value, rows []int) bool) bool {
 	i := 0
 	if lo != nil {
 		i, _ = search(n.items, *lo) // the items and children before i sort below lo
@@ -235,7 +168,7 @@ func rangeNode(n *btreeNode, lo, hi *Value, loIncl, hiIncl bool, fn func(key Val
 				return false
 			}
 		}
-		if len(it.rows) > 0 && !fn(it.key, it.rows) {
+		if !fn(it.key, it.rows) {
 			return false
 		}
 	}
@@ -284,10 +217,10 @@ func (t *btree) rank(key Value, incl bool) int {
 	}
 }
 
-// Len reports the number of live row entries in the tree.
+// Len reports the number of row entries in the tree.
 func (t *btree) Len() int { return t.rows }
 
-// Keys reports the number of distinct live keys.
+// Keys reports the number of distinct keys.
 func (t *btree) Keys() int { return t.keys }
 
 // depth reports the tree height (for invariant tests).
@@ -306,12 +239,12 @@ func (t *btree) checkInvariants() string {
 	var prev *Value
 	ok := ""
 	depth := -1
-	items, keys, rows := 0, 0, 0
+	keys, rows := 0, 0
 	var walk func(n *btreeNode, d int) bool
 	walk = func(n *btreeNode, d int) bool {
 		if n != t.root && len(n.items) == 0 {
-			// Our insert-only splitting keeps nodes at least half full except
-			// the root; tombstone compaction rebuilds preserve this.
+			// Insert-only splitting keeps nodes at least half full except
+			// the root.
 			ok = "empty non-root node"
 			return false
 		}
@@ -336,11 +269,8 @@ func (t *btree) checkInvariants() string {
 			}
 			k := it.key
 			prev = &k
-			items++
+			keys++
 			rows += len(it.rows)
-			if len(it.rows) > 0 {
-				keys++
-			}
 		}
 		if !n.leaf() && !walk(n.children[len(n.items)], d+1) {
 			return false
@@ -355,8 +285,6 @@ func (t *btree) checkInvariants() string {
 		return ok
 	}
 	switch {
-	case items != t.items:
-		return "item count mismatch"
 	case keys != t.keys:
 		return "key count mismatch"
 	case rows != t.rows:

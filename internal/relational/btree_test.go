@@ -2,6 +2,7 @@ package relational
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,8 +10,8 @@ import (
 
 func TestBTreeInsertLookup(t *testing.T) {
 	bt := newBTree()
-	for i := int64(0); i < 1000; i++ {
-		bt.Insert(IntValue(i%100), i)
+	for i := 0; i < 1000; i++ {
+		bt.Insert(IntValue(int64(i%100)), i)
 	}
 	if bt.Len() != 1000 {
 		t.Fatalf("Len = %d", bt.Len())
@@ -36,10 +37,10 @@ func TestBTreeOrderedAscend(t *testing.T) {
 	bt := newBTree()
 	perm := rand.New(rand.NewSource(42)).Perm(500)
 	for i, p := range perm {
-		bt.Insert(IntValue(int64(p)), int64(i))
+		bt.Insert(IntValue(int64(p)), i)
 	}
 	var keys []int64
-	bt.Ascend(func(k Value, rows []int64) bool {
+	bt.Range(nil, nil, true, true, func(k Value, rows []int) bool {
 		keys = append(keys, k.Int)
 		return true
 	})
@@ -47,7 +48,7 @@ func TestBTreeOrderedAscend(t *testing.T) {
 		t.Fatalf("visited %d keys", len(keys))
 	}
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatal("Ascend out of order")
+		t.Fatal("Range out of order")
 	}
 	if msg := bt.checkInvariants(); msg != "" {
 		t.Fatalf("invariant violated: %s", msg)
@@ -56,12 +57,12 @@ func TestBTreeOrderedAscend(t *testing.T) {
 
 func TestBTreeRange(t *testing.T) {
 	bt := newBTree()
-	for i := int64(0); i < 100; i++ {
-		bt.Insert(IntValue(i), i)
+	for i := 0; i < 100; i++ {
+		bt.Insert(IntValue(int64(i)), i)
 	}
 	lo, hi := IntValue(10), IntValue(20)
 	var got []int64
-	bt.Range(&lo, &hi, true, true, func(k Value, rows []int64) bool {
+	bt.Range(&lo, &hi, true, true, func(k Value, rows []int) bool {
 		got = append(got, k.Int)
 		return true
 	})
@@ -69,7 +70,7 @@ func TestBTreeRange(t *testing.T) {
 		t.Fatalf("inclusive range = %v", got)
 	}
 	got = nil
-	bt.Range(&lo, &hi, false, false, func(k Value, rows []int64) bool {
+	bt.Range(&lo, &hi, false, false, func(k Value, rows []int) bool {
 		got = append(got, k.Int)
 		return true
 	})
@@ -77,7 +78,7 @@ func TestBTreeRange(t *testing.T) {
 		t.Fatalf("exclusive range = %v", got)
 	}
 	got = nil
-	bt.Range(&lo, nil, true, true, func(k Value, rows []int64) bool {
+	bt.Range(&lo, nil, true, true, func(k Value, rows []int) bool {
 		got = append(got, k.Int)
 		return true
 	})
@@ -88,7 +89,7 @@ func TestBTreeRange(t *testing.T) {
 	bt.Insert(NullValue(), 100)
 	null := NullValue()
 	got = nil
-	bt.Range(&null, &hi, false, false, func(k Value, rows []int64) bool {
+	bt.Range(&null, &hi, false, false, func(k Value, rows []int) bool {
 		got = append(got, k.Int)
 		return true
 	})
@@ -110,42 +111,13 @@ func TestBTreeRange(t *testing.T) {
 	}
 }
 
-func TestBTreeDeleteAndCompaction(t *testing.T) {
-	bt := newBTree()
-	for i := int64(0); i < 1000; i++ {
-		bt.Insert(IntValue(i), i)
-	}
-	for i := int64(0); i < 900; i++ {
-		if !bt.Delete(IntValue(i), i) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if bt.Len() != 100 || bt.Keys() != 100 {
-		t.Fatalf("after deletes: len=%d keys=%d", bt.Len(), bt.Keys())
-	}
-	for i := int64(900); i < 1000; i++ {
-		if rows := bt.Lookup(IntValue(i)); len(rows) != 1 || rows[0] != i {
-			t.Fatalf("Lookup(%d) = %v after compaction", i, rows)
-		}
-	}
-	if bt.Delete(IntValue(5), 5) {
-		t.Error("double delete succeeded")
-	}
-	if bt.Delete(IntValue(950), 999) {
-		t.Error("delete with wrong rowID succeeded")
-	}
-	if msg := bt.checkInvariants(); msg != "" {
-		t.Fatalf("invariant violated: %s", msg)
-	}
-}
-
 func TestBTreeMixedKeyTypes(t *testing.T) {
 	bt := newBTree()
 	bt.Insert(TextValue("beta"), 1)
 	bt.Insert(TextValue("alpha"), 2)
 	bt.Insert(NullValue(), 3)
 	var order []string
-	bt.Ascend(func(k Value, rows []int64) bool {
+	bt.Range(nil, nil, true, true, func(k Value, rows []int) bool {
 		order = append(order, k.String())
 		return true
 	})
@@ -155,59 +127,35 @@ func TestBTreeMixedKeyTypes(t *testing.T) {
 	}
 }
 
-// TestBTreeQuickInvariants is a property test: any sequence of inserts and
-// deletes preserves structural invariants and the counts kept beside them,
-// agrees with a reference map, and counts every range as Range visits it.
+// TestBTreeQuickInvariants is a property test: any sequence of inserts,
+// duplicate keys included, preserves structural invariants and the counts
+// kept beside them, agrees with a reference map, and counts every range as
+// Range visits it.
 func TestBTreeQuickInvariants(t *testing.T) {
 	f := func(ops []int16, a, b int8, aIncl, bIncl bool) bool {
 		bt := newBTree()
-		ref := make(map[int64]map[int64]int) // key -> rowID -> count
-		nextRow := int64(0)
-		for _, op := range ops {
+		ref := make(map[int64][]int) // key -> slots
+		for slot, op := range ops {
 			key := int64(op % 64)
 			if key < 0 {
 				key = -key
 			}
-			if op >= 0 { // insert
-				nextRow++
-				bt.Insert(IntValue(key), nextRow)
-				if ref[key] == nil {
-					ref[key] = make(map[int64]int)
-				}
-				ref[key][nextRow]++
-			} else { // delete an arbitrary existing row under key, if any
-				var victim int64 = -1
-				for id := range ref[key] {
-					victim = id
-					break
-				}
-				if victim >= 0 {
-					if !bt.Delete(IntValue(key), victim) {
-						return false
-					}
-					delete(ref[key], victim)
-					if len(ref[key]) == 0 {
-						delete(ref, key)
-					}
-				}
-			}
+			bt.Insert(IntValue(key), slot)
+			ref[key] = append(ref[key], slot)
 		}
 		if msg := bt.checkInvariants(); msg != "" {
 			t.Logf("invariant: %s", msg)
 			return false
 		}
-		total := 0
-		for key, rows := range ref {
-			got := bt.Lookup(IntValue(key))
-			if len(got) != len(rows) {
-				t.Logf("key %d: got %d rows, want %d", key, len(got), len(rows))
+		for key, slots := range ref {
+			if got := bt.Lookup(IntValue(key)); !slices.Equal(got, slots) {
+				t.Logf("key %d: got slots %v, want %v", key, got, slots)
 				return false
 			}
-			total += len(rows)
 		}
 		lo, hi := IntValue(int64(a%70)), IntValue(int64(b%70))
 		visited := 0
-		bt.Range(&lo, &hi, aIncl, bIncl, func(_ Value, rows []int64) bool {
+		bt.Range(&lo, &hi, aIncl, bIncl, func(_ Value, rows []int) bool {
 			visited += len(rows)
 			return true
 		})
@@ -215,49 +163,39 @@ func TestBTreeQuickInvariants(t *testing.T) {
 			t.Logf("range [%v, %v]: count %d, Range visited %d", lo, hi, n, visited)
 			return false
 		}
-		return bt.Len() == total
+		return bt.Len() == len(ops) && bt.Keys() == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBTreeCountsUnderChurn runs enough inserts and deletes, duplicates and
-// revived tombstones included, for the tree to split, grow and compact, and
-// checks the invariants and random range counts against Range throughout.
+// TestBTreeCountsUnderChurn inserts enough rows, duplicate keys included, for
+// the tree to split and grow, and checks the invariants and random range
+// counts against Range throughout.
 func TestBTreeCountsUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bt := newBTree()
-	type entry struct{ id, key int64 }
-	var live []entry
-	for step := 1; step <= 20000; step++ {
-		if len(live) == 0 || rng.Intn(5) < 3 {
-			e := entry{int64(step), int64(rng.Intn(3000))}
-			bt.Insert(IntValue(e.key), e.id)
-			live = append(live, e)
-		} else {
-			i := rng.Intn(len(live))
-			if e := live[i]; !bt.Delete(IntValue(e.key), e.id) {
-				t.Fatalf("step %d: Delete(%d, %d) failed", step, e.key, e.id)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		if step%500 != 0 {
+	var keys []int64 // by slot
+	for slot := 0; slot < 20000; slot++ {
+		key := int64(rng.Intn(3000))
+		bt.Insert(IntValue(key), slot)
+		keys = append(keys, key)
+		if (slot+1)%500 != 0 {
 			continue
 		}
 		if msg := bt.checkInvariants(); msg != "" {
-			t.Fatalf("step %d: %s", step, msg)
+			t.Fatalf("slot %d: %s", slot, msg)
 		}
 		lo, hi := IntValue(int64(rng.Intn(3000))), IntValue(int64(rng.Intn(3000)))
 		want := 0
-		for _, e := range live {
-			if e.key >= lo.Int && e.key < hi.Int {
+		for _, k := range keys {
+			if k >= lo.Int && k < hi.Int {
 				want++
 			}
 		}
 		if n := bt.count(&lo, &hi, true, false); n != want {
-			t.Fatalf("step %d: count [%d, %d) = %d, want %d", step, lo.Int, hi.Int, n, want)
+			t.Fatalf("slot %d: count [%d, %d) = %d, want %d", slot, lo.Int, hi.Int, n, want)
 		}
 	}
 	if bt.depth() < 2 {

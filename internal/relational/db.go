@@ -9,12 +9,11 @@ import (
 )
 
 // Result carries the outcome of one statement: column names and rows for
-// SELECT, affected-row counts for DML.
+// SELECT, the inserted-row count for INSERT.
 type Result struct {
 	Columns      []string
 	Rows         []Row
 	RowsAffected int64
-	LastInsertID int64
 }
 
 // Format renders the result as an aligned text table (used by the shell, the
@@ -66,17 +65,18 @@ func (r *Result) Format() string {
 	return b.String()
 }
 
-// Database is one engine instance: a named catalog of tables guarded by a
-// readers-writer lock, with a vendor dialect profile.
+// Database is one engine instance: a named catalog of append-only tables
+// guarded by a readers-writer lock, with a vendor dialect profile. Its
+// contents are loaded by CREATE TABLE, CREATE INDEX and INSERT, then read.
 type Database struct {
 	name    string
 	dialect Dialect
 
 	mu      sync.RWMutex
 	tables  map[string]*Table // by lower-cased name
-	indexes map[string]string // index name (lower) -> table name (lower)
+	indexes map[string]bool   // index names, lower-cased
 
-	// schemaVer is bumped by every DDL statement; cached plans parsed under
+	// schemaVer is bumped by every CREATE statement; cached plans parsed under
 	// an older version are re-parsed on next use (mirrors the federation
 	// metadata cache's version-stamp invalidation).
 	schemaVer atomic.Uint64
@@ -97,20 +97,20 @@ func NewDatabase(name string, dialect Dialect) *Database {
 		name:    name,
 		dialect: dialect,
 		tables:  make(map[string]*Table),
-		indexes: make(map[string]string),
+		indexes: make(map[string]bool),
 		plans:   newPlanCache(defaultPlanCacheCap),
 	}
 }
 
-// bumpSchema invalidates cached plans after a DDL change.
+// bumpSchema invalidates cached plans after a CREATE.
 func (db *Database) bumpSchema() { db.schemaVer.Add(1) }
 
-// SchemaVersion returns the monotonic DDL version counter.
+// SchemaVersion returns the monotonic CREATE version counter.
 func (db *Database) SchemaVersion() uint64 { return db.schemaVer.Load() }
 
 // parseCached parses a script through the per-database plan cache. Entries
 // are keyed by exact query text and revalidated against the schema version,
-// so a plan cached before a CREATE/DROP is re-parsed on next use. Parse
+// so a plan cached before a CREATE is re-parsed on next use. Parse
 // errors are not cached.
 func (db *Database) parseCached(sql string) ([]Statement, error) {
 	v := db.schemaVer.Load()
@@ -143,7 +143,7 @@ func (db *Database) Name() string { return db.name }
 
 // ChunksScanned counts the steps walks over tables (full scans and index
 // lookups) have taken since the database was created, each a run of at most
-// 1 024 table slots or row IDs. It stands still when no walk is running: a
+// 1 024 table slots or index candidates. It stands still when no walk is running: a
 // closed or exhausted cursor costs nothing.
 func (db *Database) ChunksScanned() int64 { return db.chunks.Load() }
 
@@ -171,13 +171,13 @@ func (db *Database) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Exec parses and executes one statement outside any transaction.
+// Exec parses and executes one statement.
 func (db *Database) Exec(sql string) (*Result, error) {
 	stmt, err := db.parseOneCached(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmt(stmt, nil)
+	return db.ExecStmt(stmt)
 }
 
 // ExecScript executes a semicolon-separated script, returning the last
@@ -189,7 +189,7 @@ func (db *Database) ExecScript(sql string) (*Result, error) {
 	}
 	var last *Result
 	for _, stmt := range stmts {
-		last, err = db.ExecStmt(stmt, nil)
+		last, err = db.ExecStmt(stmt)
 		if err != nil {
 			return nil, err
 		}
@@ -217,12 +217,11 @@ func (db *Database) Query(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmt(stmt, nil)
+	return db.ExecStmt(stmt)
 }
 
-// ExecStmt executes a parsed statement; tx, when non-nil, records undo
-// operations for rollback.
-func (db *Database) ExecStmt(stmt Statement, tx *Tx) (*Result, error) {
+// ExecStmt executes a parsed statement.
+func (db *Database) ExecStmt(stmt Statement) (*Result, error) {
 	if err := db.dialect.Check(stmt); err != nil {
 		return nil, err
 	}
@@ -234,37 +233,19 @@ func (db *Database) ExecStmt(stmt Statement, tx *Tx) (*Result, error) {
 	case *InsertStmt:
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		return db.execInsert(s, tx)
-	case *UpdateStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execUpdate(s, tx)
-	case *DeleteStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execDelete(s, tx)
+		return db.execInsert(s)
 	case *CreateTableStmt:
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		return db.execCreateTable(s)
-	case *DropTableStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execDropTable(s)
 	case *CreateIndexStmt:
 		db.mu.Lock()
 		defer db.mu.Unlock()
 		return db.execCreateIndex(s)
-	case *DropIndexStmt:
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execDropIndex(s)
 	case *ExplainStmt:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		return db.explainSelect(s.Query)
-	case *BeginStmt, *CommitStmt, *RollbackStmt:
-		return nil, fmt.Errorf("relational: %s must go through a Session", describeStmt(stmt))
 	}
 	return nil, fmt.Errorf("relational: unsupported statement %s", describeStmt(stmt))
 }
@@ -290,31 +271,13 @@ func (db *Database) execCreateTable(s *CreateTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (db *Database) execDropTable(s *DropTableStmt) (*Result, error) {
-	key := strings.ToLower(s.Table)
-	if _, exists := db.tables[key]; !exists {
-		if s.IfExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("relational: %s: no such table %s", db.name, s.Table)
-	}
-	delete(db.tables, key)
-	for ixName, tbl := range db.indexes {
-		if tbl == key {
-			delete(db.indexes, ixName)
-		}
-	}
-	db.bumpSchema()
-	return &Result{}, nil
-}
-
 func (db *Database) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 	t, err := db.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
 	ixKey := strings.ToLower(s.Name)
-	if _, exists := db.indexes[ixKey]; exists {
+	if db.indexes[ixKey] {
 		return nil, fmt.Errorf("relational: %s: index %s already exists", db.name, s.Name)
 	}
 	col := t.schema.ColIndex(s.Column)
@@ -324,27 +287,12 @@ func (db *Database) execCreateIndex(s *CreateIndexStmt) (*Result, error) {
 	if err := t.createIndex(s.Name, col, s.Unique); err != nil {
 		return nil, err
 	}
-	db.indexes[ixKey] = strings.ToLower(s.Table)
+	db.indexes[ixKey] = true
 	db.bumpSchema()
 	return &Result{}, nil
 }
 
-func (db *Database) execDropIndex(s *DropIndexStmt) (*Result, error) {
-	ixKey := strings.ToLower(s.Name)
-	tblKey, ok := db.indexes[ixKey]
-	if !ok {
-		return nil, fmt.Errorf("relational: %s: no such index %s", db.name, s.Name)
-	}
-	t := db.tables[tblKey]
-	if err := t.dropIndex(s.Name); err != nil {
-		return nil, err
-	}
-	delete(db.indexes, ixKey)
-	db.bumpSchema()
-	return &Result{}, nil
-}
-
-func (db *Database) execInsert(s *InsertStmt, tx *Tx) (*Result, error) {
+func (db *Database) execInsert(s *InsertStmt) (*Result, error) {
 	t, err := db.table(s.Table)
 	if err != nil {
 		return nil, err
@@ -390,19 +338,10 @@ func (db *Database) execInsert(s *InsertStmt, tx *Tx) (*Result, error) {
 		for i, ord := range ords {
 			full[ord] = src[i]
 		}
-		id, err := t.insert(full)
-		if err != nil {
+		if err := t.insert(full); err != nil {
 			return nil, err
 		}
-		if tx != nil {
-			tbl, rowID := t, id
-			tx.record(func() error {
-				_, err := tbl.delete(rowID)
-				return err
-			})
-		}
 		res.RowsAffected++
-		res.LastInsertID = id
 	}
 	return res, nil
 }
@@ -431,149 +370,6 @@ func insertOrdinals(t *Table, cols []string) ([]int, error) {
 	return ords, nil
 }
 
-func (db *Database) execUpdate(s *UpdateStmt, tx *Tx) (*Result, error) {
-	t, err := db.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	env := envForTable(t, s.Table)
-	type setOp struct {
-		ord int
-		e   Expr
-	}
-	sets := make([]setOp, len(s.Set))
-	for i, sc := range s.Set {
-		ord := t.schema.ColIndex(sc.Column)
-		if ord < 0 {
-			return nil, fmt.Errorf("relational: table %s has no column %s", t.schema.Name, sc.Column)
-		}
-		sets[i] = setOp{ord: ord, e: sc.Value}
-	}
-
-	where, _, err := db.rewriteSubqueries(s.Where)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := matchingRowIDs(t, where, env)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for _, id := range ids {
-		old, ok := t.rowByID(id)
-		if !ok {
-			continue
-		}
-		env.row = old
-		newRow := old.Clone()
-		for _, op := range sets {
-			v, err := eval(op.e, env)
-			if err != nil {
-				return nil, err
-			}
-			newRow[op.ord] = v
-		}
-		prev, err := t.update(id, newRow)
-		if err != nil {
-			return nil, err
-		}
-		if tx != nil {
-			tbl, rowID, oldRow := t, id, prev
-			tx.record(func() error {
-				_, err := tbl.update(rowID, oldRow)
-				return err
-			})
-		}
-		res.RowsAffected++
-	}
-	return res, nil
-}
-
-func (db *Database) execDelete(s *DeleteStmt, tx *Tx) (*Result, error) {
-	t, err := db.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	env := envForTable(t, s.Table)
-	where, _, err := db.rewriteSubqueries(s.Where)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := matchingRowIDs(t, where, env)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for _, id := range ids {
-		old, err := t.delete(id)
-		if err != nil {
-			return nil, err
-		}
-		if tx != nil {
-			tbl, rowID, oldRow := t, id, old
-			tx.record(func() error {
-				return tbl.insertWithID(rowID, oldRow)
-			})
-		}
-		res.RowsAffected++
-	}
-	return res, nil
-}
-
-// envForTable builds an eval environment exposing one table's columns under
-// both the table name and its own name (UPDATE/DELETE have no aliases).
-func envForTable(t *Table, binding string) *evalEnv {
-	env := &evalEnv{}
-	b := strings.ToLower(binding)
-	for _, c := range t.schema.Columns {
-		env.cols = append(env.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
-	}
-	return env
-}
-
-// matchingRowIDs evaluates a WHERE clause over a table and returns matching
-// row IDs, ascending (all rows when where is nil). It reads the candidates of
-// the index access the clause's conjuncts allow, if chooseIndex takes one.
-func matchingRowIDs(t *Table, where Expr, env *evalEnv) ([]int64, error) {
-	var ids []int64
-	var evalErr error
-	visit := func(id int64, row Row) bool {
-		if where == nil {
-			ids = append(ids, id)
-			return true
-		}
-		env.row = row
-		v, err := eval(where, env)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		if b, ok := v.Truthy(); ok && b {
-			ids = append(ids, id)
-		}
-		return true
-	}
-	var acc indexAccess
-	if chooseIndex(t, env.cols, splitConjuncts(where), &acc); acc.ix != nil {
-		buf := make(Row, len(t.cols))
-		for _, id := range acc.rowIDs() {
-			s := t.slots[id] // an index holds live rows only
-			for c, cv := range t.cols {
-				buf[c] = cv[s]
-			}
-			if !visit(id, buf) {
-				break
-			}
-		}
-	} else {
-		t.scan(visit)
-	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return ids, nil
-}
-
 // splitConjuncts flattens a tree of ANDs into its conjuncts.
 func splitConjuncts(e Expr) []Expr {
 	if e == nil {
@@ -583,84 +379,4 @@ func splitConjuncts(e Expr) []Expr {
 		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
 	}
 	return []Expr{e}
-}
-
-// ---- Sessions and transactions ----
-
-// Session is one client's connection-scoped view of the database, carrying
-// an optional open transaction. Sessions are not safe for concurrent use by
-// multiple goroutines (match the semantics of a JDBC connection).
-type Session struct {
-	db *Database
-	tx *Tx
-}
-
-// Tx is an open transaction: an undo log applied in reverse on rollback.
-type Tx struct {
-	undo []func() error
-}
-
-func (tx *Tx) record(fn func() error) { tx.undo = append(tx.undo, fn) }
-
-// NewSession opens a session.
-func (db *Database) NewSession() *Session { return &Session{db: db} }
-
-// Exec parses and executes one statement in the session, honouring
-// transaction control statements.
-func (s *Session) Exec(sql string) (*Result, error) {
-	stmt, err := s.db.parseOneCached(sql)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.db.dialect.Check(stmt); err != nil {
-		return nil, err
-	}
-	switch stmt.(type) {
-	case *BeginStmt:
-		return &Result{}, s.Begin()
-	case *CommitStmt:
-		return &Result{}, s.Commit()
-	case *RollbackStmt:
-		return &Result{}, s.Rollback()
-	}
-	return s.db.ExecStmt(stmt, s.tx)
-}
-
-// Begin opens a transaction.
-func (s *Session) Begin() error {
-	if !s.db.dialect.Transactions {
-		return fmt.Errorf("relational: %s does not support transactions", s.db.dialect.Name)
-	}
-	if s.tx != nil {
-		return fmt.Errorf("relational: transaction already open")
-	}
-	s.tx = &Tx{}
-	return nil
-}
-
-// Commit makes the transaction's effects permanent (they already are; the
-// undo log is discarded).
-func (s *Session) Commit() error {
-	if s.tx == nil {
-		return fmt.Errorf("relational: no open transaction")
-	}
-	s.tx = nil
-	return nil
-}
-
-// Rollback undoes every DML effect of the open transaction, in reverse.
-func (s *Session) Rollback() error {
-	if s.tx == nil {
-		return fmt.Errorf("relational: no open transaction")
-	}
-	tx := s.tx
-	s.tx = nil
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		if err := tx.undo[i](); err != nil {
-			return fmt.Errorf("relational: rollback: %w", err)
-		}
-	}
-	return nil
 }

@@ -10,41 +10,39 @@ import "fmt"
 type Dialect struct {
 	Name string
 	// Capability flags.
-	Joins        bool // explicit JOIN and multi-table FROM
-	Aggregates   bool // COUNT/SUM/AVG/MIN/MAX and GROUP BY/HAVING
-	Transactions bool // BEGIN/COMMIT/ROLLBACK
-	OrderLimit   bool // ORDER BY ... LIMIT
-	Distinct     bool
-	Subqueries   bool // IN (SELECT ...) and EXISTS (SELECT ...)
-	Union        bool // UNION / UNION ALL
-	Like         bool // standard LIKE patterns (mSQL 2.x shipped RLIKE/CLIKE instead)
-	InList       bool // literal IN lists (`x IN (1, 2)`; mSQL wanted OR chains)
-	MaxVarchar   int  // upper bound for declared VARCHAR sizes (0 = unlimited)
+	Joins      bool // explicit JOIN and multi-table FROM
+	Aggregates bool // COUNT/SUM/AVG/MIN/MAX and GROUP BY/HAVING
+	OrderLimit bool // ORDER BY ... LIMIT
+	Distinct   bool
+	Subqueries bool // IN (SELECT ...) and EXISTS (SELECT ...)
+	Union      bool // UNION / UNION ALL
+	Like       bool // standard LIKE patterns (mSQL 2.x shipped RLIKE/CLIKE instead)
+	InList     bool // literal IN lists (`x IN (1, 2)`; mSQL wanted OR chains)
+	MaxVarchar int  // upper bound for declared VARCHAR sizes (0 = unlimited)
 }
 
 // Vendor dialect profiles. Feature sets follow the engines' late-1990s
 // behaviour in the ways that matter to WebFINDIT: mSQL (MiniSQL 2.x) had no
-// aggregate functions, GROUP BY or transactions, which forces the wrapper
-// layer to compensate — exactly the heterogeneity the paper's gateway layer
-// bridges.
+// aggregate functions or GROUP BY, which forces the wrapper layer to
+// compensate — exactly the heterogeneity the paper's gateway layer bridges.
 var (
 	DialectOracle = Dialect{
-		Name: "Oracle", Joins: true, Aggregates: true, Transactions: true,
+		Name: "Oracle", Joins: true, Aggregates: true,
 		OrderLimit: true, Distinct: true, Subqueries: true, Union: true, Like: true,
 		InList: true, MaxVarchar: 4000,
 	}
 	DialectMSQL = Dialect{
-		Name: "mSQL", Joins: true, Aggregates: false, Transactions: false,
+		Name: "mSQL", Joins: true, Aggregates: false,
 		OrderLimit: true, Distinct: true, Subqueries: false, Union: false, Like: false,
 		InList: false, MaxVarchar: 255,
 	}
 	DialectDB2 = Dialect{
-		Name: "DB2", Joins: true, Aggregates: true, Transactions: true,
+		Name: "DB2", Joins: true, Aggregates: true,
 		OrderLimit: true, Distinct: true, Subqueries: true, Union: true, Like: true,
 		InList: true, MaxVarchar: 4000,
 	}
 	DialectSybase = Dialect{
-		Name: "Sybase", Joins: true, Aggregates: true, Transactions: true,
+		Name: "Sybase", Joins: true, Aggregates: true,
 		OrderLimit: true, Distinct: true, Subqueries: true, Union: true, Like: true,
 		InList: true, MaxVarchar: 255,
 	}
@@ -142,10 +140,6 @@ func (d Dialect) Check(stmt Statement) error {
 						d.Name, d.MaxVarchar, c.Name, c.Size)
 				}
 			}
-		}
-	case *BeginStmt, *CommitStmt, *RollbackStmt:
-		if !d.Transactions {
-			return unsupported("transactions")
 		}
 	}
 	return nil

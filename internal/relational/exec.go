@@ -576,13 +576,13 @@ type scanSpec struct {
 	acc    indexAccess // acc.ix nil: every slot
 }
 
-// rowIDs is the index access's candidate row IDs, ascending; nil when the
-// scan reads every slot.
-func (sp *scanSpec) rowIDs() []int64 {
+// slots is the index access's candidate slots, ascending; nil when the scan
+// reads every slot.
+func (sp *scanSpec) slots() []int {
 	if sp.acc.ix == nil {
 		return nil
 	}
-	return sp.acc.rowIDs()
+	return sp.acc.slots()
 }
 
 // fromPlan is a SELECT arm's FROM clause resolved: its tables, the combined
@@ -698,7 +698,7 @@ func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
 			keep = append(keep, filter)
 		}
 		var evalErr error
-		sp.t.scan(func(_ int64, row Row) bool {
+		sp.t.scan(func(_ int, row Row) bool {
 			env.row = row
 			for _, e := range keep {
 				v, err := eval(e, env)

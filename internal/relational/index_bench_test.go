@@ -17,7 +17,7 @@ func indexedDB(t testing.TB, n int) *Database {
 	}
 	tbl, _ := db.Table("r")
 	for i := 0; i < n; i++ {
-		if _, err := tbl.insert(Row{TextValue(fmt.Sprintf("x%04d", i)), IntValue(int64(i))}); err != nil {
+		if err := tbl.insert(Row{TextValue(fmt.Sprintf("x%04d", i)), IntValue(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,8 @@ func BenchmarkSQLRangeSelect(b *testing.B) {
 }
 
 // BenchmarkSQLInList is the same window with the semi-join's 20 build keys
-// pushed as an IN list, on a column with an index and on one without.
+// pushed as an IN list, on a column with an index and on a copy of the table
+// without one.
 func BenchmarkSQLInList(b *testing.B) {
 	q := "SELECT a.k FROM r a WHERE a.v >= 900 AND a.v < 972 AND a.v IN " + inList(930, 20)
 	b.Run("indexed", func(b *testing.B) {
@@ -63,9 +64,9 @@ func BenchmarkSQLInList(b *testing.B) {
 	})
 	b.Run("unindexed", func(b *testing.B) {
 		db := indexedDB(b, 2000)
-		if _, err := db.Exec("DROP INDEX r_v"); err != nil {
+		if _, err := db.ExecScript("CREATE TABLE u (k VARCHAR(16), v INT); INSERT INTO u SELECT k, v FROM r"); err != nil {
 			b.Fatal(err)
 		}
-		benchQuery(b, db, q, 20)
+		benchQuery(b, db, strings.Replace(q, "FROM r a", "FROM u a", 1), 20)
 	})
 }

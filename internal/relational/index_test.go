@@ -52,9 +52,6 @@ func TestIndexAccessMatchesSlotWalk(t *testing.T) {
 			}
 			exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %s, %s, 's%d')", i, v, w, rng.Intn(7)))
 		}
-		// Tombstones, and rows whose keys moved.
-		exec(fmt.Sprintf("DELETE FROM t WHERE id < %d", rng.Intn(n/3)))
-		exec(fmt.Sprintf("UPDATE t SET v = v + 1 WHERE s = 's%d'", rng.Intn(7)))
 
 		lit := map[string]func() string{
 			"v": func() string {

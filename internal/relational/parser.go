@@ -138,29 +138,8 @@ func (p *sqlParser) parseStatement() (Statement, error) {
 		return p.parseSelect()
 	case "INSERT":
 		return p.parseInsert()
-	case "UPDATE":
-		return p.parseUpdate()
-	case "DELETE":
-		return p.parseDelete()
 	case "CREATE":
 		return p.parseCreate()
-	case "DROP":
-		return p.parseDrop()
-	case "BEGIN":
-		p.next()
-		p.accept("TRANSACTION")
-		p.accept("WORK")
-		return &BeginStmt{}, nil
-	case "COMMIT":
-		p.next()
-		p.accept("TRANSACTION")
-		p.accept("WORK")
-		return &CommitStmt{}, nil
-	case "ROLLBACK":
-		p.next()
-		p.accept("TRANSACTION")
-		p.accept("WORK")
-		return &RollbackStmt{}, nil
 	case "EXPLAIN":
 		p.next()
 		q, err := p.parseSelect()
@@ -466,67 +445,6 @@ func (p *sqlParser) parseInsert() (*InsertStmt, error) {
 	return ins, nil
 }
 
-func (p *sqlParser) parseUpdate() (*UpdateStmt, error) {
-	if err := p.expect("UPDATE"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect("SET"); err != nil {
-		return nil, err
-	}
-	u := &UpdateStmt{Table: table}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		u.Set = append(u.Set, SetClause{Column: col, Value: e})
-		if !p.accept(",") {
-			break
-		}
-	}
-	if p.accept("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		u.Where = e
-	}
-	return u, nil
-}
-
-func (p *sqlParser) parseDelete() (*DeleteStmt, error) {
-	if err := p.expect("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	d := &DeleteStmt{Table: table}
-	if p.accept("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		d.Where = e
-	}
-	return d, nil
-}
-
 func (p *sqlParser) parseCreate() (Statement, error) {
 	if err := p.expect("CREATE"); err != nil {
 		return nil, err
@@ -685,35 +603,6 @@ func (p *sqlParser) parseCreateIndex(unique bool) (*CreateIndexStmt, error) {
 		return nil, err
 	}
 	return &CreateIndexStmt{Name: name, Table: table, Column: col, Unique: unique}, nil
-}
-
-func (p *sqlParser) parseDrop() (Statement, error) {
-	if err := p.expect("DROP"); err != nil {
-		return nil, err
-	}
-	switch {
-	case p.accept("TABLE"):
-		st := &DropTableStmt{}
-		if p.accept("IF") {
-			if err := p.expect("EXISTS"); err != nil {
-				return nil, err
-			}
-			st.IfExists = true
-		}
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		st.Table = name
-		return st, nil
-	case p.accept("INDEX"):
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &DropIndexStmt{Name: name}, nil
-	}
-	return nil, fmt.Errorf("sql: expected TABLE or INDEX after DROP, got %s", p.peek())
 }
 
 // ---- Expression parsing (precedence climbing) ----

@@ -14,7 +14,7 @@ const defaultPlanCacheCap = 256
 
 // planCache memoises parsed statement lists keyed by exact query text. Each
 // entry carries the schema version it was parsed under; a lookup against a
-// newer version drops the entry, so every DDL statement invalidates all
+// newer version drops the entry, so every CREATE statement invalidates all
 // earlier plans (the version check is the revalidation, the bump is the
 // broadcast). Cached statements are shared across goroutines: execution
 // never mutates a parsed AST (subquery rewriting copies), which is what

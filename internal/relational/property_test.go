@@ -236,29 +236,3 @@ func TestPropUnionAllCardinality(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropDeleteInverseOfInsert: deleting everything WHERE matches leaves
-// count equal to non-matching rows.
-func TestPropDeleteInverseOfInsert(t *testing.T) {
-	f := func(seed int64, cut uint8) bool {
-		pivot := int64(cut % 20)
-		db, vals := randDB(t, seed, 30)
-		if _, err := db.Exec(fmt.Sprintf("DELETE FROM t WHERE v < %d", pivot)); err != nil {
-			return false
-		}
-		res, err := db.Query("SELECT COUNT(*) FROM t")
-		if err != nil {
-			return false
-		}
-		want := int64(0)
-		for _, v := range vals {
-			if v >= pivot {
-				want++
-			}
-		}
-		return res.Rows[0][0].Int == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}

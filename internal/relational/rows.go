@@ -1,19 +1,17 @@
 package relational
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // This file is the pull side of the executor. Every SELECT arm opens as one
 // walk — filter, then OFFSET, then projection, ending with the LIMIT — over
 // one of three sources:
 //
-//   - table slots: a full scan, in slot (row ID) order;
-//   - index row IDs: the ascending candidate list an index access (chooseIndex:
+//   - table slots: a full scan, in slot (insertion) order;
+//   - index candidates: the ascending slot list an index access (chooseIndex:
 //     an equality, a literal IN list or a key range on an indexed column)
 //     yields at open;
 //   - a relation a blocking operator built at open: a join, GROUP BY and
@@ -37,16 +35,14 @@ type Chunk struct {
 }
 
 // Rows is a resumable iterator over one SELECT's result. It is not safe for
-// concurrent use. A walk over a table holds no lock, no scratch memory and no
-// table position between two calls of Next: each call takes the database's
-// read lock, resumes at the first row whose ID is not below the one it stopped
-// at, and passes over rows whose ID is at or past the table's high-water mark
-// at open (an index walk: rows not among the candidates at open). Whatever is
-// inserted, deleted or compacted between two calls, no row is returned twice,
-// no row that existed at open and still exists is skipped, and no row inserted
-// after open appears; a row updated in between is read as it is when the walk
-// reaches it (so an index walk passes over one updated out of its keys or
-// range, and never sees one updated into them).
+// concurrent use. A walk over a table holds no lock and no scratch memory
+// between two calls of Next, only the slot (or candidate) it stopped at: each
+// call takes the database's read lock and resumes there. Tables are
+// append-only, so a slot holds the same row for good; a table walk passes
+// over the slots at or past the table's length at open, and an index walk
+// reads only its candidates at open. Whatever is inserted between two calls,
+// no row is returned twice, none that existed at open is skipped, and no row
+// inserted after open appears.
 type Rows struct {
 	w     *walk
 	bound int // Left's answer, as of open or the last Next
@@ -57,9 +53,9 @@ type Rows struct {
 func (r *Rows) Columns() []string { return r.w.names }
 
 // Left is an upper bound on the rows Next has still to return: the walk's
-// unvisited candidates (index row IDs, table slots below the high-water mark,
-// or held rows) less the OFFSET left, capped by the LIMIT left. It is taken
-// at open and after every Next; writes in between only remove candidates.
+// unvisited candidates (index candidates, table slots below the length at
+// open, or held rows) less the OFFSET left, capped by the LIMIT left. It is
+// taken at open and after every Next; inserts in between add no candidates.
 func (r *Rows) Left() int { return r.bound }
 
 // Held is the number of rows a blocking operator built at open and the
@@ -69,7 +65,7 @@ func (r *Rows) Held() int {
 	if r.done || r.w.src.rel == nil {
 		return 0
 	}
-	return r.w.src.rel.n - int(r.w.from)
+	return r.w.src.rel.n - r.w.from
 }
 
 // Close ends the iteration and releases what it holds. A walk over a table
@@ -83,8 +79,8 @@ func (r *Rows) Close() {
 // Next fills ch, which must have one vector per result column, with the next
 // rows of the result, at most most of them (most <= 0: all that are left), and
 // reports whether they were the last: done is exact, so a consumer never has
-// to ask again to learn that nothing follows. The last chunk may be empty (a
-// row that was seen to follow can be deleted before the next call).
+// to ask again to learn that nothing follows, and only an empty result's one
+// chunk is empty.
 func (r *Rows) Next(ch *Chunk, most int) (done bool, err error) {
 	ch.N = 0
 	if r.done {
@@ -94,14 +90,9 @@ func (r *Rows) Next(ch *Chunk, most int) (done bool, err error) {
 		most = math.MaxInt
 	}
 	w := r.w
-	if t := w.src.t; t != nil {
-		db := w.db
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		if db.tables[w.src.table] != t {
-			r.Close()
-			return true, fmt.Errorf("relational: %s: table %s was dropped under an open cursor", db.name, t.schema.Name)
-		}
+	if w.src.t != nil {
+		w.db.mu.RLock()
+		defer w.db.mu.RUnlock()
 	}
 	c := getVctx()
 	defer c.release()
@@ -151,13 +142,12 @@ func (db *Database) openRows(stmt Statement) (*Rows, error) {
 	return &Rows{w: w, bound: w.remaining()}, nil
 }
 
-// source is where a walk's rows come from: a table's slots (ids nil), the
-// candidate row IDs an index access yielded, or a relation (t nil).
+// source is where a walk's rows come from: a table's slots (cands nil), the
+// candidate slots an index access yielded, or a relation (t nil).
 type source struct {
 	t     *Table
-	table string  // t's lower-cased name, to find it again under the lock
-	ids   []int64 // ascending
-	high  int64   // a table walk passes over rows with an ID >= high
+	cands []int // ascending
+	high  int   // a table walk passes over the slots >= high: the length at open
 	rel   *vecRel
 }
 
@@ -169,54 +159,27 @@ func (s *source) vecs() [][]Value {
 }
 
 // bounds locates the candidates still to visit, [pos, end), resuming at the
-// first whose key is not below from: row IDs for a table, positions for a
-// relation. The caller holds the database lock.
-func (s *source) bounds(from int64) (pos, end int) {
+// first whose vector position (slot, or relation row) is not below from. The
+// caller holds the database lock.
+func (s *source) bounds(from int) (pos, end int) {
 	switch {
 	case s.t == nil:
-		return int(from), s.rel.n
-	case s.ids != nil:
-		return sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= from }), len(s.ids)
+		return from, s.rel.n
+	case s.cands != nil:
+		return sort.SearchInts(s.cands, from), len(s.cands)
 	}
-	// Row IDs ascend with the slots, so both ends of the scan are searches.
-	ids := s.t.ids
-	end = len(ids)
-	if end > 0 && ids[end-1] >= s.high {
-		end = sort.Search(end, func(i int) bool { return ids[i] >= s.high })
-	}
-	return sort.Search(end, func(i int) bool { return ids[i] >= from }), end
+	return from, s.high
 }
 
-// rows appends to sel the vector positions of the candidates in [lo, hi)
-// that still exist.
+// rows appends to sel the vector positions of the candidates in [lo, hi).
 func (s *source) rows(sel []int, lo, hi int) []int {
-	switch {
-	case s.t == nil:
-		for r := lo; r < hi; r++ {
-			sel = append(sel, r)
-		}
-	case s.ids != nil:
-		for _, id := range s.ids[lo:hi] {
-			if r, ok := s.t.slots[id]; ok && s.t.live[r] {
-				sel = append(sel, r)
-			}
-		}
-	default:
-		for r := lo; r < hi; r++ {
-			if s.t.live[r] {
-				sel = append(sel, r)
-			}
-		}
+	if s.cands != nil {
+		return append(sel, s.cands[lo:hi]...)
+	}
+	for r := lo; r < hi; r++ {
+		sel = append(sel, r)
 	}
 	return sel
-}
-
-// key is the resume key of the row at vector position r.
-func (s *source) key(r int) int64 {
-	if s.t == nil {
-		return int64(r)
-	}
-	return s.t.ids[r]
 }
 
 // walk is the resumable state of one SELECT arm. Everything in it is either
@@ -229,19 +192,18 @@ type walk struct {
 	filter vexpr   // nil: every row passes
 	proj   []vexpr // a nil entry projects nothing (drain only)
 
-	from int64 // resume at the first candidate whose key is >= from
-	skip int   // OFFSET rows still to pass over
-	left int   // LIMIT rows still to return; < 0: no limit
+	from int // resume at the first candidate whose vector position is >= from
+	skip int // OFFSET rows still to pass over
+	left int // LIMIT rows still to return; < 0: no limit
 	done bool
 }
 
 // scanWalk opens a walk over one table reference: its index access's
 // candidates if the plan takes one, its slots otherwise, filtered by what
-// sp's scan evaluates.
-// cols are the reference's bindings.
+// sp's scan evaluates. cols are the reference's bindings.
 func (db *Database) scanWalk(sp *scanSpec, cols []colBinding) *walk {
 	w := &walk{db: db, cols: cols, left: -1,
-		src: source{t: sp.t, table: strings.ToLower(sp.t.schema.Name), ids: sp.rowIDs(), high: sp.t.nextID + 1}}
+		src: source{t: sp.t, cands: sp.slots(), high: sp.t.Len()}}
 	if sp.filter != nil {
 		w.filter = compileExpr(sp.filter, cols)
 	}
@@ -351,7 +313,7 @@ func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 				// Looking ahead only (so the filter failed, on a step with
 				// rows in it): the error belongs to the fetch whose walk gets
 				// there, if one does.
-				w.from = w.src.key(sel[0])
+				w.from = sel[0]
 				return nil
 			}
 			if !rowwise {
@@ -370,7 +332,7 @@ func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 			}
 		}
 		if skip+take < len(sel) {
-			w.from = w.src.key(sel[skip+take])
+			w.from = sel[skip+take]
 			return nil
 		}
 		scanned += hi - pos
@@ -415,16 +377,16 @@ func (w *walk) drain(c *vctx) (*vecRel, error) {
 }
 
 // rel returns the walk's rows as a relation over its source's columns, only
-// the referenced ones materialised. A relation, or an unfiltered table with
-// no tombstones, comes back as it is: the table's storage vectors aliased,
-// zero copies (callers only read them, and only under the database lock).
+// the referenced ones materialised. A relation, or a whole unfiltered table,
+// comes back as it is: the table's storage vectors aliased, zero copies
+// (callers only read them, and only under the database lock).
 func (w *walk) rel(c *vctx, ref []bool) (*vecRel, error) {
 	if w.filter == nil {
 		if w.src.rel != nil {
 			return w.src.rel, nil
 		}
-		if t := w.src.t; w.src.ids == nil && t.dead == 0 {
-			out := &vecRel{cols: w.cols, n: len(t.ids), vecs: make([][]Value, len(t.cols))}
+		if t := w.src.t; w.src.cands == nil {
+			out := &vecRel{cols: w.cols, n: w.src.high, vecs: make([][]Value, len(t.cols))}
 			for i, vec := range t.cols {
 				if ref[i] {
 					out.vecs[i] = vec
@@ -468,9 +430,6 @@ func (w *walk) result() (*Result, error) {
 		ch.N = 0
 		if err := w.fill(c, &ch, vecChunk); err != nil {
 			return nil, err
-		}
-		if ch.N == 0 {
-			continue
 		}
 		slab := make([]Value, ch.N*nc)
 		res.Rows = slices.Grow(res.Rows, ch.N)

@@ -11,7 +11,7 @@ type Column struct {
 	Type    ColType
 	NotNull bool
 	// Size is the declared VARCHAR/CHAR length (0 = unbounded). Enforced on
-	// insert/update to mimic real engines.
+	// insert to mimic real engines.
 	Size int
 }
 

@@ -56,17 +56,19 @@ func TestExistsSubquery(t *testing.T) {
 	}
 }
 
+// TestSubqueryInDML: INSERT ... SELECT, the one statement that writes, loads
+// exactly the rows an IN subquery in its WHERE admits.
 func TestSubqueryInDML(t *testing.T) {
 	db := newOrdersDB(t)
-	res := mustExec(t, db, `DELETE FROM orders WHERE customer_id IN (SELECT id FROM customers WHERE city = 'Brisbane')`)
-	if res.RowsAffected != 3 {
-		t.Fatalf("delete affected %d", res.RowsAffected)
-	}
-	db2 := newOrdersDB(t)
-	res = mustExec(t, db2, `UPDATE customers SET city = 'Gold Coast'
+	mustExec(t, db, "CREATE TABLE small_spenders (name VARCHAR(32))")
+	res := mustExec(t, db, `INSERT INTO small_spenders SELECT name FROM customers
 		WHERE id IN (SELECT customer_id FROM orders WHERE total < 50)`)
 	if res.RowsAffected != 2 {
-		t.Fatalf("update affected %d", res.RowsAffected)
+		t.Fatalf("insert affected %d", res.RowsAffected)
+	}
+	res = mustQuery(t, db, "SELECT name FROM small_spenders ORDER BY name")
+	if len(res.Rows) != 2 || res.Rows[0][0].Str != "Ada" || res.Rows[1][0].Str != "Cho" {
+		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package relational implements a complete in-memory relational database
 // engine: SQL lexer/parser, catalog, B-tree and hash indexes, a rule-based
-// planner, a Volcano-style iterator executor, and transactions with undo
-// logging. The engine is instantiated several times with different vendor
-// dialect profiles to stand in for the paper's Oracle, mSQL, DB2 and Sybase
-// back ends.
+// planner and a Volcano-style iterator executor over append-only tables,
+// which a load script fills and queries then read. The engine is instantiated
+// several times with different vendor dialect profiles to stand in for the
+// paper's Oracle, mSQL, DB2 and Sybase back ends.
 package relational
 
 import (

@@ -39,9 +39,6 @@ type Config struct {
 	Seed int64
 	// Nodes is the federation size (default 6).
 	Nodes int
-	// Coalitions is how many named coalitions ("c0"…) to scatter over the
-	// nodes (default 3).
-	Coalitions int
 	// ORB is the base option set for every node's ORB; Transport, Product
 	// and DisableColocation are overridden per node. Leave RetryAttempts
 	// zero for an exact oracle (no retry state to model).
@@ -58,13 +55,11 @@ type Config struct {
 	// ('k<rr>', i*1000+r), giving pushdown queries selective predicates,
 	// LIKE-able keys and enough volume for LIMIT to bite.
 	RowsPerNode int
-	// CoalitionSize switches topology generation from the legacy coin-flip
-	// draw to windowed mode: coalitions become overlapping windows of this
-	// many members laid over a seeded permutation ring, so membership forms
-	// one connected chain of small coalitions and no node needs global
-	// knowledge at boot. Coalitions is ignored — the window count derives
-	// from Nodes. This is the shape the large-federation gossip scenarios
-	// use; 0 keeps the legacy draw byte-for-byte.
+	// CoalitionSize is the member count of each named coalition ("c0"…)
+	// (default 4): coalitions are overlapping windows of this many members
+	// laid over a seeded permutation ring, so membership forms one connected
+	// chain of small coalitions and no node needs global knowledge at boot.
+	// The window count derives from Nodes (genTopology).
 	CoalitionSize int
 	// NoBaseCoalition drops the all-nodes backbone coalition, leaving only
 	// the generated ones. Large gossip federations set it: a coalition
@@ -113,8 +108,8 @@ func Build(cfg Config) (*Fed, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 6
 	}
-	if cfg.Coalitions <= 0 {
-		cfg.Coalitions = 3
+	if cfg.CoalitionSize <= 0 {
+		cfg.CoalitionSize = 4
 	}
 	snet := simnet.New(cfg.Seed)
 	fed := &Fed{
@@ -188,15 +183,14 @@ func Build(cfg Config) (*Fed, error) {
 	}
 
 	// Seeded topology: the base coalition spans everyone (unless dropped);
-	// the named coalitions come from the parameterized generator, which the
-	// 300-node builder shares with the legacy 6-node path.
+	// the named coalitions come from the windowed generator.
 	fed.Members = map[string][]int{}
 	if !cfg.NoBaseCoalition {
 		fed.Members[BaseCoalition] = allIndexes(cfg.Nodes)
 	}
 	topology := cfg.Topology
 	if topology == nil {
-		topology = genTopology(fed.rng, cfg.Nodes, cfg.Coalitions, cfg.CoalitionSize)
+		topology = genTopology(fed.rng, cfg.Nodes, cfg.CoalitionSize)
 	}
 	for name, members := range topology {
 		fed.Members[name] = members

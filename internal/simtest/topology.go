@@ -7,49 +7,14 @@ import (
 )
 
 // genTopology draws the named-coalition membership map ("c0"…) from the
-// topology stream. Two modes share the generator, so the 300-node gossip
-// builder and the legacy 6-node model federations reproduce from the same
-// seed discipline:
-//
-//   - size == 0: the legacy coin-flip draw — each of `coalitions` coalitions
-//     takes a random node subset, padded to at least two members so Leave has
-//     somewhere to go. The stream consumption is byte-identical to the
-//     original inline code, so existing seeds replay unchanged.
-//   - size > 0: windowed mode — overlapping windows of `size` members laid
-//     over a seeded permutation ring, one window every size/2 positions. Any
-//     two consecutive windows share half their members and the last window
-//     wraps onto the first, so the coalition graph is one connected chain:
-//     gossip seeded only with co-members still reaches everyone, in O(log N)
-//     rounds, without any node holding global membership at boot.
-func genTopology(rng *rand.Rand, nodes, coalitions, size int) map[string][]int {
-	if size > 0 {
-		return windowTopology(rng, nodes, size)
-	}
-	return coinFlipTopology(rng, nodes, coalitions)
-}
-
-func coinFlipTopology(rng *rand.Rand, nodes, coalitions int) map[string][]int {
-	out := map[string][]int{}
-	for c := 0; c < coalitions; c++ {
-		name := fmt.Sprintf("c%d", c)
-		var members []int
-		for i := 0; i < nodes; i++ {
-			if rng.Intn(2) == 0 {
-				members = append(members, i)
-			}
-		}
-		for len(members) < 2 {
-			i := rng.Intn(nodes)
-			if !containsInt(members, i) {
-				members = insertSorted(members, i)
-			}
-		}
-		out[name] = members
-	}
-	return out
-}
-
-func windowTopology(rng *rand.Rand, nodes, size int) map[string][]int {
+// topology stream: overlapping windows of size members laid over a seeded
+// permutation ring, one window every size/2 positions. Any two consecutive
+// windows share half their members and the last window wraps onto the
+// first, so the coalition graph is one connected chain: gossip seeded only
+// with co-members still reaches everyone, in O(log N) rounds, without any
+// node holding global membership at boot. Six nodes in windows of four make
+// three coalitions.
+func genTopology(rng *rand.Rand, nodes, size int) map[string][]int {
 	if size > nodes {
 		size = nodes
 	}
