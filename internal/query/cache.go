@@ -125,6 +125,12 @@ func (p *Processor) cachedCoalitions(ctx context.Context, c *codb.Client) ([]str
 		func(ctx context.Context) (any, error) { return c.Coalitions(ctx) })
 }
 
+// cachedSubClasses lists a coalition's direct sub-coalitions.
+func (p *Processor) cachedSubClasses(ctx context.Context, c *codb.Client, class string) ([]string, mdcache.Outcome, error) {
+	return cached[[]string](ctx, p, c, "subclasses", class,
+		func(ctx context.Context) (any, error) { return c.SubCoalitions(ctx, class, true) })
+}
+
 // cachedMemberOf lists the coalitions a co-database's owner belongs to.
 func (p *Processor) cachedMemberOf(ctx context.Context, c *codb.Client) ([]string, mdcache.Outcome, error) {
 	return cached[[]string](ctx, p, c, "memberof", "",

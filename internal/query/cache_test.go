@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/idl"
+	"repro/internal/mdcache"
 	"repro/internal/orb"
+	"repro/internal/query"
+	"repro/internal/trace"
 )
 
 // opCounter wraps a co-database servant and counts invocations per operation,
@@ -304,4 +308,173 @@ func TestPolicySettersRaceWithExecute(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-setterDone
+}
+
+// metadataCalls sums the co-database operations the counter saw, gossip
+// exchanges excluded.
+func (c *opCounter) metadataCalls() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for op, k := range c.counts {
+		if !strings.HasPrefix(op, "gossip_") {
+			n += k
+		}
+	}
+	return n
+}
+
+// TestDisplayStatementsReadThroughCache pins the browsing statements to the
+// metadata cache, over IIOP with one ORB per node (colocation off). S0 and S1
+// form coalition C, with sub-coalition CSub; S2 stands outside and enters C
+// through a service link to S0's co-database. A repeat of each browsing
+// statement, on S0's own co-database and on the one S2 entered through, makes
+// no co-database call and says cache=hit in its trace and its span. S0 sees
+// S2's Join Coalition on its next Display Instances, with no gossip round. An
+// unknown class's error replays for NegTTL, then the statement recovers.
+func TestDisplayStatementsReadThroughCache(t *testing.T) {
+	f, err := core.NewFederation(orb.Options{DisableColocation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Shutdown)
+	// S0's negative entries expire on a clock the test moves by hand.
+	base := time.Now()
+	var skew atomic.Int64
+	clock := func() time.Time { return base.Add(time.Duration(skew.Load())) }
+	nodes := make([]*core.Node, 3)
+	for i, p := range []orb.Product{orb.VisiBroker, orb.Orbix, orb.OrbixWeb} {
+		cfg := core.NodeConfig{
+			Name: fmt.Sprintf("S%d", i), Engine: core.EngineOracle,
+			InformationType: "records",
+			Schema:          "CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT);",
+		}
+		if i == 0 {
+			cfg.Clock = clock
+		}
+		if i == 1 {
+			cfg.Interface = []codb.ExportedType{{Name: "R", Functions: []codb.ExportedFunction{{
+				Name: "V", Returns: "int", Table: "r", ResultColumn: "v", ArgColumn: "k"}}}}
+		}
+		if nodes[i], err = f.AddNode(p, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.DefineCoalition("C", "", "shared records", "S0", "S1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DefineCoalition("CSub", "C", "some records", "S1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []core.LinkSpec{
+		{Name: "CtoS2", FromKind: "coalition", From: "C", ToKind: "database", To: "S2", InfoType: "records"},
+		{Name: "S2toC", FromKind: "database", From: "S2", ToKind: "coalition", To: "C", InfoType: "records"},
+	} {
+		if err := f.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counter := countPeerOps(t, nodes[0])
+	ctx := context.Background()
+	local, peer := nodes[0].NewSession(), nodes[2].NewSession()
+	if _, err := peer.Execute(ctx, "Connect To Coalition C;"); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := trace.New(trace.Options{})
+	for _, sess := range []*query.Session{local, peer} {
+		for _, stmt := range []string{
+			"Display Coalitions;",
+			"Display Service Links;",
+			"Display SubClasses of Class C;",
+			"Display Instances of Class C;",
+			"Display Access Information of Instance S1;",
+			"Display Interface of Instance S1;",
+			"Search Type R;",
+		} {
+			first, err := sess.Execute(ctx, stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			sess.Trace()
+			calls := counter.metadataCalls()
+			root, sp := tr.StartSpan(ctx, "test")
+			again, err := sess.Execute(root, stmt)
+			sp.End(err)
+			if err != nil {
+				t.Fatalf("%s again: %v", stmt, err)
+			}
+			if got := counter.metadataCalls() - calls; got != 0 {
+				t.Errorf("%s again made %d co-database call(s), want 0", stmt, got)
+			}
+			if again.Text != first.Text {
+				t.Errorf("%s again answered %q, first %q", stmt, again.Text, first.Text)
+			}
+			for _, ev := range sess.Trace() {
+				if ev.Layer == "communication" && !strings.HasSuffix(ev.Msg, " cache=hit") {
+					t.Errorf("%s again traced %q, want a cache=hit line", stmt, ev.Msg)
+				}
+			}
+			for _, rec := range tr.Spans() {
+				if !strings.HasPrefix(rec.Name, "query:") {
+					continue
+				}
+				if len(rec.Attrs) == 0 {
+					t.Errorf("%s again: span %s carries no cache attribute", stmt, rec.Name)
+				}
+				for _, a := range rec.Attrs {
+					if a.Key == "cache" && a.Value != "hit" {
+						t.Errorf("%s again: span %s says cache=%s", stmt, rec.Name, a.Value)
+					}
+				}
+			}
+			tr.Reset()
+		}
+	}
+	if resp, err := local.Execute(ctx, "Search Type R;"); err != nil || len(resp.Sources) != 1 || resp.Sources[0].Name != "S1" {
+		t.Fatalf("Search Type R = %v, %v; want S1", resp, err)
+	}
+
+	// A peer's Join writes into S0's co-database and moves its version: S0's
+	// next read refetches.
+	if _, err := peer.Execute(ctx, "Join Coalition C;"); err != nil {
+		t.Fatal(err)
+	}
+	calls := counter.metadataCalls()
+	resp, err := local.Execute(ctx, "Display Instances of Class C;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(resp.Names, ","); got != "S0,S1,S2" {
+		t.Errorf("after S2's join S0 lists %s, want S0,S1,S2", got)
+	}
+	if got := counter.metadataCalls() - calls; got != 1 {
+		t.Errorf("the read after a join made %d co-database call(s), want 1", got)
+	}
+	local.Trace()
+
+	// An error is a negative entry: replayed until NegTTL has passed, even
+	// though the class now exists, then refetched.
+	const nope = "Display Instances of Class Nope;"
+	if _, err := local.Execute(ctx, nope); err == nil {
+		t.Fatal("instances of an unknown class answered")
+	}
+	if err := nodes[0].CoDB.DefineCoalition("Nope", "", "late"); err != nil {
+		t.Fatal(err)
+	}
+	local.Trace()
+	calls = counter.metadataCalls()
+	if _, err := local.Execute(ctx, nope); err == nil {
+		t.Fatal("the error was not replayed within NegTTL")
+	}
+	if got := counter.metadataCalls() - calls; got != 0 {
+		t.Errorf("the replayed error made %d co-database call(s), want 0", got)
+	}
+	if tr := local.Trace(); len(tr) == 0 || !strings.HasSuffix(tr[len(tr)-1].Msg, " cache=neghit") {
+		t.Errorf("replayed error traced %v, want a cache=neghit line", tr)
+	}
+	skew.Store(int64(mdcache.NegTTL + time.Millisecond))
+	if resp, err := local.Execute(ctx, nope); err != nil || !strings.Contains(resp.Text, "no instances") {
+		t.Errorf("after NegTTL: %v, %v; want the empty class", resp, err)
+	}
 }

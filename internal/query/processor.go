@@ -23,9 +23,11 @@ import (
 // a human-readable rendering; the typed fields carry the structured payload
 // of the statement kind that produced it.
 type Response struct {
-	Stmt       wtl.Stmt
-	Text       string
-	Leads      []Lead
+	Stmt  wtl.Stmt
+	Text  string
+	Leads []Lead
+	// Names, Sources and Descriptor may be owned by the metadata cache and
+	// shared with other sessions: read them, never modify or append to them.
 	Names      []string
 	Sources    []*codb.SourceDescriptor
 	Descriptor *codb.SourceDescriptor
@@ -501,10 +503,20 @@ func (s *Session) execConnect(ctx context.Context, q *wtl.Connect) (*Response, e
 	return &Response{Stmt: q, Text: fmt.Sprintf("Connected to coalition %s.", q.Coalition)}, nil
 }
 
+// traceLookup says where a browsing statement's metadata came from, in the
+// session trace ("invoke" only if it crossed the wire) and the statement span.
+func (s *Session) traceLookup(ctx context.Context, call string, out mdcache.Outcome) {
+	if !out.Served() {
+		call = "invoke " + call
+	}
+	s.traceMsg("communication", call+" cache="+out.String())
+	trace.SpanFromContext(ctx).SetAttr("cache", out.String())
+}
+
 // execCoalitions lists the coalitions of the session's current co-database.
 func (s *Session) execCoalitions(ctx context.Context, q *wtl.DisplayCoalitions) (*Response, error) {
-	s.tracef("communication", "invoke coalitions()")
-	names, err := s.current().Coalitions(ctx)
+	names, out, err := s.p.cachedCoalitions(ctx, s.current())
+	s.traceLookup(ctx, "coalitions()", out)
 	if err != nil {
 		return nil, err
 	}
@@ -517,8 +529,8 @@ func (s *Session) execCoalitions(ctx context.Context, q *wtl.DisplayCoalitions) 
 
 // execLinks lists the service links of the session's current co-database.
 func (s *Session) execLinks(ctx context.Context, q *wtl.DisplayLinks) (*Response, error) {
-	s.tracef("communication", "invoke links()")
-	links, err := s.current().Links(ctx)
+	links, out, err := s.p.cachedLinks(ctx, s.current())
+	s.traceLookup(ctx, "links()", out)
 	if err != nil {
 		return nil, err
 	}
@@ -537,8 +549,8 @@ func (s *Session) execLinks(ctx context.Context, q *wtl.DisplayLinks) (*Response
 }
 
 func (s *Session) execSubClasses(ctx context.Context, q *wtl.DisplaySubClasses) (*Response, error) {
-	s.tracef("communication", "invoke subclasses(%q)", q.Class)
-	subs, err := s.current().SubCoalitions(ctx, q.Class, true)
+	subs, out, err := s.p.cachedSubClasses(ctx, s.current(), q.Class)
+	s.traceLookup(ctx, fmt.Sprintf("subclasses(%q)", q.Class), out)
 	if err != nil {
 		return nil, err
 	}
@@ -550,8 +562,8 @@ func (s *Session) execSubClasses(ctx context.Context, q *wtl.DisplaySubClasses) 
 }
 
 func (s *Session) execInstances(ctx context.Context, q *wtl.DisplayInstances) (*Response, error) {
-	s.tracef("communication", "invoke instances(%q)", q.Class)
-	members, err := s.current().Instances(ctx, q.Class)
+	members, out, err := s.p.cachedInstances(ctx, s.current(), q.Class)
+	s.traceLookup(ctx, fmt.Sprintf("instances(%q)", q.Class), out)
 	if err != nil {
 		return nil, err
 	}
@@ -578,8 +590,8 @@ func (s *Session) execDocument(ctx context.Context, q *wtl.DisplayDocument) (*Re
 }
 
 func (s *Session) execAccessInfo(ctx context.Context, q *wtl.DisplayAccessInfo) (*Response, error) {
-	s.tracef("communication", "invoke access_info(%q)", q.Instance)
-	d, err := s.current().AccessInfo(ctx, q.Instance)
+	d, out, err := s.p.cachedAccessInfo(ctx, s.current(), q.Instance)
+	s.traceLookup(ctx, fmt.Sprintf("access_info(%q)", q.Instance), out)
 	if err != nil {
 		return nil, err
 	}
@@ -595,8 +607,8 @@ func (s *Session) execAccessInfo(ctx context.Context, q *wtl.DisplayAccessInfo) 
 }
 
 func (s *Session) execInterface(ctx context.Context, q *wtl.DisplayInterface) (*Response, error) {
-	s.tracef("communication", "invoke access_info(%q)", q.Instance)
-	d, err := s.current().AccessInfo(ctx, q.Instance)
+	d, out, err := s.p.cachedAccessInfo(ctx, s.current(), q.Instance)
+	s.traceLookup(ctx, fmt.Sprintf("access_info(%q)", q.Instance), out)
 	if err != nil {
 		return nil, err
 	}
@@ -651,14 +663,16 @@ func attrNameMatches(have, want string) bool {
 
 func (s *Session) execSearchType(ctx context.Context, q *wtl.SearchType) (*Response, error) {
 	client := s.current()
-	coalitions, err := client.Coalitions(ctx)
+	coalitions, out, err := s.p.cachedCoalitions(ctx, client)
+	s.traceLookup(ctx, "coalitions()", out)
 	if err != nil {
 		return nil, err
 	}
 	var hits []*codb.SourceDescriptor
 	seen := map[string]bool{}
 	for _, c := range coalitions {
-		members, err := client.Instances(ctx, c)
+		members, out, err := s.p.cachedInstances(ctx, client, c)
+		s.traceLookup(ctx, fmt.Sprintf("instances(%q)", c), out)
 		if err != nil {
 			continue
 		}

@@ -27,6 +27,12 @@ import (
 //     carries N3's current version (the servant re-reads its own entry). The
 //     epidemic path — N3's next round puts the version in its own store, and
 //     push-pull spreads it in about two more — usually beats that bound.
+//
+// A second session on N0 browses instead: it connects to cy, entering through
+// N3 too, and runs Display Instances of Class cy. It is held to the same
+// bounds, since browsing reads the peer's member list through the same cache.
+// Its other browsing statements put N3's descriptors, sub-coalitions and
+// links in N0's cache, and checkCacheCoherence runs after every read.
 func TestBoundedStalenessAcrossLinkedCoalitions(t *testing.T) {
 	for _, seed := range seedsUnderTest() {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -71,31 +77,70 @@ func TestBoundedStalenessAcrossLinkedCoalitions(t *testing.T) {
 			if _, ok := store.SourceVersion(entrySrc); !ok {
 				t.Fatalf("N0's store does not know N3 after the first statement\n%s", ReplayLine(seed))
 			}
+			browser := reader.Core.NewSession()
+			if _, err := browser.Execute(ctx, "Connect To Coalition cy;"); err != nil {
+				t.Fatalf("browser connect: %v\n%s", err, ReplayLine(seed))
+			}
+			oracle := NewOracle(len(fed.Nodes), fed.Members)
+			fail := func(inv, format string, args ...any) {
+				t.Errorf("%s: %s\n%s", inv, fmt.Sprintf(format, args...), ReplayLine(seed))
+			}
+			// read answers the function query and Display Instances, as
+			// "<query rows> / <instances>". The browser's other statements
+			// fill the remaining families the coherence check then reads.
+			read := func() string {
+				t.Helper()
+				rows := query()
+				var instances string
+				for i, stmt := range []string{
+					"Display Instances of Class cy;",
+					"Display Access Information of Instance N4;",
+					"Display SubClasses of Class cy;",
+					"Display Service Links;",
+				} {
+					resp, err := browser.Execute(ctx, stmt)
+					if err != nil {
+						t.Fatalf("browser %s: %v\n%s", stmt, err, ReplayLine(seed))
+					}
+					if i == 0 {
+						instances = strings.Join(resp.Names, ",")
+					}
+				}
+				checkCacheCoherence(fed, oracle, fail)
+				return rows + " / " + instances
+			}
 			// Let the joined stores settle, so the reader's peer walk covers
 			// the whole federation when the bound is taken.
 			for r := 0; r < 4; r++ {
 				fed.RunGossipRound(ctx)
 			}
-			query()
+			if got := read(); got != "N3,N4,N5 / N3,N4,N5" {
+				t.Fatalf("settled answers %s, want N3,N4,N5 from both readers\n%s", got, ReplayLine(seed))
+			}
 
-			steps := []struct{ stmt, before, after string }{
-				{"Leave Coalition cy;", "N3,N4,N5", "N3,N4"},
-				{"Join Coalition cy;", "N3,N4", "N3,N4,N5"},
+			steps := []struct {
+				op                  OpKind
+				stmt, before, after string
+			}{
+				{OpLeave, "Leave Coalition cy;", "N3,N4,N5", "N3,N4"},
+				{OpJoin, "Join Coalition cy;", "N3,N4", "N3,N4,N5"},
 			}
 			for _, st := range steps {
 				if _, err := writer.Session.Execute(ctx, st.stmt); err != nil {
 					t.Fatalf("%s: %v\n%s", st.stmt, err, ReplayLine(seed))
 				}
-				if got := query(); got != st.before {
-					t.Fatalf("after %q with no gossip round the reader saw %s, want its cached %s\n%s",
-						st.stmt, got, st.before, ReplayLine(seed))
+				oracle.Apply(Op{Kind: st.op, Node: writer.Idx, Coalition: "cy"})
+				before, after := st.before+" / "+st.before, st.after+" / "+st.after
+				if got := read(); got != before {
+					t.Fatalf("after %q with no gossip round the readers saw %s, want their cached %s\n%s",
+						st.stmt, got, before, ReplayLine(seed))
 				}
 				k := 2 * reader.Core.Gossip.CycleLen()
 				rounds := 0
-				for got := ""; got != st.after; got = query() {
+				for got := ""; got != after; got = read() {
 					if rounds == k {
-						t.Fatalf("after %q the reader still saw %s after k = %d rounds, want %s\n%s",
-							st.stmt, got, k, st.after, ReplayLine(seed))
+						t.Fatalf("after %q the readers still saw %s after k = %d rounds, want %s\n%s",
+							st.stmt, got, k, after, ReplayLine(seed))
 					}
 					fed.RunGossipRound(ctx)
 					rounds++

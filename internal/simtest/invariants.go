@@ -81,9 +81,11 @@ func checkCursorsReleased(fed *Fed, fail func(string, string, ...any)) {
 // it belongs to matches the oracle. Then, for every source — the node's own
 // co-database, whose version is CoDatabase.Version(), and every peer, whose
 // version is the one the node's gossip store holds — it asks the node's cache
-// what it would serve under that version for the source's coalition list,
-// memberships and member lists. Whenever the reader's version is the source's
-// current one, that answer must equal what the source's co-database says now.
+// what it would serve under that version for every family the browsing
+// statements read: the source's coalition list, memberships, service links,
+// member lists, sub-coalitions and source descriptors. Whenever the reader's
+// version is the source's current one, that answer must equal what the
+// source's co-database says now.
 // A store still behind the source may serve the older answer; how far behind
 // is TestBoundedStalenessAcrossLinkedCoalitions's business.
 func checkCacheCoherence(fed *Fed, o *Oracle, fail func(string, string, ...any)) {
@@ -127,6 +129,9 @@ func checkCacheCoherence(fed *Fed, o *Oracle, fail func(string, string, ...any))
 			list := func(v any) string { return strings.Join(v.([]string), ",") }
 			served("coalitions", "", strings.Join(cd.Coalitions(), ","), list)
 			served("memberof", "", strings.Join(cd.MemberOf(), ","), list)
+			served("links", "", linkNames(cd.Links()), func(v any) string {
+				return linkNames(v.([]*codb.ServiceLink))
+			})
 			for _, c := range cd.Coalitions() {
 				members, err := cd.Members(c)
 				if err != nil {
@@ -135,9 +140,33 @@ func checkCacheCoherence(fed *Fed, o *Oracle, fail func(string, string, ...any))
 				served("instances", c, descriptorNames(members), func(v any) string {
 					return descriptorNames(v.([]*codb.SourceDescriptor))
 				})
+				if subs, err := cd.SubCoalitions(c, true); err == nil {
+					served("subclasses", c, strings.Join(subs, ","), list)
+				}
+			}
+			// A source's access information: its name and references, or
+			// nothing once the co-database no longer knows it.
+			for _, s := range fed.Nodes {
+				now := ""
+				if d, ok := cd.FindSource(s.Name); ok {
+					now = accessInfo(d)
+				}
+				served("access", s.Name, now, func(v any) string { return accessInfo(v.(*codb.SourceDescriptor)) })
 			}
 		}
 	}
+}
+
+func linkNames(ls []*codb.ServiceLink) string {
+	names := make([]string, len(ls))
+	for i, l := range ls {
+		names[i] = l.Name
+	}
+	return strings.Join(names, ",")
+}
+
+func accessInfo(d *codb.SourceDescriptor) string {
+	return d.Name + " " + d.ISIRef + " " + d.CoDBRef
 }
 
 func descriptorNames(ds []*codb.SourceDescriptor) string {
