@@ -94,6 +94,11 @@ func (e *Encoder) ResetFor(order ByteOrder, offset int) {
 	e.base = offset
 }
 
+// Adopt makes buf's capacity the encoder's buffer, dropping what either held:
+// the reuse hook for a caller that pools the byte slices it hands encoded
+// output out in, not encoders (gateway's cursor pages).
+func (e *Encoder) Adopt(buf []byte) { e.buf = buf[:0] }
+
 // align pads the stream with zero bytes until the next write position is a
 // multiple of n (relative to the alignment origin).
 func (e *Encoder) align(n int) {

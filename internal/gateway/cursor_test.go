@@ -52,7 +52,7 @@ func openOracle(t *testing.T) Conn {
 
 // serveISI activates servant on its own ORB and returns a remote connection
 // that reaches it over IIOP, plus the serving ORB (for its counters).
-func serveISI(t *testing.T, servant orb.Servant) (*RemoteConn, *orb.ORB) {
+func serveISI(t testing.TB, servant orb.Servant) (*RemoteConn, *orb.ORB) {
 	t.Helper()
 	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {

@@ -93,7 +93,17 @@ func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (
 		cursors.Close(args[0].Int)
 		return idl.Any{Kind: idl.KindVoid}, nil
 	})
-	return h, cursors
+	return isiServant{h}, cursors
+}
+
+// isiServant is the ISI handler; the ORB hands its replies' pages back.
+type isiServant struct{ *orb.Handler }
+
+// ReleaseResult implements orb.ResultReleaser.
+func (isiServant) ReleaseResult(_ string, result idl.Any) {
+	if p, ok := result.Get("page"); ok && p.Kind == idl.KindOctets {
+		releasePage(p.Bytes)
+	}
 }
 
 // cursorException types a cursor table error for the wire: the table's own
@@ -192,6 +202,10 @@ func (e *ProtocolError) Error() string {
 // cursorPage validates one open_cursor or fetch_cursor reply of a cursor over
 // width columns and decodes its page. An empty page from a cursor that is not
 // done is an error: a client that accepted it would fetch again, forever.
+// The reply is lent (InvokeScoped): its page is recycled once this returns.
+// decodePage copies all it keeps (string(run), typed vectors, appended
+// bitmaps, idl.UnmarshalAny), so nothing outlives the page
+// (TestDecodedPageOwnsItsValues).
 func cursorPage(op string, a idl.Any, width int) (b *Batch, done bool, err error) {
 	if a.Kind != idl.KindStruct {
 		return nil, false, &ProtocolError{op, "reply is " + a.Kind.String() + ", not struct"}
@@ -229,15 +243,16 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 	// Idempotent: a re-sent open answers the same first page. If only the
 	// reply was lost, the first open's cursor is left behind until the idle
 	// reaper collects it (it counts against the cap until then).
-	a, err := c.ref.InvokeIdempotent(ctx, "open_cursor", idl.String(q), idl.Long(int64(batchSize)))
+	it := &remoteCursorIter{conn: c}
+	err := c.ref.InvokeScoped(ctx, "open_cursor", true, func(a idl.Any) (err error) {
+		cols, _ := a.Get("columns")
+		it.id, it.cols = a.GetInt("id"), cols.StringSlice()
+		it.first, it.done, err = cursorPage("open_cursor", a, len(it.cols))
+		return err
+	}, idl.String(q), idl.Long(int64(batchSize)))
 	if err != nil {
+		it.Close() // the reply may still name a live cursor (no reply: id 0)
 		return nil, remapISIError(err)
-	}
-	cols, _ := a.Get("columns")
-	it := &remoteCursorIter{conn: c, id: a.GetInt("id"), cols: cols.StringSlice()}
-	if it.first, it.done, err = cursorPage("open_cursor", a, len(it.cols)); err != nil {
-		it.Close() // the reply may still name a live cursor
-		return nil, err
 	}
 	return it, nil
 }
@@ -272,17 +287,16 @@ func (it *remoteCursorIter) Next(ctx context.Context) (*Batch, error) {
 	// Not idempotent: fetch_cursor names no page, so a re-sent one after a
 	// lost reply would answer the page after the lost one. A failed fetch is
 	// a member that died mid-stream; the merge drops it by provenance.
-	a, err := it.conn.ref.InvokeCtx(ctx, "fetch_cursor", idl.Long(it.id))
+	var b *Batch
+	err := it.conn.ref.InvokeScoped(ctx, "fetch_cursor", false, func(a idl.Any) (err error) {
+		b, it.done, err = cursorPage("fetch_cursor", a, len(it.cols))
+		return err
+	}, idl.Long(it.id))
 	if err != nil {
-		// The fetch failed (cursor reaped, member died, ctx over): the
-		// server-side cursor may still exist, so Close still tries.
+		// The fetch failed (cursor reaped, member died, ctx over) or its page
+		// did not decode: done stays false, so Close still tries.
 		return nil, remapISIError(err)
 	}
-	b, done, err := cursorPage("fetch_cursor", a, len(it.cols))
-	if err != nil {
-		return nil, err // done stays false, so Close still releases the cursor
-	}
-	it.done = done
 	if b.Len() == 0 {
 		b.Release() // the row that was seen to follow is gone
 		return nil, io.EOF

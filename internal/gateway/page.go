@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/idl"
 )
 
@@ -306,12 +307,16 @@ func (c *column) setBit(r int, v bool) {
 // row. Every column costs at least a bit per row, which is what lets the
 // decoder bound a hostile row count by the bytes present.
 
+// pagePool holds page buffers whose replies are done with them.
+var pagePool sync.Pool
+
 // encodePage renders the batch (all its rows; it must not have been narrowed
-// by Keep) as a page in the given byte order, into a buffer of its own sized
-// once from the batch. Page buffers are deliberately not pooled: the reply
-// that carries a page is marshalled after the servant's handler returns (and
-// a colocated client is handed the very bytes), so the encoding side never
-// learns when a page could be recycled. Pooling is on the decoding side.
+// by Keep) as a page in the given byte order, into a buffer from the page
+// pool grown once to the size the batch needs. The ISI servant lends that
+// buffer to the ORB in its reply, and the ORB hands it back
+// (isiServant.ReleaseResult → releasePage) once the reply is marshalled, or
+// once a scoped colocated caller is done with it. A page nobody hands back
+// (an unscoped colocated caller keeps it) is left to the collector.
 func encodePage(b *Batch, order cdr.ByteOrder) []byte {
 	bitmap := (b.rows + 7) / 8
 	size := 16
@@ -323,6 +328,9 @@ func encodePage(b *Batch, order cdr.ByteOrder) []byte {
 		}
 	}
 	var e cdr.Encoder // on the stack; only its buffer outlives the call
+	if p, ok := pagePool.Get().(*[]byte); ok {
+		e.Adopt(*p)
+	}
 	e.ResetFor(order, 0)
 	e.Grow(size)
 	e.WriteOctet(byte(order)) // the encapsulation's order flag, at offset 0
@@ -352,6 +360,14 @@ func encodePage(b *Batch, order cdr.ByteOrder) []byte {
 		}
 	}
 	return e.Bytes()
+}
+
+// releasePage returns a page's buffer to the pool, unless it is larger than a
+// reply fragment. Nothing may reference it afterwards.
+func releasePage(page []byte) {
+	if cap(page) <= giop.DefaultFragmentThreshold {
+		pagePool.Put(&page)
+	}
 }
 
 // wholeBitmap pads a bitmap that stops at its last set bit to n octets.

@@ -136,6 +136,39 @@ func TestPageRoundTrip(t *testing.T) {
 	mark.check(t)
 }
 
+// TestDecodedPageOwnsItsValues: the cursor client decodes a page inside the
+// ORB's receive buffer, which is recycled the moment decoding is over, so a
+// decoded batch must point into nothing of the page: every kind of column,
+// NULLs and the fallback column's octets included, reads back the same after
+// the page's bytes are written over.
+func TestDecodedPageOwnsItsValues(t *testing.T) {
+	mark := markLive()
+	rows := make([][]idl.Any, 100)
+	for i := range rows {
+		rows[i] = []idl.Any{
+			idl.String(fmt.Sprint("name-", i)), idl.Long(int64(i)), idl.Double(float64(i) / 4),
+			idl.Bool(i%3 == 0), idl.Octets([]byte{byte(i), 1, 2}),
+		}
+		if i%7 == 0 {
+			rows[i][2] = idl.Null()
+			rows[i][4] = idl.Strings([]string{"list", fmt.Sprint(i)})
+		}
+	}
+	b := batchOf(5, rows)
+	page := encodePage(b, cdr.LittleEndian)
+	b.Release()
+	back, err := decodePage(page, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range page {
+		page[i] = 0xa5
+	}
+	sameRows(t, "after the page was written over", back, rows)
+	back.Release()
+	mark.check(t)
+}
+
 func TestBatchKeepNarrowsInOrder(t *testing.T) {
 	rows := make([][]idl.Any, 10)
 	for i := range rows {

@@ -125,6 +125,13 @@ type Message struct {
 // and a body per message.
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
+// liveMessages counts messages Read handed out and nobody released yet.
+var liveMessages atomic.Int64
+
+// LiveMessages reports how many messages Read handed out are not released
+// yet: on a quiet process it is where it was, unless a receive buffer leaked.
+func LiveMessages() int64 { return liveMessages.Load() }
+
 // hdrPool recycles the 12-byte scratch header used by Read and writeFrame.
 var hdrPool = sync.Pool{New: func() any { return new([HeaderSize]byte) }}
 
@@ -132,13 +139,15 @@ var hdrPool = sync.Pool{New: func() any { return new([HeaderSize]byte) }}
 // the message and its Body must not be touched; the next Read on any
 // connection may reuse them. Calling Release on a hand-built (non-Read)
 // message or a second time is a no-op. Anything decoded out of the body that
-// outlives the message must have been copied (the header unmarshals and the
-// IDL any-decoder do copy).
+// outlives the message must have been copied (the header unmarshals and
+// idl.UnmarshalAny do copy; idl.DecodeAny sharing does not, so its caller
+// releases the message only once it is done with the value).
 func (m *Message) Release() {
 	if m == nil || !m.pooled {
 		return
 	}
 	m.pooled = false
+	liveMessages.Add(-1)
 	m.More = false
 	m.Body = m.Body[:0]
 	msgPool.Put(m)
@@ -327,6 +336,7 @@ func Read(r io.Reader) (*Message, error) {
 	}
 	m := msgPool.Get().(*Message)
 	m.Type, m.Order, m.pooled = MsgType(hdr[7]), order, true
+	liveMessages.Add(1)
 	m.More = hdr[6]&FlagMoreFragments != 0
 	if cap(m.Body) < int(size) {
 		m.Body = make([]byte, size)

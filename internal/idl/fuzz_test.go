@@ -2,13 +2,15 @@ package idl
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cdr"
 )
 
-// FuzzUnmarshalAny: arbitrary bytes never panic the Any decoder, and a value
-// it accepts survives a marshal/unmarshal round trip unchanged.
+// FuzzUnmarshalAny: arbitrary bytes never panic the Any decoder, a value it
+// accepts survives a marshal/unmarshal round trip unchanged, and the sharing
+// decode agrees with the copying one on every input, value and error alike.
 func FuzzUnmarshalAny(f *testing.F) {
 	for _, a := range []Any{
 		Null(), Bool(true), Long(-5), Double(2.5), String("x"), Octets([]byte{1, 2, 3}),
@@ -28,11 +30,16 @@ func FuzzUnmarshalAny(f *testing.F) {
 			order = cdr.LittleEndian
 		}
 		a, err := UnmarshalAny(cdr.NewDecoder(data, order))
+		shared, serr := DecodeAny(cdr.NewDecoder(data, order), true)
+		e, es := cdr.NewEncoder(order), cdr.NewEncoder(order)
+		a.Marshal(e)
+		shared.Marshal(es) // the bytes, not Equal: a NaN is not Equal to itself
+		if fmt.Sprint(err) != fmt.Sprint(serr) || !bytes.Equal(e.Bytes(), es.Bytes()) {
+			t.Fatalf("copying decode = %v, %v; sharing decode = %v, %v", a, err, shared, serr)
+		}
 		if err != nil {
 			return
 		}
-		e := cdr.NewEncoder(order)
-		a.Marshal(e)
 		b, err := UnmarshalAny(cdr.NewDecoder(e.Bytes(), order))
 		if err != nil {
 			t.Fatalf("re-marshalled value does not decode: %v", err)

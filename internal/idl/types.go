@@ -290,8 +290,13 @@ func (a Any) Marshal(e *cdr.Encoder) {
 	}
 }
 
-// UnmarshalAny reads an Any from a CDR decoder.
-func UnmarshalAny(d *cdr.Decoder) (Any, error) {
+// UnmarshalAny reads an Any from a CDR decoder; the value owns its bytes.
+func UnmarshalAny(d *cdr.Decoder) (Any, error) { return DecodeAny(d, false) }
+
+// DecodeAny reads an Any from a CDR decoder. With share set its octet
+// sequences alias the decoder's buffer instead of copying it (strings still
+// copy), so the value is valid only as long as that buffer is.
+func DecodeAny(d *cdr.Decoder, share bool) (Any, error) {
 	k, err := d.ReadOctet()
 	if err != nil {
 		return Any{}, err
@@ -338,9 +343,10 @@ func UnmarshalAny(d *cdr.Decoder) (Any, error) {
 	case KindOctets:
 		var b []byte
 		b, err = d.ReadOctets()
-		if err == nil {
-			a.Bytes = append([]byte(nil), b...)
+		if err == nil && !share {
+			b = append([]byte(nil), b...)
 		}
+		a.Bytes = b
 	case KindSeq, KindAny:
 		var n uint32
 		n, err = d.ReadULong()
@@ -350,7 +356,7 @@ func UnmarshalAny(d *cdr.Decoder) (Any, error) {
 		a.Seq = make([]Any, 0, wireCount(n, d))
 		for i := uint32(0); i < n; i++ {
 			var v Any
-			v, err = UnmarshalAny(d)
+			v, err = DecodeAny(d, share)
 			if err != nil {
 				break
 			}
@@ -370,7 +376,7 @@ func UnmarshalAny(d *cdr.Decoder) (Any, error) {
 				break
 			}
 			var v Any
-			v, err = UnmarshalAny(d)
+			v, err = DecodeAny(d, share)
 			if err != nil {
 				break
 			}

@@ -35,7 +35,7 @@ func (r *ObjectRef) Addr() string { return r.addr }
 
 // Invoke performs a synchronous request and returns the result value.
 func (r *ObjectRef) Invoke(op string, args ...idl.Any) (idl.Any, error) {
-	return r.invoke(context.Background(), op, args, false)
+	return r.invoke(context.Background(), op, args, false, nil)
 }
 
 // InvokeCtx is Invoke with a caller context. The context reaches the client
@@ -44,7 +44,7 @@ func (r *ObjectRef) Invoke(op string, args ...idl.Any) (idl.Any, error) {
 // A context deadline bounds each transport exchange: the effective per-call
 // timeout is the smaller of the remaining deadline and Options.CallTimeout.
 func (r *ObjectRef) InvokeCtx(ctx context.Context, op string, args ...idl.Any) (idl.Any, error) {
-	return r.invoke(ctx, op, args, false)
+	return r.invoke(ctx, op, args, false, nil)
 }
 
 // InvokeIdempotent is InvokeCtx for operations that are safe to issue more
@@ -53,7 +53,17 @@ func (r *ObjectRef) InvokeCtx(ctx context.Context, op string, args ...idl.Any) (
 // backoff and jitter; the per-invocation context still bounds the whole
 // sequence.
 func (r *ObjectRef) InvokeIdempotent(ctx context.Context, op string, args ...idl.Any) (idl.Any, error) {
-	return r.invoke(ctx, op, args, true)
+	return r.invoke(ctx, op, args, true, nil)
+}
+
+// InvokeScoped is InvokeCtx (InvokeIdempotent if idempotent) whose result is
+// lent to use: over IIOP its octet sequences alias the receive buffer, and a
+// colocated servant's own result goes back to it (ResultReleaser), once use
+// returns. Nothing use is given may outlive it. use runs once, after the
+// attempt that succeeded; its error is returned as it is, never retried.
+func (r *ObjectRef) InvokeScoped(ctx context.Context, op string, idempotent bool, use func(idl.Any) error, args ...idl.Any) error {
+	_, err := r.invoke(ctx, op, args, idempotent, use)
+	return err
 }
 
 // invoke is the shared invocation path. Client interceptors run around the
@@ -61,8 +71,9 @@ func (r *ObjectRef) InvokeIdempotent(ctx context.Context, op string, args ...idl
 // ReceiveReply once with the final outcome — and their service context
 // entries travel in the GIOP request header (or are handed to the target
 // adapter directly on the colocated fast path, so a colocated hop is
-// observationally identical to a socket hop).
-func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, idempotent bool) (idl.Any, error) {
+// observationally identical to a socket hop). A non-nil use scopes the call
+// (InvokeScoped); it runs after the interceptors, which time the call alone.
+func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, idempotent bool, use func(idl.Any) error) (idl.Any, error) {
 	o := r.orb
 	target, colocated := o.colocatedTarget(r.addr)
 	cis := o.clientInterceptors()
@@ -85,6 +96,8 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, idemp
 
 	var result idl.Any
 	var err error
+	var held *demuxedReply // the reply a scoped result aliases
+	var lender Servant     // the colocated servant a scoped result came from
 	calls := &o.Stats.IIOPCalls
 	if colocated {
 		calls = &o.Stats.ColocatedCalls
@@ -97,14 +110,22 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, idemp
 		if cs := callStatsFrom(ctx); cs != nil {
 			cs.Attempts.Add(1)
 		}
-		result, err = target.dispatchIncoming(ctx, r.ior.Key(), op, args, svcCtxs, "colocated")
+		result, lender, err = target.dispatchIncoming(ctx, r.ior.Key(), op, args, svcCtxs, "colocated")
 	} else {
-		result, err = o.callRemote(ctx, r, op, args, svcCtxs, idempotent)
+		result, held, err = o.callRemote(ctx, r, op, args, svcCtxs, idempotent, use != nil)
 	}
 	for i := len(cis) - 1; i >= 0; i-- {
 		cis[i].ReceiveReply(ri, err)
 	}
-	return result, err
+	if use == nil {
+		return result, err // an unscoped colocated caller keeps the servant's result
+	}
+	if err == nil {
+		err = use(result)
+		releaseResult(lender, op, result, nil)
+	}
+	held.release()
+	return idl.Null(), err
 }
 
 // CallStats accumulates per-call transport telemetry for every invocation
@@ -159,8 +180,8 @@ const (
 // callRemote drives one logical socket invocation through the retry loop.
 // Non-idempotent calls make exactly one transport attempt; idempotent ones
 // retry transport-class failures up to Options.RetryAttempts with
-// exponential backoff and full jitter.
-func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, svcCtxs []giop.ServiceContext, idempotent bool) (idl.Any, error) {
+// exponential backoff and full jitter. A shared result comes with its reply.
+func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, svcCtxs []giop.ServiceContext, idempotent, share bool) (idl.Any, *demuxedReply, error) {
 	cs := callStatsFrom(ctx)
 	maxAttempts := 1
 	if idempotent && o.opts.RetryAttempts > 1 {
@@ -181,16 +202,16 @@ func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []id
 		if cs != nil {
 			cs.Attempts.Add(1)
 		}
-		result, err := o.pool.roundTrip(ctx, r.addr, r.ior.ObjectKey, op, args, svcCtxs)
+		result, held, err := o.pool.roundTrip(ctx, r.addr, r.ior.ObjectKey, op, args, svcCtxs, share)
 		if err == nil {
-			return result, nil
+			return result, held, nil
 		}
 		lastErr = err
 		if !retryable(err) {
 			break
 		}
 	}
-	return idl.Null(), lastErr
+	return idl.Null(), nil, lastErr
 }
 
 // sleepBackoff waits out the exponential-backoff window before retry attempt
@@ -645,13 +666,14 @@ func (p *connPool) callDeadline(ctx context.Context) time.Duration {
 // If the chosen connection was poisoned before the request could be written,
 // it retries once on a fresh connection. svcCtxs are the service context
 // entries (interceptor-added) carried in the request header. The context
-// deadline, when tighter than Options.CallTimeout, bounds the exchange.
-func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op string, args []idl.Any, svcCtxs []giop.ServiceContext) (idl.Any, error) {
+// deadline, when tighter than Options.CallTimeout, bounds the exchange. A
+// shared result aliases the reply, which is returned unreleased.
+func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op string, args []idl.Any, svcCtxs []giop.ServiceContext, share bool) (idl.Any, *demuxedReply, error) {
 	order := p.orb.wireOrder()
 	for attempt := 0; ; attempt++ {
 		c, err := p.get(addr)
 		if err != nil {
-			return idl.Null(), err
+			return idl.Null(), nil, err
 		}
 		reqID := c.nextID.Add(1)
 		e := giop.AcquireBodyEncoder(order)
@@ -677,23 +699,26 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 				}
 				err = pe.cause // keep the typed *SystemException contract
 			}
-			return idl.Null(), err
+			return idl.Null(), nil, err
 		}
-		result, err := decodeReply(r)
+		result, err := decodeReply(r, share)
+		if share && err == nil {
+			return result, r, nil
+		}
 		r.release()
-		return result, err
+		return result, nil, err
 	}
 }
 
 // decodeReply turns a demuxed Reply into a result value or a typed error.
-func decodeReply(r *demuxedReply) (idl.Any, error) {
+func decodeReply(r *demuxedReply, share bool) (idl.Any, error) {
 	if r.rh == nil {
 		return idl.Null(), &SystemException{Name: ExcCommFailure, Detail: "request answered by a non-request reply"}
 	}
 	d := r.d
 	switch r.rh.Status {
 	case giop.ReplyNoException:
-		result, err := idl.UnmarshalAny(d)
+		result, err := idl.DecodeAny(d, share)
 		if err != nil {
 			return idl.Null(), &SystemException{Name: ExcMarshal, Detail: err.Error()}
 		}

@@ -27,6 +27,21 @@ type ContextServant interface {
 	InvokeCtx(ctx context.Context, op string, args []idl.Any) (idl.Any, error)
 }
 
+// ResultReleaser is optionally implemented by servants that lend the ORB
+// buffers in their results. The ORB hands a successful result back once the
+// reply is written (or a oneway dispatched), or once a scoped colocated
+// caller's use returns; an unscoped colocated caller keeps it.
+type ResultReleaser interface {
+	ReleaseResult(op string, result idl.Any)
+}
+
+// releaseResult hands a successful result back to the servant that made it.
+func releaseResult(s Servant, op string, result idl.Any, err error) {
+	if r, ok := s.(ResultReleaser); ok && err == nil {
+		r.ReleaseResult(op, result)
+	}
+}
+
 // UserException is an application-level exception that crosses the wire as a
 // GIOP USER_EXCEPTION reply and is reconstructed on the client side.
 type UserException struct {

@@ -208,8 +208,9 @@ func (o *ORB) handleRequest(w *giop.SyncWriter, msg *giop.Message) bool {
 			&SystemException{Name: ExcMarshal, Detail: err.Error()}) == nil
 	}
 
-	result, invErr := o.dispatchIncoming(context.Background(),
+	result, s, invErr := o.dispatchIncoming(context.Background(),
 		string(hdr.ObjectKey), hdr.Operation, args, hdr.ServiceContext, "iiop")
+	defer releaseResult(s, hdr.Operation, result, invErr) // once the reply is written
 	if !hdr.ResponseExpected {
 		o.Stats.OnewayRequests.Add(1)
 		return true
@@ -221,8 +222,8 @@ func (o *ORB) handleRequest(w *giop.SyncWriter, msg *giop.Message) bool {
 // dispatch; it is used both by the socket path (service contexts come from
 // the GIOP request header) and the colocation fast path (they are handed
 // across in-process), so interceptor behaviour — trace propagation included —
-// is identical on both.
-func (o *ORB) dispatchIncoming(ctx context.Context, key, op string, args []idl.Any, svcCtxs []giop.ServiceContext, transport string) (idl.Any, error) {
+// is identical on both. It returns the servant that ran, for the release.
+func (o *ORB) dispatchIncoming(ctx context.Context, key, op string, args []idl.Any, svcCtxs []giop.ServiceContext, transport string) (idl.Any, Servant, error) {
 	sis := o.serverInterceptors()
 	if len(sis) == 0 {
 		return o.dispatch(ctx, key, op, args)
@@ -237,26 +238,28 @@ func (o *ORB) dispatchIncoming(ctx context.Context, key, op string, args []idl.A
 	for _, si := range sis {
 		si.ReceiveRequest(ri)
 	}
-	result, err := o.dispatch(ri.Ctx, key, op, args)
+	result, s, err := o.dispatch(ri.Ctx, key, op, args)
 	for i := len(sis) - 1; i >= 0; i-- {
 		sis[i].SendReply(ri, err)
 	}
-	return result, err
+	return result, s, err
 }
 
 // dispatch runs the servant invocation for an object key. Context-aware
 // servants receive ctx (carrying the interceptors' trace parentage); plain
 // servants are invoked as before.
-func (o *ORB) dispatch(ctx context.Context, key, op string, args []idl.Any) (idl.Any, error) {
+func (o *ORB) dispatch(ctx context.Context, key, op string, args []idl.Any) (idl.Any, Servant, error) {
 	s, ok := o.lookupServant(key)
 	if !ok {
-		return idl.Null(), &SystemException{Name: ExcObjectNotExist, Detail: "object key " + key}
+		return idl.Null(), nil, &SystemException{Name: ExcObjectNotExist, Detail: "object key " + key}
 	}
 	o.Stats.RequestsServed.Add(1)
 	if cs, ok := s.(ContextServant); ok {
-		return cs.InvokeCtx(ctx, op, args)
+		result, err := cs.InvokeCtx(ctx, op, args)
+		return result, s, err
 	}
-	return s.Invoke(op, args)
+	result, err := s.Invoke(op, args)
+	return result, s, err
 }
 
 // writeReply encodes the reply for a completed invocation. Bodies above
