@@ -535,7 +535,8 @@ func (db *DB) Delete(id int64) error {
 		ext := db.extents[key]
 		for i, oid := range ext {
 			if oid == id {
-				db.extents[key] = append(ext[:i], ext[i+1:]...)
+				// A new slice: an open Rows walks the old one in place.
+				db.extents[key] = append(ext[:i:i], ext[i+1:]...)
 				break
 			}
 		}
@@ -699,33 +700,16 @@ func Load(data []byte) (*DB, error) {
 			}
 			attrs[k] = normaliseJSON(v)
 		}
-		o, err := db.NewObject(so.Class, attrs)
-		if err != nil {
+		// NewObject takes the ID after nextID: the saved one, so Ref
+		// attributes stay valid.
+		last := db.nextID
+		db.nextID = so.ID - 1
+		if _, err := db.NewObject(so.Class, attrs); err != nil {
 			return nil, err
 		}
-		// Preserve original IDs so Ref attributes stay valid.
-		db.mu.Lock()
-		delete(db.objects, o.id)
-		db.dropIndexes()
-		remapExtents(db, o.id, so.ID)
-		o.id = so.ID
-		db.objects[so.ID] = o
-		if so.ID > db.nextID {
-			db.nextID = so.ID
-		}
-		db.mu.Unlock()
+		db.nextID = max(db.nextID, last)
 	}
 	return db, nil
-}
-
-func remapExtents(db *DB, from, to int64) {
-	for k, ext := range db.extents {
-		for i, id := range ext {
-			if id == from {
-				db.extents[k][i] = to
-			}
-		}
-	}
 }
 
 // normaliseJSON converts JSON decode artifacts (float64 numbers, []any

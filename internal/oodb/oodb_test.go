@@ -260,7 +260,11 @@ func TestAttrTypes(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := newMedicalDB(t)
 	r, _ := db.NewObject("Research", map[string]any{"Field": "aids", "Description": "d"})
+	gone, _ := db.NewObject("Research", map[string]any{"Field": "gone"})
 	c, _ := db.NewObject("CancerResearch", map[string]any{"Funding": 2.5})
+	if err := db.Delete(gone.ID()); err != nil {
+		t.Fatal(err)
+	}
 	data, err := db.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +288,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("float attr not restored: %v", o2)
 	}
 	deep, _ := got.Extent("Research", true)
-	if len(deep) != 2 {
-		t.Errorf("restored extent = %d", len(deep))
+	if len(deep) != 2 || deep[0].ID() != r.ID() || deep[1].ID() != c.ID() {
+		t.Errorf("restored extent = %v", deep)
+	}
+	// The saved IDs keep their gap, and a new object takes none of them.
+	if _, ok := got.Get(gone.ID()); ok {
+		t.Errorf("deleted object %d restored", gone.ID())
+	}
+	if o, err := got.NewObject("Research", nil); err != nil || o.ID() <= c.ID() {
+		t.Errorf("new object after load: %v, %v; want an ID past %d", o, err, c.ID())
 	}
 	if _, err := Load([]byte("not json")); err == nil {
 		t.Error("bad snapshot accepted")

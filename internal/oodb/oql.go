@@ -119,11 +119,13 @@ func (db *DB) openRows(q string) (*Rows, error) {
 	lclass := strings.ToLower(sel.class)
 	var indexed bool
 	if r.ids, indexed = db.indexCandidates(lclass, r.conds, r.lattrs); !indexed {
-		// Extents are kept in creation order, which is ID order; sort anyway
-		// if one is not, since the result's order is by ID.
-		r.ids = slices.Clone(db.extents[lclass])
-		if !slices.IsSorted(r.ids) {
-			slices.Sort(r.ids)
+		// Extents are kept in creation order, which is ID order, and the walk
+		// reads the extent in place: NewObject appends past the end of the
+		// alias and Delete builds a new slice, so its IDs never move. Sort a
+		// copy if one is not in ID order, since the result's order is by ID.
+		ext := db.extents[lclass]
+		if r.ids = ext[:len(ext):len(ext)]; !slices.IsSorted(r.ids) {
+			r.ids = slices.Sorted(slices.Values(ext))
 		}
 	}
 	return r, nil

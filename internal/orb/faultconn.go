@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -141,6 +142,7 @@ type faultConn struct {
 	net.Conn
 	orb  *ORB
 	addr string
+	lost atomic.Bool // a ResetAfter fired: nothing read from here on is returned
 }
 
 // activeRule returns the injector and rule currently governing this
@@ -161,7 +163,11 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	if _, r := c.activeRule(); r != nil && r.LatencyMS > 0 {
 		c.orb.sleep(time.Duration(r.LatencyMS) * time.Millisecond)
 	}
-	return c.Conn.Read(p)
+	n, err := c.Conn.Read(p)
+	if c.lost.Load() {
+		return 0, fmt.Errorf("injected connection reset")
+	}
+	return n, err
 }
 
 func (c *faultConn) Write(p []byte) (int, error) {
@@ -178,11 +184,14 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		fi.injected.FaultsInjected.Add(1)
 		return len(p), nil // frame swallowed; the caller's deadline recovers
 	}
-	n, err := c.Conn.Write(p)
-	if err == nil && fi.roll(r.ResetAfter) {
-		// The frame is out; the reply it asks for will find the socket gone.
-		fi.injected.FaultsInjected.Add(1)
-		c.Conn.Close()
+	if !fi.roll(r.ResetAfter) {
+		return c.Conn.Write(p)
 	}
-	return n, err
+	// The frame goes out; the reply it asks for is lost. The mark is set
+	// before the write, so no read, even one already blocked, returns a
+	// reply that beats the close.
+	fi.injected.FaultsInjected.Add(1)
+	c.lost.Store(true)
+	defer c.Conn.Close()
+	return c.Conn.Write(p)
 }

@@ -17,13 +17,18 @@ import (
 // order, so the merged output is deterministic regardless of member timing.
 // Members are read through the gateway cursor protocol (Conn.QueryCursor): a
 // page is one round trip, the first of defaultMergeWindow rows, the following
-// ones doubling up to gateway.MaxPageRows. Backpressure reaches the wire: a
-// member fetches page n+1 while the merge drains page n and then waits to
-// hand it over, so it is never more than one page ahead and the coordinator
-// holds at most two pages per member, whatever the scan size. A statement
-// LIMIT terminates the fan-out early: once K rows are merged the remaining
-// members' sub-calls are cancelled (closing their server-side cursors) and
-// their statuses report ErrClass "limit" — satisfied, not degraded.
+// ones doubling up to gateway.MaxPageRows. Backpressure reaches the wire
+// within a row budget: a member keeps the pages the merge is not ready for in
+// a small stash and fetches its next page while the rows it holds (stashed,
+// plus the last page handed over) are at most gateway.MaxPageRows. Members
+// the merge has not reached yet so page ahead of it, their round trips
+// overlapping instead of queueing, and the coordinator holds at most two
+// pages' worth of rows per member, whatever the scan size. Under a LIMIT a
+// member fetches page n+1 only once the merge has taken page n, since rows
+// fetched past the cut are wasted. A statement LIMIT terminates the fan-out
+// early: once K rows are merged the remaining members' sub-calls are
+// cancelled (closing their server-side cursors) and their statuses report
+// ErrClass "limit" — satisfied, not degraded.
 
 // errLimitSatisfied is the fan-out cancel cause once a statement LIMIT is
 // met; errStreamClosed is the cause when the consumer abandons the stream.
@@ -50,7 +55,6 @@ type mergeStream struct {
 	sess     *Session
 	plan     *queryPlan
 	chans    []chan *gateway.Batch // pages of compensated rows; column 0 is the result value
-	names    []idl.Any             // per member: its name, the merged rows' source column
 	statuses []MemberStatus
 	runs     []fragmentRun   // per member; Column is readable once the member's first row arrives
 	ctx      context.Context // the fan-out's context; cancel ends it with a cause
@@ -85,10 +89,10 @@ type mergeStream struct {
 	sjFallbacks atomic.Int64 // bare retries of fragments that carried a key set
 
 	// inflight counts the rows of the pages the merge holds (pulled from a
-	// member's cursor and compensated, not yet drained): the page each
-	// member is waiting to hand over plus the one being read; peakInflight
-	// is its high-water mark. It never exceeds members x 2 x the largest
-	// page, whatever the scan size.
+	// member's cursor and compensated, not yet drained): the pages each
+	// member has stashed plus the one being read; peakInflight is its
+	// high-water mark. It never exceeds members x 2 x gateway.MaxPageRows,
+	// whatever the scan size.
 	inflight     atomic.Int64
 	peakInflight atomic.Int64
 }
@@ -106,7 +110,6 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 		sess:      s,
 		plan:      plan,
 		chans:     make([]chan *gateway.Batch, n),
-		names:     make([]idl.Any, n),
 		statuses:  make([]MemberStatus, n),
 		runs:      make([]fragmentRun, n),
 		fanDone:   make(chan struct{}),
@@ -118,7 +121,6 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 	}
 	for i := range plan.Members {
 		ms.statuses[i] = notDispatched(plan.Members[i].D.Name, plan.Members[i].D.ISIRef)
-		ms.names[i] = idl.String(plan.Members[i].D.Name)
 		ms.chans[i] = make(chan *gateway.Batch)
 	}
 	mergeCtx, cancel := context.WithCancelCause(ctx)
@@ -146,11 +148,11 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 }
 
 // Next returns the next merged value and the index of the member that
-// produced it (ms.names has the member's source column); ok is false once the
-// merge is exhausted or the statement LIMIT has been satisfied. Values are
-// read in place from the member's current page. A member's status is final
-// by the time Next moves past its channel, which is what makes the refund
-// below — and reading statuses after Close — race-free.
+// produced it (its name is the merged row's source column); ok is false once
+// the merge is exhausted or the statement LIMIT has been satisfied. Values
+// are read in place from the member's current page. A member's status is
+// final by the time Next moves past its channel, which is what makes the
+// refund below — and reading statuses after Close — race-free.
 func (ms *mergeStream) Next() (v idl.Any, member int, ok bool) {
 	if ms.eof || ms.closed {
 		return idl.Any{}, 0, false
@@ -243,7 +245,7 @@ func (ms *mergeStream) drainAll() [][]idl.Any {
 		if len(slab)+2 > cap(slab) {
 			slab = make([]idl.Any, 0, 2*(ms.page.Len()-ms.pos+1))
 		}
-		slab = append(slab, ms.names[m], v)
+		slab = append(slab, idl.String(ms.plan.Members[m].D.Name), v)
 		rows = append(rows, slab[len(slab)-2:len(slab):len(slab)])
 	}, func() { rows = rows[:start] })
 	return rows
@@ -353,9 +355,9 @@ func (ms *mergeStream) mergedColumns() []string {
 }
 
 // runMember is the merge's member call: it runs one member's fragment
-// (runFragment) and streams its pages into the merge. The unbuffered send
-// between fetches is what propagates the coordinator's pace back to the
-// wire, one page ahead. (The streaming-off reference mode asks for batch 0:
+// (runFragment) and streams its pages into the merge. Waiting to hand a page
+// over once its row budget is spent is what propagates the coordinator's
+// pace back to the wire. (The streaming-off reference mode asks for batch 0:
 // the whole result in the opening round trip.)
 func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *trace.Span) error {
 	mp := &ms.plan.Members[i]
@@ -382,6 +384,53 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *tra
 		ex = ms.overrides[i]
 		sp.SetAttr("semijoin", "keys pushed")
 	}
+	// The pages fetched but not yet handed over wait in stash, oldest first.
+	// held counts their rows plus the last page handed over, which the merge
+	// may still be reading: it takes a page only after releasing the one
+	// before, so the count is exact. Without a LIMIT the member fetches again
+	// while held <= budget, so it holds at most 2 x MaxPageRows; under one it
+	// fetches only once the merge has taken everything, moving no extra rows.
+	// Sixteen pages cover the doubling from a first page of one row up to
+	// the budget; a full stash waits like a spent budget, so pages thinned
+	// by filters cannot grow it.
+	var stash [16]*gateway.Batch
+	pages, held, last := 0, 0, 0
+	budget := gateway.MaxPageRows
+	if ms.limit > 0 {
+		budget = -1
+	}
+	// handOver passes stashed pages to the merge: those it takes without
+	// waiting, then, waiting, as many as bring held within budget and leave
+	// stash room. false: the merge stopped taking rows (limit satisfied
+	// downstream, stream closed), and the stash is back in the pool.
+	handOver := func() bool {
+		for pages > 0 {
+			b, rows := stash[0], stash[0].Len()
+			select {
+			case ms.chans[i] <- b:
+			default:
+				if held <= budget && pages < len(stash) {
+					return true // fetch the next page meanwhile
+				}
+				select {
+				case ms.chans[i] <- b:
+				case <-ms.ctx.Done():
+					for _, pg := range stash[:pages] {
+						ms.inflight.Add(-int64(pg.Len()))
+						pg.Release()
+					}
+					pages = 0
+					return false
+				}
+			}
+			pages--
+			copy(stash[:pages], stash[1:pages+1])
+			stash[pages] = nil
+			held -= last
+			last = rows
+		}
+		return true
+	}
 	run := &ms.runs[i]
 	err = s.runFragment(ctx, conn, mp, ex, batch, run, func(b *gateway.Batch) bool {
 		if ms.filter != nil {
@@ -396,24 +445,22 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int, sp *tra
 				return true
 			}
 		}
-		held := ms.inflight.Add(int64(b.Len()))
+		inflight := ms.inflight.Add(int64(b.Len()))
 		for {
 			p := ms.peakInflight.Load()
-			if held <= p || ms.peakInflight.CompareAndSwap(p, held) {
+			if inflight <= p || ms.peakInflight.CompareAndSwap(p, inflight) {
 				break
 			}
 		}
-		select {
-		case ms.chans[i] <- b:
-			return true
-		case <-ms.ctx.Done():
-			// The query itself succeeded; the merge just stopped taking
-			// rows (limit satisfied downstream). Not a member failure.
-			ms.inflight.Add(-int64(b.Len()))
-			b.Release()
-			return false
-		}
+		stash[pages] = b
+		pages++
+		held += b.Len()
+		return handOver()
 	})
+	// What the member fetched reaches the merge before its status does, even
+	// when the member failed mid-stream: the merge drops it by provenance.
+	budget = -1
+	handOver()
 	sp.SetAttrInt("pages", run.Pages)
 	sp.SetAttrInt("rows", run.Moved)
 	sp.SetAttrInt("bytes", run.Bytes)

@@ -228,10 +228,11 @@ func (p *Processor) PlannerStats() PlannerStats {
 // started under.
 const (
 	// defaultMergeWindow is the first cursor page member sub-queries ask
-	// for. Later pages double up to gateway.MaxPageRows, and a member runs
-	// at most one page ahead of the coordinator — so a coalition scan
-	// buffers at most members x 2 x gateway.MaxPageRows rows at the
-	// coordinator, whatever its size.
+	// for. Later pages double up to gateway.MaxPageRows, and a member pages
+	// ahead of the coordinator only while it holds at most MaxPageRows rows
+	// (under a LIMIT, not at all) — so a coalition scan buffers at most
+	// members x 2 x gateway.MaxPageRows rows at the coordinator, whatever
+	// its size.
 	defaultMergeWindow = 64
 	// defaultSemiJoinKeyLimit is the largest build-side key set pushed to
 	// probe members as a literal IN list; larger sets compress into a Bloom

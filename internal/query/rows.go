@@ -23,10 +23,10 @@ type Row []idl.Any
 // what stopped the iteration, Close releases everything behind it. For
 // coalition function queries the rows stream from the members through
 // server-side cursors as the caller iterates — the coordinator never holds
-// more than two cursor pages per member — so Close must always be called: it
-// cancels outstanding member sub-calls and closes their cursors. Other
-// statement kinds materialize as they always did and iterate in memory. Not
-// safe for concurrent use.
+// more than 2 x gateway.MaxPageRows rows per member — so Close must always
+// be called: it cancels outstanding member sub-calls and closes their
+// cursors. Other statement kinds materialize as they always did and iterate
+// in memory. Not safe for concurrent use.
 type Rows struct {
 	sess *Session
 	stmt wtl.Stmt
@@ -57,7 +57,8 @@ type Rows struct {
 // Stream parses and runs one WebTassili statement, returning its result as
 // a pull-based row iterator. Coalition function queries execute as a
 // streaming merge: member rows cross the wire in cursor pages, a member
-// fetching at most one page ahead of what the caller has drained, so
+// fetching ahead of what the caller has drained only while it holds at most
+// gateway.MaxPageRows rows (under a LIMIT, one page at a time), so
 // arbitrarily large scans run in bounded coordinator memory. Every other
 // statement kind materializes exactly as Execute does and is served from
 // memory. The context governs the whole life of the stream, not just the
@@ -153,7 +154,7 @@ func (r *Rows) Next() bool {
 		if r.cols == nil && r.ms.runs[m].Column != "" {
 			r.cols = []string{"source", r.ms.runs[m].Column}
 		}
-		r.pair[0], r.pair[1] = r.ms.names[m], v
+		r.pair[0], r.pair[1] = idl.String(r.ms.plan.Members[m].D.Name), v
 		r.cur = r.pair[:]
 		return true
 	}

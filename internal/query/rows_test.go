@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/idl"
 	"repro/internal/query"
@@ -314,10 +315,11 @@ func TestStreamCancelReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestStreamBoundsCoordinatorBuffering: the coordinator never holds more than
-// two cursor pages per member — one being read, one waiting to be handed over
-// — so the peak stays under members x 2 x gateway.MaxPageRows however long
-// the scan, even though pages grow from the 4-row first one to the maximum.
+// TestStreamBoundsCoordinatorBuffering: a member pages ahead of the merge
+// only while it holds at most gateway.MaxPageRows rows — its stashed pages
+// plus the one being read — so the peak stays under members x 2 x
+// gateway.MaxPageRows however long the scan, even though pages grow from the
+// 4-row first one to the maximum.
 func TestStreamBoundsCoordinatorBuffering(t *testing.T) {
 	const members, rowsEach, firstPage = 2, 5000, 4
 	nodes := streamFederation(t, members, rowsEach, firstPage)
@@ -342,6 +344,148 @@ func TestStreamBoundsCoordinatorBuffering(t *testing.T) {
 	}
 	if !waitFor(t, 2*time.Second, func() bool { return gateway.LiveBatches() == live }) {
 		t.Fatalf("batches out of the pool: %d before the scan, %d after", live, gateway.LiveBatches())
+	}
+}
+
+// fetchesPerNode is each node's cursor fetch count, the open's page included.
+func fetchesPerNode(nodes []*core.Node) []int64 {
+	out := make([]int64, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.CursorStats().Fetches
+	}
+	return out
+}
+
+// readAheadStream opens a scan of members x 3000 rows behind a 4-row first
+// page, every member dispatched at once, and reads one row: the merge then
+// sits on member 0's first page while the members page on.
+func readAheadStream(t *testing.T, members int) ([]*core.Node, *query.Rows) {
+	t.Helper()
+	nodes := streamFederation(t, members, 3000, 4)
+	nodes[0].Processor.SetFanOut(0)
+	rows, err := nodes[0].NewSession().Stream(context.Background(), `V(R.K) On Coalition C;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	return nodes, rows
+}
+
+// TestStreamMembersReadAhead: without a LIMIT a member keeps fetching while
+// the merge is busy elsewhere (here: nowhere, the consumer stopped after one
+// row), pages 4, 8, ... 1024 — well past one page ahead, member 0 included,
+// whose first page the merge holds — and stops once it holds more than
+// gateway.MaxPageRows, so the merge still buffers at most members x 2 x
+// MaxPageRows rows.
+func TestStreamMembersReadAhead(t *testing.T) {
+	const members = 3
+	nodes, rows := readAheadStream(t, members)
+	ahead := func() bool {
+		for _, f := range fetchesPerNode(nodes) {
+			if f <= 2 {
+				return false
+			}
+		}
+		return true
+	}
+	if !waitFor(t, 2*time.Second, ahead) {
+		t.Fatalf("members stopped one page ahead of the merge: fetches %v", fetchesPerNode(nodes))
+	}
+	rows.Close()
+	st := nodes[0].Processor.PlannerStats()
+	if bound := int64(members * 2 * gateway.MaxPageRows); st.PeakMergeBuffered > bound {
+		t.Fatalf("peak merge buffer %d exceeds members x 2 x max page = %d", st.PeakMergeBuffered, bound)
+	}
+}
+
+// TestStreamLimitMembersDoNotReadAhead: under a LIMIT a member fetches its
+// next page only once the merge has taken the last, so one the merge never
+// reaches moves no row past its cursor's open.
+func TestStreamLimitMembersDoNotReadAhead(t *testing.T) {
+	nodes := streamFederation(t, 3, 3000, 4)
+	nodes[0].Processor.SetFanOut(0)
+	before := fetchesPerNode(nodes)
+	rows, err := nodes[0].NewSession().Stream(context.Background(), `V(R.K) On Coalition C Limit 100;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	opened := func() bool {
+		for _, n := range nodes[1:] {
+			if n.CursorStats().Opened == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if !waitFor(t, 2*time.Second, opened) {
+		t.Fatal("members 1 and 2 never opened their cursors")
+	}
+	// A member that ignored the LIMIT would fetch ahead now; the check below
+	// holds however long this lasts.
+	time.Sleep(20 * time.Millisecond)
+	if got := drainRows(t, rows); len(got) != 99 {
+		t.Fatalf("Limit 100 streamed %d more rows after the first", len(got))
+	}
+	rows.Close()
+	for i, f := range fetchesPerNode(nodes)[1:] {
+		if d := f - before[i+1]; d != 1 {
+			t.Errorf("member %d, never reached under the LIMIT, made %d fetch(es), want its open alone", i+1, d)
+		}
+	}
+}
+
+// TestStreamCloseReleasesStashedPages: pages members fetched ahead and never
+// handed over go back to the pool when the consumer abandons the stream, with
+// the members' cursors and goroutines.
+func TestStreamCloseReleasesStashedPages(t *testing.T) {
+	// A first stream settles the lazily-built plumbing before the baselines.
+	nodes, warm := readAheadStream(t, 3)
+	for warm.Next() {
+	}
+	warm.Close()
+	baseline := runtime.NumGoroutine()
+	live := gateway.LiveBatches()
+
+	before := fetchesPerNode(nodes)
+	rows, err := nodes[0].NewSession().Stream(context.Background(), `V(R.K) On Coalition C;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	stashed := func() bool {
+		for i, f := range fetchesPerNode(nodes) {
+			if f-before[i] < 3 {
+				return false
+			}
+		}
+		return true
+	}
+	if !waitFor(t, 2*time.Second, stashed) {
+		t.Fatalf("members never paged ahead: fetches %v from %v", fetchesPerNode(nodes), before)
+	}
+	rows.Close()
+	cursorsOpen := func() (open int) {
+		for _, n := range nodes {
+			open += n.ISICursors().OpenCount()
+		}
+		return open
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return cursorsOpen() == 0 }) {
+		t.Fatalf("Close left %d cursor(s) open", cursorsOpen())
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return gateway.LiveBatches() == live }) {
+		t.Fatalf("Close left %d page(s) out of the pool", gateway.LiveBatches()-live)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= baseline }) {
+		t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // streamBenchRows is the per-node row count for the streaming benchmark:
 // large enough that a materialized member reply is thousands of rows while
-// the streamed merge holds at most two pages per member.
+// the streamed merge holds at most 2 x gateway.MaxPageRows rows per member.
 const streamBenchRows = 2000
 
 // streamFederation is the planner fixture widened to rows rows per node:
