@@ -10,8 +10,9 @@ GO ?= go
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
 # PR-6 measured 78.0%, PR-7 measured 78.2%, PR-9 measured 78.4%, PR-10
 # measured 79.1%; 84.1-84.2% once the untested experiments command was
-# deleted; 84.5-84.6% once the relational tables became append-only).
-COVER_FLOOR = 84.4
+# deleted; 84.5-84.6% once the relational tables became append-only;
+# 84.7-84.8% once the row oracle moved into the tests).
+COVER_FLOOR = 84.6
 
 # verify is the tier-1 gate: build + vet + full test suite.
 verify:
@@ -19,12 +20,15 @@ verify:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# loc prints the non-test Go lines of every package, bench/ excluded, and
-# their total: the size of the program a change grows or shrinks.
+# loc prints the Go lines of every package, bench/ excluded, and their
+# totals: first the non-test lines, the size of the program a change grows or
+# shrinks, then the _test.go lines, so code moved into tests shows as a move.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
-		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@find . -name '*.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; test = d ~ /_test\.go$$/; sub(/\/[^\/]*$$/, "", d); \
+			if (test) { m[d] += $$1; tt += $$1 } else { n[d] += $$1; t += $$1 } } \
+		END { for (d in n) m[d] += 0; for (d in m) printf "%7d %7d %s\n", n[d], m[d], d | "sort -k3"; \
+			close("sort -k3"); printf "%7d %7d total\n", t, tt }'
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
 # race detector (with the cursor and ORB stresses), chaos suite, simulation suite,

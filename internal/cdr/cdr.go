@@ -183,14 +183,6 @@ func (e *Encoder) WriteOctets(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// WriteStrings appends a sequence<string>.
-func (e *Encoder) WriteStrings(ss []string) {
-	e.WriteULong(uint32(len(ss)))
-	for _, s := range ss {
-		e.WriteString(s)
-	}
-}
-
 // extend aligns the stream to size and appends n zero bytes, returning them
 // for the caller to fill in place.
 func (e *Encoder) extend(size, n int) []byte {
@@ -421,25 +413,6 @@ func (d *Decoder) ReadOctets() ([]byte, error) {
 		return nil, err
 	}
 	return d.take(int(n))
-}
-
-// ReadStrings reads a sequence<string>.
-func (d *Decoder) ReadStrings() ([]string, error) {
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	// The count comes off the wire: size by it only as far as the bytes
-	// present could hold (a string is at least its 4-byte length).
-	ss := make([]string, 0, min(int(n), d.Remaining()/4))
-	for i := uint32(0); i < n; i++ {
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		ss = append(ss, s)
-	}
-	return ss, nil
 }
 
 // run aligns the stream to size and takes n elements of that size. The count

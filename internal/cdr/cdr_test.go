@@ -24,7 +24,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		e.WriteDouble(-2.25)
 		e.WriteString("hello, CORBA")
 		e.WriteOctets([]byte{1, 2, 3})
-		e.WriteStrings([]string{"a", "bb", ""})
 
 		d := NewDecoder(e.Bytes(), order)
 		if v, _ := d.ReadOctet(); v != 0xAB {
@@ -65,10 +64,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		}
 		if v, _ := d.ReadOctets(); len(v) != 3 || v[2] != 3 {
 			t.Errorf("%s octets = %v", order, v)
-		}
-		ss, err := d.ReadStrings()
-		if err != nil || len(ss) != 3 || ss[1] != "bb" || ss[2] != "" {
-			t.Errorf("%s strings = %v (%v)", order, ss, err)
 		}
 		if d.Remaining() != 0 {
 			t.Errorf("%s: %d bytes left over", order, d.Remaining())
@@ -289,13 +284,5 @@ func TestWireCountsAreCheckedBeforeSizing(t *testing.T) {
 	}
 	if _, err := d.ReadLongLongs(nil, -1); err == nil {
 		t.Error("negative count accepted")
-	}
-	if _, err := NewDecoder([]byte{0xff, 0xff, 0xff, 0xff}, BigEndian).ReadStrings(); err == nil {
-		t.Error("ReadStrings decoded 2^32-1 strings from no bytes")
-	}
-	e := NewEncoder(BigEndian)
-	e.WriteStrings([]string{"a", "b"})
-	if ss, err := NewDecoder(e.Bytes(), BigEndian).ReadStrings(); err != nil || !slices.Equal(ss, []string{"a", "b"}) {
-		t.Errorf("ReadStrings = %q, %v", ss, err)
 	}
 }

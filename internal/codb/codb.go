@@ -334,9 +334,6 @@ func (cd *CoDatabase) SetOwnerDescriptor(d *SourceDescriptor) {
 	cd.bump()
 }
 
-// OwnerDescriptor returns the owner's access information (nil if unset).
-func (cd *CoDatabase) OwnerDescriptor() *SourceDescriptor { return cd.ownerDesc }
-
 // FindSource locates a descriptor by database name: in the coalition
 // lattice, or the owner's own descriptor.
 func (cd *CoDatabase) FindSource(name string) (*SourceDescriptor, bool) {
@@ -452,19 +449,6 @@ func (cd *CoDatabase) findLink(name string) *oodb.Object {
 	return o
 }
 
-// RemoveLink deletes a service link by name.
-func (cd *CoDatabase) RemoveLink(name string) error {
-	o := cd.findLink(name)
-	if o == nil {
-		return fmt.Errorf("codb: no service link %s", name)
-	}
-	if err := cd.db.Delete(o.ID()); err != nil {
-		return err
-	}
-	cd.bump()
-	return nil
-}
-
 func objectToLink(o *oodb.Object) *ServiceLink {
 	return &ServiceLink{
 		Name:        o.String("Name"),
@@ -489,18 +473,6 @@ func (cd *CoDatabase) Links() []*ServiceLink {
 		out = append(out, objectToLink(o))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// LinksFrom lists the links whose From side is the given coalition or
-// database name.
-func (cd *CoDatabase) LinksFrom(name string) []*ServiceLink {
-	var out []*ServiceLink
-	for _, l := range cd.Links() {
-		if strings.EqualFold(l.From, name) {
-			out = append(out, l)
-		}
-	}
 	return out
 }
 

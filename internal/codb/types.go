@@ -109,19 +109,6 @@ func (d *SourceDescriptor) InterfaceNames() []string {
 	return out
 }
 
-// Advertisement renders the descriptor in the paper's advertisement syntax.
-func (d *SourceDescriptor) Advertisement() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Information Source %s {\n", d.Name)
-	fmt.Fprintf(&b, "    Information Type  %q\n", d.InformationType)
-	fmt.Fprintf(&b, "    Documentation     %q\n", d.Documentation)
-	fmt.Fprintf(&b, "    Location          %q\n", d.Location)
-	fmt.Fprintf(&b, "    Wrapper           %q\n", d.Wrapper)
-	fmt.Fprintf(&b, "    Interface         %s\n", strings.Join(d.InterfaceNames(), ", "))
-	b.WriteString("}")
-	return b.String()
-}
-
 // marshalInterface serialises exported types for storage in the OO database.
 func marshalInterface(ts []ExportedType) string {
 	data, err := json.Marshal(ts)

@@ -204,9 +204,6 @@ func TestRepository(t *testing.T) {
 	if _, ok := r.Lookup("IDL:WebFINDIT/ISI:1.0"); !ok {
 		t.Error("Lookup by repo id failed")
 	}
-	if _, ok := r.LookupName("WebFINDIT/CoDatabase"); !ok {
-		t.Error("LookupName failed")
-	}
 	names := r.Names()
 	if len(names) != 2 || names[0] != "WebFINDIT/CoDatabase" {
 		t.Errorf("Names = %v", names)
@@ -214,10 +211,12 @@ func TestRepository(t *testing.T) {
 }
 
 func TestOperationHelpers(t *testing.T) {
-	it := NewInterface("T").
-		Define("f", KindString, Param{Dir: In, Kind: KindString, Name: "a"},
-			Param{Dir: Out, Kind: KindLong, Name: "b"},
-			Param{Dir: InOut, Kind: KindBool, Name: "c"})
+	it := NewInterface("T")
+	it.Ops["f"] = &Operation{Name: "f", Result: KindString, Params: []Param{
+		{Dir: In, Kind: KindString, Name: "a"},
+		{Dir: Out, Kind: KindLong, Name: "b"},
+		{Dir: InOut, Kind: KindBool, Name: "c"},
+	}}
 	op, _ := it.Op("f")
 	if op.InCount() != 2 {
 		t.Errorf("InCount = %d", op.InCount())

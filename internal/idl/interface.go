@@ -83,12 +83,6 @@ func NewInterface(name string) *Interface {
 	}
 }
 
-// Define adds an operation to the interface and returns it for chaining.
-func (it *Interface) Define(name string, result Kind, params ...Param) *Interface {
-	it.Ops[name] = &Operation{Name: name, Result: result, Params: params}
-	return it
-}
-
 // Op returns the named operation, or an error naming the interface.
 func (it *Interface) Op(name string) (*Operation, error) {
 	op, ok := it.Ops[name]
@@ -124,14 +118,6 @@ func (r *Repository) Lookup(repoID string) (*Interface, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	it, ok := r.byID[repoID]
-	return it, ok
-}
-
-// LookupName returns the interface with the given simple name.
-func (r *Repository) LookupName(name string) (*Interface, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	it, ok := r.byNam[name]
 	return it, ok
 }
 

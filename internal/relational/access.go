@@ -103,7 +103,7 @@ func parseKeyTerm(cols []colBinding, conj Expr) (keyTerm, bool) {
 	if !ok {
 		return kt, false
 	}
-	ord, err := (&evalEnv{cols: cols}).resolve(cr)
+	ord, err := resolveCol(cols, cr)
 	kt.col = ord
 	return kt, err == nil
 }

@@ -2,17 +2,18 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// This file implements the expression half of the batched executor:
-// expressions are compiled once per statement execution into a tree of vexpr
-// nodes that evaluate over column vectors with a selection vector, instead
-// of re-walking the AST (and re-resolving column names) for every tuple.
-// Operator semantics are shared with the row interpreter through
-// applyBinary/applyUnary/applyScalarFunc, so the two engines cannot drift.
+// This file implements the expression half of the batched executor, the
+// engine's one expression evaluator: expressions are compiled once per
+// statement execution into a tree of vexpr nodes that evaluate over column
+// vectors with a selection vector, instead of re-walking the AST (and
+// re-resolving column names) for every tuple. Operators apply through
+// applyBinary/applyUnary/applyScalarFunc (expr.go).
 
 // vecChunk is the batch granularity: scans, filters, projections and
 // aggregations process at most this many rows per call, so scratch buffers
@@ -88,16 +89,16 @@ type vexpr interface {
 }
 
 // compileExpr compiles an expression against a binding list. Compilation
-// never fails: unresolvable references compile to a node that reports the
-// interpreter's error when (and only when) at least one row is evaluated,
-// matching the row engine, which never evaluates expressions over empty
-// input.
+// never fails: an unresolvable reference compiles to a node that reports its
+// error when (and only when) at least one row is evaluated, so an expression
+// over empty input never fails. An aggregate call reads the column bound to
+// it (aggBinding), which only the grouped finalisation's relation has.
 func compileExpr(e Expr, cols []colBinding) vexpr {
 	switch x := e.(type) {
 	case *Literal:
 		return &vLit{v: x.Val}
 	case *ColRef:
-		ord, err := (&evalEnv{cols: cols}).resolve(x)
+		ord, err := resolveCol(cols, x)
 		if err != nil {
 			return &vErr{err: err}
 		}
@@ -115,14 +116,14 @@ func compileExpr(e Expr, cols []colBinding) vexpr {
 		// vector, no operand buffers.
 		if cr, ok := x.L.(*ColRef); ok {
 			if lit, ok2 := x.R.(*Literal); ok2 {
-				if ord, err := (&evalEnv{cols: cols}).resolve(cr); err == nil {
+				if ord, err := resolveCol(cols, cr); err == nil {
 					return &vColLitOp{op: x.Op, ord: ord, lit: lit.Val, cmpOp: cmpOpCode(x.Op)}
 				}
 			}
 		}
 		if lit, ok := x.L.(*Literal); ok {
 			if cr, ok2 := x.R.(*ColRef); ok2 {
-				if ord, err := (&evalEnv{cols: cols}).resolve(cr); err == nil {
+				if ord, err := resolveCol(cols, cr); err == nil {
 					return &vColLitOp{op: x.Op, ord: ord, lit: lit.Val, litLeft: true, cmpOp: cmpOpCode(x.Op)}
 				}
 			}
@@ -138,37 +139,45 @@ func compileExpr(e Expr, cols []colBinding) vexpr {
 			negate: x.Negate,
 		}
 	case *InList:
-		// The interpreter evaluates list items lazily (stopping at the
-		// first match), so only all-literal lists — which cannot error —
-		// are compiled eagerly; anything else falls back to the
-		// interpreter per row.
-		vals := make([]Value, 0, len(x.List))
-		for _, item := range x.List {
+		// An item is evaluated only for the rows no earlier item matched,
+		// so a list that is all literals, which cannot fail, is a set
+		// lookup, and any other is evaluated an item at a time.
+		vals := make([]Value, len(x.List))
+		for i, item := range x.List {
 			lit, ok := item.(*Literal)
 			if !ok {
-				return &vRowFallback{e: e, cols: cols}
+				return &vInItems{x: compileExpr(x.X, cols), items: compileAll(x.List, cols), negate: x.Negate}
 			}
-			vals = append(vals, lit.Val)
+			vals[i] = lit.Val
 		}
 		return newInList(compileExpr(x.X, cols), vals, x.Negate)
 	case *FuncCall:
 		if x.IsAggregate() {
+			if ord := slices.Index(cols, aggBinding(x)); ord >= 0 {
+				return &vCol{ord: ord}
+			}
 			return &vErr{err: fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)}
 		}
-		args := make([]vexpr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = compileExpr(a, cols)
-		}
-		return &vFunc{f: x, args: args}
+		return &vFunc{f: x, args: compileAll(x.Args, cols)}
 	case *Subquery:
 		return &vErr{err: fmt.Errorf("sql: unresolved subquery (internal error)")}
-	case nil:
-		return &vErr{err: fmt.Errorf("sql: cannot evaluate <nil>")}
 	}
-	// Unknown node shapes defer to the row interpreter for identical
-	// semantics (including its error text).
-	return &vRowFallback{e: e, cols: cols}
+	return &vErr{err: fmt.Errorf("sql: cannot evaluate %T", e)}
 }
+
+func compileAll(es []Expr, cols []colBinding) []vexpr {
+	out := make([]vexpr, len(es))
+	for i, e := range es {
+		out[i] = compileExpr(e, cols)
+	}
+	return out
+}
+
+// aggBinding is the binding of an aggregate call's column in the grouped
+// finalisation's relation: no qualifier, and the call's rendering as its name.
+// A column reference never resolves to it: references are lower-cased, and
+// the rendering starts with the upper-case aggregate name.
+func aggBinding(f *FuncCall) colBinding { return colBinding{name: f.String()} }
 
 type vLit struct{ v Value }
 
@@ -190,7 +199,7 @@ func (n *vCol) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
 }
 
 // vErr defers a compile-time resolution error to evaluation time, raising it
-// only when at least one row is evaluated (the row engine's behaviour).
+// only when at least one row is evaluated.
 type vErr struct{ err error }
 
 func (n *vErr) eval(_ *vctx, _ *vbatch, sel []int, _ []Value) error {
@@ -378,9 +387,8 @@ func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
 }
 
 // vAnd implements three-valued AND. The right side is evaluated only for
-// rows the left side did not decide FALSE, preserving the interpreter's
-// short-circuit — including its error behaviour (e.g. `x <> 0 AND 1/x > 0`
-// never divides by zero).
+// rows the left side did not decide FALSE: a short-circuit, errors included
+// (`x <> 0 AND 1/x > 0` never divides by zero).
 type vAnd struct{ l, r vexpr }
 
 func (n *vAnd) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
@@ -519,12 +527,12 @@ func (n *vBetween) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 	return nil
 }
 
-// vInList handles IN lists whose items are all literals, with the
-// interpreter's semantics — a value is in the list when it compares equal to
-// an item; not found with a NULL item in the list is NULL — through sets
-// built once per compile instead of a Compare per item per row. Numeric
-// items are keyed by value, so 5 finds 5.0; the others by their rendering,
-// which is how Compare equates any two values that are not both numbers.
+// vInList handles IN lists whose items are all literals — a value is in the
+// list when it compares equal to an item; not found with a NULL item in the
+// list is NULL — through sets built once per compile instead of a Compare per
+// item per row. Numeric items are keyed by value, so 5 finds 5.0; the others
+// by their rendering, which is how Compare equates any two values that are
+// not both numbers.
 type vInList struct {
 	x      vexpr
 	vals   []Value
@@ -600,6 +608,60 @@ func (n *vInList) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 	return nil
 }
 
+// vInItems is an IN list with an item that is not a literal. Like vOr, it
+// evaluates each item only over the rows still undecided: an item is not
+// evaluated for a row whose value is NULL or that an earlier item matched.
+type vInItems struct {
+	x      vexpr
+	items  []vexpr
+	negate bool
+}
+
+func (n *vInItems) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
+	xs := c.getVals()
+	defer c.putVals(xs[:len(sel)])
+	if err := n.x.eval(c, b, sel, xs); err != nil {
+		return err
+	}
+	sub := c.getSel() // the undecided rows
+	defer c.putSel(sub)
+	pos := c.getSel() // their places in sel
+	defer c.putSel(pos)
+	for k, r := range sel {
+		if xs[k].Null {
+			out[k] = NullValue()
+			continue
+		}
+		// Not found, so far; NULL once an item is.
+		out[k] = BoolValue(n.negate)
+		sub, pos = append(sub, r), append(pos, k)
+	}
+	ivals := c.getVals()
+	defer c.putVals(ivals[:len(sel)])
+	for _, item := range n.items {
+		if len(sub) == 0 {
+			break
+		}
+		if err := item.eval(c, b, sub, ivals); err != nil {
+			return err
+		}
+		keep := 0
+		for j, k := range pos {
+			switch iv := ivals[j]; {
+			case iv.Null:
+				out[k] = NullValue()
+			case Compare(xs[k], iv) == 0:
+				out[k] = BoolValue(!n.negate)
+				continue
+			}
+			sub[keep], pos[keep] = sub[j], k
+			keep++
+		}
+		sub, pos = sub[:keep], pos[:keep]
+	}
+	return nil
+}
+
 type vFunc struct {
 	f    *FuncCall
 	args []vexpr
@@ -620,35 +682,6 @@ func (n *vFunc) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 			argv[i] = bufs[i][k]
 		}
 		v, err := applyScalarFunc(n.f, argv)
-		if err != nil {
-			return err
-		}
-		out[k] = v
-	}
-	return nil
-}
-
-// vRowFallback evaluates the original expression with the row interpreter,
-// one selected row at a time. It is the compiler's safety valve for shapes
-// it does not vectorise; semantics are identical by construction.
-type vRowFallback struct {
-	e    Expr
-	cols []colBinding
-}
-
-func (n *vRowFallback) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
-	env := &evalEnv{cols: n.cols}
-	row := make(Row, len(b.vecs))
-	for k, r := range sel {
-		for cix, vec := range b.vecs {
-			if vec == nil {
-				row[cix] = NullValue() // unreferenced column, never resolved
-			} else {
-				row[cix] = vec[r]
-			}
-		}
-		env.row = row
-		v, err := eval(n.e, env)
 		if err != nil {
 			return err
 		}

@@ -82,11 +82,6 @@ type Database struct {
 	schemaVer atomic.Uint64
 	plans     *planCache
 
-	// rowExec forces the seed row-at-a-time interpreter instead of the
-	// batched executor; tests use it to compare both engines. Set it before
-	// issuing queries, not concurrently with them.
-	rowExec bool
-
 	// chunks counts the steps walks over tables have taken (rows.go).
 	chunks atomic.Int64
 }
@@ -311,15 +306,24 @@ func (db *Database) execInsert(s *InsertStmt) (*Result, error) {
 		}
 		sourceRows = res.Rows
 	default:
-		env := &evalEnv{}
+		// VALUES rows see no columns: each expression is compiled against
+		// none and evaluated over one row. A literal is its own value, so a
+		// load script's INSERT of literals compiles nothing.
+		var c *vctx
 		for _, exprs := range s.Rows {
 			row := make(Row, len(exprs))
 			for i, e := range exprs {
-				v, err := eval(e, env)
-				if err != nil {
+				if lit, ok := e.(*Literal); ok {
+					row[i] = lit.Val
+					continue
+				}
+				if c == nil {
+					c = getVctx()
+					defer c.release()
+				}
+				if err := compileExpr(e, nil).eval(c, &vbatch{}, []int{0}, row[i:i+1]); err != nil {
 					return nil, err
 				}
-				row[i] = v
 			}
 			sourceRows = append(sourceRows, row)
 		}

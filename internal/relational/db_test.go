@@ -324,6 +324,29 @@ func TestInsertColumnSubset(t *testing.T) {
 	}
 }
 
+// TestInsertValuesComputed: VALUES expressions are evaluated (arithmetic,
+// functions, a NULL operand), and a VALUES list whose third row fails to
+// evaluate inserts none of its rows.
+func TestInsertValuesComputed(t *testing.T) {
+	db := NewDatabase("t", DialectOracle)
+	mustExec(t, db, "CREATE TABLE r (k INT PRIMARY KEY, v FLOAT, s VARCHAR(8))")
+	mustExec(t, db, "INSERT INTO r VALUES (1 + 2 * 3, 7 / 2.0, UPPER('ab') || 'c'), (-(4 - 9), NULL + 1, SUBSTR('xyz', 2))")
+	res := mustQuery(t, db, "SELECT k, v, s FROM r")
+	want := []Row{
+		{IntValue(7), FloatValue(3.5), TextValue("ABc")},
+		{IntValue(5), NullValue(), TextValue("yz")},
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("got %v, want %v", res.Rows, want)
+	}
+	if _, err := db.Exec("INSERT INTO r VALUES (10, 1.0, 'a'), (11, 2.0, 'b'), (12, 1 / 0, 'c'), (13, 4.0, 'd')"); err == nil {
+		t.Fatal("a VALUES row dividing by zero inserted")
+	}
+	if res := mustQuery(t, db, "SELECT COUNT(*) FROM r"); res.Rows[0][0].Int != 2 {
+		t.Fatalf("a failed VALUES list left %d rows, want 2", res.Rows[0][0].Int)
+	}
+}
+
 func TestInsertFromSelect(t *testing.T) {
 	db := newPatientsDB(t)
 	mustExec(t, db, "CREATE TABLE names (n VARCHAR(64))")

@@ -2,19 +2,8 @@ package relational
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 )
-
-// rel is an intermediate relation of the row oracle: column bindings (for
-// name resolution) and materialised rows.
-type rel struct {
-	cols []colBinding
-	rows []Row
-}
-
-func (r *rel) env() *evalEnv { return &evalEnv{cols: r.cols} }
 
 // execSelect runs a SELECT (or a UNION chain) to its end: the drain of its
 // walk. The caller holds the database lock. Subqueries are materialised first
@@ -54,10 +43,8 @@ func grouped(s *SelectStmt, items []SelectItem) bool {
 // blocking is one walk over its FROM rows, cut by OFFSET and LIMIT; a
 // blocking one runs its operators here, fed by that walk drained, and the
 // walk over what they built applies DISTINCT's dedupe, OFFSET and LIMIT.
-// With rowExec set the seed row-at-a-time interpreter, kept as the batched
-// executor's test oracle, computes the arm instead.
 func (db *Database) openArm(s *SelectStmt) (*walk, error) {
-	s, err := db.rewriteStmtSubqueries(s)
+	s, err := rewriteStmtSubqueries(s, db.execSelect)
 	if err != nil {
 		return nil, err
 	}
@@ -65,106 +52,35 @@ func (db *Database) openArm(s *SelectStmt) (*walk, error) {
 	if err := db.planFrom(s, &fp); err != nil {
 		return nil, err
 	}
-	block := blocking(s, fp.items)
+	w, err := db.newWalk(s, &fp)
+	if err != nil {
+		return nil, err
+	}
+	if !blocking(s, fp.items) {
+		w.project(fp.items)
+		w.skip, w.left = s.Offset, s.Limit
+		return w, nil
+	}
+	c := getVctx()
+	defer c.release()
+	// The operators' input: the walk's rows, drained (or aliased).
+	in, err := w.rel(c, referencedOrdinals(s, fp.items, w.cols))
+	if err != nil {
+		return nil, err
+	}
 	var out *vecRel
-	if db.rowExec {
-		res, err := db.execSelectArmRows(s, &fp, block)
-		if err != nil {
-			return nil, err
-		}
-		if out = rowsRel(res); !block {
-			return db.heldWalk(out, res.Columns, 0, -1), nil
-		}
+	if grouped(s, fp.items) {
+		out, err = db.execGroupedVec(c, s, fp.items, in)
 	} else {
-		w, err := db.newWalk(s, &fp)
-		if err != nil {
-			return nil, err
-		}
-		if !block {
-			w.project(fp.items)
-			w.skip, w.left = s.Offset, s.Limit
-			return w, nil
-		}
-		c := getVctx()
-		defer c.release()
-		// The operators' input: the walk's rows, drained (or aliased).
-		in, err := w.rel(c, referencedOrdinals(s, fp.items, w.cols))
-		switch {
-		case err != nil:
-		case grouped(s, fp.items):
-			out, err = execGroupedVec(c, s, fp.items, in)
-		default:
-			out, err = sortVec(c, s, fp.items, db.relWalk(in, nil))
-		}
-		if err != nil {
-			return nil, err
-		}
+		out, err = sortVec(c, s, fp.items, db.relWalk(in, nil))
+	}
+	if err != nil {
+		return nil, err
 	}
 	if s.Distinct {
 		out = dedupe(out)
 	}
 	return db.heldWalk(out, itemNames(fp.items), s.Offset, s.Limit), nil
-}
-
-// execSelectArmRows is the seed row-at-a-time interpreter, retained as the
-// oracle the batched executor is property-tested against. It evaluates with
-// the scalar evaluator (expr.go) over the same FROM rows in the same order —
-// one table's rows (those the plan's index access reaches, found by reading
-// every slot), or the joined relation — and walks them once: filter, then
-// OFFSET, then projection, stopping at the LIMIT, so a row the walk does not
-// reach cannot fail the statement. A blocking arm (block) keeps every row that passes the
-// filter and returns its operators' whole output instead, before DISTINCT,
-// OFFSET and LIMIT, which openArm applies as it does for the batched engine.
-func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (*Result, error) {
-	src, filter, err := db.buildFrom(s, fp)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: itemNames(fp.items)}
-	env := src.env()
-	skip, limit := s.Offset, s.Limit
-	if block {
-		skip, limit = 0, -1
-	}
-	var kept []Row
-	for _, row := range src.rows {
-		if len(res.Rows) == limit {
-			break
-		}
-		env.row = row
-		if filter != nil {
-			v, err := eval(filter, env)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.Truthy(); !ok || !b {
-				continue
-			}
-		}
-		if block {
-			kept = append(kept, row)
-			continue
-		}
-		if skip > 0 {
-			skip--
-			continue
-		}
-		proj := make(Row, len(fp.items))
-		for i, it := range fp.items {
-			if proj[i], err = eval(it.Expr, env); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = append(res.Rows, proj)
-	}
-	if !block {
-		return res, nil
-	}
-	src.rows = kept
-	if grouped(s, fp.items) {
-		return db.execGrouped(s, fp.items, src)
-	}
-	return db.execPlain(s, fp.items, src)
 }
 
 // anyAggregate reports whether any projected expression aggregates.
@@ -230,50 +146,6 @@ func itemNames(items []SelectItem) []string {
 	return names
 }
 
-// execPlain projects without grouping, handling ORDER BY.
-func (db *Database) execPlain(s *SelectStmt, items []SelectItem, src *rel) (*Result, error) {
-	res := &Result{Columns: itemNames(items)}
-	env := src.env()
-
-	type sortable struct {
-		proj Row
-		keys Row
-	}
-	var tagged []sortable
-	aliasOf := aliasMap(items)
-
-	for _, row := range src.rows {
-		env.row = row
-		proj := make(Row, len(items))
-		for i, it := range items {
-			v, err := eval(it.Expr, env)
-			if err != nil {
-				return nil, err
-			}
-			proj[i] = v
-		}
-		if len(s.OrderBy) == 0 {
-			res.Rows = append(res.Rows, proj)
-			continue
-		}
-		keys, err := orderKeys(s.OrderBy, env, aliasOf, proj)
-		if err != nil {
-			return nil, err
-		}
-		tagged = append(tagged, sortable{proj: proj, keys: keys})
-	}
-
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(tagged, func(i, j int) bool {
-			return orderLess(tagged[i].keys, tagged[j].keys, s.OrderBy)
-		})
-		for _, t := range tagged {
-			res.Rows = append(res.Rows, t.proj)
-		}
-	}
-	return res, nil
-}
-
 // aliasMap maps lower-cased select aliases to projected ordinals.
 func aliasMap(items []SelectItem) map[string]int {
 	m := make(map[string]int, len(items))
@@ -285,156 +157,8 @@ func aliasMap(items []SelectItem) map[string]int {
 	return m
 }
 
-// orderKeys evaluates ORDER BY key expressions; a bare identifier matching a
-// select alias uses the projected value.
-func orderKeys(order []OrderItem, env *evalEnv, aliasOf map[string]int, proj Row) (Row, error) {
-	keys := make(Row, len(order))
-	for i, oi := range order {
-		if cr, ok := oi.Expr.(*ColRef); ok && cr.Table == "" {
-			if ord, hit := aliasOf[strings.ToLower(cr.Name)]; hit {
-				keys[i] = proj[ord]
-				continue
-			}
-		}
-		// ORDER BY <n> selects the n-th output column.
-		if lit, ok := oi.Expr.(*Literal); ok && lit.Val.Kind == TypeInt && !lit.Val.Null {
-			ord := int(lit.Val.Int)
-			if ord < 1 || ord > len(proj) {
-				return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", ord)
-			}
-			keys[i] = proj[ord-1]
-			continue
-		}
-		v, err := eval(oi.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
-}
-
-func orderLess(a, b Row, order []OrderItem) bool {
-	for i, oi := range order {
-		c := Compare(a[i], b[i])
-		if c == 0 {
-			continue
-		}
-		if oi.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-// execGrouped implements GROUP BY / HAVING / aggregate projection. With no
-// GROUP BY, all rows form one group (and an empty input yields one group of
-// zero rows, per SQL).
-func (db *Database) execGrouped(s *SelectStmt, items []SelectItem, src *rel) (*Result, error) {
-	res := &Result{Columns: itemNames(items)}
-
-	aggCalls := collectAggCalls(s, items)
-
-	// Partition rows into groups.
-	env := src.env()
-	type group struct {
-		rows []Row
-	}
-	groups := make(map[string]*group)
-	var orderOfGroups []string
-	for _, row := range src.rows {
-		env.row = row
-		key := ""
-		if len(s.GroupBy) > 0 {
-			vals := make([]Value, len(s.GroupBy))
-			for i, ge := range s.GroupBy {
-				v, err := eval(ge, env)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			key = encodeKey(vals)
-		}
-		g, ok := groups[key]
-		if !ok {
-			g = &group{}
-			groups[key] = g
-			orderOfGroups = append(orderOfGroups, key)
-		}
-		g.rows = append(g.rows, row)
-	}
-	if len(s.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{}
-		orderOfGroups = append(orderOfGroups, "")
-	}
-
-	aliasOf := aliasMap(items)
-	type sortable struct {
-		proj Row
-		keys Row
-	}
-	var tagged []sortable
-
-	for _, key := range orderOfGroups {
-		g := groups[key]
-		aggs := make(map[string]Value, len(aggCalls))
-		for _, f := range aggCalls {
-			v, err := computeAggregate(f, g.rows, src)
-			if err != nil {
-				return nil, err
-			}
-			aggs[f.String()] = v
-		}
-		genv := &evalEnv{cols: src.cols, aggs: aggs}
-		if len(g.rows) > 0 {
-			genv.row = g.rows[0]
-		} else {
-			genv.row = make(Row, len(src.cols)) // all NULLs
-		}
-		if s.Having != nil {
-			v, err := eval(s.Having, genv)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.Truthy(); !ok || !b {
-				continue
-			}
-		}
-		proj := make(Row, len(items))
-		for i, it := range items {
-			v, err := eval(it.Expr, genv)
-			if err != nil {
-				return nil, err
-			}
-			proj[i] = v
-		}
-		if len(s.OrderBy) == 0 {
-			res.Rows = append(res.Rows, proj)
-			continue
-		}
-		keys, err := orderKeys(s.OrderBy, genv, aliasOf, proj)
-		if err != nil {
-			return nil, err
-		}
-		tagged = append(tagged, sortable{proj: proj, keys: keys})
-	}
-
-	if len(s.OrderBy) > 0 {
-		sort.SliceStable(tagged, func(i, j int) bool {
-			return orderLess(tagged[i].keys, tagged[j].keys, s.OrderBy)
-		})
-		for _, t := range tagged {
-			res.Rows = append(res.Rows, t.proj)
-		}
-	}
-	return res, nil
-}
-
 // collectAggCalls gathers every distinct aggregate call appearing in the
-// select items, HAVING, and ORDER BY, deduplicated by rendered text (shared
-// by the row and batched group-by implementations).
+// select items, HAVING, and ORDER BY, deduplicated by rendered text.
 func collectAggCalls(s *SelectStmt, items []SelectItem) []*FuncCall {
 	var aggCalls []*FuncCall
 	seenAgg := make(map[string]bool)
@@ -493,78 +217,6 @@ func findAggregates(e Expr) []*FuncCall {
 	return out
 }
 
-// computeAggregate evaluates one aggregate call over a group's rows.
-func computeAggregate(f *FuncCall, rows []Row, src *rel) (Value, error) {
-	env := src.env()
-	if f.Star { // COUNT(*)
-		return IntValue(int64(len(rows))), nil
-	}
-	arg := f.Args[0]
-	var vals []Value
-	seen := make(map[string]bool)
-	for _, row := range rows {
-		env.row = row
-		v, err := eval(arg, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if v.Null {
-			continue // aggregates skip NULLs
-		}
-		if f.Distinct {
-			k := encodeKey([]Value{v})
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		vals = append(vals, v)
-	}
-	switch f.Name {
-	case "COUNT":
-		return IntValue(int64(len(vals))), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return NullValue(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := Compare(v, best)
-			if (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return NullValue(), nil
-		}
-		allInt := true
-		var fsum float64
-		var isum int64
-		for _, v := range vals {
-			fv, ok := v.AsFloat()
-			if !ok {
-				return Value{}, fmt.Errorf("sql: %s over non-numeric values", f.Name)
-			}
-			fsum += fv
-			if v.Kind == TypeInt {
-				isum += v.Int
-			} else {
-				allInt = false
-			}
-		}
-		if f.Name == "SUM" {
-			if allInt {
-				return IntValue(isum), nil
-			}
-			return FloatValue(fsum), nil
-		}
-		return FloatValue(fsum / float64(len(vals))), nil
-	}
-	return Value{}, fmt.Errorf("sql: unknown aggregate %s", f.Name)
-}
-
 // ---- FROM clause construction (scans + joins with pushdown) ----
 
 // scanSpec is one FROM/JOIN table reference resolved: its table, the filter
@@ -601,8 +253,8 @@ type fromPlan struct {
 	items   []SelectItem
 }
 
-// planFrom resolves s's FROM clause into fp. The executor, the row oracle and
-// EXPLAIN all read their plan from it.
+// planFrom resolves s's FROM clause into fp. The executor, EXPLAIN and the
+// test oracle all read their plan from it.
 func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) error {
 	if len(s.From) == 0 {
 		fp.filter = s.Where
@@ -672,88 +324,6 @@ func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) error {
 	var err error
 	fp.items, err = expandStars(s.Items, fp.allCols, fp.names)
 	return err
-}
-
-// buildFrom materialises the row oracle's FROM rows and returns the filter
-// its walk evaluates over them: one table's rows under the whole WHERE
-// clause, or the joined relation of scans that each applied their own filter
-// under fp.filter. A scan reads every slot whatever the plan's access: where
-// the plan reads through an index, the oracle keeps the rows for which the
-// conjuncts the access answers are TRUE, evaluated here, so it reaches the
-// rows the executor's candidates should be without reading the index.
-func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
-	if len(fp.specs) == 0 {
-		// SELECT without FROM: one empty row.
-		return &rel{rows: []Row{{}}}, fp.filter, nil
-	}
-	scanOne := func(sp *scanSpec, filter Expr) (*rel, error) {
-		r := &rel{}
-		b := strings.ToLower(sp.ref.Binding())
-		for _, c := range sp.t.schema.Columns {
-			r.cols = append(r.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
-		}
-		env := r.env()
-		keep := slices.Clip(sp.acc.conjs)
-		if filter != nil {
-			keep = append(keep, filter)
-		}
-		var evalErr error
-		sp.t.scan(func(_ int, row Row) bool {
-			env.row = row
-			for _, e := range keep {
-				v, err := eval(e, env)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if b, ok := v.Truthy(); !ok || !b {
-					return true
-				}
-			}
-			r.rows = append(r.rows, row.Clone())
-			return true
-		})
-		return r, evalErr
-	}
-	if len(fp.specs) == 1 {
-		r, err := scanOne(&fp.specs[0], nil)
-		return r, fp.specs[0].filter, err
-	}
-
-	cur, err := scanOne(&fp.specs[0], fp.specs[0].filter)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Comma-joined FROM tables: cross products (fp.filter applies later).
-	for i := 1; i < len(s.From); i++ {
-		right, err := scanOne(&fp.specs[i], fp.specs[i].filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur = crossJoin(cur, right)
-	}
-	// Explicit JOIN clauses.
-	for ji, jc := range s.Joins {
-		sp := &fp.specs[len(s.From)+ji]
-		right, err := scanOne(sp, sp.filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch jc.Kind {
-		case "CROSS":
-			cur = crossJoin(cur, right)
-		case "INNER":
-			cur, err = innerJoin(cur, right, jc.On)
-		case "LEFT":
-			cur, err = leftJoin(cur, right, jc.On)
-		default:
-			err = fmt.Errorf("sql: unsupported join kind %s", jc.Kind)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return cur, fp.filter, nil
 }
 
 // singleBinding reports whether every column in the expression resolves to
@@ -847,26 +417,6 @@ func andAll(exprs []Expr) Expr {
 	return e
 }
 
-func joinedRel(l, r *rel) *rel {
-	return &rel{cols: append(append([]colBinding(nil), l.cols...), r.cols...)}
-}
-
-func concatRows(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func crossJoin(l, r *rel) *rel {
-	out := joinedRel(l, r)
-	for _, lr := range l.rows {
-		for _, rr := range r.rows {
-			out.rows = append(out.rows, concatRows(lr, rr))
-		}
-	}
-	return out
-}
-
 // equiKeys extracts `left = right` column pairs from an ON expression when
 // the whole condition is a conjunction of such equalities, enabling a hash
 // join. Returns nil when the shape doesn't match.
@@ -881,16 +431,16 @@ func equiKeys(on Expr, lcols, rcols []colBinding) (lk, rk []int) {
 		if !lok || !rok {
 			return nil, nil
 		}
-		li, lerr := (&evalEnv{cols: lcols}).resolve(lc)
-		ri, rerr := (&evalEnv{cols: rcols}).resolve(rc)
+		li, lerr := resolveCol(lcols, lc)
+		ri, rerr := resolveCol(rcols, rc)
 		if lerr == nil && rerr == nil {
 			lk = append(lk, li)
 			rk = append(rk, ri)
 			continue
 		}
 		// Try swapped sides.
-		li, lerr = (&evalEnv{cols: lcols}).resolve(rc)
-		ri, rerr = (&evalEnv{cols: rcols}).resolve(lc)
+		li, lerr = resolveCol(lcols, rc)
+		ri, rerr = resolveCol(rcols, lc)
 		if lerr == nil && rerr == nil {
 			lk = append(lk, li)
 			rk = append(rk, ri)
@@ -899,84 +449,4 @@ func equiKeys(on Expr, lcols, rcols []colBinding) (lk, rk []int) {
 		return nil, nil
 	}
 	return lk, rk
-}
-
-func innerJoin(l, r *rel, on Expr) (*rel, error) {
-	out := joinedRel(l, r)
-	if lk, rk := equiKeys(on, l.cols, r.cols); lk != nil {
-		// Hash join.
-		ht := make(map[string][]Row, len(r.rows))
-		for _, rr := range r.rows {
-			vals := make([]Value, len(rk))
-			null := false
-			for i, ord := range rk {
-				vals[i] = rr[ord]
-				null = null || rr[ord].Null
-			}
-			if null {
-				continue
-			}
-			k := encodeKey(vals)
-			ht[k] = append(ht[k], rr)
-		}
-		for _, lr := range l.rows {
-			vals := make([]Value, len(lk))
-			null := false
-			for i, ord := range lk {
-				vals[i] = lr[ord]
-				null = null || lr[ord].Null
-			}
-			if null {
-				continue
-			}
-			for _, rr := range ht[encodeKey(vals)] {
-				out.rows = append(out.rows, concatRows(lr, rr))
-			}
-		}
-		return out, nil
-	}
-	// Nested loop fallback for arbitrary ON conditions.
-	env := &evalEnv{cols: out.cols}
-	for _, lr := range l.rows {
-		for _, rr := range r.rows {
-			row := concatRows(lr, rr)
-			env.row = row
-			v, err := eval(on, env)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.Truthy(); ok && b {
-				out.rows = append(out.rows, row)
-			}
-		}
-	}
-	return out, nil
-}
-
-func leftJoin(l, r *rel, on Expr) (*rel, error) {
-	out := joinedRel(l, r)
-	env := &evalEnv{cols: out.cols}
-	nulls := make(Row, len(r.cols))
-	for i := range nulls {
-		nulls[i] = NullValue()
-	}
-	for _, lr := range l.rows {
-		matched := false
-		for _, rr := range r.rows {
-			row := concatRows(lr, rr)
-			env.row = row
-			v, err := eval(on, env)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.Truthy(); ok && b {
-				matched = true
-				out.rows = append(out.rows, row)
-			}
-		}
-		if !matched {
-			out.rows = append(out.rows, concatRows(lr, nulls))
-		}
-	}
-	return out, nil
 }

@@ -2,16 +2,16 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// This file is the batched (vectorized) SELECT executor's operators. It
-// mirrors the row-at-a-time interpreter in exec.go operator for operator —
-// same pushdown, same join dispatch, same group semantics, same output order —
-// but moves data in column vectors of up to vecChunk rows per call. exec.go's
-// execSelectArmRows is retained as the oracle this engine is property-tested
-// against: for any statement, both produce equal Results, or both fail.
+// This file is the batched (vectorized) SELECT executor's operators: joins,
+// ORDER BY, DISTINCT and grouping, moving data in column vectors of up to
+// vecChunk rows per call. A row-at-a-time interpreter in the package's tests
+// is the oracle this engine is checked against: for any statement, both
+// produce equal Results, or both fail.
 
 // vecRel is an intermediate relation in columnar form: one value vector per
 // binding. A nil vector marks a column no expression in the statement
@@ -75,14 +75,12 @@ func (db *Database) newWalk(s *SelectStmt, fp *fromPlan) (*walk, error) {
 // select items (post star expansion, so aggregate arguments are included),
 // WHERE, join ON conditions, GROUP BY, HAVING and ORDER BY. Unmarked
 // columns are never materialised. Unresolvable references are ignored here;
-// evaluation reports them (or not, on empty input) exactly as the
-// interpreter does.
+// evaluation reports them (or not, on empty input).
 func referencedOrdinals(s *SelectStmt, items []SelectItem, allCols []colBinding) []bool {
 	ref := make([]bool, len(allCols))
-	env := &evalEnv{cols: allCols}
 	mark := func(e Expr) {
 		for _, cr := range collectColRefs(e) {
-			if ord, err := env.resolve(cr); err == nil {
+			if ord, err := resolveCol(allCols, cr); err == nil {
 				ref[ord] = true
 				continue
 			}
@@ -186,8 +184,8 @@ func crossJoinVec(l, r *vecRel) *vecRel {
 	return out
 }
 
-// innerJoinVec dispatches exactly like the interpreter: hash join when the
-// ON clause is a conjunction of column equalities, nested loop otherwise.
+// innerJoinVec is a hash join when the ON clause is a conjunction of column
+// equalities across the two sides, a nested loop otherwise.
 func innerJoinVec(c *vctx, l, r *vecRel, on Expr) (*vecRel, error) {
 	lk, rk := equiKeys(on, l.cols, r.cols)
 	if lk == nil {
@@ -242,14 +240,13 @@ func innerJoinVec(c *vctx, l, r *vecRel, on Expr) (*vecRel, error) {
 // nestedJoinVec evaluates an arbitrary ON condition over left×right pairs in
 // chunks, gathering only the columns the condition references. With left
 // set, unmatched left rows are null-extended immediately after their
-// position, matching the interpreter's LEFT JOIN output order.
+// position: LEFT JOIN's output order.
 func nestedJoinVec(c *vctx, l, r *vecRel, on Expr, left bool) (*vecRel, error) {
 	out := joinedVecRel(l, r)
 	comp := compileExpr(on, out.cols)
 	onRef := make([]bool, len(out.cols))
-	env := &evalEnv{cols: out.cols}
 	for _, cr := range collectColRefs(on) {
-		if ord, err := env.resolve(cr); err == nil {
+		if ord, err := resolveCol(out.cols, cr); err == nil {
 			onRef[ord] = true
 		}
 	}
@@ -353,8 +350,8 @@ func nestedJoinVec(c *vctx, l, r *vecRel, on Expr, left bool) (*vecRel, error) {
 // sortVec is ORDER BY over an arm that does not group (and DISTINCT's input,
 // with no ORDER BY): w, a walk over the arm's filtered rows, drained, projects
 // every item and every key that is not an item's alias or ordinal, and the
-// rows are sorted by the interpreter's key semantics (aliases, ordinals,
-// stable sort). It returns the items' columns.
+// rows are sorted stably by the keys (an alias or an ordinal names an item's
+// column). It returns the items' columns.
 func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, error) {
 	exprs := items
 	keys := make([]int, len(s.OrderBy))
@@ -382,7 +379,7 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 	if err != nil {
 		return nil, err
 	}
-	if badOrdinal >= 0 && rel.n > 0 { // the interpreter checks it per row
+	if badOrdinal >= 0 && rel.n > 0 { // an ordinal is checked against a row
 		return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", badOrdinal)
 	}
 	return sortRel(rel, keys, s.OrderBy, len(items)), nil
@@ -446,8 +443,8 @@ func dedupe(rel *vecRel) *vecRel {
 	return &vecRel{vecs: gatherCols(rel.vecs, keep), n: len(keep)}
 }
 
-// rowsRel turns row-major rows into a relation (the row oracle's and
-// EXPLAIN's results, on their way to a walk).
+// rowsRel turns row-major rows into a relation (EXPLAIN's result, on its way
+// to a walk).
 func rowsRel(res *Result) *vecRel {
 	out := &vecRel{vecs: make([][]Value, len(res.Columns)), n: len(res.Rows)}
 	for c := range out.vecs {
@@ -459,9 +456,9 @@ func rowsRel(res *Result) *vecRel {
 	return out
 }
 
-// aggAcc streams one aggregate call for one group, mirroring
-// computeAggregate: NULLs skipped, DISTINCT deduplicated by encoded key,
-// SUM stays integral while every input is integral.
+// aggAcc streams one aggregate call for one group: NULLs skipped, DISTINCT
+// deduplicated by encoded key, SUM stays integral while every input is
+// integral.
 type aggAcc struct {
 	n       int64
 	best    Value
@@ -479,11 +476,11 @@ type vgroup struct {
 }
 
 // execGroupedVec implements GROUP BY / HAVING / aggregate projection with
-// streaming accumulators: one pass over the source builds all groups, then
-// per-group finalisation (HAVING, projection, ORDER BY) reuses the
-// interpreter's scalar evaluator — group counts are small, rows are not.
-func execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*vecRel, error) {
-
+// streaming accumulators: one pass over the source builds all groups. The
+// groups then form one relation — each group's first row's source columns,
+// then one column per aggregate call, bound to the call (aggBinding) — which
+// a walk filters by HAVING and sortVec projects and orders.
+func (db *Database) execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*vecRel, error) {
 	aggCalls := collectAggCalls(s, items)
 	gbComps := make([]vexpr, len(s.GroupBy))
 	for i, ge := range s.GroupBy {
@@ -619,95 +616,51 @@ func execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, src *vecRel) (*v
 		order = append(order, newGroup(-1))
 	}
 
-	// The output: the items' columns, then the ORDER BY keys'.
-	width := len(items)
-	out := &vecRel{vecs: make([][]Value, width+len(s.OrderBy))}
-	for i := range out.vecs {
-		out.vecs[i] = make([]Value, 0, len(order))
+	// The relation of groups (its bindings are appended to a clipped copy of
+	// src's, never into them). The empty group reads NULL source columns.
+	groupRel := &vecRel{cols: slices.Clip(src.cols), n: len(order),
+		vecs: make([][]Value, len(src.cols), len(src.cols)+len(aggCalls))}
+	for ci, vec := range src.vecs {
+		if vec == nil {
+			continue // unreferenced
+		}
+		col := make([]Value, len(order))
+		for gi, g := range order {
+			if col[gi] = NullValue(); g.first >= 0 {
+				col[gi] = vec[g.first]
+			}
+		}
+		groupRel.vecs[ci] = col
 	}
-	keys := make([]int, len(s.OrderBy))
-	for i := range keys {
-		keys[i] = width + i
+	for ai, f := range aggCalls {
+		vec := make([]Value, len(order))
+		for gi, g := range order {
+			vec[gi] = g.accs[ai].result(f, g.rows)
+		}
+		groupRel.cols = append(groupRel.cols, aggBinding(f))
+		groupRel.vecs = append(groupRel.vecs, vec)
 	}
-	aliasOf := aliasMap(items)
-	proj := make(Row, width)
-	for _, g := range order {
-		aggs := make(map[string]Value, len(aggCalls))
-		for ai, f := range aggCalls {
-			var v Value
-			acc := &g.accs[ai]
-			switch {
-			case f.Star:
-				v = IntValue(g.rows)
-			case f.Name == "COUNT":
-				v = IntValue(acc.n)
-			case f.Name == "MIN" || f.Name == "MAX":
-				if acc.hasBest {
-					v = acc.best
-				} else {
-					v = NullValue()
-				}
-			case f.Name == "SUM":
-				switch {
-				case acc.n == 0:
-					v = NullValue()
-				case acc.allInt:
-					v = IntValue(acc.isum)
-				default:
-					v = FloatValue(acc.fsum)
-				}
-			case f.Name == "AVG":
-				if acc.n == 0 {
-					v = NullValue()
-				} else {
-					v = FloatValue(acc.fsum / float64(acc.n))
-				}
-			}
-			aggs[f.String()] = v
+	return sortVec(c, s, items, db.relWalk(groupRel, s.Having))
+}
+
+// result is the aggregate call f's value over a group of rows rows.
+func (acc *aggAcc) result(f *FuncCall, rows int64) Value {
+	switch {
+	case f.Star:
+		return IntValue(rows)
+	case f.Name == "COUNT":
+		return IntValue(acc.n)
+	case f.Name == "MIN" || f.Name == "MAX":
+		if acc.hasBest {
+			return acc.best
 		}
-		genv := &evalEnv{cols: src.cols, aggs: aggs}
-		if g.first >= 0 {
-			row := make(Row, len(src.cols))
-			for ci, vec := range src.vecs {
-				if vec != nil {
-					row[ci] = vec[g.first]
-				} else {
-					row[ci] = NullValue() // unreferenced: never read by eval
-				}
-			}
-			genv.row = row
-		} else {
-			genv.row = make(Row, len(src.cols)) // all NULLs
+	case f.Name == "SUM" && acc.n > 0:
+		if acc.allInt {
+			return IntValue(acc.isum)
 		}
-		if s.Having != nil {
-			v, err := eval(s.Having, genv)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.Truthy(); !ok || !b {
-				continue
-			}
-		}
-		for i, it := range items {
-			v, err := eval(it.Expr, genv)
-			if err != nil {
-				return nil, err
-			}
-			proj[i] = v
-		}
-		for i, v := range proj {
-			out.vecs[i] = append(out.vecs[i], v)
-		}
-		if len(s.OrderBy) > 0 {
-			kr, err := orderKeys(s.OrderBy, genv, aliasOf, proj)
-			if err != nil {
-				return nil, err
-			}
-			for i, v := range kr {
-				out.vecs[width+i] = append(out.vecs[width+i], v)
-			}
-		}
-		out.n++
+		return FloatValue(acc.fsum)
+	case f.Name == "AVG" && acc.n > 0:
+		return FloatValue(acc.fsum / float64(acc.n))
 	}
-	return sortRel(out, keys, s.OrderBy, width), nil
+	return NullValue()
 }

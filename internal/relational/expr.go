@@ -13,29 +13,15 @@ type colBinding struct {
 	name  string
 }
 
-// evalEnv is the environment expressions are evaluated in: the visible
-// column bindings, the current row, optional select-item aliases, and — in
-// the aggregate phase — precomputed aggregate results keyed by the
-// aggregate's rendered text.
-type evalEnv struct {
-	cols    []colBinding
-	row     Row
-	aliases map[string]int   // alias (lower) -> env column ordinal
-	aggs    map[string]Value // e.g. "COUNT(*)" -> value
-}
-
-// resolve maps a column reference to its ordinal in the env.
-func (env *evalEnv) resolve(c *ColRef) (int, error) {
+// resolveCol maps a column reference to its ordinal in cols: by name alone
+// when unqualified (an error if two bindings carry it), by qualifier and name
+// otherwise.
+func resolveCol(cols []colBinding, c *ColRef) (int, error) {
 	tbl := strings.ToLower(c.Table)
 	name := strings.ToLower(c.Name)
 	if tbl == "" {
-		if env.aliases != nil {
-			if ord, ok := env.aliases[name]; ok {
-				return ord, nil
-			}
-		}
 		found := -1
-		for i, b := range env.cols {
+		for i, b := range cols {
 			if b.name == name {
 				if found >= 0 {
 					return 0, fmt.Errorf("sql: ambiguous column %s", c.Name)
@@ -48,7 +34,7 @@ func (env *evalEnv) resolve(c *ColRef) (int, error) {
 		}
 		return found, nil
 	}
-	for i, b := range env.cols {
+	for i, b := range cols {
 		if b.table == tbl && b.name == name {
 			return i, nil
 		}
@@ -56,60 +42,7 @@ func (env *evalEnv) resolve(c *ColRef) (int, error) {
 	return 0, fmt.Errorf("sql: unknown column %s.%s", c.Table, c.Name)
 }
 
-// eval evaluates an expression against the environment.
-func eval(e Expr, env *evalEnv) (Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Val, nil
-	case *ColRef:
-		ord, err := env.resolve(x)
-		if err != nil {
-			return Value{}, err
-		}
-		return env.row[ord], nil
-	case *Unary:
-		return evalUnary(x, env)
-	case *Binary:
-		return evalBinary(x, env)
-	case *IsNull:
-		v, err := eval(x.X, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if x.Negate {
-			return BoolValue(!v.Null), nil
-		}
-		return BoolValue(v.Null), nil
-	case *InList:
-		return evalIn(x, env)
-	case *Between:
-		return evalBetween(x, env)
-	case *Subquery:
-		return Value{}, fmt.Errorf("sql: unresolved subquery (internal error)")
-	case *FuncCall:
-		if x.IsAggregate() {
-			if env.aggs != nil {
-				if v, ok := env.aggs[x.String()]; ok {
-					return v, nil
-				}
-			}
-			return Value{}, fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)
-		}
-		return evalScalarFunc(x, env)
-	}
-	return Value{}, fmt.Errorf("sql: cannot evaluate %T", e)
-}
-
-func evalUnary(x *Unary, env *evalEnv) (Value, error) {
-	v, err := eval(x.X, env)
-	if err != nil {
-		return Value{}, err
-	}
-	return applyUnary(x.Op, v)
-}
-
-// applyUnary applies a unary operator to an evaluated operand (shared by the
-// row interpreter and the batched executor).
+// applyUnary applies a unary operator to an evaluated operand.
 func applyUnary(op string, v Value) (Value, error) {
 	switch op {
 	case "-":
@@ -136,64 +69,9 @@ func applyUnary(op string, v Value) (Value, error) {
 	return Value{}, fmt.Errorf("sql: unknown unary operator %s", op)
 }
 
-func evalBinary(x *Binary, env *evalEnv) (Value, error) {
-	// AND/OR implement three-valued logic with short-circuiting.
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := eval(x.L, env)
-		if err != nil {
-			return Value{}, err
-		}
-		lb, lok := l.Truthy()
-		if x.Op == "AND" {
-			if lok && !lb {
-				return BoolValue(false), nil
-			}
-			r, err := eval(x.R, env)
-			if err != nil {
-				return Value{}, err
-			}
-			rb, rok := r.Truthy()
-			switch {
-			case rok && !rb:
-				return BoolValue(false), nil
-			case lok && rok:
-				return BoolValue(lb && rb), nil
-			default:
-				return NullValue(), nil
-			}
-		}
-		if lok && lb {
-			return BoolValue(true), nil
-		}
-		r, err := eval(x.R, env)
-		if err != nil {
-			return Value{}, err
-		}
-		rb, rok := r.Truthy()
-		switch {
-		case rok && rb:
-			return BoolValue(true), nil
-		case lok && rok:
-			return BoolValue(lb || rb), nil
-		default:
-			return NullValue(), nil
-		}
-	}
-
-	l, err := eval(x.L, env)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := eval(x.R, env)
-	if err != nil {
-		return Value{}, err
-	}
-	return applyBinary(x.Op, l, r)
-}
-
 // applyBinary applies a non-logical binary operator to evaluated operands.
-// Shared by the row interpreter and the batched executor so the two engines
-// cannot drift on operator semantics.
+// The test oracle applies operators through it too, so operator semantics are
+// the one thing the oracle does not check independently.
 func applyBinary(op string, l, r Value) (Value, error) {
 	switch op {
 	case "=", "<>", "<", "<=", ">", ">=":
@@ -281,71 +159,7 @@ func evalArith(op string, l, r Value) (Value, error) {
 	return Value{}, fmt.Errorf("sql: unknown arithmetic operator %s", op)
 }
 
-func evalIn(x *InList, env *evalEnv) (Value, error) {
-	v, err := eval(x.X, env)
-	if err != nil {
-		return Value{}, err
-	}
-	if v.Null {
-		return NullValue(), nil
-	}
-	sawNull := false
-	for _, item := range x.List {
-		iv, err := eval(item, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if iv.Null {
-			sawNull = true
-			continue
-		}
-		if Compare(v, iv) == 0 {
-			return BoolValue(!x.Negate), nil
-		}
-	}
-	if sawNull {
-		return NullValue(), nil
-	}
-	return BoolValue(x.Negate), nil
-}
-
-func evalBetween(x *Between, env *evalEnv) (Value, error) {
-	v, err := eval(x.X, env)
-	if err != nil {
-		return Value{}, err
-	}
-	lo, err := eval(x.Lo, env)
-	if err != nil {
-		return Value{}, err
-	}
-	hi, err := eval(x.Hi, env)
-	if err != nil {
-		return Value{}, err
-	}
-	if v.Null || lo.Null || hi.Null {
-		return NullValue(), nil
-	}
-	in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-	if x.Negate {
-		in = !in
-	}
-	return BoolValue(in), nil
-}
-
-func evalScalarFunc(f *FuncCall, env *evalEnv) (Value, error) {
-	args := make([]Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := eval(a, env)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	return applyScalarFunc(f, args)
-}
-
-// applyScalarFunc applies a scalar function to evaluated arguments (shared by
-// the row interpreter and the batched executor).
+// applyScalarFunc applies a scalar function to evaluated arguments.
 func applyScalarFunc(f *FuncCall, args []Value) (Value, error) {
 	need := func(n int) error {
 		if len(args) != n {

@@ -10,14 +10,14 @@ import (
 // any input must produce statements or an error, never a panic, and a script
 // parse must never half-succeed (statements alongside an error). Successful
 // parses are then round-tripped through the plan cache — the second fetch
-// must be a hit returning an identical statement list — and executed on both
-// the batched and the row-at-a-time engine, which must agree on error
-// presence and, when both succeed, on the result. Every read the batched
-// engine runs is also drained through its iterator a page of 1 and of 7 rows
-// at a time, which must yield Query's rows or fail where Query does: the walk
-// is the only read path, so its resume logic is fuzzed too. A statement that
-// opens with a write the engine does not have (UPDATE, DELETE, DROP and
-// transaction control) must be refused by the parser.
+// must be a hit returning an identical statement list — and executed, every
+// SELECT (and INSERT's SELECT) also on the row oracle, which must agree with
+// the executor on error presence and, when both succeed, on the result. Every
+// read the executor runs is also drained through its iterator a page of 1 and
+// of 7 rows at a time, which must yield Query's rows or fail where Query does:
+// the walk is the only read path, so its resume logic is fuzzed too. A
+// statement that opens with a write the engine does not have (UPDATE, DELETE,
+// DROP and transaction control) must be refused by the parser.
 func FuzzSQLParse(f *testing.F) {
 	seeds := []string{
 		"CREATE TABLE Patient (Id INT PRIMARY KEY, Name VARCHAR(64), Gender CHAR(1))",
@@ -47,6 +47,17 @@ func FuzzSQLParse(f *testing.F) {
 		"CREATE INDEX fa ON f (a); SELECT v FROM f WHERE a > 1 AND a <= 3.5 AND 1 / (a - 1) > 0",
 		"CREATE INDEX fb ON f (b); SELECT a FROM f WHERE b IN (2, NULL, 2.0) OR b BETWEEN '1' AND 3",
 		"SELECT a FROM f WHERE 1 = 1 LIMIT 2 OFFSET 1",
+		// IN lists with items that are not literals, grouped output, empty
+		// groups and computed VALUES.
+		"SELECT a FROM f WHERE b IN (a, NULL, 1 / (a - 2))",
+		"SELECT a FROM f WHERE a IN (2, 1 / (a - 2)) OR a NOT IN (b, a + 0)",
+		"SELECT a, b NOT IN (a + 1, v) FROM f",
+		"SELECT b, COUNT(*) FROM f GROUP BY b HAVING MAX(a) > 1 ORDER BY COUNT(*) DESC, 1",
+		"SELECT b, SUM(a) AS s FROM f GROUP BY b ORDER BY s",
+		"SELECT a, COUNT(*), MIN(v) FROM f WHERE a > 5",
+		"SELECT a, COUNT(*) FROM f WHERE a > 5 GROUP BY a",
+		"SELECT b FROM f GROUP BY b HAVING COUNT(*) > 9 ORDER BY 7",
+		"CREATE TABLE g (x INT, y INT); INSERT INTO g VALUES (1 + 2, 3 * 4); INSERT INTO g SELECT a, b FROM f WHERE a IN (b, 3); SELECT x, SUM(y) FROM g GROUP BY x",
 		// Malformed shapes the parser must reject gracefully.
 		"SELECT FROM",
 		"INSERT Patient",
@@ -102,9 +113,9 @@ func FuzzSQLParse(f *testing.F) {
 			t.Fatalf("cache returned a different statement list for %q", src)
 		}
 
-		// Differential execution: the same script on the batched and the
-		// row-at-a-time engine, over a tiny shared schema, must agree on
-		// error presence and on the final result. Gate out inputs whose
+		// Differential execution: the script over a tiny schema, every read
+		// also on the row oracle, which must agree with the executor on
+		// error presence and on the result. Gate out inputs whose
 		// cartesian cost could explode (many FROM sources / commas / rows):
 		// the fuzzer would otherwise discover multi-way cross joins that
 		// trip the per-input hang timeout rather than a real bug.
@@ -113,27 +124,16 @@ func FuzzSQLParse(f *testing.F) {
 		if len(src) > 300 || cost > 4 {
 			return
 		}
-		row := NewDatabase("fuzz-row", DialectOracle)
-		row.rowExec = true
 		const schema = `
 CREATE TABLE f (a INT, b INT, v VARCHAR(8));
 INSERT INTO f VALUES (1, 2, 'x');
 INSERT INTO f VALUES (2, NULL, 'y');
 INSERT INTO f VALUES (3, 2, NULL);
 `
-		for _, db := range []*Database{vec, row} {
-			if _, err := db.ExecScript(schema); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := vec.ExecScript(schema); err != nil {
+			t.Fatal(err)
 		}
-		rv, errV := execPaged(t, vec, src)
-		rr, errR := row.ExecScript(src)
-		if (errV != nil) != (errR != nil) {
-			t.Fatalf("engines disagree on error for %q:\n  vec: %v\n  row: %v", src, errV, errR)
-		}
-		if errV == nil && !reflect.DeepEqual(rv, rr) {
-			t.Fatalf("engines disagree on result for %q:\nvec: %+v\nrow: %+v", src, rv, rr)
-		}
+		execPaged(t, vec, src)
 	})
 }
 
@@ -141,17 +141,26 @@ INSERT INTO f VALUES (3, 2, NULL);
 // statement: the engine's tables are loaded, then only read.
 var retired = map[string]bool{"UPDATE": true, "DELETE": true, "DROP": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true}
 
-// execPaged is ExecScript on db, except that every SELECT and EXPLAIN is
-// also drained through QueryRows' iterator at pages of 1 and 7 rows, which
-// must agree with the statement's result (or fail where it fails).
-func execPaged(t *testing.T, db *Database, src string) (*Result, error) {
+// execPaged is ExecScript on db, up to the first statement that fails,
+// except that every SELECT and EXPLAIN is also drained through QueryRows'
+// iterator at pages of 1 and 7 rows, which must agree with the statement's
+// result (or fail where it fails), and every SELECT, an INSERT's included, is
+// also run on the row oracle, which must agree with the executor.
+func execPaged(t *testing.T, db *Database, src string) {
 	stmts, err := db.parseCached(src)
 	if err != nil {
-		return nil, err
+		return
 	}
-	var last *Result
 	for _, stmt := range stmts {
-		last, err = db.ExecStmt(stmt)
+		switch s := stmt.(type) {
+		case *SelectStmt:
+			checkOracleStmt(t, db, src, s)
+		case *InsertStmt:
+			if s.Query != nil {
+				checkOracleStmt(t, db, src, s.Query)
+			}
+		}
+		last, err := db.ExecStmt(stmt)
 		switch stmt.(type) {
 		case *SelectStmt, *ExplainStmt:
 			for _, page := range []int{1, 7} {
@@ -169,8 +178,20 @@ func execPaged(t *testing.T, db *Database, src string) (*Result, error) {
 			}
 		}
 		if err != nil {
-			return nil, err
+			return
 		}
 	}
-	return last, nil
+}
+
+// checkOracleStmt runs one SELECT of the script src on the executor and on
+// the row oracle, which must agree on error presence and on the result.
+func checkOracleStmt(t *testing.T, db *Database, src string, s *SelectStmt) {
+	rv, errV := db.ExecStmt(s)
+	rr, errR := db.oracleStmt(s)
+	if (errV != nil) != (errR != nil) {
+		t.Fatalf("engines disagree on error for %q:\n  vec: %v\n  row: %v", src, errV, errR)
+	}
+	if errV == nil && !reflect.DeepEqual(rv, rr) {
+		t.Fatalf("engines disagree on result for %q:\nvec: %+v\nrow: %+v", src, rv, rr)
+	}
 }

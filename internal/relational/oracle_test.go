@@ -1,0 +1,816 @@
+package relational
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+)
+
+// This file is the test oracle: the engine's seed row-at-a-time interpreter,
+// which the batched executor is checked against (exec_oracle_test.go). It
+// evaluates every expression by walking its tree over one materialised row
+// at a time. It shares the parser, the catalog, the plan (planFrom), the
+// operators (apply*), Compare and INSERT with the engine, but none of the
+// compiled expressions (compile.go) nor the walk (rows.go, exec_vec.go):
+// TestOracleSharesNoExecutor keeps it that way.
+
+// oracleQuery runs a SELECT on the oracle, as Query runs it on the executor.
+func (db *Database) oracleQuery(sql string) (*Result, error) {
+	stmt, err := ParseSQL(sql)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := stmt.(*SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("oracle: %s is not a SELECT", describeStmt(stmt))
+	}
+	return db.oracleStmt(s)
+}
+
+// oracleStmt runs a parsed SELECT on the oracle under the read lock.
+func (db *Database) oracleStmt(s *SelectStmt) (*Result, error) {
+	if err := db.dialect.Check(s); err != nil {
+		return nil, err
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.oracleSelect(s)
+}
+
+// oracleSelect runs a SELECT or a UNION chain: each arm on its own, the rows
+// deduplicated at every plain-UNION boundary, then sorted by the head's ORDER
+// BY (output names or ordinals) and cut by its OFFSET and LIMIT.
+func (db *Database) oracleSelect(s *SelectStmt) (*Result, error) {
+	res, err := db.oracleUnion(s)
+	if err == nil && len(res.Rows) == 0 {
+		res.Rows = nil // as the executor returns no rows
+	}
+	return res, err
+}
+
+func (db *Database) oracleUnion(s *SelectStmt) (*Result, error) {
+	if s.Union == nil {
+		return db.oracleArm(s)
+	}
+	var out *Result
+	prevAll := false
+	for arm := s; arm != nil; arm = arm.Union {
+		armCopy := *arm
+		armCopy.Union, armCopy.OrderBy, armCopy.Limit, armCopy.Offset = nil, nil, -1, 0
+		res, err := db.oracleArm(&armCopy)
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = res
+		} else {
+			if len(res.Columns) != len(out.Columns) {
+				return nil, fmt.Errorf("sql: UNION arms have %d and %d columns", len(out.Columns), len(res.Columns))
+			}
+			out.Rows = append(out.Rows, res.Rows...)
+			if !prevAll {
+				out.Rows = distinctRows(out.Rows)
+			}
+		}
+		prevAll = arm.UnionAll
+	}
+	ords, err := outputOrdinals(out.Columns, s.OrderBy)
+	if err != nil {
+		return nil, err
+	}
+	keyed := make([]Row, len(out.Rows))
+	for i, row := range out.Rows {
+		keyed[i] = make(Row, len(ords))
+		for k, ord := range ords {
+			keyed[i][k] = row[ord]
+		}
+	}
+	sortRows(out.Rows, keyed, s.OrderBy)
+	out.Rows = cutRows(out.Rows, s.Offset, s.Limit)
+	return out, nil
+}
+
+// oracleArm runs one SELECT arm: its subqueries on the oracle first, then
+// execSelectArmRows over the arm's plan, then DISTINCT, OFFSET and LIMIT
+// over what a blocking arm's operators built.
+func (db *Database) oracleArm(s *SelectStmt) (*Result, error) {
+	s, err := rewriteStmtSubqueries(s, db.oracleSelect)
+	if err != nil {
+		return nil, err
+	}
+	var fp fromPlan
+	if err := db.planFrom(s, &fp); err != nil {
+		return nil, err
+	}
+	block := blocking(s, fp.items)
+	res, err := db.execSelectArmRows(s, &fp, block)
+	if err != nil {
+		return nil, err
+	}
+	if block {
+		if s.Distinct {
+			res.Rows = distinctRows(res.Rows)
+		}
+		res.Rows = cutRows(res.Rows, s.Offset, s.Limit)
+	}
+	return res, nil
+}
+
+// distinctRows keeps the first of every set of equal rows.
+func distinctRows(rows []Row) []Row {
+	seen := make(map[string]bool, len(rows))
+	var out []Row
+	for _, row := range rows {
+		if k := encodeKey(row); !seen[k] {
+			seen[k] = true
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// cutRows applies OFFSET and LIMIT (limit < 0: none).
+func cutRows(rows []Row, offset, limit int) []Row {
+	rows = rows[min(offset, len(rows)):]
+	if limit >= 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	return rows
+}
+
+// sortRows sorts rows stably by their ORDER BY keys, keys[i] being rows[i]'s.
+func sortRows(rows, keys []Row, order []OrderItem) {
+	perm := make([]int, len(rows))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(i, j int) bool { return orderLess(keys[perm[i]], keys[perm[j]], order) })
+	sorted := make([]Row, len(rows))
+	for i, p := range perm {
+		sorted[i] = rows[p]
+	}
+	copy(rows, sorted)
+}
+
+// rel is an intermediate relation of the oracle: column bindings (for name
+// resolution) and materialised rows.
+type rel struct {
+	cols []colBinding
+	rows []Row
+}
+
+func (r *rel) env() *evalEnv { return &evalEnv{cols: r.cols} }
+
+// evalEnv is the environment the oracle evaluates an expression in: the
+// visible column bindings, the current row, and — in the aggregate phase —
+// the group's aggregate results keyed by the aggregate's rendered text.
+type evalEnv struct {
+	cols []colBinding
+	row  Row
+	aggs map[string]Value // e.g. "COUNT(*)" -> value
+}
+
+// execSelectArmRows evaluates over the FROM rows in the executor's order — one
+// table's rows (those the plan's index access reaches, found by reading every
+// slot), or the joined relation — and walks them once: filter, then OFFSET,
+// then projection, stopping at the LIMIT, so a row the walk does not reach
+// cannot fail the statement. A blocking arm (block) keeps every row that
+// passes the filter and returns its operators' whole output instead, before
+// DISTINCT, OFFSET and LIMIT, which oracleArm applies.
+func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (*Result, error) {
+	src, filter, err := db.buildFrom(s, fp)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: itemNames(fp.items)}
+	env := src.env()
+	skip, limit := s.Offset, s.Limit
+	if block {
+		skip, limit = 0, -1
+	}
+	var kept []Row
+	for _, row := range src.rows {
+		if len(res.Rows) == limit {
+			break
+		}
+		env.row = row
+		if filter != nil {
+			v, err := eval(filter, env)
+			if err != nil {
+				return nil, err
+			}
+			if b, ok := v.Truthy(); !ok || !b {
+				continue
+			}
+		}
+		if block {
+			kept = append(kept, row)
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		proj := make(Row, len(fp.items))
+		for i, it := range fp.items {
+			if proj[i], err = eval(it.Expr, env); err != nil {
+				return nil, err
+			}
+		}
+		res.Rows = append(res.Rows, proj)
+	}
+	if !block {
+		return res, nil
+	}
+	src.rows = kept
+	if grouped(s, fp.items) {
+		return db.execGrouped(s, fp.items, src)
+	}
+	return db.execPlain(s, fp.items, src)
+}
+
+// execPlain projects without grouping, handling ORDER BY.
+func (db *Database) execPlain(s *SelectStmt, items []SelectItem, src *rel) (*Result, error) {
+	res := &Result{Columns: itemNames(items)}
+	env := src.env()
+
+	var keys []Row
+	aliasOf := aliasMap(items)
+
+	for _, row := range src.rows {
+		env.row = row
+		proj := make(Row, len(items))
+		for i, it := range items {
+			v, err := eval(it.Expr, env)
+			if err != nil {
+				return nil, err
+			}
+			proj[i] = v
+		}
+		res.Rows = append(res.Rows, proj)
+		if len(s.OrderBy) == 0 {
+			continue
+		}
+		k, err := orderKeys(s.OrderBy, env, aliasOf, proj)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, k)
+	}
+	if len(s.OrderBy) > 0 {
+		sortRows(res.Rows, keys, s.OrderBy)
+	}
+	return res, nil
+}
+
+// orderKeys evaluates ORDER BY key expressions; a bare identifier matching a
+// select alias uses the projected value.
+func orderKeys(order []OrderItem, env *evalEnv, aliasOf map[string]int, proj Row) (Row, error) {
+	keys := make(Row, len(order))
+	for i, oi := range order {
+		if cr, ok := oi.Expr.(*ColRef); ok && cr.Table == "" {
+			if ord, hit := aliasOf[strings.ToLower(cr.Name)]; hit {
+				keys[i] = proj[ord]
+				continue
+			}
+		}
+		// ORDER BY <n> selects the n-th output column.
+		if lit, ok := oi.Expr.(*Literal); ok && lit.Val.Kind == TypeInt && !lit.Val.Null {
+			ord := int(lit.Val.Int)
+			if ord < 1 || ord > len(proj) {
+				return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", ord)
+			}
+			keys[i] = proj[ord-1]
+			continue
+		}
+		v, err := eval(oi.Expr, env)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = v
+	}
+	return keys, nil
+}
+
+func orderLess(a, b Row, order []OrderItem) bool {
+	for i, oi := range order {
+		c := Compare(a[i], b[i])
+		if c == 0 {
+			continue
+		}
+		if oi.Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
+}
+
+// execGrouped implements GROUP BY / HAVING / aggregate projection. With no
+// GROUP BY, all rows form one group (and an empty input yields one group of
+// zero rows, whose columns read NULL, per SQL).
+func (db *Database) execGrouped(s *SelectStmt, items []SelectItem, src *rel) (*Result, error) {
+	res := &Result{Columns: itemNames(items)}
+
+	aggCalls := collectAggCalls(s, items)
+
+	// Partition rows into groups.
+	env := src.env()
+	type group struct {
+		rows []Row
+	}
+	groups := make(map[string]*group)
+	var orderOfGroups []string
+	for _, row := range src.rows {
+		env.row = row
+		key := ""
+		if len(s.GroupBy) > 0 {
+			vals := make([]Value, len(s.GroupBy))
+			for i, ge := range s.GroupBy {
+				v, err := eval(ge, env)
+				if err != nil {
+					return nil, err
+				}
+				vals[i] = v
+			}
+			key = encodeKey(vals)
+		}
+		g, ok := groups[key]
+		if !ok {
+			g = &group{}
+			groups[key] = g
+			orderOfGroups = append(orderOfGroups, key)
+		}
+		g.rows = append(g.rows, row)
+	}
+	if len(s.GroupBy) == 0 && len(groups) == 0 {
+		groups[""] = &group{}
+		orderOfGroups = append(orderOfGroups, "")
+	}
+
+	aliasOf := aliasMap(items)
+	var keys []Row
+	for _, key := range orderOfGroups {
+		g := groups[key]
+		aggs := make(map[string]Value, len(aggCalls))
+		for _, f := range aggCalls {
+			v, err := computeAggregate(f, g.rows, src)
+			if err != nil {
+				return nil, err
+			}
+			aggs[f.String()] = v
+		}
+		genv := &evalEnv{cols: src.cols, aggs: aggs}
+		if len(g.rows) > 0 {
+			genv.row = g.rows[0]
+		} else {
+			genv.row = slices.Repeat(Row{NullValue()}, len(src.cols))
+		}
+		if s.Having != nil {
+			v, err := eval(s.Having, genv)
+			if err != nil {
+				return nil, err
+			}
+			if b, ok := v.Truthy(); !ok || !b {
+				continue
+			}
+		}
+		proj := make(Row, len(items))
+		for i, it := range items {
+			v, err := eval(it.Expr, genv)
+			if err != nil {
+				return nil, err
+			}
+			proj[i] = v
+		}
+		res.Rows = append(res.Rows, proj)
+		if len(s.OrderBy) == 0 {
+			continue
+		}
+		k, err := orderKeys(s.OrderBy, genv, aliasOf, proj)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, k)
+	}
+	if len(s.OrderBy) > 0 {
+		sortRows(res.Rows, keys, s.OrderBy)
+	}
+	return res, nil
+}
+
+// computeAggregate evaluates one aggregate call over a group's rows.
+func computeAggregate(f *FuncCall, rows []Row, src *rel) (Value, error) {
+	env := src.env()
+	if f.Star { // COUNT(*)
+		return IntValue(int64(len(rows))), nil
+	}
+	arg := f.Args[0]
+	var vals []Value
+	seen := make(map[string]bool)
+	for _, row := range rows {
+		env.row = row
+		v, err := eval(arg, env)
+		if err != nil {
+			return Value{}, err
+		}
+		if v.Null {
+			continue // aggregates skip NULLs
+		}
+		if f.Distinct {
+			k := encodeKey([]Value{v})
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		vals = append(vals, v)
+	}
+	switch f.Name {
+	case "COUNT":
+		return IntValue(int64(len(vals))), nil
+	case "MIN", "MAX":
+		if len(vals) == 0 {
+			return NullValue(), nil
+		}
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c := Compare(v, best)
+			if (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
+				best = v
+			}
+		}
+		return best, nil
+	case "SUM", "AVG":
+		if len(vals) == 0 {
+			return NullValue(), nil
+		}
+		allInt := true
+		var fsum float64
+		var isum int64
+		for _, v := range vals {
+			fv, ok := v.AsFloat()
+			if !ok {
+				return Value{}, fmt.Errorf("sql: %s over non-numeric values", f.Name)
+			}
+			fsum += fv
+			if v.Kind == TypeInt {
+				isum += v.Int
+			} else {
+				allInt = false
+			}
+		}
+		if f.Name == "SUM" {
+			if allInt {
+				return IntValue(isum), nil
+			}
+			return FloatValue(fsum), nil
+		}
+		return FloatValue(fsum / float64(len(vals))), nil
+	}
+	return Value{}, fmt.Errorf("sql: unknown aggregate %s", f.Name)
+}
+
+// buildFrom materialises the oracle's FROM rows and returns the filter its
+// walk evaluates over them: one table's rows under the whole WHERE clause, or
+// the joined relation of scans that each applied their own filter under
+// fp.filter. A scan reads every slot whatever the plan's access: where the
+// plan reads through an index, the oracle keeps the rows for which the
+// conjuncts the access answers are TRUE, evaluated here, so it reaches the
+// rows the executor's candidates should be without reading the index.
+func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
+	if len(fp.specs) == 0 {
+		// SELECT without FROM: one empty row.
+		return &rel{rows: []Row{{}}}, fp.filter, nil
+	}
+	scanOne := func(sp *scanSpec, filter Expr) (*rel, error) {
+		r := &rel{}
+		b := strings.ToLower(sp.ref.Binding())
+		for _, c := range sp.t.schema.Columns {
+			r.cols = append(r.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
+		}
+		env := r.env()
+		keep := slices.Clip(sp.acc.conjs)
+		if filter != nil {
+			keep = append(keep, filter)
+		}
+		var evalErr error
+		sp.t.scan(func(_ int, row Row) bool {
+			env.row = row
+			for _, e := range keep {
+				v, err := eval(e, env)
+				if err != nil {
+					evalErr = err
+					return false
+				}
+				if b, ok := v.Truthy(); !ok || !b {
+					return true
+				}
+			}
+			r.rows = append(r.rows, row.Clone())
+			return true
+		})
+		return r, evalErr
+	}
+	if len(fp.specs) == 1 {
+		r, err := scanOne(&fp.specs[0], nil)
+		return r, fp.specs[0].filter, err
+	}
+
+	cur, err := scanOne(&fp.specs[0], fp.specs[0].filter)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Comma-joined FROM tables: cross products (fp.filter applies later).
+	for i := 1; i < len(s.From); i++ {
+		right, err := scanOne(&fp.specs[i], fp.specs[i].filter)
+		if err != nil {
+			return nil, nil, err
+		}
+		cur = crossJoin(cur, right)
+	}
+	// Explicit JOIN clauses.
+	for ji, jc := range s.Joins {
+		sp := &fp.specs[len(s.From)+ji]
+		right, err := scanOne(sp, sp.filter)
+		if err != nil {
+			return nil, nil, err
+		}
+		switch jc.Kind {
+		case "CROSS":
+			cur = crossJoin(cur, right)
+		case "INNER":
+			cur, err = innerJoin(cur, right, jc.On)
+		case "LEFT":
+			cur, err = leftJoin(cur, right, jc.On)
+		default:
+			err = fmt.Errorf("sql: unsupported join kind %s", jc.Kind)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return cur, fp.filter, nil
+}
+
+func joinedRel(l, r *rel) *rel {
+	return &rel{cols: append(append([]colBinding(nil), l.cols...), r.cols...)}
+}
+
+func concatRows(a, b Row) Row {
+	out := make(Row, 0, len(a)+len(b))
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+func crossJoin(l, r *rel) *rel {
+	out := joinedRel(l, r)
+	for _, lr := range l.rows {
+		for _, rr := range r.rows {
+			out.rows = append(out.rows, concatRows(lr, rr))
+		}
+	}
+	return out
+}
+
+func innerJoin(l, r *rel, on Expr) (*rel, error) {
+	out := joinedRel(l, r)
+	if lk, rk := equiKeys(on, l.cols, r.cols); lk != nil {
+		// Hash join.
+		ht := make(map[string][]Row, len(r.rows))
+		for _, rr := range r.rows {
+			vals := make([]Value, len(rk))
+			null := false
+			for i, ord := range rk {
+				vals[i] = rr[ord]
+				null = null || rr[ord].Null
+			}
+			if null {
+				continue
+			}
+			k := encodeKey(vals)
+			ht[k] = append(ht[k], rr)
+		}
+		for _, lr := range l.rows {
+			vals := make([]Value, len(lk))
+			null := false
+			for i, ord := range lk {
+				vals[i] = lr[ord]
+				null = null || lr[ord].Null
+			}
+			if null {
+				continue
+			}
+			for _, rr := range ht[encodeKey(vals)] {
+				out.rows = append(out.rows, concatRows(lr, rr))
+			}
+		}
+		return out, nil
+	}
+	// Nested loop fallback for arbitrary ON conditions.
+	env := &evalEnv{cols: out.cols}
+	for _, lr := range l.rows {
+		for _, rr := range r.rows {
+			row := concatRows(lr, rr)
+			env.row = row
+			v, err := eval(on, env)
+			if err != nil {
+				return nil, err
+			}
+			if b, ok := v.Truthy(); ok && b {
+				out.rows = append(out.rows, row)
+			}
+		}
+	}
+	return out, nil
+}
+
+func leftJoin(l, r *rel, on Expr) (*rel, error) {
+	out := joinedRel(l, r)
+	env := &evalEnv{cols: out.cols}
+	nulls := make(Row, len(r.cols))
+	for i := range nulls {
+		nulls[i] = NullValue()
+	}
+	for _, lr := range l.rows {
+		matched := false
+		for _, rr := range r.rows {
+			row := concatRows(lr, rr)
+			env.row = row
+			v, err := eval(on, env)
+			if err != nil {
+				return nil, err
+			}
+			if b, ok := v.Truthy(); ok && b {
+				matched = true
+				out.rows = append(out.rows, row)
+			}
+		}
+		if !matched {
+			out.rows = append(out.rows, concatRows(lr, nulls))
+		}
+	}
+	return out, nil
+}
+
+// eval evaluates an expression against the environment.
+func eval(e Expr, env *evalEnv) (Value, error) {
+	switch x := e.(type) {
+	case *Literal:
+		return x.Val, nil
+	case *ColRef:
+		ord, err := resolveCol(env.cols, x)
+		if err != nil {
+			return Value{}, err
+		}
+		return env.row[ord], nil
+	case *Unary:
+		v, err := eval(x.X, env)
+		if err != nil {
+			return Value{}, err
+		}
+		return applyUnary(x.Op, v)
+	case *Binary:
+		return evalBinary(x, env)
+	case *IsNull:
+		v, err := eval(x.X, env)
+		if err != nil {
+			return Value{}, err
+		}
+		if x.Negate {
+			return BoolValue(!v.Null), nil
+		}
+		return BoolValue(v.Null), nil
+	case *InList:
+		return evalIn(x, env)
+	case *Between:
+		return evalBetween(x, env)
+	case *Subquery:
+		return Value{}, fmt.Errorf("sql: unresolved subquery (internal error)")
+	case *FuncCall:
+		if x.IsAggregate() {
+			if v, ok := env.aggs[x.String()]; ok {
+				return v, nil
+			}
+			return Value{}, fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)
+		}
+		args := make([]Value, len(x.Args))
+		for i, a := range x.Args {
+			v, err := eval(a, env)
+			if err != nil {
+				return Value{}, err
+			}
+			args[i] = v
+		}
+		return applyScalarFunc(x, args)
+	}
+	return Value{}, fmt.Errorf("sql: cannot evaluate %T", e)
+}
+
+func evalBinary(x *Binary, env *evalEnv) (Value, error) {
+	// AND/OR implement three-valued logic with short-circuiting.
+	if x.Op == "AND" || x.Op == "OR" {
+		l, err := eval(x.L, env)
+		if err != nil {
+			return Value{}, err
+		}
+		lb, lok := l.Truthy()
+		if x.Op == "AND" {
+			if lok && !lb {
+				return BoolValue(false), nil
+			}
+			r, err := eval(x.R, env)
+			if err != nil {
+				return Value{}, err
+			}
+			rb, rok := r.Truthy()
+			switch {
+			case rok && !rb:
+				return BoolValue(false), nil
+			case lok && rok:
+				return BoolValue(lb && rb), nil
+			default:
+				return NullValue(), nil
+			}
+		}
+		if lok && lb {
+			return BoolValue(true), nil
+		}
+		r, err := eval(x.R, env)
+		if err != nil {
+			return Value{}, err
+		}
+		rb, rok := r.Truthy()
+		switch {
+		case rok && rb:
+			return BoolValue(true), nil
+		case lok && rok:
+			return BoolValue(lb || rb), nil
+		default:
+			return NullValue(), nil
+		}
+	}
+
+	l, err := eval(x.L, env)
+	if err != nil {
+		return Value{}, err
+	}
+	r, err := eval(x.R, env)
+	if err != nil {
+		return Value{}, err
+	}
+	return applyBinary(x.Op, l, r)
+}
+
+// evalIn evaluates the list's items in order, stopping at the first match.
+func evalIn(x *InList, env *evalEnv) (Value, error) {
+	v, err := eval(x.X, env)
+	if err != nil {
+		return Value{}, err
+	}
+	if v.Null {
+		return NullValue(), nil
+	}
+	sawNull := false
+	for _, item := range x.List {
+		iv, err := eval(item, env)
+		if err != nil {
+			return Value{}, err
+		}
+		if iv.Null {
+			sawNull = true
+			continue
+		}
+		if Compare(v, iv) == 0 {
+			return BoolValue(!x.Negate), nil
+		}
+	}
+	if sawNull {
+		return NullValue(), nil
+	}
+	return BoolValue(x.Negate), nil
+}
+
+func evalBetween(x *Between, env *evalEnv) (Value, error) {
+	v, err := eval(x.X, env)
+	if err != nil {
+		return Value{}, err
+	}
+	lo, err := eval(x.Lo, env)
+	if err != nil {
+		return Value{}, err
+	}
+	hi, err := eval(x.Hi, env)
+	if err != nil {
+		return Value{}, err
+	}
+	if v.Null || lo.Null || hi.Null {
+		return NullValue(), nil
+	}
+	in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
+	if x.Negate {
+		in = !in
+	}
+	return BoolValue(in), nil
+}

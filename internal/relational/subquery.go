@@ -7,13 +7,15 @@ import (
 
 // rewriteStmtSubqueries replaces Subquery expressions in a SELECT with their
 // materialised results (an IN-list of literals, or a boolean literal for
-// EXISTS). Subqueries are uncorrelated: they are evaluated once against the
-// current database snapshot. The original statement is never mutated.
-func (db *Database) rewriteStmtSubqueries(s *SelectStmt) (*SelectStmt, error) {
+// EXISTS), each the result run returns for it: the executor's execSelect, or
+// the test oracle's own. Subqueries are uncorrelated: they are evaluated once
+// against the current database snapshot. The original statement is never
+// mutated.
+func rewriteStmtSubqueries(s *SelectStmt, run func(*SelectStmt) (*Result, error)) (*SelectStmt, error) {
 	changed := false
 	out := *s
 	rw := func(e Expr) (Expr, error) {
-		ne, ch, err := db.rewriteSubqueries(e)
+		ne, ch, err := rewriteSubqueries(e, run)
 		if err != nil {
 			return nil, err
 		}
@@ -89,12 +91,12 @@ func hasSubquery(e Expr) bool {
 
 // rewriteSubqueries materialises any Subquery nodes. The caller holds the
 // database lock; nested selects run against the same snapshot.
-func (db *Database) rewriteSubqueries(e Expr) (Expr, bool, error) {
+func rewriteSubqueries(e Expr, run func(*SelectStmt) (*Result, error)) (Expr, bool, error) {
 	switch x := e.(type) {
 	case nil:
 		return nil, false, nil
 	case *Subquery:
-		res, err := db.execSelect(x.Select)
+		res, err := run(x.Select)
 		if err != nil {
 			return nil, false, fmt.Errorf("sql: subquery: %w", err)
 		}
@@ -114,11 +116,11 @@ func (db *Database) rewriteSubqueries(e Expr) (Expr, bool, error) {
 		}
 		return in, true, nil
 	case *Binary:
-		l, lc, err := db.rewriteSubqueries(x.L)
+		l, lc, err := rewriteSubqueries(x.L, run)
 		if err != nil {
 			return nil, false, err
 		}
-		r, rc, err := db.rewriteSubqueries(x.R)
+		r, rc, err := rewriteSubqueries(x.R, run)
 		if err != nil {
 			return nil, false, err
 		}
@@ -127,27 +129,27 @@ func (db *Database) rewriteSubqueries(e Expr) (Expr, bool, error) {
 		}
 		return &Binary{Op: x.Op, L: l, R: r}, true, nil
 	case *Unary:
-		in, ch, err := db.rewriteSubqueries(x.X)
+		in, ch, err := rewriteSubqueries(x.X, run)
 		if err != nil || !ch {
 			return x, false, err
 		}
 		return &Unary{Op: x.Op, X: in}, true, nil
 	case *IsNull:
-		in, ch, err := db.rewriteSubqueries(x.X)
+		in, ch, err := rewriteSubqueries(x.X, run)
 		if err != nil || !ch {
 			return x, false, err
 		}
 		return &IsNull{X: in, Negate: x.Negate}, true, nil
 	case *Between:
-		v, vc, err := db.rewriteSubqueries(x.X)
+		v, vc, err := rewriteSubqueries(x.X, run)
 		if err != nil {
 			return nil, false, err
 		}
-		lo, lc, err := db.rewriteSubqueries(x.Lo)
+		lo, lc, err := rewriteSubqueries(x.Lo, run)
 		if err != nil {
 			return nil, false, err
 		}
-		hi, hc, err := db.rewriteSubqueries(x.Hi)
+		hi, hc, err := rewriteSubqueries(x.Hi, run)
 		if err != nil {
 			return nil, false, err
 		}
@@ -156,14 +158,14 @@ func (db *Database) rewriteSubqueries(e Expr) (Expr, bool, error) {
 		}
 		return &Between{X: v, Lo: lo, Hi: hi, Negate: x.Negate}, true, nil
 	case *InList:
-		v, vc, err := db.rewriteSubqueries(x.X)
+		v, vc, err := rewriteSubqueries(x.X, run)
 		if err != nil {
 			return nil, false, err
 		}
 		changed := vc
 		list := x.List
 		for i, item := range x.List {
-			ni, ch, err := db.rewriteSubqueries(item)
+			ni, ch, err := rewriteSubqueries(item, run)
 			if err != nil {
 				return nil, false, err
 			}
@@ -186,7 +188,7 @@ func (db *Database) rewriteSubqueries(e Expr) (Expr, bool, error) {
 		changed := false
 		args := x.Args
 		for i, a := range x.Args {
-			na, ch, err := db.rewriteSubqueries(a)
+			na, ch, err := rewriteSubqueries(a, run)
 			if err != nil {
 				return nil, false, err
 			}
@@ -314,7 +316,7 @@ func (db *Database) explainSelect(s *SelectStmt) (*Result, error) {
 }
 
 func (db *Database) explainArm(s *SelectStmt, inUnion bool, depth int, emit func(int, string, ...any)) error {
-	s, err := db.rewriteStmtSubqueries(s)
+	s, err := rewriteStmtSubqueries(s, db.execSelect)
 	if err != nil {
 		return err
 	}

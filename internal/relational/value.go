@@ -40,7 +40,8 @@ func (t ColType) String() string {
 	return fmt.Sprintf("ColType(%d)", byte(t))
 }
 
-// Value is a single SQL value. The zero Value is NULL.
+// Value is a single SQL value. The zero Value is the integer 0; NULL is
+// NullValue().
 type Value struct {
 	Kind  ColType
 	Null  bool
