@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify loc race stress-cursors stress-orb bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint
+.PHONY: verify loc race stress-cursors stress-orb bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint examples
 
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
@@ -32,8 +32,18 @@ loc:
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
 # race detector (with the cursor and ORB stresses), chaos suite, simulation suite,
-# coverage ratchet, fuzz smoke, and a one-iteration benchmark smoke.
-ci: fmt-check verify race stress-cursors stress-orb chaos sim cover-check fuzz-smoke bench-smoke
+# coverage ratchet, fuzz smoke, a one-iteration benchmark smoke and the examples.
+ci: fmt-check verify race stress-cursors stress-orb chaos sim cover-check fuzz-smoke bench-smoke examples
+
+# examples runs the three example programs and a one-statement wtsh script
+# to completion: they and the shell are the callers of core.Federation's
+# DefineCoalition/AddLink and of Session.ExecScript outside tests and bench,
+# so a run that exits non-zero is a broken federation, not a broken demo.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/federation
+	$(GO) run ./examples/healthcare
+	$(GO) run ./cmd/wtsh -c 'Display Coalitions;'
 
 # chaos runs the fault-injection suites (injected connect failures, latency,
 # drops and resets; retry behaviour; partial-result degradation) under the

@@ -16,7 +16,7 @@
 //	  "orb": "VisiBroker",                 // Orbix|OrbixWeb|VisiBroker
 //	  "listen": "127.0.0.1:9001",          // IIOP endpoint
 //	  "http": "127.0.0.1:8080",            // optional browser UI endpoint
-//	  "naming": "127.0.0.1:9000",          // optional naming service to register with
+//	  "naming": "127.0.0.1:9000",          // optional naming service: registers here, resolves At names
 //	  "information_type": "Research and Medical",
 //	  "documentation": "http://example.org/rbh",
 //	  "schema": "CREATE TABLE t (a INT);", // load script (CREATE TABLE/INDEX, INSERT), or:
@@ -27,10 +27,17 @@
 //	  "min_members": 1,                    // coalition-query quorum (0 = 1)
 //	  "member_timeout_ms": 500,            // per-member fan-out deadline (0 = none)
 //	  "chaos": { "seed": 1, "rules": [...] }, // optional fault-injection plan
-//	  "interface": [ { "name": "T", "functions": [ ... ] } ]
+//	  "interface": [ { "name": "T", "functions": [ ... ] } ],
+//	  "space": "Create Coalition Medical; Join Coalition Medical At \"RBH\";"
 //	}
 //
-// Those twenty keys (with "document_html", "location" and "interface_wtl")
+// "space" is a WebTassili script the node's own session runs once it is up
+// and registered: the coalitions it creates and joins, the service links it
+// holds. Its At clauses name co-databases by IOR or by a database name
+// "naming" resolves, so those nodes must be up first. A failing statement
+// stops the node.
+//
+// Those twenty-one keys (with "document_html", "location" and "interface_wtl")
 // are all a node reads; an unknown key is an error, not ignored. The
 // planner's execution modes (predicate pushdown, cursor streaming, semi-join
 // key pushdown, gossip) are not configurable: every node runs them, with
@@ -68,6 +75,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/naming"
 	"repro/internal/orb"
+	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/trace"
 	"repro/internal/wtl"
@@ -86,6 +94,7 @@ type nodeFile struct {
 	Location        string `json:"location"`
 	Schema          string `json:"schema"`
 	SchemaFile      string `json:"schema_file"`
+	Space           string `json:"space"` // information-space script run at boot
 	// SlowCallMS sets the tracer's slow-call threshold in milliseconds:
 	// spans at least this slow are kept in the slow-call ring
 	// (/debug/trace/slow) and logged. 0 disables the slow-call log.
@@ -233,6 +242,7 @@ func main() {
 		Location:        cfg.Location,
 		Interface:       iface,
 		Schema:          schema,
+		Naming:          cfg.Naming,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -262,34 +272,12 @@ func main() {
 	fmt.Printf("CoDatabase IOR: %s\n", node.Descriptor.CoDBRef)
 
 	if cfg.Naming != "" {
-		// The naming host may still be coming up when a federation is launched
-		// as a batch of processes, so registration retries briefly instead of
-		// failing on the first refused dial.
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			err := func() error {
-				nc, err := naming.ClientFor(o, cfg.Naming)
-				if err != nil {
-					return err
-				}
-				if err := nc.Rebind("WebFINDIT/CoDatabases/"+cfg.Name, node.Descriptor.CoDBRef); err != nil {
-					return fmt.Errorf("register co-database: %w", err)
-				}
-				if err := nc.Rebind("WebFINDIT/ISIs/"+cfg.Name, node.Descriptor.ISIRef); err != nil {
-					return fmt.Errorf("register ISI: %w", err)
-				}
-				return nil
-			}()
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				log.Fatalf("register with naming service: %v", err)
-			}
-			log.Printf("register with naming service: %v (retrying)", err)
-			time.Sleep(200 * time.Millisecond)
-		}
 		log.Printf("registered with naming service at %s", cfg.Naming)
+	}
+	if err := node.NewSession().ExecScript(context.Background(), cfg.Space, func(resp *query.Response) {
+		log.Printf("space: %s", resp.Text)
+	}); err != nil {
+		log.Fatalf("space: %v", err)
 	}
 
 	if cfg.HTTP != "" {

@@ -135,10 +135,15 @@ func freePort(t *testing.T) int {
 	return ln.Addr().(*net.TCPAddr).Port
 }
 
-// TestTwoProcessFederation runs two node processes: the first hosts the
-// naming service, the second registers with it. A third-party client ORB
-// (this test) resolves both through naming and queries their co-databases
-// and data over IIOP — a real multi-process WebFINDIT deployment.
+// TestTwoProcessFederation runs node processes started from config files
+// alone: the first hosts the naming service, the others register with it,
+// and each writes its information space from its "space" script, entering
+// coalitions and naming link targets through naming. Two coalitions joined
+// by a service link result: Medical (RBH) and Research (QUT, then QCF).
+// A third-party client ORB (this test) resolves the nodes through naming
+// and queries their co-databases and data over IIOP, and a statement sent
+// to QCF's browser API reaches Medical through the link — a real
+// multi-process WebFINDIT deployment.
 func TestTwoProcessFederation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping process test")
@@ -149,7 +154,17 @@ func TestTwoProcessFederation(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 
-	start := func(name string, cfg map[string]any, extra ...string) (*exec.Cmd, func() string) {
+	var logs []func() string
+	dump := func() string {
+		var b strings.Builder
+		for _, l := range logs {
+			b.WriteString(l() + "\n")
+		}
+		return b.String()
+	}
+	// start runs a node and waits until its log shows want: the response to
+	// the last statement of its space script.
+	start := func(name string, cfg map[string]any, want string, extra ...string) {
 		t.Helper()
 		data, _ := json.Marshal(cfg)
 		path := filepath.Join(dir, name+".json")
@@ -173,30 +188,56 @@ func TestTwoProcessFederation(t *testing.T) {
 			_, _ = cmd.Process.Wait()
 			logFile.Close()
 		})
-		return cmd, func() string {
+		logs = append(logs, func() string {
 			data, _ := os.ReadFile(logPath)
-			return string(data)
+			return name + ":\n" + string(data)
+		})
+		for deadline := time.Now().Add(15 * time.Second); !strings.Contains(logs[len(logs)-1](), want); {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s did not log %q:\n%s", name, want, dump())
+			}
+			time.Sleep(50 * time.Millisecond)
 		}
 	}
 
 	aPort := freePort(t)
 	aAddr := fmt.Sprintf("127.0.0.1:%d", aPort)
-	_, aLog := start("rbh", map[string]any{
+	start("rbh", map[string]any{
 		"name": "Royal Brisbane Hospital", "engine": "Oracle", "orb": "VisiBroker",
 		"listen":           aAddr,
 		"naming":           aAddr, // registers with its own naming service
 		"information_type": "Research and Medical",
 		"schema":           "CREATE TABLE t (a INT); INSERT INTO t VALUES (7);",
-	}, "-serve-naming")
+		"space": `Create Coalition Medical Description "hospitals and medical care";
+			Join Coalition Medical At "Royal Brisbane Hospital";`,
+	}, "joined coalition Medical", "-serve-naming")
 
-	bPort := freePort(t)
-	_, bLog := start("qut", map[string]any{
+	// Both Research members hold the coalition's link to Medical; its target
+	// is a database name the naming service resolves.
+	research := func(entry string) string {
+		return `Create Coalition Research Description "university medical research";
+			Join Coalition Research At "` + entry + `";
+			Create Service Link Research_to_Medical From Coalition Research To Coalition Medical
+				At "Royal Brisbane Hospital" Information "hospital care" Description "clinical placements";`
+	}
+	start("qut", map[string]any{
 		"name": "QUT Research", "engine": "mSQL", "orb": "OrbixWeb",
-		"listen":           fmt.Sprintf("127.0.0.1:%d", bPort),
+		"listen":           fmt.Sprintf("127.0.0.1:%d", freePort(t)),
 		"naming":           aAddr,
 		"information_type": "university medical research",
 		"schema":           "CREATE TABLE p (x INT);",
-	})
+		"space":            research("QUT Research"),
+	}, "Service link Research_to_Medical created.")
+
+	cHTTP := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	start("qcf", map[string]any{
+		"name": "Queensland Cancer Fund", "engine": "DB2", "orb": "Orbix",
+		"listen":           fmt.Sprintf("127.0.0.1:%d", freePort(t)),
+		"http":             cHTTP,
+		"naming":           aAddr,
+		"information_type": "cancer research grants",
+		"space":            research("QUT Research"),
+	}, "browser UI at")
 
 	// A third-party client ORB in this test process.
 	client := orb.New(orb.Options{Product: orb.Orbix})
@@ -208,24 +249,51 @@ func TestTwoProcessFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names, err := nc.List(naming.CoDatabases)
+	if err != nil || len(names) != 3 {
+		t.Fatalf("registrations = %v, %v\n%s", names, err, dump())
+	}
 
-	// Both processes register within a few seconds.
-	deadline := time.Now().Add(10 * time.Second)
-	var names []string
-	for {
-		names, err = nc.List("WebFINDIT/CoDatabases/")
-		if err == nil && len(names) == 2 {
-			break
+	// Discovery on QCF, through its browser API: Research does not offer
+	// hospital care, the link does, and the session enters Medical through
+	// the co-database the link names.
+	post := func(stmt string) map[string]any {
+		t.Helper()
+		body, _ := json.Marshal(map[string]string{"statement": stmt})
+		resp, err := http.Post("http://"+cHTTP+"/api/query?sid=probe", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("registrations = %v, %v\nA:\n%s\nB:\n%s", names, err, aLog(), bLog())
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d %v %v\n%s", stmt, resp.StatusCode, out, err, dump())
 		}
-		time.Sleep(100 * time.Millisecond)
+		return out
+	}
+	out := post("Find Coalitions With Information hospital care;")
+	leads, _ := out["leads"].([]any)
+	if len(leads) == 0 || leads[0].(map[string]any)["coalition"] != "Medical" ||
+		leads[0].(map[string]any)["via"] != "link:Research_to_Medical" {
+		t.Errorf("leads = %v", out["leads"])
+	}
+	post("Connect To Coalition Medical;")
+	if out := post("Display Instances Of Class Medical;"); !reflect.DeepEqual(out["names"], []any{"Royal Brisbane Hospital"}) {
+		t.Errorf("Medical seen from QCF = %v", out["names"])
+	}
+	// QCF joined through QUT, so QUT's co-database lists it too.
+	qutRef, err := nc.ResolveRef(client, naming.CoDatabases+"QUT Research")
+	if err != nil {
+		t.Fatal(err)
+	}
+	members, err := codb.NewClient(qutRef).Instances(context.Background(), "Research")
+	if err != nil || len(members) != 2 || members[1].Name != "Queensland Cancer Fund" {
+		t.Errorf("Research at QUT = %v, %v", members, err)
 	}
 
 	// Query each process's co-database over IIOP.
-	for _, name := range []string{"Royal Brisbane Hospital", "QUT Research"} {
-		ref, err := nc.ResolveRef(client, "WebFINDIT/CoDatabases/"+name)
+	for _, name := range []string{"Royal Brisbane Hospital", "QUT Research", "Queensland Cancer Fund"} {
+		ref, err := nc.ResolveRef(client, naming.CoDatabases+name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +304,7 @@ func TestTwoProcessFederation(t *testing.T) {
 	}
 
 	// And data through RBH's ISI, in another process, on another ORB.
-	isiIOR, err := nc.Resolve("WebFINDIT/ISIs/Royal Brisbane Hospital")
+	isiIOR, err := nc.Resolve(naming.ISIs + "Royal Brisbane Hospital")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +320,7 @@ func TestTwoProcessFederation(t *testing.T) {
 		t.Errorf("cross-process rows = %+v", res.Rows)
 	}
 	// mSQL's dialect surfaces across the process boundary too.
-	isiB, err := nc.Resolve("WebFINDIT/ISIs/QUT Research")
+	isiB, err := nc.Resolve(naming.ISIs + "QUT Research")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +379,7 @@ func TestOperatorSurface(t *testing.T) {
 		"call_timeout_ms", "chaos", "document_html", "documentation", "engine",
 		"http", "information_type", "interface", "interface_wtl", "listen",
 		"location", "member_timeout_ms", "min_members", "name", "naming", "orb",
-		"retry_attempts", "schema", "schema_file", "slow_call_ms",
+		"retry_attempts", "schema", "schema_file", "slow_call_ms", "space",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("node config keys (%d) = %v\nwant (%d) %v", len(got), got, len(want), want)

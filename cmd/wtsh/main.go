@@ -43,16 +43,18 @@ const help = `WebTassili statements:
   <Function>(<Type.Column>, (<Type.Column> = "literal" [AND ...])) [On <source>];
   Query <source> Using Native "<native query>";
   Create Coalition <name> [Under <parent>] [Description "<text>"];
-  Create Service Link <name> From coalition|database <a> To coalition|database <b> [Information "<t>"];
-  Join Coalition <name>;
-  Leave Coalition <name>;`
+  Create Service Link <name> From coalition|database <a> To coalition|database <b> [At <ref>] [Information "<t>"] [Description "<text>"];
+  Join Coalition <name> [At <ref>];
+  Leave Coalition <name>;
+Statements end with ";". A <ref> is a quoted "IOR:..." or a database name
+the node's naming service resolves.`
 
 func main() {
 	log.SetFlags(0)
 	nodeName := flag.String("node", medworld.QUT, "node to open the session on")
 	codbIOR := flag.String("codb", "", "connect to a remote co-database IOR instead of booting the medical world")
 	home := flag.String("home", "wtsh", "home database name for remote sessions")
-	script := flag.String("c", "", "execute the given statement(s), separated by newlines, and exit")
+	script := flag.String("c", "", "execute the given statements, each ended by \";\", and exit")
 	flag.Parse()
 
 	var session *query.Session
@@ -99,18 +101,18 @@ func main() {
 		fmt.Printf("session open on %q — type \\help for the statement forms\n", *nodeName)
 	}
 
+	show := func(resp *query.Response) {
+		fmt.Println(resp.Text)
+		if resp.Translated != "" {
+			fmt.Printf("(wrapper produced: %s)\n", resp.Translated)
+		}
+	}
 	if *script != "" {
-		for _, line := range strings.Split(*script, "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			fmt.Printf("wtl> %s\n", line)
-			resp, err := session.Execute(context.Background(), line)
-			if err != nil {
-				log.Fatalf("%s: %v", line, err)
-			}
-			fmt.Println(resp.Text)
+		if err := session.ExecScript(context.Background(), *script, func(resp *query.Response) {
+			fmt.Printf("wtl> %s\n", resp.Stmt)
+			show(resp)
+		}); err != nil {
+			log.Fatal(err)
 		}
 		return
 	}
@@ -135,14 +137,8 @@ func main() {
 				fmt.Println("  " + t.String())
 			}
 		default:
-			resp, err := session.Execute(context.Background(), line)
-			if err != nil {
+			if err := session.ExecScript(context.Background(), line, show); err != nil {
 				fmt.Println("error:", err)
-			} else {
-				fmt.Println(resp.Text)
-				if resp.Translated != "" {
-					fmt.Printf("(wrapper produced: %s)\n", resp.Translated)
-				}
 			}
 		}
 		fmt.Print("wtl> ")

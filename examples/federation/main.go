@@ -23,29 +23,18 @@ func main() {
 	}
 	defer fed.Shutdown()
 
-	// A naming service runs on the Orbix instance; every node binds its
-	// servants so any client can find them by name.
-	reg, _, err := naming.Serve(fed.ORB(orb.Orbix))
-	if err != nil {
+	// A naming service runs on the Orbix instance; every node, given its
+	// address, binds its servants there so any client can find them by name.
+	if _, _, err := naming.Serve(fed.ORB(orb.Orbix)); err != nil {
 		log.Fatal(err)
 	}
-	_ = reg
 
 	mkNode := func(product orb.Product, name, engine, topic, schema string) *core.Node {
 		n, err := fed.AddNode(product, core.NodeConfig{
 			Name: name, Engine: engine, InformationType: topic, Schema: schema,
+			Naming: fed.ORB(orb.Orbix).Addr(),
 		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		nc, err := naming.ClientFor(n.Config.ORB, fed.ORB(orb.Orbix).Addr())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := nc.Rebind("WebFINDIT/CoDatabases/"+name, n.Descriptor.CoDBRef); err != nil {
-			log.Fatal(err)
-		}
-		if err := nc.Rebind("WebFINDIT/ISIs/"+name, n.Descriptor.ISIRef); err != nil {
 			log.Fatal(err)
 		}
 		return n
@@ -73,15 +62,14 @@ func main() {
 	}
 	fmt.Println("Coalition Diagnostics formed with Pathology Lab and Imaging Centre.")
 
-	// The pharmacy discovers the coalition through a service link, then
-	// joins it via WebTassili — dynamic, data-driven coupling.
-	if err := fed.AddLink(core.LinkSpec{
-		Name: "Pharmacy_to_Diagnostics", FromKind: "database", From: "Pharmacy",
-		ToKind: "coalition", To: "Diagnostics", InfoType: "diagnostic services",
-	}); err != nil {
+	// The pharmacy links itself to the coalition in WebTassili, naming a
+	// member the naming service resolves, discovers the coalition through
+	// that link, then joins it — dynamic, data-driven coupling.
+	s := pharmacy.NewSession()
+	if _, err := s.Execute(context.Background(), `Create Service Link Pharmacy_to_Diagnostics
+		From Database Pharmacy To Coalition Diagnostics At "Pathology Lab" Information "diagnostic services";`); err != nil {
 		log.Fatal(err)
 	}
-	s := pharmacy.NewSession()
 	resp, err := s.Execute(context.Background(), "Find Coalitions With Information diagnostic services;")
 	if err != nil {
 		log.Fatal(err)
@@ -116,12 +104,14 @@ func main() {
 	members, _ = lab.CoDB.Members("Diagnostics")
 	fmt.Printf("After leave, Pathology Lab sees %d member(s).\n", len(members))
 
-	// Coalition dissolution at a member's co-database.
-	if err := imaging.CoDB.DissolveCoalition("Diagnostics"); err != nil {
-		log.Fatal(err)
+	// The coalition dissolves as its last members leave too.
+	for _, n := range []*core.Node{imaging, lab} {
+		if _, err := n.NewSession().Execute(context.Background(), "Leave Coalition Diagnostics;"); err != nil {
+			log.Fatal(err)
+		}
 	}
-	left, _ := imaging.CoDB.Members("Diagnostics")
-	fmt.Printf("Imaging Centre dissolved its copy of Diagnostics: %d member(s) remain there.\n", len(left))
+	left, _ := lab.CoDB.Members("Diagnostics")
+	fmt.Printf("Imaging Centre, then Pathology Lab, left too: Pathology Lab sees %d member(s).\n", len(left))
 
 	// The naming service has been tracking everything.
 	nc, err := naming.ClientFor(fed.ORB(orb.VisiBroker), fed.ORB(orb.Orbix).Addr())

@@ -12,6 +12,7 @@ import (
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/orb"
+	"repro/internal/query"
 )
 
 func main() {
@@ -68,24 +69,20 @@ func main() {
 	}
 
 	// A user of the clinic explores the information space with WebTassili.
-	session := clinic.NewSession()
-	for _, stmt := range []string{
-		"Find Coalitions With Information hospital admissions;",
-		"Connect To Coalition Healthcare;",
-		"Display Instances of Class Healthcare;",
-		"Display Access Information of Instance City Hospital;",
-		`Days(Admissions.Patient, (Admissions.Patient = "B. Tran")) On City Hospital;`,
-		`Query City Hospital Using Native "SELECT ward, COUNT(*) AS n FROM admissions GROUP BY ward ORDER BY ward";`,
-	} {
-		fmt.Printf("wtl> %s\n", stmt)
-		resp, err := session.Execute(context.Background(), stmt)
-		if err != nil {
-			log.Fatalf("%s: %v", stmt, err)
-		}
-		fmt.Println(resp.Text)
-		if resp.Translated != "" {
-			fmt.Printf("(wrapper produced: %s)\n", resp.Translated)
-		}
-		fmt.Println()
+	if err := clinic.NewSession().ExecScript(context.Background(), `
+		Find Coalitions With Information hospital admissions;
+		Connect To Coalition Healthcare;
+		Display Instances of Class Healthcare;
+		Display Access Information of Instance City Hospital;
+		Days(Admissions.Patient, (Admissions.Patient = "B. Tran")) On City Hospital;
+		Query City Hospital Using Native "SELECT ward, COUNT(*) AS n FROM admissions GROUP BY ward ORDER BY ward";`,
+		func(resp *query.Response) {
+			fmt.Printf("wtl> %s\n%s\n", resp.Stmt, resp.Text)
+			if resp.Translated != "" {
+				fmt.Printf("(wrapper produced: %s)\n", resp.Translated)
+			}
+			fmt.Println()
+		}); err != nil {
+		log.Fatal(err)
 	}
 }

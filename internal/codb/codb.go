@@ -2,6 +2,7 @@ package codb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -234,6 +235,10 @@ func objectToAny(o *oodb.Object) idl.Any {
 	return storedDescriptor(o).toAny(o.String("InterfaceJSON"))
 }
 
+// ErrAlreadyMember is the error AddMember wraps when the coalition already
+// lists the database.
+var ErrAlreadyMember = errors.New("already a member")
+
 // AddMember advertises a source descriptor as an instance of a coalition.
 func (cd *CoDatabase) AddMember(coalition string, d *SourceDescriptor) error {
 	if !cd.HasCoalition(coalition) {
@@ -243,7 +248,7 @@ func (cd *CoDatabase) AddMember(coalition string, d *SourceDescriptor) error {
 		return fmt.Errorf("codb: source descriptor needs a name")
 	}
 	if existing, _ := cd.member(coalition, d.Name); existing != nil {
-		return fmt.Errorf("codb: %s is already a member of %s", d.Name, coalition)
+		return fmt.Errorf("codb: %s is %w of %s", d.Name, ErrAlreadyMember, coalition)
 	}
 	_, err := cd.db.NewObject(coalition, descriptorAttrs(d))
 	if err == nil {
@@ -386,30 +391,6 @@ func (cd *CoDatabase) MemberOf() []string {
 		}
 	}
 	return out
-}
-
-// DissolveCoalition removes all members of a coalition (class definitions
-// are immutable in the engine, so dissolution empties the extent and marks
-// the descriptor).
-func (cd *CoDatabase) DissolveCoalition(name string) error {
-	members, err := cd.Members(name)
-	if err != nil {
-		return err
-	}
-	for _, m := range members {
-		if err := cd.RemoveMember(name, m.Name); err != nil {
-			return err
-		}
-	}
-	if o, _ := cd.db.SelectFirst(ClassCoalitionInfo, false, func(o *oodb.Object) bool {
-		return strings.EqualFold(o.String("Name"), name)
-	}); o != nil {
-		if err := cd.db.Set(o.ID(), "Description", "(dissolved)"); err != nil {
-			return err
-		}
-	}
-	cd.bump()
-	return nil
 }
 
 // AddLink records a service link. Links whose From is a coalition are

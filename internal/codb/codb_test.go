@@ -245,21 +245,6 @@ func TestFindLinks(t *testing.T) {
 	}
 }
 
-func TestDissolveCoalition(t *testing.T) {
-	cd := newRBHCoDB(t)
-	if err := cd.DissolveCoalition("Research"); err != nil {
-		t.Fatal(err)
-	}
-	members, _ := cd.Members("Research")
-	if len(members) != 0 {
-		t.Errorf("members after dissolve = %d", len(members))
-	}
-	desc, _, _ := cd.CoalitionInfo("Research")
-	if desc != "(dissolved)" {
-		t.Errorf("description = %q", desc)
-	}
-}
-
 func TestDescriptorAnyRoundTrip(t *testing.T) {
 	cd := newRBHCoDB(t)
 	d, _ := cd.FindSource("Royal Brisbane Hospital")

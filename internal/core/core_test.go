@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/codb"
+	"repro/internal/naming"
 	"repro/internal/oodb"
 	"repro/internal/orb"
 )
@@ -98,6 +101,49 @@ func TestNewNodeObject(t *testing.T) {
 	}
 	if len(resp.Result.Rows) != 1 || resp.Result.Rows[0][0].Str != "x" {
 		t.Errorf("rows = %+v", resp.Result.Rows)
+	}
+}
+
+// TestNewNodeRegistersWithNaming: a node given a naming service binds its
+// co-database and ISI there, waiting for a naming host that comes up after
+// the node starts.
+func TestNewNodeRegistersWithNaming(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	host := orb.New(orb.Options{Product: orb.VisiBroker})
+	t.Cleanup(host.Shutdown)
+	up := make(chan error, 1)
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		if err := host.Listen(addr); err != nil {
+			up <- err
+			return
+		}
+		_, _, err := naming.Serve(host)
+		up <- err
+	}()
+	n, err := NewNode(NodeConfig{Name: "Late", Engine: EngineOracle, ORB: newTestORB(t), Naming: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-up; err != nil {
+		t.Fatal(err)
+	}
+	nc, err := naming.ClientFor(host, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		naming.CoDatabases + "Late": n.Descriptor.CoDBRef,
+		naming.ISIs + "Late":        n.Descriptor.ISIRef,
+	} {
+		if got, err := nc.Resolve(name); err != nil || got != want {
+			t.Errorf("%s = %.24q, %v; want the node's reference", name, got, err)
+		}
 	}
 }
 

@@ -1,28 +1,26 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/codb"
 	"repro/internal/orb"
+	"repro/internal/wtl"
 )
 
-// Federation manages a set of nodes across the three ORB products and wires
-// their co-databases into coalitions and service links. Knowledge placement
-// follows the paper exactly: a coalition's class and member descriptors are
-// replicated into the co-databases of its members only; a service link is
-// recorded in the co-databases entitled to know it (the members of the
-// origin coalition, or the origin database).
+// Federation manages a set of nodes across the three ORB products. Its
+// coalitions and service links are written by WebTassili statements the
+// nodes run, so each co-database holds only what its owner may know.
 type Federation struct {
 	orbs  map[orb.Product]*orb.ORB
 	nodes map[string]*Node // by lower-cased name
 
 	coalitions map[string][]string // coalition -> member node names
-	parents    map[string]string   // coalition -> parent coalition ("" = top)
-	descs      map[string]string   // coalition -> description
-	links      []*codb.ServiceLink
+	links      []LinkSpec
 }
 
 // NewFederation boots the three ORB products on loopback. An optional base
@@ -37,8 +35,6 @@ func NewFederation(base ...orb.Options) (*Federation, error) {
 		orbs:       make(map[orb.Product]*orb.ORB),
 		nodes:      make(map[string]*Node),
 		coalitions: make(map[string][]string),
-		parents:    make(map[string]string),
-		descs:      make(map[string]string),
 	}
 	for _, p := range []orb.Product{orb.Orbix, orb.OrbixWeb, orb.VisiBroker} {
 		opts.Product = p
@@ -91,14 +87,7 @@ func (f *Federation) NodeNames() []string {
 }
 
 // Coalitions lists defined coalitions, sorted.
-func (f *Federation) Coalitions() []string {
-	out := make([]string, 0, len(f.coalitions))
-	for c := range f.coalitions {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
+func (f *Federation) Coalitions() []string { return slices.Sorted(maps.Keys(f.coalitions)) }
 
 // Members returns a coalition's member node names.
 func (f *Federation) Members(coalition string) []string {
@@ -106,54 +95,36 @@ func (f *Federation) Members(coalition string) []string {
 }
 
 // Links lists the federation's service links.
-func (f *Federation) Links() []*codb.ServiceLink {
-	return append([]*codb.ServiceLink(nil), f.links...)
-}
+func (f *Federation) Links() []LinkSpec { return append([]LinkSpec(nil), f.links...) }
 
-// DefineCoalition declares a coalition with the given members: the coalition
-// class is created in every member's co-database and every member's
-// descriptor is advertised into every member's copy ("databases
-// participating in the coalition share descriptions").
+// DefineCoalition forms a coalition of the named nodes with FormCoalition.
 func (f *Federation) DefineCoalition(name, parent, description string, memberNames ...string) error {
 	if _, exists := f.coalitions[name]; exists {
 		return fmt.Errorf("core: coalition %s already defined", name)
 	}
-	members := make([]*Node, 0, len(memberNames))
-	for _, m := range memberNames {
-		n, ok := f.Node(m)
-		if !ok {
-			return fmt.Errorf("core: coalition %s: unknown node %s", name, m)
-		}
-		members = append(members, n)
+	members, err := f.lookup(memberNames)
+	if err != nil {
+		return fmt.Errorf("core: coalition %s: %w", name, err)
 	}
-	for _, n := range members {
-		if err := f.ensureCoalitionClass(n, name, parent, description); err != nil {
-			return err
-		}
-		for _, other := range members {
-			if err := n.CoDB.AddMember(name, other.Descriptor); err != nil {
-				return fmt.Errorf("core: coalition %s at %s: %w", name, n.Config.Name, err)
-			}
-		}
+	if err := FormCoalition(name, parent, description, members); err != nil {
+		return err
 	}
 	f.coalitions[name] = append([]string(nil), memberNames...)
-	f.parents[name] = parent
-	f.descs[name] = description
 	return nil
 }
 
-// ensureCoalitionClass creates the coalition class (and its ancestors) in a
-// node's co-database if missing.
-func (f *Federation) ensureCoalitionClass(n *Node, name, parent, description string) error {
-	if n.CoDB.HasCoalition(name) {
-		return nil
-	}
-	if parent != "" && !n.CoDB.HasCoalition(parent) {
-		if err := f.ensureCoalitionClass(n, parent, f.parents[parent], f.descs[parent]); err != nil {
-			return err
+// FormCoalition forms a coalition as its members would: each in turn runs
+// Create Coalition (under the parent) and Join Coalition … At the first
+// member's co-database, so all of them share every member's descriptor.
+func FormCoalition(name, parent, description string, members []*Node) error {
+	for _, n := range members {
+		script := (&wtl.CreateCoalition{Name: name, Parent: parent, Description: description}).String() +
+			(&wtl.JoinCoalition{Coalition: name, At: members[0].Descriptor.CoDBRef}).String()
+		if err := n.NewSession().ExecScript(context.Background(), script, nil); err != nil {
+			return fmt.Errorf("core: coalition %s at %s: %w", name, n.Config.Name, err)
 		}
 	}
-	return n.CoDB.DefineCoalition(name, parent, description)
+	return nil
 }
 
 // LinkSpec declares a service link between coalitions and/or databases.
@@ -167,79 +138,57 @@ type LinkSpec struct {
 	InfoType    string
 }
 
-// AddLink records a service link in the co-databases of the origin side
-// (all members of the origin coalition, or the origin database), carrying a
-// reference to a co-database that can answer for the target side.
+// AddLink records a service link the way its origin side would: each holder
+// (every member of the origin coalition, or the origin database) runs
+// Create Service Link … At the co-database of the target database, or of the
+// target coalition's first member.
 func (f *Federation) AddLink(spec LinkSpec) error {
-	ref, err := f.targetRef(spec.ToKind, spec.To)
+	holders, err := f.linkEnd("origin", spec.FromKind, spec.From)
 	if err != nil {
 		return err
 	}
-	link := &codb.ServiceLink{
-		Name:        spec.Name,
-		FromKind:    spec.FromKind,
-		From:        spec.From,
-		ToKind:      spec.ToKind,
-		To:          spec.To,
-		Description: spec.Description,
-		InfoType:    spec.InfoType,
-		CoDBRef:     ref,
-	}
-	holders, err := f.originNodes(spec.FromKind, spec.From)
+	targets, err := f.linkEnd("target", spec.ToKind, spec.To)
 	if err != nil {
 		return err
 	}
+	stmt := (&wtl.CreateLink{Name: spec.Name, FromKind: spec.FromKind, From: spec.From,
+		ToKind: spec.ToKind, To: spec.To, At: targets[0].Descriptor.CoDBRef,
+		InfoType: spec.InfoType, Description: spec.Description}).String()
 	for _, n := range holders {
-		if err := n.CoDB.AddLink(link); err != nil {
+		if err := n.NewSession().ExecScript(context.Background(), stmt, nil); err != nil {
 			return fmt.Errorf("core: link %s at %s: %w", spec.Name, n.Config.Name, err)
 		}
 	}
-	f.links = append(f.links, link)
+	f.links = append(f.links, spec)
 	return nil
 }
 
-// targetRef finds the co-database reference of the link target.
-func (f *Federation) targetRef(kind, name string) (string, error) {
+// linkEnd lists the nodes one end of a link names: the members of a
+// coalition, or a single database.
+func (f *Federation) linkEnd(end, kind, name string) ([]*Node, error) {
 	switch kind {
 	case "database":
-		n, ok := f.Node(name)
-		if !ok {
-			return "", fmt.Errorf("core: link target database %s unknown", name)
-		}
-		return n.Descriptor.CoDBRef, nil
+		return f.lookup([]string{name})
 	case "coalition":
-		members := f.coalitions[name]
-		if len(members) == 0 {
-			return "", fmt.Errorf("core: link target coalition %s has no members", name)
+		if len(f.coalitions[name]) == 0 {
+			return nil, fmt.Errorf("core: link %s coalition %s has no members", end, name)
 		}
-		n, _ := f.Node(members[0])
-		return n.Descriptor.CoDBRef, nil
+		return f.lookup(f.coalitions[name])
 	}
-	return "", fmt.Errorf("core: link target kind %q invalid", kind)
+	return nil, fmt.Errorf("core: link %s kind %q invalid", end, kind)
 }
 
-// originNodes lists the nodes whose co-databases record the link.
-func (f *Federation) originNodes(kind, name string) ([]*Node, error) {
-	switch kind {
-	case "database":
+// lookup finds registered nodes by name.
+func (f *Federation) lookup(names []string) ([]*Node, error) {
+	out := make([]*Node, len(names))
+	for i, name := range names {
 		n, ok := f.Node(name)
 		if !ok {
-			return nil, fmt.Errorf("core: link origin database %s unknown", name)
+			return nil, fmt.Errorf("core: unknown node %s", name)
 		}
-		return []*Node{n}, nil
-	case "coalition":
-		memberNames := f.coalitions[name]
-		if len(memberNames) == 0 {
-			return nil, fmt.Errorf("core: link origin coalition %s has no members", name)
-		}
-		out := make([]*Node, 0, len(memberNames))
-		for _, m := range memberNames {
-			n, _ := f.Node(m)
-			out = append(out, n)
-		}
-		return out, nil
+		out[i] = n
 	}
-	return nil, fmt.Errorf("core: link origin kind %q invalid", kind)
+	return out, nil
 }
 
 // Shutdown stops every ORB (and with them all servants).

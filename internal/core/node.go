@@ -17,6 +17,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/gossip"
 	"repro/internal/mdcache"
+	"repro/internal/naming"
 	"repro/internal/oodb"
 	"repro/internal/orb"
 	"repro/internal/query"
@@ -60,6 +61,10 @@ type NodeConfig struct {
 	Schema string
 	// SeedObjects, for object engines, populates the fresh OO database.
 	SeedObjects func(*oodb.DB) error
+
+	// Naming, when set, is the address of the naming service NewNode binds
+	// the node's servants in and its statements resolve At names in.
+	Naming string
 
 	// Clock, when set, overrides time.Now for the node's metadata cache
 	// (negative entries' expiry) and ISI cursor table (idle reaping).
@@ -221,13 +226,38 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		HomeDescriptor: n.Descriptor,
 		Local:          codb.NewClient(cfg.ORB.Resolve(codbIOR)),
 		LocalCoDB:      n.CoDB,
+		Naming:         cfg.Naming,
 		Cache:          n.MDCache,
 		Gossip:         n.Gossip,
 	})
 	if err != nil {
 		return nil, err
 	}
+	if err := n.register(); err != nil {
+		return nil, fmt.Errorf("core: node %s: register with naming service: %w", cfg.Name, err)
+	}
 	return n, nil
+}
+
+// register binds the node's servants in its naming service, if it has one.
+// When a federation starts as a batch of processes the naming host may still
+// be coming up, so a failed binding is retried for a while.
+func (n *Node) register() error {
+	if n.Config.Naming == "" {
+		return nil
+	}
+	nc, err := naming.ClientFor(n.Config.ORB, n.Config.Naming)
+	if err != nil {
+		return err
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(200 * time.Millisecond) {
+		if err = nc.Rebind(naming.CoDatabases+n.Config.Name, n.Descriptor.CoDBRef); err == nil {
+			err = nc.Rebind(naming.ISIs+n.Config.Name, n.Descriptor.ISIRef)
+		}
+		if err == nil || time.Now().After(deadline) {
+			return err
+		}
+	}
 }
 
 // NewSession opens a WebTassili session on this node.

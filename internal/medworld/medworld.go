@@ -538,21 +538,17 @@ var ooSpecs = map[string]ooSpec{
 	},
 }
 
-// coalitionMembers gives the five coalitions of Figure 1.
-var coalitionMembers = map[string][]string{
-	CoalitionResearch:  {QUT, RMIT, QCF, RBH},
-	CoalitionMedical:   {RBH, PCH},
-	CoalitionInsurance: {Medibank, MBF},
-	CoalitionUnion:     {RBHUnion},
-	CoalitionSuper:     {AMP},
-}
-
-var coalitionDescs = map[string]string{
-	CoalitionResearch:  "medical research conducted in Queensland institutions",
-	CoalitionMedical:   "hospitals and medical care providers",
-	CoalitionInsurance: "medical insurance funds and health cover",
-	CoalitionUnion:     "medical workers union information",
-	CoalitionSuper:     "superannuation and retirement investment",
+// coalitions gives the five coalitions of Figure 1, in the order Build
+// forms them.
+var coalitions = []struct {
+	name, description string
+	members           []string
+}{
+	{CoalitionResearch, "medical research conducted in Queensland institutions", []string{QUT, RMIT, QCF, RBH}},
+	{CoalitionMedical, "hospitals and medical care providers", []string{RBH, PCH}},
+	{CoalitionInsurance, "medical insurance funds and health cover", []string{Medibank, MBF}},
+	{CoalitionUnion, "medical workers union information", []string{RBHUnion}},
+	{CoalitionSuper, "superannuation and retirement investment", []string{AMP}},
 }
 
 // linkSpecs gives the nine service links of Figure 1.
@@ -616,12 +612,10 @@ func Build(base ...orb.Options) (*World, error) {
 			return nil, fmt.Errorf("medworld: node %s: %w", name, err)
 		}
 	}
-	// Coalitions in a stable order so Research exists before links use it.
-	for _, c := range []string{CoalitionResearch, CoalitionMedical,
-		CoalitionInsurance, CoalitionUnion, CoalitionSuper} {
-		if err := fed.DefineCoalition(c, "", coalitionDescs[c], coalitionMembers[c]...); err != nil {
+	for _, c := range coalitions {
+		if err := fed.DefineCoalition(c.name, "", c.description, c.members...); err != nil {
 			fed.Shutdown()
-			return nil, fmt.Errorf("medworld: coalition %s: %w", c, err)
+			return nil, fmt.Errorf("medworld: coalition %s: %w", c.name, err)
 		}
 	}
 	for _, spec := range linkSpecs {

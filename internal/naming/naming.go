@@ -20,6 +20,9 @@ import (
 // ObjectKey is the well-known object key of the naming service servant.
 const ObjectKey = "NameService"
 
+// CoDatabases and ISIs prefix the database name a node's servants are bound to.
+const CoDatabases, ISIs = "WebFINDIT/CoDatabases/", "WebFINDIT/ISIs/"
+
 // IDL is the interface definition of the naming service.
 var IDL = idl.MustParse(`
 module CosNaming {

@@ -95,7 +95,7 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 		s.tracef("communication", "invoke find_coalitions(%q) on local co-database", topic)
 	}
 	s.traceMsg("meta-data", "local co-database scored "+strconv.Itoa(len(matches))+" coalition(s)")
-	leads = append(leads, leadsFrom(matches, "")...)
+	leads = append(leads, leadsFrom(matches)...)
 	if fullScore(leads) {
 		return sortLeads(leads), nil, nil
 	}
@@ -114,7 +114,7 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 		s.tracef("communication", "invoke find_links(%q) on local co-database", topic)
 	}
 	s.traceMsg("meta-data", "local co-database scored "+strconv.Itoa(len(links))+" service link(s)")
-	leads = append(leads, leadsFrom(links, "")...)
+	leads = append(leads, leadsFrom(links)...)
 	if fullScore(leads) {
 		return sortLeads(leads), nil, nil
 	}
@@ -183,12 +183,8 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 			key := "l:" + strings.ToLower(match.Coalition)
 			if !seen[key] {
 				seen[key] = true
-				ref := match.CoDBRef
-				if ref == "" {
-					ref = pt.Ref
-				}
 				out = append(out, Lead{Coalition: match.Coalition, Score: match.Score,
-					Via: "peer:" + pt.Name + "/" + match.Via, CoDBRef: ref})
+					Via: "peer:" + pt.Name + "/" + match.Via, CoDBRef: match.CoDBRef})
 			}
 		}
 	}
@@ -207,14 +203,10 @@ func sortLeads(leads []Lead) []Lead {
 	return leads
 }
 
-func leadsFrom(matches []codb.Match, defaultRef string) []Lead {
+func leadsFrom(matches []codb.Match) []Lead {
 	out := make([]Lead, len(matches))
 	for i, m := range matches {
-		ref := m.CoDBRef
-		if ref == "" {
-			ref = defaultRef
-		}
-		out[i] = Lead{Coalition: m.Coalition, Score: m.Score, Via: m.Via, CoDBRef: ref}
+		out[i] = Lead{Coalition: m.Coalition, Score: m.Score, Via: m.Via, CoDBRef: m.CoDBRef}
 	}
 	return out
 }

@@ -2,11 +2,15 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/codb"
+	"repro/internal/naming"
+	"repro/internal/orb"
 	"repro/internal/trace"
 	"repro/internal/wtl"
 )
@@ -33,23 +37,71 @@ func (s *Session) execCreateCoalition(q *wtl.CreateCoalition) (*Response, error)
 	return &Response{Stmt: q, Text: fmt.Sprintf("Coalition %s created.", q.Name)}, nil
 }
 
-func (s *Session) execCreateLink(q *wtl.CreateLink) (*Response, error) {
+func (s *Session) execCreateLink(ctx context.Context, q *wtl.CreateLink) (*Response, error) {
 	cd, err := s.maintenanceCoDB()
 	if err != nil {
 		return nil, err
 	}
+	ref, err := s.linkTarget(ctx, cd, q)
+	if err != nil {
+		return nil, fmt.Errorf("query: link %s: %w", q.Name, err)
+	}
 	if err := cd.AddLink(&codb.ServiceLink{
-		Name:     q.Name,
-		FromKind: q.FromKind,
-		From:     q.From,
-		ToKind:   q.ToKind,
-		To:       q.To,
-		InfoType: q.InfoType,
+		Name:        q.Name,
+		FromKind:    q.FromKind,
+		From:        q.From,
+		ToKind:      q.ToKind,
+		To:          q.To,
+		Description: q.Description,
+		InfoType:    q.InfoType,
+		CoDBRef:     ref,
 	}); err != nil {
 		return nil, err
 	}
 	s.p.invalidateCache()
 	return &Response{Stmt: q, Text: fmt.Sprintf("Service link %s created.", q.Name)}, nil
+}
+
+// linkTarget is the co-database reference a new link carries, so discovery
+// can follow it: the one At names, or else the target database's descriptor
+// or the target coalition's entry point. A link nothing resolves is refused.
+func (s *Session) linkTarget(ctx context.Context, cd *codb.CoDatabase, q *wtl.CreateLink) (string, error) {
+	switch {
+	case q.At != "":
+		_, ior, err := s.p.resolveAt(q.At)
+		return ior, err
+	case q.ToKind == "database":
+		if d, ok := cd.FindSource(q.To); ok && d.CoDBRef != "" {
+			return d.CoDBRef, nil
+		}
+		return "", fmt.Errorf("database %s is not known here; name its co-database with At", q.To)
+	}
+	entry, err := s.p.coalitionEntry(ctx, s, q.To)
+	if err != nil {
+		return "", fmt.Errorf("%w; name a member's co-database with At", err)
+	}
+	return orb.Stringify(entry.Ref().IOR()), nil
+}
+
+// resolveAt opens the co-database an At reference names and returns it
+// with its stringified IOR. A reference that is not an IOR is a database
+// name for the node's naming service.
+func (p *Processor) resolveAt(ref string) (*codb.Client, string, error) {
+	ior := ref
+	if !strings.HasPrefix(ref, "IOR:") {
+		if p.cfg.Naming == "" {
+			return nil, "", fmt.Errorf("query: %q is not an IOR, and the node has no naming service", ref)
+		}
+		nc, err := naming.ClientFor(p.cfg.ORB, p.cfg.Naming)
+		if err == nil {
+			ior, err = nc.Resolve(naming.CoDatabases + ref)
+		}
+		if err != nil {
+			return nil, "", err
+		}
+	}
+	c, err := p.codbByRef(ior)
+	return c, ior, err
 }
 
 // memberCoDBs lists the co-databases of a coalition's members as known to
@@ -96,7 +148,15 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 	if home == nil {
 		return nil, fmt.Errorf("query: node has no home descriptor to advertise")
 	}
-	entry, err := s.p.coalitionEntry(ctx, s, q.Coalition)
+	var entry *codb.Client
+	var err error
+	if q.At != "" {
+		// At names the way in even when this node holds a copy of the
+		// coalition: one it has just created, to join the existing one.
+		entry, _, err = s.p.resolveAt(q.At)
+	} else {
+		entry, err = s.p.coalitionEntry(ctx, s, q.Coalition)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +166,7 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 	}
 	for _, m := range members {
 		if strings.EqualFold(m.Name, s.p.cfg.Home) {
-			return nil, fmt.Errorf("query: %s is already a member of %s", s.p.cfg.Home, q.Coalition)
+			return nil, fmt.Errorf("query: %s is %w of %s", s.p.cfg.Home, codb.ErrAlreadyMember, q.Coalition)
 		}
 	}
 	peers, err := s.p.memberCoDBs(ctx, entry, q.Coalition)
@@ -152,13 +212,10 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 				return nil, err
 			}
 		}
-		for _, m := range members {
-			if err := cd.AddMember(q.Coalition, m); err != nil && !strings.Contains(err.Error(), "already a member") {
+		for _, m := range append(slices.Clip(members), home) {
+			if err := cd.AddMember(q.Coalition, m); err != nil && !errors.Is(err, codb.ErrAlreadyMember) {
 				return nil, err
 			}
-		}
-		if err := cd.AddMember(q.Coalition, home); err != nil && !strings.Contains(err.Error(), "already a member") {
-			return nil, err
 		}
 	}
 	// The membership everyone cached just changed; drop it eagerly so the

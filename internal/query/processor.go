@@ -106,6 +106,9 @@ type Config struct {
 	// descriptors, peer probe results) across statements and sessions. Data
 	// queries are never cached. nil makes New build one on the wall clock.
 	Cache *mdcache.Cache
+	// Naming is the address of the naming service an At reference that is
+	// not an IOR is resolved in, as naming.CoDatabases+<database name>.
+	Naming string
 	// Gossip is the node's anti-entropy agent. Its store supplies the
 	// version every cached peer answer is verified against, and it learns a
 	// co-database the store does not know yet on the first miss against it.
@@ -405,6 +408,28 @@ func (s *Session) Execute(ctx context.Context, src string) (*Response, error) {
 	return s.execTimed(ctx, stmt)
 }
 
+// ExecScript runs a WebTassili script (see wtl.ParseScript) statement by
+// statement, handing each response to each (when not nil), and stops at the
+// first statement that fails. Nothing runs when the script does not parse.
+func (s *Session) ExecScript(ctx context.Context, src string, each func(*Response)) error {
+	stmts, err := wtl.ParseScript(src)
+	if err != nil {
+		return err
+	}
+	for _, stmt := range stmts {
+		s.markStmtStart()
+		s.tracef("query", "parsed %T", stmt)
+		resp, err := s.execTimed(ctx, stmt)
+		if err != nil {
+			return fmt.Errorf("%s %w", stmt, err)
+		}
+		if each != nil {
+			each(resp)
+		}
+	}
+	return nil
+}
+
 func (s *Session) execTimed(ctx context.Context, stmt wtl.Stmt) (*Response, error) {
 	ctx, sp := trace.StartSpan(ctx, stmtSpanName(stmt))
 	resp, err := s.execStmt(ctx, stmt)
@@ -481,7 +506,7 @@ func (s *Session) execStmt(ctx context.Context, stmt wtl.Stmt) (*Response, error
 	case *wtl.CreateCoalition:
 		return s.execCreateCoalition(q)
 	case *wtl.CreateLink:
-		return s.execCreateLink(q)
+		return s.execCreateLink(ctx, q)
 	case *wtl.JoinCoalition:
 		return s.execJoin(ctx, q)
 	case *wtl.LeaveCoalition:

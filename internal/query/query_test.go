@@ -2,12 +2,14 @@ package query_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/gossip"
+	"repro/internal/naming"
 	"repro/internal/orb"
 	"repro/internal/query"
 )
@@ -271,6 +273,103 @@ func TestCreateLinkAndDisplay(t *testing.T) {
 	}
 	if _, err := s.Execute(context.Background(), `Create Service Link A_to_B From Database Alpha To Database Beta;`); err == nil {
 		t.Error("duplicate link accepted")
+	}
+	// A link whose target the node cannot resolve is refused, not stored
+	// dead: an unknown database, an unknown coalition, a name with no naming
+	// service to look it up in, a reference that is no IOR.
+	for _, stmt := range []string{
+		`Create Service Link L1 From Database Alpha To Database Zeta;`,
+		`Create Service Link L2 From Database Alpha To Coalition Nowhere;`,
+		`Create Service Link L3 From Database Alpha To Database Beta At Beta;`,
+		`Create Service Link L4 From Database Alpha To Database Beta At "IOR:zz";`,
+	} {
+		if _, err := s.Execute(context.Background(), stmt); err == nil {
+			t.Errorf("%s accepted", stmt)
+		}
+	}
+	if links := a.CoDB.Links(); len(links) != 1 {
+		t.Errorf("links after refusals = %+v", links)
+	}
+}
+
+// TestStatementLinkIsFollowed: a service link made by Create Service Link
+// carries the co-database reference discovery follows. A link made without
+// At takes the target's reference from what the node knows; one made with
+// an IOR lets a node outside the target coalition find it and connect to it
+// through the link alone.
+func TestStatementLinkIsFollowed(t *testing.T) {
+	f, a, b := twoNodeFixture(t)
+	if _, err := a.NewSession().Execute(context.Background(),
+		"Create Service Link A_to_B From Database Alpha To Database Beta;"); err != nil {
+		t.Fatal(err)
+	}
+	if links := a.CoDB.Links(); len(links) != 1 || links[0].CoDBRef != b.Descriptor.CoDBRef {
+		t.Errorf("link made without At = %+v, want Beta's co-database", links)
+	}
+	followLink(t, addOutsider(t, f, "Gamma", core.NodeConfig{}), `"`+b.Descriptor.CoDBRef+`"`)
+}
+
+// TestAtResolvesThroughNaming: an At reference that is not an IOR is a
+// database name, looked up in the naming service the node is configured
+// with, for links and joins alike.
+func TestAtResolvesThroughNaming(t *testing.T) {
+	f, a, _ := twoNodeFixture(t)
+	nsORB := f.ORB(orb.Orbix)
+	reg, _, err := naming.Serve(nsORB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Rebind(naming.CoDatabases+"Alpha", a.Descriptor.CoDBRef); err != nil {
+		t.Fatal(err)
+	}
+	n := addOutsider(t, f, "Gamma", core.NodeConfig{Naming: nsORB.Addr()})
+	followLink(t, n, "Alpha")
+	s := n.NewSession()
+	if _, err := s.Execute(context.Background(), `Join Coalition Records At "No Such Database";`); err == nil {
+		t.Error("join at an unbound name accepted")
+	}
+	if _, err := s.Execute(context.Background(), "Join Coalition Records At Alpha;"); err != nil {
+		t.Fatal(err)
+	}
+	if members, _ := a.CoDB.Members("Records"); len(members) != 3 {
+		t.Errorf("Alpha's members after Gamma joined at a name = %d", len(members))
+	}
+}
+
+// addOutsider adds a node that belongs to no coalition.
+func addOutsider(t *testing.T, f *core.Federation, name string, cfg core.NodeConfig) *core.Node {
+	t.Helper()
+	cfg.Name, cfg.Engine, cfg.Schema = name, core.EngineSybase, "CREATE TABLE g (x INT);"
+	n, err := f.AddNode(orb.OrbixWeb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// followLink has n, a node outside Records, link to it At the given
+// reference, then find and enter Records through that link.
+func followLink(t *testing.T, n *core.Node, at string) {
+	t.Helper()
+	ctx := context.Background()
+	s := n.NewSession()
+	if _, err := s.Execute(ctx, "Connect To Coalition Records;"); err == nil {
+		t.Fatalf("%s entered Records before it had a link", n.Config.Name)
+	}
+	if _, err := s.Execute(ctx, "Create Service Link To_Records From Database "+n.Config.Name+
+		" To Coalition Records At "+at+` Information "shared records";`); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.Execute(ctx, "Find Coalitions With Information shared records;")
+	if err != nil || len(resp.Leads) != 1 || resp.Leads[0].Coalition != "Records" || resp.Leads[0].CoDBRef == "" {
+		t.Fatalf("leads = %+v, %v", resp.Leads, err)
+	}
+	if _, err := s.Execute(ctx, "Connect To Coalition Records;"); err != nil {
+		t.Fatalf("connect through the link: %v", err)
+	}
+	resp, err = s.Execute(ctx, "Display Instances Of Class Records;")
+	if err != nil || !reflect.DeepEqual(resp.Names, []string{"Alpha", "Beta"}) {
+		t.Errorf("members seen through the link = %v, %v", resp.Names, err)
 	}
 }
 

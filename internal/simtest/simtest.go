@@ -12,7 +12,9 @@ package simtest
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -101,9 +103,8 @@ type Fed struct {
 // Build boots a federation over a fresh simnet: every node on its own
 // simulated host and ORB (colocation disabled, so every call crosses the
 // simulated wire), tracing enabled on a federation-wide tracer, metadata
-// caches pinned to the virtual clock, and coalition metadata replicated
-// symmetrically into every member's co-database (the same wiring
-// core.Federation.DefineCoalition does, for per-node ORBs).
+// caches pinned to the virtual clock, and every coalition formed by its
+// members' own statements (core.FormCoalition, as for a core.Federation).
 func Build(cfg Config) (*Fed, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 6
@@ -192,35 +193,21 @@ func Build(cfg Config) (*Fed, error) {
 	if topology == nil {
 		topology = genTopology(fed.rng, cfg.Nodes, cfg.CoalitionSize)
 	}
-	for name, members := range topology {
-		fed.Members[name] = members
-	}
-	for name, members := range fed.Members {
-		if err := fed.wireCoalition(name, members); err != nil {
+	maps.Copy(fed.Members, topology)
+	// Members form their coalitions over the simulated wire with the
+	// statements an operator would run, coalitions in sorted order so a seed
+	// replays the same events.
+	for _, name := range slices.Sorted(maps.Keys(fed.Members)) {
+		var members []*core.Node
+		for _, i := range fed.Members[name] {
+			members = append(members, fed.Nodes[i].Core)
+		}
+		if err := core.FormCoalition(name, "", "", members); err != nil {
 			fed.Close()
 			return nil, err
 		}
 	}
 	return fed, nil
-}
-
-// wireCoalition replicates a coalition class and its full member list into
-// every member's co-database — the symmetric state Join/Leave maintain.
-func (f *Fed) wireCoalition(name string, members []int) error {
-	for _, i := range members {
-		cd := f.Nodes[i].Core.CoDB
-		if !cd.HasCoalition(name) {
-			if err := cd.DefineCoalition(name, "", ""); err != nil {
-				return err
-			}
-		}
-		for _, j := range members {
-			if err := cd.AddMember(name, f.Nodes[j].Core.Descriptor); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Close shuts down every ORB and the simulated network.
@@ -314,21 +301,4 @@ func allIndexes(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func insertSorted(s []int, v int) []int {
-	s = append(s, v)
-	for i := len(s) - 1; i > 0 && s[i-1] > s[i]; i-- {
-		s[i-1], s[i] = s[i], s[i-1]
-	}
-	return s
 }

@@ -314,35 +314,51 @@ func (s *CreateCoalition) String() string {
 }
 
 // CreateLink is `Create Service Link <name> From coalition|database <a> To
-// coalition|database <b> [Information "<topic>"];`.
+// coalition|database <b> [At <ref>] [Information "<topic>"] [Description
+// "<text>"];`. At names the co-database that answers for the target: a
+// stringified IOR, or a database name the naming service resolves.
 type CreateLink struct {
-	Name     string
-	FromKind string // "coalition" or "database"
-	From     string
-	ToKind   string
-	To       string
-	InfoType string
+	Name        string
+	FromKind    string // "coalition" or "database"
+	From        string
+	ToKind      string
+	To          string
+	At          string
+	InfoType    string
+	Description string
 }
 
 func (*CreateLink) stmt() {}
 func (s *CreateLink) String() string {
 	out := fmt.Sprintf("Create Service Link %s From %s %s To %s %s",
-		nameText(s.Name, "From"), s.FromKind, nameText(s.From, "To"), s.ToKind, nameText(s.To, "Information"))
+		nameText(s.Name, "From"), s.FromKind, nameText(s.From, "To"), s.ToKind,
+		nameText(s.To, "At", "Information", "Description"))
+	if s.At != "" {
+		out += " At " + nameText(s.At, "Information", "Description")
+	}
 	if s.InfoType != "" {
 		out += " Information " + quoteText(s.InfoType)
+	}
+	if s.Description != "" {
+		out += " Description " + quoteText(s.Description)
 	}
 	return out + ";"
 }
 
-// JoinCoalition is `Join Coalition <name>;` — advertise the session's home
-// database into a coalition.
+// JoinCoalition is `Join Coalition <name> [At <ref>];` — advertise the
+// session's home database into a coalition, entering it through the
+// co-database At names (as in CreateLink) or else one the node finds.
 type JoinCoalition struct {
 	Coalition string
+	At        string
 }
 
 func (*JoinCoalition) stmt() {}
 func (s *JoinCoalition) String() string {
-	return fmt.Sprintf("Join Coalition %s;", nameText(s.Coalition))
+	if s.At != "" {
+		return fmt.Sprintf("Join Coalition %s At %s;", nameText(s.Coalition, "At"), nameText(s.At))
+	}
+	return fmt.Sprintf("Join Coalition %s;", nameText(s.Coalition, "At"))
 }
 
 // LeaveCoalition is `Leave Coalition <name>;`.

@@ -48,6 +48,14 @@ func FuzzWTLParse(f *testing.F) {
 		`Create Coalition "Under Description" Under "Description" Description "a ""b""";`,
 		`Create Service Link "From" From Database "To" To Coalition "Information" Information "x""y";`,
 		`Query "Using" Using Native "SELECT 'a', ""b""";`,
+		// At references: an IOR, a bare and a quoted name, one holding ";",
+		// a quote and the At stop word; a link's Description after them.
+		`Join Coalition Medical At "IOR:00ff";`,
+		`Join Coalition "At" At Royal Brisbane Hospital;`,
+		`Join Coalition M At "a;b ""c"" At d";`,
+		`Create Service Link L From Coalition A To Coalition B At "x;""At""" Information "t" Description "d;""e""";`,
+		`Create Service Link L From Database A To Database "Description" At At Description "";`,
+		`Join Coalition M At ""`,
 		`Search Type "With" With Structure (attribute int A.b;);`,
 		// Malformed join shapes the parser must reject gracefully.
 		`V(R.K) SemiJoin W(R.V) On Coalition B;`,

@@ -64,6 +64,32 @@ func Parse(src string) (Stmt, error) {
 	return stmt, nil
 }
 
+// ParseScript parses a WebTassili script: statements each ended by ";" (the
+// last one's is optional), so a statement may span lines and a line may hold
+// several. A node's space script and wtsh read statements this way.
+func ParseScript(src string) ([]Stmt, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	var stmts []Stmt
+	for p.peek().kind != kEOF {
+		if p.accept(";") {
+			continue
+		}
+		stmt, err := p.parseStmt()
+		if err == nil && p.peek().kind != kEOF && !p.accept(";") {
+			err = fmt.Errorf("wtl: expected \";\", got %q", p.peek().text)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("statement %d: %w", len(stmts)+1, err)
+		}
+		stmts = append(stmts, stmt)
+	}
+	return stmts, nil
+}
+
 type tkind byte
 
 const (
@@ -130,7 +156,7 @@ func lexInto(src string, toks []tok) ([]tok, error) {
 				}
 			}
 			switch c {
-			case '(', ')', ',', ';', '=', '<', '>', '.':
+			case '(', ')', ',', ';', '=', '<', '>', '.', '{', '}':
 				toks = append(toks, tok{kPunct, string(c)})
 				i++
 			default:
@@ -316,11 +342,17 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err := p.expectWord("Coalition"); err != nil {
 			return nil, err
 		}
-		name, err := p.name("coalition name")
+		name, err := p.name("coalition name", "At")
 		if err != nil {
 			return nil, err
 		}
-		return &JoinCoalition{Coalition: name}, nil
+		j := &JoinCoalition{Coalition: name}
+		if p.acceptWord("At") {
+			if j.At, err = p.name("co-database reference"); err != nil {
+				return nil, err
+			}
+		}
+		return j, nil
 	case "leave":
 		p.next()
 		if err := p.expectWord("Coalition"); err != nil {
@@ -478,19 +510,25 @@ func (p *parser) parseCreate() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.To, err = p.name("link target", "Information")
+		l.To, err = p.name("link target", "At", "Information", "Description")
 		if err != nil {
 			return nil, err
 		}
-		if p.acceptWord("Information") {
-			if p.peek().kind == kString {
-				l.InfoType = p.next().text
-			} else {
-				l.InfoType, err = p.name("information type")
-				if err != nil {
-					return nil, err
-				}
+		if p.acceptWord("At") {
+			if l.At, err = p.name("co-database reference", "Information", "Description"); err != nil {
+				return nil, err
 			}
+		}
+		if p.acceptWord("Information") {
+			if l.InfoType, err = p.name("information type", "Description"); err != nil {
+				return nil, err
+			}
+		}
+		if p.acceptWord("Description") {
+			if p.peek().kind != kString {
+				return nil, fmt.Errorf("wtl: expected quoted description, got %q", p.peek().text)
+			}
+			l.Description = p.next().text
 		}
 		return l, nil
 	}

@@ -30,7 +30,7 @@ type FuncDecl struct {
 // A trailing "Predicate(x)" pseudo-argument (the paper writes it to show
 // where the selection predicate goes) is accepted and dropped.
 func ParseTypeDecls(src string) ([]TypeDecl, error) {
-	toks, err := lexTypeDecl(src)
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
@@ -47,33 +47,6 @@ func ParseTypeDecls(src string) ([]TypeDecl, error) {
 		return nil, fmt.Errorf("wtl: no Type declarations found")
 	}
 	return out, nil
-}
-
-// lexTypeDecl reuses the statement lexer but also accepts braces.
-func lexTypeDecl(src string) ([]tok, error) {
-	// The statement lexer rejects '{'/'}'; translate them to sentinels the
-	// declaration parser understands by tokenising around them.
-	var toks []tok
-	rest := src
-	for {
-		i := strings.IndexAny(rest, "{}")
-		if i < 0 {
-			part, err := lex(rest)
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, part[:len(part)-1]...) // drop EOF
-			break
-		}
-		part, err := lex(rest[:i])
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, part[:len(part)-1]...)
-		toks = append(toks, tok{kPunct, string(rest[i])})
-		rest = rest[i+1:]
-	}
-	return append(toks, tok{kind: kEOF}), nil
 }
 
 func (p *parser) parseTypeDecl() (TypeDecl, error) {

@@ -138,6 +138,25 @@ func TestMaintenanceStatements(t *testing.T) {
 	if s.(*JoinCoalition).Coalition != "Medical" {
 		t.Errorf("join: %#v", s)
 	}
+	// At names the co-database to enter through: an IOR, or a database name
+	// for the naming service, bare or quoted.
+	s = parseOK(t, `Join Coalition Medical Insurance At "IOR:0001ab";`)
+	if j := s.(*JoinCoalition); j.Coalition != "Medical Insurance" || j.At != "IOR:0001ab" {
+		t.Errorf("join at: %#v", j)
+	}
+	s = parseOK(t, "join coalition Medical at Royal Brisbane Hospital;")
+	if j := s.(*JoinCoalition); j.Coalition != "Medical" || j.At != "Royal Brisbane Hospital" {
+		t.Errorf("join at a name: %#v", j)
+	}
+	s = parseOK(t, `Create Service Link SGF_to_Medical From Database SGF To Coalition Medical At Royal Brisbane Hospital Information hospital funding Description "grants to hospitals";`)
+	if cl := s.(*CreateLink); cl.To != "Medical" || cl.At != "Royal Brisbane Hospital" ||
+		cl.InfoType != "hospital funding" || cl.Description != "grants to hospitals" {
+		t.Errorf("create link with At and Description: %#v", cl)
+	}
+	s = parseOK(t, `Create Service Link L From Database A To Database B Description "d";`)
+	if cl := s.(*CreateLink); cl.To != "B" || cl.At != "" || cl.InfoType != "" || cl.Description != "d" {
+		t.Errorf("create link with Description only: %#v", cl)
+	}
 	s = parseOK(t, "Leave Coalition Medical;")
 	if s.(*LeaveCoalition).Coalition != "Medical" {
 		t.Errorf("leave: %#v", s)
@@ -159,6 +178,8 @@ func TestRoundTripStrings(t *testing.T) {
 		`Create Coalition X Under Y Description "d";`,
 		`Create Service Link L From Coalition A To Database B Information "t";`,
 		"Join Coalition Medical;",
+		`Join Coalition Medical At "IOR:00ff";`,
+		`Create Service Link L From Coalition A To Coalition B At RBH Information "t" Description "d";`,
 		"Leave Coalition Medical;",
 		`Funding(ResearchProjects.Title, (ResearchProjects.Title = "AIDS and drugs")) On RBH;`,
 	}
@@ -184,6 +205,10 @@ func TestParseErrors(t *testing.T) {
 		"Query X Using Native unquoted;",
 		"Create Wombat X;",
 		"Create Service Link L From Wombat A To Coalition B;",
+		"Join Coalition Medical At;",
+		"Join Coalition Medical At IOR:00ff;",
+		"Create Service Link L From Database A To Database B Description d;",
+		`Create Service Link L From Database A To Database B Description "d" Information "t";`,
 		`Funding(ResearchProjects.Title, (Title ~ "x"))`,
 		"Funding(ResearchProjects.Title, (Title = ))",
 		"Funding(",
@@ -250,6 +275,10 @@ func TestPrinterQuotesWhatANameCannotCarry(t *testing.T) {
 		`Query RBH Using Native 'SELECT "x" FROM t';`:                            `Query RBH Using Native "SELECT ""x"" FROM t";`,
 		`Query RBH Using Native "SELECT 'x' FROM t\n";`:                          "Query RBH Using Native \"SELECT 'x' FROM t\\n\";",
 		`Create Service Link L From Database A To Database B Information 'x"y';`: `Create Service Link L From database A To database B Information "x""y";`,
+		`Join Coalition "Meet At Noon" At "a;b";`:                                `Join Coalition "Meet At Noon" At "a;b";`,
+		`Join Coalition M At 'Hospital At "Home"';`:                              `Join Coalition M At "Hospital At ""Home""";`,
+		`Join Coalition M At Hospital At Home;`:                                  `Join Coalition M At Hospital At Home;`,
+		`Create Service Link L From Database A To Coalition "At" At "Information" Description "x;y";`: `Create Service Link L From database A To coalition "At" At "Information" Description "x;y";`,
 	} {
 		first := parseOK(t, src)
 		if got := first.String(); got != want {
@@ -258,6 +287,40 @@ func TestPrinterQuotesWhatANameCannotCarry(t *testing.T) {
 		}
 		if again := parseOK(t, want); !reflect.DeepEqual(again, first) {
 			t.Errorf("%s reparses to %#v, was %#v", want, again, first)
+		}
+	}
+}
+
+// TestParseScript: a script is statements each ended by ";", whatever the
+// line breaks; a ";" inside a quoted text does not end one.
+func TestParseScript(t *testing.T) {
+	stmts, err := ParseScript("Create Coalition Medical\n  Description \"hospitals; clinics\";;\n" +
+		`Join Coalition Medical At "IOR:00ff"; Display Coalitions`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range stmts {
+		got = append(got, s.String())
+	}
+	want := []string{
+		`Create Coalition Medical Description "hospitals; clinics";`,
+		`Join Coalition Medical At "IOR:00ff";`,
+		"Display Coalitions;",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("script = %q, want %q", got, want)
+	}
+	if stmts, err := ParseScript(" ;\n"); err != nil || len(stmts) != 0 {
+		t.Errorf("empty script = %v, %v", stmts, err)
+	}
+	for src, want := range map[string]string{
+		"Display Coalitions; Frobnicate;":         "statement 2:",
+		"Display Coalitions Display Links;":       `statement 1: wtl: expected ";", got "Display"`,
+		`Join Coalition M; Join Coalition "N At;`: "unterminated",
+	} {
+		if _, err := ParseScript(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseScript(%q) = %v, want an error with %q", src, err, want)
 		}
 	}
 }
