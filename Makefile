@@ -73,12 +73,14 @@ sim-scale:
 
 # fuzz-smoke runs every fuzz target briefly: enough to catch regressions on
 # the checked-in corpus plus a short random walk, without a full campaign.
+# The two decoders that build idl.Any values run under the race detector,
+# whose checkptr checks the unsafe references those values hold.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPRoundTrip -fuzztime=5s ./internal/giop
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPRead -fuzztime=5s ./internal/giop
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPFragment -fuzztime=5s ./internal/giop
-	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalAny -fuzztime=5s ./internal/idl
-	$(GO) test -run='^$$' -fuzz=FuzzPageDecode -fuzztime=5s ./internal/gateway
+	$(GO) test -run='^$$' -race -fuzz=FuzzUnmarshalAny -fuzztime=5s ./internal/idl
+	$(GO) test -run='^$$' -race -fuzz=FuzzPageDecode -fuzztime=5s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz=FuzzWTLParse -fuzztime=5s ./internal/wtl
 	$(GO) test -run='^$$' -fuzz=FuzzSQLParse -fuzztime=5s ./internal/relational
 	$(GO) test -run='^$$' -fuzz=FuzzGossipDelta -fuzztime=5s ./internal/gossip

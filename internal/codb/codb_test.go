@@ -255,7 +255,7 @@ func TestDescriptorAnyRoundTrip(t *testing.T) {
 	if got.Name != d.Name || got.Wrapper != d.Wrapper || len(got.Interface) != 2 {
 		t.Errorf("round trip = %+v", got)
 	}
-	if _, err := DescriptorFromAny(matchToAny(Match{}).Fields[0].Value); err == nil {
+	if _, err := DescriptorFromAny(matchToAny(Match{}).Fields()[0].Value); err == nil {
 		t.Error("non-struct accepted")
 	}
 	l := &ServiceLink{Name: "n", From: "a", To: "b", InfoType: "t"}

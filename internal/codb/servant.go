@@ -249,8 +249,8 @@ func (c *Client) matches(ctx context.Context, op, topic string) ([]Match, error)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Match, 0, len(v.Seq))
-	for _, item := range v.Seq {
+	out := make([]Match, 0, len(v.Seq()))
+	for _, item := range v.Seq() {
 		out = append(out, MatchFromAny(item))
 	}
 	return out, nil
@@ -301,8 +301,8 @@ func (c *Client) Instances(ctx context.Context, coalition string) ([]*SourceDesc
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*SourceDescriptor, 0, len(v.Seq))
-	for _, item := range v.Seq {
+	out := make([]*SourceDescriptor, 0, len(v.Seq()))
+	for _, item := range v.Seq() {
 		d, err := DescriptorFromAny(item)
 		if err != nil {
 			return nil, err
@@ -346,8 +346,8 @@ func (c *Client) Links(ctx context.Context) ([]*ServiceLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*ServiceLink, 0, len(v.Seq))
-	for _, item := range v.Seq {
+	out := make([]*ServiceLink, 0, len(v.Seq()))
+	for _, item := range v.Seq() {
 		l, err := LinkFromAny(item)
 		if err != nil {
 			return nil, err

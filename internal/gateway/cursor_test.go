@@ -319,7 +319,7 @@ func TestOpenCursorReplyGolden(t *testing.T) {
 	}
 	defer table.Close(a.GetInt("id"))
 	var names []string
-	for _, f := range a.Fields {
+	for _, f := range a.Fields() {
 		names = append(names, f.Name)
 	}
 	if want := []string{"id", "columns", "page", "done"}; !slices.Equal(names, want) {
@@ -369,8 +369,8 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 		return idl.Struct(append([]idl.Field{idl.F("id", idl.Long(7)), idl.F("columns", idl.Strings([]string{"name"}))}, fields...)...)
 	}
 	good := page([]idl.Any{idl.String("J. Chen")})
-	truncated := idl.Octets(good.Bytes[:len(good.Bytes)-3])
-	trailing := idl.Octets(append(append([]byte(nil), good.Bytes...), 0))
+	truncated := idl.Octets(good.Bytes()[:len(good.Bytes())-3])
+	trailing := idl.Octets(append(append([]byte(nil), good.Bytes()...), 0))
 	wide := page([]idl.Any{idl.String("J. Chen"), idl.Long(1)})
 	goodOpen := open(idl.F("page", good), idl.F("done", idl.Bool(false)))
 	live := markLive()

@@ -102,7 +102,7 @@ type isiServant struct{ *orb.Handler }
 // ReleaseResult implements orb.ResultReleaser.
 func (isiServant) ReleaseResult(_ string, result idl.Any) {
 	if p, ok := result.Get("page"); ok && p.Kind == idl.KindOctets {
-		releasePage(p.Bytes)
+		releasePage(p.Bytes())
 	}
 }
 
@@ -218,7 +218,7 @@ func cursorPage(op string, a idl.Any, width int) (b *Batch, done bool, err error
 	if !ok || d.Kind != idl.KindBool {
 		return nil, false, &ProtocolError{op, "done is not a boolean"}
 	}
-	if b, err = decodePage(p.Bytes, width); err != nil {
+	if b, err = decodePage(p.Bytes(), width); err != nil {
 		return nil, false, &ProtocolError{op, "page: " + err.Error()}
 	}
 	if b.Len() == 0 && !d.Bool {

@@ -76,7 +76,9 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 // run's one conversion (a byte a row here) and about 2 KiB of objects every
 // round trip costs (request and reply headers, argument and result Anys, the
 // open's plan). Encoding into a fresh buffer and copying the page out of the
-// receive buffer cost more than twice the wire size.
+// receive buffer cost more than twice the wire size. The per-call objects
+// also have an absolute budget of 2 300 bytes a page, so they cannot grow
+// back; they read 2 091 when the budget was set.
 func TestRemoteCursorPageAllocations(t *testing.T) {
 	const pages = 8
 	servant, _ := NewISIServant(lendConn(t, pages*MaxPageRows), "Oracle", "LEND", nil)
@@ -129,6 +131,9 @@ func TestRemoteCursorPageAllocations(t *testing.T) {
 	}
 	if 4*perPage >= wire/n {
 		t.Fatalf("a %d-byte page allocates %d bytes, want under a quarter of its size", wire/n, perPage)
+	}
+	if perPage > 2300 {
+		t.Fatalf("a %d-byte page allocates %d bytes, want at most 2 300", wire/n, perPage)
 	}
 }
 
@@ -201,7 +206,7 @@ func TestCursorPagesSurviveBufferReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		page, _ := a.Get("page")
-		kept := bytes.Clone(page.Bytes)
+		kept := bytes.Clone(page.Bytes())
 		// Later opens, scoped and not, encode pages of their own, from the
 		// pool the scoped ones hand their pages back to.
 		rconn := NewRemoteConn(ref)
@@ -217,10 +222,10 @@ func TestCursorPagesSurviveBufferReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !bytes.Equal(page.Bytes, kept) {
+		if !bytes.Equal(page.Bytes(), kept) {
 			t.Fatal("a page handed to an unscoped colocated caller was written over")
 		}
-		b, err := decodePage(page.Bytes, 2)
+		b, err := decodePage(page.Bytes(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +256,7 @@ func TestCursorPagesSurviveBufferReuse(t *testing.T) {
 		uses := 0
 		err = ref.InvokeScoped(ctx, "open_cursor", true, func(a idl.Any) error {
 			uses++
-			if page, _ := a.Get("page"); len(page.Bytes) == 0 {
+			if page, _ := a.Get("page"); len(page.Bytes()) == 0 {
 				t.Error("use got no page")
 			}
 			return refused

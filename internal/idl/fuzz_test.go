@@ -15,6 +15,7 @@ func FuzzUnmarshalAny(f *testing.F) {
 	for _, a := range []Any{
 		Null(), Bool(true), Long(-5), Double(2.5), String("x"), Octets([]byte{1, 2, 3}),
 		Seq(Long(1), String("two"), Seq()), Struct(F("rows", Seq(Seq(Long(1)))), F("done", Bool(false))),
+		refer(KindAny, []Any{Long(1), Null()}), Octets(nil), Octets([]byte{}), Seq(), Struct(), Struct(F("e", Seq())),
 	} {
 		e := cdr.NewEncoder(cdr.BigEndian)
 		a.Marshal(e)

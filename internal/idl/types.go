@@ -10,7 +10,9 @@ package idl
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"unsafe"
 
 	"repro/internal/cdr"
 )
@@ -76,16 +78,45 @@ type Field struct {
 // Any is a self-describing value: a type code kind plus a payload. It is the
 // unit of data the ORB moves between processes. The zero Any is the null
 // value.
+//
+// An Any is 48 bytes, small enough to copy without the duff device. An octet
+// sequence, sequence or struct payload is one reference to its slice's first
+// element, which keeps the slice alive; Int holds the length and spare the
+// capacity beyond it. Build such a value with Octets, Seq or Struct, read it
+// with Bytes, Seq or Fields, and never set its Int by hand.
 type Any struct {
-	Kind   Kind
-	Bool   bool
-	Int    int64   // Short/UShort/Long/ULong/LongLong/ULongLong/Octet
-	Float  float64 // Float/Double
-	Str    string
-	Bytes  []byte
-	Seq    []Any
-	Fields []Field
+	Kind  Kind
+	Bool  bool
+	spare uint32  // capacity of the referenced slice beyond its length
+	Int   int64   // Short/UShort/Long/ULong/LongLong/ULongLong/Octet; Bytes/Seq/Fields length
+	Float float64 // Float/Double
+	Str   string
+	ref   unsafe.Pointer // first element of the Bytes, Seq or Fields slice
 }
+
+// refer builds an Any of kind k holding s.
+func refer[T any](k Kind, s []T) Any {
+	return Any{Kind: k, Int: int64(len(s)), spare: uint32(min(uint64(cap(s)-len(s)), math.MaxUint32)),
+		ref: unsafe.Pointer(unsafe.SliceData(s))}
+}
+
+// slice is the inverse of refer, capacity included; nil unless ok.
+func slice[T any](a Any, ok bool) []T {
+	if !ok || a.ref == nil {
+		return nil
+	}
+	n := int(a.Int)
+	return unsafe.Slice((*T)(a.ref), n+int(a.spare))[:n]
+}
+
+// Bytes returns an octet sequence's bytes, nil for any other kind.
+func (a Any) Bytes() []byte { return slice[byte](a, a.Kind == KindOctets) }
+
+// Seq returns a sequence's elements, nil for any other kind.
+func (a Any) Seq() []Any { return slice[Any](a, a.Kind == KindSeq || a.Kind == KindAny) }
+
+// Fields returns a struct's fields, nil for any other kind.
+func (a Any) Fields() []Field { return slice[Field](a, a.Kind == KindStruct) }
 
 // Convenience constructors.
 
@@ -105,10 +136,10 @@ func Double(v float64) Any { return Any{Kind: KindDouble, Float: v} }
 func String(v string) Any { return Any{Kind: KindString, Str: v} }
 
 // Octets wraps a byte slice.
-func Octets(v []byte) Any { return Any{Kind: KindOctets, Bytes: v} }
+func Octets(v []byte) Any { return refer(KindOctets, v) }
 
 // Seq wraps a sequence of Any values.
-func Seq(vs ...Any) Any { return Any{Kind: KindSeq, Seq: vs} }
+func Seq(vs ...Any) Any { return refer(KindSeq, vs) }
 
 // Strings wraps a []string as a sequence of string Anys.
 func Strings(ss []string) Any {
@@ -120,14 +151,14 @@ func Strings(ss []string) Any {
 }
 
 // Struct wraps a set of named fields; field order is preserved.
-func Struct(fields ...Field) Any { return Any{Kind: KindStruct, Fields: fields} }
+func Struct(fields ...Field) Any { return refer(KindStruct, fields) }
 
 // F builds a struct field.
 func F(name string, v Any) Field { return Field{Name: name, Value: v} }
 
 // Get returns the named field of a struct Any.
 func (a Any) Get(name string) (Any, bool) {
-	for _, f := range a.Fields {
+	for _, f := range a.Fields() {
 		if f.Name == name {
 			return f.Value, true
 		}
@@ -156,8 +187,9 @@ func (a Any) GetInt(name string) int64 {
 
 // StringSlice converts a sequence-of-string Any back to []string.
 func (a Any) StringSlice() []string {
-	out := make([]string, 0, len(a.Seq))
-	for _, v := range a.Seq {
+	seq := a.Seq()
+	out := make([]string, 0, len(seq))
+	for _, v := range seq {
 		out = append(out, v.Str)
 	}
 	return out
@@ -180,31 +212,25 @@ func (a Any) Equal(b Any) bool {
 	case KindString:
 		return a.Str == b.Str
 	case KindOctets:
-		if len(a.Bytes) != len(b.Bytes) {
-			return false
-		}
-		for i := range a.Bytes {
-			if a.Bytes[i] != b.Bytes[i] {
-				return false
-			}
-		}
-		return true
+		return string(a.Bytes()) == string(b.Bytes())
 	case KindSeq, KindAny:
-		if len(a.Seq) != len(b.Seq) {
+		as, bs := a.Seq(), b.Seq()
+		if len(as) != len(bs) {
 			return false
 		}
-		for i := range a.Seq {
-			if !a.Seq[i].Equal(b.Seq[i]) {
+		for i := range as {
+			if !as[i].Equal(bs[i]) {
 				return false
 			}
 		}
 		return true
 	case KindStruct:
-		if len(a.Fields) != len(b.Fields) {
+		af, bf := a.Fields(), b.Fields()
+		if len(af) != len(bf) {
 			return false
 		}
-		for i := range a.Fields {
-			if a.Fields[i].Name != b.Fields[i].Name || !a.Fields[i].Value.Equal(b.Fields[i].Value) {
+		for i := range af {
+			if af[i].Name != bf[i].Name || !af[i].Value.Equal(bf[i].Value) {
 				return false
 			}
 		}
@@ -229,16 +255,16 @@ func (a Any) String() string {
 	case KindString:
 		return fmt.Sprintf("%q", a.Str)
 	case KindOctets:
-		return fmt.Sprintf("octets[%d]", len(a.Bytes))
-	case KindSeq:
-		parts := make([]string, len(a.Seq))
-		for i, v := range a.Seq {
+		return fmt.Sprintf("octets[%d]", len(a.Bytes()))
+	case KindSeq, KindAny:
+		parts := make([]string, len(a.Seq()))
+		for i, v := range a.Seq() {
 			parts[i] = v.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case KindStruct:
-		parts := make([]string, len(a.Fields))
-		for i, f := range a.Fields {
+		parts := make([]string, len(a.Fields()))
+		for i, f := range a.Fields() {
 			parts[i] = f.Name + ": " + f.Value.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
@@ -275,15 +301,15 @@ func (a Any) Marshal(e *cdr.Encoder) {
 	case KindString:
 		e.WriteString(a.Str)
 	case KindOctets:
-		e.WriteOctets(a.Bytes)
+		e.WriteOctets(a.Bytes())
 	case KindSeq, KindAny:
-		e.WriteULong(uint32(len(a.Seq)))
-		for _, v := range a.Seq {
+		e.WriteULong(uint32(len(a.Seq())))
+		for _, v := range a.Seq() {
 			v.Marshal(e)
 		}
 	case KindStruct:
-		e.WriteULong(uint32(len(a.Fields)))
-		for _, f := range a.Fields {
+		e.WriteULong(uint32(len(a.Fields())))
+		for _, f := range a.Fields() {
 			e.WriteString(f.Name)
 			f.Value.Marshal(e)
 		}
@@ -346,29 +372,30 @@ func DecodeAny(d *cdr.Decoder, share bool) (Any, error) {
 		if err == nil && !share {
 			b = append([]byte(nil), b...)
 		}
-		a.Bytes = b
+		a = refer(a.Kind, b)
 	case KindSeq, KindAny:
 		var n uint32
 		n, err = d.ReadULong()
 		if err != nil {
 			break
 		}
-		a.Seq = make([]Any, 0, wireCount(n, d))
+		vs := make([]Any, 0, wireCount(n, d))
 		for i := uint32(0); i < n; i++ {
 			var v Any
 			v, err = DecodeAny(d, share)
 			if err != nil {
 				break
 			}
-			a.Seq = append(a.Seq, v)
+			vs = append(vs, v)
 		}
+		a = refer(a.Kind, vs)
 	case KindStruct:
 		var n uint32
 		n, err = d.ReadULong()
 		if err != nil {
 			break
 		}
-		a.Fields = make([]Field, 0, wireCount(n, d))
+		fs := make([]Field, 0, wireCount(n, d))
 		for i := uint32(0); i < n; i++ {
 			var name string
 			name, err = d.ReadString()
@@ -380,8 +407,9 @@ func DecodeAny(d *cdr.Decoder, share bool) (Any, error) {
 			if err != nil {
 				break
 			}
-			a.Fields = append(a.Fields, Field{Name: name, Value: v})
+			fs = append(fs, Field{Name: name, Value: v})
 		}
+		a = refer(a.Kind, fs)
 	default:
 		return Any{}, fmt.Errorf("idl: unknown any kind %d", k)
 	}

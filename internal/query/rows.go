@@ -176,7 +176,7 @@ func (r *Rows) Scan(dest ...any) error {
 		return fmt.Errorf("query: Scan got %d destinations for %d columns", len(dest), len(r.cur))
 	}
 	for i, d := range dest {
-		v := &r.cur[i] // read in place: an Any is too big to copy per cell
+		v := r.cur[i]
 		switch p := d.(type) {
 		case *string:
 			if v.Kind == idl.KindString {
@@ -197,7 +197,7 @@ func (r *Rows) Scan(dest ...any) error {
 		case *bool:
 			*p = v.Bool
 		case *idl.Any:
-			*p = *v
+			*p = v
 		default:
 			return fmt.Errorf("query: Scan does not support destination type %T", d)
 		}
