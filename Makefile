@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify loc race stress-cursors stress-orb bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint examples
+.PHONY: verify loc race stress-cursors stress-orb bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke lint examples engine-reach
 
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
@@ -13,6 +13,16 @@ GO ?= go
 # deleted; 84.5-84.6% once the relational tables became append-only;
 # 84.7-84.8% once the row oracle moved into the tests).
 COVER_FLOOR = 84.6
+
+# ENGINE_REACH_FLOOR is the engines' reach ratchet: engine-reach fails when
+# the federation-level packages (query, medworld, simtest, core,
+# cmd/webfindit-node, bench), without the engines' own tests, run less than
+# this share of internal/relational's and internal/oodb's statements. A
+# statement only the engines' tests reach is one no caller sends. Raise it
+# when reach grows; never lower it (52.1% while the SQL engine still had
+# joins, UNION, subqueries, BETWEEN, arithmetic, scalar functions and
+# DISTINCT, and oodb had methods; 65.6% once they were deleted).
+ENGINE_REACH_FLOOR = 65.6
 
 # verify is the tier-1 gate: build + vet + full test suite.
 verify:
@@ -32,8 +42,9 @@ loc:
 
 # ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
 # race detector (with the cursor and ORB stresses), chaos suite, simulation suite,
-# coverage ratchet, fuzz smoke, a one-iteration benchmark smoke and the examples.
-ci: fmt-check verify race stress-cursors stress-orb chaos sim cover-check fuzz-smoke bench-smoke examples
+# coverage ratchet, engine reach ratchet, fuzz smoke, a one-iteration benchmark
+# smoke and the examples.
+ci: fmt-check verify race stress-cursors stress-orb chaos sim cover-check engine-reach fuzz-smoke bench-smoke examples
 
 # examples runs the three example programs and a one-statement wtsh script
 # to completion: they and the shell are the callers of core.Federation's
@@ -102,6 +113,17 @@ cover-check: cover
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor" >&2; exit 1; }
+
+# engine-reach is the engines' ratchet: the share of internal/relational's
+# and internal/oodb's statements the federation-level packages reach, which
+# fails below ENGINE_REACH_FLOOR. Its profile is engine-reach.out.
+engine-reach:
+	$(GO) test -count=1 -coverpkg=./internal/relational,./internal/oodb -coverprofile=engine-reach.out \
+		./internal/query ./internal/medworld ./internal/simtest ./internal/core ./cmd/webfindit-node ./bench
+	@reach=$$($(GO) tool cover -func=engine-reach.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
+	echo "engine reach: $$reach% (floor $(ENGINE_REACH_FLOOR)%)"; \
+	awk -v r="$$reach" -v f="$(ENGINE_REACH_FLOOR)" 'BEGIN { exit (r+0 < f+0) ? 1 : 0 }' || \
+		{ echo "engine reach $$reach% is below the $(ENGINE_REACH_FLOOR)% floor" >&2; exit 1; }
 
 # bench-smoke runs every benchmark exactly once: cheap insurance that
 # benchmark setup code still works, without a full measurement run.

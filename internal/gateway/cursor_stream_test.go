@@ -236,7 +236,7 @@ func TestCursorHoldsMaterialisedRows(t *testing.T) {
 func TestCursorErrorPastPageOne(t *testing.T) {
 	e := startScanEngines(t, nil)[0]
 	ctx := context.Background()
-	it, err := e.rconn.QueryCursor(ctx, "SELECT 1000 / (v - 700) FROM r WHERE v >= 0", 64)
+	it, err := e.rconn.QueryCursor(ctx, "SELECT v <> 700 OR NOT k FROM r WHERE v >= 0", 64)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestCursorErrorPastPageOne(t *testing.T) {
 	for {
 		b, err := it.Next(ctx)
 		if err != nil {
-			if !strings.Contains(err.Error(), "division by zero") {
+			if !strings.Contains(err.Error(), "NOT applied to TEXT") {
 				t.Fatalf("fetch error = %v", err)
 			}
 			break

@@ -38,7 +38,7 @@ func CapsFor(engine string) Capabilities {
 		return Capabilities{Predicates: true, Like: true, Limit: false, InList: false}
 	}
 	if d, err := relational.DialectByName(engine); err == nil {
-		return Capabilities{Predicates: true, Like: d.Like, Limit: d.OrderLimit, InList: d.InList}
+		return Capabilities{Predicates: true, Like: d.Like, Limit: true, InList: d.InList}
 	}
 	return Capabilities{}
 }

@@ -24,11 +24,15 @@ func lendConn(t testing.TB, n int) Conn {
 	t.Helper()
 	var b bytes.Buffer
 	b.WriteString("CREATE TABLE r (k INT, s VARCHAR(1));\n")
-	for j := 0; j < min(n, 1024); j++ {
-		fmt.Fprintf(&b, "INSERT INTO r VALUES (%d, '%c');\n", j, 'a'+j%26)
-	}
-	for have := 1024; have < n; have *= 2 {
-		fmt.Fprintf(&b, "INSERT INTO r SELECT k + %d, s FROM r;\n", have)
+	for j := 0; j < n; j += 1024 {
+		b.WriteString("INSERT INTO r VALUES ")
+		for k := j; k < j+1024; k++ {
+			if k > j {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, '%c')", k, 'a'+k%26)
+		}
+		b.WriteString(";\n")
 	}
 	db := relational.NewDatabase("LEND", relational.DialectOracle)
 	if _, err := db.ExecScript(b.String()); err != nil {

@@ -195,3 +195,12 @@ func BenchmarkOQLEqual(b *testing.B) { benchOQL(b, "SELECT k FROM r DEEP WHERE v
 func BenchmarkOQLRange(b *testing.B) {
 	benchOQL(b, "SELECT k FROM r DEEP WHERE v >= 900 AND v < 972", 72)
 }
+
+// match evaluates the condition on one object, fetching its attribute.
+func (c *oqlCond) match(o *Object) bool {
+	v, ok := o.Get(c.attr)
+	if !ok {
+		return false
+	}
+	return c.matchValue(v)
+}

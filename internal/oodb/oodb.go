@@ -1,14 +1,14 @@
 // Package oodb implements an in-memory object-oriented database engine in
 // the style of the ObjectStore and Ontos systems the paper deploys: classes
-// with single inheritance forming a lattice, typed attributes, registered
-// methods, per-class extents, and predicate queries with optional subclass
-// traversal. The WebFINDIT co-databases (meta-data layer) are built on this
+// with single inheritance forming a lattice, typed attributes, per-class
+// extents, and predicate queries with optional subclass traversal. The WebFINDIT co-databases (meta-data layer) are built on this
 // engine, mirroring the paper: "a co-database is an object-oriented database
 // that stores information about its associated database, coalitions, and
 // service links".
 package oodb
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -56,17 +56,11 @@ type Attribute struct {
 	Type AttrType
 }
 
-// Method is executable behaviour attached to a class (the analogue of the
-// paper's access routines / class methods).
-type Method func(o *Object, args ...any) (any, error)
-
 // Class is one node of the class lattice.
 type Class struct {
-	db      *DB
-	name    string
-	super   *Class
-	attrs   []Attribute
-	methods map[string]Method
+	name  string
+	super *Class
+	attrs []Attribute
 }
 
 // Name returns the class name.
@@ -115,24 +109,6 @@ func (c *Class) attribute(name string) (Attribute, bool) {
 		}
 	}
 	return Attribute{}, false
-}
-
-// DefineMethod attaches behaviour; inherited by subclasses, overridable.
-func (c *Class) DefineMethod(name string, m Method) {
-	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	c.methods[strings.ToLower(name)] = m
-}
-
-// method resolves a method by name up the lattice.
-func (c *Class) method(name string) (Method, bool) {
-	key := strings.ToLower(name)
-	for cl := c; cl != nil; cl = cl.super {
-		if m, ok := cl.methods[key]; ok {
-			return m, true
-		}
-	}
-	return nil, false
 }
 
 // IsSubclassOf reports whether c equals or descends from other.
@@ -204,15 +180,6 @@ func (o *Object) Ref(name string) int64 {
 	v, _ := o.Get(name)
 	n, _ := v.(int64)
 	return n
-}
-
-// Call invokes a method resolved through the object's class lattice.
-func (o *Object) Call(name string, args ...any) (any, error) {
-	m, ok := o.class.method(name)
-	if !ok {
-		return nil, fmt.Errorf("oodb: class %s has no method %s", o.class.name, name)
-	}
-	return m(o, args...)
 }
 
 // DB is one object-oriented database instance.
@@ -364,8 +331,7 @@ func (db *DB) DefineClass(name, superName string, attrs ...Attribute) (*Class, e
 		}
 		seen[k] = true
 	}
-	c := &Class{db: db, name: name, super: super,
-		attrs: append([]Attribute(nil), attrs...), methods: make(map[string]Method)}
+	c := &Class{name: name, super: super, attrs: append([]Attribute(nil), attrs...)}
 	db.classes[key] = c
 	return c, nil
 }
@@ -630,8 +596,7 @@ type snapshot struct {
 	Objects []snapshotObject `json:"objects"`
 }
 
-// Snapshot serialises the schema and all objects to JSON. Methods are code
-// and are not serialised; reattach them after Load.
+// Snapshot serialises the schema and all objects to JSON.
 func (db *DB) Snapshot() ([]byte, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -676,10 +641,15 @@ func (db *DB) Snapshot() ([]byte, error) {
 	return json.MarshalIndent(snap, "", "  ")
 }
 
-// Load restores a snapshot into a fresh database.
+// Load restores a snapshot into a fresh database. A value is read back as
+// its attribute's declared type says, not as its JSON looks: numbers are
+// decoded exactly, so an int above 2^53 survives, and an integral float stays
+// a float.
 func Load(data []byte) (*DB, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
 	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("oodb: load: %w", err)
 	}
 	db := NewDB(snap.Name)
@@ -693,12 +663,21 @@ func Load(data []byte) (*DB, error) {
 		}
 	}
 	for _, so := range snap.Objects {
+		c, ok := db.classes[strings.ToLower(so.Class)]
+		if !ok {
+			return nil, fmt.Errorf("oodb: load: object %d of undefined class %s", so.ID, so.Class)
+		}
 		attrs := make(map[string]any, len(so.Attrs))
 		for k, v := range so.Attrs {
-			if v == nil {
-				continue // nil-valued attributes (e.g. empty lists) stay unset
+			a, ok := c.attribute(k)
+			if !ok {
+				return nil, fmt.Errorf("oodb: load: class %s has no attribute %s", c.name, k)
 			}
-			attrs[k] = normaliseJSON(v)
+			val, err := fromJSON(a, v)
+			if err != nil {
+				return nil, fmt.Errorf("oodb: load: object %d: %w", so.ID, err)
+			}
+			attrs[k] = val
 		}
 		// NewObject takes the ID after nextID: the saved one, so Ref
 		// attributes stay valid.
@@ -712,24 +691,32 @@ func Load(data []byte) (*DB, error) {
 	return db, nil
 }
 
-// normaliseJSON converts JSON decode artifacts (float64 numbers, []any
-// lists) back to the engine's attribute value types.
-func normaliseJSON(v any) any {
-	switch x := v.(type) {
-	case float64:
-		if x == float64(int64(x)) {
-			return int64(x)
+// fromJSON converts a value the snapshot decoder produced (a json.Number, a
+// string, a bool, a list or nil) to the type attribute a holds.
+func fromJSON(a Attribute, v any) (any, error) {
+	n, isNum := v.(json.Number)
+	switch {
+	case isNum && (a.Type == AttrInt || a.Type == AttrRef):
+		return n.Int64()
+	case isNum && a.Type == AttrFloat:
+		return n.Float64()
+	case a.Type == AttrStringList:
+		// An empty list is stored as nil, which the snapshot writes as null.
+		list, ok := v.([]any)
+		if !ok && v != nil {
+			break
 		}
-		return x
-	case []any:
-		out := make([]string, 0, len(x))
-		for _, item := range x {
-			if s, ok := item.(string); ok {
-				out = append(out, s)
+		var out []string
+		for _, item := range list {
+			s, ok := item.(string)
+			if !ok {
+				return nil, fmt.Errorf("oodb: attribute %s holds %v, not a string", a.Name, item)
 			}
+			out = append(out, s)
 		}
-		return out
-	default:
-		return v
+		return out, nil
+	case !isNum:
+		return v, nil // NewObject checks strings and booleans
 	}
+	return nil, fmt.Errorf("oodb: attribute %s expects %s, got %s", a.Name, a.Type, v)
 }

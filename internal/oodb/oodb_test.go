@@ -1,6 +1,7 @@
 package oodb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,32 +201,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestMethodsAndInheritance(t *testing.T) {
-	db := newMedicalDB(t)
-	info, _ := db.Class("InformationType")
-	info.DefineMethod("describe", func(o *Object, args ...any) (any, error) {
-		return "info:" + o.String("Description"), nil
-	})
-	res, _ := db.Class("Research")
-	res.DefineMethod("describe", func(o *Object, args ...any) (any, error) {
-		return "research:" + o.String("Field"), nil
-	})
-	r, _ := db.NewObject("CancerResearch", map[string]any{"Field": "cancer"})
-	m, _ := db.NewObject("Medical", map[string]any{"Description": "medicine"})
-	// CancerResearch inherits Research's override.
-	got, err := r.Call("describe")
-	if err != nil || got != "research:cancer" {
-		t.Errorf("override: %v %v", got, err)
-	}
-	got, err = m.Call("describe")
-	if err != nil || got != "info:medicine" {
-		t.Errorf("inherited: %v %v", got, err)
-	}
-	if _, err := r.Call("nosuch"); err == nil {
-		t.Error("unknown method accepted")
-	}
-}
-
 func TestAttrTypes(t *testing.T) {
 	db := NewDB("t")
 	if _, err := db.DefineClass("All", "",
@@ -300,6 +275,54 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := Load([]byte("not json")); err == nil {
 		t.Error("bad snapshot accepted")
+	}
+}
+
+// TestSnapshotRoundTripKeepsValues: Load gives back every attribute value
+// Snapshot saw, of its declared type: an int above 2^53, an integral float,
+// an empty and a non-empty string list, and a reference.
+func TestSnapshotRoundTripKeepsValues(t *testing.T) {
+	db := NewDB("t")
+	if _, err := db.DefineClass("All", "",
+		Attribute{Name: "i", Type: AttrInt},
+		Attribute{Name: "f", Type: AttrFloat},
+		Attribute{Name: "none", Type: AttrStringList},
+		Attribute{Name: "some", Type: AttrStringList},
+		Attribute{Name: "r", Type: AttrRef},
+	); err != nil {
+		t.Fatal(err)
+	}
+	target, err := db.NewObject("All", map[string]any{"i": int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := db.NewObject("All", map[string]any{
+		"i": int64(1<<53 + 1), "f": 3.0, "none": []string{}, "some": []string{"a", "b"}, "r": target.ID(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, ok := got.Get(o.ID())
+	if !ok {
+		t.Fatalf("object %d not restored", o.ID())
+	}
+	for _, name := range []string{"i", "f", "none", "some", "r"} {
+		want, wantOK := o.Get(name)
+		have, haveOK := back.Get(name)
+		if haveOK != wantOK || !reflect.DeepEqual(have, want) {
+			t.Errorf("%s: restored %#v (set %v), saved %#v (set %v)", name, have, haveOK, want, wantOK)
+		}
+	}
+	if _, ok := got.Get(back.Ref("r")); !ok {
+		t.Errorf("reference %d does not resolve after Load", back.Ref("r"))
 	}
 }
 

@@ -358,16 +358,7 @@ type oqlCond struct {
 	val  any    // string, int64, float64, bool
 }
 
-func (c *oqlCond) match(o *Object) bool {
-	v, ok := o.Get(c.attr)
-	if !ok {
-		return false
-	}
-	return c.matchValue(v)
-}
-
-// matchValue compares one already-fetched attribute value, the kernel shared
-// by the per-object match and the batched filterExtent path.
+// matchValue compares one attribute value with the condition's literal.
 func (c *oqlCond) matchValue(v any) bool {
 	if c.op == "LIKE" {
 		s, sok := v.(string)

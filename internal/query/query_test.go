@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -259,6 +260,47 @@ func TestNativeQueryInPackage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Beta") {
 		t.Errorf("error = %v", err)
 	}
+}
+
+// TestNativeQueryReachesTheEngine: a native query from another node reaches
+// the coalition member's engine whole. A join, which no engine here has,
+// surfaces the engine's refusal instead of an empty answer, and a relational
+// EXPLAIN comes back as rows naming the index access path.
+func TestNativeQueryReachesTheEngine(t *testing.T) {
+	f, a, _ := twoNodeFixture(t)
+	var load strings.Builder
+	load.WriteString("CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT); CREATE INDEX r_v ON r (v);")
+	for j := 0; j < 120; j++ {
+		fmt.Fprintf(&load, " INSERT INTO r VALUES ('k%d', %d);", j, j)
+	}
+	if _, err := f.AddNode(orb.Orbix, core.NodeConfig{
+		Name: "Gamma", Engine: core.EngineOracle, InformationType: "gamma records", Schema: load.String(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DefineCoalition("Gammas", "", "gamma records", "Alpha", "Gamma"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s := a.NewSession()
+	resp, err := s.Execute(ctx, `Query Gamma Using Native "SELECT a.k FROM r a JOIN r b ON a.k = b.k";`)
+	if err == nil || !strings.Contains(err.Error(), "JOIN is not supported") {
+		t.Errorf("native join: %v, %+v", err, resp)
+	}
+	resp, err = s.Execute(ctx, `Query Gamma Using Native "EXPLAIN SELECT v FROM r WHERE v >= 100";`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan []string
+	for _, row := range resp.Result.Rows {
+		plan = append(plan, row[0].Str)
+	}
+	if !strings.Contains(strings.Join(plan, "\n"), "index range r_v(v) [100, inf)") {
+		t.Errorf("EXPLAIN through the federation: %q", plan)
+	}
+	// TODO(ROADMAP "Federated Explain / Explain Analyze"): an oodb member
+	// has no EXPLAIN yet; check one here once that item gives it the few
+	// lines relational EXPLAIN has.
 }
 
 func TestCreateLinkAndDisplay(t *testing.T) {

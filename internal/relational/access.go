@@ -19,12 +19,12 @@ const indexShare = 8
 
 // indexAccess is how a scan reaches its candidate rows through a
 // single-column index: by looking up keys (an equality's, or a literal IN
-// list's) or by seeking the key range its <, <=, >, >= and BETWEEN conjuncts
-// on the column bound. A row is a candidate exactly when every conjunct in
-// conjs is TRUE for it: the bounds are taken only from literals that compare
-// in the column's own order (keyOrder), so the index's order is theirs, and a
-// range never holds NULL keys. So the walk over the candidates evaluates the
-// whole filter on exactly the rows a walk over every slot lets through conjs.
+// list's) or by seeking the key range its <, <=, > and >= conjuncts on the
+// column bound. A row is a candidate exactly when every conjunct in conjs is
+// TRUE for it: the bounds are taken only from literals that compare in the
+// column's own order (keyOrder), so the index's order is theirs, and a range
+// never holds NULL keys. So the walk over the candidates evaluates the whole
+// filter on exactly the rows a walk over every slot lets through conjs.
 type indexAccess struct {
 	ix     *Index
 	conjs  []Expr  // the conjuncts the access answers
@@ -55,12 +55,12 @@ func keyOrder(typ ColType, lit Value) bool {
 
 // keyTerm is a conjunct in a shape an index answers, on column col: the
 // column against a literal (op is the comparison with the column on its
-// left), BETWEEN two literals, or IN a list.
+// left), or IN a list.
 type keyTerm struct {
-	col    int
-	op     string // =, <, <=, >, >=, BETWEEN or IN
-	lo, hi *Value // the literal (lo), or BETWEEN's bounds, in the statement
-	in     *InList
+	col int
+	op  string // =, <, <=, >, >= or IN
+	lit *Value // the literal, in the statement
+	in  *InList
 }
 
 // flipped is a comparison with its operands swapped: 5 < v is v > 5.
@@ -78,19 +78,12 @@ func parseKeyTerm(cols []colBinding, conj Expr) (keyTerm, bool) {
 			return kt, false
 		}
 		if l, isLit := x.L.(*Literal); isLit {
-			col, kt.op, kt.lo = x.R, swapped, &l.Val
+			col, kt.op, kt.lit = x.R, swapped, &l.Val
 		} else if r, isLit := x.R.(*Literal); isLit {
-			col, kt.op, kt.lo = x.L, x.Op, &r.Val
+			col, kt.op, kt.lit = x.L, x.Op, &r.Val
 		} else {
 			return kt, false
 		}
-	case *Between:
-		lo, loLit := x.Lo.(*Literal)
-		hi, hiLit := x.Hi.(*Literal)
-		if x.Negate || !loLit || !hiLit {
-			return kt, false
-		}
-		col, kt.op, kt.lo, kt.hi = x.X, "BETWEEN", &lo.Val, &hi.Val
 	case *InList:
 		if x.Negate {
 			return kt, false
@@ -114,7 +107,7 @@ func parseKeyTerm(cols []colBinding, conj Expr) (keyTerm, bool) {
 // literal or a literal is not in the column's key order.
 func (kt *keyTerm) lookupKeys(typ ColType) (keys []Value, ok bool) {
 	if kt.in == nil {
-		return []Value{*kt.lo}, keyOrder(typ, *kt.lo)
+		return []Value{*kt.lit}, keyOrder(typ, *kt.lit)
 	}
 	keys = make([]Value, 0, len(kt.in.List))
 	for _, item := range kt.in.List {
@@ -137,18 +130,12 @@ func (kt *keyTerm) lookupKeys(typ ColType) (keys []Value, ok bool) {
 // the term was one (in the column's key order).
 func (a *indexAccess) narrow(kt *keyTerm, typ ColType) bool {
 	switch {
-	case kt.op == "=" || kt.op == "IN" || !keyOrder(typ, *kt.lo):
+	case kt.op == "=" || kt.op == "IN" || !keyOrder(typ, *kt.lit):
 		return false
-	case kt.op == "BETWEEN":
-		if !keyOrder(typ, *kt.hi) {
-			return false
-		}
-		a.raiseLo(kt.lo, true)
-		a.lowerHi(kt.hi, true)
 	case kt.op == ">" || kt.op == ">=":
-		a.raiseLo(kt.lo, kt.op == ">=")
+		a.raiseLo(kt.lit, kt.op == ">=")
 	default:
-		a.lowerHi(kt.lo, kt.op == "<=")
+		a.lowerHi(kt.lit, kt.op == "<=")
 	}
 	return true
 }

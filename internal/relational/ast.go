@@ -41,9 +41,8 @@ func (c *ColRef) String() string {
 	return c.Name
 }
 
-// Binary is a binary operation. Op is one of the operator literals
-// ("+", "-", "*", "/", "%", "||", "=", "<>", "<", "<=", ">", ">=",
-// "AND", "OR", "LIKE").
+// Binary is a binary operation. Op is one of "=", "<>", "<", "<=", ">",
+// ">=", "LIKE", "AND" and "OR".
 type Binary struct {
 	Op   string
 	L, R Expr
@@ -54,14 +53,11 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
 
-// Unary is a unary operation: "-" or "NOT".
-type Unary struct {
-	Op string
-	X  Expr
-}
+// Not is logical negation.
+type Not struct{ X Expr }
 
-func (*Unary) expr()            {}
-func (u *Unary) String() string { return u.Op + " " + u.X.String() }
+func (*Not) expr()            {}
+func (n *Not) String() string { return "NOT " + n.X.String() }
 
 // IsNull tests nullity; Negate selects IS NOT NULL.
 type IsNull struct {
@@ -77,7 +73,7 @@ func (n *IsNull) String() string {
 	return n.X.String() + " IS NULL"
 }
 
-// InList tests membership in a literal list.
+// InList tests membership in a list.
 type InList struct {
 	X      Expr
 	List   []Expr
@@ -97,22 +93,8 @@ func (in *InList) String() string {
 	return in.X.String() + not + " IN (" + strings.Join(parts, ", ") + ")"
 }
 
-// Between tests a range inclusively.
-type Between struct {
-	X, Lo, Hi Expr
-	Negate    bool
-}
-
-func (*Between) expr() {}
-func (b *Between) String() string {
-	not := ""
-	if b.Negate {
-		not = " NOT"
-	}
-	return b.X.String() + not + " BETWEEN " + b.Lo.String() + " AND " + b.Hi.String()
-}
-
-// FuncCall is a scalar or aggregate function call. Star marks COUNT(*).
+// FuncCall is an aggregate call (COUNT, SUM, AVG, MIN or MAX) over one
+// argument. Star marks COUNT(*).
 type FuncCall struct {
 	Name     string // upper-cased
 	Args     []Expr
@@ -136,99 +118,47 @@ func (f *FuncCall) String() string {
 	return f.Name + "(" + d + strings.Join(parts, ", ") + ")"
 }
 
-// aggregateFuncs is the set of aggregate function names.
-var aggregateFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
-// IsAggregate reports whether the call is an aggregate.
-func (f *FuncCall) IsAggregate() bool { return aggregateFuncs[f.Name] }
-
-// hasAggregate reports whether an expression tree contains an aggregate call.
-func hasAggregate(e Expr) bool {
+// inspect calls f on e and, for as long as f returns true, on its operands,
+// depth first.
+func inspect(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
 	switch x := e.(type) {
-	case *FuncCall:
-		if x.IsAggregate() {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
 	case *Binary:
-		return hasAggregate(x.L) || hasAggregate(x.R)
-	case *Unary:
-		return hasAggregate(x.X)
+		inspect(x.L, f)
+		inspect(x.R, f)
+	case *Not:
+		inspect(x.X, f)
 	case *IsNull:
-		return hasAggregate(x.X)
+		inspect(x.X, f)
 	case *InList:
-		if hasAggregate(x.X) {
-			return true
-		}
+		inspect(x.X, f)
 		for _, a := range x.List {
-			if hasAggregate(a) {
-				return true
-			}
+			inspect(a, f)
 		}
-	case *Between:
-		return hasAggregate(x.X) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
-	}
-	return false
-}
-
-// hasInList reports whether an expression tree contains a literal IN list.
-func hasInList(e Expr) bool {
-	switch x := e.(type) {
-	case *InList:
-		return true
-	case *Binary:
-		return hasInList(x.L) || hasInList(x.R)
-	case *Unary:
-		return hasInList(x.X)
-	case *IsNull:
-		return hasInList(x.X)
 	case *FuncCall:
 		for _, a := range x.Args {
-			if hasInList(a) {
-				return true
-			}
+			inspect(a, f)
 		}
-	case *Between:
-		return hasInList(x.X) || hasInList(x.Lo) || hasInList(x.Hi)
 	}
-	return false
 }
 
-// hasLike reports whether an expression tree contains a LIKE comparison.
-func hasLike(e Expr) bool {
-	switch x := e.(type) {
-	case *Binary:
-		return x.Op == "LIKE" || hasLike(x.L) || hasLike(x.R)
-	case *Unary:
-		return hasLike(x.X)
-	case *IsNull:
-		return hasLike(x.X)
-	case *FuncCall:
-		for _, a := range x.Args {
-			if hasLike(a) {
-				return true
-			}
-		}
-	case *InList:
-		if hasLike(x.X) {
-			return true
-		}
-		for _, a := range x.List {
-			if hasLike(a) {
-				return true
-			}
-		}
-	case *Between:
-		return hasLike(x.X) || hasLike(x.Lo) || hasLike(x.Hi)
-	}
-	return false
+// contains reports whether match holds for a node of e's tree.
+func contains(e Expr, match func(Expr) bool) bool {
+	found := false
+	inspect(e, func(x Expr) bool {
+		found = found || match(x)
+		return !found
+	})
+	return found
 }
+
+func isAggregate(e Expr) bool { _, ok := e.(*FuncCall); return ok }
+
+func isInList(e Expr) bool { _, ok := e.(*InList); return ok }
+
+func isLike(e Expr) bool { b, ok := e.(*Binary); return ok && b.Op == "LIKE" }
 
 // ---- Statements ----
 
@@ -241,7 +171,7 @@ type SelectItem struct {
 	Table string // qualifier for t.*
 }
 
-// TableRef is one FROM-clause table with an optional alias.
+// TableRef is the FROM-clause table with an optional alias.
 type TableRef struct {
 	Name  string
 	Alias string
@@ -255,61 +185,25 @@ func (t TableRef) Binding() string {
 	return t.Name
 }
 
-// JoinClause is one JOIN step after the first FROM table.
-type JoinClause struct {
-	Kind  string // "INNER", "LEFT", "CROSS"
-	Table TableRef
-	On    Expr // nil for CROSS
-}
-
 // OrderItem is one ORDER BY key.
 type OrderItem struct {
 	Expr Expr
 	Desc bool
 }
 
-// SelectStmt is a parsed SELECT, possibly the head of a UNION chain.
-// ORDER BY / LIMIT / OFFSET on the head apply to the combined result.
+// SelectStmt is a parsed SELECT over at most one table.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     []TableRef   // first table, plus comma-joined tables
-	Joins    []JoinClause // explicit JOIN clauses
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    int // -1 = none
-	Offset   int
-
-	Union    *SelectStmt // next arm of a UNION chain (nil = none)
-	UnionAll bool        // keep duplicates when combining with Union
+	Items   []SelectItem
+	From    *TableRef // nil: no FROM, one empty row
+	Where   Expr
+	GroupBy []Expr
+	Having  Expr
+	OrderBy []OrderItem
+	Limit   int // -1 = none
+	Offset  int
 }
 
 func (*SelectStmt) stmt() {}
-
-// Subquery is a parenthesised SELECT used inside an expression, as in
-// `x IN (SELECT ...)` or `EXISTS (SELECT ...)`. Exists selects the EXISTS
-// form; Negate applies to either form. Subqueries are evaluated once per
-// statement (no correlation).
-type Subquery struct {
-	X      Expr // nil for EXISTS
-	Select *SelectStmt
-	Exists bool
-	Negate bool
-}
-
-func (*Subquery) expr() {}
-func (s *Subquery) String() string {
-	not := ""
-	if s.Negate {
-		not = "NOT "
-	}
-	if s.Exists {
-		return not + "EXISTS (subquery)"
-	}
-	return s.X.String() + " " + not + "IN (subquery)"
-}
 
 // InsertStmt is a parsed INSERT.
 type InsertStmt struct {

@@ -204,7 +204,7 @@ func TestBTreeCountsUnderChurn(t *testing.T) {
 }
 
 // TestEncodeKeyInjective checks that distinct value tuples encode to
-// distinct keys (the property GROUP BY and hash joins rely on).
+// distinct keys (the property GROUP BY and composite keys rely on).
 func TestEncodeKeyInjective(t *testing.T) {
 	f := func(a, b int64, s1, s2 string) bool {
 		k1 := encodeKey([]Value{IntValue(a), TextValue(s1)})
@@ -286,8 +286,84 @@ func TestLikeMatcher(t *testing.T) {
 		{"medical research", "%research", true},
 	}
 	for _, c := range cases {
-		if got := matchLike(c.s, c.p); got != c.want {
+		if got := MatchLike(c.s, c.p); got != c.want {
 			t.Errorf("LIKE(%q, %q) = %t, want %t", c.s, c.p, got, c.want)
 		}
 	}
+}
+
+// Len reports the number of row entries in the tree.
+func (t *btree) Len() int { return t.rows }
+
+// Keys reports the number of distinct keys.
+func (t *btree) Keys() int { return t.keys }
+
+// depth reports the tree height (for invariant tests).
+func (t *btree) depth() int {
+	d := 1
+	for n := t.root; !n.leaf(); n = n.children[0] {
+		d++
+	}
+	return d
+}
+
+// checkInvariants verifies B-tree structural invariants and the counts kept
+// beside them. It returns an error description or ""
+// when valid.
+func (t *btree) checkInvariants() string {
+	var prev *Value
+	ok := ""
+	depth := -1
+	keys, rows := 0, 0
+	var walk func(n *btreeNode, d int) bool
+	walk = func(n *btreeNode, d int) bool {
+		if n != t.root && len(n.items) == 0 {
+			// Insert-only splitting keeps nodes at least half full except
+			// the root.
+			ok = "empty non-root node"
+			return false
+		}
+		if n.leaf() {
+			if depth == -1 {
+				depth = d
+			} else if depth != d {
+				ok = "leaves at different depths"
+				return false
+			}
+		} else if len(n.children) != len(n.items)+1 {
+			ok = "child count mismatch"
+			return false
+		}
+		for i, it := range n.items {
+			if !n.leaf() && !walk(n.children[i], d+1) {
+				return false
+			}
+			if prev != nil && Compare(*prev, it.key) >= 0 {
+				ok = "keys out of order"
+				return false
+			}
+			k := it.key
+			prev = &k
+			keys++
+			rows += len(it.rows)
+		}
+		if !n.leaf() && !walk(n.children[len(n.items)], d+1) {
+			return false
+		}
+		if n.count != n.sum() {
+			ok = "subtree row count mismatch"
+			return false
+		}
+		return true
+	}
+	if !walk(t.root, 0) {
+		return ok
+	}
+	switch {
+	case keys != t.keys:
+		return "key count mismatch"
+	case rows != t.rows:
+		return "row count mismatch"
+	}
+	return ""
 }

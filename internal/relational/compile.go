@@ -13,7 +13,7 @@ import (
 // statement execution into a tree of vexpr nodes that evaluate over column
 // vectors with a selection vector, instead of re-walking the AST (and
 // re-resolving column names) for every tuple. Operators apply through
-// applyBinary/applyUnary/applyScalarFunc (expr.go).
+// applyBinary/applyNot (expr.go).
 
 // vecChunk is the batch granularity: scans, filters, projections and
 // aggregations process at most this many rows per call, so scratch buffers
@@ -103,8 +103,8 @@ func compileExpr(e Expr, cols []colBinding) vexpr {
 			return &vErr{err: err}
 		}
 		return &vCol{ord: ord}
-	case *Unary:
-		return &vUnary{op: x.Op, x: compileExpr(x.X, cols)}
+	case *Not:
+		return &vNot{x: compileExpr(x.X, cols)}
 	case *Binary:
 		switch x.Op {
 		case "AND":
@@ -131,13 +131,6 @@ func compileExpr(e Expr, cols []colBinding) vexpr {
 		return &vBinary{op: x.Op, l: compileExpr(x.L, cols), r: compileExpr(x.R, cols)}
 	case *IsNull:
 		return &vIsNull{x: compileExpr(x.X, cols), negate: x.Negate}
-	case *Between:
-		return &vBetween{
-			x:      compileExpr(x.X, cols),
-			lo:     compileExpr(x.Lo, cols),
-			hi:     compileExpr(x.Hi, cols),
-			negate: x.Negate,
-		}
 	case *InList:
 		// An item is evaluated only for the rows no earlier item matched,
 		// so a list that is all literals, which cannot fail, is a set
@@ -152,15 +145,10 @@ func compileExpr(e Expr, cols []colBinding) vexpr {
 		}
 		return newInList(compileExpr(x.X, cols), vals, x.Negate)
 	case *FuncCall:
-		if x.IsAggregate() {
-			if ord := slices.Index(cols, aggBinding(x)); ord >= 0 {
-				return &vCol{ord: ord}
-			}
-			return &vErr{err: fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)}
+		if ord := slices.Index(cols, aggBinding(x)); ord >= 0 {
+			return &vCol{ord: ord}
 		}
-		return &vFunc{f: x, args: compileAll(x.Args, cols)}
-	case *Subquery:
-		return &vErr{err: fmt.Errorf("sql: unresolved subquery (internal error)")}
+		return &vErr{err: fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)}
 	}
 	return &vErr{err: fmt.Errorf("sql: cannot evaluate %T", e)}
 }
@@ -209,17 +197,14 @@ func (n *vErr) eval(_ *vctx, _ *vbatch, sel []int, _ []Value) error {
 	return n.err
 }
 
-type vUnary struct {
-	op string
-	x  vexpr
-}
+type vNot struct{ x vexpr }
 
-func (n *vUnary) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
+func (n *vNot) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 	if err := n.x.eval(c, b, sel, out); err != nil {
 		return err
 	}
 	for k := range sel {
-		v, err := applyUnary(n.op, out[k])
+		v, err := applyNot(out[k])
 		if err != nil {
 			return err
 		}
@@ -253,7 +238,7 @@ func (n *vBinary) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 }
 
 // vColLitOp is the fused `column <op> literal` (or swapped) node covering
-// every non-logical binary operator: a single pass over the column vector.
+// comparisons and LIKE: a single pass over the column vector.
 // Comparison operators against a non-NULL numeric or string literal take a
 // typed loop that mirrors Compare's ordering (numerics compare as float64,
 // same-kind strings bytewise) without its per-row struct traffic.
@@ -388,7 +373,7 @@ func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
 
 // vAnd implements three-valued AND. The right side is evaluated only for
 // rows the left side did not decide FALSE: a short-circuit, errors included
-// (`x <> 0 AND 1/x > 0` never divides by zero).
+// (`v > 0 AND NOT k` fails only on a row with a positive v).
 type vAnd struct{ l, r vexpr }
 
 func (n *vAnd) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
@@ -489,40 +474,6 @@ func (n *vIsNull) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 		} else {
 			out[k] = BoolValue(out[k].Null)
 		}
-	}
-	return nil
-}
-
-type vBetween struct {
-	x, lo, hi vexpr
-	negate    bool
-}
-
-func (n *vBetween) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	lobuf := c.getVals()
-	defer c.putVals(lobuf[:len(sel)])
-	hibuf := c.getVals()
-	defer c.putVals(hibuf[:len(sel)])
-	if err := n.x.eval(c, b, sel, out); err != nil {
-		return err
-	}
-	if err := n.lo.eval(c, b, sel, lobuf); err != nil {
-		return err
-	}
-	if err := n.hi.eval(c, b, sel, hibuf); err != nil {
-		return err
-	}
-	for k := range sel {
-		v, lo, hi := out[k], lobuf[k], hibuf[k]
-		if v.Null || lo.Null || hi.Null {
-			out[k] = NullValue()
-			continue
-		}
-		in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-		if n.negate {
-			in = !in
-		}
-		out[k] = BoolValue(in)
 	}
 	return nil
 }
@@ -658,34 +609,6 @@ func (n *vInItems) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 			keep++
 		}
 		sub, pos = sub[:keep], pos[:keep]
-	}
-	return nil
-}
-
-type vFunc struct {
-	f    *FuncCall
-	args []vexpr
-}
-
-func (n *vFunc) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	bufs := make([][]Value, len(n.args))
-	for i := range n.args {
-		bufs[i] = c.getVals()
-		defer c.putVals(bufs[i][:len(sel)])
-		if err := n.args[i].eval(c, b, sel, bufs[i]); err != nil {
-			return err
-		}
-	}
-	argv := make([]Value, len(n.args))
-	for k := range sel {
-		for i := range bufs {
-			argv[i] = bufs[i][k]
-		}
-		v, err := applyScalarFunc(n.f, argv)
-		if err != nil {
-			return err
-		}
-		out[k] = v
 	}
 	return nil
 }

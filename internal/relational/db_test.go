@@ -87,8 +87,7 @@ func TestWherePredicates(t *testing.T) {
 		{"Address IS NOT NULL", 3},
 		{"Patient_Id IN (1, 3, 99)", 2},
 		{"Patient_Id NOT IN (1, 3)", 2},
-		{"Patient_Id BETWEEN 2 AND 3", 2},
-		{"Patient_Id NOT BETWEEN 2 AND 3", 2},
+		{"Patient_Id > -1", 4},
 		{"NOT Gender = 'F'", 2},
 		{"Date_Of_Birth < '1970-01-01'", 2},
 	}
@@ -109,51 +108,6 @@ func TestNullComparisonsFilterOut(t *testing.T) {
 	}
 }
 
-func TestExpressionsAndFunctions(t *testing.T) {
-	db := NewDatabase("t", DialectOracle)
-	res := mustQuery(t, db, "SELECT 1 + 2 * 3, UPPER('ab'), LENGTH('hello'), COALESCE(NULL, 'x'), SUBSTR('abcdef', 2, 3), ABS(-4)")
-	row := res.Rows[0]
-	if row[0].Int != 7 {
-		t.Errorf("arith: %v", row[0])
-	}
-	if row[1].Str != "AB" {
-		t.Errorf("UPPER: %v", row[1])
-	}
-	if row[2].Int != 5 {
-		t.Errorf("LENGTH: %v", row[2])
-	}
-	if row[3].Str != "x" {
-		t.Errorf("COALESCE: %v", row[3])
-	}
-	if row[4].Str != "bcd" {
-		t.Errorf("SUBSTR: %v", row[4])
-	}
-	if row[5].Int != 4 {
-		t.Errorf("ABS: %v", row[5])
-	}
-}
-
-func TestConcatAndDivision(t *testing.T) {
-	db := NewDatabase("t", DialectOracle)
-	res := mustQuery(t, db, "SELECT 'a' || 'b', 7 / 2, 7.0 / 2, 7 % 3")
-	row := res.Rows[0]
-	if row[0].Str != "ab" {
-		t.Errorf("concat: %v", row[0])
-	}
-	if row[1].Int != 3 {
-		t.Errorf("int div: %v", row[1])
-	}
-	if row[2].Float != 3.5 {
-		t.Errorf("float div: %v", row[2])
-	}
-	if row[3].Int != 1 {
-		t.Errorf("mod: %v", row[3])
-	}
-	if _, err := db.Query("SELECT 1 / 0"); err == nil {
-		t.Error("division by zero not reported")
-	}
-}
-
 func TestOrderLimitOffset(t *testing.T) {
 	db := newPatientsDB(t)
 	res := mustQuery(t, db, "SELECT Name FROM Patient ORDER BY Name DESC LIMIT 2 OFFSET 1")
@@ -167,17 +121,9 @@ func TestOrderLimitOffset(t *testing.T) {
 
 func TestOrderByAlias(t *testing.T) {
 	db := newPatientsDB(t)
-	res := mustQuery(t, db, "SELECT Patient_Id * 10 AS score FROM Patient ORDER BY score DESC LIMIT 1")
-	if res.Rows[0][0].Int != 40 {
+	res := mustQuery(t, db, "SELECT Patient_Id AS score FROM Patient ORDER BY score DESC LIMIT 1")
+	if res.Rows[0][0].Int != 4 {
 		t.Errorf("got %v", res.Rows[0][0])
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	db := newPatientsDB(t)
-	res := mustQuery(t, db, "SELECT DISTINCT Gender FROM Patient ORDER BY Gender")
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows", len(res.Rows))
 	}
 }
 
@@ -227,71 +173,6 @@ func TestCountOnEmptyTable(t *testing.T) {
 	}
 }
 
-func newJoinDB(t *testing.T) *Database {
-	t.Helper()
-	db := NewDatabase("RBH", DialectOracle)
-	mustExec(t, db, "CREATE TABLE doctors (employee_id INT PRIMARY KEY, qualification VARCHAR(32), position VARCHAR(32))")
-	mustExec(t, db, "CREATE TABLE history (patient_id INT, date_recorded DATE, description VARCHAR(128), doctor_id INT)")
-	mustExec(t, db, `INSERT INTO doctors VALUES (10, 'MBBS', 'Registrar'), (11, 'FRACP', 'Consultant'), (12, 'MBBS', 'Intern')`)
-	mustExec(t, db, `INSERT INTO history VALUES
-		(1, '1998-05-01', 'influenza', 10),
-		(1, '1998-06-11', 'follow-up', 11),
-		(2, '1998-07-02', 'fracture', 10),
-		(3, '1998-08-15', 'allergy', 99)`)
-	return db
-}
-
-func TestInnerJoin(t *testing.T) {
-	db := newJoinDB(t)
-	res := mustQuery(t, db, `SELECT h.patient_id, d.position FROM history h
-		JOIN doctors d ON h.doctor_id = d.employee_id ORDER BY h.patient_id, d.position`)
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(res.Rows))
-	}
-	if res.Rows[0][1].Str != "Consultant" && res.Rows[0][1].Str != "Registrar" {
-		t.Errorf("row0: %v", res.Rows[0])
-	}
-}
-
-func TestLeftJoin(t *testing.T) {
-	db := newJoinDB(t)
-	res := mustQuery(t, db, `SELECT h.patient_id, d.position FROM history h
-		LEFT JOIN doctors d ON h.doctor_id = d.employee_id ORDER BY h.patient_id`)
-	if len(res.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(res.Rows))
-	}
-	last := res.Rows[3]
-	if last[0].Int != 3 || !last[1].Null {
-		t.Errorf("unmatched row not null-extended: %v", last)
-	}
-}
-
-func TestCommaJoinWithWhere(t *testing.T) {
-	db := newJoinDB(t)
-	res := mustQuery(t, db, `SELECT h.description FROM history h, doctors d
-		WHERE h.doctor_id = d.employee_id AND d.qualification = 'MBBS' ORDER BY h.description`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(res.Rows))
-	}
-}
-
-func TestCrossJoinCount(t *testing.T) {
-	db := newJoinDB(t)
-	res := mustQuery(t, db, "SELECT COUNT(*) FROM history CROSS JOIN doctors")
-	if res.Rows[0][0].Int != 12 {
-		t.Errorf("cross join count = %v", res.Rows[0][0])
-	}
-}
-
-func TestNonEquiJoin(t *testing.T) {
-	db := newJoinDB(t)
-	res := mustQuery(t, db, `SELECT COUNT(*) FROM history h JOIN doctors d ON h.doctor_id < d.employee_id`)
-	// doctor_id 10: < 11,12 → 2 each for two history rows = 4; 11: <12 → 1; 99: none.
-	if res.Rows[0][0].Int != 5 {
-		t.Errorf("non-equi join count = %v, want 5", res.Rows[0][0])
-	}
-}
-
 func TestPrimaryKeyViolation(t *testing.T) {
 	db := newPatientsDB(t)
 	if _, err := db.Exec("INSERT INTO Patient VALUES (1, 'Dup', NULL, 'F', NULL)"); err == nil {
@@ -324,23 +205,23 @@ func TestInsertColumnSubset(t *testing.T) {
 	}
 }
 
-// TestInsertValuesComputed: VALUES expressions are evaluated (arithmetic,
-// functions, a NULL operand), and a VALUES list whose third row fails to
+// TestInsertValuesComputed: VALUES expressions are evaluated (a negative
+// literal, a NULL, a comparison), and a VALUES list whose third row fails to
 // evaluate inserts none of its rows.
 func TestInsertValuesComputed(t *testing.T) {
 	db := NewDatabase("t", DialectOracle)
-	mustExec(t, db, "CREATE TABLE r (k INT PRIMARY KEY, v FLOAT, s VARCHAR(8))")
-	mustExec(t, db, "INSERT INTO r VALUES (1 + 2 * 3, 7 / 2.0, UPPER('ab') || 'c'), (-(4 - 9), NULL + 1, SUBSTR('xyz', 2))")
-	res := mustQuery(t, db, "SELECT k, v, s FROM r")
+	mustExec(t, db, "CREATE TABLE r (k INT PRIMARY KEY, v FLOAT, b BOOLEAN)")
+	mustExec(t, db, "INSERT INTO r VALUES (-7, 3.5, 1 < 2), (5, NULL, NOT 'a' = 'a')")
+	res := mustQuery(t, db, "SELECT k, v, b FROM r")
 	want := []Row{
-		{IntValue(7), FloatValue(3.5), TextValue("ABc")},
-		{IntValue(5), NullValue(), TextValue("yz")},
+		{IntValue(-7), FloatValue(3.5), BoolValue(true)},
+		{IntValue(5), NullValue(), BoolValue(false)},
 	}
 	if !reflect.DeepEqual(res.Rows, want) {
 		t.Fatalf("got %v, want %v", res.Rows, want)
 	}
-	if _, err := db.Exec("INSERT INTO r VALUES (10, 1.0, 'a'), (11, 2.0, 'b'), (12, 1 / 0, 'c'), (13, 4.0, 'd')"); err == nil {
-		t.Fatal("a VALUES row dividing by zero inserted")
+	if _, err := db.Exec("INSERT INTO r VALUES (10, 1.0, TRUE), (11, 2.0, TRUE), (12, 1.0, NOT 'c'), (13, 4.0, TRUE)"); err == nil {
+		t.Fatal("a VALUES row negating a text inserted")
 	}
 	if res := mustQuery(t, db, "SELECT COUNT(*) FROM r"); res.Rows[0][0].Int != 2 {
 		t.Fatalf("a failed VALUES list left %d rows, want 2", res.Rows[0][0].Int)
@@ -500,17 +381,6 @@ func TestUnknownColumnAndTableErrors(t *testing.T) {
 	}
 }
 
-func TestAmbiguousColumn(t *testing.T) {
-	db := NewDatabase("t", DialectOracle)
-	mustExec(t, db, "CREATE TABLE a (id INT)")
-	mustExec(t, db, "CREATE TABLE b (id INT)")
-	mustExec(t, db, "INSERT INTO a VALUES (1)")
-	mustExec(t, db, "INSERT INTO b VALUES (1)")
-	if _, err := db.Query("SELECT id FROM a, b"); err == nil {
-		t.Error("ambiguous column accepted")
-	}
-}
-
 func TestCaseInsensitivity(t *testing.T) {
 	db := newPatientsDB(t)
 	res := mustQuery(t, db, "select NAME from PATIENT where patient_id = 1")
@@ -566,7 +436,7 @@ func TestExecScript(t *testing.T) {
 
 func TestSelectWithoutFrom(t *testing.T) {
 	db := NewDatabase("t", DialectOracle)
-	res := mustQuery(t, db, "SELECT 40 + 2 AS answer")
+	res := mustQuery(t, db, "SELECT 42 AS answer")
 	if res.Columns[0] != "answer" || res.Rows[0][0].Int != 42 {
 		t.Errorf("got %v %v", res.Columns, res.Rows)
 	}
@@ -579,5 +449,60 @@ func TestAggregateDistinct(t *testing.T) {
 	res := mustQuery(t, db, "SELECT COUNT(DISTINCT x), SUM(DISTINCT x) FROM v")
 	if res.Rows[0][0].Int != 2 || res.Rows[0][1].Int != 3 {
 		t.Errorf("distinct aggregates: %v", res.Rows[0])
+	}
+}
+
+func newOrdersDB(t *testing.T) *Database {
+	t.Helper()
+	db := NewDatabase("shop", DialectOracle)
+	if _, err := db.ExecScript(`
+		CREATE TABLE customers (id INT PRIMARY KEY, name VARCHAR(32), city VARCHAR(32));
+		CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, total FLOAT);
+		INSERT INTO customers VALUES
+			(1, 'Ada', 'Brisbane'), (2, 'Ben', 'Cairns'), (3, 'Cho', 'Brisbane');
+		INSERT INTO orders VALUES
+			(10, 1, 99.5), (11, 1, 12.0), (12, 3, 40.0);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func TestOrdinalOrderByPlain(t *testing.T) {
+	db := newOrdersDB(t)
+	res := mustQuery(t, db, "SELECT name, id FROM customers ORDER BY 2 DESC")
+	if res.Rows[0][0].Str != "Cho" {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+	if _, err := db.Query("SELECT name FROM customers ORDER BY 5"); err == nil {
+		t.Error("out-of-range ordinal accepted")
+	}
+}
+
+// TestRemovedSyntaxIsRefused: SQL the federation never sends (DESIGN §9) is
+// not executed but refused, with an error that names the construct.
+func TestRemovedSyntaxIsRefused(t *testing.T) {
+	db := NewDatabase("t", DialectOracle)
+	mustExec(t, db, "CREATE TABLE r (k VARCHAR(8), v INT)")
+	mustExec(t, db, "INSERT INTO r VALUES ('a', 1), ('b', 2)")
+	for _, c := range []struct{ sql, construct string }{
+		{"SELECT a.k FROM r a JOIN r b ON a.k = b.k", "JOIN"},
+		{"SELECT a.k FROM r a, r b", "comma-separated FROM"},
+		{"SELECT k FROM r UNION SELECT k FROM r", "UNION"},
+		{"SELECT k FROM r WHERE k IN (SELECT k FROM r)", "subquery"},
+		{"SELECT k FROM r WHERE EXISTS (SELECT k FROM r)", "EXISTS"},
+		{"SELECT k FROM r WHERE v BETWEEN 1 AND 2", "BETWEEN"},
+		{"SELECT v + 1 FROM r", "arithmetic (+)"},
+		{"SELECT UPPER(k) FROM r", "function UPPER"},
+		{"SELECT DISTINCT k FROM r", "DISTINCT"},
+	} {
+		res, err := db.Query(c.sql)
+		if err == nil {
+			t.Errorf("%s: executed, %d rows", c.sql, len(res.Rows))
+			continue
+		}
+		if !strings.Contains(err.Error(), c.construct) || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("%s: error %q does not say %s is not supported", c.sql, err, c.construct)
+		}
 	}
 }

@@ -10,12 +10,7 @@ import "fmt"
 type Dialect struct {
 	Name string
 	// Capability flags.
-	Joins      bool // explicit JOIN and multi-table FROM
 	Aggregates bool // COUNT/SUM/AVG/MIN/MAX and GROUP BY/HAVING
-	OrderLimit bool // ORDER BY ... LIMIT
-	Distinct   bool
-	Subqueries bool // IN (SELECT ...) and EXISTS (SELECT ...)
-	Union      bool // UNION / UNION ALL
 	Like       bool // standard LIKE patterns (mSQL 2.x shipped RLIKE/CLIKE instead)
 	InList     bool // literal IN lists (`x IN (1, 2)`; mSQL wanted OR chains)
 	MaxVarchar int  // upper bound for declared VARCHAR sizes (0 = unlimited)
@@ -26,26 +21,10 @@ type Dialect struct {
 // aggregate functions or GROUP BY, which forces the wrapper layer to
 // compensate — exactly the heterogeneity the paper's gateway layer bridges.
 var (
-	DialectOracle = Dialect{
-		Name: "Oracle", Joins: true, Aggregates: true,
-		OrderLimit: true, Distinct: true, Subqueries: true, Union: true, Like: true,
-		InList: true, MaxVarchar: 4000,
-	}
-	DialectMSQL = Dialect{
-		Name: "mSQL", Joins: true, Aggregates: false,
-		OrderLimit: true, Distinct: true, Subqueries: false, Union: false, Like: false,
-		InList: false, MaxVarchar: 255,
-	}
-	DialectDB2 = Dialect{
-		Name: "DB2", Joins: true, Aggregates: true,
-		OrderLimit: true, Distinct: true, Subqueries: true, Union: true, Like: true,
-		InList: true, MaxVarchar: 4000,
-	}
-	DialectSybase = Dialect{
-		Name: "Sybase", Joins: true, Aggregates: true,
-		OrderLimit: true, Distinct: true, Subqueries: true, Union: true, Like: true,
-		InList: true, MaxVarchar: 255,
-	}
+	DialectOracle = Dialect{Name: "Oracle", Aggregates: true, Like: true, InList: true, MaxVarchar: 4000}
+	DialectMSQL   = Dialect{Name: "mSQL", MaxVarchar: 255}
+	DialectDB2    = Dialect{Name: "DB2", Aggregates: true, Like: true, InList: true, MaxVarchar: 4000}
+	DialectSybase = Dialect{Name: "Sybase", Aggregates: true, Like: true, InList: true, MaxVarchar: 255}
 )
 
 // DialectByName resolves a vendor name.
@@ -73,63 +52,21 @@ func (d Dialect) Check(stmt Statement) error {
 	case *ExplainStmt:
 		return d.Check(s.Query)
 	case *SelectStmt:
-		if !d.Union && s.Union != nil {
-			return unsupported("UNION")
+		exprs := []Expr{s.Where, s.Having}
+		for _, it := range s.Items {
+			exprs = append(exprs, it.Expr)
 		}
-		if !d.Subqueries {
-			for _, e := range []Expr{s.Where, s.Having} {
-				if e != nil && hasSubquery(e) {
-					return unsupported("subqueries")
-				}
-			}
-			for _, it := range s.Items {
-				if it.Expr != nil && hasSubquery(it.Expr) {
-					return unsupported("subqueries")
-				}
-			}
+		if !d.Aggregates && (len(s.GroupBy) > 0 || s.Having != nil) {
+			return unsupported("GROUP BY / HAVING")
 		}
-		if !d.Joins && (len(s.From) > 1 || len(s.Joins) > 0) {
-			return unsupported("joins")
-		}
-		if !d.Aggregates {
-			if len(s.GroupBy) > 0 || s.Having != nil {
-				return unsupported("GROUP BY / HAVING")
-			}
-			for _, item := range s.Items {
-				if item.Expr != nil && hasAggregate(item.Expr) {
-					return unsupported("aggregate functions")
-				}
-			}
-			if s.Where != nil && hasAggregate(s.Where) {
+		for _, e := range exprs {
+			switch {
+			case !d.Aggregates && contains(e, isAggregate):
 				return unsupported("aggregate functions")
-			}
-		}
-		if !d.Distinct && s.Distinct {
-			return unsupported("DISTINCT")
-		}
-		if !d.OrderLimit && (len(s.OrderBy) > 0 || s.Limit >= 0) {
-			return unsupported("ORDER BY / LIMIT")
-		}
-		if !d.Like {
-			exprs := []Expr{s.Where, s.Having}
-			for _, it := range s.Items {
-				exprs = append(exprs, it.Expr)
-			}
-			for _, e := range exprs {
-				if e != nil && hasLike(e) {
-					return unsupported("LIKE")
-				}
-			}
-		}
-		if !d.InList {
-			exprs := []Expr{s.Where, s.Having}
-			for _, it := range s.Items {
-				exprs = append(exprs, it.Expr)
-			}
-			for _, e := range exprs {
-				if e != nil && hasInList(e) {
-					return unsupported("IN lists")
-				}
+			case !d.Like && contains(e, isLike):
+				return unsupported("LIKE")
+			case !d.InList && contains(e, isInList):
+				return unsupported("IN lists")
 			}
 		}
 	case *CreateTableStmt:

@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// oracleSchema is the database of the equivalence tests: two joinable tables
-// with NULLs and duplicates, plus an empty table. dno runs 1, 2, 9, 10: its
+// oracleSchema is the database of the equivalence tests: two tables with
+// NULLs and duplicates, plus an empty table. dno runs 1, 2, 9, 10: its
 // numeric order is not the order of its renderings.
 const oracleSchema = `
 CREATE TABLE dept (dno INT PRIMARY KEY, dname VARCHAR(16), budget FLOAT);
@@ -57,16 +57,14 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	corpus := []string{
-		// Plain scans, projection, expressions, t.*.
+		// Plain scans, projection, literals, t.*.
 		"SELECT * FROM emp",
 		"SELECT emp.* FROM emp",
+		"SELECT e.* FROM emp e",
 		"SELECT eno, ename FROM emp",
-		"SELECT eno + 1, sal * 2, ename || '!' FROM emp",
 		"SELECT * FROM void",
-		"SELECT 1 + 2, 'x' || 'y'",
-		"SELECT DISTINCT note FROM emp",
-		"SELECT DISTINCT dno, note FROM emp",
-		// Filters: comparisons, 3VL, LIKE, IN, BETWEEN, IS [NOT] NULL.
+		"SELECT 1, 'x', -2, -2.5, NOT TRUE",
+		// Filters: comparisons, 3VL, LIKE, IN, IS [NOT] NULL.
 		"SELECT eno FROM emp WHERE sal > 90",
 		"SELECT eno FROM emp WHERE 90 < sal",
 		"SELECT eno FROM emp WHERE sal > 80 AND dno = 1",
@@ -74,30 +72,15 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT eno FROM emp WHERE NOT sal > 90",
 		"SELECT eno FROM emp WHERE ename LIKE '%a%'",
 		"SELECT eno FROM emp WHERE ename LIKE '_ob'",
+		"SELECT eno FROM emp WHERE ename NOT LIKE '_ob'",
 		"SELECT eno FROM emp WHERE dno IN (1, 2)",
-		"SELECT eno FROM emp WHERE dno IN (1, sal - 89)",
-		"SELECT eno FROM emp WHERE sal BETWEEN 80 AND 110",
+		"SELECT eno FROM emp WHERE dno IN (1, sal)",
 		"SELECT eno FROM emp WHERE note IS NULL",
 		"SELECT eno FROM emp WHERE note IS NOT NULL",
 		"SELECT eno FROM emp WHERE sal IS NULL AND note IS NOT NULL",
 		"SELECT eno FROM emp WHERE sal = NULL",
+		"SELECT eno FROM emp WHERE sal > dno",
 		"SELECT x FROM void WHERE x > 0",
-		// Scalar functions.
-		"SELECT UPPER(ename), LOWER(note) FROM emp",
-		"SELECT LENGTH(ename) FROM emp WHERE LENGTH(ename) > 3",
-		"SELECT ABS(0 - sal), ROUND(sal / 7.0) FROM emp",
-		"SELECT COALESCE(note, 'none'), SUBSTR(ename, 1, 2) FROM emp",
-		// Joins: comma, INNER (hash + non-equi nested), LEFT, CROSS.
-		"SELECT ename, dname FROM emp, dept WHERE emp.dno = dept.dno",
-		"SELECT ename, dname FROM emp JOIN dept ON emp.dno = dept.dno",
-		"SELECT e.ename, d.dname FROM emp e INNER JOIN dept d ON e.dno = d.dno",
-		"SELECT e.ename, d.dname FROM emp e LEFT JOIN dept d ON e.dno = d.dno",
-		"SELECT e.ename, d.dname FROM emp e LEFT JOIN dept d ON e.dno = d.dno AND d.budget > 90",
-		"SELECT e.ename, d.dname FROM emp e JOIN dept d ON e.sal > d.budget",
-		"SELECT e.ename, d.dname FROM emp e CROSS JOIN dept d",
-		"SELECT e.ename, v.x FROM emp e LEFT JOIN void v ON e.eno = v.x",
-		"SELECT a.eno, b.eno FROM emp a JOIN emp b ON a.dno = b.dno WHERE a.eno < b.eno",
-		"SELECT ename, dname FROM emp JOIN dept ON emp.dno = dept.dno WHERE sal >= 90 ORDER BY ename",
 		// Aggregates and grouping.
 		"SELECT COUNT(*) FROM emp",
 		"SELECT COUNT(*) FROM void",
@@ -109,54 +92,46 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT dno, COUNT(*) FROM emp GROUP BY dno HAVING COUNT(*) > 1",
 		"SELECT note, MIN(sal), MAX(sal) FROM emp GROUP BY note ORDER BY note",
 		"SELECT dno, AVG(sal) FROM emp GROUP BY dno HAVING AVG(sal) >= 90 ORDER BY dno",
-		"SELECT d.dname, COUNT(*) FROM emp e JOIN dept d ON e.dno = d.dno GROUP BY d.dname",
-		"SELECT dno + 0, COUNT(DISTINCT note) FROM emp GROUP BY dno + 0",
+		"SELECT note, COUNT(DISTINCT dno) FROM emp GROUP BY note",
 		// ORDER BY: column, alias, ordinal, DESC, multiple keys.
 		"SELECT eno FROM emp ORDER BY sal",
 		"SELECT eno FROM emp ORDER BY sal DESC, eno",
 		"SELECT eno, sal AS pay FROM emp ORDER BY pay DESC",
 		"SELECT eno, sal FROM emp ORDER BY 2, 1",
-		"SELECT ename FROM emp ORDER BY LENGTH(ename), ename",
-		// LIMIT/OFFSET and DISTINCT composition.
+		"SELECT ename FROM emp ORDER BY note, ename",
+		// LIMIT/OFFSET.
 		"SELECT eno FROM emp ORDER BY eno LIMIT 3",
 		"SELECT eno FROM emp ORDER BY eno LIMIT 2 OFFSET 3",
-		"SELECT DISTINCT note FROM emp ORDER BY note LIMIT 2",
 		// LIMIT/OFFSET on plans that stream stop the scan: a row it never
-		// reaches cannot fail the statement, on either engine.
+		// reaches cannot fail the statement, on either engine. `eno <> N OR
+		// NOT ename` fails on row N alone (NOT of a text), and is TRUE on
+		// every other row.
 		"SELECT eno FROM emp LIMIT 3",
 		"SELECT eno, ename FROM emp WHERE sal > 80 LIMIT 2 OFFSET 1",
 		"SELECT eno FROM emp LIMIT 0",
 		"SELECT eno FROM emp WHERE sal >= 0 LIMIT 9 OFFSET 4",
-		"SELECT 1 / (eno - 12) FROM emp LIMIT 2",
-		"SELECT 1 / (eno - 12) FROM emp LIMIT 3",
-		"SELECT 1 / (eno - 10) FROM emp LIMIT 2 OFFSET 1",
-		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 LIMIT 2",
-		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 LIMIT 3",
-		"SELECT eno FROM emp WHERE 1 / (eno - 14) < 0 LIMIT 9 OFFSET 3",
-		// The same rule on every walk: over a join, over an index lookup,
-		// with a residual conjunct that names no table. A blocking operator
-		// (DISTINCT, ORDER BY) evaluates its whole input whatever the LIMIT.
-		"SELECT 1 / (e.eno - 12) FROM emp e JOIN dept d ON e.dno = d.dno LIMIT 2",
-		"SELECT 1 / (e.eno - 12) FROM emp e JOIN dept d ON e.dno = d.dno LIMIT 3",
-		"SELECT e.eno FROM emp e JOIN dept d ON e.dno = d.dno WHERE 1 / (e.eno - 12) <> d.budget LIMIT 2",
-		"SELECT e.eno FROM emp e JOIN dept d ON e.dno = d.dno WHERE 1 / (e.eno - 12) <> d.budget LIMIT 3",
-		"SELECT e.eno FROM emp e, dept d WHERE e.dno = d.dno AND 1 / (e.eno - 12) <> 0 LIMIT 1", // a join side is drained whole
+		"SELECT eno <> 12 OR NOT ename FROM emp LIMIT 2",
+		"SELECT eno <> 12 OR NOT ename FROM emp LIMIT 3",
+		"SELECT eno <> 10 OR NOT ename FROM emp LIMIT 2 OFFSET 1",
+		"SELECT eno FROM emp WHERE eno <> 12 OR NOT ename LIMIT 2",
+		"SELECT eno FROM emp WHERE eno <> 12 OR NOT ename LIMIT 3",
+		"SELECT eno FROM emp WHERE eno <> 14 OR NOT ename LIMIT 9 OFFSET 3",
+		// The same rule over an index lookup and with a conjunct that names
+		// no column. A blocking operator (ORDER BY, GROUP BY) evaluates its
+		// whole input whatever the LIMIT.
 		"SELECT eno FROM emp WHERE 1 = 1 LIMIT 2",
-		"SELECT eno FROM emp WHERE 1 = 1 AND 1 / (eno - 12) < 0 LIMIT 1",
-		"SELECT eno FROM emp WHERE 1 = 1 AND 1 / (eno - 12) < 0 LIMIT 2",
+		"SELECT eno FROM emp WHERE 1 = 1 AND (eno <> 12 OR NOT ename) LIMIT 2",
+		"SELECT eno FROM emp WHERE 1 = 1 AND (eno <> 12 OR NOT ename) LIMIT 3",
 		"SELECT eno FROM emp WHERE 1 = 0",
-		"SELECT eno FROM emp WHERE dno = 1 AND 1 / (eno - 11) < 0 LIMIT 1",
-		"SELECT eno FROM emp WHERE dno = 1 AND 1 / (eno - 11) < 0 LIMIT 2",
-		"SELECT eno FROM emp WHERE 1 / (eno - 11) < 0 AND dno = 1 LIMIT 1",
-		"SELECT 1 / (eno - 11) FROM emp WHERE dno = 1 LIMIT 1",
-		"SELECT 1 / (eno - 11) FROM emp WHERE dno = 1 LIMIT 1 OFFSET 1",
+		"SELECT eno FROM emp WHERE dno = 1 AND (eno <> 11 OR NOT ename) LIMIT 1",
+		"SELECT eno FROM emp WHERE dno = 1 AND (eno <> 11 OR NOT ename) LIMIT 2",
+		"SELECT eno FROM emp WHERE (eno <> 11 OR NOT ename) AND dno = 1 LIMIT 1",
+		"SELECT eno <> 11 OR NOT ename FROM emp WHERE dno = 1 LIMIT 1",
+		"SELECT eno <> 11 OR NOT ename FROM emp WHERE dno = 1 LIMIT 1 OFFSET 1",
 		"SELECT eno FROM emp WHERE dno = 2 OR eno = 10",
-		"SELECT DISTINCT note FROM emp LIMIT 2",
-		"SELECT DISTINCT dno FROM emp LIMIT 2 OFFSET 1",
-		"SELECT DISTINCT 1 / (eno - 15) FROM emp LIMIT 1",
-		"SELECT 1 / (eno - 15) FROM emp ORDER BY eno LIMIT 1",
+		"SELECT eno <> 15 OR NOT ename FROM emp ORDER BY eno LIMIT 1",
 		"SELECT dno, COUNT(*) FROM emp GROUP BY dno LIMIT 1 OFFSET 1",
-		"SELECT DISTINCT dno FROM emp UNION ALL SELECT dno FROM dept LIMIT 4",
+		"SELECT dno, COUNT(*) FROM emp WHERE eno <> 15 OR NOT ename GROUP BY dno LIMIT 1",
 		// Index ranges and IN probes (eno is the primary key, dno has an
 		// index and a NULL): bounds in the column's order seek, the others
 		// (a text bound on an INT column compares by rendering) do not.
@@ -171,51 +146,39 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT eno FROM emp WHERE dno < 9 OR dno IS NULL",
 		"SELECT eno FROM emp WHERE dno > 5 AND dno < 3",
 		"SELECT eno FROM emp WHERE eno > 11 AND eno < 11",
-		"SELECT eno FROM emp WHERE dno BETWEEN 1 AND 2",
-		"SELECT eno FROM emp WHERE dno BETWEEN 2 AND 1",
-		"SELECT eno FROM emp WHERE eno NOT BETWEEN 11 AND 13",
+		"SELECT eno FROM emp WHERE dno >= 1 AND dno <= 2",
+		"SELECT eno FROM emp WHERE dno >= 2 AND dno <= 1",
+		"SELECT eno FROM emp WHERE NOT (eno >= 11 AND eno <= 13)",
 		"SELECT eno FROM emp WHERE 12 <= eno AND 1 < dno",
 		"SELECT eno FROM emp WHERE dno IN (2, 1, 2, 1.0)",
 		"SELECT eno FROM emp WHERE dno IN (2, NULL)",
 		"SELECT eno FROM emp WHERE dno IN (NULL)",
+		"SELECT eno FROM emp WHERE dno IN (-1, 1)",
 		"SELECT eno FROM emp WHERE dno NOT IN (1, NULL)",
 		"SELECT eno FROM emp WHERE dno NOT IN (1, 9)",
 		"SELECT eno FROM emp WHERE dno IN (1, '2')",
 		"SELECT eno FROM emp WHERE note IN ('locum', 'temp', 'locum')",
 		"SELECT eno FROM emp WHERE dno >= 1 AND dno < 9 AND dno IN (1, 9, 2)",
-		"SELECT eno FROM emp WHERE eno BETWEEN 10 AND 13 AND dno IN (2, 9)",
-		"SELECT eno FROM emp WHERE dno > 1 AND 1 / (eno - 12) < 0",
-		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 AND eno BETWEEN 10 AND 11",
-		"SELECT eno FROM emp WHERE 1 / (eno - 12) < 0 AND dno IN (1, 9)",
-		"SELECT 1 / (eno - 12) FROM emp WHERE eno >= 10 LIMIT 2",
-		"SELECT e.ename, d.dname FROM emp e JOIN dept d ON e.dno = d.dno WHERE e.eno > 11 AND d.dno < 3",
+		"SELECT eno FROM emp WHERE eno >= 10 AND eno <= 13 AND dno IN (2, 9)",
+		"SELECT eno FROM emp WHERE dno > 1 AND (eno <> 12 OR NOT ename)",
+		"SELECT eno FROM emp WHERE (eno <> 12 OR NOT ename) AND eno >= 10 AND eno <= 11",
+		"SELECT eno FROM emp WHERE (eno <> 12 OR NOT ename) AND dno IN (1, 9)",
+		"SELECT eno <> 12 OR NOT ename FROM emp WHERE eno >= 10 LIMIT 2",
 		"SELECT dno, COUNT(*) FROM emp WHERE dno IN (1, 2) GROUP BY dno",
-		// UNION / UNION ALL.
-		"SELECT eno FROM emp WHERE sal > 100 UNION ALL SELECT eno FROM emp WHERE note = 'locum'",
-		"SELECT dno FROM emp UNION SELECT dno FROM dept",
-		"SELECT x FROM void UNION SELECT eno FROM emp WHERE sal > 115",
-		// Subqueries.
-		"SELECT ename FROM emp WHERE dno IN (SELECT dno FROM dept WHERE budget > 90)",
-		"SELECT ename FROM emp WHERE dno NOT IN (SELECT dno FROM dept)",
-		"SELECT ename FROM emp WHERE sal > (SELECT AVG(sal) FROM emp)",
-		"SELECT ename FROM emp WHERE EXISTS (SELECT * FROM void)",
-		"SELECT ename FROM emp WHERE NOT EXISTS (SELECT * FROM void)",
 		// IN lists with items that are not literals: an item is evaluated
 		// only for rows no earlier item matched (and none whose value is
 		// NULL), so one that fails only there fails nothing.
-		"SELECT eno FROM emp WHERE dno IN (sal - 89, eno - 10)",
-		"SELECT eno FROM emp WHERE dno NOT IN (1, sal - 89)",
-		"SELECT eno FROM emp WHERE dno IN (eno - 9, NULL)",
-		"SELECT eno FROM emp WHERE dno NOT IN (eno - 9, NULL)",
+		"SELECT eno FROM emp WHERE sal IN (dno, eno)",
+		"SELECT eno FROM emp WHERE dno NOT IN (1, sal)",
+		"SELECT eno FROM emp WHERE dno IN (eno, NULL)",
+		"SELECT eno FROM emp WHERE dno NOT IN (eno, NULL)",
 		"SELECT eno FROM emp WHERE dno NOT IN (NULL, sal)",
 		"SELECT eno, note IN (ename, 'temp', note) FROM emp",
-		"SELECT eno FROM emp WHERE UPPER(ename) IN (ename, 'FRANK')",
-		"SELECT eno FROM emp WHERE eno IN (10, 1 / (eno - 10))",
-		"SELECT eno FROM emp WHERE eno NOT IN (10, 1 / (eno - 10))",
-		"SELECT eno FROM emp WHERE eno IN (11, 1 / (eno - 10))",
-		"SELECT eno, dno IN (dno, 1 / 0) FROM emp",
-		"SELECT eno FROM emp WHERE sal IN (sal, 1 / (sal - 90))",
-		"SELECT e.ename FROM emp e JOIN dept d ON e.dno IN (d.dno, d.dno + 8)",
+		"SELECT eno FROM emp WHERE eno IN (10, eno <> 10 OR NOT ename)",
+		"SELECT eno FROM emp WHERE eno NOT IN (10, eno <> 10 OR NOT ename)",
+		"SELECT eno FROM emp WHERE eno IN (11, eno <> 10 OR NOT ename)",
+		"SELECT eno, dno IN (dno, NOT 'x') FROM emp",
+		"SELECT eno FROM emp WHERE sal IN (sal, NOT note)",
 		"SELECT dno, COUNT(*) FROM emp GROUP BY dno HAVING dno IN (COUNT(*), 9)",
 		// Grouped output: HAVING on an aggregate the select list lacks, ORDER
 		// BY an aggregate, an alias and an ordinal, aggregates nested in
@@ -228,8 +191,7 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT dno, SUM(sal) AS total FROM emp GROUP BY dno ORDER BY total",
 		"SELECT note, COUNT(*) AS n FROM emp GROUP BY note ORDER BY n, note",
 		"SELECT dno, MAX(sal) FROM emp GROUP BY dno ORDER BY 2 DESC, 1",
-		"SELECT dno, SUM(sal) * 2 FROM emp GROUP BY dno ORDER BY SUM(sal) * 2 DESC",
-		"SELECT -SUM(sal), COUNT(*) IS NULL, MAX(sal) BETWEEN 100 AND 200, ABS(MIN(sal) - 100) FROM emp",
+		"SELECT COUNT(*) IS NULL, NOT MAX(sal) > 100, MIN(sal) IN (70, 90) FROM emp",
 		"SELECT dno FROM emp GROUP BY dno HAVING SUM(sal) IN (210, MAX(sal))",
 		"SELECT COUNT(DISTINCT dno), SUM(DISTINCT sal) FROM emp",
 		"SELECT x, y, COUNT(*), SUM(x), MIN(y), AVG(x) FROM void",
@@ -239,41 +201,22 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT dno, COUNT(*) FROM emp GROUP BY dno HAVING COUNT(*) > 5 ORDER BY 9",
 		"SELECT dno, COUNT(*) FROM emp GROUP BY dno HAVING COUNT(*) > 1 ORDER BY 9",
 		"SELECT dno FROM emp GROUP BY dno ORDER BY 0",
+		"SELECT dno FROM emp GROUP BY dno ORDER BY -1",
 		"SELECT dno, SUM(note) FROM emp GROUP BY dno",
-		// Operators and functions over every kind, NULLs and bad operands.
-		"SELECT -budget, -(0 - budget), NOT (budget > 90) FROM dept",
-		"SELECT -sal, NOT (sal > 100) FROM emp",
-		"SELECT -ename FROM emp",
+		// NOT over every kind, NULLs and bad operands.
+		"SELECT NOT (budget > 90), NOT budget FROM dept",
+		"SELECT NOT (sal > 100), NOT sal FROM emp",
 		"SELECT NOT ename FROM emp",
-		"SELECT budget + 1, budget - 1, budget * 2, budget / 2, budget % 7 FROM dept",
-		"SELECT sal % 7, sal - eno, eno * 2, sal / 7 FROM emp",
-		"SELECT budget / 0.0 FROM dept",
-		"SELECT budget % 0 FROM dept",
-		"SELECT ename + 1 FROM emp",
-		"SELECT TRIM('  x  '), ABS(-2.5), ABS(-3), ABS(3), ROUND(2.6), COALESCE(NULL, NULL)",
-		"SELECT LOWER(NULL), LENGTH(NULL), TRIM(NULL), ABS(NULL), ROUND(NULL), UPPER(NULL)",
-		"SELECT SUBSTR('hello', 2), SUBSTR('hello', 0, 2), SUBSTR('hello', 9), SUBSTR('hello', 2, 10)",
-		"SELECT SUBSTR(NULL, 1), SUBSTR('hello', 1, NULL), SUBSTR(note, dno) FROM emp",
-		"SELECT ABS(ename) FROM emp",
-		"SELECT ROUND(ename) FROM emp",
-		"SELECT UPPER(ename, note) FROM emp",
-		"SELECT SUBSTR(ename) FROM emp",
-		// Join keys: swapped sides, an expression side, and equalities that
-		// do not pair the two sides (a nested loop).
-		"SELECT e.ename, d.dname FROM emp e JOIN dept d ON d.dno = e.dno",
-		"SELECT e.ename, d.dname FROM emp e JOIN dept d ON e.dno = d.dno + 0",
-		"SELECT e.ename, d.dname FROM emp e JOIN dept d ON e.dno = e.eno",
-		"SELECT e.ename, d.dname FROM emp e JOIN dept d ON e.dno = d.dno AND e.sal > 90",
-		"SELECT e.ename FROM emp e JOIN dept d ON e.dno = d.dno AND e.eno = d.dno",
-		// Errors must surface from both engines (division by zero, unknown
-		// column, aggregate misuse, bad ordinal).
-		"SELECT sal / 0 FROM emp",
-		"SELECT sal % 0 FROM emp",
-		"SELECT 1 / 0 FROM void",
+		"SELECT NOT note FROM emp WHERE note IS NULL",
+		"SELECT NOT note FROM emp",
+		// Errors must surface from both engines (unknown column, aggregate
+		// misuse, bad ordinal).
 		"SELECT nosuch FROM emp",
+		"SELECT e.eno FROM emp",
 		"SELECT eno FROM emp WHERE SUM(sal) > 0",
 		"SELECT eno FROM emp ORDER BY 9",
 		"SELECT eno FROM emp ORDER BY 0",
+		"SELECT eno FROM emp ORDER BY -1",
 	}
 	for _, q := range corpus {
 		checkSameResult(t, db, q)
@@ -316,8 +259,7 @@ func TestVecMatchesRowRandom(t *testing.T) {
 			case 1:
 				q = fmt.Sprintf("SELECT s, COUNT(*), SUM(v), AVG(w) FROM t WHERE %s GROUP BY s ORDER BY s", pred)
 			default:
-				q = fmt.Sprintf("SELECT a.id, b.id FROM t a JOIN t b ON a.v = b.v WHERE a.v %s %d AND a.id < b.id ORDER BY a.id, b.id",
-					ops[rng.Intn(len(ops))], rng.Intn(10))
+				q = fmt.Sprintf("SELECT id, w FROM t WHERE %s ORDER BY w DESC, id LIMIT %d", pred, rng.Intn(10))
 			}
 			checkSameResult(t, db, q)
 		}
@@ -332,7 +274,7 @@ func TestOracleSharesNoExecutor(t *testing.T) {
 	forbidden := map[string]bool{
 		"newWalk": true, "scanWalk": true, "relWalk": true, "heldWalk": true,
 		"vecRel": true, "rowsRel": true, "sortVec": true, "sortRel": true,
-		"dedupe": true, "execGroupedVec": true,
+		"execGroupedVec": true,
 	}
 	fset := gotoken.NewFileSet()
 	compiled, err := parser.ParseFile(fset, "compile.go", nil, 0)

@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// This file is the batched (vectorized) SELECT executor's operators: joins,
-// ORDER BY, DISTINCT and grouping, moving data in column vectors of up to
-// vecChunk rows per call. A row-at-a-time interpreter in the package's tests
-// is the oracle this engine is checked against: for any statement, both
-// produce equal Results, or both fail.
+// This file is the batched (vectorized) SELECT executor's operators: ORDER BY
+// and grouping, moving data in column vectors of up to vecChunk rows per
+// call. A row-at-a-time interpreter in the package's tests is the oracle this
+// engine is checked against: for any statement, both produce equal Results,
+// or both fail.
 
 // vecRel is an intermediate relation in columnar form: one value vector per
 // binding. A nil vector marks a column no expression in the statement
@@ -23,78 +23,26 @@ type vecRel struct {
 	n    int
 }
 
-// newWalk opens the walk over s's FROM rows, unprojected: one table's slots
-// or index lookup, or the relation its joins build here (each table's walk
-// drained into its side), or one empty row for a SELECT without FROM.
-func (db *Database) newWalk(s *SelectStmt, fp *fromPlan) (*walk, error) {
-	switch len(fp.specs) {
-	case 0:
-		return db.relWalk(&vecRel{n: 1}, fp.filter), nil
-	case 1:
-		return db.scanWalk(&fp.specs[0], fp.allCols), nil
+// newWalk opens the walk over a SELECT's FROM rows, unprojected: its table's
+// slots or index candidates, or one empty row for a SELECT without FROM.
+func (db *Database) newWalk(fp *fromPlan) *walk {
+	if fp.scan.t == nil {
+		return db.relWalk(&vecRel{n: 1}, fp.scan.filter)
 	}
-	c := getVctx()
-	defer c.release()
-	ref := referencedOrdinals(s, fp.items, fp.allCols)
-	rels := make([]*vecRel, len(fp.specs))
-	base := 0
-	for i := range fp.specs {
-		nc := len(fp.specs[i].t.schema.Columns)
-		var err error
-		if rels[i], err = db.scanWalk(&fp.specs[i], fp.allCols[base:base+nc]).rel(c, ref[base:base+nc]); err != nil {
-			return nil, err
-		}
-		base += nc
-	}
-
-	cur := rels[0]
-	for i := 1; i < len(s.From); i++ {
-		cur = crossJoinVec(cur, rels[i])
-	}
-	for ji, jc := range s.Joins {
-		right := rels[len(s.From)+ji]
-		var err error
-		switch jc.Kind {
-		case "CROSS":
-			cur = crossJoinVec(cur, right)
-		case "INNER":
-			cur, err = innerJoinVec(c, cur, right, jc.On)
-		case "LEFT":
-			cur, err = nestedJoinVec(c, cur, right, jc.On, true)
-		default:
-			err = fmt.Errorf("sql: unsupported join kind %s", jc.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return db.relWalk(cur, fp.filter), nil
+	return db.scanWalk(&fp.scan, fp.cols)
 }
 
 // referencedOrdinals marks every source column the statement can read:
 // select items (post star expansion, so aggregate arguments are included),
-// WHERE, join ON conditions, GROUP BY, HAVING and ORDER BY. Unmarked
-// columns are never materialised. Unresolvable references are ignored here;
-// evaluation reports them (or not, on empty input).
-func referencedOrdinals(s *SelectStmt, items []SelectItem, allCols []colBinding) []bool {
-	ref := make([]bool, len(allCols))
+// WHERE, GROUP BY, HAVING and ORDER BY. Unmarked columns are never
+// materialised. Unresolvable references are ignored here; evaluation reports
+// them (or not, on empty input).
+func referencedOrdinals(s *SelectStmt, items []SelectItem, cols []colBinding) []bool {
+	ref := make([]bool, len(cols))
 	mark := func(e Expr) {
 		for _, cr := range collectColRefs(e) {
-			if ord, err := resolveCol(allCols, cr); err == nil {
+			if ord, err := resolveCol(cols, cr); err == nil {
 				ref[ord] = true
-				continue
-			}
-			// Joint resolution failed (ambiguous or unknown). Join-key
-			// resolution happens per side (equiKeys), which can succeed
-			// where the joint scope is ambiguous, so over-mark every
-			// column the name could mean; over-marking only costs
-			// materialisation, never correctness.
-			name := strings.ToLower(cr.Name)
-			tbl := strings.ToLower(cr.Table)
-			for i, cb := range allCols {
-				if cb.name == name && (tbl == "" || cb.table == tbl) {
-					ref[i] = true
-				}
 			}
 		}
 	}
@@ -102,9 +50,6 @@ func referencedOrdinals(s *SelectStmt, items []SelectItem, allCols []colBinding)
 		mark(it.Expr)
 	}
 	mark(s.Where)
-	for _, jc := range s.Joins {
-		mark(jc.On)
-	}
 	for _, ge := range s.GroupBy {
 		mark(ge)
 	}
@@ -130,233 +75,15 @@ func gatherVec(vec []Value, rows []int) []Value {
 	return g
 }
 
-func joinedVecRel(l, r *vecRel) *vecRel {
-	return &vecRel{
-		cols: append(append([]colBinding(nil), l.cols...), r.cols...),
-		vecs: make([][]Value, len(l.vecs)+len(r.vecs)),
-	}
-}
-
-// gatherPairs materialises a join result from pair index lists: output row k
-// combines left row li[k] with right row ri[k] (ri[k] == -1 null-extends the
-// right side, for LEFT JOIN). Only referenced columns are gathered.
-func gatherPairs(out *vecRel, l, r *vecRel, li, ri []int) {
-	out.n = len(li)
-	for ci, vec := range l.vecs {
-		if vec == nil {
-			continue
-		}
-		g := make([]Value, len(li))
-		for k, i := range li {
-			g[k] = vec[i]
-		}
-		out.vecs[ci] = g
-	}
-	off := len(l.vecs)
-	for ci, vec := range r.vecs {
-		if vec == nil {
-			continue
-		}
-		g := make([]Value, len(ri))
-		for k, j := range ri {
-			if j < 0 {
-				g[k] = NullValue()
-			} else {
-				g[k] = vec[j]
-			}
-		}
-		out.vecs[off+ci] = g
-	}
-}
-
-func crossJoinVec(l, r *vecRel) *vecRel {
-	out := joinedVecRel(l, r)
-	n := l.n * r.n
-	li := make([]int, 0, n)
-	ri := make([]int, 0, n)
-	for i := 0; i < l.n; i++ {
-		for j := 0; j < r.n; j++ {
-			li = append(li, i)
-			ri = append(ri, j)
-		}
-	}
-	gatherPairs(out, l, r, li, ri)
-	return out
-}
-
-// innerJoinVec is a hash join when the ON clause is a conjunction of column
-// equalities across the two sides, a nested loop otherwise.
-func innerJoinVec(c *vctx, l, r *vecRel, on Expr) (*vecRel, error) {
-	lk, rk := equiKeys(on, l.cols, r.cols)
-	if lk == nil {
-		return nestedJoinVec(c, l, r, on, false)
-	}
-	out := joinedVecRel(l, r)
-	// Build side: right relation, rows with any NULL key skipped. Keys use
-	// the same byte layout as encodeKey, built without per-row allocations
-	// (probe-side lookups via map[string(buf)] do not allocate).
-	ht := make(map[string][]int, r.n)
-	var kbuf []byte
-	for j := 0; j < r.n; j++ {
-		kbuf = kbuf[:0]
-		null := false
-		for _, ord := range rk {
-			v := r.vecs[ord][j]
-			if v.Null {
-				null = true
-				break
-			}
-			kbuf = appendKeyValue(kbuf, v)
-		}
-		if null {
-			continue
-		}
-		ht[string(kbuf)] = append(ht[string(kbuf)], j)
-	}
-	var li, ri []int
-	for i := 0; i < l.n; i++ {
-		kbuf = kbuf[:0]
-		null := false
-		for _, ord := range lk {
-			v := l.vecs[ord][i]
-			if v.Null {
-				null = true
-				break
-			}
-			kbuf = appendKeyValue(kbuf, v)
-		}
-		if null {
-			continue
-		}
-		for _, j := range ht[string(kbuf)] {
-			li = append(li, i)
-			ri = append(ri, j)
-		}
-	}
-	gatherPairs(out, l, r, li, ri)
-	return out, nil
-}
-
-// nestedJoinVec evaluates an arbitrary ON condition over left×right pairs in
-// chunks, gathering only the columns the condition references. With left
-// set, unmatched left rows are null-extended immediately after their
-// position: LEFT JOIN's output order.
-func nestedJoinVec(c *vctx, l, r *vecRel, on Expr, left bool) (*vecRel, error) {
-	out := joinedVecRel(l, r)
-	comp := compileExpr(on, out.cols)
-	onRef := make([]bool, len(out.cols))
-	for _, cr := range collectColRefs(on) {
-		if ord, err := resolveCol(out.cols, cr); err == nil {
-			onRef[ord] = true
-		}
-	}
-	scratch := make([][]Value, len(out.cols))
-	for ci := range scratch {
-		if onRef[ci] {
-			scratch[ci] = c.getVals()
-			defer c.putVals(scratch[ci])
-		}
-	}
-	batch := &vbatch{vecs: scratch}
-	outv := c.getVals()
-	defer c.putVals(outv)
-	sel := c.getSel()
-	defer c.putSel(sel)
-
-	var li, ri []int
-	nl := len(l.vecs)
-	evalChunk := func(pli, pri []int) error {
-		m := len(pli)
-		for ci := 0; ci < nl; ci++ {
-			if scratch[ci] == nil {
-				continue
-			}
-			src := l.vecs[ci]
-			for k := 0; k < m; k++ {
-				scratch[ci][k] = src[pli[k]]
-			}
-		}
-		for ci := nl; ci < len(scratch); ci++ {
-			if scratch[ci] == nil {
-				continue
-			}
-			src := r.vecs[ci-nl]
-			for k := 0; k < m; k++ {
-				scratch[ci][k] = src[pri[k]]
-			}
-		}
-		sel = sel[:0]
-		for k := 0; k < m; k++ {
-			sel = append(sel, k)
-		}
-		if err := comp.eval(c, batch, sel, outv); err != nil {
-			return err
-		}
-		for k := 0; k < m; k++ {
-			if b, ok := outv[k].Truthy(); ok && b {
-				li = append(li, pli[k])
-				ri = append(ri, pri[k])
-			}
-		}
-		return nil
-	}
-
-	pli := make([]int, 0, vecChunk)
-	pri := make([]int, 0, vecChunk)
-	if left {
-		for i := 0; i < l.n; i++ {
-			before := len(li)
-			for base := 0; base < r.n; base += vecChunk {
-				end := min(base+vecChunk, r.n)
-				pli = pli[:0]
-				pri = pri[:0]
-				for j := base; j < end; j++ {
-					pli = append(pli, i)
-					pri = append(pri, j)
-				}
-				if err := evalChunk(pli, pri); err != nil {
-					return nil, err
-				}
-			}
-			if len(li) == before {
-				li = append(li, i)
-				ri = append(ri, -1)
-			}
-		}
-	} else {
-		for i := 0; i < l.n; i++ {
-			for j := 0; j < r.n; j++ {
-				pli = append(pli, i)
-				pri = append(pri, j)
-				if len(pli) == vecChunk {
-					if err := evalChunk(pli, pri); err != nil {
-						return nil, err
-					}
-					pli = pli[:0]
-					pri = pri[:0]
-				}
-			}
-		}
-		if len(pli) > 0 {
-			if err := evalChunk(pli, pri); err != nil {
-				return nil, err
-			}
-		}
-	}
-	gatherPairs(out, l, r, li, ri)
-	return out, nil
-}
-
-// sortVec is ORDER BY over an arm that does not group (and DISTINCT's input,
-// with no ORDER BY): w, a walk over the arm's filtered rows, drained, projects
-// every item and every key that is not an item's alias or ordinal, and the
-// rows are sorted stably by the keys (an alias or an ordinal names an item's
-// column). It returns the items' columns.
+// sortVec is ORDER BY over a SELECT that does not group: w, a walk over its
+// filtered rows, drained, projects every item and every key that is not an
+// item's alias or ordinal, and the rows are sorted stably by the keys (an
+// alias or an ordinal names an item's column). It returns the items' columns.
 func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, error) {
 	exprs := items
 	keys := make([]int, len(s.OrderBy))
 	aliasOf := aliasMap(items)
-	badOrdinal := -1 // ORDER BY 0 is out of range too; literals have no sign
+	var badOrdinal error // ORDER BY 0, or a negative ordinal, is out of range too
 	for i, oi := range s.OrderBy {
 		if cr, ok := oi.Expr.(*ColRef); ok && cr.Table == "" {
 			if ord, hit := aliasOf[strings.ToLower(cr.Name)]; hit {
@@ -367,7 +94,7 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 		if lit, ok := oi.Expr.(*Literal); ok && lit.Val.Kind == TypeInt && !lit.Val.Null {
 			keys[i] = int(lit.Val.Int) - 1
 			if keys[i] < 0 || keys[i] >= len(items) {
-				badOrdinal = int(lit.Val.Int)
+				badOrdinal = fmt.Errorf("sql: ORDER BY ordinal %d out of range", lit.Val.Int)
 			}
 			continue
 		}
@@ -379,8 +106,8 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 	if err != nil {
 		return nil, err
 	}
-	if badOrdinal >= 0 && rel.n > 0 { // an ordinal is checked against a row
-		return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", badOrdinal)
+	if badOrdinal != nil && rel.n > 0 { // an ordinal is checked against a row
+		return nil, badOrdinal
 	}
 	return sortRel(rel, keys, s.OrderBy, len(items)), nil
 }
@@ -417,41 +144,6 @@ func gatherCols(vecs [][]Value, rows []int) [][]Value {
 	out := make([][]Value, len(vecs))
 	for i, vec := range vecs {
 		out[i] = gatherVec(vec, rows)
-	}
-	return out
-}
-
-// dedupe keeps the first of every set of equal rows: DISTINCT, and UNION at
-// a plain-UNION boundary.
-func dedupe(rel *vecRel) *vecRel {
-	seen := make(map[string]bool, rel.n)
-	var keep []int
-	var kbuf []byte
-	for r := 0; r < rel.n; r++ {
-		kbuf = kbuf[:0]
-		for _, vec := range rel.vecs {
-			kbuf = appendKeyValue(kbuf, vec[r])
-		}
-		if !seen[string(kbuf)] {
-			seen[string(kbuf)] = true
-			keep = append(keep, r)
-		}
-	}
-	if len(keep) == rel.n {
-		return rel
-	}
-	return &vecRel{vecs: gatherCols(rel.vecs, keep), n: len(keep)}
-}
-
-// rowsRel turns row-major rows into a relation (EXPLAIN's result, on its way
-// to a walk).
-func rowsRel(res *Result) *vecRel {
-	out := &vecRel{vecs: make([][]Value, len(res.Columns)), n: len(res.Rows)}
-	for c := range out.vecs {
-		out.vecs[c] = make([]Value, len(res.Rows))
-		for r, row := range res.Rows {
-			out.vecs[c][r] = row[c]
-		}
 	}
 	return out
 }

@@ -38,67 +38,9 @@ func (db *Database) oracleStmt(s *SelectStmt) (*Result, error) {
 	return db.oracleSelect(s)
 }
 
-// oracleSelect runs a SELECT or a UNION chain: each arm on its own, the rows
-// deduplicated at every plain-UNION boundary, then sorted by the head's ORDER
-// BY (output names or ordinals) and cut by its OFFSET and LIMIT.
+// oracleSelect runs a SELECT: execSelectArmRows over its plan, then OFFSET
+// and LIMIT over what a blocking SELECT's operators built.
 func (db *Database) oracleSelect(s *SelectStmt) (*Result, error) {
-	res, err := db.oracleUnion(s)
-	if err == nil && len(res.Rows) == 0 {
-		res.Rows = nil // as the executor returns no rows
-	}
-	return res, err
-}
-
-func (db *Database) oracleUnion(s *SelectStmt) (*Result, error) {
-	if s.Union == nil {
-		return db.oracleArm(s)
-	}
-	var out *Result
-	prevAll := false
-	for arm := s; arm != nil; arm = arm.Union {
-		armCopy := *arm
-		armCopy.Union, armCopy.OrderBy, armCopy.Limit, armCopy.Offset = nil, nil, -1, 0
-		res, err := db.oracleArm(&armCopy)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = res
-		} else {
-			if len(res.Columns) != len(out.Columns) {
-				return nil, fmt.Errorf("sql: UNION arms have %d and %d columns", len(out.Columns), len(res.Columns))
-			}
-			out.Rows = append(out.Rows, res.Rows...)
-			if !prevAll {
-				out.Rows = distinctRows(out.Rows)
-			}
-		}
-		prevAll = arm.UnionAll
-	}
-	ords, err := outputOrdinals(out.Columns, s.OrderBy)
-	if err != nil {
-		return nil, err
-	}
-	keyed := make([]Row, len(out.Rows))
-	for i, row := range out.Rows {
-		keyed[i] = make(Row, len(ords))
-		for k, ord := range ords {
-			keyed[i][k] = row[ord]
-		}
-	}
-	sortRows(out.Rows, keyed, s.OrderBy)
-	out.Rows = cutRows(out.Rows, s.Offset, s.Limit)
-	return out, nil
-}
-
-// oracleArm runs one SELECT arm: its subqueries on the oracle first, then
-// execSelectArmRows over the arm's plan, then DISTINCT, OFFSET and LIMIT
-// over what a blocking arm's operators built.
-func (db *Database) oracleArm(s *SelectStmt) (*Result, error) {
-	s, err := rewriteStmtSubqueries(s, db.oracleSelect)
-	if err != nil {
-		return nil, err
-	}
 	var fp fromPlan
 	if err := db.planFrom(s, &fp); err != nil {
 		return nil, err
@@ -109,25 +51,12 @@ func (db *Database) oracleArm(s *SelectStmt) (*Result, error) {
 		return nil, err
 	}
 	if block {
-		if s.Distinct {
-			res.Rows = distinctRows(res.Rows)
-		}
 		res.Rows = cutRows(res.Rows, s.Offset, s.Limit)
 	}
-	return res, nil
-}
-
-// distinctRows keeps the first of every set of equal rows.
-func distinctRows(rows []Row) []Row {
-	seen := make(map[string]bool, len(rows))
-	var out []Row
-	for _, row := range rows {
-		if k := encodeKey(row); !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
+	if len(res.Rows) == 0 {
+		res.Rows = nil // as the executor returns no rows
 	}
-	return out
+	return res, nil
 }
 
 // cutRows applies OFFSET and LIMIT (limit < 0: none).
@@ -171,18 +100,19 @@ type evalEnv struct {
 	aggs map[string]Value // e.g. "COUNT(*)" -> value
 }
 
-// execSelectArmRows evaluates over the FROM rows in the executor's order — one
-// table's rows (those the plan's index access reaches, found by reading every
-// slot), or the joined relation — and walks them once: filter, then OFFSET,
-// then projection, stopping at the LIMIT, so a row the walk does not reach
-// cannot fail the statement. A blocking arm (block) keeps every row that
-// passes the filter and returns its operators' whole output instead, before
-// DISTINCT, OFFSET and LIMIT, which oracleArm applies.
+// execSelectArmRows evaluates over the FROM rows in the executor's order —
+// the table's rows that the plan's index access reaches, found by reading
+// every slot — and walks them once: filter, then OFFSET, then projection,
+// stopping at the LIMIT, so a row the walk does not reach cannot fail the
+// statement. A blocking SELECT (block) keeps every row that passes the filter
+// and returns its operators' whole output instead, before OFFSET and LIMIT,
+// which oracleSelect applies.
 func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (*Result, error) {
-	src, filter, err := db.buildFrom(s, fp)
+	src, err := db.buildFrom(fp)
 	if err != nil {
 		return nil, err
 	}
+	filter := fp.scan.filter
 	res := &Result{Columns: itemNames(fp.items)}
 	env := src.env()
 	skip, limit := s.Offset, s.Limit
@@ -472,186 +402,35 @@ func computeAggregate(f *FuncCall, rows []Row, src *rel) (Value, error) {
 	return Value{}, fmt.Errorf("sql: unknown aggregate %s", f.Name)
 }
 
-// buildFrom materialises the oracle's FROM rows and returns the filter its
-// walk evaluates over them: one table's rows under the whole WHERE clause, or
-// the joined relation of scans that each applied their own filter under
-// fp.filter. A scan reads every slot whatever the plan's access: where the
-// plan reads through an index, the oracle keeps the rows for which the
-// conjuncts the access answers are TRUE, evaluated here, so it reaches the
-// rows the executor's candidates should be without reading the index.
-func (db *Database) buildFrom(s *SelectStmt, fp *fromPlan) (*rel, Expr, error) {
-	if len(fp.specs) == 0 {
-		// SELECT without FROM: one empty row.
-		return &rel{rows: []Row{{}}}, fp.filter, nil
+// buildFrom materialises the oracle's FROM rows: the table's rows, or one
+// empty row without FROM. It reads every slot whatever the plan's access:
+// where the plan reads through an index, the oracle keeps the rows for which
+// the conjuncts the access answers are TRUE, evaluated here, so it reaches
+// the rows the executor's candidates should be without reading the index.
+func (db *Database) buildFrom(fp *fromPlan) (*rel, error) {
+	sp := &fp.scan
+	if sp.t == nil {
+		return &rel{rows: []Row{{}}}, nil
 	}
-	scanOne := func(sp *scanSpec, filter Expr) (*rel, error) {
-		r := &rel{}
-		b := strings.ToLower(sp.ref.Binding())
-		for _, c := range sp.t.schema.Columns {
-			r.cols = append(r.cols, colBinding{table: b, name: strings.ToLower(c.Name)})
-		}
-		env := r.env()
-		keep := slices.Clip(sp.acc.conjs)
-		if filter != nil {
-			keep = append(keep, filter)
-		}
-		var evalErr error
-		sp.t.scan(func(_ int, row Row) bool {
-			env.row = row
-			for _, e := range keep {
-				v, err := eval(e, env)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if b, ok := v.Truthy(); !ok || !b {
-					return true
-				}
-			}
-			r.rows = append(r.rows, row.Clone())
-			return true
-		})
-		return r, evalErr
-	}
-	if len(fp.specs) == 1 {
-		r, err := scanOne(&fp.specs[0], nil)
-		return r, fp.specs[0].filter, err
-	}
-
-	cur, err := scanOne(&fp.specs[0], fp.specs[0].filter)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Comma-joined FROM tables: cross products (fp.filter applies later).
-	for i := 1; i < len(s.From); i++ {
-		right, err := scanOne(&fp.specs[i], fp.specs[i].filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur = crossJoin(cur, right)
-	}
-	// Explicit JOIN clauses.
-	for ji, jc := range s.Joins {
-		sp := &fp.specs[len(s.From)+ji]
-		right, err := scanOne(sp, sp.filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch jc.Kind {
-		case "CROSS":
-			cur = crossJoin(cur, right)
-		case "INNER":
-			cur, err = innerJoin(cur, right, jc.On)
-		case "LEFT":
-			cur, err = leftJoin(cur, right, jc.On)
-		default:
-			err = fmt.Errorf("sql: unsupported join kind %s", jc.Kind)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return cur, fp.filter, nil
-}
-
-func joinedRel(l, r *rel) *rel {
-	return &rel{cols: append(append([]colBinding(nil), l.cols...), r.cols...)}
-}
-
-func concatRows(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func crossJoin(l, r *rel) *rel {
-	out := joinedRel(l, r)
-	for _, lr := range l.rows {
-		for _, rr := range r.rows {
-			out.rows = append(out.rows, concatRows(lr, rr))
-		}
-	}
-	return out
-}
-
-func innerJoin(l, r *rel, on Expr) (*rel, error) {
-	out := joinedRel(l, r)
-	if lk, rk := equiKeys(on, l.cols, r.cols); lk != nil {
-		// Hash join.
-		ht := make(map[string][]Row, len(r.rows))
-		for _, rr := range r.rows {
-			vals := make([]Value, len(rk))
-			null := false
-			for i, ord := range rk {
-				vals[i] = rr[ord]
-				null = null || rr[ord].Null
-			}
-			if null {
-				continue
-			}
-			k := encodeKey(vals)
-			ht[k] = append(ht[k], rr)
-		}
-		for _, lr := range l.rows {
-			vals := make([]Value, len(lk))
-			null := false
-			for i, ord := range lk {
-				vals[i] = lr[ord]
-				null = null || lr[ord].Null
-			}
-			if null {
-				continue
-			}
-			for _, rr := range ht[encodeKey(vals)] {
-				out.rows = append(out.rows, concatRows(lr, rr))
-			}
-		}
-		return out, nil
-	}
-	// Nested loop fallback for arbitrary ON conditions.
-	env := &evalEnv{cols: out.cols}
-	for _, lr := range l.rows {
-		for _, rr := range r.rows {
-			row := concatRows(lr, rr)
-			env.row = row
-			v, err := eval(on, env)
+	r := &rel{cols: fp.cols}
+	env := r.env()
+	var evalErr error
+	sp.t.scan(func(_ int, row Row) bool {
+		env.row = row
+		for _, e := range sp.acc.conjs {
+			v, err := eval(e, env)
 			if err != nil {
-				return nil, err
+				evalErr = err
+				return false
 			}
-			if b, ok := v.Truthy(); ok && b {
-				out.rows = append(out.rows, row)
-			}
-		}
-	}
-	return out, nil
-}
-
-func leftJoin(l, r *rel, on Expr) (*rel, error) {
-	out := joinedRel(l, r)
-	env := &evalEnv{cols: out.cols}
-	nulls := make(Row, len(r.cols))
-	for i := range nulls {
-		nulls[i] = NullValue()
-	}
-	for _, lr := range l.rows {
-		matched := false
-		for _, rr := range r.rows {
-			row := concatRows(lr, rr)
-			env.row = row
-			v, err := eval(on, env)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.Truthy(); ok && b {
-				matched = true
-				out.rows = append(out.rows, row)
+			if b, ok := v.Truthy(); !ok || !b {
+				return true
 			}
 		}
-		if !matched {
-			out.rows = append(out.rows, concatRows(lr, nulls))
-		}
-	}
-	return out, nil
+		r.rows = append(r.rows, slices.Clone(row))
+		return true
+	})
+	return r, evalErr
 }
 
 // eval evaluates an expression against the environment.
@@ -665,12 +444,12 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 			return Value{}, err
 		}
 		return env.row[ord], nil
-	case *Unary:
+	case *Not:
 		v, err := eval(x.X, env)
 		if err != nil {
 			return Value{}, err
 		}
-		return applyUnary(x.Op, v)
+		return applyNot(v)
 	case *Binary:
 		return evalBinary(x, env)
 	case *IsNull:
@@ -684,26 +463,11 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 		return BoolValue(v.Null), nil
 	case *InList:
 		return evalIn(x, env)
-	case *Between:
-		return evalBetween(x, env)
-	case *Subquery:
-		return Value{}, fmt.Errorf("sql: unresolved subquery (internal error)")
 	case *FuncCall:
-		if x.IsAggregate() {
-			if v, ok := env.aggs[x.String()]; ok {
-				return v, nil
-			}
-			return Value{}, fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)
+		if v, ok := env.aggs[x.String()]; ok {
+			return v, nil
 		}
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := eval(a, env)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v
-		}
-		return applyScalarFunc(x, args)
+		return Value{}, fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)
 	}
 	return Value{}, fmt.Errorf("sql: cannot evaluate %T", e)
 }
@@ -790,27 +554,4 @@ func evalIn(x *InList, env *evalEnv) (Value, error) {
 		return NullValue(), nil
 	}
 	return BoolValue(x.Negate), nil
-}
-
-func evalBetween(x *Between, env *evalEnv) (Value, error) {
-	v, err := eval(x.X, env)
-	if err != nil {
-		return Value{}, err
-	}
-	lo, err := eval(x.Lo, env)
-	if err != nil {
-		return Value{}, err
-	}
-	hi, err := eval(x.Hi, env)
-	if err != nil {
-		return Value{}, err
-	}
-	if v.Null || lo.Null || hi.Null {
-		return NullValue(), nil
-	}
-	in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-	if x.Negate {
-		in = !in
-	}
-	return BoolValue(in), nil
 }

@@ -152,71 +152,23 @@ func (p *sqlParser) parseStatement() (Statement, error) {
 	return nil, fmt.Errorf("sql: unexpected %s at start of statement (offset %d)", t, t.pos)
 }
 
-// parseSelect parses a full SELECT: a UNION chain of select cores followed
-// by ORDER BY / LIMIT / OFFSET, which apply to the combined result.
-func (p *sqlParser) parseSelect() (*SelectStmt, error) {
-	head, err := p.parseSelectCore()
-	if err != nil {
-		return nil, err
-	}
-	cur := head
-	for p.accept("UNION") {
-		all := p.accept("ALL")
-		arm, err := p.parseSelectCore()
-		if err != nil {
-			return nil, err
-		}
-		cur.Union = arm
-		cur.UnionAll = all
-		cur = arm
-	}
-	if p.accept("ORDER") {
-		if err := p.expect("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.accept("DESC") {
-				item.Desc = true
-			} else {
-				p.accept("ASC")
-			}
-			head.OrderBy = append(head.OrderBy, item)
-			if !p.accept(",") {
-				break
-			}
-		}
-	}
-	if p.accept("LIMIT") {
-		n, err := p.parseNonNegInt()
-		if err != nil {
-			return nil, err
-		}
-		head.Limit = n
-		if p.accept("OFFSET") {
-			m, err := p.parseNonNegInt()
-			if err != nil {
-				return nil, err
-			}
-			head.Offset = m
-		}
-	}
-	return head, nil
+// refuse is the error for a construct the engine does not have: the
+// federation sends none of them (DESIGN §9), so naming it beats a confusing
+// syntax error.
+func (p *sqlParser) refuse(construct string) error {
+	return fmt.Errorf("sql: %s is not supported (offset %d)", construct, p.peek().pos)
 }
 
-// parseSelectCore parses one SELECT arm up to and including HAVING.
-func (p *sqlParser) parseSelectCore() (*SelectStmt, error) {
+// parseSelect parses a SELECT: projection, at most one FROM table, WHERE,
+// GROUP BY, HAVING, ORDER BY, LIMIT and OFFSET.
+func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	if err := p.expect("SELECT"); err != nil {
 		return nil, err
 	}
 	s := &SelectStmt{Limit: -1}
-	s.Distinct = p.accept("DISTINCT")
-
-	// Projection list.
+	if p.peek().text == "DISTINCT" {
+		return nil, p.refuse("SELECT DISTINCT")
+	}
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -227,35 +179,19 @@ func (p *sqlParser) parseSelectCore() (*SelectStmt, error) {
 			break
 		}
 	}
-
 	if p.accept("FROM") {
 		tr, err := p.parseTableRef()
 		if err != nil {
 			return nil, err
 		}
-		s.From = append(s.From, tr)
-		for {
-			switch {
-			case p.accept(","):
-				tr, err := p.parseTableRef()
-				if err != nil {
-					return nil, err
-				}
-				s.From = append(s.From, tr)
-			case p.peek().text == "JOIN" || p.peek().text == "INNER" ||
-				p.peek().text == "LEFT" || p.peek().text == "CROSS":
-				jc, err := p.parseJoin()
-				if err != nil {
-					return nil, err
-				}
-				s.Joins = append(s.Joins, jc)
-			default:
-				goto fromDone
-			}
+		s.From = &tr
+		switch p.peek().text {
+		case ",":
+			return nil, p.refuse("a comma-separated FROM list (a join)")
+		case "JOIN", "INNER", "LEFT", "CROSS":
+			return nil, p.refuse("JOIN")
 		}
 	}
-fromDone:
-
 	if p.accept("WHERE") {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -284,6 +220,44 @@ fromDone:
 			return nil, err
 		}
 		s.Having = e
+	}
+	if p.peek().text == "UNION" {
+		return nil, p.refuse("UNION")
+	}
+	if p.accept("ORDER") {
+		if err := p.expect("BY"); err != nil {
+			return nil, err
+		}
+		for {
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			item := OrderItem{Expr: e}
+			if p.accept("DESC") {
+				item.Desc = true
+			} else {
+				p.accept("ASC")
+			}
+			s.OrderBy = append(s.OrderBy, item)
+			if !p.accept(",") {
+				break
+			}
+		}
+	}
+	if p.accept("LIMIT") {
+		n, err := p.parseNonNegInt()
+		if err != nil {
+			return nil, err
+		}
+		s.Limit = n
+		if p.accept("OFFSET") {
+			m, err := p.parseNonNegInt()
+			if err != nil {
+				return nil, err
+			}
+			s.Offset = m
+		}
 	}
 	return s, nil
 }
@@ -347,37 +321,6 @@ func (p *sqlParser) parseTableRef() (TableRef, error) {
 		tr.Alias = p.next().text
 	}
 	return tr, nil
-}
-
-func (p *sqlParser) parseJoin() (JoinClause, error) {
-	kind := "INNER"
-	switch {
-	case p.accept("INNER"):
-	case p.accept("LEFT"):
-		kind = "LEFT"
-		p.accept("OUTER")
-	case p.accept("CROSS"):
-		kind = "CROSS"
-	}
-	if err := p.expect("JOIN"); err != nil {
-		return JoinClause{}, err
-	}
-	tr, err := p.parseTableRef()
-	if err != nil {
-		return JoinClause{}, err
-	}
-	jc := JoinClause{Kind: kind, Table: tr}
-	if kind != "CROSS" {
-		if err := p.expect("ON"); err != nil {
-			return JoinClause{}, err
-		}
-		on, err := p.parseExpr()
-		if err != nil {
-			return JoinClause{}, err
-		}
-		jc.On = on
-	}
-	return jc, nil
 }
 
 func (p *sqlParser) parseInsert() (*InsertStmt, error) {
@@ -646,88 +589,58 @@ func (p *sqlParser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: "NOT", X: x}, nil
+		return &Not{X: x}, nil
 	}
 	return p.parseComparison()
 }
 
 func (p *sqlParser) parseComparison() (Expr, error) {
-	l, err := p.parseAdditive()
+	l, err := p.parseOperand()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.peek()
+		negate := false
+		if t.text == "NOT" {
+			// NOT LIKE / NOT IN / NOT BETWEEN
+			switch p.peek2().text {
+			case "LIKE", "IN", "BETWEEN":
+				p.next()
+				t, negate = p.peek(), true
+			default:
+				return l, nil
+			}
+		}
 		switch t.text {
-		case "=", "<", "<=", ">", ">=":
+		case "=", "<", "<=", ">", ">=", "<>", "!=", "LIKE":
 			p.next()
-			r, err := p.parseAdditive()
+			r, err := p.parseOperand()
 			if err != nil {
 				return nil, err
 			}
-			l = &Binary{Op: t.text, L: l, R: r}
-		case "<>", "!=":
-			p.next()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
+			op := t.text
+			if op == "!=" {
+				op = "<>"
 			}
-			l = &Binary{Op: "<>", L: l, R: r}
-		case "LIKE":
-			p.next()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
+			l = &Binary{Op: op, L: l, R: r}
+			if negate {
+				l = &Not{X: l}
 			}
-			l = &Binary{Op: "LIKE", L: l, R: r}
 		case "IS":
 			p.next()
-			negate := p.accept("NOT")
+			isNull := &IsNull{X: l, Negate: p.accept("NOT")}
 			if err := p.expect("NULL"); err != nil {
 				return nil, err
 			}
-			l = &IsNull{X: l, Negate: negate}
-		case "NOT":
-			// NOT LIKE / NOT IN / NOT BETWEEN
-			if nxt := p.peek2().text; nxt == "LIKE" || nxt == "IN" || nxt == "BETWEEN" {
-				p.next() // NOT
-				switch p.next().text {
-				case "LIKE":
-					r, err := p.parseAdditive()
-					if err != nil {
-						return nil, err
-					}
-					l = &Unary{Op: "NOT", X: &Binary{Op: "LIKE", L: l, R: r}}
-				case "IN":
-					in, err := p.parseInTail(l, true)
-					if err != nil {
-						return nil, err
-					}
-					l = in
-				case "BETWEEN":
-					b, err := p.parseBetweenTail(l, true)
-					if err != nil {
-						return nil, err
-					}
-					l = b
-				}
-				continue
-			}
-			return l, nil
+			l = isNull
 		case "IN":
 			p.next()
-			in, err := p.parseInTail(l, false)
-			if err != nil {
+			if l, err = p.parseInTail(l, negate); err != nil {
 				return nil, err
 			}
-			l = in
 		case "BETWEEN":
-			p.next()
-			b, err := p.parseBetweenTail(l, false)
-			if err != nil {
-				return nil, err
-			}
-			l = b
+			return nil, p.refuse("BETWEEN")
 		default:
 			return l, nil
 		}
@@ -739,14 +652,7 @@ func (p *sqlParser) parseInTail(l Expr, negate bool) (Expr, error) {
 		return nil, err
 	}
 	if p.peek().text == "SELECT" {
-		sub, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return &Subquery{X: l, Select: sub, Negate: negate}, nil
+		return nil, p.refuse("a subquery")
 	}
 	in := &InList{X: l, Negate: negate}
 	for {
@@ -765,77 +671,23 @@ func (p *sqlParser) parseInTail(l Expr, negate bool) (Expr, error) {
 	return in, nil
 }
 
-func (p *sqlParser) parseBetweenTail(l Expr, negate bool) (Expr, error) {
-	lo, err := p.parseAdditive()
+// parseOperand parses one side of a comparison: a literal, a column, an
+// aggregate or a parenthesised expression, never arithmetic.
+func (p *sqlParser) parseOperand() (Expr, error) {
+	e, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect("AND"); err != nil {
-		return nil, err
+	switch t := p.peek(); t.text {
+	case "+", "-", "*", "/", "%", "||":
+		return nil, p.refuse("arithmetic (" + t.text + ")")
 	}
-	hi, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	return &Between{X: l, Lo: lo, Hi: hi, Negate: negate}, nil
+	return e, nil
 }
 
-func (p *sqlParser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.text == "+" || t.text == "-" || t.text == "||" {
-			p.next()
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *sqlParser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.text == "*" || t.text == "/" || t.text == "%" {
-			p.next()
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &Binary{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
-}
-
-func (p *sqlParser) parseUnary() (Expr, error) {
-	if p.accept("-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", X: x}, nil
-	}
-	p.accept("+") // unary plus is a no-op
-	return p.parsePrimary()
-}
-
-// scalarFuncs is the set of recognised scalar function names.
-var scalarFuncs = map[string]bool{
-	"UPPER": true, "LOWER": true, "LENGTH": true, "ABS": true,
-	"COALESCE": true, "SUBSTR": true, "TRIM": true, "ROUND": true,
+// aggregateFuncs is the set of aggregate function names.
+var aggregateFuncs = map[string]bool{
+	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 
 func (p *sqlParser) parsePrimary() (Expr, error) {
@@ -843,18 +695,7 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %s", t.text)
-			}
-			return &Literal{Val: FloatValue(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad number %s", t.text)
-		}
-		return &Literal{Val: IntValue(n)}, nil
+		return numberLiteral(t.text)
 	case tokString:
 		p.next()
 		return &Literal{Val: TextValue(t.text)}, nil
@@ -873,26 +714,15 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			p.next()
 			return p.parseFuncTail(t.text)
 		case "EXISTS":
-			p.next()
-			if err := p.expect("("); err != nil {
-				return nil, err
-			}
-			sub, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
-			return &Subquery{Select: sub, Exists: true}, nil
+			return nil, p.refuse("EXISTS")
 		}
 		return nil, fmt.Errorf("sql: unexpected keyword %s in expression (offset %d)", t.text, t.pos)
 	case tokIdent:
 		name := p.next().text
 		if p.peek().text == "(" {
 			up := strings.ToUpper(name)
-			if !scalarFuncs[up] && !aggregateFuncs[up] {
-				return nil, fmt.Errorf("sql: unknown function %s (offset %d)", name, t.pos)
+			if !aggregateFuncs[up] {
+				return nil, fmt.Errorf("sql: function %s is not supported (offset %d)", name, t.pos)
 			}
 			return p.parseFuncTail(up)
 		}
@@ -905,8 +735,21 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 		}
 		return &ColRef{Name: name}, nil
 	case tokPunct:
-		if t.text == "(" {
+		switch t.text {
+		case "-":
+			// A negative number is a literal; any other operand of a
+			// minus is arithmetic.
+			if n := p.peek2(); n.kind == tokNumber {
+				p.next()
+				p.next()
+				return numberLiteral("-" + n.text)
+			}
+			return nil, p.refuse("arithmetic (-)")
+		case "(":
 			p.next()
+			if p.peek().text == "SELECT" {
+				return nil, p.refuse("a subquery")
+			}
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -920,11 +763,28 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 	return nil, fmt.Errorf("sql: unexpected %s in expression (offset %d)", t, t.pos)
 }
 
+// numberLiteral types a numeric literal's text: a float when it has a
+// decimal point, an integer otherwise.
+func numberLiteral(text string) (Expr, error) {
+	if strings.Contains(text, ".") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sql: bad number %s", text)
+		}
+		return &Literal{Val: FloatValue(f)}, nil
+	}
+	n, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("sql: bad number %s", text)
+	}
+	return &Literal{Val: IntValue(n)}, nil
+}
+
 func (p *sqlParser) parseFuncTail(name string) (Expr, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	f := &FuncCall{Name: strings.ToUpper(name)}
+	f := &FuncCall{Name: name}
 	if p.peek().text == "*" {
 		p.next()
 		f.Star = true
@@ -952,7 +812,7 @@ func (p *sqlParser) parseFuncTail(name string) (Expr, error) {
 	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
-	if f.IsAggregate() && len(f.Args) != 1 {
+	if len(f.Args) != 1 {
 		return nil, fmt.Errorf("sql: aggregate %s takes exactly one argument", f.Name)
 	}
 	return f, nil

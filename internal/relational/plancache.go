@@ -17,8 +17,7 @@ const defaultPlanCacheCap = 256
 // newer version drops the entry, so every CREATE statement invalidates all
 // earlier plans (the version check is the revalidation, the bump is the
 // broadcast). Cached statements are shared across goroutines: execution
-// never mutates a parsed AST (subquery rewriting copies), which is what
-// makes the cache sound.
+// never mutates a parsed AST, which is what makes the cache sound.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int

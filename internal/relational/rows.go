@@ -1,25 +1,27 @@
 package relational
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 )
 
-// This file is the pull side of the executor. Every SELECT arm opens as one
-// walk — filter, then OFFSET, then projection, ending with the LIMIT — over
-// one of three sources:
+// This file is the pull side of the executor. Every SELECT opens as one walk
+// — filter, then OFFSET, then projection, ending with the LIMIT — over one of
+// three sources:
 //
 //   - table slots: a full scan, in slot (insertion) order;
 //   - index candidates: the ascending slot list an index access (chooseIndex:
 //     an equality, a literal IN list or a key range on an indexed column)
 //     yields at open;
-//   - a relation a blocking operator built at open: a join, GROUP BY and
-//     aggregates, ORDER BY, DISTINCT, UNION (or a SELECT without FROM).
+//   - a relation a blocking operator built at open: GROUP BY and aggregates,
+//     ORDER BY (or a SELECT without FROM, or EXPLAIN's plan).
 //
-// Rows is the walk handed to the caller a chunk at a time; Query, ExecStmt,
-// INSERT ... SELECT and subqueries drain it, and a blocking operator is fed
-// its input by the same walk, drained.
+// Rows is the walk handed to the caller a chunk at a time; Query, ExecStmt
+// and INSERT ... SELECT drain it, and a blocking operator is fed its input by
+// the same walk, drained.
 //
 // An expression the walk evaluates errors only for a row the walk reaches,
 // never for one it does not; a blocking operator evaluates its whole input.
@@ -182,7 +184,7 @@ func (s *source) rows(sel []int, lo, hi int) []int {
 	return sel
 }
 
-// walk is the resumable state of one SELECT arm. Everything in it is either
+// walk is the resumable state of one SELECT. Everything in it is either
 // immutable (the source's lists, the compiled expressions) or a plain number.
 type walk struct {
 	db     *Database
@@ -198,9 +200,9 @@ type walk struct {
 	done bool
 }
 
-// scanWalk opens a walk over one table reference: its index access's
-// candidates if the plan takes one, its slots otherwise, filtered by what
-// sp's scan evaluates. cols are the reference's bindings.
+// scanWalk opens a walk over the FROM table: its index access's candidates if
+// the plan takes one, its slots otherwise, filtered by what sp's scan
+// evaluates. cols are the table's bindings.
 func (db *Database) scanWalk(sp *scanSpec, cols []colBinding) *walk {
 	w := &walk{db: db, cols: cols, left: -1,
 		src: source{t: sp.t, cands: sp.slots(), high: sp.t.Len()}}
@@ -442,4 +444,87 @@ func (w *walk) result() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// explainSelect renders the plan the executor opens for a SELECT, read from
+// the same fromPlan: where its walk reads its rows (streamed from the table,
+// or held by an operator that builds them at open), the operators above it,
+// the filter its scan evaluates and the index it reads through.
+func (db *Database) explainSelect(s *SelectStmt) (*Result, error) {
+	var fp fromPlan
+	if err := db.planFrom(s, &fp); err != nil {
+		return nil, err
+	}
+	res := &Result{Columns: []string{"plan"}}
+	depth := 0
+	emit := func(format string, args ...any) {
+		res.Rows = append(res.Rows, Row{TextValue(strings.Repeat("  ", depth) + fmt.Sprintf(format, args...))})
+	}
+	sp := &fp.scan
+	if blocking(s, fp.items) || sp.t == nil {
+		emit("rows held at open")
+	} else {
+		emit("rows streamed from %s", sp.t.schema.Name)
+	}
+	if s.Limit >= 0 || s.Offset > 0 {
+		emit("limit %d offset %d", s.Limit, s.Offset)
+		depth++
+	}
+	if len(s.OrderBy) > 0 {
+		keys := make([]string, len(s.OrderBy))
+		for i, oi := range s.OrderBy {
+			keys[i] = oi.Expr.String()
+			if oi.Desc {
+				keys[i] += " DESC"
+			}
+		}
+		emit("sort by %s", strings.Join(keys, ", "))
+		depth++
+	}
+	if grouped(s, fp.items) {
+		if len(s.GroupBy) > 0 {
+			keys := make([]string, len(s.GroupBy))
+			for i, g := range s.GroupBy {
+				keys[i] = g.String()
+			}
+			emit("aggregate group by %s", strings.Join(keys, ", "))
+		} else {
+			emit("aggregate (single group)")
+		}
+		depth++
+	}
+	if sp.t == nil {
+		if sp.filter != nil {
+			emit("filter %s", sp.filter)
+			depth++
+		}
+		emit("values (no FROM)")
+		return res, nil
+	}
+	line := "seq scan "
+	if sp.acc.ix != nil {
+		line = sp.acc.describe(sp.t) + " "
+	}
+	line += sp.t.schema.Name
+	if sp.ref.Alias != "" {
+		line += " as " + sp.ref.Alias
+	}
+	if sp.filter != nil {
+		line += " filter " + sp.filter.String()
+	}
+	emit("%s", line)
+	return res, nil
+}
+
+// rowsRel turns row-major rows into a relation (EXPLAIN's result, on its way
+// to a walk).
+func rowsRel(res *Result) *vecRel {
+	out := &vecRel{vecs: make([][]Value, len(res.Columns)), n: len(res.Rows)}
+	for c := range out.vecs {
+		out.vecs[c] = make([]Value, len(res.Rows))
+		for r, row := range res.Rows {
+			out.vecs[c][r] = row[c]
+		}
+	}
+	return out
 }

@@ -1,9 +1,11 @@
-// Package relational implements a complete in-memory relational database
-// engine: SQL lexer/parser, catalog, B-tree and hash indexes, a rule-based
-// planner and a Volcano-style iterator executor over append-only tables,
-// which a load script fills and queries then read. The engine is instantiated
-// several times with different vendor dialect profiles to stand in for the
-// paper's Oracle, mSQL, DB2 and Sybase back ends.
+// Package relational implements an in-memory relational database engine that
+// takes the SQL the federation sends: SQL lexer/parser, catalog, B-tree
+// indexes, an index chooser and a batched pull executor over append-only
+// tables, which a load script fills and queries then read. A SELECT reads one
+// table; joins, UNION, subqueries, BETWEEN, arithmetic, scalar functions and
+// DISTINCT are refused by name. The engine is instantiated several times with
+// different vendor dialect profiles to stand in for the paper's Oracle, mSQL,
+// DB2 and Sybase back ends.
 package relational
 
 import (
@@ -170,14 +172,6 @@ func Compare(a, b Value) int {
 	return strings.Compare(a.String(), b.String())
 }
 
-// Equal reports SQL equality (NULL equal to nothing; used after NULL checks).
-func Equal(a, b Value) bool {
-	if a.Null || b.Null {
-		return false
-	}
-	return Compare(a, b) == 0
-}
-
 func isNumeric(t ColType) bool { return t == TypeInt || t == TypeFloat }
 
 // Coerce converts v for storage in a column of type t, applying the implicit
@@ -246,15 +240,8 @@ func checkDate(s string) error {
 // callers can never alias storage.
 type Row []Value
 
-// Clone deep-copies a row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-// key renders a row prefix as a comparable map key for hash indexes and
-// DISTINCT/GROUP BY buckets.
+// encodeKey renders values as a comparable map key: a composite index's
+// key, and COUNT(DISTINCT …)'s seen set.
 func encodeKey(vals []Value) string {
 	var b strings.Builder
 	for _, v := range vals {
