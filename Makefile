@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -race -fuzz=FuzzPageDecode -fuzztime=5s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz=FuzzWTLParse -fuzztime=5s ./internal/wtl
 	$(GO) test -run='^$$' -fuzz=FuzzSQLParse -fuzztime=5s ./internal/relational
+	$(GO) test -run='^$$' -fuzz=FuzzOQLWhere -fuzztime=5s ./internal/oodb
 	$(GO) test -run='^$$' -fuzz=FuzzGossipDelta -fuzztime=5s ./internal/gossip
 
 # fmt-check fails if any file needs gofmt (CI's formatting gate).

@@ -98,3 +98,49 @@ func TestBuiltSpaceIsFigure1(t *testing.T) {
 		t.Fatalf("information space differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
+
+// TestBuiltSpaceSurvivesSnapshot: every co-database Build writes restores
+// from its snapshot to one that answers the same metadata (coalitions, their
+// descriptions and members, links) and snapshots to the same bytes, so a
+// node can persist the space across a restart.
+func TestBuiltSpaceSurvivesSnapshot(t *testing.T) {
+	w, err := Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Shutdown()
+	metadata := func(cd *codb.CoDatabase) string {
+		var b strings.Builder
+		for _, c := range cd.Coalitions() {
+			desc, syns, _ := cd.CoalitionInfo(c)
+			members, err := cd.Members(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %q %q %s\n", c, desc, syns, jsonText(t, members))
+		}
+		b.WriteString(jsonText(t, cd.Links()))
+		return b.String()
+	}
+	for _, name := range w.NodeNames() {
+		n, _ := w.Node(name)
+		snap, err := n.CoDB.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := codb.Restore(snap)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := metadata(restored), metadata(n.CoDB); got != want {
+			t.Errorf("%s: restored metadata differs:\n got: %s\nwant: %s", name, got, want)
+		}
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(snap) {
+			t.Errorf("%s: a restored co-database snapshots to other bytes", name)
+		}
+	}
+}

@@ -88,7 +88,7 @@ func TestIndexAgreesWithExtentWalk(t *testing.T) {
 				t.Fatalf("%q: %v", q, err)
 			}
 			ext, _ := db.Count("r", true)
-			if len(rows.ids) < ext {
+			if len(rows.objs) < ext {
 				indexed++
 			}
 			got, err := drainRows(rows, 1+rng.Intn(8), nil)
@@ -194,6 +194,36 @@ func BenchmarkOQLEqual(b *testing.B) { benchOQL(b, "SELECT k FROM r DEEP WHERE v
 // BenchmarkOQLRange is an object member's semi-join probe window.
 func BenchmarkOQLRange(b *testing.B) {
 	benchOQL(b, "SELECT k FROM r DEEP WHERE v >= 900 AND v < 972", 72)
+}
+
+// BenchmarkOQLScan is an object member's fragment in a coalition scan: a
+// LIKE that admits every object and a range that admits almost all, so the
+// scan walks the extent, drained the way a cursor pages (64 rows first,
+// doubling to 1 024).
+func BenchmarkOQLScan(b *testing.B) {
+	const q = "SELECT v FROM r WHERE k LIKE 'x%' AND v >= 3"
+	db := newScanDB(b, 2000)
+	_, want, err := Query(db, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch := &Chunk{Cols: make([][]any, 1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := QueryRows(db, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for page, done := 64, false; !done; page = min(2*page, 1024) {
+			done = rows.Next(ch, page)
+			n += ch.N
+		}
+		if n != len(want) {
+			b.Fatalf("%d rows, want %d", n, len(want))
+		}
+	}
 }
 
 // match evaluates the condition on one object, fetching its attribute.

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -61,6 +62,12 @@ type Class struct {
 	name  string
 	super *Class
 	attrs []Attribute
+	// layout is own plus inherited attributes, fixed at DefineClass: an
+	// object keeps its values in this order. It extends the superclass's
+	// layout, so an inherited or redeclared attribute has the slot it has in
+	// every ancestor that declares it.
+	layout []Attribute
+	slots  map[string]int // lower-cased attribute name -> position in layout
 }
 
 // Name returns the class name.
@@ -74,41 +81,12 @@ func (c *Class) Attributes() []Attribute { return append([]Attribute(nil), c.att
 
 // AllAttributes returns own plus inherited attributes, most-derived last
 // overriding earlier names.
-func (c *Class) AllAttributes() []Attribute {
-	var chain []*Class
-	for cl := c; cl != nil; cl = cl.super {
-		chain = append(chain, cl)
-	}
-	seen := make(map[string]bool)
-	var out []Attribute
-	for i := len(chain) - 1; i >= 0; i-- {
-		for _, a := range chain[i].attrs {
-			key := strings.ToLower(a.Name)
-			if seen[key] {
-				for j := range out {
-					if strings.EqualFold(out[j].Name, a.Name) {
-						out[j] = a
-					}
-				}
-				continue
-			}
-			seen[key] = true
-			out = append(out, a)
-		}
-	}
-	return out
-}
+func (c *Class) AllAttributes() []Attribute { return append([]Attribute(nil), c.layout...) }
 
-// attribute resolves an attribute by name up the lattice.
-func (c *Class) attribute(name string) (Attribute, bool) {
-	for cl := c; cl != nil; cl = cl.super {
-		for _, a := range cl.attrs {
-			if strings.EqualFold(a.Name, name) {
-				return a, true
-			}
-		}
-	}
-	return Attribute{}, false
+// slot resolves an attribute by name to its position in the layout.
+func (c *Class) slot(name string) (int, bool) {
+	i, ok := c.slots[strings.ToLower(name)]
+	return i, ok
 }
 
 // IsSubclassOf reports whether c equals or descends from other.
@@ -125,7 +103,8 @@ func (c *Class) IsSubclassOf(other *Class) bool {
 type Object struct {
 	id    int64
 	class *Class
-	attrs map[string]any // keyed by lower-cased attribute name
+	vals  []any // by slot in the class's layout; nil where unset
+	dead  bool  // deleted: a Rows that holds the object passes it over
 }
 
 // ID returns the object's database-assigned identifier.
@@ -136,8 +115,17 @@ func (o *Object) Class() *Class { return o.class }
 
 // Get returns an attribute value.
 func (o *Object) Get(name string) (any, bool) {
-	v, ok := o.attrs[strings.ToLower(name)]
-	return v, ok
+	v := o.value(strings.ToLower(name))
+	return v, v != nil
+}
+
+// value is the value of the attribute keyed lattr (lower-cased), nil when the
+// object's class has no such attribute or it is unset.
+func (o *Object) value(lattr string) any {
+	if i, ok := o.class.slots[lattr]; ok {
+		return o.vals[i]
+	}
+	return nil
 }
 
 // String returns a string attribute ("" when absent or not a string).
@@ -189,7 +177,7 @@ type DB struct {
 	mu      sync.RWMutex
 	classes map[string]*Class // by lower-cased name
 	objects map[int64]*Object
-	extents map[string][]int64 // class (lower) -> member object IDs, insertion order
+	extents map[string][]*Object // class (lower) -> members, insertion order
 	nextID  int64
 
 	// Attribute indexes are built by queries, which hold mu's read lock and
@@ -218,7 +206,7 @@ type attrIndex struct {
 
 type ixEntry struct {
 	val any
-	id  int64
+	o   *Object
 }
 
 // kindRank is a value's group in an attrIndex, -1 for a value oqlCompare
@@ -255,25 +243,21 @@ func (db *DB) index(class, attr string) *attrIndex {
 		return ix
 	}
 	ix := &attrIndex{}
-	for _, id := range db.extents[class] {
-		o := db.objects[id]
-		if o == nil {
-			continue
-		}
-		v, ok := o.attrs[attr]
-		if !ok || kindRank(v) < 0 {
+	for _, o := range db.extents[class] {
+		v := o.value(attr)
+		if kindRank(v) < 0 {
 			continue
 		}
 		if f, isFloat := v.(float64); isFloat && f != f {
 			ix.nan = true
 		}
-		ix.entries = append(ix.entries, ixEntry{v, id})
+		ix.entries = append(ix.entries, ixEntry{v, o})
 	}
 	slices.SortFunc(ix.entries, func(a, b ixEntry) int {
 		if c := ixCompare(a.val, b.val); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.id, b.id)
+		return cmp.Compare(a.o.id, b.o.id)
 	})
 	if db.indexes == nil {
 		db.indexes = make(map[ixKey]*attrIndex)
@@ -292,7 +276,7 @@ func NewDB(name string) *DB {
 		name:    name,
 		classes: make(map[string]*Class),
 		objects: make(map[int64]*Object),
-		extents: make(map[string][]int64),
+		extents: make(map[string][]*Object),
 	}
 }
 
@@ -323,15 +307,25 @@ func (db *DB) DefineClass(name, superName string, attrs ...Attribute) (*Class, e
 		}
 		super = s
 	}
-	seen := make(map[string]bool)
+	c := &Class{name: name, super: super, attrs: append([]Attribute(nil), attrs...), slots: make(map[string]int)}
+	if super != nil {
+		c.layout = append(c.layout, super.layout...)
+		maps.Copy(c.slots, super.slots)
+	}
+	own := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		k := strings.ToLower(a.Name)
-		if seen[k] {
+		if own[k] {
 			return nil, fmt.Errorf("oodb: %s: class %s: duplicate attribute %s", db.name, name, a.Name)
 		}
-		seen[k] = true
+		own[k] = true
+		if i, inherited := c.slots[k]; inherited {
+			c.layout[i] = a // a redeclaration keeps the inherited slot
+			continue
+		}
+		c.slots[k] = len(c.layout)
+		c.layout = append(c.layout, a)
 	}
-	c := &Class{name: name, super: super, attrs: append([]Attribute(nil), attrs...)}
 	db.classes[key] = c
 	return c, nil
 }
@@ -425,7 +419,8 @@ func checkValue(a Attribute, v any) (any, error) {
 }
 
 // NewObject creates an instance of the named class with the given attribute
-// values; unknown attributes are rejected.
+// values; unknown attributes, and one named twice in different cases, are
+// rejected.
 func (db *DB) NewObject(className string, attrs map[string]any) (*Object, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -433,17 +428,20 @@ func (db *DB) NewObject(className string, attrs map[string]any) (*Object, error)
 	if !ok {
 		return nil, fmt.Errorf("oodb: %s: no class %s", db.name, className)
 	}
-	o := &Object{class: c, attrs: make(map[string]any, len(attrs))}
+	o := &Object{class: c, vals: make([]any, len(c.layout))}
 	for name, v := range attrs {
-		a, ok := c.attribute(name)
+		i, ok := c.slot(name)
 		if !ok {
 			return nil, fmt.Errorf("oodb: class %s has no attribute %s", c.name, name)
 		}
-		val, err := checkValue(a, v)
+		if o.vals[i] != nil { // a checked value is never nil
+			return nil, fmt.Errorf("oodb: class %s: attribute %s given twice", c.name, c.layout[i].Name)
+		}
+		val, err := checkValue(c.layout[i], v)
 		if err != nil {
 			return nil, err
 		}
-		o.attrs[strings.ToLower(name)] = val
+		o.vals[i] = val
 	}
 	db.nextID++
 	o.id = db.nextID
@@ -452,7 +450,7 @@ func (db *DB) NewObject(className string, attrs map[string]any) (*Object, error)
 	// The object belongs to the extent of its class and all ancestors.
 	for cl := c; cl != nil; cl = cl.super {
 		key := strings.ToLower(cl.name)
-		db.extents[key] = append(db.extents[key], o.id)
+		db.extents[key] = append(db.extents[key], o)
 	}
 	return o, nil
 }
@@ -473,15 +471,15 @@ func (db *DB) Set(id int64, name string, v any) error {
 	if !ok {
 		return fmt.Errorf("oodb: %s: no object %d", db.name, id)
 	}
-	a, ok := o.class.attribute(name)
+	i, ok := o.class.slot(name)
 	if !ok {
 		return fmt.Errorf("oodb: class %s has no attribute %s", o.class.name, name)
 	}
-	val, err := checkValue(a, v)
+	val, err := checkValue(o.class.layout[i], v)
 	if err != nil {
 		return err
 	}
-	o.attrs[strings.ToLower(name)] = val
+	o.vals[i] = val
 	db.dropIndexes()
 	return nil
 }
@@ -495,16 +493,14 @@ func (db *DB) Delete(id int64) error {
 		return fmt.Errorf("oodb: %s: no object %d", db.name, id)
 	}
 	delete(db.objects, id)
+	o.dead = true
 	db.dropIndexes()
 	for cl := o.class; cl != nil; cl = cl.super {
 		key := strings.ToLower(cl.name)
 		ext := db.extents[key]
-		for i, oid := range ext {
-			if oid == id {
-				// A new slice: an open Rows walks the old one in place.
-				db.extents[key] = append(ext[:i:i], ext[i+1:]...)
-				break
-			}
+		if i := slices.Index(ext, o); i >= 0 {
+			// A new slice: an open Rows walks the old one in place.
+			db.extents[key] = append(ext[:i:i], ext[i+1:]...)
 		}
 	}
 	return nil
@@ -520,17 +516,12 @@ func (db *DB) Extent(className string, deep bool) ([]*Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("oodb: %s: no class %s", db.name, className)
 	}
-	ids := db.extents[strings.ToLower(className)]
-	out := make([]*Object, 0, len(ids))
-	for _, id := range ids {
-		o := db.objects[id]
-		if o == nil {
-			continue
+	ext := db.extents[strings.ToLower(className)]
+	out := make([]*Object, 0, len(ext))
+	for _, o := range ext {
+		if deep || o.class == c {
+			out = append(out, o)
 		}
-		if !deep && o.class != c {
-			continue
-		}
-		out = append(out, o)
 	}
 	return out, nil
 }
@@ -636,7 +627,13 @@ func (db *DB) Snapshot() ([]byte, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		o := db.objects[id]
-		snap.Objects = append(snap.Objects, snapshotObject{ID: o.id, Class: o.class.name, Attrs: o.attrs})
+		attrs := make(map[string]any, len(o.vals))
+		for i, v := range o.vals {
+			if v != nil {
+				attrs[strings.ToLower(o.class.layout[i].Name)] = v
+			}
+		}
+		snap.Objects = append(snap.Objects, snapshotObject{ID: o.id, Class: o.class.name, Attrs: attrs})
 	}
 	return json.MarshalIndent(snap, "", "  ")
 }
@@ -669,11 +666,11 @@ func Load(data []byte) (*DB, error) {
 		}
 		attrs := make(map[string]any, len(so.Attrs))
 		for k, v := range so.Attrs {
-			a, ok := c.attribute(k)
+			i, ok := c.slot(k)
 			if !ok {
 				return nil, fmt.Errorf("oodb: load: class %s has no attribute %s", c.name, k)
 			}
-			val, err := fromJSON(a, v)
+			val, err := fromJSON(c.layout[i], v)
 			if err != nil {
 				return nil, fmt.Errorf("oodb: load: object %d: %w", so.ID, err)
 			}

@@ -221,7 +221,7 @@ func TestAttrTypes(t *testing.T) {
 	}
 	if o.String("s") != "str" || o.Int("i") != 7 || o.Float("f") != 2.5 ||
 		!o.Bool("b") || len(o.Strings("l")) != 2 || o.Ref("r") != 99 {
-		t.Errorf("attr round trip failed: %+v", o.attrs)
+		t.Errorf("attr round trip failed: %+v", o.vals)
 	}
 	// List values are copied in.
 	src := []string{"x"}

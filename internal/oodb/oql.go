@@ -1,12 +1,15 @@
 package oodb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/relational"
 )
 
 // Query evaluates a small OQL-style query against the database:
@@ -55,24 +58,24 @@ type Chunk struct {
 
 // Rows is a resumable iterator over one query's result, in object ID order.
 // It is not safe for concurrent use. What it holds between two calls of Next
-// is its candidates' object IDs as they stood at open — the class extent, or
-// the objects an attribute index admitted (indexCandidates) — no lock and no
-// scratch memory: each call takes the database's read lock, looks the next
-// IDs up again and reads their attributes under it. An object deleted since
-// open is passed over and one created since open is not in the list, so no
-// object is returned twice, none that existed at open and still exists is
+// is its candidate objects as they stood at open — the class extent, or the
+// objects an attribute index admitted (indexCandidates) — and the slots its
+// columns and conditions read, resolved at open; no lock and no scratch
+// memory. Each call takes the database's read lock and reads the next
+// candidates' values under it. An object deleted since open carries a dead
+// mark and is passed over, and one created since open is not in the list, so
+// no object is returned twice, none that existed at open and still exists is
 // skipped, and one updated in between is read as it is when the scan reaches
 // it (so an index cursor passes over one updated out of its range, and never
 // sees one updated into it).
 type Rows struct {
-	db     *DB
-	class  *Class
-	deep   bool
-	cols   []string
-	lcols  []string // cols, lower-cased: the attribute keys
-	conds  []oqlCond
-	lattrs []string // the conditions' attribute keys
-	ids    []int64  // candidates at open, ascending; the scan resumes at ids[0]
+	db    *DB
+	class *Class
+	deep  bool
+	cols  []string
+	slots []int // the columns' slots in class's layout, which every subclass shares
+	conds []oqlCond
+	objs  []*Object // candidates at open, ascending by ID; the scan resumes at objs[0]
 }
 
 // QueryRows opens a query as an iterator; no object is read before Next.
@@ -94,38 +97,40 @@ func (db *DB) openRows(q string) (*Rows, error) {
 		return nil, fmt.Errorf("oodb: %s: no class %s", db.name, sel.class)
 	}
 	r := &Rows{db: db, class: class, deep: sel.deep, cols: sel.attrs, conds: sel.conds}
+	// Columns and conditions are resolved to slots once for the whole
+	// result, not per object. A subclass's layout extends the class's, so a
+	// slot of the class is the same attribute in every object of a DEEP
+	// extent; a condition on an attribute only subclasses declare has none.
 	if sel.star {
-		all := class.AllAttributes()
-		r.cols = make([]string, len(all))
-		for i, a := range all {
-			r.cols[i] = a.Name
+		r.cols = make([]string, len(class.layout))
+		r.slots = make([]int, len(class.layout))
+		for i, a := range class.layout {
+			r.cols[i], r.slots[i] = a.Name, i
 		}
 	} else {
-		for _, a := range r.cols {
-			if _, ok := class.attribute(a); !ok {
+		r.slots = make([]int, len(r.cols))
+		for i, a := range r.cols {
+			if r.slots[i], ok = class.slot(a); !ok {
 				return nil, fmt.Errorf("oodb: class %s has no attribute %s", sel.class, a)
 			}
 		}
 	}
-	// Attribute keys are lowered once for the whole result, not per row.
-	r.lcols = make([]string, len(r.cols))
-	for i, c := range r.cols {
-		r.lcols[i] = strings.ToLower(c)
-	}
-	r.lattrs = make([]string, len(r.conds))
 	for i := range r.conds {
-		r.lattrs[i] = strings.ToLower(r.conds[i].attr)
+		c := &r.conds[i]
+		if c.slot, ok = class.slots[c.attr]; !ok {
+			c.slot = -1
+		}
 	}
 	lclass := strings.ToLower(sel.class)
 	var indexed bool
-	if r.ids, indexed = db.indexCandidates(lclass, r.conds, r.lattrs); !indexed {
+	if r.objs, indexed = db.indexCandidates(lclass, r.conds); !indexed {
 		// Extents are kept in creation order, which is ID order, and the walk
 		// reads the extent in place: NewObject appends past the end of the
-		// alias and Delete builds a new slice, so its IDs never move. Sort a
-		// copy if one is not in ID order, since the result's order is by ID.
+		// alias and Delete builds a new slice, so its objects never move. Sort
+		// a copy if one is not in ID order, since the result's order is by ID.
 		ext := db.extents[lclass]
-		if r.ids = ext[:len(ext):len(ext)]; !slices.IsSorted(r.ids) {
-			r.ids = slices.Sorted(slices.Values(ext))
+		if r.objs = ext[:len(ext):len(ext)]; !slices.IsSortedFunc(r.objs, byID) {
+			r.objs = slices.SortedFunc(slices.Values(ext), byID)
 		}
 	}
 	return r, nil
@@ -139,28 +144,31 @@ func (db *DB) openRows(q string) (*Rows, error) {
 // range that covers most of the extent (v >= 0) must cost what a walk costs.
 const indexShare = 8
 
-// indexCandidates returns, ascending, the IDs of the objects an attribute
-// index admits for conds: of the spans that the =, <, <=, > and >=
+// byID orders objects by ID.
+func byID(a, b *Object) int { return cmp.Compare(a.id, b.id) }
+
+// indexCandidates returns, by ascending ID, the objects an attribute index
+// admits for conds: of the spans that the =, <, <=, > and >=
 // conditions on an attribute with a literal of one kind bound (a literal of
 // another kind matches none of those objects), the one holding the fewest
 // objects, found by binary search. Every condition is still evaluated on
 // every candidate. ok is false — walk the extent — when no condition is
 // indexable or the best span holds more than a share of the extent. The
 // caller holds the read lock.
-func (db *DB) indexCandidates(class string, conds []oqlCond, lattrs []string) (ids []int64, ok bool) {
+func (db *DB) indexCandidates(class string, conds []oqlCond) (objs []*Object, ok bool) {
 	var best *attrIndex
 	var from, to int
 	for i := range conds {
 		c := &conds[i]
 		rank := kindRank(c.val)
-		if c.op == "LIKE" || c.op == "<>" || rank < 0 {
+		if c.like || c.order == ltBit|gtBit || rank < 0 {
 			continue
 		}
-		ix := db.index(class, lattrs[i])
+		ix := db.index(class, c.attr)
 		if ix.nan {
 			continue
 		}
-		lo, hi := ix.span(conds, lattrs, lattrs[i], rank)
+		lo, hi := ix.span(conds, c.attr, rank)
 		if best == nil || hi-lo < to-from {
 			best, from, to = ix, lo, hi
 		}
@@ -168,35 +176,35 @@ func (db *DB) indexCandidates(class string, conds []oqlCond, lattrs []string) (i
 	if best == nil || to-from > max(len(db.extents[class])/indexShare, minScanStep) {
 		return nil, false
 	}
-	ids = make([]int64, 0, to-from)
+	objs = make([]*Object, 0, to-from)
 	for _, e := range best.entries[from:to] {
-		ids = append(ids, e.id)
+		objs = append(objs, e.o)
 	}
-	slices.Sort(ids)
-	return ids, true
+	slices.SortFunc(objs, byID)
+	return objs, true
 }
 
 // span is the positions [from, to) of the entries whose values every
 // =, <, <=, > and >= condition on attr with a literal of rank's kind admits.
-func (ix *attrIndex) span(conds []oqlCond, lattrs []string, attr string, rank int) (from, to int) {
+func (ix *attrIndex) span(conds []oqlCond, attr string, rank int) (from, to int) {
 	e := ix.entries
 	from = sort.Search(len(e), func(i int) bool { return kindRank(e[i].val) >= rank })
 	to = sort.Search(len(e), func(i int) bool { return kindRank(e[i].val) > rank })
 	for i := range conds {
 		c := &conds[i]
-		if lattrs[i] != attr || kindRank(c.val) != rank {
+		if c.like || c.attr != attr || kindRank(c.val) != rank {
 			continue
 		}
-		switch c.op {
-		case "=":
+		switch c.order {
+		case eqBit:
 			from, to = max(from, ix.at(c.val, false)), min(to, ix.at(c.val, true))
-		case ">":
+		case gtBit:
 			from = max(from, ix.at(c.val, true))
-		case ">=":
+		case gtBit | eqBit:
 			from = max(from, ix.at(c.val, false))
-		case "<":
+		case ltBit:
 			to = min(to, ix.at(c.val, false))
-		case "<=":
+		case ltBit | eqBit:
 			to = min(to, ix.at(c.val, true))
 		}
 	}
@@ -216,11 +224,11 @@ func (ix *attrIndex) at(v any, past bool) int {
 func (r *Rows) Columns() []string { return r.cols }
 
 // Close ends the iteration: the scan never resumes.
-func (r *Rows) Close() { r.ids = nil }
+func (r *Rows) Close() { r.objs = nil }
 
 // Left is an upper bound on the rows Next has still to return: the candidates
 // not visited yet, which writes can only make fewer.
-func (r *Rows) Left() int { return len(r.ids) }
+func (r *Rows) Left() int { return len(r.objs) }
 
 // Next fills ch, which must have one vector per result column, with the next
 // rows of the result, at most most of them (most <= 0: all that are left), and
@@ -243,7 +251,7 @@ const (
 
 type oqlScratch struct {
 	objs []*Object
-	at   []int // at[i]: position in Rows.ids of objs[i]
+	at   []int // at[i]: position in Rows.objs of objs[i]
 	sel  []int
 	vals []any
 }
@@ -263,7 +271,7 @@ func (r *Rows) next(ch *Chunk, most int) (done bool) {
 	}
 	need := most
 	if need <= 0 {
-		need = len(r.ids)
+		need = len(r.objs)
 	}
 	sc := oqlScratchPool.Get().(*oqlScratch)
 	used := 0 // the longest step: the scratch entries written
@@ -275,115 +283,218 @@ func (r *Rows) next(ch *Chunk, most int) (done bool) {
 	// A step looks at as many objects as should yield the rows still wanted,
 	// going by the share of objects that have passed so far.
 	pos, scanned, passed := 0, 1, 1
-	for pos < len(r.ids) {
+	for pos < len(r.objs) {
 		step := minScanStep
 		if need > 0 {
 			step = min(max(min(need, oqlChunk)*scanned/passed, minScanStep), oqlChunk)
 		}
-		hi := min(pos+step, len(r.ids))
+		hi := min(pos+step, len(r.objs))
 		objs, at := sc.objs[:0], sc.at[:0]
-		for i, id := range r.ids[pos:hi] {
-			if o := r.db.objects[id]; o != nil && (r.deep || o.class == r.class) {
+		for i, o := range r.objs[pos:hi] {
+			if !o.dead && (r.deep || o.class == r.class) {
 				objs, at = append(objs, o), append(at, pos+i)
 			}
 		}
 		used = max(used, len(objs))
 		r.db.chunks.Add(1)
-		sel := filterChunk(objs, r.conds, r.lattrs, sc)
+		sel := r.filter(objs, sc)
 		take := min(len(sel), need)
-		for i, lc := range r.lcols {
+		for i, slot := range r.slots {
 			for _, oi := range sel[:take] {
-				ch.Cols[i] = append(ch.Cols[i], objs[oi].attrs[lc])
+				ch.Cols[i] = append(ch.Cols[i], objs[oi].vals[slot])
 			}
 		}
 		ch.N += take
 		need -= take
 		if take < len(sel) {
-			r.ids = r.ids[at[sel[take]]:]
+			r.objs = r.objs[at[sel[take]]:]
 			return false
 		}
 		scanned += hi - pos
 		passed += len(sel)
 		pos = hi
 	}
-	r.ids = nil
+	r.objs = nil
 	return true
 }
 
-// filterChunk applies the WHERE conjunction to one chunk of objects and
-// returns the indexes of those that pass, in order: each condition is
-// evaluated over the surviving objects' attribute values as one value batch,
-// so per-object overhead (key lowering, predicate closure calls) is paid once
-// per condition per chunk instead of once per object. Objects lacking the
-// attribute never match, as with Get.
-func filterChunk(objs []*Object, conds []oqlCond, lattrs []string, sc *oqlScratch) []int {
+// filter applies the WHERE conjunction to one chunk of objects and returns
+// the indexes of those that pass, in order: each condition gathers the
+// surviving objects' values at its slot and keeps those it admits in one
+// loop over the batch. Objects lacking the attribute never match, as with
+// Get. A condition the queried class has no slot for reads the attribute by
+// name from the objects of subclasses, which may declare it.
+func (r *Rows) filter(objs []*Object, sc *oqlScratch) []int {
 	sel := sc.sel[:0]
 	for oi := range objs {
 		sel = append(sel, oi)
 	}
-	for ci := range conds {
+	for ci := range r.conds {
 		if len(sel) == 0 {
 			break
 		}
-		c := &conds[ci]
-		lattr := lattrs[ci]
-		// Gather the attribute value batch for the surviving selection.
+		c := &r.conds[ci]
 		k := 0
 		for _, oi := range sel {
-			v, ok := objs[oi].attrs[lattr]
-			if !ok {
-				continue
+			var v any
+			switch o := objs[oi]; {
+			case c.slot >= 0:
+				v = o.vals[c.slot]
+			case o.class != r.class:
+				v = o.value(c.attr)
 			}
-			sel[k] = oi
-			sc.vals[k] = v
-			k++
-		}
-		sel = sel[:k]
-		// Evaluate the condition over the batch.
-		k = 0
-		for i, oi := range sel {
-			if c.matchValue(sc.vals[i]) {
-				sel[k] = oi
+			if v != nil {
+				sel[k], sc.vals[k] = oi, v
 				k++
 			}
 		}
-		sel = sel[:k]
+		sel = c.keep(sel[:k], sc.vals[:k])
 	}
 	return sel
 }
 
+// The orders a comparison admits between a value and the literal, as bits:
+// = is eqBit, <> ltBit|gtBit, <= ltBit|eqBit, and so on.
+const (
+	ltBit uint8 = 1 << iota
+	eqBit
+	gtBit
+)
+
+// litKind is the kind of a condition's literal, which picks the loop that
+// evaluates it.
+type litKind uint8
+
+const (
+	litNone   litKind = iota // matches nothing: a LIKE whose pattern is not a string
+	litInt                   // n, and f = float64(n) for float values
+	litFloat                 // f
+	litString                // s
+	litBool                  // n: 0 or 1
+	litLike                  // s: a LIKE pattern
+)
+
+// oqlCond is one WHERE comparison, decoded at parse so no row pays for its
+// operator or literal again.
 type oqlCond struct {
-	attr string
-	op   string // = <> < <= > >= LIKE
-	val  any    // string, int64, float64, bool
+	attr  string // lower-cased
+	val   any    // the literal: string, int64, float64 or bool
+	s     string
+	n     int64
+	f     float64
+	slot  int   // at open: attr's slot in the queried class, -1 when it has none
+	like  bool  // LIKE, else a comparison
+	order uint8 // a comparison's admitted orders (ltBit, eqBit, gtBit)
+	kind  litKind
+}
+
+// newCond decodes a condition; op is one of = <> < <= > >= LIKE.
+func newCond(attr, op string, val any) oqlCond {
+	c := oqlCond{attr: strings.ToLower(attr), val: val, slot: -1}
+	switch op {
+	case "LIKE":
+		c.like = true
+		if p, ok := val.(string); ok {
+			c.kind, c.s = litLike, p
+		}
+		return c
+	case "=":
+		c.order = eqBit
+	case "<>":
+		c.order = ltBit | gtBit
+	case "<":
+		c.order = ltBit
+	case "<=":
+		c.order = ltBit | eqBit
+	case ">":
+		c.order = gtBit
+	case ">=":
+		c.order = gtBit | eqBit
+	}
+	switch v := val.(type) {
+	case int64:
+		c.kind, c.n, c.f = litInt, v, float64(v)
+	case float64:
+		c.kind, c.f = litFloat, v
+	case string:
+		c.kind, c.s = litString, v
+	case bool:
+		c.kind = litBool
+		if v {
+			c.n = 1
+		}
+	}
+	return c
+}
+
+// admits reports whether the comparison holds when the value compares with
+// the literal as cmp (-1, 0 or 1) says.
+func (c *oqlCond) admits(cmp int) bool { return c.order>>(cmp+1)&1 != 0 }
+
+// keep narrows sel, whose entries hold the values vals, to those the
+// condition matches, with the semantics of oqlCompare and
+// relational.MatchLike: a value of another kind than the literal matches
+// nothing (ints and floats compare as numbers), and LIKE needs a string on
+// both sides. The literal's kind picks one typed loop per batch. It is the engine's one evaluator: the scan runs
+// it over a chunk and matchValue over one value.
+func (c *oqlCond) keep(sel []int, vals []any) []int {
+	k := 0
+	switch c.kind {
+	case litInt, litFloat:
+		for i, oi := range sel {
+			var cmp int
+			switch x := vals[i].(type) {
+			case int64:
+				if c.kind == litInt {
+					cmp = compareNumbers(x, c.n)
+				} else {
+					cmp = compareNumbers(float64(x), c.f)
+				}
+			case float64:
+				cmp = compareNumbers(x, c.f)
+			default:
+				continue
+			}
+			if c.admits(cmp) {
+				sel[k] = oi
+				k++
+			}
+		}
+	case litString:
+		for i, oi := range sel {
+			if x, ok := vals[i].(string); ok && c.admits(strings.Compare(x, c.s)) {
+				sel[k] = oi
+				k++
+			}
+		}
+	case litBool:
+		for i, oi := range sel {
+			if x, ok := vals[i].(bool); ok {
+				var n int64
+				if x {
+					n = 1
+				}
+				if c.admits(compareNumbers(n, c.n)) {
+					sel[k] = oi
+					k++
+				}
+			}
+		}
+	case litLike:
+		for i, oi := range sel {
+			if x, ok := vals[i].(string); ok && relational.MatchLike(x, c.s) {
+				sel[k] = oi
+				k++
+			}
+		}
+	}
+	return sel[:k]
 }
 
 // matchValue compares one attribute value with the condition's literal.
 func (c *oqlCond) matchValue(v any) bool {
-	if c.op == "LIKE" {
-		s, sok := v.(string)
-		p, pok := c.val.(string)
-		return sok && pok && oqlLike(s, p)
-	}
-	cmp, ok := oqlCompare(v, c.val)
-	if !ok {
-		return false
-	}
-	switch c.op {
-	case "=":
-		return cmp == 0
-	case "<>":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	}
-	return false
+	sel, vals := [1]int{}, [1]any{v}
+	return len(c.keep(sel[:], vals[:])) == 1
 }
 
 // MatchCond evaluates one OQL comparison against an already-fetched value,
@@ -393,8 +504,20 @@ func (c *oqlCond) matchValue(v any) bool {
 // = <> < <= > >= LIKE; lit is a string, int64, float64 or bool, as the OQL
 // parser would have typed the literal.
 func MatchCond(v any, op string, lit any) bool {
-	c := oqlCond{op: op, val: lit}
+	c := newCond("", op, lit)
 	return c.matchValue(v)
+}
+
+// compareNumbers is oqlCompare's order on two numbers of one type: a NaN is
+// neither below nor above anything, so it compares equal.
+func compareNumbers[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 func oqlCompare(a, b any) (int, bool) {
@@ -417,60 +540,19 @@ func oqlCompare(a, b any) (int, bool) {
 	case int64:
 		switch bv := b.(type) {
 		case int64:
-			switch {
-			case av < bv:
-				return -1, true
-			case av > bv:
-				return 1, true
-			default:
-				return 0, true
-			}
+			return compareNumbers(av, bv), true
 		case float64:
-			return oqlCompare(float64(av), bv)
+			return compareNumbers(float64(av), bv), true
 		}
 	case float64:
 		switch bv := b.(type) {
 		case float64:
-			switch {
-			case av < bv:
-				return -1, true
-			case av > bv:
-				return 1, true
-			default:
-				return 0, true
-			}
+			return compareNumbers(av, bv), true
 		case int64:
-			return oqlCompare(av, float64(bv))
+			return compareNumbers(av, float64(bv)), true
 		}
 	}
 	return 0, false
-}
-
-// oqlLike matches with % and _ wildcards, mirroring SQL LIKE.
-func oqlLike(s, p string) bool {
-	si, pi := 0, 0
-	star, match := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			star = pi
-			match = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			match++
-			si = match
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
 }
 
 type oqlSelect struct {
@@ -662,5 +744,5 @@ func (p *oqlParser) parseCond() (oqlCond, error) {
 	default:
 		return oqlCond{}, fmt.Errorf("oodb: expected literal, got %q", lit.text)
 	}
-	return oqlCond{attr: attr.text, op: op, val: val}, nil
+	return newCond(attr.text, op, val), nil
 }

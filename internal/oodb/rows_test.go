@@ -170,8 +170,8 @@ func TestIndexCursorUnderWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows.ids) != hi-lo {
-			t.Fatalf("the cursor holds %d candidates, want the index's %d", len(rows.ids), hi-lo)
+		if len(rows.objs) != hi-lo {
+			t.Fatalf("the cursor holds %d candidates, want the index's %d", len(rows.objs), hi-lo)
 		}
 		left := map[int64]bool{} // out of the result since open: deleted or set out of the range
 		write := func() {

@@ -362,3 +362,60 @@ func BenchmarkFederatedTopK(b *testing.B) {
 		})
 	}
 }
+
+// TestLikeMatchesCharacters: LIKE's _ is one character, not one byte, and an
+// Oracle member that takes the LIKE, an mSQL member whose LIKE the
+// coordinator compensates for and an object member that takes it as OQL
+// return the same rows for non-ASCII keys.
+func TestLikeMatchesCharacters(t *testing.T) {
+	keys := []string{"na", "né", "nét", "n_", "ñé"} // node rows carry v = 1..5
+	_, nodes := planFederation(t, 3, func(i int, c *core.NodeConfig) {
+		if core.IsRelational(c.Engine) {
+			var b strings.Builder
+			b.WriteString("CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT);\n")
+			for j, k := range keys {
+				fmt.Fprintf(&b, "INSERT INTO r VALUES ('%s', %d);\n", k, j+1)
+			}
+			c.Schema = b.String()
+			return
+		}
+		c.SeedObjects = func(db *oodb.DB) error {
+			if _, err := db.DefineClass("r", "",
+				oodb.Attribute{Name: "k", Type: oodb.AttrString},
+				oodb.Attribute{Name: "v", Type: oodb.AttrInt}); err != nil {
+				return err
+			}
+			for j, k := range keys {
+				if _, err := db.NewObject("r", map[string]any{"k": k, "v": int64(j + 1)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	})
+	s := nodes[0].NewSession()
+	for pattern, want := range map[string][]int64{
+		"n_":  {1, 2, 4},
+		"_é":  {2, 5},
+		"%é_": {3},
+		"ñ%":  {5},
+	} {
+		for i, pushed := range []bool{true, false, true} { // Oracle, mSQL, ObjectStore
+			stmt := fmt.Sprintf(`V(R.K, (R.K LIKE "%s")) On S%d;`, pattern, i)
+			resp, err := s.Execute(context.Background(), stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			if strings.Contains(resp.Translated, "LIKE") != pushed {
+				t.Fatalf("%s: LIKE pushed is %v, want %v: %q", stmt, !pushed, pushed, resp.Translated)
+			}
+			var got []int64
+			for _, row := range resp.Result.Rows {
+				got = append(got, row[0].Int)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: values %v, want %v", stmt, got, want)
+			}
+		}
+	}
+}

@@ -284,6 +284,19 @@ func TestLikeMatcher(t *testing.T) {
 		{"abc", "%%%", true},
 		{"a%b", "a%b", true}, // literal via wildcard
 		{"medical research", "%research", true},
+		// _ is one character, not one byte; % in the text is no wildcard.
+		{"né", "n_", true},
+		{"né", "n__", false},
+		{"ñé", "_é", true},
+		{"Genève", "Gen_ve", true},
+		{"%a", "%a", true},
+		{"%ba", "%a", true},
+		{"\xffa", "_a", true},
+		// A trailing % ends the match; the text before it is whole characters.
+		{"x\xff", "x%", true},
+		{"ab", "a%%", true},
+		{"é", "\xc3%", false},
+		{"ba", "%a%", true},
 	}
 	for _, c := range cases {
 		if got := MatchLike(c.s, c.p); got != c.want {

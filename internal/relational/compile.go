@@ -241,18 +241,19 @@ func (n *vBinary) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 // comparisons and LIKE: a single pass over the column vector.
 // Comparison operators against a non-NULL numeric or string literal take a
 // typed loop that mirrors Compare's ordering (numerics compare as float64,
-// same-kind strings bytewise) without its per-row struct traffic.
+// same-kind strings bytewise) without its per-row struct traffic, and so does
+// `column LIKE pattern`, which calls MatchLike on each value.
 type vColLitOp struct {
 	op      string
 	ord     int
 	lit     Value
 	litLeft bool
-	cmpOp   int // cmpOpCode(op); 0 when op is not a comparison
+	cmpOp   uint8 // cmpOpCode(op); 0 when op is not a comparison
 }
 
 // Comparison opcodes for vColLitOp's typed loops.
 const (
-	cmpNone = iota
+	cmpNone uint8 = iota
 	cmpEQ
 	cmpNE
 	cmpLT
@@ -261,7 +262,7 @@ const (
 	cmpGE
 )
 
-func cmpOpCode(op string) int {
+func cmpOpCode(op string) uint8 {
 	switch op {
 	case "=":
 		return cmpEQ
@@ -279,7 +280,7 @@ func cmpOpCode(op string) int {
 	return cmpNone
 }
 
-func cmpBool(code, c int) Value {
+func cmpBool(code uint8, c int) Value {
 	switch code {
 	case cmpEQ:
 		return BoolValue(c == 0)
@@ -298,6 +299,22 @@ func cmpBool(code, c int) Value {
 
 func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
 	vec := b.vecs[n.ord]
+	if n.op == "LIKE" && !n.litLeft && !n.lit.Null {
+		// MatchLike(v.String(), pattern), as applyBinary has it: a text or
+		// date is its own rendering.
+		pat := n.lit.String()
+		for k, r := range sel {
+			switch v := vec[r]; {
+			case v.Null:
+				out[k] = NullValue()
+			case v.Kind == TypeText || v.Kind == TypeDate:
+				out[k] = BoolValue(MatchLike(v.Str, pat))
+			default:
+				out[k] = BoolValue(MatchLike(v.String(), pat))
+			}
+		}
+		return nil
+	}
 	if n.cmpOp != cmpNone && !n.lit.Null {
 		switch n.lit.Kind {
 		case TypeInt, TypeFloat:

@@ -12,7 +12,8 @@ import (
 
 // oracleSchema is the database of the equivalence tests: two tables with
 // NULLs and duplicates, plus an empty table. dno runs 1, 2, 9, 10: its
-// numeric order is not the order of its renderings.
+// numeric order is not the order of its renderings. visit has a DATE column
+// and non-ASCII text for LIKE.
 const oracleSchema = `
 CREATE TABLE dept (dno INT PRIMARY KEY, dname VARCHAR(16), budget FLOAT);
 CREATE TABLE emp (eno INT PRIMARY KEY, ename VARCHAR(16), dno INT, sal INT, note VARCHAR(16));
@@ -28,6 +29,12 @@ INSERT INTO emp VALUES (13, 'dave', NULL, 70, 'temp');
 INSERT INTO emp VALUES (14, 'erin', 9, 110, 'visiting');
 INSERT INTO emp VALUES (15, 'Frank', 2, NULL, 'locum');
 INSERT INTO emp VALUES (16, 'gus', 10, 95, NULL);
+CREATE TABLE visit (vno INT, day DATE, place VARCHAR(16));
+INSERT INTO visit VALUES (1, '1999-03-01', 'Genève');
+INSERT INTO visit VALUES (2, '1999-12-24', 'Köln');
+INSERT INTO visit VALUES (3, NULL, 'x_%y');
+INSERT INTO visit VALUES (4, '2000-01-01', NULL);
+INSERT INTO visit VALUES (NULL, '1999-03-15', 'Gent');
 `
 
 // checkSameResult runs one query on the executor and on the row oracle
@@ -73,6 +80,31 @@ func TestVecMatchesRowOracle(t *testing.T) {
 		"SELECT eno FROM emp WHERE ename LIKE '%a%'",
 		"SELECT eno FROM emp WHERE ename LIKE '_ob'",
 		"SELECT eno FROM emp WHERE ename NOT LIKE '_ob'",
+		// LIKE over a column: a prefix pattern (literal text then one %) and
+		// others, on TEXT, INT, FLOAT and DATE columns, with NULLs; _ is one
+		// character of non-ASCII text.
+		"SELECT eno FROM emp WHERE ename LIKE 'ca%'",
+		"SELECT eno FROM emp WHERE note LIKE 'lo%'",
+		"SELECT eno FROM emp WHERE note NOT LIKE 'lo%'",
+		"SELECT eno FROM emp WHERE ename LIKE '%'",
+		"SELECT eno FROM emp WHERE note LIKE ''",
+		"SELECT eno FROM emp WHERE ename LIKE 'a_%'",
+		"SELECT eno FROM emp WHERE ename LIKE '%e'",
+		"SELECT eno, sal LIKE '9%' FROM emp",
+		"SELECT eno FROM emp WHERE sal LIKE '1_0'",
+		"SELECT eno FROM emp WHERE dno LIKE '1%'",
+		"SELECT dno FROM dept WHERE budget LIKE '100.%'",
+		"SELECT eno FROM emp WHERE ename LIKE NULL",
+		"SELECT eno FROM emp WHERE 'carol' LIKE ename",
+		"SELECT vno FROM visit WHERE day LIKE '1999-%'",
+		"SELECT vno FROM visit WHERE day LIKE '%-01'",
+		"SELECT vno FROM visit WHERE day NOT LIKE '1999%'",
+		"SELECT vno FROM visit WHERE place LIKE 'Gen_ve'",
+		"SELECT vno FROM visit WHERE place LIKE 'K_ln%'",
+		"SELECT vno FROM visit WHERE place LIKE 'Gen%'",
+		"SELECT vno FROM visit WHERE place LIKE 'x_%'",
+		"SELECT vno FROM visit WHERE place LIKE '%%y'",
+		"SELECT vno FROM visit WHERE vno LIKE '_' AND place LIKE '%e%'",
 		"SELECT eno FROM emp WHERE dno IN (1, 2)",
 		"SELECT eno FROM emp WHERE dno IN (1, sal)",
 		"SELECT eno FROM emp WHERE note IS NULL",

@@ -3,6 +3,7 @@ package relational
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // colBinding names one column visible to an expression: qualifier (table or
@@ -73,25 +74,35 @@ func applyBinary(op string, l, r Value) (Value, error) {
 	return Value{}, fmt.Errorf("sql: unknown operator %s", op)
 }
 
-// MatchLike implements SQL LIKE with % and _ wildcards (case-sensitive). The
-// federated planner compensates with it at the coordinator when a LIKE could
-// not be pushed into a fragment, so both sides share the engine's semantics.
+// MatchLike implements SQL LIKE with % and _ wildcards (case-sensitive): _
+// is one character (a UTF-8 sequence, or one byte that is not part of one),
+// and % is always a wildcard, also where the text holds a %. A trailing %
+// matches the rest of the text unread, so 'x%' costs its prefix. The object
+// engine and the federated planner's compensation at the coordinator match
+// with it too, so every side shares one semantics.
 func MatchLike(s, p string) bool {
 	// Iterative two-pointer matcher with backtracking on '%'.
 	si, pi := 0, 0
 	star, match := -1, 0
 	for si < len(s) {
+		n := charLen(s, si)
 		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
 		case pi < len(p) && p[pi] == '%':
+			if pi == len(p)-1 {
+				return true
+			}
 			star = pi
 			match = si
 			pi++
+		case pi < len(p) && p[pi] == '_':
+			si += n
+			pi++
+		case strings.HasPrefix(p[pi:], s[si:si+n]):
+			si += n
+			pi += n
 		case star >= 0:
 			pi = star + 1
-			match++
+			match += charLen(s, match)
 			si = match
 		default:
 			return false
@@ -101,4 +112,14 @@ func MatchLike(s, p string) bool {
 		pi++
 	}
 	return pi == len(p)
+}
+
+// charLen is the length of the character at s[i]: its UTF-8 sequence, or
+// one byte.
+func charLen(s string, i int) int {
+	if s[i] < utf8.RuneSelf {
+		return 1
+	}
+	_, n := utf8.DecodeRuneInString(s[i:])
+	return n
 }

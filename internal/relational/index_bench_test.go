@@ -54,6 +54,13 @@ func BenchmarkSQLRangeSelect(b *testing.B) {
 	benchQuery(b, indexedDB(b, 2000), "SELECT a.k FROM r a WHERE a.v >= 900 AND a.v < 972", 72)
 }
 
+// BenchmarkSQLLikeScan is a member's fragment in a coalition scan: a LIKE
+// that admits every row and a range that admits almost all, over the same
+// table, so the plan walks it.
+func BenchmarkSQLLikeScan(b *testing.B) {
+	benchQuery(b, indexedDB(b, 2000), "SELECT a.v FROM r a WHERE a.k LIKE 'x%' AND a.v >= 3", 1997)
+}
+
 // BenchmarkSQLInList is the same window with the semi-join's 20 build keys
 // pushed as an IN list, on a column with an index and on a copy of the table
 // without one.
