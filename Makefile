@@ -58,11 +58,11 @@ examples:
 
 # chaos runs the fault-injection suites (injected connect failures, latency,
 # drops and resets; retry behaviour; partial-result degradation) under the
-# race detector — both the simnet ports and the socket smokes — and the
-# retry-safety proofs: a reply lost after its request was delivered is never
-# retried into a silently short answer.
+# race detector — the fault transport's own tests, the simnet ports and the
+# socket smokes — and the retry-safety proofs: a reply lost after its
+# request was delivered is never retried into a silently short answer.
 chaos:
-	$(GO) test -race -run 'Chaos|Retried|Retry' ./internal/orb ./internal/query ./internal/gateway ./internal/simtest
+	$(GO) test -race -run 'Chaos|Retried|Retry' ./internal/orb ./internal/query ./internal/gateway ./internal/simtest ./internal/simnet
 
 # sim runs the deterministic simulation suite under the race detector: the
 # simnet transport tests and the model-based federation test over its fixed
@@ -151,11 +151,11 @@ stress-cursors:
 
 # stress-orb repeats the connection tests fifty times under the race
 # detector: multiplexed calls, pipelining, chaos, fragments, the framed
-# writer and the per-connection dispatch workers. Which writer flushes and
-# which worker takes a request are decided by goroutine interleavings, so a
-# single pass is least likely to catch them misbehaving.
+# writer, the per-connection dispatch workers and the fault transport. Which
+# writer flushes and which worker takes a request are decided by goroutine
+# interleavings, so a single pass is least likely to catch them misbehaving.
 stress-orb:
-	$(GO) test -race -count=50 -run 'Mux|Multiplexed|MidStream|ReplyRace|DeliverRace|Pipelin|Chaos|Fragment|Writer|Dispatch' ./internal/orb ./internal/giop
+	$(GO) test -race -count=50 -run 'Mux|Multiplexed|MidStream|ReplyRace|DeliverRace|Pipelin|Chaos|Fragment|Writer|Dispatch' ./internal/orb ./internal/giop ./internal/simnet
 
 # bench runs fedbench, the repository's benchmark (BENCHMARK.json, bench/):
 # every workload, end-to-end and per-layer metrics.

@@ -26,7 +26,7 @@
 //	  "retry_attempts": 3,                 // attempts for idempotent calls (0/1 = no retry)
 //	  "min_members": 1,                    // coalition-query quorum (0 = 1)
 //	  "member_timeout_ms": 500,            // per-member fan-out deadline (0 = none)
-//	  "chaos": { "seed": 1, "rules": [...] }, // optional fault-injection plan
+//	  "chaos": { "seed": 1, "rules": [...] }, // optional fault-injection plan (simnet.FaultPlan)
 //	  "interface": [ { "name": "T", "functions": [ ... ] } ],
 //	  "space": "Create Coalition Medical; Join Coalition Medical At \"RBH\";"
 //	}
@@ -50,10 +50,6 @@
 // that used to set any of these, and the two of the circuit breaker
 // (removed: a refused dial already fails fast, and member_timeout_ms bounds
 // a silent member), are refused by name; see retiredKeys.
-//
-// The -chaos flag loads a fault-injection plan (same JSON shape as the
-// "chaos" config field) and applies it to the node's outbound IIOP calls,
-// overriding the config field.
 package main
 
 import (
@@ -77,6 +73,7 @@ import (
 	"repro/internal/orb"
 	"repro/internal/query"
 	"repro/internal/relational"
+	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/wtl"
 )
@@ -104,7 +101,7 @@ type nodeFile struct {
 	RetryAttempts   int                 `json:"retry_attempts"`
 	MinMembers      int                 `json:"min_members"`
 	MemberTimeoutMS int                 `json:"member_timeout_ms"`
-	Chaos           *orb.FaultPlan      `json:"chaos"`
+	Chaos           *simnet.FaultPlan   `json:"chaos"`
 	Interface       []codb.ExportedType `json:"interface"`
 	// InterfaceWTL declares the exported interface in the paper's WebTassili
 	// syntax (Type X { attribute ...; function ...; }) instead of JSON.
@@ -154,7 +151,6 @@ func main() {
 	log.SetPrefix("webfindit-node: ")
 	configPath := flag.String("config", "", "path to the node's JSON config")
 	serveNaming := flag.Bool("serve-naming", false, "also host a naming service on this node's ORB")
-	chaosPath := flag.String("chaos", "", "path to a JSON fault-injection plan applied to outbound IIOP calls")
 	flag.Parse()
 	if *configPath == "" {
 		log.Fatal("the -config flag is required")
@@ -180,29 +176,21 @@ func main() {
 	})
 	tracer.Publish("node", func() any { return cfg.Name })
 
-	faults := cfg.Chaos
-	if *chaosPath != "" {
-		body, err := os.ReadFile(*chaosPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var plan orb.FaultPlan
-		if err := json.Unmarshal(body, &plan); err != nil {
-			log.Fatalf("parse %s: %v", *chaosPath, err)
-		}
-		faults = &plan
+	var transport orb.Transport // nil: the ORB's own TCP
+	if cfg.Chaos != nil {
+		faults := simnet.NewFaultTransport(orb.TCP{}, cfg.Chaos)
+		transport = faults
+		tracer.Publish("chaos", func() any { return map[string]int64{"faults_injected": faults.Injected()} })
+		log.Printf("chaos: fault-injection plan active (%d rule(s))", len(cfg.Chaos.Rules))
 	}
 	o := orb.New(orb.Options{
 		Product:       orb.Product(cfg.ORB),
 		CallTimeout:   time.Duration(cfg.CallTimeoutMS) * time.Millisecond,
 		RetryAttempts: cfg.RetryAttempts,
-		Faults:        faults,
+		Transport:     transport,
 	})
 	o.EnableTracing(tracer)
 	tracer.Publish("orb", func() any { return o.Stats.Snapshot() })
-	if faults != nil {
-		log.Printf("chaos: fault-injection plan active (%d rule(s))", len(faults.Rules))
-	}
 	if err := o.Listen(cfg.Listen); err != nil {
 		log.Fatal(err)
 	}

@@ -135,36 +135,26 @@ func freePort(t *testing.T) int {
 	return ln.Addr().(*net.TCPAddr).Port
 }
 
-// TestTwoProcessFederation runs node processes started from config files
-// alone: the first hosts the naming service, the others register with it,
-// and each writes its information space from its "space" script, entering
-// coalitions and naming link targets through naming. Two coalitions joined
-// by a service link result: Medical (RBH) and Research (QUT, then QCF).
-// A third-party client ORB (this test) resolves the nodes through naming
-// and queries their co-databases and data over IIOP, and a statement sent
-// to QCF's browser API reaches Medical through the link — a real
-// multi-process WebFINDIT deployment.
-func TestTwoProcessFederation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping process test")
-	}
+// nodeLauncher builds the node binary and returns start, which runs a node
+// from a config and waits until its log shows want (say, the response to
+// the last statement of its space script), and dump, which returns every
+// started node's log.
+func nodeLauncher(t *testing.T) (start func(name string, cfg map[string]any, want string, extra ...string), dump func() string) {
+	t.Helper()
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "webfindit-node")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
-
 	var logs []func() string
-	dump := func() string {
+	dump = func() string {
 		var b strings.Builder
 		for _, l := range logs {
 			b.WriteString(l() + "\n")
 		}
 		return b.String()
 	}
-	// start runs a node and waits until its log shows want: the response to
-	// the last statement of its space script.
-	start := func(name string, cfg map[string]any, want string, extra ...string) {
+	start = func(name string, cfg map[string]any, want string, extra ...string) {
 		t.Helper()
 		data, _ := json.Marshal(cfg)
 		path := filepath.Join(dir, name+".json")
@@ -199,6 +189,23 @@ func TestTwoProcessFederation(t *testing.T) {
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
+	return start, dump
+}
+
+// TestTwoProcessFederation runs node processes started from config files
+// alone: the first hosts the naming service, the others register with it,
+// and each writes its information space from its "space" script, entering
+// coalitions and naming link targets through naming. Two coalitions joined
+// by a service link result: Medical (RBH) and Research (QUT, then QCF).
+// A third-party client ORB (this test) resolves the nodes through naming
+// and queries their co-databases and data over IIOP, and a statement sent
+// to QCF's browser API reaches Medical through the link — a real
+// multi-process WebFINDIT deployment.
+func TestTwoProcessFederation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping process test")
+	}
+	start, dump := nodeLauncher(t)
 
 	aPort := freePort(t)
 	aAddr := fmt.Sprintf("127.0.0.1:%d", aPort)
@@ -328,6 +335,84 @@ func TestTwoProcessFederation(t *testing.T) {
 	_, err = gateway.NewRemoteConn(refB).Query(context.Background(), "SELECT COUNT(*) FROM p")
 	if err == nil || !strings.Contains(err.Error(), "mSQL") {
 		t.Errorf("cross-process dialect error = %v", err)
+	}
+}
+
+// TestChaosConfigKey starts a node whose "chaos" plan refuses every dial to
+// one peer. A coalition statement needing that peer reports it failed with
+// class comm, the other member answers, and the refused dials are counted
+// under "chaos" at /debug/metrics.
+func TestChaosConfigKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping process test")
+	}
+	start, dump := nodeLauncher(t)
+	homeAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	peerAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	homeHTTP := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	iface := []map[string]any{{"name": "R", "functions": []map[string]any{{
+		"name": "V", "returns": "int", "table": "r", "result_column": "v", "arg_column": "k",
+	}}}}
+	schema := func(v int) string {
+		return fmt.Sprintf("CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT); INSERT INTO r VALUES ('a', %d);", v)
+	}
+	start("home", map[string]any{
+		"name": "Home", "engine": "Oracle", "listen": homeAddr, "http": homeHTTP,
+		"naming": homeAddr, "schema": schema(1), "interface": iface,
+		"chaos": map[string]any{"seed": 1, "rules": []map[string]any{{"addr": peerAddr, "fail_connect": 1}}},
+		"space": `Create Coalition Records; Join Coalition Records At "Home";`,
+	}, "browser UI at", "-serve-naming")
+	// The peer dials home, which the plan leaves alone, to join.
+	start("peer", map[string]any{
+		"name": "Peer", "engine": "Oracle", "listen": peerAddr,
+		"naming": homeAddr, "schema": schema(2), "interface": iface,
+		"space": `Create Coalition Records; Join Coalition Records At "Home";`,
+	}, "joined coalition Records")
+
+	body, _ := json.Marshal(map[string]string{"statement": `V(R.K, (R.K = "a")) On Coalition Records;`})
+	resp, err := http.Post("http://"+homeHTTP+"/api/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Partial bool `json:"partial"`
+		Members []struct {
+			Member   string `json:"member"`
+			ErrClass string `json:"err_class"`
+		} `json:"members"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("status %d, %v\n%s", resp.StatusCode, err, dump())
+	}
+	classes := map[string]string{}
+	for _, m := range out.Members {
+		classes[m.Member] = m.ErrClass
+	}
+	if len(classes) != 2 || classes["Peer"] != "comm" || classes["Home"] != "" || !out.Partial {
+		t.Errorf("partial = %v, member classes = %v; want Peer failed with comm and Home answering\n%s",
+			out.Partial, classes, dump())
+	}
+
+	resp, err = http.Get("http://" + homeHTTP + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics struct {
+		Vars struct {
+			Chaos struct {
+				FaultsInjected int64 `json:"faults_injected"`
+			} `json:"chaos"`
+		} `json:"vars"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics.Vars.Chaos.FaultsInjected == 0 {
+		t.Errorf("chaos.faults_injected = 0 at /debug/metrics after a refused dial")
 	}
 }
 

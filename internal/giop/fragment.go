@@ -113,15 +113,7 @@ func (sw *SyncWriter) writeFragment(order cdr.ByteOrder, reqID uint32, payload [
 	}
 	return sw.write(func(w io.Writer) error {
 		hdr := hdrPool.Get().(*[HeaderSize]byte)
-		copy(hdr[0:4], magic[:])
-		hdr[4] = Version[0]
-		hdr[5] = Version[1]
-		hdr[6] = byte(order)
-		if more {
-			hdr[6] |= FlagMoreFragments
-		}
-		hdr[7] = byte(MsgFragment)
-		putULong(hdr[8:12], uint32(size), order)
+		putHeader(hdr, Header{Type: MsgFragment, Order: order, More: more, Size: uint32(size)})
 		var frag [4]byte
 		putULong(frag[:], reqID, order)
 		_, err := w.Write(hdr[:])

@@ -180,11 +180,6 @@ func (m *Message) BodyDecoder() *cdr.Decoder {
 	return cdr.NewDecoderAt(m.Body, m.Order, HeaderSize)
 }
 
-// NewBodyEncoder returns a CDR encoder suitable for building a message body.
-func NewBodyEncoder(order cdr.ByteOrder) *cdr.Encoder {
-	return cdr.NewEncoderAt(order, HeaderSize)
-}
-
 // Write frames and writes the message, flushing when w is buffered. It is
 // not safe for concurrent use on the same writer without external locking;
 // when frames from multiple goroutines share one stream (multiplexed IIOP),
@@ -205,15 +200,7 @@ func writeFrame(w io.Writer, m *Message) error {
 		return fmt.Errorf("giop: message body %d exceeds limit", len(m.Body))
 	}
 	hdr := hdrPool.Get().(*[HeaderSize]byte)
-	copy(hdr[0:4], magic[:])
-	hdr[4] = Version[0]
-	hdr[5] = Version[1]
-	hdr[6] = byte(m.Order) // flags: bit 0 = byte order, bit 1 = more fragments
-	if m.More {
-		hdr[6] |= FlagMoreFragments
-	}
-	hdr[7] = byte(m.Type)
-	putULong(hdr[8:12], uint32(len(m.Body)), m.Order)
+	putHeader(hdr, Header{Type: m.Type, Order: m.Order, More: m.More, Size: uint32(len(m.Body))})
 	_, err := w.Write(hdr[:])
 	hdrPool.Put(hdr)
 	if err != nil {
@@ -323,33 +310,63 @@ func Read(r io.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean close detection
 	}
-	if [4]byte(hdr[0:4]) != magic {
-		return nil, fmt.Errorf("giop: bad magic %q", hdr[0:4])
-	}
-	if hdr[4] != Version[0] {
-		return nil, fmt.Errorf("giop: unsupported version %d.%d", hdr[4], hdr[5])
-	}
-	order := cdr.ByteOrder(hdr[6] & 1)
-	size := getULong(hdr[8:12], order)
-	if size > MaxMessageSize {
-		return nil, fmt.Errorf("giop: message size %d exceeds limit", size)
+	h, err := ParseHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
 	m := msgPool.Get().(*Message)
-	m.Type, m.Order, m.pooled = MsgType(hdr[7]), order, true
+	m.Type, m.Order, m.More, m.pooled = h.Type, h.Order, h.More, true
 	liveMessages.Add(1)
-	m.More = hdr[6]&FlagMoreFragments != 0
-	if cap(m.Body) < int(size) {
-		m.Body = make([]byte, size)
+	if cap(m.Body) < int(h.Size) {
+		m.Body = make([]byte, h.Size)
 	} else {
-		m.Body = m.Body[:size]
+		m.Body = m.Body[:h.Size]
 	}
-	if size > 0 {
+	if h.Size > 0 {
 		if _, err := io.ReadFull(r, m.Body); err != nil {
 			m.Release()
 			return nil, fmt.Errorf("giop: read body: %w", err)
 		}
 	}
 	return m, nil
+}
+
+// Header is the decoded fixed header of one GIOP message.
+type Header struct {
+	Type  MsgType
+	Order cdr.ByteOrder
+	More  bool   // the GIOP 1.1 more-fragments flag
+	Size  uint32 // body length, header excluded
+}
+
+// ParseHeader decodes and checks the fixed header that opens every GIOP
+// message. Read frames messages with it, and so does anything else that
+// follows message boundaries through a GIOP stream.
+func ParseHeader(hdr *[HeaderSize]byte) (Header, error) {
+	if [4]byte(hdr[0:4]) != magic {
+		return Header{}, fmt.Errorf("giop: bad magic %q", hdr[0:4])
+	}
+	if hdr[4] != Version[0] {
+		return Header{}, fmt.Errorf("giop: unsupported version %d.%d", hdr[4], hdr[5])
+	}
+	order := cdr.ByteOrder(hdr[6] & 1)
+	size := getULong(hdr[8:12], order)
+	if size > MaxMessageSize {
+		return Header{}, fmt.Errorf("giop: message size %d exceeds limit", size)
+	}
+	return Header{Type: MsgType(hdr[7]), Order: order, More: hdr[6]&FlagMoreFragments != 0, Size: size}, nil
+}
+
+// putHeader encodes h as ParseHeader reads it.
+func putHeader(hdr *[HeaderSize]byte, h Header) {
+	copy(hdr[0:4], magic[:])
+	hdr[4], hdr[5] = Version[0], Version[1]
+	hdr[6] = byte(h.Order)
+	if h.More {
+		hdr[6] |= FlagMoreFragments
+	}
+	hdr[7] = byte(h.Type)
+	putULong(hdr[8:12], h.Size, h.Order)
 }
 
 func putULong(b []byte, v uint32, order cdr.ByteOrder) {

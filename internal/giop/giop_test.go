@@ -12,7 +12,7 @@ import (
 func TestMessageRoundTrip(t *testing.T) {
 	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
 		var buf bytes.Buffer
-		e := NewBodyEncoder(order)
+		e := cdr.NewEncoderAt(order, HeaderSize)
 		hdr := RequestHeader{
 			ServiceContext:   []ServiceContext{{ID: 7, Data: []byte("trace")}},
 			RequestID:        42,
@@ -53,7 +53,7 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestReplyRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	e := NewBodyEncoder(cdr.BigEndian)
+	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 	(&ReplyHeader{RequestID: 9, Status: ReplyUserException}).Marshal(e)
 	if err := Write(&buf, &Message{Type: MsgReply, Order: cdr.BigEndian, Body: e.Bytes()}); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestReplyRoundTrip(t *testing.T) {
 
 func TestLocateRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	e := NewBodyEncoder(cdr.BigEndian)
+	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 	(&LocateRequestHeader{RequestID: 3, ObjectKey: []byte("k")}).Marshal(e)
 	if err := Write(&buf, &Message{Type: MsgLocateRequest, Order: cdr.BigEndian, Body: e.Bytes()}); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestLocateRoundTrip(t *testing.T) {
 	}
 
 	buf.Reset()
-	e = NewBodyEncoder(cdr.BigEndian)
+	e = cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 	(&LocateReplyHeader{RequestID: 3, Status: LocateObjectHere}).Marshal(e)
 	Write(&buf, &Message{Type: MsgLocateReply, Order: cdr.BigEndian, Body: e.Bytes()})
 	msg, _ = Read(&buf)
@@ -96,7 +96,7 @@ func TestLocateRoundTrip(t *testing.T) {
 }
 
 func TestCancelRoundTrip(t *testing.T) {
-	e := NewBodyEncoder(cdr.BigEndian)
+	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 	(&CancelRequestHeader{RequestID: 11}).Marshal(e)
 	var buf bytes.Buffer
 	Write(&buf, &Message{Type: MsgCancelRequest, Order: cdr.BigEndian, Body: e.Bytes()})
@@ -135,7 +135,7 @@ func TestOversizeMessageRejected(t *testing.T) {
 
 func TestTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
-	e := NewBodyEncoder(cdr.BigEndian)
+	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 	e.WriteString("payload")
 	Write(&buf, &Message{Type: MsgRequest, Order: cdr.BigEndian, Body: e.Bytes()})
 	data := buf.Bytes()[:buf.Len()-3]
@@ -164,7 +164,7 @@ func TestEmptyBodyMessage(t *testing.T) {
 func TestMultipleMessagesOnStream(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		e := NewBodyEncoder(cdr.BigEndian)
+		e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 		e.WriteULong(uint32(i))
 		Write(&buf, &Message{Type: MsgRequest, Order: cdr.BigEndian, Body: e.Bytes()})
 	}

@@ -39,7 +39,7 @@ func (w *countingWriter) stats() (int, []byte) {
 }
 
 func ulongMessage(v uint32) *Message {
-	e := NewBodyEncoder(cdr.BigEndian)
+	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 	e.WriteULong(v)
 	return &Message{Type: MsgRequest, Order: cdr.BigEndian, Body: e.Bytes()}
 }

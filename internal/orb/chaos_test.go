@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/idl"
+	"repro/internal/simnet"
 )
 
 // The chaos acceptance suite lives in chaos_sim_test.go, running over the
@@ -12,10 +13,10 @@ import (
 // socket-based smoke copy so the fault injector is still exercised against
 // the real TCP stack.
 
-// startFaultyPair boots a server and a client ORB with the given client
-// options, both with colocation disabled so every call crosses the socket
-// (the fault injector only covers the IIOP path).
-func startFaultyPair(t *testing.T, clientOpts Options) (client *ORB, ref *ObjectRef) {
+// startFaultyPair boots a server and a client ORB whose TCP transport is
+// wrapped in a fault injector running plan, both with colocation disabled so
+// every call crosses the socket (the injector only sees the IIOP path).
+func startFaultyPair(t *testing.T, plan *simnet.FaultPlan) (faults *simnet.FaultTransport, ref *ObjectRef) {
 	t.Helper()
 	server := New(Options{Product: Orbix, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {
@@ -26,19 +27,14 @@ func startFaultyPair(t *testing.T, clientOpts Options) (client *ORB, ref *Object
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientOpts.DisableColocation = true
-	if clientOpts.Product == "" {
-		clientOpts.Product = VisiBroker
-	}
-	client = New(clientOpts)
+	faults = simnet.NewFaultTransport(TCP{}, plan)
+	client := New(Options{Product: VisiBroker, DisableColocation: true, Transport: faults})
 	t.Cleanup(client.Shutdown)
-	return client, client.Resolve(ior)
+	return faults, client.Resolve(ior)
 }
 
 func TestChaosInjectedConnectFailure(t *testing.T) {
-	client, ref := startFaultyPair(t, Options{
-		Faults: &FaultPlan{Rules: []FaultRule{{FailConnect: 1}}},
-	})
+	faults, ref := startFaultyPair(t, &simnet.FaultPlan{Rules: []simnet.FaultRule{{FailConnect: 1}}})
 	_, err := ref.Invoke("echo", idl.String("x"))
 	se, ok := err.(*SystemException)
 	if !ok || se.Name != ExcCommFailure {
@@ -47,7 +43,7 @@ func TestChaosInjectedConnectFailure(t *testing.T) {
 	if !strings.Contains(se.Detail, "injected connect failure") {
 		t.Errorf("detail = %q", se.Detail)
 	}
-	if n := client.Stats.FaultsInjected.Load(); n == 0 {
-		t.Error("FaultsInjected not counted")
+	if n := faults.Injected(); n == 0 {
+		t.Error("injected fault not counted")
 	}
 }

@@ -554,20 +554,10 @@ func (p *connPool) get(addr string) (*muxConn, error) {
 	}
 	p.mu.Unlock()
 
-	inj := p.orb.injector()
-	if inj != nil {
-		if err := inj.dialFault(addr); err != nil {
-			return nil, err
-		}
-	}
 	nc, err := p.orb.transport.DialTimeout(addr, dialTimeout)
 	if err != nil {
 		return nil, &SystemException{Name: ExcCommFailure, Detail: fmt.Sprintf("dial %s: %v", addr, err)}
 	}
-	// Every connection is wrapped so a FaultPlan installed later (SetFaultPlan
-	// at runtime) applies to connections already in the pool; with no active
-	// plan the wrapper is one atomic load per read/write.
-	nc = &faultConn{Conn: nc, orb: p.orb, addr: addr}
 	c := &muxConn{
 		pool:    p,
 		addr:    addr,

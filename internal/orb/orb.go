@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"time"
@@ -53,7 +54,6 @@ type Stats struct {
 	InFlight       atomic.Int64 // client requests currently awaiting a reply
 	MaxInFlight    atomic.Int64 // high-water mark of InFlight
 	Retries        atomic.Int64 // transparent client retries of idempotent calls
-	FaultsInjected atomic.Int64 // faults injected by the ORB's FaultPlan
 
 	FragmentsSent        atomic.Int64 // GIOP Fragment frames written (requests and replies)
 	FragmentsReassembled atomic.Int64 // GIOP Fragment frames consumed by reassembly
@@ -85,7 +85,6 @@ type StatsSnapshot struct {
 	InFlight             int64 `json:"in_flight"`
 	MaxInFlight          int64 `json:"max_in_flight"`
 	Retries              int64 `json:"retries"`
-	FaultsInjected       int64 `json:"faults_injected"`
 	FragmentsSent        int64 `json:"fragments_sent"`
 	FragmentsReassembled int64 `json:"fragments_reassembled"`
 }
@@ -109,7 +108,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		InFlight:             s.InFlight.Load(),
 		MaxInFlight:          s.MaxInFlight.Load(),
 		Retries:              s.Retries.Load(),
-		FaultsInjected:       s.FaultsInjected.Load(),
 		FragmentsSent:        s.FragmentsSent.Load(),
 		FragmentsReassembled: s.FragmentsReassembled.Load(),
 	}
@@ -152,13 +150,8 @@ type Options struct {
 	// idempotent invocation (ObjectRef.InvokeIdempotent) gets against
 	// transport-class failures. Values <= 1 disable retries.
 	RetryAttempts int
-	// Faults installs a fault-injection plan on the client IIOP path (chaos
-	// testing). nil injects nothing; SetFaultPlan swaps plans at runtime.
-	Faults *FaultPlan
-	// Transport supplies the network stack used by Listen and client dials.
-	// nil selects the operating system's TCP stack. Deterministic tests
-	// inject an in-memory transport (internal/simnet) to run federations
-	// without sockets and with virtual time.
+	// Transport supplies the network stack used by Listen and client dials;
+	// nil selects TCP.
 	Transport Transport
 }
 
@@ -184,16 +177,9 @@ type ORB struct {
 
 	pool *connPool
 
-	// transport is never nil (Options.Transport or the TCP default); sleep
-	// delegates to the transport's virtual clock when it has one.
-	transport Transport
-	sleep     func(time.Duration)
+	transport Transport // never nil: Options.Transport or TCP
 
 	interceptors interceptorRegistry
-
-	// faults holds the active fault injector (nil = no injection); swapped
-	// atomically by SetFaultPlan so chaos can start and stop at runtime.
-	faults atomic.Pointer[faultInjector]
 
 	Stats Stats
 
@@ -220,38 +206,11 @@ func New(opts Options) *ORB {
 		repo:      idl.NewRepository(),
 		servants:  make(map[string]Servant),
 		closed:    make(chan struct{}),
-		transport: opts.Transport,
-		sleep:     time.Sleep,
-	}
-	if o.transport == nil {
-		o.transport = tcpTransport{}
-	}
-	if s, ok := o.transport.(Sleeper); ok {
-		o.sleep = s.Sleep
+		transport: cmp.Or[Transport](opts.Transport, TCP{}),
 	}
 	o.pool = newConnPool(o)
-	if opts.Faults != nil {
-		o.faults.Store(newFaultInjector(*opts.Faults, &o.Stats))
-	}
 	return o
 }
-
-// SetFaultPlan installs (or, with nil, removes) the client-side fault
-// injection plan at runtime. The swap is visible to connections already
-// sitting in the pool, not just future dials: every pooled connection
-// consults the active plan on each read and write, so latency, drop and
-// reset rules take effect immediately on live connections. Dial-path rules
-// (FailFirst, FailConnect) inherently apply only to future dials.
-func (o *ORB) SetFaultPlan(plan *FaultPlan) {
-	if plan == nil {
-		o.faults.Store(nil)
-		return
-	}
-	o.faults.Store(newFaultInjector(*plan, &o.Stats))
-}
-
-// injector returns the active fault injector, or nil.
-func (o *ORB) injector() *faultInjector { return o.faults.Load() }
 
 // Product reports the ORB product name.
 func (o *ORB) Product() Product { return o.opts.Product }

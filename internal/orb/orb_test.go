@@ -213,7 +213,7 @@ func TestOneway(t *testing.T) {
 	defer conn.Close()
 	request := func(id uint32, responseExpected bool, op string, args ...idl.Any) {
 		t.Helper()
-		e := giop.NewBodyEncoder(cdr.BigEndian)
+		e := cdr.NewEncoderAt(cdr.BigEndian, giop.HeaderSize)
 		(&giop.RequestHeader{RequestID: id, ResponseExpected: responseExpected,
 			ObjectKey: []byte("Echo"), Operation: op}).Marshal(e)
 		idl.MarshalAnys(e, args)

@@ -5,36 +5,26 @@ import (
 	"time"
 )
 
-// Transport supplies the network implementation behind an ORB: Listen binds
-// the server-side IIOP endpoint, DialTimeout opens client connections. The
-// default is the operating system's TCP stack (tcpTransport); deterministic
-// tests inject an in-memory implementation (internal/simnet) so whole
-// federations run in one process with zero real sockets.
-//
-// The addr strings are the same "host:port" forms the ORB uses everywhere
-// (IORs, the colocation registry, fault-plan rules); a Transport may
-// interpret the host part in its own namespace as long as Listen reports a
-// resolvable address back through the returned listener's Addr().
+// Transport is the ORB's one network seam: Listen binds the server-side
+// IIOP endpoint, DialTimeout opens client connections, and a dial error
+// reaches the caller as COMM_FAILURE. The default is TCP; internal/simnet
+// supplies an in-memory one with virtual time, and a fault injector to wrap
+// either. Addresses are "host:port" as in IORs; a Transport may read the
+// host in its own namespace if its listeners report resolvable addresses.
 type Transport interface {
 	Listen(addr string) (net.Listener, error)
 	DialTimeout(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// Sleeper is optionally implemented by Transports that own a virtual clock.
-// When present, time the ORB spends sleeping on behalf of the transport —
-// injected fault latency (FaultRule.LatencyMS) — is delegated to it, so the
-// delay becomes a virtual-time event instead of a wall-clock stall.
-type Sleeper interface {
-	Sleep(d time.Duration)
-}
+// TCP is the default Transport: the host's real TCP stack.
+type TCP struct{}
 
-// tcpTransport is the default Transport: the host's real TCP stack.
-type tcpTransport struct{}
-
-func (tcpTransport) Listen(addr string) (net.Listener, error) {
+// Listen binds a TCP listener on addr.
+func (TCP) Listen(addr string) (net.Listener, error) {
 	return net.Listen("tcp", addr)
 }
 
-func (tcpTransport) DialTimeout(addr string, timeout time.Duration) (net.Conn, error) {
+// DialTimeout opens a TCP connection to addr.
+func (TCP) DialTimeout(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/orb"
+	"repro/internal/simnet"
 )
 
 // The fault acceptance suite lives in fault_sim_test.go, running over the
@@ -21,13 +22,14 @@ import (
 // each has a distinct IIOP address that fault rules can target individually.
 type chaosFed struct {
 	home    *core.Node
-	homeORB *orb.ORB
+	faults  *simnet.FaultTransport // the home ORB's transport
 	members []*core.Node
 	addrs   []string // addrs[i] is the IIOP address of member i
 }
 
 // buildChaosFed boots a home node (on an ORB built from clientOpts, which
-// carries the retry/timeout policy under test) and n coalition
+// carries the retry/timeout policy under test, dialling through a fault
+// injector over TCP with no plan installed yet) and n coalition
 // members, each on its own ORB. All members export function V over table r,
 // and each holds one distinguishing row ('a', i).
 func buildChaosFed(t *testing.T, n int, clientOpts orb.Options) *chaosFed {
@@ -37,6 +39,8 @@ func buildChaosFed(t *testing.T, n int, clientOpts orb.Options) *chaosFed {
 	// home node would short-circuit member calls in-process and bypass the
 	// fault transport entirely.
 	clientOpts.DisableColocation = true
+	faults := simnet.NewFaultTransport(orb.TCP{}, nil)
+	clientOpts.Transport = faults
 	homeORB := orb.New(clientOpts)
 	if err := homeORB.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -53,7 +57,7 @@ func buildChaosFed(t *testing.T, n int, clientOpts orb.Options) *chaosFed {
 	if err := home.CoDB.DefineCoalition("Records", "", "chaos coalition"); err != nil {
 		t.Fatal(err)
 	}
-	fed := &chaosFed{home: home, homeORB: homeORB}
+	fed := &chaosFed{home: home, faults: faults}
 	for i := 0; i < n; i++ {
 		mo := orb.New(orb.Options{Product: orb.Orbix})
 		if err := mo.Listen("127.0.0.1:0"); err != nil {
@@ -95,7 +99,7 @@ func TestChaosDegradedFederationQuery(t *testing.T) {
 	fed := buildChaosFed(t, 4, orb.Options{
 		RetryAttempts: 2,
 	})
-	fed.homeORB.SetFaultPlan(&orb.FaultPlan{Rules: []orb.FaultRule{
+	fed.faults.SetPlan(&simnet.FaultPlan{Rules: []simnet.FaultRule{
 		{Addr: fed.addrs[0], FailConnect: 1},  // unreachable
 		{Addr: fed.addrs[1], LatencyMS: 5000}, // pathologically slow
 	}})

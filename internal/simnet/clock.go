@@ -3,7 +3,9 @@
 // no OS sockets, host-pair partitions and blackholes, per-link latency, and
 // a virtual clock so injected delays are simulated-time events instead of
 // wall-clock stalls. It plugs into the ORB through the orb.Transport seam
-// (Options.Transport) and composes with the ORB's own FaultPlan rules: a
+// (Options.Transport). FaultTransport (faults.go) decorates any transport,
+// an Endpoint or the ORB's TCP, with a FaultPlan acting on whole GIOP
+// messages; over an Endpoint its latency sleeps on the virtual clock, so a
 // fault latency of two seconds resolves in microseconds of wall time while
 // still advancing the virtual clock by two seconds.
 //

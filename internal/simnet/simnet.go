@@ -59,7 +59,6 @@ type Net struct {
 	hosts     map[string]bool      // every host handed out by Endpoint
 	links     map[[2]string]linkMode
 	latency   map[[2]string]time.Duration
-	defLat    time.Duration
 	nextPort  int
 	nextEphem int
 	closed    bool
@@ -77,8 +76,8 @@ type Net struct {
 
 // New creates a simulated network. The seed is recorded for replay banners;
 // simnet itself is deterministic by construction (ordered timers, FIFO
-// links), while seeded randomness lives in the layers above (fault plans,
-// topology and workload generators).
+// links), while seeded randomness lives in fault plans (FaultPlan.Seed) and
+// the layers above (topology and workload generators).
 func New(seed int64) *Net {
 	n := &Net{
 		prefix:    fmt.Sprintf("sim%d", netCounter.Add(1)),
@@ -164,9 +163,8 @@ func (n *Net) autoAdvance() {
 // Endpoint registers (or returns) the transport endpoint of one simulated
 // host. The short name is namespaced per Net ("n0" -> "sim3-n0") so host
 // addresses are process-unique and — deliberately — unresolvable by the real
-// TCP stack. The returned Endpoint implements orb.Transport and, through
-// Sleep, orb.Sleeper, pinning the ORB's fault-latency sleeps to the virtual
-// clock.
+// TCP stack. The returned Endpoint implements orb.Transport, and its Sleep
+// pins a FaultTransport's latency to the virtual clock.
 func (n *Net) Endpoint(host string) *Endpoint {
 	full := n.prefix + "-" + host
 	n.mu.Lock()
@@ -201,10 +199,7 @@ func (n *Net) linkLatency(a, b string) time.Duration {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if d, ok := n.latency[pairKey(a, b)]; ok {
-		return d
-	}
-	return n.defLat
+	return n.latency[pairKey(a, b)]
 }
 
 // SetLinkLatency sets the one-way delivery latency between two hosts
@@ -212,14 +207,6 @@ func (n *Net) linkLatency(a, b string) time.Duration {
 func (n *Net) SetLinkLatency(a, b string, d time.Duration) {
 	n.mu.Lock()
 	n.latency[pairKey(a, b)] = d
-	n.mu.Unlock()
-}
-
-// SetDefaultLatency sets the latency of every link without an explicit
-// SetLinkLatency override.
-func (n *Net) SetDefaultLatency(d time.Duration) {
-	n.mu.Lock()
-	n.defLat = d
 	n.mu.Unlock()
 }
 
@@ -253,32 +240,29 @@ func (n *Net) HealAll() {
 // Isolate partitions a host from every other host registered on the
 // network.
 func (n *Net) Isolate(host string) {
-	n.mu.Lock()
-	others := make([]string, 0, len(n.hosts))
-	for h := range n.hosts {
-		if h != host {
-			others = append(others, h)
-		}
-	}
-	n.mu.Unlock()
-	for _, o := range others {
+	for _, o := range n.others(host) {
 		n.Partition(host, o)
 	}
 }
 
 // Rejoin undoes Isolate.
 func (n *Net) Rejoin(host string) {
+	for _, o := range n.others(host) {
+		n.Heal(host, o)
+	}
+}
+
+// others returns every registered host but host.
+func (n *Net) others(host string) []string {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	others := make([]string, 0, len(n.hosts))
 	for h := range n.hosts {
 		if h != host {
 			others = append(others, h)
 		}
 	}
-	n.mu.Unlock()
-	for _, o := range others {
-		n.Heal(host, o)
-	}
+	return others
 }
 
 func (n *Net) setMode(a, b string, m linkMode) {
@@ -317,7 +301,7 @@ func (n *Net) removeConn(c *conn) {
 }
 
 // Endpoint is the per-host transport handle: it implements orb.Transport
-// (Listen + DialTimeout) and orb.Sleeper (virtual-clock Sleep).
+// (Listen + DialTimeout), and Sleep gives it a virtual clock.
 type Endpoint struct {
 	net  *Net
 	host string
@@ -327,7 +311,8 @@ type Endpoint struct {
 // of every address its listeners report.
 func (e *Endpoint) Host() string { return e.host }
 
-// Sleep blocks for d of virtual time (orb.Sleeper).
+// Sleep blocks for d of virtual time. A FaultTransport wrapping this
+// endpoint sleeps its injected latency here.
 func (e *Endpoint) Sleep(d time.Duration) { e.net.clock.Sleep(d) }
 
 // Listen binds a listener on this endpoint's host. The host part of addr is
@@ -365,8 +350,8 @@ func (e *Endpoint) Listen(addr string) (net.Listener, error) {
 
 // DialTimeout connects from this endpoint's host to a simulated address.
 // Dials resolve synchronously (refused or connected; the timeout is unused),
-// so failure injection at this layer comes from partitions and the ORB's own
-// FaultPlan rather than wall-clock waits.
+// so failure injection at this layer comes from partitions and a
+// FaultTransport's plan rather than wall-clock waits.
 func (e *Endpoint) DialTimeout(addr string, timeout time.Duration) (net.Conn, error) {
 	n := e.net
 	host, _, err := net.SplitHostPort(addr)

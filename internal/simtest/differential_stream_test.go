@@ -10,6 +10,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/orb"
 	"repro/internal/query"
+	"repro/internal/simnet"
 )
 
 // The differential streaming suite: the same heterogeneous federation is
@@ -144,7 +145,7 @@ const lossyRows = 96
 // One federation per seed, with idempotent calls retried once, runs the
 // workload healthy and then twice more with node 0 losing the reply to about
 // a third of its requests to N2 after N2 has received them
-// (orb.FaultRule.ResetAfter). A retried open_cursor answers the same first
+// (simnet.FaultRule.ResetAfter). A retried open_cursor answers the same first
 // page, so it costs nothing; fetch_cursor names no page and is never retried,
 // so a lost fetch reply drops N2 by provenance and the answer is partial.
 // Either way no statement comes back silently short. The one thing a lost
@@ -176,7 +177,8 @@ func runLossy(t *testing.T, seed int64) {
 	}
 
 	home := fed.Nodes[0].ORB
-	home.SetFaultPlan(&orb.FaultPlan{Seed: seed, Rules: []orb.FaultRule{
+	faults := fed.Nodes[0].Faults
+	faults.SetPlan(&simnet.FaultPlan{Seed: seed, Rules: []simnet.FaultRule{
 		{Addr: fed.Nodes[2].ORB.Addr(), ResetAfter: 0.3},
 	}})
 	// Twice over, so lost replies land on more pages of more statements.
@@ -214,9 +216,9 @@ func runLossy(t *testing.T, seed int64) {
 				t.Fatalf("lossy %q: healthy member %s failed: %+v\n%s", stmt, m.Member, m, ReplayLine(seed))
 			}
 		}
-		if open, reaped := reapAll(); int64(open)+reaped > home.Stats.FaultsInjected.Load() {
+		if open, reaped := reapAll(); int64(open)+reaped > faults.Injected() {
 			t.Fatalf("after lossy %q: %d cursor(s) open and %d reaped, but only %d repl(ies) lost\n%s",
-				stmt, open, reaped, home.Stats.FaultsInjected.Load(), ReplayLine(seed))
+				stmt, open, reaped, faults.Injected(), ReplayLine(seed))
 		}
 	}
 	// Every orphan is reaped once its open has run.
@@ -230,11 +232,11 @@ func runLossy(t *testing.T, seed int64) {
 	}
 	noCursorsLeaked(t, fed, live, "after the lossy run", seed)
 	t.Logf("lossy run: %d repl(ies) lost, %d call(s) retried, %d of %d answer(s) partial",
-		home.Stats.FaultsInjected.Load(), home.Stats.Retries.Load(), partial, len(lossy))
+		faults.Injected(), home.Stats.Retries.Load(), partial, len(lossy))
 	// Not vacuous: replies were lost, and some lost reply was retried.
-	if home.Stats.FaultsInjected.Load() == 0 || home.Stats.Retries.Load() == 0 {
+	if faults.Injected() == 0 || home.Stats.Retries.Load() == 0 {
 		t.Fatalf("lossy run lost %d repl(ies) and retried %d call(s); the schedule tested nothing\n%s",
-			home.Stats.FaultsInjected.Load(), home.Stats.Retries.Load(), ReplayLine(seed))
+			faults.Injected(), home.Stats.Retries.Load(), ReplayLine(seed))
 	}
 }
 

@@ -75,10 +75,13 @@ type Config struct {
 }
 
 // Node is one federation participant: its simulated host, ORB and core node.
+// The ORB dials through Faults, a fault injector over the node's endpoint
+// with no plan installed; a test installs one with Faults.SetPlan.
 type Node struct {
 	Idx     int
 	Name    string
 	Host    string
+	Faults  *simnet.FaultTransport
 	ORB     *orb.ORB
 	Core    *core.Node
 	Session *query.Session
@@ -123,8 +126,9 @@ func Build(cfg Config) (*Fed, error) {
 	products := []orb.Product{orb.Orbix, orb.OrbixWeb, orb.VisiBroker}
 	for i := 0; i < cfg.Nodes; i++ {
 		ep := snet.Endpoint(fmt.Sprintf("n%d", i))
+		faults := simnet.NewFaultTransport(ep, nil)
 		opts := cfg.ORB
-		opts.Transport = ep
+		opts.Transport = faults
 		opts.Product = products[i%len(products)]
 		opts.DisableColocation = true
 		o := orb.New(opts)
@@ -177,6 +181,7 @@ func Build(cfg Config) (*Fed, error) {
 			Idx:     i,
 			Name:    name,
 			Host:    ep.Host(),
+			Faults:  faults,
 			ORB:     o,
 			Core:    node,
 			Session: node.NewSession(),
