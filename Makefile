@@ -21,8 +21,10 @@ COVER_FLOOR = 84.6
 # statement only the engines' tests reach is one no caller sends. Raise it
 # when reach grows; never lower it (52.1% while the SQL engine still had
 # joins, UNION, subqueries, BETWEEN, arithmetic, scalar functions and
-# DISTINCT, and oodb had methods; 65.6% once they were deleted).
-ENGINE_REACH_FLOOR = 65.6
+# DISTINCT, and oodb had methods; 65.6% once they were deleted; 67.8% once
+# objects were stored by slot; 69.9% once the coordinator's compensation
+# was held to each engine with the conjunct pushed, on every column kind).
+ENGINE_REACH_FLOOR = 69.9
 
 # verify is the tier-1 gate: build + vet + full test suite.
 verify:

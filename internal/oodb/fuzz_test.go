@@ -159,7 +159,7 @@ func fuzzDB(t testing.TB) *DB {
 
 // FuzzOQLWhere runs a fuzzed condition through Query, reading the candidates
 // an attribute index admits and walking the whole extent, and compares both
-// answers with Extent filtered by refMatch. It holds MatchCond, the
+// answers with Extent filtered by refMatch. It holds Cond, the
 // coordinator's compensation, to refMatch on every stored value too, which
 // reaches literals OQL text cannot spell (a NaN).
 func FuzzOQLWhere(f *testing.F) {
@@ -205,10 +205,11 @@ func FuzzOQLWhere(f *testing.F) {
 			t.Fatal(err)
 		}
 		var want [][]any
+		cond := NewCond(o, lit)
 		for _, ob := range objs {
 			v, _ := ob.Get(a)
-			if MatchCond(v, o, lit) != refMatch(v, o, lit) {
-				t.Fatalf("MatchCond(%#v, %s, %#v) = %v", v, o, lit, !refMatch(v, o, lit))
+			if cond.Match(v) != refMatch(v, o, lit) {
+				t.Fatalf("NewCond(%s, %#v).Match(%#v) = %v", o, lit, v, !refMatch(v, o, lit))
 			}
 			if refMatch(v, o, lit) {
 				want = append(want, []any{ob.ID(), ob.String("k")})

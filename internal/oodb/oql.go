@@ -497,16 +497,19 @@ func (c *oqlCond) matchValue(v any) bool {
 	return len(c.keep(sel[:], vals[:])) == 1
 }
 
-// MatchCond evaluates one OQL comparison against an already-fetched value,
-// with exactly the engine's semantics (kind-mismatch is no-match, LIKE needs
-// string on both sides). The federated planner uses it to compensate at the
-// coordinator for conjuncts an object engine could not accept. op is one of
-// = <> < <= > >= LIKE; lit is a string, int64, float64 or bool, as the OQL
-// parser would have typed the literal.
-func MatchCond(v any, op string, lit any) bool {
-	c := newCond("", op, lit)
-	return c.matchValue(v)
-}
+// Cond is one OQL comparison decoded once, for evaluating outside a query:
+// the federated planner compensates with it, at the coordinator, for
+// conjuncts an object engine could not accept. It has exactly the engine's
+// semantics (kind-mismatch is no-match, LIKE needs string on both sides).
+type Cond struct{ c oqlCond }
+
+// NewCond decodes a comparison. op is one of = <> < <= > >= LIKE; lit is a
+// string, int64, float64 or bool, as the OQL parser would have typed the
+// literal (any other literal matches nothing).
+func NewCond(op string, lit any) *Cond { return &Cond{newCond("", op, lit)} }
+
+// Match reports whether an already-fetched value satisfies the comparison.
+func (c *Cond) Match(v any) bool { return c.c.matchValue(v) }
 
 // compareNumbers is oqlCompare's order on two numbers of one type: a NaN is
 // neither below nor above anything, so it compares equal.

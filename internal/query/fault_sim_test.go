@@ -199,6 +199,78 @@ func TestSimChaosSlowMemberBoundedByMemberTimeout(t *testing.T) {
 	}
 }
 
+// TestSimChaosStreamLimitRefundsMidStreamDeath: a member that dies after
+// the merge took a page of its rows is dropped whole, as a materialized
+// merge would drop it, so its rows are refunded from the LIMIT progress and
+// the members after it deliver the whole LIMIT. M0 holds 30 rows behind a
+// 2-row merge window (pages of 2, 4 and 6 under the pushed Limit 12); it is
+// partitioned away once the stream has read its first row, so its next
+// fetch fails. The rows streamed after M0's are exactly what Execute, which
+// never sees M0's rows, answers.
+func TestSimChaosStreamLimitRefundsMidStreamDeath(t *testing.T) {
+	const limit = 12
+	fed := buildSimChaosFed(t, 3, orb.Options{})
+	for i, m := range fed.members {
+		var b strings.Builder
+		for j := 1; j < 30; j++ {
+			fmt.Fprintf(&b, "INSERT INTO r VALUES ('k%d', %d);", j, 100*(i+1)+j)
+		}
+		if _, err := m.RelDB.ExecScript(b.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fed.home.Processor.SetMergeWindow(2)
+	fed.home.Processor.SetFanOut(1)
+	stmt := fmt.Sprintf(`V(R.K) On Coalition Records Limit %d;`, limit)
+	s := fed.home.NewSession()
+	rows, err := s.Stream(context.Background(), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	fed.kill(0)
+	var fromM0 int
+	var after []string
+	for ok := true; ok; ok = rows.Next() {
+		var src string
+		var v int64
+		if err := rows.Scan(&src, &v); err != nil {
+			t.Fatal(err)
+		}
+		if src == "M0" && after == nil {
+			fromM0++
+			continue
+		}
+		after = append(after, fmt.Sprintf("%s/%d", src, v))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if fromM0 == 0 || fromM0 >= limit {
+		t.Fatalf("M0 streamed %d rows before it died, want a page or two", fromM0)
+	}
+	if len(after) != limit {
+		t.Fatalf("after M0 died mid-stream the stream gave %d rows, want the whole Limit %d: %v", len(after), limit, after)
+	}
+	if st := rows.Members(); st[0].OK() || !st[1].OK() || st[2].ErrClass != "limit" || !rows.Partial() {
+		t.Fatalf("statuses %+v, partial %v: want M0 failed, M1 answered, M2 cut off by the limit", st, rows.Partial())
+	}
+	resp, err := s.Execute(context.Background(), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, row := range resp.Result.Rows {
+		want = append(want, fmt.Sprintf("%s/%d", row[0].Str, row[1].Int))
+	}
+	if strings.Join(after, ",") != strings.Join(want, ",") {
+		t.Fatalf("streamed after M0: %v\nExecute: %v", after, want)
+	}
+}
+
 // TestSimChaosQuorumFailure: MinMembers above the surviving count fails the
 // statement with the quorum diagnostics.
 func TestSimChaosQuorumFailure(t *testing.T) {

@@ -80,8 +80,8 @@ func (s *Session) runFragment(ctx context.Context, conn gateway.Conn, mp *member
 		run.Moved += b.Len()
 		run.Pages++
 		run.Bytes += b.WireBytes()
-		if len(ex.Residual) > 0 {
-			b.Keep(func(i int) bool { return residualMatch(b, i, ex) })
+		for k := range ex.Residual {
+			ex.Residual[k].keep(b)
 		}
 		if b.Cols() == 0 || b.Len() == 0 {
 			b.Release()

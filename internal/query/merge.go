@@ -25,10 +25,12 @@ import (
 // overlapping instead of queueing, and the coordinator holds at most two
 // pages' worth of rows per member, whatever the scan size. Under a LIMIT a
 // member fetches page n+1 only once the merge has taken page n, since rows
-// fetched past the cut are wasted. A statement LIMIT terminates the fan-out
-// early: once K rows are merged the remaining members' sub-calls are
-// cancelled (closing their server-side cursors) and their statuses report
-// ErrClass "limit" — satisfied, not degraded.
+// fetched past the cut are wasted. The merge hands its consumer whole pages
+// too, and does its bookkeeping once per page: the page that reaches a
+// statement LIMIT is cut there and terminates the fan-out early — the
+// remaining members' sub-calls are cancelled (closing their server-side
+// cursors) and their statuses report ErrClass "limit": satisfied, not
+// degraded. Rows reads in place from the page it is given.
 
 // errLimitSatisfied is the fan-out cancel cause once a statement LIMIT is
 // met; errStreamClosed is the cause when the consumer abandons the stream.
@@ -47,10 +49,11 @@ func mergeCancelled(ctx context.Context) bool {
 }
 
 // mergeStream is one pull-based coalition merge in flight. The consumer
-// calls Next to receive merged rows in member order and Close to release
-// the fan-out (cancelling outstanding sub-calls and their cursors). It is
-// the engine under both Session.Execute (which drains it) and Session.Stream
-// (which hands it to the caller behind a Rows). Not safe for concurrent use.
+// calls nextPage to receive the members' pages in member order, reads the
+// first n rows of each in place, and calls Close to release the fan-out
+// (cancelling outstanding sub-calls and their cursors). It is the engine
+// under both Session.Execute (which drains it) and Session.Stream (whose
+// Rows indexes into its page). Not safe for concurrent use.
 type mergeStream struct {
 	sess     *Session
 	plan     *queryPlan
@@ -77,8 +80,8 @@ type mergeStream struct {
 
 	cur       int            // channel currently being drained
 	page      *gateway.Batch // page of member cur being read in place; nil between pages
-	pos       int            // next row of page
-	delivered []int          // rows emitted per member
+	n         int            // rows of page to read: all of them, or fewer where the LIMIT cut it
+	delivered []int          // rows taken per member, counted a page at a time
 	progress  int            // rows counted toward the LIMIT (failed members refunded)
 	stop      int            // member index that satisfied the LIMIT (-1: none)
 	eof       bool
@@ -147,51 +150,40 @@ func (s *Session) newMergeStream(ctx context.Context, plan *queryPlan, limit int
 	return ms
 }
 
-// Next returns the next merged value and the index of the member that
-// produced it (its name is the merged row's source column); ok is false once
-// the merge is exhausted or the statement LIMIT has been satisfied. Values
-// are read in place from the member's current page. A member's status is
-// final by the time Next moves past its channel, which is what makes the
-// refund below — and reading statuses after Close — race-free.
-func (ms *mergeStream) Next() (v idl.Any, member int, ok bool) {
+// nextPage releases the page the consumer has read and takes the next one
+// in member order, cut at the LIMIT (n), its rows counted as delivered;
+// false once the merge is exhausted or the LIMIT satisfied. A member's
+// status is final by the time the merge moves past its channel, which is
+// what makes the refund below — and reading statuses after Close — race-free.
+func (ms *mergeStream) nextPage() bool {
+	ms.releasePage()
 	if ms.eof || ms.closed {
-		return idl.Any{}, 0, false
+		return false
 	}
-	for ms.cur < len(ms.chans) {
-		if ms.page == nil {
-			b, open := <-ms.chans[ms.cur]
-			if !open {
-				st := &ms.statuses[ms.cur]
-				if !st.OK() && ms.delivered[ms.cur] > 0 {
-					// The member failed mid-stream after delivering rows. A
-					// materialized merge would have dropped the member whole, so
-					// refund its rows from the LIMIT progress; the drain side
-					// drops the rows themselves by provenance.
-					ms.progress -= ms.delivered[ms.cur]
-				}
-				ms.cur++
-				continue
+	for ; ms.cur < len(ms.chans); ms.cur++ {
+		b, open := <-ms.chans[ms.cur]
+		if !open {
+			if !ms.statuses[ms.cur].OK() {
+				// A member that failed mid-stream delivered rows a
+				// materialized merge would have dropped with it, so refund
+				// them from the LIMIT progress; the drain side drops the
+				// rows themselves by provenance.
+				ms.progress -= ms.delivered[ms.cur]
 			}
-			ms.page, ms.pos = b, 0
-		}
-		if ms.pos >= ms.page.Len() {
-			ms.releasePage()
 			continue
 		}
-		v = ms.page.Value(0, ms.pos)
-		ms.pos++
-		m := ms.cur
-		ms.delivered[m]++
-		ms.progress++
-		if ms.limit > 0 && ms.progress >= ms.limit {
-			ms.stop = m
-			ms.eof = true
+		ms.page, ms.n = b, b.Len()
+		if ms.limit > 0 && ms.progress+ms.n >= ms.limit {
+			ms.n = ms.limit - ms.progress
+			ms.stop, ms.eof = ms.cur, true
 			ms.cancel(errLimitSatisfied) // release the members still running or queued
 		}
-		return v, m, true
+		ms.delivered[ms.cur] += ms.n
+		ms.progress += ms.n
+		return true
 	}
 	ms.eof = true
-	return idl.Any{}, 0, false
+	return false
 }
 
 // releasePage returns the page being read to the pool.
@@ -199,34 +191,29 @@ func (ms *mergeStream) releasePage() {
 	if ms.page != nil {
 		ms.inflight.Add(-int64(ms.page.Len()))
 		ms.page.Release()
-		ms.page = nil
+		ms.page, ms.n = nil, 0
 	}
 }
 
-// drain consumes the stream to its end and closes it, handing add each value
-// with its member (first: the member's first value). Members are read one
-// after another, so once the merge has moved past a member that failed
-// mid-stream, and before any later member's value is added, drop is called
-// to take back what add built from that member's values: a materialized
-// merge never sees a failed member's rows.
-func (ms *mergeStream) drain(add func(v idl.Any, m int, first bool), drop func()) {
+// drain consumes the stream to its end and closes it, handing add each page
+// with the n rows of it to read and its member m (first: m's first page). Members are read one after another, so once the merge has
+// moved past a member that failed mid-stream, and before any later member's
+// page is added, drop is called to take back what add built from that
+// member's pages: a materialized merge never sees a failed member's rows.
+func (ms *mergeStream) drain(add func(b *gateway.Batch, n, m int, first bool), drop func()) {
 	from := -1
 	settle := func() {
 		if from >= 0 && !ms.statuses[from].OK() {
 			drop()
 		}
 	}
-	for {
-		v, m, ok := ms.Next()
-		if !ok {
-			break
-		}
-		first := m != from
+	for ms.nextPage() {
+		first := ms.cur != from
 		if first {
-			settle() // from's status is final: Next has moved past its channel
-			from = m
+			settle() // from's status is final: the merge has moved past its channel
+			from = ms.cur
 		}
-		add(v, m, first)
+		add(ms.page, ms.n, ms.cur, first)
 	}
 	ms.Close()
 	settle()
@@ -236,17 +223,18 @@ func (ms *mergeStream) drain(add func(v idl.Any, m int, first bool), drop func()
 // that answered, cut from one slab per page, since the caller keeps them all.
 func (ms *mergeStream) drainAll() [][]idl.Any {
 	var rows [][]idl.Any
-	var slab []idl.Any
+	var src idl.Any
 	start := 0 // the first row of the member being read
-	ms.drain(func(v idl.Any, m int, first bool) {
+	ms.drain(func(b *gateway.Batch, n, m int, first bool) {
 		if first {
 			start = len(rows)
+			src = idl.String(ms.plan.Members[m].D.Name)
 		}
-		if len(slab)+2 > cap(slab) {
-			slab = make([]idl.Any, 0, 2*(ms.page.Len()-ms.pos+1))
+		slab := make([]idl.Any, 2*n)
+		for i := 0; i < 2*n; i += 2 {
+			slab[i], slab[i+1] = src, b.Value(0, i/2)
+			rows = append(rows, slab[i:i+2:i+2])
 		}
-		slab = append(slab, idl.String(ms.plan.Members[m].D.Name), v)
-		rows = append(rows, slab[len(slab)-2:len(slab):len(slab)])
 	}, func() { rows = rows[:start] })
 	return rows
 }
@@ -257,12 +245,14 @@ func (ms *mergeStream) drainAll() [][]idl.Any {
 func (ms *mergeStream) drainKeys() map[string]idl.Any {
 	keys := make(map[string]idl.Any)
 	var added []string // the keys the member being read added
-	ms.drain(func(v idl.Any, _ int, first bool) {
+	ms.drain(func(b *gateway.Batch, n, _ int, first bool) {
 		if first {
 			added = added[:0]
 		}
-		if k, ok := addKey(keys, v); ok {
-			added = append(added, k)
+		for i := 0; i < n; i++ {
+			if k, ok := addKey(keys, b.Value(0, i)); ok {
+				added = append(added, k)
+			}
 		}
 	}, func() {
 		for _, k := range added {

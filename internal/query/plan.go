@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -27,15 +28,14 @@ import (
 // query shipped to the engine plus whatever the coordinator must still do to
 // the rows that come back.
 type fragmentExec struct {
-	Native      string          // rendered native query
-	OQL         bool            // object-family rendering (drives residual semantics)
-	Frag        wtl.Fragment    // source fragment, kept so a semi-join key set can re-render it
-	Residual    []wtl.Condition // conjuncts compensated at the coordinator
-	ResidualIdx []int           // fetch-column index of each residual conjunct
-	NCols       int             // fetched columns (result column + residual columns)
-	Pushed      int             // conjuncts shipped inside the fragment
-	LimitPushed bool            // fragment carries the statement's LIMIT
-	InPushed    bool            // fragment carries a semi-join IN key set
+	Native      string       // rendered native query
+	OQL         bool         // object-family rendering
+	Frag        wtl.Fragment // source fragment, kept so a semi-join key set can re-render it
+	Residual    []residual   // conjuncts compensated at the coordinator, compiled
+	NCols       int          // fetched columns (result column + residual columns)
+	Pushed      int          // conjuncts shipped inside the fragment
+	LimitPushed bool         // fragment carries the statement's LIMIT
+	InPushed    bool         // fragment carries a semi-join IN key set
 }
 
 // memberPlan is one member's slice of a coalition plan: the capability-gated
@@ -111,35 +111,26 @@ func numericLiteral(s string) bool {
 // to compensate; the LIMIT is pushed only when nothing is residual (a local
 // filter after a pushed LIMIT would under-fetch).
 func buildFragmentExec(d *codb.SourceDescriptor, fn *codb.ExportedFunction, conds []wtl.Condition, limit int, caps gateway.Capabilities) fragmentExec {
-	var pushed, residual []wtl.Condition
+	var pushed []wtl.Condition
+	var kept []residual
+	cols := []string{fn.ResultColumn}
+	_, oql := wrapperFor(d)
 	for _, c := range conds {
 		if pushableCond(c, caps) {
 			pushed = append(pushed, c)
-		} else {
-			residual = append(residual, c)
+			continue
 		}
-	}
-	cols := []string{fn.ResultColumn}
-	idx := make([]int, len(residual))
-	for i, c := range residual {
-		at := -1
-		for j, col := range cols {
-			if strings.EqualFold(col, c.Column) {
-				at = j
-				break
-			}
-		}
+		at := slices.IndexFunc(cols, func(col string) bool { return strings.EqualFold(col, c.Column) })
 		if at < 0 {
 			cols = append(cols, c.Column)
 			at = len(cols) - 1
 		}
-		idx[i] = at
+		kept = append(kept, compileResidual(c, at, oql))
 	}
 	frag := wtl.Fragment{Table: fn.Table, Columns: cols, Conds: pushed}
-	if limit > 0 && caps.Limit && len(residual) == 0 {
+	if limit > 0 && caps.Limit && len(kept) == 0 {
 		frag.Limit = limit
 	}
-	_, oql := wrapperFor(d)
 	native := frag.SQL()
 	if oql {
 		native = frag.OQL()
@@ -148,8 +139,7 @@ func buildFragmentExec(d *codb.SourceDescriptor, fn *codb.ExportedFunction, cond
 		Native:      native,
 		OQL:         oql,
 		Frag:        frag,
-		Residual:    residual,
-		ResidualIdx: idx,
+		Residual:    kept,
 		NCols:       len(cols),
 		Pushed:      len(pushed),
 		LimitPushed: frag.Limit > 0,

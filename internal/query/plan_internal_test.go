@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/codb"
 	"repro/internal/gateway"
 	"repro/internal/idl"
+	"repro/internal/oodb"
 	"repro/internal/orb"
+	"repro/internal/relational"
 	"repro/internal/wtl"
 )
 
@@ -137,18 +140,13 @@ func TestResidualMatchFollowsEngineSemantics(t *testing.T) {
 	num := func(n int64) idl.Any { return idl.Any{Kind: idl.KindLong, Int: n} }
 	like := wtl.Condition{Column: "k", Op: "LIKE", Value: "k0%", IsStr: true}
 	eqNum := wtl.Condition{Column: "v", Op: "=", Value: "3"}
-	// match applies ex to a one-row batch holding the given values.
+	// match runs ex's compiled kernels over a one-row batch holding the
+	// given values.
 	match := func(ex *fragmentExec, row ...idl.Any) bool {
-		res := &gateway.Result{Columns: make([]string, len(row)), Rows: [][]idl.Any{row}}
-		b, err := gateway.NewResultIter(res, 0).Next(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Release()
-		return residualMatch(b, 0, ex)
+		return kernelsKeep(t, ex.Residual, row...)
 	}
 
-	rel := &fragmentExec{Residual: []wtl.Condition{like}, ResidualIdx: []int{1}, NCols: 2}
+	rel := &fragmentExec{Residual: []residual{compileResidual(like, 1, false)}, NCols: 2}
 	if !match(rel, num(7), str("k01")) {
 		t.Error("relational LIKE residual missed a matching row")
 	}
@@ -159,11 +157,11 @@ func TestResidualMatchFollowsEngineSemantics(t *testing.T) {
 	// The relational engine compares mismatched kinds through their rendered
 	// strings (INT 3 = '3'); the OQL engine calls that a non-match. The
 	// compensator must reproduce whichever engine the fragment ran on.
-	relEq := &fragmentExec{Residual: []wtl.Condition{eqNum}, ResidualIdx: []int{0}, NCols: 1}
+	relEq := &fragmentExec{Residual: []residual{compileResidual(eqNum, 0, false)}, NCols: 1}
 	if !match(relEq, num(3)) {
 		t.Error("relational numeric equality residual missed")
 	}
-	ooEq := &fragmentExec{OQL: true, Residual: []wtl.Condition{eqNum}, ResidualIdx: []int{0}, NCols: 1}
+	ooEq := &fragmentExec{OQL: true, Residual: []residual{compileResidual(eqNum, 0, true)}, NCols: 1}
 	if !match(ooEq, num(3)) {
 		t.Error("OQL numeric equality residual missed")
 	}
@@ -226,10 +224,159 @@ func TestCondMatchOpMatrix(t *testing.T) {
 		{false, num(3), cond("~", "3"), false},
 	}
 	for _, tc := range cases {
-		if got := condMatch(tc.oql, tc.v, tc.c); got != tc.want {
-			t.Errorf("condMatch(oql=%v, %+v, %+v) = %v, want %v", tc.oql, tc.v, tc.c, got, tc.want)
+		if got := kernelsKeep(t, []residual{compileResidual(tc.c, 0, tc.oql)}, tc.v); got != tc.want {
+			t.Errorf("kernel(oql=%v, %+v) over %+v = %v, want %v", tc.oql, tc.c, tc.v, got, tc.want)
 		}
 	}
+}
+
+// kernelsKeep runs compiled kernels over a one-row batch holding row and
+// reports whether the row survives them.
+func kernelsKeep(t *testing.T, kernels []residual, row ...idl.Any) bool {
+	t.Helper()
+	res := &gateway.Result{Columns: make([]string, len(row)), Rows: [][]idl.Any{row}}
+	b, err := gateway.NewResultIter(res, 0).Next(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	for k := range kernels {
+		kernels[k].keep(b)
+	}
+	return b.Len() == 1
+}
+
+// TestResidualKernelMatchesPushedConjunct: a compiled kernel, run over the
+// page a member returns for its bare fragment, admits exactly the rows the
+// member's engine admits with the conjunct pushed. Each operator and literal
+// form meets a column of every kind (string, long, double, bool, NULL) in a
+// one-row table or object, and again inside a mixed-kind (KindAny) page
+// column holding all of them. An unquoted LIKE pattern and a bare word are
+// never pushed, so the kernel's own verdict is all there is for them: the
+// relational family types a bare word as text, the object family matches
+// nothing with it.
+func TestResidualKernelMatchesPushedConjunct(t *testing.T) {
+	ctx := context.Background()
+	kinds := []struct {
+		name, sqlType, sqlVal string
+		ooType                oodb.AttrType
+		ooVal                 any
+	}{
+		{"s", "TEXT", "'3'", oodb.AttrString, "3"},
+		{"l", "INT", "3", oodb.AttrInt, int64(3)},
+		{"d", "DOUBLE", "1.5", oodb.AttrFloat, 1.5},
+		{"b", "BOOLEAN", "TRUE", oodb.AttrBool, true},
+		{"n", "INT", "NULL", oodb.AttrInt, nil},
+	}
+	rdb := relational.NewDatabase("rel", relational.DialectOracle)
+	odb := oodb.NewDB("obj")
+	for _, k := range kinds {
+		if _, err := rdb.ExecScript(fmt.Sprintf("CREATE TABLE t%s (v %s); INSERT INTO t%s VALUES (%s);",
+			k.name, k.sqlType, k.name, k.sqlVal)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := odb.DefineClass("t"+k.name, "", oodb.Attribute{Name: "v", Type: k.ooType}); err != nil {
+			t.Fatal(err)
+		}
+		attrs := map[string]any{}
+		if k.ooVal != nil {
+			attrs["v"] = k.ooVal
+		}
+		if _, err := odb.NewObject("t"+k.name, attrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd := gateway.NewRelationalDriver("Oracle")
+	if err := rd.Add(rdb); err != nil {
+		t.Fatal(err)
+	}
+	od := gateway.NewObjectDriver("ObjectStore")
+	od.Add(odb)
+	relConn, _ := rd.Open("rel")
+	objConn, _ := od.Open("obj")
+	// rows fetches a fragment's result, runs k (if any) over its page and
+	// returns what is left, nil for an empty result.
+	rows := func(conn gateway.Conn, native string, k *residual) []idl.Any {
+		it, err := conn.QueryCursor(ctx, native, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", native, err)
+		}
+		defer it.Close()
+		b, err := it.Next(ctx)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", native, err)
+		}
+		defer b.Release()
+		if k != nil {
+			k.keep(b)
+		}
+		var out []idl.Any
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Value(0, i))
+		}
+		return out
+	}
+	compared := map[bool]int{} // engine comparisons by verdict
+	ops := []string{"=", "<>", "<", "<=", ">", ">=", "LIKE"}
+	lits := []wtl.Condition{
+		{Value: "3", IsStr: true}, {Value: "1%", IsStr: true}, {Value: "TRUE", IsStr: true},
+		{Value: "3"}, {Value: "1.5"}, {Value: "true"}, {Value: "abc"}, {Value: "1%"},
+	}
+	for _, fam := range []struct {
+		oql  bool
+		conn gateway.Conn
+	}{{false, relConn}, {true, objConn}} {
+		render := func(f wtl.Fragment) string {
+			if fam.oql {
+				return f.OQL()
+			}
+			return f.SQL()
+		}
+		// The bare fragments' values, gathered into one mixed-kind column.
+		mixed := &gateway.Result{Columns: []string{"v"}}
+		for _, k := range kinds {
+			mixed.Rows = append(mixed.Rows, rows(fam.conn, render(wtl.Fragment{Table: "t" + k.name, Columns: []string{"v"}}), nil))
+		}
+		for _, op := range ops {
+			for _, lit := range lits {
+				c := wtl.Condition{Column: "v", Op: op, Value: lit.Value, IsStr: lit.IsStr}
+				kernel := compileResidual(c, 0, fam.oql)
+				engineReads := lit.IsStr || numericLiteral(lit.Value) || strings.EqualFold(lit.Value, "true")
+				mb, err := gateway.NewResultIter(mixed, 0).Next(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kernel.keep(mb)
+				inMixed := map[idl.Kind]bool{}
+				for i := 0; i < mb.Len(); i++ {
+					inMixed[mb.Value(0, i).Kind] = true
+				}
+				mb.Release()
+				for i, k := range kinds {
+					what := fmt.Sprintf("oql=%v %s column, v %s %s (quoted %v)", fam.oql, k.sqlType, op, lit.Value, lit.IsStr)
+					got := len(rows(fam.conn, render(wtl.Fragment{Table: "t" + k.name, Columns: []string{"v"}}), &kernel)) == 1
+					if inMixed[mixed.Rows[i][0].Kind] != got {
+						t.Errorf("%s: kernel admits %v in a typed column, %v in a mixed one", what, got, !got)
+					}
+					if !engineReads || (op == "LIKE" && !lit.IsStr) {
+						continue
+					}
+					pushed := rows(fam.conn, render(wtl.Fragment{Table: "t" + k.name, Columns: []string{"v"}, Conds: []wtl.Condition{c}}), nil)
+					if want := len(pushed) == 1; got != want {
+						t.Errorf("%s: kernel admits %v, engine %v", what, got, want)
+					}
+					compared[got]++
+				}
+			}
+		}
+	}
+	if compared[true] < 20 || compared[false] < 20 {
+		t.Fatalf("engine comparisons by verdict: %v; the matrix no longer reaches both", compared)
+	}
+	t.Logf("engine comparisons by verdict: %v", compared)
 }
 
 func TestPlanFingerprintDistinguishesModeAndText(t *testing.T) {

@@ -18,58 +18,57 @@ import (
 // comparisons (the relational engines fall back to rendered-string
 // comparison across kinds; the object engines treat a kind mismatch as
 // no-match), so compensation is routed through each family's own comparison
-// kernel (relational.Compare/MatchLike, oodb.MatchCond) rather than a
-// private approximation of either.
+// kernel (relational.Compare/MatchLike, oodb.Cond) rather than a private
+// approximation of either.
 
-// residualMatch applies a fragment's compensated conjuncts to row i of a
-// fetched batch.
-func residualMatch(b *gateway.Batch, i int, ex *fragmentExec) bool {
-	for k, c := range ex.Residual {
-		at := ex.ResidualIdx[k]
-		if at >= b.Cols() {
-			return false
-		}
-		if !condMatch(ex.OQL, b.Value(at, i), c) {
-			return false
-		}
-	}
-	return true
+// residual is one conjunct compiled once per plan — literal typed, operator
+// resolved — to run over a page column.
+type residual struct {
+	col   int              // fetch-column index of the conjunct's column
+	oql   *oodb.Cond       // object family; nil: relational
+	lit   relational.Value // relational literal; a LIKE pattern is rendered to text
+	like  bool             // relational LIKE, else a comparison
+	order uint8            // relational comparison: bit cmp+1 set when it admits cmp
 }
 
-// condMatch evaluates one conjunct against one value under the semantics of
-// the family the row came from.
-func condMatch(oql bool, v idl.Any, c wtl.Condition) bool {
+// relOrders maps an operator to the orders it admits (cmp as bit cmp+1).
+var relOrders = map[string]uint8{"<": 1, "=": 2, ">": 4, "<=": 3, ">=": 6, "<>": 5}
+
+// compileResidual compiles conjunct c over fetch column col under the
+// semantics of the family the rows come from.
+func compileResidual(c wtl.Condition, col int, oql bool) residual {
 	if oql {
-		lit, ok := oqlLiteral(c)
-		if !ok {
-			return false
-		}
-		return oodb.MatchCond(anyToOO(v), c.Op, lit)
+		return residual{col: col, oql: oodb.NewCond(c.Op, oqlLiteral(c))}
+	}
+	r := residual{col: col, lit: relLiteral(c), like: c.Op == "LIKE", order: relOrders[c.Op]}
+	if r.like {
+		r.lit = relational.TextValue(r.lit.String())
+	}
+	return r
+}
+
+// keep narrows b to the rows the conjunct admits. A column the batch does
+// not have admits none.
+func (r *residual) keep(b *gateway.Batch) {
+	b.Keep(func(i int) bool { return r.col < b.Cols() && r.match(b.Value(r.col, i)) })
+}
+
+// match evaluates the conjunct against one value.
+func (r *residual) match(v idl.Any) bool {
+	if r.oql != nil {
+		return r.oql.Match(anyToOO(v))
+	}
+	if r.like && v.Kind == idl.KindString {
+		return relational.MatchLike(v.Str, r.lit.Str)
 	}
 	lv := anyToRel(v)
-	rv := relLiteral(c)
-	if lv.IsNull() || rv.IsNull() {
+	if lv.IsNull() {
 		return false // SQL three-valued logic: NULL never satisfies WHERE
 	}
-	if c.Op == "LIKE" {
-		return relational.MatchLike(lv.String(), rv.String())
+	if r.like {
+		return relational.MatchLike(lv.String(), r.lit.Str)
 	}
-	cmp := relational.Compare(lv, rv)
-	switch c.Op {
-	case "=":
-		return cmp == 0
-	case "<>":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	}
-	return false
+	return r.order>>(relational.Compare(lv, r.lit)+1)&1 != 0
 }
 
 // relLiteral types a WebTassili literal the way the relational lexer would
@@ -97,25 +96,28 @@ func relLiteral(c wtl.Condition) relational.Value {
 	return relational.TextValue(c.Value)
 }
 
-// oqlLiteral types a WebTassili literal the way the OQL parser would have.
-func oqlLiteral(c wtl.Condition) (any, bool) {
+// oqlLiteral types a WebTassili literal the way the OQL parser would have;
+// nil when it could not, which matches nothing.
+func oqlLiteral(c wtl.Condition) any {
 	if c.IsStr {
-		return c.Value, true
+		return c.Value
 	}
 	if strings.Contains(c.Value, ".") {
-		f, err := strconv.ParseFloat(c.Value, 64)
-		return f, err == nil
+		if f, err := strconv.ParseFloat(c.Value, 64); err == nil {
+			return f
+		}
+		return nil
 	}
 	if n, err := strconv.ParseInt(c.Value, 10, 64); err == nil {
-		return n, true
+		return n
 	}
 	switch strings.ToLower(c.Value) {
 	case "true":
-		return true, true
+		return true
 	case "false":
-		return false, true
+		return false
 	}
-	return nil, false
+	return nil
 }
 
 // anyToRel inverts the gateway's relational-to-Any conversion.

@@ -25,8 +25,10 @@ type Row []idl.Any
 // server-side cursors as the caller iterates — the coordinator never holds
 // more than 2 x gateway.MaxPageRows rows per member — so Close must always
 // be called: it cancels outstanding member sub-calls and closes their
-// cursors. Other statement kinds materialize as they always did and iterate
-// in memory. Not safe for concurrent use.
+// cursors. There Next indexes into the merge's current page and Scan reads
+// the value from the page's column; the merge's bookkeeping and the source
+// cell are paid once per page. Other statement kinds materialize as they
+// always did and iterate in memory. Not safe for concurrent use.
 type Rows struct {
 	sess *Session
 	stmt wtl.Stmt
@@ -41,13 +43,14 @@ type Rows struct {
 	buildMoved    int64
 	buildDegraded int
 
-	// Materialized backing (every other statement kind).
+	// Materialized backing; pos also indexes the merge's page when streaming.
 	resp *Response
 	pos  int
+	n    int // rows of the merge's page to read; 0 once the stream is finished
 
 	cols      []string
-	cur       Row
-	pair      [2]idl.Any // the streaming path's current [source, value], reused row to row
+	cur       Row        // current row; pair while a merge page is read
+	pair      [2]idl.Any // the merge page's [source, value]: Scan reads the value from the page, All fills it
 	err       error
 	delivered int64
 	finished  bool // stream fully terminated, stats flushed
@@ -141,21 +144,30 @@ func (r *Rows) Columns() []string { return r.cols }
 // Next advances to the next row, reporting false when the iteration ends —
 // exhaustion, a satisfied LIMIT, or a terminal error (see Err).
 func (r *Rows) Next() bool {
+	if r.pos+1 < r.n { // the merge's page has another row
+		r.pos++
+		r.delivered++
+		return true
+	}
+	return r.next()
+}
+
+// next is Next's slow path: the merge's next page, or the materialized rows.
+func (r *Rows) next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	if r.ms != nil {
-		v, m, ok := r.ms.Next()
-		if !ok {
+	if ms := r.ms; ms != nil {
+		if !ms.nextPage() {
 			r.finishStream(true)
 			return false
 		}
-		r.delivered++
-		if r.cols == nil && r.ms.runs[m].Column != "" {
-			r.cols = []string{"source", r.ms.runs[m].Column}
+		r.pos, r.n, r.cur = 0, ms.n, r.pair[:]
+		r.pair[0] = idl.String(ms.plan.Members[ms.cur].D.Name)
+		if r.cols == nil && ms.runs[ms.cur].Column != "" {
+			r.cols = []string{"source", ms.runs[ms.cur].Column}
 		}
-		r.pair[0], r.pair[1] = idl.String(r.ms.plan.Members[m].D.Name), v
-		r.cur = r.pair[:]
+		r.delivered++
 		return true
 	}
 	if r.resp == nil || r.resp.Result == nil || r.pos >= len(r.resp.Result.Rows) {
@@ -177,6 +189,9 @@ func (r *Rows) Scan(dest ...any) error {
 	}
 	for i, d := range dest {
 		v := r.cur[i]
+		if i == 1 && r.ms != nil {
+			v = r.ms.page.Value(0, r.pos) // in place, from the page's column
+		}
 		switch p := d.(type) {
 		case *string:
 			if v.Kind == idl.KindString {
@@ -245,6 +260,9 @@ func (r *Rows) All() iter.Seq2[int, Row] {
 	return func(yield func(int, Row) bool) {
 		defer r.Close()
 		for i := 0; r.Next(); i++ {
+			if r.ms != nil {
+				r.pair[1] = r.ms.page.Value(0, r.pos)
+			}
 			if !yield(i, r.cur) {
 				return
 			}
@@ -276,7 +294,7 @@ func (r *Rows) finishStream(evaluate bool) {
 	if r.finished {
 		return
 	}
-	r.finished = true
+	r.finished, r.n, r.cur = true, 0, nil
 	ms := r.ms
 	ms.Close()
 	if r.cols == nil {

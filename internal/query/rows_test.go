@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -522,5 +523,141 @@ func TestMemberSpansReportPages(t *testing.T) {
 	}
 	if seen != members {
 		t.Fatalf("%d query.member: span(s) in the trace, want %d", seen, members)
+	}
+}
+
+// TestStreamLimitCutsMidPage: the merge cuts the page that reaches the LIMIT
+// where the LIMIT falls, in member 0's second page and in member 1's first.
+// Behind a 2-row merge window, with nothing pushed, member 0's 6 rows come
+// as pages of 2 and 4, member 1's 3 rows as one page, member 2's first page
+// is 2 of its 6. Stream and Execute agree row for row, the members after
+// the cut read "limit", the cut counts one early termination, and cutting a
+// page fetches nothing more: the stream moves the pages it took and the
+// first pages of the members it never reached, 11 rows, wherever the LIMIT
+// cuts.
+func TestStreamLimitCutsMidPage(t *testing.T) {
+	const moved = 6 + 3 + 2
+	_, nodes := planFederation(t, 3, func(i int, c *core.NodeConfig) {
+		if i == 1 {
+			c.Schema = "CREATE TABLE r (k VARCHAR(16) PRIMARY KEY, v INT);\n" +
+				"INSERT INTO r VALUES ('r10', 1000); INSERT INTO r VALUES ('r11', 1001); INSERT INTO r VALUES ('r12', 1002);"
+		}
+	})
+	setMergeWindow(nodes, 2)
+	coord := nodes[0].Processor
+	coord.SetPushdown(false)
+	s := nodes[0].NewSession()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		limit int
+		want  []int64 // v of each row, in order
+		stop  int     // the member whose page the LIMIT cut
+	}{
+		{4, []int64{0, 1, 2, 3}, 0},
+		{8, []int64{0, 1, 2, 3, 4, 5, 1000, 1001}, 1},
+	} {
+		stmt := fmt.Sprintf(`V(R.K) On Coalition C Limit %d;`, tc.limit)
+		coord.SetFanOut(1)
+		exec, err := s.Execute(ctx, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Every member is dispatched at once, and the merge reads on only
+		// once the coordinator holds the four pages fetched before any cut
+		// (member 0's two, the others' first), so what the stream moves
+		// does not depend on when the cut lands.
+		coord.SetFanOut(0)
+		live := gateway.LiveBatches()
+		before := coord.PlannerStats()
+		rows, err := s.Stream(ctx, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatalf("no first row: %v", rows.Err())
+		}
+		if !waitFor(t, 2*time.Second, func() bool { return gateway.LiveBatches()-live == 4 }) {
+			t.Fatalf("the coordinator holds %d pages, want 4", gateway.LiveBatches()-live)
+		}
+		var src string
+		var v idl.Any
+		if err := rows.Scan(&src, &v); err != nil {
+			t.Fatal(err)
+		}
+		streamed := append([]query.Row{{idl.String(src), v}}, drainRows(t, rows)...)
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+
+		if len(streamed) != len(tc.want) || len(exec.Result.Rows) != len(tc.want) {
+			t.Fatalf("Limit %d: streamed %d rows, Execute %d, want %d", tc.limit, len(streamed), len(exec.Result.Rows), len(tc.want))
+		}
+		for i, row := range streamed {
+			if row[1].Int != tc.want[i] || !reflect.DeepEqual([]idl.Any(row), exec.Result.Rows[i]) {
+				t.Fatalf("Limit %d, row %d: streamed %+v, Execute %+v, want v %d", tc.limit, i, row, exec.Result.Rows[i], tc.want[i])
+			}
+		}
+		for i, st := range rows.Members() {
+			if (i > tc.stop) != (st.ErrClass == "limit") || exec.Members[i].ErrClass != st.ErrClass {
+				t.Errorf("Limit %d, member %d: streamed %+v, Execute %+v; the members after %d read limit", tc.limit, i, st, exec.Members[i], tc.stop)
+			}
+		}
+		after := coord.PlannerStats()
+		if d := after.EarlyTerminations - before.EarlyTerminations; d != 1 {
+			t.Errorf("Limit %d: early terminations rose by %d, want 1", tc.limit, d)
+		}
+		if d := after.RowsMoved - before.RowsMoved; d != moved {
+			t.Errorf("Limit %d: the stream moved %d rows, want %d", tc.limit, d, moved)
+		}
+		if !waitFor(t, 2*time.Second, func() bool { return gateway.LiveBatches() == live }) {
+			t.Fatalf("Limit %d: %d page(s) out of the pool after Close", tc.limit, gateway.LiveBatches()-live)
+		}
+	}
+}
+
+// TestStreamRowsAllocateNothingPerRow: reading a streamed coalition result
+// costs allocations per page — the members' pages, the merge's hand-over —
+// and per statement, never per row: a drained 3-member, 6 000-row stream in
+// 18 pages stays within a per-page constant that one allocation per row
+// would exceed several times over.
+func TestStreamRowsAllocateNothingPerRow(t *testing.T) {
+	const members, rowsEach, perPage = 3, 2000, 60
+	nodes := streamFederation(t, members, rowsEach, 64)
+	s := nodes[0].NewSession()
+	ctx := context.Background()
+	fetches := func() (n int64) {
+		for _, f := range fetchesPerNode(nodes) {
+			n += f
+		}
+		return n
+	}
+	runs, before := 0, fetches()
+	allocs := testing.AllocsPerRun(4, func() {
+		runs++
+		rows, err := s.Stream(ctx, `V(R.V, (R.V >= 0)) On Coalition C;`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var src string
+		var v int64
+		n := 0
+		for rows.Next() {
+			if err := rows.Scan(&src, &v); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		rows.Close()
+		if n != members*rowsEach {
+			t.Fatalf("streamed %d rows, want %d", n, members*rowsEach)
+		}
+	})
+	pages := float64(fetches()-before) / float64(runs)
+	t.Logf("%.0f allocations per %d-row stream of %.0f pages: %.1f per page", allocs, members*rowsEach, pages, allocs/pages)
+	if allocs > perPage*pages {
+		t.Fatalf("a %d-row stream of %.0f pages made %.0f allocations, over %d per page: the row path allocates",
+			members*rowsEach, pages, allocs, perPage)
 	}
 }

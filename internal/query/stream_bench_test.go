@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/idl"
 	"repro/internal/oodb"
+	"repro/internal/query"
 )
 
 // streamBenchRows is the per-node row count for the streaming benchmark:
@@ -56,16 +58,19 @@ func streamFederation(tb testing.TB, members, rows, bufRows int) []*core.Node {
 // BenchmarkFederatedStreaming measures a large scan-filter federated query
 // with the member cursor protocol on (rows page across the wire, 64 rows
 // first, then doubling to gateway.MaxPageRows) vs off (each member
-// materializes its whole result in one reply). Reported per mode: p99
-// statement latency, rows moved per fetch round trip, and the coordinator's
-// peak merge buffer — which the cursor mode must keep bounded by members x 2
-// x the largest page regardless of scan size (asserted here).
+// materializes its whole result in one reply), drained by Session.Execute,
+// and, in the stream mode, read row by row through Session.Stream's Next and
+// Scan. Reported per mode: p99 statement latency, ns per row delivered, rows
+// moved per fetch round trip, and the coordinator's peak merge buffer —
+// which the cursor modes must keep bounded by members x 2 x the largest page
+// regardless of scan size (asserted here).
 func BenchmarkFederatedStreaming(b *testing.B) {
 	const members, bufRows = 3, 64
 	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"cursor", true}, {"materialized", false}} {
+		name   string
+		on     bool
+		stream bool
+	}{{"cursor", true, false}, {"materialized", false, false}, {"stream", true, true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			nodes := streamFederation(b, members, streamBenchRows, bufRows)
 			nodes[0].Processor.SetStreaming(mode.on)
@@ -78,21 +83,22 @@ func BenchmarkFederatedStreaming(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var moved int64
 			lat := make([]time.Duration, 0, b.N)
+			movedBefore := nodes[0].Processor.PlannerStats().RowsMoved
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				resp, err := s.Execute(ctx, stmt)
+				n, err := runStreamBench(ctx, s, stmt, mode.stream)
 				lat = append(lat, time.Since(start))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(resp.Result.Rows) != members*streamBenchRows {
-					b.Fatalf("rows = %d, want %d", len(resp.Result.Rows), members*streamBenchRows)
+				if n != members*streamBenchRows {
+					b.Fatalf("rows = %d, want %d", n, members*streamBenchRows)
 				}
-				moved += int64(resp.RowsMoved)
 			}
 			b.StopTimer()
+			moved := nodes[0].Processor.PlannerStats().RowsMoved - movedBefore
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*members*streamBenchRows), "ns/row")
 			b.ReportMetric(float64(moved)/float64(b.N), "rows-moved/op")
 			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 			p99 := lat[len(lat)*99/100]
@@ -111,4 +117,30 @@ func BenchmarkFederatedStreaming(b *testing.B) {
 			}
 		})
 	}
+}
+
+// runStreamBench runs the benchmark's statement once and returns the rows it
+// delivered: drained by Execute, or read one by one through Stream.
+func runStreamBench(ctx context.Context, s *query.Session, stmt string, stream bool) (int, error) {
+	if !stream {
+		resp, err := s.Execute(ctx, stmt)
+		if err != nil {
+			return 0, err
+		}
+		return len(resp.Result.Rows), nil
+	}
+	rows, err := s.Stream(ctx, stmt)
+	if err != nil {
+		return 0, err
+	}
+	defer rows.Close()
+	var src, v idl.Any // as fedbench scans
+	n := 0
+	for rows.Next() {
+		if err := rows.Scan(&src, &v); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, rows.Err()
 }
