@@ -23,8 +23,10 @@ COVER_FLOOR = 84.6
 # joins, UNION, subqueries, BETWEEN, arithmetic, scalar functions and
 # DISTINCT, and oodb had methods; 65.6% once they were deleted; 67.8% once
 # objects were stored by slot; 69.9% once the coordinator's compensation
-# was held to each engine with the conjunct pushed, on every column kind).
-ENGINE_REACH_FLOOR = 69.9
+# was held to each engine with the conjunct pushed, on every column kind;
+# 73.5% once OR, NOT, IS NULL, other comparisons, non-literal IN items,
+# OFFSET, INSERT ... SELECT and OQL SELECT * were deleted).
+ENGINE_REACH_FLOOR = 73.5
 
 # verify is the tier-1 gate: build + vet + full test suite.
 verify:
@@ -119,10 +121,14 @@ cover-check: cover
 
 # engine-reach is the engines' ratchet: the share of internal/relational's
 # and internal/oodb's statements the federation-level packages reach, which
-# fails below ENGINE_REACH_FLOOR. Its profile is engine-reach.out.
+# fails below ENGINE_REACH_FLOOR. It first lists the engines' functions the
+# federation leaves at 0 % (DESIGN §9's last column). Its profile is
+# engine-reach.out.
 engine-reach:
 	$(GO) test -count=1 -coverpkg=./internal/relational,./internal/oodb -coverprofile=engine-reach.out \
 		./internal/query ./internal/medworld ./internal/simtest ./internal/core ./cmd/webfindit-node ./bench
+	@echo "engine functions at 0% from the federation:"
+	@$(GO) tool cover -func=engine-reach.out | awk '$$NF == "0.0%" { print "  " $$1 " " $$2 }'
 	@reach=$$($(GO) tool cover -func=engine-reach.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
 	echo "engine reach: $$reach% (floor $(ENGINE_REACH_FLOOR)%)"; \
 	awk -v r="$$reach" -v f="$(ENGINE_REACH_FLOOR)" 'BEGIN { exit (r+0 < f+0) ? 1 : 0 }' || \

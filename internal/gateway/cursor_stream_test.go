@@ -229,33 +229,3 @@ func TestCursorHoldsMaterialisedRows(t *testing.T) {
 	it.Close()
 	e.quiet(t, "on a plan that does not stream", before)
 }
-
-// TestCursorErrorPastPageOne: an expression that fails on a row the first page
-// does not reach fails the fetch that reaches it, with the engine's message,
-// and the cursor is gone.
-func TestCursorErrorPastPageOne(t *testing.T) {
-	e := startScanEngines(t, nil)[0]
-	ctx := context.Background()
-	it, err := e.rconn.QueryCursor(ctx, "SELECT v <> 700 OR NOT k FROM r WHERE v >= 0", 64)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer it.Close()
-	rows := 0
-	for {
-		b, err := it.Next(ctx)
-		if err != nil {
-			if !strings.Contains(err.Error(), "NOT applied to TEXT") {
-				t.Fatalf("fetch error = %v", err)
-			}
-			break
-		}
-		rows += b.Len()
-		b.Release()
-	}
-	// Pages of 64, 128 and 256 rows end at row 448; the 512-row page holds row 700.
-	if rows != 448 {
-		t.Fatalf("%d rows before the error, want 448", rows)
-	}
-	e.quiet(t, "after a failed fetch", e.chunks())
-}

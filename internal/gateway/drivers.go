@@ -130,7 +130,7 @@ var relChunks = sync.Pool{New: func() any { return new(relational.Chunk) }}
 func (s relRows) held() int { return s.rows.Held() }
 func (s relRows) left() int { return s.rows.Left() }
 func (s relRows) close()    { s.rows.Close() }
-func (s relRows) fill(b *Batch, most int) (bool, error) {
+func (s relRows) fill(b *Batch, most int) bool {
 	ch := relChunks.Get().(*relational.Chunk)
 	defer func() {
 		for _, col := range ch.Cols {
@@ -139,15 +139,12 @@ func (s relRows) fill(b *Batch, most int) (bool, error) {
 		relChunks.Put(ch)
 	}()
 	ch.Cols = slices.Grow(ch.Cols[:0], len(b.cols))[:len(b.cols)]
-	done, err := s.rows.Next(ch, most)
-	if err != nil {
-		return false, err
-	}
+	done := s.rows.Next(ch, most)
 	for j := range b.cols {
 		fillRelational(&b.cols[j], ch.Cols[j][:ch.N])
 	}
 	b.rows = ch.N
-	return done, nil
+	return done
 }
 
 // fillRelational appends one column of engine values to a batch column, each
@@ -252,7 +249,7 @@ var ooChunks = sync.Pool{New: func() any { return new(oodb.Chunk) }}
 func (s ooRows) held() int { return 0 }
 func (s ooRows) left() int { return s.rows.Left() }
 func (s ooRows) close()    { s.rows.Close() }
-func (s ooRows) fill(b *Batch, most int) (bool, error) {
+func (s ooRows) fill(b *Batch, most int) bool {
 	ch := ooChunks.Get().(*oodb.Chunk)
 	defer func() {
 		for _, col := range ch.Cols {
@@ -268,7 +265,7 @@ func (s ooRows) fill(b *Batch, most int) (bool, error) {
 		}
 	}
 	b.rows = ch.N
-	return done, nil
+	return done
 }
 
 func (c *ooConn) Close() error {

@@ -148,8 +148,8 @@ type localIter struct {
 type batchSource interface {
 	// fill appends the next rows, at most most of them (0: all that are
 	// left), to the empty batch's columns and reports whether they were the
-	// last. Only a last fill may add none.
-	fill(b *Batch, most int) (done bool, err error)
+	// last. Only a last fill may add none. A source cannot fail once open.
+	fill(b *Batch, most int) (done bool)
 	held() int // rows held materialised for later fills
 	left() int // an upper bound on the rows later fills return
 	close()
@@ -168,13 +168,9 @@ func (it *localIter) Next(context.Context) (*Batch, error) {
 	if most > 0 && it.src.left() <= min(2*most, MaxPageRows) {
 		most = 0
 	}
-	var err error
-	if it.done, err = it.src.fill(b, most); err != nil || b.rows == 0 {
+	if it.done = it.src.fill(b, most); b.rows == 0 {
 		b.Release()
-		if err == nil {
-			err = io.EOF
-		}
-		return nil, err
+		return nil, io.EOF
 	}
 	it.page = nextPageRows(it.page)
 	return b, nil
@@ -187,7 +183,7 @@ type boxedRows struct{ rows [][]idl.Any }
 func (s *boxedRows) held() int { return len(s.rows) }
 func (s *boxedRows) left() int { return len(s.rows) }
 func (s *boxedRows) close()    { s.rows = nil }
-func (s *boxedRows) fill(b *Batch, most int) (bool, error) {
+func (s *boxedRows) fill(b *Batch, most int) bool {
 	n := len(s.rows)
 	if most > 0 {
 		n = min(most, n)
@@ -203,7 +199,7 @@ func (s *boxedRows) fill(b *Batch, most int) (bool, error) {
 	}
 	b.rows = n
 	s.rows = s.rows[n:]
-	return len(s.rows) == 0, nil
+	return len(s.rows) == 0
 }
 
 // NewResultIter returns a RowIter over an already-materialized result, paged

@@ -169,7 +169,11 @@ func TestSlotsAcrossTheLattice(t *testing.T) {
 				cl, _ := db.Class(class)
 				for _, w := range where {
 					ext := len(db.extents[strings.ToLower(class)])
-					q := "SELECT * FROM " + class
+					names := make([]string, len(cl.layout))
+					for i, a := range cl.layout {
+						names[i] = a.Name
+					}
+					q := "SELECT " + strings.Join(names, ", ") + " FROM " + class
 					if deep {
 						q += " DEEP"
 					}
@@ -178,7 +182,7 @@ func TestSlotsAcrossTheLattice(t *testing.T) {
 					for _, o := range objs {
 						if latticeMatch(o, w) {
 							row := []any{}
-							for _, a := range cl.AllAttributes() {
+							for _, a := range cl.layout {
 								v, _ := o.Get(a.Name)
 								row = append(row, v)
 							}

@@ -79,10 +79,6 @@ func (c *Class) Super() *Class { return c.super }
 // Attributes returns the class's own (non-inherited) attributes.
 func (c *Class) Attributes() []Attribute { return append([]Attribute(nil), c.attrs...) }
 
-// AllAttributes returns own plus inherited attributes, most-derived last
-// overriding earlier names.
-func (c *Class) AllAttributes() []Attribute { return append([]Attribute(nil), c.layout...) }
-
 // slot resolves an attribute by name to its position in the layout.
 func (c *Class) slot(name string) (int, bool) {
 	i, ok := c.slots[strings.ToLower(name)]

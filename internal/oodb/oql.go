@@ -14,12 +14,13 @@ import (
 
 // Query evaluates a small OQL-style query against the database:
 //
-//	SELECT * FROM ClassName
 //	SELECT name, funding FROM Research DEEP WHERE field = 'aids' AND funding > 100000
 //	SELECT name FROM Research WHERE name LIKE '%Hospital%'
 //
-// DEEP includes subclass instances. The WHERE clause is a conjunction of
-// comparisons between an attribute and a literal (string, int, float, bool).
+// DEEP includes subclass instances. The attributes are named (SELECT * is
+// refused: a fragment names its columns). The WHERE clause is a conjunction
+// of comparisons between an attribute and a literal (string, int, float,
+// bool).
 // It returns the projected column names and rows, in object ID order. This
 // plays the role the ObjectStore/Ontos query APIs play in the paper's
 // prototype. It is QueryRows drained under one hold of the read lock, so the
@@ -101,18 +102,10 @@ func (db *DB) openRows(q string) (*Rows, error) {
 	// result, not per object. A subclass's layout extends the class's, so a
 	// slot of the class is the same attribute in every object of a DEEP
 	// extent; a condition on an attribute only subclasses declare has none.
-	if sel.star {
-		r.cols = make([]string, len(class.layout))
-		r.slots = make([]int, len(class.layout))
-		for i, a := range class.layout {
-			r.cols[i], r.slots[i] = a.Name, i
-		}
-	} else {
-		r.slots = make([]int, len(r.cols))
-		for i, a := range r.cols {
-			if r.slots[i], ok = class.slot(a); !ok {
-				return nil, fmt.Errorf("oodb: class %s has no attribute %s", sel.class, a)
-			}
+	r.slots = make([]int, len(r.cols))
+	for i, a := range r.cols {
+		if r.slots[i], ok = class.slot(a); !ok {
+			return nil, fmt.Errorf("oodb: class %s has no attribute %s", sel.class, a)
 		}
 	}
 	for i := range r.conds {
@@ -559,7 +552,6 @@ func oqlCompare(a, b any) (int, bool) {
 }
 
 type oqlSelect struct {
-	star  bool
 	attrs []string
 	class string
 	deep  bool
@@ -656,20 +648,18 @@ func (p *oqlParser) parse() (*oqlSelect, error) {
 		return nil, fmt.Errorf("oodb: query must begin with SELECT")
 	}
 	if p.peek().text == "*" {
-		p.next()
-		sel.star = true
-	} else {
-		for {
-			t := p.next()
-			if t.kind != "word" {
-				return nil, fmt.Errorf("oodb: expected attribute name, got %q", t.text)
-			}
-			sel.attrs = append(sel.attrs, t.text)
-			if p.peek().text != "," {
-				break
-			}
-			p.next()
+		return nil, fmt.Errorf("oodb: SELECT * is not supported")
+	}
+	for {
+		t := p.next()
+		if t.kind != "word" {
+			return nil, fmt.Errorf("oodb: expected attribute name, got %q", t.text)
 		}
+		sel.attrs = append(sel.attrs, t.text)
+		if p.peek().text != "," {
+			break
+		}
+		p.next()
 	}
 	if !p.acceptWord("FROM") {
 		return nil, fmt.Errorf("oodb: expected FROM")

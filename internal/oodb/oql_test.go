@@ -1,6 +1,7 @@
 package oodb
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -37,9 +38,14 @@ func newOQLDB(t *testing.T) *DB {
 	return db
 }
 
+// TestOQLSelectStar: SELECT * is refused by name, since a fragment names its
+// attributes; naming them all reads every attribute, shallow by default.
 func TestOQLSelectStar(t *testing.T) {
 	db := newOQLDB(t)
-	cols, rows, err := Query(db, "SELECT * FROM Callout")
+	if _, _, err := Query(db, "SELECT * FROM Callout"); err == nil || !strings.Contains(err.Error(), "SELECT * is not supported") {
+		t.Fatalf("SELECT *: %v", err)
+	}
+	cols, rows, err := Query(db, "SELECT Suburb, Priority, Weight, Urgent FROM Callout")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +120,14 @@ func TestOQLErrors(t *testing.T) {
 		"",
 		"FROM Callout",
 		"SELECT FROM Callout",
-		"SELECT * FROM",
-		"SELECT * FROM NoClass",
+		"SELECT Suburb FROM",
+		"SELECT Suburb FROM NoClass",
 		"SELECT Bogus FROM Callout",
-		"SELECT * FROM Callout WHERE",
-		"SELECT * FROM Callout WHERE Suburb ~ 'x'",
-		"SELECT * FROM Callout WHERE Suburb = ",
-		"SELECT * FROM Callout WHERE Suburb = banana",
-		"SELECT * FROM Callout trailing junk",
+		"SELECT Suburb FROM Callout WHERE",
+		"SELECT Suburb FROM Callout WHERE Suburb ~ 'x'",
+		"SELECT Suburb FROM Callout WHERE Suburb = ",
+		"SELECT Suburb FROM Callout WHERE Suburb = banana",
+		"SELECT Suburb FROM Callout trailing junk",
 	}
 	for _, q := range bad {
 		if _, _, err := Query(db, q); err == nil {

@@ -72,7 +72,7 @@ func TestIteratorPageSizesAgree(t *testing.T) {
 		}
 	}
 	for _, q := range []string{
-		"SELECT * FROM r",
+		"SELECT k, v FROM r",
 		"SELECT k FROM r DEEP",
 		"SELECT k, v FROM r WHERE v >= 1200",
 		"SELECT v FROM r DEEP WHERE k LIKE 'x-1%' AND v < 1900",

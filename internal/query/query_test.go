@@ -287,6 +287,10 @@ func TestNativeQueryReachesTheEngine(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "JOIN is not supported") {
 		t.Errorf("native join: %v, %+v", err, resp)
 	}
+	resp, err = s.Execute(ctx, `Query Gamma Using Native "SELECT k FROM r WHERE v = 1 OR v = 2";`)
+	if err == nil || !strings.Contains(err.Error(), "OR is not supported") {
+		t.Errorf("native OR: %v, %+v", err, resp)
+	}
 	resp, err = s.Execute(ctx, `Query Gamma Using Native "EXPLAIN SELECT v FROM r WHERE v >= 100";`)
 	if err != nil {
 		t.Fatal(err)

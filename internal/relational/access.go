@@ -85,9 +85,6 @@ func parseKeyTerm(cols []colBinding, conj Expr) (keyTerm, bool) {
 			return kt, false
 		}
 	case *InList:
-		if x.Negate {
-			return kt, false
-		}
 		col, kt.op, kt.in = x.X, "IN", x
 	default:
 		return kt, false
@@ -103,18 +100,16 @@ func parseKeyTerm(cols []colBinding, conj Expr) (keyTerm, bool) {
 
 // lookupKeys is the distinct keys, ascending, an equality or IN term looks
 // up in an index on a column of type typ: every literal but the NULLs an IN
-// list may hold (they match nothing). ok is false when an item is not a
-// literal or a literal is not in the column's key order.
+// list may hold (they match nothing). ok is false when a literal is not in
+// the column's key order.
 func (kt *keyTerm) lookupKeys(typ ColType) (keys []Value, ok bool) {
 	if kt.in == nil {
 		return []Value{*kt.lit}, keyOrder(typ, *kt.lit)
 	}
 	keys = make([]Value, 0, len(kt.in.List))
 	for _, item := range kt.in.List {
-		l, isLit := item.(*Literal)
+		l := item.(*Literal)
 		switch {
-		case !isLit:
-			return nil, false
 		case l.Val.Null:
 		case !keyOrder(typ, l.Val):
 			return nil, false

@@ -42,7 +42,8 @@ func (c *ColRef) String() string {
 }
 
 // Binary is a binary operation. Op is one of "=", "<>", "<", "<=", ">",
-// ">=", "LIKE", "AND" and "OR".
+// ">=", "LIKE" and "AND". The parser admits a comparison or LIKE only between
+// a column (or an aggregate call) and a literal, either way round.
 type Binary struct {
 	Op   string
 	L, R Expr
@@ -53,31 +54,10 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
 
-// Not is logical negation.
-type Not struct{ X Expr }
-
-func (*Not) expr()            {}
-func (n *Not) String() string { return "NOT " + n.X.String() }
-
-// IsNull tests nullity; Negate selects IS NOT NULL.
-type IsNull struct {
-	X      Expr
-	Negate bool
-}
-
-func (*IsNull) expr() {}
-func (n *IsNull) String() string {
-	if n.Negate {
-		return n.X.String() + " IS NOT NULL"
-	}
-	return n.X.String() + " IS NULL"
-}
-
-// InList tests membership in a list.
+// InList tests membership in a list of literals.
 type InList struct {
-	X      Expr
-	List   []Expr
-	Negate bool
+	X    Expr
+	List []Expr // each a *Literal
 }
 
 func (*InList) expr() {}
@@ -86,11 +66,7 @@ func (in *InList) String() string {
 	for i, e := range in.List {
 		parts[i] = e.String()
 	}
-	not := ""
-	if in.Negate {
-		not = " NOT"
-	}
-	return in.X.String() + not + " IN (" + strings.Join(parts, ", ") + ")"
+	return in.X.String() + " IN (" + strings.Join(parts, ", ") + ")"
 }
 
 // FuncCall is an aggregate call (COUNT, SUM, AVG, MIN or MAX) over one
@@ -128,10 +104,6 @@ func inspect(e Expr, f func(Expr) bool) {
 	case *Binary:
 		inspect(x.L, f)
 		inspect(x.R, f)
-	case *Not:
-		inspect(x.X, f)
-	case *IsNull:
-		inspect(x.X, f)
 	case *InList:
 		inspect(x.X, f)
 		for _, a := range x.List {
@@ -200,7 +172,6 @@ type SelectStmt struct {
 	Having  Expr
 	OrderBy []OrderItem
 	Limit   int // -1 = none
-	Offset  int
 }
 
 func (*SelectStmt) stmt() {}
@@ -208,9 +179,8 @@ func (*SelectStmt) stmt() {}
 // InsertStmt is a parsed INSERT.
 type InsertStmt struct {
 	Table   string
-	Columns []string    // empty = all, in declaration order
-	Rows    [][]Expr    // VALUES lists
-	Query   *SelectStmt // INSERT INTO ... SELECT
+	Columns []string // empty = all, in declaration order
+	Rows    [][]Expr // VALUES lists
 }
 
 func (*InsertStmt) stmt() {}

@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,8 +11,10 @@ import (
 // engine's one expression evaluator: expressions are compiled once per
 // statement execution into a tree of vexpr nodes that evaluate over column
 // vectors with a selection vector, instead of re-walking the AST (and
-// re-resolving column names) for every tuple. Operators apply through
-// applyBinary/applyNot (expr.go).
+// re-resolving column names) for every tuple. What the parser admits is a
+// conjunction of comparisons and LIKEs of a column (or an aggregate call)
+// against a literal and of IN lists of literals, and the plan resolves every
+// name before anything is compiled (planFrom), so no node fails on a row.
 
 // vecChunk is the batch granularity: scans, filters, projections and
 // aggregations process at most this many rows per call, so scratch buffers
@@ -85,80 +86,50 @@ func (c *vctx) putSel(b []int) { c.sels = append(c.sels, b) }
 // the rows named by sel (indices into the batch's column vectors), writing
 // the value for row sel[k] into out[k]. len(sel) never exceeds vecChunk.
 type vexpr interface {
-	eval(c *vctx, b *vbatch, sel []int, out []Value) error
+	eval(c *vctx, b *vbatch, sel []int, out []Value)
 }
 
-// compileExpr compiles an expression against a binding list. Compilation
-// never fails: an unresolvable reference compiles to a node that reports its
-// error when (and only when) at least one row is evaluated, so an expression
-// over empty input never fails. An aggregate call reads the column bound to
-// it (aggBinding), which only the grouped finalisation's relation has.
+// compileExpr compiles an expression against a binding list, every name in
+// which the plan has resolved (planFrom). An aggregate call reads the column
+// bound to it (aggBinding), which only the grouped finalisation's relation
+// has.
 func compileExpr(e Expr, cols []colBinding) vexpr {
 	switch x := e.(type) {
 	case *Literal:
 		return &vLit{v: x.Val}
-	case *ColRef:
-		ord, err := resolveCol(cols, x)
-		if err != nil {
-			return &vErr{err: err}
-		}
-		return &vCol{ord: ord}
-	case *Not:
-		return &vNot{x: compileExpr(x.X, cols)}
+	case *ColRef, *FuncCall:
+		return &vCol{ord: ordinal(e, cols)}
 	case *Binary:
-		switch x.Op {
-		case "AND":
+		if x.Op == "AND" {
 			return &vAnd{l: compileExpr(x.L, cols), r: compileExpr(x.R, cols)}
-		case "OR":
-			return &vOr{l: compileExpr(x.L, cols), r: compileExpr(x.R, cols)}
 		}
-		// Fused column-vs-literal fast path: one pass over the column
-		// vector, no operand buffers.
-		if cr, ok := x.L.(*ColRef); ok {
-			if lit, ok2 := x.R.(*Literal); ok2 {
-				if ord, err := resolveCol(cols, cr); err == nil {
-					return &vColLitOp{op: x.Op, ord: ord, lit: lit.Val, cmpOp: cmpOpCode(x.Op)}
-				}
-			}
+		// A comparison or LIKE of a column and a literal (the parser admits
+		// no other): one pass over the column vector, no operand buffers.
+		n := &vColLitOp{op: x.Op, cmpOp: cmpOpCode(x.Op)}
+		if lit, ok := x.R.(*Literal); ok {
+			n.ord, n.lit = ordinal(x.L, cols), lit.Val
+		} else {
+			n.ord, n.lit, n.litLeft = ordinal(x.R, cols), x.L.(*Literal).Val, true
 		}
-		if lit, ok := x.L.(*Literal); ok {
-			if cr, ok2 := x.R.(*ColRef); ok2 {
-				if ord, err := resolveCol(cols, cr); err == nil {
-					return &vColLitOp{op: x.Op, ord: ord, lit: lit.Val, litLeft: true, cmpOp: cmpOpCode(x.Op)}
-				}
-			}
-		}
-		return &vBinary{op: x.Op, l: compileExpr(x.L, cols), r: compileExpr(x.R, cols)}
-	case *IsNull:
-		return &vIsNull{x: compileExpr(x.X, cols), negate: x.Negate}
+		return n
 	case *InList:
-		// An item is evaluated only for the rows no earlier item matched,
-		// so a list that is all literals, which cannot fail, is a set
-		// lookup, and any other is evaluated an item at a time.
 		vals := make([]Value, len(x.List))
 		for i, item := range x.List {
-			lit, ok := item.(*Literal)
-			if !ok {
-				return &vInItems{x: compileExpr(x.X, cols), items: compileAll(x.List, cols), negate: x.Negate}
-			}
-			vals[i] = lit.Val
+			vals[i] = item.(*Literal).Val
 		}
-		return newInList(compileExpr(x.X, cols), vals, x.Negate)
-	case *FuncCall:
-		if ord := slices.Index(cols, aggBinding(x)); ord >= 0 {
-			return &vCol{ord: ord}
-		}
-		return &vErr{err: fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)}
+		return newInList(compileExpr(x.X, cols), vals)
 	}
-	return &vErr{err: fmt.Errorf("sql: cannot evaluate %T", e)}
+	panic("relational: cannot compile " + e.String())
 }
 
-func compileAll(es []Expr, cols []colBinding) []vexpr {
-	out := make([]vexpr, len(es))
-	for i, e := range es {
-		out[i] = compileExpr(e, cols)
+// ordinal is the position in cols of a resolved column reference or of an
+// aggregate call's column.
+func ordinal(e Expr, cols []colBinding) int {
+	if f, ok := e.(*FuncCall); ok {
+		return slices.Index(cols, aggBinding(f))
 	}
-	return out
+	ord, _ := resolveCol(cols, e.(*ColRef)) // resolved at plan time
+	return ord
 }
 
 // aggBinding is the binding of an aggregate call's column in the grouped
@@ -169,72 +140,19 @@ func aggBinding(f *FuncCall) colBinding { return colBinding{name: f.String()} }
 
 type vLit struct{ v Value }
 
-func (n *vLit) eval(_ *vctx, _ *vbatch, sel []int, out []Value) error {
+func (n *vLit) eval(_ *vctx, _ *vbatch, sel []int, out []Value) {
 	for k := range sel {
 		out[k] = n.v
 	}
-	return nil
 }
 
 type vCol struct{ ord int }
 
-func (n *vCol) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
+func (n *vCol) eval(_ *vctx, b *vbatch, sel []int, out []Value) {
 	vec := b.vecs[n.ord]
 	for k, r := range sel {
 		out[k] = vec[r]
 	}
-	return nil
-}
-
-// vErr defers a compile-time resolution error to evaluation time, raising it
-// only when at least one row is evaluated.
-type vErr struct{ err error }
-
-func (n *vErr) eval(_ *vctx, _ *vbatch, sel []int, _ []Value) error {
-	if len(sel) == 0 {
-		return nil
-	}
-	return n.err
-}
-
-type vNot struct{ x vexpr }
-
-func (n *vNot) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	if err := n.x.eval(c, b, sel, out); err != nil {
-		return err
-	}
-	for k := range sel {
-		v, err := applyNot(out[k])
-		if err != nil {
-			return err
-		}
-		out[k] = v
-	}
-	return nil
-}
-
-type vBinary struct {
-	op   string
-	l, r vexpr
-}
-
-func (n *vBinary) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	lbuf := c.getVals()
-	defer c.putVals(lbuf[:len(sel)])
-	if err := n.l.eval(c, b, sel, lbuf); err != nil {
-		return err
-	}
-	if err := n.r.eval(c, b, sel, out); err != nil {
-		return err
-	}
-	for k := range sel {
-		v, err := applyBinary(n.op, lbuf[k], out[k])
-		if err != nil {
-			return err
-		}
-		out[k] = v
-	}
-	return nil
 }
 
 // vColLitOp is the fused `column <op> literal` (or swapped) node covering
@@ -297,7 +215,7 @@ func cmpBool(code uint8, c int) Value {
 	}
 }
 
-func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
+func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) {
 	vec := b.vecs[n.ord]
 	if n.op == "LIKE" && !n.litLeft && !n.lit.Null {
 		// MatchLike(v.String(), pattern), as applyBinary has it: a text or
@@ -313,7 +231,7 @@ func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
 				out[k] = BoolValue(MatchLike(v.String(), pat))
 			}
 		}
-		return nil
+		return
 	}
 	if n.cmpOp != cmpNone && !n.lit.Null {
 		switch n.lit.Kind {
@@ -350,7 +268,7 @@ func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
 				}
 				out[k] = cmpBool(n.cmpOp, cr)
 			}
-			return nil
+			return
 		case TypeText, TypeDate:
 			for k, r := range sel {
 				v := vec[r]
@@ -369,34 +287,24 @@ func (n *vColLitOp) eval(_ *vctx, b *vbatch, sel []int, out []Value) error {
 				}
 				out[k] = cmpBool(n.cmpOp, cr)
 			}
-			return nil
+			return
 		}
 	}
 	for k, r := range sel {
-		var v Value
-		var err error
 		if n.litLeft {
-			v, err = applyBinary(n.op, n.lit, vec[r])
+			out[k] = applyBinary(n.op, n.lit, vec[r])
 		} else {
-			v, err = applyBinary(n.op, vec[r], n.lit)
+			out[k] = applyBinary(n.op, vec[r], n.lit)
 		}
-		if err != nil {
-			return err
-		}
-		out[k] = v
 	}
-	return nil
 }
 
 // vAnd implements three-valued AND. The right side is evaluated only for
-// rows the left side did not decide FALSE: a short-circuit, errors included
-// (`v > 0 AND NOT k` fails only on a row with a positive v).
+// rows the left side did not decide FALSE.
 type vAnd struct{ l, r vexpr }
 
-func (n *vAnd) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	if err := n.l.eval(c, b, sel, out); err != nil {
-		return err
-	}
+func (n *vAnd) eval(c *vctx, b *vbatch, sel []int, out []Value) {
+	n.l.eval(c, b, sel, out)
 	sub := c.getSel()
 	defer c.putSel(sub)
 	pos := c.getSel()
@@ -411,13 +319,11 @@ func (n *vAnd) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 		pos = append(pos, k)
 	}
 	if len(sub) == 0 {
-		return nil
+		return
 	}
 	rbuf := c.getVals()
 	defer c.putVals(rbuf[:len(sub)])
-	if err := n.r.eval(c, b, sub, rbuf); err != nil {
-		return err
-	}
+	n.r.eval(c, b, sub, rbuf)
 	for j, k := range pos {
 		lb, lok := out[k].Truthy()
 		rb, rok := rbuf[j].Truthy()
@@ -430,75 +336,11 @@ func (n *vAnd) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
 			out[k] = NullValue()
 		}
 	}
-	return nil
 }
 
-// vOr mirrors vAnd for three-valued OR.
-type vOr struct{ l, r vexpr }
-
-func (n *vOr) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	if err := n.l.eval(c, b, sel, out); err != nil {
-		return err
-	}
-	sub := c.getSel()
-	defer c.putSel(sub)
-	pos := c.getSel()
-	defer c.putSel(pos)
-	for k, r := range sel {
-		lb, lok := out[k].Truthy()
-		if lok && lb {
-			out[k] = BoolValue(true)
-			continue
-		}
-		sub = append(sub, r)
-		pos = append(pos, k)
-	}
-	if len(sub) == 0 {
-		return nil
-	}
-	rbuf := c.getVals()
-	defer c.putVals(rbuf[:len(sub)])
-	if err := n.r.eval(c, b, sub, rbuf); err != nil {
-		return err
-	}
-	for j, k := range pos {
-		lb, lok := out[k].Truthy()
-		rb, rok := rbuf[j].Truthy()
-		switch {
-		case rok && rb:
-			out[k] = BoolValue(true)
-		case lok && rok:
-			out[k] = BoolValue(lb || rb)
-		default:
-			out[k] = NullValue()
-		}
-	}
-	return nil
-}
-
-type vIsNull struct {
-	x      vexpr
-	negate bool
-}
-
-func (n *vIsNull) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	if err := n.x.eval(c, b, sel, out); err != nil {
-		return err
-	}
-	for k := range sel {
-		if n.negate {
-			out[k] = BoolValue(!out[k].Null)
-		} else {
-			out[k] = BoolValue(out[k].Null)
-		}
-	}
-	return nil
-}
-
-// vInList handles IN lists whose items are all literals — a value is in the
-// list when it compares equal to an item; not found with a NULL item in the
-// list is NULL — through sets built once per compile instead of a Compare per
-// item per row. Numeric items are keyed by value, so 5 finds 5.0; the others
+// vInList is an IN list — a value is in the list when it compares equal to
+// an item; not found with a NULL item in the list is NULL — through sets
+// built once per compile instead of a Compare per item per row. Numeric items are keyed by value, so 5 finds 5.0; the others
 // by their rendering, which is how Compare equates any two values that are
 // not both numbers.
 type vInList struct {
@@ -508,11 +350,10 @@ type vInList struct {
 	strs   map[string]struct{}  // the other non-NULL items, rendered
 	null   bool                 // the list holds a NULL
 	linear bool                 // a NaN item, which Compare finds equal to every number
-	negate bool
 }
 
-func newInList(x vexpr, vals []Value, negate bool) *vInList {
-	n := &vInList{x: x, vals: vals, negate: negate}
+func newInList(x vexpr, vals []Value) *vInList {
+	n := &vInList{x: x, vals: vals}
 	for _, v := range vals {
 		switch f, num := v.AsFloat(); {
 		case v.Null:
@@ -557,77 +398,20 @@ func (n *vInList) has(v Value) bool {
 	return false
 }
 
-func (n *vInList) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	if err := n.x.eval(c, b, sel, out); err != nil {
-		return err
-	}
+func (n *vInList) eval(c *vctx, b *vbatch, sel []int, out []Value) {
+	n.x.eval(c, b, sel, out)
 	for k := range sel {
 		switch v := out[k]; {
 		case v.Null:
 			out[k] = NullValue()
 		case n.has(v):
-			out[k] = BoolValue(!n.negate)
+			out[k] = BoolValue(true)
 		case n.null:
 			out[k] = NullValue()
 		default:
-			out[k] = BoolValue(n.negate)
+			out[k] = BoolValue(false)
 		}
 	}
-	return nil
-}
-
-// vInItems is an IN list with an item that is not a literal. Like vOr, it
-// evaluates each item only over the rows still undecided: an item is not
-// evaluated for a row whose value is NULL or that an earlier item matched.
-type vInItems struct {
-	x      vexpr
-	items  []vexpr
-	negate bool
-}
-
-func (n *vInItems) eval(c *vctx, b *vbatch, sel []int, out []Value) error {
-	xs := c.getVals()
-	defer c.putVals(xs[:len(sel)])
-	if err := n.x.eval(c, b, sel, xs); err != nil {
-		return err
-	}
-	sub := c.getSel() // the undecided rows
-	defer c.putSel(sub)
-	pos := c.getSel() // their places in sel
-	defer c.putSel(pos)
-	for k, r := range sel {
-		if xs[k].Null {
-			out[k] = NullValue()
-			continue
-		}
-		// Not found, so far; NULL once an item is.
-		out[k] = BoolValue(n.negate)
-		sub, pos = append(sub, r), append(pos, k)
-	}
-	ivals := c.getVals()
-	defer c.putVals(ivals[:len(sel)])
-	for _, item := range n.items {
-		if len(sub) == 0 {
-			break
-		}
-		if err := item.eval(c, b, sub, ivals); err != nil {
-			return err
-		}
-		keep := 0
-		for j, k := range pos {
-			switch iv := ivals[j]; {
-			case iv.Null:
-				out[k] = NullValue()
-			case Compare(xs[k], iv) == 0:
-				out[k] = BoolValue(!n.negate)
-				continue
-			}
-			sub[keep], pos[keep] = sub[j], k
-			keep++
-		}
-		sub, pos = sub[:keep], pos[:keep]
-	}
-	return nil
 }
 
 // appendKeyValue renders one value into a hash key buffer with the same byte

@@ -297,36 +297,28 @@ func (db *Database) execInsert(s *InsertStmt) (*Result, error) {
 		return nil, err
 	}
 
+	// VALUES rows see no columns: each expression is compiled against none
+	// and evaluated over one row. A literal is its own value, so a load
+	// script's INSERT of literals compiles nothing.
 	var sourceRows []Row
-	switch {
-	case s.Query != nil:
-		res, err := db.execSelect(s.Query)
-		if err != nil {
-			return nil, err
-		}
-		sourceRows = res.Rows
-	default:
-		// VALUES rows see no columns: each expression is compiled against
-		// none and evaluated over one row. A literal is its own value, so a
-		// load script's INSERT of literals compiles nothing.
-		var c *vctx
-		for _, exprs := range s.Rows {
-			row := make(Row, len(exprs))
-			for i, e := range exprs {
-				if lit, ok := e.(*Literal); ok {
-					row[i] = lit.Val
-					continue
-				}
-				if c == nil {
-					c = getVctx()
-					defer c.release()
-				}
-				if err := compileExpr(e, nil).eval(c, &vbatch{}, []int{0}, row[i:i+1]); err != nil {
-					return nil, err
-				}
+	var c *vctx
+	for _, exprs := range s.Rows {
+		row := make(Row, len(exprs))
+		for i, e := range exprs {
+			if lit, ok := e.(*Literal); ok {
+				row[i] = lit.Val
+				continue
 			}
-			sourceRows = append(sourceRows, row)
+			if err := new(refPass).expr(e, false); err != nil {
+				return nil, err
+			}
+			if c == nil {
+				c = getVctx()
+				defer c.release()
+			}
+			compileExpr(e, nil).eval(c, &vbatch{}, []int{0}, row[i:i+1])
 		}
+		sourceRows = append(sourceRows, row)
 	}
 
 	res := &Result{}

@@ -79,16 +79,13 @@ func TestWherePredicates(t *testing.T) {
 		{"Gender <> 'F'", 2},
 		{"Patient_Id > 2", 2},
 		{"Patient_Id >= 2 AND Gender = 'M'", 2},
-		{"Patient_Id = 1 OR Patient_Id = 4", 2},
 		{"Name LIKE 'A%'", 1},
 		{"Name LIKE '%a%'", 3},
 		{"Name LIKE '_ob%'", 1},
-		{"Address IS NULL", 1},
-		{"Address IS NOT NULL", 3},
 		{"Patient_Id IN (1, 3, 99)", 2},
-		{"Patient_Id NOT IN (1, 3)", 2},
+		{"Patient_Id IN (1, 3, NULL)", 2},
 		{"Patient_Id > -1", 4},
-		{"NOT Gender = 'F'", 2},
+		{"'F' = Gender", 2},
 		{"Date_Of_Birth < '1970-01-01'", 2},
 	}
 	for _, c := range cases {
@@ -108,9 +105,12 @@ func TestNullComparisonsFilterOut(t *testing.T) {
 	}
 }
 
+// TestOrderLimitOffset: ORDER BY and LIMIT page through a result with the
+// offset taken as a key bound (OFFSET itself is refused): the page after
+// 'Dan Park', in descending order.
 func TestOrderLimitOffset(t *testing.T) {
 	db := newPatientsDB(t)
-	res := mustQuery(t, db, "SELECT Name FROM Patient ORDER BY Name DESC LIMIT 2 OFFSET 1")
+	res := mustQuery(t, db, "SELECT Name FROM Patient WHERE Name < 'Dan Park' ORDER BY Name DESC LIMIT 2")
 	if len(res.Rows) != 2 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
@@ -206,12 +206,12 @@ func TestInsertColumnSubset(t *testing.T) {
 }
 
 // TestInsertValuesComputed: VALUES expressions are evaluated (a negative
-// literal, a NULL, a comparison), and a VALUES list whose third row fails to
-// evaluate inserts none of its rows.
+// literal, a NULL, an IN list, a conjunction), and a VALUES list whose third
+// row names a column, which VALUES do not have, inserts none of its rows.
 func TestInsertValuesComputed(t *testing.T) {
 	db := NewDatabase("t", DialectOracle)
 	mustExec(t, db, "CREATE TABLE r (k INT PRIMARY KEY, v FLOAT, b BOOLEAN)")
-	mustExec(t, db, "INSERT INTO r VALUES (-7, 3.5, 1 < 2), (5, NULL, NOT 'a' = 'a')")
+	mustExec(t, db, "INSERT INTO r VALUES (-7, 3.5, 1 IN (2, 1)), (5, NULL, TRUE AND FALSE)")
 	res := mustQuery(t, db, "SELECT k, v, b FROM r")
 	want := []Row{
 		{IntValue(-7), FloatValue(3.5), BoolValue(true)},
@@ -220,20 +220,12 @@ func TestInsertValuesComputed(t *testing.T) {
 	if !reflect.DeepEqual(res.Rows, want) {
 		t.Fatalf("got %v, want %v", res.Rows, want)
 	}
-	if _, err := db.Exec("INSERT INTO r VALUES (10, 1.0, TRUE), (11, 2.0, TRUE), (12, 1.0, NOT 'c'), (13, 4.0, TRUE)"); err == nil {
-		t.Fatal("a VALUES row negating a text inserted")
+	if _, err := db.Exec("INSERT INTO r VALUES (10, 1.0, TRUE), (11, 2.0, TRUE), (12, 1.0, k), (13, 4.0, TRUE)"); err == nil ||
+		!strings.Contains(err.Error(), "unknown column k") {
+		t.Fatalf("a VALUES row naming a column: %v", err)
 	}
 	if res := mustQuery(t, db, "SELECT COUNT(*) FROM r"); res.Rows[0][0].Int != 2 {
 		t.Fatalf("a failed VALUES list left %d rows, want 2", res.Rows[0][0].Int)
-	}
-}
-
-func TestInsertFromSelect(t *testing.T) {
-	db := newPatientsDB(t)
-	mustExec(t, db, "CREATE TABLE names (n VARCHAR(64))")
-	res := mustExec(t, db, "INSERT INTO names SELECT Name FROM Patient WHERE Gender = 'F'")
-	if res.RowsAffected != 2 {
-		t.Fatalf("insert-select affected %d", res.RowsAffected)
 	}
 }
 
@@ -480,7 +472,9 @@ func TestOrdinalOrderByPlain(t *testing.T) {
 }
 
 // TestRemovedSyntaxIsRefused: SQL the federation never sends (DESIGN §9) is
-// not executed but refused, with an error that names the construct.
+// not executed but refused, with an error that names the construct. What a
+// fragment sends is kept: a conjunction of a column against a literal and of
+// IN lists of literals (CREATE TABLE's NOT NULL and IF NOT EXISTS stay too).
 func TestRemovedSyntaxIsRefused(t *testing.T) {
 	db := NewDatabase("t", DialectOracle)
 	mustExec(t, db, "CREATE TABLE r (k VARCHAR(8), v INT)")
@@ -495,6 +489,18 @@ func TestRemovedSyntaxIsRefused(t *testing.T) {
 		{"SELECT v + 1 FROM r", "arithmetic (+)"},
 		{"SELECT UPPER(k) FROM r", "function UPPER"},
 		{"SELECT DISTINCT k FROM r", "DISTINCT"},
+		{"SELECT k FROM r WHERE v = 1 OR v = 2", "OR"},
+		{"SELECT k FROM r WHERE NOT v = 1", "NOT"},
+		{"SELECT k FROM r WHERE k NOT LIKE 'a%'", "NOT LIKE"},
+		{"SELECT k FROM r WHERE v NOT IN (1, 2)", "NOT IN"},
+		{"SELECT k FROM r WHERE k IS NULL", "IS NULL"},
+		{"SELECT k FROM r WHERE k IS NOT NULL", "IS NOT NULL"},
+		{"SELECT k FROM r WHERE k = v", "a comparison other than a column or an aggregate against a literal (k = v)"},
+		{"SELECT k FROM r WHERE 1 = 1", "a comparison other than a column or an aggregate against a literal (1 = 1)"},
+		{"SELECT k FROM r WHERE 'a' LIKE 'b'", "LIKE other than a column or an aggregate against a literal"},
+		{"SELECT k FROM r WHERE v IN (1, v)", "an IN item that is not a literal (v)"},
+		{"SELECT k FROM r LIMIT 1 OFFSET 1", "OFFSET"},
+		{"INSERT INTO r SELECT k, v FROM r", "INSERT ... SELECT"},
 	} {
 		res, err := db.Query(c.sql)
 		if err == nil {
@@ -504,5 +510,9 @@ func TestRemovedSyntaxIsRefused(t *testing.T) {
 		if !strings.Contains(err.Error(), c.construct) || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("%s: error %q does not say %s is not supported", c.sql, err, c.construct)
 		}
+	}
+	mustExec(t, db, "CREATE TABLE IF NOT EXISTS s (k VARCHAR(8) NOT NULL)")
+	if res := mustQuery(t, db, "SELECT k FROM r WHERE 2 > v AND k LIKE 'a%' AND v IN (1, NULL) LIMIT 1"); len(res.Rows) != 1 {
+		t.Errorf("the kept conjunction: %d rows, want 1", len(res.Rows))
 	}
 }

@@ -12,7 +12,7 @@ func (db *Database) execSelect(s *SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.result()
+	return w.result(), nil
 }
 
 // blocking reports whether a SELECT has an operator that must see its whole
@@ -27,28 +27,25 @@ func grouped(s *SelectStmt, items []SelectItem) bool {
 
 // openSelect opens a SELECT as a walk (rows.go). The caller holds the
 // database lock. A SELECT that is not blocking is one walk over its FROM
-// rows, cut by OFFSET and LIMIT; a blocking one runs its operators here, fed
-// by that walk drained, and the walk over what they built applies OFFSET and
-// LIMIT.
+// rows, cut by the LIMIT; a blocking one runs its operators here, fed by that
+// walk drained, and the walk over what they built applies the LIMIT.
 func (db *Database) openSelect(s *SelectStmt) (*walk, error) {
 	var fp fromPlan // stays on the stack: point lookups plan on every call
 	if err := db.planFrom(s, &fp); err != nil {
 		return nil, err
 	}
 	w := db.newWalk(&fp)
-	if !blocking(s, fp.items) {
+	if fp.ref == nil {
 		w.project(fp.items)
-		w.skip, w.left = s.Offset, s.Limit
+		w.left = s.Limit
 		return w, nil
 	}
 	c := getVctx()
 	defer c.release()
 	// The operators' input: the walk's rows, drained (or aliased).
-	in, err := w.rel(c, referencedOrdinals(s, fp.items, w.cols))
-	if err != nil {
-		return nil, err
-	}
+	in := w.rel(c, fp.ref)
 	var out *vecRel
+	var err error
 	if grouped(s, fp.items) {
 		out, err = db.execGroupedVec(c, s, fp.items, in)
 	} else {
@@ -57,7 +54,7 @@ func (db *Database) openSelect(s *SelectStmt) (*walk, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.heldWalk(out, itemNames(fp.items), s.Offset, s.Limit), nil
+	return db.heldWalk(out, itemNames(fp.items), s.Limit), nil
 }
 
 // anyAggregate reports whether any projected expression aggregates.
@@ -190,18 +187,21 @@ func (sp *scanSpec) slots() []int {
 
 // fromPlan is a SELECT's FROM clause resolved: its table's scan, which
 // evaluates the whole WHERE clause (choosing an index from its conjuncts),
-// the table's bindings (with display names) and the select items with stars
-// expanded. Without FROM, scan.t is nil and scan.filter is the WHERE clause
-// over one empty row.
+// the table's bindings (with display names), the select items with stars
+// expanded and, for a blocking SELECT, the source columns it reads. Without
+// FROM, scan.t is nil and scan.filter is the WHERE clause over one empty row.
 type fromPlan struct {
 	scan  scanSpec
 	cols  []colBinding
 	names []string
 	items []SelectItem
+	ref   []bool // the columns a blocking SELECT's operators read; nil: not blocking
 }
 
-// planFrom resolves s's FROM clause into fp. The executor, EXPLAIN and the
-// test oracle all read their plan from it.
+// planFrom resolves s's FROM clause into fp and every name the statement
+// uses under it (resolveRefs), so an unknown column or a misplaced aggregate
+// fails here, whatever the rows. The executor, EXPLAIN and the test oracle
+// all read their plan from it.
 func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) error {
 	fp.scan.filter = s.Where
 	if s.From != nil {
@@ -220,18 +220,11 @@ func (db *Database) planFrom(s *SelectStmt, fp *fromPlan) error {
 		chooseIndex(t, fp.cols, splitConjuncts(s.Where), &fp.scan.acc)
 	}
 	var err error
-	fp.items, err = expandStars(s.Items, fp.cols, fp.names)
-	return err
-}
-
-// collectColRefs returns the column references in an expression tree.
-func collectColRefs(e Expr) []*ColRef {
-	var out []*ColRef
-	inspect(e, func(x Expr) bool {
-		if cr, ok := x.(*ColRef); ok {
-			out = append(out, cr)
-		}
-		return true
-	})
-	return out
+	if fp.items, err = expandStars(s.Items, fp.cols, fp.names); err != nil {
+		return err
+	}
+	if blocking(s, fp.items) {
+		fp.ref = make([]bool, len(fp.cols))
+	}
+	return resolveRefs(s, fp.items, fp.cols, fp.ref)
 }

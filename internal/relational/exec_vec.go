@@ -32,32 +32,78 @@ func (db *Database) newWalk(fp *fromPlan) *walk {
 	return db.scanWalk(&fp.scan, fp.cols)
 }
 
-// referencedOrdinals marks every source column the statement can read:
+// resolveRefs resolves every column the statement names under cols —
 // select items (post star expansion, so aggregate arguments are included),
-// WHERE, GROUP BY, HAVING and ORDER BY. Unmarked columns are never
-// materialised. Unresolvable references are ignored here; evaluation reports
-// them (or not, on empty input).
-func referencedOrdinals(s *SelectStmt, items []SelectItem, cols []colBinding) []bool {
-	ref := make([]bool, len(cols))
-	mark := func(e Expr) {
-		for _, cr := range collectColRefs(e) {
-			if ord, err := resolveCol(cols, cr); err == nil {
-				ref[ord] = true
+// WHERE, GROUP BY, HAVING and ORDER BY — and checks that aggregate calls
+// stand only where a grouped SELECT reads them: in an item, HAVING or ORDER
+// BY, not in WHERE, GROUP BY or another call's argument. When ref is not nil
+// it marks the columns read: unmarked columns are never materialised.
+func resolveRefs(s *SelectStmt, items []SelectItem, cols []colBinding, ref []bool) error {
+	rp := refPass{cols: cols, ref: ref}
+	g := grouped(s, items)
+	for _, it := range items {
+		if err := rp.expr(it.Expr, g); err != nil {
+			return err
+		}
+	}
+	if err := rp.expr(s.Where, false); err != nil {
+		return err
+	}
+	for _, ge := range s.GroupBy {
+		if err := rp.expr(ge, false); err != nil {
+			return err
+		}
+	}
+	if err := rp.expr(s.Having, g); err != nil {
+		return err
+	}
+	for _, oi := range s.OrderBy {
+		if cr, ok := oi.Expr.(*ColRef); ok && cr.Table == "" && slices.ContainsFunc(items, func(it SelectItem) bool {
+			return strings.EqualFold(it.Alias, cr.Name)
+		}) {
+			continue // an item's alias (sortVec)
+		}
+		if err := rp.expr(oi.Expr, g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refPass is resolveRefs' walk over one expression tree.
+type refPass struct {
+	cols []colBinding
+	ref  []bool // nil: resolve only
+}
+
+// expr resolves e's column references; aggs says whether an aggregate call
+// may stand there.
+func (rp *refPass) expr(e Expr, aggs bool) error {
+	switch x := e.(type) {
+	case *ColRef:
+		ord, err := resolveCol(rp.cols, x)
+		if err == nil && rp.ref != nil {
+			rp.ref[ord] = true
+		}
+		return err
+	case *Binary:
+		if err := rp.expr(x.L, aggs); err != nil {
+			return err
+		}
+		return rp.expr(x.R, aggs)
+	case *InList:
+		return rp.expr(x.X, aggs) // the items are literals
+	case *FuncCall:
+		if !aggs {
+			return fmt.Errorf("sql: aggregate %s used outside aggregation context", x.Name)
+		}
+		for _, a := range x.Args {
+			if err := rp.expr(a, false); err != nil {
+				return err
 			}
 		}
 	}
-	for _, it := range items {
-		mark(it.Expr)
-	}
-	mark(s.Where)
-	for _, ge := range s.GroupBy {
-		mark(ge)
-	}
-	mark(s.Having)
-	for _, oi := range s.OrderBy {
-		mark(oi.Expr)
-	}
-	return ref
+	return nil
 }
 
 // emptyVec is the shared zero-row column vector: non-nil so it reads as a
@@ -102,10 +148,7 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 		exprs = append(exprs[:len(exprs):len(exprs)], SelectItem{Expr: oi.Expr})
 	}
 	w.project(exprs)
-	rel, err := w.drain(c)
-	if err != nil {
-		return nil, err
-	}
+	rel := w.drain(c)
 	if badOrdinal != nil && rel.n > 0 { // an ordinal is checked against a row
 		return nil, badOrdinal
 	}
@@ -225,16 +268,11 @@ func (db *Database) execGroupedVec(c *vctx, s *SelectStmt, items []SelectItem, s
 			sel = append(sel, r)
 		}
 		for i, comp := range gbComps {
-			if err := comp.eval(c, batch, sel, gbufs[i]); err != nil {
-				return nil, err
-			}
+			comp.eval(c, batch, sel, gbufs[i])
 		}
 		for i, comp := range argComps {
-			if comp == nil {
-				continue
-			}
-			if err := comp.eval(c, batch, sel, abufs[i]); err != nil {
-				return nil, err
+			if comp != nil {
+				comp.eval(c, batch, sel, abufs[i])
 			}
 		}
 		for j := 0; j < end-base; j++ {

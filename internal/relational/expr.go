@@ -29,49 +29,30 @@ func resolveCol(cols []colBinding, c *ColRef) (int, error) {
 	return 0, fmt.Errorf("sql: unknown column %s", c.Name)
 }
 
-// applyNot is three-valued NOT.
-func applyNot(v Value) (Value, error) {
-	if v.Null {
-		return NullValue(), nil
-	}
-	b, ok := v.Truthy()
-	if !ok {
-		return Value{}, fmt.Errorf("sql: NOT applied to %s value", v.Kind)
-	}
-	return BoolValue(!b), nil
-}
-
 // applyBinary applies a comparison or LIKE to evaluated operands. The test
 // oracle applies operators through it too, so operator semantics are the one
 // thing the oracle does not check independently.
-func applyBinary(op string, l, r Value) (Value, error) {
-	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.Null || r.Null {
-			return NullValue(), nil
-		}
-		c := Compare(l, r)
-		switch op {
-		case "=":
-			return BoolValue(c == 0), nil
-		case "<>":
-			return BoolValue(c != 0), nil
-		case "<":
-			return BoolValue(c < 0), nil
-		case "<=":
-			return BoolValue(c <= 0), nil
-		case ">":
-			return BoolValue(c > 0), nil
-		default:
-			return BoolValue(c >= 0), nil
-		}
-	case "LIKE":
-		if l.Null || r.Null {
-			return NullValue(), nil
-		}
-		return BoolValue(MatchLike(l.String(), r.String())), nil
+func applyBinary(op string, l, r Value) Value {
+	if l.Null || r.Null {
+		return NullValue()
 	}
-	return Value{}, fmt.Errorf("sql: unknown operator %s", op)
+	switch op {
+	case "=":
+		return BoolValue(Compare(l, r) == 0)
+	case "<>":
+		return BoolValue(Compare(l, r) != 0)
+	case "<":
+		return BoolValue(Compare(l, r) < 0)
+	case "<=":
+		return BoolValue(Compare(l, r) <= 0)
+	case ">":
+		return BoolValue(Compare(l, r) > 0)
+	case ">=":
+		return BoolValue(Compare(l, r) >= 0)
+	case "LIKE":
+		return BoolValue(MatchLike(l.String(), r.String()))
+	}
+	panic("relational: unknown operator " + op)
 }
 
 // MatchLike implements SQL LIKE with % and _ wildcards (case-sensitive): _

@@ -71,7 +71,11 @@ func BenchmarkSQLInList(b *testing.B) {
 	})
 	b.Run("unindexed", func(b *testing.B) {
 		db := indexedDB(b, 2000)
-		if _, err := db.ExecScript("CREATE TABLE u (k VARCHAR(16), v INT); INSERT INTO u SELECT k, v FROM r"); err != nil {
+		rows := make([]string, 2000)
+		for i := range rows {
+			rows[i] = fmt.Sprintf("('x%04d', %d)", i, i)
+		}
+		if _, err := db.ExecScript("CREATE TABLE u (k VARCHAR(16), v INT); INSERT INTO u VALUES " + strings.Join(rows, ", ")); err != nil {
 			b.Fatal(err)
 		}
 		benchQuery(b, db, strings.Replace(q, "FROM r a", "FROM u a", 1), 20)

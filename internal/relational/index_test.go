@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestIndexAccessMatchesSlotWalk: random conjunctions of equalities, IN and
-// NOT IN lists, one- and two-sided ranges over indexed columns — literals of
+// TestIndexAccessMatchesSlotWalk: random conjunctions of equalities, IN
+// lists, one- and two-sided ranges over indexed columns — literals of
 // the column's kind, of the other numeric kind and of a kind that compares by
 // rendering, NULLs, duplicates, empty ranges, unindexable siblings — answer
 // on a table with indexes what they answer on the same rows without any (a
@@ -68,8 +68,7 @@ func TestIndexAccessMatchesSlotWalk(t *testing.T) {
 			case 2:
 				return fmt.Sprintf("%s %s %s", lit[c](), pick(rng, "=", "<", "<=", ">", ">="), c)
 			case 3:
-				between := fmt.Sprintf("%s >= %s AND %s <= %s", c, lit[c](), c, lit[c]())
-				return pick(rng, between, between, "NOT ("+between+")")
+				return fmt.Sprintf("%s >= %s AND %s <= %s", c, lit[c](), c, lit[c]())
 			case 4, 5:
 				items := make([]string, 1+rng.Intn(6))
 				for i := range items {
@@ -78,9 +77,9 @@ func TestIndexAccessMatchesSlotWalk(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					items = append(items, items[0]) // a duplicate
 				}
-				return fmt.Sprintf("%s %sIN (%s)", c, pick(rng, "", "", "NOT "), strings.Join(items, ", "))
+				return fmt.Sprintf("%s IN (%s)", c, strings.Join(items, ", "))
 			}
-			return pick(rng, "s LIKE 's%'", "NOT v <= 10", "v IS NULL", "w IS NOT NULL", "v < 5 OR v > 35")
+			return pick(rng, "s LIKE 's%'", "v <> 10", "w = NULL", "'s3' <> s")
 		}
 		for i := 0; i < 120; i++ {
 			terms := make([]string, 1+rng.Intn(3))

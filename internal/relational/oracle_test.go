@@ -10,8 +10,9 @@ import (
 // This file is the test oracle: the engine's seed row-at-a-time interpreter,
 // which the batched executor is checked against (exec_oracle_test.go). It
 // evaluates every expression by walking its tree over one materialised row
-// at a time. It shares the parser, the catalog, the plan (planFrom), the
-// operators (apply*), Compare and INSERT with the engine, but none of the
+// at a time. It shares the parser, the catalog, the plan (planFrom, which
+// resolves every name), the operators (applyBinary), Compare and INSERT with
+// the engine, but none of the
 // compiled expressions (compile.go) nor the walk (rows.go, exec_vec.go):
 // TestOracleSharesNoExecutor keeps it that way.
 
@@ -38,8 +39,10 @@ func (db *Database) oracleStmt(s *SelectStmt) (*Result, error) {
 	return db.oracleSelect(s)
 }
 
-// oracleSelect runs a SELECT: execSelectArmRows over its plan, then OFFSET
-// and LIMIT over what a blocking SELECT's operators built.
+// oracleSelect runs a SELECT: execSelectArmRows over its plan, then the
+// LIMIT over what a blocking SELECT's operators built. It shares the plan's
+// name resolution (planFrom), so the two fail alike on an unknown column or
+// a misplaced aggregate.
 func (db *Database) oracleSelect(s *SelectStmt) (*Result, error) {
 	var fp fromPlan
 	if err := db.planFrom(s, &fp); err != nil {
@@ -50,22 +53,13 @@ func (db *Database) oracleSelect(s *SelectStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if block {
-		res.Rows = cutRows(res.Rows, s.Offset, s.Limit)
+	if block && s.Limit >= 0 && s.Limit < len(res.Rows) {
+		res.Rows = res.Rows[:s.Limit]
 	}
 	if len(res.Rows) == 0 {
 		res.Rows = nil // as the executor returns no rows
 	}
 	return res, nil
-}
-
-// cutRows applies OFFSET and LIMIT (limit < 0: none).
-func cutRows(rows []Row, offset, limit int) []Row {
-	rows = rows[min(offset, len(rows)):]
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
 }
 
 // sortRows sorts rows stably by their ORDER BY keys, keys[i] being rows[i]'s.
@@ -102,11 +96,10 @@ type evalEnv struct {
 
 // execSelectArmRows evaluates over the FROM rows in the executor's order —
 // the table's rows that the plan's index access reaches, found by reading
-// every slot — and walks them once: filter, then OFFSET, then projection,
-// stopping at the LIMIT, so a row the walk does not reach cannot fail the
-// statement. A blocking SELECT (block) keeps every row that passes the filter
-// and returns its operators' whole output instead, before OFFSET and LIMIT,
-// which oracleSelect applies.
+// every slot — and walks them once: filter, then projection, stopping at the
+// LIMIT. A blocking SELECT (block) keeps every row that passes the filter and
+// returns its operators' whole output instead, before the LIMIT, which
+// oracleSelect applies.
 func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (*Result, error) {
 	src, err := db.buildFrom(fp)
 	if err != nil {
@@ -115,9 +108,9 @@ func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (
 	filter := fp.scan.filter
 	res := &Result{Columns: itemNames(fp.items)}
 	env := src.env()
-	skip, limit := s.Offset, s.Limit
+	limit := s.Limit
 	if block {
-		skip, limit = 0, -1
+		limit = -1
 	}
 	var kept []Row
 	for _, row := range src.rows {
@@ -136,10 +129,6 @@ func (db *Database) execSelectArmRows(s *SelectStmt, fp *fromPlan, block bool) (
 		}
 		if block {
 			kept = append(kept, row)
-			continue
-		}
-		if skip > 0 {
-			skip--
 			continue
 		}
 		proj := make(Row, len(fp.items))
@@ -444,23 +433,8 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 			return Value{}, err
 		}
 		return env.row[ord], nil
-	case *Not:
-		v, err := eval(x.X, env)
-		if err != nil {
-			return Value{}, err
-		}
-		return applyNot(v)
 	case *Binary:
 		return evalBinary(x, env)
-	case *IsNull:
-		v, err := eval(x.X, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if x.Negate {
-			return BoolValue(!v.Null), nil
-		}
-		return BoolValue(v.Null), nil
 	case *InList:
 		return evalIn(x, env)
 	case *FuncCall:
@@ -473,33 +447,15 @@ func eval(e Expr, env *evalEnv) (Value, error) {
 }
 
 func evalBinary(x *Binary, env *evalEnv) (Value, error) {
-	// AND/OR implement three-valued logic with short-circuiting.
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := eval(x.L, env)
-		if err != nil {
-			return Value{}, err
-		}
+	l, err := eval(x.L, env)
+	if err != nil {
+		return Value{}, err
+	}
+	// AND implements three-valued logic with short-circuiting.
+	if x.Op == "AND" {
 		lb, lok := l.Truthy()
-		if x.Op == "AND" {
-			if lok && !lb {
-				return BoolValue(false), nil
-			}
-			r, err := eval(x.R, env)
-			if err != nil {
-				return Value{}, err
-			}
-			rb, rok := r.Truthy()
-			switch {
-			case rok && !rb:
-				return BoolValue(false), nil
-			case lok && rok:
-				return BoolValue(lb && rb), nil
-			default:
-				return NullValue(), nil
-			}
-		}
-		if lok && lb {
-			return BoolValue(true), nil
+		if lok && !lb {
+			return BoolValue(false), nil
 		}
 		r, err := eval(x.R, env)
 		if err != nil {
@@ -507,24 +463,19 @@ func evalBinary(x *Binary, env *evalEnv) (Value, error) {
 		}
 		rb, rok := r.Truthy()
 		switch {
-		case rok && rb:
-			return BoolValue(true), nil
+		case rok && !rb:
+			return BoolValue(false), nil
 		case lok && rok:
-			return BoolValue(lb || rb), nil
+			return BoolValue(lb && rb), nil
 		default:
 			return NullValue(), nil
 		}
-	}
-
-	l, err := eval(x.L, env)
-	if err != nil {
-		return Value{}, err
 	}
 	r, err := eval(x.R, env)
 	if err != nil {
 		return Value{}, err
 	}
-	return applyBinary(x.Op, l, r)
+	return applyBinary(x.Op, l, r), nil
 }
 
 // evalIn evaluates the list's items in order, stopping at the first match.
@@ -547,11 +498,11 @@ func evalIn(x *InList, env *evalEnv) (Value, error) {
 			continue
 		}
 		if Compare(v, iv) == 0 {
-			return BoolValue(!x.Negate), nil
+			return BoolValue(true), nil
 		}
 	}
 	if sawNull {
 		return NullValue(), nil
 	}
-	return BoolValue(x.Negate), nil
+	return BoolValue(false), nil
 }

@@ -160,7 +160,7 @@ func (p *sqlParser) refuse(construct string) error {
 }
 
 // parseSelect parses a SELECT: projection, at most one FROM table, WHERE,
-// GROUP BY, HAVING, ORDER BY, LIMIT and OFFSET.
+// GROUP BY, HAVING, ORDER BY and LIMIT.
 func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 	if err := p.expect("SELECT"); err != nil {
 		return nil, err
@@ -251,13 +251,9 @@ func (p *sqlParser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		s.Limit = n
-		if p.accept("OFFSET") {
-			m, err := p.parseNonNegInt()
-			if err != nil {
-				return nil, err
-			}
-			s.Offset = m
-		}
+	}
+	if p.peek().text == "OFFSET" {
+		return nil, p.refuse("OFFSET")
 	}
 	return s, nil
 }
@@ -377,13 +373,9 @@ func (p *sqlParser) parseInsert() (*InsertStmt, error) {
 			}
 		}
 	case p.peek().text == "SELECT":
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		ins.Query = q
+		return nil, p.refuse("INSERT ... SELECT")
 	default:
-		return nil, fmt.Errorf("sql: expected VALUES or SELECT in INSERT, got %s", p.peek())
+		return nil, fmt.Errorf("sql: expected VALUES in INSERT, got %s", p.peek())
 	}
 	return ins, nil
 }
@@ -548,52 +540,32 @@ func (p *sqlParser) parseCreateIndex(unique bool) (*CreateIndexStmt, error) {
 	return &CreateIndexStmt{Name: name, Table: table, Column: col, Unique: unique}, nil
 }
 
-// ---- Expression parsing (precedence climbing) ----
+// ---- Expression parsing ----
 
-func (p *sqlParser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *sqlParser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
+// parseExpr parses a conjunction of comparisons: OR is refused, and so is
+// NOT (parsePrimary), since what the federation sends is a conjunction.
+func (p *sqlParser) parseExpr() (Expr, error) {
+	l, err := p.parseComparison()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *sqlParser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().text == "AND" {
-		p.next()
-		r, err := p.parseNot()
+	for p.accept("AND") {
+		r, err := p.parseComparison()
 		if err != nil {
 			return nil, err
 		}
 		l = &Binary{Op: "AND", L: l, R: r}
 	}
+	if p.peek().text == "OR" {
+		return nil, p.refuse("OR")
+	}
 	return l, nil
 }
 
-func (p *sqlParser) parseNot() (Expr, error) {
-	if p.accept("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &Not{X: x}, nil
-	}
-	return p.parseComparison()
-}
-
+// parseComparison parses an operand and the comparisons, LIKEs and IN lists
+// applied to it. A comparison or LIKE takes a column (or an aggregate call)
+// and a literal, either way round, and an IN list takes literals: those are
+// the predicates a fragment carries, and none of them can fail on a row.
 func (p *sqlParser) parseComparison() (Expr, error) {
 	l, err := p.parseOperand()
 	if err != nil {
@@ -601,17 +573,6 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		negate := false
-		if t.text == "NOT" {
-			// NOT LIKE / NOT IN / NOT BETWEEN
-			switch p.peek2().text {
-			case "LIKE", "IN", "BETWEEN":
-				p.next()
-				t, negate = p.peek(), true
-			default:
-				return l, nil
-			}
-		}
 		switch t.text {
 		case "=", "<", "<=", ">", ">=", "<>", "!=", "LIKE":
 			p.next()
@@ -623,22 +584,31 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 			if op == "!=" {
 				op = "<>"
 			}
-			l = &Binary{Op: op, L: l, R: r}
-			if negate {
-				l = &Not{X: l}
+			b := &Binary{Op: op, L: l, R: r}
+			if !(isKey(l) && isLiteral(r)) && !(isLiteral(l) && isKey(r)) {
+				what := "a comparison"
+				if op == "LIKE" {
+					what = "LIKE"
+				}
+				return nil, p.refuse(what + " other than a column or an aggregate against a literal " + b.String())
 			}
-		case "IS":
-			p.next()
-			isNull := &IsNull{X: l, Negate: p.accept("NOT")}
-			if err := p.expect("NULL"); err != nil {
-				return nil, err
-			}
-			l = isNull
+			l = b
 		case "IN":
 			p.next()
-			if l, err = p.parseInTail(l, negate); err != nil {
+			if l, err = p.parseInTail(l); err != nil {
 				return nil, err
 			}
+		case "NOT":
+			switch n := p.peek2().text; n {
+			case "LIKE", "IN", "BETWEEN":
+				return nil, p.refuse("NOT " + n)
+			}
+			return l, nil
+		case "IS":
+			if p.peek2().text == "NOT" {
+				return nil, p.refuse("IS NOT NULL")
+			}
+			return nil, p.refuse("IS NULL")
 		case "BETWEEN":
 			return nil, p.refuse("BETWEEN")
 		default:
@@ -647,18 +617,33 @@ func (p *sqlParser) parseComparison() (Expr, error) {
 	}
 }
 
-func (p *sqlParser) parseInTail(l Expr, negate bool) (Expr, error) {
+// isKey reports whether e is a column or an aggregate call: the side of a
+// comparison that is not the literal.
+func isKey(e Expr) bool {
+	switch e.(type) {
+	case *ColRef, *FuncCall:
+		return true
+	}
+	return false
+}
+
+func isLiteral(e Expr) bool { _, ok := e.(*Literal); return ok }
+
+func (p *sqlParser) parseInTail(l Expr) (Expr, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
 	if p.peek().text == "SELECT" {
 		return nil, p.refuse("a subquery")
 	}
-	in := &InList{X: l, Negate: negate}
+	in := &InList{X: l}
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
+		}
+		if !isLiteral(e) {
+			return nil, p.refuse("an IN item that is not a literal (" + e.String() + ")")
 		}
 		in.List = append(in.List, e)
 		if !p.accept(",") {
@@ -715,6 +700,8 @@ func (p *sqlParser) parsePrimary() (Expr, error) {
 			return p.parseFuncTail(t.text)
 		case "EXISTS":
 			return nil, p.refuse("EXISTS")
+		case "NOT":
+			return nil, p.refuse("NOT")
 		}
 		return nil, fmt.Errorf("sql: unexpected keyword %s in expression (offset %d)", t.text, t.pos)
 	case tokIdent:

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the pull side of the executor. Every SELECT opens as one walk
-// — filter, then OFFSET, then projection, ending with the LIMIT — over one of
-// three sources:
+// — filter, then projection, ending with the LIMIT — over one of three
+// sources:
 //
 //   - table slots: a full scan, in slot (insertion) order;
 //   - index candidates: the ascending slot list an index access (chooseIndex:
@@ -19,15 +19,13 @@ import (
 //   - a relation a blocking operator built at open: GROUP BY and aggregates,
 //     ORDER BY (or a SELECT without FROM, or EXPLAIN's plan).
 //
-// Rows is the walk handed to the caller a chunk at a time; Query, ExecStmt
-// and INSERT ... SELECT drain it, and a blocking operator is fed its input by
-// the same walk, drained.
+// Rows is the walk handed to the caller a chunk at a time; Query and ExecStmt
+// drain it, and a blocking operator is fed its input by the same walk,
+// drained.
 //
-// An expression the walk evaluates errors only for a row the walk reaches,
-// never for one it does not; a blocking operator evaluates its whole input.
-// The walk evaluates a step of rows ahead of itself, so when a step fails it
-// is re-run a row at a time, which finds out whether the walk gets as far as
-// the failing row.
+// Names resolve at open (planFrom), and no expression the walk evaluates can
+// fail on a row, so a walk that opened runs to its end: only a blocking
+// operator, which reads its whole input at open, can fail after planning.
 
 // Chunk is a column-major block of result rows in buffers the caller owns:
 // Rows.Next fills Cols[c][:N] and reuses whatever capacity the vectors have.
@@ -56,8 +54,8 @@ func (r *Rows) Columns() []string { return r.w.names }
 
 // Left is an upper bound on the rows Next has still to return: the walk's
 // unvisited candidates (index candidates, table slots below the length at
-// open, or held rows) less the OFFSET left, capped by the LIMIT left. It is
-// taken at open and after every Next; inserts in between add no candidates.
+// open, or held rows), capped by the LIMIT left. It is taken at open and
+// after every Next; inserts in between add no candidates.
 func (r *Rows) Left() int { return r.bound }
 
 // Held is the number of rows a blocking operator built at open and the
@@ -83,10 +81,10 @@ func (r *Rows) Close() {
 // reports whether they were the last: done is exact, so a consumer never has
 // to ask again to learn that nothing follows, and only an empty result's one
 // chunk is empty.
-func (r *Rows) Next(ch *Chunk, most int) (done bool, err error) {
+func (r *Rows) Next(ch *Chunk, most int) (done bool) {
 	ch.N = 0
 	if r.done {
-		return true, nil
+		return true
 	}
 	if most <= 0 {
 		most = math.MaxInt
@@ -98,16 +96,13 @@ func (r *Rows) Next(ch *Chunk, most int) (done bool, err error) {
 	}
 	c := getVctx()
 	defer c.release()
-	if err := w.fill(c, ch, most); err != nil {
-		r.Close()
-		return true, err
-	}
+	w.fill(c, ch, most)
 	if w.done {
 		r.Close()
 	} else {
 		r.bound = w.remaining()
 	}
-	return r.done, nil
+	return r.done
 }
 
 // QueryRows opens a SELECT (or EXPLAIN) as an iterator. A walk over a table
@@ -133,7 +128,7 @@ func (db *Database) openRows(stmt Statement) (*Rows, error) {
 	case *ExplainStmt:
 		var res *Result
 		if res, err = db.explainSelect(s.Query); err == nil {
-			w = db.heldWalk(rowsRel(res), res.Columns, 0, -1)
+			w = db.heldWalk(rowsRel(res), res.Columns, -1)
 		}
 	case *SelectStmt:
 		w, err = db.openSelect(s)
@@ -195,7 +190,6 @@ type walk struct {
 	proj   []vexpr // a nil entry projects nothing (drain only)
 
 	from int // resume at the first candidate whose vector position is >= from
-	skip int // OFFSET rows still to pass over
 	left int // LIMIT rows still to return; < 0: no limit
 	done bool
 }
@@ -222,9 +216,9 @@ func (db *Database) relWalk(rel *vecRel, filter Expr) *walk {
 }
 
 // heldWalk is the walk over a blocking operator's output: its columns as
-// they are, named names, cut by OFFSET and LIMIT.
-func (db *Database) heldWalk(rel *vecRel, names []string, offset, limit int) *walk {
-	w := &walk{db: db, src: source{rel: rel}, names: names, skip: offset, left: limit,
+// they are, named names, cut by the LIMIT.
+func (db *Database) heldWalk(rel *vecRel, names []string, limit int) *walk {
+	w := &walk{db: db, src: source{rel: rel}, names: names, left: limit,
 		proj: make([]vexpr, len(names))}
 	for i := range w.proj {
 		w.proj[i] = &vCol{ord: i}
@@ -248,15 +242,16 @@ const minScanStep = 64
 // fill appends up to most result rows to ch, resuming the walk where the last
 // call left it, and leaves w.from at the next row that passes the filter (or
 // w.done set): when the page fills at the end of a step it looks ahead, the
-// filter only, for one more row. The caller holds the database lock.
-func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
+// filter only, for one more row, so that done is exact. The caller holds the
+// database lock.
+func (w *walk) fill(c *vctx, ch *Chunk, most int) {
 	need := most
 	if w.left >= 0 {
 		need = min(need, w.left)
 	}
 	if need == 0 { // LIMIT met (or LIMIT 0): nothing is examined
 		w.done = true
-		return nil
+		return
 	}
 	pos, end := w.src.bounds(w.from)
 	batch := &vbatch{vecs: w.src.vecs()}
@@ -269,34 +264,29 @@ func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 	// wanted, going by the share of candidates that have passed so far.
 	scanned, passed := 1, 1
 	nextStep := func() int {
-		want := min(need, vecChunk) + min(w.skip, vecChunk)
-		return min(max(want*scanned/passed, minScanStep), vecChunk)
+		return min(max(min(need, vecChunk)*scanned/passed, minScanStep), vecChunk)
 	}
 	step := nextStep()
-	rowwise := false // a step failed: walk a row at a time from there on
 	for pos < end {
 		hi := min(pos+step, end)
 		sel = w.src.rows(sel[:0], pos, hi)
 		if w.src.t != nil {
 			w.db.chunks.Add(1)
 		}
-		var err error
 		if w.filter != nil && len(sel) > 0 {
 			wrote = max(wrote, len(sel))
-			if err = w.filter.eval(c, batch, sel, vals); err == nil {
-				k := 0
-				for i, r := range sel {
-					if b, ok := vals[i].Truthy(); ok && b {
-						sel[k] = r
-						k++
-					}
+			w.filter.eval(c, batch, sel, vals)
+			k := 0
+			for i, r := range sel {
+				if b, ok := vals[i].Truthy(); ok && b {
+					sel[k] = r
+					k++
 				}
-				sel = sel[:k]
 			}
+			sel = sel[:k]
 		}
-		skip := min(w.skip, len(sel))
-		take := min(len(sel)-skip, need)
-		if err == nil && take > 0 {
+		take := min(len(sel), need)
+		if take > 0 {
 			// Room for the rest of the rows wanted too, at this step's
 			// rate, so a drain sizes its vectors about once.
 			room := take + min(need-take, take*(end-hi)/(hi-pos))
@@ -305,58 +295,38 @@ func (w *walk) fill(c *vctx, ch *Chunk, most int) error {
 					continue
 				}
 				ch.Cols[i] = slices.Grow(ch.Cols[i][:ch.N], room)[:ch.N+take]
-				if err = comp.eval(c, batch, sel[skip:skip+take], ch.Cols[i][ch.N:]); err != nil {
-					break
-				}
+				comp.eval(c, batch, sel[:take], ch.Cols[i][ch.N:])
 			}
 		}
-		if err != nil {
-			if need == 0 {
-				// Looking ahead only (so the filter failed, on a step with
-				// rows in it): the error belongs to the fetch whose walk gets
-				// there, if one does.
-				w.from = sel[0]
-				return nil
-			}
-			if !rowwise {
-				rowwise, step = true, 1
-				continue
-			}
-			return err
-		}
-		w.skip -= skip
 		ch.N += take
 		need -= take
 		if w.left > 0 {
 			if w.left -= take; w.left == 0 {
 				w.done = true
-				return nil
+				return
 			}
 		}
-		if skip+take < len(sel) {
-			w.from = sel[skip+take]
-			return nil
+		if take < len(sel) {
+			w.from = sel[take]
+			return
 		}
 		scanned += hi - pos
 		passed += len(sel)
 		pos = hi
-		switch {
-		case rowwise:
-		case need == 0:
+		if need == 0 {
 			step = minScanStep
-		default:
+		} else {
 			step = nextStep()
 		}
 	}
 	w.done = true
-	return nil
 }
 
 // remaining is Rows.Left's bound for a walk that is not done. The caller
 // holds the database lock.
 func (w *walk) remaining() int {
 	pos, end := w.src.bounds(w.from)
-	n := max(end-pos-w.skip, 0)
+	n := end - pos
 	if w.left >= 0 {
 		n = min(n, w.left)
 	}
@@ -365,27 +335,25 @@ func (w *walk) remaining() int {
 
 // drain runs the walk to its end and returns what it projects, column i
 // from proj[i] (nil for a nil entry). The caller holds the database lock.
-func (w *walk) drain(c *vctx) (*vecRel, error) {
+func (w *walk) drain(c *vctx) *vecRel {
 	ch := Chunk{Cols: make([][]Value, len(w.proj))}
 	for i, comp := range w.proj {
 		if comp != nil {
 			ch.Cols[i] = emptyVec
 		}
 	}
-	if err := w.fill(c, &ch, math.MaxInt); err != nil {
-		return nil, err
-	}
-	return &vecRel{vecs: ch.Cols, n: ch.N}, nil
+	w.fill(c, &ch, math.MaxInt)
+	return &vecRel{vecs: ch.Cols, n: ch.N}
 }
 
 // rel returns the walk's rows as a relation over its source's columns, only
 // the referenced ones materialised. A relation, or a whole unfiltered table,
 // comes back as it is: the table's storage vectors aliased, zero copies
 // (callers only read them, and only under the database lock).
-func (w *walk) rel(c *vctx, ref []bool) (*vecRel, error) {
+func (w *walk) rel(c *vctx, ref []bool) *vecRel {
 	if w.filter == nil {
 		if w.src.rel != nil {
-			return w.src.rel, nil
+			return w.src.rel
 		}
 		if t := w.src.t; w.src.cands == nil {
 			out := &vecRel{cols: w.cols, n: w.src.high, vecs: make([][]Value, len(t.cols))}
@@ -399,7 +367,7 @@ func (w *walk) rel(c *vctx, ref []bool) (*vecRel, error) {
 					}
 				}
 			}
-			return out, nil
+			return out
 		}
 	}
 	w.proj = make([]vexpr, len(ref))
@@ -408,17 +376,14 @@ func (w *walk) rel(c *vctx, ref []bool) (*vecRel, error) {
 			w.proj[i] = &vCol{ord: i}
 		}
 	}
-	out, err := w.drain(c)
-	if err != nil {
-		return nil, err
-	}
+	out := w.drain(c)
 	out.cols = w.cols
-	return out, nil
+	return out
 }
 
 // result drains the walk into a row-major Result. The caller holds the
 // database lock throughout.
-func (w *walk) result() (*Result, error) {
+func (w *walk) result() *Result {
 	c := getVctx()
 	defer c.release()
 	nc := len(w.proj)
@@ -430,9 +395,7 @@ func (w *walk) result() (*Result, error) {
 	res := &Result{Columns: w.names}
 	for !w.done {
 		ch.N = 0
-		if err := w.fill(c, &ch, vecChunk); err != nil {
-			return nil, err
-		}
+		w.fill(c, &ch, vecChunk)
 		slab := make([]Value, ch.N*nc)
 		res.Rows = slices.Grow(res.Rows, ch.N)
 		for j := 0; j < ch.N; j++ {
@@ -443,7 +406,7 @@ func (w *walk) result() (*Result, error) {
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // explainSelect renders the plan the executor opens for a SELECT, read from
@@ -466,8 +429,8 @@ func (db *Database) explainSelect(s *SelectStmt) (*Result, error) {
 	} else {
 		emit("rows streamed from %s", sp.t.schema.Name)
 	}
-	if s.Limit >= 0 || s.Offset > 0 {
-		emit("limit %d offset %d", s.Limit, s.Offset)
+	if s.Limit >= 0 {
+		emit("limit %d", s.Limit)
 		depth++
 	}
 	if len(s.OrderBy) > 0 {
