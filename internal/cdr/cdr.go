@@ -85,9 +85,9 @@ func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // ResetFor discards all written data and reconfigures the byte order and
-// alignment origin, retaining the buffer: the reuse hook for encoder pooling
-// (giop.AcquireBodyEncoder), where one scratch encoder serves messages of
-// differing orders over its lifetime.
+// alignment origin, retaining the buffer: the reuse hook for an encoder that
+// outlives one message (an ORB call record's request, a dispatch worker's
+// reply), which may serve messages of differing orders over its lifetime.
 func (e *Encoder) ResetFor(order ByteOrder, offset int) {
 	e.buf = e.buf[:0]
 	e.order = order
@@ -188,7 +188,8 @@ func (e *Encoder) WriteOctets(b []byte) {
 func (e *Encoder) extend(size, n int) []byte {
 	e.align(size)
 	off := len(e.buf)
-	e.buf = append(e.buf, make([]byte, n)...)
+	e.buf = slices.Grow(e.buf, n)[:off+n]
+	clear(e.buf[off:])
 	return e.buf[off:]
 }
 
@@ -388,21 +389,28 @@ func (d *Decoder) ReadDouble() (float64, error) {
 
 // ReadString reads a CDR string.
 func (d *Decoder) ReadString() (string, error) {
+	b, err := d.ReadStringBytes()
+	return string(b), err
+}
+
+// ReadStringBytes reads a CDR string without copying it: the bytes, NUL
+// excluded, alias the decoder buffer.
+func (d *Decoder) ReadStringBytes() ([]byte, error) {
 	n, err := d.ReadULong()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n == 0 {
-		return "", fmt.Errorf("cdr: string with zero length (missing NUL)")
+		return nil, fmt.Errorf("cdr: string with zero length (missing NUL)")
 	}
 	b, err := d.take(int(n))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if b[n-1] != 0 {
-		return "", fmt.Errorf("cdr: string not NUL-terminated")
+		return nil, fmt.Errorf("cdr: string not NUL-terminated")
 	}
-	return string(b[:n-1]), nil
+	return b[:n-1], nil
 }
 
 // ReadOctets reads a sequence<octet>. The returned slice aliases the decoder

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/idl"
 	"repro/internal/oodb"
 	"repro/internal/relational"
@@ -125,13 +126,13 @@ type relRows struct{ rows *relational.Rows }
 
 // relChunks recycles the column buffers the engine fills, so an iterator
 // holds none between two pages.
-var relChunks = sync.Pool{New: func() any { return new(relational.Chunk) }}
+var relChunks = freelist.New(8, func() *relational.Chunk { return new(relational.Chunk) })
 
 func (s relRows) held() int { return s.rows.Held() }
 func (s relRows) left() int { return s.rows.Left() }
 func (s relRows) close()    { s.rows.Close() }
 func (s relRows) fill(b *Batch, most int) bool {
-	ch := relChunks.Get().(*relational.Chunk)
+	ch := relChunks.Get()
 	defer func() {
 		for _, col := range ch.Cols {
 			clear(col) // a parked chunk pins no result data
@@ -244,13 +245,14 @@ func (c *ooConn) QueryCursor(_ context.Context, q string, batchSize int) (RowIte
 // rows.
 type ooRows struct{ rows *oodb.Rows }
 
-var ooChunks = sync.Pool{New: func() any { return new(oodb.Chunk) }}
+// ooChunks is relChunks for the object engine.
+var ooChunks = freelist.New(8, func() *oodb.Chunk { return new(oodb.Chunk) })
 
 func (s ooRows) held() int { return 0 }
 func (s ooRows) left() int { return s.rows.Left() }
 func (s ooRows) close()    { s.rows.Close() }
 func (s ooRows) fill(b *Batch, most int) bool {
-	ch := ooChunks.Get().(*oodb.Chunk)
+	ch := ooChunks.Get()
 	defer func() {
 		for _, col := range ch.Cols {
 			clear(col) // a parked chunk pins no result data

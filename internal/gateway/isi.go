@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cdr"
 	"repro/internal/cursor"
+	"repro/internal/freelist"
 	"repro/internal/idl"
 	"repro/internal/orb"
 	"repro/internal/trace"
@@ -47,6 +48,7 @@ func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (
 	var mu sync.Mutex
 	cursors := cursor.NewTable(0, 0, clock)
 	h := orb.NewHandler(ISIIDL)
+	s := &isiServant{Handler: h, replies: freelist.New(8, func() []idl.Field { return make([]idl.Field, 0, 4) })}
 	h.OnCtx("open_cursor", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -71,12 +73,13 @@ func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (
 		if err != nil {
 			return idl.Null(), cursorException(err)
 		}
-		return idl.Struct(
+		fs := append(s.replies.Get()[:0],
 			idl.F("id", idl.Long(id)),
 			idl.F("columns", idl.Strings(it.Columns())),
 			idl.F("page", first[0]),
 			idl.F("done", idl.Bool(done)),
-		), nil
+		)
+		return idl.Struct(fs...), nil
 	})
 	h.On("fetch_cursor", func(args []idl.Any) (idl.Any, error) {
 		mu.Lock()
@@ -85,7 +88,7 @@ func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (
 		if err != nil {
 			return idl.Null(), cursorException(err)
 		}
-		return idl.Struct(idl.F("page", page[0]), idl.F("done", idl.Bool(done))), nil
+		return idl.Struct(append(s.replies.Get()[:0], idl.F("page", page[0]), idl.F("done", idl.Bool(done)))...), nil
 	})
 	h.On("close_cursor", func(args []idl.Any) (idl.Any, error) {
 		mu.Lock()
@@ -93,16 +96,25 @@ func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (
 		cursors.Close(args[0].Int)
 		return idl.Any{Kind: idl.KindVoid}, nil
 	})
-	return isiServant{h}, cursors
+	return s, cursors
 }
 
-// isiServant is the ISI handler; the ORB hands its replies' pages back.
-type isiServant struct{ *orb.Handler }
+// isiServant is the ISI handler. The ORB hands its cursor replies back, and
+// their page buffers and field arrays (each with room for open_cursor's four
+// fields, as many as callers keep replies in flight) go back on free lists.
+type isiServant struct {
+	*orb.Handler
+	replies freelist.List[[]idl.Field]
+}
 
 // ReleaseResult implements orb.ResultReleaser.
-func (isiServant) ReleaseResult(_ string, result idl.Any) {
+func (s *isiServant) ReleaseResult(_ string, result idl.Any) {
 	if p, ok := result.Get("page"); ok && p.Kind == idl.KindOctets {
 		releasePage(p.Bytes())
+	}
+	if fs := result.Fields(); cap(fs) >= 4 {
+		clear(fs)
+		s.replies.Put(fs)
 	}
 }
 
@@ -244,12 +256,13 @@ func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (
 	// reply was lost, the first open's cursor is left behind until the idle
 	// reaper collects it (it counts against the cap until then).
 	it := &remoteCursorIter{conn: c}
+	it.args[0], it.args[1] = idl.String(q), idl.Long(int64(batchSize))
 	err := c.ref.InvokeScoped(ctx, "open_cursor", true, func(a idl.Any) (err error) {
 		cols, _ := a.Get("columns")
 		it.id, it.cols = a.GetInt("id"), cols.StringSlice()
 		it.first, it.done, err = cursorPage("open_cursor", a, len(it.cols))
 		return err
-	}, idl.String(q), idl.Long(int64(batchSize)))
+	}, it.args[:2]...)
 	if err != nil {
 		it.Close() // the reply may still name a live cursor (no reply: id 0)
 		return nil, remapISIError(err)
@@ -266,6 +279,7 @@ type remoteCursorIter struct {
 	first  *Batch // the open reply's page, until Next hands it out
 	done   bool   // server reported the cursor exhausted (and removed it)
 	closed bool
+	args   [2]idl.Any // the open's and each fetch's arguments, not one slice a call
 }
 
 func (it *remoteCursorIter) Columns() []string { return it.cols }
@@ -288,10 +302,11 @@ func (it *remoteCursorIter) Next(ctx context.Context) (*Batch, error) {
 	// lost reply would answer the page after the lost one. A failed fetch is
 	// a member that died mid-stream; the merge drops it by provenance.
 	var b *Batch
+	it.args[0] = idl.Long(it.id)
 	err := it.conn.ref.InvokeScoped(ctx, "fetch_cursor", false, func(a idl.Any) (err error) {
 		b, it.done, err = cursorPage("fetch_cursor", a, len(it.cols))
 		return err
-	}, idl.Long(it.id))
+	}, it.args[:1]...)
 	if err != nil {
 		// The fetch failed (cursor reaped, member died, ctx over) or its page
 		// did not decode: done stays false, so Close still tries.

@@ -3,10 +3,10 @@ package gateway
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cdr"
+	"repro/internal/freelist"
 	"repro/internal/giop"
 	"repro/internal/idl"
 )
@@ -58,7 +58,9 @@ type column struct {
 	anys   []idl.Any
 }
 
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+// batchPool holds released batches: as many as a process's servants and
+// streams have pages in hand at once.
+var batchPool = freelist.New(32, func() *Batch { return new(Batch) })
 
 // liveBatches counts batches handed out and not yet released.
 var liveBatches atomic.Int64
@@ -69,7 +71,7 @@ func LiveBatches() int64 { return liveBatches.Load() }
 
 // newBatch takes a zero-row batch of ncols untyped columns from the pool.
 func newBatch(ncols int) *Batch {
-	b := batchPool.Get().(*Batch)
+	b := batchPool.Get()
 	liveBatches.Add(1)
 	if cap(b.cols) < ncols {
 		b.cols = make([]column, ncols)
@@ -307,8 +309,9 @@ func (c *column) setBit(r int, v bool) {
 // row. Every column costs at least a bit per row, which is what lets the
 // decoder bound a hostile row count by the bytes present.
 
-// pagePool holds page buffers whose replies are done with them.
-var pagePool sync.Pool
+// pagePool holds page buffers whose replies are done with them: as many as
+// the process's servants have pages in flight, none above a reply fragment.
+var pagePool = freelist.New[[]byte](16, nil)
 
 // encodePage renders the batch (all its rows; it must not have been narrowed
 // by Keep) as a page in the given byte order, into a buffer from the page
@@ -328,9 +331,7 @@ func encodePage(b *Batch, order cdr.ByteOrder) []byte {
 		}
 	}
 	var e cdr.Encoder // on the stack; only its buffer outlives the call
-	if p, ok := pagePool.Get().(*[]byte); ok {
-		e.Adopt(*p)
-	}
+	e.Adopt(pagePool.Get())
 	e.ResetFor(order, 0)
 	e.Grow(size)
 	e.WriteOctet(byte(order)) // the encapsulation's order flag, at offset 0
@@ -366,7 +367,7 @@ func encodePage(b *Batch, order cdr.ByteOrder) []byte {
 // reply fragment. Nothing may reference it afterwards.
 func releasePage(page []byte) {
 	if cap(page) <= giop.DefaultFragmentThreshold {
-		pagePool.Put(&page)
+		pagePool.Put(page)
 	}
 }
 

@@ -51,13 +51,13 @@ type FragmentHeader struct {
 // Marshal appends the header to a body encoder.
 func (h *FragmentHeader) Marshal(e *cdr.Encoder) { e.WriteULong(h.RequestID) }
 
-// UnmarshalFragmentHeader reads a Fragment header from a body decoder.
-func UnmarshalFragmentHeader(d *cdr.Decoder) (*FragmentHeader, error) {
-	id, err := d.ReadULong()
-	if err != nil {
-		return nil, fmt.Errorf("giop: fragment header: %w", err)
+// Unmarshal reads a Fragment header from a body decoder into h.
+func (h *FragmentHeader) Unmarshal(d *cdr.Decoder) error {
+	var err error
+	if h.RequestID, err = d.ReadULong(); err != nil {
+		return fmt.Errorf("giop: fragment header: %w", err)
 	}
-	return &FragmentHeader{RequestID: id}, nil
+	return nil
 }
 
 // WriteFragmented writes m through sw, splitting its body into an initial
@@ -112,7 +112,7 @@ func (sw *SyncWriter) writeFragment(order cdr.ByteOrder, reqID uint32, payload [
 		return fmt.Errorf("giop: fragment body %d exceeds limit", size)
 	}
 	return sw.write(func(w io.Writer) error {
-		hdr := hdrPool.Get().(*[HeaderSize]byte)
+		hdr := &sw.hdr
 		putHeader(hdr, Header{Type: MsgFragment, Order: order, More: more, Size: uint32(size)})
 		var frag [4]byte
 		putULong(frag[:], reqID, order)
@@ -123,7 +123,6 @@ func (sw *SyncWriter) writeFragment(order cdr.ByteOrder, reqID uint32, payload [
 		if err == nil && len(payload) > 0 {
 			_, err = w.Write(payload)
 		}
-		hdrPool.Put(hdr)
 		if err != nil {
 			return fmt.Errorf("giop: write fragment: %w", err)
 		}
@@ -134,7 +133,7 @@ func (sw *SyncWriter) writeFragment(order cdr.ByteOrder, reqID uint32, payload [
 // Reassembler accumulates fragmented messages keyed by request ID. It is not
 // safe for concurrent use: each connection's demux read loop owns one, which
 // is also what makes the accounting (pending count, byte caps) per
-// connection. Completed messages come back as ordinary non-pooled Messages
+// connection. Completed messages come back as ordinary Messages no Reader owns
 // and flow through the same handling as unfragmented ones.
 type Reassembler struct {
 	maxPending int
@@ -201,8 +200,8 @@ func (ra *Reassembler) Begin(reqID uint32, m *Message) error {
 // immediately.
 func (ra *Reassembler) Fragment(m *Message) (*Message, error) {
 	d := m.BodyDecoder()
-	fh, err := UnmarshalFragmentHeader(d)
-	if err != nil {
+	var fh FragmentHeader
+	if err := fh.Unmarshal(&d); err != nil {
 		return nil, err
 	}
 	p, ok := ra.pending[fh.RequestID]

@@ -13,13 +13,19 @@ import (
 // fragmenting writer must keep in the initial frame).
 func encodeReply(t testing.TB, reqID uint32, payload []byte) (*Message, int) {
 	t.Helper()
-	e := AcquireBodyEncoder(cdr.BigEndian)
-	defer ReleaseBodyEncoder(e)
+	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
 	rh := &ReplyHeader{RequestID: reqID, Status: ReplyNoException}
 	rh.Marshal(e)
 	hdrLen := e.Len()
 	body := append(append([]byte(nil), e.Bytes()...), payload...)
 	return &Message{Type: MsgReply, Order: cdr.BigEndian, Body: body}, hdrLen
+}
+
+// replyHeader decodes the Reply header that opens m's body.
+func replyHeader(m *Message) (ReplyHeader, error) {
+	var rh ReplyHeader
+	d := m.BodyDecoder()
+	return rh, rh.Unmarshal(&d)
 }
 
 // readAll drains every frame from buf.
@@ -107,8 +113,7 @@ func TestWriteFragmentedRoundTrip(t *testing.T) {
 	if !bytes.Equal(out.Body, want) {
 		t.Fatalf("reassembled body differs: %d vs %d bytes", len(out.Body), len(want))
 	}
-	d := out.BodyDecoder()
-	rh, err := UnmarshalReplyHeader(d)
+	rh, err := replyHeader(out)
 	if err != nil || rh.RequestID != 42 {
 		t.Fatalf("reassembled reply header = %+v, %v", rh, err)
 	}
@@ -154,7 +159,7 @@ func TestWriteFragmentedMinFirstKeepsHeaderIntact(t *testing.T) {
 	if len(msgs[0].Body) < hdrLen {
 		t.Fatalf("initial frame carries %d bytes, reply header needs %d", len(msgs[0].Body), hdrLen)
 	}
-	if _, err := UnmarshalReplyHeader(msgs[0].BodyDecoder()); err != nil {
+	if _, err := replyHeader(msgs[0]); err != nil {
 		t.Fatalf("initial frame's reply header unparsable: %v", err)
 	}
 }
@@ -199,7 +204,7 @@ func TestFragmentInterleave(t *testing.T) {
 			}
 			*q = (*q)[1:]
 			if m != nil {
-				rh, err := UnmarshalReplyHeader(m.BodyDecoder())
+				rh, err := replyHeader(m)
 				if err != nil {
 					t.Fatalf("reassembled header: %v", err)
 				}

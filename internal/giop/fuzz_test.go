@@ -29,13 +29,14 @@ func FuzzGIOPRoundTrip(f *testing.F) {
 			order = cdr.LittleEndian
 		}
 
-		// Several rounds over one buffer so pooled messages and encoders get
-		// reused within a single fuzz execution.
+		// Several rounds over one stream, one Reader and one encoder, so
+		// bodies and encoder buffers get reused within a single execution.
+		var wire bytes.Buffer
+		rd := NewReader(&wire)
+		e := cdr.NewEncoder(order)
 		for i := 0; i < 4; i++ {
-			var wire bytes.Buffer
-
 			// Request leg.
-			e := AcquireBodyEncoder(order)
+			e.ResetFor(order, HeaderSize)
 			reqHdr := &RequestHeader{
 				ServiceContext:   []ServiceContext{{ID: ServiceContextTracing, Data: payload}},
 				RequestID:        reqID + uint32(i),
@@ -49,20 +50,19 @@ func FuzzGIOPRoundTrip(f *testing.F) {
 			if err := Write(&wire, &Message{Type: MsgRequest, Order: order, Body: e.Bytes()}); err != nil {
 				t.Fatalf("write request: %v", err)
 			}
-			ReleaseBodyEncoder(e)
 
 			// Reply leg, framed onto the same stream.
-			e = AcquireBodyEncoder(order)
+			e.ResetFor(order, HeaderSize)
 			repHdr := &ReplyHeader{RequestID: reqID + uint32(i), Status: ReplyNoException}
 			repHdr.Marshal(e)
 			e.WriteOctets(payload)
 			if err := Write(&wire, &Message{Type: MsgReply, Order: order, Body: e.Bytes()}); err != nil {
 				t.Fatalf("write reply: %v", err)
 			}
-			ReleaseBodyEncoder(e)
 
-			// Read the request back through the pooled path.
-			m, err := Read(&wire)
+			// Read the request back; its header aliases the body, so it is
+			// checked before Release.
+			m, err := rd.Read()
 			if err != nil {
 				t.Fatalf("read request: %v", err)
 			}
@@ -70,7 +70,8 @@ func FuzzGIOPRoundTrip(f *testing.F) {
 				t.Fatalf("request frame: got type=%v order=%v", m.Type, m.Order)
 			}
 			d := m.BodyDecoder()
-			gotReq, err := UnmarshalRequestHeader(d)
+			var gotReq RequestHeader
+			gotOp, err := gotReq.Unmarshal(&d)
 			if err != nil {
 				t.Fatalf("unmarshal request header: %v", err)
 			}
@@ -78,16 +79,12 @@ func FuzzGIOPRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("read request payload: %v", err)
 			}
-			// Copy before Release: ReadOctets aliases the pooled body.
-			gotPayload = append([]byte(nil), gotPayload...)
-			m.Release()
-
 			if gotReq.RequestID != reqID+uint32(i) ||
 				gotReq.ResponseExpected != respExpected ||
 				!bytes.Equal(gotReq.ObjectKey, objectKey) ||
-				gotReq.Operation != op ||
+				string(gotOp) != op ||
 				!bytes.Equal(gotReq.Principal, principal) {
-				t.Fatalf("request header mismatch: got %+v want %+v", gotReq, reqHdr)
+				t.Fatalf("request header mismatch: got %+v op %q want %+v", gotReq, gotOp, reqHdr)
 			}
 			if len(gotReq.ServiceContext) != 1 ||
 				gotReq.ServiceContext[0].ID != ServiceContextTracing ||
@@ -97,9 +94,10 @@ func FuzzGIOPRoundTrip(f *testing.F) {
 			if !bytes.Equal(gotPayload, payload) {
 				t.Fatalf("request payload mismatch: got %d bytes want %d", len(gotPayload), len(payload))
 			}
+			m.Release()
 
-			// Read the reply; its header must survive the request's Release.
-			m, err = Read(&wire)
+			// Read the reply, into the body the request gave back.
+			m, err = rd.Read()
 			if err != nil {
 				t.Fatalf("read reply: %v", err)
 			}
@@ -107,8 +105,8 @@ func FuzzGIOPRoundTrip(f *testing.F) {
 				t.Fatalf("reply frame: got type=%v", m.Type)
 			}
 			d = m.BodyDecoder()
-			gotRep, err := UnmarshalReplyHeader(d)
-			if err != nil {
+			var gotRep ReplyHeader
+			if err := gotRep.Unmarshal(&d); err != nil {
 				t.Fatalf("unmarshal reply header: %v", err)
 			}
 			repPayload, err := d.ReadOctets()
@@ -127,8 +125,9 @@ func FuzzGIOPRoundTrip(f *testing.F) {
 }
 
 // FuzzGIOPRead feeds arbitrary bytes to the pooled reader: hostile framing
-// must produce an error or a well-formed message, never a panic, and pooled
-// messages handed out for valid frames must release cleanly.
+// must produce an error or a well-formed message, never a panic, and the
+// messages a connection's Reader hands out for valid frames must release
+// cleanly back to it.
 func FuzzGIOPRead(f *testing.F) {
 	// A valid empty CloseConnection frame as a seed.
 	var buf bytes.Buffer
@@ -140,9 +139,9 @@ func FuzzGIOPRead(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		r := bytes.NewReader(raw)
+		rd := NewReader(bytes.NewReader(raw))
 		for {
-			m, err := Read(r)
+			m, err := rd.Read()
 			if err != nil {
 				if m != nil {
 					t.Fatalf("Read returned both message and error %v", err)

@@ -10,10 +10,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/cdr"
+	"repro/internal/freelist"
 )
 
 // MsgType enumerates GIOP message types.
@@ -115,15 +117,10 @@ type Message struct {
 	// body is continued by Fragment messages for the same request ID.
 	More bool
 
-	// pooled marks messages allocated by Read from msgPool; Release returns
-	// them (body buffer included) for reuse by later reads.
-	pooled bool
+	// from is the Reader that handed the message out, until Release gives
+	// it back; nil for a hand-built or reassembled message.
+	from *Reader
 }
-
-// msgPool recycles Messages (and their body buffers) produced by Read, so
-// the mux read loops on both sides of a connection stop allocating a header
-// and a body per message.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // liveMessages counts messages Read handed out and nobody released yet.
 var liveMessages atomic.Int64
@@ -132,52 +129,34 @@ var liveMessages atomic.Int64
 // yet: on a quiet process it is where it was, unless a receive buffer leaked.
 func LiveMessages() int64 { return liveMessages.Load() }
 
-// hdrPool recycles the 12-byte scratch header used by Read and writeFrame.
-var hdrPool = sync.Pool{New: func() any { return new([HeaderSize]byte) }}
-
-// Release returns a message obtained from Read to the pool. After Release
-// the message and its Body must not be touched; the next Read on any
-// connection may reuse them. Calling Release on a hand-built (non-Read)
-// message or a second time is a no-op. Anything decoded out of the body that
-// outlives the message must have been copied (the header unmarshals and
-// idl.UnmarshalAny do copy; idl.DecodeAny sharing does not, so its caller
-// releases the message only once it is done with the value).
+// Release gives a message obtained from Read back to the Reader that read
+// it. After Release the message and its Body must not be touched: the
+// connection's next Read may reuse them. Calling Release on nil, on a
+// hand-built or reassembled message, or a second time, is a no-op. Anything
+// decoded out of the body that outlives the message must have been copied:
+// strings and idl.UnmarshalAny values are, but the request and reply
+// headers' keys, principals and service contexts alias the body, and so do
+// the octet sequences of an idl.DecodeAny lent value, whose caller releases
+// the message only once it is done with the value.
 func (m *Message) Release() {
-	if m == nil || !m.pooled {
+	if m == nil || m.from == nil {
 		return
 	}
-	m.pooled = false
+	rd := m.from
+	m.from = nil
 	liveMessages.Add(-1)
 	m.More = false
 	m.Body = m.Body[:0]
-	msgPool.Put(m)
-}
-
-// encPool recycles CDR body encoders (their scratch buffers grow to the
-// working set's message size and stay).
-var encPool = sync.Pool{New: func() any { return cdr.NewEncoder(cdr.BigEndian) }}
-
-// AcquireBodyEncoder returns a pooled CDR encoder positioned for a message
-// body (alignment origin at the message start). Pass it back through
-// ReleaseBodyEncoder once the frame has been written; the encoder's buffer
-// is reused by later messages, so its Bytes must not be retained.
-func AcquireBodyEncoder(order cdr.ByteOrder) *cdr.Encoder {
-	e := encPool.Get().(*cdr.Encoder)
-	e.ResetFor(order, HeaderSize)
-	return e
-}
-
-// ReleaseBodyEncoder returns an encoder from AcquireBodyEncoder to the pool.
-func ReleaseBodyEncoder(e *cdr.Encoder) {
-	if e != nil {
-		encPool.Put(e)
+	if cap(m.Body) > DefaultFragmentThreshold {
+		m.Body = nil
 	}
+	rd.free.Put(m)
 }
 
 // BodyDecoder returns a CDR decoder positioned at the start of the body with
 // the correct alignment origin and byte order.
-func (m *Message) BodyDecoder() *cdr.Decoder {
-	return cdr.NewDecoderAt(m.Body, m.Order, HeaderSize)
+func (m *Message) BodyDecoder() cdr.Decoder {
+	return *cdr.NewDecoderAt(m.Body, m.Order, HeaderSize)
 }
 
 // Write frames and writes the message, flushing when w is buffered. It is
@@ -185,7 +164,7 @@ func (m *Message) BodyDecoder() *cdr.Decoder {
 // when frames from multiple goroutines share one stream (multiplexed IIOP),
 // wrap the stream in a SyncWriter instead.
 func Write(w io.Writer, m *Message) error {
-	if err := writeFrame(w, m); err != nil {
+	if err := writeFrame(w, new([HeaderSize]byte), m); err != nil {
 		return err
 	}
 	if bw, ok := w.(*bufio.Writer); ok {
@@ -194,16 +173,14 @@ func Write(w io.Writer, m *Message) error {
 	return nil
 }
 
-// writeFrame frames and writes the message without flushing.
-func writeFrame(w io.Writer, m *Message) error {
+// writeFrame frames and writes the message without flushing, using hdr as
+// the header's scratch.
+func writeFrame(w io.Writer, hdr *[HeaderSize]byte, m *Message) error {
 	if len(m.Body) > MaxMessageSize {
 		return fmt.Errorf("giop: message body %d exceeds limit", len(m.Body))
 	}
-	hdr := hdrPool.Get().(*[HeaderSize]byte)
 	putHeader(hdr, Header{Type: m.Type, Order: m.Order, More: m.More, Size: uint32(len(m.Body))})
-	_, err := w.Write(hdr[:])
-	hdrPool.Put(hdr)
-	if err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("giop: write header: %w", err)
 	}
 	if len(m.Body) > 0 {
@@ -234,6 +211,7 @@ type SyncWriter struct {
 	queued atomic.Int32  // writers waiting for mu
 	err    error         // sticky first write/flush error
 	onErr  func(error)
+	hdr    [HeaderSize]byte // the header scratch of the frame being written, under mu
 }
 
 var errWriterClosed = fmt.Errorf("giop: writer closed")
@@ -251,7 +229,7 @@ func NewSyncWriter(w io.Writer, onErr func(error)) *SyncWriter {
 // same SyncWriter; it is on the stream when Write returns unless another
 // writer was queued behind it, which then carries it out.
 func (sw *SyncWriter) Write(m *Message) error {
-	return sw.write(func(w io.Writer) error { return writeFrame(w, m) })
+	return sw.write(func(w io.Writer) error { return writeFrame(w, &sw.hdr, m) })
 }
 
 // write runs frame under the lock, then flushes if no writer is queued
@@ -301,32 +279,53 @@ func (sw *SyncWriter) Close() {
 	}
 }
 
-// Read reads one framed GIOP message. The returned message is pooled: pass
-// it to Release once everything needed from its body has been decoded (or
-// copied), and it will be reused by a later Read.
-func Read(r io.Reader) (*Message, error) {
-	hdr := hdrPool.Get().(*[HeaderSize]byte)
-	defer hdrPool.Put(hdr)
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// Reader reads one connection's messages into bodies from its own free list,
+// to which Release (on any goroutine) gives them back: a page connection
+// recycles page-sized bodies, a request connection small ones, and a
+// collection empties neither. Read is for the connection's read loop.
+type Reader struct {
+	r    io.Reader
+	hdr  [HeaderSize]byte
+	free freelist.List[*Message]
+}
+
+// readerFree bounds a Reader's free list (no body on it is above
+// DefaultFragmentThreshold): what a connection holds at once in steady state.
+const readerFree = 4
+
+func newMessage() *Message { return new(Message) }
+
+// NewReader returns a Reader of the messages framed on r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: r, free: freelist.New(readerFree, newMessage)}
+}
+
+// noFree is the free list of a one-off Read: it keeps nothing.
+var noFree = freelist.New(0, newMessage)
+
+// Read reads one framed GIOP message from r into a body of its own: a
+// one-off read of a stream no Reader owns. Release on the message counts it
+// released and keeps nothing.
+func Read(r io.Reader) (*Message, error) { return (&Reader{r: r, free: noFree}).Read() }
+
+// Read reads the connection's next message. Pass it to Release once
+// everything needed from its body has been decoded (or copied), and a later
+// Read reuses it.
+func (rd *Reader) Read() (*Message, error) {
+	if _, err := io.ReadFull(rd.r, rd.hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean close detection
 	}
-	h, err := ParseHeader(hdr)
+	h, err := ParseHeader(&rd.hdr)
 	if err != nil {
 		return nil, err
 	}
-	m := msgPool.Get().(*Message)
-	m.Type, m.Order, m.More, m.pooled = h.Type, h.Order, h.More, true
+	m := rd.free.Get()
+	m.Type, m.Order, m.More, m.from = h.Type, h.Order, h.More, rd
 	liveMessages.Add(1)
-	if cap(m.Body) < int(h.Size) {
-		m.Body = make([]byte, h.Size)
-	} else {
-		m.Body = m.Body[:h.Size]
-	}
-	if h.Size > 0 {
-		if _, err := io.ReadFull(r, m.Body); err != nil {
-			m.Release()
-			return nil, fmt.Errorf("giop: read body: %w", err)
-		}
+	m.Body = slices.Grow(m.Body[:0], int(h.Size))[:h.Size]
+	if _, err := io.ReadFull(rd.r, m.Body); err != nil {
+		m.Release()
+		return nil, fmt.Errorf("giop: read body: %w", err)
 	}
 	return m, nil
 }
@@ -441,11 +440,13 @@ func (h *RequestHeader) Marshal(e *cdr.Encoder) {
 	e.WriteOctets(h.Principal)
 }
 
-// UnmarshalRequestHeader reads a Request header from a body decoder.
-func UnmarshalRequestHeader(d *cdr.Decoder) (*RequestHeader, error) {
-	var h RequestHeader
-	var err error
-	if h.ServiceContext, err = unmarshalContexts(d); err != nil {
+// Unmarshal reads a Request header from a body decoder into h, reusing h's
+// service context array. The object key, principal and context data alias
+// the body. So does op, the operation name, which the caller names as it
+// sees fit (interned, or string(op)): h.Operation is cleared.
+func (h *RequestHeader) Unmarshal(d *cdr.Decoder) (op []byte, err error) {
+	h.Operation = ""
+	if h.ServiceContext, err = unmarshalContexts(d, h.ServiceContext); err != nil {
 		return nil, fmt.Errorf("giop: request service context: %w", err)
 	}
 	if h.RequestID, err = d.ReadULong(); err != nil {
@@ -454,20 +455,16 @@ func UnmarshalRequestHeader(d *cdr.Decoder) (*RequestHeader, error) {
 	if h.ResponseExpected, err = d.ReadBool(); err != nil {
 		return nil, err
 	}
-	key, err := d.ReadOctets()
-	if err != nil {
+	if h.ObjectKey, err = d.ReadOctets(); err != nil {
 		return nil, err
 	}
-	h.ObjectKey = append([]byte(nil), key...)
-	if h.Operation, err = d.ReadString(); err != nil {
+	if op, err = d.ReadStringBytes(); err != nil {
 		return nil, err
 	}
-	pr, err := d.ReadOctets()
-	if err != nil {
+	if h.Principal, err = d.ReadOctets(); err != nil {
 		return nil, err
 	}
-	h.Principal = append([]byte(nil), pr...)
-	return &h, nil
+	return op, nil
 }
 
 // ReplyHeader is the GIOP 1.0 Reply header.
@@ -484,22 +481,19 @@ func (h *ReplyHeader) Marshal(e *cdr.Encoder) {
 	e.WriteULong(uint32(h.Status))
 }
 
-// UnmarshalReplyHeader reads a Reply header from a body decoder.
-func UnmarshalReplyHeader(d *cdr.Decoder) (*ReplyHeader, error) {
-	var h ReplyHeader
+// Unmarshal reads a Reply header from a body decoder into h, reusing h's
+// service context array; the context data alias the body.
+func (h *ReplyHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
-	if h.ServiceContext, err = unmarshalContexts(d); err != nil {
-		return nil, fmt.Errorf("giop: reply service context: %w", err)
+	if h.ServiceContext, err = unmarshalContexts(d, h.ServiceContext); err != nil {
+		return fmt.Errorf("giop: reply service context: %w", err)
 	}
 	if h.RequestID, err = d.ReadULong(); err != nil {
-		return nil, err
+		return err
 	}
 	status, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
 	h.Status = ReplyStatus(status)
-	return &h, nil
+	return err
 }
 
 // LocateRequestHeader is the GIOP LocateRequest body.
@@ -514,19 +508,14 @@ func (h *LocateRequestHeader) Marshal(e *cdr.Encoder) {
 	e.WriteOctets(h.ObjectKey)
 }
 
-// UnmarshalLocateRequest reads a LocateRequest body.
-func UnmarshalLocateRequest(d *cdr.Decoder) (*LocateRequestHeader, error) {
-	var h LocateRequestHeader
+// Unmarshal reads a LocateRequest body into h; the object key aliases it.
+func (h *LocateRequestHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
 	if h.RequestID, err = d.ReadULong(); err != nil {
-		return nil, err
+		return err
 	}
-	key, err := d.ReadOctets()
-	if err != nil {
-		return nil, err
-	}
-	h.ObjectKey = append([]byte(nil), key...)
-	return &h, nil
+	h.ObjectKey, err = d.ReadOctets()
+	return err
 }
 
 // LocateReplyHeader is the GIOP LocateReply body.
@@ -541,19 +530,15 @@ func (h *LocateReplyHeader) Marshal(e *cdr.Encoder) {
 	e.WriteULong(uint32(h.Status))
 }
 
-// UnmarshalLocateReply reads a LocateReply body.
-func UnmarshalLocateReply(d *cdr.Decoder) (*LocateReplyHeader, error) {
-	var h LocateReplyHeader
+// Unmarshal reads a LocateReply body into h.
+func (h *LocateReplyHeader) Unmarshal(d *cdr.Decoder) error {
 	var err error
 	if h.RequestID, err = d.ReadULong(); err != nil {
-		return nil, err
+		return err
 	}
 	status, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
 	h.Status = LocateStatus(status)
-	return &h, nil
+	return err
 }
 
 // CancelRequestHeader is the GIOP CancelRequest body.
@@ -564,13 +549,11 @@ type CancelRequestHeader struct {
 // Marshal appends the header to a body encoder.
 func (h *CancelRequestHeader) Marshal(e *cdr.Encoder) { e.WriteULong(h.RequestID) }
 
-// UnmarshalCancelRequest reads a CancelRequest body.
-func UnmarshalCancelRequest(d *cdr.Decoder) (*CancelRequestHeader, error) {
-	id, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	return &CancelRequestHeader{RequestID: id}, nil
+// Unmarshal reads a CancelRequest body into h.
+func (h *CancelRequestHeader) Unmarshal(d *cdr.Decoder) error {
+	var err error
+	h.RequestID, err = d.ReadULong()
+	return err
 }
 
 func marshalContexts(e *cdr.Encoder, ctxs []ServiceContext) {
@@ -581,22 +564,22 @@ func marshalContexts(e *cdr.Encoder, ctxs []ServiceContext) {
 	}
 }
 
-func unmarshalContexts(d *cdr.Decoder) ([]ServiceContext, error) {
+// unmarshalContexts reads a service context list into dst's array; the
+// entries' data alias the decoder's buffer.
+func unmarshalContexts(d *cdr.Decoder, dst []ServiceContext) ([]ServiceContext, error) {
 	n, err := d.ReadULong()
 	if err != nil {
 		return nil, err
 	}
-	ctxs := make([]ServiceContext, 0, n)
+	ctxs := dst[:0]
 	for i := uint32(0); i < n; i++ {
 		var c ServiceContext
 		if c.ID, err = d.ReadULong(); err != nil {
 			return nil, err
 		}
-		data, err := d.ReadOctets()
-		if err != nil {
+		if c.Data, err = d.ReadOctets(); err != nil {
 			return nil, err
 		}
-		c.Data = append([]byte(nil), data...)
 		ctxs = append(ctxs, c)
 	}
 	return ctxs, nil

@@ -33,11 +33,13 @@ func TestMessageRoundTrip(t *testing.T) {
 		if got.Type != MsgRequest || got.Order != order {
 			t.Fatalf("type/order = %v/%v", got.Type, got.Order)
 		}
-		rh, err := UnmarshalRequestHeader(got.BodyDecoder())
+		var rh RequestHeader
+		d := got.BodyDecoder()
+		op, err := rh.Unmarshal(&d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rh.RequestID != 42 || rh.Operation != "find_coalitions" ||
+		if rh.RequestID != 42 || string(op) != "find_coalitions" ||
 			string(rh.ObjectKey) != "CoDatabase/RBH" || !rh.ResponseExpected {
 			t.Errorf("header = %+v", rh)
 		}
@@ -62,7 +64,7 @@ func TestReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := UnmarshalReplyHeader(msg.BodyDecoder())
+	rh, err := replyHeader(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,9 @@ func TestLocateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, _ := Read(&buf)
-	lr, err := UnmarshalLocateRequest(msg.BodyDecoder())
+	var lr LocateRequestHeader
+	d := msg.BodyDecoder()
+	err := lr.Unmarshal(&d)
 	if err != nil || lr.RequestID != 3 || string(lr.ObjectKey) != "k" {
 		t.Fatalf("locate request = %+v, %v", lr, err)
 	}
@@ -89,7 +93,9 @@ func TestLocateRoundTrip(t *testing.T) {
 	(&LocateReplyHeader{RequestID: 3, Status: LocateObjectHere}).Marshal(e)
 	Write(&buf, &Message{Type: MsgLocateReply, Order: cdr.BigEndian, Body: e.Bytes()})
 	msg, _ = Read(&buf)
-	lrep, err := UnmarshalLocateReply(msg.BodyDecoder())
+	var lrep LocateReplyHeader
+	d = msg.BodyDecoder()
+	err = lrep.Unmarshal(&d)
 	if err != nil || lrep.Status != LocateObjectHere {
 		t.Fatalf("locate reply = %+v, %v", lrep, err)
 	}
@@ -101,7 +107,9 @@ func TestCancelRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	Write(&buf, &Message{Type: MsgCancelRequest, Order: cdr.BigEndian, Body: e.Bytes()})
 	msg, _ := Read(&buf)
-	cr, err := UnmarshalCancelRequest(msg.BodyDecoder())
+	var cr CancelRequestHeader
+	d := msg.BodyDecoder()
+	err := cr.Unmarshal(&d)
 	if err != nil || cr.RequestID != 11 {
 		t.Fatalf("cancel = %+v, %v", cr, err)
 	}
@@ -173,7 +181,8 @@ func TestMultipleMessagesOnStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := msg.BodyDecoder().ReadULong()
+		d := msg.BodyDecoder()
+		v, _ := d.ReadULong()
 		if v != uint32(i) {
 			t.Errorf("message %d carries %d", i, v)
 		}

@@ -89,7 +89,8 @@ func TestWriterConcurrentWholeFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", len(seen), err)
 		}
-		v, err := m.BodyDecoder().ReadULong()
+		d := m.BodyDecoder()
+		v, err := d.ReadULong()
 		if err != nil || seen[v] || v >= n {
 			t.Fatalf("frame %d carries %d (%v), duplicate or out of range", len(seen), v, err)
 		}
@@ -136,7 +137,7 @@ func TestWriterCloseFlushes(t *testing.T) {
 	under := &countingWriter{}
 	bw := bufio.NewWriter(under)
 	sw := NewSyncWriter(bw, nil)
-	if err := writeFrame(bw, ulongMessage(7)); err != nil {
+	if err := writeFrame(bw, new([HeaderSize]byte), ulongMessage(7)); err != nil {
 		t.Fatal(err)
 	}
 	sw.Close()

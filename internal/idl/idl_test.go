@@ -50,9 +50,13 @@ func TestAnysRoundTrip(t *testing.T) {
 	in := []Any{Long(1), String("x"), Null()}
 	e := cdr.NewEncoder(cdr.LittleEndian)
 	MarshalAnys(e, in)
-	out, err := UnmarshalAnys(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian))
+	scratch := make([]Any, 1, 4)
+	out, err := UnmarshalAnys(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian), scratch)
 	if err != nil || len(out) != 3 {
 		t.Fatalf("got %v, %v", out, err)
+	}
+	if &out[0] != &scratch[:1][0] {
+		t.Error("UnmarshalAnys did not decode into the array it was given")
 	}
 	for i := range in {
 		if !out[i].Equal(in[i]) {
@@ -247,7 +251,7 @@ func TestUnmarshalHostileCounts(t *testing.T) {
 			}
 		}
 	}
-	if _, err := UnmarshalAnys(cdr.NewDecoder(huge, cdr.BigEndian)); err == nil {
+	if _, err := UnmarshalAnys(cdr.NewDecoder(huge, cdr.BigEndian), nil); err == nil {
 		t.Error("UnmarshalAnys decoded 2^32-1 values from no bytes")
 	}
 	// A count that is honest about the first elements still fails on the
@@ -255,7 +259,7 @@ func TestUnmarshalHostileCounts(t *testing.T) {
 	e := cdr.NewEncoder(cdr.BigEndian)
 	e.WriteULong(1 << 30)
 	Long(7).Marshal(e)
-	if _, err := UnmarshalAnys(cdr.NewDecoder(e.Bytes(), cdr.BigEndian)); err == nil {
+	if _, err := UnmarshalAnys(cdr.NewDecoder(e.Bytes(), cdr.BigEndian), nil); err == nil {
 		t.Error("UnmarshalAnys decoded 2^30 values from one")
 	}
 	runtime.ReadMemStats(&after)

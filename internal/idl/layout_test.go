@@ -81,7 +81,7 @@ func TestAnyEmptyAggregates(t *testing.T) {
 		for _, share := range []bool{false, true} {
 			e := cdr.NewEncoder(cdr.BigEndian)
 			c.a.Marshal(e)
-			got, err := DecodeAny(cdr.NewDecoder(e.Bytes(), cdr.BigEndian), share)
+			got, err := decodeAny(cdr.NewDecoder(e.Bytes(), cdr.BigEndian), share, nil)
 			if err != nil || !got.Equal(c.a) || got.String() != c.a.String() {
 				t.Errorf("empty %s (share %t) round trip = %s, %v", c.a.Kind, share, got, err)
 			}
@@ -102,7 +102,7 @@ func TestSharingDecodeAliases(t *testing.T) {
 		return at >= lo && at < lo+uintptr(len(buf))
 	}
 	for _, share := range []bool{false, true} {
-		a, err := DecodeAny(cdr.NewDecoder(buf, cdr.BigEndian), share)
+		a, err := decodeAny(cdr.NewDecoder(buf, cdr.BigEndian), share, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,6 +115,33 @@ func TestSharingDecodeAliases(t *testing.T) {
 		if in(page.Bytes()) != share || in(row) != share {
 			t.Errorf("share %t: page in buffer %t, row in buffer %t", share, in(page.Bytes()), in(row))
 		}
+	}
+}
+
+// TestLentDecodeReusesFields: a lent decode puts a top-level struct's fields
+// in the array it is handed and keeps that array for the next decode, which
+// reuses it; nested structs get arrays of their own.
+func TestLentDecodeReusesFields(t *testing.T) {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	Struct(F("id", Long(7)), F("inner", Struct(F("done", Bool(true))))).Marshal(e)
+	var fields []Field
+	for i := 0; i < 2; i++ {
+		a, err := DecodeAny(cdr.NewDecoder(e.Bytes(), cdr.BigEndian), &fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fields) != 2 || &a.Fields()[0] != &fields[0] {
+			t.Fatalf("decode %d: the struct's fields are not in the lent array", i)
+		}
+		inner, _ := a.Get("inner")
+		if a.GetInt("id") != 7 || &inner.Fields()[0] == &fields[0] {
+			t.Fatalf("decode %d = %s", i, a)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		DecodeAny(cdr.NewDecoder(e.Bytes(), cdr.BigEndian), &fields)
+	}); n > 2 {
+		t.Errorf("a lent decode of a known shape allocates %v times, want at most 2 (the nested struct's array and field name)", n)
 	}
 }
 

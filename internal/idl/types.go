@@ -11,6 +11,7 @@ package idl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -317,12 +318,15 @@ func (a Any) Marshal(e *cdr.Encoder) {
 }
 
 // UnmarshalAny reads an Any from a CDR decoder; the value owns its bytes.
-func UnmarshalAny(d *cdr.Decoder) (Any, error) { return DecodeAny(d, false) }
+func UnmarshalAny(d *cdr.Decoder) (Any, error) { return decodeAny(d, false, nil) }
 
-// DecodeAny reads an Any from a CDR decoder. With share set its octet
-// sequences alias the decoder's buffer instead of copying it (strings still
-// copy), so the value is valid only as long as that buffer is.
-func DecodeAny(d *cdr.Decoder, share bool) (Any, error) {
+// DecodeAny reads a lent Any from a CDR decoder, valid only as long as the
+// decoder's buffer and *fields are: its octet sequences alias the buffer
+// (strings still copy), and a top-level struct's fields go to *fields.
+func DecodeAny(d *cdr.Decoder, fields *[]Field) (Any, error) { return decodeAny(d, true, fields) }
+
+// decodeAny reads an Any, sharing the buffer if share is set.
+func decodeAny(d *cdr.Decoder, share bool, fields *[]Field) (Any, error) {
 	k, err := d.ReadOctet()
 	if err != nil {
 		return Any{}, err
@@ -382,7 +386,7 @@ func DecodeAny(d *cdr.Decoder, share bool) (Any, error) {
 		vs := make([]Any, 0, wireCount(n, d))
 		for i := uint32(0); i < n; i++ {
 			var v Any
-			v, err = DecodeAny(d, share)
+			v, err = decodeAny(d, share, nil)
 			if err != nil {
 				break
 			}
@@ -395,19 +399,36 @@ func DecodeAny(d *cdr.Decoder, share bool) (Any, error) {
 		if err != nil {
 			break
 		}
-		fs := make([]Field, 0, wireCount(n, d))
+		var fs, last []Field
+		if fields != nil {
+			// The lent array still holds the last decode's fields: a name it
+			// repeats is taken from there instead of copied again.
+			last = (*fields)[:cap(*fields)]
+			fs = last[:0]
+		} else {
+			fs = make([]Field, 0, wireCount(n, d))
+		}
 		for i := uint32(0); i < n; i++ {
-			var name string
-			name, err = d.ReadString()
+			var name []byte
+			name, err = d.ReadStringBytes()
 			if err != nil {
 				break
 			}
 			var v Any
-			v, err = DecodeAny(d, share)
+			v, err = decodeAny(d, share, nil)
 			if err != nil {
 				break
 			}
-			fs = append(fs, Field{Name: name, Value: v})
+			f := Field{Value: v}
+			if int(i) < len(last) && last[i].Name == string(name) {
+				f.Name = last[i].Name
+			} else {
+				f.Name = string(name)
+			}
+			fs = append(fs, f)
+		}
+		if fields != nil {
+			*fields = fs
 		}
 		a = refer(a.Kind, fs)
 	default:
@@ -434,13 +455,14 @@ func MarshalAnys(e *cdr.Encoder, vs []Any) {
 	}
 }
 
-// UnmarshalAnys decodes a slice of Anys written by MarshalAnys.
-func UnmarshalAnys(d *cdr.Decoder) ([]Any, error) {
+// UnmarshalAnys decodes a slice of Anys written by MarshalAnys into dst's
+// array, growing it; each value owns its bytes.
+func UnmarshalAnys(d *cdr.Decoder, dst []Any) ([]Any, error) {
 	n, err := d.ReadULong()
 	if err != nil {
 		return nil, err
 	}
-	vs := make([]Any, 0, wireCount(n, d))
+	vs := slices.Grow(dst[:0], wireCount(n, d))
 	for i := uint32(0); i < n; i++ {
 		v, err := UnmarshalAny(d)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cdr"
+	"repro/internal/freelist"
 	"repro/internal/giop"
 	"repro/internal/idl"
 )
@@ -96,8 +97,8 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, idemp
 
 	var result idl.Any
 	var err error
-	var held *demuxedReply // the reply a scoped result aliases
-	var lender Servant     // the colocated servant a scoped result came from
+	var held *call     // the call whose reply a scoped result aliases
+	var lender Servant // the colocated servant a scoped result came from
 	calls := &o.Stats.IIOPCalls
 	if colocated {
 		calls = &o.Stats.ColocatedCalls
@@ -110,7 +111,8 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args []idl.Any, idemp
 		if cs := callStatsFrom(ctx); cs != nil {
 			cs.Attempts.Add(1)
 		}
-		result, lender, err = target.dispatchIncoming(ctx, r.ior.Key(), op, args, svcCtxs, "colocated")
+		lender, _ = target.lookupServant(r.ior.ObjectKey)
+		result, err = target.dispatchIncoming(ctx, lender, r.ior.ObjectKey, op, args, svcCtxs, "colocated")
 	} else {
 		result, held, err = o.callRemote(ctx, r, op, args, svcCtxs, idempotent, use != nil)
 	}
@@ -181,7 +183,7 @@ const (
 // Non-idempotent calls make exactly one transport attempt; idempotent ones
 // retry transport-class failures up to Options.RetryAttempts with
 // exponential backoff and full jitter. A shared result comes with its reply.
-func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, svcCtxs []giop.ServiceContext, idempotent, share bool) (idl.Any, *demuxedReply, error) {
+func (o *ORB) callRemote(ctx context.Context, r *ObjectRef, op string, args []idl.Any, svcCtxs []giop.ServiceContext, idempotent, share bool) (idl.Any, *call, error) {
 	cs := callStatsFrom(ctx)
 	maxAttempts := 1
 	if idempotent && o.opts.RetryAttempts > 1 {
@@ -236,7 +238,7 @@ func sleepBackoff(ctx context.Context, attempt int) error {
 // LocateRequest.
 func (r *ObjectRef) Locate() (bool, error) {
 	if target, ok := r.orb.colocatedTarget(r.addr); ok {
-		_, found := target.lookupServant(r.ior.Key())
+		_, found := target.lookupServant(r.ior.ObjectKey)
 		return found, nil
 	}
 	return r.orb.pool.locate(context.Background(), r.addr, r.ior.ObjectKey)
@@ -247,28 +249,40 @@ func (r *ObjectRef) Locate() (bool, error) {
 // the pipeline on an existing one.
 const maxPipelinePerConn = 64
 
-// demuxedReply is what the demux read loop hands to a waiting caller: a
-// parsed Reply (rh + d) or LocateReply (lr), or the connection-level error
-// that killed the call.
-type demuxedReply struct {
-	rh  *giop.ReplyHeader
-	lr  *giop.LocateReplyHeader
-	d   *cdr.Decoder  // positioned just past the reply header
-	msg *giop.Message // pooled message backing d; released after decode
-	err error
+// call is the record of one exchange, from the pool's free list: the caller
+// encodes its request into enc, the read loop (or fail) fills in the answer
+// and signals done, the caller decodes the result out of d and releases the
+// record. done carries one signal per registration, taken before release on
+// the timeout path too: no reply can land in a reused record.
+type call struct {
+	done   chan struct{}
+	kind   giop.MsgType // MsgReply or MsgLocateReply, once answered
+	rh     giop.ReplyHeader
+	lr     giop.LocateReplyHeader
+	d      cdr.Decoder   // the reply body, just past its header
+	msg    *giop.Message // the reply d reads, released with the record
+	err    error         // the connection-level failure that ended the call
+	enc    cdr.Encoder   // the request body
+	fields []idl.Field   // a lent reply's struct fields (idl.DecodeAny)
+	pool   *connPool
 }
 
-// release returns the pooled message (which backs r.d) for reuse. Call it
-// only after everything needed from the reply body has been decoded.
-func (r *demuxedReply) release() {
-	if r != nil && r.msg != nil {
-		r.msg.Release()
-		r.msg = nil
+// release gives the reply back to its connection's reader and the record to
+// the free list, once everything needed from the reply has been decoded.
+func (k *call) release() {
+	if k == nil {
+		return
 	}
+	k.msg.Release()
+	k.msg, k.kind, k.err, k.d = nil, 0, nil, cdr.Decoder{}
+	if cap(k.enc.Bytes()) > giop.DefaultFragmentThreshold {
+		return // a huge request's buffer is not kept
+	}
+	k.pool.free.Put(k)
 }
 
 // muxConn is one multiplexed outbound IIOP connection. Many concurrent
-// requests share it: each caller registers a reply channel under its GIOP
+// requests share it: each caller registers its call record under its GIOP
 // request ID, writes its frame through the serialized writer, and a single
 // demux goroutine routes every incoming Reply/LocateReply to the waiting
 // caller by ID. A connection-level failure (read/write error, timeout,
@@ -284,7 +298,7 @@ type muxConn struct {
 	nextID atomic.Uint32
 
 	mu      sync.Mutex
-	pending map[uint32]chan *demuxedReply
+	pending map[uint32]*call
 	dead    error // set once, before the pending map is flushed
 }
 
@@ -294,32 +308,28 @@ type errConnPoisoned struct{ cause error }
 
 func (e *errConnPoisoned) Error() string { return e.cause.Error() }
 
-// register installs a reply channel for a request ID. It fails if the
+// register makes k the call waiting on a request ID. It fails if the
 // connection is already dead (nothing was sent, so the call is retryable).
-func (c *muxConn) register(id uint32) (chan *demuxedReply, error) {
+func (c *muxConn) register(id uint32, k *call) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead != nil {
-		return nil, &errConnPoisoned{cause: c.dead}
+		return &errConnPoisoned{cause: c.dead}
 	}
-	ch := make(chan *demuxedReply, 1)
-	c.pending[id] = ch
-	return ch, nil
+	c.pending[id] = k
+	return nil
 }
 
-// deliver routes one demuxed reply to its waiting caller; replies without a
-// waiter (e.g. for a request the server invented) are dropped, which is safe
-// because every abandoned wait poisons the whole connection first.
-func (c *muxConn) deliver(id uint32, r *demuxedReply) {
+// claim removes and returns the call waiting on a request ID, for its
+// claimer to fill in and signal; nil if none: a reply without a waiter (e.g.
+// for a request the server invented) is dropped, which is safe because every
+// abandoned wait poisons the whole connection first.
+func (c *muxConn) claim(id uint32) *call {
 	c.mu.Lock()
-	ch := c.pending[id]
+	k := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
-	if ch != nil {
-		ch <- r
-	} else {
-		r.release() // no waiter: the reply is dropped, recycle its buffer
-	}
+	return k
 }
 
 // fail poisons the connection: it leaves the pool, the socket closes, and
@@ -340,8 +350,9 @@ func (c *muxConn) fail(err error) {
 	c.mu.Unlock()
 	c.w.Close()
 	c.nc.Close()
-	for _, ch := range pend {
-		ch <- &demuxedReply{err: err}
+	for _, k := range pend {
+		k.err = err
+		k.done <- struct{}{}
 	}
 }
 
@@ -383,16 +394,22 @@ func (c *muxConn) sendRequest(reqID uint32, msg *giop.Message, hdrLen int) error
 // false it has already been poisoned.
 func (c *muxConn) handleReply(msg *giop.Message) bool {
 	d := msg.BodyDecoder()
-	rh, err := giop.UnmarshalReplyHeader(d)
-	if err != nil {
+	var rh giop.ReplyHeader
+	if err := rh.Unmarshal(&d); err != nil {
 		// An unroutable reply leaves callers unmatchable: poison.
 		msg.Release()
 		c.fail(&SystemException{Name: ExcMarshal, Detail: "reply header: " + err.Error()})
 		return false
 	}
-	// The message travels with the reply: the waiting caller still
-	// has to decode the result out of its body, and releases it then.
-	c.deliver(rh.RequestID, &demuxedReply{rh: rh, d: d, msg: msg})
+	k := c.claim(rh.RequestID)
+	if k == nil {
+		msg.Release()
+		return true
+	}
+	// The message travels with the call: the waiting caller still has to
+	// decode the result out of its body, and releases it then.
+	k.kind, k.rh, k.d, k.msg = giop.MsgReply, rh, d, msg
+	k.done <- struct{}{}
 	return true
 }
 
@@ -401,11 +418,11 @@ func (c *muxConn) handleReply(msg *giop.Message) bool {
 // Fragmented replies reassemble here before delivery; the pending cap
 // mirrors the pipelining depth, so a confused peer cannot hold more partial
 // replies open than the caller could have requests in flight.
-func (c *muxConn) readLoop(br *bufio.Reader) {
+func (c *muxConn) readLoop(rd *giop.Reader) {
 	stats := &c.pool.orb.Stats
 	ra := giop.NewReassembler(maxPipelinePerConn)
 	for {
-		msg, err := giop.Read(br)
+		msg, err := rd.Read()
 		if err != nil {
 			c.fail(&SystemException{Name: ExcCommFailure, Detail: "read reply: " + err.Error()})
 			return
@@ -416,7 +433,9 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 			if msg.More {
 				// Initial frame of a fragmented reply: key the reassembly by
 				// the request ID in its (whole, by contract) reply header.
-				rh, err := giop.UnmarshalReplyHeader(msg.BodyDecoder())
+				var rh giop.ReplyHeader
+				d := msg.BodyDecoder()
+				err := rh.Unmarshal(&d)
 				if err == nil {
 					err = ra.Begin(rh.RequestID, msg)
 				}
@@ -449,13 +468,18 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 				return
 			}
 		case giop.MsgLocateReply:
-			lr, err := giop.UnmarshalLocateReply(msg.BodyDecoder())
-			msg.Release() // the locate header is fully copied out
+			var lr giop.LocateReplyHeader
+			d := msg.BodyDecoder()
+			err := lr.Unmarshal(&d)
+			msg.Release() // the locate header holds nothing of the body
 			if err != nil {
 				c.fail(&SystemException{Name: ExcMarshal, Detail: "locate reply: " + err.Error()})
 				return
 			}
-			c.deliver(lr.RequestID, &demuxedReply{lr: lr})
+			if k := c.claim(lr.RequestID); k != nil {
+				k.kind, k.lr = giop.MsgLocateReply, lr
+				k.done <- struct{}{}
+			}
 		case giop.MsgCloseConnection:
 			msg.Release()
 			c.fail(&SystemException{Name: ExcCommFailure, Detail: "server closed connection"})
@@ -473,57 +497,52 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 	}
 }
 
-// call sends one request frame and waits for its demuxed reply, bounding the
-// wait by timeout (0 = unbounded). A timeout or write failure poisons the
+// call sends k's request and waits for its reply, bounding the wait by
+// timeout (0 = unbounded). A timeout or write failure poisons the
 // connection, preserving GIOP 1.0 semantics where a broken exchange leaves
-// the stream unusable.
-func (c *muxConn) call(reqID uint32, msg *giop.Message, hdrLen int, timeout time.Duration) (*demuxedReply, error) {
-	send := func() error {
-		if msg.Type == giop.MsgRequest {
-			return c.sendRequest(reqID, msg, hdrLen)
-		}
-		return c.send(msg)
-	}
-	ch, err := c.register(reqID)
-	if err != nil {
-		return nil, err
+// the stream unusable. However it ends, k has had its one signal when call
+// returns (or was never registered), so the caller may release it.
+func (c *muxConn) call(k *call, reqID uint32, msg *giop.Message, hdrLen int, timeout time.Duration) error {
+	if err := c.register(reqID, k); err != nil {
+		return err
 	}
 	stats := &c.pool.orb.Stats
 	stats.noteInFlight()
 	defer stats.InFlight.Add(-1)
-	if err := send(); err != nil {
+	var err error
+	if msg.Type == giop.MsgRequest {
+		err = c.sendRequest(reqID, msg, hdrLen)
+	} else {
+		err = c.send(msg)
+	}
+	if err != nil {
 		c.fail(err)
-		<-ch // fail delivered the error; drain our channel
-		return nil, err
+		k.wait() // fail signalled the call with its error
+		return err
 	}
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		select {
-		case r := <-ch:
-			return r, r.err
+		case <-k.done:
+			return k.err
 		case <-t.C:
 			c.fail(&SystemException{Name: ExcCommFailure,
 				Detail: fmt.Sprintf("call timed out after %v", timeout)})
-			return drainTimedOut(ch)
+			// Usually fail has signalled the call with the timeout, but the
+			// real reply may have raced the timer: claim removes the pending
+			// entry before fail can flush it, and the wait then ends in a
+			// late success.
+			return k.wait()
 		}
 	}
-	r := <-ch
-	return r, r.err
+	return k.wait()
 }
 
-// drainTimedOut resolves a timed-out call from its reply channel. Usually
-// fail has flushed the channel with the timeout error, but the real reply
-// may have raced the timer into deliver first — deliver removes the pending
-// entry before fail can flush it, so the drained reply has err == nil. That
-// reply is returned as a (late) success; returning (nil, nil) would panic
-// the decode path.
-func drainTimedOut(ch chan *demuxedReply) (*demuxedReply, error) {
-	r := <-ch
-	if r.err == nil {
-		return r, nil
-	}
-	return nil, r.err
+// wait takes the call's one signal and returns its connection-level error.
+func (k *call) wait() error {
+	<-k.done
+	return k.err
 }
 
 // dialTimeout bounds establishing a new outbound IIOP connection.
@@ -538,10 +557,20 @@ type connPool struct {
 	orb   *ORB
 	mu    sync.Mutex
 	conns map[string][]*muxConn
+	free  freelist.List[*call] // released call records, at most maxPipelinePerConn
 }
 
 func newConnPool(o *ORB) *connPool {
-	return &connPool{orb: o, conns: make(map[string][]*muxConn)}
+	p := &connPool{orb: o, conns: make(map[string][]*muxConn)}
+	p.free = freelist.New(maxPipelinePerConn, func() *call { return &call{done: make(chan struct{}, 1), pool: p} })
+	return p
+}
+
+// newCall takes a call record, its request encoder reset for order.
+func (p *connPool) newCall(order cdr.ByteOrder) *call {
+	k := p.free.Get()
+	k.enc.ResetFor(order, giop.HeaderSize)
+	return k
 }
 
 // get returns the least-loaded live connection to addr, dialing a new one
@@ -562,7 +591,7 @@ func (p *connPool) get(addr string) (*muxConn, error) {
 		pool:    p,
 		addr:    addr,
 		nc:      nc,
-		pending: make(map[uint32]chan *demuxedReply),
+		pending: make(map[uint32]*call),
 	}
 	// An asynchronous flush failure loses frames whose callers already
 	// returned from Write, so it must poison the whole connection.
@@ -582,7 +611,7 @@ func (p *connPool) get(addr string) (*muxConn, error) {
 	}
 	p.conns[addr] = append(p.conns[addr], c)
 	p.mu.Unlock()
-	go c.readLoop(bufio.NewReader(nc))
+	go c.readLoop(giop.NewReader(bufio.NewReader(nc)))
 	return c, nil
 }
 
@@ -658,7 +687,7 @@ func (p *connPool) callDeadline(ctx context.Context) time.Duration {
 // entries (interceptor-added) carried in the request header. The context
 // deadline, when tighter than Options.CallTimeout, bounds the exchange. A
 // shared result aliases the reply, which is returned unreleased.
-func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op string, args []idl.Any, svcCtxs []giop.ServiceContext, share bool) (idl.Any, *demuxedReply, error) {
+func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op string, args []idl.Any, svcCtxs []giop.ServiceContext, share bool) (idl.Any, *call, error) {
 	order := p.orb.wireOrder()
 	for attempt := 0; ; attempt++ {
 		c, err := p.get(addr)
@@ -666,7 +695,7 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 			return idl.Null(), nil, err
 		}
 		reqID := c.nextID.Add(1)
-		e := giop.AcquireBodyEncoder(order)
+		k := p.newCall(order)
 		(&giop.RequestHeader{
 			ServiceContext:   svcCtxs,
 			RequestID:        reqID,
@@ -674,15 +703,12 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 			ObjectKey:        key,
 			Operation:        op,
 			Principal:        []byte(p.orb.opts.Product),
-		}).Marshal(e)
-		hdrLen := e.Len()
-		idl.MarshalAnys(e, args)
-		msg := &giop.Message{Type: giop.MsgRequest, Order: order, Body: e.Bytes()}
-		r, err := c.call(reqID, msg, hdrLen, p.callDeadline(ctx))
-		// call has either copied the frame into the connection's buffered
-		// writer or failed; the encoder's scratch buffer is free either way.
-		giop.ReleaseBodyEncoder(e)
+		}).Marshal(&k.enc)
+		hdrLen := k.enc.Len()
+		idl.MarshalAnys(&k.enc, args)
+		err = c.call(k, reqID, &giop.Message{Type: giop.MsgRequest, Order: order, Body: k.enc.Bytes()}, hdrLen, p.callDeadline(ctx))
 		if err != nil {
+			k.release()
 			if pe, poisoned := err.(*errConnPoisoned); poisoned {
 				if attempt == 0 {
 					continue // nothing was sent; retry on a fresh connection
@@ -691,24 +717,31 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 			}
 			return idl.Null(), nil, err
 		}
-		result, err := decodeReply(r, share)
+		result, err := decodeReply(k, share)
 		if share && err == nil {
-			return result, r, nil
+			return result, k, nil
 		}
-		r.release()
+		k.release()
 		return result, nil, err
 	}
 }
 
-// decodeReply turns a demuxed Reply into a result value or a typed error.
-func decodeReply(r *demuxedReply, share bool) (idl.Any, error) {
-	if r.rh == nil {
+// decodeReply turns a call's Reply into a result value or a typed error. A
+// shared result is lent: it aliases the reply body and the call's fields.
+func decodeReply(k *call, share bool) (idl.Any, error) {
+	if k.kind != giop.MsgReply {
 		return idl.Null(), &SystemException{Name: ExcCommFailure, Detail: "request answered by a non-request reply"}
 	}
-	d := r.d
-	switch r.rh.Status {
+	d := &k.d
+	switch k.rh.Status {
 	case giop.ReplyNoException:
-		result, err := idl.DecodeAny(d, share)
+		var result idl.Any
+		var err error
+		if share {
+			result, err = idl.DecodeAny(d, &k.fields)
+		} else {
+			result, err = idl.UnmarshalAny(d)
+		}
 		if err != nil {
 			return idl.Null(), &SystemException{Name: ExcMarshal, Detail: err.Error()}
 		}
@@ -730,7 +763,7 @@ func decodeReply(r *demuxedReply, share bool) (idl.Any, error) {
 		return idl.Null(), &SystemException{Name: name, Minor: minor, Detail: detail}
 	default:
 		return idl.Null(), &SystemException{Name: ExcCommFailure,
-			Detail: "unsupported reply status " + r.rh.Status.String()}
+			Detail: "unsupported reply status " + k.rh.Status.String()}
 	}
 }
 
@@ -744,11 +777,11 @@ func (p *connPool) locate(ctx context.Context, addr string, key []byte) (bool, e
 			return false, err
 		}
 		reqID := c.nextID.Add(1)
-		e := giop.AcquireBodyEncoder(order)
-		(&giop.LocateRequestHeader{RequestID: reqID, ObjectKey: key}).Marshal(e)
-		msg := &giop.Message{Type: giop.MsgLocateRequest, Order: order, Body: e.Bytes()}
-		r, err := c.call(reqID, msg, 0, p.callDeadline(ctx))
-		giop.ReleaseBodyEncoder(e)
+		k := p.newCall(order)
+		(&giop.LocateRequestHeader{RequestID: reqID, ObjectKey: key}).Marshal(&k.enc)
+		err = c.call(k, reqID, &giop.Message{Type: giop.MsgLocateRequest, Order: order, Body: k.enc.Bytes()}, 0, p.callDeadline(ctx))
+		found, answered := k.lr.Status == giop.LocateObjectHere, k.kind == giop.MsgLocateReply
+		k.release()
 		if err != nil {
 			if pe, poisoned := err.(*errConnPoisoned); poisoned {
 				if attempt == 0 {
@@ -758,9 +791,9 @@ func (p *connPool) locate(ctx context.Context, addr string, key []byte) (bool, e
 			}
 			return false, err
 		}
-		if r.lr == nil {
+		if !answered {
 			return false, &SystemException{Name: ExcCommFailure, Detail: "request answered by a non-locate reply"}
 		}
-		return r.lr.Status == giop.LocateObjectHere, nil
+		return found, nil
 	}
 }

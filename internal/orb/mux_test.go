@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cdr"
 	"repro/internal/giop"
 	"repro/internal/idl"
 )
@@ -258,7 +259,7 @@ func newRaceHarnessConn(t *testing.T, client *ORB) *muxConn {
 		pool:    client.pool,
 		addr:    "race-harness",
 		nc:      cli,
-		pending: make(map[uint32]chan *demuxedReply),
+		pending: make(map[uint32]*call),
 	}
 	c.w = giop.NewSyncWriter(bufio.NewWriter(cli), func(err error) {
 		c.fail(&SystemException{Name: ExcCommFailure, Detail: err.Error()})
@@ -267,46 +268,55 @@ func newRaceHarnessConn(t *testing.T, client *ORB) *muxConn {
 }
 
 // TestCallTimeoutDeliverRace stages, deterministically, both orderings of
-// the race between a reply's deliver and the timeout branch's fail. When
-// deliver wins — it removes the pending entry before fail can flush it, so
-// the caller drains a reply with err == nil — the call must surface the
-// reply as a late success, never (nil, nil), which panicked the decode path.
+// the race between a reply's delivery and the timeout branch's fail. When
+// the reply wins — the read loop claims the pending call before fail can
+// flush it — the call's one signal is the reply's, and the call must surface
+// it as a late success, never (nil, nil), which panicked the decode path.
 func TestCallTimeoutDeliverRace(t *testing.T) {
 	client := New(Options{Product: VisiBroker, DisableColocation: true})
 	defer client.Shutdown()
 	timeoutExc := &SystemException{Name: ExcCommFailure, Detail: "call timed out"}
+	reply := func(id uint32) *giop.Message {
+		e := cdr.NewEncoderAt(cdr.BigEndian, giop.HeaderSize)
+		(&giop.ReplyHeader{RequestID: id}).Marshal(e)
+		idl.String("late").Marshal(e)
+		return &giop.Message{Type: giop.MsgReply, Order: cdr.BigEndian, Body: e.Bytes()}
+	}
 
-	// Ordering 1: deliver wins the race, then the timeout branch runs.
+	// Ordering 1: the reply wins the race, then the timeout branch runs.
 	c := newRaceHarnessConn(t, client)
-	ch, err := c.register(1)
-	if err != nil {
+	k := client.pool.newCall(cdr.BigEndian)
+	if err := c.register(1, k); err != nil {
 		t.Fatal(err)
 	}
-	c.deliver(1, &demuxedReply{rh: &giop.ReplyHeader{RequestID: 1}})
+	c.handleReply(reply(1))
 	c.fail(timeoutExc) // pending[1] is already gone; nothing to flush
-	r, err := drainTimedOut(ch)
-	if err != nil {
-		t.Fatalf("deliver-wins drain returned error %v, want late success", err)
+	if err := k.wait(); err != nil {
+		t.Fatalf("reply-wins wait returned error %v, want late success", err)
 	}
-	if r == nil || r.rh == nil || r.rh.RequestID != 1 {
-		t.Fatalf("deliver-wins drain returned %+v, want the raced reply", r)
+	if got, err := decodeReply(k, false); err != nil || k.rh.RequestID != 1 || got.Str != "late" {
+		t.Fatalf("reply-wins call decoded %v, %v (request %d), want the raced reply", got, err, k.rh.RequestID)
 	}
+	k.release()
 
-	// Ordering 2: fail wins; the drained reply carries the timeout error.
+	// Ordering 2: fail wins; the call's signal carries the timeout error,
+	// and the late reply finds no waiter.
 	c = newRaceHarnessConn(t, client)
-	if ch, err = c.register(2); err != nil {
+	k = client.pool.newCall(cdr.BigEndian)
+	if err := c.register(2, k); err != nil {
 		t.Fatal(err)
 	}
 	c.fail(timeoutExc)
-	c.deliver(2, &demuxedReply{rh: &giop.ReplyHeader{RequestID: 2}}) // late, dropped
-	r, err = drainTimedOut(ch)
-	if r != nil {
-		t.Fatalf("fail-wins drain returned reply %+v, want nil", r)
+	c.handleReply(reply(2)) // late, dropped
+	err := k.wait()
+	if k.kind != 0 {
+		t.Fatalf("fail-wins call was answered by a %v, want nothing", k.kind)
 	}
 	se, ok := err.(*SystemException)
 	if !ok || se.Name != ExcCommFailure {
-		t.Fatalf("fail-wins drain returned %v, want COMM_FAILURE", err)
+		t.Fatalf("fail-wins wait returned %v, want COMM_FAILURE", err)
 	}
+	k.release()
 }
 
 // TestLocateAccountsWireStats checks the satellite fix: LocateRequest round
@@ -377,5 +387,107 @@ func TestServerConcurrentDispatch(t *testing.T) {
 	}
 	if conns := server.Stats.ActiveConns.Load(); conns != 1 {
 		t.Errorf("used %d connections, want 1", conns)
+	}
+}
+
+// TestMuxCallRecordReuse: a serial echo call over IIOP allocates only what it
+// returns and what its caller hands it. The call record, its reply channel,
+// headers, decoder and request encoder, the connections' bodies, the
+// dispatch worker's arguments and reply encoder are all reused. Three
+// allocations are left: the caller's variadic argument slice, the servant's
+// copy of the argument string and the caller's copy of the result string.
+func TestMuxCallRecordReuse(t *testing.T) {
+	_, ref := startPair(t)
+	arg := idl.String("ping")
+	call := func() {
+		if got, err := ref.Invoke("echo", arg); err != nil || got.Str != "ping" {
+			t.Fatalf("echo = %v, %v", got, err)
+		}
+	}
+	for range 100 {
+		call() // dial, and start the dispatch worker
+	}
+	n := testing.AllocsPerRun(2000, call)
+	t.Logf("%v allocations per serial echo call", n)
+	if n > 3 {
+		t.Fatalf("a serial echo call allocates %v times, want at most 3", n)
+	}
+}
+
+// TestMuxLateReplyAfterTimeout: calls whose replies arrive about when their
+// timeouts fire end either in COMM_FAILURE or in their own reply, taken as a
+// late success, and the calls after them, on records the timed-out calls
+// gave back, each get their own reply: a record goes back to the free list
+// only after the one signal its call was owed, so no late reply lands in a
+// reused one. Every receive buffer is released in the end.
+func TestMuxLateReplyAfterTimeout(t *testing.T) {
+	server := New(Options{Product: Orbix, DisableColocation: true})
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer server.Shutdown()
+	iface := idl.MustParse("interface Late { string echo(in string tag, in long long us); };")[0]
+	ior, err := server.Activate("Late", NewHandler(iface).On("echo", func(args []idl.Any) (idl.Any, error) {
+		time.Sleep(time.Duration(args[1].Int) * time.Microsecond)
+		return idl.String(args[0].Str), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 2 * time.Millisecond
+	client := New(Options{Product: VisiBroker, DisableColocation: true, CallTimeout: timeout})
+	ref := client.Resolve(ior)
+	mark := giop.LiveMessages()
+
+	const callers, rounds = 4, 40
+	var wg sync.WaitGroup
+	var late, timedOut atomic.Int32
+	errs := make(chan error, callers*rounds)
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				tag := fmt.Sprintf("%d-%d", g, i)
+				// Odd rounds sleep from half the timeout to half again as
+				// long; even ones answer at once, on records an odd round
+				// gave back.
+				us := int64(0)
+				if i%2 == 1 {
+					us = int64(timeout/time.Microsecond) * int64(rounds/2+i) / rounds
+				}
+				got, err := ref.Invoke("echo", idl.String(tag), idl.Long(us))
+				switch {
+				case err == nil && got.Str != tag:
+					errs <- fmt.Errorf("call %s got the reply %q", tag, got.Str)
+				case err == nil && us > 0:
+					late.Add(1)
+				case err != nil && us == 0:
+					// A prompt call can share a connection a slow one's
+					// timeout poisons; it fails, it is not misrouted.
+					if se, ok := err.(*SystemException); !ok || se.Name != ExcCommFailure {
+						errs <- fmt.Errorf("call %s: %v", tag, err)
+					}
+				case err != nil:
+					if se, ok := err.(*SystemException); !ok || se.Name != ExcCommFailure {
+						errs <- fmt.Errorf("call %s: %v, want COMM_FAILURE", tag, err)
+					}
+					timedOut.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	t.Logf("%d slow call(s) timed out, %d answered in time or late", timedOut.Load(), late.Load())
+	client.Shutdown()
+	for deadline := time.Now().Add(2 * time.Second); giop.LiveMessages() != mark; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d receive buffer(s) still held", giop.LiveMessages()-mark)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -308,10 +308,10 @@ func (o *ORB) ActiveKeys() []string {
 	return keys
 }
 
-func (o *ORB) lookupServant(key string) (Servant, bool) {
+func (o *ORB) lookupServant(key []byte) (Servant, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	s, ok := o.servants[key]
+	s, ok := o.servants[string(key)]
 	return s, ok
 }
 

@@ -237,11 +237,11 @@ func TestOneway(t *testing.T) {
 		t.Fatalf("first frame after the oneway = %v, %v; want the echo reply", msg, err)
 	}
 	d := msg.BodyDecoder()
-	rh, err := giop.UnmarshalReplyHeader(d)
-	if err != nil || rh.RequestID != 2 || rh.Status != giop.ReplyNoException {
+	var rh giop.ReplyHeader
+	if err := rh.Unmarshal(&d); err != nil || rh.RequestID != 2 || rh.Status != giop.ReplyNoException {
 		t.Fatalf("reply header = %+v, %v; want request 2, no exception", rh, err)
 	}
-	if got, err := idl.UnmarshalAny(d); err != nil || got.Str != "after oneway" {
+	if got, err := idl.UnmarshalAny(&d); err != nil || got.Str != "after oneway" {
 		t.Errorf("after oneway: %v, %v", got, err)
 	}
 }

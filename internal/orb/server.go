@@ -60,7 +60,7 @@ func (o *ORB) serveConn(nc net.Conn) {
 		}
 	}()
 
-	br := bufio.NewReader(nc)
+	rd := giop.NewReader(bufio.NewReader(nc))
 	// A failed reply flush breaks the stream for every pipelined request, so
 	// tear the socket down; in-flight dispatches then fail their own writes
 	// and the client sees COMM_FAILURE.
@@ -78,17 +78,19 @@ func (o *ORB) serveConn(nc net.Conn) {
 	ra := giop.NewReassembler(maxPipelinePerConn)
 	// Dispatch workers live as long as the connection, so a request runs on a
 	// goroutine whose stack has already grown to servant depth instead of a
-	// fresh one per call. A worker is started only when none is idle, and
-	// never more than maxPipelinePerConn of them: a worker that has released
-	// its sem slot but is not receiving yet looks busy to the try-send, so
-	// at the cap the read loop waits for one instead of starting another.
+	// fresh one per call, with the scratch an earlier request left. A worker
+	// is started only when none is idle, and never more than
+	// maxPipelinePerConn of them: a worker that has released its sem slot
+	// but is not receiving yet looks busy to the try-send, so at the cap the
+	// read loop waits for one instead of starting another.
 	work := make(chan *giop.Message)
 	defer close(work)
 	workers := 0
 	worker := func(m *giop.Message) {
 		defer o.wg.Done()
+		var ds dispatcher
 		for ; m != nil; m = <-work {
-			ok := o.handleRequest(w, m)
+			ok := o.handleRequest(w, &ds, m)
 			m.Release()
 			<-sem
 			if !ok {
@@ -120,7 +122,7 @@ func (o *ORB) serveConn(nc net.Conn) {
 		return w.Write(&giop.Message{Type: giop.MsgMessageError, Order: cdr.BigEndian}) == nil
 	}
 	for {
-		msg, err := giop.Read(br)
+		msg, err := rd.Read()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				o.Stats.ProtocolErrors.Add(1)
@@ -134,7 +136,9 @@ func (o *ORB) serveConn(nc net.Conn) {
 				// Initial frame of a fragmented request: its header must be
 				// whole (the writer keeps it in the first frame) so the
 				// reassembly can be keyed by request ID.
-				hdr, err := giop.UnmarshalRequestHeader(msg.BodyDecoder())
+				var hdr giop.RequestHeader
+				d := msg.BodyDecoder()
+				_, err := hdr.Unmarshal(&d)
 				if err == nil {
 					err = ra.Begin(hdr.RequestID, msg)
 				}
@@ -176,7 +180,8 @@ func (o *ORB) serveConn(nc net.Conn) {
 			// goroutine; GIOP permits ignoring the cancel, and the client
 			// simply discards the eventual reply. A partially reassembled
 			// request, though, is dropped here and now.
-			if cr, err := giop.UnmarshalCancelRequest(msg.BodyDecoder()); err == nil {
+			var cr giop.CancelRequestHeader
+			if d := msg.BodyDecoder(); cr.Unmarshal(&d) == nil {
 				ra.Cancel(cr.RequestID)
 			}
 			msg.Release()
@@ -192,83 +197,102 @@ func (o *ORB) serveConn(nc net.Conn) {
 	}
 }
 
+// dispatcher is a dispatch worker's scratch, kept for its life: the request
+// header decoded in place (its key and contexts alias the body), the
+// arguments (no servant keeps them) and the reply encoder.
+type dispatcher struct {
+	hdr  giop.RequestHeader
+	args []idl.Any
+	enc  cdr.Encoder
+}
+
 // handleRequest dispatches one GIOP Request and writes the Reply. It reports
 // whether the connection is still usable. It runs on one of the connection's
-// dispatch workers.
-func (o *ORB) handleRequest(w *giop.SyncWriter, msg *giop.Message) bool {
+// dispatch workers, whose scratch ds is.
+func (o *ORB) handleRequest(w *giop.SyncWriter, ds *dispatcher, msg *giop.Message) bool {
 	d := msg.BodyDecoder()
-	hdr, err := giop.UnmarshalRequestHeader(d)
+	hdr := &ds.hdr
+	op, err := hdr.Unmarshal(&d)
 	if err != nil {
 		o.Stats.ProtocolErrors.Add(1)
 		return w.Write(&giop.Message{Type: giop.MsgMessageError, Order: msg.Order}) == nil
 	}
-	args, err := idl.UnmarshalAnys(d)
-	if err != nil {
-		return o.writeReply(w, msg.Order, hdr, idl.Null(),
+	s, _ := o.lookupServant(hdr.ObjectKey)
+	hdr.Operation = opName(s, op)
+	if ds.args, err = idl.UnmarshalAnys(&d, ds.args); err != nil {
+		return o.writeReply(w, &ds.enc, msg.Order, hdr.RequestID, idl.Null(),
 			&SystemException{Name: ExcMarshal, Detail: err.Error()}) == nil
 	}
 
-	result, s, invErr := o.dispatchIncoming(context.Background(),
-		string(hdr.ObjectKey), hdr.Operation, args, hdr.ServiceContext, "iiop")
+	result, invErr := o.dispatchIncoming(context.Background(), s,
+		hdr.ObjectKey, hdr.Operation, ds.args, hdr.ServiceContext, "iiop")
 	defer releaseResult(s, hdr.Operation, result, invErr) // once the reply is written
 	if !hdr.ResponseExpected {
 		o.Stats.OnewayRequests.Add(1)
 		return true
 	}
-	return o.writeReply(w, msg.Order, hdr, result, invErr) == nil
+	return o.writeReply(w, &ds.enc, msg.Order, hdr.RequestID, result, invErr) == nil
 }
 
-// dispatchIncoming runs the server request interceptors around a servant
-// dispatch; it is used both by the socket path (service contexts come from
-// the GIOP request header) and the colocation fast path (they are handed
-// across in-process), so interceptor behaviour — trace propagation included —
-// is identical on both. It returns the servant that ran, for the release.
-func (o *ORB) dispatchIncoming(ctx context.Context, key, op string, args []idl.Any, svcCtxs []giop.ServiceContext, transport string) (idl.Any, Servant, error) {
+// opName names a request's operation: as the servant's interface does, or,
+// for one it does not declare, with a copy.
+func opName(s Servant, op []byte) string {
+	if s != nil {
+		if def, ok := s.InterfaceDef().Ops[string(op)]; ok {
+			return def.Name
+		}
+	}
+	return string(op)
+}
+
+// dispatchIncoming runs the server request interceptors around the dispatch
+// to s, the servant found under key (nil if none); it is used both by the
+// socket path (service contexts come from the GIOP request header) and the
+// colocation fast path (they are handed across in-process), so interceptor
+// behaviour — trace propagation included — is identical on both.
+func (o *ORB) dispatchIncoming(ctx context.Context, s Servant, key []byte, op string, args []idl.Any, svcCtxs []giop.ServiceContext, transport string) (idl.Any, error) {
 	sis := o.serverInterceptors()
 	if len(sis) == 0 {
-		return o.dispatch(ctx, key, op, args)
+		return o.dispatch(ctx, s, key, op, args)
 	}
 	ri := &ServerRequestInfo{
 		Ctx:             ctx,
 		Operation:       op,
-		ObjectKey:       []byte(key),
+		ObjectKey:       key,
 		Transport:       transport,
 		ServiceContexts: svcCtxs,
 	}
 	for _, si := range sis {
 		si.ReceiveRequest(ri)
 	}
-	result, s, err := o.dispatch(ri.Ctx, key, op, args)
+	result, err := o.dispatch(ri.Ctx, s, key, op, args)
 	for i := len(sis) - 1; i >= 0; i-- {
 		sis[i].SendReply(ri, err)
 	}
-	return result, s, err
+	return result, err
 }
 
-// dispatch runs the servant invocation for an object key. Context-aware
-// servants receive ctx (carrying the interceptors' trace parentage); plain
-// servants are invoked as before.
-func (o *ORB) dispatch(ctx context.Context, key, op string, args []idl.Any) (idl.Any, Servant, error) {
-	s, ok := o.lookupServant(key)
-	if !ok {
-		return idl.Null(), nil, &SystemException{Name: ExcObjectNotExist, Detail: "object key " + key}
+// dispatch runs the servant invocation. Context-aware servants receive ctx
+// (carrying the interceptors' trace parentage); plain servants are invoked
+// as before.
+func (o *ORB) dispatch(ctx context.Context, s Servant, key []byte, op string, args []idl.Any) (idl.Any, error) {
+	if s == nil {
+		return idl.Null(), &SystemException{Name: ExcObjectNotExist, Detail: "object key " + string(key)}
 	}
 	o.Stats.RequestsServed.Add(1)
 	if cs, ok := s.(ContextServant); ok {
-		result, err := cs.InvokeCtx(ctx, op, args)
-		return result, s, err
+		return cs.InvokeCtx(ctx, op, args)
 	}
-	result, err := s.Invoke(op, args)
-	return result, s, err
+	return s.Invoke(op, args)
 }
 
-// writeReply encodes the reply for a completed invocation. Bodies above
-// giop.DefaultFragmentThreshold go out as a fragmented message, so a huge
-// result is interleavable with the other replies sharing the connection.
-func (o *ORB) writeReply(w *giop.SyncWriter, order cdr.ByteOrder, req *giop.RequestHeader, result idl.Any, invErr error) error {
-	e := giop.AcquireBodyEncoder(order)
-	defer giop.ReleaseBodyEncoder(e)
-	rh := giop.ReplyHeader{RequestID: req.RequestID}
+// writeReply encodes the reply for a completed invocation into e, the
+// worker's encoder. Bodies above giop.DefaultFragmentThreshold go out as a
+// fragmented message, so a huge result is interleavable with the other
+// replies sharing the connection.
+func (o *ORB) writeReply(w *giop.SyncWriter, e *cdr.Encoder, order cdr.ByteOrder, reqID uint32, result idl.Any, invErr error) error {
+	e.ResetFor(order, giop.HeaderSize)
+	rh := giop.ReplyHeader{RequestID: reqID}
 	var body func(*cdr.Encoder)
 	switch err := invErr.(type) {
 	case nil:
@@ -303,9 +327,10 @@ func (o *ORB) writeReply(w *giop.SyncWriter, order cdr.ByteOrder, req *giop.Requ
 	hdrLen := e.Len() // the reply header must stay whole in the initial frame
 	body(e)
 	out := &giop.Message{Type: giop.MsgReply, Order: order, Body: e.Bytes()}
-	frames, err := giop.WriteFragmented(w, out, req.RequestID, giop.DefaultFragmentThreshold, hdrLen)
+	frames, err := giop.WriteFragmented(w, out, reqID, giop.DefaultFragmentThreshold, hdrLen)
 	if frames > 1 {
 		o.Stats.FragmentsSent.Add(int64(frames - 1))
+		*e = cdr.Encoder{} // a fragmented body's buffer is not kept
 	}
 	o.Stats.BytesSent.Add(int64(len(out.Body) + frames*giop.HeaderSize + (frames-1)*4))
 	return err
@@ -316,17 +341,16 @@ func (o *ORB) writeReply(w *giop.SyncWriter, order cdr.ByteOrder, req *giop.Requ
 func (o *ORB) handleLocate(w *giop.SyncWriter, msg *giop.Message) bool {
 	o.Stats.LocateRequests.Add(1)
 	d := msg.BodyDecoder()
-	hdr, err := giop.UnmarshalLocateRequest(d)
-	if err != nil {
+	var hdr giop.LocateRequestHeader
+	if err := hdr.Unmarshal(&d); err != nil {
 		o.Stats.ProtocolErrors.Add(1)
 		return w.Write(&giop.Message{Type: giop.MsgMessageError, Order: msg.Order}) == nil
 	}
 	status := giop.LocateUnknownObject
-	if _, ok := o.lookupServant(string(hdr.ObjectKey)); ok {
+	if _, ok := o.lookupServant(hdr.ObjectKey); ok {
 		status = giop.LocateObjectHere
 	}
-	e := giop.AcquireBodyEncoder(msg.Order)
-	defer giop.ReleaseBodyEncoder(e)
+	e := cdr.NewEncoderAt(msg.Order, giop.HeaderSize)
 	(&giop.LocateReplyHeader{RequestID: hdr.RequestID, Status: status}).Marshal(e)
 	out := &giop.Message{Type: giop.MsgLocateReply, Order: msg.Order, Body: e.Bytes()}
 	o.Stats.BytesSent.Add(int64(len(out.Body) + giop.HeaderSize))

@@ -264,8 +264,10 @@ func TestNativeQueryInPackage(t *testing.T) {
 
 // TestNativeQueryReachesTheEngine: a native query from another node reaches
 // the coalition member's engine whole. A join, which no engine here has,
-// surfaces the engine's refusal instead of an empty answer, and a relational
-// EXPLAIN comes back as rows naming the index access path.
+// surfaces the engine's refusal instead of an empty answer, so does an ORDER
+// BY ordinal out of range where no row matches (an in-range one orders the
+// rows), and a relational EXPLAIN comes back as rows naming the index access
+// path.
 func TestNativeQueryReachesTheEngine(t *testing.T) {
 	f, a, _ := twoNodeFixture(t)
 	var load strings.Builder
@@ -290,6 +292,14 @@ func TestNativeQueryReachesTheEngine(t *testing.T) {
 	resp, err = s.Execute(ctx, `Query Gamma Using Native "SELECT k FROM r WHERE v = 1 OR v = 2";`)
 	if err == nil || !strings.Contains(err.Error(), "OR is not supported") {
 		t.Errorf("native OR: %v, %+v", err, resp)
+	}
+	resp, err = s.Execute(ctx, `Query Gamma Using Native "SELECT k, v FROM r WHERE v < 3 ORDER BY 2 DESC";`)
+	if err != nil || len(resp.Result.Rows) != 3 || resp.Result.Rows[0][1].Int != 2 {
+		t.Errorf("native ORDER BY 2 DESC: %v, %+v", err, resp)
+	}
+	resp, err = s.Execute(ctx, `Query Gamma Using Native "SELECT k FROM r WHERE v > 1000 ORDER BY 9";`)
+	if err == nil || !strings.Contains(err.Error(), "ordinal 9 out of range") {
+		t.Errorf("native ORDER BY 9 over no rows: %v, %+v", err, resp)
 	}
 	resp, err = s.Execute(ctx, `Query Gamma Using Native "EXPLAIN SELECT v FROM r WHERE v >= 100";`)
 	if err != nil {

@@ -4,7 +4,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
+
+	"repro/internal/freelist"
 )
 
 // This file implements the expression half of the batched executor, the
@@ -38,9 +39,11 @@ type vctx struct {
 	dirty int // no buffer handed out since the last release was written past dirty
 }
 
-var vctxPool = sync.Pool{New: func() any { return &vctx{} }}
+// vctxPool holds released contexts: as many as statements run at once in a
+// busy process.
+var vctxPool = freelist.New(8, func() *vctx { return &vctx{} })
 
-func getVctx() *vctx { return vctxPool.Get().(*vctx) }
+func getVctx() *vctx { return vctxPool.Get() }
 
 // release clears payload references out of the cached buffers that were
 // used (so pooled memory does not retain query strings) and returns the vctx

@@ -471,6 +471,32 @@ func TestOrdinalOrderByPlain(t *testing.T) {
 	}
 }
 
+// TestOrdinalOrderByCheckedAtOpen: an ORDER BY ordinal out of range is a
+// statement error whatever the rows, so an empty table refuses it as a full
+// one does, for a grouped SELECT too, and a cursor fails at open.
+func TestOrdinalOrderByCheckedAtOpen(t *testing.T) {
+	db := NewDatabase("E", DialectOracle)
+	if _, err := db.ExecScript("CREATE TABLE e (k INT, v INT);"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT k FROM e ORDER BY 9",
+		"SELECT k FROM e ORDER BY 0",
+		"SELECT k, COUNT(*) FROM e GROUP BY k ORDER BY 3",
+	} {
+		if _, err := db.Query(q); err == nil || !strings.Contains(err.Error(), "ordinal") {
+			t.Errorf("%s on an empty table = %v, want the ordinal out of range", q, err)
+		}
+		if _, err := db.oracleQuery(q); err == nil || !strings.Contains(err.Error(), "ordinal") {
+			t.Errorf("oracle: %s on an empty table = %v, want the ordinal out of range", q, err)
+		}
+		if rows, err := db.QueryRows(q); err == nil {
+			rows.Close()
+			t.Errorf("%s opened a cursor on an empty table", q)
+		}
+	}
+}
+
 // TestRemovedSyntaxIsRefused: SQL the federation never sends (DESIGN §9) is
 // not executed but refused, with an error that names the construct. What a
 // fragment sends is kept: a conjunction of a column against a literal and of

@@ -34,10 +34,11 @@ func (db *Database) newWalk(fp *fromPlan) *walk {
 
 // resolveRefs resolves every column the statement names under cols —
 // select items (post star expansion, so aggregate arguments are included),
-// WHERE, GROUP BY, HAVING and ORDER BY — and checks that aggregate calls
-// stand only where a grouped SELECT reads them: in an item, HAVING or ORDER
-// BY, not in WHERE, GROUP BY or another call's argument. When ref is not nil
-// it marks the columns read: unmarked columns are never materialised.
+// WHERE, GROUP BY, HAVING and ORDER BY — checks that every ORDER BY ordinal
+// names an item, and checks that aggregate calls stand only where a grouped
+// SELECT reads them: in an item, HAVING or ORDER BY, not in WHERE, GROUP BY
+// or another call's argument. When ref is not nil it marks the columns read:
+// unmarked columns are never materialised.
 func resolveRefs(s *SelectStmt, items []SelectItem, cols []colBinding, ref []bool) error {
 	rp := refPass{cols: cols, ref: ref}
 	g := grouped(s, items)
@@ -62,6 +63,12 @@ func resolveRefs(s *SelectStmt, items []SelectItem, cols []colBinding, ref []boo
 			return strings.EqualFold(it.Alias, cr.Name)
 		}) {
 			continue // an item's alias (sortVec)
+		}
+		if lit, ok := oi.Expr.(*Literal); ok && lit.Val.Kind == TypeInt && !lit.Val.Null {
+			if lit.Val.Int < 1 || lit.Val.Int > int64(len(items)) {
+				return fmt.Errorf("sql: ORDER BY ordinal %d out of range", lit.Val.Int)
+			}
+			continue // an item's ordinal (sortVec)
 		}
 		if err := rp.expr(oi.Expr, g); err != nil {
 			return err
@@ -129,7 +136,6 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 	exprs := items
 	keys := make([]int, len(s.OrderBy))
 	aliasOf := aliasMap(items)
-	var badOrdinal error // ORDER BY 0, or a negative ordinal, is out of range too
 	for i, oi := range s.OrderBy {
 		if cr, ok := oi.Expr.(*ColRef); ok && cr.Table == "" {
 			if ord, hit := aliasOf[strings.ToLower(cr.Name)]; hit {
@@ -138,21 +144,14 @@ func sortVec(c *vctx, s *SelectStmt, items []SelectItem, w *walk) (*vecRel, erro
 			}
 		}
 		if lit, ok := oi.Expr.(*Literal); ok && lit.Val.Kind == TypeInt && !lit.Val.Null {
-			keys[i] = int(lit.Val.Int) - 1
-			if keys[i] < 0 || keys[i] >= len(items) {
-				badOrdinal = fmt.Errorf("sql: ORDER BY ordinal %d out of range", lit.Val.Int)
-			}
+			keys[i] = int(lit.Val.Int) - 1 // in range: resolveRefs checked it
 			continue
 		}
 		keys[i] = len(exprs)
 		exprs = append(exprs[:len(exprs):len(exprs)], SelectItem{Expr: oi.Expr})
 	}
 	w.project(exprs)
-	rel := w.drain(c)
-	if badOrdinal != nil && rel.n > 0 { // an ordinal is checked against a row
-		return nil, badOrdinal
-	}
-	return sortRel(rel, keys, s.OrderBy, len(items)), nil
+	return sortRel(w.drain(c), keys, s.OrderBy, len(items)), nil
 }
 
 // sortRel orders rel's rows stably by the columns keys (keys[i] in

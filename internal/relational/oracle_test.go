@@ -194,13 +194,10 @@ func orderKeys(order []OrderItem, env *evalEnv, aliasOf map[string]int, proj Row
 				continue
 			}
 		}
-		// ORDER BY <n> selects the n-th output column.
+		// ORDER BY <n> selects the n-th output column; the plan
+		// (resolveRefs) has checked that there is one.
 		if lit, ok := oi.Expr.(*Literal); ok && lit.Val.Kind == TypeInt && !lit.Val.Null {
-			ord := int(lit.Val.Int)
-			if ord < 1 || ord > len(proj) {
-				return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", ord)
-			}
-			keys[i] = proj[ord-1]
+			keys[i] = proj[lit.Val.Int-1]
 			continue
 		}
 		v, err := eval(oi.Expr, env)
