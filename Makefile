@@ -95,7 +95,6 @@ sim-scale:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPRoundTrip -fuzztime=5s ./internal/giop
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPRead -fuzztime=5s ./internal/giop
-	$(GO) test -run='^$$' -fuzz=FuzzGIOPFragment -fuzztime=5s ./internal/giop
 	$(GO) test -run='^$$' -race -fuzz=FuzzUnmarshalAny -fuzztime=5s ./internal/idl
 	$(GO) test -run='^$$' -race -fuzz=FuzzPageDecode -fuzztime=5s ./internal/gateway
 	$(GO) test -run='^$$' -fuzz=FuzzWTLParse -fuzztime=5s ./internal/wtl
@@ -163,14 +162,16 @@ stress-cursors:
 	$(GO) test -race -count=20 -run 'Cache|Gossip|Fresh' ./internal/mdcache ./internal/gossip ./internal/query
 
 # stress-orb repeats the connection tests fifty times under the race
-# detector: multiplexed calls, pipelining, chaos, fragments, the framed
-# writer, the per-connection dispatch workers, the fault transport, the call
+# detector: multiplexed calls, pipelining, chaos, large bodies interleaved
+# on one connection, oversize bodies refused without poisoning it, foreign
+# GIOP 1.1 frames, the framed writer, the per-connection dispatch workers
+# (a serial caller's one worker among them), the fault transport, the call
 # records' reuse and allocation count, and late replies racing their calls'
 # timeouts. Which writer flushes, which worker takes a request and whether a
 # reply or a timeout signals a call first are decided by goroutine
 # interleavings, so a single pass is least likely to catch them misbehaving.
 stress-orb:
-	$(GO) test -race -count=50 -run 'Mux|Multiplexed|MidStream|ReplyRace|DeliverRace|Pipelin|Chaos|Fragment|Writer|Dispatch' ./internal/orb ./internal/giop ./internal/simnet
+	$(GO) test -race -count=50 -run 'Mux|Multiplexed|MidStream|ReplyRace|DeliverRace|Pipelin|Chaos|Large|Oversize|ForeignFrame|Writer|Dispatch' ./internal/orb ./internal/giop ./internal/simnet
 
 # bench runs fedbench, the repository's benchmark (BENCHMARK.json, bench/):
 # every workload, end-to-end and per-layer metrics.

@@ -46,8 +46,8 @@
 // table's limits (32 open cursors, reaped after 2 idle minutes), the
 // metadata cache's 250ms TTL for errors (answers are kept until gossip moves
 // their source's version) and entry cap (4096), gossip's pacing (3 peers a
-// round, one round a second) and the GIOP fragment size (256 KiB). The keys
-// that used to set any of these, and the two of the circuit breaker
+// round, one round a second) and the cursor page's byte budget (256 KiB).
+// The keys that used to set any of these, and the two of the circuit breaker
 // (removed: a refused dial already fails fast, and member_timeout_ms bounds
 // a silent member), are refused by name; see retiredKeys.
 package main

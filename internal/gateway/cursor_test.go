@@ -363,7 +363,7 @@ func TestRemoteCursorRejectsMalformedReplies(t *testing.T) {
 			b = newBatch(width)
 		}
 		defer b.Release()
-		return idl.Octets(encodePage(b, cdr.BigEndian))
+		return idl.Octets(encodePage(b, 0, b.rows, cdr.BigEndian))
 	}
 	open := func(fields ...idl.Field) idl.Any {
 		return idl.Struct(append([]idl.Field{idl.F("id", idl.Long(7)), idl.F("columns", idl.Strings([]string{"name"}))}, fields...)...)

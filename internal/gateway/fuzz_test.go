@@ -24,8 +24,8 @@ func FuzzPageDecode(f *testing.F) {
 			ncols = len(rows[0])
 		}
 		b := batchOf(ncols, rows)
-		f.Add(encodePage(b, cdr.BigEndian), uint8(ncols))
-		f.Add(encodePage(b, cdr.LittleEndian), uint8(ncols))
+		f.Add(encodePage(b, 0, b.rows, cdr.BigEndian), uint8(ncols))
+		f.Add(encodePage(b, 0, b.rows, cdr.LittleEndian), uint8(ncols))
 		b.Release()
 	}
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, byte(idl.KindNull), 0, 0, 0, 0, 0, 0}, uint8(1))
@@ -36,7 +36,7 @@ func FuzzPageDecode(f *testing.F) {
 		}
 		defer b.Release()
 		order := cdr.ByteOrder(page[0] & 1)
-		again := encodePage(b, order)
+		again := encodePage(b, 0, b.rows, order)
 		back, err := decodePage(again, int(width))
 		if err != nil {
 			t.Fatalf("re-encoded page does not decode: %v", err)
@@ -54,7 +54,7 @@ func FuzzPageDecode(f *testing.F) {
 				}
 			}
 		}
-		if third := encodePage(back, order); !bytes.Equal(third, again) {
+		if third := encodePage(back, 0, back.rows, order); !bytes.Equal(third, again) {
 			t.Fatal("the codec's own page is not a fixed point")
 		}
 	})

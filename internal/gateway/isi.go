@@ -55,9 +55,10 @@ func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (
 		ctx, sp := trace.StartSpan(ctx, "isi.cursor:"+engine)
 		sp.SetAttr("database", database)
 		batch := int(args[1].Int)
-		if cursors.Full() {
-			// At the cap no cursor can be retained: answer the whole result
-			// in one page, as a batch-0 open would get, instead of failing.
+		// At the cap no cursor can be retained: answer the whole result in
+		// one page, past the byte budget too, instead of failing.
+		full := cursors.Full()
+		if full {
 			batch = 0
 		}
 		it, err := conn.QueryCursor(ctx, args[0].Str, batch)
@@ -65,7 +66,7 @@ func NewISIServant(conn Conn, engine, database string, clock func() time.Time) (
 			sp.End(err)
 			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
 		}
-		src := &pageSource{it: it}
+		src := &pageSource{it: it, whole: full}
 		id, first, done, err := cursors.OpenSource(src)
 		sp.SetAttrInt("rows", src.rows)
 		sp.SetAttrInt("held", src.Held())
@@ -131,40 +132,72 @@ func cursorException(err error) error {
 }
 
 // pageSource is a cursor's source over a connection's iterator: each call
-// pulls one batch and encodes it as one cursor page, an idl.Octets item. There
-// is always a first page, empty for an empty result. In-process iterators do
-// not consult the context, so a fetch, which has none of the open's, passes
-// the background one.
+// encodes one cursor page, an idl.Octets item, of the batch the iterator last
+// gave, pulling the next batch once that one is all sent. A page ends at the
+// batch's end or at giop.PageBudget bytes, whichever comes first (pageEnd),
+// so a batch of large rows, a batch-0 open's whole result among them, leaves
+// as several pages, one fetch each, and the rest of it waits here. There is
+// always a first page, empty for an empty result. In-process iterators do not
+// consult the context, so a fetch, which has none of the open's, passes the
+// background one.
 type pageSource struct {
-	it   RowIter
-	rows int        // rows of the page last encoded
-	one  [1]idl.Any // the batch Next returns, reused
+	it    RowIter
+	whole bool       // no byte budget: the open at the cursor cap sends all
+	b     *Batch     // the batch being sent, until its last row is
+	lo    int        // b's first row not sent yet
+	last  bool       // b is the iterator's last batch
+	rows  int        // rows of the page last encoded
+	one   [1]idl.Any // the batch Next returns, reused
 }
 
 func (s *pageSource) Next() ([]idl.Any, bool, error) {
-	b, err := s.it.Next(context.Background())
-	done := err == io.EOF
-	if done {
-		b = newBatch(len(s.it.Columns()))
-	} else if err != nil {
-		return nil, false, err
-	} else if cs, ok := s.it.(cursorState); ok {
-		done = cs.Exhausted()
+	if s.b == nil {
+		b, err := s.it.Next(context.Background())
+		s.last = err == io.EOF
+		if s.last {
+			b = newBatch(len(s.it.Columns()))
+		} else if err != nil {
+			return nil, false, err
+		} else if cs, ok := s.it.(cursorState); ok {
+			s.last = cs.Exhausted()
+		}
+		s.b, s.lo = b, 0
 	}
-	s.rows = b.Len()
-	s.one[0] = idl.Octets(encodePage(b, cdr.BigEndian))
+	b, lo, hi := s.b, s.lo, s.b.rows
+	if !s.whole {
+		hi = pageEnd(b, lo)
+	}
+	s.rows = hi - lo
+	s.one[0] = idl.Octets(encodePage(b, lo, hi, cdr.BigEndian))
+	if hi < b.rows {
+		s.lo = hi
+		return s.one[:], false, nil
+	}
 	b.Release()
-	return s.one[:], done, nil
+	s.b = nil
+	return s.one[:], s.last, nil
 }
 
+// Held counts the rows of the batch not sent yet with what the iterator
+// holds.
 func (s *pageSource) Held() int {
-	if cs, ok := s.it.(cursorState); ok {
-		return cs.Held()
+	n := 0
+	if s.b != nil {
+		n = s.b.rows - s.lo
 	}
-	return 0
+	if cs, ok := s.it.(cursorState); ok {
+		n += cs.Held()
+	}
+	return n
 }
 
-func (s *pageSource) Close() { s.it.Close() }
+func (s *pageSource) Close() {
+	if s.b != nil {
+		s.b.Release()
+		s.b = nil
+	}
+	s.it.Close()
+}
 
 // RemoteConn is a gateway connection whose engine lives behind an ISI
 // servant reachable through the ORB. It lets the federation treat remote

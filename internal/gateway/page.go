@@ -3,6 +3,7 @@ package gateway
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/cdr"
@@ -310,52 +311,104 @@ func (c *column) setBit(r int, v bool) {
 // decoder bound a hostile row count by the bytes present.
 
 // pagePool holds page buffers whose replies are done with them: as many as
-// the process's servants have pages in flight, none above a reply fragment.
+// the process's servants have pages in flight, none above giop.PageBudget.
 var pagePool = freelist.New[[]byte](16, nil)
 
-// encodePage renders the batch (all its rows; it must not have been narrowed
-// by Keep) as a page in the given byte order, into a buffer from the page
-// pool grown once to the size the batch needs. The ISI servant lends that
+// pageBytes bounds the size of the page of b's rows [lo, hi): every value's
+// bytes plus room for the alignment, counts and bitmaps around them.
+func pageBytes(b *Batch, lo, hi int) int {
+	n := hi - lo
+	size := 16
+	for i := range b.cols {
+		c := &b.cols[i]
+		size += 24 + 2*((n+7)/8)
+		switch c.kind {
+		case idl.KindLongLong, idl.KindDouble:
+			size += 8 * n
+		case idl.KindString:
+			size += 4 * n
+			for _, s := range c.strs[lo:hi] {
+				size += len(s)
+			}
+		case idl.KindAny:
+			for _, v := range c.anys[lo:hi] {
+				size += anyBytes(v)
+			}
+		}
+	}
+	return size
+}
+
+// anyBytes bounds the bytes v marshals to: its kind octet, up to 7 of
+// alignment, then its value or its elements.
+func anyBytes(v idl.Any) int {
+	size := 16
+	switch v.Kind {
+	case idl.KindString:
+		size += len(v.Str)
+	case idl.KindOctets:
+		size += len(v.Bytes())
+	case idl.KindSeq, idl.KindAny:
+		for _, x := range v.Seq() {
+			size += anyBytes(x)
+		}
+	case idl.KindStruct:
+		for _, f := range v.Fields() {
+			size += 8 + len(f.Name) + anyBytes(f.Value)
+		}
+	}
+	return size
+}
+
+// pageEnd is where the page of b's rows that starts at row lo ends: after the
+// batch's last row if that page is within giop.PageBudget, else after the
+// most rows that are, and after row lo if even that row alone is not.
+func pageEnd(b *Batch, lo int) int {
+	if pageBytes(b, lo, b.rows) <= giop.PageBudget {
+		return b.rows
+	}
+	n := sort.Search(b.rows-lo, func(n int) bool { return pageBytes(b, lo, lo+n+1) > giop.PageBudget })
+	return lo + max(n, 1)
+}
+
+// encodePage renders the batch's rows [lo, hi) (it must not have been
+// narrowed by Keep) as a page in the given byte order, into a buffer from the
+// page pool grown once to the size the rows need. The ISI servant lends that
 // buffer to the ORB in its reply, and the ORB hands it back
 // (isiServant.ReleaseResult → releasePage) once the reply is marshalled, or
 // once a scoped colocated caller is done with it. A page nobody hands back
 // (an unscoped colocated caller keeps it) is left to the collector.
-func encodePage(b *Batch, order cdr.ByteOrder) []byte {
-	bitmap := (b.rows + 7) / 8
-	size := 16
-	for i := range b.cols {
-		c := &b.cols[i]
-		size += 24 + 2*bitmap + 8*(len(c.ints)+len(c.floats)) + 4*len(c.strs) + 16*len(c.anys)
-		for _, s := range c.strs {
-			size += len(s)
-		}
-	}
+func encodePage(b *Batch, lo, hi int, order cdr.ByteOrder) []byte {
+	n := hi - lo
 	var e cdr.Encoder // on the stack; only its buffer outlives the call
 	e.Adopt(pagePool.Get())
 	e.ResetFor(order, 0)
-	e.Grow(size)
+	e.Grow(pageBytes(b, lo, hi))
 	e.WriteOctet(byte(order)) // the encapsulation's order flag, at offset 0
-	e.WriteULong(uint32(b.rows))
+	e.WriteULong(uint32(n))
 	e.WriteULong(uint32(len(b.cols)))
+	var scratch []byte // a bitmap cut out of the batch's, when lo > 0
 	for i := range b.cols {
 		c := &b.cols[i]
 		e.WriteOctet(byte(c.kind))
 		if c.kind == idl.KindNull || len(c.nulls) > 0 {
-			e.WriteOctets(wholeBitmap(c.nulls, bitmap))
+			scratch = bitRange(scratch, c.nulls, lo, n, b.rows)
+			e.WriteOctets(scratch)
 		} else {
 			e.WriteOctets(nil)
 		}
 		switch c.kind {
 		case idl.KindBool:
-			e.WriteOctets(wholeBitmap(c.bits, bitmap))
+			scratch = bitRange(scratch, c.bits, lo, n, b.rows)
+			e.WriteOctets(scratch)
 		case idl.KindLongLong:
-			e.WriteLongLongs(c.ints)
+			e.WriteLongLongs(c.ints[lo:hi])
 		case idl.KindDouble:
-			e.WriteDoubles(c.floats)
+			e.WriteDoubles(c.floats[lo:hi])
 		case idl.KindString:
-			e.WriteStringRun(c.strs)
+			e.WriteStringRun(c.strs[lo:hi])
 		case idl.KindAny:
-			for _, v := range c.anys {
+			for _, v := range c.anys[lo:hi] {
 				v.Marshal(&e)
 			}
 		}
@@ -363,20 +416,32 @@ func encodePage(b *Batch, order cdr.ByteOrder) []byte {
 	return e.Bytes()
 }
 
-// releasePage returns a page's buffer to the pool, unless it is larger than a
-// reply fragment. Nothing may reference it afterwards.
+// releasePage returns a page's buffer to the pool, unless it is larger than
+// giop.PageBudget. Nothing may reference it afterwards.
 func releasePage(page []byte) {
-	if cap(page) <= giop.DefaultFragmentThreshold {
+	if cap(page) <= giop.PageBudget {
 		pagePool.Put(page)
 	}
 }
 
-// wholeBitmap pads a bitmap that stops at its last set bit to n octets.
-func wholeBitmap(bits []byte, n int) []byte {
-	for len(bits) < n {
-		bits = append(bits, 0)
+// bitRange returns bits [lo, lo+n) of a bitmap of rows bits that stops at its
+// last set bit, as ceil(n/8) octets. A whole batch's bitmap is padded in
+// place; a range of it is shifted into scratch.
+func bitRange(scratch, bits []byte, lo, n, rows int) []byte {
+	if lo == 0 && n == rows {
+		for len(bits) < (n+7)/8 {
+			bits = append(bits, 0)
+		}
+		return bits
 	}
-	return bits
+	scratch = slices.Grow(scratch[:0], (n+7)/8)[:(n+7)/8]
+	clear(scratch)
+	for r := 0; r < n; r++ {
+		if s := lo + r; s>>3 < len(bits) && bits[s>>3]&(1<<(s&7)) != 0 {
+			scratch[r>>3] |= 1 << (r & 7)
+		}
+	}
+	return scratch
 }
 
 // decodePage decodes a page of a cursor whose open reply named width columns

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/cdr"
+	"repro/internal/giop"
 	"repro/internal/idl"
 	"repro/internal/relational"
 )
@@ -112,7 +113,7 @@ func TestPageRoundTrip(t *testing.T) {
 			b := batchOf(ncols, rows)
 			sameRows(t, "built batch", b, rows)
 			for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
-				page := encodePage(b, order)
+				page := encodePage(b, 0, b.rows, order)
 				back, err := decodePage(page, ncols)
 				if err != nil {
 					t.Fatalf("%d rows, %s: decode: %v", n, order, err)
@@ -125,9 +126,21 @@ func TestPageRoundTrip(t *testing.T) {
 					t.Fatalf("WireBytes = %d, page is %d", back.WireBytes(), len(page))
 				}
 				sameRows(t, fmt.Sprintf("%d rows, %s", n, order), back, rows)
-				if again := encodePage(back, order); !bytes.Equal(again, page) {
+				if again := encodePage(back, 0, back.rows, order); !bytes.Equal(again, page) {
 					t.Fatalf("%d rows, %s: re-encoded page differs", n, order)
 				}
+				back.Release()
+				// Any run of the rows pages on its own, within its bound.
+				lo := rng.Intn(n + 1)
+				hi := lo + rng.Intn(n-lo+1)
+				part := encodePage(b, lo, hi, order)
+				if bound := pageBytes(b, lo, hi); len(part) > bound {
+					t.Fatalf("%d rows, %s: rows [%d, %d) encode to %d bytes, bound %d", n, order, lo, hi, len(part), bound)
+				}
+				if back, err = decodePage(part, ncols); err != nil {
+					t.Fatalf("%d rows, %s: decode rows [%d, %d): %v", n, order, lo, hi, err)
+				}
+				sameRows(t, fmt.Sprintf("%d rows, %s, rows [%d, %d)", n, order, lo, hi), back, rows[lo:hi])
 				back.Release()
 			}
 			b.Release()
@@ -155,7 +168,7 @@ func TestDecodedPageOwnsItsValues(t *testing.T) {
 		}
 	}
 	b := batchOf(5, rows)
-	page := encodePage(b, cdr.LittleEndian)
+	page := encodePage(b, 0, b.rows, cdr.LittleEndian)
 	b.Release()
 	back, err := decodePage(page, 5)
 	if err != nil {
@@ -374,7 +387,7 @@ func TestDecodePageAllocations(t *testing.T) {
 		rows[i] = []idl.Any{idl.String(fmt.Sprint("x0-", i)), idl.Long(int64(i))}
 	}
 	b := batchOf(2, rows)
-	page := encodePage(b, cdr.BigEndian)
+	page := encodePage(b, 0, b.rows, cdr.BigEndian)
 	b.Release()
 	allocs := testing.AllocsPerRun(200, func() {
 		b, err := decodePage(page, 2)
@@ -392,7 +405,7 @@ func TestDecodePageAllocations(t *testing.T) {
 // but the pool does not keep its column array for the narrow pages to come.
 func TestWideBatchIsNotPooledWhole(t *testing.T) {
 	wide := newBatch(pooledCols + 1)
-	page := encodePage(wide, cdr.BigEndian)
+	page := encodePage(wide, 0, wide.rows, cdr.BigEndian)
 	wide.Release()
 	b, err := decodePage(page, pooledCols+1)
 	if err != nil {
@@ -407,4 +420,76 @@ func TestWideBatchIsNotPooledWhole(t *testing.T) {
 	if cap(narrow.cols) != pooledCols {
 		t.Fatalf("a released %d-column batch kept %d", pooledCols, cap(narrow.cols))
 	}
+}
+
+// TestPageSourceEndsPagesAtTheBudget: a batch-0 cursor over rows of 8 KiB
+// text, one of them 300 KiB, leaves in pages of at most giop.PageBudget bytes,
+// the 300 KiB row alone in its own; the rows come out whole and in order, the
+// rows not sent yet count as held, and only the last page says done. At the
+// cursor cap the source sends everything in one page.
+func TestPageSourceEndsPagesAtTheBudget(t *testing.T) {
+	mark := markLive()
+	rows := make([][]idl.Any, 200)
+	for i := range rows {
+		text := strings.Repeat(fmt.Sprintf("%08d", i), 1024)
+		if i == 70 {
+			text = strings.Repeat("z", 300<<10)
+		}
+		rows[i] = []idl.Any{idl.Long(int64(i)), idl.String(text), idl.Bool(i%3 == 0)}
+		if i%5 == 0 {
+			rows[i][0] = idl.Null()
+		}
+	}
+	res := &Result{Columns: []string{"n", "text", "flag"}, Rows: rows}
+
+	src := &pageSource{it: NewResultIter(res, 0)}
+	var got [][]idl.Any
+	for pages := 1; ; pages++ {
+		items, done, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := items[0].Bytes()
+		b, err := decodePage(page, 3)
+		if err != nil {
+			t.Fatalf("page %d: %v", pages, err)
+		}
+		if len(page) > giop.PageBudget && b.Len() != 1 {
+			t.Fatalf("page %d: %d rows in %d bytes, above the %d-byte budget", pages, b.Len(), len(page), giop.PageBudget)
+		}
+		for i := 0; i < b.Len(); i++ {
+			got = append(got, b.Row(nil, i))
+		}
+		b.Release()
+		releasePage(page)
+		if left := len(rows) - len(got); src.Held() != left {
+			t.Fatalf("page %d: held %d, want the %d rows not sent", pages, src.Held(), left)
+		}
+		if done {
+			if pages < 8 {
+				t.Fatalf("%d rows of 8 KiB left in %d pages", len(rows), pages)
+			}
+			break
+		}
+		if len(got) == len(rows) {
+			t.Fatal("every row was sent, and the page did not say done")
+		}
+	}
+	paged := batchOf(3, got)
+	sameRows(t, "paged rows", paged, rows)
+	paged.Release()
+	src.Close()
+
+	whole := &pageSource{it: NewResultIter(res, 0), whole: true}
+	items, done, err := whole.Next()
+	if err != nil || !done {
+		t.Fatalf("at the cap: done %v, %v", done, err)
+	}
+	b, err := decodePage(items[0].Bytes(), 3)
+	if err != nil || b.Len() != len(rows) {
+		t.Fatalf("at the cap: %v, %v", b, err)
+	}
+	b.Release()
+	whole.Close()
+	mark.check(t)
 }

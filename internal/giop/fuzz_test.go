@@ -137,6 +137,11 @@ func FuzzGIOPRead(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("GIOP"))
 	f.Add([]byte{})
+	// GIOP 1.1's fragmentation: the more-fragments flag on a Reply, and a
+	// type-7 frame carrying a request ID. The first is refused by the header,
+	// the second is read as a message of an unknown type.
+	f.Add([]byte("GIOP\x01\x01\x02\x01\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x01"))
+	f.Add([]byte("GIOP\x01\x01\x00\x07\x00\x00\x00\x04\x00\x00\x00\x01"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		rd := NewReader(bytes.NewReader(raw))

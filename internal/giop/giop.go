@@ -8,6 +8,7 @@ package giop
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -34,7 +35,7 @@ const (
 
 var msgNames = [...]string{
 	"Request", "Reply", "CancelRequest", "LocateRequest",
-	"LocateReply", "CloseConnection", "MessageError", "Fragment",
+	"LocateReply", "CloseConnection", "MessageError",
 }
 
 func (t MsgType) String() string {
@@ -94,16 +95,24 @@ func (s LocateStatus) String() string {
 // HeaderSize is the fixed size of a GIOP message header.
 const HeaderSize = 12
 
-// MaxMessageSize bounds accepted message bodies (16 MiB), protecting servers
-// from hostile or corrupt length fields.
+// MaxMessageSize bounds message bodies (16 MiB) both ways: readers refuse a
+// larger length field, hostile or corrupt, and writers a larger body, which
+// the ORB answers with a MARSHAL exception instead.
 const MaxMessageSize = 16 << 20
+
+// PageBudget is the largest body (256 KiB) anyone keeps a buffer of for
+// reuse, and the size a cursor page ends at (gateway's pageSource): a result
+// larger than that leaves a servant as several pages, one fetch each, never
+// as one huge message. A single row above it still goes, as a page of its
+// own.
+const PageBudget = 256 << 10
 
 var magic = [4]byte{'G', 'I', 'O', 'P'}
 
-// Version is the GIOP protocol version spoken by this implementation.
-// 1.1 adds Fragment messages and the more-fragments header flag; readers
-// accept any 1.x minor, so 1.1 frames without fragmentation are understood
-// by 1.0 peers unchanged.
+// Version is the GIOP protocol version written in every header. The minor
+// stays 1 for the header bytes' sake, but no Fragment message is sent and no
+// flag other than byte order is accepted: the messages are GIOP 1.0's.
+// Readers accept any 1.x minor.
 var Version = [2]byte{1, 1}
 
 // Message is one framed GIOP message: the header fields plus the raw body,
@@ -113,12 +122,8 @@ type Message struct {
 	Order cdr.ByteOrder
 	Body  []byte
 
-	// More mirrors the GIOP 1.1 more-fragments header flag: this frame's
-	// body is continued by Fragment messages for the same request ID.
-	More bool
-
 	// from is the Reader that handed the message out, until Release gives
-	// it back; nil for a hand-built or reassembled message.
+	// it back; nil for a hand-built message.
 	from *Reader
 }
 
@@ -132,9 +137,9 @@ func LiveMessages() int64 { return liveMessages.Load() }
 // Release gives a message obtained from Read back to the Reader that read
 // it. After Release the message and its Body must not be touched: the
 // connection's next Read may reuse them. Calling Release on nil, on a
-// hand-built or reassembled message, or a second time, is a no-op. Anything
-// decoded out of the body that outlives the message must have been copied:
-// strings and idl.UnmarshalAny values are, but the request and reply
+// hand-built message, or a second time, is a no-op. Anything decoded out of
+// the body that outlives the message must have been copied: strings and
+// idl.UnmarshalAny values are, but the request and reply
 // headers' keys, principals and service contexts alias the body, and so do
 // the octet sequences of an idl.DecodeAny lent value, whose caller releases
 // the message only once it is done with the value.
@@ -145,9 +150,8 @@ func (m *Message) Release() {
 	rd := m.from
 	m.from = nil
 	liveMessages.Add(-1)
-	m.More = false
 	m.Body = m.Body[:0]
-	if cap(m.Body) > DefaultFragmentThreshold {
+	if cap(m.Body) > PageBudget {
 		m.Body = nil
 	}
 	rd.free.Put(m)
@@ -164,6 +168,9 @@ func (m *Message) BodyDecoder() cdr.Decoder {
 // when frames from multiple goroutines share one stream (multiplexed IIOP),
 // wrap the stream in a SyncWriter instead.
 func Write(w io.Writer, m *Message) error {
+	if err := checkSize(m); err != nil {
+		return err
+	}
 	if err := writeFrame(w, new([HeaderSize]byte), m); err != nil {
 		return err
 	}
@@ -173,13 +180,22 @@ func Write(w io.Writer, m *Message) error {
 	return nil
 }
 
+// errTooLarge is the error a write of a body above MaxMessageSize returns.
+// Nothing was written: the stream stays usable.
+var errTooLarge = errors.New("giop: message body exceeds limit")
+
+// checkSize refuses a body no reader would accept.
+func checkSize(m *Message) error {
+	if len(m.Body) > MaxMessageSize {
+		return fmt.Errorf("%w: %d bytes", errTooLarge, len(m.Body))
+	}
+	return nil
+}
+
 // writeFrame frames and writes the message without flushing, using hdr as
 // the header's scratch.
 func writeFrame(w io.Writer, hdr *[HeaderSize]byte, m *Message) error {
-	if len(m.Body) > MaxMessageSize {
-		return fmt.Errorf("giop: message body %d exceeds limit", len(m.Body))
-	}
-	putHeader(hdr, Header{Type: m.Type, Order: m.Order, More: m.More, Size: uint32(len(m.Body))})
+	putHeader(hdr, Header{Type: m.Type, Order: m.Order, Size: uint32(len(m.Body))})
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("giop: write header: %w", err)
 	}
@@ -227,15 +243,14 @@ func NewSyncWriter(w io.Writer, onErr func(error)) *SyncWriter {
 
 // Write frames one message atomically relative to other Write calls on the
 // same SyncWriter; it is on the stream when Write returns unless another
-// writer was queued behind it, which then carries it out.
+// writer was queued behind it, which then carries it out: whoever takes the
+// lock after a writer that skipped its flush is bound to flush or hand on in
+// turn. A body above MaxMessageSize is refused before the lock is taken, so
+// the refusal does not stick.
 func (sw *SyncWriter) Write(m *Message) error {
-	return sw.write(func(w io.Writer) error { return writeFrame(w, &sw.hdr, m) })
-}
-
-// write runs frame under the lock, then flushes if no writer is queued
-// behind it. Every frame goes through here, so whoever takes the lock after
-// a writer that skipped its flush is bound to flush or hand on in turn.
-func (sw *SyncWriter) write(frame func(io.Writer) error) error {
+	if err := checkSize(m); err != nil {
+		return err
+	}
 	sw.queued.Add(1)
 	sw.mu.Lock()
 	sw.queued.Add(-1)
@@ -244,7 +259,7 @@ func (sw *SyncWriter) write(frame func(io.Writer) error) error {
 		sw.mu.Unlock()
 		return err
 	}
-	if err := frame(sw.w); err != nil {
+	if err := writeFrame(sw.w, &sw.hdr, m); err != nil {
 		sw.err = err
 		sw.mu.Unlock()
 		return err
@@ -290,7 +305,7 @@ type Reader struct {
 }
 
 // readerFree bounds a Reader's free list (no body on it is above
-// DefaultFragmentThreshold): what a connection holds at once in steady state.
+// PageBudget): what a connection holds at once in steady state.
 const readerFree = 4
 
 func newMessage() *Message { return new(Message) }
@@ -320,7 +335,7 @@ func (rd *Reader) Read() (*Message, error) {
 		return nil, err
 	}
 	m := rd.free.Get()
-	m.Type, m.Order, m.More, m.from = h.Type, h.Order, h.More, rd
+	m.Type, m.Order, m.from = h.Type, h.Order, rd
 	liveMessages.Add(1)
 	m.Body = slices.Grow(m.Body[:0], int(h.Size))[:h.Size]
 	if _, err := io.ReadFull(rd.r, m.Body); err != nil {
@@ -334,7 +349,6 @@ func (rd *Reader) Read() (*Message, error) {
 type Header struct {
 	Type  MsgType
 	Order cdr.ByteOrder
-	More  bool   // the GIOP 1.1 more-fragments flag
 	Size  uint32 // body length, header excluded
 }
 
@@ -348,12 +362,17 @@ func ParseHeader(hdr *[HeaderSize]byte) (Header, error) {
 	if hdr[4] != Version[0] {
 		return Header{}, fmt.Errorf("giop: unsupported version %d.%d", hdr[4], hdr[5])
 	}
-	order := cdr.ByteOrder(hdr[6] & 1)
+	if hdr[6]&^1 != 0 {
+		// GIOP 1.1's more-fragments flag, or anything else: no message
+		// continues in another.
+		return Header{}, fmt.Errorf("giop: unsupported header flags %#02x", hdr[6])
+	}
+	order := cdr.ByteOrder(hdr[6])
 	size := getULong(hdr[8:12], order)
 	if size > MaxMessageSize {
 		return Header{}, fmt.Errorf("giop: message size %d exceeds limit", size)
 	}
-	return Header{Type: MsgType(hdr[7]), Order: order, More: hdr[6]&FlagMoreFragments != 0, Size: size}, nil
+	return Header{Type: MsgType(hdr[7]), Order: order, Size: size}, nil
 }
 
 // putHeader encodes h as ParseHeader reads it.
@@ -361,9 +380,6 @@ func putHeader(hdr *[HeaderSize]byte, h Header) {
 	copy(hdr[0:4], magic[:])
 	hdr[4], hdr[5] = Version[0], Version[1]
 	hdr[6] = byte(h.Order)
-	if h.More {
-		hdr[6] |= FlagMoreFragments
-	}
 	hdr[7] = byte(h.Type)
 	putULong(hdr[8:12], h.Size, h.Order)
 }
@@ -538,21 +554,6 @@ func (h *LocateReplyHeader) Unmarshal(d *cdr.Decoder) error {
 	}
 	status, err := d.ReadULong()
 	h.Status = LocateStatus(status)
-	return err
-}
-
-// CancelRequestHeader is the GIOP CancelRequest body.
-type CancelRequestHeader struct {
-	RequestID uint32
-}
-
-// Marshal appends the header to a body encoder.
-func (h *CancelRequestHeader) Marshal(e *cdr.Encoder) { e.WriteULong(h.RequestID) }
-
-// Unmarshal reads a CancelRequest body into h.
-func (h *CancelRequestHeader) Unmarshal(d *cdr.Decoder) error {
-	var err error
-	h.RequestID, err = d.ReadULong()
 	return err
 }
 

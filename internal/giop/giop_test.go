@@ -2,6 +2,7 @@ package giop
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -64,8 +65,9 @@ func TestReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := replyHeader(msg)
-	if err != nil {
+	var rh ReplyHeader
+	d := msg.BodyDecoder()
+	if err := rh.Unmarshal(&d); err != nil {
 		t.Fatal(err)
 	}
 	if rh.RequestID != 9 || rh.Status != ReplyUserException {
@@ -101,20 +103,6 @@ func TestLocateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCancelRoundTrip(t *testing.T) {
-	e := cdr.NewEncoderAt(cdr.BigEndian, HeaderSize)
-	(&CancelRequestHeader{RequestID: 11}).Marshal(e)
-	var buf bytes.Buffer
-	Write(&buf, &Message{Type: MsgCancelRequest, Order: cdr.BigEndian, Body: e.Bytes()})
-	msg, _ := Read(&buf)
-	var cr CancelRequestHeader
-	d := msg.BodyDecoder()
-	err := cr.Unmarshal(&d)
-	if err != nil || cr.RequestID != 11 {
-		t.Fatalf("cancel = %+v, %v", cr, err)
-	}
-}
-
 func TestBadMagic(t *testing.T) {
 	data := []byte("NOPE\x01\x00\x00\x00\x00\x00\x00\x00")
 	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "magic") {
@@ -138,6 +126,36 @@ func TestOversizeMessageRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, big); err == nil {
 		t.Error("oversize write accepted")
+	}
+}
+
+// TestHeaderFlagsRefused: a flags byte with any bit set but byte order's —
+// GIOP 1.1's more-fragments bit among them — is refused, in either order.
+func TestHeaderFlagsRefused(t *testing.T) {
+	for _, flags := range []byte{0x02, 0x03, 0x80, 0xff} {
+		hdr := [HeaderSize]byte{'G', 'I', 'O', 'P', 1, 1, flags, byte(MsgReply)}
+		if _, err := ParseHeader(&hdr); err == nil || !strings.Contains(err.Error(), "flags") {
+			t.Errorf("flags %#02x: err = %v, want a flags refusal", flags, err)
+		}
+	}
+	for _, flags := range []byte{0, 1} {
+		hdr := [HeaderSize]byte{'G', 'I', 'O', 'P', 1, 0, flags, byte(MsgReply)}
+		if h, err := ParseHeader(&hdr); err != nil || h.Order != cdr.ByteOrder(flags) {
+			t.Errorf("flags %#02x: %+v, %v", flags, h, err)
+		}
+	}
+}
+
+// TestMsgTypeStringer: type 7 was GIOP 1.1's Fragment; it is not a message
+// type here and prints as an unknown one.
+func TestMsgTypeStringer(t *testing.T) {
+	if got := MsgMessageError.String(); got != "MessageError" {
+		t.Fatalf("MsgMessageError.String() = %q", got)
+	}
+	for _, k := range []MsgType{7, 12} {
+		if got, want := k.String(), fmt.Sprintf("MsgType(%d)", byte(k)); got != want {
+			t.Fatalf("unknown MsgType prints %q, want %q", got, want)
+		}
 	}
 }
 

@@ -149,3 +149,25 @@ func TestWriterCloseFlushes(t *testing.T) {
 	}
 	sw.Close() // idempotent
 }
+
+// TestWriterOversizeDoesNotStick: a body above MaxMessageSize is refused with
+// ErrTooLarge before anything reaches the stream, and the next frame on the
+// same writer goes out as usual.
+func TestWriterOversizeDoesNotStick(t *testing.T) {
+	under := &countingWriter{}
+	sw := NewSyncWriter(bufio.NewWriter(under), nil)
+	big := &Message{Type: MsgReply, Order: cdr.BigEndian, Body: make([]byte, MaxMessageSize+1)}
+	if err := sw.Write(big); !errors.Is(err, errTooLarge) {
+		t.Fatalf("oversize write: err = %v, want errTooLarge", err)
+	}
+	if writes, data := under.stats(); writes != 0 || len(data) != 0 {
+		t.Fatalf("oversize write left %d write(s), %d byte(s) on the stream", writes, len(data))
+	}
+	if err := sw.Write(ulongMessage(7)); err != nil {
+		t.Fatalf("write after the refusal: %v", err)
+	}
+	m, err := Read(bytes.NewReader(under.buf.Bytes()))
+	if err != nil || m.Type != MsgRequest {
+		t.Fatalf("frame after the refusal: %+v, %v", m, err)
+	}
+}

@@ -275,7 +275,7 @@ func (k *call) release() {
 	}
 	k.msg.Release()
 	k.msg, k.kind, k.err, k.d = nil, 0, nil, cdr.Decoder{}
-	if cap(k.enc.Bytes()) > giop.DefaultFragmentThreshold {
+	if cap(k.enc.Bytes()) > giop.PageBudget {
 		return // a huge request's buffer is not kept
 	}
 	k.pool.free.Put(k)
@@ -373,24 +373,7 @@ func (c *muxConn) send(msg *giop.Message) error {
 	return nil
 }
 
-// sendRequest writes one GIOP Request, fragmenting bodies above
-// giop.DefaultFragmentThreshold; hdrLen is the encoded request-header length,
-// which must stay whole in the initial frame.
-func (c *muxConn) sendRequest(reqID uint32, msg *giop.Message, hdrLen int) error {
-	stats := &c.pool.orb.Stats
-	frames, err := giop.WriteFragmented(c.w, msg, reqID, giop.DefaultFragmentThreshold, hdrLen)
-	if frames > 1 {
-		stats.FragmentsSent.Add(int64(frames - 1))
-	}
-	stats.BytesSent.Add(int64(len(msg.Body) + frames*giop.HeaderSize + (frames-1)*4))
-	if err != nil {
-		return &SystemException{Name: ExcCommFailure, Detail: err.Error()}
-	}
-	return nil
-}
-
-// handleReply routes one complete (possibly reassembled) Reply message to
-// its waiting caller. It reports whether the connection is still usable; on
+// handleReply routes one Reply message to its waiting caller. It reports whether the connection is still usable; on
 // false it has already been poisoned.
 func (c *muxConn) handleReply(msg *giop.Message) bool {
 	d := msg.BodyDecoder()
@@ -415,12 +398,8 @@ func (c *muxConn) handleReply(msg *giop.Message) bool {
 
 // readLoop is the demux goroutine: it reads framed messages until the
 // connection dies and routes replies to waiting callers by request ID.
-// Fragmented replies reassemble here before delivery; the pending cap
-// mirrors the pipelining depth, so a confused peer cannot hold more partial
-// replies open than the caller could have requests in flight.
 func (c *muxConn) readLoop(rd *giop.Reader) {
 	stats := &c.pool.orb.Stats
-	ra := giop.NewReassembler(maxPipelinePerConn)
 	for {
 		msg, err := rd.Read()
 		if err != nil {
@@ -430,41 +409,7 @@ func (c *muxConn) readLoop(rd *giop.Reader) {
 		stats.BytesReceived.Add(int64(len(msg.Body) + giop.HeaderSize))
 		switch msg.Type {
 		case giop.MsgReply:
-			if msg.More {
-				// Initial frame of a fragmented reply: key the reassembly by
-				// the request ID in its (whole, by contract) reply header.
-				var rh giop.ReplyHeader
-				d := msg.BodyDecoder()
-				err := rh.Unmarshal(&d)
-				if err == nil {
-					err = ra.Begin(rh.RequestID, msg)
-				}
-				msg.Release()
-				if err != nil {
-					c.fail(&SystemException{Name: ExcMarshal, Detail: "fragmented reply: " + err.Error()})
-					return
-				}
-				continue
-			}
 			if !c.handleReply(msg) {
-				return
-			}
-		case giop.MsgFragment:
-			out, err := ra.Fragment(msg)
-			msg.Release()
-			if err != nil {
-				c.fail(&SystemException{Name: ExcMarshal, Detail: "fragment: " + err.Error()})
-				return
-			}
-			stats.FragmentsReassembled.Add(1)
-			if out == nil {
-				continue // more fragments expected
-			}
-			if out.Type != giop.MsgReply {
-				c.fail(&SystemException{Name: ExcCommFailure, Detail: "fragmented " + out.Type.String()})
-				return
-			}
-			if !c.handleReply(out) {
 				return
 			}
 		case giop.MsgLocateReply:
@@ -489,9 +434,11 @@ func (c *muxConn) readLoop(rd *giop.Reader) {
 			c.fail(&SystemException{Name: ExcCommFailure, Detail: "peer reported message error"})
 			return
 		default:
+			// A message no client reads (a request, or a type GIOP 1.0 does
+			// not have) is a peer that does not speak the protocol.
 			t := msg.Type
 			msg.Release()
-			c.fail(&SystemException{Name: ExcCommFailure, Detail: "unexpected " + t.String()})
+			c.fail(&SystemException{Name: ExcMarshal, Detail: "unexpected " + t.String()})
 			return
 		}
 	}
@@ -500,22 +447,22 @@ func (c *muxConn) readLoop(rd *giop.Reader) {
 // call sends k's request and waits for its reply, bounding the wait by
 // timeout (0 = unbounded). A timeout or write failure poisons the
 // connection, preserving GIOP 1.0 semantics where a broken exchange leaves
-// the stream unusable. However it ends, k has had its one signal when call
-// returns (or was never registered), so the caller may release it.
-func (c *muxConn) call(k *call, reqID uint32, msg *giop.Message, hdrLen int, timeout time.Duration) error {
+// the stream unusable. A request above giop.MaxMessageSize, which no peer
+// would read, is refused with MARSHAL before it is registered or written, so
+// the connection carries on. However it ends, k has had its one signal when
+// call returns (or was never registered), so the caller may release it.
+func (c *muxConn) call(k *call, reqID uint32, msg *giop.Message, timeout time.Duration) error {
+	if n := len(msg.Body); n > giop.MaxMessageSize {
+		return &SystemException{Name: ExcMarshal,
+			Detail: fmt.Sprintf("request body of %d bytes exceeds the %d-byte message limit", n, giop.MaxMessageSize)}
+	}
 	if err := c.register(reqID, k); err != nil {
 		return err
 	}
 	stats := &c.pool.orb.Stats
 	stats.noteInFlight()
 	defer stats.InFlight.Add(-1)
-	var err error
-	if msg.Type == giop.MsgRequest {
-		err = c.sendRequest(reqID, msg, hdrLen)
-	} else {
-		err = c.send(msg)
-	}
-	if err != nil {
+	if err := c.send(msg); err != nil {
 		c.fail(err)
 		k.wait() // fail signalled the call with its error
 		return err
@@ -704,9 +651,8 @@ func (p *connPool) roundTrip(ctx context.Context, addr string, key []byte, op st
 			Operation:        op,
 			Principal:        []byte(p.orb.opts.Product),
 		}).Marshal(&k.enc)
-		hdrLen := k.enc.Len()
 		idl.MarshalAnys(&k.enc, args)
-		err = c.call(k, reqID, &giop.Message{Type: giop.MsgRequest, Order: order, Body: k.enc.Bytes()}, hdrLen, p.callDeadline(ctx))
+		err = c.call(k, reqID, &giop.Message{Type: giop.MsgRequest, Order: order, Body: k.enc.Bytes()}, p.callDeadline(ctx))
 		if err != nil {
 			k.release()
 			if pe, poisoned := err.(*errConnPoisoned); poisoned {
@@ -779,7 +725,7 @@ func (p *connPool) locate(ctx context.Context, addr string, key []byte) (bool, e
 		reqID := c.nextID.Add(1)
 		k := p.newCall(order)
 		(&giop.LocateRequestHeader{RequestID: reqID, ObjectKey: key}).Marshal(&k.enc)
-		err = c.call(k, reqID, &giop.Message{Type: giop.MsgLocateRequest, Order: order, Body: k.enc.Bytes()}, 0, p.callDeadline(ctx))
+		err = c.call(k, reqID, &giop.Message{Type: giop.MsgLocateRequest, Order: order, Body: k.enc.Bytes()}, p.callDeadline(ctx))
 		found, answered := k.lr.Status == giop.LocateObjectHere, k.kind == giop.MsgLocateReply
 		k.release()
 		if err != nil {

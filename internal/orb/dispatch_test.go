@@ -145,6 +145,45 @@ func TestDispatchWorkersBounded(t *testing.T) {
 	}
 }
 
+// TestDispatchSerialCallerOneWorker: a caller that waits for each reply
+// before its next request is served by one dispatch worker. The worker gives
+// its slot back before its reply goes out, so the next request finds the
+// workers outnumbering the slots taken and waits for it; when the slot was
+// held past the write, 1 000 serial calls started a second worker.
+func TestDispatchSerialCallerOneWorker(t *testing.T) {
+	server := New(Options{Product: Orbix, DisableColocation: true})
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer server.Shutdown()
+	var mu sync.Mutex
+	ran := map[uint64]int{}
+	h := NewHandler(echoIDL).On("echo", func(args []idl.Any) (idl.Any, error) {
+		id := goroutineID()
+		mu.Lock()
+		ran[id]++
+		mu.Unlock()
+		return args[0], nil
+	})
+	ior, err := server.Activate("Echo", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := New(Options{Product: VisiBroker, DisableColocation: true})
+	defer client.Shutdown()
+	ref := client.Resolve(ior)
+	for i := 0; i < 1000; i++ {
+		if _, err := ref.Invoke("echo", idl.String("serial")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 {
+		t.Errorf("1000 serial calls ran on %d dispatch workers, want 1: %v", len(ran), ran)
+	}
+}
+
 // TestMuxFailLeavesPoolBeforeDead pins the order inside muxConn.fail: the
 // connection leaves the pool before it turns dead. The other order let a
 // call made after the network healed pick the dead connection on both of

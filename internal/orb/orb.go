@@ -55,61 +55,61 @@ type Stats struct {
 	MaxInFlight    atomic.Int64 // high-water mark of InFlight
 	Retries        atomic.Int64 // transparent client retries of idempotent calls
 
-	FragmentsSent        atomic.Int64 // GIOP Fragment frames written (requests and replies)
-	FragmentsReassembled atomic.Int64 // GIOP Fragment frames consumed by reassembly
+	// FragmentsSent is always 0: no message is fragmented (a large result
+	// crosses as cursor pages, each a message of its own). fedbench's
+	// giop.fragments_per_op still reads it.
+	FragmentsSent atomic.Int64
 
 	// HousekeepingCalls counts the client calls issued under WithHousekeeping,
 	// by either path, instead of ColocatedCalls or IIOPCalls: traffic a node
 	// sends on a timer (membership gossip), whether or not anyone is using
 	// it. What is left in those two is what callers asked for, so the calls
-	// one statement costs can be read off them exactly. Bytes, fragments and
-	// the in-flight gauge count everything.
+	// one statement costs can be read off them exactly. Bytes and the
+	// in-flight gauge count everything.
 	HousekeepingCalls atomic.Int64
 }
 
 // StatsSnapshot is a plain-value copy of Stats, safe to serialize (it is the
 // shape the node binary publishes under /debug/metrics).
 type StatsSnapshot struct {
-	RequestsServed       int64 `json:"requests_served"`
-	ColocatedCalls       int64 `json:"colocated_calls"`
-	IIOPCalls            int64 `json:"iiop_calls"`
-	HousekeepingCalls    int64 `json:"housekeeping_calls"`
-	BytesSent            int64 `json:"bytes_sent"`
-	BytesReceived        int64 `json:"bytes_received"`
-	LocateRequests       int64 `json:"locate_requests"`
-	ActiveConns          int64 `json:"active_conns"`
-	ProtocolErrors       int64 `json:"protocol_errors"`
-	UserExceptions       int64 `json:"user_exceptions"`
-	SysExceptions        int64 `json:"sys_exceptions"`
-	OnewayRequests       int64 `json:"oneway_requests"`
-	InFlight             int64 `json:"in_flight"`
-	MaxInFlight          int64 `json:"max_in_flight"`
-	Retries              int64 `json:"retries"`
-	FragmentsSent        int64 `json:"fragments_sent"`
-	FragmentsReassembled int64 `json:"fragments_reassembled"`
+	RequestsServed    int64 `json:"requests_served"`
+	ColocatedCalls    int64 `json:"colocated_calls"`
+	IIOPCalls         int64 `json:"iiop_calls"`
+	HousekeepingCalls int64 `json:"housekeeping_calls"`
+	BytesSent         int64 `json:"bytes_sent"`
+	BytesReceived     int64 `json:"bytes_received"`
+	LocateRequests    int64 `json:"locate_requests"`
+	ActiveConns       int64 `json:"active_conns"`
+	ProtocolErrors    int64 `json:"protocol_errors"`
+	UserExceptions    int64 `json:"user_exceptions"`
+	SysExceptions     int64 `json:"sys_exceptions"`
+	OnewayRequests    int64 `json:"oneway_requests"`
+	InFlight          int64 `json:"in_flight"`
+	MaxInFlight       int64 `json:"max_in_flight"`
+	Retries           int64 `json:"retries"`
+	FragmentsSent     int64 `json:"fragments_sent"`
 }
 
 // Snapshot loads every counter atomically (field by field; see the Stats
 // concurrency contract) and returns the copy.
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		RequestsServed:       s.RequestsServed.Load(),
-		ColocatedCalls:       s.ColocatedCalls.Load(),
-		IIOPCalls:            s.IIOPCalls.Load(),
-		HousekeepingCalls:    s.HousekeepingCalls.Load(),
-		BytesSent:            s.BytesSent.Load(),
-		BytesReceived:        s.BytesReceived.Load(),
-		LocateRequests:       s.LocateRequests.Load(),
-		ActiveConns:          s.ActiveConns.Load(),
-		ProtocolErrors:       s.ProtocolErrors.Load(),
-		UserExceptions:       s.UserExceptions.Load(),
-		SysExceptions:        s.SysExceptions.Load(),
-		OnewayRequests:       s.OnewayRequests.Load(),
-		InFlight:             s.InFlight.Load(),
-		MaxInFlight:          s.MaxInFlight.Load(),
-		Retries:              s.Retries.Load(),
-		FragmentsSent:        s.FragmentsSent.Load(),
-		FragmentsReassembled: s.FragmentsReassembled.Load(),
+		RequestsServed:    s.RequestsServed.Load(),
+		ColocatedCalls:    s.ColocatedCalls.Load(),
+		IIOPCalls:         s.IIOPCalls.Load(),
+		HousekeepingCalls: s.HousekeepingCalls.Load(),
+		BytesSent:         s.BytesSent.Load(),
+		BytesReceived:     s.BytesReceived.Load(),
+		LocateRequests:    s.LocateRequests.Load(),
+		ActiveConns:       s.ActiveConns.Load(),
+		ProtocolErrors:    s.ProtocolErrors.Load(),
+		UserExceptions:    s.UserExceptions.Load(),
+		SysExceptions:     s.SysExceptions.Load(),
+		OnewayRequests:    s.OnewayRequests.Load(),
+		InFlight:          s.InFlight.Load(),
+		MaxInFlight:       s.MaxInFlight.Load(),
+		Retries:           s.Retries.Load(),
+		FragmentsSent:     s.FragmentsSent.Load(),
 	}
 }
 

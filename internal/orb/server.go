@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 
@@ -71,18 +72,15 @@ func (o *ORB) serveConn(nc net.Conn) {
 	// read loop to make progress (replies flush through w independently), so
 	// blocking here cannot deadlock.
 	sem := make(chan struct{}, maxPipelinePerConn)
-	// Fragmented requests reassemble here, keyed by request ID: at most
-	// maxPipelinePerConn of them, as many as whole requests in flight, holding
-	// giop.MaxReassembledSize bytes in all. A dispatch slot (sem) is only
-	// taken once the logical request is complete.
-	ra := giop.NewReassembler(maxPipelinePerConn)
 	// Dispatch workers live as long as the connection, so a request runs on a
 	// goroutine whose stack has already grown to servant depth instead of a
 	// fresh one per call, with the scratch an earlier request left. A worker
-	// is started only when none is idle, and never more than
-	// maxPipelinePerConn of them: a worker that has released its sem slot
-	// but is not receiving yet looks busy to the try-send, so at the cap the
-	// read loop waits for one instead of starting another.
+	// gives its sem slot back once its reply is encoded, before it is
+	// written, and is then on its way back to receive. So while the workers
+	// outnumber the slots taken (this request's included), one of them is
+	// idle or about to be, and the read loop waits for it instead of starting
+	// another: a caller that waits for each reply before its next request is
+	// served by one worker, and there are never more than maxPipelinePerConn.
 	work := make(chan *giop.Message)
 	defer close(work)
 	workers := 0
@@ -90,14 +88,16 @@ func (o *ORB) serveConn(nc net.Conn) {
 		defer o.wg.Done()
 		var ds dispatcher
 		for ; m != nil; m = <-work {
-			ok := o.handleRequest(w, &ds, m)
+			reply := o.handleRequest(&ds, m)
 			m.Release()
 			<-sem
-			if !ok {
-				// The reply could not be written: the stream is broken for
-				// every other request too, so tear the socket down to
-				// unblock the read loop.
+			if reply && !o.send(w, &ds.out) {
+				// The stream is broken for every other request too, so tear
+				// the socket down to unblock the read loop.
 				nc.Close()
+			}
+			if cap(ds.enc.Bytes()) > giop.PageBudget {
+				ds.enc, ds.out = cdr.Encoder{}, giop.Message{} // a huge reply's buffer is not kept
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func (o *ORB) serveConn(nc net.Conn) {
 		select {
 		case work <- m:
 		default:
-			if workers == maxPipelinePerConn {
+			if workers >= len(sem) {
 				work <- m
 				return
 			}
@@ -132,43 +132,7 @@ func (o *ORB) serveConn(nc net.Conn) {
 		o.Stats.BytesReceived.Add(int64(len(msg.Body) + giop.HeaderSize))
 		switch msg.Type {
 		case giop.MsgRequest:
-			if msg.More {
-				// Initial frame of a fragmented request: its header must be
-				// whole (the writer keeps it in the first frame) so the
-				// reassembly can be keyed by request ID.
-				var hdr giop.RequestHeader
-				d := msg.BodyDecoder()
-				_, err := hdr.Unmarshal(&d)
-				if err == nil {
-					err = ra.Begin(hdr.RequestID, msg)
-				}
-				msg.Release()
-				if err != nil && !protocolErr() {
-					return
-				}
-				continue
-			}
 			dispatchReq(msg)
-		case giop.MsgFragment:
-			out, err := ra.Fragment(msg)
-			msg.Release()
-			if err != nil {
-				if !protocolErr() {
-					return
-				}
-				continue
-			}
-			o.Stats.FragmentsReassembled.Add(1)
-			if out == nil {
-				continue // more fragments expected
-			}
-			if out.Type != giop.MsgRequest {
-				if !protocolErr() {
-					return
-				}
-				continue
-			}
-			dispatchReq(out)
 		case giop.MsgLocateRequest:
 			ok := o.handleLocate(w, msg)
 			msg.Release()
@@ -176,14 +140,8 @@ func (o *ORB) serveConn(nc net.Conn) {
 				return
 			}
 		case giop.MsgCancelRequest:
-			// The cancelled request may still be executing in its dispatch
-			// goroutine; GIOP permits ignoring the cancel, and the client
-			// simply discards the eventual reply. A partially reassembled
-			// request, though, is dropped here and now.
-			var cr giop.CancelRequestHeader
-			if d := msg.BodyDecoder(); cr.Unmarshal(&d) == nil {
-				ra.Cancel(cr.RequestID)
-			}
+			// GIOP lets a server ignore a cancel: the request runs to its
+			// end, and a client that still waits takes the reply.
 			msg.Release()
 		case giop.MsgCloseConnection:
 			msg.Release()
@@ -199,39 +157,43 @@ func (o *ORB) serveConn(nc net.Conn) {
 
 // dispatcher is a dispatch worker's scratch, kept for its life: the request
 // header decoded in place (its key and contexts alias the body), the
-// arguments (no servant keeps them) and the reply encoder.
+// arguments (no servant keeps them), the reply encoder and the reply.
 type dispatcher struct {
 	hdr  giop.RequestHeader
 	args []idl.Any
 	enc  cdr.Encoder
+	out  giop.Message
 }
 
-// handleRequest dispatches one GIOP Request and writes the Reply. It reports
-// whether the connection is still usable. It runs on one of the connection's
-// dispatch workers, whose scratch ds is.
-func (o *ORB) handleRequest(w *giop.SyncWriter, ds *dispatcher, msg *giop.Message) bool {
+// handleRequest dispatches one GIOP Request and encodes its answer into
+// ds.out, reporting whether there is one to write (a oneway has none). It
+// runs on one of the connection's dispatch workers, whose scratch ds is.
+func (o *ORB) handleRequest(ds *dispatcher, msg *giop.Message) bool {
 	d := msg.BodyDecoder()
 	hdr := &ds.hdr
 	op, err := hdr.Unmarshal(&d)
 	if err != nil {
 		o.Stats.ProtocolErrors.Add(1)
-		return w.Write(&giop.Message{Type: giop.MsgMessageError, Order: msg.Order}) == nil
+		ds.out = giop.Message{Type: giop.MsgMessageError, Order: msg.Order}
+		return true
 	}
 	s, _ := o.lookupServant(hdr.ObjectKey)
 	hdr.Operation = opName(s, op)
 	if ds.args, err = idl.UnmarshalAnys(&d, ds.args); err != nil {
-		return o.writeReply(w, &ds.enc, msg.Order, hdr.RequestID, idl.Null(),
-			&SystemException{Name: ExcMarshal, Detail: err.Error()}) == nil
+		o.encodeReply(ds, msg.Order, hdr.RequestID, idl.Null(),
+			&SystemException{Name: ExcMarshal, Detail: err.Error()})
+		return true
 	}
 
 	result, invErr := o.dispatchIncoming(context.Background(), s,
 		hdr.ObjectKey, hdr.Operation, ds.args, hdr.ServiceContext, "iiop")
-	defer releaseResult(s, hdr.Operation, result, invErr) // once the reply is written
+	defer releaseResult(s, hdr.Operation, result, invErr) // once the reply holds a copy
 	if !hdr.ResponseExpected {
 		o.Stats.OnewayRequests.Add(1)
-		return true
+		return false
 	}
-	return o.writeReply(w, &ds.enc, msg.Order, hdr.RequestID, result, invErr) == nil
+	o.encodeReply(ds, msg.Order, hdr.RequestID, result, invErr)
+	return true
 }
 
 // opName names a request's operation: as the servant's interface does, or,
@@ -286,11 +248,12 @@ func (o *ORB) dispatch(ctx context.Context, s Servant, key []byte, op string, ar
 	return s.Invoke(op, args)
 }
 
-// writeReply encodes the reply for a completed invocation into e, the
-// worker's encoder. Bodies above giop.DefaultFragmentThreshold go out as a
-// fragmented message, so a huge result is interleavable with the other
-// replies sharing the connection.
-func (o *ORB) writeReply(w *giop.SyncWriter, e *cdr.Encoder, order cdr.ByteOrder, reqID uint32, result idl.Any, invErr error) error {
+// encodeReply encodes the reply for a completed invocation into ds.out, in
+// the worker's encoder. A body above giop.MaxMessageSize, which no peer would
+// read, is answered with a MARSHAL exception instead: the caller learns why,
+// and the connection carries on.
+func (o *ORB) encodeReply(ds *dispatcher, order cdr.ByteOrder, reqID uint32, result idl.Any, invErr error) {
+	e := &ds.enc
 	e.ResetFor(order, giop.HeaderSize)
 	rh := giop.ReplyHeader{RequestID: reqID}
 	var body func(*cdr.Encoder)
@@ -324,16 +287,20 @@ func (o *ORB) writeReply(w *giop.SyncWriter, e *cdr.Encoder, order cdr.ByteOrder
 		}
 	}
 	rh.Marshal(e)
-	hdrLen := e.Len() // the reply header must stay whole in the initial frame
 	body(e)
-	out := &giop.Message{Type: giop.MsgReply, Order: order, Body: e.Bytes()}
-	frames, err := giop.WriteFragmented(w, out, reqID, giop.DefaultFragmentThreshold, hdrLen)
-	if frames > 1 {
-		o.Stats.FragmentsSent.Add(int64(frames - 1))
-		*e = cdr.Encoder{} // a fragmented body's buffer is not kept
+	if n := e.Len(); n > giop.MaxMessageSize {
+		o.encodeReply(ds, order, reqID, idl.Null(), &SystemException{Name: ExcMarshal,
+			Detail: fmt.Sprintf("reply body of %d bytes exceeds the %d-byte message limit", n, giop.MaxMessageSize)})
+		return
 	}
-	o.Stats.BytesSent.Add(int64(len(out.Body) + frames*giop.HeaderSize + (frames-1)*4))
-	return err
+	ds.out = giop.Message{Type: giop.MsgReply, Order: order, Body: e.Bytes()}
+}
+
+// send writes one framed message, accounting wire stats. It reports whether
+// the connection is still usable.
+func (o *ORB) send(w *giop.SyncWriter, m *giop.Message) bool {
+	o.Stats.BytesSent.Add(int64(len(m.Body) + giop.HeaderSize))
+	return w.Write(m) == nil
 }
 
 // handleLocate answers a GIOP LocateRequest. Locates never run servant code,
@@ -352,7 +319,5 @@ func (o *ORB) handleLocate(w *giop.SyncWriter, msg *giop.Message) bool {
 	}
 	e := cdr.NewEncoderAt(msg.Order, giop.HeaderSize)
 	(&giop.LocateReplyHeader{RequestID: hdr.RequestID, Status: status}).Marshal(e)
-	out := &giop.Message{Type: giop.MsgLocateReply, Order: msg.Order, Body: e.Bytes()}
-	o.Stats.BytesSent.Add(int64(len(out.Body) + giop.HeaderSize))
-	return w.Write(out) == nil
+	return o.send(w, &giop.Message{Type: giop.MsgLocateReply, Order: msg.Order, Body: e.Bytes()})
 }

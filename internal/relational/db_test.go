@@ -286,6 +286,26 @@ func TestDialectGating(t *testing.T) {
 	}
 }
 
+// TestDialectGatesOrderBy: the mSQL gate walks ORDER BY keys as it walks the
+// WHERE clause and the select items, so a LIKE or an IN list there is refused
+// too, and a plain ORDER BY still runs.
+func TestDialectGatesOrderBy(t *testing.T) {
+	msql := NewDatabase("m", DialectMSQL)
+	mustExec(t, msql, "CREATE TABLE r (k VARCHAR(8), v INT)")
+	mustExec(t, msql, "INSERT INTO r VALUES ('a1', 1), ('b2', 2)")
+	for _, q := range []string{
+		"SELECT k FROM r ORDER BY k LIKE 'a%'",
+		"SELECT k FROM r ORDER BY v IN (1, 2)",
+	} {
+		if res, err := msql.Query(q); err == nil || !strings.Contains(err.Error(), "mSQL") {
+			t.Errorf("mSQL %q: %v, %v", q, res, err)
+		}
+	}
+	if res, err := msql.Query("SELECT k FROM r ORDER BY v DESC"); err != nil || len(res.Rows) != 2 || res.Rows[0][0].Str != "b2" {
+		t.Errorf("mSQL plain ORDER BY: %v, %v", res, err)
+	}
+}
+
 // TestCompositePrimaryKey: a table-level PRIMARY KEY over two columns refuses
 // a duplicate pair and admits pairs that share one column.
 func TestCompositePrimaryKey(t *testing.T) {

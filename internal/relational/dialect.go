@@ -52,9 +52,12 @@ func (d Dialect) Check(stmt Statement) error {
 	case *ExplainStmt:
 		return d.Check(s.Query)
 	case *SelectStmt:
-		exprs := []Expr{s.Where, s.Having}
+		exprs := append([]Expr{s.Where, s.Having}, s.GroupBy...)
 		for _, it := range s.Items {
 			exprs = append(exprs, it.Expr)
+		}
+		for _, o := range s.OrderBy {
+			exprs = append(exprs, o.Expr)
 		}
 		if !d.Aggregates && (len(s.GroupBy) > 0 || s.Having != nil) {
 			return unsupported("GROUP BY / HAVING")
